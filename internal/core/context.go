@@ -16,7 +16,10 @@ const ProtocolPayload int32 = -1
 
 // APICall carries the arguments of an API transition: one struct for every
 // call in Figure 3, plus the engine-driven error and notify events. Handlers
-// may set Return, which propagates back to the caller.
+// may set Return, which propagates back to the caller. The engine recycles
+// the record once the transition returns: a handler keeps what it needs from
+// the fields (Payload and Neighbors are the caller's and stay valid), never
+// the *APICall itself.
 type APICall struct {
 	Kind overlay.API
 
@@ -42,7 +45,11 @@ type APICall struct {
 
 // MsgEvent carries a message transition's event data. For forward
 // transitions the handler may rewrite NextHop (redirect), mutate Msg (the
-// engine re-encodes it), or set Quash to drop the message (§2.2).
+// engine re-encodes it), or set Quash to drop the message (§2.2). Like the
+// Context it arrives with, a *MsgEvent is valid for that one transition: the
+// instance reuses the record. Msg itself is freshly decoded per event and may
+// be kept; its byte-string fields alias the received frame, which is
+// immutable.
 type MsgEvent struct {
 	Msg  overlay.Message
 	From overlay.Address // immediate sender (recv) or original source (layered)
@@ -110,11 +117,13 @@ func (c *Context) StateChange(s State) {
 	if i.state == s {
 		return
 	}
-	i.trace(TraceLow, "state %s -> %s", i.state, s)
+	if i.tracing(TraceLow) {
+		i.trace(TraceLow, "state %s -> %s", i.state, s)
+	}
 	from := i.state
 	i.state = s
 	if h := i.node.handlers.StateChange; h != nil {
-		i.node.post(func() { h(i.def.name, from, s) })
+		i.node.postFunc(func() { h(i.def.name, from, s) })
 	}
 }
 
@@ -170,25 +179,31 @@ func (c *Context) TimerPending(name string) bool {
 // and making lock-order inversions between layers impossible.
 func (c *Context) Send(dst overlay.Address, m overlay.Message, pri int) error {
 	i := c.inst
-	frame, err := overlay.EncodeMessage(i.def.registry, m)
+	if i.lower == nil {
+		// The frame lives in the node's encode scratch only until the
+		// transport's Send has copied it into a datagram or its stream.
+		frame, err := i.node.hot.w.EncodeMessage(i.def.registry, m)
+		if err != nil {
+			return err
+		}
+		return i.sendFrame(dst, m.MsgName(), frame, pri)
+	}
+	frame, err := i.encodeOwned(m)
 	if err != nil {
 		return err
 	}
-	if i.lower == nil {
-		return i.sendFrame(dst, m.MsgName(), frame, pri)
+	if i.tracing(TraceHigh) {
+		i.trace(TraceHigh, "send %s to %v via %s", m.MsgName(), dst, i.lower.def.name)
 	}
-	call := &APICall{
+	i.counters.MsgsSent.Inc()
+	i.counters.BytesSent.Add(uint64(len(frame)))
+	i.node.postAPI(i.lower, &APICall{
 		Kind:        overlay.APIRouteIP,
 		DestIP:      dst,
 		Payload:     frame,
 		PayloadType: ProtocolPayload,
 		Priority:    pri,
-	}
-	i.trace(TraceHigh, "send %s to %v via %s", m.MsgName(), dst, i.lower.def.name)
-	i.counters.MsgsSent.Inc()
-	i.counters.BytesSent.Add(uint64(len(frame)))
-	lower := i.lower
-	i.node.post(func() { lower.dispatchAPI(call) })
+	})
 	return nil
 }
 
@@ -198,8 +213,7 @@ func (c *Context) downcall(call *APICall) error {
 	if i.lower == nil {
 		return fmt.Errorf("core: %s has no layer below for %s", i.def.name, call.Kind)
 	}
-	lower := i.lower
-	i.node.post(func() { lower.dispatchAPI(call) })
+	i.node.postAPI(i.lower, call)
 	return nil
 }
 
@@ -253,8 +267,7 @@ func (c *Context) DowncallExt(op int, arg any) error {
 // message or to the application when this is the top layer (the deliver()
 // upcall). Delivery is deferred until the current transition completes.
 func (c *Context) Deliver(payload []byte, typ int32, src overlay.Address) {
-	i := c.inst
-	i.node.post(func() { i.deliverUp(payload, typ, src) })
+	c.inst.node.post(event{kind: qDeliver, inst: c.inst, buf: payload, typ: typ, src: src})
 }
 
 // Forward runs the forward() upcall for a payload about to be forwarded to
@@ -269,7 +282,7 @@ func (c *Context) Forward(payload []byte, typ int32, next overlay.Address, nextK
 // application) learns this protocol's neighbor set changed. Deferred.
 func (c *Context) NotifyNeighbors(nt overlay.NeighborType, neighbors []overlay.Address) {
 	i := c.inst
-	i.node.post(func() { i.notifyUp(nt, neighbors) })
+	i.node.postFunc(func() { i.notifyUp(nt, neighbors) })
 }
 
 // UpcallExt is the extensible upcall to the layer above or application.
@@ -277,13 +290,13 @@ func (c *Context) NotifyNeighbors(nt overlay.NeighborType, neighbors []overlay.A
 // DowncallExt or protocol message.
 func (c *Context) UpcallExt(op int, arg any) {
 	i := c.inst
-	i.node.post(func() { i.upcallExt(op, arg) })
+	i.node.postFunc(func() { i.upcallExt(op, arg) })
 }
 
 // EncodeFrame encodes one of this protocol's own messages for transmission
 // through the layer below's route/multicast path (as a ProtocolPayload).
 func (c *Context) EncodeFrame(m overlay.Message) ([]byte, error) {
-	return overlay.EncodeMessage(c.inst.def.registry, m)
+	return c.inst.encodeOwned(m)
 }
 
 // TransportQueued reports bytes queued toward dst on a named transport of
@@ -303,16 +316,15 @@ func (c *Context) TransportQueued(transport string, dst overlay.Address) int {
 // spaced probe trains, modeled processing delays).
 func (c *Context) After(d time.Duration, fn func(ctx *Context)) {
 	i := c.inst
-	i.node.clock.After(d, func() {
-		i.node.post(func() {
-			if i.node.stopped {
-				return
-			}
-			i.mu.Lock()
-			defer i.mu.Unlock()
-			fn(&Context{inst: i})
-		})
-	})
+	run := func() {
+		if i.node.stopped {
+			return
+		}
+		i.mu.Lock()
+		defer i.mu.Unlock()
+		fn(&i.hot.ctx)
+	}
+	i.node.clock.After(d, func() { i.node.postFunc(run) })
 }
 
 // Tracef writes a protocol-level trace line at the given level.

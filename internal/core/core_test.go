@@ -571,7 +571,7 @@ func TestTimerGenerationsCancelQueuedFires(t *testing.T) {
 	inst := n.Instance("echo")
 	p := echoOf(n)
 	// Schedule the one-shot, then cancel it in the same virtual instant.
-	n.post(func() {
+	n.postFunc(func() {
 		ctx := &Context{inst: inst}
 		ctx.TimerSched("oneshot", time.Millisecond)
 		ctx.TimerCancel("oneshot")

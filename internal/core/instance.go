@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -26,13 +27,44 @@ type Instance struct {
 	lower, upper *Instance
 
 	counters counterSet
+	hot      instHot // a named field: embedding would promote StateCopyOpaque to Instance
 }
+
+// instHot is the instance's share of the hot-path storage (see hotPath):
+// fixed at construction or scratch between events, so checkpoints skip it.
+type instHot struct {
+	traceMax TraceLevel // highest level that reaches the tracer
+
+	// ctx and ev are what every transition of this instance receives: valid
+	// for that transition only, as their docs say, and reused by the next.
+	// Per instance, not per node, because a forward upcall dispatches into
+	// the layer above while the layer below is still mid-transition.
+	ctx Context
+	ev  MsgEvent
+}
+
+// StateCopyOpaque keeps the per-instance scratch out of checkpoint images.
+func (*instHot) StateCopyOpaque() {}
 
 type timerState struct {
 	decl *timerDecl
 	tm   stoppable
 	gen  uint64 // invalidates queued fires after cancel/resched
+	fire timerCallback
 }
+
+// timerCallback caches the substrate callback that queues a qTimer event
+// stamped gen. It is rebuilt only when the timer's generation has moved, so
+// a timer that just keeps firing and being re-armed reuses one closure. A
+// pure cache keyed by gen — a rewound timerState finds it either still
+// matching or stale — so checkpoints skip it.
+type timerCallback struct {
+	fn  func()
+	gen uint64
+}
+
+// StateCopyOpaque keeps the callback cache out of checkpoint images.
+func (*timerCallback) StateCopyOpaque() {}
 
 type stoppable interface{ Stop() bool }
 
@@ -50,12 +82,21 @@ func newInstance(n *Node, agent Agent) (*Instance, error) {
 		return nil, err
 	}
 	i.def = d
+	i.hot.ctx.inst = i
 	for name, td := range d.timers {
 		i.timers[name] = &timerState{decl: td}
 	}
 	for _, nd := range d.neighbors {
 		i.nbrs[nd.name] = newNeighborList(nd)
 	}
+	level := n.traceLevel
+	if d.traceSet {
+		level = d.traceLevel
+	}
+	for level > TraceOff && !n.tracer.Enabled(level) {
+		level--
+	}
+	i.hot.traceMax = level
 	return i, nil
 }
 
@@ -102,12 +143,14 @@ func (i *Instance) NeighborsSnapshot(name string) []overlay.Address {
 	return nil
 }
 
+// tracing reports whether a line at level l would be written. Call sites on
+// the event path test it before calling trace: building trace's variadic
+// arguments boxes every operand, which with tracing off used to be the
+// engine's largest single source of allocations.
+func (i *Instance) tracing(l TraceLevel) bool { return l <= i.hot.traceMax }
+
 func (i *Instance) trace(l TraceLevel, format string, args ...any) {
-	level := i.node.traceLevel
-	if i.def != nil && i.def.traceSet {
-		level = i.def.traceLevel
-	}
-	if l > level {
+	if !i.tracing(l) {
 		return
 	}
 	i.node.tracer.tracef(l, i.node.clock.Now(), "%s",
@@ -115,9 +158,10 @@ func (i *Instance) trace(l TraceLevel, format string, args ...any) {
 }
 
 // dispatch finds the first transition for k whose guard matches the current
-// state and runs it under the declared lock mode. It reports whether a
-// transition ran.
-func (i *Instance) dispatch(k eventKey, run func(t transition, ctx *Context)) bool {
+// state and runs it under the declared lock mode with the operand its kind
+// takes: ev for recv/forward, call for API, neither for timers. It reports
+// whether a transition ran.
+func (i *Instance) dispatch(k eventKey, ev *MsgEvent, call *APICall) bool {
 	ts := i.def.transitions[k]
 	// Guard evaluation reads the state; take the read lock briefly, then the
 	// transition lock. State can only move under the write lock, and control
@@ -140,9 +184,17 @@ func (i *Instance) dispatch(k eventKey, run func(t transition, ctx *Context)) bo
 			continue
 		}
 		i.counters.Transitions.Inc()
-		i.trace(TraceMed, "%s %s [%s, %s]", k.kind, k.name, t.guard, t.lock)
-		ctx := &Context{inst: i}
-		run(t, ctx)
+		if i.tracing(TraceMed) {
+			i.trace(TraceMed, "%s %s [%s, %s]", k.kind, k.name, t.guard, t.lock)
+		}
+		switch k.kind {
+		case evRecv, evForward:
+			t.msg(&i.hot.ctx, ev)
+		case evTimer:
+			t.timer(&i.hot.ctx)
+		default:
+			t.api(&i.hot.ctx, call)
+		}
 		if t.lock == Read {
 			i.mu.RUnlock()
 		} else {
@@ -151,23 +203,35 @@ func (i *Instance) dispatch(k eventKey, run func(t transition, ctx *Context)) bo
 		return true
 	}
 	i.counters.Unhandled.Inc()
-	i.trace(TraceMed, "unhandled %s %s in state %s", k.kind, k.name, i.state)
+	if i.tracing(TraceMed) {
+		i.trace(TraceMed, "unhandled %s %s in state %s", k.kind, k.name, i.state)
+	}
 	return false
 }
 
-// handleFrame demultiplexes a lowest-layer frame into a recv transition.
-func (i *Instance) handleFrame(src overlay.Address, frame []byte) {
-	m, err := overlay.DecodeMessage(i.def.registry, frame)
+// handleFrame demultiplexes a frame addressed to this layer into a recv
+// transition; what names the frame's kind ("frame" off the wire, "layered
+// frame" out of the layer below) in the trace line a malformed one earns.
+// Byte-string fields of the decoded message alias frame, which the receiver
+// owns and nobody rewrites.
+func (i *Instance) handleFrame(what string, src overlay.Address, frame []byte) {
+	m, err := i.node.hot.r.DecodeMessage(i.def.registry, frame)
 	if err != nil {
-		i.trace(TraceLow, "bad frame from %v: %v", src, err)
+		i.trace(TraceLow, "bad %s from %v: %v", what, src, err)
 		return
 	}
 	i.counters.MsgsRecv.Inc()
 	i.counters.BytesRecv.Add(uint64(len(frame)))
-	ev := &MsgEvent{Msg: m, From: src}
-	i.dispatch(eventKey{evRecv, m.MsgName()}, func(t transition, ctx *Context) {
-		t.msg(ctx, ev)
-	})
+	i.dispatchMsg(evRecv, MsgEvent{Msg: m, From: src})
+}
+
+// dispatchMsg runs a recv or forward transition on a decoded message. The
+// handler sees the instance's one MsgEvent; what it left there is returned.
+func (i *Instance) dispatchMsg(kind eventKind, ev MsgEvent) (MsgEvent, bool) {
+	i.hot.ev = ev
+	handled := i.dispatch(eventKey{kind, ev.Msg.MsgName()}, &i.hot.ev, nil)
+	ev, i.hot.ev = i.hot.ev, MsgEvent{}
+	return ev, handled
 }
 
 // sendFrame transmits an encoded frame on the lowest layer.
@@ -178,8 +242,21 @@ func (i *Instance) sendFrame(dst overlay.Address, msgName string, frame []byte, 
 	}
 	i.counters.MsgsSent.Inc()
 	i.counters.BytesSent.Add(uint64(len(frame)))
-	i.trace(TraceHigh, "send %s to %v on %s", msgName, dst, tr.Name())
+	if i.tracing(TraceHigh) {
+		i.trace(TraceHigh, "send %s to %v on %s", msgName, dst, tr.Name())
+	}
 	return tr.Send(dst, frame)
+}
+
+// encodeOwned renders one of this protocol's messages into a fresh frame
+// the caller may keep: what a frame needs when it outlives the current
+// event (a deferred downcall's payload, a frame handed to protocol code).
+func (i *Instance) encodeOwned(m overlay.Message) ([]byte, error) {
+	frame, err := i.node.hot.w.EncodeMessage(i.def.registry, m)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(frame), nil
 }
 
 // schedTimer implements timer_sched / timer_resched.
@@ -200,64 +277,60 @@ func (i *Instance) schedTimer(name string, d time.Duration, replace bool) {
 		}
 		ts.tm.Stop()
 		ts.tm = nil
+		ts.gen++ // the stopped timer's fire may already be queued: defeat it
 	}
-	i.trace(TraceHigh, "timer %s in %v", name, d)
-	i.armTimer(ts, name, d)
+	if i.tracing(TraceHigh) {
+		i.trace(TraceHigh, "timer %s in %v", name, d)
+	}
+	i.armTimer(ts, d)
 }
 
-// armTimer schedules the timer callback through the node queue so timer
+// armTimer schedules the timer's fire through the node queue so timer
 // transitions serialize with every other event. The generation stamp makes
-// cancellations and reschedules win over already-queued fires.
-func (i *Instance) armTimer(ts *timerState, name string, d time.Duration) {
-	ts.gen++
-	gen := ts.gen
-	ts.tm = i.node.clock.After(d, func() {
-		i.node.post(func() { i.fireTimer(ts, name, gen) })
-	})
+// cancellations and reschedules win over already-queued fires: both bump
+// ts.gen, and a fire stamped with an older generation is dropped. Arming an
+// idle timer keeps the generation — nothing stamped with it can still be
+// in flight, its one fire has run or a cancel has moved past it — which is
+// what lets the callback be reused.
+func (i *Instance) armTimer(ts *timerState, d time.Duration) {
+	if ts.fire.fn == nil || ts.fire.gen != ts.gen {
+		gen := ts.gen
+		ts.fire = timerCallback{gen: gen, fn: func() {
+			i.node.post(event{kind: qTimer, inst: i, ts: ts, gen: gen})
+		}}
+	}
+	ts.tm = i.node.clock.After(d, ts.fire.fn)
 }
 
-func (i *Instance) fireTimer(ts *timerState, name string, gen uint64) {
+func (i *Instance) fireTimer(ts *timerState, gen uint64) {
 	if i.node.stopped || gen != ts.gen {
 		return
 	}
 	ts.tm = nil
 	i.counters.TimerFires.Inc()
-	i.dispatch(eventKey{evTimer, name}, func(t transition, ctx *Context) {
-		t.timer(ctx)
-	})
+	i.dispatch(eventKey{evTimer, ts.decl.name}, nil, nil)
 	if ts.decl.periodic && ts.tm == nil {
-		i.armTimer(ts, name, ts.decl.period)
+		i.armTimer(ts, ts.decl.period)
 	}
 }
 
 // dispatchAPI runs an API transition. Unhandled calls are counted and
 // otherwise ignored, as an overlay with no matching transition would be.
 func (i *Instance) dispatchAPI(call *APICall) {
-	i.dispatch(eventKey{evAPI, call.Kind.String()}, func(t transition, ctx *Context) {
-		t.api(ctx, call)
-	})
+	i.dispatch(eventKey{evAPI, call.Kind.String()}, nil, call)
 }
 
 // deliverUp implements the deliver() upcall from this layer.
 func (i *Instance) deliverUp(payload []byte, typ int32, src overlay.Address) {
 	i.counters.Delivered.Inc()
 	if typ == ProtocolPayload && i.upper != nil {
-		up := i.upper
-		m, err := overlay.DecodeMessage(up.def.registry, payload)
-		if err != nil {
-			up.trace(TraceLow, "bad layered frame from %v: %v", src, err)
-			return
-		}
-		up.counters.MsgsRecv.Inc()
-		up.counters.BytesRecv.Add(uint64(len(payload)))
-		ev := &MsgEvent{Msg: m, From: src}
-		up.dispatch(eventKey{evRecv, m.MsgName()}, func(t transition, ctx *Context) {
-			t.msg(ctx, ev)
-		})
+		i.upper.handleFrame("layered frame", src, payload)
 		return
 	}
 	if typ >= 0 && i.upper == nil {
-		i.trace(TraceHigh, "deliver type %d from %v to application", typ, src)
+		if i.tracing(TraceHigh) {
+			i.trace(TraceHigh, "deliver type %d from %v to application", typ, src)
+		}
 		if h := i.node.handlers.Deliver; h != nil {
 			h(payload, typ, src)
 		}
@@ -274,15 +347,12 @@ func (i *Instance) forwardUp(payload []byte, typ int32, next overlay.Address, ne
 	i.counters.Forwarded.Inc()
 	if typ == ProtocolPayload && i.upper != nil {
 		up := i.upper
-		m, err := overlay.DecodeMessage(up.def.registry, payload)
+		m, err := i.node.hot.r.DecodeMessage(up.def.registry, payload)
 		if err != nil {
 			up.trace(TraceLow, "bad layered frame in forward: %v", err)
 			return true, next, payload
 		}
-		ev := &MsgEvent{Msg: m, NextHop: next, NextKey: nextKey}
-		handled := up.dispatch(eventKey{evForward, m.MsgName()}, func(t transition, ctx *Context) {
-			t.msg(ctx, ev)
-		})
+		ev, handled := up.dispatchMsg(evForward, MsgEvent{Msg: m, NextHop: next, NextKey: nextKey})
 		if !handled {
 			return true, next, payload
 		}
@@ -292,7 +362,7 @@ func (i *Instance) forwardUp(payload []byte, typ int32, next overlay.Address, ne
 		// The transition may have mutated the message; re-encode so the
 		// rewritten form travels on (the paper: "intermediate nodes can
 		// change the message or its destination").
-		newPayload, err := overlay.EncodeMessage(up.def.registry, ev.Msg)
+		newPayload, err := up.encodeOwned(ev.Msg)
 		if err != nil {
 			return true, ev.NextHop, payload
 		}

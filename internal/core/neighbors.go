@@ -88,8 +88,9 @@ func (l *NeighborList) Remove(addr overlay.Address) bool {
 
 // Clear empties the list.
 func (l *NeighborList) Clear() {
+	clear(l.entries) // drop the pointers the retained storage still holds
 	l.entries = l.entries[:0]
-	l.index = make(map[overlay.Address]*Neighbor)
+	clear(l.index)
 }
 
 // Contains reports whether addr is in the list.

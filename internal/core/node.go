@@ -72,13 +72,12 @@ type Node struct {
 	lastHeard                      map[overlay.Address]time.Time
 	hbProbed                       map[overlay.Address]bool
 	sweepTimer                     substrate.Timer
+	sweepFn                        func() // queues a qSweep event; built once
 
-	// Deferred-execution queue: every engine event (frame, timer, API call,
-	// cross-layer dispatch) runs through here, one at a time per node.
-	execMu   chan struct{} // buffered(1) semaphore usable from any goroutine
-	queue    []func()
-	queueMu  chan struct{}
-	draining bool
+	// Deferred-execution queue and per-event scratch: every engine event
+	// (frame, timer, API call, cross-layer dispatch) runs through here, one
+	// at a time per node.
+	hot hotPath
 
 	stopped bool
 }
@@ -117,9 +116,7 @@ func NewNode(cfg Config) (*Node, error) {
 		sweepEvery: cfg.Sweep,
 		lastHeard:  make(map[overlay.Address]time.Time),
 		hbProbed:   make(map[overlay.Address]bool),
-		queueMu:    make(chan struct{}, 1),
 	}
-	n.queueMu <- struct{}{}
 	if n.hbAfter <= 0 {
 		n.hbAfter = 5 * time.Second
 	}
@@ -167,37 +164,19 @@ func NewNode(cfg Config) (*Node, error) {
 	// Init transitions run bottom-up, then the failure-detector sweep
 	// starts.
 	boot := cfg.Bootstrap
-	n.post(func() {
+	n.postFunc(func() {
 		for _, inst := range n.stack {
 			inst.dispatchAPI(&APICall{Kind: overlay.APIInit, Bootstrap: boot})
 		}
 	})
-	n.sweepTimer = n.clock.After(n.sweepEvery, n.sweep)
+	n.sweepFn = func() { n.post(event{kind: qSweep}) }
+	n.sweepTimer = n.clock.After(n.sweepEvery, n.sweepFn)
 	return n, nil
 }
 
-// post enqueues fn on the node's serialized execution queue. If the queue is
-// idle, fn (and everything it posts) runs before post returns; otherwise it
-// runs when the current event chain drains. This is what makes every
-// cross-layer call deferred and every node single-logical-threaded.
-func (n *Node) post(fn func()) {
-	<-n.queueMu
-	n.queue = append(n.queue, fn)
-	if n.draining {
-		n.queueMu <- struct{}{}
-		return
-	}
-	n.draining = true
-	for len(n.queue) > 0 {
-		next := n.queue[0]
-		n.queue = n.queue[1:]
-		n.queueMu <- struct{}{}
-		next()
-		<-n.queueMu
-	}
-	n.draining = false
-	n.queueMu <- struct{}{}
-}
+// postFunc queues a closure: the fallback for events too rare to deserve a
+// record kind of their own.
+func (n *Node) postFunc(fn func()) { n.post(event{kind: qFunc, fn: fn}) }
 
 // Exec runs fn on the node's serialized execution queue and waits for it to
 // finish: the safe way for code outside the event loop — live deployments
@@ -206,7 +185,7 @@ func (n *Node) post(fn func()) {
 // node's own event handlers (it would deadlock waiting on itself).
 func (n *Node) Exec(fn func()) {
 	done := make(chan struct{})
-	n.post(func() {
+	n.postFunc(func() {
 		fn()
 		close(done)
 	})
@@ -240,10 +219,7 @@ func (n *Node) Top() *Instance { return n.stack[len(n.stack)-1] }
 func (n *Node) RegisterHandlers(h Handlers) { n.handlers = h }
 
 // apiToTop defers an API call into the top instance.
-func (n *Node) apiToTop(call *APICall) {
-	top := n.Top()
-	n.post(func() { top.dispatchAPI(call) })
-}
+func (n *Node) apiToTop(call *APICall) { n.postAPI(n.Top(), call) }
 
 // Route sends payload toward the key dest through the overlay
 // (macedon_route).
@@ -343,7 +319,7 @@ func (n *Node) Transport(name string) (transport.Transport, bool) {
 // Stop cancels timers and closes the transports. The node must not be used
 // afterwards.
 func (n *Node) Stop() {
-	n.post(func() {
+	n.postFunc(func() {
 		n.stopped = true
 		if n.sweepTimer != nil {
 			n.sweepTimer.Stop()
@@ -375,90 +351,122 @@ func (n *Node) transportFor(d *Def, msgName string, pri int) (transport.Transpor
 	return t, nil
 }
 
-// onFrame is the mux receive path: heartbeat bookkeeping plus lowest-layer
-// demultiplexing, all through the node queue.
+// onFrame is the mux receive path. The frame is immutable and ours from
+// here on (the substrate contract, see substrate.Endpoint.SetRecv), so it
+// is queued as it is: no copy, no closure.
 func (n *Node) onFrame(tname string, src overlay.Address, frame []byte) {
-	// Frames are only valid during the callback: copy before deferring.
-	buf := append([]byte(nil), frame...)
-	n.post(func() {
-		if n.stopped {
-			return
-		}
-		n.lastHeard[src] = n.clock.Now()
-		delete(n.hbProbed, src)
-		if tname == hbTransport {
-			n.handleHeartbeat(src, buf)
-			return
-		}
-		n.stack[0].handleFrame(src, buf)
-	})
+	n.post(event{kind: qFrame, hb: tname == hbTransport, src: src, buf: frame})
 }
+
+// recvFrame runs a qFrame event: heartbeat bookkeeping plus lowest-layer
+// demultiplexing.
+func (n *Node) recvFrame(hb bool, src overlay.Address, frame []byte) {
+	if n.stopped {
+		return
+	}
+	n.lastHeard[src] = n.clock.Now()
+	delete(n.hbProbed, src)
+	if hb {
+		n.handleHeartbeat(src, frame)
+		return
+	}
+	n.stack[0].handleFrame("frame", src, frame)
+}
+
+// Heartbeat datagrams are one constant byte; transports copy on Send.
+var (
+	hbRequestFrame  = []byte{hbRequest}
+	hbResponseFrame = []byte{hbResponse}
+)
 
 func (n *Node) handleHeartbeat(src overlay.Address, frame []byte) {
 	if len(frame) < 1 {
 		return
 	}
 	if frame[0] == hbRequest {
-		_ = n.transports[hbTransport].Send(src, []byte{hbResponse})
+		_ = n.transports[hbTransport].Send(src, hbResponseFrame)
 	}
 }
 
-// sweep is the failure detector (§3.1): for every fail_detect neighbor list
-// member, silence beyond HeartbeatAfter solicits communication; silence
+// sweepAct is one failure-detector decision about a list member: declare it
+// failed, or solicit a heartbeat.
+type sweepAct struct {
+	addr overlay.Address
+	fail bool
+}
+
+// runSweep is the failure detector (§3.1): for every fail_detect neighbor
+// list member, silence beyond HeartbeatAfter solicits communication; silence
 // beyond FailAfter removes the peer and invokes the error transition.
-func (n *Node) sweep() {
-	n.post(func() {
-		if n.stopped {
-			return
-		}
-		now := n.clock.Now()
-		var failed []overlay.Address
-		for _, inst := range n.stack {
-			for _, l := range inst.nbrs {
-				if !l.failDetect {
+//
+// Error transitions mutate neighbor lists, so a list is first walked for
+// decisions and the decisions are then carried out in walk order. A
+// decision depends only on the clock and the lastHeard/hbProbed books of
+// that one address, which no action on another address touches, so this is
+// the same sweep as acting during the walk over a copy of the list.
+func (n *Node) runSweep() {
+	if n.stopped {
+		return
+	}
+	now := n.clock.Now()
+	var failed []overlay.Address
+	for _, inst := range n.stack {
+		for _, nd := range inst.def.neighbors { // declaration order
+			if !nd.failDetect {
+				continue
+			}
+			l := inst.nbrs[nd.name]
+			acts := n.hot.sweepActs[:0]
+			for _, nb := range l.entries {
+				heard, ok := n.lastHeard[nb.Addr]
+				if !ok {
+					// Never heard: start the clock at first sight.
+					n.lastHeard[nb.Addr] = now
 					continue
 				}
-				for _, nb := range l.Entries() {
-					heard, ok := n.lastHeard[nb.Addr]
-					if !ok {
-						// Never heard: start the clock at first sight.
-						n.lastHeard[nb.Addr] = now
-						continue
-					}
-					silence := now.Sub(heard)
-					switch {
-					case silence > n.failAfter && n.hbProbed[nb.Addr]:
-						// Probed and still silent: dead. A failure verdict
-						// requires an unanswered probe, not just a stale
-						// lastHeard entry: protocols re-add live peers whose
-						// timestamp predates their membership (successor
-						// lists rebuilt from a remote node's view do this
-						// every stabilize round), and those must get a probe
-						// cycle — not an instant, perpetually repeating
-						// failure — before the error transition fires.
-						l.Remove(nb.Addr)
-						failed = append(failed, nb.Addr)
-						inst.counters.Failures.Inc()
-						inst.trace(TraceLow, "failure of %v detected on %s", nb.Addr, l.Name())
-						inst.dispatchAPI(&APICall{Kind: overlay.APIError, Failed: nb.Addr})
-						if h := n.handlers.Failure; h != nil {
-							h(inst.def.name, nb.Addr)
-						}
-					case silence > n.hbAfter && !n.hbProbed[nb.Addr]:
-						n.hbProbed[nb.Addr] = true
-						_ = n.transports[hbTransport].Send(nb.Addr, []byte{hbRequest})
-					}
+				silence := now.Sub(heard)
+				switch {
+				case silence > n.failAfter && n.hbProbed[nb.Addr]:
+					// Probed and still silent: dead. A failure verdict
+					// requires an unanswered probe, not just a stale
+					// lastHeard entry: protocols re-add live peers whose
+					// timestamp predates their membership (successor
+					// lists rebuilt from a remote node's view do this
+					// every stabilize round), and those must get a probe
+					// cycle — not an instant, perpetually repeating
+					// failure — before the error transition fires.
+					acts = append(acts, sweepAct{nb.Addr, true})
+				case silence > n.hbAfter && !n.hbProbed[nb.Addr]:
+					acts = append(acts, sweepAct{nb.Addr, false})
+				}
+			}
+			n.hot.sweepActs = acts[:0]
+			for _, a := range acts {
+				if !a.fail {
+					n.hbProbed[a.addr] = true
+					_ = n.transports[hbTransport].Send(a.addr, hbRequestFrame)
+					continue
+				}
+				l.Remove(a.addr)
+				failed = append(failed, a.addr)
+				inst.counters.Failures.Inc()
+				if inst.tracing(TraceLow) {
+					inst.trace(TraceLow, "failure of %v detected on %s", a.addr, l.Name())
+				}
+				inst.dispatchAPI(&APICall{Kind: overlay.APIError, Failed: a.addr})
+				if h := n.handlers.Failure; h != nil {
+					h(inst.def.name, a.addr)
 				}
 			}
 		}
-		// The verdicts consume the probes only after every list is swept,
-		// so a peer monitored by several lists (or stacked instances) fails
-		// on all of them in the same sweep; if it is ever re-added (a
-		// revived node resurfacing in a successor list), it gets a fresh
-		// probe cycle instead of failing on a stale flag forever.
-		for _, a := range failed {
-			delete(n.hbProbed, a)
-		}
-		n.sweepTimer = n.clock.After(n.sweepEvery, n.sweep)
-	})
+	}
+	// The verdicts consume the probes only after every list is swept,
+	// so a peer monitored by several lists (or stacked instances) fails
+	// on all of them in the same sweep; if it is ever re-added (a
+	// revived node resurfacing in a successor list), it gets a fresh
+	// probe cycle instead of failing on a stale flag forever.
+	for _, a := range failed {
+		delete(n.hbProbed, a)
+	}
+	n.sweepTimer = n.clock.After(n.sweepEvery, n.sweepFn)
 }

@@ -15,8 +15,8 @@ package core
 //
 //   - Quiescence: capture and restore happen between scheduler RunFor
 //     windows, when the node's deferred-execution queue has fully drained
-//     and no transition is mid-flight (every lock unlocked, the queue
-//     semaphore holding its idle token).
+//     and no transition is mid-flight (every lock unlocked, the event ring
+//     empty).
 //   - Substrate handles are opaque: the node's clock and endpoints snapshot
 //     themselves through the emulator's own Snapshot/Restore; timers queued
 //     in the event heaps are rewound by the scheduler snapshot.
@@ -25,7 +25,9 @@ package core
 //     overlays do; an agent squirreling state away inside a long-lived
 //     closure would escape the walk.
 //
-// Two engine types opt out of the walk entirely:
+// Three engine types opt out of the walk entirely (the third is hotPath in
+// queue.go: the event ring and per-event scratch, empty or garbage at every
+// quiescent point):
 
 // StateCopyOpaque marks the protocol definition as shared across fork
 // branches: a Def is immutable once newInstance has validated it (the

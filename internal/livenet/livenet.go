@@ -359,6 +359,9 @@ func (e *endpoint) readLoop() {
 			continue
 		}
 		src := overlay.Address(uint32(buf[0])<<24 | uint32(buf[1])<<16 | uint32(buf[2])<<8 | uint32(buf[3]))
+		// The one copy on the receive path: out of the read buffer into a
+		// payload the receiver owns (substrate.Endpoint.SetRecv), so
+		// nothing above — mux, engine queue, decoded messages — copies again.
 		payload := append([]byte(nil), buf[4:n]...)
 		e.mu.Lock()
 		fn := e.recv

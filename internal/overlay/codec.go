@@ -30,7 +30,8 @@ var (
 )
 
 // Writer accumulates the big-endian wire form of a message. The zero value
-// is ready to use.
+// is ready to use. A Writer may be reused message after message (Reset
+// retains its storage); bytes it returned belong to it until the next Reset.
 type Writer struct {
 	buf []byte
 }
@@ -114,7 +115,8 @@ func (w *Writer) Keys(ks []Key) {
 
 // Reader consumes the wire form of a message. It is sticky-error: after the
 // first failure every accessor returns zero values and Err reports the
-// failure, so Decode bodies read linearly without per-field checks.
+// failure, so Decode bodies read linearly without per-field checks. A Reader
+// may be reused frame after frame through Reset.
 type Reader struct {
 	buf []byte
 	err error
@@ -122,6 +124,9 @@ type Reader struct {
 
 // NewReader returns a reader over buf.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
+
+// Reset points the reader at buf and clears any sticky error.
+func (r *Reader) Reset(buf []byte) { r.buf, r.err = buf, nil }
 
 // Err returns the first error encountered, if any.
 func (r *Reader) Err() error { return r.err }
@@ -209,34 +214,39 @@ func (r *Reader) String16() string {
 	return string(r.take(n))
 }
 
+// listLen consumes the u16 count of a list of 4-byte elements. A count the
+// remaining input cannot hold fails here, before anything is allocated: a
+// hostile prefix must not buy a 64 Ki-element slice with a 2-byte frame.
+func (r *Reader) listLen() (int, bool) {
+	n := int(r.U16())
+	if r.err == nil && n > len(r.buf)/4 {
+		r.err = ErrShortMessage
+	}
+	return n, r.err == nil
+}
+
 // Addrs consumes a length-prefixed address list.
 func (r *Reader) Addrs() []Address {
-	n := int(r.U16())
-	if r.err != nil {
+	n, ok := r.listLen()
+	if !ok {
 		return nil
 	}
-	as := make([]Address, 0, n)
-	for i := 0; i < n; i++ {
-		as = append(as, r.Addr())
-	}
-	if r.err != nil {
-		return nil
+	as := make([]Address, n)
+	for i := range as {
+		as[i] = r.Addr()
 	}
 	return as
 }
 
 // Keys consumes a length-prefixed key list.
 func (r *Reader) Keys() []Key {
-	n := int(r.U16())
-	if r.err != nil {
+	n, ok := r.listLen()
+	if !ok {
 		return nil
 	}
-	ks := make([]Key, 0, n)
-	for i := 0; i < n; i++ {
-		ks = append(ks, r.Key())
-	}
-	if r.err != nil {
-		return nil
+	ks := make([]Key, n)
+	for i := range ks {
+		ks[i] = r.Key()
 	}
 	return ks
 }
@@ -301,24 +311,29 @@ func (r *Registry) New(id uint16) (Message, error) {
 	return r.entries[id].factory(), nil
 }
 
-// EncodeMessage renders a message with its type header: [type u16][body].
-func EncodeMessage(reg *Registry, m Message) ([]byte, error) {
+// EncodeMessage resets w and renders m into it with its type header:
+// [type u16][body]. The returned frame is w's storage — valid until w is
+// next used — so a caller that sends one frame at a time and whose
+// transport copies on Send encodes without allocating.
+func (w *Writer) EncodeMessage(reg *Registry, m Message) ([]byte, error) {
 	id, ok := reg.ID(m.MsgName())
 	if !ok {
 		return nil, fmt.Errorf("%w: protocol %q message %q", ErrUnknownMessage, reg.Proto(), m.MsgName())
 	}
-	var w Writer
+	w.Reset()
 	w.U16(id)
-	m.Encode(&w)
-	return w.Bytes(), nil
+	m.Encode(w)
+	return w.buf, nil
 }
 
-// DecodeMessage parses a [type u16][body] frame produced by EncodeMessage.
-func DecodeMessage(reg *Registry, frame []byte) (Message, error) {
-	r := NewReader(frame)
+// DecodeMessage resets r over a [type u16][body] frame produced by
+// EncodeMessage and parses it. Byte-string fields of the returned message
+// alias frame.
+func (r *Reader) DecodeMessage(reg *Registry, frame []byte) (Message, error) {
+	r.Reset(frame)
 	id := r.U16()
-	if err := r.Err(); err != nil {
-		return nil, err
+	if r.err != nil {
+		return nil, r.err
 	}
 	m, err := reg.New(id)
 	if err != nil {
@@ -327,8 +342,22 @@ func DecodeMessage(reg *Registry, frame []byte) (Message, error) {
 	if err := m.Decode(r); err != nil {
 		return nil, err
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
+	if r.err != nil {
+		return nil, r.err
 	}
 	return m, nil
+}
+
+// EncodeMessage renders a message with its type header into a fresh frame
+// the caller owns. Code that encodes message after message keeps a Writer
+// and calls its EncodeMessage instead.
+func EncodeMessage(reg *Registry, m Message) ([]byte, error) {
+	w := Writer{buf: make([]byte, 0, 64)}
+	return w.EncodeMessage(reg, m)
+}
+
+// DecodeMessage parses a [type u16][body] frame produced by EncodeMessage.
+func DecodeMessage(reg *Registry, frame []byte) (Message, error) {
+	var r Reader
+	return r.DecodeMessage(reg, frame)
 }

@@ -3,6 +3,7 @@ package overlay
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -192,4 +193,81 @@ func TestEncodeDecodeMessage(t *testing.T) {
 	if _, err := EncodeMessage(other, in); !errors.Is(err, ErrUnknownMessage) {
 		t.Fatalf("unregistered encode err = %v", err)
 	}
+}
+
+// A hostile length prefix must fail before it buys an allocation: a 2-byte
+// body claiming 65535 elements used to make a 256 KiB slice first.
+func TestReaderListPrefixBounded(t *testing.T) {
+	hostile := []byte{0xff, 0xff, 1, 2, 3, 4}
+	var r Reader
+	for name, read := range map[string]func(){
+		"Addrs": func() { _ = r.Addrs() },
+		"Keys":  func() { _ = r.Keys() },
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			r.Reset(hostile)
+			read()
+		})
+		if r.Err() != ErrShortMessage {
+			t.Errorf("%s on a hostile prefix: err = %v, want ErrShortMessage", name, r.Err())
+		}
+		if allocs != 0 {
+			t.Errorf("%s on a hostile prefix allocates %v times", name, allocs)
+		}
+	}
+	// An honest prefix still decodes, including the exact-fit case.
+	var w Writer
+	w.Addrs([]Address{7, 8, 9})
+	r.Reset(w.Bytes())
+	if got := r.Addrs(); len(got) != 3 || got[2] != 9 || r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("Addrs = %v, err %v, %d left", got, r.Err(), r.Remaining())
+	}
+}
+
+// A reused Writer and Reader carry nothing from one message to the next.
+func TestReusedCodecBuffersDoNotLeak(t *testing.T) {
+	reg := NewRegistry("test")
+	reg.Register("test", func() Message { return &testMsg{} })
+	long := &testMsg{S: "a long string that leaves plenty of bytes behind", Buf: bytes.Repeat([]byte{0xee}, 200), As: []Address{1, 2, 3}}
+	short := &testMsg{S: "s"}
+	var w Writer
+	var r Reader
+	if _, err := w.EncodeMessage(reg, long); err != nil {
+		t.Fatal(err)
+	}
+	got, err := w.EncodeMessage(reg, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeMessage(reg, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("reused Writer: % x\nfresh: % x", got, want)
+	}
+	longFrame, _ := EncodeMessage(reg, long)
+	if _, err := r.DecodeMessage(reg, longFrame); err != nil {
+		t.Fatal(err)
+	}
+	// Truncated: a reused Reader must not read on into the previous frame.
+	if _, err := r.DecodeMessage(reg, want[:len(want)-1]); !errors.Is(err, ErrShortMessage) {
+		t.Fatalf("truncated frame on a reused Reader: err = %v", err)
+	}
+	m, err := r.DecodeMessage(reg, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, mustDecode(t, reg, want)) {
+		t.Fatalf("reused Reader decoded %+v", m)
+	}
+}
+
+func mustDecode(t *testing.T, reg *Registry, frame []byte) Message {
+	t.Helper()
+	m, err := DecodeMessage(reg, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

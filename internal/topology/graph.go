@@ -8,7 +8,6 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -260,18 +259,47 @@ type pqItem struct {
 	dist time.Duration
 }
 
+// pq is Dijkstra's frontier: a binary min-heap on dist, implemented
+// directly on the value slice. container/heap would box every pqItem into
+// an interface{} on Push and again on Pop — two allocations per relaxed edge,
+// the bulk of a cold route's cost. push and pop sift exactly as
+// container/heap does, so equal-distance ties pop in the same order and
+// every tree is the one the boxed heap built.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	*q = h
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if h[j].dist >= h[i].dist {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && h[j+1].dist < h[j].dist {
+			j++
+		}
+		if h[j].dist >= h[i].dist {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 // tree returns the cached shortest-path tree toward dst, computing it on a
@@ -314,9 +342,10 @@ func (r *Routes) computeTree(dst RouterID) *spt {
 		t.dist[i] = inf
 	}
 	t.dist[dst] = 0
-	q := pq{{v: dst, dist: 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
+	q := make(pq, 1, 64)
+	q[0] = pqItem{v: dst, dist: 0}
+	for len(q) > 0 {
+		it := q.pop()
 		if it.dist > t.dist[it.v] {
 			continue
 		}
@@ -333,7 +362,7 @@ func (r *Routes) computeTree(dst RouterID) *spt {
 				t.dist[e.to] = nd
 				// Out of e.to, the link toward it.v is e.link's partner.
 				t.prev[e.to] = r.partner(e.link)
-				heap.Push(&q, pqItem{v: e.to, dist: nd})
+				q.push(pqItem{v: e.to, dist: nd})
 			}
 		}
 	}

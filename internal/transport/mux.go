@@ -28,6 +28,8 @@ var (
 )
 
 // RecvFunc receives a reassembled frame from a peer on a named transport.
+// The frame is immutable and the receiver's to keep: no transport rewrites
+// or reuses the bytes behind a frame it has delivered.
 type RecvFunc func(transport string, src overlay.Address, frame []byte)
 
 // Stats counts per-transport activity.
@@ -51,7 +53,8 @@ type Transport interface {
 	Kind() overlay.TransportKind
 	// Send queues one frame toward dst. Reliable kinds deliver it exactly
 	// once and in order relative to other frames on the same instance; UDP
-	// delivers it at most once.
+	// delivers it at most once. Send copies what it keeps: the caller may
+	// reuse frame as soon as it returns.
 	Send(dst overlay.Address, frame []byte) error
 	// QueuedBytes reports bytes buffered toward dst (unsent plus unacked):
 	// the observable form of the paper's "blocked transport" condition.
@@ -210,14 +213,19 @@ func (m *Mux) deliver(tname string, src overlay.Address, frame []byte) {
 	m.mu.Lock()
 }
 
-// emit sends one datagram with the transport header. Caller holds m.mu.
-func (m *Mux) emit(tid uint8, kind uint8, dst overlay.Address, body []byte) error {
+// emit sends one datagram: the transport header, the discipline's own
+// header (may be nil), then the payload. This is the one copy — and the one
+// allocation — a frame costs on its way out: callers pass their frame and
+// scratch headers as they are, and the datagram built here is handed to the
+// endpoint for good. Caller holds m.mu.
+func (m *Mux) emit(tid uint8, kind uint8, dst overlay.Address, hdr, payload []byte) error {
 	if m.closed {
 		return nil
 	}
-	buf := make([]byte, 0, 2+len(body))
+	buf := make([]byte, 0, 2+len(hdr)+len(payload))
 	buf = append(buf, tid, kind)
-	buf = append(buf, body...)
+	buf = append(buf, hdr...)
+	buf = append(buf, payload...)
 	return m.ep.Send(dst, buf)
 }
 

@@ -272,13 +272,12 @@ func (c *conn) pump() {
 }
 
 func (c *conn) sendSegment(offset uint64, payload []byte) {
-	body := make([]byte, relHeaderLen+len(payload))
-	binary.BigEndian.PutUint64(body[0:], c.t.mux.boot)
-	binary.BigEndian.PutUint32(body[8:], c.localGen)
-	binary.BigEndian.PutUint64(body[12:], offset)
-	copy(body[relHeaderLen:], payload)
+	var hdr [relHeaderLen]byte
+	binary.BigEndian.PutUint64(hdr[0:], c.t.mux.boot)
+	binary.BigEndian.PutUint32(hdr[8:], c.localGen)
+	binary.BigEndian.PutUint64(hdr[12:], offset)
 	c.t.stats.Segments++
-	_ = c.t.mux.emit(c.t.id, kindRelData, c.peer, body)
+	_ = c.t.mux.emit(c.t.id, kindRelData, c.peer, hdr[:], payload)
 }
 
 func (c *conn) armTimer() {
@@ -426,7 +425,7 @@ func (c *conn) sendAck() {
 	binary.BigEndian.PutUint32(body[20:], c.peerGen)
 	binary.BigEndian.PutUint64(body[24:], c.rcvNxt)
 	c.t.stats.AcksSent++
-	_ = c.t.mux.emit(c.t.id, kindRelAck, c.peer, body[:])
+	_ = c.t.mux.emit(c.t.id, kindRelAck, c.peer, body[:], nil)
 }
 
 // parseFrames extracts length-prefixed frames from the in-order stream and

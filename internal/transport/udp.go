@@ -59,7 +59,7 @@ func (u *udp) Send(dst overlay.Address, frame []byte) error {
 	u.stats.BytesSent += uint64(len(frame))
 	if len(frame) <= u.mux.mss(0) {
 		u.stats.Segments++
-		return u.mux.emit(u.id, kindUDPSingle, dst, frame)
+		return u.mux.emit(u.id, kindUDPSingle, dst, nil, frame)
 	}
 	mss := u.mux.mss(fragHeaderLen)
 	nfrags := (len(frame) + mss - 1) / mss
@@ -74,13 +74,12 @@ func (u *udp) Send(dst overlay.Address, frame []byte) error {
 		if hi > len(frame) {
 			hi = len(frame)
 		}
-		body := make([]byte, fragHeaderLen+hi-lo)
-		binary.BigEndian.PutUint32(body[0:], id)
-		binary.BigEndian.PutUint16(body[4:], uint16(f))
-		binary.BigEndian.PutUint16(body[6:], uint16(nfrags))
-		copy(body[fragHeaderLen:], frame[lo:hi])
+		var hdr [fragHeaderLen]byte
+		binary.BigEndian.PutUint32(hdr[0:], id)
+		binary.BigEndian.PutUint16(hdr[4:], uint16(f))
+		binary.BigEndian.PutUint16(hdr[6:], uint16(nfrags))
 		u.stats.Segments++
-		if err := u.mux.emit(u.id, kindUDPFrag, dst, body); err != nil {
+		if err := u.mux.emit(u.id, kindUDPFrag, dst, hdr[:], frame[lo:hi]); err != nil {
 			return err
 		}
 	}
