@@ -202,7 +202,7 @@ func BenchmarkScenarioChurnShards(b *testing.B) {
 			b.ReportAllocs()
 			var events int
 			for i := 0; i < b.N; i++ {
-				rep, err := harness.RunScenarioShards(mk(), shards)
+				rep, err := harness.RunScenarioExec(mk(), harness.ExecOptions{Shards: shards})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -558,7 +558,7 @@ func BenchmarkSweepSharedPrefix(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, v := range vs {
-				if _, err := harness.RunScenarioShards(v.Scenario, 2); err != nil {
+				if _, err := harness.RunScenarioExec(v.Scenario, harness.ExecOptions{Shards: 2}); err != nil {
 					b.Fatal(err)
 				}
 			}

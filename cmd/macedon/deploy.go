@@ -109,7 +109,7 @@ func runDeploy(args []string) int {
 		if n <= 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
-		simRep, err = harness.RunScenarioShards(s, n)
+		simRep, err = harness.RunScenarioExec(s, harness.ExecOptions{Shards: n})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "macedon deploy -vs-sim: %v\n", err)
 			return 1

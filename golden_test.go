@@ -76,7 +76,7 @@ func TestGoldenTraces(t *testing.T) {
 			}
 			goldenPath := filepath.Join("testdata", "golden", name+".txt")
 			for _, shards := range shardCounts {
-				rep, err := harness.RunScenarioShards(s, shards)
+				rep, err := harness.RunScenarioExec(s, harness.ExecOptions{Shards: shards})
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
@@ -148,7 +148,7 @@ func TestGoldenObsJSON(t *testing.T) {
 	}
 	goldenPath := filepath.Join("testdata", "golden", "obs-report.json")
 	for _, shards := range []int{1, 2, 4} {
-		rep, err := harness.RunScenarioShardsObs(s, shards, harness.ObsOptions{Enabled: true, TraceSample: 4})
+		rep, err := harness.RunScenarioExec(s, harness.ExecOptions{Shards: shards, Obs: harness.ObsOptions{Enabled: true, TraceSample: 4}})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

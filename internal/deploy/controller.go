@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"macedon/internal/check"
+	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/obs"
 	"macedon/internal/overlay"
@@ -105,7 +106,11 @@ type agentSlot struct {
 }
 
 // controller executes a compiled schedule against a fleet of agent
-// processes; it implements scenario.WallExecutor.
+// processes. It is the scenario.Backend the shared engine drives — processes
+// and the wall clock — and the scenario.WallExecutor that takes mu around
+// the engine's coordinator calls. The engine owns every count, stamp, trace
+// line and verdict; what lives here is the fleet, the shaping rules, and the
+// per-agent metric pages.
 type controller struct {
 	cfg   Config
 	s     *scenario.Scenario
@@ -115,58 +120,40 @@ type controller struct {
 	ln    net.Listener
 	start time.Time
 
-	group       overlay.Key
-	hasGroup    bool
-	degradeBase time.Duration
+	group    overlay.Key
+	hasGroup bool
 
+	// mu guards everything below, and every call into eng.
 	mu     sync.Mutex
+	eng    *scenario.Engine
 	agents []*agentSlot
-	alive  []bool
 
-	// Shaping source of truth, recompiled into per-agent rule sets on
-	// every change (and on agent restart).
+	// Shaping source of truth beyond the engine's reachability flags,
+	// recompiled into per-agent rule sets on every change (and on agent
+	// restart).
 	partitionA int // side-A size; 0 = no partition
-	partition  bool
-	down       []bool // node_down / link_down: host unreachable
 	degLoss    []float64
 	degDelay   []time.Duration
 
-	// Workload accounting (the live twin of the scenario engine's grids;
-	// single controller process, so plain ints under mu).
-	sendAt    map[int]time.Time
-	sendPhase map[int]int
-	rows      []scenario.PhaseTotals
-	base      scenario.PhaseTotals
-	opsSent   []int
-	opsSkip   []int
-	delivered []int
-	latSum    []time.Duration
-	forwards  []int
+	// outbox holds the control messages the engine's backend calls queued
+	// under mu; the executor wrappers write them after unlocking, because a
+	// TCP write that blocks on a slow agent must not stall the agent readers
+	// waiting for mu.
+	outbox []outMsg
 
-	eventsRun int
-	trace     []string
-	err       error
+	// agentLines collects sampled event-log lines streamed back by agents
+	// (EvObs), prefixed with their node index.
+	agentLines []string
+}
 
-	// obs is the run's observability plane (nil when Config.Obs is off);
-	// addrIdx maps overlay addresses back to fleet indices for span records.
-	obs     *ctrlObs
-	addrIdx map[uint32]int
-
-	// Correctness plane (empty unless the scenario has a checks spec): the
-	// resolved checker set, the stability windows, and wall-clock stamps of
-	// each node's last liveness/connectivity change. PhaseEnd converts the
-	// stamps to scenario-time ages (wall × Speed) so the grace-window
-	// semantics match the emulated backend's.
-	checkers             []check.Checker
-	checkGrace           time.Duration
-	checkStale           time.Duration
-	upAt, downAt, connAt []time.Time
+type outMsg struct {
+	conn *Conn
+	msg  *Msg
 }
 
 // Run executes the scenario as a live localhost deployment and returns
-// the same structured report the emulated path produces. Delivery,
-// latency, hop and counter bookkeeping follow the scenario engine's
-// definitions exactly, which is what makes the two reports comparable
+// the same structured report the emulated path produces — assembled by the
+// same scenario.Engine, which is what makes the two reports comparable
 // (Compare, live_test.go).
 func Run(cfg Config) (*scenario.Report, error) {
 	if cfg.Scenario == nil {
@@ -208,46 +195,29 @@ func Run(cfg Config) (*scenario.Report, error) {
 		return nil, fmt.Errorf("deploy: control listener: %w", err)
 	}
 	c := &controller{
-		cfg:         cfg,
-		s:           s,
-		sched:       sched,
-		addrs:       addrs,
-		table:       table,
-		ln:          ln,
-		degradeBase: cfg.DegradeBase,
-		agents:      make([]*agentSlot, s.Nodes),
-		alive:       make([]bool, s.Nodes),
-		down:        make([]bool, s.Nodes),
-		degLoss:     make([]float64, s.Nodes),
-		degDelay:    make([]time.Duration, s.Nodes),
-		sendAt:      make(map[int]time.Time),
-		sendPhase:   make(map[int]int),
-		rows:        make([]scenario.PhaseTotals, len(sched.Phases)),
-		opsSent:     make([]int, len(sched.Phases)),
-		opsSkip:     make([]int, len(sched.Phases)),
-		delivered:   make([]int, len(sched.Phases)),
-		latSum:      make([]time.Duration, len(sched.Phases)),
-		forwards:    make([]int, len(sched.Phases)),
+		cfg:      cfg,
+		s:        s,
+		sched:    sched,
+		addrs:    addrs,
+		table:    table,
+		ln:       ln,
+		agents:   make([]*agentSlot, s.Nodes),
+		degLoss:  make([]float64, s.Nodes),
+		degDelay: make([]time.Duration, s.Nodes),
 	}
 	for i := range c.agents {
 		c.agents[i] = &agentSlot{pollCh: make(chan *Metrics, 1)}
 	}
-	if ccfg := s.CheckConfig(); ccfg != nil {
-		if c.checkers, err = check.New(*ccfg); err != nil {
-			_ = ln.Close()
-			return nil, err
-		}
-		c.checkGrace, c.checkStale = ccfg.Resolve()
-	}
-	c.upAt = make([]time.Time, s.Nodes)
-	c.downAt = make([]time.Time, s.Nodes)
-	c.connAt = make([]time.Time, s.Nodes)
-	c.addrIdx = make(map[uint32]int, len(addrs))
-	for i, a := range addrs {
-		c.addrIdx[uint32(a)] = i
-	}
+	// One accounting row: the controller serialises deliveries under mu.
+	ecfg := scenario.EngineConfig{Addrs: addrs, Echo: cfg.Out}
 	if cfg.Obs {
-		c.obs = newCtrlObs(cfg, s, sched)
+		// No scheduler here, so no lead columns: a live series lines up with
+		// the engine-owned tail of a sim run's.
+		ecfg.Obs = &scenario.ObsConfig{TraceSample: cfg.TraceSample}
+	}
+	if c.eng, err = scenario.NewEngine(sched, c, ecfg); err != nil {
+		_ = ln.Close()
+		return nil, err
 	}
 	if s.NeedsGroup() {
 		c.hasGroup = true
@@ -264,17 +234,11 @@ func Run(cfg Config) (*scenario.Report, error) {
 	defer cancel()
 
 	c.start = time.Now()
-	for i := range c.connAt {
-		c.upAt[i], c.downAt[i], c.connAt[i] = c.start, c.start, c.start
-	}
 	fmt.Fprintf(cfg.Out, "deploy %q: %d nodes on %s:%d.., control %s, speed %.3gx, wall ≈%s\n",
 		s.Name, s.Nodes, cfg.Host, cfg.BasePort, ln.Addr(), cfg.Speed,
 		time.Duration(float64(sched.Total)/cfg.Speed).Round(time.Second))
 	if err := scenario.NewWallRunner(sched, cfg.Speed, c).Run(ctx); err != nil {
 		return nil, err
-	}
-	if c.err != nil {
-		return nil, c.err
 	}
 	return c.report(), nil
 }
@@ -327,7 +291,7 @@ func (c *controller) agentConfigLocked(i int) *AgentConfig {
 		Node:             i,
 		Addr:             uint32(c.addrs[i]),
 		Bootstrap:        uint32(c.addrs[0]),
-		Protocol:         c.protoName(),
+		Protocol:         c.s.ProtocolName(),
 		Table:            c.table,
 		HeartbeatAfterNs: int64(c.s.HeartbeatAfter.D()),
 		FailAfterNs:      int64(c.s.FailAfter.D()),
@@ -347,13 +311,6 @@ func (c *controller) agentConfigLocked(i int) *AgentConfig {
 		ac.CreateGroup = i == 0
 	}
 	return ac
-}
-
-func (c *controller) protoName() string {
-	if c.s.Protocol == "" {
-		return "chord"
-	}
-	return c.s.Protocol
 }
 
 // reader consumes one agent connection's stream until it drops.
@@ -400,7 +357,15 @@ func (c *controller) reader(i, gen int, conn *Conn) {
 	}
 }
 
-// onEvent is the live twin of the scenario engine's delivery accounting.
+// scen maps a wall instant onto the scenario timeline (wall elapsed times
+// the speed factor): the one place wall stamps are converted, so everything
+// the engine records lines up with the schedule the emulator runs on.
+func (c *controller) scen(t time.Time) time.Duration {
+	return time.Duration(float64(t.Sub(c.start)) * c.cfg.Speed)
+}
+
+// onEvent hands one agent event to the engine (deliveries and forwards,
+// stamped by the agent's clock) or to the fleet bookkeeping.
 func (c *controller) onEvent(i int, ev *Event) {
 	if ev == nil {
 		return
@@ -409,37 +374,31 @@ func (c *controller) onEvent(i int, ev *Event) {
 	defer c.mu.Unlock()
 	switch ev.Kind {
 	case EvDeliver:
-		at, ok := c.sendAt[ev.Op]
-		if !ok {
-			return
-		}
-		ph := c.sendPhase[ev.Op]
-		c.delivered[ph]++
-		when := time.Unix(0, ev.AtUnixNano)
-		lat := when.Sub(at)
-		if lat > 0 {
-			c.latSum[ph] += lat
-		}
-		c.obsDeliverLocked(ev.Op, i, ph, when, lat)
+		c.eng.Deliver(ev.Op, i, 0, c.scen(time.Unix(0, ev.AtUnixNano)))
 	case EvForward:
-		if _, ok := c.sendAt[ev.Op]; !ok {
-			return
-		}
-		c.forwards[c.sendPhase[ev.Op]]++
-		c.obsForwardLocked(ev.Op, i, c.nextIndex(ev.Next), time.Unix(0, ev.AtUnixNano))
+		c.eng.Forward(ev.Op, i, overlay.Address(ev.Next), 0, c.scen(time.Unix(0, ev.AtUnixNano)))
 	case EvObs:
-		c.obsAgentLineLocked(i, ev.Line)
+		if c.cfg.Obs && len(c.agentLines) < maxAgentLines {
+			c.agentLines = append(c.agentLines, fmt.Sprintf("node=%d %s", i, ev.Line))
+		}
 	case EvMetrics:
 		c.obsPushLocked(i, ev.Expo)
 	case EvState:
-		c.tracefLocked("node %d %s: state %s -> %s", i, ev.Proto, ev.From, ev.State)
+		c.eng.Tracef("node %d %s: state %s -> %s", i, ev.Proto, ev.From, ev.State)
 	case EvFail:
-		c.tracefLocked("node %d %s: failure of %v detected", i, ev.Proto, overlay.Address(ev.Peer))
+		c.eng.Tracef("node %d %s: failure of %v detected", i, ev.Proto, overlay.Address(ev.Peer))
 	}
 }
 
-// spawn launches (or relaunches) agent process i.
-func (c *controller) spawn(i int) error {
+// --- scenario.Backend (every method runs under mu, called by the engine) ------
+
+func (c *controller) Now() time.Duration { return c.scen(time.Now()) }
+
+// Spawn launches (or relaunches) agent process i. Its deliver and forward
+// upcalls come back as EvDeliver/EvForward events (onEvent). The fork/exec
+// happens under mu: milliseconds, and unlike a control write it waits on no
+// peer.
+func (c *controller) Spawn(i int, revive bool) (string, error) {
 	argv := append(append([]string(nil), c.cfg.AgentCmd...),
 		"-controller", c.ln.Addr().String(), "-node", strconv.Itoa(i))
 	cmd := exec.Command(argv[0], argv[1:]...)
@@ -456,31 +415,20 @@ func (c *controller) spawn(i int) error {
 		if logf != nil {
 			logf.Close()
 		}
-		return fmt.Errorf("deploy: spawn agent %d: %w", i, err)
+		return "", fmt.Errorf("deploy: spawn agent %d: %w", i, err)
 	}
-	c.mu.Lock()
 	slot := c.agents[i]
 	slot.gen++
 	slot.proc = cmd
 	slot.logFile = logf
-	c.alive[i] = true
-	c.upAt[i] = time.Now()
-	c.mu.Unlock()
 	go func() { _ = cmd.Wait() }() // reap
-	return nil
+	return fmt.Sprintf(" [pid %d]", cmd.Process.Pid), nil
 }
 
-// kill SIGKILLs agent process i: live churn is real process death.
-func (c *controller) kill(i int) {
-	c.mu.Lock()
+// Kill SIGKILLs agent process i: live churn is real process death.
+func (c *controller) Kill(i int) string {
 	slot := c.agents[i]
-	proc := slot.proc
-	conn := slot.conn
-	slot.proc = nil
-	slot.conn = nil
 	slot.gen++ // stale readers and reaps identify themselves
-	logf := slot.logFile
-	slot.logFile = nil
 	if slot.hasStats {
 		// Retire the dying generation's socket counters (as of its last
 		// poll — traffic since then is lost, like any crash loses its
@@ -499,41 +447,108 @@ func (c *controller) kill(i int) {
 	slot.push = nil
 	slot.expo = ""
 	slot.pushExpo = ""
-	c.alive[i] = false
-	c.downAt[i] = time.Now()
-	c.mu.Unlock()
-	if proc != nil && proc.Process != nil {
-		_ = proc.Process.Kill()
+	if slot.proc != nil && slot.proc.Process != nil {
+		_ = slot.proc.Process.Kill()
 	}
-	if conn != nil {
-		_ = conn.Close()
+	if slot.conn != nil {
+		_ = slot.conn.Close()
 	}
-	if logf != nil {
-		_ = logf.Close()
+	if slot.logFile != nil {
+		_ = slot.logFile.Close()
 	}
+	slot.proc, slot.conn, slot.logFile = nil, nil, nil
+	return " [SIGKILL]"
 }
 
-// send delivers one control message to agent i if it is connected.
-func (c *controller) send(i int, m *Msg) {
-	c.mu.Lock()
-	conn := c.agents[i].conn
-	c.mu.Unlock()
-	if conn != nil {
-		_ = conn.Send(m)
+// Shape folds one network dynamic into the shaping state and queues every
+// connected agent's recomputed rule set. Node and link outages need no state
+// here: the rules read the engine's reachability flags.
+func (c *controller) Shape(op scenario.Op) string {
+	detail := ""
+	switch op.Kind {
+	case scenario.OpPartition:
+		c.partitionA = op.SideA
+	case scenario.OpHeal:
+		c.partitionA = 0
+	case scenario.OpDegrade:
+		// A degrade op replaces the node's degradation outright, exactly
+		// like the emulator's DegradeNodeAccess: factor <= 1 clears any
+		// earlier added delay.
+		c.degLoss[op.Node] = op.Loss
+		c.degDelay[op.Node] = 0
+		if op.LatencyFactor > 1 {
+			c.degDelay[op.Node] = time.Duration(float64(c.cfg.DegradeBase) * (op.LatencyFactor - 1))
+		}
+		detail = fmt.Sprintf(" [delay %v]", c.degDelay[op.Node])
+	case scenario.OpRestore:
+		c.degLoss[op.Node] = 0
+		c.degDelay[op.Node] = 0
 	}
-}
-
-// broadcastShape pushes every agent's recomputed rule set.
-func (c *controller) broadcastShape() {
 	for i := range c.agents {
-		c.mu.Lock()
-		conn := c.agents[i].conn
-		rules := c.rulesForLocked(i)
-		c.mu.Unlock()
-		if conn != nil {
-			_ = conn.Send(&Msg{Kind: KindShape, Shape: rules})
+		c.queue(i, &Msg{Kind: KindShape, Shape: c.rulesForLocked(i)})
+	}
+	return detail
+}
+
+// Inject queues the op for its source agent.
+func (c *controller) Inject(op scenario.Op) {
+	c.queue(op.Node, &Msg{Kind: KindOp, Op: &OpCmd{ID: op.ID, Kind: op.Kind.String(), Key: op.Key, Size: op.Size}})
+}
+
+// queue puts one control message for agent i in the outbox if it is
+// connected.
+func (c *controller) queue(i int, m *Msg) {
+	if conn := c.agents[i].conn; conn != nil {
+		c.outbox = append(c.outbox, outMsg{conn, m})
+	}
+}
+
+// Counters sums the latest polled engine counters over live agents (the
+// emulator also drops dead nodes' counters).
+func (c *controller) Counters() core.Counters {
+	var sum core.Counters
+	for i, slot := range c.agents {
+		if slot.hasStats && c.eng.Alive(i) {
+			sum.MsgsSent += slot.metrics.MsgsSent
+			sum.MsgsRecv += slot.metrics.MsgsRecv
+			sum.BytesSent += slot.metrics.BytesSent
+			sum.BytesRecv += slot.metrics.BytesRecv
 		}
 	}
+	return sum
+}
+
+// NetStats reduces the latest per-agent snapshots to cumulative socket
+// counters over every agent, retired generations included.
+func (c *controller) NetStats() simnet.Stats {
+	var net simnet.Stats
+	for _, slot := range c.agents {
+		m := slot.retired
+		if slot.hasStats {
+			m.NetSent += slot.metrics.NetSent
+			m.NetRecv += slot.metrics.NetRecv
+			m.NetBytesSent += slot.metrics.NetBytesSent
+			m.ShapeDrops += slot.metrics.ShapeDrops
+			m.LossDrops += slot.metrics.LossDrops
+		}
+		net.Sent += m.NetSent
+		net.Delivered += m.NetRecv
+		// simnet.Stats.Bytes counts payload bytes entering the network, so
+		// the live counterpart is bytes sent, not received.
+		net.Bytes += m.NetBytesSent
+		net.RandomLoss += m.LossDrops
+		net.PartitionDrops += m.ShapeDrops
+	}
+	return net
+}
+
+// NodeState is the routing-state snapshot agent i's last state-carrying
+// poll brought back; none yet when its process restarted since.
+func (c *controller) NodeState(i int) (check.NodeState, bool) {
+	if st := c.agents[i].state; st != nil {
+		return *st, true
+	}
+	return check.NodeState{}, false
 }
 
 // rulesForLocked compiles the scenario-level network state (partition,
@@ -543,7 +558,7 @@ func (c *controller) broadcastShape() {
 // (docs/deploy.md: scenario-to-wall-clock mapping).
 func (c *controller) rulesForLocked(i int) *ShapeCmd {
 	sc := &ShapeCmd{}
-	if c.down[i] {
+	if !c.eng.Reachable(i) {
 		sc.Default = &PeerRule{Drop: true}
 		return sc
 	}
@@ -556,9 +571,9 @@ func (c *controller) rulesForLocked(i int) *ShapeCmd {
 			continue
 		}
 		switch {
-		case c.down[j]:
+		case !c.eng.Reachable(j):
 			sc.Rules = append(sc.Rules, PeerRule{Peer: uint32(a), Drop: true})
-		case c.partition && c.sideOf(i) != c.sideOf(j):
+		case c.partitionA > 0 && (i < c.partitionA) != (j < c.partitionA):
 			sc.Rules = append(sc.Rules, PeerRule{Peer: uint32(a), Drop: true})
 		case c.degLoss[j] > 0 || c.degDelay[j] > 0:
 			// The peer's degraded pipe shapes traffic toward it. A
@@ -572,13 +587,6 @@ func (c *controller) rulesForLocked(i int) *ShapeCmd {
 		}
 	}
 	return sc
-}
-
-func (c *controller) sideOf(i int) int {
-	if i < c.partitionA {
-		return 1
-	}
-	return 2
 }
 
 // poll gathers metrics from every live agent (last-known snapshots stand
@@ -621,35 +629,28 @@ func (c *controller) poll(withState bool) {
 	}
 }
 
-// totalsLocked reduces the latest per-agent snapshots to cumulative
-// counters: engine counters over live agents (the emulated engine also
-// drops dead nodes' counters) and socket counters over every agent.
-func (c *controller) totalsLocked() (ctlMsgs, ctlBytes uint64, net simnet.Stats) {
-	for i, slot := range c.agents {
-		m := slot.retired
-		if slot.hasStats {
-			m.NetSent += slot.metrics.NetSent
-			m.NetRecv += slot.metrics.NetRecv
-			m.NetBytesSent += slot.metrics.NetBytesSent
-			m.ShapeDrops += slot.metrics.ShapeDrops
-			m.LossDrops += slot.metrics.LossDrops
-			if c.alive[i] {
-				ctlMsgs += slot.metrics.MsgsSent
-				ctlBytes += slot.metrics.BytesSent
-			}
-		}
-		net.Sent += m.NetSent
-		net.Delivered += m.NetRecv
-		// simnet.Stats.Bytes counts payload bytes entering the network, so
-		// the live twin is bytes sent, not received.
-		net.Bytes += m.NetBytesSent
-		net.RandomLoss += m.LossDrops
-		net.PartitionDrops += m.ShapeDrops
-	}
-	return
+// --- scenario.WallExecutor ---------------------------------------------------
+
+// Apply runs one schedule op through the engine and then writes whatever
+// control messages the backend calls queued.
+func (c *controller) Apply(op scenario.Op) error {
+	c.mu.Lock()
+	err := c.eng.Apply(op)
+	c.mu.Unlock()
+	c.flush()
+	return err
 }
 
-// --- scenario.WallExecutor ---------------------------------------------------
+// flush writes the queued control messages, outside mu.
+func (c *controller) flush() {
+	c.mu.Lock()
+	out := c.outbox
+	c.outbox = nil
+	c.mu.Unlock()
+	for _, o := range out {
+		_ = o.conn.Send(o.msg)
+	}
+}
 
 // SettleEnd polls the fleet for the baseline snapshot phase deltas are
 // measured against.
@@ -657,212 +658,74 @@ func (c *controller) SettleEnd() {
 	c.poll(false)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.base = scenario.PhaseTotals{}
-	c.base.CtlMsgs, c.base.CtlBytes, c.base.Net = c.totalsLocked()
-	c.tracefLocked("settle complete (%d live)", c.countLiveLocked())
+	c.eng.SettleEnd()
+	c.eng.Tracef("settle complete (%d live)", c.eng.Live())
 }
 
-// PhaseEnd snapshots phase pi.
+// PhaseEnd polls the fleet — with routing state when the scenario opted
+// into checks — and snapshots phase pi.
 func (c *controller) PhaseEnd(pi int) {
-	c.poll(len(c.checkers) > 0)
+	c.poll(c.s.CheckConfig() != nil)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	row := &c.rows[pi]
-	row.Live = c.countLiveLocked()
-	row.CtlMsgs, row.CtlBytes, row.Net = c.totalsLocked()
-	c.obsPhaseSampleLocked(pi, row)
-	if len(c.checkers) > 0 {
-		row.Checks = c.runChecksLocked(pi)
-	}
-	c.tracefLocked("phase %d (%s) complete", pi, c.sched.Phases[pi].Name)
-}
-
-func (c *controller) countLiveLocked() int {
-	live := 0
-	for _, up := range c.alive {
-		if up {
-			live++
+	if pc := c.eng.PhaseEnd(pi); pc != nil {
+		for _, vi := range pc.Violations {
+			c.eng.Tracef("check violation %s", vi)
 		}
 	}
-	return live
-}
-
-// Apply executes one schedule op at its wall instant: the directive
-// compiler of the live backend.
-func (c *controller) Apply(op scenario.Op) {
-	c.eventsRun++
-	switch op.Kind {
-	case scenario.OpSpawn, scenario.OpRevive:
-		verb := "spawn"
-		if op.Kind == scenario.OpRevive {
-			verb = "revive"
-		}
-		c.mu.Lock()
-		up := c.alive[op.Node]
-		c.mu.Unlock()
-		if up {
-			c.tracef("%s node %d skipped (already up)", verb, op.Node)
-			return
-		}
-		if err := c.spawn(op.Node); err != nil {
-			c.err = err
-			return
-		}
-		c.tracef("%s node %d (%v, pid %d)", verb, op.Node, c.addrs[op.Node], c.agents[op.Node].proc.Process.Pid)
-		if op.Kind == scenario.OpRevive {
-			c.obsLifecycle(op.Node, "revive", obs.F("node", op.Node))
-		}
-	case scenario.OpKill:
-		c.mu.Lock()
-		up := c.alive[op.Node]
-		c.mu.Unlock()
-		if !up {
-			c.tracef("kill node %d skipped (already down)", op.Node)
-			return
-		}
-		c.kill(op.Node)
-		c.tracef("kill node %d (%v) [SIGKILL]", op.Node, c.addrs[op.Node])
-		c.obsLifecycle(op.Node, "kill", obs.F("node", op.Node))
-	case scenario.OpNodeDown, scenario.OpLinkDown:
-		c.mu.Lock()
-		c.down[op.Node] = true
-		c.connAt[op.Node] = time.Now()
-		c.mu.Unlock()
-		c.broadcastShape()
-		c.tracef("%s node %d", op.Kind, op.Node)
-	case scenario.OpNodeUp, scenario.OpLinkUp:
-		c.mu.Lock()
-		c.down[op.Node] = false
-		c.connAt[op.Node] = time.Now()
-		c.mu.Unlock()
-		c.broadcastShape()
-		c.tracef("%s node %d", op.Kind, op.Node)
-	case scenario.OpPartition:
-		c.mu.Lock()
-		c.partition = true
-		c.partitionA = op.SideA
-		c.touchAllConnLocked()
-		c.mu.Unlock()
-		c.broadcastShape()
-		c.tracef("partition [0..%d) | [%d..%d)", op.SideA, op.SideA, len(c.addrs))
-		c.obsLifecycle(op.SideA, "partition", obs.F("side_a", op.SideA))
-	case scenario.OpHeal:
-		c.mu.Lock()
-		c.partition = false
-		c.touchAllConnLocked()
-		c.mu.Unlock()
-		c.broadcastShape()
-		c.tracef("heal partition")
-		c.obsLifecycle(0, "heal")
-	case scenario.OpDegrade:
-		c.mu.Lock()
-		// A degrade op replaces the node's degradation outright, exactly
-		// like the emulator's DegradeNodeAccess: factor <= 1 clears any
-		// earlier added delay.
-		c.degLoss[op.Node] = op.Loss
-		c.degDelay[op.Node] = 0
-		if op.LatencyFactor > 1 {
-			c.degDelay[op.Node] = time.Duration(float64(c.degradeBase) * (op.LatencyFactor - 1))
-		}
-		c.connAt[op.Node] = time.Now()
-		c.mu.Unlock()
-		c.broadcastShape()
-		c.tracef("degrade node %d (delay %v, loss %.2f)", op.Node, c.degDelay[op.Node], op.Loss)
-	case scenario.OpRestore:
-		c.mu.Lock()
-		c.degLoss[op.Node] = 0
-		c.degDelay[op.Node] = 0
-		c.connAt[op.Node] = time.Now()
-		c.mu.Unlock()
-		c.broadcastShape()
-		c.tracef("restore node %d", op.Node)
-	case scenario.OpLookup, scenario.OpMulticast:
-		c.applyWorkload(op)
-	}
-}
-
-func (c *controller) applyWorkload(op scenario.Op) {
-	kind := "lookup"
-	if op.Kind == scenario.OpMulticast {
-		kind = "multicast"
-	}
-	c.mu.Lock()
-	up := c.alive[op.Node]
-	if !up {
-		c.opsSkip[op.Phase]++
-		c.obsSkipLocked(kind, op)
-		c.mu.Unlock()
-		c.tracef("%s #%d skipped (node %d down)", kind, op.ID, op.Node)
-		return
-	}
-	c.sendAt[op.ID] = time.Now()
-	c.sendPhase[op.ID] = op.Phase
-	c.opsSent[op.Phase]++
-	c.obsInjectLocked(kind, op)
-	c.mu.Unlock()
-	c.send(op.Node, &Msg{Kind: KindOp, Op: &OpCmd{ID: op.ID, Kind: kind, Key: op.Key, Size: op.Size}})
+	// The phase's one series point: the totals the poll just gathered.
+	ph := c.sched.Phases[pi]
+	c.eng.Sample(pi, ph.End-ph.Start)
+	c.eng.Tracef("phase %d (%s) complete", pi, ph.Name)
 }
 
 // --- teardown and report -----------------------------------------------------
 
 // shutdown quits the fleet and releases everything.
 func (c *controller) shutdown() {
+	c.mu.Lock()
 	for i := range c.agents {
-		c.send(i, &Msg{Kind: KindQuit})
+		c.queue(i, &Msg{Kind: KindQuit})
 	}
+	c.mu.Unlock()
+	c.flush()
 	_ = c.ln.Close()
 	// Give agents a moment to exit on their own, then make sure.
 	time.Sleep(200 * time.Millisecond)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i := range c.agents {
-		c.kill(i)
+		c.Kill(i)
 	}
 }
 
-func (c *controller) tracef(format string, args ...any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tracefLocked(format, args...)
-}
-
-func (c *controller) tracefLocked(format string, args ...any) {
-	line := fmt.Sprintf("t=%10.3fs  %s", time.Since(c.start).Seconds()*c.cfg.Speed, fmt.Sprintf(format, args...))
-	c.trace = append(c.trace, line)
-	fmt.Fprintln(c.cfg.Out, line)
-}
-
-// report assembles the live run's structured report with the same shape
-// and accounting the emulated engine emits.
+// report assembles the live run's structured report: the engine's, with the
+// fleet's own metric pages merged into the exposition and the agents'
+// event lines appended.
 func (c *controller) report() *scenario.Report {
 	c.poll(false)
 	scrapes := c.scrapeFleet()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, _, finalNet := c.totalsLocked()
-	rep := &scenario.Report{
-		Scenario:  c.s.Name,
-		Protocol:  c.protoName(),
-		Seed:      c.s.Seed,
-		Nodes:     c.s.Nodes,
-		Settle:    c.sched.Settle,
-		End:       c.sched.End,
-		Total:     c.sched.Total,
-		EventsRun: c.eventsRun,
-		Final:     finalNet,
+	if !c.cfg.Obs {
+		return c.eng.Report()
 	}
-	rows := make([]scenario.PhaseTotals, len(c.rows))
-	for pi := range c.rows {
-		row := c.rows[pi]
-		row.Sent = c.opsSent[pi]
-		row.Skipped = c.opsSkip[pi]
-		row.Delivered = c.delivered[pi]
-		row.LatSum = c.latSum[pi]
-		row.Forwards = c.forwards[pi]
-		rows[pi] = row
+	pages := c.fleetPagesLocked(scrapes)
+	if len(pages) == 0 {
+		// No agent page at all: mirror the polled totals into the families
+		// the agents would have served, so the exposition's family set
+		// matches a sim run's either way.
+		c.eng.MirrorTotals()
 	}
-	rep.Phases = scenario.AssemblePhases(c.sched.Phases, rows, c.base)
-	c.finishObsLocked(rep, scrapes)
-	// The trace is copied last: finishObsLocked records the push/poll
-	// verification outcome as trace lines.
-	rep.Trace = append([]string(nil), c.trace...)
+	rep := c.eng.Report()
+	fleet := obs.NewFleet()
+	if own, err := obs.ParseText([]byte(rep.Obs.Exposition)); err == nil {
+		fleet.Add(own)
+	}
+	for _, sc := range pages {
+		fleet.Add(sc)
+	}
+	rep.Obs.Exposition = fleet.Text()
+	rep.Obs.Events = append(rep.Obs.Events, c.agentLines...)
 	return rep
 }

@@ -83,7 +83,7 @@ func runBoth(t *testing.T, s *scenario.Scenario, basePort int) (*scenario.Report
 	if err != nil {
 		t.Fatalf("live run: %v", err)
 	}
-	sim, err := harness.RunScenarioShards(s, 2)
+	sim, err := harness.RunScenarioExec(s, harness.ExecOptions{Shards: 2})
 	if err != nil {
 		t.Fatalf("sim run: %v", err)
 	}

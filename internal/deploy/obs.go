@@ -8,196 +8,29 @@ import (
 	"time"
 
 	"macedon/internal/obs"
-	"macedon/internal/scenario"
 )
 
-// ctrlObs is the live deployment's observability plane: the controller-side
-// twin of the scenario engine's engineObs. It keeps the same metric
-// families — workload counters, per-phase latency/hop histograms keyed by
-// the same phase labels — samples the same operation population (the
-// KeySampler is keyed by the scenario seed, so a live run and a sim run of
-// one scenario trace the same ops), and assembles the same Report.Obs
-// sections. Agent-local series (engine and socket counters) arrive by
-// scraping each agent's /metrics endpoint and folding the expositions
-// through obs.Fleet, which sums samples family by family.
-//
-// All mutable state is guarded by the owning controller's mu; registry
-// handles and the event log carry their own synchronization.
-type ctrlObs struct {
-	seed        int64
-	speed       float64
-	host        string
-	metricsBase int
-	sampler     obs.KeySampler
-
-	reg    *obs.Registry
-	events *obs.EventLog
-	spans  *obs.TraceSet
-
-	opsLookup    *obs.Counter
-	opsMulticast *obs.Counter
-	opsSkipped   *obs.Counter
-	opsDelivered *obs.Counter
-	nodesAlive   *obs.Gauge
-	latHist      []*obs.Histogram
-	hopHist      []*obs.Histogram
-
-	// Per-op forward/delivery tallies (live twin of engineObs' atomic
-	// arrays; a single controller process mutates them under mu).
-	opFwd map[int]int
-	opDel map[int]int
-
-	// series is the live twin of the sim engine's per-phase time series,
-	// sampled from the per-phase poll totals at each phase boundary. The
-	// columns are the subset of the sim's the live plane can measure, so a
-	// live report's series lines up column-for-column with a sim run's.
-	series []*obs.Series
-
-	// agentLines collects sampled event-log lines streamed back by agents
-	// (EvObs), prefixed with their node index.
-	agentLines []string
-}
+// The live backend's own part of the observability plane: the agents'
+// metric pages. The op-level families, sampled events and spans are the
+// shared engine's (scenario.Engine); what only a fleet of processes has is
+// agent-local series (engine and socket counters, uptime), which arrive as
+// pushed delta expositions or by scraping each agent's /metrics endpoint and
+// are folded through obs.Fleet, which sums samples family by family.
 
 // maxAgentLines bounds the retained agent event stream; beyond it the
 // oldest lines are simply not kept (the per-agent ring still has them).
 const maxAgentLines = 4096
 
-// liveSeriesColumns is the live plane's shared subset of the sim engine's
-// series columns (no scheduler exists here, so no events/pending).
-var liveSeriesColumns = []string{"net_sent", "net_delivered", "ops_delivered"}
-
-func newCtrlObs(cfg Config, s *scenario.Scenario, sched *scenario.Schedule) *ctrlObs {
-	n := uint64(cfg.TraceSample)
-	if n < 1 {
-		n = 1
-	}
-	sampler := obs.KeySampler{Seed: uint64(s.Seed), N: n}
-	reg := obs.NewRegistry()
-	o := &ctrlObs{
-		seed:        s.Seed,
-		speed:       cfg.Speed,
-		host:        cfg.Host,
-		metricsBase: cfg.MetricsBase,
-		sampler:     sampler,
-		reg:         reg,
-		events:      obs.NewEventLog(sampler, obs.LevelInfo),
-		spans:       obs.NewTraceSet(0),
-
-		opsLookup:    reg.Counter("macedon_ops_total", "Workload operations injected.", obs.L("kind", "lookup")),
-		opsMulticast: reg.Counter("macedon_ops_total", "Workload operations injected.", obs.L("kind", "multicast")),
-		opsSkipped:   reg.Counter("macedon_ops_skipped_total", "Workload operations skipped because the sender was down."),
-		opsDelivered: reg.Counter("macedon_ops_delivered_total", "Workload deliveries (one per receiving member)."),
-		nodesAlive:   reg.Gauge("macedon_nodes_alive", "Nodes currently alive."),
-
-		opFwd: make(map[int]int),
-		opDel: make(map[int]int),
-	}
-	o.latHist = make([]*obs.Histogram, len(sched.Phases))
-	o.hopHist = make([]*obs.Histogram, len(sched.Phases))
-	o.series = make([]*obs.Series, len(sched.Phases))
-	for pi, p := range sched.Phases {
-		l := obs.L("phase", fmt.Sprintf("%d-%s", pi, p.Name))
-		o.latHist[pi] = reg.Histogram("macedon_op_latency_seconds", "End-to-end operation latency.", obs.LatencyBuckets, l)
-		o.hopHist[pi] = reg.Histogram("macedon_op_hops", "Mean overlay hops per delivery of an operation.", obs.HopBuckets, l)
-		o.series[pi] = obs.NewSeries(liveSeriesColumns, 0)
-	}
-	return o
-}
-
-// scenTime maps a wall instant to the scenario timeline (wall elapsed
-// compressed by the speed factor), so live event timestamps line up with
-// the schedule the sim runs on.
-func (c *controller) scenTime(t time.Time) time.Duration {
-	return time.Duration(float64(t.Sub(c.start)) * c.cfg.Speed)
-}
-
-// obsInjectLocked records one injected workload op: counter, sampled event
-// record, and the trace's inject span (c.mu held).
-func (c *controller) obsInjectLocked(kind string, op scenario.Op) {
-	o := c.obs
-	if o == nil {
-		return
-	}
-	at := c.scenTime(time.Now())
-	if kind == "lookup" {
-		o.opsLookup.Inc()
-	} else {
-		o.opsMulticast.Inc()
-	}
-	tid := obs.MintTraceID(o.seed, op.ID)
-	o.events.EmitAt(at, uint64(op.ID), obs.LevelInfo, "inject",
-		obs.F("kind", kind), obs.F("op", op.ID), obs.F("node", op.Node),
-		obs.F("trace", fmt.Sprintf("%016x", uint64(tid))))
-	if o.sampler.Admit("span", uint64(op.ID)) {
-		o.spans.Record(-1, obs.Span{Trace: tid, Op: op.ID, Kind: obs.SpanInject, Node: op.Node, Next: -1, At: at})
-	}
-}
-
-// obsSkipLocked records a workload op whose sender was down (c.mu held).
-func (c *controller) obsSkipLocked(kind string, op scenario.Op) {
-	o := c.obs
-	if o == nil {
-		return
-	}
-	o.opsSkipped.Inc()
-	o.events.EmitAt(c.scenTime(time.Now()), uint64(op.ID), obs.LevelWarn, "skip",
-		obs.F("kind", kind), obs.F("op", op.ID), obs.F("node", op.Node))
-}
-
-// obsLifecycle records a sampled lifecycle event (kill, revive, partition,
-// heal — the same names the sim engine emits), keyed by node index.
-func (c *controller) obsLifecycle(key int, name string, fields ...obs.Field) {
-	o := c.obs
-	if o == nil {
-		return
-	}
-	o.events.EmitAt(c.scenTime(time.Now()), uint64(key), obs.LevelInfo, name, fields...)
-}
-
-// obsForwardLocked records one forward hop of a traced op (c.mu held).
-func (c *controller) obsForwardLocked(opID, node, next int, at time.Time) {
-	o := c.obs
-	if o == nil {
-		return
-	}
-	o.opFwd[opID]++
-	if o.sampler.Admit("span", uint64(opID)) {
-		o.spans.Record(-1, obs.Span{
-			Trace: obs.MintTraceID(o.seed, opID), Op: opID,
-			Kind: obs.SpanForward, Node: node, Next: next, At: c.scenTime(at),
-		})
-	}
-}
-
-// obsDeliverLocked records one delivery of a traced op (c.mu held).
-func (c *controller) obsDeliverLocked(opID, node, phase int, at time.Time, lat time.Duration) {
-	o := c.obs
-	if o == nil {
-		return
-	}
-	o.opDel[opID]++
-	o.opsDelivered.Inc()
-	if phase >= 0 && phase < len(o.latHist) {
-		o.latHist[phase].Observe(lat.Seconds())
-	}
-	if o.sampler.Admit("span", uint64(opID)) {
-		o.spans.Record(-1, obs.Span{
-			Trace: obs.MintTraceID(o.seed, opID), Op: opID,
-			Kind: obs.SpanDeliver, Node: node, Next: -1, At: c.scenTime(at),
-		})
-	}
-}
-
 // obsPushLocked folds one pushed delta exposition into agent i's push
 // fleet (c.mu held): summing every delta from one generation reconstructs
 // that generation's absolute totals, for counters and gauges alike.
 func (c *controller) obsPushLocked(i int, expo string) {
-	if c.obs == nil || expo == "" {
+	if !c.cfg.Obs || expo == "" {
 		return
 	}
 	sc, err := obs.ParseText([]byte(expo))
 	if err != nil {
-		c.tracefLocked("obs push node %d: bad exposition: %v", i, err)
+		c.eng.Tracef("obs push node %d: bad exposition: %v", i, err)
 		return
 	}
 	slot := c.agents[i]
@@ -207,47 +40,26 @@ func (c *controller) obsPushLocked(i int, expo string) {
 	slot.push.Add(sc)
 }
 
-// obsPhaseSampleLocked appends phase pi's boundary sample to the live time
-// series (c.mu held): the cumulative totals the phase-end poll just
-// gathered, stamped at the phase's end offset on the scenario timeline —
-// the same virtual-time axis the sim series uses.
-func (c *controller) obsPhaseSampleLocked(pi int, row *scenario.PhaseTotals) {
-	o := c.obs
-	if o == nil || pi >= len(o.series) {
-		return
-	}
-	ph := c.sched.Phases[pi]
-	o.series[pi].Append(ph.End-ph.Start,
-		float64(row.Net.Sent), float64(row.Net.Delivered), float64(o.opsDelivered.Load()))
-}
-
-// obsAgentLineLocked retains one EvObs line streamed by agent i (c.mu held).
-func (c *controller) obsAgentLineLocked(i int, line string) {
-	o := c.obs
-	if o == nil || len(o.agentLines) >= maxAgentLines {
-		return
-	}
-	o.agentLines = append(o.agentLines, fmt.Sprintf("node=%d %s", i, line))
-}
-
 // scrapeFleet fetches every live agent's /metrics exposition. It runs
 // without c.mu (HTTP round trips) right before the final report assembly.
 func (c *controller) scrapeFleet() []*obs.Scrape {
-	if c.obs == nil || c.obs.metricsBase == 0 {
+	if !c.cfg.Obs || c.cfg.MetricsBase == 0 {
 		return nil
 	}
-	c.mu.Lock()
-	up := append([]bool(nil), c.alive...)
-	c.mu.Unlock()
 	client := &http.Client{Timeout: 3 * time.Second}
 	var out []*obs.Scrape
-	for i, alive := range up {
-		if !alive {
+	for i := range c.agents {
+		c.mu.Lock()
+		up := c.eng.Alive(i)
+		c.mu.Unlock()
+		if !up {
 			continue
 		}
-		sc, err := scrapeAgent(client, fmt.Sprintf("http://%s:%d/metrics", c.obs.host, c.obs.metricsBase+i))
+		sc, err := scrapeAgent(client, fmt.Sprintf("http://%s:%d/metrics", c.cfg.Host, c.cfg.MetricsBase+i))
 		if err != nil {
-			c.tracef("obs scrape node %d failed: %v", i, err)
+			c.mu.Lock()
+			c.eng.Tracef("obs scrape node %d failed: %v", i, err)
+			c.mu.Unlock()
 			continue
 		}
 		out = append(out, sc)
@@ -271,35 +83,19 @@ func scrapeAgent(client *http.Client, url string) (*obs.Scrape, error) {
 	return obs.ParseText(body)
 }
 
-// finishObsLocked assembles the live run's Report.Obs (c.mu held): hop
-// histograms from the final per-op tallies, fleet-level mirrors when no
-// agent scrape supplied the engine/net families, and the merged exposition.
-func (c *controller) finishObsLocked(rep *scenario.Report, scrapes []*obs.Scrape) {
-	o := c.obs
-	if o == nil {
-		return
-	}
-	for opID, del := range o.opDel {
-		if del == 0 {
-			continue
-		}
-		ph, ok := c.sendPhase[opID]
-		if !ok || ph < 0 || ph >= len(o.hopHist) {
-			continue
-		}
-		o.hopHist[ph].Observe(float64(o.opFwd[opID]+del) / float64(del))
-	}
-	// Push shipping is the primary per-agent source (it needs no inbound
-	// path to the fleet); the HTTP scrape is the fallback. Each live slot
-	// contributes the page its last poll captured: the push-reconstructed
-	// exposition, or the reply's own page if no delta ever landed. Where
-	// both exist they must agree exactly on the engine/net families — the
-	// agent flushed its delta immediately before replying — so the check
-	// runs on every report and any drift lands in the trace.
+// fleetPagesLocked picks the per-agent pages the report's exposition merges
+// (c.mu held). Push shipping is the primary source (it needs no inbound path
+// to the fleet); the HTTP scrape is the fallback. Each live slot contributes
+// the page its last poll captured: the push-reconstructed exposition, or the
+// reply's own page if no delta ever landed. Where both exist they must agree
+// exactly on the engine/net families — the agent flushed its delta
+// immediately before replying — so the check runs on every report and any
+// drift lands in the trace.
+func (c *controller) fleetPagesLocked(scrapes []*obs.Scrape) []*obs.Scrape {
 	var pages []*obs.Scrape
 	agree, mismatch := 0, 0
 	for i, slot := range c.agents {
-		if !c.alive[i] {
+		if !c.eng.Alive(i) {
 			continue
 		}
 		page := slot.pushExpo
@@ -308,7 +104,7 @@ func (c *controller) finishObsLocked(rep *scenario.Report, scrapes []*obs.Scrape
 		} else if slot.expo != "" {
 			if d := pushPollMismatch(slot.pushExpo, slot.expo); d != "" {
 				mismatch++
-				c.tracefLocked("obs push/poll mismatch node %d: %s", i, d)
+				c.eng.Tracef("obs push/poll mismatch node %d: %s", i, d)
 			} else {
 				agree++
 			}
@@ -321,58 +117,12 @@ func (c *controller) finishObsLocked(rep *scenario.Report, scrapes []*obs.Scrape
 		}
 	}
 	if agree+mismatch > 0 {
-		c.tracefLocked("obs push/poll expositions agree for %d/%d agents", agree, agree+mismatch)
+		c.eng.Tracef("obs push/poll expositions agree for %d/%d agents", agree, agree+mismatch)
 	}
 	if len(pages) == 0 {
-		pages = scrapes
+		return scrapes
 	}
-	if len(pages) == 0 {
-		// No HTTP plane: mirror the polled totals into the same families the
-		// agents would have served, so the exposition's family set matches
-		// the sim engine's either way.
-		var msgsSent, msgsRecv, bytesSent, bytesRecv uint64
-		for i, slot := range c.agents {
-			if slot.hasStats && c.alive[i] {
-				msgsSent += slot.metrics.MsgsSent
-				msgsRecv += slot.metrics.MsgsRecv
-				bytesSent += slot.metrics.BytesSent
-				bytesRecv += slot.metrics.BytesRecv
-			}
-		}
-		o.reg.Counter("macedon_engine_msgs_sent_total", "Protocol messages sent by live nodes.").Store(msgsSent)
-		o.reg.Counter("macedon_engine_msgs_recv_total", "Protocol messages received by live nodes.").Store(msgsRecv)
-		o.reg.Counter("macedon_engine_bytes_sent_total", "Protocol bytes sent by live nodes.").Store(bytesSent)
-		o.reg.Counter("macedon_engine_bytes_recv_total", "Protocol bytes received by live nodes.").Store(bytesRecv)
-		net := rep.Final
-		o.reg.Counter("macedon_net_sent_total", "Network frames sent.").Store(net.Sent)
-		o.reg.Counter("macedon_net_delivered_total", "Network frames delivered.").Store(net.Delivered)
-		o.reg.Counter("macedon_net_bytes_total", "Network payload bytes carried.").Store(net.Bytes)
-		o.reg.Counter("macedon_net_dropped_total", "Network frames dropped (all causes).").
-			Store(net.RandomLoss + net.PartitionDrops)
-	}
-	o.nodesAlive.Set(float64(c.countLiveLocked()))
-
-	for pi := range rep.Phases {
-		if pi < len(o.latHist) {
-			rep.Phases[pi].Obs = &scenario.PhaseObs{
-				Latency: o.latHist[pi].Snapshot(),
-				Hops:    o.hopHist[pi].Snapshot(),
-				Series:  o.series[pi].Snapshot(),
-			}
-		}
-	}
-	fleet := obs.NewFleet()
-	if own, err := obs.ParseText([]byte(o.reg.Text())); err == nil {
-		fleet.Add(own)
-	}
-	for _, sc := range pages {
-		fleet.Add(sc)
-	}
-	rep.Obs = &scenario.ObsReport{
-		Exposition: fleet.Text(),
-		Events:     append(o.events.Lines(), o.agentLines...),
-		Spans:      o.spans.Lines(),
-	}
+	return pages
 }
 
 // pushPollMismatch compares a push-reconstructed exposition with the poll
@@ -411,13 +161,4 @@ func pushPollMismatch(pushExpo, pollExpo string) string {
 		}
 	}
 	return ""
-}
-
-// nextIndex resolves a forward event's next-hop address to its fleet index
-// (-1 if unknown). addrIdx is built once at construction and only read.
-func (c *controller) nextIndex(a uint32) int {
-	if i, ok := c.addrIdx[a]; ok {
-		return i
-	}
-	return -1
 }

@@ -1,12 +1,9 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
 	"macedon/internal/obs"
-	"macedon/internal/overlay"
-	"macedon/internal/scenario"
 )
 
 // ObsOptions configures the observability plane of a scenario run.
@@ -30,273 +27,54 @@ type ObsOptions struct {
 	SeriesCap int
 }
 
-// seriesColumns are the engine quantities each time-series point carries.
-// Every one is a deterministic function of the executed-event prefix, so
-// sampling them at barrier instants is shard-invariant.
-var seriesColumns = []string{"events", "pending", "net_sent", "net_delivered", "ops_delivered"}
+// seriesLead are the scheduler quantities the emulator puts in front of the
+// engine's own time-series columns. Both are deterministic functions of the
+// executed-event prefix, so sampling them at barrier instants is
+// shard-invariant.
+var seriesLead = []string{"events", "pending"}
 
-// RunScenarioObs is RunScenario with the observability plane configured.
-func RunScenarioObs(s *scenario.Scenario, opts ObsOptions) (*scenario.Report, error) {
-	return RunScenarioShardsObs(s, 1, opts)
-}
-
-// RunScenarioShardsObs runs a scenario on a sharded event loop with the
-// observability plane configured. Like the trace and report, the obs
-// output (exposition, sampled events, merged spans) is byte-identical at
-// any shard count.
-func RunScenarioShardsObs(s *scenario.Scenario, shards int, opts ObsOptions) (*scenario.Report, error) {
-	return RunScenarioExec(s, ExecOptions{Shards: shards, Obs: opts})
-}
-
-// engineObs is the scenario engine's observability plane. Hot-path
-// recording is shard-safe by construction: counters and histogram buckets
-// accumulate by commutative atomic adds, per-op tallies live in atomic
-// arrays indexed by op ID, spans go to per-shard buffers merged by a
-// content-total-order, and the event log is only written from the
-// coordinator (workload injection and lifecycle ops run at epoch barriers
-// while every shard is parked), so its record order is schedule order.
-type engineObs struct {
-	reg     *obs.Registry
-	events  *obs.EventLog
-	spans   *obs.TraceSet
-	sampler obs.KeySampler
-	seed    int64
-
-	opsLookup    *obs.Counter
-	opsMulticast *obs.Counter
-	opsSkipped   *obs.Counter
-	opsDelivered *obs.Counter
-	nodesAlive   *obs.Gauge
-
-	// Per-phase distribution histograms: latency is observed at delivery
-	// (the value depends only on virtual send/deliver times, so bucket
-	// increments commute); hops are observed at run end from the final
-	// per-op tallies (a hop count read at delivery time would depend on
-	// shard interleaving of concurrent forwards).
-	latHist []*obs.Histogram
-	hopHist []*obs.Histogram
-
-	// Per-op atomic tallies, indexed by workload op ID.
-	opFwd []obs.Counter
-	opDel []obs.Counter
-
-	// Per-phase time series, sampled at phase boundaries and every
-	// interval of virtual time. Samples run at epoch barriers
-	// (coordinator-only), never from shard workers.
-	series   []*obs.Series
-	interval time.Duration
-}
-
-// obsNodeField is the canonical node field on lifecycle events.
-func obsNodeField(n int) obs.Field { return obs.F("node", n) }
-
-// obsPhaseLabel renders the phase label every per-phase family carries.
-func obsPhaseLabel(pi int, name string) obs.Label {
-	return obs.L("phase", fmt.Sprintf("%d-%s", pi, name))
-}
-
-func newEngineObs(s *scenario.Scenario, sched *scenario.Schedule, shards int, opts ObsOptions) *engineObs {
-	n := uint64(opts.TraceSample)
-	if n < 1 {
-		n = 1
-	}
-	sampler := obs.KeySampler{Seed: uint64(s.Seed), N: n}
-	reg := obs.NewRegistry()
-	o := &engineObs{
-		reg:     reg,
-		events:  obs.NewEventLog(sampler, obs.LevelInfo),
-		spans:   obs.NewTraceSet(shards),
-		sampler: sampler,
-		seed:    s.Seed,
-
-		opsLookup:    reg.Counter("macedon_ops_total", "Workload operations injected.", obs.L("kind", "lookup")),
-		opsMulticast: reg.Counter("macedon_ops_total", "Workload operations injected.", obs.L("kind", "multicast")),
-		opsSkipped:   reg.Counter("macedon_ops_skipped_total", "Workload operations skipped because the sender was down."),
-		opsDelivered: reg.Counter("macedon_ops_delivered_total", "Workload deliveries (one per receiving member)."),
-		nodesAlive:   reg.Gauge("macedon_nodes_alive", "Nodes currently alive."),
-	}
-	maxOp := 0
-	for _, op := range sched.Ops {
-		if (op.Kind == scenario.OpLookup || op.Kind == scenario.OpMulticast) && op.ID >= maxOp {
-			maxOp = op.ID + 1
-		}
-	}
-	o.opFwd = make([]obs.Counter, maxOp)
-	o.opDel = make([]obs.Counter, maxOp)
-	o.latHist = make([]*obs.Histogram, len(sched.Phases))
-	o.hopHist = make([]*obs.Histogram, len(sched.Phases))
-	o.series = make([]*obs.Series, len(sched.Phases))
-	o.interval = opts.SeriesInterval
-	for pi, p := range sched.Phases {
-		l := obsPhaseLabel(pi, p.Name)
-		o.latHist[pi] = reg.Histogram("macedon_op_latency_seconds", "End-to-end operation latency.", obs.LatencyBuckets, l)
-		o.hopHist[pi] = reg.Histogram("macedon_op_hops", "Mean overlay hops per delivery of an operation.", obs.HopBuckets, l)
-		o.series[pi] = obs.NewSeries(seriesColumns, opts.SeriesCap)
-	}
-	return o
-}
-
-// samplePhase records one time-series point for a phase at phase-relative
-// offset rel. It runs at an epoch barrier, where every value it reads —
-// executed events, pending events, net totals, delivered ops — is a pure
-// function of the executed-event prefix and therefore shard-invariant.
-func (o *engineObs) samplePhase(e *scenarioEngine, pi int, rel time.Duration) {
-	st := e.c.Net.Stats()
-	o.series[pi].Append(rel,
-		float64(e.c.Sched.Executed()),
-		float64(e.c.Sched.Pending()),
-		float64(st.Sent),
-		float64(st.Delivered),
-		float64(o.opsDelivered.Load()),
-	)
-}
-
-// onInject records a workload injection: the coordinator-side end of the
-// trace, plus the sampled event-log record. Runs at an epoch barrier.
-func (o *engineObs) onInject(kind string, op scenario.Op, node int, at time.Duration) {
-	if kind == "lookup" {
-		o.opsLookup.Inc()
-	} else {
-		o.opsMulticast.Inc()
-	}
-	tid := obs.MintTraceID(o.seed, op.ID)
-	o.events.EmitAt(at, uint64(op.ID), obs.LevelInfo, "inject",
-		obs.F("kind", kind), obs.F("op", op.ID), obs.F("node", node),
-		obs.F("trace", fmt.Sprintf("%016x", uint64(tid))))
-	if o.sampler.Admit("span", uint64(op.ID)) {
-		o.spans.Record(-1, obs.Span{Trace: tid, Op: op.ID, Kind: obs.SpanInject, Node: node, Next: -1, At: at})
-	}
-}
-
-// onSkip records a workload op whose sender was down.
-func (o *engineObs) onSkip(kind string, op scenario.Op, node int, at time.Duration) {
-	o.opsSkipped.Inc()
-	o.events.EmitAt(at, uint64(op.ID), obs.LevelWarn, "skip",
-		obs.F("kind", kind), obs.F("op", op.ID), obs.F("node", node))
-}
-
-// onLifecycle records a sampled lifecycle event (kill, revive, partition,
-// heal), keyed by node index. Runs at an epoch barrier.
-func (o *engineObs) onLifecycle(at time.Duration, key int, name string, fields ...obs.Field) {
-	o.events.EmitAt(at, uint64(key), obs.LevelInfo, name, fields...)
-}
-
-// onForward runs on the forwarding node's shard: atomic tally plus a
-// sampled span.
-func (o *engineObs) onForward(opID, node, next, shard int, at time.Duration) {
-	if opID < 0 || opID >= len(o.opFwd) {
-		return
-	}
-	o.opFwd[opID].Inc()
-	if o.sampler.Admit("span", uint64(opID)) {
-		o.spans.Record(shard, obs.Span{
-			Trace: obs.MintTraceID(o.seed, opID), Op: opID,
-			Kind: obs.SpanForward, Node: node, Next: next, At: at,
+// scheduleObsSeries schedules one phase's time-series samples: the start
+// and end boundaries plus every intra-phase interval point. Samples are
+// read-only global-actor events scheduled after the phase's ops and
+// end-of-phase snapshot at the same instants (a later global sequence
+// number preserves relative order), so turning them on never perturbs the
+// legacy trace or report, and each sample reads engine state at a fixed
+// position in the shard-count-independent total order.
+func (r *simRun) scheduleObsSeries(pi int, base time.Duration) {
+	ph := r.sched.Phases[pi]
+	sample := func(at time.Duration) {
+		r.c.Sched.After(at-base, func() {
+			r.eng.Sample(pi, at-ph.Start, float64(r.c.Sched.Executed()), float64(r.c.Sched.Pending()))
 		})
 	}
+	sample(ph.Start)
+	if iv := r.obs.SeriesInterval; iv > 0 {
+		for t := ph.Start + iv; t < ph.End; t += iv {
+			sample(t)
+		}
+	}
+	sample(ph.End)
 }
 
-// onDeliver runs on the receiving node's shard. The latency value depends
-// only on the op's virtual send and deliver instants, so observing it here
-// is deterministic at any shard count.
-func (o *engineObs) onDeliver(opID, node, shard, phase int, at, latency time.Duration) {
-	if opID < 0 || opID >= len(o.opDel) {
-		return
-	}
-	o.opDel[opID].Inc()
-	o.opsDelivered.Inc()
-	o.latHist[phase].Observe(latency.Seconds())
-	if o.sampler.Admit("span", uint64(opID)) {
-		o.spans.Record(shard, obs.Span{
-			Trace: obs.MintTraceID(o.seed, opID), Op: opID,
-			Kind: obs.SpanDeliver, Node: node, Next: -1, At: at,
-		})
-	}
-}
-
-// finish runs once at report time, after the run ended and every shard
-// parked: hop distributions from the final per-op tallies, engine counter
-// and net-stat mirrors, and the assembled report sections.
-func (e *scenarioEngine) finishObs(rep *scenario.Report) {
-	o := e.obs
-	if o == nil {
-		return
-	}
-	for opID := range o.opDel {
-		del := o.opDel[opID].Load()
-		if del == 0 {
-			continue
-		}
-		ph, ok := e.sendPhase[opID]
-		if !ok || ph < 0 || ph >= len(o.hopHist) {
-			continue
-		}
-		fwd := o.opFwd[opID].Load()
-		o.hopHist[ph].Observe(float64(fwd+del) / float64(del))
-	}
-
-	ctl := e.sumCounters()
-	o.reg.Counter("macedon_engine_msgs_sent_total", "Protocol messages sent by live nodes.").Store(ctl.MsgsSent)
-	o.reg.Counter("macedon_engine_msgs_recv_total", "Protocol messages received by live nodes.").Store(ctl.MsgsRecv)
-	o.reg.Counter("macedon_engine_bytes_sent_total", "Protocol bytes sent by live nodes.").Store(ctl.BytesSent)
-	o.reg.Counter("macedon_engine_bytes_recv_total", "Protocol bytes received by live nodes.").Store(ctl.BytesRecv)
-
-	net := rep.Final
-	o.reg.Counter("macedon_net_sent_total", "Network frames sent.").Store(uint64(net.Sent))
-	o.reg.Counter("macedon_net_delivered_total", "Network frames delivered.").Store(uint64(net.Delivered))
-	o.reg.Counter("macedon_net_bytes_total", "Network payload bytes carried.").Store(uint64(net.Bytes))
-	drops := net.QueueDrops + net.RandomLoss + net.DownDrops + net.LinkDownDrops +
-		net.DegradeLoss + net.PartitionDrops + net.NoRouteDrops
-	o.reg.Counter("macedon_net_dropped_total", "Network frames dropped (all causes).").Store(uint64(drops))
-
-	// Scheduler telemetry: mirrored from the engine's own counters at this
-	// quiescent point. Every value is shard-invariant — executed/pending
-	// events and the pool recycler are pure functions of the total event
-	// order, and barrier stall accrues the same virtual-time quantity per
-	// global-actor instant in both the sequential and the sharded loop —
-	// so the merged exposition is byte-identical at any shard count.
-	sc := e.c.Sched
-	o.reg.Counter("macedon_sched_events_total", "Events the scheduler executed.").Store(sc.Executed())
-	o.reg.Gauge("macedon_sched_heap_depth", "Events pending in the scheduler heaps at run end.").Set(float64(sc.Pending()))
-	o.reg.Counter("macedon_sched_barrier_stall_ns_total", "Virtual nanoseconds global-actor barriers sat ahead of the engine frontier.").Store(uint64(sc.BarrierStall()))
+// mirrorSched stores the scheduler's own counters as the macedon_sched_*
+// families at report time, a quiescent point. Every value is
+// shard-invariant — executed/pending events and the pool recycler are pure
+// functions of the total event order, and barrier stall accrues the same
+// virtual-time quantity per global-actor instant in both the sequential and
+// the sharded loop — so the merged exposition is byte-identical at any
+// shard count.
+func (r *simRun) mirrorSched(reg *obs.Registry) {
+	sc := r.c.Sched
+	reg.Counter("macedon_sched_events_total", "Events the scheduler executed.").Store(sc.Executed())
+	reg.Gauge("macedon_sched_heap_depth", "Events pending in the scheduler heaps at run end.").Set(float64(sc.Pending()))
+	reg.Counter("macedon_sched_barrier_stall_ns_total", "Virtual nanoseconds global-actor barriers sat ahead of the engine frontier.").Store(uint64(sc.BarrierStall()))
 	util := 0.0
 	if el := sc.Elapsed().Seconds(); el > 0 {
 		util = float64(sc.Executed()) / el
 	}
-	o.reg.Gauge("macedon_sched_window_utilization", "Events executed per virtual second: the density the lookahead windows carried.").Set(util)
-	pool := e.c.Net.PoolStats()
-	o.reg.Counter("macedon_sched_pool_gets_total", "Packet records requested from the per-shard pools.").Store(pool.Gets)
-	o.reg.Counter("macedon_sched_pool_recycled_total", "Terminal packets recycled for reuse.").Store(pool.Recycled)
-	o.reg.Counter("macedon_sched_pool_pinned_total", "Terminal packets pinned by a snapshot generation.").Store(pool.Pinned)
-
-	live := 0
-	for _, up := range e.alive {
-		if up {
-			live++
-		}
-	}
-	o.nodesAlive.Set(float64(live))
-
-	for pi := range rep.Phases {
-		rep.Phases[pi].Obs = &scenario.PhaseObs{
-			Latency: o.latHist[pi].Snapshot(),
-			Hops:    o.hopHist[pi].Snapshot(),
-			Series:  o.series[pi].Snapshot(),
-		}
-	}
-	rep.Obs = &scenario.ObsReport{
-		Exposition: o.reg.Text(),
-		Events:     o.events.Lines(),
-		Spans:      o.spans.Lines(),
-	}
-}
-
-// addrIndex resolves a node address to its cluster index (-1 if unknown):
-// span records carry node indices, not raw addresses. The map is built
-// eagerly at engine construction, so concurrent shard callbacks only read.
-func (e *scenarioEngine) addrIndex(a overlay.Address) int {
-	if i, ok := e.addrIdx[a]; ok {
-		return i
-	}
-	return -1
+	reg.Gauge("macedon_sched_window_utilization", "Events executed per virtual second: the density the lookahead windows carried.").Set(util)
+	pool := r.c.Net.PoolStats()
+	reg.Counter("macedon_sched_pool_gets_total", "Packet records requested from the per-shard pools.").Store(pool.Gets)
+	reg.Counter("macedon_sched_pool_recycled_total", "Terminal packets recycled for reuse.").Store(pool.Recycled)
+	reg.Counter("macedon_sched_pool_pinned_total", "Terminal packets pinned by a snapshot generation.").Store(pool.Pinned)
 }

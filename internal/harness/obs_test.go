@@ -16,7 +16,7 @@ import (
 // the legacy trace or report by a single byte.
 func TestObsShardInvariance(t *testing.T) {
 	opts := ObsOptions{Enabled: true, TraceSample: 2}
-	base, err := RunScenarioShardsObs(testScenario(), 1, opts)
+	base, err := runSim(testScenario(), 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestObsShardInvariance(t *testing.T) {
 			len(base.Obs.Exposition), len(base.Obs.Events), len(base.Obs.Spans))
 	}
 	for _, shards := range []int{2, 4} {
-		got, err := RunScenarioShardsObs(testScenario(), shards, opts)
+		got, err := runSim(testScenario(), shards, opts)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -45,7 +45,7 @@ func TestObsShardInvariance(t *testing.T) {
 	}
 
 	// Obs off must reproduce the exact pre-obs run.
-	plain, err := RunScenario(testScenario())
+	plain, err := runSim(testScenario(), 1, ObsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSchedFamiliesShardInvariant(t *testing.T) {
 	var base string
 	var baseRep *scenario.Report
 	for _, shards := range []int{1, 2, 4} {
-		rep, err := RunScenarioShardsObs(testScenario(), shards, opts)
+		rep, err := runSim(testScenario(), shards, opts)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -144,7 +144,7 @@ func diffLines(t *testing.T, shards int, a, b string) {
 // delivered lookups must land in the latency and hop histograms of the
 // phase that issued them.
 func TestObsPhaseHistograms(t *testing.T) {
-	rep, err := RunScenarioObs(testScenario(), ObsOptions{Enabled: true})
+	rep, err := runSim(testScenario(), 1, ObsOptions{Enabled: true})
 	if err != nil {
 		t.Fatal(err)
 	}

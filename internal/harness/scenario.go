@@ -6,7 +6,6 @@ import (
 
 	"macedon/internal/check"
 	"macedon/internal/core"
-	"macedon/internal/obs"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/ammo"
 	"macedon/internal/overlays/bullet"
@@ -79,114 +78,53 @@ type ExecOptions struct {
 	Obs ObsOptions
 }
 
-// RunScenario compiles a declarative scenario and executes it against an
+// RunScenarioExec compiles a declarative scenario and executes it against an
 // emulated cluster, returning the structured report. The run is fully
 // deterministic: the same scenario and seed produce a byte-identical event
-// trace and report.
-func RunScenario(s *scenario.Scenario) (*scenario.Report, error) {
-	return RunScenarioShards(s, 1)
-}
-
-// RunScenarioShards runs a scenario on a sharded event loop. The shard
-// count is an execution parameter, not a scenario property: any value
-// yields the identical trace and report (docs/simnet.md explains why), so
-// golden traces recorded at one shard count verify every other.
-func RunScenarioShards(s *scenario.Scenario, shards int) (*scenario.Report, error) {
-	return RunScenarioExec(s, ExecOptions{Shards: shards})
-}
-
-// RunScenarioExec runs a scenario with the full set of execution options.
+// trace and report under any ExecOptions.
 func RunScenarioExec(s *scenario.Scenario, exec ExecOptions) (*scenario.Report, error) {
 	sched, err := scenario.Compile(s)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := newScenarioEngineExec(s, sched, exec)
+	r, err := newSimRun(sched, exec)
 	if err != nil {
 		return nil, err
 	}
-	defer eng.c.StopAll()
-	if exec.Obs.Enabled {
-		eng.obs = newEngineObs(s, sched, eng.c.Sched.Shards(), exec.Obs)
-	}
-	eng.scheduleSetup()
-	eng.schedulePhases(0, len(sched.Phases)-1)
-	eng.c.RunFor(sched.Total)
-	return eng.report(), nil
+	defer r.c.StopAll()
+	r.scheduleSetup()
+	r.schedulePhases(0, len(sched.Phases)-1)
+	r.c.RunFor(sched.Total)
+	return r.report()
 }
 
-// scenarioEngine executes one compiled schedule — or, under checkpoint/fork
-// (docs/sweeps.md), one shared prefix followed by several variant branches
-// of it: branch() rewinds the accounting the way Cluster.Restore rewinds the
-// world.
-type scenarioEngine struct {
-	s     *scenario.Scenario
-	sched *scenario.Schedule
+// simRun executes one compiled schedule on an emulated cluster: it is the
+// scenario.Backend the shared engine drives — cluster and virtual clock —
+// plus the glue that turns schedule offsets into Sched.After events. Under
+// checkpoint/fork (docs/sweeps.md) one simRun carries a shared prefix and
+// then several variant branches of it.
+type simRun struct {
 	c     *Cluster
+	eng   *scenario.Engine
+	sched *scenario.Schedule
 	stack []core.Factory
 
 	needsGroup bool
 	group      overlay.Key
 
-	alive     []bool
-	sendTime  map[int]time.Duration // workload op id → virtual send offset
-	sendPhase map[int]int           // workload op id → phase index
-	opsSent   []int
-	opsSkip   []int
-	// Delivery accounting is indexed [shard][phase]: callbacks run on the
-	// receiving node's shard, concurrently with other shards, and the
-	// per-shard sums merge deterministically (addition commutes).
-	delivered [][]int
-	latSum    [][]time.Duration
-	forwards  [][]int        // forward() upcalls per shard and op phase
-	phaseNet  []simnet.Stats // stats snapshot at each phase end
-	phaseLive []int
-	phaseCtl  []core.Counters // per-node counters summed at each phase end
-	baseNet   simnet.Stats    // stats snapshot when phase 0 starts
-	baseCtl   core.Counters   // counter sum when phase 0 starts
+	// obs drives time-series sample scheduling; the plane itself is the
+	// engine's.
+	obs ObsOptions
 
-	eventsRun int
-	trace     []string
-
-	// Liveness and connectivity ages for the correctness plane
-	// (internal/check): maintained unconditionally so sweep branching is
-	// uniform, consulted only when the scenario opted into checks.
-	upAt         []time.Duration // last transition to up (spawn/revive)
-	downAt       []time.Duration // last transition to down (0 = down since start)
-	connAt       []time.Duration // last connectivity change (down/up, link, degrade, partition)
-	hostDown     []bool          // node_down active
-	linkDown     []bool          // link_down active
-	nodeDegraded []bool          // degrade active
-	partitioned  bool
-
-	// checks is the run's correctness plane; nil when the scenario has no
-	// checks spec. phaseChecks collects the per-phase verdicts.
-	checks      *engineChecks
-	phaseChecks []*check.PhaseChecks
-
-	// obs is the run's observability plane; nil (the default) keeps the
-	// engine byte-for-byte on its legacy path. Not carried across sweep
-	// fork branches.
-	obs     *engineObs
-	addrIdx map[overlay.Address]int
+	// err is the first op failure; later ops are not applied and report
+	// returns it.
+	err error
 }
 
-func makeGrid[T any](shards, phases int) [][]T {
-	out := make([][]T, shards)
-	for i := range out {
-		out[i] = make([]T, phases)
-	}
-	return out
-}
-
-// newScenarioEngine builds the cluster and a fresh engine for a compiled
-// schedule. The caller owns eng.c.StopAll.
-func newScenarioEngine(s *scenario.Scenario, sched *scenario.Schedule, shards int) (*scenarioEngine, error) {
-	return newScenarioEngineExec(s, sched, ExecOptions{Shards: shards})
-}
-
-// newScenarioEngineExec is newScenarioEngine with the full execution options.
-func newScenarioEngineExec(s *scenario.Scenario, sched *scenario.Schedule, exec ExecOptions) (*scenarioEngine, error) {
+// newSimRun builds the cluster and a fresh engine for a compiled schedule.
+// The caller owns r.c.StopAll.
+func newSimRun(sched *scenario.Schedule, exec ExecOptions) (*simRun, error) {
+	s := sched.Scenario
 	stack, err := ScenarioStack(s.Protocol)
 	if err != nil {
 		return nil, err
@@ -207,44 +145,24 @@ func newScenarioEngineExec(s *scenario.Scenario, sched *scenario.Schedule, exec 
 	if err != nil {
 		return nil, err
 	}
-	eng := &scenarioEngine{
-		s:         s,
-		sched:     sched,
-		c:         c,
-		stack:     stack,
-		alive:     make([]bool, s.Nodes),
-		sendTime:  make(map[int]time.Duration),
-		sendPhase: make(map[int]int),
-		opsSent:   make([]int, len(sched.Phases)),
-		opsSkip:   make([]int, len(sched.Phases)),
-		delivered: makeGrid[int](shards, len(sched.Phases)),
-		latSum:    makeGrid[time.Duration](shards, len(sched.Phases)),
-		forwards:  makeGrid[int](shards, len(sched.Phases)),
-		phaseNet:  make([]simnet.Stats, len(sched.Phases)),
-		phaseLive: make([]int, len(sched.Phases)),
-		phaseCtl:  make([]core.Counters, len(sched.Phases)),
-		addrIdx:   make(map[overlay.Address]int, s.Nodes),
-
-		upAt:         make([]time.Duration, s.Nodes),
-		downAt:       make([]time.Duration, s.Nodes),
-		connAt:       make([]time.Duration, s.Nodes),
-		hostDown:     make([]bool, s.Nodes),
-		linkDown:     make([]bool, s.Nodes),
-		nodeDegraded: make([]bool, s.Nodes),
-		phaseChecks:  make([]*check.PhaseChecks, len(sched.Phases)),
+	r := &simRun{c: c, sched: sched, stack: stack, obs: exec.Obs}
+	cfg := scenario.EngineConfig{Addrs: c.Addrs, Shards: c.Sched.Shards()}
+	if exec.Obs.Enabled {
+		cfg.Obs = &scenario.ObsConfig{
+			TraceSample: exec.Obs.TraceSample,
+			SeriesLead:  seriesLead,
+			SeriesCap:   exec.Obs.SeriesCap,
+		}
 	}
-	if eng.checks, err = newEngineChecks(s); err != nil {
+	if r.eng, err = scenario.NewEngine(sched, r, cfg); err != nil {
 		c.StopAll()
 		return nil, err
 	}
-	for i, addr := range c.Addrs {
-		eng.addrIdx[addr] = i
-	}
 	if s.NeedsGroup() {
-		eng.group = overlay.HashString(s.GroupName())
-		eng.needsGroup = true
+		r.group = overlay.HashString(s.GroupName())
+		r.needsGroup = true
 	}
-	return eng, nil
+	return r, nil
 }
 
 // scheduleSetup schedules the setup operations (joins) plus the settle-end
@@ -253,9 +171,9 @@ func newScenarioEngineExec(s *scenario.Scenario, sched *scenario.Schedule, exec 
 // serializing inside a single epoch barrier — the t=0 spawn herd. The batch
 // executes its spawns in op order, so the trace is byte-identical to
 // unbatched scheduling.
-func (e *scenarioEngine) scheduleSetup() {
-	base := e.c.Sched.Elapsed()
-	ops := e.sched.Ops
+func (r *simRun) scheduleSetup() {
+	base := r.c.Sched.Elapsed()
+	ops := r.sched.Ops
 	i := 0
 	for i < len(ops) && ops[i].Phase < 0 {
 		if ops[i].Kind == scenario.OpSpawn {
@@ -265,256 +183,160 @@ func (e *scenarioEngine) scheduleSetup() {
 			}
 			if j-i > 1 {
 				batch := ops[i:j]
-				e.c.Sched.After(batch[0].At-base, func() { e.applySpawnBatch(batch) })
+				r.c.Sched.After(batch[0].At-base, func() { r.applySpawnBatch(batch) })
 				i = j
 				continue
 			}
 		}
-		e.scheduleFrom(ops[i], base)
+		r.scheduleFrom(ops[i], base)
 		i++
 	}
-	e.c.Sched.After(e.sched.Settle-base, func() {
-		e.baseNet = e.c.Net.Stats()
-		e.baseCtl = e.sumCounters()
-	})
+	r.c.Sched.After(r.sched.Settle-base, func() { r.eng.SettleEnd() })
 }
 
 // schedulePhases schedules the ops and end-of-phase snapshots of phases
 // [from, to]. Ops fire at their absolute schedule offsets regardless of when
 // scheduling happens — which is what lets a fork branch schedule its tail
 // phases after the shared prefix already ran.
-func (e *scenarioEngine) schedulePhases(from, to int) {
-	base := e.c.Sched.Elapsed()
-	ops := e.sched.Ops
+func (r *simRun) schedulePhases(from, to int) {
+	base := r.c.Sched.Elapsed()
+	ops := r.sched.Ops
 	i := 0
 	for i < len(ops) && ops[i].Phase < from {
 		i++
 	}
 	for pi := from; pi <= to; pi++ {
 		for ; i < len(ops) && ops[i].Phase == pi; i++ {
-			e.scheduleFrom(ops[i], base)
+			r.scheduleFrom(ops[i], base)
 		}
-		end := e.sched.Phases[pi].End
+		end := r.sched.Phases[pi].End
 		p := pi
-		e.c.Sched.After(end-base, func() { e.snapshot(p) })
-		if e.obs != nil {
-			e.scheduleObsSeries(pi, base)
+		r.c.Sched.After(end-base, func() { r.eng.PhaseEnd(p) })
+		if r.obs.Enabled {
+			r.scheduleObsSeries(pi, base)
 		}
 	}
-}
-
-// scheduleObsSeries schedules one phase's time-series samples: the start
-// and end boundaries plus every intra-phase interval point. Samples are
-// read-only global-actor events scheduled after the phase's ops and
-// end-of-phase snapshot at the same instants (a later global sequence
-// number preserves relative order), so turning them on never perturbs the
-// legacy trace or report, and each sample reads engine state at a fixed
-// position in the shard-count-independent total order.
-func (e *scenarioEngine) scheduleObsSeries(pi int, base time.Duration) {
-	ph := e.sched.Phases[pi]
-	o := e.obs
-	sample := func(at time.Duration) {
-		rel := at - ph.Start
-		e.c.Sched.After(at-base, func() { o.samplePhase(e, pi, rel) })
-	}
-	sample(ph.Start)
-	if iv := o.interval; iv > 0 {
-		for t := ph.Start + iv; t < ph.End; t += iv {
-			sample(t)
-		}
-	}
-	sample(ph.End)
 }
 
 // scheduleFrom schedules one op against the virtual instant scheduling
 // happens at.
-func (e *scenarioEngine) scheduleFrom(op scenario.Op, base time.Duration) {
-	e.c.Sched.After(op.At-base, func() { e.apply(op) })
+func (r *simRun) scheduleFrom(op scenario.Op, base time.Duration) {
+	r.c.Sched.After(op.At-base, func() { r.apply(op) })
 }
 
-// engineState is the engine's accounting at a fork point, restored at the
-// start of every branch.
-type engineState struct {
-	alive     []bool
-	sendTime  map[int]time.Duration
-	sendPhase map[int]int
-	opsSent   []int
-	opsSkip   []int
-	delivered [][]int
-	latSum    [][]time.Duration
-	forwards  [][]int
-	phaseNet  []simnet.Stats
-	phaseLive []int
-	phaseCtl  []core.Counters
-	baseNet   simnet.Stats
-	baseCtl   core.Counters
-	eventsRun int
-	trace     []string
-
-	upAt         []time.Duration
-	downAt       []time.Duration
-	connAt       []time.Duration
-	hostDown     []bool
-	linkDown     []bool
-	nodeDegraded []bool
-	partitioned  bool
-	phaseChecks  []*check.PhaseChecks
-}
-
-// saveState captures the engine accounting for later branches.
-func (e *scenarioEngine) saveState() *engineState {
-	st := &engineState{
-		alive:     append([]bool(nil), e.alive...),
-		sendTime:  make(map[int]time.Duration, len(e.sendTime)),
-		sendPhase: make(map[int]int, len(e.sendPhase)),
-		opsSent:   append([]int(nil), e.opsSent...),
-		opsSkip:   append([]int(nil), e.opsSkip...),
-		delivered: copyGrid(e.delivered),
-		latSum:    copyGrid(e.latSum),
-		forwards:  copyGrid(e.forwards),
-		phaseNet:  append([]simnet.Stats(nil), e.phaseNet...),
-		phaseLive: append([]int(nil), e.phaseLive...),
-		phaseCtl:  append([]core.Counters(nil), e.phaseCtl...),
-		baseNet:   e.baseNet,
-		baseCtl:   e.baseCtl,
-		eventsRun: e.eventsRun,
-		trace:     append([]string(nil), e.trace...),
-
-		upAt:         append([]time.Duration(nil), e.upAt...),
-		downAt:       append([]time.Duration(nil), e.downAt...),
-		connAt:       append([]time.Duration(nil), e.connAt...),
-		hostDown:     append([]bool(nil), e.hostDown...),
-		linkDown:     append([]bool(nil), e.linkDown...),
-		nodeDegraded: append([]bool(nil), e.nodeDegraded...),
-		partitioned:  e.partitioned,
-		phaseChecks:  append([]*check.PhaseChecks(nil), e.phaseChecks...),
+// apply runs one op through the engine at its scheduled instant, keeping the
+// first failure for report.
+func (r *simRun) apply(op scenario.Op) {
+	if r.err != nil {
+		return
 	}
-	for k, v := range e.sendTime {
-		st.sendTime[k] = v
-	}
-	for k, v := range e.sendPhase {
-		st.sendPhase[k] = v
-	}
-	return st
-}
-
-// branch points the engine at a variant's scenario and schedule and rewinds
-// the accounting to the fork state. Phase-indexed arrays are resized to the
-// variant's phase count; the shared-prefix columns carry over. The engine
-// object itself must survive branches unchanged — delivery handlers
-// installed on prefix-spawned nodes captured it.
-func (e *scenarioEngine) branch(s *scenario.Scenario, sched *scenario.Schedule, st *engineState) {
-	e.s, e.sched = s, sched
-	np := len(sched.Phases)
-	e.alive = append(e.alive[:0:0], st.alive...)
-	e.sendTime = make(map[int]time.Duration, len(st.sendTime))
-	for k, v := range st.sendTime {
-		e.sendTime[k] = v
-	}
-	e.sendPhase = make(map[int]int, len(st.sendPhase))
-	for k, v := range st.sendPhase {
-		e.sendPhase[k] = v
-	}
-	e.opsSent = resizeInts(st.opsSent, np)
-	e.opsSkip = resizeInts(st.opsSkip, np)
-	e.delivered = resizeGrid(st.delivered, np)
-	e.latSum = resizeGrid(st.latSum, np)
-	e.forwards = resizeGrid(st.forwards, np)
-	e.phaseNet = resizeSlice(st.phaseNet, np)
-	e.phaseLive = resizeInts(st.phaseLive, np)
-	e.phaseCtl = resizeSlice(st.phaseCtl, np)
-	e.baseNet = st.baseNet
-	e.baseCtl = st.baseCtl
-	e.eventsRun = st.eventsRun
-	e.trace = append(e.trace[:0:0], st.trace...)
-
-	e.upAt = append(e.upAt[:0:0], st.upAt...)
-	e.downAt = append(e.downAt[:0:0], st.downAt...)
-	e.connAt = append(e.connAt[:0:0], st.connAt...)
-	e.hostDown = append(e.hostDown[:0:0], st.hostDown...)
-	e.linkDown = append(e.linkDown[:0:0], st.linkDown...)
-	e.nodeDegraded = append(e.nodeDegraded[:0:0], st.nodeDegraded...)
-	e.partitioned = st.partitioned
-	e.phaseChecks = resizeSlice(st.phaseChecks, np)
-	// A variant may re-window or re-select its checkers.
-	var err error
-	if e.checks, err = newEngineChecks(s); err != nil {
-		panic(fmt.Sprintf("harness: sweep variant checks: %v", err))
+	if err := r.eng.Apply(op); err != nil {
+		r.err = fmt.Errorf("harness: %s node %d at %s: %w", op.Kind, op.Node, op.At, err)
 	}
 }
 
-func copyGrid[T any](g [][]T) [][]T {
-	out := make([][]T, len(g))
-	for i := range g {
-		out[i] = append([]T(nil), g[i]...)
+// applySpawnBatch executes one same-instant run of setup spawns: node
+// construction fans out across the event shards first, then every op goes
+// through the engine in op order — Spawn finds its node already built — so
+// trace lines and accounting are exactly what per-op execution would emit.
+func (r *simRun) applySpawnBatch(ops []scenario.Op) {
+	var idx []int
+	for _, op := range ops {
+		if !r.eng.Alive(op.Node) {
+			idx = append(idx, op.Node)
+		}
 	}
-	return out
-}
-
-func resizeSlice[T any](src []T, n int) []T {
-	out := make([]T, n)
-	copy(out, src)
-	return out
-}
-
-func resizeInts(src []int, n int) []int { return resizeSlice(src, n) }
-
-func resizeGrid[T any](g [][]T, n int) [][]T {
-	out := make([][]T, len(g))
-	for i := range g {
-		out[i] = resizeSlice(g[i], n)
+	if err := r.c.SpawnBatch(idx, r.stack); err != nil && r.err == nil {
+		r.err = fmt.Errorf("harness: spawn batch at %s: %w", ops[0].At, err)
 	}
-	return out
+	for _, op := range ops {
+		r.apply(op)
+	}
 }
 
 // report assembles the structured result after the run (or branch) ends.
-func (e *scenarioEngine) report() *scenario.Report {
-	rep := &scenario.Report{
-		Scenario:  e.s.Name,
-		Protocol:  e.protoName(),
-		Seed:      e.s.Seed,
-		Nodes:     e.s.Nodes,
-		Settle:    e.sched.Settle,
-		End:       e.sched.End,
-		Total:     e.sched.Total,
-		EventsRun: e.eventsRun,
-		Final:     e.c.Net.Stats(),
-		Trace:     append([]string(nil), e.trace...),
+func (r *simRun) report() (*scenario.Report, error) {
+	if r.err != nil {
+		return nil, r.err
 	}
-	rows := make([]scenario.PhaseTotals, len(e.sched.Phases))
-	for pi := range e.sched.Phases {
-		row := scenario.PhaseTotals{
-			Live:     e.phaseLive[pi],
-			Sent:     e.opsSent[pi],
-			Skipped:  e.opsSkip[pi],
-			Net:      e.phaseNet[pi],
-			CtlMsgs:  e.phaseCtl[pi].MsgsSent,
-			CtlBytes: e.phaseCtl[pi].BytesSent,
-			Checks:   e.phaseChecks[pi],
-		}
-		for sh := range e.delivered {
-			row.Delivered += e.delivered[sh][pi]
-			row.LatSum += e.latSum[sh][pi]
-			row.Forwards += e.forwards[sh][pi]
-		}
-		rows[pi] = row
+	if reg := r.eng.Registry(); reg != nil {
+		r.eng.MirrorTotals()
+		r.mirrorSched(reg)
 	}
-	rep.Phases = scenario.AssemblePhases(e.sched.Phases, rows, scenario.PhaseTotals{
-		Net:      e.baseNet,
-		CtlMsgs:  e.baseCtl.MsgsSent,
-		CtlBytes: e.baseCtl.BytesSent,
-	})
-	e.finishObs(rep)
-	return rep
+	return r.eng.Report(), nil
 }
 
-// sumCounters totals the engine counters over the currently live nodes:
-// the protocol-level control-traffic overhead snapshot taken at phase
+// --- scenario.Backend ---------------------------------------------------------
+
+// Now is the coordinator's virtual clock: ops and boundaries run at epoch
+// barriers, where every shard agrees on it.
+func (r *simRun) Now() time.Duration { return r.c.Sched.Elapsed() }
+
+// Spawn builds node i (unless applySpawnBatch already did) and attaches the
+// engine's delivery accounting.
+func (r *simRun) Spawn(i int, revive bool) (string, error) {
+	var err error
+	switch {
+	case revive:
+		_, err = r.c.Revive(i, r.stack)
+	case r.c.Nodes[r.c.Addrs[i]] == nil:
+		_, err = r.c.Spawn(i, r.stack)
+	}
+	if err != nil {
+		return "", err
+	}
+	r.attach(i)
+	return "", nil
+}
+
+func (r *simRun) Kill(i int) string {
+	r.c.Kill(i)
+	return ""
+}
+
+func (r *simRun) Shape(op scenario.Op) string {
+	net, addr := r.c.Net, r.c.Addrs[op.Node]
+	switch op.Kind {
+	case scenario.OpNodeDown, scenario.OpNodeUp:
+		_ = net.SetDown(addr, op.Kind == scenario.OpNodeDown)
+	case scenario.OpLinkDown, scenario.OpLinkUp:
+		_ = net.SetNodeAccessDown(addr, op.Kind == scenario.OpLinkDown)
+	case scenario.OpDegrade:
+		_ = net.DegradeNodeAccess(addr, simnet.Degradation{LatencyFactor: op.LatencyFactor, LossRate: op.Loss})
+	case scenario.OpRestore:
+		_ = net.RestoreNodeAccess(addr)
+	case scenario.OpPartition:
+		sides := make(map[overlay.Address]int, len(r.c.Addrs))
+		for i, a := range r.c.Addrs {
+			if i < op.SideA {
+				sides[a] = 1
+			} else {
+				sides[a] = 2
+			}
+		}
+		net.SetPartition(sides)
+	case scenario.OpHeal:
+		net.ClearPartition()
+	}
+	return ""
+}
+
+func (r *simRun) Inject(op scenario.Op) {
+	n := r.c.Nodes[r.c.Addrs[op.Node]]
+	if op.Kind == scenario.OpMulticast {
+		_ = n.Multicast(r.group, make([]byte, op.Size), int32(op.ID), overlay.PriorityDefault)
+	} else {
+		_ = n.Route(overlay.Key(op.Key), make([]byte, op.Size), int32(op.ID), overlay.PriorityDefault)
+	}
+}
+
+// Counters totals the engine counters over the currently live nodes: the
+// protocol-level control-traffic overhead snapshot taken at phase
 // boundaries (all shards are parked there, so the instance reads race
 // nothing).
-func (e *scenarioEngine) sumCounters() core.Counters {
+func (r *simRun) Counters() core.Counters {
 	var sum core.Counters
-	for _, n := range e.c.Nodes {
+	for _, n := range r.c.Nodes {
 		c := n.Counters()
 		sum.MsgsSent += c.MsgsSent
 		sum.BytesSent += c.BytesSent
@@ -524,260 +346,39 @@ func (e *scenarioEngine) sumCounters() core.Counters {
 	return sum
 }
 
-func (e *scenarioEngine) protoName() string {
-	if e.s.Protocol == "" {
-		return "chord"
-	}
-	return e.s.Protocol
+func (r *simRun) NetStats() simnet.Stats { return r.c.Net.Stats() }
+
+// NodeState extracts a live node's routing state. The engine asks at a
+// phase boundary — a global event at an epoch barrier, all shards parked —
+// so the read is race-free and, node state being shard-invariant by the
+// simulator's determinism contract, so is the checkers' verdict.
+func (r *simRun) NodeState(i int) (check.NodeState, bool) {
+	return check.Extract(r.c.Nodes[r.c.Addrs[i]], i), true
 }
 
-func (e *scenarioEngine) snapshot(pi int) {
-	e.phaseNet[pi] = e.c.Net.Stats()
-	e.phaseCtl[pi] = e.sumCounters()
-	live := 0
-	for _, up := range e.alive {
-		if up {
-			live++
-		}
-	}
-	e.phaseLive[pi] = live
-	if e.checks != nil {
-		e.phaseChecks[pi] = e.runChecks(pi)
-	}
-}
-
-func (e *scenarioEngine) tracef(format string, args ...any) {
-	at := e.c.Sched.Elapsed()
-	e.trace = append(e.trace, fmt.Sprintf("t=%10.3fs  %s", at.Seconds(), fmt.Sprintf(format, args...)))
-}
-
-// applySpawnBatch executes one same-instant run of setup spawns, fanning
-// node construction out across the event shards. Trace lines and accounting
-// are emitted in op order, exactly as per-op execution would.
-func (e *scenarioEngine) applySpawnBatch(ops []scenario.Op) {
-	var idx []int
-	for _, op := range ops {
-		e.eventsRun++
-		if e.alive[op.Node] {
-			e.tracef("spawn node %d skipped (already up)", op.Node)
-			continue
-		}
-		idx = append(idx, op.Node)
-	}
-	if len(idx) == 0 {
-		return
-	}
-	if err := e.c.SpawnBatch(idx, e.stack); err != nil {
-		panic(fmt.Sprintf("harness: scenario spawn batch: %v", err))
-	}
-	for _, n := range idx {
-		e.alive[n] = true
-		e.upAt[n] = e.c.Sched.Elapsed()
-		e.attach(n)
-		e.tracef("spawn node %d (%v)", n, e.c.Addrs[n])
-	}
-}
-
-// apply executes one op at its scheduled instant.
-func (e *scenarioEngine) apply(op scenario.Op) {
-	e.eventsRun++
-	addr := e.c.Addrs[op.Node]
-	switch op.Kind {
-	case scenario.OpSpawn:
-		if e.alive[op.Node] {
-			e.tracef("spawn node %d skipped (already up)", op.Node)
-			return
-		}
-		if _, err := e.c.Spawn(op.Node, e.stack); err != nil {
-			panic(fmt.Sprintf("harness: scenario spawn %d: %v", op.Node, err))
-		}
-		e.alive[op.Node] = true
-		e.upAt[op.Node] = e.c.Sched.Elapsed()
-		e.attach(op.Node)
-		e.tracef("spawn node %d (%v)", op.Node, addr)
-	case scenario.OpKill:
-		if !e.alive[op.Node] {
-			e.tracef("kill node %d skipped (already down)", op.Node)
-			return
-		}
-		e.c.Kill(op.Node)
-		e.alive[op.Node] = false
-		e.downAt[op.Node] = e.c.Sched.Elapsed()
-		e.tracef("kill node %d (%v)", op.Node, addr)
-		if e.obs != nil {
-			e.obs.onLifecycle(e.c.Sched.Elapsed(), op.Node, "kill", obsNodeField(op.Node))
-		}
-	case scenario.OpRevive:
-		if e.alive[op.Node] {
-			e.tracef("revive node %d skipped (already up)", op.Node)
-			return
-		}
-		if _, err := e.c.Revive(op.Node, e.stack); err != nil {
-			panic(fmt.Sprintf("harness: scenario revive %d: %v", op.Node, err))
-		}
-		e.alive[op.Node] = true
-		e.upAt[op.Node] = e.c.Sched.Elapsed()
-		e.attach(op.Node)
-		e.tracef("revive node %d (%v)", op.Node, addr)
-		if e.obs != nil {
-			e.obs.onLifecycle(e.c.Sched.Elapsed(), op.Node, "revive", obsNodeField(op.Node))
-		}
-	case scenario.OpNodeDown:
-		_ = e.c.Net.SetDown(addr, true)
-		e.hostDown[op.Node] = true
-		e.connAt[op.Node] = e.c.Sched.Elapsed()
-		e.tracef("node_down node %d (%v)", op.Node, addr)
-	case scenario.OpNodeUp:
-		_ = e.c.Net.SetDown(addr, false)
-		e.hostDown[op.Node] = false
-		e.connAt[op.Node] = e.c.Sched.Elapsed()
-		e.tracef("node_up node %d (%v)", op.Node, addr)
-	case scenario.OpPartition:
-		sides := make(map[overlay.Address]int, len(e.c.Addrs))
-		for i, a := range e.c.Addrs {
-			if i < op.SideA {
-				sides[a] = 1
-			} else {
-				sides[a] = 2
-			}
-		}
-		e.c.Net.SetPartition(sides)
-		e.partitioned = true
-		e.touchAllConn()
-		e.tracef("partition [0..%d) | [%d..%d)", op.SideA, op.SideA, len(e.c.Addrs))
-		if e.obs != nil {
-			e.obs.onLifecycle(e.c.Sched.Elapsed(), op.SideA, "partition", obs.F("side_a", op.SideA))
-		}
-	case scenario.OpHeal:
-		e.c.Net.ClearPartition()
-		e.partitioned = false
-		e.touchAllConn()
-		e.tracef("heal partition")
-		if e.obs != nil {
-			e.obs.onLifecycle(e.c.Sched.Elapsed(), 0, "heal")
-		}
-	case scenario.OpDegrade:
-		_ = e.c.Net.DegradeNodeAccess(addr, simnet.Degradation{LatencyFactor: op.LatencyFactor, LossRate: op.Loss})
-		e.nodeDegraded[op.Node] = true
-		e.connAt[op.Node] = e.c.Sched.Elapsed()
-		e.tracef("degrade node %d (latency x%.1f, loss %.2f)", op.Node, op.LatencyFactor, op.Loss)
-	case scenario.OpRestore:
-		_ = e.c.Net.RestoreNodeAccess(addr)
-		e.nodeDegraded[op.Node] = false
-		e.connAt[op.Node] = e.c.Sched.Elapsed()
-		e.tracef("restore node %d", op.Node)
-	case scenario.OpLinkDown:
-		_ = e.c.Net.SetNodeAccessDown(addr, true)
-		e.linkDown[op.Node] = true
-		e.connAt[op.Node] = e.c.Sched.Elapsed()
-		e.tracef("link_down node %d", op.Node)
-	case scenario.OpLinkUp:
-		_ = e.c.Net.SetNodeAccessDown(addr, false)
-		e.linkDown[op.Node] = false
-		e.connAt[op.Node] = e.c.Sched.Elapsed()
-		e.tracef("link_up node %d", op.Node)
-	case scenario.OpLookup:
-		if !e.alive[op.Node] {
-			e.opsSkip[op.Phase]++
-			e.tracef("lookup #%d skipped (node %d down)", op.ID, op.Node)
-			if e.obs != nil {
-				e.obs.onSkip("lookup", op, op.Node, e.c.Sched.Elapsed())
-			}
-			return
-		}
-		at := e.c.Sched.Elapsed()
-		e.sendTime[op.ID] = at
-		e.sendPhase[op.ID] = op.Phase
-		e.opsSent[op.Phase]++
-		if e.obs != nil {
-			e.obs.onInject("lookup", op, op.Node, at)
-		}
-		_ = e.c.Nodes[addr].Route(overlay.Key(op.Key), make([]byte, op.Size), int32(op.ID), overlay.PriorityDefault)
-	case scenario.OpMulticast:
-		if !e.alive[op.Node] {
-			e.opsSkip[op.Phase]++
-			e.tracef("multicast #%d skipped (node %d down)", op.ID, op.Node)
-			if e.obs != nil {
-				e.obs.onSkip("multicast", op, op.Node, e.c.Sched.Elapsed())
-			}
-			return
-		}
-		at := e.c.Sched.Elapsed()
-		e.sendTime[op.ID] = at
-		e.sendPhase[op.ID] = op.Phase
-		e.opsSent[op.Phase]++
-		if e.obs != nil {
-			e.obs.onInject("multicast", op, op.Node, at)
-		}
-		_ = e.c.Nodes[addr].Multicast(e.group, make([]byte, op.Size), int32(op.ID), overlay.PriorityDefault)
-	}
-}
-
-// touchAllConn stamps every node's connectivity-change instant: partitions
-// and heals change everyone's reachability at once.
-func (e *scenarioEngine) touchAllConn() {
-	now := e.c.Sched.Elapsed()
-	for i := range e.connAt {
-		e.connAt[i] = now
-	}
-}
-
-// attach registers delivery accounting (and group membership) on a node
-// that just spawned or revived. The deliver callback fires on the node's
-// event shard, so it captures the shard-bound clock and accounting row.
-func (e *scenarioEngine) attach(i int) {
-	n := e.c.Nodes[e.c.Addrs[i]]
-	sub := e.c.NodeSub(i)
+// attach routes a just-spawned node's deliver and forward upcalls to the
+// engine (and joins it to the multicast group). The callbacks fire on the
+// node's event shard, so they capture the shard-bound clock and the shard
+// index that selects the engine's accounting row.
+func (r *simRun) attach(i int) {
+	n := r.c.Nodes[r.c.Addrs[i]]
+	sub := r.c.NodeSub(i)
 	shard := sub.Shard()
+	eng := r.eng
 	n.RegisterHandlers(core.Handlers{
 		Deliver: func(payload []byte, typ int32, src overlay.Address) {
-			e.onDeliver(int(typ), shard, sub)
-			if o := e.obs; o != nil {
-				opID := int(typ)
-				if at, ok := e.sendTime[opID]; ok {
-					now := sub.Elapsed()
-					o.onDeliver(opID, i, shard, e.sendPhase[opID], now, now-at)
-				}
-			}
+			eng.Deliver(int(typ), i, shard, sub.Elapsed())
 		},
 		Forward: func(payload []byte, typ int32, next overlay.Address, nextKey overlay.Key) bool {
-			e.onForward(int(typ), shard)
-			if o := e.obs; o != nil {
-				opID := int(typ)
-				if _, ok := e.sendTime[opID]; ok {
-					o.onForward(opID, i, e.addrIndex(next), shard, sub.Elapsed())
-				}
-			}
+			eng.Forward(int(typ), i, next, shard, sub.Elapsed())
 			return true
 		},
 	})
-	if e.needsGroup {
+	if r.needsGroup {
 		if i == 0 {
-			_ = n.CreateGroup(e.group)
+			_ = n.CreateGroup(r.group)
 		} else {
-			_ = n.Join(e.group)
+			_ = n.Join(r.group)
 		}
 	}
-}
-
-// onDeliver runs on the receiving node's shard. sendTime and sendPhase are
-// only written by workload ops, which execute at barriers while every shard
-// is parked, so the concurrent reads here are safe.
-func (e *scenarioEngine) onDeliver(opID, shard int, sub *simnet.NodeSubstrate) {
-	at, ok := e.sendTime[opID]
-	if !ok {
-		return
-	}
-	ph := e.sendPhase[opID]
-	e.delivered[shard][ph]++
-	e.latSum[shard][ph] += sub.Elapsed() - at
-}
-
-// onForward runs on the forwarding node's shard: one more overlay hop for
-// the op's payload, attributed to the phase that issued it.
-func (e *scenarioEngine) onForward(opID, shard int) {
-	if _, ok := e.sendTime[opID]; !ok {
-		return
-	}
-	e.forwards[shard][e.sendPhase[opID]]++
 }

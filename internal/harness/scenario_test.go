@@ -50,15 +50,20 @@ func testScenario() *scenario.Scenario {
 	}
 }
 
+// runSim is the tests' one spelling of "run this scenario on the emulator".
+func runSim(s *scenario.Scenario, shards int, o ObsOptions) (*scenario.Report, error) {
+	return RunScenarioExec(s, ExecOptions{Shards: shards, Obs: o})
+}
+
 // TestScenarioDeterminism runs the same scenario twice and requires
 // byte-identical event traces and metric reports — the engine's core
 // reproducibility guarantee.
 func TestScenarioDeterminism(t *testing.T) {
-	a, err := RunScenario(testScenario())
+	a, err := runSim(testScenario(), 1, ObsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunScenario(testScenario())
+	b, err := runSim(testScenario(), 1, ObsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +85,12 @@ func TestScenarioDeterminism(t *testing.T) {
 // the shard count is an execution parameter, so 1, 2, and 4 shards must
 // produce byte-identical traces and reports for the same scenario and seed.
 func TestScenarioShardInvariance(t *testing.T) {
-	base, err := RunScenarioShards(testScenario(), 1)
+	base, err := runSim(testScenario(), 1, ObsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 4} {
-		got, err := RunScenarioShards(testScenario(), shards)
+		got, err := runSim(testScenario(), shards, ObsOptions{})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -110,7 +115,7 @@ func TestScenarioShardInvariance(t *testing.T) {
 // the scenario declared: kills, a partition, heals, lookups, and sane
 // metrics.
 func TestScenarioRunsTheScript(t *testing.T) {
-	rep, err := RunScenario(testScenario())
+	rep, err := runSim(testScenario(), 1, ObsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +182,7 @@ func TestScenarioMulticastWorkload(t *testing.T) {
 			},
 		},
 	}
-	rep, err := RunScenario(s)
+	rep, err := runSim(s, 1, ObsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +255,7 @@ func disseminationChurnScenario(proto string) *scenario.Scenario {
 
 func auditDissemination(t *testing.T, proto string) {
 	t.Helper()
-	rep, err := RunScenario(disseminationChurnScenario(proto))
+	rep, err := runSim(disseminationChurnScenario(proto), 1, ObsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +295,7 @@ func TestScenarioOvercastChurnAudit(t *testing.T) { auditDissemination(t, "overc
 func TestScenarioReviveKeepsRunning(t *testing.T) {
 	s := testScenario()
 	s.Phases = s.Phases[:2] // baseline + churn only
-	rep, err := RunScenario(s)
+	rep, err := runSim(s, 1, ObsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,14 +330,14 @@ func TestScenarioAMMOChurnAudit(t *testing.T) { auditDissemination(t, "ammo") }
 // died during churn must be evicted, or the mesh wedges at its degree cap
 // and striped blocks stop being recovered.
 func TestScenarioBulletChurnAudit(t *testing.T) {
-	rep, err := RunScenario(disseminationChurnScenario("bullet"))
+	rep, err := runSim(disseminationChurnScenario("bullet"), 1, ObsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Bullet's mesh recovery iterates incarnation sets; pin that it does so
 	// deterministically (same seed ⇒ identical report), like every other
 	// protocol under the engine.
-	rep2, err := RunScenario(disseminationChurnScenario("bullet"))
+	rep2, err := runSim(disseminationChurnScenario("bullet"), 1, ObsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,35 +84,44 @@ type forkGroupTiming struct {
 func runForkedGroup(vs []forkVariant, shards, forkPhase int) ([]*scenario.Report, forkGroupTiming, error) {
 	var timing forkGroupTiming
 	base := vs[0]
-	eng, err := newScenarioEngine(base.s, base.sched, shards)
+	r, err := newSimRun(base.sched, ExecOptions{Shards: shards})
 	if err != nil {
 		return nil, timing, err
 	}
-	defer eng.c.StopAll()
+	defer r.c.StopAll()
 
 	start := time.Now()
 	forkT := forkTime(base.sched, forkPhase)
-	eng.scheduleSetup()
+	r.scheduleSetup()
 	if forkPhase >= 0 {
-		eng.schedulePhases(0, forkPhase)
+		r.schedulePhases(0, forkPhase)
 	}
-	eng.c.RunFor(forkT - prefixEpsilon)
-	cp := eng.c.Checkpoint()
-	st := eng.saveState()
+	r.c.RunFor(forkT - prefixEpsilon)
+	cp := r.c.Checkpoint()
+	at := r.eng.Checkpoint()
 	timing.prefix = time.Since(start)
 
 	var reps []*scenario.Report
 	for vi, v := range vs {
 		bstart := time.Now()
 		if vi > 0 {
-			eng.c.Restore(cp)
+			r.c.Restore(cp)
 		}
-		eng.branch(v.s, v.sched, st)
+		// Point the run at the variant and rewind the engine's accounting to
+		// the fork state, as Restore rewound the world.
+		r.sched = v.sched
+		if err := r.eng.Branch(v.sched, at); err != nil {
+			return nil, timing, fmt.Errorf("sweep variant %q: %w", v.name, err)
+		}
 		if forkPhase+1 < len(v.sched.Phases) {
-			eng.schedulePhases(forkPhase+1, len(v.sched.Phases)-1)
+			r.schedulePhases(forkPhase+1, len(v.sched.Phases)-1)
 		}
-		eng.c.RunFor(v.sched.Total - (forkT - prefixEpsilon))
-		reps = append(reps, eng.report())
+		r.c.RunFor(v.sched.Total - (forkT - prefixEpsilon))
+		rep, err := r.report()
+		if err != nil {
+			return nil, timing, fmt.Errorf("sweep variant %q: %w", v.name, err)
+		}
+		reps = append(reps, rep)
 		timing.branches = append(timing.branches, time.Since(bstart))
 	}
 	return reps, timing, nil
@@ -120,7 +129,7 @@ func runForkedGroup(vs []forkVariant, shards, forkPhase int) ([]*scenario.Report
 
 // RunScenarioForked executes one scenario through the checkpoint/fork
 // machinery twice: shared prefix, fork, branch, rewind, branch again. Both
-// returned reports must be byte-identical to RunScenarioShards on the same
+// returned reports must be byte-identical to RunScenarioExec on the same
 // scenario — the fork-determinism property the golden corpus gates (the
 // second report additionally proves a restored world replays exactly after
 // a dirty branch).

@@ -59,7 +59,7 @@ func TestSweepMatchesColdRuns(t *testing.T) {
 		if !vr.SharedPrefix {
 			t.Fatalf("variant %q did not share the prefix", vr.Name)
 		}
-		cold, err := RunScenarioShards(rv.Scenario, 2)
+		cold, err := runSim(rv.Scenario, 2, ObsOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestSweepForkPointPhase(t *testing.T) {
 	// And each variant must equal its cold run.
 	resolved, _ := sw.Resolve()
 	for i, rv := range resolved {
-		cold, err := RunScenarioShards(rv.Scenario, 1)
+		cold, err := runSim(rv.Scenario, 1, ObsOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,12 +94,10 @@ type ObsReport struct {
 	Spans []string
 }
 
-// PhaseTotals is the substrate-independent accounting a schedule executor
-// gathers for one phase: per-phase workload tallies plus cumulative
-// counter snapshots taken when the phase ended. Both execution backends —
-// the virtual-time scenario engine and the live deployment controller —
-// reduce their bookkeeping to rows of this shape and assemble the report
-// with AssemblePhases, so a sim report and a live report of the same
+// PhaseTotals is the substrate-independent accounting the Engine gathers
+// for one phase: per-phase workload tallies plus cumulative counter
+// snapshots taken when the phase ended. AssemblePhases turns rows of this
+// shape into the report, so a sim report and a live report of the same
 // scenario are comparable field by field.
 type PhaseTotals struct {
 	// Live is the population still up at phase end.

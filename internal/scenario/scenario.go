@@ -7,8 +7,9 @@
 // reproducible regression tests instead of hand-rolled driver code.
 //
 // Scenarios are built either with Go literals or loaded from JSON (see
-// docs/scenarios.md); internal/harness.RunScenario executes the compiled
-// schedule against an emulated cluster.
+// docs/scenarios.md); Engine keeps the books of a run over either Backend:
+// internal/harness.RunScenarioExec on an emulated cluster, internal/deploy.Run
+// on live processes.
 package scenario
 
 import (
@@ -312,6 +313,14 @@ func (s *Scenario) Validate() error {
 		}
 	}
 	return nil
+}
+
+// ProtocolName is the scenario's protocol with the default applied.
+func (s *Scenario) ProtocolName() string {
+	if s.Protocol == "" {
+		return "chord"
+	}
+	return s.Protocol
 }
 
 // CheckConfig resolves the scenario's checks spec into the correctness

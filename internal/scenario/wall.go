@@ -9,12 +9,12 @@ import (
 
 // WallExecutor receives a schedule's operations and boundaries as they fire
 // in wall-clock time. Callbacks run sequentially on the runner's goroutine,
-// in deterministic order; a slow callback delays everything behind it, so
-// executors should hand long work off (the deploy controller's process
-// launches do).
+// in deterministic order; a slow callback delays everything behind it. The
+// deploy controller implements it by taking its lock around the shared
+// Engine's methods of the same names.
 type WallExecutor interface {
-	// Apply executes one schedule operation.
-	Apply(op Op)
+	// Apply executes one schedule operation. An error stops the run.
+	Apply(op Op) error
 	// SettleEnd marks the settle boundary: phase 0 starts now and baseline
 	// counter snapshots should be taken.
 	SettleEnd()
@@ -22,9 +22,8 @@ type WallExecutor interface {
 	PhaseEnd(pi int)
 }
 
-// WallRunner executes a compiled schedule against the wall clock: the
-// second execution backend beside the virtual-time scenario engine. The
-// schedule itself is substrate-neutral — operations with absolute virtual
+// WallRunner executes a compiled schedule against the wall clock, the way
+// the emulator's scheduler executes it in virtual time. The schedule itself is substrate-neutral — operations with absolute virtual
 // offsets — so the same compiled scenario (same seed, same ops, same churn
 // victims, same lookup keys) that drives an emulated run drives a live
 // deployment, just on real time (docs/deploy.md: scenario-to-wall-clock
@@ -80,8 +79,9 @@ func (r *WallRunner) timeline() []wallEvent {
 }
 
 // Run executes the schedule to its Total boundary (including the drain
-// window) or until ctx is cancelled. The wall clock of the whole run is
-// roughly Total/Speed.
+// window), until ctx is cancelled, or until an op fails: the first Apply
+// error ends the run at once and comes back wrapped with the op it belongs
+// to. The wall clock of a whole run is roughly Total/Speed.
 func (r *WallRunner) Run(ctx context.Context) error {
 	start := time.Now()
 	for _, ev := range r.timeline() {
@@ -90,7 +90,9 @@ func (r *WallRunner) Run(ctx context.Context) error {
 		}
 		switch ev.class {
 		case 0:
-			r.exec.Apply(ev.op)
+			if err := r.exec.Apply(ev.op); err != nil {
+				return fmt.Errorf("scenario: %s node %d at %s: %w", ev.op.Kind, ev.op.Node, ev.op.At, err)
+			}
 		case 1:
 			r.exec.SettleEnd()
 		case 2:

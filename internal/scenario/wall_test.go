@@ -2,17 +2,28 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
 
+// recordingExec records what fires; failAt > 0 makes the failAt-th Apply
+// fail with errBoom (after recording it).
 type recordingExec struct {
 	events []string
+	failAt int
 }
 
-func (r *recordingExec) Apply(op Op) {
+var errBoom = errors.New("boom")
+
+func (r *recordingExec) Apply(op Op) error {
 	r.events = append(r.events, fmt.Sprintf("op:%s@%s", op.Kind, op.At))
+	if len(r.events) == r.failAt {
+		return errBoom
+	}
+	return nil
 }
 func (r *recordingExec) SettleEnd()      { r.events = append(r.events, "settle") }
 func (r *recordingExec) PhaseEnd(pi int) { r.events = append(r.events, fmt.Sprintf("phase:%d", pi)) }
@@ -90,5 +101,35 @@ func TestWallRunnerCancel(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("cancellation did not abort promptly")
+	}
+}
+
+// TestWallRunnerStopsAtFirstError: the k-th op fails (an agent that would not
+// launch); Run returns that error at once, naming the op, and applies nothing
+// after it — the hour-long remainder of the schedule never runs.
+func TestWallRunnerStopsAtFirstError(t *testing.T) {
+	s := &Scenario{
+		Name: "wall-fail", Seed: 5, Nodes: 4, Protocol: "chord",
+		Settle: Duration(time.Hour),
+		Phases: []Phase{{Name: "p", Duration: Duration(time.Hour)}},
+	}
+	sched, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingExec{failAt: 2}
+	start := time.Now()
+	err = NewWallRunner(sched, 1, rec).Run(context.Background())
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("Run = %v, want the executor's error wrapped", err)
+	}
+	if want := "spawn node 1 at 0s"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the op (%q)", err, want)
+	}
+	if time.Since(start) > 5*time.Second {
+		t.Error("Run did not return promptly")
+	}
+	if want := []string{"op:spawn@0s", "op:spawn@0s"}; fmt.Sprint(rec.events) != fmt.Sprint(want) {
+		t.Errorf("events = %v, want %v: ops were applied after the failure", rec.events, want)
 	}
 }

@@ -475,7 +475,11 @@ func (r *reliable) handleAck(src overlay.Address, body []byte) {
 	}
 	mss := float64(r.mss())
 	switch {
-	case cum > c.sndUna && cum <= c.sndNxt:
+	case cum > c.sndUna && cum <= max(c.sndNxt, c.rexmitHigh):
+		// After a timeout rolled snd_nxt back, a receiver that held
+		// out-of-order data acknowledges past it — but never past
+		// rexmitHigh: only bytes below that were ever sent.
+		c.sndNxt = max(c.sndNxt, cum)
 		acked := cum - c.sndUna
 		c.buf = c.buf[acked:]
 		c.sndUna = cum

@@ -144,6 +144,38 @@ func TestTCPReliableInOrderUnderLoss(t *testing.T) {
 	}
 }
 
+// TestTCPBulkUnderLossCompletes: a bulk stream long enough that an RTO
+// fires while the receiver holds out-of-order data. The timeout rolls
+// snd_nxt back to snd_una; the cumulative ack that follows the first
+// retransmission then jumps past the rolled-back snd_nxt (the receiver
+// already had the rest), and must still be accepted — discarding it used to
+// wedge the connection for good.
+func TestTCPBulkUnderLossCompletes(t *testing.T) {
+	r := newRig(t, simnet.Config{LossRate: 0.01}, 10_000_000, 1<<20)
+	r.a.AddTCP("t")
+	r.b.AddTCP("t")
+	delivered := 0
+	r.b.SetRecv(func(_ string, _ overlay.Address, f []byte) {
+		if want := fmt.Sprintf("%04d", delivered); len(f) != 1000 || string(f[:4]) != want {
+			t.Fatalf("frame %d: %d bytes starting %q", delivered, len(f), f[:4])
+		}
+		delivered++
+	})
+	tr, _ := r.a.ByName("t")
+	const n = 2000
+	for i := 0; i < n; i++ {
+		frame := make([]byte, 1000)
+		copy(frame, fmt.Sprintf("%04d", i))
+		if err := tr.Send(2, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.sched.RunFor(10 * time.Minute)
+	if delivered != n {
+		t.Fatalf("delivered %d/%d frames: the stream wedged", delivered, n)
+	}
+}
+
 func TestSWPReliableUnderLoss(t *testing.T) {
 	r := newRig(t, simnet.Config{LossRate: 0.05}, 10_000_000, 1<<20)
 	r.a.AddSWP("s", 8)

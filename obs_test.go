@@ -109,7 +109,7 @@ func TestObsTracePropagation(t *testing.T) {
 	}
 	oracle := metrics.NewChordOracle(addrs)
 
-	rep, err := harness.RunScenarioShardsObs(s, 2, harness.ObsOptions{Enabled: true, TraceSample: 1})
+	rep, err := harness.RunScenarioExec(s, harness.ExecOptions{Shards: 2, Obs: harness.ObsOptions{Enabled: true, TraceSample: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
