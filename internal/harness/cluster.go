@@ -8,7 +8,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"macedon/internal/core"
@@ -206,10 +205,11 @@ const spawnBatchThreshold = 8
 // constructing them in parallel with one worker per event shard. The result
 // is byte-identical to spawning the same indices sequentially in order:
 // construction only mutates per-endpoint and per-shard state (actor
-// sequence counters, link serialization state, shard heaps under their
-// locks), each worker processes its shard's nodes in index order, and
-// cross-shard heap pushes are commutative because event execution order is
-// defined by deterministic keys, not insertion order. This is what breaks
+// sequence counters, link serialization state, the shard's own heap), each
+// worker processes its shard's nodes in index order, and what a worker
+// schedules onto another shard is merged after the join (Scheduler.Fanout)
+// — in any order, because event execution order is defined by
+// deterministic keys, not insertion order. This is what breaks
 // up the t=0 spawn herd: a 10k-node immediate join used to construct all
 // nodes serially inside one epoch barrier.
 func (c *Cluster) SpawnBatch(idx []int, stack []core.Factory) error {
@@ -232,31 +232,19 @@ func (c *Cluster) SpawnBatch(idx []int, stack []core.Factory) error {
 		}
 		byShard[sh] = append(byShard[sh], i)
 	}
-	built := make(map[int]*core.Node, len(idx))
-	errs := make([]error, len(shards))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for si, sh := range shards {
-		wg.Add(1)
-		go func(si int, mine []int) {
-			defer wg.Done()
-			local := make(map[int]*core.Node, len(mine))
-			for _, i := range mine {
-				n, err := c.buildNode(i, stack)
-				if err != nil {
-					errs[si] = fmt.Errorf("harness: batch spawn %d: %w", i, err)
-					return
-				}
-				local[i] = n
+	// Workers write disjoint slots: built by node index, errs by shard.
+	built := make([]*core.Node, len(c.Addrs))
+	errs := make([]error, c.Sched.Shards())
+	c.Sched.Fanout(shards, func(sh int) {
+		for _, i := range byShard[sh] {
+			n, err := c.buildNode(i, stack)
+			if err != nil {
+				errs[sh] = fmt.Errorf("harness: batch spawn %d: %w", i, err)
+				return
 			}
-			mu.Lock()
-			for i, n := range local {
-				built[i] = n
-			}
-			mu.Unlock()
-		}(si, byShard[sh])
-	}
-	wg.Wait()
+			built[i] = n
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -167,12 +168,105 @@ type shardStats struct {
 	_ [48]byte
 }
 
+// linkState is one pipe's mutable state. It is laid out flat and small on
+// purpose: New allocates one array of these and every checkpoint copies it.
 type linkState struct {
 	busyUntil   time.Duration // virtual instant the pipe finishes its queue
-	queuedBytes int
+	queuedBytes int32         // bytes in the queue, owed releases included
+	owedN       int32         // live entries of owed
 	ctr         LinkCounters
 	seq         uint64 // the link actor's event counter
 	lossSeq     uint64 // per-link deterministic loss-draw counter
+
+	// owed is the FIFO of releases the queue still owes (see settle), in
+	// key order: serialization instants only rise. The oldest owedN entries
+	// sit in the array; a pipe that queues deeper — a control-plane run
+	// hardly ever does, a TCP burst on an access pipe does — keeps the rest
+	// in spill, which an idle pipe never allocates.
+	owed  [2]owedRelease
+	spill *owedSpill
+}
+
+// owedRelease is one packet's bytes waiting to leave a pipe's queue when its
+// serialization completes. It stands for the event keyed (at, linkActor,
+// seq) that the pipe does not put on a heap: all that event would do is
+// subtract size from queuedBytes, and the only reader of queuedBytes is the
+// next enqueue on the same pipe, so that enqueue applies it instead. The
+// seq is not kept: it could only decide a tie against one of the pipe's own
+// events, and those execute at the pipe's head vertex, which never feeds
+// the pipe it was reached by.
+type owedRelease struct {
+	at   time.Duration
+	size int32
+}
+
+// owedSpill holds the releases beyond the inline array: buf[head:].
+type owedSpill struct {
+	head int
+	buf  []owedRelease
+}
+
+// clone returns an independent copy of the live entries, nil when there are
+// none: what a checkpoint keeps, and what a restore hands back.
+func (sp *owedSpill) clone() *owedSpill {
+	if sp == nil || sp.head == len(sp.buf) {
+		return nil
+	}
+	return &owedSpill{buf: append([]owedRelease(nil), sp.buf[sp.head:]...)}
+}
+
+func (ls *linkState) owe(r owedRelease) {
+	if int(ls.owedN) < len(ls.owed) { // settle keeps the array full while the spill has entries
+		ls.owed[ls.owedN] = r
+		ls.owedN++
+		return
+	}
+	sp := ls.spill
+	if sp == nil {
+		sp = &owedSpill{}
+		ls.spill = sp
+	}
+	if sp.head > 0 && len(sp.buf) == cap(sp.buf) && sp.head >= len(sp.buf)/2 {
+		// Reclaim the settled prefix instead of growing: at most half the
+		// slice moves, after at least that many pops.
+		sp.buf = sp.buf[:copy(sp.buf, sp.buf[sp.head:])]
+		sp.head = 0
+	}
+	sp.buf = append(sp.buf, r)
+}
+
+// before reports whether a release at r.at by the given link actor is
+// ordered before k.
+func (r *owedRelease) before(k *eventKey, actor uint64) bool {
+	return r.at < k.at || (r.at == k.at && actor < k.actor)
+}
+
+// settle applies every owed release ordered before cur, the latest key the
+// executing shard has run: exactly the releases a heap would have popped by
+// now, ties at one nanosecond included, because cur is compared with the
+// key the release event would have carried.
+func (ls *linkState) settle(cur *eventKey, actor uint64) {
+	i, n := 0, int(ls.owedN)
+	for i < n && ls.owed[i].before(cur, actor) {
+		ls.queuedBytes -= ls.owed[i].size
+		i++
+	}
+	if i == 0 {
+		return
+	}
+	n = copy(ls.owed[:], ls.owed[i:n])
+	if sp := ls.spill; sp != nil && sp.head < len(sp.buf) {
+		for n == 0 && sp.head < len(sp.buf) && sp.buf[sp.head].before(cur, actor) {
+			ls.queuedBytes -= sp.buf[sp.head].size
+			sp.head++
+		}
+		moved := copy(ls.owed[n:], sp.buf[sp.head:]) // the array is the front again
+		n, sp.head = n+moved, sp.head+moved
+		if sp.head == len(sp.buf) {
+			sp.buf, sp.head = sp.buf[:0], 0
+		}
+	}
+	ls.owedN = int32(n)
 }
 
 type pathKey struct{ src, dst topology.RouterID }
@@ -209,6 +303,11 @@ func New(sched *Scheduler, g *topology.Graph, cfg Config) *Network {
 		n.cfg.OracleTreeBudget = len(g.Clients())
 		if n.cfg.OracleTreeBudget < DefaultOracleTreeBudget {
 			n.cfg.OracleTreeBudget = DefaultOracleTreeBudget
+		}
+	}
+	for _, l := range g.Links() {
+		if l.QueueBytes > math.MaxInt32 {
+			panic(fmt.Sprintf("simnet: link %d queues %d bytes; pipe queues are counted in 32 bits", l.ID, l.QueueBytes))
 		}
 	}
 	n.routes = topology.NewRoutes(g)
@@ -337,7 +436,8 @@ func (ns *NodeSubstrate) After(d time.Duration, fn func()) substrate.Timer {
 	ep := ns.ep
 	t := &simTimer{}
 	ep.actorSeq++
-	ns.net.sched.schedule(ep.shard, ns.Elapsed()+d, ns.net.vertexActor(ep.vertex), ep.actorSeq, fn, t)
+	ns.net.sched.scheduleEv(ep.shard, ep.shard, ns.Elapsed()+d, ns.net.vertexActor(ep.vertex), ep.actorSeq,
+		event{fn: fn, tm: t})
 	return t
 }
 
@@ -460,8 +560,8 @@ func (n *Network) send(src *endpoint, dst overlay.Address, payload []byte) error
 		src.actorSeq++
 		pkt := n.allocPacket(shard)
 		pkt.src, pkt.dst, pkt.payload = src.addr, dst, payload
-		n.sched.scheduleEv(shard, n.sched.timeOn(shard), n.vertexActor(src.vertex), src.actorSeq,
-			event{kind: evDeliver, pkt: pkt, shard: int32(shard)})
+		n.sched.scheduleEv(shard, shard, n.sched.timeOn(shard), n.vertexActor(src.vertex), src.actorSeq,
+			event{kind: evDeliver, pkt: pkt})
 		return nil
 	}
 	path := n.path(shard, src.vertex, dstEp.vertex)
@@ -493,8 +593,12 @@ func (n *Network) enqueue(shard int, pkt *packet, hop int) {
 	}
 	link := n.graph.Link(l)
 	ls := &n.links[l]
+	actor := n.linkActor(l)
+	if ls.owedN > 0 {
+		ls.settle(&n.sched.shards[shard].cur, actor)
+	}
 	size := len(pkt.payload) + headerOverhead
-	if ls.queuedBytes+size > link.QueueBytes {
+	if int(ls.queuedBytes)+size > link.QueueBytes {
 		ls.ctr.Drops++
 		st.QueueDrops++
 		n.releasePacket(shard, pkt)
@@ -511,7 +615,7 @@ func (n *Network) enqueue(shard int, pkt *packet, hop int) {
 		n.releasePacket(shard, pkt)
 		return
 	}
-	ls.queuedBytes += size
+	ls.queuedBytes += int32(size)
 	ls.ctr.Packets++
 	ls.ctr.Bytes += uint64(size)
 
@@ -528,19 +632,17 @@ func (n *Network) enqueue(shard int, pkt *packet, hop int) {
 	}
 	arrive := txDone + latency + n.cfg.PerHopOverhead
 
-	actor := n.linkActor(l)
-	// The packet's bytes leave the queue when serialization completes: an
-	// event on the pipe's own shard.
+	// The packet's bytes leave the queue when serialization completes. The
+	// release keeps its place in the link actor's sequence, so every arrival
+	// is keyed exactly as if the release were an event.
 	ls.seq++
-	n.sched.scheduleEv(shard, txDone, actor, ls.seq,
-		event{kind: evRelease, link: l, arg: int32(size)})
+	ls.owe(owedRelease{at: txDone, size: int32(size)})
 	// The arrival advances the packet to the pipe's head vertex, possibly on
 	// another shard. Cross-shard arrivals are always at least the link
 	// latency away, which is what the lookahead window guarantees.
-	next := n.shardOf(link.To)
 	ls.seq++
-	n.sched.scheduleEv(next, arrive, actor, ls.seq,
-		event{kind: evArrive, pkt: pkt, arg: int32(hop + 1), shard: int32(next)})
+	n.sched.scheduleEv(shard, n.shardOf(link.To), arrive, actor, ls.seq,
+		event{kind: evArrive, pkt: pkt, arg: int32(hop + 1)})
 }
 
 // lossDraw produces the next uniform [0,1) variate of a pipe's private loss

@@ -13,12 +13,12 @@
 package simnet
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"time"
 
 	"macedon/internal/substrate"
-	"macedon/internal/topology"
 )
 
 // Scheduler is a deterministic virtual-time event loop, optionally sharded.
@@ -34,8 +34,8 @@ type Scheduler struct {
 
 	// net is the emulated network whose flat event records this scheduler
 	// dispatches (simnet.New installs it). Exactly one network may drive a
-	// scheduler: flat events carry link and packet references that only
-	// resolve against it.
+	// scheduler: flat events carry packet references that only resolve
+	// against it.
 	net *Network
 
 	shards    []*shard
@@ -44,7 +44,7 @@ type Scheduler struct {
 	globalSeq uint64    // seq counter of the global actor (actor 0)
 	global    eventHeap // global-actor events, executed at barriers
 
-	executed uint64 // events run by the coordinator (barriers, Step)
+	executed uint64 // events run by step (the sequential loop, barriers)
 
 	// stall accumulates barrier-stall time: for every global-actor event
 	// instant, the gap between the engine frontier (the latest executed
@@ -54,18 +54,47 @@ type Scheduler struct {
 	stall    time.Duration
 	lastSync time.Duration
 
-	workers sync.Once
-	closed  sync.Once
-	started bool
+	// fanned is true while shard windows (or Fanout callbacks) run on
+	// several goroutines at once. The coordinator writes it only while
+	// every worker is parked; the channel hand-off publishes it.
+	fanned bool
+	// lastWindow is how many events the previous window executed: the
+	// density the next window's inline-or-fan-out decision rests on.
+	lastWindow uint64
+	active     []*shard // parallel's scratch: shards with work in the window
+
+	windows    uint64 // windows that had work (tests only; not shard-invariant)
+	dispatched uint64 // of those, the ones fanned out to workers
+
+	closed sync.Once
 }
 
 // epoch anchors virtual time so traces show sensible absolute timestamps.
 var epoch = time.Date(2004, time.March, 29, 0, 0, 0, 0, time.UTC) // NSDI '04
 
-// actorGlobal keys events scheduled through the public After/post API: test
+// actorGlobal keys events scheduled through the public After API: test
 // drivers, the scenario engine, and everything else outside the emulated
 // network. Global events execute at epoch barriers when the loop is sharded.
 const actorGlobal uint64 = 0
+
+// fanoutBreakEven is the density below which a window's busy shards run one
+// after another on the coordinator instead of on their workers. A fanned-out
+// window costs a channel round trip per extra shard, and until the parked
+// worker's CPU has actually picked the window up the coordinator is simply
+// running the shards one after another anyway, plus the hops. Sized on the
+// 2-vCPU VM the benchmark runs on, where a parked vCPU takes a few hundred
+// microseconds to wake, with every window forced out to the workers and
+// then forced inline: on the churn scenario fanning out loses 40–130 % at
+// 6–60 events a window, is within ±10 % (the VM's run-to-run spread) from
+// 130 to 370, and wins 24–28 % at 850–950 (4,000 nodes, latency
+// partitioner). macebench's
+// simnet.sched_ns_per_event_sh2 driver swept from 8 to 65,536 no-op timers
+// a window puts the cheapest possible events' break-even at 4,096, but no
+// real schedule is both that cheap per event and that dense. Hosts that
+// wake a core in microseconds break even lower still; the gate errs on the
+// side of shards=N never losing to shards=1. The table is in
+// docs/simnet.md ("When does -shards>1 help?").
+const fanoutBreakEven = 512
 
 // NewScheduler returns a single-shard scheduler seeded for reproducibility:
 // today's sequential behavior.
@@ -81,7 +110,7 @@ func NewSharded(seed int64, n int) *Scheduler {
 	s := &Scheduler{seed: seed, rng: rand.New(rand.NewSource(seed))}
 	s.shards = make([]*shard, n)
 	for i := range s.shards {
-		s.shards[i] = &shard{id: i, sched: s}
+		s.shards[i] = &shard{id: i, sched: s, out: make([][]event, n)}
 	}
 	return s
 }
@@ -113,11 +142,13 @@ func (s *Scheduler) Elapsed() time.Duration { return s.now }
 // drivers), never from per-shard event handlers.
 func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 
-// Executed returns the number of events run so far.
+// Executed returns the number of events run so far. Like Pending it is
+// coordinator-only: workers are parked whenever it runs, and the window
+// hand-off provides the happens-before edge.
 func (s *Scheduler) Executed() uint64 {
 	n := s.executed
 	for _, sh := range s.shards {
-		n += sh.executedCount()
+		n += sh.executed
 	}
 	return n
 }
@@ -131,9 +162,9 @@ func (s *Scheduler) BarrierStall() time.Duration { return s.stall }
 
 // noteBarrier accrues stall for a global-actor event instant t. prev is
 // the engine frontier: the latest shard clock (the last executed shard
-// event, or the pinned time from the previous window) or the last noted
-// barrier, whichever is later. Cancelled global timers still note their
-// instant — a sharded run drains a barrier for them regardless.
+// event, or the end of the previous RunFor) or the last noted barrier,
+// whichever is later. Cancelled global timers still note their instant — a
+// sharded run drains a barrier for them regardless.
 func (s *Scheduler) noteBarrier(t time.Duration) {
 	prev := s.lastSync
 	for _, sh := range s.shards {
@@ -149,9 +180,9 @@ func (s *Scheduler) noteBarrier(t time.Duration) {
 
 // Pending returns the number of events waiting, cancelled ones included.
 func (s *Scheduler) Pending() int {
-	n := s.global.Len()
+	n := len(s.global)
 	for _, sh := range s.shards {
-		n += sh.pendingCount()
+		n += len(sh.evts)
 	}
 	return n
 }
@@ -173,56 +204,42 @@ func (t *simTimer) Stop() bool {
 	return true
 }
 
+// live resolves a popped event's lazy cancellation: false when its timer
+// was stopped, otherwise the timer (if any) is marked fired.
+func (e *event) live() bool {
+	if e.tm != nil {
+		if e.tm.stopped {
+			return false
+		}
+		e.tm.fired = true
+	}
+	return true
+}
+
 // Event kinds. The zero value is evFunc, so every event built from a plain
 // closure (timers, global control ops) dispatches unchanged. The network
 // kinds are flat records: the packet hot path schedules them without
-// allocating a closure per event (see network.go).
+// allocating a closure per event (see network.go). A pipe finishing a
+// packet's serialization is not an event: the bytes leave the queue lazily
+// (see linkState.settle).
 const (
 	evFunc    uint8 = iota // run fn (timers, scenario control, test drivers)
-	evRelease              // a pipe finished serializing: release queued bytes
 	evArrive               // a packet advances to its next hop's vertex
 	evDeliver              // loopback delivery at the destination endpoint
 )
 
-// event is one scheduled callback or flat network record. (at, actor, seq)
-// is the deterministic total order: actor identifies the logical scheduling
-// context (0 = global, 1+vertex for endpoints, 1+numVertices+link for pipes)
-// and seq is that actor's private counter. Because every actor schedules
-// from exactly one shard, the key assignment — and therefore the execution
-// order — is independent of how many shards run.
-//
-// Network events carry their operands inline instead of in a closure: kind
-// selects the operation and (pkt, link, arg, shard) parameterize it. This is
-// the zero-alloc hot path — a closure per packet hop used to be the
-// dominant allocation of a large run.
-type event struct {
+// eventKey is the deterministic total order: actor identifies the logical
+// scheduling context (0 = global, 1+vertex for endpoints, 1+numVertices+link
+// for pipes) and seq is that actor's private counter. Because every actor
+// schedules from exactly one shard, the key assignment — and therefore the
+// execution order — is independent of how many shards run.
+type eventKey struct {
 	at    time.Duration
 	actor uint64
 	seq   uint64
-	fn    func()          // evFunc only
-	tm    *simTimer       // nil for internal events that are never cancelled
-	pkt   *packet         // evArrive, evDeliver
-	link  topology.LinkID // evRelease: the pipe whose queue drains
-	arg   int32           // evRelease: bytes to release; evArrive: next hop index
-	shard int32           // evArrive, evDeliver: the shard the event executes on
-	kind  uint8
 }
 
-// exec dispatches one event against the network owning the flat records.
-func (e *event) exec(n *Network) {
-	switch e.kind {
-	case evFunc:
-		e.fn()
-	case evRelease:
-		n.links[e.link].queuedBytes -= int(e.arg)
-	case evArrive:
-		n.arriveHop(int(e.shard), e.pkt, int(e.arg))
-	case evDeliver:
-		n.deliverLoopback(int(e.shard), e.pkt)
-	}
-}
-
-func keyLess(a, b event) bool {
+func (a *eventKey) less(b *eventKey) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -232,184 +249,207 @@ func keyLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap is a binary min-heap ordered by keyLess, implemented directly
+// event is one scheduled callback or flat network record.
+//
+// Network events carry their operands inline instead of in a closure: kind
+// selects the operation and (pkt, arg) parameterize it; the shard it runs on
+// is the one that popped it. This is the zero-alloc hot path — a closure per
+// packet hop used to be the dominant allocation of a large run.
+type event struct {
+	eventKey
+	fn   func()    // evFunc only
+	tm   *simTimer // nil for internal events that are never cancelled
+	pkt  *packet   // evArrive, evDeliver
+	arg  int32     // evArrive: next hop index
+	kind uint8
+}
+
+// exec dispatches one event, popped by the given shard, against the network
+// owning the flat records.
+func (e *event) exec(n *Network, shard int) {
+	switch e.kind {
+	case evFunc:
+		e.fn()
+	case evArrive:
+		n.arriveHop(shard, e.pkt, int(e.arg))
+	case evDeliver:
+		n.deliverLoopback(shard, e.pkt)
+	}
+}
+
+// eventHeap is a binary min-heap ordered by eventKey, implemented directly
 // on the slice. The generic container/heap would box every event into an
 // interface{} on Push — one heap allocation per scheduled event, which at
-// scale dominates the allocation profile. keyLess is a strict total order
+// scale dominates the allocation profile. The key is a strict total order
 // ((actor, seq) pairs are unique), so the pop sequence — and therefore
-// every trace — is independent of the heap's internal arrangement.
+// every trace — is independent of the heap's internal arrangement. Both
+// sifts move a hole instead of swapping: one record copy per level.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-
 func (h *eventHeap) push(e event) {
-	s := append(*h, e)
+	s := append(*h, event{})
 	*h = s
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !keyLess(s[i], s[parent]) {
+		if !e.less(&s[parent].eventKey) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = e
 }
 
 func (h *eventHeap) pop() event {
 	s := *h
 	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
+	top, last := s[0], s[n]
 	s[n] = event{} // release closure and packet references
 	s = s[:n]
 	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && keyLess(s[r], s[l]) {
-			m = r
+		if r := c + 1; r < n && s[r].less(&s[c].eventKey) {
+			c = r
 		}
-		if !keyLess(s[m], s[i]) {
+		if !s[c].less(&last.eventKey) {
 			break
 		}
-		s[i], s[m] = s[m], s[i]
-		i = m
+		s[i] = s[c]
+		i = c
 	}
+	s[i] = last
 	return top
 }
 
-// shard is one partition of the event loop: a locked heap plus the shard's
-// own virtual clock. Cross-shard scheduling pushes into the target heap
-// under its mutex; the conservative lookahead guarantees such events land at
-// or beyond the running epoch's horizon, so the owner never misses one.
+// shard is one partition of the event loop: a heap plus the shard's own
+// virtual clock. Nothing here is locked. The heap, the clock and the stamp
+// belong to whichever goroutine is running the shard's window — a worker,
+// or the coordinator — and to the coordinator alone while workers are
+// parked; the window hand-off over run/done is the ordering edge.
 type shard struct {
 	id    int
 	sched *Scheduler
 
-	mu   sync.Mutex
 	evts eventHeap
+	// out[b] parks the events this shard's handlers schedule onto shard b
+	// while windows are fanned out; the coordinator merges them into b's
+	// heap after the join. The lookahead already guarantees such events are
+	// due at or beyond the window's horizon, so b never needed them sooner.
+	out [][]event
 
-	now      time.Duration // local virtual time (== last executed event)
+	now time.Duration // local virtual time (== last executed event)
+	// cur is the latest key this shard has executed (global events at a
+	// barrier and the end of a RunFor stamp every shard). Every event
+	// ordered before it has run; pipes settle their queues against it.
+	cur      eventKey
 	executed uint64
 
-	run  chan window
+	// run hands the shard's worker a window (execute everything due before
+	// the instant) and done is its reply. Both are nil, and no worker
+	// exists, until the first window that fans out to this shard.
+	run  chan time.Duration
 	done chan struct{}
 }
 
-type window struct {
-	limit     time.Duration
-	inclusive bool
-}
-
-func (sh *shard) push(e event) {
-	sh.mu.Lock()
-	sh.evts.push(e)
-	sh.mu.Unlock()
-}
-
-func (sh *shard) pendingCount() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.evts.Len()
-}
-
-// executedCount is coordinator-only: workers are parked whenever it runs,
-// and the epoch channels provide the happens-before edge.
-func (sh *shard) executedCount() uint64 { return sh.executed }
-
-// min returns the shard's earliest pending event key.
-func (sh *shard) min() (event, bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.evts.Len() == 0 {
-		return event{}, false
+// stamp records k as executing. Keys almost always rise; one that does not
+// (a handler scheduling onto a lower-numbered actor at the current instant)
+// leaves the stamp where it is, because everything below the stamp has run.
+func (sh *shard) stamp(k *eventKey) {
+	if sh.cur.less(k) {
+		sh.cur = *k
 	}
-	return sh.evts[0], true
 }
 
-// popTop removes exactly the earliest event. run is false when it was a
-// cancelled timer (still returned, so callers can observe its key); any is
-// false when the heap was empty.
-func (sh *shard) popTop() (e event, run, any bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.evts.Len() == 0 {
-		return event{}, false, false
-	}
-	e = sh.evts.pop()
-	if e.tm != nil {
-		if e.tm.stopped {
-			return e, false, true
-		}
-		e.tm.fired = true
-	}
-	return e, true, true
-}
-
-// popIf removes and returns the earliest event when it is due within the
-// window, resolving lazily-cancelled timers inline.
-func (sh *shard) popIf(w window) (event, bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for sh.evts.Len() > 0 {
-		e := sh.evts[0]
-		if e.at > w.limit || (e.at == w.limit && !w.inclusive) {
-			return event{}, false
-		}
-		sh.evts.pop()
-		if e.tm != nil {
-			if e.tm.stopped {
-				continue
-			}
-			e.tm.fired = true
-		}
-		return e, true
-	}
-	return event{}, false
-}
-
-// runWindow executes every due event of one window in key order. sh.now
-// and sh.executed are only touched from the goroutine driving the shard's
-// window (a worker, or the coordinator when it inlines a lone busy shard);
-// the epoch channels order all cross-goroutine accesses.
-func (sh *shard) runWindow(w window) {
-	for {
-		e, ok := sh.popIf(w)
-		if !ok {
-			return
+// runWindow executes every event due before until, in key order.
+func (sh *shard) runWindow(until time.Duration) {
+	net := sh.sched.net
+	for len(sh.evts) > 0 && sh.evts[0].at < until {
+		e := sh.evts.pop()
+		if !e.live() {
+			continue
 		}
 		if e.at > sh.now {
 			sh.now = e.at
 		}
+		sh.stamp(&e.eventKey)
 		sh.executed++
-		e.exec(sh.sched.net)
+		e.exec(net, sh.id)
 	}
 }
 
 // serve is the worker loop.
 func (sh *shard) serve() {
-	for w := range sh.run {
-		sh.runWindow(w)
+	for until := range sh.run {
+		sh.runWindow(until)
 		sh.done <- struct{}{}
 	}
 }
 
-// schedule enqueues fn on a shard at absolute virtual time at with the given
-// deterministic key. Callers own the (actor, seq) counters.
-func (s *Scheduler) schedule(shardID int, at time.Duration, actor, seq uint64, fn func(), tm *simTimer) {
-	s.shards[shardID].push(event{at: at, actor: actor, seq: seq, fn: fn, tm: tm})
+// scheduleEv enqueues a prepared event on shard to, stamped with its
+// deterministic key, on behalf of code executing on shard from. Callers own
+// the (actor, seq) counters. Only a cross-shard push during a fanned-out
+// window is deferred to an outbox; every other push — the shard feeding
+// itself, the coordinator with the workers parked — goes straight to the
+// heap.
+func (s *Scheduler) scheduleEv(from, to int, at time.Duration, actor, seq uint64, e event) {
+	e.eventKey = eventKey{at: at, actor: actor, seq: seq}
+	if from != to && s.fanned {
+		sh := s.shards[from]
+		sh.out[to] = append(sh.out[to], e)
+		return
+	}
+	s.shards[to].evts.push(e)
 }
 
-// scheduleEv enqueues a prepared flat event record on a shard. The caller
-// fills the kind-specific operands; scheduleEv stamps the deterministic key.
-func (s *Scheduler) scheduleEv(shardID int, at time.Duration, actor, seq uint64, e event) {
-	e.at, e.actor, e.seq = at, actor, seq
-	s.shards[shardID].push(e)
+// merge moves what the given shards parked in their outboxes into the
+// target heaps. Insertion order is irrelevant: keys are unique.
+func (s *Scheduler) merge(from []*shard) {
+	for _, sh := range from {
+		for to, evs := range sh.out {
+			if len(evs) == 0 {
+				continue
+			}
+			h := &s.shards[to].evts
+			for i := range evs {
+				h.push(evs[i])
+				evs[i] = event{}
+			}
+			sh.out[to] = evs[:0]
+		}
+	}
+}
+
+// Fanout runs fn(shard) for each listed shard on its own goroutine and
+// returns when all have: the window protocol opened to set-up code (the
+// harness constructs a join herd's nodes this way). While fn(shard) runs it
+// owns that shard exactly as a window would — it may schedule onto it and
+// send from its endpoints — and what it schedules onto other shards is
+// merged after the join. Coordinator-only: between RunFor calls or from a
+// global event.
+func (s *Scheduler) Fanout(shards []int, fn func(shard int)) {
+	from := make([]*shard, len(shards))
+	var wg sync.WaitGroup
+	s.fanned = true
+	for i, id := range shards {
+		from[i] = s.shards[id]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(id)
+		}()
+	}
+	wg.Wait()
+	s.fanned = false
+	s.merge(from)
 }
 
 // timeOn returns the current virtual time as seen from a shard: the later
@@ -439,113 +479,97 @@ func (s *Scheduler) After(d time.Duration, fn func()) substrate.Timer {
 	}
 	t := &simTimer{}
 	s.globalSeq++
-	e := event{at: s.now + d, actor: actorGlobal, seq: s.globalSeq, fn: fn, tm: t}
+	e := event{eventKey: eventKey{at: s.now + d, actor: actorGlobal, seq: s.globalSeq}, fn: fn, tm: t}
+	// One shard keeps global events in its only heap; several keep them
+	// apart, for the barriers.
 	if len(s.shards) == 1 {
-		s.shards[0].push(e)
+		s.shards[0].evts.push(e)
 	} else {
 		s.global.push(e)
 	}
 	return t
 }
 
-// post schedules an internal (non-cancellable) global event.
-func (s *Scheduler) post(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
+// earliest finds the queue holding the earliest pending event: sh is nil
+// for the global heap, and h is nil when nothing is pending.
+func (s *Scheduler) earliest() (h *eventHeap, sh *shard) {
+	if len(s.global) > 0 {
+		h = &s.global
 	}
-	s.globalSeq++
-	e := event{at: s.now + d, actor: actorGlobal, seq: s.globalSeq, fn: fn}
-	if len(s.shards) == 1 {
-		s.shards[0].push(e)
-	} else {
-		s.global.push(e)
-	}
-}
-
-// minQueue finds the queue holding the earliest pending event: src is nil
-// for the global heap, otherwise the shard.
-func (s *Scheduler) minQueue() (best event, src *shard, ok bool) {
-	if s.global.Len() > 0 {
-		best, ok = s.global[0], true
-	}
-	for _, sh := range s.shards {
-		if e, has := sh.min(); has && (!ok || keyLess(e, best)) {
-			best, src, ok = e, sh, true
+	for _, c := range s.shards {
+		if len(c.evts) > 0 && (h == nil || c.evts[0].less(&(*h)[0].eventKey)) {
+			h, sh = &c.evts, c
 		}
 	}
-	return best, src, ok
+	return h, sh
 }
 
-// minKey returns the earliest pending event key across every queue.
-func (s *Scheduler) minKey() (event, bool) {
-	e, _, ok := s.minQueue()
-	return e, ok
+// step runs the next event in deterministic order if it is due at or before
+// limit, and reports whether one ran. It is the whole sequential engine —
+// Step, RunUntilIdle, the one-shard RunFor and the barrier drain are loops
+// around it: pop the earliest event, resolve its lazy cancellation, note a
+// barrier for the global actor, advance the clocks, stamp the key, execute.
+func (s *Scheduler) step(limit time.Duration) bool {
+	for {
+		h, sh := s.earliest()
+		if h == nil || (*h)[0].at > limit {
+			return false
+		}
+		e := h.pop()
+		if e.actor == actorGlobal {
+			s.noteBarrier(e.at)
+		}
+		if !e.live() {
+			continue
+		}
+		if e.at > s.now {
+			s.now = e.at
+		}
+		id := 0
+		if e.actor == actorGlobal {
+			// Every shard is at this instant and nothing else runs: the
+			// handler may send from any endpoint.
+			for _, c := range s.shards {
+				c.stamp(&e.eventKey)
+			}
+		} else {
+			if e.at > sh.now {
+				sh.now = e.at
+			}
+			sh.stamp(&e.eventKey)
+			id = sh.id
+		}
+		s.executed++
+		e.exec(s.net, id)
+		return true
+	}
 }
 
 // Step runs the next event in deterministic order, if any, and reports
 // whether one ran. Stepping is always sequential and always valid: sharded
 // execution produces exactly the order Step walks.
-func (s *Scheduler) Step() bool {
-	for {
-		_, src, ok := s.minQueue()
-		if !ok {
-			return false
-		}
-		var e event
-		if src == nil {
-			e = s.global.pop()
-			s.noteBarrier(e.at)
-			if e.tm != nil {
-				if e.tm.stopped {
-					continue
-				}
-				e.tm.fired = true
-			}
-		} else {
-			got, run, any := src.popTop()
-			if any && got.actor == actorGlobal {
-				s.noteBarrier(got.at)
-			}
-			if !run {
-				continue
-			}
-			e = got
-			if e.at > src.now {
-				src.now = e.at
-			}
-		}
-		if e.at > s.now {
-			s.now = e.at
-		}
-		s.executed++
-		e.exec(s.net)
-		return true
-	}
-}
+func (s *Scheduler) Step() bool { return s.step(math.MaxInt64) }
 
 // RunFor advances virtual time by d, executing every event due in that
-// window, and leaves the clock exactly d later even if the queue drains.
+// window, and leaves the clock exactly d later even if the queue drains. A
+// non-positive d still runs what is due at the current instant.
 func (s *Scheduler) RunFor(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
 	deadline := s.now + d
 	if len(s.shards) == 1 || s.lookahead <= 0 {
-		s.runSequential(deadline)
+		for s.step(deadline) {
+		}
 	} else {
 		s.runSharded(deadline)
 	}
 	s.now = deadline
+	// Everything due through the deadline has run, whatever its key.
+	end := eventKey{at: deadline, actor: math.MaxUint64, seq: math.MaxUint64}
 	for _, sh := range s.shards {
 		sh.now = deadline
-	}
-}
-
-// runSequential executes events through deadline on the caller goroutine.
-func (s *Scheduler) runSequential(deadline time.Duration) {
-	for {
-		e, ok := s.minKey()
-		if !ok || e.at > deadline {
-			return
-		}
-		s.Step()
+		sh.cur = end
 	}
 }
 
@@ -556,118 +580,93 @@ func (s *Scheduler) runSequential(deadline time.Duration) {
 // seq) order within each shard and cross-shard effects always land at or
 // beyond the horizon.
 func (s *Scheduler) runSharded(deadline time.Duration) {
-	s.workers.Do(func() {
-		s.started = true
-		for _, sh := range s.shards {
-			sh.run = make(chan window)
-			sh.done = make(chan struct{})
-			go sh.serve()
-		}
-	})
 	for {
-		e, ok := s.minKey()
-		if !ok || e.at > deadline {
+		h, _ := s.earliest()
+		if h == nil || (*h)[0].at > deadline {
 			return
 		}
-		start := e.at
-		if start < s.now {
-			start = s.now
-		}
+		start := max((*h)[0].at, s.now)
 		horizon := start + s.lookahead
 		var tg time.Duration = -1
-		if s.global.Len() > 0 {
+		if len(s.global) > 0 {
 			tg = s.global[0].at
 		}
 		switch {
 		case tg >= 0 && tg <= deadline && tg <= horizon:
 			// A global event is within reach: run everything strictly
-			// before it in parallel, then drain the barrier instant.
-			if tg > start {
-				s.parallel(window{limit: tg})
+			// before it in parallel, then drain the barrier instant — its
+			// global and per-shard events, including ones spawned during
+			// the drain — single-threaded in key order.
+			s.parallel(tg)
+			for s.step(tg) {
 			}
-			s.drainBarrier(tg)
 			s.now = tg
 		case horizon > deadline:
 			// Final stretch: nothing global remains in the window and no
 			// cross-shard effect of it can land inside it.
-			s.parallel(window{limit: deadline, inclusive: true})
+			s.parallel(deadline + 1)
 			s.now = deadline
 		default:
-			s.parallel(window{limit: horizon})
+			s.parallel(horizon)
 			s.now = horizon
 		}
 	}
 }
 
-// parallel fans one window out to the shard workers and waits for all.
-// Shards with nothing due inside the window are skipped entirely: nothing
-// can add sub-horizon work to an idle shard mid-epoch (cross-shard pushes
-// land at or beyond the horizon, and a shard only feeds itself while its
-// own events execute), so skipping is free and saves two channel hops per
-// idle shard per epoch.
-func (s *Scheduler) parallel(w window) {
-	var active [64]*shard
-	n := 0
+// parallel runs one window: every event due before until, on every shard.
+// Shards with nothing due are skipped entirely: nothing can add sub-horizon
+// work to an idle shard mid-window (cross-shard pushes land at or beyond
+// the horizon, and a shard only feeds itself while its own events execute).
+//
+// The busy shards run one after another on the coordinator when there is
+// only one of them or when the previous window was sparse (fewer than
+// fanoutBreakEven events): a sparse schedule then costs no channel hops at
+// all. Otherwise they fan out, the coordinator taking the first itself.
+// Either way each shard executes the same events in the same order, so the
+// choice is invisible in every output.
+func (s *Scheduler) parallel(until time.Duration) {
+	active := s.active[:0]
+	var before uint64
 	for _, sh := range s.shards {
-		if e, ok := sh.min(); ok && (e.at < w.limit || (w.inclusive && e.at == w.limit)) {
-			if n < len(active) {
-				active[n] = sh
-				n++
-			} else {
-				// More shards than the stack buffer: dispatch eagerly.
-				sh.run <- w
-				defer func(sh *shard) { <-sh.done }(sh)
-			}
+		if len(sh.evts) > 0 && sh.evts[0].at < until {
+			active = append(active, sh)
+			before += sh.executed
 		}
 	}
-	if n == 1 {
-		// One busy shard: run its window on the coordinator goroutine and
-		// skip the channel round trip entirely.
-		active[0].runWindow(w)
+	s.active = active
+	if len(active) == 0 {
 		return
 	}
-	for i := 0; i < n; i++ {
-		active[i].run <- w
-	}
-	for i := 0; i < n; i++ {
-		<-active[i].done
-	}
-}
-
-// drainBarrier executes every event scheduled at exactly instant t — global
-// and per-shard — single-threaded in deterministic key order, including
-// events spawned during the drain at the same instant. All shard clocks are
-// pinned to t so barrier code observes one consistent time.
-func (s *Scheduler) drainBarrier(t time.Duration) {
-	s.noteBarrier(t) // before pinning: prev is the true engine frontier
-	s.now = t
-	for _, sh := range s.shards {
-		sh.now = t
-	}
-	for {
-		best, src, ok := s.minQueue()
-		if !ok || best.at != t {
-			return
+	s.windows++
+	if len(active) == 1 || s.lastWindow < fanoutBreakEven {
+		for _, sh := range active {
+			sh.runWindow(until)
 		}
-		if src == nil {
-			e := s.global.pop()
-			if e.tm != nil {
-				if e.tm.stopped {
-					continue
-				}
-				e.tm.fired = true
+	} else {
+		s.dispatched++
+		s.fanned = true
+		for _, sh := range active[1:] {
+			if sh.run == nil {
+				// A worker exists from the first window its shard is
+				// handed: a run that never fans out starts no goroutine.
+				sh.run = make(chan time.Duration)
+				sh.done = make(chan struct{})
+				go sh.serve()
 			}
-			s.executed++
-			e.exec(s.net)
-			continue
+			sh.run <- until
 		}
-		e, run, _ := src.popTop()
-		if !run {
-			continue
+		active[0].runWindow(until)
+		for _, sh := range active[1:] {
+			<-sh.done
 		}
-		s.executed++
-		e.exec(s.net)
+		s.fanned = false
+		s.merge(active)
 	}
+	var after uint64
+	for _, sh := range active {
+		after += sh.executed
+	}
+	s.lastWindow = after - before
 }
 
 // RunUntilIdle executes events until none remain. Protocols with periodic
@@ -685,11 +684,10 @@ func (s *Scheduler) RunUntilIdle() {
 // goroutine per shard per run.
 func (s *Scheduler) Close() {
 	s.closed.Do(func() {
-		if !s.started {
-			return
-		}
 		for _, sh := range s.shards {
-			close(sh.run)
+			if sh.run != nil {
+				close(sh.run)
+			}
 		}
 	})
 }

@@ -196,3 +196,134 @@ func TestOracleTreeBudget(t *testing.T) {
 		}
 	}
 }
+
+// crossTraffic builds two routers joined by a 1 ms pipe with clients on
+// both, striped over two shards so every datagram crosses shards at least
+// once, and has every client send to the client opposite every period until
+// stop, next to `idle` no-op timers per client on the same period that only
+// add density. Deliveries are logged per receiving endpoint, in arrival
+// order.
+func crossTraffic(t *testing.T, period, stop time.Duration, idle int) (*Scheduler, *Network, [][]string) {
+	t.Helper()
+	const perSide = 8
+	g := topology.NewGraph()
+	r0, r1 := g.AddRouter(), g.AddRouter()
+	g.AddLink(r0, r1, time.Millisecond, 100_000_000, 1<<20)
+	for i := 0; i < 2*perSide; i++ {
+		at := r0
+		if i >= perSide {
+			at = r1
+		}
+		g.AttachClient(overlay.Address(i+1), at, topology.DefaultAccess)
+	}
+	s := NewSharded(9, 2)
+	n := New(s, g, Config{})
+	if s.Lookahead() != time.Millisecond {
+		t.Fatalf("lookahead = %v, want the 1ms cross link", s.Lookahead())
+	}
+	rows := make([][]string, 2*perSide)
+	for i := 0; i < 2*perSide; i++ {
+		addr := overlay.Address(i + 1)
+		peer := overlay.Address((i+perSide)%(2*perSide) + 1)
+		sub, err := n.NodeNet(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := n.eps[addr]
+		ep.SetRecv(func(src overlay.Address, p []byte) {
+			rows[i] = append(rows[i], fmt.Sprintf("%v#%d@%v", src, p[0], sub.Elapsed()))
+		})
+		every := func(fn func()) {
+			var tick func()
+			tick = func() {
+				if sub.Elapsed() >= stop {
+					return
+				}
+				fn()
+				sub.After(period, tick)
+			}
+			sub.After(time.Duration(i)*time.Microsecond, tick)
+		}
+		seq := byte(0)
+		every(func() {
+			seq++
+			_ = ep.Send(peer, []byte{seq})
+		})
+		for k := 0; k < idle; k++ {
+			every(func() {})
+		}
+	}
+	return s, n, rows
+}
+
+// denseIdle timers per client at a 50 µs period put some 2,000 events in
+// every 1 ms window: above the fan-out gate.
+const denseIdle = 4
+
+// TestOutboxCrossShard runs dense cross-shard traffic through fanned-out
+// windows — every arrival event is parked in an outbox and merged at the
+// join — and checks each endpoint saw exactly the deliveries, in exactly the
+// order, that stepping the same two-shard schedule one event at a time on
+// one goroutine produces.
+func TestOutboxCrossShard(t *testing.T) {
+	const period, stop = 50 * time.Microsecond, 10 * time.Millisecond
+	ref, refNet, want := crossTraffic(t, period, stop, denseIdle)
+	ref.RunUntilIdle()
+	if ref.windows != 0 {
+		t.Fatalf("stepping opened %d windows", ref.windows)
+	}
+
+	s, n, got := crossTraffic(t, period, stop, denseIdle)
+	s.RunFor(stop + time.Second)
+	s.Close()
+	if s.dispatched == 0 {
+		t.Fatalf("no window of %d fanned out; the outboxes were never used", s.windows)
+	}
+	if s.Pending() != 0 || s.Executed() != ref.Executed() {
+		t.Fatalf("windows left %d pending after %d events; stepping ran %d", s.Pending(), s.Executed(), ref.Executed())
+	}
+	if n.Stats() != refNet.Stats() || n.Stats().Delivered == 0 {
+		t.Fatalf("stats diverge:\n  step:    %+v\n  windows: %+v", refNet.Stats(), n.Stats())
+	}
+	for i := range want {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+			t.Fatalf("endpoint %d: windows delivered %v\nstepping delivered %v", i+1, got[i], want[i])
+		}
+	}
+}
+
+// TestSparseWindowsRunInline: a schedule with a handful of events per
+// lookahead window never hands a window to a worker.
+func TestSparseWindowsRunInline(t *testing.T) {
+	s, n, _ := crossTraffic(t, 3*time.Millisecond, 300*time.Millisecond, 0)
+	s.RunFor(400 * time.Millisecond)
+	s.Close()
+	if n.Stats().Delivered == 0 || s.windows < 100 {
+		t.Fatalf("degenerate run: %d windows, %+v", s.windows, n.Stats())
+	}
+	if s.dispatched != 0 {
+		t.Fatalf("%d of %d sparse windows fanned out, want none", s.dispatched, s.windows)
+	}
+	// Nothing was handed over, so no worker was ever started: the run had
+	// no goroutine but the caller's.
+	for _, sh := range s.shards {
+		if sh.run != nil {
+			t.Fatalf("shard %d has a worker though no window fanned out", sh.id)
+		}
+	}
+}
+
+// TestDenseWindowsDispatch: windows that each hold thousands of events on
+// both shards do fan out — all but the odd one (the first has no density to
+// go on, and the gate lags one window behind a change in density).
+func TestDenseWindowsDispatch(t *testing.T) {
+	s, _, _ := crossTraffic(t, 50*time.Microsecond, 20*time.Millisecond, denseIdle)
+	s.RunFor(20 * time.Millisecond)
+	s.Close()
+	if s.windows < 15 {
+		t.Fatalf("only %d windows", s.windows)
+	}
+	if s.dispatched*10 < s.windows*8 {
+		t.Fatalf("%d of %d dense windows fanned out, want at least eight in ten", s.dispatched, s.windows)
+	}
+}

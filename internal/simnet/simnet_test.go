@@ -302,3 +302,96 @@ func TestLinkCounters(t *testing.T) {
 		t.Fatalf("per-link packet total = %d, want 3", total)
 	}
 }
+
+// TestRunForNeverRewinds pins the clock contract: RunFor with a zero or
+// negative duration leaves every clock where it is (it used to move them
+// back by |d|), and still runs what is due at the current instant.
+func TestRunForNeverRewinds(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		g := topology.NewGraph()
+		r1, r2 := g.AddRouter(), g.AddRouter()
+		g.AddLink(r1, r2, time.Millisecond, 1_000_000, 10*1500)
+		g.AttachClient(1, r1, topology.DefaultAccess)
+		g.AttachClient(2, r2, topology.DefaultAccess)
+		s := NewSharded(3, shards)
+		n := New(s, g, Config{})
+		sub, err := n.NodeNet(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.RunFor(10 * time.Millisecond)
+		ran := 0
+		s.After(0, func() { ran++ })
+		sub.After(0, func() { ran++ })
+		last := s.Elapsed()
+		for _, d := range []time.Duration{-time.Second, 0, -1, time.Millisecond, -time.Hour, 0} {
+			s.RunFor(d)
+			if now := s.Elapsed(); now < last {
+				t.Fatalf("shards=%d: RunFor(%v) moved the clock from %v back to %v", shards, d, last, now)
+			}
+			if now := sub.Elapsed(); now < last {
+				t.Fatalf("shards=%d: RunFor(%v) moved a shard clock from %v back to %v", shards, d, last, now)
+			}
+			last = s.Elapsed()
+			if ran != 2 {
+				t.Fatalf("shards=%d: RunFor(%v) ran %d of the 2 events due at the current instant", shards, d, ran)
+			}
+		}
+		if last != 11*time.Millisecond {
+			t.Fatalf("shards=%d: clock = %v, want 11ms", shards, last)
+		}
+		s.Close()
+	}
+}
+
+// TestOwedQueueMatchesModel drives one pipe's owed-release FIFO — the inline
+// array, the spill, its refill and its compaction — with random bursts and
+// settles, against a plain slice.
+func TestOwedQueueMatchesModel(t *testing.T) {
+	const actor = 7
+	rng := uint64(42)
+	draw := func(n uint64) int {
+		rng = splitmix64(rng)
+		return int(rng % n)
+	}
+	var ls linkState
+	var model []owedRelease
+	now := time.Duration(0)
+	for step := 0; step < 200_000; step++ {
+		if draw(3) > 0 {
+			now += time.Duration(draw(3)) // equal instants happen
+			r := owedRelease{at: now, size: int32(1 + draw(1500))}
+			ls.owe(r)
+			ls.queuedBytes += r.size
+			model = append(model, r)
+		} else {
+			// Settle against a key somewhere around the queue's span, on
+			// either side of the actor tie.
+			cur := eventKey{actor: uint64(actor - 1 + draw(3))}
+			if len(model) > 0 {
+				cur.at = model[0].at + time.Duration(draw(uint64(model[len(model)-1].at-model[0].at)+2))
+			}
+			if ls.owedN > 0 {
+				ls.settle(&cur, actor)
+			}
+			for len(model) > 0 && model[0].before(&cur, actor) {
+				model = model[1:]
+			}
+		}
+		var want int32
+		for _, r := range model {
+			want += r.size
+		}
+		got := int(ls.owedN)
+		if ls.spill != nil {
+			got += len(ls.spill.buf) - ls.spill.head
+		}
+		if ls.queuedBytes != want || got != len(model) || (ls.owedN == 0) != (len(model) == 0) {
+			t.Fatalf("step %d: %d bytes in %d entries (%d inline), model has %d in %d",
+				step, ls.queuedBytes, got, ls.owedN, want, len(model))
+		}
+	}
+	if ls.spill == nil || cap(ls.spill.buf) > 1<<12 {
+		t.Fatalf("spill never used, or grew without bound: %+v", ls.spill)
+	}
+}

@@ -35,33 +35,42 @@ type timerFlags struct{ fired, stopped bool }
 type shardSnapshot struct {
 	evts     []event
 	now      time.Duration
+	cur      eventKey
 	executed uint64
 }
 
 // SchedulerSnapshot is a restorable capture of the event loop: the global
 // and per-shard event heaps, every queued timer's cancellation flags, the
-// virtual clocks, the deterministic (time, actor, seq) counters, and the
-// seeded PRNG. Event closures are shared with the live heaps — restore-in-
-// place is what keeps them valid.
+// virtual clocks and executing-key stamps, the deterministic (time, actor,
+// seq) counters, the barrier-stall accounting, the window density the next
+// fan-out decision rests on, and the seeded PRNG. Outboxes are empty between
+// windows and carry nothing. Event closures are shared with the live heaps —
+// restore-in-place is what keeps them valid.
 type SchedulerSnapshot struct {
-	now       time.Duration
-	globalSeq uint64
-	executed  uint64
-	global    []event
-	shards    []shardSnapshot
-	timers    map[*simTimer]timerFlags
-	rng       *statecopy.Image
+	now        time.Duration
+	globalSeq  uint64
+	executed   uint64
+	stall      time.Duration
+	lastSync   time.Duration
+	lastWindow uint64
+	global     []event
+	shards     []shardSnapshot
+	timers     map[*simTimer]timerFlags
+	rng        *statecopy.Image
 }
 
 // Snapshot captures the scheduler. Call between RunFor windows only.
 func (s *Scheduler) Snapshot() *SchedulerSnapshot {
 	cp := &SchedulerSnapshot{
-		now:       s.now,
-		globalSeq: s.globalSeq,
-		executed:  s.executed,
-		global:    append([]event(nil), s.global...),
-		timers:    make(map[*simTimer]timerFlags),
-		rng:       statecopy.Capture(s.rng),
+		now:        s.now,
+		globalSeq:  s.globalSeq,
+		executed:   s.executed,
+		stall:      s.stall,
+		lastSync:   s.lastSync,
+		lastWindow: s.lastWindow,
+		global:     append([]event(nil), s.global...),
+		timers:     make(map[*simTimer]timerFlags),
+		rng:        statecopy.Capture(s.rng),
 	}
 	collect := func(evts []event) {
 		for _, e := range evts {
@@ -72,13 +81,12 @@ func (s *Scheduler) Snapshot() *SchedulerSnapshot {
 	}
 	collect(cp.global)
 	for _, sh := range s.shards {
-		sh.mu.Lock()
 		ss := shardSnapshot{
 			evts:     append([]event(nil), sh.evts...),
 			now:      sh.now,
+			cur:      sh.cur,
 			executed: sh.executed,
 		}
-		sh.mu.Unlock()
 		collect(ss.evts)
 		cp.shards = append(cp.shards, ss)
 	}
@@ -95,13 +103,12 @@ func (s *Scheduler) Restore(cp *SchedulerSnapshot) {
 	s.now = cp.now
 	s.globalSeq = cp.globalSeq
 	s.executed = cp.executed
+	s.stall, s.lastSync, s.lastWindow = cp.stall, cp.lastSync, cp.lastWindow
 	s.global = append(s.global[:0:0], cp.global...)
 	for i, sh := range s.shards {
-		sh.mu.Lock()
-		sh.evts = append(sh.evts[:0:0], cp.shards[i].evts...)
-		sh.now = cp.shards[i].now
-		sh.executed = cp.shards[i].executed
-		sh.mu.Unlock()
+		ss := &cp.shards[i]
+		sh.evts = append(sh.evts[:0:0], ss.evts...)
+		sh.now, sh.cur, sh.executed = ss.now, ss.cur, ss.executed
 	}
 	// Timers queued at the snapshot come back to their exact cancellation
 	// state: one the branch fired or stopped becomes pending again.
@@ -120,7 +127,8 @@ type endpointState struct {
 }
 
 // NetworkSnapshot is a restorable capture of the emulated network: per-pipe
-// queues, serialization horizons and deterministic loss/event counters,
+// queues with the releases they still owe, serialization horizons and
+// deterministic loss/event counters,
 // endpoint state, injected dynamics (failed links, degradations,
 // partitions), and the per-shard packet accounting.
 type NetworkSnapshot struct {
@@ -149,6 +157,11 @@ func (n *Network) Snapshot() *NetworkSnapshot {
 		stats:           append([]shardStats(nil), n.statsBy...),
 		oracleEvictions: n.oracleEvictions,
 	}
+	for i := range cp.links {
+		// An idle or shallow pipe copied flat; a deeper one needs its own
+		// spill.
+		cp.links[i].spill = cp.links[i].spill.clone()
+	}
 	for a, ep := range n.eps {
 		cp.eps[a] = endpointState{actorSeq: ep.actorSeq, down: ep.down, recv: ep.recv}
 	}
@@ -168,11 +181,15 @@ func (n *Network) Snapshot() *NetworkSnapshot {
 }
 
 // Restore rewinds the network to the snapshot. Link and stats state is
-// written back into the existing backing arrays (queued events hold interior
-// pointers into them), path caches are discarded, and the forwarding oracle
-// is rebuilt for the restored failure set.
+// written back into the existing backing arrays, path caches are discarded,
+// and the forwarding oracle is rebuilt for the restored failure set.
 func (n *Network) Restore(cp *NetworkSnapshot) {
 	copy(n.links, cp.links)
+	for i := range n.links {
+		// The branch about to run appends to and compacts its spill in
+		// place: it must not be the snapshot's.
+		n.links[i].spill = n.links[i].spill.clone()
+	}
 	copy(n.statsBy, cp.stats)
 	for a, st := range cp.eps {
 		ep := n.eps[a]

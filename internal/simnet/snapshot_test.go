@@ -155,3 +155,63 @@ func TestNetworkSnapshotDynamics(t *testing.T) {
 		t.Fatalf("delivery after restore: got %d, want 1 (node-down state leaked?)", delivered)
 	}
 }
+
+// TestSchedulerSnapshotCarriesAccounting checks the scheduler's own counters
+// rewind with it: a branch that crosses several global-event barriers leaves
+// no trace in BarrierStall, Executed or Pending after Restore, and running
+// the same stretch again reproduces the branch's three numbers.
+func TestSchedulerSnapshotCarriesAccounting(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sched, net := buildPair(t, shards)
+			defer sched.Close()
+			sub1, err := net.NodeNet(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep1, _ := net.Endpoint(1)
+			ep2, _ := net.Endpoint(2)
+			ep2.SetRecv(func(overlay.Address, []byte) {})
+			var tick func()
+			tick = func() {
+				_ = ep1.Send(2, make([]byte, 200))
+				sub1.After(700*time.Microsecond, tick)
+			}
+			sub1.After(0, tick)
+			// Global events well apart from the node's own: each one is a
+			// barrier that sits ahead of the engine frontier.
+			var global func()
+			global = func() { sched.After(3*time.Millisecond+100*time.Microsecond, global) }
+			sched.After(time.Millisecond, global)
+			sched.RunFor(5 * time.Millisecond)
+
+			type counts struct {
+				stall    time.Duration
+				executed uint64
+				pending  int
+			}
+			read := func() counts { return counts{sched.BarrierStall(), sched.Executed(), sched.Pending()} }
+			at := read()
+			if at.stall == 0 {
+				t.Fatal("no barrier stall accrued before the snapshot; the test checks nothing")
+			}
+			cpS, cpN := sched.Snapshot(), net.Snapshot()
+			branch := func() counts {
+				sched.RunFor(20 * time.Millisecond) // six more barriers
+				return read()
+			}
+			a := branch()
+			if a.stall <= at.stall || a.executed <= at.executed {
+				t.Fatalf("branch accrued nothing: %+v -> %+v", at, a)
+			}
+			sched.Restore(cpS)
+			net.Restore(cpN)
+			if got := read(); got != at {
+				t.Fatalf("after Restore: %+v, want the snapshot-time %+v", got, at)
+			}
+			if b := branch(); b != a {
+				t.Fatalf("re-run of the same window: %+v, want %+v", b, a)
+			}
+		})
+	}
+}
