@@ -7,7 +7,6 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -163,105 +162,6 @@ func BenchmarkFigure12SplitStreamBandwidth(b *testing.B) {
 		b.ReportMetric(ss["Avg Bandwidth (no cache evictions)"], "noevict_kbps")
 		b.ReportMetric(ss["Avg Bandwidth (10 sec cache lifetime)"], "ttl10_kbps")
 		b.ReportMetric(float64(res.TargetBitsSec)/1000, "target_kbps")
-	}
-}
-
-// BenchmarkScenarioChurnShards runs the acceptance-shaped churn scenario on
-// 1, 2, and 4 event-loop shards. Output is byte-identical across the
-// variants (the golden corpus enforces it); the metric of interest is wall
-// clock, which the benchmark harness reports as ns/op. On multi-core
-// runners shards=4 should beat shards=1; the BENCH artifacts accumulate the
-// trajectory.
-func BenchmarkScenarioChurnShards(b *testing.B) {
-	mk := func() *scenario.Scenario {
-		return &scenario.Scenario{
-			Name:     "bench-churn",
-			Seed:     2004,
-			Nodes:    150,
-			Routers:  450,
-			Protocol: "chord",
-			Join:     scenario.JoinSpec{Process: "staggered", Window: scenario.Duration(10 * time.Second)},
-			Settle:   scenario.Duration(45 * time.Second),
-			Drain:    scenario.Duration(10 * time.Second),
-			Phases: []scenario.Phase{
-				{
-					Name:     "churn",
-					Duration: scenario.Duration(45 * time.Second),
-					Churn: &scenario.Churn{
-						Model:    "poisson",
-						Rate:     0.2,
-						Downtime: scenario.Duration(15 * time.Second),
-					},
-					Workload: &scenario.Workload{Kind: scenario.WlLookups, Rate: 5},
-				},
-			},
-		}
-	}
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var events int
-			for i := 0; i < b.N; i++ {
-				rep, err := harness.RunScenarioExec(mk(), harness.ExecOptions{Shards: shards})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = rep.EventsRun
-			}
-			b.ReportMetric(float64(events), "scenario_ops")
-		})
-	}
-}
-
-// BenchmarkScenarioChurnObs runs the same churn scenario with the
-// observability plane off and on at a fixed shard count. The pair is the CI
-// obs-overhead guard's input: the perf lane compares the two ns/op values
-// and fails when obs-on costs more than the budgeted fraction over obs-off,
-// pinning the "pay only when enabled" contract of internal/obs.
-func BenchmarkScenarioChurnObs(b *testing.B) {
-	mk := func() *scenario.Scenario {
-		return &scenario.Scenario{
-			Name:     "bench-churn",
-			Seed:     2004,
-			Nodes:    150,
-			Routers:  450,
-			Protocol: "chord",
-			Join:     scenario.JoinSpec{Process: "staggered", Window: scenario.Duration(10 * time.Second)},
-			Settle:   scenario.Duration(45 * time.Second),
-			Drain:    scenario.Duration(10 * time.Second),
-			Phases: []scenario.Phase{
-				{
-					Name:     "churn",
-					Duration: scenario.Duration(45 * time.Second),
-					Churn: &scenario.Churn{
-						Model:    "poisson",
-						Rate:     0.2,
-						Downtime: scenario.Duration(15 * time.Second),
-					},
-					Workload: &scenario.Workload{Kind: scenario.WlLookups, Rate: 5},
-				},
-			},
-		}
-	}
-	for _, c := range []struct {
-		name string
-		obs  bool
-	}{
-		{"off", false},
-		{"on", true},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := harness.RunScenarioExec(mk(), harness.ExecOptions{
-					Shards: 2,
-					Obs:    harness.ObsOptions{Enabled: c.obs},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

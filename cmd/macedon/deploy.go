@@ -39,7 +39,6 @@ func runDeploy(args []string) int {
 	obsOn := fs.Bool("obs", false, "enable the observability plane and print its output (fleet metrics exposition, sampled events, operation traces) after the report")
 	traceSample := fs.Int("trace-sample", 0, "keep 1-in-N operation traces and event records (0 or 1 = all); sampling is keyed by the seed, matching a sim run's sampled population")
 	metricsAddr := fs.String("metrics-addr", "", "base metrics endpoint (\"host:port\", \":port\", or a bare port): agent i serves Prometheus metrics on host:port+i at /metrics (and /debug/obs); empty host binds 127.0.0.1, 0.0.0.0 exposes the fleet to an external scraper")
-	pushInterval := fs.Duration("push-interval", 0, "with -obs, the agents' metric delta-push cadence over the control connection (0 = 1s default); pushes need no inbound path, so NAT'd hosts report without -metrics-addr")
 	verbose := fs.Bool("v", false, "verbose report: per-phase forwards, mean hops, control traffic, and obs histograms")
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -80,7 +79,6 @@ func runDeploy(args []string) int {
 		cfg.MetricsBase = port
 		cfg.MetricsHost = host
 	}
-	cfg.PushInterval = *pushInterval
 	if !*quiet {
 		cfg.Out = os.Stderr
 	}
@@ -114,9 +112,10 @@ func runDeploy(args []string) int {
 			fmt.Fprintf(os.Stderr, "macedon deploy -vs-sim: %v\n", err)
 			return 1
 		}
-		cmp := deploy.Compare(simRep, rep, deploy.Tolerances{})
+		cmp := metrics.Grade("live-vs-sim", metrics.Labelled{Label: "live", Report: rep},
+			metrics.Labelled{Label: "sim", Report: simRep}, metrics.LiveVsSim)
 		fmt.Println()
-		fmt.Print(cmp.String())
+		fmt.Print(cmp.Table())
 		if !cmp.Pass {
 			exit = 1
 		}

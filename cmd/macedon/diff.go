@@ -18,17 +18,18 @@ import (
 // names either side of a pair (genchord/chord, genpastry/pastry,
 // genrandtree/randtree); both implementations run the same compiled
 // schedule on the emulator and the drift is graded within declared
-// tolerances (metrics.DiffConformance). A failed verdict exits nonzero,
-// which is what makes the command a CI gate.
+// tolerances (metrics.Grade under the GenVsHand preset). A failed verdict
+// exits nonzero, which is what makes the command a CI gate.
 func runDiff(args []string) int {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	seed := fs.Int64("seed", 0, "override the scenario's seed")
 	shards := fs.Int("shards", 0, "event-loop shards (0 = GOMAXPROCS); any value prints identical output")
 	jsonOut := fs.String("json", "", "write the verdict as JSON to this file ('-' = stdout)")
-	tolDelivery := fs.Float64("tol-delivery", 0, "delivery tolerance in points (0 = default)")
-	tolHops := fs.Float64("tol-hops", 0, "mean-hop tolerance as a fraction (0 = default)")
-	tolMsgs := fs.Float64("tol-msgs", 0, "control-message tolerance as a fraction (0 = default)")
-	tolBytes := fs.Float64("tol-bytes", 0, "control-byte tolerance as a fraction (0 = default)")
+	tol := metrics.GenVsHand
+	fs.Float64Var(&tol.DeliveryPoints, "tol-delivery", tol.DeliveryPoints, "delivery tolerance in points (0 = report, do not grade)")
+	fs.Float64Var(&tol.HopsFrac, "tol-hops", tol.HopsFrac, "mean-hop tolerance as a fraction (0 = report, do not grade)")
+	fs.Float64Var(&tol.MsgsFrac, "tol-msgs", tol.MsgsFrac, "control-message tolerance as a fraction (0 = report, do not grade)")
+	fs.Float64Var(&tol.BytesFrac, "tol-bytes", tol.BytesFrac, "control-byte tolerance as a fraction (0 = report, do not grade)")
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "macedon diff: exactly one scenario file required")
@@ -68,12 +69,8 @@ func runDiff(args []string) int {
 		fmt.Fprintf(os.Stderr, "macedon diff: %s run: %v\n", handName, err)
 		return 1
 	}
-	d := metrics.DiffConformance(genRep, handRep, metrics.DiffTolerances{
-		DeliveryPoints: *tolDelivery,
-		HopsFrac:       *tolHops,
-		MsgsFrac:       *tolMsgs,
-		BytesFrac:      *tolBytes,
-	})
+	d := metrics.Grade("gen-vs-hand", metrics.Labelled{Label: genName, Report: genRep},
+		metrics.Labelled{Label: handName, Report: handRep}, tol)
 	fmt.Print(d.Table())
 	if *jsonOut != "" {
 		body, err := json.MarshalIndent(d, "", "  ")

@@ -17,13 +17,14 @@ import (
 // runReport implements "macedon report": render the engine time series of a
 // machine-readable report (`macedon scenario -json` / `macedon deploy
 // -json`) as deterministic per-phase sparkline tables, or — with -bench —
-// render the stored performance trajectory (bench/history.jsonl) the CI
-// bench lane appends to. Both renderings are pure functions of the input
-// file, so they can be diffed like any other trace.
+// render a performance trajectory: the file macebench's -history flag
+// appends one line per commit to (bench/macebench/history.go). Both
+// renderings are pure functions of the input file, so they can be diffed
+// like any other trace.
 func runReport(args []string) int {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	bench := fs.Bool("bench", false, "render a benchmark history file (one benchjson document per line) as a per-benchmark trajectory instead of a report's time series")
-	metric := fs.String("metric", "ns/op", "with -bench, the metric to chart")
+	bench := fs.Bool("bench", false, "render a macebench -history file (one JSON document per line, one line per commit) as a per-workload trajectory instead of a report's time series")
+	metric := fs.String("metric", "wall_s", "with -bench, the end-to-end metric to chart")
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "macedon report: exactly one input file required")
@@ -96,8 +97,8 @@ func reportSeries(path string) int {
 	return 0
 }
 
-// benchDoc mirrors cmd/benchjson's Document schema (stdlib-only decode; the
-// two commands stay independent binaries).
+// benchDoc is the part of macebench's historyDoc the trajectory needs
+// (decoded here because bench/macebench is a module of its own).
 type benchDoc struct {
 	Commit  string `json:"commit"`
 	Results []struct {

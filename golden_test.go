@@ -197,7 +197,8 @@ func TestGoldenDiffTable(t *testing.T) {
 			}
 			return rep
 		}
-		d := metrics.DiffConformance(run("genchord"), run("chord"), metrics.DiffTolerances{})
+		d := metrics.Grade("gen-vs-hand", metrics.Labelled{Label: "genchord", Report: run("genchord")},
+			metrics.Labelled{Label: "chord", Report: run("chord")}, metrics.GenVsHand)
 		got := d.Table()
 		if !d.Pass {
 			t.Fatalf("shards=%d: genchord-vs-chord conformance verdict is FAIL:\n%s", shards, got)

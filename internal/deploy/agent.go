@@ -9,7 +9,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"macedon/internal/check"
@@ -71,16 +70,6 @@ type agent struct {
 	events  *obs.EventLog
 	started time.Time
 	httpLn  net.Listener
-
-	// Push-based metric shipping (cfg.Obs): the agent periodically sends
-	// EvMetrics delta expositions so the controller needs no scrape path.
-	// pushPrev is the full page the last shipped delta was measured against,
-	// pushLimit admits the periodic pushes (the pre-poll flush bypasses it),
-	// pushStop tears the ticker goroutine down.
-	pushMu    sync.Mutex
-	pushPrev  *obs.Scrape
-	pushLimit *obs.TokenBucket
-	pushStop  chan struct{}
 }
 
 // start builds the livenet substrate and the overlay node.
@@ -164,10 +153,6 @@ func (a *agent) stop() {
 	if a.httpLn != nil {
 		_ = a.httpLn.Close()
 	}
-	if a.pushStop != nil {
-		close(a.pushStop)
-		a.pushStop = nil
-	}
 }
 
 // startObs builds the agent's observability plane: a registry of live
@@ -216,15 +201,6 @@ func (a *agent) startObs() {
 	a.events.SetCap(256)
 	if a.cfg.Obs {
 		a.events.SetWriter(obsLineWriter{a})
-		iv := time.Duration(a.cfg.PushIntervalNs)
-		if iv <= 0 {
-			iv = time.Second
-		}
-		// The ticker paces the pushes; the bucket caps them independently so
-		// a misconfigured interval still cannot flood the control connection.
-		a.pushLimit = &obs.TokenBucket{Rate: 2 / iv.Seconds(), Burst: 2}
-		a.pushStop = make(chan struct{})
-		go a.pushLoop(iv)
 	}
 
 	if a.cfg.MetricsPort > 0 {
@@ -257,67 +233,6 @@ func (a *agent) startObs() {
 		})
 		go func() { _ = http.Serve(ln, mux) }()
 	}
-}
-
-// pushLoop ships one delta exposition per interval until stop closes.
-func (a *agent) pushLoop(iv time.Duration) {
-	t := time.NewTicker(iv)
-	defer t.Stop()
-	stop := a.pushStop
-	for {
-		select {
-		case <-t.C:
-			a.pushMetrics()
-		case <-stop:
-			return
-		}
-	}
-}
-
-// pushMetrics ships one EvMetrics frame carrying the change in every
-// registry sample since the last successful push (obs.Diff against the
-// previous page), so the controller reconstructs absolute totals by summing
-// deltas. The token bucket caps the cadence; skipped deltas simply ride
-// along in the next push.
-func (a *agent) pushMetrics() {
-	a.pushMu.Lock()
-	defer a.pushMu.Unlock()
-	if a.pushLimit == nil || !a.pushLimit.Admit("metrics_push", 0) {
-		return
-	}
-	a.flushLocked()
-}
-
-// flushLocked computes and ships the outstanding delta unconditionally
-// (pushMu held) and returns the full page it was measured from.
-func (a *agent) flushLocked() string {
-	text := a.reg.Text()
-	cur, err := obs.ParseText([]byte(text))
-	if err != nil {
-		return text
-	}
-	f := obs.NewFleet()
-	f.Add(obs.Diff(cur, a.pushPrev))
-	msg := &Msg{Kind: KindEvent, Event: &Event{Kind: EvMetrics,
-		AtUnixNano: time.Now().UnixNano(), Expo: f.Text()}}
-	if a.conn.Send(msg) == nil {
-		// Only a shipped delta advances the baseline; a failed send's delta
-		// rides along in the next push.
-		a.pushPrev = cur
-	}
-	return text
-}
-
-// replyWithFlush flushes the outstanding delta and sends the poll reply in
-// one critical section, so no concurrent ticker push can slip between the
-// two frames. The control stream is FIFO: the controller folds the delta in
-// before it sees the reply, so its push-reconstructed totals equal the
-// reply's same-instant exposition exactly — the live acceptance gate.
-func (a *agent) replyWithFlush(reply *Msg) {
-	a.pushMu.Lock()
-	defer a.pushMu.Unlock()
-	reply.Metrics.Expo = a.flushLocked()
-	_ = a.conn.Send(reply)
 }
 
 // obsEvent records one structured event at this agent's uptime-relative
@@ -362,10 +277,11 @@ func (a *agent) serve() error {
 				reply.State = &st
 			}
 			if a.cfg.Obs {
-				a.replyWithFlush(reply)
-			} else {
-				_ = a.conn.Send(reply)
+				// The page and the counters above are read back to back, so
+				// the fleet exposition matches the totals the report shows.
+				reply.Metrics.Expo = a.reg.Text()
 			}
+			_ = a.conn.Send(reply)
 		case KindQuit:
 			fmt.Fprintf(a.logw, "agent %d: quit\n", a.cfg.Node)
 			return nil

@@ -57,18 +57,14 @@ type Config struct {
 	// of the same scenario traces. 0 or 1 keeps everything.
 	TraceSample int
 	// MetricsBase, when nonzero, has agent i serve Prometheus text-format
-	// metrics at http://Host:MetricsBase+i/metrics (plus /debug/obs); with
-	// Obs also set, the controller scrapes the fleet at report time and
-	// folds the expositions into Report.Obs when no agent pushed one.
+	// metrics at http://Host:MetricsBase+i/metrics (plus /debug/obs) for
+	// external scrapers. The controller never dials an agent: the fleet
+	// pages in Report.Obs ride the poll replies (Metrics.Expo).
 	MetricsBase int
 	// MetricsHost is the bind address of each agent's metrics listener
 	// (empty = 127.0.0.1). Real-cluster deployments set a routable interface
 	// or 0.0.0.0 so an external Prometheus can scrape the fleet.
 	MetricsHost string
-	// PushInterval overrides the agents' EvMetrics delta-push cadence
-	// (default 1s). Pushes ride the control connection, so NAT'd hosts need
-	// no inbound scrape path at all.
-	PushInterval time.Duration
 }
 
 // agentSlot is the controller's view of one fleet member.
@@ -81,7 +77,8 @@ type agentSlot struct {
 	logFile *os.File
 	// metrics is the last snapshot this slot answered a poll with (the
 	// current process generation's counters, which restart at zero on
-	// every SIGKILL/relaunch).
+	// every SIGKILL/relaunch), including — obs runs only — the agent's
+	// exposition page taken at the same instant.
 	metrics  Metrics
 	hasStats bool
 	// retired accumulates the socket counters of dead generations (their
@@ -94,15 +91,6 @@ type agentSlot struct {
 	// state is the last routing-state snapshot a state-carrying poll
 	// brought back (correctness plane); cleared on kill like the metrics.
 	state *check.NodeState
-	// push accumulates the current generation's EvMetrics delta expositions
-	// (summing deltas reconstructs the agent's absolute totals). expo and
-	// pushExpo are the consistent pair the last poll captured: the agent's
-	// full page from the reply and the push-reconstructed page snapshotted
-	// the moment the reply arrived (the agent flushes right before replying,
-	// so the two agree exactly). All cleared on kill like the metrics.
-	push     *obs.Fleet
-	expo     string
-	pushExpo string
 }
 
 // controller executes a compiled schedule against a fleet of agent
@@ -154,7 +142,7 @@ type outMsg struct {
 // Run executes the scenario as a live localhost deployment and returns
 // the same structured report the emulated path produces — assembled by the
 // same scenario.Engine, which is what makes the two reports comparable
-// (Compare, live_test.go).
+// (metrics.Grade, live_test.go).
 func Run(cfg Config) (*scenario.Report, error) {
 	if cfg.Scenario == nil {
 		return nil, fmt.Errorf("deploy: no scenario")
@@ -302,9 +290,6 @@ func (c *controller) agentConfigLocked(i int) *AgentConfig {
 		ac.MetricsPort = c.cfg.MetricsBase + i
 		ac.MetricsHost = c.cfg.MetricsHost
 	}
-	if c.cfg.PushInterval > 0 {
-		ac.PushIntervalNs = int64(c.cfg.PushInterval)
-	}
 	if c.hasGroup {
 		ac.HasGroup = true
 		ac.Group = uint32(c.group)
@@ -330,22 +315,9 @@ func (c *controller) reader(i, gen int, conn *Conn) {
 			c.onEvent(i, m.Event)
 		case KindMetrics:
 			if m.Metrics != nil {
-				if m.State != nil || m.Metrics.Expo != "" {
+				if m.State != nil {
 					c.mu.Lock()
-					slot := c.agents[i]
-					if m.State != nil {
-						slot.state = m.State
-					}
-					if m.Metrics.Expo != "" {
-						// Snapshot the consistent pair: the agent flushed its
-						// delta right before this reply (FIFO stream), so the
-						// push-reconstructed page equals the reply's page.
-						slot.expo = m.Metrics.Expo
-						slot.pushExpo = ""
-						if slot.push != nil {
-							slot.pushExpo = slot.push.Text()
-						}
-					}
+					c.agents[i].state = m.State
 					c.mu.Unlock()
 				}
 				select {
@@ -381,8 +353,6 @@ func (c *controller) onEvent(i int, ev *Event) {
 		if c.cfg.Obs && len(c.agentLines) < maxAgentLines {
 			c.agentLines = append(c.agentLines, fmt.Sprintf("node=%d %s", i, ev.Line))
 		}
-	case EvMetrics:
-		c.obsPushLocked(i, ev.Expo)
 	case EvState:
 		c.eng.Tracef("node %d %s: state %s -> %s", i, ev.Proto, ev.From, ev.State)
 	case EvFail:
@@ -442,11 +412,6 @@ func (c *controller) Kill(i int) string {
 		slot.hasStats = false
 	}
 	slot.state = nil
-	// The push accumulation restarts with the next generation's counters,
-	// mirroring the scrape path (current-generation pages only).
-	slot.push = nil
-	slot.expo = ""
-	slot.pushExpo = ""
 	if slot.proc != nil && slot.proc.Process != nil {
 		_ = slot.proc.Process.Kill()
 	}
@@ -589,9 +554,13 @@ func (c *controller) rulesForLocked(i int) *ShapeCmd {
 	return sc
 }
 
+// pollTimeout bounds one poll round.
+var pollTimeout = 5 * time.Second
+
 // poll gathers metrics from every live agent (last-known snapshots stand
-// in for agents that do not answer in time). withState additionally asks
-// each agent for its routing-state snapshot (correctness plane).
+// in for agents that do not answer in time, and the trace names them).
+// withState additionally asks each agent for its routing-state snapshot
+// (correctness plane).
 func (c *controller) poll(withState bool) {
 	type pending struct {
 		i  int
@@ -615,17 +584,28 @@ func (c *controller) poll(withState bool) {
 			waits = append(waits, pending{i, ch})
 		}
 	}
-	deadline := time.After(5 * time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), pollTimeout)
+	defer cancel()
 	for _, w := range waits {
+		var m *Metrics
 		select {
-		case m := <-w.ch:
-			c.mu.Lock()
+		case m = <-w.ch:
+		case <-ctx.Done():
+			// One agent's silence costs only its own reply: past the
+			// deadline nothing blocks, and what already arrived is kept.
+			select {
+			case m = <-w.ch:
+			default:
+			}
+		}
+		c.mu.Lock()
+		if m != nil {
 			c.agents[w.i].metrics = *m
 			c.agents[w.i].hasStats = true
-			c.mu.Unlock()
-		case <-deadline:
-			return
+		} else {
+			c.eng.Tracef("poll: node %d did not answer in %s", w.i, pollTimeout)
 		}
+		c.mu.Unlock()
 	}
 }
 
@@ -704,13 +684,12 @@ func (c *controller) shutdown() {
 // event lines appended.
 func (c *controller) report() *scenario.Report {
 	c.poll(false)
-	scrapes := c.scrapeFleet()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.cfg.Obs {
 		return c.eng.Report()
 	}
-	pages := c.fleetPagesLocked(scrapes)
+	pages := c.fleetPagesLocked()
 	if len(pages) == 0 {
 		// No agent page at all: mirror the polled totals into the families
 		// the agents would have served, so the exposition's family set

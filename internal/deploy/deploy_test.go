@@ -1,10 +1,13 @@
 package deploy
 
 import (
+	"bytes"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"macedon/internal/harness"
 	"macedon/internal/scenario"
 )
 
@@ -63,77 +66,62 @@ func TestConnRoundTrip(t *testing.T) {
 	}
 }
 
-func reportWith(sent, delivered, forwards int) *scenario.Report {
-	return &scenario.Report{
-		Scenario: "cmp", Protocol: "genchord",
-		Phases: []scenario.PhaseReport{
-			{OpsSent: sent, OpsDelivered: delivered, OpsForwarded: forwards, CtlMsgs: 1000},
-		},
-	}
-}
+// TestPollKeepsRepliesPastAStalledAgent: three slots over in-memory conns,
+// slot 0 reads its poll and never answers. The round must end at the
+// deadline with slots 1 and 2 holding the metrics they sent, and the trace
+// must name node 0.
+func TestPollKeepsRepliesPastAStalledAgent(t *testing.T) {
+	defer func(d time.Duration) { pollTimeout = d }(pollTimeout)
+	pollTimeout = 100 * time.Millisecond
 
-// TestCompareWithinTolerance: identical metrics pass.
-func TestCompareWithinTolerance(t *testing.T) {
-	sim := reportWith(100, 100, 150) // 2.5 hops
-	live := reportWith(100, 99, 152) // 2.535 hops, Δ delivery 1 point
-	cmp := Compare(sim, live, Tolerances{})
-	if !cmp.Pass {
-		t.Fatalf("expected pass: %s", cmp)
+	s := &scenario.Scenario{
+		Name: "poll", Seed: 1, Nodes: 3, Routers: 30, Protocol: "genchord",
+		Phases: []scenario.Phase{{Name: "only", Duration: scenario.Duration(time.Second)}},
 	}
-	if cmp.SimHops != 2.5 {
-		t.Fatalf("sim hops = %v", cmp.SimHops)
+	sched, err := scenario.Compile(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	addrs, err := harness.TopologyAddrs(s.Nodes, s.Routers, s.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	c := &controller{s: s, sched: sched, addrs: addrs, start: time.Now(), cfg: Config{Speed: 1}}
+	if c.eng, err = scenario.NewEngine(sched, c, scenario.EngineConfig{Addrs: addrs, Echo: &trace}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < s.Nodes; i++ {
+		ctl, agent := net.Pipe()
+		slot := &agentSlot{conn: NewConn(ctl), pollCh: make(chan *Metrics, 1)}
+		c.agents = append(c.agents, slot)
+		t.Cleanup(func() { ctl.Close(); agent.Close() })
+		go c.reader(i, 0, slot.conn)
+		go func(i int, conn *Conn) {
+			for {
+				m, err := conn.Recv()
+				if err != nil {
+					return
+				}
+				if m.Kind == KindPoll && i != 0 {
+					_ = conn.Send(&Msg{Kind: KindMetrics, Metrics: &Metrics{MsgsSent: uint64(100 + i)}})
+				}
+			}
+		}(i, NewConn(agent))
+	}
 
-// TestCompareDeliveryBound: a 3-point delivery gap fails the default
-// 2-point bound and is named in the failure list.
-func TestCompareDeliveryBound(t *testing.T) {
-	cmp := Compare(reportWith(100, 100, 150), reportWith(100, 97, 150), Tolerances{})
-	if cmp.Pass {
-		t.Fatalf("expected delivery failure: %s", cmp)
-	}
-	if len(cmp.Failures) != 1 {
-		t.Fatalf("failures = %v", cmp.Failures)
-	}
-}
+	c.poll(false)
 
-// TestCompareHopsBound: a 20% hop gap fails the default 15% bound.
-func TestCompareHopsBound(t *testing.T) {
-	sim := reportWith(100, 100, 100)  // 2.0 hops
-	live := reportWith(100, 100, 140) // 2.4 hops: +20%
-	cmp := Compare(sim, live, Tolerances{})
-	if cmp.Pass {
-		t.Fatalf("expected hops failure: %s", cmp)
+	if c.agents[0].hasStats {
+		t.Error("slot 0 never answered but holds metrics")
 	}
-}
-
-// TestCompareCustomTolerance: widened bounds accept the same gap.
-func TestCompareCustomTolerance(t *testing.T) {
-	sim := reportWith(100, 100, 100)
-	live := reportWith(100, 100, 140)
-	cmp := Compare(sim, live, Tolerances{HopsFrac: 0.25})
-	if !cmp.Pass {
-		t.Fatalf("expected pass at 25%%: %s", cmp)
+	for i := 1; i < s.Nodes; i++ {
+		if slot := c.agents[i]; !slot.hasStats || slot.metrics.MsgsSent != uint64(100+i) {
+			t.Errorf("slot %d lost its reply: hasStats=%v metrics=%+v", i, slot.hasStats, slot.metrics)
+		}
 	}
-}
-
-// TestCompareFanOutRelative: multicast delivery rates are fan-out factors
-// (hundreds of percent), so the delivery bound applies relatively there —
-// a 5-point gap at ~995% is half a percent and passes; the same relative
-// gap at 3% would fail.
-func TestCompareFanOutRelative(t *testing.T) {
-	sim := reportWith(115, 1144, 1144)  // 994.8% fan-out
-	live := reportWith(115, 1138, 1138) // 989.6%
-	cmp := Compare(sim, live, Tolerances{})
-	if !cmp.Pass {
-		t.Fatalf("relative fan-out gap of 0.5%% should pass: %s", cmp)
-	}
-	if cmp.DeliveryUnit != "% relative" {
-		t.Fatalf("unit = %q", cmp.DeliveryUnit)
-	}
-	// A genuinely large relative gap still fails.
-	bad := Compare(reportWith(100, 900, 900), reportWith(100, 800, 800), Tolerances{})
-	if bad.Pass {
-		t.Fatalf("11%% relative fan-out gap should fail: %s", bad)
+	if got := trace.String(); !strings.Contains(got, "poll: node 0 did not answer in 100ms") ||
+		strings.Contains(got, "node 1") || strings.Contains(got, "node 2") {
+		t.Errorf("trace should name node 0 and only node 0:\n%s", got)
 	}
 }

@@ -2,6 +2,8 @@ package deploy
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,8 +11,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"macedon/internal/harness"
+	"macedon/internal/metrics"
 	"macedon/internal/repo"
 	"macedon/internal/scenario"
 )
@@ -106,6 +110,18 @@ func loadScenario(t *testing.T, name string) *scenario.Scenario {
 	return s
 }
 
+// gradeLiveVsSim holds the live report to the emulated one under the
+// LiveVsSim preset — the grader `macedon deploy -vs-sim` prints.
+func gradeLiveVsSim(t *testing.T, live, sim *scenario.Report) {
+	t.Helper()
+	v := metrics.Grade("live-vs-sim", metrics.Labelled{Label: "live", Report: live},
+		metrics.Labelled{Label: "sim", Report: sim}, metrics.LiveVsSim)
+	t.Logf("\n%s", v.Table())
+	if !v.Pass {
+		t.Errorf("live-vs-sim conformance failed:\n%s", v.Table())
+	}
+}
+
 func deliveryPct(r *scenario.Report) float64 {
 	sent, del := 0, 0
 	for _, p := range r.Phases {
@@ -139,11 +155,7 @@ func TestLiveSmokeGenchordVsSim(t *testing.T) {
 	if pct := deliveryPct(live); pct < 99 {
 		t.Errorf("live delivery %.2f%% < 99%%", pct)
 	}
-	cmp := Compare(sim, live, Tolerances{})
-	t.Logf("\n%s", cmp)
-	if !cmp.Pass {
-		t.Errorf("live-vs-sim conformance failed:\n%s", cmp)
-	}
+	gradeLiveVsSim(t, live, sim)
 }
 
 // TestLiveRandtreeVsSim cross-validates the dissemination path: the same
@@ -155,21 +167,18 @@ func TestLiveRandtreeVsSim(t *testing.T) {
 	s := loadScenario(t, "live-randtree-stream.json")
 	live, sim := runBoth(t, s, 42000)
 
-	cmp := Compare(sim, live, Tolerances{})
-	t.Logf("\n%s", cmp)
-	if !cmp.Pass {
-		t.Errorf("live-vs-sim conformance failed:\n%s", cmp)
-	}
+	gradeLiveVsSim(t, live, sim)
 	if live.Phases[0].OpsDelivered == 0 {
 		t.Error("live steady phase delivered nothing")
 	}
 }
 
 // TestLiveObsPlane runs the observability plane end to end on the live
-// backend: every agent serves /metrics over HTTP (the controller's report
-// scrape proves it — macedon_uptime_seconds only exists agent-side), the
-// fleet exposition carries the same core families the sim engine emits, and
-// at least one lookup trace is reconstructable from inject to deliver.
+// backend with no HTTP path configured at all: the fleet exposition carries
+// the same core families the sim engine emits plus the agent-only ones
+// (macedon_uptime_seconds exists only on agent pages, so finding it proves
+// the pages rode the poll replies), and at least one lookup trace is
+// reconstructable from inject to deliver.
 func TestLiveObsPlane(t *testing.T) {
 	liveGate(t)
 	s := loadScenario(t, "live-churn-lookup.json")
@@ -185,7 +194,6 @@ func TestLiveObsPlane(t *testing.T) {
 		Out:         testWriter{t},
 		Obs:         true,
 		TraceSample: 1,
-		MetricsBase: 44500,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +205,7 @@ func TestLiveObsPlane(t *testing.T) {
 		"macedon_ops_total{kind=\"lookup\"}",
 		"macedon_engine_msgs_sent_total",
 		"macedon_net_sent_total",
-		"macedon_uptime_seconds", // only agents serve this: proves the HTTP scrape path
+		"macedon_uptime_seconds", // agent pages only: proves the poll-reply route
 	} {
 		if !strings.Contains(live.Obs.Exposition, family) {
 			t.Errorf("fleet exposition missing %s:\n%s", family, live.Obs.Exposition)
@@ -235,23 +243,6 @@ func TestLiveObsPlane(t *testing.T) {
 	if latCount == 0 {
 		t.Error("per-phase latency histograms are empty")
 	}
-	// Push-based shipping is the primary fleet source: the controller
-	// reconstructs each agent's page by summing its EvMetrics deltas and
-	// verifies it equals the poll reply's same-instant exposition for the
-	// engine/net families. Any disagreement shows up as a mismatch trace
-	// line; full agreement shows up as the summary line.
-	agreed := false
-	for _, line := range live.Trace {
-		if strings.Contains(line, "obs push/poll mismatch") {
-			t.Errorf("push-merged exposition disagrees with poll: %s", line)
-		}
-		if strings.Contains(line, "obs push/poll expositions agree") && !strings.Contains(line, "agree for 0/") {
-			agreed = true
-		}
-	}
-	if !agreed {
-		t.Error("no agent's push-merged exposition was verified against its poll page")
-	}
 	// The live report carries the per-phase time series the controller
 	// samples from the phase-boundary polls.
 	for pi, p := range live.Phases {
@@ -264,7 +255,8 @@ func TestLiveObsPlane(t *testing.T) {
 // TestLiveShapingPartition drives a partition through the live backend:
 // a two-phase scenario partitions the fleet, and the shaping filters must
 // actually drop cross-side traffic (visible as shape drops in the final
-// counters).
+// counters). The run also sets MetricsBase, and agent 0's /metrics must
+// answer an outside scraper while the fleet is up.
 func TestLiveShapingPartition(t *testing.T) {
 	liveGate(t)
 	s := &scenario.Scenario{
@@ -291,15 +283,40 @@ func TestLiveShapingPartition(t *testing.T) {
 		},
 	}
 	bin := buildBinary(t)
+	stop := make(chan struct{})
+	scraped := make(chan string, 1)
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(500 * time.Millisecond):
+			}
+			resp, err := http.Get("http://127.0.0.1:43500/metrics")
+			if err != nil {
+				continue
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			scraped <- string(body)
+			return
+		}
+	}()
 	live, err := Run(Config{
-		Scenario: s,
-		Speed:    liveSpeed(),
-		BasePort: 43000,
-		AgentCmd: []string{bin, "agent"},
-		Out:      testWriter{t},
+		Scenario:    s,
+		Speed:       liveSpeed(),
+		BasePort:    43000,
+		AgentCmd:    []string{bin, "agent"},
+		Out:         testWriter{t},
+		MetricsBase: 43500,
 	})
+	close(stop)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if page := <-scraped; !strings.Contains(page, "macedon_uptime_seconds") {
+		t.Errorf("agent 0 /metrics never served an exposition mid-run; last page:\n%s", page)
 	}
 	if live.Final.PartitionDrops == 0 {
 		t.Error("partition produced no shape drops in the live fleet")

@@ -104,13 +104,10 @@ type AgentConfig struct {
 	MetricsHost string `json:"metrics_host,omitempty"`
 	// Obs streams the agent's sampled structured event log back over the
 	// control connection (EvObs events), rate-limited by a wall-clock token
-	// bucket so a busy node cannot flood the controller. It also enables
-	// push-based metric shipping: the agent periodically sends EvMetrics
-	// delta expositions, so the controller needs no scrape path to NAT'd
-	// hosts.
+	// bucket so a busy node cannot flood the controller. It also puts the
+	// agent's exposition page in every poll reply (Metrics.Expo), so the
+	// controller needs no scrape path to NAT'd hosts.
 	Obs bool `json:"obs,omitempty"`
-	// PushIntervalNs overrides the EvMetrics push cadence (default 1s).
-	PushIntervalNs int64 `json:"push_interval_ns,omitempty"`
 }
 
 // PeerRule is one serialized shaping rule.
@@ -148,7 +145,6 @@ const (
 	EvState   = "state"   // a protocol instance changed FSM state
 	EvFail    = "fail"    // the failure detector declared a peer dead
 	EvObs     = "obs"     // one sampled structured event-log line
-	EvMetrics = "metrics" // a pushed delta exposition of the agent's registry
 )
 
 // Event is one streamed per-node event.
@@ -169,10 +165,6 @@ type Event struct {
 	Next uint32 `json:"next,omitempty"`
 	// Line is one rendered event-log record (EvObs).
 	Line string `json:"line,omitempty"`
-	// Expo is a delta exposition page (EvMetrics): each sample's value is
-	// the change since the agent's previous successful push, so the
-	// controller reconstructs absolute totals by summing every delta.
-	Expo string `json:"expo,omitempty"`
 }
 
 // Metrics is an agent's counter snapshot: engine counters summed over the
@@ -190,10 +182,8 @@ type Metrics struct {
 	ShapeDrops   uint64 `json:"shape_drops"`
 	LossDrops    uint64 `json:"loss_drops"`
 	// Expo is the agent's full exposition page, captured at the same
-	// instant as the counters above (obs-enabled agents only). Because the
-	// agent flushes a final delta push before replying to the poll, the
-	// controller's push-merged fleet totals equal this page's totals — the
-	// equality the live-vs-sim acceptance gate checks.
+	// instant as the counters above (obs-enabled agents only): the one
+	// source of the fleet pages a live report's exposition merges.
 	Expo string `json:"expo,omitempty"`
 }
 

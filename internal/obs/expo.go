@@ -35,12 +35,16 @@ func ParseText(b []byte) (*Scrape, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
+			// A HELP or TYPE comment names a family; one that names none
+			// (a doubled space) is an ordinary comment.
 			parts := strings.SplitN(line, " ", 4)
-			if len(parts) >= 4 && parts[1] == "HELP" {
-				sc.Help[parts[2]] = parts[3]
-			}
-			if len(parts) >= 4 && parts[1] == "TYPE" {
-				sc.Types[parts[2]] = strings.TrimSpace(parts[3])
+			if len(parts) >= 4 && parts[2] != "" {
+				switch parts[1] {
+				case "HELP":
+					sc.Help[parts[2]] = parts[3]
+				case "TYPE":
+					sc.Types[parts[2]] = strings.TrimSpace(parts[3])
+				}
 			}
 			continue
 		}
@@ -83,8 +87,7 @@ func parseSample(line string) (Sample, error) {
 }
 
 // canonLabels re-renders a label body (`a="x",b="y"`) in sorted canonical
-// form. Label values containing commas or braces inside quotes are
-// supported; escaped quotes are not (this package never emits them).
+// form. Label values may hold commas, braces and escaped quotes.
 func canonLabels(body string) (string, error) {
 	body = strings.TrimSpace(body)
 	if body == "" {
@@ -100,12 +103,32 @@ func canonLabels(body string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("malformed label value %q: %v", v, err)
 		}
-		labels = append(labels, Label{Key: strings.TrimSpace(k), Value: uq})
+		k = strings.TrimSpace(k)
+		if !validLabelKey(k) {
+			return "", fmt.Errorf("malformed label name %q", k)
+		}
+		labels = append(labels, Label{Key: k, Value: uq})
 	}
 	return renderLabels(labels), nil
 }
 
-// splitPairs splits a label body on commas outside quotes.
+// validLabelKey reports whether k is a label name in the exposition
+// grammar, [a-zA-Z_][a-zA-Z0-9_]*. Keys render unquoted, so one holding a
+// quote or a comma would not survive Fleet.Text.
+func validLabelKey(k string) bool {
+	for i := 0; i < len(k); i++ {
+		c := k[i]
+		letter := c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z')
+		digit := '0' <= c && c <= '9'
+		if !letter && !(digit && i > 0) {
+			return false
+		}
+	}
+	return k != ""
+}
+
+// splitPairs splits a label body on commas outside quotes; inside quotes a
+// backslash escapes the next byte, as in the %q form renderLabels writes.
 func splitPairs(body string) []string {
 	var out []string
 	depth := false
@@ -114,6 +137,10 @@ func splitPairs(body string) []string {
 		switch body[i] {
 		case '"':
 			depth = !depth
+		case '\\':
+			if depth {
+				i++
+			}
 		case ',':
 			if !depth {
 				out = append(out, body[start:i])
@@ -122,34 +149,6 @@ func splitPairs(body string) []string {
 		}
 	}
 	return append(out, body[start:])
-}
-
-// Diff returns cur minus prev, per sample: each of cur's samples keeps its
-// name and labels with prev's value for the same (name, labels) key
-// subtracted (zero when prev never saw it). Types and Help carry over from
-// cur. Agents ship these deltas so a Fleet summing every delta from one
-// source reconstructs the source's latest absolute values — counters and
-// gauges alike — without the controller tracking per-agent state.
-func Diff(cur, prev *Scrape) *Scrape {
-	out := &Scrape{Types: make(map[string]string), Help: make(map[string]string)}
-	for n, t := range cur.Types {
-		out.Types[n] = t
-	}
-	for n, h := range cur.Help {
-		out.Help[n] = h
-	}
-	var base map[string]float64
-	if prev != nil {
-		base = make(map[string]float64, len(prev.Samples))
-		for _, s := range prev.Samples {
-			base[s.Name+" "+s.Labels] = s.Value
-		}
-	}
-	for _, s := range cur.Samples {
-		s.Value -= base[s.Name+" "+s.Labels]
-		out.Samples = append(out.Samples, s)
-	}
-	return out
 }
 
 // Fleet aggregates exposition pages from many sources (one scrape per

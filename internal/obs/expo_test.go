@@ -59,6 +59,7 @@ func TestParseTextMalformed(t *testing.T) {
 		"macedon_x_total{a} 1",          // label without value
 		"macedon_x_total{a=unquoted} 1", // unquoted label value
 		"macedon_x_total 1 2",           // trailing junk
+		"macedon_x_total{a\"b=\"x\"} 1", // label name outside [a-zA-Z_][a-zA-Z0-9_]*
 	} {
 		if _, err := ParseText([]byte(src)); err == nil {
 			t.Errorf("ParseText(%q): expected error", src)
@@ -160,36 +161,6 @@ func TestFleetHistogramBucketMerge(t *testing.T) {
 	// what it rendered.
 	if _, err := ParseText([]byte(text)); err != nil {
 		t.Fatalf("merged exposition does not re-parse: %v", err)
-	}
-}
-
-// TestDiffDelta pins the delta-push algebra: Diff(cur, prev) carries
-// cur-prev per (name, labels) key, zero-baselines samples prev never saw,
-// and a fleet summing consecutive deltas from one source telescopes back to
-// the source's latest absolute page.
-func TestDiffDelta(t *testing.T) {
-	p1, _ := ParseText([]byte("# TYPE macedon_x_total counter\nmacedon_x_total 3\n"))
-	p2, _ := ParseText([]byte("# TYPE macedon_x_total counter\nmacedon_x_total 10\nmacedon_y_total 2\n"))
-	d1 := Diff(p1, nil)
-	if len(d1.Samples) != 1 || d1.Samples[0].Value != 3 {
-		t.Fatalf("Diff(cur, nil) = %+v, want the page itself", d1.Samples)
-	}
-	d2 := Diff(p2, p1)
-	vals := map[string]float64{}
-	for _, s := range d2.Samples {
-		vals[s.Name] = s.Value
-	}
-	if vals["macedon_x_total"] != 7 || vals["macedon_y_total"] != 2 {
-		t.Fatalf("Diff deltas = %v, want x=7 y=2", vals)
-	}
-	// Telescoping: the fleet that consumed both deltas equals the one that
-	// consumed the absolute latest page.
-	got, want := NewFleet(), NewFleet()
-	got.Add(d1)
-	got.Add(d2)
-	want.Add(p2)
-	if got.Text() != want.Text() {
-		t.Fatalf("delta telescoping diverged:\n%s\nvs\n%s", got.Text(), want.Text())
 	}
 }
 

@@ -93,32 +93,6 @@ func (s KeySampler) Admit(_ string, key uint64) bool {
 	return splitmix64(s.Seed^key)%s.N == 0
 }
 
-// CountSampler admits the first Head events of each name, then every
-// Every-th after that. Deterministic only for serialized event streams
-// (a single-goroutine coordinator); do not use it on concurrent paths.
-type CountSampler struct {
-	Head  uint64
-	Every uint64
-
-	mu   sync.Mutex
-	seen map[string]uint64
-}
-
-// Admit implements Sampler.
-func (s *CountSampler) Admit(name string, _ uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.seen == nil {
-		s.seen = make(map[string]uint64)
-	}
-	n := s.seen[name]
-	s.seen[name] = n + 1
-	if n < s.Head {
-		return true
-	}
-	return s.Every > 0 && (n-s.Head)%s.Every == 0
-}
-
 // TokenBucket is a wall-clock rate sampler for the live backend: at most
 // Rate admissions per second with a burst of Burst. Now is injectable for
 // tests and defaults to time.Now.

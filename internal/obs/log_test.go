@@ -47,25 +47,6 @@ func TestKeySamplerOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestCountSampler(t *testing.T) {
-	s := &CountSampler{Head: 3, Every: 5}
-	var got []bool
-	for i := 0; i < 14; i++ {
-		got = append(got, s.Admit("ev", uint64(i)))
-	}
-	// Head 0,1,2 then every 5th after: 3, 8, 13.
-	want := []bool{true, true, true, true, false, false, false, false, true, false, false, false, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: got %v want %v (%v)", i, got[i], want[i], got)
-		}
-	}
-	// Names are tracked independently.
-	if !s.Admit("other", 0) {
-		t.Error("fresh name not admitted at head")
-	}
-}
-
 func TestTokenBucket(t *testing.T) {
 	now := time.Unix(0, 0)
 	tb := &TokenBucket{Rate: 10, Burst: 2, Now: func() time.Time { return now }}

@@ -121,26 +121,6 @@ func (t *TraceSet) Merged() []Span {
 	return out
 }
 
-// Chains groups the merged spans by trace ID, each chain in canonical
-// order, returned sorted by op ID.
-func (t *TraceSet) Chains() [][]Span {
-	merged := t.Merged()
-	byOp := make(map[int][]Span)
-	ops := []int{}
-	for _, s := range merged {
-		if _, ok := byOp[s.Op]; !ok {
-			ops = append(ops, s.Op)
-		}
-		byOp[s.Op] = append(byOp[s.Op], s)
-	}
-	sort.Ints(ops)
-	out := make([][]Span, 0, len(ops))
-	for _, op := range ops {
-		out = append(out, byOp[op])
-	}
-	return out
-}
-
 // Lines renders the merged spans one per line.
 func (t *TraceSet) Lines() []string {
 	merged := t.Merged()
