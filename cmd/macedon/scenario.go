@@ -25,7 +25,6 @@ func runScenario(args []string) int {
 	obsOn := fs.Bool("obs", false, "enable the observability plane and print its output (metrics exposition, sampled events, operation traces, per-phase time series) after the report")
 	traceSample := fs.Int("trace-sample", 0, "keep 1-in-N operation traces and event records (0 or 1 = all); sampling is keyed by the seed, so any shard count keeps the same ops")
 	seriesInterval := fs.Duration("series-interval", 0, "with -obs, also sample the engine time series every interval of virtual time inside each phase (0 = phase boundaries only); sampling is scheduled on the virtual clock, so any shard count records identical series")
-	seriesCap := fs.Int("series-cap", 0, "with -obs, per-phase time-series ring capacity (0 = default 256); the oldest points are evicted beyond it")
 	jsonOut := fs.String("json", "", "write the machine-readable report (including the obs series with -obs) as JSON to this file ('-' = stdout)")
 	verbose := fs.Bool("v", false, "verbose report: per-phase forwards, mean hops, control traffic, and obs histograms")
 	_ = fs.Parse(args)
@@ -63,7 +62,6 @@ func runScenario(args []string) int {
 			Enabled:        *obsOn,
 			TraceSample:    *traceSample,
 			SeriesInterval: *seriesInterval,
-			SeriesCap:      *seriesCap,
 		},
 	})
 	if err != nil {

@@ -22,7 +22,7 @@ func runSweep(args []string) int {
 	shards := fs.Int("shards", 0, "event-loop shards (0 = GOMAXPROCS, 1 = sequential); any value prints an identical table")
 	timing := fs.Bool("timing", true, "print the wall-clock timing footer")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable sweep result instead of the table (deterministic; no timing)")
-	obsOn := fs.Bool("obs", false, "enable the observability plane: every variant runs cold (no shared prefix) and the table gains a per-variant obs snapshot section")
+	obsOn := fs.Bool("obs", false, "enable the observability plane: the table gains a per-variant obs snapshot section (prefixes are shared as without it)")
 	traceSample := fs.Int("trace-sample", 0, "with -obs, keep 1-in-N operation traces and event records per variant (0 or 1 = all)")
 	check := fs.Bool("check", false, "validate and resolve only; print the variant summary")
 	_ = fs.Parse(args)

@@ -133,12 +133,6 @@ func (v *View) Stable(i int) bool {
 		v.UpFor[i] >= v.Grace && v.ConnAge[i] >= v.Grace
 }
 
-// StableDead reports whether node i has been dead for at least the grace
-// window — long enough that live protocol state must have evicted it.
-func (v *View) StableDead(i int) bool {
-	return !v.Nodes[i].Alive && v.DownFor[i] >= v.Grace
-}
-
 // RecentChurn reports whether any node's liveness or connectivity changed
 // within the grace window: repair traffic may still be in flight, so the
 // cross-node agreement checks relax.

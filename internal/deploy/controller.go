@@ -132,6 +132,9 @@ type controller struct {
 	// agentLines collects sampled event-log lines streamed back by agents
 	// (EvObs), prefixed with their node index.
 	agentLines []string
+	// pages are the agents' metric pages as report parsed them, kept for
+	// the Families hook the engine calls while report assembles (obs).
+	pages []*obs.Scrape
 }
 
 type outMsg struct {
@@ -679,6 +682,18 @@ func (c *controller) shutdown() {
 	}
 }
 
+// Families is the controller's contribution to the engine's own registry.
+// The fleet's families come from the agents' pages, which report merges over
+// the engine's exposition; only with no agent page at all does the
+// controller mirror the polled totals into the families the agents would
+// have served, so the exposition's family set matches a sim run's either
+// way.
+func (c *controller) Families(reg *obs.Registry) {
+	if len(c.pages) == 0 {
+		c.eng.MirrorTotals(reg)
+	}
+}
+
 // report assembles the live run's structured report: the engine's, with the
 // fleet's own metric pages merged into the exposition and the agents'
 // event lines appended.
@@ -689,19 +704,13 @@ func (c *controller) report() *scenario.Report {
 	if !c.cfg.Obs {
 		return c.eng.Report()
 	}
-	pages := c.fleetPagesLocked()
-	if len(pages) == 0 {
-		// No agent page at all: mirror the polled totals into the families
-		// the agents would have served, so the exposition's family set
-		// matches a sim run's either way.
-		c.eng.MirrorTotals()
-	}
+	c.pages = c.fleetPagesLocked()
 	rep := c.eng.Report()
 	fleet := obs.NewFleet()
 	if own, err := obs.ParseText([]byte(rep.Obs.Exposition)); err == nil {
 		fleet.Add(own)
 	}
-	for _, sc := range pages {
+	for _, sc := range c.pages {
 		fleet.Add(sc)
 	}
 	rep.Obs.Exposition = fleet.Text()

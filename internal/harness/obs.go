@@ -22,9 +22,6 @@ type ObsOptions struct {
 	// global-actor events at fixed positions in the shard-count-independent
 	// total order, so the series is byte-identical at any shard count.
 	SeriesInterval time.Duration
-	// SeriesCap bounds each phase's series ring; 0 selects
-	// obs.DefaultSeriesCap.
-	SeriesCap int
 }
 
 // seriesLead are the scheduler quantities the emulator puts in front of the
@@ -56,14 +53,18 @@ func (r *simRun) scheduleObsSeries(pi int, base time.Duration) {
 	sample(ph.End)
 }
 
-// mirrorSched stores the scheduler's own counters as the macedon_sched_*
-// families at report time, a quiescent point. Every value is
-// shard-invariant — executed/pending events and the pool recycler are pure
-// functions of the total event order, and barrier stall accrues the same
-// virtual-time quantity per global-actor instant in both the sequential and
-// the sharded loop — so the merged exposition is byte-identical at any
-// shard count.
-func (r *simRun) mirrorSched(reg *obs.Registry) {
+// Families is the emulator's contribution to a report's registry: the
+// engine and network totals, and the scheduler's own counters as the
+// macedon_sched_* families. A report is assembled at a quiescent point, and
+// every value is both shard-invariant and fork-invariant — the same whether
+// the run was a lone variant or a branch from a checkpoint. Executed and
+// pending events are pure functions of the total event order; barrier stall
+// accrues the same virtual-time quantity per global-actor instant in the
+// sequential and the sharded loop, and every run reaches its fork instant
+// through the same two RunFor calls; the pool families count requests and
+// terminal events, not what the recycler did with a record.
+func (r *simRun) Families(reg *obs.Registry) {
+	r.eng.MirrorTotals(reg)
 	sc := r.c.Sched
 	reg.Counter("macedon_sched_events_total", "Events the scheduler executed.").Store(sc.Executed())
 	reg.Gauge("macedon_sched_heap_depth", "Events pending in the scheduler heaps at run end.").Set(float64(sc.Pending()))
@@ -75,6 +76,8 @@ func (r *simRun) mirrorSched(reg *obs.Registry) {
 	reg.Gauge("macedon_sched_window_utilization", "Events executed per virtual second: the density the lookahead windows carried.").Set(util)
 	pool := r.c.Net.PoolStats()
 	reg.Counter("macedon_sched_pool_gets_total", "Packet records requested from the per-shard pools.").Store(pool.Gets)
-	reg.Counter("macedon_sched_pool_recycled_total", "Terminal packets recycled for reuse.").Store(pool.Recycled)
-	reg.Counter("macedon_sched_pool_pinned_total", "Terminal packets pinned by a snapshot generation.").Store(pool.Pinned)
+	// A checkpoint pins the packet generation in flight, so a branch frees
+	// as "pinned" what a lone run frees as "recycled"; their sum is the
+	// number of records that reached a terminal event.
+	reg.Counter("macedon_sched_pool_recycled_total", "Packet records released at a terminal event (recycled, or pinned by a checkpoint): a pure function of the event order.").Store(pool.Recycled + pool.Pinned)
 }

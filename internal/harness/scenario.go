@@ -87,22 +87,18 @@ func RunScenarioExec(s *scenario.Scenario, exec ExecOptions) (*scenario.Report, 
 	if err != nil {
 		return nil, err
 	}
-	r, err := newSimRun(sched, exec)
+	reps, _, err := runGroup([]forkVariant{{name: s.Name, sched: sched}}, exec, s.ForkPhase())
 	if err != nil {
 		return nil, err
 	}
-	defer r.c.StopAll()
-	r.scheduleSetup()
-	r.schedulePhases(0, len(sched.Phases)-1)
-	r.c.RunFor(sched.Total)
-	return r.report()
+	return reps[0], nil
 }
 
 // simRun executes one compiled schedule on an emulated cluster: it is the
 // scenario.Backend the shared engine drives — cluster and virtual clock —
-// plus the glue that turns schedule offsets into Sched.After events. Under
-// checkpoint/fork (docs/sweeps.md) one simRun carries a shared prefix and
-// then several variant branches of it.
+// plus the glue that turns schedule offsets into Sched.After events. One
+// simRun carries a prefix and then the branches of every variant that shares
+// it (runGroup, docs/sweeps.md).
 type simRun struct {
 	c     *Cluster
 	eng   *scenario.Engine
@@ -116,7 +112,7 @@ type simRun struct {
 	// engine's.
 	obs ObsOptions
 
-	// err is the first op failure; later ops are not applied and report
+	// err is the first op failure; later ops are not applied and runGroup
 	// returns it.
 	err error
 }
@@ -151,7 +147,6 @@ func newSimRun(sched *scenario.Schedule, exec ExecOptions) (*simRun, error) {
 		cfg.Obs = &scenario.ObsConfig{
 			TraceSample: exec.Obs.TraceSample,
 			SeriesLead:  seriesLead,
-			SeriesCap:   exec.Obs.SeriesCap,
 		}
 	}
 	if r.eng, err = scenario.NewEngine(sched, r, cfg); err != nil {
@@ -195,9 +190,9 @@ func (r *simRun) scheduleSetup() {
 }
 
 // schedulePhases schedules the ops and end-of-phase snapshots of phases
-// [from, to]. Ops fire at their absolute schedule offsets regardless of when
-// scheduling happens — which is what lets a fork branch schedule its tail
-// phases after the shared prefix already ran.
+// [from, to] — none when the range is empty. Ops fire at their absolute
+// schedule offsets regardless of when scheduling happens, which is what lets
+// a branch schedule its tail phases after the prefix already ran.
 func (r *simRun) schedulePhases(from, to int) {
 	base := r.c.Sched.Elapsed()
 	ops := r.sched.Ops
@@ -252,18 +247,6 @@ func (r *simRun) applySpawnBatch(ops []scenario.Op) {
 	for _, op := range ops {
 		r.apply(op)
 	}
-}
-
-// report assembles the structured result after the run (or branch) ends.
-func (r *simRun) report() (*scenario.Report, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	if reg := r.eng.Registry(); reg != nil {
-		r.eng.MirrorTotals()
-		r.mirrorSched(reg)
-	}
-	return r.eng.Report(), nil
 }
 
 // --- scenario.Backend ---------------------------------------------------------

@@ -8,13 +8,14 @@ import (
 	"macedon/internal/scenario"
 )
 
-// Checkpoint/fork scenario execution (docs/sweeps.md). The expensive part of
-// every overlay evaluation is the settled prefix — joins plus convergence —
-// and a comparative sweep re-simulates it once per variant. RunSweep runs
-// each group of variants that share a byte-identical prefix on one cluster:
-// prefix once, checkpoint, then rewind-and-branch per variant. Every branch
-// trace is byte-identical to the same variant executed cold, which the
-// golden corpus gates.
+// Scenario execution (docs/sweeps.md). The expensive part of every overlay
+// evaluation is the settled prefix — joins plus convergence — and a
+// comparative sweep would re-simulate it once per variant. So every run is a
+// group: the variants that share a byte-identical prefix run on one cluster,
+// prefix once, then one branch per variant, with a checkpoint to rewind to
+// between branches when there is more than one. A single scenario is a
+// group of one. Every branch's output is byte-identical to the same variant
+// run on its own, which the golden corpus gates.
 
 // forkTime returns the fork instant of a schedule: the settle boundary, or
 // the end of the fork-point phase.
@@ -31,10 +32,9 @@ func forkTime(sched *scenario.Schedule, forkPhase int) time.Duration {
 // settle-boundary snapshot) queued for every branch to execute identically.
 const prefixEpsilon = time.Nanosecond
 
-// forkVariant is one resolved member of a fork group.
+// forkVariant is one resolved member of a group.
 type forkVariant struct {
 	name  string
-	s     *scenario.Scenario
 	sched *scenario.Schedule
 }
 
@@ -72,33 +72,39 @@ func prefixKey(s *scenario.Scenario, sched *scenario.Schedule, forkPhase, shards
 	return key.String()
 }
 
-// forkGroupTiming reports the wall clock a shared-prefix group consumed.
+// forkGroupTiming reports the wall clock a group consumed.
 type forkGroupTiming struct {
 	prefix   time.Duration
 	branches []time.Duration
 }
 
-// runForkedGroup executes variants that share one prefix: run the prefix
-// once on a fresh cluster, checkpoint, then branch per variant (restoring
-// the checkpoint between branches). Reports come back in variant order.
-func runForkedGroup(vs []forkVariant, shards, forkPhase int) ([]*scenario.Report, forkGroupTiming, error) {
+// runGroup is the one way a scenario executes on the emulator. It runs
+// variants that share a prefix on one fresh cluster: setup and the phases up
+// to forkPhase once, stopping just short of the fork instant, then per
+// variant the tail phases and the drain. A group of more than one
+// checkpoints at the fork and rewinds cluster and engine to it before each
+// later branch; a group of one takes no checkpoint. Either way the schedule
+// is queued and the clock advanced in the same two steps, so a lone run and
+// a branch agree even on the telemetry that sees how ops were queued.
+// Reports come back in variant order.
+func runGroup(vs []forkVariant, exec ExecOptions, forkPhase int) ([]*scenario.Report, forkGroupTiming, error) {
 	var timing forkGroupTiming
-	base := vs[0]
-	r, err := newSimRun(base.sched, ExecOptions{Shards: shards})
+	r, err := newSimRun(vs[0].sched, exec)
 	if err != nil {
 		return nil, timing, err
 	}
 	defer r.c.StopAll()
 
 	start := time.Now()
-	forkT := forkTime(base.sched, forkPhase)
+	prefix := forkTime(vs[0].sched, forkPhase) - prefixEpsilon
 	r.scheduleSetup()
-	if forkPhase >= 0 {
-		r.schedulePhases(0, forkPhase)
+	r.schedulePhases(0, forkPhase)
+	r.c.RunFor(prefix)
+	var cp *Checkpoint
+	var at scenario.Accounting
+	if len(vs) > 1 {
+		cp, at = r.c.Checkpoint(), r.eng.Checkpoint()
 	}
-	r.c.RunFor(forkT - prefixEpsilon)
-	cp := r.c.Checkpoint()
-	at := r.eng.Checkpoint()
 	timing.prefix = time.Since(start)
 
 	var reps []*scenario.Report
@@ -107,40 +113,39 @@ func runForkedGroup(vs []forkVariant, shards, forkPhase int) ([]*scenario.Report
 		if vi > 0 {
 			r.c.Restore(cp)
 		}
-		// Point the run at the variant and rewind the engine's accounting to
-		// the fork state, as Restore rewound the world.
-		r.sched = v.sched
-		if err := r.eng.Branch(v.sched, at); err != nil {
-			return nil, timing, fmt.Errorf("sweep variant %q: %w", v.name, err)
+		if cp != nil {
+			// Point the run at the variant and rewind the engine's accounting
+			// to the fork state, as Restore rewound the world.
+			r.sched = v.sched
+			err = r.eng.Branch(v.sched, at)
 		}
-		if forkPhase+1 < len(v.sched.Phases) {
+		if err == nil {
 			r.schedulePhases(forkPhase+1, len(v.sched.Phases)-1)
+			r.c.RunFor(v.sched.Total - prefix)
+			err = r.err
 		}
-		r.c.RunFor(v.sched.Total - (forkT - prefixEpsilon))
-		rep, err := r.report()
 		if err != nil {
-			return nil, timing, fmt.Errorf("sweep variant %q: %w", v.name, err)
+			return nil, timing, fmt.Errorf("variant %q: %w", v.name, err)
 		}
-		reps = append(reps, rep)
+		reps = append(reps, r.eng.Report())
 		timing.branches = append(timing.branches, time.Since(bstart))
 	}
 	return reps, timing, nil
 }
 
-// RunScenarioForked executes one scenario through the checkpoint/fork
-// machinery twice: shared prefix, fork, branch, rewind, branch again. Both
-// returned reports must be byte-identical to RunScenarioExec on the same
-// scenario — the fork-determinism property the golden corpus gates (the
-// second report additionally proves a restored world replays exactly after
-// a dirty branch).
+// RunScenarioForked executes one scenario as a group of two: prefix,
+// checkpoint, branch, rewind, branch again. Both returned reports must be
+// byte-identical to RunScenarioExec on the same scenario — the
+// fork-determinism property the golden corpus gates (the second report
+// additionally proves a restored world replays exactly after a dirty
+// branch).
 func RunScenarioForked(s *scenario.Scenario, shards int) (*scenario.Report, *scenario.Report, error) {
 	sched, err := scenario.Compile(s)
 	if err != nil {
 		return nil, nil, err
 	}
-	fp := s.ForkPhase()
-	vs := []forkVariant{{name: "a", s: s, sched: sched}, {name: "b", s: s, sched: sched}}
-	reps, _, err := runForkedGroup(vs, shards, fp)
+	vs := []forkVariant{{name: "a", sched: sched}, {name: "b", sched: sched}}
+	reps, _, err := runGroup(vs, ExecOptions{Shards: shards}, s.ForkPhase())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -150,18 +155,17 @@ func RunScenarioForked(s *scenario.Scenario, shards int) (*scenario.Report, *sce
 // RunSweep executes a parameter sweep: the base scenario with each variant's
 // overrides applied. Variants whose settled prefix is byte-identical (same
 // seed, protocol, topology, and pre-fork schedule) share one simulated
-// prefix via checkpoint/fork; variants that change the prefix itself (a
-// different seed or protocol) run cold. defaultShards applies to variants
-// without a shards override.
+// prefix via checkpoint/fork; a variant that changes the prefix itself (a
+// different seed or protocol) is a group of its own. defaultShards applies
+// to variants without a shards override.
 func RunSweep(sw *scenario.Sweep, defaultShards int) (*scenario.SweepReport, error) {
 	return RunSweepExec(sw, defaultShards, ObsOptions{})
 }
 
-// RunSweepExec is RunSweep with an observability configuration. An
-// obs-enabled sweep runs every variant cold: the obs plane hooks the engine
-// from time zero and is not carried across a checkpoint/fork branch, so a
-// forked branch could not report its own prefix metrics. Cold execution
-// keeps each variant's exposition self-contained (and still deterministic).
+// RunSweepExec is RunSweep with an observability configuration. The obs
+// plane's books are part of the engine's checkpoint, so an obs-enabled sweep
+// shares prefixes like any other and each branch reports its own prefix
+// metrics.
 func RunSweepExec(sw *scenario.Sweep, defaultShards int, obsOpts ObsOptions) (*scenario.SweepReport, error) {
 	if defaultShards < 1 {
 		defaultShards = 1
@@ -188,7 +192,7 @@ func RunSweepExec(sw *scenario.Sweep, defaultShards int, obsOpts ObsOptions) (*s
 			shards = defaultShards
 		}
 		slots[i] = slot{
-			v:      forkVariant{name: rv.Name, s: rv.Scenario, sched: sched},
+			v:      forkVariant{name: rv.Name, sched: sched},
 			shards: shards,
 			key:    prefixKey(rv.Scenario, sched, forkPhase, shards),
 		}
@@ -212,43 +216,34 @@ func RunSweepExec(sw *scenario.Sweep, defaultShards int, obsOpts ObsOptions) (*s
 	totalStart := time.Now()
 	for _, key := range keys {
 		idxs := groupIdx[key]
-		if len(idxs) == 1 || obsOpts.Enabled {
-			// A lone prefix gains nothing from forking; an obs-enabled sweep
-			// runs every variant cold (see RunSweepExec).
-			for _, i := range idxs {
-				start := time.Now()
-				r, err := RunScenarioExec(slots[i].v.s, ExecOptions{Shards: slots[i].shards, Obs: obsOpts})
-				if err != nil {
-					return nil, fmt.Errorf("sweep variant %q: %w", slots[i].v.name, err)
-				}
-				rep.Results[i] = scenario.SweepVariantResult{
-					Name:       slots[i].v.name,
-					Protocol:   r.Protocol,
-					Shards:     slots[i].shards,
-					BranchWall: time.Since(start),
-					Report:     r,
-				}
-			}
-			continue
-		}
 		group := make([]forkVariant, len(idxs))
 		for gi, i := range idxs {
 			group[gi] = slots[i].v
 		}
-		reps, timing, err := runForkedGroup(group, slots[idxs[0]].shards, forkPhase)
+		shards := slots[idxs[0]].shards
+		reps, timing, err := runGroup(group, ExecOptions{Shards: shards, Obs: obsOpts}, forkPhase)
 		if err != nil {
 			return nil, fmt.Errorf("sweep group %q: %w", group[0].name, err)
 		}
-		rep.ForkAt = forkTime(slots[idxs[0]].v.sched, forkPhase)
-		rep.PrefixWall += timing.prefix
-		rep.ColdPrefixWall += time.Duration(len(idxs)) * timing.prefix
+		// Only a group of more than one shared anything; a lone variant's
+		// branch wall is its whole run.
+		shared := len(idxs) > 1
+		if shared {
+			rep.ForkAt = forkTime(group[0].sched, forkPhase)
+			rep.PrefixWall += timing.prefix
+			rep.ColdPrefixWall += time.Duration(len(idxs)) * timing.prefix
+		}
 		for gi, i := range idxs {
+			wall := timing.branches[gi]
+			if !shared {
+				wall += timing.prefix
+			}
 			rep.Results[i] = scenario.SweepVariantResult{
 				Name:         group[gi].name,
 				Protocol:     reps[gi].Protocol,
-				Shards:       slots[i].shards,
-				SharedPrefix: true,
-				BranchWall:   timing.branches[gi],
+				Shards:       shards,
+				SharedPrefix: shared,
+				BranchWall:   wall,
 				Report:       reps[gi],
 			}
 		}

@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"macedon/internal/metrics"
+	"macedon/internal/repo"
 	"macedon/internal/scenario"
 )
 
@@ -30,9 +33,46 @@ func sweepBase() scenario.Scenario {
 	}
 }
 
-// TestSweepMatchesColdRuns is the core sweep correctness gate: every variant
-// branch of a shared-prefix sweep must be byte-identical (trace and report)
-// to the same resolved scenario executed cold.
+// sweepMatchesCold is the core sweep correctness gate: every variant of sw
+// must come out of RunSweepExec byte-identical — by render — to the same
+// resolved scenario run on its own, and must have shared its prefix
+// wherever its group has more than one member (wantShared, by variant).
+func sweepMatchesCold(t *testing.T, sw *scenario.Sweep, shards int, o ObsOptions, wantShared []bool, render func(*scenario.Report) string) {
+	t.Helper()
+	rep, err := RunSweepExec(sw, shards, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolved, err := sw.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rv := range resolved {
+		vr := rep.Results[i]
+		if vr.SharedPrefix != wantShared[i] {
+			t.Fatalf("shards=%d variant %q: shared prefix = %v, want %v", shards, vr.Name, vr.SharedPrefix, wantShared[i])
+		}
+		cold, err := runSim(rv.Scenario, shards, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := render(vr.Report), render(cold); got != want {
+			t.Fatalf("shards=%d variant %q: forked branch diverges from its own run:\n%s", shards, vr.Name, firstDiffLine(want, got))
+		}
+	}
+}
+
+// firstDiffLine names the first line two renderings disagree on.
+func firstDiffLine(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(wl) && i < len(gl); i++ {
+		if wl[i] != gl[i] {
+			return fmt.Sprintf("line %d:\n  alone:  %s\n  forked: %s", i+1, wl[i], gl[i])
+		}
+	}
+	return fmt.Sprintf("%d lines alone, %d forked", len(wl), len(gl))
+}
+
 func TestSweepMatchesColdRuns(t *testing.T) {
 	sw := &scenario.Sweep{
 		Name: "cold-equivalence",
@@ -43,29 +83,52 @@ func TestSweepMatchesColdRuns(t *testing.T) {
 			{Name: "busy", WorkloadRate: 6},
 		},
 	}
-	rep, err := RunSweep(sw, 2)
+	sweepMatchesCold(t, sw, 2, ObsOptions{}, []bool{true, true, true},
+		func(r *scenario.Report) string { return r.TraceText() + r.String() })
+}
+
+// TestSweepObsMatchesCold is the same gate with the obs plane on: the books
+// fork with the run, so every variant's full obs output — exposition,
+// events, spans, per-phase histograms and series, scheduler families — is
+// what the variant reports run on its own, at any shard count. The worked
+// example forks at the settle boundary; the second sweep forks after a
+// workload phase, so the checkpoint carries live books (tallies, spans,
+// series points) and intra-phase samples straddle it.
+func TestSweepObsMatchesCold(t *testing.T) {
+	example, err := scenario.LoadSweep(repo.Path("examples", "scenarios", "gen-churn-sweep.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Groups != 1 {
-		t.Fatalf("variants should share one prefix group, got %d", rep.Groups)
+	warm := sweepBase()
+	warm.Phases = []scenario.Phase{
+		{
+			Name:      "warm",
+			Duration:  scenario.Duration(10 * time.Second),
+			Workload:  &scenario.Workload{Kind: scenario.WlLookups, Rate: 2},
+			ForkPoint: true,
+		},
+		warm.Phases[0],
 	}
-	resolved, err := sw.Resolve()
-	if err != nil {
-		t.Fatal(err)
+	forkPhase := &scenario.Sweep{
+		Name: "obs-fork-phase",
+		Base: warm,
+		Variants: []scenario.SweepVariant{
+			{Name: "calm", ChurnRate: 0.02},
+			{Name: "busy", WorkloadRate: 6},
+			{Name: "alone", Seed: 99},
+		},
 	}
-	for i, rv := range resolved {
-		vr := rep.Results[i]
-		if !vr.SharedPrefix {
-			t.Fatalf("variant %q did not share the prefix", vr.Name)
-		}
-		cold, err := runSim(rv.Scenario, 2, ObsOptions{})
+	render := func(r *scenario.Report) string {
+		b, err := metrics.ReportToJSON(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := vr.Report.TraceText()+vr.Report.String(), cold.TraceText()+cold.String(); got != want {
-			t.Fatalf("variant %q: forked branch diverges from cold run:\nforked:\n%s\ncold:\n%s", vr.Name, got, want)
-		}
+		return r.VerboseString() + r.ObsText() + string(b)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		sweepMatchesCold(t, example, shards, ObsOptions{Enabled: true}, []bool{true, true, true, true}, render)
+		sweepMatchesCold(t, forkPhase, shards, ObsOptions{Enabled: true, TraceSample: 2, SeriesInterval: 3 * time.Second},
+			[]bool{true, true, false}, render)
 	}
 }
 

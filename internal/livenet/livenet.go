@@ -57,8 +57,8 @@ type Stats struct {
 	ShapeDrops, LossDrops uint64
 }
 
-// Network maps overlay addresses onto UDP ports of one host (or, with a
-// custom Resolver or address table, onto arbitrary UDP endpoints).
+// Network maps overlay addresses onto UDP ports of one host (or, with an
+// address table, onto arbitrary UDP endpoints).
 type Network struct {
 	mu       sync.Mutex
 	basePort int
@@ -79,11 +79,6 @@ type Network struct {
 
 // Option configures the network.
 type Option func(*Network)
-
-// WithResolver overrides address resolution (default: host:basePort+addr).
-func WithResolver(r func(a overlay.Address) string) Option {
-	return func(n *Network) { n.resolver = r }
-}
 
 // WithTable resolves addresses through an explicit addr→"host:port" table:
 // how `macedon deploy` agents reach a fleet whose overlay addresses come

@@ -279,7 +279,8 @@ func SweepTable(rep *scenario.SweepReport) string {
 
 // sweepObsColumns maps the obs-snapshot table's column heads to the merged
 // exposition families they read (engine workload plus the scheduler
-// telemetry — obs-enabled sweeps run cold, so every variant carries both).
+// telemetry — the obs books fork with the run, so every variant carries
+// both, counted from time zero).
 var sweepObsColumns = []struct{ head, family string }{
 	{"ops_deliv", "macedon_ops_delivered_total"},
 	{"sched_events", "macedon_sched_events_total"},

@@ -65,13 +65,27 @@ func NewHistogram(bounds []float64) *Histogram {
 	}
 }
 
-// Observe records v into the bucket whose upper bound is the smallest
-// bound >= v (Prometheus `le` semantics: bounds are inclusive).
+// Bucket is the index of the bucket a histogram over bounds counts v in:
+// the smallest bound >= v (Prometheus `le` semantics: bounds are
+// inclusive), len(bounds) for the +Inf overflow.
+func Bucket(bounds []float64, v float64) int { return sort.SearchFloat64s(bounds, v) }
+
+// Observe records v.
 func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Inc()
+	h.counts[Bucket(h.bounds, v)].Inc()
 	h.count.Inc()
 	h.sumNanos.Add(uint64(math.Round(v * 1e9)))
+}
+
+// Merge adds observations tallied elsewhere — per-bucket counts indexed by
+// Bucket over the same bounds, and their sum in nano-units — so a hot path
+// can count into plain memory it owns and fold it in at report time.
+func (h *Histogram) Merge(counts []uint64, sumNanos uint64) {
+	for i, c := range counts {
+		h.counts[i].Add(c)
+		h.count.Add(c)
+	}
+	h.sumNanos.Add(sumNanos)
 }
 
 // HistSnapshot is a histogram's point-in-time copy.

@@ -28,7 +28,8 @@ type Series struct {
 	dropped int
 }
 
-// DefaultSeriesCap bounds a series when the caller doesn't choose one.
+// DefaultSeriesCap is the capacity the scenario engine gives every phase's
+// series: the one value in use.
 const DefaultSeriesCap = 256
 
 // NewSeries builds an empty series over the given columns with the given
@@ -38,6 +39,14 @@ func NewSeries(cols []string, capacity int) *Series {
 		capacity = DefaultSeriesCap
 	}
 	return &Series{cols: append([]string(nil), cols...), cap: capacity}
+}
+
+// Clone copies the series; recorded points are never modified, so the two
+// share them.
+func (s *Series) Clone() *Series {
+	c := *s
+	c.pts = append([]SeriesPoint(nil), s.pts...)
+	return &c
 }
 
 // Columns returns the column names.

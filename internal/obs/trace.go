@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -62,45 +61,16 @@ func (s Span) String() string {
 		uint64(s.Trace), s.Op, s.At.Seconds(), s.Kind, s.Node)
 }
 
-// TraceSet collects spans from concurrent shards. Each shard appends to
-// its own buffer with no synchronization against the others; Merged sorts
-// by a total order that depends only on span content, so the merged
-// sequence is identical at any shard count.
-type TraceSet struct {
-	mu     sync.Mutex
-	global []Span
-	shards [][]Span
-}
-
-// NewTraceSet sizes the set for n shards (shard -1, the coordinator,
-// writes to a locked global buffer).
-func NewTraceSet(n int) *TraceSet {
-	return &TraceSet{shards: make([][]Span, n)}
-}
-
-// Record appends a span from the given shard. Shard -1 (or out of range)
-// uses the locked global buffer; in-range shards append lock-free to
-// their own slice, relying on the engine's guarantee that a shard's
-// upcalls run on one goroutine at a time.
-func (t *TraceSet) Record(shard int, s Span) {
-	if shard >= 0 && shard < len(t.shards) {
-		t.shards[shard] = append(t.shards[shard], s)
-		return
-	}
-	t.mu.Lock()
-	t.global = append(t.global, s)
-	t.mu.Unlock()
-}
-
-// Merged returns every recorded span in the canonical total order:
-// (At, Op, kind rank, Node, Next). Kind rank places inject before forward
-// before deliver so ties at the same instant read in causal order.
-func (t *TraceSet) Merged() []Span {
-	t.mu.Lock()
-	out := append([]Span(nil), t.global...)
-	t.mu.Unlock()
-	for _, sh := range t.shards {
-		out = append(out, sh...)
+// MergeSpans returns the spans of every buffer — one per shard plus the
+// coordinator's — in the canonical total order: (At, Op, kind rank, Node,
+// Next). The order depends only on span content, so the merged sequence is
+// identical however the spans were spread over buffers; kind rank places
+// inject before forward before deliver so ties at the same instant read in
+// causal order.
+func MergeSpans(bufs ...[]Span) []Span {
+	var out []Span
+	for _, buf := range bufs {
+		out = append(out, buf...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -118,15 +88,5 @@ func (t *TraceSet) Merged() []Span {
 		}
 		return a.Next < b.Next
 	})
-	return out
-}
-
-// Lines renders the merged spans one per line.
-func (t *TraceSet) Lines() []string {
-	merged := t.Merged()
-	out := make([]string, len(merged))
-	for i, s := range merged {
-		out[i] = s.String()
-	}
 	return out
 }

@@ -17,10 +17,10 @@ func TestMintTraceIDStable(t *testing.T) {
 	}
 }
 
-// TestTraceSetMergeShardInvariant records the same spans under two
-// different shard assignments and asserts the merged order is identical —
-// the property that makes sim trace output byte-identical at -shards=1/4.
-func TestTraceSetMergeShardInvariant(t *testing.T) {
+// TestMergeSpansShardInvariant spreads the same spans over buffers two
+// different ways and asserts the merged order is identical — the property
+// that makes sim trace output byte-identical at -shards=1/4.
+func TestMergeSpansShardInvariant(t *testing.T) {
 	spans := []Span{
 		{Trace: 1, Op: 0, Kind: SpanInject, Node: 2, Next: -1, At: 10 * time.Millisecond},
 		{Trace: 1, Op: 0, Kind: SpanForward, Node: 2, Next: 5, At: 15 * time.Millisecond},
@@ -29,22 +29,19 @@ func TestTraceSetMergeShardInvariant(t *testing.T) {
 		{Trace: 2, Op: 1, Kind: SpanDeliver, Node: 0, Next: -1, At: 10 * time.Millisecond},
 	}
 
-	one := NewTraceSet(1)
-	for _, s := range spans {
-		one.Record(0, s)
-	}
-	four := NewTraceSet(4)
-	// Reverse order, scattered across shards and the coordinator buffer.
+	one := MergeSpans(spans)
+	// Reverse order, scattered across four buffers.
+	four := make([][]Span, 4)
 	for i := len(spans) - 1; i >= 0; i-- {
-		four.Record(i%4-1, spans[i]) // shard -1..2
+		four[i%4] = append(four[i%4], spans[i])
 	}
-	if !reflect.DeepEqual(one.Merged(), four.Merged()) {
-		t.Fatalf("merge differs across shard assignments:\n%v\n%v", one.Merged(), four.Merged())
+	if got := MergeSpans(four...); !reflect.DeepEqual(one, got) {
+		t.Fatalf("merge differs across buffer assignments:\n%v\n%v", one, got)
 	}
 
 	// Causal tie-break: op 1's inject sorts before its deliver at the same
 	// instant, and op 0's spans stay in hop order.
-	m := one.Merged()
+	m := one
 	if m[0].Op != 0 || m[0].Kind != SpanInject {
 		t.Fatalf("first span = %v", m[0])
 	}

@@ -7,6 +7,7 @@ import (
 
 	"macedon/internal/check"
 	"macedon/internal/core"
+	"macedon/internal/obs"
 	"macedon/internal/overlay"
 	"macedon/internal/simnet"
 )
@@ -41,6 +42,10 @@ type Backend interface {
 	// NodeState extracts node's routing state for the invariant checkers;
 	// ok is false when an alive node has none to show yet.
 	NodeState(node int) (st check.NodeState, ok bool)
+	// Families adds the backend's own metric families — engine, network and
+	// scheduler totals — to the registry Report is assembling. The engine
+	// calls it only with the obs plane on.
+	Families(reg *obs.Registry)
 }
 
 // EngineConfig is what a backend tells the engine about the deployment.
@@ -100,11 +105,16 @@ type Accounting struct {
 
 	eventsRun int
 	trace     []string
+
+	// obs is the observability plane's section; nil when the plane is off.
+	obs *obsBooks
 }
 
-// clone deep-copies the accounting with its phase-indexed arrays resized to
-// phases columns; the columns both sides share carry over.
-func (a Accounting) clone(phases int) Accounting {
+// clone deep-copies the accounting with its phase- and op-indexed arrays
+// resized to sched's phases and workload ops; the columns both sides share
+// carry over.
+func (a Accounting) clone(sched *Schedule) Accounting {
+	phases := len(sched.Phases)
 	a.nodes = append([]nodeAcct(nil), a.nodes...)
 	sent := make(map[int]sendStamp, len(a.sent))
 	for id, s := range a.sent {
@@ -121,6 +131,9 @@ func (a Accounting) clone(phases int) Accounting {
 	copy(rows, a.rows)
 	a.rows = rows
 	a.trace = append([]string(nil), a.trace...)
+	if a.obs != nil {
+		a.obs = a.obs.clone(phases, sched.workloadOps())
+	}
 	return a
 }
 
@@ -133,9 +146,9 @@ func (a Accounting) clone(phases int) Accounting {
 // calls: the emulator makes them at epoch barriers with every shard parked,
 // the live controller under its mutex. Deliver and Forward may run
 // concurrently with each other, one goroutine per shard index; they only
-// read what coordinator calls wrote (sent) and write their own grid row,
-// atomics, and their shard's span buffer. The live controller serialises
-// them under its mutex and reports shard 0.
+// read what coordinator calls wrote (sent) and write their own shard's grid
+// row and obs books. The live controller serialises them under its mutex and
+// reports shard 0.
 type Engine struct {
 	sched *Schedule
 	b     Backend
@@ -149,9 +162,12 @@ type Engine struct {
 	checkers     []check.Checker
 	grace, stale time.Duration
 
-	// obs is the run's observability plane; nil (the default) keeps every
-	// legacy output byte-identical.
-	obs *obsPlane
+	// The fixed part of the observability plane, set when it is on (what
+	// it records is acct.obs): sampler decides which traces and event
+	// records are kept, addrIdx resolves a forward's next hop to the node
+	// index a span carries.
+	sampler obs.KeySampler
+	addrIdx map[overlay.Address]int
 }
 
 // NewEngine builds the engine for a compiled schedule.
@@ -180,7 +196,12 @@ func NewEngine(sched *Schedule, b Backend, cfg EngineConfig) (*Engine, error) {
 		return nil, err
 	}
 	if cfg.Obs != nil {
-		e.obs = newObsPlane(sched, cfg.Addrs, shards, *cfg.Obs)
+		e.sampler = obs.KeySampler{Seed: uint64(sched.Scenario.Seed), N: uint64(cfg.Obs.TraceSample)}
+		e.addrIdx = make(map[overlay.Address]int, len(cfg.Addrs))
+		for i, a := range cfg.Addrs {
+			e.addrIdx[a] = i
+		}
+		e.acct.obs = newObsBooks(sched, shards, *cfg.Obs)
 	}
 	return e, nil
 }
@@ -200,20 +221,17 @@ func (e *Engine) resolveChecks() error {
 }
 
 // Checkpoint captures the accounting for later branches.
-func (e *Engine) Checkpoint() Accounting { return e.acct.clone(len(e.sched.Phases)) }
+func (e *Engine) Checkpoint() Accounting { return e.acct.clone(e.sched) }
 
 // Branch points the engine at a variant's schedule and rewinds the
-// accounting to a checkpoint, the way the backend rewinds the world. The
-// engine object itself survives: upcall handlers installed on nodes spawned
-// before the checkpoint captured it. The obs plane hooks a run from time
-// zero and is not part of a checkpoint, so an obs-enabled engine cannot
-// branch.
+// accounting — obs books included — to a checkpoint, the way the backend
+// rewinds the world. The engine object itself survives: upcall handlers
+// installed on nodes spawned before the checkpoint captured it. Nothing
+// else is held per schedule: Report labels the obs sections from the
+// schedule it finds.
 func (e *Engine) Branch(sched *Schedule, at Accounting) error {
-	if e.obs != nil {
-		return fmt.Errorf("scenario: an obs-enabled engine cannot branch")
-	}
 	e.sched = sched
-	e.acct = at.clone(len(sched.Phases))
+	e.acct = at.clone(sched)
 	// A variant may re-window or re-select its checkers.
 	return e.resolveChecks()
 }
@@ -270,7 +288,7 @@ func (e *Engine) Apply(op Op) error {
 		a.nodes[n].upAt = now
 		e.tracef(now, "%s node %d (%v)%s", op.Kind, n, e.addrs[n], detail)
 		if op.Kind == OpRevive {
-			e.obs.lifecycle(op, now)
+			e.recordLifecycle(op, now)
 		}
 	case OpKill:
 		if !a.nodes[n].alive {
@@ -281,17 +299,17 @@ func (e *Engine) Apply(op Op) error {
 		a.nodes[n].alive = false
 		a.nodes[n].downAt = now
 		e.tracef(now, "kill node %d (%v)%s", n, e.addrs[n], detail)
-		e.obs.lifecycle(op, now)
+		e.recordLifecycle(op, now)
 	case OpLookup, OpMulticast:
 		if !a.nodes[n].alive {
 			a.rows[op.Phase].Skipped++
 			e.tracef(now, "%s #%d skipped (node %d down)", op.Kind, op.ID, n)
-			e.obs.skip(op, now)
+			e.recordSkip(op, now)
 			return nil
 		}
 		a.sent[op.ID] = sendStamp{at: now, phase: op.Phase}
 		a.rows[op.Phase].Sent++
-		e.obs.inject(op, now)
+		e.recordInject(op, now)
 		e.b.Inject(op)
 	default:
 		e.shape(op, now)
@@ -332,7 +350,7 @@ func (e *Engine) shape(op Op, now time.Duration) {
 		for i := range a.nodes {
 			a.nodes[i].connAt = now
 		}
-		e.obs.lifecycle(op, now)
+		e.recordLifecycle(op, now)
 	} else {
 		a.nodes[n].connAt = now
 	}
@@ -353,8 +371,11 @@ func (e *Engine) Deliver(op, node, shard int, now time.Duration) {
 	c := &e.acct.grid[shard][s.phase]
 	c.delivered++
 	c.latSum += lat
-	if e.obs != nil {
-		e.obs.deliver(op, node, shard, s.phase, now, lat)
+	if o := e.acct.obs; o != nil {
+		sh := o.shards[shard]
+		sh.del[op]++
+		sh.lat[s.phase][obs.Bucket(obs.LatencyBuckets, lat.Seconds())]++
+		e.span(sh, obs.SpanDeliver, op, node, -1, now)
 	}
 }
 
@@ -366,8 +387,14 @@ func (e *Engine) Forward(op, node int, next overlay.Address, shard int, now time
 		return
 	}
 	e.acct.grid[shard][s.phase].forwards++
-	if e.obs != nil {
-		e.obs.forward(op, node, next, shard, now)
+	if o := e.acct.obs; o != nil {
+		sh := o.shards[shard]
+		sh.fwd[op]++
+		nextIdx, ok := e.addrIdx[next]
+		if !ok {
+			nextIdx = -1
+		}
+		e.span(sh, obs.SpanForward, op, node, nextIdx, now)
 	}
 }
 
@@ -436,7 +463,7 @@ func (e *Engine) runChecks(pi int) *check.PhaseChecks {
 	}
 	pc := check.Run(e.checkers, v)
 	for _, vi := range pc.Violations {
-		e.obs.violation(now, pi, vi)
+		e.recordViolation(now, pi, vi)
 	}
 	return pc
 }
@@ -467,8 +494,8 @@ func (e *Engine) Report() *Report {
 		}
 	}
 	rep.Phases = AssemblePhases(e.sched.Phases, rows, a.base)
-	if e.obs != nil {
-		e.obs.finish(e, rep)
+	if a.obs != nil {
+		e.obsReport(rep, rows)
 	}
 	return rep
 }

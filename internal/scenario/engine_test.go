@@ -11,6 +11,7 @@ import (
 
 	"macedon/internal/check"
 	"macedon/internal/core"
+	"macedon/internal/obs"
 	"macedon/internal/overlay"
 	"macedon/internal/simnet"
 )
@@ -65,6 +66,12 @@ func (f *fakeBackend) NodeState(node int) (check.NodeState, bool) {
 	return st, ok
 }
 
+// Families contributes one family of the fake's own, so a test can see the
+// hook ran.
+func (f *fakeBackend) Families(reg *obs.Registry) {
+	reg.Counter("fake_net_sent_total", "The fake's canned network total.").Store(f.net.Sent)
+}
+
 // fakeSchedule is a hand-built schedule of np 10-second phases after a 10 s
 // settle; tests drive ops through Apply themselves.
 func fakeSchedule(nodes, np int, checks ...string) *Schedule {
@@ -72,17 +79,16 @@ func fakeSchedule(nodes, np int, checks ...string) *Schedule {
 	if len(checks) > 0 {
 		s.Checks = &ChecksSpec{Names: checks, Grace: Duration(5 * time.Second)}
 	}
-	sched := &Schedule{Scenario: s, Settle: 10 * time.Second}
+	// Workload op IDs 0..9 exist, so the obs books size their per-op tallies.
+	sched := &Schedule{Scenario: s, Settle: 10 * time.Second, Lookups: 10}
 	for pi := 0; pi < np; pi++ {
 		start := sched.Settle + time.Duration(pi)*10*time.Second
-		sched.Phases = append(sched.Phases, CompiledPhase{Name: fmt.Sprintf("p%d", pi), Start: start, End: start + 10*time.Second})
+		name := fmt.Sprintf("p%d", pi)
+		s.Phases = append(s.Phases, Phase{Name: name, Duration: Duration(10 * time.Second), Workload: &Workload{Kind: WlLookups, Rate: 1}})
+		sched.Phases = append(sched.Phases, CompiledPhase{Name: name, Start: start, End: start + 10*time.Second})
 	}
 	sched.End = sched.Phases[np-1].End
 	sched.Total = sched.End + 5*time.Second
-	// Workload op IDs 0..9 exist, so the obs plane sizes its per-op tallies.
-	for id := 0; id < 10; id++ {
-		sched.Ops = append(sched.Ops, Op{Kind: OpLookup, ID: id})
-	}
 	return sched
 }
 
@@ -389,7 +395,7 @@ func TestEngineConcurrentShards(t *testing.T) {
 	e := newFakeEngine(t, fakeSchedule(4, 2), b, shards, true)
 	mustApply(t, e, b, 0, Op{Kind: OpSpawn, Node: 0})
 	mustApply(t, e, b, 11*time.Second, Op{Kind: OpLookup, Node: 0, ID: 0, Phase: 0})
-	mustApply(t, e, b, 21*time.Second, Op{Kind: OpMulticast, Node: 0, ID: 1, Phase: 1})
+	mustApply(t, e, b, 21*time.Second, Op{Kind: OpLookup, Node: 0, ID: 1, Phase: 1})
 	var wg sync.WaitGroup
 	for sh := 0; sh < shards; sh++ {
 		wg.Add(1)
@@ -414,10 +420,30 @@ func TestEngineConcurrentShards(t *testing.T) {
 	}
 }
 
+// TestEngineReportIdempotent: Report reads the books and changes nothing, so
+// asking twice — as every branch of a group does — answers the same, the
+// report-time hop histograms and the backend's families included.
+func TestEngineReportIdempotent(t *testing.T) {
+	b := &fakeBackend{net: simnet.Stats{Sent: 9}}
+	e := newFakeEngine(t, fakeSchedule(4, 2), b, 2, true)
+	playWorkload(t, e, b, func(i int) int { return i % 2 })
+	first, second := e.Report(), e.Report()
+	if first.ObsText() != second.ObsText() || first.VerboseString() != second.VerboseString() {
+		t.Errorf("second Report differs:\n%s%s\nvs\n%s%s",
+			first.VerboseString(), first.ObsText(), second.VerboseString(), second.ObsText())
+	}
+	if !strings.Contains(first.Obs.Exposition, "fake_net_sent_total 9\n") || first.Phases[0].Obs.Hops.Count != 1 {
+		t.Errorf("hops=%v exposition:\n%s", first.Phases[0].Obs.Hops, first.Obs.Exposition)
+	}
+}
+
 // TestEngineBranchRewind is the branch/rewind/re-branch property without a
 // cluster: checkpoint after a prefix, run a tail, rewind, run a DIFFERENT
-// (longer) variant, rewind again and re-run the first tail — the two runs of
-// the same tail report identically, and equal a run that never branched.
+// (longer, with more workload ops) variant, rewind again and re-run the
+// first tail — the two runs of the same tail report identically, and equal
+// a run that never branched. With the obs plane on the reports carry its
+// sections — exposition, events, spans, histograms, series — so the books
+// rewind with everything else.
 func TestEngineBranchRewind(t *testing.T) {
 	prefix := func(e *Engine, b *fakeBackend) {
 		for n := 0; n < 4; n++ {
@@ -426,7 +452,9 @@ func TestEngineBranchRewind(t *testing.T) {
 		b.now = 10 * time.Second
 		b.net = simnet.Stats{Sent: 100, Delivered: 90}
 		e.SettleEnd()
+		e.Sample(0, 0)
 		mustApply(t, e, b, 11*time.Second, Op{Kind: OpLookup, Node: 0, ID: 0, Phase: 0})
+		e.Forward(0, 1, overlay.Address(103), 0, 11200*time.Millisecond)
 		e.Deliver(0, 3, 0, 11500*time.Millisecond)
 	}
 	tail := func(e *Engine, b *fakeBackend) *Report {
@@ -436,48 +464,68 @@ func TestEngineBranchRewind(t *testing.T) {
 		b.now = 20 * time.Second
 		b.net = simnet.Stats{Sent: 300, Delivered: 250}
 		e.PhaseEnd(0)
+		e.Sample(0, 10*time.Second)
 		mustApply(t, e, b, 21*time.Second, Op{Kind: OpLookup, Node: 1, ID: 2, Phase: 1})
 		e.Forward(2, 0, overlay.Address(103), 0, 21100*time.Millisecond)
 		e.Deliver(2, 3, 0, 21200*time.Millisecond)
 		b.now = 30 * time.Second
 		e.PhaseEnd(1)
+		e.Sample(1, 10*time.Second)
 		return e.Report()
 	}
-	base := fakeSchedule(4, 2, "synthetic-full-population")
+	for _, obsOn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("obs=%v", obsOn), func(t *testing.T) {
+			base := fakeSchedule(4, 2, "synthetic-full-population")
 
-	b := &fakeBackend{}
-	e := newFakeEngine(t, base, b, 1, false)
-	prefix(e, b)
-	at := e.Checkpoint()
-	first := tail(e, b)
+			b := &fakeBackend{}
+			e := newFakeEngine(t, base, b, 1, obsOn)
+			prefix(e, b)
+			at := e.Checkpoint()
+			first := tail(e, b)
 
-	// A dirty branch: three phases, different ops, different checkers.
-	if err := e.Branch(fakeSchedule(4, 3), at); err != nil {
-		t.Fatal(err)
-	}
-	mustApply(t, e, b, 12*time.Second, Op{Kind: OpDegrade, Node: 1, LatencyFactor: 2})
-	mustApply(t, e, b, 35*time.Second, Op{Kind: OpLookup, Node: 3, ID: 4, Phase: 2})
-	e.PhaseEnd(2)
-	if dirty := e.Report(); len(dirty.Phases) != 3 || dirty.Phases[2].OpsSent != 1 || dirty.ChecksEnabled() {
-		t.Fatalf("variant branch report: %s", dirty.VerboseString())
-	}
+			// A dirty branch: three phases, more and different ops, different
+			// checkers.
+			variant := fakeSchedule(4, 3)
+			variant.Lookups = 12
+			if err := e.Branch(variant, at); err != nil {
+				t.Fatal(err)
+			}
+			mustApply(t, e, b, 12*time.Second, Op{Kind: OpDegrade, Node: 1, LatencyFactor: 2})
+			mustApply(t, e, b, 35*time.Second, Op{Kind: OpLookup, Node: 3, ID: 11, Phase: 2})
+			e.Deliver(11, 0, 0, 36*time.Second)
+			e.PhaseEnd(2)
+			e.Sample(2, 10*time.Second)
+			dirty := e.Report()
+			if len(dirty.Phases) != 3 || dirty.Phases[2].OpsSent != 1 || dirty.Phases[2].OpsDelivered != 1 || dirty.ChecksEnabled() {
+				t.Fatalf("variant branch report: %s", dirty.VerboseString())
+			}
+			if obsOn && (dirty.Phases[2].Obs.Hops.Count != 1 || len(dirty.Phases[2].Obs.Series.Points) != 1 ||
+				dirty.Phases[0].Obs.Latency.Count != 1 || len(dirty.Phases[0].Obs.Series.Points) != 1) {
+				t.Fatalf("variant branch obs: %s", dirty.VerboseString())
+			}
 
-	if err := e.Branch(base, at); err != nil {
-		t.Fatal(err)
-	}
-	second := tail(e, b)
-	if !reflect.DeepEqual(first, second) {
-		t.Errorf("re-branch differs:\n%s%s\nvs\n%s%s", first.VerboseString(), first.TraceText(), second.VerboseString(), second.TraceText())
-	}
+			if err := e.Branch(base, at); err != nil {
+				t.Fatal(err)
+			}
+			second := tail(e, b)
+			if !reflect.DeepEqual(first, second) {
+				t.Errorf("re-branch differs:\n%s%s%s\nvs\n%s%s%s", first.VerboseString(), first.TraceText(), first.ObsText(),
+					second.VerboseString(), second.TraceText(), second.ObsText())
+			}
 
-	cb := &fakeBackend{}
-	cold := newFakeEngine(t, base, cb, 1, false)
-	prefix(cold, cb)
-	if rep := tail(cold, cb); !reflect.DeepEqual(rep, first) {
-		t.Errorf("branch differs from a cold run:\n%s\nvs\n%s", first.VerboseString(), rep.VerboseString())
-	}
-	if first.Phases[0].Checks == nil || first.Phases[0].Checks.Total != 1 || first.Phases[0].Net.Sent != 200 {
-		t.Errorf("phase 0 = %+v checks=%+v", first.Phases[0], first.Phases[0].Checks)
+			cb := &fakeBackend{}
+			cold := newFakeEngine(t, base, cb, 1, obsOn)
+			prefix(cold, cb)
+			if rep := tail(cold, cb); !reflect.DeepEqual(rep, first) {
+				t.Errorf("branch differs from a cold run:\n%s%s\nvs\n%s%s", first.VerboseString(), first.ObsText(), rep.VerboseString(), rep.ObsText())
+			}
+			if first.Phases[0].Checks == nil || first.Phases[0].Checks.Total != 1 || first.Phases[0].Net.Sent != 200 {
+				t.Errorf("phase 0 = %+v checks=%+v", first.Phases[0], first.Phases[0].Checks)
+			}
+			if (first.Obs != nil) != obsOn {
+				t.Errorf("obs=%v but report obs section = %v", obsOn, first.Obs)
+			}
+		})
 	}
 }
 

@@ -143,12 +143,12 @@ type Network struct {
 // requested, recycled, and pinned is a pure function of the event order —
 // deterministic at every shard count in aggregate. They are bumped only by
 // the owning shard's goroutine (plain adds) and summed at quiescent points.
+// Being counts of executed events they belong to a checkpoint, unlike the
+// free list: Restore rewinds them with the rest of the accounting.
 type packetPool struct {
-	pool     sync.Pool
-	gets     uint64 // allocPacket calls
-	recycled uint64 // terminal packets returned to the pool
-	pinned   uint64 // terminal packets left to the GC (snapshot generation pin)
-	_        [40]byte
+	pool sync.Pool
+	PoolStats
+	_ [40]byte
 }
 
 // StateCopyOpaque marks the pool as opaque to the statecopy walk: a free
@@ -494,7 +494,7 @@ type packet struct {
 // allocPacket takes a packet record from the executing shard's pool.
 func (n *Network) allocPacket(shard int) *packet {
 	p := &n.pktPools[shard]
-	p.gets++
+	p.Gets++
 	if pkt, ok := p.pool.Get().(*packet); ok {
 		pkt.gen = n.pktGen
 		return pkt
@@ -508,19 +508,19 @@ func (n *Network) allocPacket(shard int) *packet {
 func (n *Network) releasePacket(shard int, pkt *packet) {
 	p := &n.pktPools[shard]
 	if pkt.gen != n.pktGen {
-		p.pinned++
+		p.Pinned++
 		return // an older generation: some snapshot heap may reference it
 	}
-	p.recycled++
+	p.Recycled++
 	*pkt = packet{gen: pkt.gen}
 	p.pool.Put(pkt)
 }
 
-// PoolStats aggregates the packet recycler's accounting across shards.
+// PoolStats is the packet recycler's accounting, per shard or summed.
 type PoolStats struct {
 	Gets     uint64 // packet records requested from the pools
 	Recycled uint64 // terminal packets returned for reuse
-	Pinned   uint64 // terminal packets pinned by a snapshot generation
+	Pinned   uint64 // terminal packets left to the GC: a snapshot generation pins them
 }
 
 // PoolStats sums the per-shard recycler counters. Call it from the
@@ -528,9 +528,9 @@ type PoolStats struct {
 func (n *Network) PoolStats() PoolStats {
 	var s PoolStats
 	for i := range n.pktPools {
-		s.Gets += n.pktPools[i].gets
-		s.Recycled += n.pktPools[i].recycled
-		s.Pinned += n.pktPools[i].pinned
+		s.Gets += n.pktPools[i].Gets
+		s.Recycled += n.pktPools[i].Recycled
+		s.Pinned += n.pktPools[i].Pinned
 	}
 	return s
 }

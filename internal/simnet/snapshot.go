@@ -138,6 +138,7 @@ type NetworkSnapshot struct {
 	degraded        map[topology.LinkID]Degradation
 	sides           map[overlay.Address]int
 	stats           []shardStats
+	pools           []PoolStats
 	oracleEvictions uint64
 }
 
@@ -155,7 +156,11 @@ func (n *Network) Snapshot() *NetworkSnapshot {
 		blocked:         make(map[topology.LinkID]bool, len(n.blocked)),
 		degraded:        make(map[topology.LinkID]Degradation, len(n.degraded)),
 		stats:           append([]shardStats(nil), n.statsBy...),
+		pools:           make([]PoolStats, len(n.pktPools)),
 		oracleEvictions: n.oracleEvictions,
+	}
+	for i := range cp.pools {
+		cp.pools[i] = n.pktPools[i].PoolStats
 	}
 	for i := range cp.links {
 		// An idle or shallow pipe copied flat; a deeper one needs its own
@@ -191,6 +196,9 @@ func (n *Network) Restore(cp *NetworkSnapshot) {
 		n.links[i].spill = n.links[i].spill.clone()
 	}
 	copy(n.statsBy, cp.stats)
+	for i := range cp.pools {
+		n.pktPools[i].PoolStats = cp.pools[i]
+	}
 	for a, st := range cp.eps {
 		ep := n.eps[a]
 		ep.actorSeq = st.actorSeq

@@ -215,83 +215,6 @@ func AttachClients(g *Graph, n int, base overlay.Address, access AccessLink, see
 	return addrs
 }
 
-// TransitStubParams configures the GT-ITM-style transit-stub generator.
-type TransitStubParams struct {
-	Transits        int // transit domains
-	TransitSize     int // routers per transit domain
-	StubsPerTransit int // stub domains hanging off each transit router
-	StubSize        int // routers per stub domain
-	Seed            int64
-
-	TransitBandwidth, StubBandwidth int64
-	QueueBytes                      int
-}
-
-// DefaultTransitStub returns modest defaults (2×4 transit, 3 stubs of 4).
-func DefaultTransitStub(seed int64) TransitStubParams {
-	return TransitStubParams{
-		Transits: 2, TransitSize: 4, StubsPerTransit: 3, StubSize: 4,
-		Seed:             seed,
-		TransitBandwidth: 45_000_000,
-		StubBandwidth:    10_000_000,
-		QueueBytes:       150 * 1500,
-	}
-}
-
-// TransitStub generates a classic transit-stub topology: a clique-ish ring
-// of transit domains, ring-connected transit routers, and stub domains
-// (rings) hanging off transit routers.
-func TransitStub(p TransitStubParams) (*Graph, error) {
-	if p.Transits < 1 || p.TransitSize < 1 || p.StubSize < 1 {
-		return nil, fmt.Errorf("topology: bad transit-stub parameters %+v", p)
-	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	g := NewGraph()
-	lat := func(lo, hi time.Duration) time.Duration {
-		return lo + time.Duration(rng.Int63n(int64(hi-lo+1)))
-	}
-	// Transit routers, ring per domain.
-	transit := make([][]RouterID, p.Transits)
-	for t := 0; t < p.Transits; t++ {
-		transit[t] = make([]RouterID, p.TransitSize)
-		for i := range transit[t] {
-			transit[t][i] = g.AddRouter()
-		}
-		for i := range transit[t] {
-			if p.TransitSize > 1 {
-				g.AddLink(transit[t][i], transit[t][(i+1)%p.TransitSize], lat(2*time.Millisecond, 10*time.Millisecond), p.TransitBandwidth, p.QueueBytes)
-			}
-		}
-	}
-	// Inter-transit: connect domain t to t+1 via random representatives.
-	for t := 0; t+1 < p.Transits; t++ {
-		a := transit[t][rng.Intn(p.TransitSize)]
-		b := transit[t+1][rng.Intn(p.TransitSize)]
-		g.AddLink(a, b, lat(20*time.Millisecond, 50*time.Millisecond), p.TransitBandwidth, p.QueueBytes)
-	}
-	// Stub domains.
-	for t := 0; t < p.Transits; t++ {
-		for _, tr := range transit[t] {
-			for s := 0; s < p.StubsPerTransit; s++ {
-				stub := make([]RouterID, p.StubSize)
-				for i := range stub {
-					stub[i] = g.AddRouter()
-				}
-				for i := range stub {
-					if p.StubSize > 1 {
-						g.AddLink(stub[i], stub[(i+1)%p.StubSize], lat(time.Millisecond, 5*time.Millisecond), p.StubBandwidth, p.QueueBytes)
-					}
-				}
-				g.AddLink(tr, stub[rng.Intn(p.StubSize)], lat(5*time.Millisecond, 15*time.Millisecond), p.StubBandwidth, p.QueueBytes)
-			}
-		}
-	}
-	if !g.IsConnected() {
-		return nil, fmt.Errorf("topology: transit-stub generation produced a disconnected graph")
-	}
-	return g, nil
-}
-
 // SiteMatrixParams describes an explicit multi-site topology: a full mesh of
 // site gateway routers with a given one-way latency matrix, and a LAN per
 // site. This re-creates the NICE authors' Internet-like testbed of 8 sites

@@ -2,7 +2,7 @@
 // experiments run over, replacing the paper's 20,000-node INET graphs and
 // ModelNet topology files. It provides a weighted graph of routers and
 // client (edge) vertices, generators (INET-style power-law preferential
-// attachment, transit-stub, explicit site matrices), and shortest-path
+// attachment, explicit site matrices), and shortest-path
 // routing with per-source tree caching — the "ModelNet routing and topology
 // information" the paper's evaluation tools extract.
 package topology

@@ -192,20 +192,6 @@ func TestStubRoutersExcludeClients(t *testing.T) {
 	}
 }
 
-func TestTransitStub(t *testing.T) {
-	g, err := TransitStub(DefaultTransitStub(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsConnected() {
-		t.Fatal("transit-stub must be connected")
-	}
-	want := 2*4 + 2*4*3*4 // transit routers + stub routers
-	if g.NumRouters() != want {
-		t.Fatalf("routers = %d, want %d", g.NumRouters(), want)
-	}
-}
-
 func TestSiteMatrix(t *testing.T) {
 	ms := func(d int) time.Duration { return time.Duration(d) * time.Millisecond }
 	p := SiteMatrixParams{
