@@ -186,7 +186,7 @@ func decodeCall(f dsl.Field) string {
 	case "node":
 		return fmt.Sprintf("m.%s = r.Addr()", n)
 	case "buffer":
-		return fmt.Sprintf("m.%s = append([]byte(nil), r.Bytes32()...)", n)
+		return fmt.Sprintf("m.%s = r.Bytes32()", n)
 	case "string":
 		return fmt.Sprintf("m.%s = r.String16()", n)
 	case "nodeset":

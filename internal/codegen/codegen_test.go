@@ -107,10 +107,11 @@ func TestFullyTranslatedSpecs(t *testing.T) {
 	}
 }
 
-// TestCommittedGeneratedSourcesInSync regenerates every committed generated
-// package and diffs it against the tree, so the generator and its outputs
-// can never drift apart.
-func TestCommittedGeneratedSourcesInSync(t *testing.T) {
+// TestCheckedInGeneratedPackagesAreFresh regenerates every committed
+// generated package in process and compares it byte for byte with the tree,
+// so tier-1 catches a hand edit or a forgotten regeneration: the generator
+// and its outputs can never drift apart.
+func TestCheckedInGeneratedPackagesAreFresh(t *testing.T) {
 	for _, c := range fullyTranslated {
 		spec := loadSpec(t, c.spec)
 		res, err := Generate(spec, c.pkg)
@@ -126,10 +127,31 @@ func TestCommittedGeneratedSourcesInSync(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(committed) != string(formatted) {
-			t.Errorf("internal/overlays/%s is stale: run "+
+			t.Errorf("internal/overlays/%s differs from the generator's output (never edit it by hand): run "+
 				"`go run ./cmd/macedon gen -pkg %s -o internal/overlays/%s/%s.go specs/%s`",
 				c.pkg, c.pkg, c.pkg, c.pkg, c.spec)
 		}
+	}
+}
+
+// TestBufferFieldsDecodeWithoutCopy: a `buffer` field decodes to a view of
+// the frame. Delivered frames are immutable and the receiver's to keep
+// (docs/architecture.md), so the copy the generator used to emit bought
+// nothing and cost an allocation per message.
+func TestBufferFieldsDecodeWithoutCopy(t *testing.T) {
+	views := 0
+	for _, c := range fullyTranslated {
+		res, err := Generate(loadSpec(t, c.spec), c.pkg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		if strings.Contains(res.Source, "append([]byte(nil), r.Bytes32()") {
+			t.Errorf("%s: generated decoder copies a buffer field", c.spec)
+		}
+		views += strings.Count(res.Source, " = r.Bytes32()\n")
+	}
+	if views == 0 {
+		t.Fatal("no generated decoder reads a buffer field: the check above is vacuous")
 	}
 }
 

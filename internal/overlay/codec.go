@@ -201,11 +201,15 @@ func (r *Reader) Addr() Address { return Address(r.U32()) }
 // Key consumes a hash key.
 func (r *Reader) Key() Key { return Key(r.U32()) }
 
-// Bytes32 consumes a length-prefixed byte string. The returned slice aliases
-// the input buffer; callers that retain it must copy.
+// Bytes32 consumes a length-prefixed byte string. The returned slice is a
+// view of the input buffer, its capacity clipped to its length so that an
+// append to it copies out instead of writing into what follows. A decoder
+// reading a delivered frame keeps the view (frames are immutable and the
+// receiver's, docs/architecture.md); one reading a buffer it will reuse
+// must copy.
 func (r *Reader) Bytes32() []byte {
-	n := int(r.U32())
-	return r.take(n)
+	b := r.take(int(r.U32()))
+	return b[:len(b):len(b)]
 }
 
 // String16 consumes a length-prefixed string.

@@ -114,6 +114,24 @@ func TestCodecRoundTripQuick(t *testing.T) {
 	}
 }
 
+// TestBytes32IsAClippedView: a decoded byte string aliases the frame (no
+// copy), and appending to it cannot write into the fields behind it.
+func TestBytes32IsAClippedView(t *testing.T) {
+	var w Writer
+	w.Bytes32([]byte("abc"))
+	w.U32(0x01020304)
+	frame := bytes.Clone(w.Bytes())
+	r := NewReader(frame)
+	b := r.Bytes32()
+	if &b[0] != &frame[4] {
+		t.Fatal("Bytes32 copied instead of aliasing the input")
+	}
+	_ = append(b, 0xFF)
+	if got := r.U32(); got != 0x01020304 || r.Err() != nil {
+		t.Fatalf("append to a decoded field reached the next field: %#x, %v", got, r.Err())
+	}
+}
+
 func TestReaderTruncation(t *testing.T) {
 	in := &testMsg{Buf: []byte("0123456789"), S: "s"}
 	var w Writer

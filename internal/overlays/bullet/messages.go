@@ -29,7 +29,7 @@ func decodeCands(r *overlay.Reader) []candidate {
 	for i := 0; i < n; i++ {
 		var c candidate
 		c.Addr = r.Addr()
-		c.Summary = append([]byte(nil), r.Bytes32()...)
+		c.Summary = r.Bytes32()
 		out = append(out, c)
 	}
 	return out
@@ -65,7 +65,7 @@ func (m *tblock) Decode(r *overlay.Reader) error {
 	m.Inc = r.U64()
 	m.Seq = r.U32()
 	m.Typ = int32(r.U32())
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }
 
@@ -121,7 +121,7 @@ func (m *have) Encode(w *overlay.Writer) {
 	}
 }
 func (m *have) Decode(r *overlay.Reader) error {
-	m.Summary = append([]byte(nil), r.Bytes32()...)
+	m.Summary = r.Bytes32()
 	n := int(r.U16())
 	if r.Err() != nil {
 		return r.Err()
@@ -180,6 +180,6 @@ func (m *blockData) Decode(r *overlay.Reader) error {
 	m.Inc = r.U64()
 	m.Seq = r.U32()
 	m.Typ = int32(r.U32())
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }

@@ -128,7 +128,7 @@ func (m *msgData) Decode(r *overlay.Reader) error {
 	m.Src = r.Addr()
 	m.Typ = r.I32()
 	m.Ttl = r.I32()
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }
 
@@ -149,7 +149,7 @@ func (m *msgDataIp) Encode(w *overlay.Writer) {
 func (m *msgDataIp) Decode(r *overlay.Reader) error {
 	m.Src = r.Addr()
 	m.Typ = r.I32()
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }
 

@@ -62,7 +62,7 @@ func (m *msgMdata) Decode(r *overlay.Reader) error {
 	m.Src = r.Addr()
 	m.Typ = r.I32()
 	m.Ttl = r.I32()
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }
 
@@ -86,7 +86,7 @@ func (m *msgCdata) Decode(r *overlay.Reader) error {
 	m.Src = r.Addr()
 	m.Typ = r.I32()
 	m.Ttl = r.I32()
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }
 
@@ -107,7 +107,7 @@ func (m *msgDataIp) Encode(w *overlay.Writer) {
 func (m *msgDataIp) Decode(r *overlay.Reader) error {
 	m.Src = r.Addr()
 	m.Typ = r.I32()
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }
 

@@ -143,6 +143,6 @@ func (m *mdata) Decode(r *overlay.Reader) error {
 	m.Inc = uint64(r.I64())
 	m.Seq = r.U32()
 	m.Typ = int32(r.U32())
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }

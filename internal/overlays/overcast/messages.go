@@ -70,7 +70,7 @@ func (m *probe) Encode(w *overlay.Writer) {
 func (m *probe) Decode(r *overlay.Reader) error {
 	m.Idx = r.U16()
 	m.Total = r.U16()
-	m.Pad = append([]byte(nil), r.Bytes32()...)
+	m.Pad = r.Bytes32()
 	return r.Err()
 }
 
@@ -138,6 +138,6 @@ func (m *mdata) Decode(r *overlay.Reader) error {
 	m.Inc = uint64(r.I64())
 	m.Seq = r.U32()
 	m.Typ = int32(r.U32())
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }

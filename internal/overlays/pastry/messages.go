@@ -123,7 +123,7 @@ func (m *data) Decode(r *overlay.Reader) error {
 	m.Typ = int32(r.U32())
 	m.Hops = r.U8()
 	m.WantCache = r.Bool()
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }
 
@@ -143,7 +143,7 @@ func (m *dataIP) Encode(w *overlay.Writer) {
 func (m *dataIP) Decode(r *overlay.Reader) error {
 	m.Src = r.Addr()
 	m.Typ = int32(r.U32())
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }
 

@@ -85,7 +85,7 @@ func (m *mdata) Decode(r *overlay.Reader) error {
 	m.Src = r.Addr()
 	m.Typ = int32(r.U32())
 	m.TTL = r.U32()
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }
 
@@ -107,7 +107,7 @@ func (m *cdata) Decode(r *overlay.Reader) error {
 	m.Src = r.Addr()
 	m.Typ = int32(r.U32())
 	m.TTL = r.U32()
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }
 
@@ -319,6 +319,6 @@ func (m *mdataIP) Encode(w *overlay.Writer) {
 func (m *mdataIP) Decode(r *overlay.Reader) error {
 	m.Src = r.Addr()
 	m.Typ = int32(r.U32())
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }

@@ -96,7 +96,7 @@ func (m *mdata) Decode(r *overlay.Reader) error {
 	m.Src = r.Addr()
 	m.Seq = r.U32()
 	m.Typ = int32(r.U32())
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }
 
@@ -120,7 +120,7 @@ func (m *cdata) Decode(r *overlay.Reader) error {
 	m.Group = r.Key()
 	m.Src = r.Addr()
 	m.Typ = int32(r.U32())
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }
 
@@ -145,7 +145,7 @@ func (m *acast) Decode(r *overlay.Reader) error {
 	m.Group = r.Key()
 	m.Src = r.Addr()
 	m.Typ = int32(r.U32())
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	m.Visited = r.Addrs()
 	return r.Err()
 }

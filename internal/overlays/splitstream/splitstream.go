@@ -57,7 +57,7 @@ func (m *block) Decode(r *overlay.Reader) error {
 	m.Group = r.Key()
 	m.Seq = r.U32()
 	m.Typ = int32(r.U32())
-	m.Payload = append([]byte(nil), r.Bytes32()...)
+	m.Payload = r.Bytes32()
 	return r.Err()
 }
 

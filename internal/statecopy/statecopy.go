@@ -29,7 +29,8 @@
 //     branch gets the original object back.
 //   - Slices are restored into freshly allocated arrays (two fields that
 //     shared one backing array before capture come back unaliased; the
-//     engine's state holds no such aliases).
+//     engine's state holds only read-only views of immutable datagrams,
+//     which coming back unaliased cannot affect).
 //   - Funcs, channels, and unsafe pointers are shared: the reference is
 //     restored but the referent is not walked. For channels this is what a
 //     quiescent checkpoint needs — the engine only checkpoints at event-loop

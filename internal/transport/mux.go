@@ -22,9 +22,9 @@ const MaxFrame = 4 << 20
 
 // Errors returned by transports.
 var (
-	ErrFrameTooLarge   = errors.New("transport: frame exceeds MaxFrame")
-	ErrUnknownTranport = errors.New("transport: unknown transport name")
-	ErrQueueFull       = errors.New("transport: connection send queue full")
+	ErrFrameTooLarge    = errors.New("transport: frame exceeds MaxFrame")
+	ErrUnknownTransport = errors.New("transport: unknown transport name")
+	ErrQueueFull        = errors.New("transport: connection send queue full")
 )
 
 // RecvFunc receives a reassembled frame from a peer on a named transport.
@@ -170,7 +170,7 @@ func (m *Mux) ByName(name string) (Transport, error) {
 	defer m.mu.Unlock()
 	id, ok := m.byName[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownTranport, name)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownTransport, name)
 	}
 	return m.transports[id], nil
 }

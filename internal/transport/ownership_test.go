@@ -1,0 +1,310 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
+	"testing"
+	"time"
+
+	"macedon/internal/overlay"
+	"macedon/internal/simnet"
+)
+
+// These tests pin the buffer-ownership contract of docs/architecture.md
+// ("Who owns a frame buffer"): the send queue is consumed in place, and a
+// delivered frame is a view — of a datagram, or of a reassembly buffer —
+// that the transport never writes into again. recvLog copies every frame on
+// receipt and so cannot see a clobbered one; the receivers here keep the
+// delivered slices themselves.
+
+// testFrame is frame i of a transfer: n bytes, each depending on both the
+// frame's index and the byte's position, so a frame spliced from another, or
+// shifted within the stream, never compares equal.
+func testFrame(i, n int) []byte {
+	f := make([]byte, n)
+	for j := range f {
+		f[j] = byte(i*131 + j*7 + j>>8)
+	}
+	return f
+}
+
+func addReliable(m *Mux, kind string) Transport {
+	if kind == "tcp" {
+		return m.AddTCP("t")
+	}
+	return m.AddSWP("t", 8)
+}
+
+func TestReliableDeliveredFramesStayIntact(t *testing.T) {
+	mss := simnet.MTU - 2 - relHeaderLen
+	sizes := []int{1, 2, 7, 100, 999, 1000, mss - 5, mss - 4, mss - 3, mss, mss + 1, 2 * mss, 3 * mss}
+	rigs := []struct {
+		name  string
+		loss  float64
+		queue int
+	}{
+		{"lossless", 0, 1 << 20},
+		{"loss", 0.05, 1 << 20},
+		{"small-queue", 0, 5 * 1500},
+		{"loss+small-queue", 0.03, 5 * 1500},
+	}
+	for _, kind := range []string{"tcp", "swp"} {
+		for _, rc := range rigs {
+			t.Run(kind+"/"+rc.name, func(t *testing.T) {
+				r := newRig(t, simnet.Config{LossRate: rc.loss}, 2_000_000, rc.queue)
+				defer r.sched.Close()
+				tr := addReliable(r.a, kind)
+				addReliable(r.b, kind)
+				var kept [][]byte // the delivered slices, not copies
+				r.b.SetRecv(func(_ string, _ overlay.Address, f []byte) { kept = append(kept, f) })
+
+				var sent [][]byte
+				send := func(n int) {
+					f := testFrame(len(sent), n)
+					sent = append(sent, f)
+					// Send copies what it keeps: hand it a scratch buffer and
+					// scribble over it afterwards.
+					scratch := append([]byte(nil), f...)
+					if err := tr.Send(2, scratch); err != nil {
+						t.Fatal(err)
+					}
+					for j := range scratch {
+						scratch[j] = 0xEE
+					}
+				}
+				// Bursts with the clock running in between: acks consume the
+				// send queue while new frames are appended behind them.
+				for round := 0; round < 12; round++ {
+					for _, n := range sizes {
+						send(n)
+					}
+					r.sched.RunFor(40 * time.Millisecond)
+				}
+				r.sched.RunFor(5 * time.Minute)
+				// A further burst: whatever the transport does next must not
+				// reach back into frames it delivered long ago.
+				for i := 0; i < 40; i++ {
+					send(sizes[i%len(sizes)])
+				}
+				r.sched.RunFor(5 * time.Minute)
+
+				if len(kept) != len(sent) {
+					t.Fatalf("delivered %d/%d frames", len(kept), len(sent))
+				}
+				for i := range sent {
+					if !bytes.Equal(kept[i], sent[i]) {
+						t.Fatalf("frame %d (%d bytes) changed after delivery or arrived corrupt", i, len(sent[i]))
+					}
+				}
+				if rc.loss > 0 || rc.queue < 1<<20 {
+					if s := tr.Stats(); s.Retransmits == 0 {
+						t.Fatalf("rig produced no retransmissions: %+v", s)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSendQueueCompaction drives the sender half white-box: acks are
+// withheld by not running the clock, then released while new frames keep
+// arriving behind them.
+func TestSendQueueCompaction(t *testing.T) {
+	r := newRig(t, simnet.Config{}, 10_000_000, 1<<20)
+	defer r.sched.Close()
+	tr := r.a.AddTCP("t")
+	r.b.AddTCP("t")
+	delivered := 0
+	r.b.SetRecv(func(_ string, _ overlay.Address, f []byte) {
+		if !bytes.Equal(f, testFrame(delivered, len(f))) {
+			t.Fatalf("frame %d corrupt", delivered)
+		}
+		delivered++
+	})
+	c := r.a.transports[0].(*reliable).conn(2)
+
+	var enqueued uint64
+	peak, sentFrames, compactions := 0, 0, 0
+	send := func(n int) error {
+		headBefore := c.head
+		err := tr.Send(2, testFrame(sentFrames, n))
+		if err != nil {
+			return err
+		}
+		sentFrames++
+		enqueued += uint64(4 + n)
+		if headBefore > 0 && c.head == 0 && len(c.buf) > 4+n {
+			compactions++
+		}
+		return nil
+	}
+	check := func() {
+		t.Helper()
+		live := int(enqueued - c.sndUna)
+		if q := tr.QueuedBytes(2); q != live {
+			t.Fatalf("QueuedBytes = %d, want the %d live bytes (len(buf)=%d head=%d)", q, live, len(c.buf), c.head)
+		}
+		if s := tr.Stats(); s.SegmentsQueued != uint64(live) {
+			t.Fatalf("SegmentsQueued = %d, want %d", s.SegmentsQueued, live)
+		}
+		peak = max(peak, live)
+		if cap(c.buf) > 2*peak {
+			t.Fatalf("cap(buf) = %d exceeds twice the peak of %d live bytes", cap(c.buf), peak)
+		}
+	}
+
+	// Acks withheld: the queue only grows.
+	for i := 0; i < 200; i++ {
+		if err := send(1000); err != nil {
+			t.Fatal(err)
+		}
+		check()
+	}
+	// Acks released a few at a time, with fresh frames appended behind the
+	// advancing head. While the live bytes stay under half the array, room
+	// comes from the dead prefix and the array never grows.
+	withheldCap := cap(c.buf)
+	for step := 0; step < 400; step++ {
+		r.sched.RunFor(2 * time.Millisecond)
+		for tr.QueuedBytes(2)+2*1004 <= peak/2 && sentFrames < 2000 {
+			if err := send(1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check()
+	}
+	if cap(c.buf) != withheldCap {
+		t.Fatalf("array grew from %d to %d bytes with never more than %d live", withheldCap, cap(c.buf), peak/2)
+	}
+	r.sched.RunFor(time.Minute)
+	check()
+	if delivered != sentFrames {
+		t.Fatalf("delivered %d/%d frames", delivered, sentFrames)
+	}
+	if compactions == 0 {
+		t.Fatal("test never made Send reclaim a dead prefix")
+	}
+	if c.head != 0 || len(c.buf) != 0 || cap(c.buf) == 0 {
+		t.Fatalf("drained queue: head=%d len=%d cap=%d, want an empty slice over the kept array", c.head, len(c.buf), cap(c.buf))
+	}
+
+	// sendQueueCap counts live bytes: with a dead prefix in front, a frame
+	// that fits the live queue is accepted even though len(buf) plus the
+	// frame is past the cap; and the cap still trips on live bytes.
+	const big = 1 << 20
+	for i := 0; i < 7; i++ {
+		if err := send(big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c.head < 2*big {
+		if !r.sched.Step() {
+			t.Fatal("queue stopped draining")
+		}
+	}
+	if len(c.buf)+4+big <= sendQueueCap {
+		t.Fatalf("len(buf)=%d: the dead prefix does not push the next frame past the cap", len(c.buf))
+	}
+	if err := send(big); err != nil {
+		t.Fatalf("frame refused with %d live bytes queued: %v", tr.QueuedBytes(2), err)
+	}
+	for {
+		live := tr.QueuedBytes(2)
+		err := send(big)
+		if err == nil {
+			if live+4+big > sendQueueCap {
+				t.Fatalf("frame accepted over the cap: %d live bytes", live)
+			}
+			continue
+		}
+		if err != ErrQueueFull || live+4+big <= sendQueueCap {
+			t.Fatalf("Send with %d live bytes: %v", live, err)
+		}
+		break
+	}
+	r.sched.RunFor(5 * time.Minute)
+	if delivered != sentFrames {
+		t.Fatalf("delivered %d/%d frames after the cap was hit", delivered, sentFrames)
+	}
+}
+
+// TestTCPFrameAllocs is the transport-level allocation budget of an in-order
+// frame: the data datagram, the ack datagram and the retransmit timer's
+// handle. The send queue, the receive path (frames are views of the
+// datagram), parseFrames' frame list and the timer callback cost nothing.
+func TestTCPFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are exact only without the race detector")
+	}
+	r := newRig(t, simnet.Config{}, 10_000_000, 1<<20)
+	defer r.sched.Close()
+	tr := r.a.AddTCP("t")
+	r.b.AddTCP("t")
+	got := 0
+	r.b.SetRecv(func(_ string, _ overlay.Address, f []byte) { got += len(f) })
+	frame := testFrame(0, 1000)
+	const frames = 500
+	streams := 0
+	stream := func() {
+		streams++
+		for i := 0; i < frames; i++ {
+			if err := tr.Send(2, frame); err != nil {
+				t.Fatal(err)
+			}
+			r.sched.RunFor(20 * time.Millisecond) // past one RTT: delivered and acked
+		}
+	}
+	stream() // warm: connection state, send queue array, packet pool, event heaps
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stream()
+	runtime.ReadMemStats(&after)
+	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / frames
+	allocs := testing.AllocsPerRun(3, stream) / frames
+	t.Logf("%.3f allocs and %.0f bytes per 1000-byte frame", allocs, perFrame)
+	if got != streams*frames*len(frame) {
+		t.Fatalf("delivered %d bytes of %d", got, streams*frames*len(frame))
+	}
+	if allocs > 3.01 {
+		t.Fatalf("%.3f allocs per in-order frame, want <= 3", allocs)
+	}
+	if perFrame > 1280 {
+		t.Fatalf("%.0f bytes allocated per in-order 1000-byte frame, want <= 1.25 KB", perFrame)
+	}
+}
+
+// TestUDPEmptyFragmentDuplicate: a fragment may be empty, so "have it" must
+// not be judged by the stored chunk. An empty fragment repeated used to be
+// counted each time and complete a frame that still missed a fragment.
+func TestUDPEmptyFragmentDuplicate(t *testing.T) {
+	r := newRig(t, simnet.Config{}, 1_000_000, 10*1500)
+	defer r.sched.Close()
+	u := r.b.AddUDP("u")
+	var kept [][]byte
+	r.b.SetRecv(func(_ string, _ overlay.Address, f []byte) { kept = append(kept, f) })
+	frag := func(i int, chunk string) []byte {
+		d := []byte{0, kindUDPFrag}
+		d = binary.BigEndian.AppendUint32(d, 77)
+		d = binary.BigEndian.AppendUint16(d, uint16(i))
+		d = binary.BigEndian.AppendUint16(d, 3)
+		return append(d, chunk...)
+	}
+	r.b.onDatagram(1, frag(1, "xy"))
+	r.b.onDatagram(1, frag(0, ""))
+	r.b.onDatagram(1, frag(0, "")) // the duplicate
+	if len(kept) != 0 {
+		t.Fatalf("frame %q delivered with fragment 2 missing", kept[0])
+	}
+	r.b.onDatagram(1, frag(1, "xy")) // a non-empty duplicate is ignored too
+	r.b.onDatagram(1, frag(2, "z"))
+	if len(kept) != 1 || string(kept[0]) != "xyz" {
+		t.Fatalf("reassembled %q, want one frame \"xyz\"", kept)
+	}
+	if cap(kept[0]) != 3 {
+		t.Fatalf("frame assembled into %d bytes of storage, want exactly 3", cap(kept[0]))
+	}
+	if s := u.Stats(); s.FramesRecv != 1 || s.BytesRecv != 3 {
+		t.Fatalf("stats = %+v", s)
+	}
+}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"slices"
 	"time"
 
 	"macedon/internal/overlay"
@@ -42,15 +43,18 @@ type conn struct {
 	t    *reliable
 	peer overlay.Address
 
-	// Sender half. buf holds the byte stream [sndUna, sndUna+len(buf)).
+	// Sender half. buf[head:] holds the byte stream [sndUna, ...): an ack
+	// advances head, and Send reclaims the dead prefix when it needs room.
 	sndUna, sndNxt uint64
 	buf            []byte
+	head           int
 	cwnd, ssthresh float64
 	dupAcks        int
 
 	rto          time.Duration
 	srtt, rttvar time.Duration
 	rtxTimer     substrate.Timer
+	timeoutFn    func() // c.onTimeout, built once: armTimer runs per ack
 
 	// NewReno fast-recovery state.
 	inRecovery bool
@@ -88,7 +92,7 @@ type conn struct {
 func (c *conn) resetSend() {
 	mss := float64(c.t.mss())
 	c.sndUna, c.sndNxt = 0, 0
-	c.buf = nil
+	c.buf, c.head = nil, 0
 	c.cwnd, c.ssthresh = 2*mss, initialSSThresh
 	c.dupAcks = 0
 	c.rto, c.srtt, c.rttvar = initialRTO, 0, 0
@@ -171,7 +175,7 @@ func (r *reliable) Stats() Stats {
 	s := r.stats
 	var queued uint64
 	for _, c := range r.conns {
-		queued += uint64(len(c.buf))
+		queued += uint64(len(c.queued()))
 	}
 	s.SegmentsQueued = queued
 	return s
@@ -181,7 +185,7 @@ func (r *reliable) QueuedBytes(dst overlay.Address) int {
 	r.mux.mu.Lock()
 	defer r.mux.mu.Unlock()
 	if c, ok := r.conns[dst]; ok {
-		return len(c.buf)
+		return len(c.queued())
 	}
 	return 0
 }
@@ -197,12 +201,16 @@ func (r *reliable) conn(peer overlay.Address) *conn {
 			rto:      initialRTO,
 			ooo:      make(map[uint64][]byte),
 		}
+		c.timeoutFn = c.onTimeout
 		r.conns[peer] = c
 	}
 	return c
 }
 
 func (r *reliable) mss() int { return r.mux.mss(relHeaderLen) }
+
+// queued returns the unacknowledged and unsent bytes: the stream from sndUna.
+func (c *conn) queued() []byte { return c.buf[c.head:] }
 
 // Send frames the payload onto the connection's byte stream and pumps.
 func (r *reliable) Send(dst overlay.Address, frame []byte) error {
@@ -212,14 +220,20 @@ func (r *reliable) Send(dst overlay.Address, frame []byte) error {
 	r.mux.mu.Lock()
 	defer r.mux.mu.Unlock()
 	c := r.conn(dst)
-	if len(c.buf)+4+len(frame) > sendQueueCap {
+	need := 4 + len(frame)
+	if len(c.queued())+need > sendQueueCap {
 		return ErrQueueFull
 	}
 	r.stats.FramesSent++
 	r.stats.BytesSent += uint64(len(frame))
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	c.buf = append(c.buf, hdr[:]...)
+	if c.head > 0 && len(c.buf)+need > cap(c.buf) && c.head >= len(c.buf)/2 {
+		// Reclaim the acknowledged prefix instead of growing: at most half
+		// the slice moves, after at least that many bytes were acked.
+		c.buf = c.buf[:copy(c.buf, c.buf[c.head:])]
+		c.head = 0
+	}
+	c.buf = slices.Grow(c.buf, need) // one growth for header and frame
+	c.buf = binary.BigEndian.AppendUint32(c.buf, uint32(len(frame)))
 	c.buf = append(c.buf, frame...)
 	c.pump()
 	return nil
@@ -243,9 +257,10 @@ func (c *conn) window() int {
 // pump transmits as much unsent data as the window permits.
 func (c *conn) pump() {
 	mss := c.t.mss()
+	queued := c.queued()
 	for {
 		flight := int(c.sndNxt - c.sndUna)
-		avail := len(c.buf) - flight
+		avail := len(queued) - flight
 		if avail <= 0 || flight >= c.window() {
 			break
 		}
@@ -260,7 +275,7 @@ func (c *conn) pump() {
 			break
 		}
 		off := c.sndNxt
-		c.sendSegment(off, c.buf[flight:flight+n])
+		c.sendSegment(off, queued[flight:flight+n])
 		c.sndNxt += uint64(n)
 		if !c.sampling && off >= c.rexmitHigh {
 			c.sampling = true
@@ -291,7 +306,7 @@ func (c *conn) armTimer() {
 	if c.rtxTimer != nil {
 		return
 	}
-	c.rtxTimer = c.t.mux.clock.After(c.rto, func() { c.onTimeout() })
+	c.rtxTimer = c.t.mux.clock.After(c.rto, c.timeoutFn)
 }
 
 func (c *conn) resetTimer() {
@@ -334,9 +349,10 @@ func (c *conn) onTimeout() {
 	// SWP go-back-N: retransmit the whole window and keep the timeout
 	// constant — the protocol is reliable but deliberately does not back
 	// off, which is what makes it congestion-unfriendly.
+	queued := c.queued()
 	for off := 0; off < flight; off += mss {
 		n := minInt(mss, flight-off)
-		c.sendSegment(c.sndUna+uint64(off), c.buf[off:off+n])
+		c.sendSegment(c.sndUna+uint64(off), queued[off:off+n])
 		if off > 0 {
 			c.t.stats.Retransmits++
 		}
@@ -369,13 +385,21 @@ func (r *reliable) handleData(src overlay.Address, body []byte) {
 	if offset <= c.rcvNxt {
 		// In-order (or partially duplicate) segment: take the new tail.
 		if offset+uint64(len(seg)) > c.rcvNxt {
-			c.rbuf = append(c.rbuf, seg[c.rcvNxt-offset:]...)
+			tail := seg[c.rcvNxt-offset:]
+			if len(c.rbuf) == 0 {
+				// A view of the datagram, which is immutable and ours to
+				// keep. The clipped capacity makes every later append copy
+				// out to fresh storage, so nothing writes into a datagram.
+				c.rbuf = tail[:len(tail):len(tail)]
+			} else {
+				c.rbuf = append(c.rbuf, tail...)
+			}
 			c.rcvNxt = offset + uint64(len(seg))
 			c.drainOOO()
 		}
 	} else if c.oooBytes+len(seg) <= oooCap {
 		if _, dup := c.ooo[offset]; !dup {
-			c.ooo[offset] = append([]byte(nil), seg...)
+			c.ooo[offset] = seg // a view: the datagram is ours to keep
 			c.oooBytes += len(seg)
 		}
 	}
@@ -431,7 +455,8 @@ func (c *conn) sendAck() {
 // parseFrames extracts length-prefixed frames from the in-order stream and
 // delivers them.
 func (c *conn) parseFrames() {
-	var frames [][]byte
+	var stack [4][]byte // a datagram rarely completes more frames than this
+	frames := stack[:0]
 	for {
 		if len(c.rbuf) < 4 {
 			break
@@ -481,7 +506,10 @@ func (r *reliable) handleAck(src overlay.Address, body []byte) {
 		// rexmitHigh: only bytes below that were ever sent.
 		c.sndNxt = max(c.sndNxt, cum)
 		acked := cum - c.sndUna
-		c.buf = c.buf[acked:]
+		c.head += int(acked)
+		if c.head == len(c.buf) {
+			c.buf, c.head = c.buf[:0], 0
+		}
 		c.sndUna = cum
 		c.dupAcks = 0
 		if c.sampling && cum >= c.sampleOfs {
@@ -498,7 +526,7 @@ func (r *reliable) handleAck(src overlay.Address, body []byte) {
 				n := minInt(int(mss), int(c.sndNxt-c.sndUna))
 				if n > 0 {
 					r.stats.Retransmits++
-					c.sendSegment(c.sndUna, c.buf[:n])
+					c.sendSegment(c.sndUna, c.queued()[:n])
 				}
 			} else {
 				c.inRecovery = false
@@ -524,7 +552,7 @@ func (r *reliable) handleAck(src overlay.Address, body []byte) {
 			c.sampling = false
 			n := minInt(int(mss), flight)
 			r.stats.Retransmits++
-			c.sendSegment(c.sndUna, c.buf[:n])
+			c.sendSegment(c.sndUna, c.queued()[:n])
 		}
 	}
 }

@@ -343,13 +343,19 @@ func TestSendQueueCap(t *testing.T) {
 	tr := r.a.AddTCP("t")
 	r.b.AddTCP("t")
 	var err error
-	for i := 0; i < 100; i++ {
+	i := 0
+	for ; i < 100; i++ {
 		if err = tr.Send(2, make([]byte, 1<<20)); err != nil {
 			break
 		}
 	}
 	if err != ErrQueueFull {
 		t.Fatalf("expected ErrQueueFull, got %v", err)
+	}
+	// Seven length-prefixed 1 MiB frames fit under the 8 MiB cap; the eighth
+	// does not.
+	if i != 7 {
+		t.Fatalf("queue filled at frame %d, want 7", i)
 	}
 }
 
@@ -449,12 +455,7 @@ func TestReliablePeerRestart(t *testing.T) {
 	for _, kind := range []string{"tcp", "swp"} {
 		t.Run(kind, func(t *testing.T) {
 			r := newRig(t, simnet.Config{}, 10_000_000, 64<<10)
-			add := func(m *Mux) Transport {
-				if kind == "tcp" {
-					return m.AddTCP("t")
-				}
-				return m.AddSWP("t", 8)
-			}
+			add := func(m *Mux) Transport { return addReliable(m, kind) }
 			ta := add(r.a)
 			add(r.b)
 			var logB recvLog

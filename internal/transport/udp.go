@@ -11,8 +11,8 @@ import (
 const (
 	kindUDPSingle = 0 // whole frame in one datagram
 	kindUDPFrag   = 1 // [msgID u32][frag u16][nfrags u16][chunk]
-	kindRelData   = 2 // [offset u64][payload]
-	kindRelAck    = 3 // [cumAck u64][dupHint u8]
+	kindRelData   = 2 // [boot u64][gen u32][offset u64][payload]
+	kindRelAck    = 3 // [boot u64][gen u32][echoBoot u64][echoGen u32][cumAck u64]
 )
 
 const fragHeaderLen = 8
@@ -32,8 +32,12 @@ type udp struct {
 	reasm     map[overlay.Address]map[uint32]*reassembly
 }
 
+// reassembly collects one fragmented frame. parts are views of the
+// fragments' datagrams (immutable and ours to keep); got records arrival,
+// because an empty chunk is a fragment too.
 type reassembly struct {
 	parts    [][]byte
+	got      []bool
 	missing  int
 	deadline time.Time
 }
@@ -122,21 +126,24 @@ func (u *udp) handleFrag(src overlay.Address, body []byte) {
 			u.stats.FragsDropped++
 			return
 		}
-		r = &reassembly{parts: make([][]byte, nfrags), missing: nfrags,
-			deadline: u.mux.clock.Now().Add(fragTimeout)}
+		r = &reassembly{parts: make([][]byte, nfrags), got: make([]bool, nfrags),
+			missing: nfrags, deadline: u.mux.clock.Now().Add(fragTimeout)}
 		peer[id] = r
 	}
-	if len(r.parts) != nfrags || r.parts[frag] != nil {
+	if len(r.parts) != nfrags || r.got[frag] {
 		return // duplicate or inconsistent geometry
 	}
-	chunk := append([]byte(nil), body[fragHeaderLen:]...)
-	r.parts[frag] = chunk
+	r.parts[frag], r.got[frag] = body[fragHeaderLen:], true
 	r.missing--
 	if r.missing > 0 {
 		return
 	}
 	delete(peer, id)
-	var frame []byte
+	size := 0
+	for _, p := range r.parts {
+		size += len(p)
+	}
+	frame := make([]byte, 0, size)
 	for _, p := range r.parts {
 		frame = append(frame, p...)
 	}
