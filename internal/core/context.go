@@ -186,7 +186,7 @@ func (c *Context) Send(dst overlay.Address, m overlay.Message, pri int) error {
 		if err != nil {
 			return err
 		}
-		return i.sendFrame(dst, m.MsgName(), frame, pri)
+		return i.sendFrame(dst, frame, pri)
 	}
 	frame, err := i.encodeOwned(m)
 	if err != nil {

@@ -187,6 +187,18 @@ type Def struct {
 	neighbors  []neighborDecl
 
 	transitions map[eventKey][]transition
+
+	// byID is what a message crossing the engine needs, indexed by its
+	// registry id — the first two bytes of its frame — so the message path
+	// looks nothing up by name. Built by index once validate has passed.
+	byID []msgRoute
+}
+
+// msgRoute is one message's row of Def.byID: views of the declaration maps.
+type msgRoute struct {
+	name          string
+	recv, forward []transition
+	transport     string // default transport instance name, "" on higher layers
 }
 
 func newDef(name string) *Def {
@@ -328,6 +340,20 @@ func (d *Def) validate() error {
 		seen[nb.name] = true
 	}
 	return nil
+}
+
+// index builds byID. Registry ids count messages in declaration order, which
+// msgOrder records.
+func (d *Def) index() {
+	d.byID = make([]msgRoute, len(d.msgOrder))
+	for id, name := range d.msgOrder {
+		d.byID[id] = msgRoute{
+			name:      name,
+			recv:      d.transitions[eventKey{evRecv, name}],
+			forward:   d.transitions[eventKey{evForward, name}],
+			transport: d.messages[name].transport,
+		}
+	}
 }
 
 // Agent is a protocol implementation: what the code generator emits from a

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
 
 	"macedon/internal/overlay"
+	"macedon/internal/transport"
 )
 
 // Instance is one protocol layer on one node: the "MACEDON agent" of §3.2.
@@ -41,6 +43,11 @@ type instHot struct {
 	// the layer above while the layer below is still mid-transition.
 	ctx Context
 	ev  MsgEvent
+
+	// sendVia[id] is the transport message id goes out on at the default
+	// priority, nil until its first such send resolves it (transportFor).
+	// The node's transports are fixed at construction, so it never changes.
+	sendVia []transport.Transport
 }
 
 // StateCopyOpaque keeps the per-instance scratch out of checkpoint images.
@@ -81,8 +88,10 @@ func newInstance(n *Node, agent Agent) (*Instance, error) {
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
+	d.index()
 	i.def = d
 	i.hot.ctx.inst = i
+	i.hot.sendVia = make([]transport.Transport, len(d.byID))
 	for name, td := range d.timers {
 		i.timers[name] = &timerState{decl: td}
 	}
@@ -157,12 +166,11 @@ func (i *Instance) trace(l TraceLevel, format string, args ...any) {
 		fmt.Sprintf("%v %s: %s", i.node.addr, i.def.name, fmt.Sprintf(format, args...)))
 }
 
-// dispatch finds the first transition for k whose guard matches the current
-// state and runs it under the declared lock mode with the operand its kind
-// takes: ev for recv/forward, call for API, neither for timers. It reports
-// whether a transition ran.
-func (i *Instance) dispatch(k eventKey, ev *MsgEvent, call *APICall) bool {
-	ts := i.def.transitions[k]
+// dispatch finds the first of ts — the transitions declared for the event
+// (kind, name) — whose guard matches the current state and runs it under the
+// declared lock mode with the operand its kind takes: ev for recv/forward,
+// call for API, neither for timers. It reports whether a transition ran.
+func (i *Instance) dispatch(ts []transition, kind eventKind, name string, ev *MsgEvent, call *APICall) bool {
 	// Guard evaluation reads the state; take the read lock briefly, then the
 	// transition lock. State can only move under the write lock, and control
 	// events are serialized per instance, so re-checking under the
@@ -185,9 +193,9 @@ func (i *Instance) dispatch(k eventKey, ev *MsgEvent, call *APICall) bool {
 		}
 		i.counters.Transitions.Inc()
 		if i.tracing(TraceMed) {
-			i.trace(TraceMed, "%s %s [%s, %s]", k.kind, k.name, t.guard, t.lock)
+			i.trace(TraceMed, "%s %s [%s, %s]", kind, name, t.guard, t.lock)
 		}
-		switch k.kind {
+		switch kind {
 		case evRecv, evForward:
 			t.msg(&i.hot.ctx, ev)
 		case evTimer:
@@ -204,7 +212,7 @@ func (i *Instance) dispatch(k eventKey, ev *MsgEvent, call *APICall) bool {
 	}
 	i.counters.Unhandled.Inc()
 	if i.tracing(TraceMed) {
-		i.trace(TraceMed, "unhandled %s %s in state %s", k.kind, k.name, i.state)
+		i.trace(TraceMed, "unhandled %s %s in state %s", kind, name, i.state)
 	}
 	return false
 }
@@ -222,28 +230,48 @@ func (i *Instance) handleFrame(what string, src overlay.Address, frame []byte) {
 	}
 	i.counters.MsgsRecv.Inc()
 	i.counters.BytesRecv.Add(uint64(len(frame)))
-	i.dispatchMsg(evRecv, MsgEvent{Msg: m, From: src})
+	i.dispatchMsg(evRecv, frameID(frame), MsgEvent{Msg: m, From: src})
 }
 
-// dispatchMsg runs a recv or forward transition on a decoded message. The
-// handler sees the instance's one MsgEvent; what it left there is returned.
-func (i *Instance) dispatchMsg(kind eventKind, ev MsgEvent) (MsgEvent, bool) {
+// frameID reads the registry id heading a frame that this protocol's
+// registry has just encoded or decoded: [type u16][body], see
+// overlay.Writer.EncodeMessage.
+func frameID(frame []byte) uint16 { return binary.BigEndian.Uint16(frame) }
+
+// dispatchMsg runs a recv or forward transition on a decoded message of
+// registry id id. The handler sees the instance's one MsgEvent; what it left
+// there is returned.
+func (i *Instance) dispatchMsg(kind eventKind, id uint16, ev MsgEvent) (MsgEvent, bool) {
+	r := &i.def.byID[id]
+	ts := r.recv
+	if kind == evForward {
+		ts = r.forward
+	}
 	i.hot.ev = ev
-	handled := i.dispatch(eventKey{kind, ev.Msg.MsgName()}, &i.hot.ev, nil)
+	handled := i.dispatch(ts, kind, r.name, &i.hot.ev, nil)
 	ev, i.hot.ev = i.hot.ev, MsgEvent{}
 	return ev, handled
 }
 
-// sendFrame transmits an encoded frame on the lowest layer.
-func (i *Instance) sendFrame(dst overlay.Address, msgName string, frame []byte, pri int) error {
-	tr, err := i.node.transportFor(i.def, msgName, pri)
-	if err != nil {
-		return err
+// sendFrame transmits a frame this instance has just encoded on the lowest
+// layer: on transport pri when that names one, on the message's declared
+// transport otherwise.
+func (i *Instance) sendFrame(dst overlay.Address, frame []byte, pri int) error {
+	id := frameID(frame)
+	tr := i.hot.sendVia[id]
+	if pri >= 0 || tr == nil {
+		var err error
+		if tr, err = i.node.transportFor(i.def, id, pri); err != nil {
+			return err
+		}
+		if pri < 0 {
+			i.hot.sendVia[id] = tr
+		}
 	}
 	i.counters.MsgsSent.Inc()
 	i.counters.BytesSent.Add(uint64(len(frame)))
 	if i.tracing(TraceHigh) {
-		i.trace(TraceHigh, "send %s to %v on %s", msgName, dst, tr.Name())
+		i.trace(TraceHigh, "send %s to %v on %s", i.def.byID[id].name, dst, tr.Name())
 	}
 	return tr.Send(dst, frame)
 }
@@ -308,7 +336,7 @@ func (i *Instance) fireTimer(ts *timerState, gen uint64) {
 	}
 	ts.tm = nil
 	i.counters.TimerFires.Inc()
-	i.dispatch(eventKey{evTimer, ts.decl.name}, nil, nil)
+	i.dispatch(i.def.transitions[eventKey{evTimer, ts.decl.name}], evTimer, ts.decl.name, nil, nil)
 	if ts.decl.periodic && ts.tm == nil {
 		i.armTimer(ts, ts.decl.period)
 	}
@@ -317,7 +345,8 @@ func (i *Instance) fireTimer(ts *timerState, gen uint64) {
 // dispatchAPI runs an API transition. Unhandled calls are counted and
 // otherwise ignored, as an overlay with no matching transition would be.
 func (i *Instance) dispatchAPI(call *APICall) {
-	i.dispatch(eventKey{evAPI, call.Kind.String()}, nil, call)
+	name := call.Kind.String()
+	i.dispatch(i.def.transitions[eventKey{evAPI, name}], evAPI, name, nil, call)
 }
 
 // deliverUp implements the deliver() upcall from this layer.
@@ -352,7 +381,7 @@ func (i *Instance) forwardUp(payload []byte, typ int32, next overlay.Address, ne
 			up.trace(TraceLow, "bad layered frame in forward: %v", err)
 			return true, next, payload
 		}
-		ev, handled := up.dispatchMsg(evForward, MsgEvent{Msg: m, NextHop: next, NextKey: nextKey})
+		ev, handled := up.dispatchMsg(evForward, frameID(payload), MsgEvent{Msg: m, NextHop: next, NextKey: nextKey})
 		if !handled {
 			return true, next, payload
 		}

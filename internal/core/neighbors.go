@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"macedon/internal/overlay"
 )
@@ -79,7 +80,7 @@ func (l *NeighborList) Remove(addr overlay.Address) bool {
 	delete(l.index, addr)
 	for i, e := range l.entries {
 		if e == n {
-			l.entries = append(l.entries[:i], l.entries[i+1:]...)
+			l.entries = slices.Delete(l.entries, i, i+1) // clears the vacated tail slot
 			break
 		}
 	}

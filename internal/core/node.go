@@ -331,22 +331,19 @@ func (n *Node) Stop() {
 	})
 }
 
-// transportFor resolves a message's transport by priority override or
-// declaration binding.
-func (n *Node) transportFor(d *Def, msgName string, pri int) (transport.Transport, error) {
+// transportFor resolves the transport of the message with registry id id by
+// priority override or declaration binding.
+func (n *Node) transportFor(d *Def, id uint16, pri int) (transport.Transport, error) {
 	if pri >= 0 && pri < len(n.prio) {
 		return n.prio[pri], nil
 	}
-	md, ok := d.messages[msgName]
-	if !ok {
-		return nil, fmt.Errorf("core: %s: message %q not declared", d.name, msgName)
+	m := &d.byID[id]
+	if m.transport == "" {
+		return nil, fmt.Errorf("core: %s: message %q has no transport binding and no priority was given", d.name, m.name)
 	}
-	if md.transport == "" {
-		return nil, fmt.Errorf("core: %s: message %q has no transport binding and no priority was given", d.name, msgName)
-	}
-	t, ok := n.transports[md.transport]
+	t, ok := n.transports[m.transport]
 	if !ok {
-		return nil, fmt.Errorf("core: %s: transport %q not instantiated", d.name, md.transport)
+		return nil, fmt.Errorf("core: %s: transport %q not instantiated", d.name, m.transport)
 	}
 	return t, nil
 }

@@ -131,9 +131,7 @@ func (n *Network) Detach(addr overlay.Address) error {
 // its lazily built shortest-path trees — instead of rebuilding, while the
 // bound keeps many distinct failure sets from accumulating tree memory.
 func (n *Network) invalidatePaths() {
-	for i := range n.pathsBy {
-		n.pathsBy[i].m = make(map[pathKey][]topology.LinkID)
-	}
+	n.pathGen++ // endpoints drop their cached routes lazily (Network.path)
 	if len(n.blocked) == 0 {
 		n.live = n.routes
 		return

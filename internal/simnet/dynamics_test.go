@@ -260,3 +260,65 @@ func TestDetachAllowsReattach(t *testing.T) {
 		t.Fatalf("handlers saw %d/%d deliveries, want 1/1", first, second)
 	}
 }
+
+// TestEndpointRouteCacheGeneration: an endpoint keeps the routes it has used,
+// stamped with the generation they were resolved in. After a link failure, a
+// heal and a Network.Restore the next packet from that endpoint must take the
+// live route, while a packet already in flight keeps the path it was sent
+// with.
+func TestEndpointRouteCacheGeneration(t *testing.T) {
+	n, s, fast := diamondNet(t)
+	e1, _ := n.Endpoint(1)
+	e2, _ := n.Endpoint(2)
+	var order []byte
+	took := map[byte]time.Duration{}
+	sentAt := map[byte]time.Duration{}
+	e2.SetRecv(func(_ overlay.Address, p []byte) {
+		order = append(order, p[0])
+		took[p[0]] = s.Elapsed() - sentAt[p[0]]
+	})
+	send := func(tag byte) {
+		sentAt[tag] = s.Elapsed()
+		if err := e1.Send(2, []byte{tag, 99: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantFast := func(tag byte, fastPath bool) {
+		t.Helper()
+		d, ok := took[tag]
+		if !ok || (d < 40*time.Millisecond) != fastPath {
+			t.Fatalf("packet %c took %v (delivered=%v), want fast path = %v", tag, d, ok, fastPath)
+		}
+	}
+
+	send('a')
+	s.RunUntilIdle()
+	wantFast('a', true)
+	if len(n.eps[1].routes) != 1 {
+		t.Fatalf("endpoint 1 caches %d routes after one send", len(n.eps[1].routes))
+	}
+
+	n.SetLinkDown(fast, true)
+	send('b') // in flight on the slow path when the fast one heals
+	s.RunFor(5 * time.Millisecond)
+	n.SetLinkDown(fast, false)
+	send('c')
+	s.RunUntilIdle()
+	wantFast('b', false)
+	wantFast('c', true)
+	if string(order) != "acb" {
+		t.Fatalf("arrival order %q, want c to overtake b", order)
+	}
+
+	// A restore rewinds the failure set under a cache filled by the branch.
+	cpS, cpN := s.Snapshot(), n.Snapshot()
+	n.SetLinkDown(fast, true)
+	send('d')
+	s.RunUntilIdle()
+	wantFast('d', false)
+	s.Restore(cpS)
+	n.Restore(cpN)
+	send('e')
+	s.RunUntilIdle()
+	wantFast('e', true)
+}

@@ -117,9 +117,12 @@ type Network struct {
 	numVertices uint64
 	lossSalt    uint64
 
-	links   []linkState // indexed by topology.LinkID
-	eps     map[overlay.Address]*endpoint
-	pathsBy []shardPaths // per-shard path cache
+	links []linkState // indexed by topology.LinkID
+	eps   map[overlay.Address]*endpoint
+	// pathGen stamps the routes endpoints cache: invalidatePaths bumps it,
+	// and an endpoint whose stamp is older drops its routes before its next
+	// send. Written at barriers only, like the failure set it follows.
+	pathGen uint64
 
 	blocked  map[topology.LinkID]bool
 	degraded map[topology.LinkID]Degradation
@@ -155,11 +158,6 @@ type packetPool struct {
 // list is scratch state, never part of a checkpoint.
 func (p *packetPool) StateCopyOpaque() {}
 
-type shardPaths struct {
-	m map[pathKey][]topology.LinkID
-	_ [40]byte // keep neighbouring shards' maps off one cache line
-}
-
 // shardStats pads each shard's counters to cache-line multiples: every
 // packet bumps several of them on the hot path, and unpadded neighbours
 // would false-share lines between workers.
@@ -168,8 +166,10 @@ type shardStats struct {
 	_ [48]byte
 }
 
-// linkState is one pipe's mutable state. It is laid out flat and small on
-// purpose: New allocates one array of these and every checkpoint copies it.
+// linkState is one pipe: its mutable state and, beside it, the constants of
+// the topology link a hop reads (New copies them in), so that an enqueue
+// opens one record. It is laid out flat and small on purpose: New allocates
+// one array of these and every checkpoint copies it.
 type linkState struct {
 	busyUntil   time.Duration // virtual instant the pipe finishes its queue
 	queuedBytes int32         // bytes in the queue, owed releases included
@@ -185,6 +185,11 @@ type linkState struct {
 	// in spill, which an idle pipe never allocates.
 	owed  [2]owedRelease
 	spill *owedSpill
+
+	latency    time.Duration
+	bandwidth  int64 // bits per second
+	queueBytes int32 // drop-tail capacity
+	toShard    int32 // shard owning the pipe's head vertex
 }
 
 // owedRelease is one packet's bytes waiting to leave a pipe's queue when its
@@ -269,8 +274,6 @@ func (ls *linkState) settle(cur *eventKey, actor uint64) {
 	ls.owedN = int32(n)
 }
 
-type pathKey struct{ src, dst topology.RouterID }
-
 // New builds an emulated network over a finished topology. The graph must
 // already have all clients attached. The shard count comes from the
 // scheduler; New partitions the vertices and installs the conservative
@@ -286,7 +289,7 @@ func New(sched *Scheduler, g *topology.Graph, cfg Config) *Network {
 		lossSalt:    splitmix64(uint64(sched.Seed()) ^ 0x6d616365646f6e21),
 		links:       make([]linkState, g.NumLinks()),
 		eps:         make(map[overlay.Address]*endpoint),
-		pathsBy:     make([]shardPaths, nsh),
+		pathGen:     1, // never zero: a fresh endpoint's stamp is stale
 		blocked:     make(map[topology.LinkID]bool),
 		degraded:    make(map[topology.LinkID]Degradation),
 		statsBy:     make([]shardStats, nsh),
@@ -305,11 +308,6 @@ func New(sched *Scheduler, g *topology.Graph, cfg Config) *Network {
 			n.cfg.OracleTreeBudget = DefaultOracleTreeBudget
 		}
 	}
-	for _, l := range g.Links() {
-		if l.QueueBytes > math.MaxInt32 {
-			panic(fmt.Sprintf("simnet: link %d queues %d bytes; pipe queues are counted in 32 bits", l.ID, l.QueueBytes))
-		}
-	}
 	n.routes = topology.NewRoutes(g)
 	n.routes.SetTreeBudget(n.cfg.OracleTreeBudget)
 	n.live = n.routes
@@ -323,8 +321,13 @@ func New(sched *Scheduler, g *topology.Graph, cfg Config) *Network {
 			cfg.Partitioner, PartitionerStriped, PartitionerLatency))
 	}
 	n.pktPools = make([]packetPool, nsh)
-	for i := range n.pathsBy {
-		n.pathsBy[i].m = make(map[pathKey][]topology.LinkID)
+	for i, l := range g.Links() { // links are numbered in order
+		if l.QueueBytes > math.MaxInt32 {
+			panic(fmt.Sprintf("simnet: link %d queues %d bytes; pipe queues are counted in 32 bits", l.ID, l.QueueBytes))
+		}
+		ls := &n.links[i]
+		ls.latency, ls.bandwidth, ls.queueBytes = l.Latency, l.Bandwidth, int32(l.QueueBytes)
+		ls.toShard = n.vertexShard[l.To]
 	}
 	if sched.net != nil {
 		panic("simnet: scheduler already drives a network; flat event records admit exactly one")
@@ -350,9 +353,6 @@ func New(sched *Scheduler, g *topology.Graph, cfg Config) *Network {
 // on the topology, never on the shard count.
 func (n *Network) vertexActor(v topology.RouterID) uint64 { return 1 + uint64(v) }
 func (n *Network) linkActor(l topology.LinkID) uint64     { return 1 + n.numVertices + uint64(l) }
-
-// shardOf returns the shard owning a vertex.
-func (n *Network) shardOf(v topology.RouterID) int { return int(n.vertexShard[v]) }
 
 // Scheduler returns the clock driving the network.
 func (n *Network) Scheduler() *Scheduler { return n.sched }
@@ -436,7 +436,7 @@ func (ns *NodeSubstrate) After(d time.Duration, fn func()) substrate.Timer {
 	ep := ns.ep
 	t := &simTimer{}
 	ep.actorSeq++
-	ns.net.sched.scheduleEv(ep.shard, ep.shard, ns.Elapsed()+d, ns.net.vertexActor(ep.vertex), ep.actorSeq,
+	ns.net.sched.scheduleEv(ep.shard, ep.shard, addSat(ns.Elapsed(), d), ns.net.vertexActor(ep.vertex), ep.actorSeq,
 		event{fn: fn, tm: t})
 	return t
 }
@@ -459,15 +459,17 @@ func (n *Network) SetDown(addr overlay.Address, down bool) error {
 	return nil
 }
 
-// path resolves (and caches, per shard) the live route between two vertices.
-func (n *Network) path(shard int, src, dst topology.RouterID) []topology.LinkID {
-	k := pathKey{src, dst}
-	cache := n.pathsBy[shard].m
-	if p, ok := cache[k]; ok {
+// path resolves the live route from src to a vertex, cached on the sending
+// endpoint: it sends from exactly one shard, so the map has one owner.
+func (n *Network) path(src *endpoint, dst topology.RouterID) []topology.LinkID {
+	if src.routeGen != n.pathGen {
+		src.routes, src.routeGen = make(map[topology.RouterID][]topology.LinkID), n.pathGen
+	}
+	if p, ok := src.routes[dst]; ok {
 		return p
 	}
-	p := n.live.Path(src, dst)
-	cache[k] = p
+	p := n.live.Path(src.vertex, dst)
+	src.routes[dst] = p
 	return p
 }
 
@@ -486,6 +488,7 @@ func (n *Network) path(shard int, src, dst topology.RouterID) []topology.LinkID 
 // copied heap, so it stays immutable forever and is left to the GC.
 type packet struct {
 	src, dst overlay.Address
+	to       *endpoint // dst's endpoint; endpoints are never removed
 	payload  []byte
 	path     []topology.LinkID
 	gen      uint64
@@ -559,12 +562,12 @@ func (n *Network) send(src *endpoint, dst overlay.Address, payload []byte) error
 		// Loopback bypasses the topology, as the kernel would.
 		src.actorSeq++
 		pkt := n.allocPacket(shard)
-		pkt.src, pkt.dst, pkt.payload = src.addr, dst, payload
+		pkt.src, pkt.dst, pkt.to, pkt.payload = src.addr, dst, dstEp, payload
 		n.sched.scheduleEv(shard, shard, n.sched.timeOn(shard), n.vertexActor(src.vertex), src.actorSeq,
 			event{kind: evDeliver, pkt: pkt})
 		return nil
 	}
-	path := n.path(shard, src.vertex, dstEp.vertex)
+	path := n.path(src, dstEp.vertex)
 	if path == nil {
 		if len(n.blocked) > 0 {
 			// Link failures severed every route: drop like a blackhole.
@@ -574,7 +577,7 @@ func (n *Network) send(src *endpoint, dst overlay.Address, payload []byte) error
 		return fmt.Errorf("simnet: no route from %v to %v", src.addr, dst)
 	}
 	pkt := n.allocPacket(shard)
-	pkt.src, pkt.dst, pkt.payload, pkt.path = src.addr, dst, payload, path
+	pkt.src, pkt.dst, pkt.to, pkt.payload, pkt.path = src.addr, dst, dstEp, payload, path
 	n.enqueue(shard, pkt, 0)
 	return nil
 }
@@ -584,21 +587,20 @@ func (n *Network) send(src *endpoint, dst overlay.Address, payload []byte) error
 func (n *Network) enqueue(shard int, pkt *packet, hop int) {
 	l := pkt.path[hop]
 	st := &n.statsBy[shard].Stats
-	if n.blocked[l] {
+	if len(n.blocked) > 0 && n.blocked[l] {
 		// The pipe failed (possibly after this packet's path was chosen):
 		// everything entering it is lost.
 		st.LinkDownDrops++
 		n.releasePacket(shard, pkt)
 		return
 	}
-	link := n.graph.Link(l)
 	ls := &n.links[l]
 	actor := n.linkActor(l)
 	if ls.owedN > 0 {
 		ls.settle(&n.sched.shards[shard].cur, actor)
 	}
 	size := len(pkt.payload) + headerOverhead
-	if int(ls.queuedBytes)+size > link.QueueBytes {
+	if int(ls.queuedBytes)+size > int(ls.queueBytes) {
 		ls.ctr.Drops++
 		st.QueueDrops++
 		n.releasePacket(shard, pkt)
@@ -609,7 +611,11 @@ func (n *Network) enqueue(shard int, pkt *packet, hop int) {
 		n.releasePacket(shard, pkt)
 		return
 	}
-	deg, isDegraded := n.degraded[l]
+	var deg Degradation
+	isDegraded := false
+	if len(n.degraded) > 0 {
+		deg, isDegraded = n.degraded[l]
+	}
 	if isDegraded && deg.LossRate > 0 && n.lossDraw(ls, l) < deg.LossRate {
 		st.DegradeLoss++
 		n.releasePacket(shard, pkt)
@@ -624,9 +630,9 @@ func (n *Network) enqueue(shard int, pkt *packet, hop int) {
 	if ls.busyUntil > start {
 		start = ls.busyUntil
 	}
-	txDone := start + txTime(size, link.Bandwidth)
+	txDone := start + txTime(size, ls.bandwidth)
 	ls.busyUntil = txDone
-	latency := link.Latency
+	latency := ls.latency
 	if isDegraded && deg.LatencyFactor > 0 {
 		latency = time.Duration(float64(latency) * deg.LatencyFactor)
 	}
@@ -641,7 +647,7 @@ func (n *Network) enqueue(shard int, pkt *packet, hop int) {
 	// another shard. Cross-shard arrivals are always at least the link
 	// latency away, which is what the lookahead window guarantees.
 	ls.seq++
-	n.sched.scheduleEv(shard, n.shardOf(link.To), arrive, actor, ls.seq,
+	n.sched.scheduleEv(shard, int(ls.toShard), arrive, actor, ls.seq,
 		event{kind: evArrive, pkt: pkt, arg: int32(hop + 1)})
 }
 
@@ -681,8 +687,8 @@ func (n *Network) arriveHop(shard int, pkt *packet, hop int) {
 		return
 	}
 	st := &n.statsBy[shard].Stats
-	ep, ok := n.eps[pkt.dst]
-	if !ok || ep.down {
+	ep := pkt.to
+	if ep.down {
 		st.DownDrops++
 		n.releasePacket(shard, pkt)
 		return
@@ -698,10 +704,9 @@ func (n *Network) arriveHop(shard int, pkt *packet, hop int) {
 }
 
 // deliverLoopback executes an evDeliver record: same-address traffic that
-// bypassed the topology. Endpoints are never removed from eps, so the
-// exec-time lookup sees exactly the endpoint the send saw.
+// bypassed the topology.
 func (n *Network) deliverLoopback(shard int, pkt *packet) {
-	n.deliver(shard, n.eps[pkt.dst], pkt.src, pkt.payload)
+	n.deliver(shard, pkt.to, pkt.src, pkt.payload)
 	n.releasePacket(shard, pkt)
 }
 
@@ -722,6 +727,12 @@ type endpoint struct {
 	sub      *NodeSubstrate
 	recv     func(src overlay.Address, payload []byte)
 	down     bool
+
+	// routes caches the live route to each destination vertex this endpoint
+	// has sent to; it is good while routeGen equals Network.pathGen. Not a
+	// dense table: 10 k nodes squared is gigabytes.
+	routes   map[topology.RouterID][]topology.LinkID
+	routeGen uint64
 }
 
 func (e *endpoint) Addr() overlay.Address { return e.addr }

@@ -34,12 +34,12 @@ func TestPoolRecycleClearsRecord(t *testing.T) {
 	recycled := 0
 	for i := 0; i < 64; i++ {
 		pkt := n.allocPacket(0)
-		pkt.src, pkt.dst = addrs[0], addrs[1]
+		pkt.src, pkt.dst, pkt.to = addrs[0], addrs[1], n.eps[addrs[1]]
 		pkt.payload = []byte("secret")
 		pkt.path = []topology.LinkID{1, 2, 3}
 		n.releasePacket(0, pkt)
 		var zero overlay.Address
-		if pkt.payload != nil || pkt.path != nil || pkt.src != zero || pkt.dst != zero {
+		if pkt.payload != nil || pkt.path != nil || pkt.src != zero || pkt.dst != zero || pkt.to != nil {
 			t.Fatalf("released record kept state: %+v", pkt)
 		}
 		if n.allocPacket(0) == pkt {
@@ -168,5 +168,38 @@ func TestPoolSnapshotRewindStats(t *testing.T) {
 		if first.Delivered == 0 {
 			t.Fatalf("shards=%d: degenerate run: %+v", shards, first)
 		}
+	}
+}
+
+// TestWarmHopDoesNotAllocate: once the route is cached, the heaps have grown
+// and the pool holds a record, a datagram crosses a four-pipe path — send,
+// four enqueues, four arrival events, delivery, release — without the network
+// allocating anything.
+func TestWarmHopDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops records at random under the race detector")
+	}
+	n, s, _ := diamondNet(t)
+	defer s.Close()
+	e1, _ := n.Endpoint(1)
+	e2, _ := n.Endpoint(2)
+	delivered := 0
+	e2.SetRecv(func(overlay.Address, []byte) { delivered++ })
+	payload := make([]byte, 64)
+	if hops := len(n.path(n.eps[1], n.eps[2].vertex)); hops != 4 {
+		t.Fatalf("path has %d pipes, want 4", hops)
+	}
+	flight := func() {
+		if err := e1.Send(2, payload); err != nil {
+			t.Fatal(err)
+		}
+		s.RunUntilIdle()
+	}
+	flight()
+	if got := testing.AllocsPerRun(200, flight); got != 0 {
+		t.Fatalf("a warm datagram costs the network %v allocations", got)
+	}
+	if delivered != 202 {
+		t.Fatalf("%d of 202 datagrams delivered", delivered)
 	}
 }

@@ -180,9 +180,9 @@ func (s *Scheduler) noteBarrier(t time.Duration) {
 
 // Pending returns the number of events waiting, cancelled ones included.
 func (s *Scheduler) Pending() int {
-	n := len(s.global)
+	n := s.global.size()
 	for _, sh := range s.shards {
-		n += len(sh.evts)
+		n += sh.timers.size() + sh.packets.size()
 	}
 	return n
 }
@@ -284,11 +284,62 @@ func (e *event) exec(n *Network, shard int) {
 // ((actor, seq) pairs are unique), so the pop sequence — and therefore
 // every trace — is independent of the heap's internal arrangement. Both
 // sifts move a hole instead of swapping: one record copy per level.
-type eventHeap []event
+//
+// pop is lazy: it takes the root and leaves it vacant. A packet hop is
+// popped and, a few dozen nanoseconds later, schedules exactly one
+// successor; push puts that successor in the vacant root and sifts it down
+// — one sift where a classic pop (last leaf to the root, sift down) plus a
+// push (sift up) make two. Every read (top, size, items, the next pop)
+// first repairs a vacancy nobody filled, the classic way. Nothing outside
+// these methods indexes s.
+type eventHeap struct {
+	s    []event
+	hole bool // s[0] is vacant
+}
+
+// repair fills the vacant root with the last leaf. Callers test hole
+// themselves so that they, unlike repair, stay small enough to inline.
+func (h *eventHeap) repair() {
+	h.hole = false
+	n := len(h.s) - 1
+	last := h.s[n]
+	h.s[n] = event{} // release closure and packet references
+	h.s = h.s[:n]
+	if n > 0 {
+		h.siftDown(&last)
+	}
+}
+
+// siftDown stores e at the root, whose slot is free, and restores the order.
+func (h *eventHeap) siftDown(e *event) {
+	s := h.s
+	n := len(s)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s[r].less(&s[c].eventKey) {
+			c = r
+		}
+		if !s[c].less(&e.eventKey) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = *e
+}
 
 func (h *eventHeap) push(e event) {
-	s := append(*h, event{})
-	*h = s
+	if h.hole {
+		h.hole = false
+		h.siftDown(&e)
+		return
+	}
+	s := append(h.s, event{})
+	h.s = s
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -301,37 +352,49 @@ func (h *eventHeap) push(e event) {
 	s[i] = e
 }
 
+// pop removes and returns the earliest event; the heap must not be empty.
 func (h *eventHeap) pop() event {
-	s := *h
-	n := len(s) - 1
-	top, last := s[0], s[n]
-	s[n] = event{} // release closure and packet references
-	s = s[:n]
-	*h = s
-	if n == 0 {
-		return top
+	if h.hole {
+		h.repair()
 	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && s[r].less(&s[c].eventKey) {
-			c = r
-		}
-		if !s[c].less(&last.eventKey) {
-			break
-		}
-		s[i] = s[c]
-		i = c
-	}
-	s[i] = last
-	return top
+	h.hole = true
+	return h.s[0]
 }
 
-// shard is one partition of the event loop: a heap plus the shard's own
-// virtual clock. Nothing here is locked. The heap, the clock and the stamp
+// top returns the earliest event without removing it, nil when empty. The
+// pointer is good until the heap is next touched.
+func (h *eventHeap) top() *event {
+	if h.hole {
+		h.repair()
+	}
+	if len(h.s) == 0 {
+		return nil
+	}
+	return &h.s[0]
+}
+
+// size is the number of events held; a vacant root is not one.
+func (h *eventHeap) size() int {
+	if h.hole {
+		h.repair()
+	}
+	return len(h.s)
+}
+
+// items returns the heap's array, the heap's own: callers copy it.
+func (h *eventHeap) items() []event {
+	if h.hole {
+		h.repair()
+	}
+	return h.s
+}
+
+// set replaces the contents with evts, which must already be in heap order
+// (a copy of some heap's items).
+func (h *eventHeap) set(evts []event) { h.s, h.hole = evts, false }
+
+// shard is one partition of the event loop: two heaps plus the shard's own
+// virtual clock. Nothing here is locked. The heaps, the clock and the stamp
 // belong to whichever goroutine is running the shard's window — a worker,
 // or the coordinator — and to the coordinator alone while workers are
 // parked; the window hand-off over run/done is the ordering edge.
@@ -339,10 +402,17 @@ type shard struct {
 	id    int
 	sched *Scheduler
 
-	evts eventHeap
+	// Pending events by kind: closures (node timers, and on a one-shard
+	// scheduler the global actor's events) in timers, flat packet records in
+	// packets. Nearly every pending event is a timer seconds away while
+	// nearly every pop and push is a packet hop milliseconds away; apart, a
+	// hop sifts through the few dozen packets in flight instead of through
+	// every armed timer. next merges the two by the full key.
+	timers  eventHeap
+	packets eventHeap
 	// out[b] parks the events this shard's handlers schedule onto shard b
 	// while windows are fanned out; the coordinator merges them into b's
-	// heap after the join. The lookahead already guarantees such events are
+	// heaps after the join. The lookahead already guarantees such events are
 	// due at or beyond the window's horizon, so b never needed them sooner.
 	out [][]event
 
@@ -369,11 +439,36 @@ func (sh *shard) stamp(k *eventKey) {
 	}
 }
 
+// push files e under its kind.
+func (sh *shard) push(e event) {
+	if e.kind == evFunc {
+		sh.timers.push(e)
+	} else {
+		sh.packets.push(e)
+	}
+}
+
+// next returns the heap holding the shard's earliest event and that event,
+// nil when nothing is pending. Ties on the instant are real — a
+// loopback delivery and a timer of one node share an actor and differ in
+// seq only — so the two tops compare by the whole key.
+func (sh *shard) next() (*eventHeap, *event) {
+	t, p := sh.timers.top(), sh.packets.top()
+	if p != nil && (t == nil || p.less(&t.eventKey)) {
+		return &sh.packets, p
+	}
+	return &sh.timers, t
+}
+
 // runWindow executes every event due before until, in key order.
 func (sh *shard) runWindow(until time.Duration) {
 	net := sh.sched.net
-	for len(sh.evts) > 0 && sh.evts[0].at < until {
-		e := sh.evts.pop()
+	for {
+		h, top := sh.next()
+		if top == nil || top.at >= until {
+			return
+		}
+		e := h.pop()
 		if !e.live() {
 			continue
 		}
@@ -399,7 +494,7 @@ func (sh *shard) serve() {
 // the (actor, seq) counters. Only a cross-shard push during a fanned-out
 // window is deferred to an outbox; every other push — the shard feeding
 // itself, the coordinator with the workers parked — goes straight to the
-// heap.
+// target's heaps.
 func (s *Scheduler) scheduleEv(from, to int, at time.Duration, actor, seq uint64, e event) {
 	e.eventKey = eventKey{at: at, actor: actor, seq: seq}
 	if from != to && s.fanned {
@@ -407,7 +502,7 @@ func (s *Scheduler) scheduleEv(from, to int, at time.Duration, actor, seq uint64
 		sh.out[to] = append(sh.out[to], e)
 		return
 	}
-	s.shards[to].evts.push(e)
+	s.shards[to].push(e)
 }
 
 // merge moves what the given shards parked in their outboxes into the
@@ -418,9 +513,9 @@ func (s *Scheduler) merge(from []*shard) {
 			if len(evs) == 0 {
 				continue
 			}
-			h := &s.shards[to].evts
+			target := s.shards[to]
 			for i := range evs {
-				h.push(evs[i])
+				target.push(evs[i])
 				evs[i] = event{}
 			}
 			sh.out[to] = evs[:0]
@@ -463,6 +558,16 @@ func (s *Scheduler) timeOn(shardID int) time.Duration {
 	return s.now
 }
 
+// addSat returns t + d for a non-negative d, saturating at the end of
+// virtual time: a timer set for "never" stays in the future instead of
+// wrapping around into the past.
+func addSat(t, d time.Duration) time.Duration {
+	if at := t + d; at >= t {
+		return at
+	}
+	return math.MaxInt64
+}
+
 // After schedules fn to run once after d of virtual time. A non-positive d
 // runs fn at the current instant, after already-queued global events for
 // that instant. The returned timer cancels it.
@@ -479,29 +584,27 @@ func (s *Scheduler) After(d time.Duration, fn func()) substrate.Timer {
 	}
 	t := &simTimer{}
 	s.globalSeq++
-	e := event{eventKey: eventKey{at: s.now + d, actor: actorGlobal, seq: s.globalSeq}, fn: fn, tm: t}
-	// One shard keeps global events in its only heap; several keep them
-	// apart, for the barriers.
+	e := event{eventKey: eventKey{at: addSat(s.now, d), actor: actorGlobal, seq: s.globalSeq}, fn: fn, tm: t}
+	// One shard keeps global events with its own closures; several keep
+	// them apart, for the barriers.
 	if len(s.shards) == 1 {
-		s.shards[0].evts.push(e)
+		s.shards[0].push(e)
 	} else {
 		s.global.push(e)
 	}
 	return t
 }
 
-// earliest finds the queue holding the earliest pending event: sh is nil
-// for the global heap, and h is nil when nothing is pending.
-func (s *Scheduler) earliest() (h *eventHeap, sh *shard) {
-	if len(s.global) > 0 {
-		h = &s.global
-	}
+// earliest finds the heap holding the earliest pending event and that event:
+// sh is nil for the global heap, and top is nil when nothing is pending.
+func (s *Scheduler) earliest() (h *eventHeap, top *event, sh *shard) {
+	h, top = &s.global, s.global.top()
 	for _, c := range s.shards {
-		if len(c.evts) > 0 && (h == nil || c.evts[0].less(&(*h)[0].eventKey)) {
-			h, sh = &c.evts, c
+		if ch, ct := c.next(); ct != nil && (top == nil || ct.less(&top.eventKey)) {
+			h, top, sh = ch, ct, c
 		}
 	}
-	return h, sh
+	return h, top, sh
 }
 
 // step runs the next event in deterministic order if it is due at or before
@@ -511,8 +614,8 @@ func (s *Scheduler) earliest() (h *eventHeap, sh *shard) {
 // barrier for the global actor, advance the clocks, stamp the key, execute.
 func (s *Scheduler) step(limit time.Duration) bool {
 	for {
-		h, sh := s.earliest()
-		if h == nil || (*h)[0].at > limit {
+		h, top, sh := s.earliest()
+		if top == nil || top.at > limit {
 			return false
 		}
 		e := h.pop()
@@ -557,7 +660,7 @@ func (s *Scheduler) RunFor(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	deadline := s.now + d
+	deadline := addSat(s.now, d)
 	if len(s.shards) == 1 || s.lookahead <= 0 {
 		for s.step(deadline) {
 		}
@@ -581,15 +684,15 @@ func (s *Scheduler) RunFor(d time.Duration) {
 // beyond the horizon.
 func (s *Scheduler) runSharded(deadline time.Duration) {
 	for {
-		h, _ := s.earliest()
-		if h == nil || (*h)[0].at > deadline {
+		_, top, _ := s.earliest()
+		if top == nil || top.at > deadline {
 			return
 		}
-		start := max((*h)[0].at, s.now)
+		start := max(top.at, s.now)
 		horizon := start + s.lookahead
 		var tg time.Duration = -1
-		if len(s.global) > 0 {
-			tg = s.global[0].at
+		if g := s.global.top(); g != nil {
+			tg = g.at
 		}
 		switch {
 		case tg >= 0 && tg <= deadline && tg <= horizon:
@@ -628,7 +731,7 @@ func (s *Scheduler) parallel(until time.Duration) {
 	active := s.active[:0]
 	var before uint64
 	for _, sh := range s.shards {
-		if len(sh.evts) > 0 && sh.evts[0].at < until {
+		if _, top := sh.next(); top != nil && top.at < until {
 			active = append(active, sh)
 			before += sh.executed
 		}

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"time"
 
 	"macedon/internal/overlay"
@@ -31,9 +32,11 @@ func (t *simTimer) StateCopyOpaque()       {}
 // timerFlags is one timer's lazy-cancellation state at snapshot time.
 type timerFlags struct{ fired, stopped bool }
 
-// shardSnapshot captures one event shard.
+// shardSnapshot captures one event shard: evts[:timers] is the timer heap's
+// array and the rest the packet heap's.
 type shardSnapshot struct {
 	evts     []event
+	timers   int
 	now      time.Duration
 	cur      eventKey
 	executed uint64
@@ -59,7 +62,9 @@ type SchedulerSnapshot struct {
 	rng        *statecopy.Image
 }
 
-// Snapshot captures the scheduler. Call between RunFor windows only.
+// Snapshot captures the scheduler. Call between RunFor windows only. The
+// heaps are copied repaired (eventHeap.items): a snapshot never holds a
+// vacant root.
 func (s *Scheduler) Snapshot() *SchedulerSnapshot {
 	cp := &SchedulerSnapshot{
 		now:        s.now,
@@ -68,7 +73,7 @@ func (s *Scheduler) Snapshot() *SchedulerSnapshot {
 		stall:      s.stall,
 		lastSync:   s.lastSync,
 		lastWindow: s.lastWindow,
-		global:     append([]event(nil), s.global...),
+		global:     append([]event(nil), s.global.items()...),
 		timers:     make(map[*simTimer]timerFlags),
 		rng:        statecopy.Capture(s.rng),
 	}
@@ -82,7 +87,8 @@ func (s *Scheduler) Snapshot() *SchedulerSnapshot {
 	collect(cp.global)
 	for _, sh := range s.shards {
 		ss := shardSnapshot{
-			evts:     append([]event(nil), sh.evts...),
+			evts:     slices.Concat(sh.timers.items(), sh.packets.items()),
+			timers:   sh.timers.size(),
 			now:      sh.now,
 			cur:      sh.cur,
 			executed: sh.executed,
@@ -104,10 +110,12 @@ func (s *Scheduler) Restore(cp *SchedulerSnapshot) {
 	s.globalSeq = cp.globalSeq
 	s.executed = cp.executed
 	s.stall, s.lastSync, s.lastWindow = cp.stall, cp.lastSync, cp.lastWindow
-	s.global = append(s.global[:0:0], cp.global...)
+	s.global.set(append([]event(nil), cp.global...))
 	for i, sh := range s.shards {
 		ss := &cp.shards[i]
-		sh.evts = append(sh.evts[:0:0], ss.evts...)
+		evts := append([]event(nil), ss.evts...)
+		sh.timers.set(evts[:ss.timers:ss.timers]) // capped: growing it must not run into the packets
+		sh.packets.set(evts[ss.timers:])
 		sh.now, sh.cur, sh.executed = ss.now, ss.cur, ss.executed
 	}
 	// Timers queued at the snapshot come back to their exact cancellation
