@@ -44,10 +44,7 @@ type ClusterConfig struct {
 	Graph *topology.Graph
 	Addrs []overlay.Address
 
-	// Access overrides the client access pipe for generated topologies.
-	Access topology.AccessLink
-
-	// Sim tunes the emulator (loss rate, per-hop overhead).
+	// Sim tunes the emulator (loss rate).
 	Sim simnet.Config
 
 	// Node-level knobs passed through to core.Config.
@@ -90,7 +87,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	addrs := cfg.Addrs
 	if g == nil {
 		var err error
-		g, addrs, err = buildGraph(cfg.Nodes, cfg.Routers, cfg.Seed, cfg.Access)
+		g, addrs, err = buildGraph(cfg.Nodes, cfg.Routers, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +113,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // buildGraph generates the INET topology and attaches clients exactly the
 // way NewCluster always has: the address assignment is a pure function of
 // (nodes, routers, seed).
-func buildGraph(nodes, routers int, seed int64, access topology.AccessLink) (*topology.Graph, []overlay.Address, error) {
+func buildGraph(nodes, routers int, seed int64) (*topology.Graph, []overlay.Address, error) {
 	if routers <= 0 {
 		routers = 4 * nodes
 		if routers < 100 {
@@ -127,10 +124,7 @@ func buildGraph(nodes, routers int, seed int64, access topology.AccessLink) (*to
 	if err != nil {
 		return nil, nil, err
 	}
-	if access.Bandwidth == 0 {
-		access = topology.DefaultAccess
-	}
-	addrs := topology.AttachClients(g, nodes, 1, access, seed+1)
+	addrs := topology.AttachClients(g, nodes, 1, topology.DefaultAccess, seed+1)
 	return g, addrs, nil
 }
 
@@ -140,7 +134,7 @@ func buildGraph(nodes, routers int, seed int64, access topology.AccessLink) (*to
 // node i, so a live run and a sim run of one scenario route the identical
 // key space (the live-vs-sim conformance harness depends on it).
 func TopologyAddrs(nodes, routers int, seed int64) ([]overlay.Address, error) {
-	_, addrs, err := buildGraph(nodes, routers, seed, topology.AccessLink{})
+	_, addrs, err := buildGraph(nodes, routers, seed)
 	return addrs, err
 }
 

@@ -2,8 +2,7 @@ package simnet
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"macedon/internal/overlay"
 	"macedon/internal/topology"
@@ -23,9 +22,12 @@ type Degradation struct {
 
 // SetLinkDown fails (or restores) the bidirectional pipe containing the
 // directed link l. While a pipe is down, datagrams entering it are dropped
-// and new paths route around it: the cached path set and the routing oracle
-// are invalidated, exactly what a static paths map cannot express.
+// and new paths route around it, exactly what a static paths map cannot
+// express. Setting a pipe to the state it already has changes nothing.
 func (n *Network) SetLinkDown(l topology.LinkID, down bool) {
+	if n.blocked[l] == down {
+		return
+	}
 	if down {
 		n.blocked[l] = true
 		n.blocked[l^1] = true
@@ -122,89 +124,25 @@ func (n *Network) Detach(addr overlay.Address) error {
 	return nil
 }
 
-// invalidatePaths rebuilds the forwarding oracle around the current failed
-// set and discards every cached path. Metrics oracles (Routes()) keep using
-// the failure-free topology: stretch denominators stay stable.
-//
-// Oracles are cached per failure set in a small LRU: a scenario cycling
-// through link failures (fail, heal, fail again) reuses the oracle — and
-// its lazily built shortest-path trees — instead of rebuilding, while the
-// bound keeps many distinct failure sets from accumulating tree memory.
+// invalidatePaths makes forwarding follow the failed set as it now stands.
+// Every endpoint drops its cached routes, lazily, by generation. The oracle
+// keeps its trees unless the failed core links changed: a tree never touches
+// an access link (topology.Routes), so failing or healing an access pipe —
+// the only kind a scenario can — costs the generation bump and nothing else,
+// and a Restore to an equal core set keeps what the branch before it built.
+// Metrics oracles (Routes()) keep using the failure-free topology: stretch
+// denominators stay stable.
 func (n *Network) invalidatePaths() {
-	n.pathGen++ // endpoints drop their cached routes lazily (Network.path)
-	if len(n.blocked) == 0 {
-		n.live = n.routes
-		return
-	}
-	key := blockedKey(n.blocked)
-	if r, ok := n.oracles.get(key); ok {
-		n.live = r
-		return
-	}
-	blocked := make(map[topology.LinkID]bool, len(n.blocked))
+	n.pathGen++ // see Network.path
+	var core []topology.LinkID
 	for l := range n.blocked {
-		blocked[l] = true
-	}
-	r := topology.NewRoutesExcluding(n.graph, func(l topology.LinkID) bool { return blocked[l] })
-	r.SetTreeBudget(n.cfg.OracleTreeBudget)
-	if n.oracles.put(key, r, n.cfg.OracleCacheSize) {
-		n.oracleEvictions++
-	}
-	n.live = r
-}
-
-// blockedKey canonicalizes a failed-link set. Link ids are small ints; the
-// sorted ids joined with commas make a stable map key.
-func blockedKey(blocked map[topology.LinkID]bool) string {
-	ids := make([]int, 0, len(blocked))
-	for l := range blocked {
-		ids = append(ids, int(l))
-	}
-	sort.Ints(ids)
-	var b strings.Builder
-	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", id)
-	}
-	return b.String()
-}
-
-// oracleCache is a tiny LRU of failure-set routing oracles.
-type oracleCache struct {
-	keys   []string
-	values []*topology.Routes
-}
-
-func (c *oracleCache) get(key string) (*topology.Routes, bool) {
-	for i, k := range c.keys {
-		if k == key {
-			// Move to front.
-			v := c.values[i]
-			copy(c.keys[1:i+1], c.keys[:i])
-			copy(c.values[1:i+1], c.values[:i])
-			c.keys[0], c.values[0] = key, v
-			return v, true
+		if !n.graph.IsAccessLink(l) {
+			core = append(core, l)
 		}
 	}
-	return nil, false
-}
-
-// put inserts at the front and reports whether an entry was evicted.
-func (c *oracleCache) put(key string, r *topology.Routes, cap int) bool {
-	c.keys = append([]string{key}, c.keys...)
-	c.values = append([]*topology.Routes{r}, c.values...)
-	if len(c.keys) > cap {
-		c.keys = c.keys[:cap]
-		c.values = c.values[:cap]
-		return true
+	slices.Sort(core)
+	if !slices.Equal(core, n.liveCore) {
+		n.live.Flush()
+		n.liveCore = core
 	}
-	return false
 }
-
-// OracleCacheLen returns how many failure-set oracles are retained.
-func (n *Network) OracleCacheLen() int { return len(n.oracles.keys) }
-
-// OracleEvictions counts failure-set oracles discarded by the LRU bound.
-func (n *Network) OracleEvictions() uint64 { return n.oracleEvictions }

@@ -300,6 +300,13 @@ func TestEndpointRouteCacheGeneration(t *testing.T) {
 
 	n.SetLinkDown(fast, true)
 	send('b') // in flight on the slow path when the fast one heals
+	// Failing a pipe that is already down is not an event: the generation
+	// stands, and with it the route b was sent over.
+	gen, slow := n.pathGen, n.eps[1].routes[n.eps[2].vertex]
+	n.SetLinkDown(fast, true)
+	if again := n.path(n.eps[1], n.eps[2].vertex); n.pathGen != gen || &again[0] != &slow[0] {
+		t.Fatalf("a repeated link_down dropped endpoint 1's cached route (generation %d -> %d)", gen, n.pathGen)
+	}
 	s.RunFor(5 * time.Millisecond)
 	n.SetLinkDown(fast, false)
 	send('c')
@@ -321,4 +328,67 @@ func TestEndpointRouteCacheGeneration(t *testing.T) {
 	send('e')
 	s.RunUntilIdle()
 	wantFast('e', true)
+}
+
+// TestAccessFlapsKeepTrees: shortest-path trees never enter a client stub, so
+// failing and healing access pipes — all a scenario can do to a link — leaves
+// the one forwarding oracle and every tree it has built in place, while
+// routing still learns each cut: the drop counters are the ones a fresh
+// oracle per failure set produced before the oracle became long-lived.
+func TestAccessFlapsKeepTrees(t *testing.T) {
+	g, err := topology.INET(topology.DefaultINET(40, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := topology.AttachClients(g, 8, 1, topology.DefaultAccess, 9)
+	s := NewScheduler(1)
+	n := New(s, g, Config{})
+	eps := make([]*endpoint, len(addrs))
+	for i, a := range addrs {
+		eps[i] = n.eps[a]
+		eps[i].SetRecv(func(overlay.Address, []byte) {})
+	}
+	allPairs := func() {
+		for _, src := range eps {
+			for _, dst := range addrs {
+				if src.addr != dst {
+					if err := src.Send(dst, make([]byte, 64)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	allPairs()
+	s.RunUntilIdle()
+	live, trees := n.live, n.live.CachedTrees()
+	if trees == 0 {
+		t.Fatal("all-pairs traffic built no tree")
+	}
+	same := func(when string) {
+		t.Helper()
+		if n.live != live || live.CachedTrees() != trees {
+			t.Fatalf("%s: forwarding oracle replaced=%v, caches %d trees, want the warmed %d",
+				when, n.live != live, n.live.CachedTrees(), trees)
+		}
+	}
+	for _, a := range addrs {
+		allPairs() // in flight when the pipe fails
+		s.RunFor(500 * time.Microsecond)
+		if err := n.SetNodeAccessDown(a, true); err != nil {
+			t.Fatal(err)
+		}
+		same("after link_down")
+		allPairs() // routed around the cut
+		s.RunUntilIdle()
+		same("after traffic under the failure")
+		if err := n.SetNodeAccessDown(a, false); err != nil {
+			t.Fatal(err)
+		}
+		same("after link_up")
+	}
+	if st := n.Stats(); st.NoRouteDrops != 112 || st.LinkDownDrops != 56 || st.Delivered != 784 {
+		t.Fatalf("noroute=%d linkdown=%d delivered=%d, want 112/56/784 as before the oracle was long-lived",
+			st.NoRouteDrops, st.LinkDownDrops, st.Delivered)
+	}
 }

@@ -76,24 +76,7 @@ type Config struct {
 	// yields the same traces; the choice only moves the lookahead window
 	// and therefore wall-clock scaling.
 	Partitioner string
-	// PerHopOverhead adds fixed per-router forwarding delay.
-	PerHopOverhead time.Duration
-	// OracleCacheSize bounds how many failure-set routing oracles the
-	// network retains (LRU). 0 selects DefaultOracleCacheSize. Scenarios
-	// that cycle through many distinct link-failure sets would otherwise
-	// accumulate one oracle (and its shortest-path trees) per set.
-	OracleCacheSize int
-	// OracleTreeBudget bounds the shortest-path trees cached inside each
-	// routing oracle (see topology.Routes.SetTreeBudget). 0 selects
-	// DefaultOracleTreeBudget; negative means unbounded.
-	OracleTreeBudget int
 }
-
-// Default bounds for routing-oracle memory.
-const (
-	DefaultOracleCacheSize  = 4
-	DefaultOracleTreeBudget = 1024
-)
 
 // Network emulates the topology: it implements substrate.Network by routing
 // each datagram along the shortest path and applying per-pipe bandwidth
@@ -109,8 +92,12 @@ type Network struct {
 	sched  *Scheduler
 	graph  *topology.Graph
 	routes *topology.Routes // failure-free oracle, for metrics
-	live   *topology.Routes // forwarding oracle, routes around failed links
-	cfg    Config
+	// live is the forwarding oracle: it reads blocked when asked, and
+	// liveCore is the set of failed core links (sorted) its cached trees
+	// route around. See invalidatePaths.
+	live     *topology.Routes
+	liveCore []topology.LinkID
+	cfg      Config
 
 	nshards     int
 	vertexShard []int32 // topology.RouterID -> shard
@@ -134,9 +121,6 @@ type Network struct {
 	// checkpoint's copied event heaps may still reference (see allocPacket).
 	pktPools []packetPool
 	pktGen   uint64
-
-	oracles         oracleCache
-	oracleEvictions uint64
 }
 
 // packetPool is one shard's free list of packet records, padded so
@@ -294,23 +278,8 @@ func New(sched *Scheduler, g *topology.Graph, cfg Config) *Network {
 		degraded:    make(map[topology.LinkID]Degradation),
 		statsBy:     make([]shardStats, nsh),
 	}
-	if n.cfg.OracleCacheSize <= 0 {
-		n.cfg.OracleCacheSize = DefaultOracleCacheSize
-	}
-	if n.cfg.OracleTreeBudget == 0 {
-		// Trees are only ever computed toward client vertices (packets
-		// terminate at endpoints), so the working set is one tree per
-		// client: default to that, floored at DefaultOracleTreeBudget. A
-		// budget below the client count would thrash recomputation on
-		// all-pairs traffic at large scale.
-		n.cfg.OracleTreeBudget = len(g.Clients())
-		if n.cfg.OracleTreeBudget < DefaultOracleTreeBudget {
-			n.cfg.OracleTreeBudget = DefaultOracleTreeBudget
-		}
-	}
 	n.routes = topology.NewRoutes(g)
-	n.routes.SetTreeBudget(n.cfg.OracleTreeBudget)
-	n.live = n.routes
+	n.live = topology.NewRoutesExcluding(g, func(l topology.LinkID) bool { return n.blocked[l] })
 	switch cfg.Partitioner {
 	case "", PartitionerStriped:
 		n.vertexShard = topology.PartitionStriped(g, nsh)
@@ -357,8 +326,13 @@ func (n *Network) linkActor(l topology.LinkID) uint64     { return 1 + n.numVert
 // Scheduler returns the clock driving the network.
 func (n *Network) Scheduler() *Scheduler { return n.sched }
 
-// Routes exposes the routing oracle (for direct-latency metrics).
+// Routes exposes the failure-free routing oracle (for direct-latency
+// metrics).
 func (n *Network) Routes() *topology.Routes { return n.routes }
+
+// LiveRoutes exposes the forwarding oracle: the one packets are routed by,
+// around whatever links are failed at the moment of the query.
+func (n *Network) LiveRoutes() *topology.Routes { return n.live }
 
 // Graph returns the underlying topology.
 func (n *Network) Graph() *topology.Graph { return n.graph }
@@ -636,7 +610,7 @@ func (n *Network) enqueue(shard int, pkt *packet, hop int) {
 	if isDegraded && deg.LatencyFactor > 0 {
 		latency = time.Duration(float64(latency) * deg.LatencyFactor)
 	}
-	arrive := txDone + latency + n.cfg.PerHopOverhead
+	arrive := txDone + latency
 
 	// The packet's bytes leave the queue when serialization completes. The
 	// release keeps its place in the link actor's sequence, so every arrival

@@ -115,54 +115,6 @@ func TestShardInvarianceNodeTimers(t *testing.T) {
 	}
 }
 
-// TestOracleCacheEviction is the Routes-memory satellite: cycling through
-// more distinct link-failure sets than the cache bound must evict old
-// oracles instead of accumulating them.
-func TestOracleCacheEviction(t *testing.T) {
-	g, err := topology.INET(topology.DefaultINET(40, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := topology.AttachClients(g, 8, 1, topology.DefaultAccess, 9)
-	s := NewScheduler(1)
-	n := New(s, g, Config{OracleCacheSize: 3})
-	for _, a := range addrs {
-		ep, _ := n.Endpoint(a)
-		ep.SetRecv(func(overlay.Address, []byte) {})
-	}
-	// Fail each client's access pipe in turn: every iteration is a distinct
-	// failure set (the previous link is restored first).
-	var prev topology.LinkID = topology.NilLink
-	for i, a := range addrs {
-		up, _, ok := g.AccessLinks(a)
-		if !ok {
-			t.Fatalf("no access link for %v", a)
-		}
-		if prev != topology.NilLink {
-			n.SetLinkDown(prev, false)
-		}
-		n.SetLinkDown(up, true)
-		prev = up
-		// Exercise routing under the failure so trees actually build.
-		src, _ := n.Endpoint(addrs[(i+1)%len(addrs)])
-		_ = src.Send(addrs[(i+2)%len(addrs)], []byte("x"))
-		s.RunFor(50 * time.Millisecond)
-		if got := n.OracleCacheLen(); got > 3 {
-			t.Fatalf("oracle cache grew to %d, bound is 3", got)
-		}
-	}
-	if n.OracleEvictions() == 0 {
-		t.Fatal("no oracle evictions after 8 distinct failure sets with bound 3")
-	}
-	// A revisited failure set must hit the cache (front entry, no eviction).
-	evBefore := n.OracleEvictions()
-	n.SetLinkDown(prev, false)
-	n.SetLinkDown(prev, true)
-	if n.OracleEvictions() != evBefore {
-		t.Fatal("revisiting the most recent failure set evicted an oracle")
-	}
-}
-
 // TestOracleTreeBudget checks the per-oracle tree bound: more destinations
 // than the budget must not grow the cache past it, and answers must stay
 // correct after eviction.

@@ -140,14 +140,13 @@ type endpointState struct {
 // endpoint state, injected dynamics (failed links, degradations,
 // partitions), and the per-shard packet accounting.
 type NetworkSnapshot struct {
-	links           []linkState
-	eps             map[overlay.Address]endpointState
-	blocked         map[topology.LinkID]bool
-	degraded        map[topology.LinkID]Degradation
-	sides           map[overlay.Address]int
-	stats           []shardStats
-	pools           []PoolStats
-	oracleEvictions uint64
+	links    []linkState
+	eps      map[overlay.Address]endpointState
+	blocked  map[topology.LinkID]bool
+	degraded map[topology.LinkID]Degradation
+	sides    map[overlay.Address]int
+	stats    []shardStats
+	pools    []PoolStats
 }
 
 // Snapshot captures the network. Call between RunFor windows only.
@@ -159,13 +158,12 @@ func (n *Network) Snapshot() *NetworkSnapshot {
 	// not resurrect a generation that other snapshots still pin.
 	n.pktGen++
 	cp := &NetworkSnapshot{
-		links:           append([]linkState(nil), n.links...),
-		eps:             make(map[overlay.Address]endpointState, len(n.eps)),
-		blocked:         make(map[topology.LinkID]bool, len(n.blocked)),
-		degraded:        make(map[topology.LinkID]Degradation, len(n.degraded)),
-		stats:           append([]shardStats(nil), n.statsBy...),
-		pools:           make([]PoolStats, len(n.pktPools)),
-		oracleEvictions: n.oracleEvictions,
+		links:    append([]linkState(nil), n.links...),
+		eps:      make(map[overlay.Address]endpointState, len(n.eps)),
+		blocked:  make(map[topology.LinkID]bool, len(n.blocked)),
+		degraded: make(map[topology.LinkID]Degradation, len(n.degraded)),
+		stats:    append([]shardStats(nil), n.statsBy...),
+		pools:    make([]PoolStats, len(n.pktPools)),
 	}
 	for i := range cp.pools {
 		cp.pools[i] = n.pktPools[i].PoolStats
@@ -194,8 +192,10 @@ func (n *Network) Snapshot() *NetworkSnapshot {
 }
 
 // Restore rewinds the network to the snapshot. Link and stats state is
-// written back into the existing backing arrays, path caches are discarded,
-// and the forwarding oracle is rebuilt for the restored failure set.
+// written back into the existing backing arrays and endpoints' path caches
+// are discarded; the forwarding oracle keeps its trees when the restored
+// failure set has the failed core links they were built around, and is
+// flushed when it does not (invalidatePaths).
 func (n *Network) Restore(cp *NetworkSnapshot) {
 	copy(n.links, cp.links)
 	for i := range n.links {
@@ -229,6 +229,5 @@ func (n *Network) Restore(cp *NetworkSnapshot) {
 			n.sides[a] = s
 		}
 	}
-	n.oracleEvictions = cp.oracleEvictions
 	n.invalidatePaths()
 }

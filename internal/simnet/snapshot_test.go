@@ -215,3 +215,81 @@ func TestSchedulerSnapshotCarriesAccounting(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreKeepsTreesForEqualCoreSet: Restore brings back the failure set
+// and forwarding answers as it did at the snapshot; the oracle's trees
+// survive it exactly when the failed core links are the ones they were built
+// around — an access-link failure in the branch is no reason to flush, a
+// core-link failure is.
+func TestRestoreKeepsTreesForEqualCoreSet(t *testing.T) {
+	n, s, fast := diamondNet(t)
+	e1, _ := n.Endpoint(1)
+	e2, _ := n.Endpoint(2)
+	var took time.Duration
+	got := 0
+	e2.SetRecv(func(overlay.Address, []byte) { got++ })
+	send := func() bool { // reports whether a datagram 1→2 arrived
+		t.Helper()
+		start, before := s.Elapsed(), got
+		if err := e1.Send(2, make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+		s.RunUntilIdle()
+		took = s.Elapsed() - start
+		return got == before+1
+	}
+	wantFast := func(when string) {
+		t.Helper()
+		if ok := send(); !ok || took > 10*time.Millisecond {
+			t.Fatalf("%s: 1→2 delivered=%v in %v, want the fast path", when, ok, took)
+		}
+	}
+	wantFast("baseline")
+	_ = e2.Send(1, make([]byte, 100))
+	s.RunUntilIdle()
+	trees := n.live.CachedTrees()
+	if trees != 2 {
+		t.Fatalf("warm-up cached %d trees, want one per attachment router", trees)
+	}
+	cpS, cpN := s.Snapshot(), n.Snapshot()
+
+	// Branch one fails an access pipe only: the core set stays empty.
+	if err := n.SetNodeAccessDown(2, true); err != nil {
+		t.Fatal(err)
+	}
+	if send() {
+		t.Fatal("delivered across a failed access pipe")
+	}
+	s.Restore(cpS)
+	n.Restore(cpN)
+	if got := n.live.CachedTrees(); got != trees {
+		t.Fatalf("restore to an equal core set left %d trees, want the %d it had", got, trees)
+	}
+	wantFast("after the access-only branch")
+
+	// Branch two also fails a core pipe: trees are rebuilt around it, and the
+	// restore must not keep them.
+	_ = n.SetNodeAccessDown(1, true)
+	n.SetLinkDown(fast, true)
+	_ = n.SetNodeAccessDown(1, false)
+	if !send() || took < 40*time.Millisecond {
+		t.Fatalf("under the core failure 1→2 took %v, want the slow path", took)
+	}
+	cpS2, cpN2 := s.Snapshot(), n.Snapshot() // a snapshot with the core pipe down
+	s.Restore(cpS)
+	n.Restore(cpN)
+	if got := n.live.CachedTrees(); got != 0 {
+		t.Fatalf("restore to a different core set kept %d trees", got)
+	}
+	wantFast("after the core branch")
+
+	s.Restore(cpS2)
+	n.Restore(cpN2)
+	if !n.LinkDown(fast) || n.live.CachedTrees() != 0 {
+		t.Fatalf("restore into the failure: down=%v trees=%d, want the pipe down and a flushed oracle",
+			n.LinkDown(fast), n.live.CachedTrees())
+	}
+	if !send() || took < 40*time.Millisecond {
+		t.Fatalf("restored into the core failure 1→2 took %v, want the slow path", took)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"macedon/internal/overlay"
@@ -148,14 +149,8 @@ func degreeThreshold(deg []int, quantile float64) int {
 	if len(deg) == 0 {
 		return 0
 	}
-	cp := append([]int(nil), deg...)
-	// insertion sort is fine at generation time for the sizes involved; keep
-	// the dependency surface minimal.
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
+	cp := slices.Clone(deg)
+	slices.Sort(cp)
 	idx := int(quantile * float64(len(cp)-1))
 	return cp[idx]
 }

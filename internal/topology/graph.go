@@ -53,6 +53,10 @@ type Graph struct {
 	clients      map[overlay.Address]RouterID
 	clientOrder  []overlay.Address
 	clientVertex map[RouterID]overlay.Address
+	// stub[v]: v is a client with a single access link — a vertex no path
+	// crosses, only starts or ends at. Kept dense because Dijkstra asks once
+	// per relaxed edge.
+	stub []bool
 }
 
 // NewGraph returns an empty graph.
@@ -67,6 +71,7 @@ func NewGraph() *Graph {
 func (g *Graph) AddRouter() RouterID {
 	id := RouterID(len(g.adj))
 	g.adj = append(g.adj, nil)
+	g.stub = append(g.stub, false)
 	return id
 }
 
@@ -110,6 +115,9 @@ func (g *Graph) addDirected(a, b RouterID, latency time.Duration, bandwidth int6
 	id := LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, From: a, To: b, Latency: latency, Bandwidth: bandwidth, QueueBytes: queueBytes})
 	g.adj[a] = append(g.adj[a], halfEdge{to: b, link: id})
+	if len(g.adj[a]) > 1 {
+		g.stub[a] = false // a second link makes a client a through vertex
+	}
 	return id
 }
 
@@ -140,6 +148,7 @@ func (g *Graph) AttachClient(addr overlay.Address, at RouterID, access AccessLin
 	g.clients[addr] = v
 	g.clientOrder = append(g.clientOrder, addr)
 	g.clientVertex[v] = addr
+	g.stub[v] = true
 	return v
 }
 
@@ -153,6 +162,13 @@ func (g *Graph) AccessLinks(addr overlay.Address) (up, down LinkID, ok bool) {
 	}
 	up = g.adj[v][0].link
 	return up, up ^ 1, true
+}
+
+// IsAccessLink reports whether l is either direction of a single-homed
+// client's access pipe. Every other link is a core link: one a shortest-path
+// tree may use.
+func (g *Graph) IsAccessLink(l LinkID) bool {
+	return g.stub[g.links[l].From] || g.stub[g.links[l].To]
 }
 
 // ClientVertex returns the vertex a client address is attached at.
@@ -209,6 +225,11 @@ type spt struct {
 // Routes is safe for concurrent use: a sharded simnet queries one oracle
 // from every shard. Results are pure functions of the graph and the blocked
 // predicate, so concurrency (and tree eviction) never changes an answer.
+//
+// Trees are a function of the core graph alone. A single-homed client is
+// peeled off either end of a query (endpoints) and Dijkstra never relaxes
+// into one, so no tree reads — or, through the frontier's tie order, is
+// shaped by — the state of an access link: that is consulted per query.
 type Routes struct {
 	g       *Graph
 	blocked func(LinkID) bool // nil = every link usable
@@ -225,12 +246,11 @@ func NewRoutes(g *Graph) *Routes {
 	return &Routes{g: g, trees: make(map[RouterID]*spt)}
 }
 
-// SetTreeBudget bounds the number of cached shortest-path trees. Each tree
-// costs O(vertices) memory, and a large experiment can query thousands of
-// destinations, so unbounded caching is the dominant memory term of the
-// ROADMAP's "Routes tree cache" item. When the budget is exceeded the
-// oldest tree is recomputed on next use (results are unaffected). n <= 0
-// removes the bound.
+// SetTreeBudget bounds the number of cached shortest-path trees; each costs
+// O(vertices) memory. When the budget is exceeded the oldest tree is
+// recomputed on next use (results are unaffected). n <= 0 removes the
+// bound, which is also the default: simnet sets none, since trees are per
+// attachment router and the router count bounds them already.
 func (r *Routes) SetTreeBudget(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -245,13 +265,24 @@ func (r *Routes) CachedTrees() int {
 }
 
 // NewRoutesExcluding returns a route oracle that routes around links for
-// which blocked returns true — the oracle a ModelNet core would rebuild
-// after a link failure. The blocked predicate is consulted only while
-// computing trees, so callers must construct a fresh oracle whenever the
-// failed-link set changes (simnet does exactly that to invalidate its path
-// cache).
+// which blocked returns true — what a ModelNet core recomputes after a link
+// failure. The predicate may change its answers over the oracle's life:
+// access links (Graph.IsAccessLink) are asked about on every query, core
+// links only while a tree is computed, so the caller must Flush when the
+// answer for a core link changes.
 func NewRoutesExcluding(g *Graph, blocked func(LinkID) bool) *Routes {
 	return &Routes{g: g, trees: make(map[RouterID]*spt), blocked: blocked}
+}
+
+// Flush discards every cached tree. All of them, not only those through a
+// link that failed: a relaxation over that link which a shorter path later
+// superseded still shaped the frontier's tie order, so a kept tree could
+// differ from the one a fresh oracle builds where paths tie.
+func (r *Routes) Flush() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.trees = make(map[RouterID]*spt)
+	r.order = nil
 }
 
 type pqItem struct {
@@ -332,7 +363,8 @@ func (r *Routes) tree(dst RouterID) *spt {
 
 // computeTree runs Dijkstra toward dst. Because every link is one half of a
 // symmetric pair, Dijkstra from dst over out-links yields correct paths
-// toward dst.
+// toward dst. Client stubs are not entered: a path only starts or ends at
+// one, and endpoints has peeled those hops off before a tree is consulted.
 func (r *Routes) computeTree(dst RouterID) *spt {
 	n := r.g.NumRouters()
 	t := &spt{prev: make([]LinkID, n), dist: make([]time.Duration, n)}
@@ -350,6 +382,9 @@ func (r *Routes) computeTree(dst RouterID) *spt {
 			continue
 		}
 		for _, e := range r.g.adj[it.v] {
+			if r.g.stub[e.to] {
+				continue
+			}
 			// e goes it.v→e.to; the reverse direction is the same pipe, so
 			// walking out-edges from dst explores paths *to* dst. The link
 			// traffic would actually traverse is e.link's partner: that is
@@ -377,7 +412,7 @@ func (r *Routes) partner(l LinkID) LinkID { return l ^ 1 }
 // router. ok is false for core routers (and for any multi-homed client),
 // which keep the plain tree lookup.
 func (r *Routes) access(v RouterID) (up LinkID, router RouterID, ok bool) {
-	if _, isClient := r.g.clientVertex[v]; !isClient || len(r.g.adj[v]) != 1 {
+	if !r.g.stub[v] {
 		return NilLink, NilRouter, false
 	}
 	e := r.g.adj[v][0]

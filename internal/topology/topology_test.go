@@ -1,6 +1,10 @@
 package topology
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -245,3 +249,131 @@ func TestSiteMatrixErrors(t *testing.T) {
 }
 
 var _ = overlay.NilAddress // keep the import pinned for doc examples
+
+// TestDegreeThresholdMatchesInsertionSort pins the quantile on a
+// 20,000-entry power-law degree slice — the paper's INET size — against the
+// quadratic loop slices.Sort replaced.
+func TestDegreeThresholdMatchesInsertionSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(20000))
+	deg := make([]int, 20000)
+	for i := range deg {
+		deg[i] = int(1 / math.Pow(1-rng.Float64(), 1/1.2)) // Pareto tail, like INET degrees
+	}
+	sorted := append([]int(nil), deg...)
+	for i := 1; i < len(sorted); i++ {
+		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
+	}
+	for _, q := range []float64{0, 0.25, 0.5, 0.9, 1} {
+		if got, want := degreeThreshold(deg, q), sorted[int(q*float64(len(sorted)-1))]; got != want {
+			t.Fatalf("degreeThreshold(q=%v) = %d, the insertion sort's was %d", q, got, want)
+		}
+	}
+}
+
+// TestLongLivedOracleMatchesFresh: an oracle whose blocked predicate changes
+// under it — access links at will, a core link with a Flush — answers every
+// client pair exactly as an oracle built fresh for the failure set of the
+// moment. A new long-lived oracle joins at every stage, so trees first
+// computed with access links down, with a core link down, and after the
+// heals are all held to the same answers. The INET graphs are the ones
+// experiments run over; the uniform-latency grids make every route a tie, so
+// a frontier that let a client stub in — and with it the state of that
+// stub's access link — would pick different predecessors.
+func TestLongLivedOracleMatchesFresh(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		inet, err := INET(DefaultINET(60, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid := NewGraph()
+		const side = 6
+		for i := 0; i < side*side; i++ {
+			grid.AddRouter()
+		}
+		for v := RouterID(0); v < side*side; v++ {
+			if v%side+1 < side {
+				grid.AddLink(v, v+1, time.Millisecond, 1e9, 1<<20)
+			}
+			if v+side < side*side {
+				grid.AddLink(v, v+side, time.Millisecond, 1e9, 1<<20)
+			}
+		}
+		for name, g := range map[string]*Graph{"inet": inet, "grid": grid} {
+			addrs := AttachClients(g, 12, 1, DefaultAccess, seed+100)
+			longLivedMatchesFresh(t, fmt.Sprintf("%s seed %d", name, seed), g, addrs, rand.New(rand.NewSource(seed)))
+		}
+	}
+}
+
+func longLivedMatchesFresh(t *testing.T, name string, g *Graph, addrs []overlay.Address, rng *rand.Rand) {
+	var access, core []LinkID
+	for _, a := range addrs {
+		if rng.Intn(3) == 0 {
+			up, _, _ := g.AccessLinks(a)
+			access = append(access, up)
+		}
+	}
+	for _, l := range g.Links() {
+		if !g.IsAccessLink(l.ID) {
+			core = append(core, l.ID)
+		}
+	}
+	coreLink := []LinkID{core[rng.Intn(len(core))]}
+
+	blocked := map[LinkID]bool{}
+	set := func(links []LinkID, down bool) {
+		for _, l := range links {
+			if down {
+				blocked[l], blocked[l^1] = true, true
+			} else {
+				delete(blocked, l)
+				delete(blocked, l^1)
+			}
+		}
+	}
+	stages := []struct {
+		name        string
+		links       []LinkID
+		down, flush bool
+	}{
+		{name: "before"},
+		{name: "access down", links: access, down: true},
+		{name: "access and core down", links: coreLink, down: true, flush: true},
+		{name: "core healed", links: coreLink, flush: true},
+		{name: "all healed", links: access},
+	}
+	var lived []*Routes
+	for _, st := range stages {
+		set(st.links, st.down)
+		if st.flush {
+			for _, r := range lived {
+				r.Flush()
+			}
+		}
+		lived = append(lived, NewRoutesExcluding(g, func(l LinkID) bool { return blocked[l] }))
+		exact := make(map[LinkID]bool, len(blocked))
+		for l := range blocked {
+			exact[l] = true
+		}
+		fresh := NewRoutesExcluding(g, func(l LinkID) bool { return exact[l] })
+		for _, a := range addrs {
+			for _, b := range addrs {
+				va, _ := g.ClientVertex(a)
+				vb, _ := g.ClientVertex(b)
+				wantPath, wantLat := fresh.Path(va, vb), fresh.Latency(va, vb)
+				for i, r := range lived {
+					if got := r.Path(va, vb); !slices.Equal(got, wantPath) {
+						t.Fatalf("%s, %s, oracle from stage %d: path %v->%v = %v, a fresh oracle says %v",
+							name, st.name, i, a, b, got, wantPath)
+					}
+					if got := r.Latency(va, vb); got != wantLat {
+						t.Fatalf("%s, %s, oracle from stage %d: latency %v->%v = %v, a fresh oracle says %v",
+							name, st.name, i, a, b, got, wantLat)
+					}
+				}
+			}
+		}
+	}
+}

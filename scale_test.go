@@ -1,7 +1,8 @@
 // Scale acceptance: large RandTree churn scenarios must run to completion
-// on the sharded event loop. The runs take minutes of wall clock, so they
-// are gated behind MACEDON_SCALE=1 (the CI perf lane runs them in a
-// dedicated job; `go test ./...` skips them).
+// on the sharded event loop, and link failures at the paper's population
+// must cost no route rebuild. The churn runs take minutes of wall clock, so
+// all of it is gated behind MACEDON_SCALE=1 (the CI scale lane runs them in
+// a dedicated job; `go test ./...` skips them).
 //
 // Every population size, churn knob, and pass/fail threshold lives in the
 // scaleCases table below — the single source the CI job and local
@@ -9,12 +10,14 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
 	"macedon/internal/harness"
+	"macedon/internal/overlay"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 )
@@ -69,6 +72,18 @@ var scaleCases = map[string]scaleCase{
 		drain:       10 * time.Second,
 		minLive:     49_800,
 	},
+	// The failure-injection probe of docs/simnet.md: the paper's population
+	// of generated Chord, no churn, four access pipes failing and healing
+	// under a lookup workload (TestScaleLinkFlapChord holds the schedule).
+	"flap": {
+		name:       "genchord-1k-linkflap",
+		nodes:      1_000,
+		routers:    3_000,
+		joinWindow: 30 * time.Second,
+		settle:     30 * time.Second,
+		churnFor:   30 * time.Second, // the flap phase
+		drain:      5 * time.Second,
+	},
 }
 
 // runScaleCase executes one row of the table and enforces its thresholds.
@@ -114,6 +129,67 @@ func runScaleCase(t *testing.T, c scaleCase) {
 	}
 	if rep.Final.Delivered == 0 {
 		t.Fatalf("no traffic delivered at %d nodes", c.nodes)
+	}
+}
+
+// TestScaleLinkFlapChord runs the "flap" row: the nodes join over the join
+// window, then 5 lookups/s for the length of the phase while four access
+// pipes fail and heal, then the drain. It drives the cluster itself rather
+// than a scenario because it asserts on the forwarding oracle: with a tree
+// toward every attachment router already cached when the flaps begin, any
+// tree built afterwards is one an access-link event threw away.
+func TestScaleLinkFlapChord(t *testing.T) {
+	row := scaleCases["flap"]
+	if os.Getenv("MACEDON_SCALE") == "" {
+		t.Skipf("set MACEDON_SCALE=1 to run the %d-node link-flap probe", row.nodes)
+	}
+	start := time.Now()
+	c, err := harness.NewCluster(harness.ClusterConfig{Nodes: row.nodes, Routers: row.routers, Seed: 2004})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.StopAll()
+	stack, err := harness.ScenarioStack("genchord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range c.Addrs {
+		c.SpawnAt(i, stack, row.joinWindow*time.Duration(i)/time.Duration(row.nodes))
+	}
+	c.RunFor(row.settle)
+
+	live := c.Net.LiveRoutes()
+	for _, a := range c.Addrs[1:] {
+		_, _ = live.ClientLatency(c.Addrs[0], a)
+		_, _ = live.ClientLatency(a, c.Addrs[0])
+	}
+	trees := live.CachedTrees()
+
+	for i := 0; i < 5*int(row.churnFor/time.Second); i++ {
+		src := c.Addrs[(i*7919+3)%row.nodes]
+		c.Sched.After(time.Duration(i)*time.Second/5, func() {
+			_ = c.Nodes[src].Route(overlay.HashString(fmt.Sprint("flap-lookup-", i)), make([]byte, 64), 0, overlay.PriorityDefault)
+		})
+	}
+	for _, f := range []struct {
+		node     int
+		down, up time.Duration
+	}{{3, 2, 11}, {7, 5, 17}, {11, 8, 20}, {19, 14, 23}} {
+		addr := c.Addrs[f.node]
+		c.Sched.After(f.down*time.Second, func() { _ = c.Net.SetNodeAccessDown(addr, true) })
+		c.Sched.After(f.up*time.Second, func() { _ = c.Net.SetNodeAccessDown(addr, false) })
+	}
+	c.RunFor(row.churnFor + row.drain)
+
+	st := c.Net.Stats()
+	t.Logf("%d-node link flaps: %d simulator events, %d route trees, noroute=%d linkdown=%d, wall=%s",
+		row.nodes, c.Sched.Executed(), live.CachedTrees(), st.NoRouteDrops, st.LinkDownDrops,
+		time.Since(start).Round(10*time.Millisecond))
+	if st.NoRouteDrops == 0 {
+		t.Fatal("no datagram met a failed access pipe: the flaps were not exercised")
+	}
+	if got := c.Net.LiveRoutes().CachedTrees(); got != trees {
+		t.Fatalf("the flaps rebuilt routes: %d trees cached, %d before the first failure", got, trees)
 	}
 }
 
