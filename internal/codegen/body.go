@@ -95,6 +95,17 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 		if !ok || v.Kind != dsl.VarPlain {
 			return fmt.Errorf("codegen: %s: assignment to undeclared variable %q", s.Pos, s.Target)
 		}
+		if v.Type == "nodeset" {
+			// A nodeset owns its array (list_append and list_clear work in
+			// place), so storing a list value copies it into the target's own
+			// storage: two list variables never share an array.
+			src, err := g.nodesetExpr(s.Value)
+			if err != nil {
+				return err
+			}
+			g.pf("%sa.%s = append(a.%s[:0], %s...)\n", ind, camel(s.Target), camel(s.Target), src)
+			return nil
+		}
 		g.pf("%sa.%s = %s\n", ind, camel(s.Target), val)
 	case *dsl.LocalStmt:
 		if !g.localTypes[s.Type] {
@@ -134,6 +145,11 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 		if err != nil {
 			return err
 		}
+		if id, ok := s.List.(dsl.Ident); ok && g.varTypes[id.Name].Type == "nodeset" && rewritesList(s.Body, id.Name) {
+			// The body rewrites the front of the array it ranges over: range
+			// over a copy, as loops over a neighbor list already do.
+			rng = fmt.Sprintf("append([]overlay.Address(nil), %s...)", rng)
+		}
 		g.loopVars[s.Var] = true
 		g.pf("%sfor _, %s := range %s {\n", ind, s.Var, rng)
 		if err := g.scopedBody(s.Body, depth+1); err != nil {
@@ -167,6 +183,35 @@ func (g *generator) scopedBody(stmts []dsl.Stmt, depth int) error {
 	}
 	g.locals = saved
 	return nil
+}
+
+// rewritesList reports whether stmts, at any depth, can overwrite entries
+// [0,len) of the named nodeset's array: list_clear or list_trunc (a later
+// list_append then reuses the freed slots) or an assignment to it (a copy into
+// its storage). list_append alone only writes past len, and list_prepend,
+// list_remove and ring_insert build a fresh array.
+func rewritesList(stmts []dsl.Stmt, name string) bool {
+	for _, st := range stmts {
+		switch st := st.(type) {
+		case *dsl.AssignStmt:
+			if st.Target == name {
+				return true
+			}
+		case *dsl.CallStmt:
+			if id, ok := firstIdent(st.Args); ok && id.Name == name && (st.Fn == "list_clear" || st.Fn == "list_trunc") {
+				return true
+			}
+		case *dsl.IfStmt:
+			if rewritesList(st.Then, name) || rewritesList(st.Else, name) {
+				return true
+			}
+		case *dsl.ForeachStmt:
+			if rewritesList(st.Body, name) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // rangeExpr resolves a foreach collection: a neighbor list, a nodeset state
@@ -301,8 +346,12 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		if err != nil {
 			return err
 		}
-		g.pf("%s_ = ctx.Send(%s, &%s{%s}, overlay.PriorityDefault)\n",
-			ind, dest, msgTypeName(s.Msg), strings.Join(inits, ", "))
+		// The message is built in the agent's send slot (see msgScratch):
+		// Send encodes it before returning and keeps nothing. One call
+		// expression, so the destination is still evaluated before the fields.
+		g.need("put")
+		g.pf("%s_ = ctx.Send(%s, put(&a.io.tx.%s, %s{%s}), overlay.PriorityDefault)\n",
+			ind, dest, camel(s.Msg), msgTypeName(s.Msg), strings.Join(inits, ", "))
 	case "state_change":
 		st, ok := firstIdent(s.Args)
 		if !ok {
@@ -389,7 +438,7 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		if err != nil {
 			return err
 		}
-		g.pf("%s%s = nil\n", ind, l)
+		g.pf("%s%s = %s[:0]\n", ind, l, l)
 	case "list_trunc":
 		l, err := g.listVar(s, 0)
 		if err != nil {

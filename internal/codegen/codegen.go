@@ -236,6 +236,19 @@ func (g *generator) file() (string, error) {
 		g.pf("\treturn r.Err()\n}\n\n")
 	}
 
+	// Message scratch: the slots registered factories decode into and send
+	// statements build in.
+	g.pf("%s", msgScratchDoc)
+	g.pf("type msgScratch struct{ rx, tx msgSlots }\n\n")
+	g.pf("// msgSlots holds one message of every declared type.\ntype msgSlots struct {\n")
+	for _, m := range s.Messages {
+		g.pf("\t%s %s\n", camel(m.Name), msgTypeName(m.Name))
+	}
+	g.pf("}\n\n")
+	g.pf("// StateCopyOpaque keeps the scratch out of checkpoint images: between events\n")
+	g.pf("// it is garbage, and a copied slot would pin the payload it last saw.\n")
+	g.pf("func (*msgScratch) StateCopyOpaque() {}\n\n")
+
 	// Agent struct with plain state variables, node tables, and keymaps.
 	var keymaps []string
 	g.pf("// Agent is the generated protocol instance.\ntype Agent struct {\n")
@@ -250,6 +263,7 @@ func (g *generator) file() (string, error) {
 			g.pf("\t%s [%s]overlay.Address\n", camel(v.Name), g.resolve(v.Max))
 		}
 	}
+	g.pf("\n\tio msgScratch // a named field: embedding would promote StateCopyOpaque to Agent\n")
 	g.pf("}\n\n")
 	g.pf("// New returns a factory for generated %s agents.\n", s.Name)
 	if len(keymaps) == 0 {
@@ -292,8 +306,9 @@ func (g *generator) file() (string, error) {
 		}
 	}
 	for _, m := range s.Messages {
-		g.pf("\td.Message(%q, func() overlay.Message { return &%s{} }, %q)\n",
-			m.Name, msgTypeName(m.Name), m.Transport)
+		slot := "a.io.rx." + camel(m.Name)
+		g.pf("\td.Message(%q, func() overlay.Message { %s = %s{}; return &%s }, %q)\n",
+			m.Name, slot, msgTypeName(m.Name), slot, m.Transport)
 	}
 	for _, v := range s.StateVars {
 		switch v.Kind {
@@ -368,24 +383,44 @@ func nbrFirst(ctx *core.Context, list string) overlay.Address {
 	return g.b.String(), nil
 }
 
+// msgScratchDoc is emitted above the scratch type: the argument for it lives
+// with the code it licenses.
+const msgScratchDoc = `// msgScratch is where this agent's messages live while a transition handles
+// them: per declared message one receive slot (rx), which the registered
+// factory clears and the engine decodes into, and one send slot (tx), which a
+// send statement fills and hands to ctx.Send. Two slots, because a forwarding
+// transition builds the message it sends from fields of the one it received.
+//
+// Reusing them is safe because of three things the engine guarantees. A node
+// runs one event at a time and every cross-layer call is deferred, so a
+// decoded message has been dispatched, and its transition has returned, before
+// this agent decodes again. The one synchronous cross-layer call, the
+// forward() upcall, decodes into the agent of the layer above — other slots.
+// And ctx.Send encodes the message before it returns and keeps no reference
+// to it. Nothing generated keeps ev.Msg or a sent message past its transition.
+`
+
 // helperOrder fixes the emission order of the conditional runtime helpers.
 var helperOrder = []struct {
 	name   string
 	source string
 }{
+	{"put", `// put stores v in slot and returns slot: a send builds its message in the
+// agent's send slot inside the Send call expression, so the destination is
+// evaluated before the fields, as when the message was a fresh literal.
+func put[T any](slot *T, v T) *T {
+	*slot = v
+	return slot
+}
+`},
 	{"nbrSync", `// nbrSync replaces a neighbor list's members with a nodeset's, skipping
 // nil and self (the failure detector monitors peers, not the local node).
 func nbrSync(ctx *core.Context, list string, self overlay.Address, s []overlay.Address) {
-	l := ctx.Neighbors(list)
-	l.Clear()
-	for _, a := range s {
-		if a != overlay.NilAddress && a != self {
-			l.Add(a)
-		}
-	}
+	ctx.Neighbors(list).Assign(s, self)
 }
 `},
-	{"listAppend", `// listAppend appends a to the list unless already present (or nil).
+	{"listAppend", `// listAppend appends a to the list unless already present (or nil), in
+// place: a nodeset variable owns its array.
 func listAppend(s []overlay.Address, a overlay.Address) []overlay.Address {
 	if a == overlay.NilAddress {
 		return s
@@ -395,9 +430,7 @@ func listAppend(s []overlay.Address, a overlay.Address) []overlay.Address {
 			return s
 		}
 	}
-	out := make([]overlay.Address, 0, len(s)+1)
-	out = append(out, s...)
-	return append(out, a)
+	return append(s, a)
 }
 `},
 	{"listPrepend", `// listPrepend moves or inserts a at the front of the list.

@@ -4,12 +4,16 @@ import (
 	"go/format"
 	"go/parser"
 	"go/token"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"macedon/internal/dsl"
+	"macedon/internal/overlay"
 	"macedon/internal/repo"
 )
 
@@ -212,16 +216,18 @@ transitions {
 	}
 }
 
-// TestCollectionPrimitivesTranslate checks the indexed-collection subset:
-// nodeset lists, nodetables, keymaps, locals, and return.
-func TestCollectionPrimitivesTranslate(t *testing.T) {
-	spec, err := dsl.Parse(`
+// collectionSpec exercises the indexed-collection subset — nodeset lists,
+// nodetables, keymaps, locals, and return — and every way a nodeset value is
+// stored: from another variable, from a received field, appended to on both
+// sides afterwards, and rewritten inside a foreach over itself.
+const collectionSpec = `
 protocol p
 constants { N = 16; }
 transports { UDP u; }
 messages { u m { key k; nodeset others; } }
 auxiliary_data {
   nodeset ring;
+  nodeset backup;
   nodetable table N;
   keymap cache;
 }
@@ -238,6 +244,19 @@ transitions {
     }
     map_put(cache, field(k), best);
     list_trunc(ring, 8);
+    backup = ring;
+    list_append(ring, from);
+    list_append(backup, best);
+    foreach (y in backup) {
+      if (y == from) {
+        list_clear(backup);
+      }
+      list_append(backup, y);
+    }
+    foreach (z in ring) {
+      list_append(ring, hash(z));
+    }
+    ring = field(others);
   }
   any API error {
     list_remove(ring, failed);
@@ -245,7 +264,11 @@ transitions {
     map_remove_value(cache, failed);
   }
 }
-`)
+`
+
+func generateCollectionSpec(t *testing.T) *Result {
+	t.Helper()
+	spec, err := dsl.Parse(collectionSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,6 +279,12 @@ transitions {
 	if res.Opaque != 0 {
 		t.Fatalf("opaque = %d: %s", res.Opaque, res.Source)
 	}
+	return res
+}
+
+// TestCollectionPrimitivesTranslate checks the indexed-collection subset.
+func TestCollectionPrimitivesTranslate(t *testing.T) {
+	res := generateCollectionSpec(t)
 	for _, want := range []string{
 		"Table [16]overlay.Address",
 		"Cache map[overlay.Key]overlay.Address",
@@ -271,6 +300,134 @@ transitions {
 	}
 	if _, err := format.Source([]byte(res.Source)); err != nil {
 		t.Fatalf("generated source does not format: %v", err)
+	}
+}
+
+// TestListOwnership: list_append and list_clear work in place, which is exact
+// only while no two nodeset variables share an array. The emitted source must
+// copy at every store of a list value and range over a copy where the body
+// rewrites the list it ranges over; the emitted helpers, run under that
+// discipline, must then be indistinguishable from ones that copy on every
+// operation.
+func TestListOwnership(t *testing.T) {
+	src := generateCollectionSpec(t).Source
+	for _, want := range []string{
+		"a.Backup = append(a.Backup[:0], a.Ring...)\n",                      // variable to variable
+		"a.Ring = append(a.Ring[:0], m.Others...)\n",                        // received field into state
+		"for _, y := range append([]overlay.Address(nil), a.Backup...) {\n", // body clears what it ranges over
+		"for _, z := range a.Ring {\n",                                      // body only appends
+		"a.Backup = a.Backup[:0]\n",
+		"a.Ring = listAppend(a.Ring, ev.From)\n",
+		"\treturn append(s, a)\n}\n",
+	} {
+		if !strings.Contains(src, want) {
+			t.Errorf("generated source missing %q", want)
+		}
+	}
+	if strings.Contains(src, "a.Backup = a.Ring\n") || strings.Contains(src, " = nil\n") {
+		t.Error("generated source aliases or drops a nodeset's array")
+	}
+
+	// emitted_helpers_test.go compiles the list helpers; it must hold them
+	// exactly as they are emitted.
+	compiled, err := os.ReadFile("emitted_helpers_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range helperOrder {
+		if strings.HasPrefix(h.name, "list") && !strings.Contains(string(compiled), h.source) {
+			t.Fatalf("emitted_helpers_test.go does not hold %s as helperOrder emits it", h.name)
+		}
+	}
+
+	// Three variables under seeded operation sequences: the emitted forms
+	// against a reference that builds a fresh slice every time.
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var got, want [3][]overlay.Address
+		for step := 0; step < 300; step++ {
+			i, j := rng.Intn(3), rng.Intn(3)
+			a := overlay.Address(rng.Intn(10)) // 0 is NilAddress
+			n := int32(rng.Intn(6))
+			switch op := rng.Intn(7); op {
+			case 0, 1:
+				got[i] = listAppend(got[i], a)
+				if a != overlay.NilAddress && !slices.Contains(want[i], a) {
+					want[i] = append(slices.Clone(want[i]), a)
+				}
+			case 2:
+				got[i] = listPrepend(got[i], a)
+				if a != overlay.NilAddress {
+					want[i] = append([]overlay.Address{a}, slices.DeleteFunc(slices.Clone(want[i]), func(x overlay.Address) bool { return x == a })...)
+				}
+			case 3:
+				got[i] = listRemove(got[i], a)
+				want[i] = slices.DeleteFunc(slices.Clone(want[i]), func(x overlay.Address) bool { return x == a })
+			case 4:
+				got[i] = listTrunc(got[i], n)
+				want[i] = slices.Clone(want[i][:min(int(n), len(want[i]))])
+			case 5:
+				got[i] = got[i][:0] // list_clear
+				want[i] = nil
+			case 6:
+				got[i] = append(got[i][:0], got[j]...) // L = M
+				want[i] = slices.Clone(want[j])
+			}
+			for v := range got {
+				if !slices.Equal(got[v], want[v]) {
+					t.Fatalf("seed %d step %d: variable %d is %v, want %v", seed, step, v, got[v], want[v])
+				}
+				if listGet(got[v], n) != listGet(want[v], n) || listContains(got[v], a) != slices.Contains(want[v], a) {
+					t.Fatalf("seed %d step %d: reads of variable %d disagree", seed, step, v)
+				}
+			}
+		}
+	}
+}
+
+// TestSendAndFactoryUseScratch: no generated package allocates a message. The
+// factories hand out the agent's receive slots, send statements fill its send
+// slots, and the scratch type is opaque to checkpoints.
+func TestSendAndFactoryUseScratch(t *testing.T) {
+	literal := regexp.MustCompile(`&msg[A-Z][A-Za-z]*\{`)
+	sends := 0
+	for _, c := range fullyTranslated {
+		spec := loadSpec(t, c.spec)
+		res, err := Generate(spec, c.pkg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		if loc := literal.FindString(res.Source); loc != "" {
+			t.Errorf("%s: generated source allocates a message: %s…", c.spec, loc)
+		}
+		for _, want := range []string{
+			"type msgScratch struct{ rx, tx msgSlots }\n",
+			"func (*msgScratch) StateCopyOpaque() {}\n",
+			"\tio msgScratch //",
+		} {
+			if !strings.Contains(res.Source, want) {
+				t.Errorf("%s: generated source missing %q", c.spec, want)
+			}
+		}
+		for _, m := range spec.Messages {
+			slot, typ := "a.io.rx."+camel(m.Name), msgTypeName(m.Name)
+			if want := "{ " + slot + " = " + typ + "{}; return &" + slot + " }"; !strings.Contains(res.Source, want) {
+				t.Errorf("%s: factory of %q is not %q", c.spec, m.Name, want)
+			}
+		}
+		// One form: the message is built in its send slot inside the call, so
+		// the destination is evaluated before the fields.
+		n := strings.Count(res.Source, "ctx.Send(")
+		if n != strings.Count(res.Source, ", put(&a.io.tx.") || strings.Count(res.Source, "a.io.tx.") != n {
+			t.Errorf("%s: %d sends, but not as many put(&a.io.tx.…) arguments", c.spec, n)
+		}
+		if !strings.Contains(res.Source, "func put[T any](slot *T, v T) *T {\n") {
+			t.Errorf("%s: generated source sends without the put helper", c.spec)
+		}
+		sends += n
+	}
+	if sends == 0 {
+		t.Fatal("no generated send: the checks above are vacuous")
 	}
 }
 

@@ -161,6 +161,7 @@ type timerDecl struct {
 	name     string
 	period   time.Duration // default period for Resched-with-default
 	periodic bool          // automatically re-arm after each fire
+	fire     []transition  // the timer's transitions, resolved by Def.index
 }
 
 type neighborDecl struct {
@@ -190,8 +191,12 @@ type Def struct {
 
 	// byID is what a message crossing the engine needs, indexed by its
 	// registry id — the first two bytes of its frame — so the message path
-	// looks nothing up by name. Built by index once validate has passed.
-	byID []msgRoute
+	// looks nothing up by name. byAPI is the API transitions by overlay.API
+	// kind, up to the highest kind OnAPI saw (apiKinds); a timer's are on its
+	// timerDecl. All built by index once validate has passed.
+	byID     []msgRoute
+	byAPI    [][]transition
+	apiKinds int
 }
 
 // msgRoute is one message's row of Def.byID: views of the declaration maps.
@@ -247,7 +252,10 @@ func (d *Def) SWPTransport(name string, window int) {
 
 // Message declares a message type bound to a default transport instance.
 // Higher-layer protocols pass transport "" — their messages travel inside
-// the base layer's data messages.
+// the base layer's data messages. The factory may return recycled storage,
+// cleared, valid until its next call: the engine dispatches a decoded message
+// before this instance decodes again, so that is safe for a protocol whose
+// transitions never keep ev.Msg (generated ones; see their msgScratch).
 func (d *Def) Message(name string, factory func() overlay.Message, transport string) {
 	if _, dup := d.messages[name]; dup {
 		panic(fmt.Sprintf("core: message %q declared twice in %q", name, d.name))
@@ -297,6 +305,7 @@ func (d *Def) OnTimer(name string, guard StateExpr, lock LockMode, h TimerHandle
 // (or the application), plus the engine-driven error and notify events.
 func (d *Def) OnAPI(kind overlay.API, guard StateExpr, lock LockMode, h APIHandler) {
 	d.addTransition(eventKey{evAPI, kind.String()}, transition{guard: guard, lock: lock, api: h})
+	d.apiKinds = max(d.apiKinds, int(kind)+1)
 }
 
 func (d *Def) addTransition(k eventKey, t transition) {
@@ -342,8 +351,8 @@ func (d *Def) validate() error {
 	return nil
 }
 
-// index builds byID. Registry ids count messages in declaration order, which
-// msgOrder records.
+// index builds the dispatch tables: byID, byAPI and every timerDecl.fire.
+// Registry ids count messages in declaration order, which msgOrder records.
 func (d *Def) index() {
 	d.byID = make([]msgRoute, len(d.msgOrder))
 	for id, name := range d.msgOrder {
@@ -353,6 +362,13 @@ func (d *Def) index() {
 			forward:   d.transitions[eventKey{evForward, name}],
 			transport: d.messages[name].transport,
 		}
+	}
+	d.byAPI = make([][]transition, d.apiKinds)
+	for kind := range d.byAPI {
+		d.byAPI[kind] = d.transitions[eventKey{evAPI, overlay.API(kind).String()}]
+	}
+	for name, td := range d.timers {
+		td.fire = d.transitions[eventKey{evTimer, name}]
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -302,6 +303,99 @@ func TestNeighborListClearKeepsStorage(t *testing.T) {
 	}
 }
 
+// TestAssignMatchesClearAdd drives one list with Assign and a second with the
+// Clear + Add loop generated code used to emit for neighbor_sync, through
+// seeded sequences that mix in Add, Remove and Clear, and requires the two to
+// be indistinguishable after every step: Assign recycles entry records, so a
+// stale Delay, Key or index row is what this would catch.
+func TestAssignMatchesClearAdd(t *testing.T) {
+	const self = overlay.Address(100)
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		max := []int{0, 1, 3, 8}[rng.Intn(4)]
+		got := newNeighborList(neighborDecl{name: "l", max: max})
+		want := newNeighborList(neighborDecl{name: "l", max: max})
+		// Addresses come from a small pool, so steps overlap, repeat and permute.
+		pick := func() overlay.Address {
+			switch a := overlay.Address(rng.Intn(14)); a {
+			case 0:
+				return overlay.NilAddress
+			case 1:
+				return self
+			default:
+				return a
+			}
+		}
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				addrs := make([]overlay.Address, rng.Intn(12))
+				for i := range addrs {
+					addrs[i] = pick()
+				}
+				if rng.Intn(4) == 0 { // the steady state: the membership it already has
+					addrs = got.Addrs()
+					if rng.Intn(2) == 0 && len(addrs) > 1 {
+						rng.Shuffle(len(addrs), func(i, j int) { addrs[i], addrs[j] = addrs[j], addrs[i] })
+					}
+				}
+				got.Assign(addrs, self)
+				want.Clear()
+				for _, a := range addrs {
+					if a != overlay.NilAddress && a != self {
+						want.Add(a)
+					}
+				}
+			case op < 8:
+				a := pick()
+				if (got.Add(a) == nil) != (want.Add(a) == nil) {
+					t.Fatalf("seed %d step %d: Add(%v) disagrees", seed, step, a)
+				}
+			case op < 9:
+				a := pick()
+				if got.Remove(a) != want.Remove(a) {
+					t.Fatalf("seed %d step %d: Remove(%v) disagrees", seed, step, a)
+				}
+			default:
+				got.Clear()
+				want.Clear()
+			}
+			if g, w := got.Addrs(), want.Addrs(); !slices.Equal(g, w) || got.Size() != want.Size() || len(got.index) != len(want.index) {
+				t.Fatalf("seed %d step %d: members %v (index %d), want %v (index %d)", seed, step, g, len(got.index), w, len(want.index))
+			}
+			for a := overlay.Address(0); a < 14; a++ {
+				g, w := got.Entry(a), want.Entry(a)
+				if got.Contains(a) != want.Contains(a) || (g == nil) != (w == nil) || (g != nil && *g != *w) {
+					t.Fatalf("seed %d step %d: Entry(%v) = %+v, want %+v", seed, step, a, g, w)
+				}
+			}
+			if g, w := got.First(), want.First(); (g == nil) != (w == nil) || (g != nil && (*g != *w || g != got.Entry(g.Addr))) {
+				t.Fatalf("seed %d step %d: First() = %+v, want %+v", seed, step, g, w)
+			}
+			// What a protocol writes between syncs must not survive the next one.
+			for i, e := range got.entries {
+				e.Key, e.Delay, e.Bandwidth, e.Value = overlay.Key(step), float64(step+i), float64(seed), step
+				*want.entries[i] = *e
+			}
+		}
+	}
+}
+
+// TestAssignSteadyStateDoesNotAllocate: a stabilisation round that finds the
+// membership it left, in the same order or another, costs no allocation.
+func TestAssignSteadyStateDoesNotAllocate(t *testing.T) {
+	l := newNeighborList(neighborDecl{name: "succ", max: 8})
+	same := []overlay.Address{2, 3, 4, 5}
+	permuted := []overlay.Address{4, 2, 5, 3}
+	l.Assign(same, 1)
+	if got := testing.AllocsPerRun(100, func() { l.Assign(same, 1) }); got != 0 {
+		t.Errorf("Assign of the current membership allocates %v", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { l.Assign(permuted, 1); l.Assign(same, 1) }); got != 0 {
+		t.Errorf("Assign of a permuted membership allocates %v", got)
+	}
+}
+
 // TestTraceHighGolden pins the bytes a TraceHigh run writes. The golden was
 // written by the engine as it stood before trace call sites learned to test
 // the level first, so it proves the gating changed no traced line.
@@ -405,8 +499,9 @@ func (m *tagMsg) Encode(*overlay.Writer)       {}
 func (m *tagMsg) Decode(*overlay.Reader) error { return nil }
 
 // denseProto declares what the indexed tables have to get right at the
-// edges: a message nobody receives, a message bound to no transport, and a
-// downcall that sends either at any priority and keeps the error.
+// edges: a message nobody receives, a message bound to no transport, a timer
+// nobody handles, and a downcall that arms that timer or sends either message
+// at any priority and keeps the error.
 type denseProto struct{ errs []string }
 
 func (p *denseProto) ProtocolName() string { return "dense" }
@@ -418,16 +513,22 @@ func (p *denseProto) Define(d *Def) {
 		transport := map[string]string{"mute": "U"}[name]
 		d.Message(name, func() overlay.Message { return &tagMsg{name} }, transport)
 	}
+	d.Timer("idle", 10*time.Millisecond)
 	d.OnAPI(overlay.APIDowncallExt, Any, Write, func(ctx *Context, call *APICall) {
+		if call.Arg == "idle" {
+			ctx.TimerSched("idle", 0)
+			return
+		}
 		err := ctx.Send(2, &tagMsg{call.Arg.(string)}, call.Op)
 		p.errs = append(p.errs, fmt.Sprint(err))
 	})
 }
 
 // TestDenseTablesMatchDeclarations: the message path reads Def.byID and the
-// instance's resolved transports where it used to read the declaration maps
-// by name. The rows must be the maps' own entries, and the cases the maps
-// answered with "not found" must come out as they always did.
+// instance's resolved transports, a timer fire reads timerDecl.fire and an API
+// call Def.byAPI, where they used to read the declaration maps by name. The
+// rows must be the maps' own entries, and the cases the maps answered with
+// "not found" must come out as they always did.
 func TestDenseTablesMatchDeclarations(t *testing.T) {
 	for _, a := range []Agent{&echoProto{}, &upperProto{}, &denseProto{}} {
 		d := newDef(protocolName(a))
@@ -449,6 +550,28 @@ func TestDenseTablesMatchDeclarations(t *testing.T) {
 				!same(row.forward, d.transitions[eventKey{evForward, name}]) {
 				t.Errorf("%s: row %d does not match the declarations of %q: %+v", d.name, id, name, row)
 			}
+		}
+		for name, td := range d.timers {
+			if !same(td.fire, d.transitions[eventKey{evTimer, name}]) {
+				t.Errorf("%s: timer %q does not carry its declared transitions", d.name, name)
+			}
+		}
+		apis := 0
+		for kind, ts := range d.byAPI {
+			if !same(ts, d.transitions[eventKey{evAPI, overlay.API(kind).String()}]) {
+				t.Errorf("%s: byAPI[%v] does not match the declarations", d.name, overlay.API(kind))
+			}
+			if len(ts) > 0 {
+				apis++
+			}
+		}
+		for k := range d.transitions {
+			if k.kind == evAPI {
+				apis--
+			}
+		}
+		if apis != 0 {
+			t.Errorf("%s: byAPI misses %d declared API kinds", d.name, -apis)
 		}
 	}
 
@@ -479,6 +602,26 @@ func TestDenseTablesMatchDeclarations(t *testing.T) {
 	}
 	if want := "0.0.0.2 dense: unhandled recv mute in state init"; !strings.Contains(out.String(), want) {
 		t.Fatalf("trace lacks %q:\n%s", want, out.String())
+	}
+
+	// So are a timer with no transition, an API kind the table has a row for
+	// and one past its end.
+	before = nodes[0].Instance("dense").Counters()
+	nodes[0].Downcall(0, "idle")
+	nodes[0].Join(7)
+	nodes[0].postAPI(nodes[0].Top(), &APICall{Kind: overlay.API(200)})
+	sched.RunFor(100 * time.Millisecond)
+	if c := nodes[0].Instance("dense").Counters(); c.TimerFires != before.TimerFires+1 || c.Unhandled != before.Unhandled+3 {
+		t.Fatalf("an unhandled timer and two unhandled API calls count %+v, before them %+v", c, before)
+	}
+	for _, want := range []string{
+		"0.0.0.1 dense: unhandled timer idle in state init",
+		"0.0.0.1 dense: unhandled API join in state init",
+		"0.0.0.1 dense: unhandled API API(200) in state init",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("trace lacks %q:\n%s", want, out.String())
+		}
 	}
 
 	// No binding and no priority: the error the name lookup used to give. An

@@ -336,7 +336,7 @@ func (i *Instance) fireTimer(ts *timerState, gen uint64) {
 	}
 	ts.tm = nil
 	i.counters.TimerFires.Inc()
-	i.dispatch(i.def.transitions[eventKey{evTimer, ts.decl.name}], evTimer, ts.decl.name, nil, nil)
+	i.dispatch(ts.decl.fire, evTimer, ts.decl.name, nil, nil)
 	if ts.decl.periodic && ts.tm == nil {
 		i.armTimer(ts, ts.decl.period)
 	}
@@ -345,8 +345,11 @@ func (i *Instance) fireTimer(ts *timerState, gen uint64) {
 // dispatchAPI runs an API transition. Unhandled calls are counted and
 // otherwise ignored, as an overlay with no matching transition would be.
 func (i *Instance) dispatchAPI(call *APICall) {
-	name := call.Kind.String()
-	i.dispatch(i.def.transitions[eventKey{evAPI, name}], evAPI, name, nil, call)
+	var ts []transition
+	if k := int(call.Kind); k < len(i.def.byAPI) {
+		ts = i.def.byAPI[k]
+	}
+	i.dispatch(ts, evAPI, call.Kind.String(), nil, call)
 }
 
 // deliverUp implements the deliver() upcall from this layer.

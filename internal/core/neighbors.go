@@ -94,6 +94,57 @@ func (l *NeighborList) Clear() {
 	clear(l.index)
 }
 
+// Assign replaces the membership with addrs, in order, skipping NilAddress,
+// self and repeats, up to the declared capacity (neighbor_sync). The list is
+// left exactly as Clear followed by Add of each remaining address leaves it —
+// same order, every entry's Key recomputed, its Delay, Bandwidth and Value
+// zero — but the entry records are reused position by position, so a sync
+// that does not grow the list allocates nothing, and one that repeats the
+// current sequence does not touch the index either. The price: a *Neighbor
+// obtained before Assign must not be used after it (it may by then describe
+// another peer).
+func (l *NeighborList) Assign(addrs []overlay.Address, self overlay.Address) {
+	// The leading run of addrs that repeats the current sequence keeps its
+	// records and its index rows; only the per-entry fields start over.
+	n, i := 0, 0
+	for ; i < len(addrs); i++ {
+		a := addrs[i]
+		if a == overlay.NilAddress || a == self {
+			continue
+		}
+		if n == len(l.entries) || l.entries[n].Addr != a {
+			break
+		}
+		*l.entries[n] = Neighbor{Addr: a, Key: overlay.HashAddress(a)}
+		n++
+	}
+	// Whatever followed it in the list leaves the index, and its records are
+	// rewritten in turn for the rest of addrs.
+	for _, e := range l.entries[n:] {
+		delete(l.index, e.Addr)
+	}
+	for _, a := range addrs[i:] {
+		if a == overlay.NilAddress || a == self {
+			continue
+		}
+		if _, repeat := l.index[a]; repeat {
+			continue
+		}
+		if l.max > 0 && n >= l.max {
+			break
+		}
+		if n == len(l.entries) {
+			l.entries = append(l.entries, new(Neighbor))
+		}
+		e := l.entries[n]
+		*e = Neighbor{Addr: a, Key: overlay.HashAddress(a)}
+		l.index[a] = e
+		n++
+	}
+	clear(l.entries[n:]) // drop the pointers, as Clear and Remove do
+	l.entries = l.entries[:n]
+}
+
 // Contains reports whether addr is in the list.
 func (l *NeighborList) Contains(addr overlay.Address) bool {
 	_, ok := l.index[addr]

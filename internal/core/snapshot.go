@@ -25,15 +25,20 @@ package core
 //     overlays do; an agent squirreling state away inside a long-lived
 //     closure would escape the walk.
 //
-// Three engine types opt out of the walk entirely (the third is hotPath in
-// queue.go: the event ring and per-event scratch, empty or garbage at every
-// quiescent point):
+// The engine types below opt out of the walk entirely, as do the scratch
+// types beside the code that uses them (hotPath in queue.go: the event ring
+// and per-event scratch, empty or garbage at every quiescent point):
 
 // StateCopyOpaque marks the protocol definition as shared across fork
 // branches: a Def is immutable once newInstance has validated it (the
 // transition table, message registry, and declarations never change at run
 // time), so rewinding a branch never needs to touch it.
 func (d *Def) StateCopyOpaque() {}
+
+// StateCopyOpaque shares a timer's declaration the way the Def that owns it
+// is shared: a timerState points at it, and without the marker every capture
+// would walk the transitions Def.index resolved onto it.
+func (*timerDecl) StateCopyOpaque() {}
 
 // StateCopyOpaque marks the tracer as shared across fork branches: its only
 // state is the output writer and level, which belong to the experiment, not

@@ -32,8 +32,14 @@ var (
 // Writer accumulates the big-endian wire form of a message. The zero value
 // is ready to use. A Writer may be reused message after message (Reset
 // retains its storage); bytes it returned belong to it until the next Reset.
+//
+// A list or string longer than its 16-bit count prefix can state is not
+// written at all: the writer keeps ErrTooLarge until the next Reset and
+// EncodeMessage returns it, so an oversized field fails the send instead of
+// producing a frame that decodes as something else.
 type Writer struct {
 	buf []byte
+	err error
 }
 
 // NewWriter returns a writer reusing buf's storage.
@@ -45,8 +51,20 @@ func (w *Writer) Bytes() []byte { return w.buf }
 // Len returns the number of bytes accumulated so far.
 func (w *Writer) Len() int { return len(w.buf) }
 
-// Reset discards accumulated bytes, retaining storage.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
+// Reset discards accumulated bytes and any error, retaining storage.
+func (w *Writer) Reset() { w.buf, w.err = w.buf[:0], nil }
+
+// count16 appends the count prefix of a list or string of n elements,
+// reporting whether n fits it; when it does not, nothing is appended and the
+// writer fails.
+func (w *Writer) count16(n int) bool {
+	if n > math.MaxUint16 {
+		w.err = ErrTooLarge
+		return false
+	}
+	w.U16(uint16(n))
+	return true
+}
 
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -92,22 +110,27 @@ func (w *Writer) Bytes32(b []byte) {
 
 // String16 appends a length-prefixed string (max 64 KiB).
 func (w *Writer) String16(s string) {
-	w.U16(uint16(len(s)))
-	w.buf = append(w.buf, s...)
+	if w.count16(len(s)) {
+		w.buf = append(w.buf, s...)
+	}
 }
 
-// Addrs appends a length-prefixed address list: the grammar's "neighbor set"
-// message field.
+// Addrs appends a length-prefixed address list (max 65,535 entries): the
+// grammar's "neighbor set" message field.
 func (w *Writer) Addrs(as []Address) {
-	w.U16(uint16(len(as)))
+	if !w.count16(len(as)) {
+		return
+	}
 	for _, a := range as {
 		w.Addr(a)
 	}
 }
 
-// Keys appends a length-prefixed key list.
+// Keys appends a length-prefixed key list (max 65,535 entries).
 func (w *Writer) Keys(ks []Key) {
-	w.U16(uint16(len(ks)))
+	if !w.count16(len(ks)) {
+		return
+	}
 	for _, k := range ks {
 		w.Key(k)
 	}
@@ -307,7 +330,10 @@ func (r *Registry) Name(id uint16) string {
 	return r.entries[id].name
 }
 
-// New instantiates an empty message of the identified type.
+// New returns an empty message of the identified type. A factory may hand out
+// recycled storage (generated protocols register one receive slot per type),
+// so the message — and whatever DecodeMessage returns through it — is valid
+// only until the next New or decode of that type on this registry.
 func (r *Registry) New(id uint16) (Message, error) {
 	if int(id) >= len(r.entries) {
 		return nil, fmt.Errorf("%w: protocol %q id %d", ErrUnknownMessage, r.proto, id)
@@ -327,6 +353,9 @@ func (w *Writer) EncodeMessage(reg *Registry, m Message) ([]byte, error) {
 	w.Reset()
 	w.U16(id)
 	m.Encode(w)
+	if w.err != nil {
+		return nil, fmt.Errorf("%w: protocol %q message %q", w.err, reg.Proto(), m.MsgName())
+	}
 	return w.buf, nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -210,6 +212,47 @@ func TestEncodeDecodeMessage(t *testing.T) {
 	other := NewRegistry("q")
 	if _, err := EncodeMessage(other, in); !errors.Is(err, ErrUnknownMessage) {
 		t.Fatalf("unregistered encode err = %v", err)
+	}
+}
+
+// TestWriterCountOverflow: a list or string one element past what its 16-bit
+// count can state used to encode without error — the count wrapped, all the
+// elements followed — and decode, also without error, as a different message
+// (65,537 addresses then an int 7 came back as one address and 167772161).
+// Each of the three counted fields must fail the encode instead, the largest
+// countable length must still round-trip, and Reset must clear the failure.
+func TestWriterCountOverflow(t *testing.T) {
+	reg := NewRegistry("p")
+	reg.Register("test", func() Message { return &testMsg{} })
+	fields := map[string]func(n int) *testMsg{
+		"String16": func(n int) *testMsg { return &testMsg{S: string(make([]byte, n))} },
+		"Addrs":    func(n int) *testMsg { return &testMsg{As: make([]Address, n)} },
+		"Keys":     func(n int) *testMsg { return &testMsg{Ks: make([]Key, n)} },
+	}
+	var w Writer
+	for name, build := range fields {
+		in := build(65535)
+		in.E = 7
+		frame, err := w.EncodeMessage(reg, in)
+		if err != nil {
+			t.Fatalf("%s: 65,535 elements: %v", name, err)
+		}
+		if out := mustDecode(t, reg, frame).(*testMsg); out.E != 7 || out.S != in.S ||
+			!slices.Equal(out.As, in.As) || !slices.Equal(out.Ks, in.Ks) {
+			t.Fatalf("%s: 65,535 elements did not round-trip", name)
+		}
+		for _, encode := range []func(*Registry, Message) ([]byte, error){w.EncodeMessage, EncodeMessage} {
+			frame, err := encode(reg, build(65536))
+			if !errors.Is(err, ErrTooLarge) || frame != nil {
+				t.Fatalf("%s: 65,536 elements: %d-byte frame, err %v, want ErrTooLarge", name, len(frame), err)
+			}
+			if !strings.Contains(err.Error(), `protocol "p" message "test"`) {
+				t.Fatalf("%s: error %q does not name the message", name, err)
+			}
+		}
+		if _, err := w.EncodeMessage(reg, &testMsg{E: 7}); err != nil {
+			t.Fatalf("%s: the failure outlived Reset: %v", name, err)
+		}
 	}
 }
 

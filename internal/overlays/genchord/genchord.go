@@ -153,12 +153,44 @@ func (m *msgDataIp) Decode(r *overlay.Reader) error {
 	return r.Err()
 }
 
+// msgScratch is where this agent's messages live while a transition handles
+// them: per declared message one receive slot (rx), which the registered
+// factory clears and the engine decodes into, and one send slot (tx), which a
+// send statement fills and hands to ctx.Send. Two slots, because a forwarding
+// transition builds the message it sends from fields of the one it received.
+//
+// Reusing them is safe because of three things the engine guarantees. A node
+// runs one event at a time and every cross-layer call is deferred, so a
+// decoded message has been dispatched, and its transition has returned, before
+// this agent decodes again. The one synchronous cross-layer call, the
+// forward() upcall, decodes into the agent of the layer above — other slots.
+// And ctx.Send encodes the message before it returns and keeps no reference
+// to it. Nothing generated keeps ev.Msg or a sent message past its transition.
+type msgScratch struct{ rx, tx msgSlots }
+
+// msgSlots holds one message of every declared type.
+type msgSlots struct {
+	FindReq     msgFindReq
+	FindResp    msgFindResp
+	GetPredReq  msgGetPredReq
+	GetPredResp msgGetPredResp
+	Notify      msgNotify
+	Data        msgData
+	DataIp      msgDataIp
+}
+
+// StateCopyOpaque keeps the scratch out of checkpoint images: between events
+// it is garbage, and a copied slot would pin the payload it last saw.
+func (*msgScratch) StateCopyOpaque() {}
+
 // Agent is the generated protocol instance.
 type Agent struct {
 	Boot       overlay.Address
 	Succs      []overlay.Address
 	Fingers    [32]overlay.Address
 	NextFinger int32
+
+	io msgScratch // a named field: embedding would promote StateCopyOpaque to Agent
 }
 
 // New returns a factory for generated chord agents.
@@ -175,13 +207,13 @@ func (a *Agent) Define(d *core.Def) {
 	d.Addressing(core.HashAddressing)
 	d.UDPTransport("CTRL")
 	d.TCPTransport("DATA")
-	d.Message("find_req", func() overlay.Message { return &msgFindReq{} }, "CTRL")
-	d.Message("find_resp", func() overlay.Message { return &msgFindResp{} }, "CTRL")
-	d.Message("get_pred_req", func() overlay.Message { return &msgGetPredReq{} }, "CTRL")
-	d.Message("get_pred_resp", func() overlay.Message { return &msgGetPredResp{} }, "CTRL")
-	d.Message("notify", func() overlay.Message { return &msgNotify{} }, "CTRL")
-	d.Message("data", func() overlay.Message { return &msgData{} }, "DATA")
-	d.Message("data_ip", func() overlay.Message { return &msgDataIp{} }, "DATA")
+	d.Message("find_req", func() overlay.Message { a.io.rx.FindReq = msgFindReq{}; return &a.io.rx.FindReq }, "CTRL")
+	d.Message("find_resp", func() overlay.Message { a.io.rx.FindResp = msgFindResp{}; return &a.io.rx.FindResp }, "CTRL")
+	d.Message("get_pred_req", func() overlay.Message { a.io.rx.GetPredReq = msgGetPredReq{}; return &a.io.rx.GetPredReq }, "CTRL")
+	d.Message("get_pred_resp", func() overlay.Message { a.io.rx.GetPredResp = msgGetPredResp{}; return &a.io.rx.GetPredResp }, "CTRL")
+	d.Message("notify", func() overlay.Message { a.io.rx.Notify = msgNotify{}; return &a.io.rx.Notify }, "CTRL")
+	d.Message("data", func() overlay.Message { a.io.rx.Data = msgData{}; return &a.io.rx.Data }, "DATA")
+	d.Message("data_ip", func() overlay.Message { a.io.rx.DataIp = msgDataIp{}; return &a.io.rx.DataIp }, "DATA")
 	d.Timer("stabilize", 1000*time.Millisecond)
 	d.Timer("fix_fingers", 1000*time.Millisecond)
 	d.Timer("rejoin", 2000*time.Millisecond)
@@ -217,14 +249,14 @@ func (a *Agent) transition0(ctx *core.Context, call *core.APICall) {
 		ctx.TimerSched("ring_probe", 10000*time.Millisecond)
 	} else {
 		ctx.StateChange("joining")
-		_ = ctx.Send(a.Boot, &msgFindReq{Target: ctx.SelfKey(), Origin: ctx.Self(), Purpose: 0, Finger: 0, Ttl: 64}, overlay.PriorityDefault)
+		_ = ctx.Send(a.Boot, put(&a.io.tx.FindReq, msgFindReq{Target: ctx.SelfKey(), Origin: ctx.Self(), Purpose: 0, Finger: 0, Ttl: 64}), overlay.PriorityDefault)
 		ctx.TimerSched("rejoin", 2000*time.Millisecond)
 	}
 }
 
 // transition1 implements: (joining) timer rejoin [locking write;]
 func (a *Agent) transition1(ctx *core.Context) {
-	_ = ctx.Send(a.Boot, &msgFindReq{Target: ctx.SelfKey(), Origin: ctx.Self(), Purpose: 0, Finger: 0, Ttl: 64}, overlay.PriorityDefault)
+	_ = ctx.Send(a.Boot, put(&a.io.tx.FindReq, msgFindReq{Target: ctx.SelfKey(), Origin: ctx.Self(), Purpose: 0, Finger: 0, Ttl: 64}), overlay.PriorityDefault)
 	ctx.TimerSched("rejoin", 2000*time.Millisecond)
 }
 
@@ -233,18 +265,18 @@ func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgFindReq)
 	_ = m
 	if (ctx.Neighbors("pred").Size() > 0) && (m.Target).BetweenIncl(overlay.HashAddress(nbrFirst(ctx, "pred")), ctx.SelfKey()) {
-		_ = ctx.Send(m.Origin, &msgFindResp{Target: m.Target, Owner: ctx.Self(), Purpose: m.Purpose, Finger: m.Finger}, overlay.PriorityDefault)
+		_ = ctx.Send(m.Origin, put(&a.io.tx.FindResp, msgFindResp{Target: m.Target, Owner: ctx.Self(), Purpose: m.Purpose, Finger: m.Finger}), overlay.PriorityDefault)
 		return
 	}
 	var succ overlay.Address
 	_ = succ
 	succ = listGet(a.Succs, 0)
 	if (succ == overlay.NilAddress) || (succ == ctx.Self()) {
-		_ = ctx.Send(m.Origin, &msgFindResp{Target: m.Target, Owner: ctx.Self(), Purpose: m.Purpose, Finger: m.Finger}, overlay.PriorityDefault)
+		_ = ctx.Send(m.Origin, put(&a.io.tx.FindResp, msgFindResp{Target: m.Target, Owner: ctx.Self(), Purpose: m.Purpose, Finger: m.Finger}), overlay.PriorityDefault)
 		return
 	}
 	if (m.Target).BetweenIncl(ctx.SelfKey(), overlay.HashAddress(succ)) {
-		_ = ctx.Send(m.Origin, &msgFindResp{Target: m.Target, Owner: succ, Purpose: m.Purpose, Finger: m.Finger}, overlay.PriorityDefault)
+		_ = ctx.Send(m.Origin, put(&a.io.tx.FindResp, msgFindResp{Target: m.Target, Owner: succ, Purpose: m.Purpose, Finger: m.Finger}), overlay.PriorityDefault)
 		return
 	}
 	if m.Ttl == 0 {
@@ -264,7 +296,7 @@ func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent) {
 		}
 	}
 	if best != ctx.Self() {
-		_ = ctx.Send(best, &msgFindReq{Target: m.Target, Origin: m.Origin, Purpose: m.Purpose, Finger: m.Finger, Ttl: (m.Ttl - 1)}, overlay.PriorityDefault)
+		_ = ctx.Send(best, put(&a.io.tx.FindReq, msgFindReq{Target: m.Target, Origin: m.Origin, Purpose: m.Purpose, Finger: m.Finger, Ttl: (m.Ttl - 1)}), overlay.PriorityDefault)
 	}
 }
 
@@ -283,7 +315,7 @@ func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent) {
 	ctx.TimerSched("stabilize", 1000*time.Millisecond)
 	ctx.TimerSched("fix_fingers", 1000*time.Millisecond)
 	ctx.TimerSched("ring_probe", 10000*time.Millisecond)
-	_ = ctx.Send(m.Owner, &msgNotify{}, overlay.PriorityDefault)
+	_ = ctx.Send(m.Owner, put(&a.io.tx.Notify, msgNotify{}), overlay.PriorityDefault)
 }
 
 // transition4 implements: (joined) recv find_resp [locking write;]
@@ -304,7 +336,7 @@ func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent) {
 		a.Succs = listPrepend(a.Succs, m.Owner)
 		a.Succs = listTrunc(a.Succs, 4)
 		nbrSync(ctx, "succ_nbrs", ctx.Self(), a.Succs)
-		_ = ctx.Send(m.Owner, &msgNotify{}, overlay.PriorityDefault)
+		_ = ctx.Send(m.Owner, put(&a.io.tx.Notify, msgNotify{}), overlay.PriorityDefault)
 	}
 }
 
@@ -312,7 +344,7 @@ func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent) {
 func (a *Agent) transition5(ctx *core.Context) {
 	ctx.TimerSched("ring_probe", 10000*time.Millisecond)
 	if a.Boot != ctx.Self() {
-		_ = ctx.Send(a.Boot, &msgFindReq{Target: ctx.SelfKey(), Origin: ctx.Self(), Purpose: 0, Finger: 0, Ttl: 64}, overlay.PriorityDefault)
+		_ = ctx.Send(a.Boot, put(&a.io.tx.FindReq, msgFindReq{Target: ctx.SelfKey(), Origin: ctx.Self(), Purpose: 0, Finger: 0, Ttl: 64}), overlay.PriorityDefault)
 	}
 }
 
@@ -326,14 +358,14 @@ func (a *Agent) transition6(ctx *core.Context) {
 		}
 		return
 	}
-	_ = ctx.Send(listGet(a.Succs, 0), &msgGetPredReq{}, overlay.PriorityDefault)
+	_ = ctx.Send(listGet(a.Succs, 0), put(&a.io.tx.GetPredReq, msgGetPredReq{}), overlay.PriorityDefault)
 }
 
 // transition7 implements: any recv get_pred_req [locking write;]
 func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgGetPredReq)
 	_ = m
-	_ = ctx.Send(ev.From, &msgGetPredResp{Pred: nbrFirst(ctx, "pred"), Succs: a.Succs}, overlay.PriorityDefault)
+	_ = ctx.Send(ev.From, put(&a.io.tx.GetPredResp, msgGetPredResp{Pred: nbrFirst(ctx, "pred"), Succs: a.Succs}), overlay.PriorityDefault)
 }
 
 // transition8 implements: (joined) recv get_pred_resp [locking write;]
@@ -352,7 +384,7 @@ func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent) {
 	if ((p != overlay.NilAddress) && (p != ctx.Self())) && (overlay.HashAddress(p)).Between(ctx.SelfKey(), overlay.HashAddress(succ)) {
 		succ = p
 	}
-	a.Succs = nil
+	a.Succs = a.Succs[:0]
 	a.Succs = listAppend(a.Succs, succ)
 	for _, s := range m.Succs {
 		if (s != ctx.Self()) && (s != overlay.NilAddress) {
@@ -361,7 +393,7 @@ func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent) {
 	}
 	a.Succs = listTrunc(a.Succs, 4)
 	nbrSync(ctx, "succ_nbrs", ctx.Self(), a.Succs)
-	_ = ctx.Send(listGet(a.Succs, 0), &msgNotify{}, overlay.PriorityDefault)
+	_ = ctx.Send(listGet(a.Succs, 0), put(&a.io.tx.Notify, msgNotify{}), overlay.PriorityDefault)
 }
 
 // transition9 implements: any recv notify [locking write;]
@@ -414,7 +446,7 @@ func (a *Agent) transition10(ctx *core.Context) {
 		}
 	}
 	if best != ctx.Self() {
-		_ = ctx.Send(best, &msgFindReq{Target: target, Origin: ctx.Self(), Purpose: 1, Finger: a.NextFinger, Ttl: 64}, overlay.PriorityDefault)
+		_ = ctx.Send(best, put(&a.io.tx.FindReq, msgFindReq{Target: target, Origin: ctx.Self(), Purpose: 1, Finger: a.NextFinger, Ttl: 64}), overlay.PriorityDefault)
 	}
 }
 
@@ -436,7 +468,7 @@ func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
 		if fwOk, _, _ := ctx.Forward(call.Payload, call.PayloadType, succ, overlay.HashAddress(succ)); !fwOk {
 			return
 		}
-		_ = ctx.Send(succ, &msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 64, Payload: call.Payload}, overlay.PriorityDefault)
+		_ = ctx.Send(succ, put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 64, Payload: call.Payload}), overlay.PriorityDefault)
 		return
 	}
 	var best overlay.Address
@@ -455,7 +487,7 @@ func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
 	if fwOk, _, _ := ctx.Forward(call.Payload, call.PayloadType, best, overlay.HashAddress(best)); !fwOk {
 		return
 	}
-	_ = ctx.Send(best, &msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 64, Payload: call.Payload}, overlay.PriorityDefault)
+	_ = ctx.Send(best, put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 64, Payload: call.Payload}), overlay.PriorityDefault)
 }
 
 // transition12 implements: (joined) recv data [locking write;]
@@ -480,7 +512,7 @@ func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent) {
 		if fwOk, _, _ := ctx.Forward(m.Payload, m.Typ, succ, overlay.HashAddress(succ)); !fwOk {
 			return
 		}
-		_ = ctx.Send(succ, &msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: m.Payload}, overlay.PriorityDefault)
+		_ = ctx.Send(succ, put(&a.io.tx.Data, msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: m.Payload}), overlay.PriorityDefault)
 		return
 	}
 	var best overlay.Address
@@ -499,7 +531,7 @@ func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent) {
 	if fwOk, _, _ := ctx.Forward(m.Payload, m.Typ, best, overlay.HashAddress(best)); !fwOk {
 		return
 	}
-	_ = ctx.Send(best, &msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: m.Payload}, overlay.PriorityDefault)
+	_ = ctx.Send(best, put(&a.io.tx.Data, msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: m.Payload}), overlay.PriorityDefault)
 }
 
 // transition13 implements: any API routeIP [locking write;]
@@ -508,7 +540,7 @@ func (a *Agent) transition13(ctx *core.Context, call *core.APICall) {
 	if call.DestIP == ctx.Self() {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
-		_ = ctx.Send(call.DestIP, &msgDataIp{Src: ctx.Self(), Typ: call.PayloadType, Payload: call.Payload}, overlay.PriorityDefault)
+		_ = ctx.Send(call.DestIP, put(&a.io.tx.DataIp, msgDataIp{Src: ctx.Self(), Typ: call.PayloadType, Payload: call.Payload}), overlay.PriorityDefault)
 	}
 }
 
@@ -542,19 +574,22 @@ func nbrFirst(ctx *core.Context, list string) overlay.Address {
 	return overlay.NilAddress
 }
 
+// put stores v in slot and returns slot: a send builds its message in the
+// agent's send slot inside the Send call expression, so the destination is
+// evaluated before the fields, as when the message was a fresh literal.
+func put[T any](slot *T, v T) *T {
+	*slot = v
+	return slot
+}
+
 // nbrSync replaces a neighbor list's members with a nodeset's, skipping
 // nil and self (the failure detector monitors peers, not the local node).
 func nbrSync(ctx *core.Context, list string, self overlay.Address, s []overlay.Address) {
-	l := ctx.Neighbors(list)
-	l.Clear()
-	for _, a := range s {
-		if a != overlay.NilAddress && a != self {
-			l.Add(a)
-		}
-	}
+	ctx.Neighbors(list).Assign(s, self)
 }
 
-// listAppend appends a to the list unless already present (or nil).
+// listAppend appends a to the list unless already present (or nil), in
+// place: a nodeset variable owns its array.
 func listAppend(s []overlay.Address, a overlay.Address) []overlay.Address {
 	if a == overlay.NilAddress {
 		return s
@@ -564,9 +599,7 @@ func listAppend(s []overlay.Address, a overlay.Address) []overlay.Address {
 			return s
 		}
 	}
-	out := make([]overlay.Address, 0, len(s)+1)
-	out = append(out, s...)
-	return append(out, a)
+	return append(s, a)
 }
 
 // listPrepend moves or inserts a at the front of the list.

@@ -150,12 +150,45 @@ func (m *msgCacheInfo) Decode(r *overlay.Reader) error {
 	return r.Err()
 }
 
+// msgScratch is where this agent's messages live while a transition handles
+// them: per declared message one receive slot (rx), which the registered
+// factory clears and the engine decodes into, and one send slot (tx), which a
+// send statement fills and hands to ctx.Send. Two slots, because a forwarding
+// transition builds the message it sends from fields of the one it received.
+//
+// Reusing them is safe because of three things the engine guarantees. A node
+// runs one event at a time and every cross-layer call is deferred, so a
+// decoded message has been dispatched, and its transition has returned, before
+// this agent decodes again. The one synchronous cross-layer call, the
+// forward() upcall, decodes into the agent of the layer above — other slots.
+// And ctx.Send encodes the message before it returns and keeps no reference
+// to it. Nothing generated keeps ev.Msg or a sent message past its transition.
+type msgScratch struct{ rx, tx msgSlots }
+
+// msgSlots holds one message of every declared type.
+type msgSlots struct {
+	JoinReq   msgJoinReq
+	JoinReply msgJoinReply
+	Announce  msgAnnounce
+	LsReq     msgLsReq
+	LsResp    msgLsResp
+	Data      msgData
+	DataIp    msgDataIp
+	CacheInfo msgCacheInfo
+}
+
+// StateCopyOpaque keeps the scratch out of checkpoint images: between events
+// it is garbage, and a copied slot would pin the payload it last saw.
+func (*msgScratch) StateCopyOpaque() {}
+
 // Agent is the generated protocol instance.
 type Agent struct {
 	Boot    overlay.Address
 	Leafset []overlay.Address
 	Rt      [128]overlay.Address
 	Cache   map[overlay.Key]overlay.Address
+
+	io msgScratch // a named field: embedding would promote StateCopyOpaque to Agent
 }
 
 // New returns a factory for generated pastry agents.
@@ -176,14 +209,14 @@ func (a *Agent) Define(d *core.Def) {
 	d.Addressing(core.HashAddressing)
 	d.UDPTransport("CTRL")
 	d.TCPTransport("DATA")
-	d.Message("join_req", func() overlay.Message { return &msgJoinReq{} }, "CTRL")
-	d.Message("join_reply", func() overlay.Message { return &msgJoinReply{} }, "CTRL")
-	d.Message("announce", func() overlay.Message { return &msgAnnounce{} }, "CTRL")
-	d.Message("ls_req", func() overlay.Message { return &msgLsReq{} }, "CTRL")
-	d.Message("ls_resp", func() overlay.Message { return &msgLsResp{} }, "CTRL")
-	d.Message("data", func() overlay.Message { return &msgData{} }, "DATA")
-	d.Message("data_ip", func() overlay.Message { return &msgDataIp{} }, "DATA")
-	d.Message("cache_info", func() overlay.Message { return &msgCacheInfo{} }, "CTRL")
+	d.Message("join_req", func() overlay.Message { a.io.rx.JoinReq = msgJoinReq{}; return &a.io.rx.JoinReq }, "CTRL")
+	d.Message("join_reply", func() overlay.Message { a.io.rx.JoinReply = msgJoinReply{}; return &a.io.rx.JoinReply }, "CTRL")
+	d.Message("announce", func() overlay.Message { a.io.rx.Announce = msgAnnounce{}; return &a.io.rx.Announce }, "CTRL")
+	d.Message("ls_req", func() overlay.Message { a.io.rx.LsReq = msgLsReq{}; return &a.io.rx.LsReq }, "CTRL")
+	d.Message("ls_resp", func() overlay.Message { a.io.rx.LsResp = msgLsResp{}; return &a.io.rx.LsResp }, "CTRL")
+	d.Message("data", func() overlay.Message { a.io.rx.Data = msgData{}; return &a.io.rx.Data }, "DATA")
+	d.Message("data_ip", func() overlay.Message { a.io.rx.DataIp = msgDataIp{}; return &a.io.rx.DataIp }, "DATA")
+	d.Message("cache_info", func() overlay.Message { a.io.rx.CacheInfo = msgCacheInfo{}; return &a.io.rx.CacheInfo }, "CTRL")
 	d.Timer("ls_exchange", 2000*time.Millisecond)
 	d.Timer("rejoin", 2000*time.Millisecond)
 	d.NeighborList("leaves", 9, true)
@@ -212,14 +245,14 @@ func (a *Agent) transition0(ctx *core.Context, call *core.APICall) {
 		ctx.TimerSched("ls_exchange", 2000*time.Millisecond)
 	} else {
 		ctx.StateChange("joining")
-		_ = ctx.Send(a.Boot, &msgJoinReq{Joiner: ctx.Self(), Ttl: 32}, overlay.PriorityDefault)
+		_ = ctx.Send(a.Boot, put(&a.io.tx.JoinReq, msgJoinReq{Joiner: ctx.Self(), Ttl: 32}), overlay.PriorityDefault)
 		ctx.TimerSched("rejoin", 2000*time.Millisecond)
 	}
 }
 
 // transition1 implements: (joining) timer rejoin [locking write;]
 func (a *Agent) transition1(ctx *core.Context) {
-	_ = ctx.Send(a.Boot, &msgJoinReq{Joiner: ctx.Self(), Ttl: 32}, overlay.PriorityDefault)
+	_ = ctx.Send(a.Boot, put(&a.io.tx.JoinReq, msgJoinReq{Joiner: ctx.Self(), Ttl: 32}), overlay.PriorityDefault)
 	ctx.TimerSched("rejoin", 2000*time.Millisecond)
 }
 
@@ -242,7 +275,7 @@ func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent) {
 		}
 	}
 	if (best == ctx.Self()) || (m.Ttl == 0) {
-		_ = ctx.Send(j, &msgJoinReply{Leaves: a.Leafset}, overlay.PriorityDefault)
+		_ = ctx.Send(j, put(&a.io.tx.JoinReply, msgJoinReply{Leaves: a.Leafset}), overlay.PriorityDefault)
 		var row int32
 		_ = row
 		row = keyPrefix(ctx.SelfKey(), overlay.HashAddress(j), 4)
@@ -253,7 +286,7 @@ func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent) {
 		nbrSync(ctx, "leaves", ctx.Self(), a.Leafset)
 		return
 	}
-	_ = ctx.Send(best, &msgJoinReq{Joiner: j, Ttl: (m.Ttl - 1)}, overlay.PriorityDefault)
+	_ = ctx.Send(best, put(&a.io.tx.JoinReq, msgJoinReq{Joiner: j, Ttl: (m.Ttl - 1)}), overlay.PriorityDefault)
 }
 
 // transition3 implements: (joining) recv join_reply [locking write;]
@@ -281,11 +314,11 @@ func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent) {
 	}
 	nbrSync(ctx, "leaves", ctx.Self(), a.Leafset)
 	for _, l := range a.Leafset {
-		_ = ctx.Send(l, &msgAnnounce{}, overlay.PriorityDefault)
+		_ = ctx.Send(l, put(&a.io.tx.Announce, msgAnnounce{}), overlay.PriorityDefault)
 	}
 	for _, e := range a.Rt[:] {
 		if (e != overlay.NilAddress) && !(listContains(a.Leafset, e)) {
-			_ = ctx.Send(e, &msgAnnounce{}, overlay.PriorityDefault)
+			_ = ctx.Send(e, put(&a.io.tx.Announce, msgAnnounce{}), overlay.PriorityDefault)
 		}
 	}
 }
@@ -309,18 +342,18 @@ func (a *Agent) transition5(ctx *core.Context) {
 	ctx.TimerSched("ls_exchange", 2000*time.Millisecond)
 	if int32(len(a.Leafset)) == 0 {
 		if a.Boot != ctx.Self() {
-			_ = ctx.Send(a.Boot, &msgLsReq{}, overlay.PriorityDefault)
+			_ = ctx.Send(a.Boot, put(&a.io.tx.LsReq, msgLsReq{}), overlay.PriorityDefault)
 		}
 		return
 	}
-	_ = ctx.Send(listRandom(ctx, a.Leafset), &msgLsReq{}, overlay.PriorityDefault)
+	_ = ctx.Send(listRandom(ctx, a.Leafset), put(&a.io.tx.LsReq, msgLsReq{}), overlay.PriorityDefault)
 }
 
 // transition6 implements: any recv ls_req [locking write;]
 func (a *Agent) transition6(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgLsReq)
 	_ = m
-	_ = ctx.Send(ev.From, &msgLsResp{Leaves: a.Leafset}, overlay.PriorityDefault)
+	_ = ctx.Send(ev.From, put(&a.io.tx.LsResp, msgLsResp{Leaves: a.Leafset}), overlay.PriorityDefault)
 }
 
 // transition7 implements: (joined) recv ls_resp [locking write;]
@@ -350,7 +383,7 @@ func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent) {
 func (a *Agent) transition8(ctx *core.Context, call *core.APICall) {
 	_ = call
 	if a.Cache[call.Dest] != overlay.NilAddress {
-		_ = ctx.Send(a.Cache[call.Dest], &msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 0, Payload: call.Payload}, overlay.PriorityDefault)
+		_ = ctx.Send(a.Cache[call.Dest], put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 0, Payload: call.Payload}), overlay.PriorityDefault)
 		return
 	}
 	var best overlay.Address
@@ -380,13 +413,13 @@ func (a *Agent) transition8(ctx *core.Context, call *core.APICall) {
 		if fwOk, _, _ := ctx.Forward(call.Payload, call.PayloadType, ph, overlay.HashAddress(ph)); !fwOk {
 			return
 		}
-		_ = ctx.Send(ph, &msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 1, Payload: call.Payload}, overlay.PriorityDefault)
+		_ = ctx.Send(ph, put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 1, Payload: call.Payload}), overlay.PriorityDefault)
 		return
 	}
 	if fwOk, _, _ := ctx.Forward(call.Payload, call.PayloadType, best, overlay.HashAddress(best)); !fwOk {
 		return
 	}
-	_ = ctx.Send(best, &msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 1, Payload: call.Payload}, overlay.PriorityDefault)
+	_ = ctx.Send(best, put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 1, Payload: call.Payload}), overlay.PriorityDefault)
 }
 
 // transition9 implements: (joined) recv data [locking write;]
@@ -408,7 +441,7 @@ func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent) {
 	}
 	if best == ctx.Self() {
 		if (m.WantCache == 1) && (m.Src != ctx.Self()) {
-			_ = ctx.Send(m.Src, &msgCacheInfo{Id: m.Dest}, overlay.PriorityDefault)
+			_ = ctx.Send(m.Src, put(&a.io.tx.CacheInfo, msgCacheInfo{Id: m.Dest}), overlay.PriorityDefault)
 		}
 		ctx.Deliver(m.Payload, m.Typ, m.Src)
 		return
@@ -426,13 +459,13 @@ func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent) {
 		if fwOk, _, _ := ctx.Forward(m.Payload, m.Typ, ph, overlay.HashAddress(ph)); !fwOk {
 			return
 		}
-		_ = ctx.Send(ph, &msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), WantCache: m.WantCache, Payload: m.Payload}, overlay.PriorityDefault)
+		_ = ctx.Send(ph, put(&a.io.tx.Data, msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), WantCache: m.WantCache, Payload: m.Payload}), overlay.PriorityDefault)
 		return
 	}
 	if fwOk, _, _ := ctx.Forward(m.Payload, m.Typ, best, overlay.HashAddress(best)); !fwOk {
 		return
 	}
-	_ = ctx.Send(best, &msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), WantCache: m.WantCache, Payload: m.Payload}, overlay.PriorityDefault)
+	_ = ctx.Send(best, put(&a.io.tx.Data, msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), WantCache: m.WantCache, Payload: m.Payload}), overlay.PriorityDefault)
 }
 
 // transition10 implements: any recv cache_info [locking write;]
@@ -448,7 +481,7 @@ func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
 	if call.DestIP == ctx.Self() {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
-		_ = ctx.Send(call.DestIP, &msgDataIp{Src: ctx.Self(), Typ: call.PayloadType, Payload: call.Payload}, overlay.PriorityDefault)
+		_ = ctx.Send(call.DestIP, put(&a.io.tx.DataIp, msgDataIp{Src: ctx.Self(), Typ: call.PayloadType, Payload: call.Payload}), overlay.PriorityDefault)
 	}
 }
 
@@ -482,16 +515,18 @@ func nbrFirst(ctx *core.Context, list string) overlay.Address {
 	return overlay.NilAddress
 }
 
+// put stores v in slot and returns slot: a send builds its message in the
+// agent's send slot inside the Send call expression, so the destination is
+// evaluated before the fields, as when the message was a fresh literal.
+func put[T any](slot *T, v T) *T {
+	*slot = v
+	return slot
+}
+
 // nbrSync replaces a neighbor list's members with a nodeset's, skipping
 // nil and self (the failure detector monitors peers, not the local node).
 func nbrSync(ctx *core.Context, list string, self overlay.Address, s []overlay.Address) {
-	l := ctx.Neighbors(list)
-	l.Clear()
-	for _, a := range s {
-		if a != overlay.NilAddress && a != self {
-			l.Add(a)
-		}
-	}
+	ctx.Neighbors(list).Assign(s, self)
 }
 
 // listRemove deletes every occurrence of a.

@@ -111,9 +111,39 @@ func (m *msgDataIp) Decode(r *overlay.Reader) error {
 	return r.Err()
 }
 
+// msgScratch is where this agent's messages live while a transition handles
+// them: per declared message one receive slot (rx), which the registered
+// factory clears and the engine decodes into, and one send slot (tx), which a
+// send statement fills and hands to ctx.Send. Two slots, because a forwarding
+// transition builds the message it sends from fields of the one it received.
+//
+// Reusing them is safe because of three things the engine guarantees. A node
+// runs one event at a time and every cross-layer call is deferred, so a
+// decoded message has been dispatched, and its transition has returned, before
+// this agent decodes again. The one synchronous cross-layer call, the
+// forward() upcall, decodes into the agent of the layer above — other slots.
+// And ctx.Send encodes the message before it returns and keeps no reference
+// to it. Nothing generated keeps ev.Msg or a sent message past its transition.
+type msgScratch struct{ rx, tx msgSlots }
+
+// msgSlots holds one message of every declared type.
+type msgSlots struct {
+	Join      msgJoin
+	JoinReply msgJoinReply
+	Mdata     msgMdata
+	Cdata     msgCdata
+	DataIp    msgDataIp
+}
+
+// StateCopyOpaque keeps the scratch out of checkpoint images: between events
+// it is garbage, and a copied slot would pin the payload it last saw.
+func (*msgScratch) StateCopyOpaque() {}
+
 // Agent is the generated protocol instance.
 type Agent struct {
 	Root overlay.Address
+
+	io msgScratch // a named field: embedding would promote StateCopyOpaque to Agent
 }
 
 // New returns a factory for generated randtree agents.
@@ -130,11 +160,11 @@ func (a *Agent) Define(d *core.Def) {
 	d.Addressing(core.IPAddressing)
 	d.UDPTransport("BEST_EFFORT")
 	d.TCPTransport("RELIABLE")
-	d.Message("join", func() overlay.Message { return &msgJoin{} }, "BEST_EFFORT")
-	d.Message("join_reply", func() overlay.Message { return &msgJoinReply{} }, "RELIABLE")
-	d.Message("mdata", func() overlay.Message { return &msgMdata{} }, "RELIABLE")
-	d.Message("cdata", func() overlay.Message { return &msgCdata{} }, "RELIABLE")
-	d.Message("data_ip", func() overlay.Message { return &msgDataIp{} }, "RELIABLE")
+	d.Message("join", func() overlay.Message { a.io.rx.Join = msgJoin{}; return &a.io.rx.Join }, "BEST_EFFORT")
+	d.Message("join_reply", func() overlay.Message { a.io.rx.JoinReply = msgJoinReply{}; return &a.io.rx.JoinReply }, "RELIABLE")
+	d.Message("mdata", func() overlay.Message { a.io.rx.Mdata = msgMdata{}; return &a.io.rx.Mdata }, "RELIABLE")
+	d.Message("cdata", func() overlay.Message { a.io.rx.Cdata = msgCdata{}; return &a.io.rx.Cdata }, "RELIABLE")
+	d.Message("data_ip", func() overlay.Message { a.io.rx.DataIp = msgDataIp{}; return &a.io.rx.DataIp }, "RELIABLE")
 	d.Timer("rejoin", 3000*time.Millisecond)
 	d.NeighborList("parent", 1, true)
 	d.NeighborList("kids", 4, true)
@@ -161,7 +191,7 @@ func (a *Agent) transition0(ctx *core.Context, call *core.APICall) {
 		ctx.StateChange("joined")
 	} else {
 		ctx.StateChange("joining")
-		_ = ctx.Send(a.Root, &msgJoin{}, overlay.PriorityDefault)
+		_ = ctx.Send(a.Root, put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
 		ctx.TimerSched("rejoin", 3000*time.Millisecond)
 	}
 }
@@ -171,13 +201,13 @@ func (a *Agent) transition1(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgJoin)
 	_ = m
 	if ctx.Neighbors("kids").Contains(ev.From) {
-		_ = ctx.Send(ev.From, &msgJoinReply{Accept: 1}, overlay.PriorityDefault)
+		_ = ctx.Send(ev.From, put(&a.io.tx.JoinReply, msgJoinReply{Accept: 1}), overlay.PriorityDefault)
 	} else {
 		if ctx.Neighbors("kids").Full() {
-			_ = ctx.Send(ev.From, &msgJoinReply{Accept: 0, Redirect: nbrRandom(ctx, "kids")}, overlay.PriorityDefault)
+			_ = ctx.Send(ev.From, put(&a.io.tx.JoinReply, msgJoinReply{Accept: 0, Redirect: nbrRandom(ctx, "kids")}), overlay.PriorityDefault)
 		} else {
 			ctx.Neighbors("kids").Add(ev.From)
-			_ = ctx.Send(ev.From, &msgJoinReply{Accept: 1}, overlay.PriorityDefault)
+			_ = ctx.Send(ev.From, put(&a.io.tx.JoinReply, msgJoinReply{Accept: 1}), overlay.PriorityDefault)
 			ctx.NotifyNeighbors(overlay.NbrTypeChild, ctx.Neighbors("kids").Addrs())
 		}
 	}
@@ -187,7 +217,7 @@ func (a *Agent) transition1(ctx *core.Context, ev *core.MsgEvent) {
 func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgJoin)
 	_ = m
-	_ = ctx.Send(ev.From, &msgJoinReply{Accept: 0, Redirect: a.Root}, overlay.PriorityDefault)
+	_ = ctx.Send(ev.From, put(&a.io.tx.JoinReply, msgJoinReply{Accept: 0, Redirect: a.Root}), overlay.PriorityDefault)
 }
 
 // transition3 implements: (joining) recv join_reply [locking write;]
@@ -202,10 +232,10 @@ func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent) {
 		ctx.NotifyNeighbors(overlay.NbrTypeParent, ctx.Neighbors("parent").Addrs())
 	} else {
 		if (m.Redirect == 0) || (m.Redirect == ctx.Self()) {
-			_ = ctx.Send(a.Root, &msgJoin{}, overlay.PriorityDefault)
+			_ = ctx.Send(a.Root, put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
 			ctx.TimerResched("rejoin", 3000*time.Millisecond)
 		} else {
-			_ = ctx.Send(m.Redirect, &msgJoin{}, overlay.PriorityDefault)
+			_ = ctx.Send(m.Redirect, put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
 			ctx.TimerResched("rejoin", 3000*time.Millisecond)
 		}
 	}
@@ -213,7 +243,7 @@ func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent) {
 
 // transition4 implements: (joining) timer rejoin [locking write;]
 func (a *Agent) transition4(ctx *core.Context) {
-	_ = ctx.Send(a.Root, &msgJoin{}, overlay.PriorityDefault)
+	_ = ctx.Send(a.Root, put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
 	ctx.TimerSched("rejoin", 3000*time.Millisecond)
 }
 
@@ -240,7 +270,7 @@ func (a *Agent) transition7(ctx *core.Context, call *core.APICall) {
 		if fwOk, _, _ := ctx.Forward(call.Payload, call.PayloadType, k, overlay.HashAddress(k)); !fwOk {
 			return
 		}
-		_ = ctx.Send(k, &msgMdata{Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, Payload: call.Payload}, overlay.PriorityDefault)
+		_ = ctx.Send(k, put(&a.io.tx.Mdata, msgMdata{Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, Payload: call.Payload}), overlay.PriorityDefault)
 	}
 }
 
@@ -253,7 +283,7 @@ func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent) {
 			if fwOk, _, _ := ctx.Forward(m.Payload, m.Typ, k, overlay.HashAddress(k)); !fwOk {
 				return
 			}
-			_ = ctx.Send(k, &msgMdata{Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: m.Payload}, overlay.PriorityDefault)
+			_ = ctx.Send(k, put(&a.io.tx.Mdata, msgMdata{Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: m.Payload}), overlay.PriorityDefault)
 		}
 	}
 	if m.Src != ctx.Self() {
@@ -267,7 +297,7 @@ func (a *Agent) transition9(ctx *core.Context, call *core.APICall) {
 	if ctx.Neighbors("parent").Size() == 0 {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
-		_ = ctx.Send(nbrFirst(ctx, "parent"), &msgCdata{Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, Payload: call.Payload}, overlay.PriorityDefault)
+		_ = ctx.Send(nbrFirst(ctx, "parent"), put(&a.io.tx.Cdata, msgCdata{Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, Payload: call.Payload}), overlay.PriorityDefault)
 	}
 }
 
@@ -279,7 +309,7 @@ func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent) {
 		ctx.Deliver(m.Payload, m.Typ, m.Src)
 	} else {
 		if m.Ttl > 0 {
-			_ = ctx.Send(nbrFirst(ctx, "parent"), &msgCdata{Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: m.Payload}, overlay.PriorityDefault)
+			_ = ctx.Send(nbrFirst(ctx, "parent"), put(&a.io.tx.Cdata, msgCdata{Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: m.Payload}), overlay.PriorityDefault)
 		}
 	}
 }
@@ -290,7 +320,7 @@ func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
 	if call.DestIP == ctx.Self() {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
-		_ = ctx.Send(call.DestIP, &msgDataIp{Src: ctx.Self(), Typ: call.PayloadType, Payload: call.Payload}, overlay.PriorityDefault)
+		_ = ctx.Send(call.DestIP, put(&a.io.tx.DataIp, msgDataIp{Src: ctx.Self(), Typ: call.PayloadType, Payload: call.Payload}), overlay.PriorityDefault)
 	}
 }
 
@@ -313,4 +343,12 @@ func nbrFirst(ctx *core.Context, list string) overlay.Address {
 		return n.Addr
 	}
 	return overlay.NilAddress
+}
+
+// put stores v in slot and returns slot: a send builds its message in the
+// agent's send slot inside the Send call expression, so the destination is
+// evaluated before the fields, as when the message was a fresh literal.
+func put[T any](slot *T, v T) *T {
+	*slot = v
+	return slot
 }

@@ -3,6 +3,7 @@
 package genrandtree_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -86,5 +87,59 @@ func TestGeneratedMulticastAndCollect(t *testing.T) {
 	c.RunFor(10 * time.Second)
 	if collected != n-1 {
 		t.Fatalf("root collected %d/%d", collected, n-1)
+	}
+}
+
+// TestForwardedFrameKeepsSourceFields: an interior node builds the frame it
+// forwards from fields of the frame it received, both living in the agent's
+// message scratch, and delivers the received one afterwards. Across a tree at
+// least three levels deep, with several 1000-byte payloads in flight at once,
+// every node below the root must see every payload intact, in order, and
+// attributed to the root — what a slot shared between the two directions, or
+// reused before its transition was done, would corrupt.
+func TestForwardedFrameKeepsSourceFields(t *testing.T) {
+	const n, packets, size = 15, 8, 1000
+	c := build(t, n, 60*time.Second)
+	defer c.StopAll()
+	root := c.Addrs[0]
+	depth := 0
+	for _, a := range c.Addrs[1:] {
+		hops := 0
+		for cur := a; cur != root && hops <= n; hops++ {
+			cur = c.Nodes[cur].Instance("randtree").NeighborsSnapshot("parent")[0]
+		}
+		depth = max(depth, hops)
+	}
+	if depth < 2 {
+		t.Fatalf("tree is %d levels below the root: nothing is forwarded twice", depth)
+	}
+	payload := func(i int) []byte {
+		p := make([]byte, size)
+		for j := range p {
+			p[j] = byte(i*31 + j*7 + j/256)
+		}
+		return p
+	}
+	got := map[overlay.Address]int{}
+	for _, a := range c.Addrs[1:] {
+		addr := a
+		c.Nodes[a].RegisterHandlers(core.Handlers{
+			Deliver: func(p []byte, typ int32, src overlay.Address) {
+				i := got[addr]
+				got[addr]++
+				if src != root || typ != int32(100+i) || !bytes.Equal(p, payload(i)) {
+					t.Errorf("node %v, packet %d: src %v typ %d, payload intact: %v", addr, i, src, typ, bytes.Equal(p, payload(i)))
+				}
+			},
+		})
+	}
+	for i := 0; i < packets; i++ {
+		_ = c.Nodes[root].Multicast(0, payload(i), int32(100+i), overlay.PriorityDefault)
+	}
+	c.RunFor(20 * time.Second)
+	for _, a := range c.Addrs[1:] {
+		if got[a] != packets {
+			t.Errorf("node %v received %d/%d", a, got[a], packets)
+		}
 	}
 }
