@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"maps"
 	"slices"
 	"time"
 
@@ -192,10 +193,11 @@ func (n *Network) Snapshot() *NetworkSnapshot {
 }
 
 // Restore rewinds the network to the snapshot. Link and stats state is
-// written back into the existing backing arrays and endpoints' path caches
-// are discarded; the forwarding oracle keeps its trees when the restored
-// failure set has the failed core links they were built around, and is
-// flushed when it does not (invalidatePaths).
+// written back into the existing backing arrays. When the restored failure
+// set equals the current one, endpoints keep their cached routes and the
+// forwarding oracle its trees; otherwise the routes are dropped and the
+// oracle keeps its trees only if the failed core links they were built
+// around are unchanged (invalidatePaths).
 func (n *Network) Restore(cp *NetworkSnapshot) {
 	copy(n.links, cp.links)
 	for i := range n.links {
@@ -213,9 +215,11 @@ func (n *Network) Restore(cp *NetworkSnapshot) {
 		ep.down = st.down
 		ep.recv = st.recv
 	}
-	n.blocked = make(map[topology.LinkID]bool, len(cp.blocked))
-	for l, b := range cp.blocked {
-		n.blocked[l] = b
+	// Cached routes are a function of the failure set alone: a restore to
+	// an equal set keeps every endpoint's.
+	if !maps.Equal(n.blocked, cp.blocked) {
+		n.blocked = maps.Clone(cp.blocked)
+		n.invalidatePaths()
 	}
 	n.degraded = make(map[topology.LinkID]Degradation, len(cp.degraded))
 	for l, d := range cp.degraded {
@@ -229,5 +233,4 @@ func (n *Network) Restore(cp *NetworkSnapshot) {
 			n.sides[a] = s
 		}
 	}
-	n.invalidatePaths()
 }

@@ -1,7 +1,11 @@
 package statecopy
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -206,6 +210,334 @@ func TestMathRandRewind(t *testing.T) {
 	for i := range want {
 		if got := rng.Int63(); got != want[i] {
 			t.Fatalf("draw %d: got %d want %d", i, got, want[i])
+		}
+	}
+}
+
+// scratchBuf is per-owner scratch that opts out of checkpoints by value.
+type scratchBuf struct{ buf []byte }
+
+func (*scratchBuf) StateCopyOpaque() {}
+
+// TestOpaqueByValueInArrayUntouched: an opaque-by-value struct keeps its
+// current state across Restore in an array and in a struct reached through
+// an array, as it does in a struct field; the rest of each element rewinds.
+// A slice comes back in a fresh array built from the captured bits.
+func TestOpaqueByValueInArrayUntouched(t *testing.T) {
+	type shard struct {
+		s scratchBuf
+		n int
+	}
+	w := &struct {
+		arr    [2]scratchBuf
+		shards [2]shard
+		sl     []scratchBuf
+	}{sl: []scratchBuf{{buf: []byte("s")}}}
+	w.arr[0].buf = []byte("x")
+	w.shards[1] = shard{s: scratchBuf{buf: []byte("p")}, n: 1}
+	im := Capture(w)
+	w.arr[0].buf = []byte("y")
+	w.shards[1].s.buf[0] = 'q'
+	w.shards[1].n = 2
+	live := w.sl
+	w.sl[0].buf = []byte("t")
+	im.Restore()
+	if string(w.arr[0].buf) != "y" || string(w.shards[1].s.buf) != "q" {
+		t.Fatalf("opaque elements rewound: arr[0]=%q shards[1].s=%q, want their current y and q",
+			w.arr[0].buf, w.shards[1].s.buf)
+	}
+	if w.shards[1].n != 1 {
+		t.Fatalf("shards[1].n = %d, want the captured 1", w.shards[1].n)
+	}
+	if string(w.sl[0].buf) != "s" || &w.sl[0] == &live[0] {
+		t.Fatalf("slice element %q, fresh array %v: want the captured bits in a new array",
+			w.sl[0].buf, &w.sl[0] != &live[0])
+	}
+}
+
+// Random graphs for TestCaptureRestoreRandomGraphs: every reference kind
+// the walker distinguishes, nil or not at the generator's whim.
+type (
+	gnode struct {
+		id    int
+		next  *gnode
+		peers []*gnode // aliases, and nil entries
+		tags  []string
+		rec   map[int]record
+		val   any
+		cells [2]cell
+		fn    func()
+		ch    chan int
+	}
+	record struct {
+		vals []int
+		sub  map[string]int
+	}
+	cell struct {
+		mu      sync.Mutex
+		n       int
+		scratch scratchBuf
+	}
+	nodeRef    *gnode
+	graphWorld struct {
+		nodes  []*gnode
+		byNode map[*gnode]int // pointer keys
+		rings  [][]*gnode
+		head   any
+	}
+)
+
+func genAny(r *rand.Rand, pick func() *gnode) any {
+	switch r.Intn(7) {
+	case 0:
+		return nil
+	case 1:
+		return pick() // possibly a nil *gnode
+	case 2:
+		return nodeRef(pick())
+	case 3:
+		return map[string]int{"a": r.Intn(9), "b": r.Intn(9)}
+	case 4:
+		return r.Intn(1000)
+	case 5:
+		return genRecord(r)
+	}
+	return []int{r.Intn(9), r.Intn(9)}
+}
+
+func genRecord(r *rand.Rand) record {
+	var rec record
+	if r.Intn(3) > 0 {
+		rec.vals = []int{r.Intn(9), r.Intn(9), r.Intn(9)}
+	}
+	if r.Intn(3) > 0 {
+		rec.sub = map[string]int{"k": r.Intn(9)}
+	}
+	return rec
+}
+
+// genWorld builds the same world for the same seed; all lists its nodes.
+func genWorld(seed int64) (w *graphWorld, all []*gnode) {
+	r := rand.New(rand.NewSource(seed))
+	all = make([]*gnode, 10+r.Intn(10))
+	for i := range all {
+		all[i] = &gnode{id: i}
+	}
+	pick := func() *gnode {
+		if r.Intn(5) == 0 {
+			return nil
+		}
+		return all[r.Intn(len(all))]
+	}
+	for _, g := range all {
+		g.next = pick() // cycles, self loops included
+		if r.Intn(4) > 0 {
+			g.peers = []*gnode{}
+			for k := r.Intn(4); k > 0; k-- {
+				g.peers = append(g.peers, pick())
+			}
+		}
+		if r.Intn(3) > 0 {
+			g.tags = []string{"t", fmt.Sprint(r.Intn(9))}
+		}
+		if r.Intn(3) > 0 {
+			g.rec = map[int]record{}
+			for k := r.Intn(4); k > 0; k-- {
+				g.rec[r.Intn(20)] = genRecord(r)
+			}
+		}
+		g.val = genAny(r, pick)
+		for c := range g.cells {
+			g.cells[c].n = r.Intn(100)
+			g.cells[c].scratch.buf = []byte{byte(r.Intn(256))}
+		}
+	}
+	w = &graphWorld{nodes: append([]*gnode(nil), all...), byNode: map[*gnode]int{}, head: genAny(r, pick)}
+	for _, g := range all {
+		if r.Intn(2) == 0 {
+			w.byNode[g] = r.Intn(50)
+		}
+	}
+	for k := r.Intn(3); k > 0; k-- {
+		w.rings = append(w.rings, []*gnode{pick(), pick()})
+	}
+	return w, all
+}
+
+// mutate applies seeded branch mutations to the captured world. Opaque
+// scratch is not part of a checkpoint, so its mutations go to the twin too.
+func mutate(r *rand.Rand, w *graphWorld, all, twin []*gnode) {
+	other := func() *gnode {
+		switch r.Intn(4) {
+		case 0:
+			return nil
+		case 1:
+			return &gnode{id: -1}
+		}
+		return all[r.Intn(len(all))]
+	}
+	for op := 0; op < 60; op++ {
+		i := r.Intn(len(all))
+		g := all[i]
+		switch r.Intn(13) {
+		case 0:
+			g.id = r.Int()
+		case 1:
+			g.next = other()
+		case 2:
+			if len(g.peers) > 0 {
+				g.peers[r.Intn(len(g.peers))] = other()
+			} else {
+				g.peers = append(g.peers, other())
+			}
+		case 3:
+			g.peers = []*gnode{other()} // wholesale slice replacement
+		case 4:
+			if len(g.tags) > 0 {
+				g.tags[0] = "mutated"
+			}
+			g.tags = append(g.tags, "more")
+		case 5:
+			for k, v := range g.rec {
+				if len(v.vals) > 0 {
+					v.vals[0] = -1 // the map value's array, in place
+				}
+				if v.sub != nil {
+					v.sub["m"] = 1
+				}
+				if r.Intn(2) == 0 {
+					delete(g.rec, k)
+				}
+				break
+			}
+		case 6:
+			g.rec = map[int]record{99: {}} // wholesale map replacement
+		case 7:
+			switch x := g.val.(type) {
+			case map[string]int:
+				x["m"] = 2
+			case record:
+				if len(x.vals) > 0 {
+					x.vals[0] = -7
+				}
+			case []int:
+				x[0] = -3
+			case *gnode:
+				if x != nil {
+					x.id = -9
+				}
+			default:
+				g.val = other()
+			}
+		case 8:
+			g.cells[r.Intn(2)].n = -1
+		case 9:
+			c, b := r.Intn(2), byte(r.Intn(256))
+			g.cells[c].scratch.buf = []byte{b}
+			twin[i].cells[c].scratch.buf = []byte{b}
+		case 10:
+			delete(w.byNode, g)
+			w.byNode[other()] = -5
+			if r.Intn(4) == 0 {
+				w.byNode = map[*gnode]int{}
+			}
+		case 11:
+			w.nodes[r.Intn(len(w.nodes))] = other()
+			w.rings = append(w.rings, nil)
+			w.head = genAny(r, other)
+		case 12:
+			g.fn, g.ch = func() {}, make(chan int)
+		}
+	}
+}
+
+// identity lists, in a fixed order, every pointer and map object reachable
+// from w through the nodes in all.
+func identity(w *graphWorld, all []*gnode) []uintptr {
+	ref := func(v any) uintptr {
+		if rv := reflect.ValueOf(v); rv.Kind() == reflect.Ptr || rv.Kind() == reflect.Map {
+			return rv.Pointer()
+		}
+		return 0
+	}
+	out := []uintptr{ref(w.byNode), ref(w.head)}
+	for p := range w.byNode {
+		out = append(out, ref(p))
+	}
+	slices.Sort(out[2:])
+	for _, g := range w.nodes {
+		out = append(out, ref(g))
+	}
+	for _, ring := range w.rings {
+		for _, g := range ring {
+			out = append(out, ref(g))
+		}
+	}
+	for _, g := range all {
+		out = append(out, ref(g.next), ref(g.rec), ref(g.val))
+		for _, p := range g.peers {
+			out = append(out, ref(p))
+		}
+		keys := slices.Sorted(maps.Keys(g.rec))
+		for _, k := range keys {
+			out = append(out, ref(g.rec[k].sub))
+		}
+		if rec, ok := g.val.(record); ok {
+			out = append(out, ref(rec.sub))
+		}
+	}
+	return out
+}
+
+// sameWorld compares a restored world with its twin: deeply, with the
+// pointer-keyed map compared through node indices.
+func sameWorld(t *testing.T, a, b *graphWorld, allA, allB []*gnode) {
+	t.Helper()
+	byIndex := func(m map[*gnode]int, all []*gnode) map[int]int {
+		out := map[int]int{}
+		for p, v := range m {
+			i := slices.Index(all, p)
+			if i < 0 {
+				t.Fatalf("byNode keyed by a node that is not the original's")
+			}
+			out[i] = v
+		}
+		return out
+	}
+	if !reflect.DeepEqual(byIndex(a.byNode, allA), byIndex(b.byNode, allB)) {
+		t.Fatal("byNode differs from the twin")
+	}
+	ca, cb := *a, *b
+	ca.byNode, cb.byNode = nil, nil
+	if !reflect.DeepEqual(ca, cb) {
+		t.Fatal("restored world differs from its twin")
+	}
+	for i := range allA {
+		if !reflect.DeepEqual(allA[i], allB[i]) {
+			t.Fatalf("node %d differs from its twin", i)
+		}
+	}
+}
+
+// TestCaptureRestoreRandomGraphs pins equivalence rather than outcome: a
+// world built by a seeded generator, captured, mutated at random and
+// restored, deep-equals an untouched twin and holds exactly its original
+// pointers and maps — twice on one image.
+func TestCaptureRestoreRandomGraphs(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		a, allA := genWorld(seed)
+		b, allB := genWorld(seed)
+		sameWorld(t, a, b, allA, allB)
+		want := identity(a, allA)
+		im := Capture(a)
+		r := rand.New(rand.NewSource(-seed))
+		for round := 0; round < 2; round++ {
+			mutate(r, a, allA, allB)
+			im.Restore()
+			sameWorld(t, a, b, allA, allB)
+			if got := identity(a, allA); !slices.Equal(got, want) {
+				t.Fatalf("seed %d round %d: restored world lost pointer or map identity", seed, round)
+			}
 		}
 	}
 }
