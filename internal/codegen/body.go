@@ -106,6 +106,12 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 			g.pf("%sa.%s = append(a.%s[:0], %s...)\n", ind, camel(s.Target), camel(s.Target), src)
 			return nil
 		}
+		if v.Type == "buffer" {
+			// A received buffer field is a view of a lent frame, valid only
+			// for its transition: a state variable keeps its own copy.
+			g.pf("%sa.%s = append(a.%s[:0], %s...)\n", ind, camel(s.Target), camel(s.Target), val)
+			return nil
+		}
 		g.pf("%sa.%s = %s\n", ind, camel(s.Target), val)
 	case *dsl.LocalStmt:
 		if !g.localTypes[s.Type] {

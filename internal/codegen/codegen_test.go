@@ -139,9 +139,10 @@ func TestCheckedInGeneratedPackagesAreFresh(t *testing.T) {
 }
 
 // TestBufferFieldsDecodeWithoutCopy: a `buffer` field decodes to a view of
-// the frame. Delivered frames are immutable and the receiver's to keep
-// (docs/architecture.md), so the copy the generator used to emit bought
-// nothing and cost an allocation per message.
+// the frame. A delivered frame is lent until its event chain ends
+// (docs/architecture.md), and a generated transition uses a received buffer
+// only within the chain — it forwards, delivers or drops it — so a copy
+// would buy nothing and cost an allocation per message.
 func TestBufferFieldsDecodeWithoutCopy(t *testing.T) {
 	views := 0
 	for _, c := range fullyTranslated {
@@ -156,6 +157,35 @@ func TestBufferFieldsDecodeWithoutCopy(t *testing.T) {
 	}
 	if views == 0 {
 		t.Fatal("no generated decoder reads a buffer field: the check above is vacuous")
+	}
+}
+
+// TestBufferStateVariableOwnsItsBytes: storing a received buffer field into
+// a state variable copies it, because the field is a view of a frame that is
+// lent only for the transition; a local keeps the view.
+func TestBufferStateVariableOwnsItsBytes(t *testing.T) {
+	spec, err := dsl.Parse(`
+protocol p
+transports { UDP u; }
+messages { u m { buffer payload; } }
+auxiliary_data { buffer last; }
+transitions { any recv m { buffer b = field(payload); last = field(payload); last = b; } }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Generate(spec, "genp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"var b []byte = m.Payload\n",
+		"a.Last = append(a.Last[:0], m.Payload...)\n",
+		"a.Last = append(a.Last[:0], b...)\n",
+	} {
+		if !strings.Contains(res.Source, want) {
+			t.Errorf("generated source lacks %q:\n%s", want, res.Source)
+		}
 	}
 }
 

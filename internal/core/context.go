@@ -47,9 +47,9 @@ type APICall struct {
 // transitions the handler may rewrite NextHop (redirect), mutate Msg (the
 // engine re-encodes it), or set Quash to drop the message (§2.2). Like the
 // Context it arrives with, a *MsgEvent is valid for that one transition: the
-// instance reuses the record. Msg itself is freshly decoded per event and may
-// be kept; its byte-string fields alias the received frame, which is
-// immutable.
+// instance reuses the record. Msg may be kept; its byte-string fields alias
+// the received frame and are valid until the event chain that decoded them
+// ends: clone to keep. Nothing may write into them.
 type MsgEvent struct {
 	Msg  overlay.Message
 	From overlay.Address // immediate sender (recv) or original source (layered)
@@ -313,7 +313,9 @@ func (c *Context) TransportQueued(transport string, dst overlay.Address) int {
 // After schedules fn to run as a write-locked continuation of this protocol
 // instance after d: the engine-level analogue of Teapot's continuations,
 // used for delayed actions that are not worth a declared timer (equally
-// spaced probe trains, modeled processing delays).
+// spaced probe trains, modeled processing delays). fn runs in a later event
+// chain, so a closure over a received message must clone the byte-string
+// fields it reads (see MsgEvent): by then the frame they alias is reused.
 func (c *Context) After(d time.Duration, fn func(ctx *Context)) {
 	i := c.inst
 	run := func() {

@@ -124,11 +124,13 @@ func TestMessageBounceAllocs(t *testing.T) {
 	rally() // warm: path cache, packet pool, event heaps, per-node scratch
 	per := testing.AllocsPerRun(5, rally) / (msgs + 1)
 	t.Logf("%.3f allocs per message", per)
-	// Per message: the datagram Mux.emit builds and the message the registry
-	// factory returns. The slack is the few failure-detector sweeps that fall
-	// inside a rally (a timer handle each).
-	if per > 2.02 {
-		t.Fatalf("%.3f allocs per message end to end, want <= 2", per)
+	// Per message: the message the registry factory returns. The datagram is
+	// built in the mux's scratch and copied into a pooled packet record, whose
+	// storage the receiver borrows (the parent commit's budget was 2.02: one
+	// datagram allocated per message). The slack is the few failure-detector
+	// sweeps that fall inside a rally (a timer handle each).
+	if per > 1.02 {
+		t.Fatalf("%.3f allocs per message end to end, want <= 1", per)
 	}
 }
 
@@ -239,6 +241,30 @@ func TestExecWithConcurrentFrames(t *testing.T) {
 	}
 	if c := n.Counters(); c.MsgsRecv != senders*each {
 		t.Fatalf("MsgsRecv = %d", c.MsgsRecv)
+	}
+}
+
+// TestFrameQueuedBehindAChainIsCopied: a frame is lent only until onFrame
+// returns. One that arrives while the node's queue is draining — live, a
+// timer's chain on another goroutine — runs after its lender has reused the
+// bytes, so onFrame must queue a copy.
+func TestFrameQueuedBehindAChainIsCopied(t *testing.T) {
+	r := newCoreRig(t, []overlay.Address{1, 2}, echoStack(), 1)
+	r.sched.RunFor(time.Millisecond) // init
+	n := r.nodes[2]
+	var got []byte
+	n.RegisterHandlers(Handlers{Deliver: func(p []byte, _ int32, _ overlay.Address) { got = bytes.Clone(p) }})
+	var w overlay.Writer
+	frame, err := w.EncodeMessage(n.stack[0].def.registry, &echoMsgData{Src: 1, Dest: 2, Typ: 3, Payload: []byte("lent")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.postFunc(func() {
+		n.onFrame("REL", 1, frame) // the queue is draining: the frame waits
+		clear(frame)               // and its lender reuses the storage at once
+	})
+	if string(got) != "lent" {
+		t.Fatalf("delivered %q, want the frame as it was lent", got)
 	}
 }
 

@@ -220,8 +220,9 @@ func (i *Instance) dispatch(ts []transition, kind eventKind, name string, ev *Ms
 // handleFrame demultiplexes a frame addressed to this layer into a recv
 // transition; what names the frame's kind ("frame" off the wire, "layered
 // frame" out of the layer below) in the trace line a malformed one earns.
-// Byte-string fields of the decoded message alias frame, which the receiver
-// owns and nobody rewrites.
+// Byte-string fields of the decoded message alias frame, which is lent: they
+// are valid until the event chain that decoded them ends, and a transition
+// that keeps one past it clones it.
 func (i *Instance) handleFrame(what string, src overlay.Address, frame []byte) {
 	m, err := i.node.hot.r.DecodeMessage(i.def.registry, frame)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -348,11 +349,18 @@ func (n *Node) transportFor(d *Def, id uint16, pri int) (transport.Transport, er
 	return t, nil
 }
 
-// onFrame is the mux receive path. The frame is immutable and ours from
-// here on (the substrate contract, see substrate.Endpoint.SetRecv), so it
-// is queued as it is: no copy, no closure.
+// onFrame is the mux receive path. The frame is lent until onFrame returns
+// (transport.RecvFunc). An idle node runs the frame's whole event chain
+// before post returns, so the frame is used as it is: no copy, no closure.
+// Only when the queue is already draining (live: a timer's chain on another
+// goroutine; never in the emulator) must the frame wait, and then it is
+// copied.
 func (n *Node) onFrame(tname string, src overlay.Address, frame []byte) {
-	n.post(event{kind: qFrame, hb: tname == hbTransport, src: src, buf: frame})
+	n.hot.mu.Lock()
+	if n.hot.draining {
+		frame = bytes.Clone(frame)
+	}
+	n.postLocked(event{kind: qFrame, hb: tname == hbTransport, src: src, buf: frame})
 }
 
 // recvFrame runs a qFrame event: heartbeat bookkeeping plus lowest-layer

@@ -107,6 +107,7 @@ type simRun struct {
 
 	needsGroup bool
 	group      overlay.Key
+	zeros      []byte // the payload bytes Inject lends out, never written
 
 	// obs drives time-series sample scheduling; the plane itself is the
 	// engine's.
@@ -304,12 +305,20 @@ func (r *simRun) Shape(op scenario.Op) string {
 	return ""
 }
 
+// Inject hands the op's node a payload of op.Size zero bytes: a view of one
+// read-only buffer per run, grown to the largest size asked for so far. Any
+// layer may keep such a view, because no layer writes into a payload
+// (docs/architecture.md) and an outgrown buffer stays zero.
 func (r *simRun) Inject(op scenario.Op) {
 	n := r.c.Nodes[r.c.Addrs[op.Node]]
+	if op.Size > len(r.zeros) {
+		r.zeros = make([]byte, op.Size)
+	}
+	payload := r.zeros[:op.Size:op.Size]
 	if op.Kind == scenario.OpMulticast {
-		_ = n.Multicast(r.group, make([]byte, op.Size), int32(op.ID), overlay.PriorityDefault)
+		_ = n.Multicast(r.group, payload, int32(op.ID), overlay.PriorityDefault)
 	} else {
-		_ = n.Route(overlay.Key(op.Key), make([]byte, op.Size), int32(op.ID), overlay.PriorityDefault)
+		_ = n.Route(overlay.Key(op.Key), payload, int32(op.ID), overlay.PriorityDefault)
 	}
 }
 

@@ -1,6 +1,7 @@
 package livenet_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -103,7 +104,7 @@ func pair(t *testing.T, net *livenet.Network, a, b overlay.Address) (substrate.E
 		if src != a {
 			t.Errorf("src = %v, want %v", src, a)
 		}
-		got <- payload
+		got <- bytes.Clone(payload) // lent: valid only until the callback returns
 	})
 	return epA, epB, got
 }
@@ -348,7 +349,10 @@ func TestSendDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case <-got:
+	case p := <-got:
+		if string(p) != "bounded" {
+			t.Fatalf("received %q, want \"bounded\"", p)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("datagram with send deadline never arrived")
 	}

@@ -226,10 +226,10 @@ func (r *Reader) Key() Key { return Key(r.U32()) }
 
 // Bytes32 consumes a length-prefixed byte string. The returned slice is a
 // view of the input buffer, its capacity clipped to its length so that an
-// append to it copies out instead of writing into what follows. A decoder
-// reading a delivered frame keeps the view (frames are immutable and the
-// receiver's, docs/architecture.md); one reading a buffer it will reuse
-// must copy.
+// append to it copies out instead of writing into what follows. The view is
+// valid as long as the input is: for a delivered frame, until the event
+// chain that decoded it ends (docs/architecture.md). Code that keeps the
+// bytes longer copies them.
 func (r *Reader) Bytes32() []byte {
 	b := r.take(int(r.U32()))
 	return b[:len(b):len(b)]

@@ -314,7 +314,7 @@ func (b *Protocol) recvCollect(ctx *core.Context, ev *core.MsgEvent) {
 		// A collect delivered off-root means the tree is still forming.
 		return
 	}
-	b.candidates = sample(ctx, append(b.candidates, m.Cands...), b.p.CandidateSample*2)
+	b.candidates = sample(ctx, append(b.candidates, keepCands(m.Cands)...), b.p.CandidateSample*2)
 	dist := &distMsg{Cands: b.candidates}
 	for _, kid := range b.children {
 		_ = ctx.Send(kid, dist, overlay.PriorityDefault)
@@ -324,7 +324,7 @@ func (b *Protocol) recvCollect(ctx *core.Context, ev *core.MsgEvent) {
 // recvDist descends: adopt candidates, re-randomize, pass down.
 func (b *Protocol) recvDist(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*distMsg)
-	b.candidates = m.Cands
+	b.candidates = keepCands(m.Cands)
 	b.maybePeer(ctx)
 	down := &distMsg{Cands: sample(ctx, m.Cands, b.p.CandidateSample)}
 	for _, kid := range b.children {

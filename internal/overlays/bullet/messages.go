@@ -1,6 +1,8 @@
 package bullet
 
 import (
+	"bytes"
+
 	"macedon/internal/bloom"
 	"macedon/internal/overlay"
 )
@@ -33,6 +35,16 @@ func decodeCands(r *overlay.Reader) []candidate {
 		out = append(out, c)
 	}
 	return out
+}
+
+// keepCands clones, in place, the summaries of decoded candidates — views of
+// the received frame, valid only until its event chain ends — so that the
+// candidates can be kept past it.
+func keepCands(cs []candidate) []candidate {
+	for i := range cs {
+		cs[i].Summary = bytes.Clone(cs[i].Summary)
+	}
+	return cs
 }
 
 func (c candidate) filter() (*bloom.Filter, bool) {

@@ -9,6 +9,7 @@
 package overcast
 
 import (
+	"bytes"
 	"time"
 
 	"macedon/internal/core"
@@ -540,6 +541,9 @@ func (o *Protocol) apiMulticast(ctx *core.Context, call *core.APICall) {
 }
 
 func (o *Protocol) disseminate(ctx *core.Context, m *mdata, except overlay.Address, pri int) {
+	// The backlog outlives the event chain; a received payload is a view of
+	// the frame, valid only until that chain ends.
+	m.Payload = bytes.Clone(m.Payload)
 	o.backlog = append(o.backlog, m)
 	if len(o.backlog) > backlogWindow {
 		o.backlog = o.backlog[len(o.backlog)-backlogWindow:]

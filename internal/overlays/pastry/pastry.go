@@ -7,6 +7,7 @@
 package pastry
 
 import (
+	"bytes"
 	"time"
 
 	"macedon/internal/core"
@@ -178,7 +179,9 @@ func (pt *Protocol) jitter(ctx *core.Context, d time.Duration) time.Duration {
 	return d*3/4 + time.Duration(ctx.Rand().Int63n(int64(d)/2+1))
 }
 
-// rmi wraps an action with the FreePastry cost model's per-hop delay.
+// rmi wraps an action with the FreePastry cost model's per-hop delay. With
+// the model on, fn runs in a later event chain (core.Context.After): the
+// caller clones the received bytes it reads.
 func (pt *Protocol) rmi(ctx *core.Context, fn func(ctx *core.Context)) {
 	if !pt.p.RMI {
 		fn(ctx)
@@ -470,6 +473,9 @@ func (pt *Protocol) recvData(ctx *core.Context, ev *core.MsgEvent) {
 	if m.Hops > uint8(4*pt.rows) {
 		return
 	}
+	if pt.p.RMI {
+		m.Payload = bytes.Clone(m.Payload) // the deferred hop outlives the frame
+	}
 	pt.rmi(ctx, func(ctx *core.Context) { pt.routeData(ctx, m, overlay.PriorityDefault) })
 }
 
@@ -493,6 +499,9 @@ func (pt *Protocol) apiRouteIP(ctx *core.Context, call *core.APICall) {
 
 func (pt *Protocol) recvDataIP(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*dataIP)
+	if pt.p.RMI {
+		m.Payload = bytes.Clone(m.Payload) // the deferred delivery outlives the frame
+	}
 	pt.rmi(ctx, func(ctx *core.Context) { ctx.Deliver(m.Payload, m.Typ, m.Src) })
 }
 

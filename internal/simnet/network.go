@@ -453,13 +453,17 @@ func (n *Network) path(src *endpoint, dst topology.RouterID) []topology.LinkID {
 // remaining hops after a restore without the branch's progress having
 // corrupted it.
 //
-// Records are pooled per shard. Exactly one pending event references a
-// packet at any instant (each arrival schedules the next), so the terminal
-// event — delivery or a drop — owns it and may recycle it. gen pins packets
-// across checkpoints: Network.Snapshot bumps pktGen, and releasePacket only
-// recycles a packet whose gen matches the current generation. A packet
-// created before the latest snapshot might be referenced by that snapshot's
-// copied heap, so it stays immutable forever and is left to the GC.
+// Records are pooled per shard, and a record keeps its payload storage
+// (MTU bytes) across the pool: send copies the caller's datagram into it and
+// delivery lends it to the receiver for one callback. Exactly one pending
+// event references a packet at any instant (each arrival schedules the
+// next), so the terminal event — delivery or a drop — owns it and may
+// recycle it. gen pins packets across checkpoints: Network.Snapshot bumps
+// pktGen, and releasePacket only recycles a packet whose gen matches the
+// current generation. A packet created before the latest snapshot might be
+// referenced by that snapshot's copied heap, so it stays immutable forever —
+// its payload bytes included, which is what lets a restored branch deliver
+// them again — and is left to the GC.
 type packet struct {
 	src, dst overlay.Address
 	to       *endpoint // dst's endpoint; endpoints are never removed
@@ -468,20 +472,24 @@ type packet struct {
 	gen      uint64
 }
 
-// allocPacket takes a packet record from the executing shard's pool.
-func (n *Network) allocPacket(shard int) *packet {
+// allocPacket takes a packet record from the executing shard's pool and
+// copies payload (at most MTU bytes) into its storage.
+func (n *Network) allocPacket(shard int, payload []byte) *packet {
 	p := &n.pktPools[shard]
 	p.Gets++
-	if pkt, ok := p.pool.Get().(*packet); ok {
-		pkt.gen = n.pktGen
-		return pkt
+	pkt, ok := p.pool.Get().(*packet)
+	if !ok {
+		pkt = &packet{payload: make([]byte, 0, MTU)}
 	}
-	return &packet{gen: n.pktGen}
+	pkt.gen = n.pktGen
+	pkt.payload = append(pkt.payload, payload...)
+	return pkt
 }
 
 // releasePacket returns a terminal packet to the executing shard's pool,
 // unless a snapshot generation pinned it. Fields are cleared so a recycled
-// record can never leak a prior payload or path to its next flight.
+// record can never leak a prior path to its next flight; the payload keeps
+// only its storage, at length 0.
 func (n *Network) releasePacket(shard int, pkt *packet) {
 	p := &n.pktPools[shard]
 	if pkt.gen != n.pktGen {
@@ -489,7 +497,7 @@ func (n *Network) releasePacket(shard int, pkt *packet) {
 		return // an older generation: some snapshot heap may reference it
 	}
 	p.Recycled++
-	*pkt = packet{gen: pkt.gen}
+	*pkt = packet{gen: pkt.gen, payload: pkt.payload[:0]}
 	p.pool.Put(pkt)
 }
 
@@ -535,8 +543,8 @@ func (n *Network) send(src *endpoint, dst overlay.Address, payload []byte) error
 	if src.addr == dst {
 		// Loopback bypasses the topology, as the kernel would.
 		src.actorSeq++
-		pkt := n.allocPacket(shard)
-		pkt.src, pkt.dst, pkt.to, pkt.payload = src.addr, dst, dstEp, payload
+		pkt := n.allocPacket(shard, payload)
+		pkt.src, pkt.dst, pkt.to = src.addr, dst, dstEp
 		n.sched.scheduleEv(shard, shard, n.sched.timeOn(shard), n.vertexActor(src.vertex), src.actorSeq,
 			event{kind: evDeliver, pkt: pkt})
 		return nil
@@ -550,8 +558,8 @@ func (n *Network) send(src *endpoint, dst overlay.Address, payload []byte) error
 		}
 		return fmt.Errorf("simnet: no route from %v to %v", src.addr, dst)
 	}
-	pkt := n.allocPacket(shard)
-	pkt.src, pkt.dst, pkt.to, pkt.payload, pkt.path = src.addr, dst, dstEp, payload, path
+	pkt := n.allocPacket(shard, payload)
+	pkt.src, pkt.dst, pkt.to, pkt.path = src.addr, dst, dstEp, path
 	n.enqueue(shard, pkt, 0)
 	return nil
 }
@@ -684,6 +692,8 @@ func (n *Network) deliverLoopback(shard int, pkt *packet) {
 	n.releasePacket(shard, pkt)
 }
 
+// deliver lends payload — the packet record's storage — to the receive
+// callback; the caller releases the record once the callback returns.
 func (n *Network) deliver(shard int, ep *endpoint, src overlay.Address, payload []byte) {
 	n.statsBy[shard].Stats.Delivered++
 	if ep.recv != nil {

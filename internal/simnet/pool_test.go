@@ -24,8 +24,9 @@ func poolNet(t *testing.T, shards int, cfg Config) (*Scheduler, *Network, []over
 }
 
 // TestPoolRecycleClearsRecord checks the free-list contract directly: a
-// released packet record is cleared of every field, so a recycled record
-// can never leak a prior payload or path into its next flight. (Pointer
+// released packet record keeps only its byte storage, at length 0, so a
+// recycled record can never leak a prior payload or path into its next
+// flight, and the next flight copies into storage it already has. (Pointer
 // identity is checked over several rounds because sync.Pool deliberately
 // drops a fraction of Puts under the race detector.)
 func TestPoolRecycleClearsRecord(t *testing.T) {
@@ -33,17 +34,29 @@ func TestPoolRecycleClearsRecord(t *testing.T) {
 	defer s.Close()
 	recycled := 0
 	for i := 0; i < 64; i++ {
-		pkt := n.allocPacket(0)
+		secret := []byte("secret")
+		pkt := n.allocPacket(0, secret)
+		if string(pkt.payload) != "secret" || cap(pkt.payload) != MTU {
+			t.Fatalf("record holds %q in %d bytes of storage, want a copy in MTU bytes", pkt.payload, cap(pkt.payload))
+		}
+		secret[0] = 'X' // the record holds a copy: the caller may reuse its buffer
+		if string(pkt.payload) != "secret" {
+			t.Fatalf("record aliases the sender's buffer: %q", pkt.payload)
+		}
+		storage := &pkt.payload[:1][0]
 		pkt.src, pkt.dst, pkt.to = addrs[0], addrs[1], n.eps[addrs[1]]
-		pkt.payload = []byte("secret")
 		pkt.path = []topology.LinkID{1, 2, 3}
 		n.releasePacket(0, pkt)
 		var zero overlay.Address
-		if pkt.payload != nil || pkt.path != nil || pkt.src != zero || pkt.dst != zero || pkt.to != nil {
-			t.Fatalf("released record kept state: %+v", pkt)
+		if len(pkt.payload) != 0 || cap(pkt.payload) != MTU || &pkt.payload[:1][0] != storage ||
+			pkt.path != nil || pkt.src != zero || pkt.dst != zero || pkt.to != nil {
+			t.Fatalf("released record kept state or lost its storage: %+v", pkt)
 		}
-		if n.allocPacket(0) == pkt {
+		if next := n.allocPacket(0, []byte("ab")); next == pkt {
 			recycled++
+			if string(next.payload) != "ab" {
+				t.Fatalf("recycled record carries %q, want \"ab\"", next.payload)
+			}
 		}
 	}
 	if recycled == 0 {
@@ -54,23 +67,27 @@ func TestPoolRecycleClearsRecord(t *testing.T) {
 // TestPoolSnapshotPinsGeneration checks checkpoint safety: a packet created
 // before a snapshot may be referenced by the snapshot's copied event heaps,
 // so releasing it must NOT return it to the pool — only records born after
-// the latest snapshot recycle.
+// the latest snapshot recycle. A pinned record keeps its payload bytes: a
+// restored branch delivers them again.
 func TestPoolSnapshotPinsGeneration(t *testing.T) {
 	s, n, _ := poolNet(t, 1, Config{})
 	defer s.Close()
-	old := n.allocPacket(0)
+	old := n.allocPacket(0, []byte("pinned"))
 	_ = n.Snapshot() // retires old's generation
 	n.releasePacket(0, old)
+	if string(old.payload) != "pinned" {
+		t.Fatalf("releasing a pinned record rewrote its payload to %q", old.payload)
+	}
 	for i := 0; i < 64; i++ {
-		if n.allocPacket(0) == old {
+		if n.allocPacket(0, nil) == old {
 			t.Fatalf("snapshot-pinned packet was recycled; a restored heap would replay corrupted state")
 		}
 	}
 	recycled := 0
 	for i := 0; i < 64; i++ {
-		fresh := n.allocPacket(0)
+		fresh := n.allocPacket(0, nil)
 		n.releasePacket(0, fresh)
-		if n.allocPacket(0) == fresh {
+		if n.allocPacket(0, nil) == fresh {
 			recycled++
 		}
 	}
@@ -111,6 +128,7 @@ func TestPoolPayloadIntegrity(t *testing.T) {
 			sent[uint64(i)] = append([]byte(nil), payload...)
 			src, _ := n.Endpoint(addrs[rng.Intn(len(addrs))])
 			_ = src.Send(addrs[rng.Intn(len(addrs))], payload)
+			clear(payload) // Send copied it: the sender may reuse its buffer at once
 			s.RunFor(500 * time.Microsecond)
 		}
 		s.RunFor(time.Second)

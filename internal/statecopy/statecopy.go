@@ -39,8 +39,8 @@
 //     branch gets the original object back.
 //   - Slices are restored into freshly allocated arrays (two fields that
 //     shared one backing array before capture come back unaliased; the
-//     engine's state holds only read-only views of immutable datagrams,
-//     which coming back unaliased cannot affect).
+//     engine keeps no slice that relies on sharing one, and every branch
+//     gets arrays of its own to reuse in place).
 //   - Funcs, channels, and unsafe pointers are shared: the reference is
 //     restored but the referent is not walked. For channels this is what a
 //     quiescent checkpoint needs — the engine only checkpoints at event-loop

@@ -37,16 +37,14 @@ type Endpoint interface {
 	// Addr returns the address the endpoint is bound to.
 	Addr() overlay.Address
 	// Send transmits one datagram toward dst. Delivery is not guaranteed;
-	// datagrams larger than MTU are rejected. The endpoint may keep payload
-	// (the emulator carries the very slice to the receiver): the caller must
-	// not modify it afterwards.
+	// datagrams larger than MTU are rejected. Send copies what it keeps: the
+	// caller may reuse payload as soon as it returns.
 	Send(dst overlay.Address, payload []byte) error
 	// SetRecv installs the delivery callback. It must be set before any
-	// traffic arrives and may be set only once. A delivered payload is
-	// immutable and owned by the receiver: the substrate never rewrites or
-	// reuses those bytes, so the callback may keep the slice (and slices of
-	// it) for as long as it likes without copying. Symmetrically, a payload
-	// passed to Send is the substrate's from then on.
+	// traffic arrives and may be set only once. A delivered payload is lent:
+	// it is valid until the callback returns, after which the substrate
+	// reuses its storage. The callback must not write into it, and must copy
+	// whatever bytes it keeps.
 	SetRecv(fn func(src overlay.Address, payload []byte))
 	// MTU returns the largest payload Send accepts.
 	MTU() int

@@ -28,8 +28,9 @@ var (
 )
 
 // RecvFunc receives a reassembled frame from a peer on a named transport.
-// The frame is immutable and the receiver's to keep: no transport rewrites
-// or reuses the bytes behind a frame it has delivered.
+// The frame is lent, as the substrate lends a datagram: it is valid until
+// the callback returns, after which the transport or the substrate reuses
+// its storage. The receiver must not write into it and copies what it keeps.
 type RecvFunc func(transport string, src overlay.Address, frame []byte)
 
 // Stats counts per-transport activity.
@@ -76,7 +77,16 @@ type Mux struct {
 	byName     map[string]uint8
 	recv       RecvFunc
 	closed     bool
+	out        datagramScratch // a named field: embedding would promote StateCopyOpaque to Mux
 }
+
+// datagramScratch is the buffer emit builds each outgoing datagram in. The
+// endpoint copies on Send, so it is garbage between datagrams and
+// checkpoints skip it.
+type datagramScratch struct{ buf []byte }
+
+// StateCopyOpaque keeps the send scratch out of checkpoint images.
+func (*datagramScratch) StateCopyOpaque() {}
 
 type muxMember interface {
 	Transport
@@ -214,18 +224,17 @@ func (m *Mux) deliver(tname string, src overlay.Address, frame []byte) {
 }
 
 // emit sends one datagram: the transport header, the discipline's own
-// header (may be nil), then the payload. This is the one copy — and the one
-// allocation — a frame costs on its way out: callers pass their frame and
-// scratch headers as they are, and the datagram built here is handed to the
-// endpoint for good. Caller holds m.mu.
+// header (may be nil), then the payload, built in the mux's one scratch
+// buffer. The endpoint copies what it keeps, so the scratch is free again
+// when Send returns and a datagram costs no allocation. Caller holds m.mu.
 func (m *Mux) emit(tid uint8, kind uint8, dst overlay.Address, hdr, payload []byte) error {
 	if m.closed {
 		return nil
 	}
-	buf := make([]byte, 0, 2+len(hdr)+len(payload))
-	buf = append(buf, tid, kind)
+	buf := append(m.out.buf[:0], tid, kind)
 	buf = append(buf, hdr...)
 	buf = append(buf, payload...)
+	m.out.buf = buf
 	return m.ep.Send(dst, buf)
 }
 

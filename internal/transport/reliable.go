@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"slices"
 	"time"
@@ -67,7 +68,9 @@ type conn struct {
 	sampleAt   time.Time
 	rexmitHigh uint64
 
-	// Receiver half.
+	// Receiver half. rbuf holds the in-order bytes not yet parsed into whole
+	// frames: storage the connection owns and reuses. ooo holds copies of
+	// segments that arrived ahead of rcvNxt.
 	rcvNxt   uint64
 	rbuf     []byte
 	ooo      map[uint64][]byte
@@ -112,7 +115,7 @@ func (c *conn) resetSend() {
 // spliced into the fresh stream as garbage.
 func (c *conn) resetRecv() {
 	c.rcvNxt = 0
-	c.rbuf = nil
+	c.rbuf = c.rbuf[:0]
 	c.ooo = make(map[uint64][]byte)
 	c.oooBytes = 0
 }
@@ -382,29 +385,31 @@ func (r *reliable) handleData(src overlay.Address, body []byte) {
 		return
 	}
 
+	var lent []byte // the new in-order bytes, when they can be parsed in place
 	if offset <= c.rcvNxt {
 		// In-order (or partially duplicate) segment: take the new tail.
 		if offset+uint64(len(seg)) > c.rcvNxt {
 			tail := seg[c.rcvNxt-offset:]
-			if len(c.rbuf) == 0 {
-				// A view of the datagram, which is immutable and ours to
-				// keep. The clipped capacity makes every later append copy
-				// out to fresh storage, so nothing writes into a datagram.
-				c.rbuf = tail[:len(tail):len(tail)]
+			c.rcvNxt = offset + uint64(len(seg))
+			if len(c.rbuf) == 0 && len(c.ooo) == 0 {
+				lent = tail // nothing to join it to: frames are lent from the datagram
 			} else {
 				c.rbuf = append(c.rbuf, tail...)
+				c.drainOOO()
 			}
-			c.rcvNxt = offset + uint64(len(seg))
-			c.drainOOO()
 		}
 	} else if c.oooBytes+len(seg) <= oooCap {
 		if _, dup := c.ooo[offset]; !dup {
-			c.ooo[offset] = seg // a view: the datagram is ours to keep
+			c.ooo[offset] = bytes.Clone(seg) // the datagram is only lent
 			c.oooBytes += len(seg)
 		}
 	}
 	c.sendAck()
-	c.parseFrames()
+	if lent != nil {
+		c.parseFrames(lent)
+	} else {
+		c.parseFrames(c.rbuf)
+	}
 }
 
 func (c *conn) drainOOO() {
@@ -452,34 +457,27 @@ func (c *conn) sendAck() {
 	_ = c.t.mux.emit(c.t.id, kindRelAck, c.peer, body[:], nil)
 }
 
-// parseFrames extracts length-prefixed frames from the in-order stream and
-// delivers them.
-func (c *conn) parseFrames() {
-	var stack [4][]byte // a datagram rarely completes more frames than this
-	frames := stack[:0]
-	for {
-		if len(c.rbuf) < 4 {
+// parseFrames delivers the whole length-prefixed frames at the front of
+// stream — c.rbuf, or a datagram's new in-order bytes when nothing was
+// buffered — each lent to the upcall, and then keeps the partial frame that
+// follows them at the front of c.rbuf. Only the endpoint's receive goroutine
+// touches rbuf (simnet runs an endpoint on one shard, livenet reads each
+// endpoint on one goroutine), so compacting it after the upcalls is safe even
+// though Mux.deliver drops m.mu for them: nothing appends to it meanwhile,
+// and a lent frame is dead once its upcall returns.
+func (c *conn) parseFrames(stream []byte) {
+	for len(stream) >= 4 {
+		n := int(binary.BigEndian.Uint32(stream))
+		if len(stream) < 4+n {
 			break
 		}
-		n := int(binary.BigEndian.Uint32(c.rbuf[0:4]))
-		if len(c.rbuf) < 4+n {
-			break
-		}
-		frames = append(frames, c.rbuf[4:4+n])
-		c.rbuf = c.rbuf[4+n:]
-	}
-	if len(c.rbuf) == 0 {
-		c.rbuf = nil // release the backing array between bursts
-	} else if len(frames) > 0 {
-		// Move the partial tail to fresh storage so future appends cannot
-		// clobber the frames just handed upward.
-		c.rbuf = append([]byte(nil), c.rbuf...)
-	}
-	for _, f := range frames {
+		f := stream[4 : 4+n : 4+n]
+		stream = stream[4+n:]
 		c.t.stats.FramesRecv++
 		c.t.stats.BytesRecv += uint64(len(f))
 		c.t.mux.deliver(c.t.name, c.peer, f)
 	}
+	c.rbuf = append(c.rbuf[:0], stream...) // may overlap when stream is rbuf's tail: append moves, it does not clobber
 }
 
 func (r *reliable) handleAck(src overlay.Address, body []byte) {

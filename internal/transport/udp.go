@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"time"
 
@@ -32,9 +33,9 @@ type udp struct {
 	reasm     map[overlay.Address]map[uint32]*reassembly
 }
 
-// reassembly collects one fragmented frame. parts are views of the
-// fragments' datagrams (immutable and ours to keep); got records arrival,
-// because an empty chunk is a fragment too.
+// reassembly collects one fragmented frame. parts are copies of the
+// fragments' chunks (a datagram is only lent); got records arrival, because
+// an empty chunk is a fragment too.
 type reassembly struct {
 	parts    [][]byte
 	got      []bool
@@ -133,7 +134,7 @@ func (u *udp) handleFrag(src overlay.Address, body []byte) {
 	if len(r.parts) != nfrags || r.got[frag] {
 		return // duplicate or inconsistent geometry
 	}
-	r.parts[frag], r.got[frag] = body[fragHeaderLen:], true
+	r.parts[frag], r.got[frag] = bytes.Clone(body[fragHeaderLen:]), true
 	r.missing--
 	if r.missing > 0 {
 		return
