@@ -9,7 +9,9 @@ package topology
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"macedon/internal/overlay"
@@ -45,7 +47,8 @@ type halfEdge struct {
 }
 
 // Graph is a directed multigraph of routers and links. Construct with
-// NewGraph and the Add methods; it is immutable once routing begins.
+// NewGraph and the Add methods; it is immutable once routing begins, and a
+// mutator called after that panics.
 type Graph struct {
 	adj   [][]halfEdge
 	links []Link
@@ -54,9 +57,66 @@ type Graph struct {
 	clientOrder  []overlay.Address
 	clientVertex map[RouterID]overlay.Address
 	// stub[v]: v is a client with a single access link — a vertex no path
-	// crosses, only starts or ends at. Kept dense because Dijkstra asks once
-	// per relaxed edge.
+	// crosses, only starts or ends at.
 	stub []bool
+
+	coreOnce sync.Once
+	core     *coreView // built by the first Dijkstra; non-nil freezes the graph
+}
+
+// coreView is the graph as Dijkstra walks it, in compressed sparse row
+// form: the out-edges of v are edges[off[v]:off[v+1]], in insertion order,
+// with every edge into a client stub left out. Every oracle over the graph
+// shares it, and the scratch its Dijkstra runs borrow.
+type coreView struct {
+	off     []int32
+	edges   []coreEdge
+	scratch sync.Pool // *dijkstraScratch, sized to the graph
+}
+
+// coreEdge is one out-edge u→to. back is its reverse direction, to→u: the
+// link a packet at to takes toward u, so both the one the blocked predicate
+// vetoes and the one a tree records. lat is the pipe's latency, the same in
+// both directions (AddLink).
+type coreEdge struct {
+	to   RouterID
+	back LinkID
+	lat  time.Duration
+}
+
+// dijkstraScratch is what one Dijkstra needs and no tree keeps.
+type dijkstraScratch struct {
+	dist []time.Duration
+	q    pq
+}
+
+// coreView returns the flat view, building it on first use. From then on
+// the graph is frozen.
+func (g *Graph) coreView() *coreView {
+	g.coreOnce.Do(func() {
+		n := len(g.adj)
+		c := &coreView{off: make([]int32, n+1), edges: make([]coreEdge, 0, len(g.links))}
+		for v, es := range g.adj {
+			for _, e := range es {
+				if !g.stub[e.to] {
+					c.edges = append(c.edges, coreEdge{to: e.to, back: e.link ^ 1, lat: g.links[e.link].Latency})
+				}
+			}
+			c.off[v+1] = int32(len(c.edges))
+		}
+		c.scratch.New = func() any { return &dijkstraScratch{dist: make([]time.Duration, n)} }
+		g.core = c
+	})
+	return g.core
+}
+
+// mustBeMutable panics once routing has begun: trees are built over the
+// frozen core view, so a later vertex or link would silently go unrouted.
+// Experiment setup bugs should fail loudly.
+func (g *Graph) mustBeMutable() {
+	if g.core != nil {
+		panic("topology: graph changed after routing began")
+	}
 }
 
 // NewGraph returns an empty graph.
@@ -69,6 +129,7 @@ func NewGraph() *Graph {
 
 // AddRouter adds a vertex and returns its id.
 func (g *Graph) AddRouter() RouterID {
+	g.mustBeMutable()
 	id := RouterID(len(g.adj))
 	g.adj = append(g.adj, nil)
 	g.stub = append(g.stub, false)
@@ -103,6 +164,7 @@ func (g *Graph) Neighbors(r RouterID) []RouterID {
 // AddLink adds a bidirectional pipe between a and b and returns the two
 // directed link ids (a→b, b→a).
 func (g *Graph) AddLink(a, b RouterID, latency time.Duration, bandwidth int64, queueBytes int) (LinkID, LinkID) {
+	g.mustBeMutable()
 	if a == b {
 		panic("topology: self link")
 	}
@@ -137,6 +199,7 @@ var DefaultAccess = AccessLink{Latency: time.Millisecond, Bandwidth: 10_000_000,
 // over the access pipe, and returns the client's vertex id. Attaching the
 // same address twice panics: experiment setup bugs should fail loudly.
 func (g *Graph) AttachClient(addr overlay.Address, at RouterID, access AccessLink) RouterID {
+	g.mustBeMutable()
 	if addr == overlay.NilAddress {
 		panic("topology: cannot attach the nil address")
 	}
@@ -212,10 +275,26 @@ func (g *Graph) IsConnected() bool {
 }
 
 // spt is a shortest-path tree rooted at a destination: prev[v] is the link
-// taken *out of* v on the shortest path toward the root.
+// taken *out of* v on the shortest path toward the root, NilLink at the root
+// and wherever the root is unreachable. A distance is a walk up prev.
 type spt struct {
 	prev []LinkID
-	dist []time.Duration
+}
+
+// walk follows prev from v to the tree's root, returning the hop count and
+// the summed link latencies — the integer sum Dijkstra made, in the other
+// order, so exact. ok is false when v has no path to the root.
+func (t *spt) walk(g *Graph, v, root RouterID) (hops int, lat time.Duration, ok bool) {
+	for v != root {
+		l := t.prev[v]
+		if l == NilLink {
+			return 0, 0, false
+		}
+		hops++
+		lat += g.links[l].Latency
+		v = g.links[l].To
+	}
+	return hops, lat, true
 }
 
 // Routes answers path and latency queries over a finished graph, caching one
@@ -238,6 +317,7 @@ type Routes struct {
 	trees  map[RouterID]*spt
 	order  []RouterID // insertion order, for tree-budget eviction
 	budget int        // max cached trees; <= 0 = unbounded
+	warmed bool       // the attachment trees were built since the last Flush
 }
 
 // NewRoutes returns a route oracle for g. The graph must not change
@@ -277,12 +357,14 @@ func NewRoutesExcluding(g *Graph, blocked func(LinkID) bool) *Routes {
 // Flush discards every cached tree. All of them, not only those through a
 // link that failed: a relaxation over that link which a shorter path later
 // superseded still shaped the frontier's tie order, so a kept tree could
-// differ from the one a fresh oracle builds where paths tie.
+// differ from the one a fresh oracle builds where paths tie. The next miss
+// warms the oracle again.
 func (r *Routes) Flush() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.trees = make(map[RouterID]*spt)
 	r.order = nil
+	r.warmed = false
 }
 
 type pqItem struct {
@@ -293,29 +375,34 @@ type pqItem struct {
 // pq is Dijkstra's frontier: a binary min-heap on dist, implemented
 // directly on the value slice. container/heap would box every pqItem into
 // an interface{} on Push and again on Pop — two allocations per relaxed edge,
-// the bulk of a cold route's cost. push and pop sift exactly as
-// container/heap does, so equal-distance ties pop in the same order and
-// every tree is the one the boxed heap built.
+// the bulk of a cold route's cost. push and pop move a hole where
+// container/heap swaps, but make the same comparisons on the same
+// arrangement, so equal-distance ties pop in the same order and every tree
+// is the one the boxed heap built. That order is why the frontier stays a
+// binary heap: a 4-ary, radix or decrease-key one pops ties differently.
 type pq []pqItem
 
 func (q *pq) push(it pqItem) {
 	h := append(*q, it)
 	*q = h
-	for j := len(h) - 1; j > 0; {
+	j := len(h) - 1
+	for j > 0 {
 		i := (j - 1) / 2
-		if h[j].dist >= h[i].dist {
+		if it.dist >= h[i].dist {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[j] = h[i]
 		j = i
 	}
+	h[j] = it
 }
 
 func (q *pq) pop() pqItem {
 	h := *q
 	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	for i := 0; ; {
+	top, x := h[0], h[n]
+	i := 0
+	for {
 		j := 2*i + 1
 		if j >= n {
 			break
@@ -323,28 +410,38 @@ func (q *pq) pop() pqItem {
 		if j+1 < n && h[j+1].dist < h[j].dist {
 			j++
 		}
-		if h[j].dist >= h[i].dist {
+		if h[j].dist >= x.dist {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
+	h[i] = x
 	*q = h[:n]
-	return h[n]
+	return top
 }
 
 // tree returns the cached shortest-path tree toward dst, computing it on a
 // miss. The computation runs outside the lock (two shards racing on the
 // same destination just do the work twice — the trees are identical); a
 // finished tree is immutable, so holders may keep using one the budget
-// evicts.
+// evicts. The first miss of an unbounded oracle since its last Flush warms
+// it first, which builds dst's tree whenever dst is an attachment router.
 func (r *Routes) tree(dst RouterID) *spt {
 	r.mu.Lock()
 	if t, ok := r.trees[dst]; ok {
 		r.mu.Unlock()
 		return t
 	}
+	warm := r.budget <= 0 && !r.warmed
+	if warm {
+		r.warmed = true
+	}
 	r.mu.Unlock()
+	if warm {
+		r.warm()
+		return r.tree(dst)
+	}
 	t := r.computeTree(dst)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -361,46 +458,97 @@ func (r *Routes) tree(dst RouterID) *spt {
 	return t
 }
 
-// computeTree runs Dijkstra toward dst. Because every link is one half of a
-// symmetric pair, Dijkstra from dst over out-links yields correct paths
-// toward dst. Client stubs are not entered: a path only starts or ends at
-// one, and endpoints has peeled those hops off before a tree is consulted.
+// warm builds every missing tree toward a client's attachment router — the
+// destinations forwarding asks for — on GOMAXPROCS workers it starts and
+// waits for. Trees are pure functions of the graph and the failed core
+// links, so which worker builds which is invisible in the result.
+//
+// The workers call the blocked predicate while the caller's shard is
+// parked in this call and other shards run their windows. That is safe
+// because dynamics change the predicate's answers (simnet's
+// Network.blocked) only at barriers, when no window runs, and Flush is
+// called there too.
+func (r *Routes) warm() {
+	seen := make([]bool, r.g.NumRouters())
+	var dsts []RouterID
+	r.mu.Lock()
+	for _, addr := range r.g.clientOrder {
+		v := r.g.clients[addr]
+		if _, rt, ok := r.access(v); ok {
+			v = rt
+		}
+		if _, cached := r.trees[v]; !cached && !seen[v] {
+			seen[v] = true
+			dsts = append(dsts, v)
+		}
+	}
+	r.mu.Unlock()
+	if len(dsts) == 0 {
+		return
+	}
+	built := make([]*spt, len(dsts))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(dsts)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(dsts)); i = next.Add(1) - 1 {
+				built[i] = r.computeTree(dsts[i])
+			}
+		}()
+	}
+	wg.Wait()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, dst := range dsts {
+		if _, ok := r.trees[dst]; !ok {
+			r.trees[dst] = built[i]
+			r.order = append(r.order, dst)
+		}
+	}
+}
+
+// computeTree runs Dijkstra toward dst over the graph's core view. Because
+// every link is one half of a symmetric pair, Dijkstra from dst over
+// out-links yields correct paths toward dst. Client stubs are not in the
+// view: a path only starts or ends at one, and endpoints has peeled those
+// hops off before a tree is consulted. The distances and the frontier are
+// borrowed scratch; the tree keeps prev alone.
 func (r *Routes) computeTree(dst RouterID) *spt {
-	n := r.g.NumRouters()
-	t := &spt{prev: make([]LinkID, n), dist: make([]time.Duration, n)}
+	c := r.g.coreView()
+	s := c.scratch.Get().(*dijkstraScratch)
+	t := &spt{prev: make([]LinkID, len(s.dist))}
 	const inf = time.Duration(1<<63 - 1)
+	dist := s.dist
 	for i := range t.prev {
 		t.prev[i] = NilLink
-		t.dist[i] = inf
+		dist[i] = inf
 	}
-	t.dist[dst] = 0
-	q := make(pq, 1, 64)
-	q[0] = pqItem{v: dst, dist: 0}
+	dist[dst] = 0
+	q := append(s.q[:0], pqItem{v: dst, dist: 0})
 	for len(q) > 0 {
 		it := q.pop()
-		if it.dist > t.dist[it.v] {
+		if it.dist > dist[it.v] {
 			continue
 		}
-		for _, e := range r.g.adj[it.v] {
-			if r.g.stub[e.to] {
+		// e goes it.v→e.to; the reverse direction is the same pipe, so
+		// walking out-edges from dst explores paths *to* dst. The link
+		// traffic would actually traverse is e.back: that is the one the
+		// blocked predicate must veto, and the one out of e.to toward it.v.
+		for _, e := range c.edges[c.off[it.v]:c.off[it.v+1]] {
+			if r.blocked != nil && r.blocked(e.back) {
 				continue
 			}
-			// e goes it.v→e.to; the reverse direction is the same pipe, so
-			// walking out-edges from dst explores paths *to* dst. The link
-			// traffic would actually traverse is e.link's partner: that is
-			// the one the blocked predicate must veto.
-			if r.blocked != nil && r.blocked(r.partner(e.link)) {
-				continue
-			}
-			nd := it.dist + r.g.links[e.link].Latency
-			if nd < t.dist[e.to] {
-				t.dist[e.to] = nd
-				// Out of e.to, the link toward it.v is e.link's partner.
-				t.prev[e.to] = r.partner(e.link)
+			if nd := it.dist + e.lat; nd < dist[e.to] {
+				dist[e.to] = nd
+				t.prev[e.to] = e.back
 				q.push(pqItem{v: e.to, dist: nd})
 			}
 		}
 	}
+	s.q = q
+	c.scratch.Put(s)
 	return t
 }
 
@@ -446,7 +594,8 @@ func (r *Routes) endpoints(src, dst RouterID) (coreSrc, coreDst RouterID, up, do
 }
 
 // Path returns the directed links from src to dst, in traversal order, or
-// nil if unreachable (or src == dst).
+// nil if unreachable (or src == dst). It walks the tree once to count the
+// hops and allocates the path at its exact length.
 func (r *Routes) Path(src, dst RouterID) []LinkID {
 	if src == dst {
 		return nil
@@ -455,32 +604,28 @@ func (r *Routes) Path(src, dst RouterID) []LinkID {
 	if !ok {
 		return nil
 	}
-	if coreSrc == coreDst {
-		// Same attachment router (or one endpoint is the other's router):
-		// the path is just the access hops.
-		path := make([]LinkID, 0, 2)
-		if up != NilLink {
-			path = append(path, up)
+	// With one attachment router (or one endpoint the other's router) the
+	// path is just the access hops.
+	var t *spt
+	n := 0
+	if coreSrc != coreDst {
+		t = r.tree(coreDst)
+		if n, _, ok = t.walk(r.g, coreSrc, coreDst); !ok {
+			return nil
 		}
-		if down != NilLink {
-			path = append(path, down)
-		}
-		return path
 	}
-	t := r.tree(coreDst)
-	if t.prev[coreSrc] == NilLink {
-		return nil
+	if up != NilLink {
+		n++
 	}
-	var path []LinkID
+	if down != NilLink {
+		n++
+	}
+	path := make([]LinkID, 0, n)
 	if up != NilLink {
 		path = append(path, up)
 	}
-	v := coreSrc
-	for v != coreDst {
+	for v := coreSrc; v != coreDst; {
 		l := t.prev[v]
-		if l == NilLink {
-			return nil
-		}
 		path = append(path, l)
 		v = r.g.links[l].To
 	}
@@ -510,12 +655,11 @@ func (r *Routes) Latency(src, dst RouterID) time.Duration {
 	if coreSrc == coreDst {
 		return d
 	}
-	t := r.tree(coreDst)
-	const inf = time.Duration(1<<63 - 1)
-	if t.dist[coreSrc] == inf {
+	_, core, ok := r.tree(coreDst).walk(r.g, coreSrc, coreDst)
+	if !ok {
 		return -1
 	}
-	return d + t.dist[coreSrc]
+	return d + core
 }
 
 // ClientLatency returns the one-way propagation latency between two client

@@ -3,6 +3,8 @@ package topology
 import (
 	"container/heap"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -23,19 +25,21 @@ func (q *boxedPQ) Pop() interface{} {
 	return it
 }
 
-func referenceTree(r *Routes, dst RouterID) *spt {
+// referenceTree is Dijkstra as it was written before the core view: over
+// the adjacency lists, skipping stubs per edge, with its own dist array.
+func referenceTree(r *Routes, dst RouterID) (prev []LinkID, dist []time.Duration) {
 	n := r.g.NumRouters()
-	t := &spt{prev: make([]LinkID, n), dist: make([]time.Duration, n)}
+	prev, dist = make([]LinkID, n), make([]time.Duration, n)
 	const inf = time.Duration(1<<63 - 1)
-	for i := range t.prev {
-		t.prev[i] = NilLink
-		t.dist[i] = inf
+	for i := range prev {
+		prev[i] = NilLink
+		dist[i] = inf
 	}
-	t.dist[dst] = 0
+	dist[dst] = 0
 	q := boxedPQ{{v: dst, dist: 0}}
 	for q.Len() > 0 {
 		it := heap.Pop(&q).(pqItem)
-		if it.dist > t.dist[it.v] {
+		if it.dist > dist[it.v] {
 			continue
 		}
 		for _, e := range r.g.adj[it.v] {
@@ -46,24 +50,21 @@ func referenceTree(r *Routes, dst RouterID) *spt {
 				continue
 			}
 			nd := it.dist + r.g.links[e.link].Latency
-			if nd < t.dist[e.to] {
-				t.dist[e.to] = nd
-				t.prev[e.to] = r.partner(e.link)
+			if nd < dist[e.to] {
+				dist[e.to] = nd
+				prev[e.to] = r.partner(e.link)
 				heap.Push(&q, pqItem{v: e.to, dist: nd})
 			}
 		}
 	}
-	return t
+	return prev, dist
 }
 
-// TestComputeTreeMatchesBoxedHeap: the value heap must build, for every
-// destination, exactly the tree container/heap built — same distances and,
-// where several shortest paths tie, the same predecessor links, since every
-// golden trace was recorded over those routes. Uniform latencies make ties
-// the common case. Neither heap holds a client stub, so what is pinned is the
-// pop order among core vertices, with and without failed core links (the
-// predicate fails every seventh link, core and access alike).
-func TestComputeTreeMatchesBoxedHeap(t *testing.T) {
+// routeTestGraphs returns the two graphs the oracle tests route over, each
+// with clients attached: an INET like the ones experiments run over, and a
+// uniform-latency grid on which nearly every route is a tie.
+func routeTestGraphs(t *testing.T) map[string]*Graph {
+	t.Helper()
 	inet, err := INET(DefaultINET(300, 11))
 	if err != nil {
 		t.Fatal(err)
@@ -85,27 +86,146 @@ func TestComputeTreeMatchesBoxedHeap(t *testing.T) {
 			}
 		}
 	}
-	for name, g := range map[string]*Graph{"inet": inet, "grid": grid} {
+	AttachClients(grid, 30, 1, DefaultAccess, 13)
+	return map[string]*Graph{"inet": inet, "grid": grid}
+}
+
+// TestComputeTreeMatchesBoxedHeap: the value heap over the core view must
+// build, for every destination, exactly the tree container/heap built over
+// the adjacency lists — the same predecessor links where several shortest
+// paths tie, since every golden trace was recorded over those routes — and
+// a walk up that tree must give the reference distance from every vertex,
+// or report it unreachable. Uniform latencies make ties the common case.
+// Neither heap holds a client stub, so what is pinned is the pop order among
+// core vertices, with and without failed core links (the predicate fails
+// every seventh link, core and access alike).
+func TestComputeTreeMatchesBoxedHeap(t *testing.T) {
+	const inf = time.Duration(1<<63 - 1)
+	for name, g := range routeTestGraphs(t) {
 		for _, r := range []*Routes{NewRoutes(g), NewRoutesExcluding(g, func(l LinkID) bool { return l%7 == 3 })} {
-			for dst := 0; dst < g.NumRouters(); dst++ {
-				got, want := r.computeTree(RouterID(dst)), referenceTree(r, RouterID(dst))
-				if !reflect.DeepEqual(got, want) {
+			for dst := RouterID(0); int(dst) < g.NumRouters(); dst++ {
+				got := r.computeTree(dst)
+				prev, dist := referenceTree(r, dst)
+				if !slices.Equal(got.prev, prev) {
 					t.Fatalf("%s: tree toward %d differs from the container/heap one", name, dst)
+				}
+				for v := range dist {
+					_, lat, ok := got.walk(g, RouterID(v), dst)
+					if ok != (dist[v] != inf) || ok && lat != dist[v] {
+						t.Fatalf("%s: %d→%d walks to (%v, reachable %v), the reference distance is %v", name, v, dst, lat, ok, dist[v])
+					}
 				}
 			}
 		}
 	}
 }
 
+// attachmentRouters returns the distinct routers clients are attached at.
+func attachmentRouters(g *Graph) map[RouterID]bool {
+	out := map[RouterID]bool{}
+	for _, a := range g.Clients() {
+		v, _ := g.ClientVertex(a)
+		out[g.Neighbors(v)[0]] = true
+	}
+	return out
+}
+
+// TestWarmBuildsTheLazyTrees: the first route query of an oracle — fresh or
+// flushed — builds the tree toward every attachment router, and each one is
+// the tree a lone computeTree builds, with and without a failed core link.
+// After the Flush four goroutines query at once, so the warm overlaps the
+// trees their other misses build on demand.
+func TestWarmBuildsTheLazyTrees(t *testing.T) {
+	for name, g := range routeTestGraphs(t) {
+		var vs []RouterID
+		for _, a := range g.Clients() {
+			v, _ := g.ClientVertex(a)
+			vs = append(vs, v)
+		}
+		want := attachmentRouters(g)
+		// A core link on the route between the first two clients, so that
+		// failing it changes trees.
+		var core LinkID = NilLink
+		for _, l := range NewRoutes(g).Path(vs[0], vs[1]) {
+			if !g.IsAccessLink(l) {
+				core = l
+				break
+			}
+		}
+		if core == NilLink {
+			t.Fatalf("%s: clients 0 and 1 share a router; pick others", name)
+		}
+		for _, down := range []bool{false, true} {
+			blocked := func(l LinkID) bool { return down && l>>1 == core>>1 }
+			r := NewRoutesExcluding(g, blocked)
+			check := func(stage string) {
+				t.Helper()
+				if got := r.CachedTrees(); got != len(want) {
+					t.Fatalf("%s, core link down %v, %s: %d trees cached, %d attachment routers", name, down, stage, got, len(want))
+				}
+				for dst, tr := range r.trees {
+					if !want[dst] {
+						t.Fatalf("%s, core link down %v, %s: a tree toward %d, which no client is attached at", name, down, stage, dst)
+					}
+					if lone := r.computeTree(dst); !reflect.DeepEqual(tr, lone) {
+						t.Fatalf("%s, core link down %v, %s: the warm tree toward %d differs from a lone one", name, down, stage, dst)
+					}
+				}
+			}
+			r.Path(vs[0], vs[1])
+			check("after one query")
+
+			r.Flush()
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := w; i < len(vs); i += 4 {
+						r.Path(vs[i], vs[(i+len(vs)/2)%len(vs)])
+					}
+				}()
+			}
+			wg.Wait()
+			check("after a Flush and concurrent queries")
+		}
+	}
+}
+
+// TestGraphFrozenOnceRouted: the first Dijkstra freezes the graph into its
+// core view, so a vertex or link added afterwards would never be routed.
+func TestGraphFrozenOnceRouted(t *testing.T) {
+	g, v := line3()
+	NewRoutes(g).Path(v[0], v[2])
+	for name, mutate := range map[string]func(){
+		"AddRouter":    func() { g.AddRouter() },
+		"AddLink":      func() { g.AddLink(v[0], v[2], time.Millisecond, 1e6, 1500) },
+		"AttachClient": func() { g.AttachClient(100, v[1], DefaultAccess) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after routing began did not panic", name)
+				}
+			}()
+			mutate()
+		}()
+	}
+}
+
 func TestComputeTreeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops scratch at random under the race detector")
+	}
 	g, err := INET(DefaultINET(300, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := NewRoutes(g)
-	// The tree itself (struct, prev, dist) and the frontier's few doublings;
-	// the boxed heap paid two allocations per relaxed edge on top.
-	if got := testing.AllocsPerRun(20, func() { r.computeTree(5) }); got > 12 {
+	// The tree and its prev array, once AllocsPerRun's warm-up call has left
+	// the distances and the frontier in the pool (12 before they were
+	// pooled, plus two per relaxed edge before the heap stopped boxing).
+	if got := testing.AllocsPerRun(20, func() { r.computeTree(5) }); got > 2 {
 		t.Fatalf("computeTree allocates %v times", got)
 	}
 }
