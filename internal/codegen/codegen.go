@@ -190,7 +190,8 @@ func decodeCall(f dsl.Field) string {
 	case "string":
 		return fmt.Sprintf("m.%s = r.String16()", n)
 	case "nodeset":
-		return fmt.Sprintf("m.%s = r.Addrs()", n)
+		// Into the array the receive slot kept (see the factory).
+		return fmt.Sprintf("m.%s = r.AppendAddrs(m.%s[:0])", n, n)
 	case "keyset":
 		return fmt.Sprintf("m.%s = r.Keys()", n)
 	}
@@ -307,8 +308,16 @@ func (g *generator) file() (string, error) {
 	}
 	for _, m := range s.Messages {
 		slot := "a.io.rx." + camel(m.Name)
-		g.pf("\td.Message(%q, func() overlay.Message { %s = %s{}; return &%s }, %q)\n",
-			m.Name, slot, msgTypeName(m.Name), slot, m.Transport)
+		// The factory clears the slot but keeps its nodeset arrays for the
+		// decode to append into.
+		var keep []string
+		for _, f := range m.Fields {
+			if f.Type == "nodeset" {
+				keep = append(keep, fmt.Sprintf("%s: %s.%s[:0]", camel(f.Name), slot, camel(f.Name)))
+			}
+		}
+		g.pf("\td.Message(%q, func() overlay.Message { %s = %s{%s}; return &%s }, %q)\n",
+			m.Name, slot, msgTypeName(m.Name), strings.Join(keep, ", "), slot, m.Transport)
 	}
 	for _, v := range s.StateVars {
 		switch v.Kind {

@@ -416,11 +416,12 @@ func TestListOwnership(t *testing.T) {
 }
 
 // TestSendAndFactoryUseScratch: no generated package allocates a message. The
-// factories hand out the agent's receive slots, send statements fill its send
-// slots, and the scratch type is opaque to checkpoints.
+// factories hand out the agent's receive slots, keeping their nodeset arrays
+// for the decoder to append into, send statements fill its send slots, and
+// the scratch type is opaque to checkpoints.
 func TestSendAndFactoryUseScratch(t *testing.T) {
 	literal := regexp.MustCompile(`&msg[A-Z][A-Za-z]*\{`)
-	sends := 0
+	sends, kept := 0, 0
 	for _, c := range fullyTranslated {
 		spec := loadSpec(t, c.spec)
 		res, err := Generate(spec, c.pkg)
@@ -441,9 +442,22 @@ func TestSendAndFactoryUseScratch(t *testing.T) {
 		}
 		for _, m := range spec.Messages {
 			slot, typ := "a.io.rx."+camel(m.Name), msgTypeName(m.Name)
-			if want := "{ " + slot + " = " + typ + "{}; return &" + slot + " }"; !strings.Contains(res.Source, want) {
+			var keep []string
+			for _, f := range m.Fields {
+				if f.Type == "nodeset" {
+					keep = append(keep, camel(f.Name)+": "+slot+"."+camel(f.Name)+"[:0]")
+					if want := "m." + camel(f.Name) + " = r.AppendAddrs(m." + camel(f.Name) + "[:0])\n"; !strings.Contains(res.Source, want) {
+						t.Errorf("%s: %s.%s is not decoded as %q", c.spec, m.Name, f.Name, want)
+					}
+					kept++
+				}
+			}
+			if want := "{ " + slot + " = " + typ + "{" + strings.Join(keep, ", ") + "}; return &" + slot + " }"; !strings.Contains(res.Source, want) {
 				t.Errorf("%s: factory of %q is not %q", c.spec, m.Name, want)
 			}
+		}
+		if strings.Contains(res.Source, "r.Addrs()") {
+			t.Errorf("%s: a generated decoder allocates a nodeset", c.spec)
 		}
 		// One form: the message is built in its send slot inside the call, so
 		// the destination is evaluated before the fields.
@@ -456,8 +470,8 @@ func TestSendAndFactoryUseScratch(t *testing.T) {
 		}
 		sends += n
 	}
-	if sends == 0 {
-		t.Fatal("no generated send: the checks above are vacuous")
+	if sends == 0 || kept == 0 {
+		t.Fatalf("%d generated sends, %d nodeset fields: the checks above are vacuous", sends, kept)
 	}
 }
 

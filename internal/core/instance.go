@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"macedon/internal/overlay"
+	"macedon/internal/substrate"
 	"macedon/internal/transport"
 )
 
@@ -55,25 +56,24 @@ func (*instHot) StateCopyOpaque() {}
 
 type timerState struct {
 	decl *timerDecl
-	tm   stoppable
-	gen  uint64 // invalidates queued fires after cancel/resched
+	tm   substrate.Timer // non-nil while armed
+	gen  uint64          // invalidates queued fires after cancel/resched
 	fire timerCallback
 }
 
-// timerCallback caches the substrate callback that queues a qTimer event
-// stamped gen. It is rebuilt only when the timer's generation has moved, so
-// a timer that just keeps firing and being re-armed reuses one closure. A
-// pure cache keyed by gen — a rewound timerState finds it either still
-// matching or stale — so checkpoints skip it.
+// timerCallback caches the substrate timer whose callback queues a qTimer
+// event stamped gen. It is rebuilt only when the timer's generation has
+// moved, so a timer that just keeps firing and being re-armed reuses one
+// closure and one substrate timer, re-armed by Reset. A pure cache keyed by
+// gen — a rewound timerState finds it either still matching or stale, and
+// whether it is armed is ts.tm's to say — so checkpoints skip it.
 type timerCallback struct {
-	fn  func()
+	tm  substrate.Timer
 	gen uint64
 }
 
 // StateCopyOpaque keeps the callback cache out of checkpoint images.
 func (*timerCallback) StateCopyOpaque() {}
-
-type stoppable interface{ Stop() bool }
 
 func newInstance(n *Node, agent Agent) (*Instance, error) {
 	i := &Instance{
@@ -142,12 +142,14 @@ func (i *Instance) Counters() Counters {
 	return i.counters.snapshot()
 }
 
-// NeighborsSnapshot returns the member addresses of a neighbor list.
+// NeighborsSnapshot returns the member addresses of a neighbor list in an
+// array of the caller's own. It runs under the read lock from goroutines
+// other than the node's, so it must not fill the list's Addrs cache.
 func (i *Instance) NeighborsSnapshot(name string) []overlay.Address {
 	i.mu.RLock()
 	defer i.mu.RUnlock()
 	if l, ok := i.nbrs[name]; ok {
-		return l.Addrs()
+		return l.copyAddrs()
 	}
 	return nil
 }
@@ -320,15 +322,19 @@ func (i *Instance) schedTimer(name string, d time.Duration, replace bool) {
 // ts.gen, and a fire stamped with an older generation is dropped. Arming an
 // idle timer keeps the generation — nothing stamped with it can still be
 // in flight, its one fire has run or a cancel has moved past it — which is
-// what lets the callback be reused.
+// what lets the callback and its substrate timer be reused. The callback
+// captures gen by value: on the live backend it runs on a timer goroutine,
+// where reading ts.gen would race with the node's event loop.
 func (i *Instance) armTimer(ts *timerState, d time.Duration) {
-	if ts.fire.fn == nil || ts.fire.gen != ts.gen {
+	if ts.fire.tm != nil && ts.fire.gen == ts.gen {
+		ts.fire.tm.Reset(d)
+	} else {
 		gen := ts.gen
-		ts.fire = timerCallback{gen: gen, fn: func() {
+		ts.fire = timerCallback{gen: gen, tm: i.node.clock.After(d, func() {
 			i.node.post(event{kind: qTimer, inst: i, ts: ts, gen: gen})
-		}}
+		})}
 	}
-	ts.tm = i.node.clock.After(d, ts.fire.fn)
+	ts.tm = ts.fire.tm
 }
 
 func (i *Instance) fireTimer(ts *timerState, gen uint64) {

@@ -30,6 +30,10 @@ type NeighborList struct {
 	failDetect bool
 	entries    []*Neighbor
 	index      map[overlay.Address]*Neighbor
+	// addrs caches Addrs' answer until the next mutation, which drops it
+	// and never writes into it: a slice handed out earlier keeps the
+	// membership it was taken at.
+	addrs []overlay.Address
 }
 
 func newNeighborList(d neighborDecl) *NeighborList {
@@ -68,6 +72,7 @@ func (l *NeighborList) Add(addr overlay.Address) *Neighbor {
 	n := &Neighbor{Addr: addr, Key: overlay.HashAddress(addr)}
 	l.entries = append(l.entries, n)
 	l.index[addr] = n
+	l.addrs = nil
 	return n
 }
 
@@ -78,6 +83,7 @@ func (l *NeighborList) Remove(addr overlay.Address) bool {
 		return false
 	}
 	delete(l.index, addr)
+	l.addrs = nil
 	for i, e := range l.entries {
 		if e == n {
 			l.entries = slices.Delete(l.entries, i, i+1) // clears the vacated tail slot
@@ -92,6 +98,7 @@ func (l *NeighborList) Clear() {
 	clear(l.entries) // drop the pointers the retained storage still holds
 	l.entries = l.entries[:0]
 	clear(l.index)
+	l.addrs = nil
 }
 
 // Assign replaces the membership with addrs, in order, skipping NilAddress,
@@ -106,7 +113,7 @@ func (l *NeighborList) Clear() {
 func (l *NeighborList) Assign(addrs []overlay.Address, self overlay.Address) {
 	// The leading run of addrs that repeats the current sequence keeps its
 	// records and its index rows; only the per-entry fields start over.
-	n, i := 0, 0
+	old, n, i := len(l.entries), 0, 0
 	for ; i < len(addrs); i++ {
 		a := addrs[i]
 		if a == overlay.NilAddress || a == self {
@@ -120,6 +127,7 @@ func (l *NeighborList) Assign(addrs []overlay.Address, self overlay.Address) {
 	}
 	// Whatever followed it in the list leaves the index, and its records are
 	// rewritten in turn for the rest of addrs.
+	kept := n
 	for _, e := range l.entries[n:] {
 		delete(l.index, e.Addr)
 	}
@@ -143,6 +151,9 @@ func (l *NeighborList) Assign(addrs []overlay.Address, self overlay.Address) {
 	}
 	clear(l.entries[n:]) // drop the pointers, as Clear and Remove do
 	l.entries = l.entries[:n]
+	if kept != old || n != old {
+		l.addrs = nil // the membership may have changed
+	}
 }
 
 // Contains reports whether addr is in the list.
@@ -176,8 +187,21 @@ func (l *NeighborList) Entries() []*Neighbor {
 	return append([]*Neighbor(nil), l.entries...)
 }
 
-// Addrs returns the member addresses in insertion order.
+// Addrs returns the member addresses in insertion order. The array is lent:
+// the list caches it and hands it out again until the next Add, Remove,
+// Clear or Assign that changes the membership, which drops it without writing
+// into it. A slice taken earlier — a foreach in progress, a deferred
+// notification — therefore keeps the membership it saw. Callers must not
+// write into it.
 func (l *NeighborList) Addrs() []overlay.Address {
+	if l.addrs == nil {
+		l.addrs = l.copyAddrs()
+	}
+	return l.addrs
+}
+
+// copyAddrs returns the member addresses in a fresh array.
+func (l *NeighborList) copyAddrs() []overlay.Address {
 	out := make([]overlay.Address, len(l.entries))
 	for i, e := range l.entries {
 		out[i] = e.Addr

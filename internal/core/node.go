@@ -72,8 +72,7 @@ type Node struct {
 	hbAfter, failAfter, sweepEvery time.Duration
 	lastHeard                      map[overlay.Address]time.Time
 	hbProbed                       map[overlay.Address]bool
-	sweepTimer                     substrate.Timer
-	sweepFn                        func() // queues a qSweep event; built once
+	sweepTimer                     substrate.Timer // queues a qSweep event; re-armed by runSweep
 
 	// Deferred-execution queue and per-event scratch: every engine event
 	// (frame, timer, API call, cross-layer dispatch) runs through here, one
@@ -170,8 +169,7 @@ func NewNode(cfg Config) (*Node, error) {
 			inst.dispatchAPI(&APICall{Kind: overlay.APIInit, Bootstrap: boot})
 		}
 	})
-	n.sweepFn = func() { n.post(event{kind: qSweep}) }
-	n.sweepTimer = n.clock.After(n.sweepEvery, n.sweepFn)
+	n.sweepTimer = n.clock.After(n.sweepEvery, func() { n.post(event{kind: qSweep}) })
 	return n, nil
 }
 
@@ -473,5 +471,5 @@ func (n *Node) runSweep() {
 	for _, a := range failed {
 		delete(n.hbProbed, a)
 	}
-	n.sweepTimer = n.clock.After(n.sweepEvery, n.sweepFn)
+	n.sweepTimer.Reset(n.sweepEvery)
 }

@@ -132,6 +132,8 @@ type liveTimer struct{ t *time.Timer }
 
 func (lt liveTimer) Stop() bool { return lt.t.Stop() }
 
+func (lt liveTimer) Reset(d time.Duration) { lt.t.Reset(d) }
+
 // After implements substrate.Clock with real timers.
 func (n *Network) After(d time.Duration, fn func()) substrate.Timer {
 	return liveTimer{t: time.AfterFunc(d, fn)}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Message is a protocol control or data message: the unit the TRANSITIONS
@@ -252,17 +253,22 @@ func (r *Reader) listLen() (int, bool) {
 	return n, r.err == nil
 }
 
-// Addrs consumes a length-prefixed address list.
-func (r *Reader) Addrs() []Address {
+// Addrs consumes a length-prefixed address list into a fresh slice.
+func (r *Reader) Addrs() []Address { return r.AppendAddrs(nil) }
+
+// AppendAddrs consumes a length-prefixed address list, appends it to dst and
+// returns the result: decoding into dst[:0] reuses dst's array. On failure
+// dst comes back as it was, neither appended to nor grown.
+func (r *Reader) AppendAddrs(dst []Address) []Address {
 	n, ok := r.listLen()
 	if !ok {
-		return nil
+		return dst
 	}
-	as := make([]Address, n)
-	for i := range as {
-		as[i] = r.Addr()
+	dst = slices.Grow(dst, n)
+	for range n {
+		dst = append(dst, r.Addr())
 	}
-	return as
+	return dst
 }
 
 // Keys consumes a length-prefixed key list.

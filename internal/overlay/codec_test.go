@@ -276,12 +276,25 @@ func TestReaderListPrefixBounded(t *testing.T) {
 			t.Errorf("%s on a hostile prefix allocates %v times", name, allocs)
 		}
 	}
+	// AppendAddrs hands dst back as it came: nothing appended, nothing grown.
+	dst := make([]Address, 1, 2)
+	dst[0] = 5
+	r.Reset(hostile)
+	if got := r.AppendAddrs(dst); len(got) != 1 || cap(got) != 2 || &got[0] != &dst[0] || r.Err() != ErrShortMessage {
+		t.Errorf("AppendAddrs on a hostile prefix: %v (cap %d), err %v; want dst unchanged", got, cap(got), r.Err())
+	}
 	// An honest prefix still decodes, including the exact-fit case.
 	var w Writer
 	w.Addrs([]Address{7, 8, 9})
 	r.Reset(w.Bytes())
 	if got := r.Addrs(); len(got) != 3 || got[2] != 9 || r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("Addrs = %v, err %v, %d left", got, r.Err(), r.Remaining())
+	}
+	// And appends into dst's own array when it has the room.
+	dst = make([]Address, 0, 4)
+	r.Reset(w.Bytes())
+	if got := r.AppendAddrs(dst); len(got) != 3 || got[2] != 9 || &got[0] != &dst[:1][0] || r.Err() != nil {
+		t.Fatalf("AppendAddrs = %v, err %v; want [7 8 9] in dst's array", got, r.Err())
 	}
 }
 

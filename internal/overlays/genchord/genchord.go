@@ -89,7 +89,7 @@ func (m *msgGetPredResp) Encode(w *overlay.Writer) {
 
 func (m *msgGetPredResp) Decode(r *overlay.Reader) error {
 	m.Pred = r.Addr()
-	m.Succs = r.Addrs()
+	m.Succs = r.AppendAddrs(m.Succs[:0])
 	return r.Err()
 }
 
@@ -210,7 +210,10 @@ func (a *Agent) Define(d *core.Def) {
 	d.Message("find_req", func() overlay.Message { a.io.rx.FindReq = msgFindReq{}; return &a.io.rx.FindReq }, "CTRL")
 	d.Message("find_resp", func() overlay.Message { a.io.rx.FindResp = msgFindResp{}; return &a.io.rx.FindResp }, "CTRL")
 	d.Message("get_pred_req", func() overlay.Message { a.io.rx.GetPredReq = msgGetPredReq{}; return &a.io.rx.GetPredReq }, "CTRL")
-	d.Message("get_pred_resp", func() overlay.Message { a.io.rx.GetPredResp = msgGetPredResp{}; return &a.io.rx.GetPredResp }, "CTRL")
+	d.Message("get_pred_resp", func() overlay.Message {
+		a.io.rx.GetPredResp = msgGetPredResp{Succs: a.io.rx.GetPredResp.Succs[:0]}
+		return &a.io.rx.GetPredResp
+	}, "CTRL")
 	d.Message("notify", func() overlay.Message { a.io.rx.Notify = msgNotify{}; return &a.io.rx.Notify }, "CTRL")
 	d.Message("data", func() overlay.Message { a.io.rx.Data = msgData{}; return &a.io.rx.Data }, "DATA")
 	d.Message("data_ip", func() overlay.Message { a.io.rx.DataIp = msgDataIp{}; return &a.io.rx.DataIp }, "DATA")

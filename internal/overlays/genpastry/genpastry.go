@@ -41,7 +41,7 @@ func (m *msgJoinReply) Encode(w *overlay.Writer) {
 }
 
 func (m *msgJoinReply) Decode(r *overlay.Reader) error {
-	m.Leaves = r.Addrs()
+	m.Leaves = r.AppendAddrs(m.Leaves[:0])
 	return r.Err()
 }
 
@@ -80,7 +80,7 @@ func (m *msgLsResp) Encode(w *overlay.Writer) {
 }
 
 func (m *msgLsResp) Decode(r *overlay.Reader) error {
-	m.Leaves = r.Addrs()
+	m.Leaves = r.AppendAddrs(m.Leaves[:0])
 	return r.Err()
 }
 
@@ -210,10 +210,16 @@ func (a *Agent) Define(d *core.Def) {
 	d.UDPTransport("CTRL")
 	d.TCPTransport("DATA")
 	d.Message("join_req", func() overlay.Message { a.io.rx.JoinReq = msgJoinReq{}; return &a.io.rx.JoinReq }, "CTRL")
-	d.Message("join_reply", func() overlay.Message { a.io.rx.JoinReply = msgJoinReply{}; return &a.io.rx.JoinReply }, "CTRL")
+	d.Message("join_reply", func() overlay.Message {
+		a.io.rx.JoinReply = msgJoinReply{Leaves: a.io.rx.JoinReply.Leaves[:0]}
+		return &a.io.rx.JoinReply
+	}, "CTRL")
 	d.Message("announce", func() overlay.Message { a.io.rx.Announce = msgAnnounce{}; return &a.io.rx.Announce }, "CTRL")
 	d.Message("ls_req", func() overlay.Message { a.io.rx.LsReq = msgLsReq{}; return &a.io.rx.LsReq }, "CTRL")
-	d.Message("ls_resp", func() overlay.Message { a.io.rx.LsResp = msgLsResp{}; return &a.io.rx.LsResp }, "CTRL")
+	d.Message("ls_resp", func() overlay.Message {
+		a.io.rx.LsResp = msgLsResp{Leaves: a.io.rx.LsResp.Leaves[:0]}
+		return &a.io.rx.LsResp
+	}, "CTRL")
 	d.Message("data", func() overlay.Message { a.io.rx.Data = msgData{}; return &a.io.rx.Data }, "DATA")
 	d.Message("data_ip", func() overlay.Message { a.io.rx.DataIp = msgDataIp{}; return &a.io.rx.DataIp }, "DATA")
 	d.Message("cache_info", func() overlay.Message { a.io.rx.CacheInfo = msgCacheInfo{}; return &a.io.rx.CacheInfo }, "CTRL")

@@ -404,14 +404,8 @@ func (ns *NodeSubstrate) Elapsed() time.Duration { return ns.net.sched.timeOn(ns
 // After implements substrate.Clock on the owning shard, keyed by the
 // endpoint's actor so timer order is deterministic across shard counts.
 func (ns *NodeSubstrate) After(d time.Duration, fn func()) substrate.Timer {
-	if d < 0 {
-		d = 0
-	}
-	ep := ns.ep
-	t := &simTimer{}
-	ep.actorSeq++
-	ns.net.sched.scheduleEv(ep.shard, ep.shard, addSat(ns.Elapsed(), d), ns.net.vertexActor(ep.vertex), ep.actorSeq,
-		event{fn: fn, tm: t})
+	t := &simTimer{fn: fn, sched: ns.net.sched, ep: ns.ep}
+	t.Reset(d)
 	return t
 }
 

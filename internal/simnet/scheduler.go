@@ -187,43 +187,77 @@ func (s *Scheduler) Pending() int {
 	return n
 }
 
-// simTimer implements substrate.Timer by lazy cancellation. A timer is only
-// touched by contexts owned by its shard (or by the coordinator between
-// epochs), so no locking is needed.
+// simTimer implements substrate.Timer by lazy cancellation. It holds its
+// callback and its scheduling context — ep's vertex actor on ep's shard, or
+// the global actor when ep is nil — and every arm (After, then each Reset)
+// pushes one evFunc record stamped with a fresh generation. A record runs only
+// if its timer is still pending at the generation it carries, so Stop and
+// Reset cancel by moving the timer's state, never by touching the heap. A
+// timer is only touched by contexts owned by its shard (or by the coordinator
+// between epochs), so no locking is needed.
 type simTimer struct {
-	fired   bool
-	stopped bool
+	fn      func()
+	sched   *Scheduler
+	ep      *endpoint // nil: the global actor
+	gen     uint64
+	pending bool
 }
 
 // Stop cancels the timer if still pending.
 func (t *simTimer) Stop() bool {
-	if t.fired || t.stopped {
-		return false
-	}
-	t.stopped = true
-	return true
+	was := t.pending
+	t.pending = false
+	return was
 }
 
-// live resolves a popped event's lazy cancellation: false when its timer
-// was stopped, otherwise the timer (if any) is marked fired.
+// Reset re-arms the callback after d. It takes the next sequence number of
+// the timer's actor and pushes the record that Stop followed by After would
+// push — same key, same heap — so a re-armed timer is keyed and ordered
+// exactly like a fresh one.
+func (t *simTimer) Reset(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	t.gen++
+	t.pending = true
+	s, e := t.sched, event{tm: t, gen: t.gen}
+	if ep := t.ep; ep != nil {
+		ep.actorSeq++
+		s.scheduleEv(ep.shard, ep.shard, addSat(s.timeOn(ep.shard), d), s.net.vertexActor(ep.vertex), ep.actorSeq, e)
+		return
+	}
+	s.globalSeq++
+	e.eventKey = eventKey{at: addSat(s.now, d), actor: actorGlobal, seq: s.globalSeq}
+	// One shard keeps global events with its own timers; several keep them
+	// apart, for the barriers.
+	if len(s.shards) == 1 {
+		s.shards[0].push(e)
+	} else {
+		s.global.push(e)
+	}
+}
+
+// live resolves a popped event's lazy cancellation: a timer record runs only
+// if its timer is pending at the record's generation, and running it leaves
+// the timer fired.
 func (e *event) live() bool {
-	if e.tm != nil {
-		if e.tm.stopped {
+	if t := e.tm; t != nil {
+		if !t.pending || t.gen != e.gen {
 			return false
 		}
-		e.tm.fired = true
+		t.pending = false
 	}
 	return true
 }
 
-// Event kinds. The zero value is evFunc, so every event built from a plain
-// closure (timers, global control ops) dispatches unchanged. The network
+// Event kinds. The zero value is evFunc, so every timer record (node
+// timers, global control ops) dispatches unchanged. The network
 // kinds are flat records: the packet hot path schedules them without
 // allocating a closure per event (see network.go). A pipe finishing a
 // packet's serialization is not an event: the bytes leave the queue lazily
 // (see linkState.settle).
 const (
-	evFunc    uint8 = iota // run fn (timers, scenario control, test drivers)
+	evFunc    uint8 = iota // run tm's callback (timers, scenario control, test drivers)
 	evArrive               // a packet advances to its next hop's vertex
 	evDeliver              // loopback delivery at the destination endpoint
 )
@@ -249,16 +283,18 @@ func (a *eventKey) less(b *eventKey) bool {
 	return a.seq < b.seq
 }
 
-// event is one scheduled callback or flat network record.
+// event is one timer record or flat network record.
 //
 // Network events carry their operands inline instead of in a closure: kind
 // selects the operation and (pkt, arg) parameterize it; the shard it runs on
 // is the one that popped it. This is the zero-alloc hot path — a closure per
-// packet hop used to be the dominant allocation of a large run.
+// packet hop used to be the dominant allocation of a large run. A timer
+// record carries its timer, which holds the callback, and the generation it
+// was armed at (see simTimer).
 type event struct {
 	eventKey
-	fn   func()    // evFunc only
-	tm   *simTimer // nil for internal events that are never cancelled
+	tm   *simTimer // evFunc
+	gen  uint64    // evFunc: tm's generation when this record was pushed
 	pkt  *packet   // evArrive, evDeliver
 	arg  int32     // evArrive: next hop index
 	kind uint8
@@ -269,7 +305,7 @@ type event struct {
 func (e *event) exec(n *Network, shard int) {
 	switch e.kind {
 	case evFunc:
-		e.fn()
+		e.tm.fn()
 	case evArrive:
 		n.arriveHop(shard, e.pkt, int(e.arg))
 	case evDeliver:
@@ -303,7 +339,7 @@ func (h *eventHeap) repair() {
 	h.hole = false
 	n := len(h.s) - 1
 	last := h.s[n]
-	h.s[n] = event{} // release closure and packet references
+	h.s[n] = event{} // release timer and packet references
 	h.s = h.s[:n]
 	if n > 0 {
 		h.siftDown(&last)
@@ -579,19 +615,8 @@ func addSat(t, d time.Duration) time.Duration {
 // from event handlers; emulated nodes schedule through their NodeSubstrate
 // clock instead.
 func (s *Scheduler) After(d time.Duration, fn func()) substrate.Timer {
-	if d < 0 {
-		d = 0
-	}
-	t := &simTimer{}
-	s.globalSeq++
-	e := event{eventKey: eventKey{at: addSat(s.now, d), actor: actorGlobal, seq: s.globalSeq}, fn: fn, tm: t}
-	// One shard keeps global events with its own closures; several keep
-	// them apart, for the barriers.
-	if len(s.shards) == 1 {
-		s.shards[0].push(e)
-	} else {
-		s.global.push(e)
-	}
+	t := &simTimer{fn: fn, sched: s}
+	t.Reset(d)
 	return t
 }
 

@@ -30,8 +30,14 @@ func (ns *NodeSubstrate) StateCopyOpaque() {}
 func (e *endpoint) StateCopyOpaque()       {}
 func (t *simTimer) StateCopyOpaque()       {}
 
-// timerFlags is one timer's lazy-cancellation state at snapshot time.
-type timerFlags struct{ fired, stopped bool }
+// timerFlags is one timer's lazy-cancellation state at snapshot time. Only
+// timers with a record in the copied heaps are kept: a timer with none has no
+// record in the restored heaps either, so its state cannot make anything run,
+// and its owner's own checkpointed fields say whether it counts as armed.
+type timerFlags struct {
+	gen     uint64
+	pending bool
+}
 
 // shardSnapshot captures one event shard: evts[:timers] is the timer heap's
 // array and the rest the packet heap's.
@@ -44,12 +50,12 @@ type shardSnapshot struct {
 }
 
 // SchedulerSnapshot is a restorable capture of the event loop: the global
-// and per-shard event heaps, every queued timer's cancellation flags, the
-// virtual clocks and executing-key stamps, the deterministic (time, actor,
-// seq) counters, the barrier-stall accounting, the window density the next
-// fan-out decision rests on, and the seeded PRNG. Outboxes are empty between
-// windows and carry nothing. Event closures are shared with the live heaps —
-// restore-in-place is what keeps them valid.
+// and per-shard event heaps, every queued timer's generation and pending
+// flag, the virtual clocks and executing-key stamps, the deterministic (time,
+// actor, seq) counters, the barrier-stall accounting, the window density the
+// next fan-out decision rests on, and the seeded PRNG. Outboxes are empty
+// between windows and carry nothing. Timers and their callbacks are shared
+// with the live heaps — restore-in-place is what keeps them valid.
 type SchedulerSnapshot struct {
 	now        time.Duration
 	globalSeq  uint64
@@ -81,7 +87,7 @@ func (s *Scheduler) Snapshot() *SchedulerSnapshot {
 	collect := func(evts []event) {
 		for _, e := range evts {
 			if e.tm != nil {
-				cp.timers[e.tm] = timerFlags{fired: e.tm.fired, stopped: e.tm.stopped}
+				cp.timers[e.tm] = timerFlags{gen: e.tm.gen, pending: e.tm.pending}
 			}
 		}
 	}
@@ -120,9 +126,10 @@ func (s *Scheduler) Restore(cp *SchedulerSnapshot) {
 		sh.now, sh.cur, sh.executed = ss.now, ss.cur, ss.executed
 	}
 	// Timers queued at the snapshot come back to their exact cancellation
-	// state: one the branch fired or stopped becomes pending again.
+	// state: one the branch fired, stopped or re-armed is pending again at
+	// the generation its restored record carries.
 	for tm, f := range cp.timers {
-		tm.fired, tm.stopped = f.fired, f.stopped
+		tm.gen, tm.pending = f.gen, f.pending
 	}
 	cp.rng.Restore()
 }

@@ -123,6 +123,54 @@ func TestSnapshotTimerCancellation(t *testing.T) {
 	}
 }
 
+// TestRestoreRewindsReArmedTimer: owners re-arm one timer in place, so a
+// branch moves the very timers a snapshot holds records for. A timer queued at
+// the snapshot that the branch fires and re-arms comes back pending at its
+// snapshot instant and fires once; a timer the branch alone armed — idle at
+// the snapshot, its only run long over — fires not at all; and restoring the
+// same snapshot again behaves the same.
+func TestRestoreRewindsReArmedTimer(t *testing.T) {
+	const ms = time.Millisecond
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sched, net := buildPair(t, shards)
+			defer sched.Close()
+			sub, err := net.NodeNet(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var queuedAt, idleAt []time.Duration
+			queued := sub.After(10*ms, func() { queuedAt = append(queuedAt, sub.Elapsed()) })
+			idle := sub.After(ms, func() { idleAt = append(idleAt, sub.Elapsed()) })
+			sched.RunFor(5 * ms) // idle has fired; queued is due at 10 ms
+			cp := sched.Snapshot()
+			pending := sched.Pending()
+			for round := 1; round <= 2; round++ {
+				queuedAt, idleAt = nil, nil
+				sched.RunFor(7 * ms) // queued fires at 10 ms
+				queued.Reset(20 * ms)
+				idle.Reset(3 * ms)
+				if len(queuedAt) != 1 || sched.Pending() <= pending {
+					t.Fatalf("round %d: the branch fired %v and left %d pending", round, queuedAt, sched.Pending())
+				}
+				sched.Restore(cp)
+				if sched.Pending() != pending {
+					t.Fatalf("round %d: %d pending after Restore, want %d", round, sched.Pending(), pending)
+				}
+				queuedAt, idleAt = nil, nil
+				sched.RunFor(60 * ms) // past the branch's instants: 15 ms (idle) and 32 ms (queued)
+				if len(queuedAt) != 1 || queuedAt[0] != 10*ms {
+					t.Fatalf("round %d: the re-armed timer fired at %v after Restore, want once at 10ms", round, queuedAt)
+				}
+				if len(idleAt) != 0 {
+					t.Fatalf("round %d: a timer armed only in the branch fired at %v after Restore", round, idleAt)
+				}
+				sched.Restore(cp)
+			}
+		})
+	}
+}
+
 // TestNetworkSnapshotDynamics checks injected dynamics rewind: a partition
 // and a failed link applied in a branch are gone after restore.
 func TestNetworkSnapshotDynamics(t *testing.T) {

@@ -12,11 +12,19 @@ import (
 	"macedon/internal/overlay"
 )
 
-// Timer is a cancellable pending callback.
+// Timer is a cancellable pending callback. A timer belongs to the context
+// that made it (a node's event loop, or the code driving the clock): only
+// that context calls Stop and Reset, so owners that re-arm one callback keep
+// one Timer for life instead of asking After for a new one each time.
 type Timer interface {
 	// Stop cancels the timer; it reports whether the callback was still
 	// pending (false means it already fired or was already stopped).
 	Stop() bool
+	// Reset re-arms the timer's callback to run once after d, cancelling a
+	// run that is still pending, whether the timer fired, was stopped, or
+	// is pending: what Stop followed by After with the same callback does,
+	// on the same Timer.
+	Reset(d time.Duration)
 }
 
 // Clock schedules future work. Simulated clocks advance virtually; the live

@@ -1,6 +1,8 @@
 package substrate_test
 
 import (
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -101,6 +103,75 @@ func TestClockAfterOrderingAndStop(t *testing.T) {
 	s.RunUntilIdle()
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
 		t.Fatalf("fired = %v, want [1 2]", fired)
+	}
+
+	t.Run("Reset/simnet", func(t *testing.T) {
+		n, s := contractNet(t)
+		clockReset(t, n, time.Millisecond, func(done func() bool) {
+			for !done() && s.Step() {
+			}
+		})
+	})
+	t.Run("Reset/simnet node", func(t *testing.T) {
+		n, s := contractNet(t)
+		sub, err := n.(*simnet.Network).NodeNet(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clockReset(t, sub, time.Millisecond, func(done func() bool) {
+			for !done() && s.Step() {
+			}
+		})
+	})
+	t.Run("Reset/livenet", func(t *testing.T) {
+		clockReset(t, livenet.New("127.0.0.1", 0), 10*time.Millisecond, func(done func() bool) {
+			for deadline := time.Now().Add(5 * time.Second); !done() && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+		})
+	})
+}
+
+// clockReset holds a clock to Reset's contract on a pending timer (it moves),
+// a fired one (it runs again) and a stopped one (it comes back), at time unit
+// u with at least 2u between any two deadlines. until(done) lets the clock run
+// until done reports true.
+func clockReset(t *testing.T, c substrate.Clock, u time.Duration, until func(done func() bool)) {
+	t.Helper()
+	var mu sync.Mutex // livenet runs callbacks on timer goroutines
+	var log []string
+	note := func(name string) func() {
+		return func() {
+			mu.Lock()
+			log = append(log, name)
+			mu.Unlock()
+		}
+	}
+	seen := func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return strings.Join(log, " ")
+	}
+	moved := c.After(2*u, note("moved"))
+	fired := c.After(u, note("fired"))
+	stopped := c.After(u, note("stopped"))
+	stopped.Stop()
+	moved.Reset(8 * u)
+	until(func() bool { return seen() != "" })
+	if got := seen(); got != "fired" {
+		t.Fatalf("after the first deadline: %q, want only the unmoved timer to have fired", got)
+	}
+	if fired.Stop() {
+		t.Fatal("Stop on a fired timer reported it pending")
+	}
+	fired.Reset(2 * u)   // fired: runs again
+	stopped.Reset(4 * u) // stopped: comes back
+	until(func() bool { return strings.Count(seen(), " ") == 3 })
+	if got := seen(); got != "fired fired stopped moved" {
+		t.Fatalf("fires = %q, want %q", got, "fired fired stopped moved")
+	}
+	if moved.Stop() || fired.Stop() || stopped.Stop() {
+		t.Fatal("Stop after every timer fired reported one pending")
 	}
 }
 

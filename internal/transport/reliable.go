@@ -54,8 +54,11 @@ type conn struct {
 
 	rto          time.Duration
 	srtt, rttvar time.Duration
-	rtxTimer     substrate.Timer
-	timeoutFn    func() // c.onTimeout, built once: armTimer runs per ack
+	// rtxTimer runs onTimeout. The first arm builds it and every later one
+	// re-arms it, so the conn keeps one timer for life; rtxArmed says whether
+	// it counts as pending.
+	rtxTimer substrate.Timer
+	rtxArmed bool
 
 	// NewReno fast-recovery state.
 	inRecovery bool
@@ -103,10 +106,7 @@ func (c *conn) resetSend() {
 	c.recover = 0
 	c.sampling = false
 	c.rexmitHigh = 0
-	if c.rtxTimer != nil {
-		c.rtxTimer.Stop()
-		c.rtxTimer = nil
-	}
+	c.stopTimer()
 }
 
 // resetRecv discards all receive-side state, including out-of-order
@@ -204,7 +204,6 @@ func (r *reliable) conn(peer overlay.Address) *conn {
 			rto:      initialRTO,
 			ooo:      make(map[uint64][]byte),
 		}
-		c.timeoutFn = c.onTimeout
 		r.conns[peer] = c
 	}
 	return c
@@ -300,23 +299,29 @@ func (c *conn) sendSegment(offset uint64, payload []byte) {
 
 func (c *conn) armTimer() {
 	if c.sndNxt == c.sndUna {
-		if c.rtxTimer != nil {
-			c.rtxTimer.Stop()
-			c.rtxTimer = nil
-		}
+		c.stopTimer()
 		return
 	}
-	if c.rtxTimer != nil {
+	if c.rtxArmed {
 		return
 	}
-	c.rtxTimer = c.t.mux.clock.After(c.rto, c.timeoutFn)
+	c.rtxArmed = true
+	if c.rtxTimer == nil {
+		c.rtxTimer = c.t.mux.clock.After(c.rto, c.onTimeout)
+		return
+	}
+	c.rtxTimer.Reset(c.rto)
+}
+
+func (c *conn) stopTimer() {
+	if c.rtxArmed {
+		c.rtxTimer.Stop()
+		c.rtxArmed = false
+	}
 }
 
 func (c *conn) resetTimer() {
-	if c.rtxTimer != nil {
-		c.rtxTimer.Stop()
-		c.rtxTimer = nil
-	}
+	c.stopTimer()
 	c.armTimer()
 }
 
@@ -324,7 +329,7 @@ func (c *conn) onTimeout() {
 	m := c.t.mux
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c.rtxTimer = nil
+	c.rtxArmed = false
 	flight := int(c.sndNxt - c.sndUna)
 	if flight <= 0 {
 		return
@@ -581,10 +586,7 @@ func (c *conn) updateRTT(rtt time.Duration) {
 
 func (r *reliable) stopTimers() {
 	for _, c := range r.conns {
-		if c.rtxTimer != nil {
-			c.rtxTimer.Stop()
-			c.rtxTimer = nil
-		}
+		c.stopTimer()
 	}
 }
 

@@ -599,3 +599,74 @@ func TestReliableStaleInflightAfterRestart(t *testing.T) {
 		t.Fatalf("post-restart stream wedged: fresh=%v big=%v (%d frames)", gotFresh, gotBig, len(logA.frames))
 	}
 }
+
+// TestRTOTimerKeptAcrossResets: a connection builds its retransmission timer
+// on the first arm and re-arms that one timer for life. A flight interrupted
+// by a peer reboot (resetSend) or a node stop (stopTimers) must not time out
+// afterwards, and the flight sent next times out exactly once per RTO. Node 2
+// is down throughout, so nothing is ever acknowledged and every armed flight
+// runs into its timeout. Each interruption comes 500 ms into a flight, so
+// the interrupted deadline falls inside the next flight's first RTO, where a
+// stale timeout would show as a retransmission.
+func TestRTOTimerKeptAcrossResets(t *testing.T) {
+	for _, kind := range []string{"tcp", "swp"} {
+		t.Run(kind, func(t *testing.T) {
+			r := newRig(t, simnet.Config{}, 10_000_000, 64<<10)
+			defer r.sched.Close()
+			tr := addReliable(r.a, kind)
+			addReliable(r.b, kind)
+			if err := r.net.SetDown(2, true); err != nil {
+				t.Fatal(err)
+			}
+			rel := tr.(*reliable)
+			send := func(what string) {
+				t.Helper()
+				if err := tr.Send(2, []byte(what)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			timeouts := func() uint64 { return tr.Stats().Retransmits }
+			quiet := func(what string, d time.Duration) {
+				t.Helper()
+				before := timeouts()
+				r.sched.RunFor(d)
+				if got := timeouts() - before; got != 0 {
+					t.Fatalf("%s: %d timeouts in %v, want none", what, got, d)
+				}
+			}
+
+			send("first")
+			c := rel.conns[2]
+			kept := c.rtxTimer
+			if kept == nil || !c.rtxArmed {
+				t.Fatal("a flight in progress has no armed timer")
+			}
+			for _, stage := range []struct {
+				name      string
+				interrupt func()
+			}{
+				{"peer reboot", c.resetSend},
+				{"node stop", rel.stopTimers},
+			} {
+				quiet(stage.name+": before the interruption", 500*time.Millisecond)
+				r.a.mu.Lock()
+				stage.interrupt()
+				r.a.mu.Unlock()
+				if c.rtxArmed {
+					t.Fatalf("%s left the timer armed", stage.name)
+				}
+				rto := c.rto
+				send(stage.name)
+				quiet(stage.name+": the next flight's first RTO", rto-50*time.Millisecond)
+				before := timeouts()
+				r.sched.RunFor(100 * time.Millisecond)
+				if got := timeouts() - before; got != 1 {
+					t.Fatalf("%s: %d timeouts one RTO (%v) into the next flight, want exactly 1", stage.name, got, rto)
+				}
+				if c.rtxTimer != kept {
+					t.Fatalf("%s: the connection built a second timer", stage.name)
+				}
+			}
+		})
+	}
+}
