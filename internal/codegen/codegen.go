@@ -190,7 +190,7 @@ func decodeCall(f dsl.Field) string {
 	case "string":
 		return fmt.Sprintf("m.%s = r.String16()", n)
 	case "nodeset":
-		// Into the array the receive slot kept (see the factory).
+		// Into the array the engine's receive slot kept from its last decode.
 		return fmt.Sprintf("m.%s = r.AppendAddrs(m.%s[:0])", n, n)
 	case "keyset":
 		return fmt.Sprintf("m.%s = r.Keys()", n)
@@ -237,10 +237,9 @@ func (g *generator) file() (string, error) {
 		g.pf("\treturn r.Err()\n}\n\n")
 	}
 
-	// Message scratch: the slots registered factories decode into and send
-	// statements build in.
+	// Message scratch: the slots send statements build in.
 	g.pf("%s", msgScratchDoc)
-	g.pf("type msgScratch struct{ rx, tx msgSlots }\n\n")
+	g.pf("type msgScratch struct{ tx msgSlots }\n\n")
 	g.pf("// msgSlots holds one message of every declared type.\ntype msgSlots struct {\n")
 	for _, m := range s.Messages {
 		g.pf("\t%s %s\n", camel(m.Name), msgTypeName(m.Name))
@@ -278,9 +277,14 @@ func (g *generator) file() (string, error) {
 	}
 	g.pf("// ProtocolName implements the engine's naming hook.\n")
 	g.pf("func (a *Agent) ProtocolName() string { return %q }\n\n", s.Name)
+	g.pf("// DefinedByType makes the agent core.TypeDefined: Define reads no agent and\n")
+	g.pf("// no transition keeps ev.Msg, so one Def serves every instance.\n")
+	g.pf("func (*Agent) DefinedByType() {}\n\n")
 
-	// Define.
-	g.pf("// Define declares the generated FSM.\nfunc (a *Agent) Define(d *core.Def) {\n")
+	// Define. Its receiver is unnamed, so it cannot read the agent: handlers
+	// receive theirs through the core adapters, and factories make fresh
+	// messages for the engine's receive slots.
+	g.pf("// Define declares the generated FSM.\nfunc (*Agent) Define(d *core.Def) {\n")
 	if len(s.States) > 0 {
 		var qs []string
 		for _, st := range s.States {
@@ -307,17 +311,7 @@ func (g *generator) file() (string, error) {
 		}
 	}
 	for _, m := range s.Messages {
-		slot := "a.io.rx." + camel(m.Name)
-		// The factory clears the slot but keeps its nodeset arrays for the
-		// decode to append into.
-		var keep []string
-		for _, f := range m.Fields {
-			if f.Type == "nodeset" {
-				keep = append(keep, fmt.Sprintf("%s: %s.%s[:0]", camel(f.Name), slot, camel(f.Name)))
-			}
-		}
-		g.pf("\td.Message(%q, func() overlay.Message { %s = %s{%s}; return &%s }, %q)\n",
-			m.Name, slot, msgTypeName(m.Name), strings.Join(keep, ", "), slot, m.Transport)
+		g.pf("\td.Message(%q, func() overlay.Message { return &%s{} }, %q)\n", m.Name, msgTypeName(m.Name), m.Transport)
 	}
 	for _, v := range s.StateVars {
 		switch v.Kind {
@@ -342,16 +336,16 @@ func (g *generator) file() (string, error) {
 		if tr.Locking == "read" {
 			lock = "core.Read"
 		}
-		h := fmt.Sprintf("a.transition%d", i)
+		h := fmt.Sprintf("(*Agent).transition%d", i)
 		switch tr.Kind {
 		case dsl.TransAPI:
-			g.pf("\td.OnAPI(overlay.API%s, %s, %s, %s)\n", apiConst(tr.Name), guard, lock, h)
+			g.pf("\td.OnAPI(overlay.API%s, %s, %s, core.APIOf(%s))\n", apiConst(tr.Name), guard, lock, h)
 		case dsl.TransTimer:
-			g.pf("\td.OnTimer(%q, %s, %s, %s)\n", tr.Name, guard, lock, h)
+			g.pf("\td.OnTimer(%q, %s, %s, core.TimerOf(%s))\n", tr.Name, guard, lock, h)
 		case dsl.TransRecv:
-			g.pf("\td.OnRecv(%q, %s, %s, %s)\n", tr.Name, guard, lock, h)
+			g.pf("\td.OnRecv(%q, %s, %s, core.RecvOf(%s))\n", tr.Name, guard, lock, h)
 		case dsl.TransForward:
-			g.pf("\td.OnForward(%q, %s, %s, %s)\n", tr.Name, guard, lock, h)
+			g.pf("\td.OnForward(%q, %s, %s, core.RecvOf(%s))\n", tr.Name, guard, lock, h)
 		}
 	}
 	g.pf("}\n\n")
@@ -394,19 +388,15 @@ func nbrFirst(ctx *core.Context, list string) overlay.Address {
 
 // msgScratchDoc is emitted above the scratch type: the argument for it lives
 // with the code it licenses.
-const msgScratchDoc = `// msgScratch is where this agent's messages live while a transition handles
-// them: per declared message one receive slot (rx), which the registered
-// factory clears and the engine decodes into, and one send slot (tx), which a
-// send statement fills and hands to ctx.Send. Two slots, because a forwarding
-// transition builds the message it sends from fields of the one it received.
+const msgScratchDoc = `// msgScratch is where this agent builds the messages it sends: per declared
+// message one send slot (tx), which a send statement fills and hands to
+// ctx.Send. A received message lives in the engine's receive slot for its
+// type, which is not this slot, so a forwarding transition can build the
+// message it sends from fields of the one it received.
 //
-// Reusing them is safe because of three things the engine guarantees. A node
-// runs one event at a time and every cross-layer call is deferred, so a
-// decoded message has been dispatched, and its transition has returned, before
-// this agent decodes again. The one synchronous cross-layer call, the
-// forward() upcall, decodes into the agent of the layer above — other slots.
-// And ctx.Send encodes the message before it returns and keeps no reference
-// to it. Nothing generated keeps ev.Msg or a sent message past its transition.
+// Reusing a send slot is safe because ctx.Send encodes the message before it
+// returns and keeps no reference to it. Nothing generated keeps ev.Msg or a
+// sent message past its transition.
 `
 
 // helperOrder fixes the emission order of the conditional runtime helpers.

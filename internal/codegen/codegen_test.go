@@ -415,10 +415,13 @@ func TestListOwnership(t *testing.T) {
 	}
 }
 
-// TestSendAndFactoryUseScratch: no generated package allocates a message. The
-// factories hand out the agent's receive slots, keeping their nodeset arrays
-// for the decoder to append into, send statements fill its send slots, and
-// the scratch type is opaque to checkpoints.
+// TestSendAndFactoryUseScratch: a generated package allocates a message only
+// where the engine asks for a receive slot. The agent is core.TypeDefined and
+// its Define has no receiver to read, so one Def serves every instance; each
+// factory returns a fresh message, made once per instance for the engine's
+// receive slot of its type, into whose nodeset arrays the decoder appends;
+// send statements fill the agent's send slots; and the scratch type is opaque
+// to checkpoints.
 func TestSendAndFactoryUseScratch(t *testing.T) {
 	literal := regexp.MustCompile(`&msg[A-Z][A-Za-z]*\{`)
 	sends, kept := 0, 0
@@ -428,11 +431,13 @@ func TestSendAndFactoryUseScratch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
 		}
-		if loc := literal.FindString(res.Source); loc != "" {
-			t.Errorf("%s: generated source allocates a message: %s…", c.spec, loc)
+		if n := len(literal.FindAllString(res.Source, -1)); n != len(spec.Messages) {
+			t.Errorf("%s: %d message literals for %d factories: something else allocates a message", c.spec, n, len(spec.Messages))
 		}
 		for _, want := range []string{
-			"type msgScratch struct{ rx, tx msgSlots }\n",
+			"func (*Agent) DefinedByType() {}\n",
+			"func (*Agent) Define(d *core.Def) {\n",
+			"type msgScratch struct{ tx msgSlots }\n",
 			"func (*msgScratch) StateCopyOpaque() {}\n",
 			"\tio msgScratch //",
 		} {
@@ -440,21 +445,25 @@ func TestSendAndFactoryUseScratch(t *testing.T) {
 				t.Errorf("%s: generated source missing %q", c.spec, want)
 			}
 		}
+		if strings.Contains(res.Source, "a.io.rx") {
+			t.Errorf("%s: generated source keeps a receive slot of its own", c.spec)
+		}
 		for _, m := range spec.Messages {
-			slot, typ := "a.io.rx."+camel(m.Name), msgTypeName(m.Name)
-			var keep []string
 			for _, f := range m.Fields {
 				if f.Type == "nodeset" {
-					keep = append(keep, camel(f.Name)+": "+slot+"."+camel(f.Name)+"[:0]")
 					if want := "m." + camel(f.Name) + " = r.AppendAddrs(m." + camel(f.Name) + "[:0])\n"; !strings.Contains(res.Source, want) {
 						t.Errorf("%s: %s.%s is not decoded as %q", c.spec, m.Name, f.Name, want)
 					}
 					kept++
 				}
 			}
-			if want := "{ " + slot + " = " + typ + "{" + strings.Join(keep, ", ") + "}; return &" + slot + " }"; !strings.Contains(res.Source, want) {
+			if want := "func() overlay.Message { return &" + msgTypeName(m.Name) + "{} }"; !strings.Contains(res.Source, want) {
 				t.Errorf("%s: factory of %q is not %q", c.spec, m.Name, want)
 			}
+		}
+		// Every handler is a method expression behind a core adapter.
+		if n, want := strings.Count(res.Source, "Of((*Agent).transition"), len(spec.Transitions); n != want {
+			t.Errorf("%s: %d handlers registered through core.RecvOf/TimerOf/APIOf, want %d", c.spec, n, want)
 		}
 		if strings.Contains(res.Source, "r.Addrs()") {
 			t.Errorf("%s: a generated decoder allocates a nodeset", c.spec)

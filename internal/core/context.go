@@ -47,9 +47,11 @@ type APICall struct {
 // transitions the handler may rewrite NextHop (redirect), mutate Msg (the
 // engine re-encodes it), or set Quash to drop the message (§2.2). Like the
 // Context it arrives with, a *MsgEvent is valid for that one transition: the
-// instance reuses the record. Msg may be kept; its byte-string fields alias
-// the received frame and are valid until the event chain that decoded them
-// ends: clone to keep. Nothing may write into them.
+// instance reuses the record. A TypeDefined agent's Msg is the instance's
+// receive slot for its type, reused by the next frame of that type, so it
+// must not be kept; any other agent's Msg may be. Either way its byte-string
+// fields alias the received frame and are valid until the event chain that
+// decoded them ends: clone to keep. Nothing may write into them.
 type MsgEvent struct {
 	Msg  overlay.Message
 	From overlay.Address // immediate sender (recv) or original source (layered)
@@ -128,13 +130,7 @@ func (c *Context) StateChange(s State) {
 }
 
 // Neighbors returns a declared neighbor list.
-func (c *Context) Neighbors(name string) *NeighborList {
-	l, ok := c.inst.nbrs[name]
-	if !ok {
-		panic(fmt.Sprintf("core: %s: undeclared neighbor list %q", c.inst.def.name, name))
-	}
-	return l
-}
+func (c *Context) Neighbors(name string) *NeighborList { return c.inst.neighbors(name) }
 
 // TimerSched schedules a declared timer to fire after d (timer_sched). A
 // non-positive d uses the timer's declared period. Scheduling an already
@@ -150,11 +146,7 @@ func (c *Context) TimerResched(name string, d time.Duration) {
 
 // TimerCancel stops a pending timer.
 func (c *Context) TimerCancel(name string) {
-	i := c.inst
-	ts, ok := i.timers[name]
-	if !ok {
-		panic(fmt.Sprintf("core: %s: undeclared timer %q", i.def.name, name))
-	}
+	ts := c.inst.timer(name)
 	ts.gen++ // defeat fires already queued behind this event
 	if ts.tm != nil {
 		ts.tm.Stop()
@@ -164,8 +156,8 @@ func (c *Context) TimerCancel(name string) {
 
 // TimerPending reports whether the named timer is scheduled.
 func (c *Context) TimerPending(name string) bool {
-	ts, ok := c.inst.timers[name]
-	return ok && ts.tm != nil
+	td, ok := c.inst.def.timers[name]
+	return ok && c.inst.timers[td.id].tm != nil
 }
 
 // Send transmits one of this protocol's messages to dst at a priority

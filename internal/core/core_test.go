@@ -508,6 +508,40 @@ func TestDefValidation(t *testing.T) {
 		d.NeighborList("l", 1, false)
 		d.NeighborList("l", 2, false)
 	})
+	bad("negated guard on an undeclared state", func(d *Def) {
+		d.Timer("t", time.Second)
+		d.OnTimer("t", Not(In("joind")), Write, func(*Context) {})
+	})
+}
+
+// typoProto guards a transition by a misspelt state, which could never match.
+type typoProto struct{}
+
+func (typoProto) ProtocolName() string { return "typo" }
+func (typoProto) DefinedByType()       {}
+
+func (typoProto) Define(d *Def) {
+	d.States("joining", "joined")
+	d.UDPTransport("U")
+	d.Message("ping", func() overlay.Message { return &echoPing{} }, "U")
+	d.OnRecv("ping", In("joind"), Write, RecvOf(func(typoProto, *Context, *MsgEvent) {}))
+}
+
+// TestUndeclaredGuardStateRejected: a node whose stack names an undeclared
+// state in a guard is not built, and the error says which protocol and state.
+func TestUndeclaredGuardStateRejected(t *testing.T) {
+	g := topology.NewGraph()
+	g.AttachClient(1, g.AddRouter(), topology.DefaultAccess)
+	net := simnet.New(simnet.NewScheduler(5), g, simnet.Config{})
+	_, err := NewNode(Config{Addr: 1, Net: net, Stack: []Factory{func() Agent { return typoProto{} }}})
+	if err == nil {
+		t.Fatal("a guard on an undeclared state was accepted")
+	}
+	for _, want := range []string{"typo", `"joind"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
 }
 
 func TestStateExprs(t *testing.T) {

@@ -111,6 +111,25 @@ type (
 	APIHandler func(ctx *Context, call *APICall)
 )
 
+// RecvOf turns a handler that takes its agent as an argument — a method
+// expression such as (*Agent).transition2 — into a MsgHandler for a recv or
+// forward transition. The handler runs on the agent of the instance the
+// transition fires on, so the Def that holds it can serve every instance of a
+// TypeDefined agent type.
+func RecvOf[A Agent](h func(A, *Context, *MsgEvent)) MsgHandler {
+	return func(ctx *Context, ev *MsgEvent) { h(ctx.inst.agent.(A), ctx, ev) }
+}
+
+// TimerOf is RecvOf for a timer transition.
+func TimerOf[A Agent](h func(A, *Context)) TimerHandler {
+	return func(ctx *Context) { h(ctx.inst.agent.(A), ctx) }
+}
+
+// APIOf is RecvOf for an API transition.
+func APIOf[A Agent](h func(A, *Context, *APICall)) APIHandler {
+	return func(ctx *Context, call *APICall) { h(ctx.inst.agent.(A), ctx, call) }
+}
+
 type eventKind uint8
 
 const (
@@ -158,6 +177,7 @@ type messageDecl struct {
 }
 
 type timerDecl struct {
+	id       int // the timer's index in Instance.timers
 	name     string
 	period   time.Duration // default period for Resched-with-default
 	periodic bool          // automatically re-arm after each fire
@@ -171,8 +191,10 @@ type neighborDecl struct {
 }
 
 // Def collects a protocol's declaration: everything a .mac file's STATE AND
-// DATA and TRANSITIONS sections contain. The engine constructs one per
-// instance and hands it to the Agent's Define method.
+// DATA and TRANSITIONS sections contain. The engine builds one, hands it to
+// the Agent's Define method, validates and indexes it, and never writes it
+// again: a TypeDefined agent's Def is built once per agent type and shared by
+// every instance of it, any other agent's once per instance.
 type Def struct {
 	name       string
 	addressing Addressing
@@ -193,10 +215,16 @@ type Def struct {
 	// registry id — the first two bytes of its frame — so the message path
 	// looks nothing up by name. byAPI is the API transitions by overlay.API
 	// kind, up to the highest kind OnAPI saw (apiKinds); a timer's are on its
-	// timerDecl. All built by index once validate has passed.
+	// timerDecl. nbrIdx is each neighbor list's index in neighbors. All built
+	// by index once validate has passed.
 	byID     []msgRoute
 	byAPI    [][]transition
 	apiKinds int
+	nbrIdx   map[string]int
+
+	// shared marks a TypeDefined agent type's Def: its instances decode into
+	// receive slots of their own (instHot.rx), not through the factories.
+	shared bool
 }
 
 // msgRoute is one message's row of Def.byID: views of the declaration maps.
@@ -252,10 +280,13 @@ func (d *Def) SWPTransport(name string, window int) {
 
 // Message declares a message type bound to a default transport instance.
 // Higher-layer protocols pass transport "" — their messages travel inside
-// the base layer's data messages. The factory may return recycled storage,
-// cleared, valid until its next call: the engine dispatches a decoded message
-// before this instance decodes again, so that is safe for a protocol whose
-// transitions never keep ev.Msg (generated ones; see their msgScratch).
+// the base layer's data messages. For an agent that is not TypeDefined the
+// engine calls the factory for every frame of the type it receives; the
+// factory may return recycled storage, cleared, valid until its next call,
+// because the engine dispatches a decoded message before this instance
+// decodes again. A TypeDefined agent's factory must return a fresh message:
+// the engine calls it once per instance for the type's receive slot, and
+// decodes every later frame of the type into that slot.
 func (d *Def) Message(name string, factory func() overlay.Message, transport string) {
 	if _, dup := d.messages[name]; dup {
 		panic(fmt.Sprintf("core: message %q declared twice in %q", name, d.name))
@@ -266,14 +297,19 @@ func (d *Def) Message(name string, factory func() overlay.Message, transport str
 }
 
 // Timer declares a timer state variable with a default period.
-func (d *Def) Timer(name string, period time.Duration) {
-	d.timers[name] = &timerDecl{name: name, period: period}
-}
+func (d *Def) Timer(name string, period time.Duration) { d.timer(name, period, false) }
 
 // PeriodicTimer declares a timer that automatically re-arms with its period
 // after every fire, until cancelled.
-func (d *Def) PeriodicTimer(name string, period time.Duration) {
-	d.timers[name] = &timerDecl{name: name, period: period, periodic: true}
+func (d *Def) PeriodicTimer(name string, period time.Duration) { d.timer(name, period, true) }
+
+// timer declares or redeclares a timer; a redeclaration keeps the id.
+func (d *Def) timer(name string, period time.Duration, periodic bool) {
+	id := len(d.timers)
+	if old, ok := d.timers[name]; ok {
+		id = old.id
+	}
+	d.timers[name] = &timerDecl{id: id, name: name, period: period, periodic: periodic}
 }
 
 // NeighborList declares a neighbor set with a maximum size (<= 0 means
@@ -317,7 +353,7 @@ func (d *Def) addTransition(k eventKey, t transition) {
 
 // validate checks internal consistency after Define returns.
 func (d *Def) validate() error {
-	for k := range d.transitions {
+	for k, ts := range d.transitions {
 		switch k.kind {
 		case evRecv, evForward:
 			if _, ok := d.messages[k.name]; !ok {
@@ -326,6 +362,11 @@ func (d *Def) validate() error {
 		case evTimer:
 			if _, ok := d.timers[k.name]; !ok {
 				return fmt.Errorf("core: %s: transition on undeclared timer %q", d.name, k.name)
+			}
+		}
+		for _, t := range ts {
+			if s, ok := d.undeclaredState(t.guard); ok {
+				return fmt.Errorf("core: %s: %s %s transition guarded by undeclared state %q", d.name, k.kind, k.name, s)
 			}
 		}
 	}
@@ -351,9 +392,30 @@ func (d *Def) validate() error {
 	return nil
 }
 
-// index builds the dispatch tables: byID, byAPI and every timerDecl.fire.
-// Registry ids count messages in declaration order, which msgOrder records.
+// undeclaredState returns a state that a guard built from In and Not names
+// but d does not declare: a guard that could never match it.
+func (d *Def) undeclaredState(e StateExpr) (State, bool) {
+	switch e := e.(type) {
+	case inExpr:
+		for _, s := range e {
+			if !d.states[s] {
+				return s, true
+			}
+		}
+	case notExpr:
+		return d.undeclaredState(e.inner)
+	}
+	return "", false
+}
+
+// index builds the dispatch tables: byID, byAPI, nbrIdx and every
+// timerDecl.fire. Registry ids count messages in declaration order, which
+// msgOrder records.
 func (d *Def) index() {
+	d.nbrIdx = make(map[string]int, len(d.neighbors))
+	for k, nd := range d.neighbors {
+		d.nbrIdx[nd.name] = k
+	}
 	d.byID = make([]msgRoute, len(d.msgOrder))
 	for id, name := range d.msgOrder {
 		d.byID[id] = msgRoute{
@@ -375,9 +437,28 @@ func (d *Def) index() {
 // Agent is a protocol implementation: what the code generator emits from a
 // specification, or what a developer writes directly against the engine.
 type Agent interface {
-	// Define declares the protocol's FSM on the supplied Def. It is called
-	// exactly once, before any event is dispatched.
+	// Define declares the protocol's FSM on the supplied Def, before any event
+	// is dispatched to the agent. The engine calls it once per instance, or
+	// once per agent type for a TypeDefined agent: then the agent it is
+	// called on need not be one that ever runs.
 	Define(d *Def)
+}
+
+// TypeDefined is an Agent whose FSM is a function of its type, so one Def
+// serves every instance of the type: every node, shard and fork branch in
+// the process. Implementing it makes two promises:
+//
+//   - Define reads nothing from its receiver. Its handlers reach their
+//     agent through RecvOf, TimerOf and APIOf, not by capturing it, and its
+//     message factories return fresh messages.
+//   - No transition keeps ev.Msg past its return. The engine decodes every
+//     frame of a message type into one receive slot per instance, which the
+//     next frame of that type overwrites.
+//
+// Generated agents implement it.
+type TypeDefined interface {
+	Agent
+	DefinedByType()
 }
 
 // Factory constructs a fresh Agent for one node's stack.

@@ -12,14 +12,18 @@ import (
 	"macedon/internal/overlays/genrandtree"
 )
 
-// fuzzRegistries are the message sets of the three generated protocols: the
-// decoders a hostile frame meets first.
-func fuzzRegistries() []*overlay.Registry {
-	var regs []*overlay.Registry
-	for _, f := range []core.Factory{genchord.New(), genpastry.New(), genrandtree.New()} {
-		regs = append(regs, core.RegistryOf(f()))
+// fuzzInstances are one instance of each generated protocol, detached from
+// any network: the receive paths a hostile frame meets first.
+func fuzzInstances(f *testing.F) []*core.Instance {
+	var insts []*core.Instance
+	for _, fac := range []core.Factory{genchord.New(), genpastry.New(), genrandtree.New()} {
+		inst, err := core.DetachedInstance(fac())
+		if err != nil {
+			f.Fatal(err)
+		}
+		insts = append(insts, inst)
 	}
-	return regs
+	return insts
 }
 
 // populate gives every exported field of a generated message struct a
@@ -57,41 +61,45 @@ func populate(m overlay.Message) {
 	}
 }
 
-// FuzzDecodeMessage feeds arbitrary frames to the generated decoders. Seed
-// corpus: one populated instance of every message genchord, genpastry and
-// genrandtree register. Properties: decoding never panics; whatever decodes
-// re-encodes to a frame that decodes to the same message (decode∘encode is
-// the identity on the codec's image); and a Reader and Writer reused across
-// messages, as every node reuses its own, behave exactly like fresh ones —
-// no byte of an earlier, longer message shows up in a later one.
+// FuzzDecodeMessage feeds arbitrary frames to the generated protocols'
+// receive path: the instance's decode, which reads with the node's one Reader
+// into the instance's one receive slot per message type. Seed corpus: one
+// populated instance of every message genchord, genpastry and genrandtree
+// register. Properties: decoding never panics; whatever decodes re-encodes to
+// a frame that decodes to the same message (decode∘encode is the identity on
+// the codec's image); and a slot, Reader and Writer that earlier messages went
+// through behave exactly like fresh ones — no field or byte of an earlier
+// message shows up in a later one.
 //
-// A registered factory may hand out recycled storage (Registry.New): the
-// generated ones return the agent's one receive slot per type. So no two
-// decoded messages are compared here. Each is encoded before the next decode
-// on its registry, and the comparisons are between encodings.
+// A decode returns the slot itself, which the next frame of its type
+// overwrites, so no two decoded messages are compared here. Each is encoded
+// before the next decode on its instance, and the comparisons are between
+// encodings.
 func FuzzDecodeMessage(f *testing.F) {
-	regs := fuzzRegistries()
+	insts := fuzzInstances(f)
+	seeds := make([][][]byte, len(insts)) // seeds[k][id]: instance k's populated message id
 	var longest []byte
 	var longestReg *overlay.Registry
-	for _, reg := range regs {
+	for k, inst := range insts {
+		reg := core.DefOf(inst).Registry()
 		for id := 0; id < reg.Len(); id++ {
-			m, err := reg.New(uint16(id))
+			m, err := reg.New(uint16(id)) // a fresh message: the factory makes slots
 			if err != nil {
 				f.Fatal(err)
 			}
 			populate(m)
-			sent := reflect.ValueOf(m).Elem().Interface() // by value: back may be m's storage
 			frame, err := overlay.EncodeMessage(reg, m)
 			if err != nil {
 				f.Fatal(err)
 			}
-			back, err := overlay.DecodeMessage(reg, frame)
-			if err != nil || !reflect.DeepEqual(reflect.ValueOf(back).Elem().Interface(), sent) {
-				f.Fatalf("%s/%s: seed does not round-trip: %+v -> %+v (%v)", reg.Proto(), m.MsgName(), sent, back, err)
+			back, err := core.Decode(inst, frame)
+			if err != nil || !reflect.DeepEqual(back, m) {
+				f.Fatalf("%s/%s: seed does not round-trip: %+v -> %+v (%v)", reg.Proto(), m.MsgName(), m, back, err)
 			}
 			if enc, err := overlay.EncodeMessage(reg, back); err != nil || !bytes.Equal(enc, frame) {
 				f.Fatalf("%s/%s: seed re-encodes differently:\n% x\n% x (%v)", reg.Proto(), m.MsgName(), frame, enc, err)
 			}
+			seeds[k] = append(seeds[k], frame)
 			f.Add(frame)
 			if len(frame) > len(longest) {
 				longest, longestReg = frame, reg
@@ -101,12 +109,17 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 0, 0, 0, 1, 0xff, 0xff}) // a list prefix promising 65535 elements
 
-	// One Reader and one Writer for the whole run, as a node has; dirty
-	// leaves the longest seed message behind in both.
-	var r overlay.Reader
+	// One Writer for the whole run, as a node has; dirty leaves every message
+	// type's populated seed in the instance's slots and Reader, and the longest
+	// seed message in the Writer.
 	var w overlay.Writer
-	dirty := func(t *testing.T) {
-		m, err := r.DecodeMessage(longestReg, longest)
+	dirty := func(t *testing.T, k int) {
+		for _, frame := range seeds[k] {
+			if _, err := core.Decode(insts[k], frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := overlay.DecodeMessage(longestReg, longest)
 		if err == nil {
 			_, err = w.EncodeMessage(longestReg, m)
 		}
@@ -115,8 +128,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		for _, reg := range regs {
-			// Fresh Reader, fresh Writer: the reference encoding.
+		for k, inst := range insts {
+			reg := core.DefOf(inst).Registry()
+			// A fresh message, Reader and Writer: the reference encoding.
 			want, wantErr := overlay.DecodeMessage(reg, frame)
 			var name string
 			var enc []byte
@@ -127,18 +141,18 @@ func FuzzDecodeMessage(f *testing.F) {
 					t.Fatalf("%s decoded but does not encode: %v", name, err)
 				}
 			}
-			// The same frame through the reused pair, straight after a longer
-			// message went through both.
-			dirty(t)
-			got, gotErr := r.DecodeMessage(reg, frame)
+			// The same frame through the instance, into a used slot, straight
+			// after a populated message of every type went through it.
+			dirty(t, k)
+			got, gotErr := core.Decode(inst, frame)
 			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("%s: reused Reader says %v, a fresh one %v", reg.Proto(), gotErr, wantErr)
+				t.Fatalf("%s: the instance's decode says %v, a fresh one %v", reg.Proto(), gotErr, wantErr)
 			}
 			if wantErr != nil {
 				continue
 			}
 			if reused, err := w.EncodeMessage(reg, got); err != nil || !bytes.Equal(reused, enc) {
-				t.Fatalf("%s: reused Reader/Writer leak between messages:\n% x\n% x (%v)", name, reused, enc, err)
+				t.Fatalf("%s: a used slot, Reader or Writer leaks between messages:\n% x\n% x (%v)", name, reused, enc, err)
 			}
 			again, err := overlay.DecodeMessage(reg, enc)
 			if err != nil {

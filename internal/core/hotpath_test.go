@@ -278,7 +278,7 @@ func TestTimerReschedDefeatsQueuedFire(t *testing.T) {
 	n := r.nodes[1]
 	inst := n.Instance("echo")
 	p := echoOf(n)
-	ts := inst.timers["oneshot"]
+	ts := inst.timer("oneshot")
 	n.postFunc(func() {
 		inst.hot.ctx.TimerSched("oneshot", time.Millisecond)
 		stale := ts.fire.gen
@@ -291,7 +291,7 @@ func TestTimerReschedDefeatsQueuedFire(t *testing.T) {
 	if p.ticks >= 100 {
 		t.Fatal("a fire queued before timer_resched ran the transition")
 	}
-	tick := inst.timers["tick"]
+	tick := inst.timer("tick")
 	kept := tick.fire.tm
 	before := p.ticks
 	r.sched.RunFor(time.Second)
@@ -375,7 +375,7 @@ func TestNeighborAddrsLentUntilChange(t *testing.T) {
 		}
 	}
 	l.Add(9) // drops the cache
-	inst := &Instance{nbrs: map[string]*NeighborList{"n": l}}
+	inst := &Instance{def: &Def{nbrIdx: map[string]int{"n": 0}}, nbrs: []*NeighborList{l}}
 	snap := inst.NeighborsSnapshot("n")
 	if l.addrs != nil {
 		t.Fatal("NeighborsSnapshot filled the list's cache")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // Instance is one protocol layer on one node: the "MACEDON agent" of §3.2.
 // It owns the protocol's FSM state, timers, neighbor lists, and the
 // read/write lock that serializes control transitions against data
-// transitions.
+// transitions; the declarations they instantiate are its Def's.
 type Instance struct {
 	node  *Node
 	agent Agent
@@ -24,8 +25,12 @@ type Instance struct {
 	mu    sync.RWMutex
 	state State
 
-	timers map[string]*timerState
-	nbrs   map[string]*NeighborList
+	// timers[id] is the state of the timer declared with that id; nbrs[k] is
+	// the k-th declared neighbor list. Pointers, because a queued timer fire
+	// holds its *timerState and a checkpoint restores a slice into a new
+	// array.
+	timers []*timerState
+	nbrs   []*NeighborList
 
 	lower, upper *Instance
 
@@ -49,6 +54,11 @@ type instHot struct {
 	// priority, nil until its first such send resolves it (transportFor).
 	// The node's transports are fixed at construction, so it never changes.
 	sendVia []transport.Transport
+
+	// rx[id] is the receive slot a shared Def's instance decodes every frame
+	// of message id into, made by the Def's factory on the first; nil for a
+	// Def of the instance's own (see decode).
+	rx []overlay.Message
 }
 
 // StateCopyOpaque keeps the per-instance scratch out of checkpoint images.
@@ -75,28 +85,64 @@ type timerCallback struct {
 // StateCopyOpaque keeps the callback cache out of checkpoint images.
 func (*timerCallback) StateCopyOpaque() {}
 
-func newInstance(n *Node, agent Agent) (*Instance, error) {
-	i := &Instance{
-		node:   n,
-		agent:  agent,
-		state:  StateInit,
-		timers: make(map[string]*timerState),
-		nbrs:   make(map[string]*NeighborList),
+// typeDefs holds the Def of every TypeDefined agent type built so far, keyed
+// by its reflect.Type. A Def is never written once built, so the cache is
+// shared by every goroutine that spawns nodes.
+var typeDefs sync.Map
+
+// defFor returns the Def an instance of agent dispatches through: its type's
+// shared one for a TypeDefined agent, built on first use, and a fresh one for
+// any other agent.
+func defFor(agent Agent) (*Def, error) {
+	if _, ok := agent.(TypeDefined); !ok {
+		return buildDef(agent)
 	}
+	t := reflect.TypeOf(agent)
+	if d, ok := typeDefs.Load(t); ok {
+		return d.(*Def), nil
+	}
+	d, err := buildDef(agent)
+	if err != nil {
+		return nil, err
+	}
+	d.shared = true
+	// Shards spawning their first nodes at once may each build one: they are
+	// identical, and all but the first stored are dropped.
+	stored, _ := typeDefs.LoadOrStore(t, d)
+	return stored.(*Def), nil
+}
+
+// buildDef runs agent's Define into a new Def, then validates and indexes it.
+func buildDef(agent Agent) (*Def, error) {
 	d := newDef(protocolName(agent))
 	agent.Define(d)
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
 	d.index()
-	i.def = d
+	return d, nil
+}
+
+func newInstance(n *Node, agent Agent) (*Instance, error) {
+	d, err := defFor(agent)
+	if err != nil {
+		return nil, err
+	}
+	i := &Instance{node: n, agent: agent, def: d, state: StateInit}
 	i.hot.ctx.inst = i
 	i.hot.sendVia = make([]transport.Transport, len(d.byID))
-	for name, td := range d.timers {
-		i.timers[name] = &timerState{decl: td}
+	if d.shared {
+		i.hot.rx = make([]overlay.Message, len(d.byID))
 	}
-	for _, nd := range d.neighbors {
-		i.nbrs[nd.name] = newNeighborList(nd)
+	timers := make([]timerState, len(d.timers))
+	i.timers = make([]*timerState, len(d.timers))
+	for _, td := range d.timers {
+		timers[td.id].decl = td
+		i.timers[td.id] = &timers[td.id]
+	}
+	i.nbrs = make([]*NeighborList, len(d.neighbors))
+	for k, nd := range d.neighbors {
+		i.nbrs[k] = newNeighborList(nd)
 	}
 	level := n.traceLevel
 	if d.traceSet {
@@ -109,9 +155,9 @@ func newInstance(n *Node, agent Agent) (*Instance, error) {
 	return i, nil
 }
 
-// protocolName lets agents name themselves through an optional interface;
-// otherwise Define must call Def.SetName via the builder. In practice every
-// agent implements Namer.
+// protocolName is the name an agent's Def takes: what its optional
+// ProtocolName method returns, which every bundled and generated agent
+// implements, or else its Go type.
 func protocolName(a Agent) string {
 	if n, ok := a.(interface{ ProtocolName() string }); ok {
 		return n.ProtocolName()
@@ -148,10 +194,28 @@ func (i *Instance) Counters() Counters {
 func (i *Instance) NeighborsSnapshot(name string) []overlay.Address {
 	i.mu.RLock()
 	defer i.mu.RUnlock()
-	if l, ok := i.nbrs[name]; ok {
-		return l.copyAddrs()
+	if k, ok := i.def.nbrIdx[name]; ok {
+		return i.nbrs[k].copyAddrs()
 	}
 	return nil
+}
+
+// neighbors returns the named neighbor list, which must be declared.
+func (i *Instance) neighbors(name string) *NeighborList {
+	k, ok := i.def.nbrIdx[name]
+	if !ok {
+		panic(fmt.Sprintf("core: %s: undeclared neighbor list %q", i.def.name, name))
+	}
+	return i.nbrs[k]
+}
+
+// timer returns the state of the named timer, which must be declared.
+func (i *Instance) timer(name string) *timerState {
+	td, ok := i.def.timers[name]
+	if !ok {
+		panic(fmt.Sprintf("core: %s: undeclared timer %q", i.def.name, name))
+	}
+	return i.timers[td.id]
 }
 
 // tracing reports whether a line at level l would be written. Call sites on
@@ -226,7 +290,7 @@ func (i *Instance) dispatch(ts []transition, kind eventKind, name string, ev *Ms
 // are valid until the event chain that decoded them ends, and a transition
 // that keeps one past it clones it.
 func (i *Instance) handleFrame(what string, src overlay.Address, frame []byte) {
-	m, err := i.node.hot.r.DecodeMessage(i.def.registry, frame)
+	m, err := i.decode(frame)
 	if err != nil {
 		i.trace(TraceLow, "bad %s from %v: %v", what, src, err)
 		return
@@ -234,6 +298,42 @@ func (i *Instance) handleFrame(what string, src overlay.Address, frame []byte) {
 	i.counters.MsgsRecv.Inc()
 	i.counters.BytesRecv.Add(uint64(len(frame)))
 	i.dispatchMsg(evRecv, frameID(frame), MsgEvent{Msg: m, From: src})
+}
+
+// decode parses one of this protocol's frames with the node's Reader. An
+// instance of a shared Def decodes into its receive slot for the frame's
+// message type, which the Def's factory makes on the first frame of that type:
+// its agent keeps no ev.Msg (TypeDefined), and the message is dispatched
+// before this instance decodes again. Any other instance decodes into
+// whatever the registered factory returns.
+func (i *Instance) decode(frame []byte) (overlay.Message, error) {
+	r := &i.node.hot.r
+	if !i.def.shared {
+		return r.DecodeMessage(i.def.registry, frame)
+	}
+	r.Reset(frame)
+	id := r.U16()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	var m overlay.Message
+	if int(id) < len(i.hot.rx) {
+		m = i.hot.rx[id]
+	}
+	if m == nil {
+		var err error
+		if m, err = i.def.registry.New(id); err != nil { // an unknown id: ErrUnknownMessage
+			return nil, err
+		}
+		i.hot.rx[id] = m
+	}
+	if err := m.Decode(r); err != nil {
+		return nil, err
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // frameID reads the registry id heading a frame that this protocol's
@@ -292,10 +392,7 @@ func (i *Instance) encodeOwned(m overlay.Message) ([]byte, error) {
 
 // schedTimer implements timer_sched / timer_resched.
 func (i *Instance) schedTimer(name string, d time.Duration, replace bool) {
-	ts, ok := i.timers[name]
-	if !ok {
-		panic(fmt.Sprintf("core: %s: undeclared timer %q", i.def.name, name))
-	}
+	ts := i.timer(name)
 	if d <= 0 {
 		d = ts.decl.period
 	}
@@ -386,7 +483,7 @@ func (i *Instance) forwardUp(payload []byte, typ int32, next overlay.Address, ne
 	i.counters.Forwarded.Inc()
 	if typ == ProtocolPayload && i.upper != nil {
 		up := i.upper
-		m, err := i.node.hot.r.DecodeMessage(up.def.registry, payload)
+		m, err := up.decode(payload)
 		if err != nil {
 			up.trace(TraceLow, "bad layered frame in forward: %v", err)
 			return true, next, payload

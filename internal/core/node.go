@@ -414,11 +414,11 @@ func (n *Node) runSweep() {
 	now := n.clock.Now()
 	var failed []overlay.Address
 	for _, inst := range n.stack {
-		for _, nd := range inst.def.neighbors { // declaration order
+		for k, nd := range inst.def.neighbors { // declaration order
 			if !nd.failDetect {
 				continue
 			}
-			l := inst.nbrs[nd.name]
+			l := inst.nbrs[k]
 			acts := n.hot.sweepActs[:0]
 			for _, nb := range l.entries {
 				heard, ok := n.lastHeard[nb.Addr]

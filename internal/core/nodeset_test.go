@@ -13,13 +13,13 @@ import (
 	"macedon/internal/overlays/genchord"
 )
 
-// TestGenChordSuccsOwnTheirArray: generated code decodes a nodeset field into
-// the array its receive slot keeps from message to message, so a nodeset
-// state variable must never share that array. On a settled generated Chord
-// ring, where every node handles a get_pred_resp each stabilize round, a
-// node's Succs and its get_pred_resp slot share no storage, and decoding
-// another get_pred_resp — into the same array, through the factory the
-// engine uses — leaves Succs as it was.
+// TestGenChordSuccsOwnTheirArray: the engine decodes a generated message's
+// nodeset field into the array its receive slot keeps from frame to frame, so
+// a nodeset state variable must never share that array. On a settled
+// generated Chord ring, where every node handles a get_pred_resp each
+// stabilize round, a node's Succs and its instance's get_pred_resp slot share
+// no storage, and decoding another get_pred_resp — through the instance, into
+// the same slot and array — leaves Succs as it was.
 func TestGenChordSuccsOwnTheirArray(t *testing.T) {
 	c, err := harness.NewCluster(harness.ClusterConfig{Nodes: 6, Routers: 40, Seed: 424})
 	if err != nil {
@@ -32,15 +32,15 @@ func TestGenChordSuccsOwnTheirArray(t *testing.T) {
 	c.RunFor(30 * time.Second)
 	node := c.Nodes[c.Addrs[0]]
 	node.Exec(func() {
-		a := node.Instance("chord").Agent().(*genchord.Agent)
-		reg := core.RegistryOf(a) // its factories hand out a's receive slots
-		id, ok := reg.ID("get_pred_resp")
+		inst := node.Instance("chord")
+		a := inst.Agent().(*genchord.Agent)
+		id, ok := core.DefOf(inst).Registry().ID("get_pred_resp")
 		if !ok {
 			t.Fatal("genchord registers no get_pred_resp")
 		}
-		slot, err := reg.New(id) // cleared, keeping the array the engine last decoded into
-		if err != nil {
-			t.Fatal(err)
+		slot := core.RxSlot(inst, "get_pred_resp")
+		if slot == nil {
+			t.Fatal("the instance has no get_pred_resp receive slot: it decoded none, or not into a slot")
 		}
 		rx := succsOf(slot)
 		if len(a.Succs) == 0 {
@@ -61,10 +61,12 @@ func TestGenChordSuccsOwnTheirArray(t *testing.T) {
 			succs[i] = overlay.Address(9000 + i)
 		}
 		w.Addrs(succs)
-		var r overlay.Reader
-		m, err := r.DecodeMessage(reg, w.Bytes())
+		m, err := core.Decode(inst, w.Bytes())
 		if err != nil {
 			t.Fatal(err)
+		}
+		if m != slot {
+			t.Fatal("the frame was not decoded into the instance's receive slot")
 		}
 		if got := succsOf(m); !slices.Equal(got, succs) || unsafe.SliceData(got) != unsafe.SliceData(rx) {
 			t.Fatalf("decoded %v into a new array; want %v in the slot's", got, succs)

@@ -30,9 +30,10 @@ package core
 // and per-event scratch, empty or garbage at every quiescent point):
 
 // StateCopyOpaque marks the protocol definition as shared across fork
-// branches: a Def is immutable once newInstance has validated it (the
-// transition table, message registry, and declarations never change at run
-// time), so rewinding a branch never needs to touch it.
+// branches: a Def is immutable once built and indexed (the transition table,
+// message registry, and declarations never change at run time), and a
+// TypeDefined agent type's is shared by every node besides, so rewinding a
+// branch never needs to touch it.
 func (d *Def) StateCopyOpaque() {}
 
 // StateCopyOpaque shares a timer's declaration the way the Def that owns it

@@ -30,9 +30,11 @@ type Spec struct {
 	Uses       string // base protocol for layering ("" when lowest)
 	Addressing string // "hash" (default) or "ip"
 	Trace      string // "off" (default), "low", "med", "high"
+	Pos        Pos    // the protocol header
 
 	Constants     []Constant
 	States        []string
+	StatePos      []Pos // StatePos[i] is where States[i] is declared
 	NeighborTypes []NeighborType
 	Transports    []Transport
 	Messages      []Message

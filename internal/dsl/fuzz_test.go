@@ -1,0 +1,41 @@
+package dsl
+
+import (
+	"errors"
+	"os"
+	"testing"
+
+	"macedon/internal/repo"
+)
+
+// FuzzParseSpec feeds arbitrary source to Parse and then Validate, the path
+// every .mac file a user hands `macedon check` or `macedon gen` takes. Seed
+// corpus: the bundled specs/*.mac. Properties: neither call panics, and every
+// error either returns is a *Error with a line:column position, which is what
+// the diagnostics promise their readers.
+func FuzzParseSpec(f *testing.F) {
+	paths, err := repo.Specs()
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no specs found: %v", err)
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		spec, err := Parse(src)
+		if err == nil {
+			err = Validate(spec)
+		}
+		if err == nil {
+			return
+		}
+		var perr *Error
+		if !errors.As(err, &perr) || perr.Pos.Line < 1 || perr.Pos.Col < 1 {
+			t.Fatalf("error without a position: %v", err)
+		}
+	})
+}

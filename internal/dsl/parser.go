@@ -92,7 +92,7 @@ var stateVarTypes = map[string]bool{
 }
 
 func (p *parser) spec() (*Spec, error) {
-	spec := &Spec{Addressing: "hash", Trace: "off"}
+	spec := &Spec{Addressing: "hash", Trace: "off", Pos: p.cur().pos}
 	if !p.acceptIdent("protocol") {
 		return nil, p.errf(p.cur().pos, "specification must start with \"protocol\"")
 	}
@@ -211,6 +211,7 @@ func (p *parser) states(spec *Spec) error {
 			return err
 		}
 		spec.States = append(spec.States, name.text)
+		spec.StatePos = append(spec.StatePos, name.pos)
 	}
 	return nil
 }

@@ -9,54 +9,55 @@ import (
 // before code generation: every referenced state, message, timer, transport,
 // and neighbor type must be declared, names must be unique, and layered
 // specifications must not bind messages to transports (their traffic rides
-// the base protocol).
+// the base protocol). Every error it returns is an *Error positioned at the
+// offending declaration.
 func Validate(s *Spec) error {
 	if s.Name == "" {
-		return fmt.Errorf("dsl: protocol has no name")
+		return errAt(s.Pos, "protocol has no name")
 	}
 	states := map[string]bool{"init": true}
-	for _, st := range s.States {
+	for i, st := range s.States {
 		if states[st] && st != "init" {
-			return fmt.Errorf("dsl: %s: state %q declared twice", s.Name, st)
+			return errAt(s.statePos(i), "state %q declared twice", st)
 		}
 		states[st] = true
 	}
 	nbrTypes := map[string]bool{}
 	for _, nt := range s.NeighborTypes {
 		if nbrTypes[nt.Name] {
-			return fmt.Errorf("dsl: %s: neighbor type %q declared twice", s.Name, nt.Name)
+			return errAt(nt.Pos, "neighbor type %q declared twice", nt.Name)
 		}
 		nbrTypes[nt.Name] = true
 	}
 	transports := map[string]bool{}
 	for _, tr := range s.Transports {
 		if transports[tr.Name] {
-			return fmt.Errorf("dsl: %s: transport %q declared twice", s.Name, tr.Name)
+			return errAt(tr.Pos, "transport %q declared twice", tr.Name)
 		}
 		transports[tr.Name] = true
 	}
 	if s.Uses != "" && len(s.Transports) > 0 {
-		return fmt.Errorf("dsl: %s: layered protocols (uses %s) must not declare transports", s.Name, s.Uses)
+		return errAt(s.Transports[0].Pos, "layered protocols (uses %s) must not declare transports", s.Uses)
 	}
 	msgs := map[string]bool{}
 	for _, m := range s.Messages {
 		if msgs[m.Name] {
-			return fmt.Errorf("dsl: %s: message %q declared twice", s.Name, m.Name)
+			return errAt(m.Pos, "message %q declared twice", m.Name)
 		}
 		msgs[m.Name] = true
 		if m.Transport != "" {
 			if s.Uses != "" {
-				return fmt.Errorf("dsl: %s: message %q binds transport %q but the protocol is layered", s.Name, m.Name, m.Transport)
+				return errAt(m.Pos, "message %q binds transport %q but the protocol is layered", m.Name, m.Transport)
 			}
 			if !transports[m.Transport] {
-				return fmt.Errorf("dsl: %s: message %q binds undeclared transport %q", s.Name, m.Name, m.Transport)
+				return errAt(m.Pos, "message %q binds undeclared transport %q", m.Name, m.Transport)
 			}
 		} else if s.Uses == "" {
-			return fmt.Errorf("dsl: %s: message %q of a lowest-layer protocol needs a transport", s.Name, m.Name)
+			return errAt(m.Pos, "message %q of a lowest-layer protocol needs a transport", m.Name)
 		}
 		for _, f := range m.Fields {
 			if !scalarTypes[f.Type] && !nbrTypes[f.Type] {
-				return fmt.Errorf("dsl: %s: message %q field %q has unknown type %q", s.Name, m.Name, f.Name, f.Type)
+				return errAt(f.Pos, "message %q field %q has unknown type %q", m.Name, f.Name, f.Type)
 			}
 		}
 	}
@@ -77,8 +78,7 @@ func Validate(s *Spec) error {
 	for _, nt := range s.NeighborTypes {
 		if nt.Max != "" {
 			if n, ok := intValue(nt.Max); !ok || n <= 0 {
-				return &Error{Pos: nt.Pos, Msg: fmt.Sprintf(
-					"neighbor type %q capacity %q is not a positive integer literal or constant", nt.Name, nt.Max)}
+				return errAt(nt.Pos, "neighbor type %q capacity %q is not a positive integer literal or constant", nt.Name, nt.Max)
 			}
 		}
 	}
@@ -87,7 +87,7 @@ func Validate(s *Spec) error {
 	lists := map[string]bool{}
 	for _, v := range s.StateVars {
 		if vars[v.Name] {
-			return fmt.Errorf("dsl: %s: state variable %q declared twice", s.Name, v.Name)
+			return errAt(v.Pos, "state variable %q declared twice", v.Name)
 		}
 		vars[v.Name] = true
 		switch v.Kind {
@@ -95,25 +95,22 @@ func Validate(s *Spec) error {
 			timers[v.Name] = true
 			if v.Period != "" {
 				if n, ok := intValue(v.Period); !ok || n < 0 {
-					return &Error{Pos: v.Pos, Msg: fmt.Sprintf(
-						"timer %q period %q is not a non-negative integer literal or constant", v.Name, v.Period)}
+					return errAt(v.Pos, "timer %q period %q is not a non-negative integer literal or constant", v.Name, v.Period)
 				}
 			}
 		case VarNeighborList:
 			lists[v.Name] = true
 			if !nbrTypes[v.Type] {
-				return fmt.Errorf("dsl: %s: neighbor list %q has unknown type %q", s.Name, v.Name, v.Type)
+				return errAt(v.Pos, "neighbor list %q has unknown type %q", v.Name, v.Type)
 			}
 			if v.Max != "" {
 				if n, ok := intValue(v.Max); !ok || n <= 0 {
-					return &Error{Pos: v.Pos, Msg: fmt.Sprintf(
-						"neighbor list %q capacity %q is not a positive integer literal or constant", v.Name, v.Max)}
+					return errAt(v.Pos, "neighbor list %q capacity %q is not a positive integer literal or constant", v.Name, v.Max)
 				}
 			}
 		case VarTable:
 			if n, ok := intValue(v.Max); !ok || n <= 0 {
-				return &Error{Pos: v.Pos, Msg: fmt.Sprintf(
-					"nodetable %q size %q is not a positive integer literal or constant", v.Name, v.Max)}
+				return errAt(v.Pos, "nodetable %q size %q is not a positive integer literal or constant", v.Name, v.Max)
 			}
 		}
 	}
@@ -124,7 +121,7 @@ func Validate(s *Spec) error {
 			case GuardStates:
 				for _, st := range g.States {
 					if !states[st] {
-						return fmt.Errorf("dsl: %s: %s: guard references undeclared state %q", s.Name, tr.Pos, st)
+						return errAt(tr.Pos, "guard references undeclared state %q", st)
 					}
 				}
 			case GuardNot:
@@ -141,15 +138,29 @@ func Validate(s *Spec) error {
 		switch tr.Kind {
 		case TransTimer:
 			if !timers[tr.Name] {
-				return fmt.Errorf("dsl: %s: %s: transition on undeclared timer %q", s.Name, tr.Pos, tr.Name)
+				return errAt(tr.Pos, "transition on undeclared timer %q", tr.Name)
 			}
 		case TransRecv, TransForward:
 			if !msgs[tr.Name] {
-				return fmt.Errorf("dsl: %s: %s: transition on undeclared message %q", s.Name, tr.Pos, tr.Name)
+				return errAt(tr.Pos, "transition on undeclared message %q", tr.Name)
 			}
 		}
 	}
 	return nil
+}
+
+// errAt returns a diagnostic positioned at pos.
+func errAt(pos Pos, format string, args ...any) error {
+	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// statePos locates the i-th declared state, or the protocol header when the
+// Spec was built without state positions.
+func (s *Spec) statePos(i int) Pos {
+	if i < len(s.StatePos) {
+		return s.StatePos[i]
+	}
+	return s.Pos
 }
 
 // CountLines counts the non-blank, non-comment source lines of a

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -47,5 +48,39 @@ func TestCheckpointAllocsPerNode(t *testing.T) {
 	}
 	if restore > 40 {
 		t.Errorf("Restore plus 100 ms of run allocates %.1f times per node, budget 40", restore)
+	}
+}
+
+// TestSpawnAllocsPerNode holds node construction to its allocation budget:
+// 200 generated-Chord nodes spawned on 600 routers, seed 2004, counting
+// everything from NewNode through each node's init transition. A generated
+// protocol's Def is built once per process and shared, so a node pays only
+// for its own state: 160.8 allocations per node when every node built its
+// own Def, 54.3 since, the one build of the shared Def included.
+func TestSpawnAllocsPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const nodes = 200
+	stack, err := ScenarioStack("genchord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(ClusterConfig{Nodes: nodes, Routers: 3 * nodes, Seed: 2004, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.StopAll()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / nodes
+	t.Logf("spawn: %.1f allocations, %.0f bytes per node", per, float64(after.TotalAlloc-before.TotalAlloc)/nodes)
+	if per > 60 {
+		t.Errorf("spawning a node allocates %.1f times, budget 60", per)
 	}
 }

@@ -337,9 +337,9 @@ func (r *Registry) Name(id uint16) string {
 }
 
 // New returns an empty message of the identified type. A factory may hand out
-// recycled storage (generated protocols register one receive slot per type),
-// so the message — and whatever DecodeMessage returns through it — is valid
-// only until the next New or decode of that type on this registry.
+// recycled storage, so the message — and whatever DecodeMessage returns
+// through it — is valid only until the next New or decode of that type on
+// this registry.
 func (r *Registry) New(id uint16) (Message, error) {
 	if int(id) >= len(r.entries) {
 		return nil, fmt.Errorf("%w: protocol %q id %d", ErrUnknownMessage, r.proto, id)

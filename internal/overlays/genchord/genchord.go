@@ -153,20 +153,16 @@ func (m *msgDataIp) Decode(r *overlay.Reader) error {
 	return r.Err()
 }
 
-// msgScratch is where this agent's messages live while a transition handles
-// them: per declared message one receive slot (rx), which the registered
-// factory clears and the engine decodes into, and one send slot (tx), which a
-// send statement fills and hands to ctx.Send. Two slots, because a forwarding
-// transition builds the message it sends from fields of the one it received.
+// msgScratch is where this agent builds the messages it sends: per declared
+// message one send slot (tx), which a send statement fills and hands to
+// ctx.Send. A received message lives in the engine's receive slot for its
+// type, which is not this slot, so a forwarding transition can build the
+// message it sends from fields of the one it received.
 //
-// Reusing them is safe because of three things the engine guarantees. A node
-// runs one event at a time and every cross-layer call is deferred, so a
-// decoded message has been dispatched, and its transition has returned, before
-// this agent decodes again. The one synchronous cross-layer call, the
-// forward() upcall, decodes into the agent of the layer above — other slots.
-// And ctx.Send encodes the message before it returns and keeps no reference
-// to it. Nothing generated keeps ev.Msg or a sent message past its transition.
-type msgScratch struct{ rx, tx msgSlots }
+// Reusing a send slot is safe because ctx.Send encodes the message before it
+// returns and keeps no reference to it. Nothing generated keeps ev.Msg or a
+// sent message past its transition.
+type msgScratch struct{ tx msgSlots }
 
 // msgSlots holds one message of every declared type.
 type msgSlots struct {
@@ -201,44 +197,45 @@ func New() core.Factory {
 // ProtocolName implements the engine's naming hook.
 func (a *Agent) ProtocolName() string { return "chord" }
 
+// DefinedByType makes the agent core.TypeDefined: Define reads no agent and
+// no transition keeps ev.Msg, so one Def serves every instance.
+func (*Agent) DefinedByType() {}
+
 // Define declares the generated FSM.
-func (a *Agent) Define(d *core.Def) {
+func (*Agent) Define(d *core.Def) {
 	d.States("joining", "joined")
 	d.Addressing(core.HashAddressing)
 	d.UDPTransport("CTRL")
 	d.TCPTransport("DATA")
-	d.Message("find_req", func() overlay.Message { a.io.rx.FindReq = msgFindReq{}; return &a.io.rx.FindReq }, "CTRL")
-	d.Message("find_resp", func() overlay.Message { a.io.rx.FindResp = msgFindResp{}; return &a.io.rx.FindResp }, "CTRL")
-	d.Message("get_pred_req", func() overlay.Message { a.io.rx.GetPredReq = msgGetPredReq{}; return &a.io.rx.GetPredReq }, "CTRL")
-	d.Message("get_pred_resp", func() overlay.Message {
-		a.io.rx.GetPredResp = msgGetPredResp{Succs: a.io.rx.GetPredResp.Succs[:0]}
-		return &a.io.rx.GetPredResp
-	}, "CTRL")
-	d.Message("notify", func() overlay.Message { a.io.rx.Notify = msgNotify{}; return &a.io.rx.Notify }, "CTRL")
-	d.Message("data", func() overlay.Message { a.io.rx.Data = msgData{}; return &a.io.rx.Data }, "DATA")
-	d.Message("data_ip", func() overlay.Message { a.io.rx.DataIp = msgDataIp{}; return &a.io.rx.DataIp }, "DATA")
+	d.Message("find_req", func() overlay.Message { return &msgFindReq{} }, "CTRL")
+	d.Message("find_resp", func() overlay.Message { return &msgFindResp{} }, "CTRL")
+	d.Message("get_pred_req", func() overlay.Message { return &msgGetPredReq{} }, "CTRL")
+	d.Message("get_pred_resp", func() overlay.Message { return &msgGetPredResp{} }, "CTRL")
+	d.Message("notify", func() overlay.Message { return &msgNotify{} }, "CTRL")
+	d.Message("data", func() overlay.Message { return &msgData{} }, "DATA")
+	d.Message("data_ip", func() overlay.Message { return &msgDataIp{} }, "DATA")
 	d.Timer("stabilize", 1000*time.Millisecond)
 	d.Timer("fix_fingers", 1000*time.Millisecond)
 	d.Timer("rejoin", 2000*time.Millisecond)
 	d.Timer("ring_probe", 10000*time.Millisecond)
 	d.NeighborList("succ_nbrs", 8, true)
 	d.NeighborList("pred", 1, true)
-	d.OnAPI(overlay.APIInit, core.In("init"), core.Write, a.transition0)
-	d.OnTimer("rejoin", core.In("joining"), core.Write, a.transition1)
-	d.OnRecv("find_req", core.In("joined"), core.Write, a.transition2)
-	d.OnRecv("find_resp", core.In("joining"), core.Write, a.transition3)
-	d.OnRecv("find_resp", core.In("joined"), core.Write, a.transition4)
-	d.OnTimer("ring_probe", core.In("joined"), core.Write, a.transition5)
-	d.OnTimer("stabilize", core.In("joined"), core.Write, a.transition6)
-	d.OnRecv("get_pred_req", core.Any, core.Write, a.transition7)
-	d.OnRecv("get_pred_resp", core.In("joined"), core.Write, a.transition8)
-	d.OnRecv("notify", core.Any, core.Write, a.transition9)
-	d.OnTimer("fix_fingers", core.In("joined"), core.Write, a.transition10)
-	d.OnAPI(overlay.APIRoute, core.In("joined"), core.Write, a.transition11)
-	d.OnRecv("data", core.In("joined"), core.Write, a.transition12)
-	d.OnAPI(overlay.APIRouteIP, core.Any, core.Write, a.transition13)
-	d.OnRecv("data_ip", core.Any, core.Write, a.transition14)
-	d.OnAPI(overlay.APIError, core.Any, core.Write, a.transition15)
+	d.OnAPI(overlay.APIInit, core.In("init"), core.Write, core.APIOf((*Agent).transition0))
+	d.OnTimer("rejoin", core.In("joining"), core.Write, core.TimerOf((*Agent).transition1))
+	d.OnRecv("find_req", core.In("joined"), core.Write, core.RecvOf((*Agent).transition2))
+	d.OnRecv("find_resp", core.In("joining"), core.Write, core.RecvOf((*Agent).transition3))
+	d.OnRecv("find_resp", core.In("joined"), core.Write, core.RecvOf((*Agent).transition4))
+	d.OnTimer("ring_probe", core.In("joined"), core.Write, core.TimerOf((*Agent).transition5))
+	d.OnTimer("stabilize", core.In("joined"), core.Write, core.TimerOf((*Agent).transition6))
+	d.OnRecv("get_pred_req", core.Any, core.Write, core.RecvOf((*Agent).transition7))
+	d.OnRecv("get_pred_resp", core.In("joined"), core.Write, core.RecvOf((*Agent).transition8))
+	d.OnRecv("notify", core.Any, core.Write, core.RecvOf((*Agent).transition9))
+	d.OnTimer("fix_fingers", core.In("joined"), core.Write, core.TimerOf((*Agent).transition10))
+	d.OnAPI(overlay.APIRoute, core.In("joined"), core.Write, core.APIOf((*Agent).transition11))
+	d.OnRecv("data", core.In("joined"), core.Write, core.RecvOf((*Agent).transition12))
+	d.OnAPI(overlay.APIRouteIP, core.Any, core.Write, core.APIOf((*Agent).transition13))
+	d.OnRecv("data_ip", core.Any, core.Write, core.RecvOf((*Agent).transition14))
+	d.OnAPI(overlay.APIError, core.Any, core.Write, core.APIOf((*Agent).transition15))
 }
 
 // transition0 implements: (init) API init [locking write;]

@@ -150,20 +150,16 @@ func (m *msgCacheInfo) Decode(r *overlay.Reader) error {
 	return r.Err()
 }
 
-// msgScratch is where this agent's messages live while a transition handles
-// them: per declared message one receive slot (rx), which the registered
-// factory clears and the engine decodes into, and one send slot (tx), which a
-// send statement fills and hands to ctx.Send. Two slots, because a forwarding
-// transition builds the message it sends from fields of the one it received.
+// msgScratch is where this agent builds the messages it sends: per declared
+// message one send slot (tx), which a send statement fills and hands to
+// ctx.Send. A received message lives in the engine's receive slot for its
+// type, which is not this slot, so a forwarding transition can build the
+// message it sends from fields of the one it received.
 //
-// Reusing them is safe because of three things the engine guarantees. A node
-// runs one event at a time and every cross-layer call is deferred, so a
-// decoded message has been dispatched, and its transition has returned, before
-// this agent decodes again. The one synchronous cross-layer call, the
-// forward() upcall, decodes into the agent of the layer above — other slots.
-// And ctx.Send encodes the message before it returns and keeps no reference
-// to it. Nothing generated keeps ev.Msg or a sent message past its transition.
-type msgScratch struct{ rx, tx msgSlots }
+// Reusing a send slot is safe because ctx.Send encodes the message before it
+// returns and keeps no reference to it. Nothing generated keeps ev.Msg or a
+// sent message past its transition.
+type msgScratch struct{ tx msgSlots }
 
 // msgSlots holds one message of every declared type.
 type msgSlots struct {
@@ -203,43 +199,41 @@ func New() core.Factory {
 // ProtocolName implements the engine's naming hook.
 func (a *Agent) ProtocolName() string { return "pastry" }
 
+// DefinedByType makes the agent core.TypeDefined: Define reads no agent and
+// no transition keeps ev.Msg, so one Def serves every instance.
+func (*Agent) DefinedByType() {}
+
 // Define declares the generated FSM.
-func (a *Agent) Define(d *core.Def) {
+func (*Agent) Define(d *core.Def) {
 	d.States("joining", "joined")
 	d.Addressing(core.HashAddressing)
 	d.UDPTransport("CTRL")
 	d.TCPTransport("DATA")
-	d.Message("join_req", func() overlay.Message { a.io.rx.JoinReq = msgJoinReq{}; return &a.io.rx.JoinReq }, "CTRL")
-	d.Message("join_reply", func() overlay.Message {
-		a.io.rx.JoinReply = msgJoinReply{Leaves: a.io.rx.JoinReply.Leaves[:0]}
-		return &a.io.rx.JoinReply
-	}, "CTRL")
-	d.Message("announce", func() overlay.Message { a.io.rx.Announce = msgAnnounce{}; return &a.io.rx.Announce }, "CTRL")
-	d.Message("ls_req", func() overlay.Message { a.io.rx.LsReq = msgLsReq{}; return &a.io.rx.LsReq }, "CTRL")
-	d.Message("ls_resp", func() overlay.Message {
-		a.io.rx.LsResp = msgLsResp{Leaves: a.io.rx.LsResp.Leaves[:0]}
-		return &a.io.rx.LsResp
-	}, "CTRL")
-	d.Message("data", func() overlay.Message { a.io.rx.Data = msgData{}; return &a.io.rx.Data }, "DATA")
-	d.Message("data_ip", func() overlay.Message { a.io.rx.DataIp = msgDataIp{}; return &a.io.rx.DataIp }, "DATA")
-	d.Message("cache_info", func() overlay.Message { a.io.rx.CacheInfo = msgCacheInfo{}; return &a.io.rx.CacheInfo }, "CTRL")
+	d.Message("join_req", func() overlay.Message { return &msgJoinReq{} }, "CTRL")
+	d.Message("join_reply", func() overlay.Message { return &msgJoinReply{} }, "CTRL")
+	d.Message("announce", func() overlay.Message { return &msgAnnounce{} }, "CTRL")
+	d.Message("ls_req", func() overlay.Message { return &msgLsReq{} }, "CTRL")
+	d.Message("ls_resp", func() overlay.Message { return &msgLsResp{} }, "CTRL")
+	d.Message("data", func() overlay.Message { return &msgData{} }, "DATA")
+	d.Message("data_ip", func() overlay.Message { return &msgDataIp{} }, "DATA")
+	d.Message("cache_info", func() overlay.Message { return &msgCacheInfo{} }, "CTRL")
 	d.Timer("ls_exchange", 2000*time.Millisecond)
 	d.Timer("rejoin", 2000*time.Millisecond)
 	d.NeighborList("leaves", 9, true)
-	d.OnAPI(overlay.APIInit, core.In("init"), core.Write, a.transition0)
-	d.OnTimer("rejoin", core.In("joining"), core.Write, a.transition1)
-	d.OnRecv("join_req", core.In("joined"), core.Write, a.transition2)
-	d.OnRecv("join_reply", core.In("joining"), core.Write, a.transition3)
-	d.OnRecv("announce", core.In("joined"), core.Write, a.transition4)
-	d.OnTimer("ls_exchange", core.In("joined"), core.Write, a.transition5)
-	d.OnRecv("ls_req", core.Any, core.Write, a.transition6)
-	d.OnRecv("ls_resp", core.In("joined"), core.Write, a.transition7)
-	d.OnAPI(overlay.APIRoute, core.In("joined"), core.Write, a.transition8)
-	d.OnRecv("data", core.In("joined"), core.Write, a.transition9)
-	d.OnRecv("cache_info", core.Any, core.Write, a.transition10)
-	d.OnAPI(overlay.APIRouteIP, core.Any, core.Write, a.transition11)
-	d.OnRecv("data_ip", core.Any, core.Write, a.transition12)
-	d.OnAPI(overlay.APIError, core.Any, core.Write, a.transition13)
+	d.OnAPI(overlay.APIInit, core.In("init"), core.Write, core.APIOf((*Agent).transition0))
+	d.OnTimer("rejoin", core.In("joining"), core.Write, core.TimerOf((*Agent).transition1))
+	d.OnRecv("join_req", core.In("joined"), core.Write, core.RecvOf((*Agent).transition2))
+	d.OnRecv("join_reply", core.In("joining"), core.Write, core.RecvOf((*Agent).transition3))
+	d.OnRecv("announce", core.In("joined"), core.Write, core.RecvOf((*Agent).transition4))
+	d.OnTimer("ls_exchange", core.In("joined"), core.Write, core.TimerOf((*Agent).transition5))
+	d.OnRecv("ls_req", core.Any, core.Write, core.RecvOf((*Agent).transition6))
+	d.OnRecv("ls_resp", core.In("joined"), core.Write, core.RecvOf((*Agent).transition7))
+	d.OnAPI(overlay.APIRoute, core.In("joined"), core.Write, core.APIOf((*Agent).transition8))
+	d.OnRecv("data", core.In("joined"), core.Write, core.RecvOf((*Agent).transition9))
+	d.OnRecv("cache_info", core.Any, core.Write, core.RecvOf((*Agent).transition10))
+	d.OnAPI(overlay.APIRouteIP, core.Any, core.Write, core.APIOf((*Agent).transition11))
+	d.OnRecv("data_ip", core.Any, core.Write, core.RecvOf((*Agent).transition12))
+	d.OnAPI(overlay.APIError, core.Any, core.Write, core.APIOf((*Agent).transition13))
 }
 
 // transition0 implements: (init) API init [locking write;]

@@ -111,20 +111,16 @@ func (m *msgDataIp) Decode(r *overlay.Reader) error {
 	return r.Err()
 }
 
-// msgScratch is where this agent's messages live while a transition handles
-// them: per declared message one receive slot (rx), which the registered
-// factory clears and the engine decodes into, and one send slot (tx), which a
-// send statement fills and hands to ctx.Send. Two slots, because a forwarding
-// transition builds the message it sends from fields of the one it received.
+// msgScratch is where this agent builds the messages it sends: per declared
+// message one send slot (tx), which a send statement fills and hands to
+// ctx.Send. A received message lives in the engine's receive slot for its
+// type, which is not this slot, so a forwarding transition can build the
+// message it sends from fields of the one it received.
 //
-// Reusing them is safe because of three things the engine guarantees. A node
-// runs one event at a time and every cross-layer call is deferred, so a
-// decoded message has been dispatched, and its transition has returned, before
-// this agent decodes again. The one synchronous cross-layer call, the
-// forward() upcall, decodes into the agent of the layer above — other slots.
-// And ctx.Send encodes the message before it returns and keeps no reference
-// to it. Nothing generated keeps ev.Msg or a sent message past its transition.
-type msgScratch struct{ rx, tx msgSlots }
+// Reusing a send slot is safe because ctx.Send encodes the message before it
+// returns and keeps no reference to it. Nothing generated keeps ev.Msg or a
+// sent message past its transition.
+type msgScratch struct{ tx msgSlots }
 
 // msgSlots holds one message of every declared type.
 type msgSlots struct {
@@ -154,33 +150,37 @@ func New() core.Factory {
 // ProtocolName implements the engine's naming hook.
 func (a *Agent) ProtocolName() string { return "randtree" }
 
+// DefinedByType makes the agent core.TypeDefined: Define reads no agent and
+// no transition keeps ev.Msg, so one Def serves every instance.
+func (*Agent) DefinedByType() {}
+
 // Define declares the generated FSM.
-func (a *Agent) Define(d *core.Def) {
+func (*Agent) Define(d *core.Def) {
 	d.States("joining", "joined")
 	d.Addressing(core.IPAddressing)
 	d.UDPTransport("BEST_EFFORT")
 	d.TCPTransport("RELIABLE")
-	d.Message("join", func() overlay.Message { a.io.rx.Join = msgJoin{}; return &a.io.rx.Join }, "BEST_EFFORT")
-	d.Message("join_reply", func() overlay.Message { a.io.rx.JoinReply = msgJoinReply{}; return &a.io.rx.JoinReply }, "RELIABLE")
-	d.Message("mdata", func() overlay.Message { a.io.rx.Mdata = msgMdata{}; return &a.io.rx.Mdata }, "RELIABLE")
-	d.Message("cdata", func() overlay.Message { a.io.rx.Cdata = msgCdata{}; return &a.io.rx.Cdata }, "RELIABLE")
-	d.Message("data_ip", func() overlay.Message { a.io.rx.DataIp = msgDataIp{}; return &a.io.rx.DataIp }, "RELIABLE")
+	d.Message("join", func() overlay.Message { return &msgJoin{} }, "BEST_EFFORT")
+	d.Message("join_reply", func() overlay.Message { return &msgJoinReply{} }, "RELIABLE")
+	d.Message("mdata", func() overlay.Message { return &msgMdata{} }, "RELIABLE")
+	d.Message("cdata", func() overlay.Message { return &msgCdata{} }, "RELIABLE")
+	d.Message("data_ip", func() overlay.Message { return &msgDataIp{} }, "RELIABLE")
 	d.Timer("rejoin", 3000*time.Millisecond)
 	d.NeighborList("parent", 1, true)
 	d.NeighborList("kids", 4, true)
-	d.OnAPI(overlay.APIInit, core.In("init"), core.Write, a.transition0)
-	d.OnRecv("join", core.In("joined"), core.Write, a.transition1)
-	d.OnRecv("join", core.In("joining", "init"), core.Write, a.transition2)
-	d.OnRecv("join_reply", core.In("joining"), core.Write, a.transition3)
-	d.OnTimer("rejoin", core.In("joining"), core.Write, a.transition4)
-	d.OnAPI(overlay.APIError, core.In("joined"), core.Write, a.transition5)
-	d.OnAPI(overlay.APIError, core.Not(core.In("joined")), core.Write, a.transition6)
-	d.OnAPI(overlay.APIMulticast, core.In("joined"), core.Read, a.transition7)
-	d.OnRecv("mdata", core.Any, core.Read, a.transition8)
-	d.OnAPI(overlay.APICollect, core.In("joined"), core.Read, a.transition9)
-	d.OnRecv("cdata", core.Any, core.Read, a.transition10)
-	d.OnAPI(overlay.APIRouteIP, core.Any, core.Read, a.transition11)
-	d.OnRecv("data_ip", core.Any, core.Read, a.transition12)
+	d.OnAPI(overlay.APIInit, core.In("init"), core.Write, core.APIOf((*Agent).transition0))
+	d.OnRecv("join", core.In("joined"), core.Write, core.RecvOf((*Agent).transition1))
+	d.OnRecv("join", core.In("joining", "init"), core.Write, core.RecvOf((*Agent).transition2))
+	d.OnRecv("join_reply", core.In("joining"), core.Write, core.RecvOf((*Agent).transition3))
+	d.OnTimer("rejoin", core.In("joining"), core.Write, core.TimerOf((*Agent).transition4))
+	d.OnAPI(overlay.APIError, core.In("joined"), core.Write, core.APIOf((*Agent).transition5))
+	d.OnAPI(overlay.APIError, core.Not(core.In("joined")), core.Write, core.APIOf((*Agent).transition6))
+	d.OnAPI(overlay.APIMulticast, core.In("joined"), core.Read, core.APIOf((*Agent).transition7))
+	d.OnRecv("mdata", core.Any, core.Read, core.RecvOf((*Agent).transition8))
+	d.OnAPI(overlay.APICollect, core.In("joined"), core.Read, core.APIOf((*Agent).transition9))
+	d.OnRecv("cdata", core.Any, core.Read, core.RecvOf((*Agent).transition10))
+	d.OnAPI(overlay.APIRouteIP, core.Any, core.Read, core.APIOf((*Agent).transition11))
+	d.OnRecv("data_ip", core.Any, core.Read, core.RecvOf((*Agent).transition12))
 }
 
 // transition0 implements: (init) API init [locking write;]
