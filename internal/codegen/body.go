@@ -757,12 +757,14 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 		if err != nil {
 			return "", err
 		}
+		g.need("nbrRandom")
 		return fmt.Sprintf("nbrRandom(ctx, %q)", id.Name), nil
 	case "neighbor_first":
 		id, err := identArg(e, 0)
 		if err != nil {
 			return "", err
 		}
+		g.need("nbrFirst")
 		return fmt.Sprintf("nbrFirst(ctx, %q)", id.Name), nil
 	case "hash":
 		arg, err := g.exprArg(e, 0)

@@ -362,24 +362,8 @@ func (g *generator) file() (string, error) {
 		}
 	}
 
-	// Helpers. nbrRandom and nbrFirst are emitted unconditionally (the
-	// original subset always carried them); the collection and key-space
-	// helpers appear only when the spec's translation referenced them, in a
-	// fixed order so regeneration is reproducible.
-	g.pf(`func nbrRandom(ctx *core.Context, list string) overlay.Address {
-	if n := ctx.Neighbors(list).Random(ctx.Rand()); n != nil {
-		return n.Addr
-	}
-	return overlay.NilAddress
-}
-
-func nbrFirst(ctx *core.Context, list string) overlay.Address {
-	if n := ctx.Neighbors(list).First(); n != nil {
-		return n.Addr
-	}
-	return overlay.NilAddress
-}
-`)
+	// Helpers: only those the spec's translation referenced, in a fixed
+	// order so regeneration is reproducible.
 	if g.helpers["ringInsert"] {
 		g.need("listContains")
 	}
@@ -409,6 +393,20 @@ var helperOrder = []struct {
 	name   string
 	source string
 }{
+	{"nbrRandom", `func nbrRandom(ctx *core.Context, list string) overlay.Address {
+	if n := ctx.Neighbors(list).Random(ctx.Rand()); n != nil {
+		return n.Addr
+	}
+	return overlay.NilAddress
+}
+`},
+	{"nbrFirst", `func nbrFirst(ctx *core.Context, list string) overlay.Address {
+	if n := ctx.Neighbors(list).First(); n != nil {
+		return n.Addr
+	}
+	return overlay.NilAddress
+}
+`},
 	{"put", `// put stores v in slot and returns slot: a send builds its message in the
 // agent's send slot inside the Send call expression, so the destination is
 // evaluated before the fields, as when the message was a fresh literal.

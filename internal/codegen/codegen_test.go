@@ -189,6 +189,44 @@ transitions { any recv m { buffer b = field(payload); last = field(payload); las
 	}
 }
 
+// TestHelpersEmittedOnlyWhenReferenced: a runtime helper is emitted only
+// when the translation calls it. A spec that reads neighbor_first but never
+// neighbor_random gets nbrFirst alone, and so never mentions the node PRNG,
+// which the engine then never builds.
+func TestHelpersEmittedOnlyWhenReferenced(t *testing.T) {
+	spec, err := dsl.Parse(`
+protocol p
+addressing ip
+transports { UDP u; }
+neighbor_types { parent_t 1 { } }
+messages { u m { int x; } }
+auxiliary_data { parent_t parent; }
+transitions { any recv m { send m(neighbor_first(parent), x = field(x)); } }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Generate(spec, "genp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.Source, "\nfunc nbrFirst(") {
+		t.Errorf("referenced helper nbrFirst not emitted:\n%s", res.Source)
+	}
+	for _, unwanted := range []string{"func nbrRandom(", "func listRandom(", "ctx.Rand()"} {
+		if strings.Contains(res.Source, unwanted) {
+			t.Errorf("generated source holds %q, which nothing references", unwanted)
+		}
+	}
+	chord, err := Generate(loadSpec(t, "chord.mac"), "genchord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(chord.Source, "ctx.Rand()") {
+		t.Error("generated Chord mentions ctx.Rand, but chord.mac never draws")
+	}
+}
+
 // TestForwardUpcallBindsRewrite: the payload a forward_upcall returns
 // replaces its payload argument for the rest of the block, and only there —
 // each loop iteration offers the original again, a later upcall sees the

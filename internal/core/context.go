@@ -103,8 +103,14 @@ func (c *Context) SelfKey() overlay.Key { return c.inst.node.key }
 // Now returns the current (virtual or wall) time.
 func (c *Context) Now() time.Time { return c.inst.node.clock.Now() }
 
-// Rand returns the node's seeded PRNG.
-func (c *Context) Rand() *rand.Rand { return c.inst.node.rng }
+// Rand returns the node's PRNG, which the first call seeds.
+func (c *Context) Rand() *rand.Rand {
+	n := c.inst.node
+	if n.rng == nil {
+		n.rng = rand.New(rand.NewSource(n.seed))
+	}
+	return n.rng
+}
 
 // State returns the instance's current FSM state.
 func (c *Context) State() State { return c.inst.state }
@@ -294,9 +300,8 @@ func (c *Context) EncodeFrame(m overlay.Message) ([]byte, error) {
 // TransportQueued reports bytes queued toward dst on a named transport of
 // the lowest layer — the observable "blocked transport" condition.
 func (c *Context) TransportQueued(transport string, dst overlay.Address) int {
-	n := c.inst.node
-	t, ok := n.transports[transport]
-	if !ok {
+	t := c.inst.node.transport(transport)
+	if t == nil {
 		return 0
 	}
 	return t.QueuedBytes(dst)

@@ -714,7 +714,7 @@ func TestDenseTablesMatchDeclarations(t *testing.T) {
 	// A binding to a transport the node does not run (validate rules it out,
 	// so take it away by hand) — once "mute" has resolved its transport the
 	// instance keeps it, so ask through a fresh id's first send.
-	delete(nodes[1].transports, "U")
+	nodes[1].prio = nil // "U" is the only transport dense declares
 	nodes[1].Downcall(overlay.PriorityDefault, "mute")
 	sched.RunFor(100 * time.Millisecond)
 	noBinding := `core: dense: message "loose" has no transport binding and no priority was given`

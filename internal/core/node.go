@@ -60,18 +60,18 @@ type Node struct {
 
 	clock substrate.Clock
 	mux   *transport.Mux
-	rng   *rand.Rand
+	seed  int64
+	rng   *rand.Rand // built from seed by the first Context.Rand
 
 	stack      []*Instance
-	transports map[string]transport.Transport
-	prio       []transport.Transport // declaration order = priority order
+	hb         transport.Transport   // the heartbeat channel, hbTransport
+	prio       []transport.Transport // the lowest layer's, declaration order = priority order
 	handlers   Handlers
-	tracer     *Tracer
+	tracer     *Tracer // nil when tracing is off
 	traceLevel TraceLevel
 
 	hbAfter, failAfter, sweepEvery time.Duration
-	lastHeard                      map[overlay.Address]time.Time
-	hbProbed                       map[overlay.Address]bool
+	heard                          map[overlay.Address]peerHeard
 	sweepTimer                     substrate.Timer // queues a qSweep event; re-armed by runSweep
 
 	// Deferred-execution queue and per-event scratch: every engine event
@@ -99,23 +99,23 @@ func NewNode(cfg Config) (*Node, error) {
 	if seed == 0 {
 		seed = int64(cfg.Addr)*2654435761 + 1
 	}
-	tw := cfg.TraceWriter
-	if tw == nil {
-		tw = os.Stderr
-	}
 	n := &Node{
 		addr:       cfg.Addr,
 		key:        overlay.HashAddress(cfg.Addr),
 		clock:      cfg.Net,
-		rng:        rand.New(rand.NewSource(seed)),
-		transports: make(map[string]transport.Transport),
-		tracer:     newTracer(tw, cfg.TraceLevel),
+		seed:       seed,
 		traceLevel: cfg.TraceLevel,
 		hbAfter:    cfg.HeartbeatAfter,
 		failAfter:  cfg.FailAfter,
 		sweepEvery: cfg.Sweep,
-		lastHeard:  make(map[overlay.Address]time.Time),
-		hbProbed:   make(map[overlay.Address]bool),
+		heard:      make(map[overlay.Address]peerHeard),
+	}
+	if cfg.TraceLevel != TraceOff {
+		tw := cfg.TraceWriter
+		if tw == nil {
+			tw = os.Stderr
+		}
+		n.tracer = newTracer(tw, cfg.TraceLevel)
 	}
 	if n.hbAfter <= 0 {
 		n.hbAfter = 5 * time.Second
@@ -129,8 +129,7 @@ func NewNode(cfg Config) (*Node, error) {
 
 	n.mux = transport.NewMux(ep, cfg.Net)
 	n.mux.SetRecv(n.onFrame)
-	hb := n.mux.AddUDP(hbTransport)
-	n.transports[hbTransport] = hb
+	n.hb = n.mux.AddUDP(hbTransport)
 
 	for _, f := range cfg.Stack {
 		inst, err := newInstance(n, f())
@@ -157,7 +156,6 @@ func NewNode(cfg Config) (*Node, error) {
 		case overlay.SWP:
 			t = n.mux.AddSWP(td.name, td.window)
 		}
-		n.transports[td.name] = t
 		n.prio = append(n.prio, t)
 	}
 
@@ -309,10 +307,14 @@ func (n *Node) Counters() Counters {
 	return sum
 }
 
-// Transport returns a named lowest-layer transport instance (for tests).
-func (n *Node) Transport(name string) (transport.Transport, bool) {
-	t, ok := n.transports[name]
-	return t, ok
+// transport returns the lowest layer's transport named name, or nil.
+func (n *Node) transport(name string) transport.Transport {
+	for _, t := range n.prio {
+		if t.Name() == name {
+			return t
+		}
+	}
+	return nil
 }
 
 // Stop cancels timers and closes the transports. The node must not be used
@@ -340,8 +342,8 @@ func (n *Node) transportFor(d *Def, id uint16, pri int) (transport.Transport, er
 	if m.transport == "" {
 		return nil, fmt.Errorf("core: %s: message %q has no transport binding and no priority was given", d.name, m.name)
 	}
-	t, ok := n.transports[m.transport]
-	if !ok {
+	t := n.transport(m.transport)
+	if t == nil {
 		return nil, fmt.Errorf("core: %s: transport %q not instantiated", d.name, m.transport)
 	}
 	return t, nil
@@ -367,8 +369,7 @@ func (n *Node) recvFrame(hb bool, src overlay.Address, frame []byte) {
 	if n.stopped {
 		return
 	}
-	n.lastHeard[src] = n.clock.Now()
-	delete(n.hbProbed, src)
+	n.heard[src] = peerHeard{at: n.clock.Now()}
 	if hb {
 		n.handleHeartbeat(src, frame)
 		return
@@ -387,8 +388,15 @@ func (n *Node) handleHeartbeat(src overlay.Address, frame []byte) {
 		return
 	}
 	if frame[0] == hbRequest {
-		_ = n.transports[hbTransport].Send(src, hbResponseFrame)
+		_ = n.hb.Send(src, hbResponseFrame)
 	}
+}
+
+// peerHeard is the failure detector's book on one peer: when it was last
+// heard from, and whether a heartbeat probe has gone unanswered since.
+type peerHeard struct {
+	at     time.Time
+	probed bool
 }
 
 // sweepAct is one failure-detector decision about a list member: declare it
@@ -404,8 +412,8 @@ type sweepAct struct {
 //
 // Error transitions mutate neighbor lists, so a list is first walked for
 // decisions and the decisions are then carried out in walk order. A
-// decision depends only on the clock and the lastHeard/hbProbed books of
-// that one address, which no action on another address touches, so this is
+// decision depends only on the clock and the heard book of that one
+// address, which no action on another address touches, so this is
 // the same sweep as acting during the walk over a copy of the list.
 func (n *Node) runSweep() {
 	if n.stopped {
@@ -421,33 +429,33 @@ func (n *Node) runSweep() {
 			l := inst.nbrs[k]
 			acts := n.hot.sweepActs[:0]
 			for _, nb := range l.entries {
-				heard, ok := n.lastHeard[nb.Addr]
+				h, ok := n.heard[nb.Addr]
 				if !ok {
 					// Never heard: start the clock at first sight.
-					n.lastHeard[nb.Addr] = now
+					n.heard[nb.Addr] = peerHeard{at: now}
 					continue
 				}
-				silence := now.Sub(heard)
+				silence := now.Sub(h.at)
 				switch {
-				case silence > n.failAfter && n.hbProbed[nb.Addr]:
+				case silence > n.failAfter && h.probed:
 					// Probed and still silent: dead. A failure verdict
 					// requires an unanswered probe, not just a stale
-					// lastHeard entry: protocols re-add live peers whose
+					// heard time: protocols re-add live peers whose
 					// timestamp predates their membership (successor
 					// lists rebuilt from a remote node's view do this
 					// every stabilize round), and those must get a probe
 					// cycle — not an instant, perpetually repeating
 					// failure — before the error transition fires.
 					acts = append(acts, sweepAct{nb.Addr, true})
-				case silence > n.hbAfter && !n.hbProbed[nb.Addr]:
+				case silence > n.hbAfter && !h.probed:
 					acts = append(acts, sweepAct{nb.Addr, false})
 				}
 			}
 			n.hot.sweepActs = acts[:0]
 			for _, a := range acts {
 				if !a.fail {
-					n.hbProbed[a.addr] = true
-					_ = n.transports[hbTransport].Send(a.addr, hbRequestFrame)
+					n.heard[a.addr] = peerHeard{at: n.heard[a.addr].at, probed: true}
+					_ = n.hb.Send(a.addr, hbRequestFrame)
 					continue
 				}
 				l.Remove(a.addr)
@@ -469,7 +477,7 @@ func (n *Node) runSweep() {
 	// revived node resurfacing in a successor list), it gets a fresh
 	// probe cycle instead of failing on a stale flag forever.
 	for _, a := range failed {
-		delete(n.hbProbed, a)
+		n.heard[a] = peerHeard{at: n.heard[a].at}
 	}
 	n.sweepTimer.Reset(n.sweepEvery)
 }

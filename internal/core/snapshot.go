@@ -4,9 +4,11 @@ package core
 // internal/statecopy: capturing the node pointer records every piece of
 // state the engine mutates while events execute — FSM state, protocol agent
 // fields, neighbor lists, timer generations, engine counters, the
-// failure-detector's lastHeard/probe books, the node PRNG, and the whole
-// transport subsystem underneath (mux incarnation bookkeeping, reliable
-// connections with congestion/RTT/stream state, UDP reassembly buffers).
+// failure-detector's heard/probed book, the node PRNG (nil until its first
+// draw, which seeds it, so a branch restored to nil draws the same stream),
+// and the whole transport subsystem underneath (mux incarnation bookkeeping,
+// reliable connections with congestion/RTT/stream state, UDP reassembly
+// buffers).
 // Restoring rewrites that state into the same objects, which keeps the
 // pointers captured by queued scheduler events valid (see
 // internal/statecopy's package comment for the walk semantics).

@@ -52,18 +52,16 @@ func obsLevel(l TraceLevel) obs.Level {
 // (which also starts at a fixed origin) produce stable offsets.
 var traceEpoch = time.Unix(0, 0)
 
-// tracerRing bounds how many recent trace records a tracer retains for
-// structured inspection (`/debug/obs` on live agents).
+// tracerRing bounds how many recent trace records a tracer retains.
 const tracerRing = 512
 
 // Tracer serializes trace lines from a node. It is a thin shim over an
-// obs.EventLog: lines ride the obs pipeline (and stay queryable as
-// structured records), while a render hook preserves the historical
-// `15:04:05.000000 message` byte format the golden traces pin down.
+// obs.EventLog: lines ride the obs pipeline, while a render hook preserves
+// the historical `15:04:05.000000 message` byte format the golden traces
+// pin down. A node with tracing off holds none: every method is nil-safe.
 type Tracer struct {
 	log   *obs.EventLog
 	level TraceLevel
-	sink  bool // a writer is attached
 }
 
 func newTracer(w io.Writer, level TraceLevel) *Tracer {
@@ -75,23 +73,13 @@ func newTracer(w io.Writer, level TraceLevel) *Tracer {
 		}
 		return r.String()
 	})
-	if w != nil {
-		l.SetWriter(w)
-	}
-	return &Tracer{log: l, level: level, sink: w != nil}
+	l.SetWriter(w)
+	return &Tracer{log: l, level: level}
 }
 
 // Enabled reports whether lines at level l are emitted.
 func (t *Tracer) Enabled(l TraceLevel) bool {
-	return t != nil && t.sink && l != TraceOff && l <= t.level
-}
-
-// Events exposes the tracer's structured record log.
-func (t *Tracer) Events() *obs.EventLog {
-	if t == nil {
-		return nil
-	}
-	return t.log
+	return t != nil && l != TraceOff && l <= t.level
 }
 
 func (t *Tracer) tracef(l TraceLevel, at time.Time, format string, args ...any) {

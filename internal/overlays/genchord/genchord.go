@@ -568,13 +568,6 @@ func (a *Agent) transition15(ctx *core.Context, call *core.APICall) {
 	tableRemove(a.Fingers[:], call.Failed)
 }
 
-func nbrRandom(ctx *core.Context, list string) overlay.Address {
-	if n := ctx.Neighbors(list).Random(ctx.Rand()); n != nil {
-		return n.Addr
-	}
-	return overlay.NilAddress
-}
-
 func nbrFirst(ctx *core.Context, list string) overlay.Address {
 	if n := ctx.Neighbors(list).First(); n != nil {
 		return n.Addr

@@ -509,20 +509,6 @@ func (a *Agent) transition13(ctx *core.Context, call *core.APICall) {
 	mapRemoveValue(a.Cache, call.Failed)
 }
 
-func nbrRandom(ctx *core.Context, list string) overlay.Address {
-	if n := ctx.Neighbors(list).Random(ctx.Rand()); n != nil {
-		return n.Addr
-	}
-	return overlay.NilAddress
-}
-
-func nbrFirst(ctx *core.Context, list string) overlay.Address {
-	if n := ctx.Neighbors(list).First(); n != nil {
-		return n.Addr
-	}
-	return overlay.NilAddress
-}
-
 // put stores v in slot and returns slot: a send builds its message in the
 // agent's send slot inside the Send call expression, so the destination is
 // evaluated before the fields, as when the message was a fresh literal.

@@ -73,8 +73,7 @@ type Mux struct {
 	clock substrate.Clock
 	boot  uint64 // incarnation stamp carried by reliable segments
 
-	transports []muxMember
-	byName     map[string]uint8
+	transports []muxMember // indexed by transport id; a node defines a handful
 	recv       RecvFunc
 	closed     bool
 	out        datagramScratch // a named field: embedding would promote StateCopyOpaque to Mux
@@ -108,8 +107,7 @@ type muxMember interface {
 // resolution makes collision between two incarnations impossible (the
 // simulated clock is strictly later at any later event).
 func NewMux(ep substrate.Endpoint, clock substrate.Clock) *Mux {
-	m := &Mux{ep: ep, clock: clock, byName: make(map[string]uint8),
-		boot: uint64(clock.Now().UnixNano())}
+	m := &Mux{ep: ep, clock: clock, boot: uint64(clock.Now().UnixNano())}
 	ep.SetRecv(m.onDatagram)
 	return m
 }
@@ -140,14 +138,15 @@ func (m *Mux) Close() {
 func (m *Mux) add(name string, t muxMember) Transport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, dup := m.byName[name]; dup {
-		panic(fmt.Sprintf("transport: instance %q defined twice", name))
+	for _, o := range m.transports {
+		if o.Name() == name {
+			panic(fmt.Sprintf("transport: instance %q defined twice", name))
+		}
 	}
 	if len(m.transports) >= 255 {
 		panic("transport: too many transport instances")
 	}
 	id := uint8(len(m.transports))
-	m.byName[name] = id
 	m.transports = append(m.transports, t)
 	t.setID(id)
 	return t
@@ -178,22 +177,12 @@ func (m *Mux) AddSWP(name string, window int) Transport {
 func (m *Mux) ByName(name string) (Transport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id, ok := m.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownTransport, name)
+	for _, t := range m.transports {
+		if t.Name() == name {
+			return t, nil
+		}
 	}
-	return m.transports[id], nil
-}
-
-// Transports returns the instances in definition order.
-func (m *Mux) Transports() []Transport {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Transport, len(m.transports))
-	for i, t := range m.transports {
-		out[i] = t
-	}
-	return out
+	return nil, fmt.Errorf("%w: %q", ErrUnknownTransport, name)
 }
 
 // onDatagram is the endpoint receive path: [tid u8][kind u8][body].

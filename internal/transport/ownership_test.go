@@ -3,12 +3,14 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
 	"macedon/internal/overlay"
 	"macedon/internal/simnet"
+	"macedon/internal/substrate"
 )
 
 // These tests pin the buffer-ownership contract of docs/architecture.md
@@ -36,10 +38,58 @@ func addReliable(m *Mux, kind string) Transport {
 	return m.AddSWP("t", 8)
 }
 
+// shuffler is an endpoint that holds back and repeats datagrams by a seeded
+// rule: of every eight it is asked to send, on average one waits until after
+// the next datagram and one goes out twice. A reliable receiver behind it
+// sees segments reordered and duplicated, which a FIFO emulated path never
+// does without loss.
+type shuffler struct {
+	substrate.Endpoint
+	rng  *rand.Rand
+	held []heldDatagram
+}
+
+type heldDatagram struct {
+	dst     overlay.Address
+	payload []byte
+}
+
+func (s *shuffler) Send(dst overlay.Address, payload []byte) error {
+	switch s.rng.Intn(8) {
+	case 0:
+		s.held = append(s.held, heldDatagram{dst, bytes.Clone(payload)}) // Send's caller reuses payload
+		return nil
+	case 1:
+		if err := s.Endpoint.Send(dst, payload); err != nil {
+			return err
+		}
+	}
+	if err := s.Endpoint.Send(dst, payload); err != nil {
+		return err
+	}
+	for _, h := range s.held {
+		if err := s.Endpoint.Send(h.dst, h.payload); err != nil {
+			return err
+		}
+	}
+	s.held = s.held[:0]
+	return nil
+}
+
+// shuffled wraps each endpoint of a rig in a shuffler of its own seed.
+func shuffled() func(substrate.Endpoint) substrate.Endpoint {
+	seed := int64(0)
+	return func(ep substrate.Endpoint) substrate.Endpoint {
+		seed++
+		return &shuffler{Endpoint: ep, rng: rand.New(rand.NewSource(seed))}
+	}
+}
+
 // TestReliableDeliveredFramesStayIntact streams frames of 1 B to 3×MSS over
-// lossless, lossy and shallow-queue rigs, so frames are lent both straight
-// from a datagram and from the reassembly buffer, with partial frames
-// compacted in between and out-of-order segments held. It catches a
+// lossless, lossy, shallow-queue and reordering-plus-duplicating rigs, so
+// frames are lent both straight from a datagram and from the reassembly
+// buffer, with partial frames compacted in between and out-of-order segments
+// held. It catches a
 // compaction that clobbers bytes not yet delivered, an out-of-order segment
 // or fragment kept as a view of a reused datagram, and a transport that
 // keeps the caller's frame instead of copying it.
@@ -47,19 +97,25 @@ func TestReliableDeliveredFramesStayIntact(t *testing.T) {
 	mss := simnet.MTU - 2 - relHeaderLen
 	sizes := []int{1, 2, 7, 100, 999, 1000, mss - 5, mss - 4, mss - 3, mss, mss + 1, 2 * mss, 3 * mss}
 	rigs := []struct {
-		name  string
-		loss  float64
-		queue int
+		name    string
+		loss    float64
+		queue   int
+		shuffle bool
 	}{
-		{"lossless", 0, 1 << 20},
-		{"loss", 0.05, 1 << 20},
-		{"small-queue", 0, 5 * 1500},
-		{"loss+small-queue", 0.03, 5 * 1500},
+		{"lossless", 0, 1 << 20, false},
+		{"loss", 0.05, 1 << 20, false},
+		{"small-queue", 0, 5 * 1500, false},
+		{"loss+small-queue", 0.03, 5 * 1500, false},
+		{"reorder+duplicate", 0, 1 << 20, true},
 	}
 	for _, kind := range []string{"tcp", "swp"} {
 		for _, rc := range rigs {
 			t.Run(kind+"/"+rc.name, func(t *testing.T) {
-				r := newRig(t, simnet.Config{LossRate: rc.loss}, 2_000_000, rc.queue)
+				wrap := func(ep substrate.Endpoint) substrate.Endpoint { return ep }
+				if rc.shuffle {
+					wrap = shuffled()
+				}
+				r := newWrappedRig(t, simnet.Config{LossRate: rc.loss}, 2_000_000, rc.queue, wrap)
 				defer r.sched.Close()
 				tr := addReliable(r.a, kind)
 				addReliable(r.b, kind)
@@ -108,6 +164,9 @@ func TestReliableDeliveredFramesStayIntact(t *testing.T) {
 					if s := tr.Stats(); s.Retransmits == 0 {
 						t.Fatalf("rig produced no retransmissions: %+v", s)
 					}
+				}
+				if rc.shuffle && r.b.transports[0].(*reliable).conns[1].ooo == nil {
+					t.Fatal("rig never delivered a segment ahead of the stream")
 				}
 			})
 		}
@@ -280,6 +339,53 @@ func TestTCPFrameAllocs(t *testing.T) {
 	}
 	if perFrame > 0 {
 		t.Fatalf("%.0f bytes allocated per in-order 1000-byte frame, want none", perFrame)
+	}
+}
+
+// TestReliableInOrderConnAllocs: a connection builds its out-of-order map on
+// the first segment that arrives ahead of the stream. One that only ever sees
+// in-order data never holds the map, and a receive-side reset drops the map
+// instead of making an empty one.
+func TestReliableInOrderConnAllocs(t *testing.T) {
+	r := newRig(t, simnet.Config{}, 10_000_000, 1<<20)
+	defer r.sched.Close()
+	tr := r.a.AddTCP("t")
+	r.b.AddTCP("t")
+	got := 0
+	r.b.SetRecv(func(_ string, _ overlay.Address, f []byte) { got += len(f) })
+	frame := testFrame(0, 3000) // three segments a frame
+	const frames = 100
+	for i := 0; i < frames; i++ {
+		if err := tr.Send(2, frame); err != nil {
+			t.Fatal(err)
+		}
+		r.sched.RunFor(20 * time.Millisecond)
+	}
+	if got != frames*len(frame) {
+		t.Fatalf("delivered %d bytes of %d", got, frames*len(frame))
+	}
+	rel := r.b.transports[0].(*reliable)
+	c := rel.conns[1]
+	if c.ooo != nil {
+		t.Fatal("a connection that saw only in-order data built an out-of-order map")
+	}
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(10, c.resetRecv); allocs != 0 {
+			t.Fatalf("resetRecv allocates %v times", allocs)
+		}
+	}
+
+	// A segment ahead of the stream builds the map; a reset drops it again.
+	body := binary.BigEndian.AppendUint64(nil, c.peerBoot)
+	body = binary.BigEndian.AppendUint32(body, c.peerGen)
+	body = binary.BigEndian.AppendUint64(body, c.rcvNxt+1000)
+	rel.handleData(1, append(body, "ahead"...))
+	if len(c.ooo) != 1 {
+		t.Fatalf("a segment ahead of the stream left %d held segments, want 1", len(c.ooo))
+	}
+	c.resetRecv()
+	if c.ooo != nil || c.oooBytes != 0 {
+		t.Fatalf("resetRecv kept the out-of-order map (%d segments, %d bytes)", len(c.ooo), c.oooBytes)
 	}
 }
 

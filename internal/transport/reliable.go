@@ -73,7 +73,7 @@ type conn struct {
 
 	// Receiver half. rbuf holds the in-order bytes not yet parsed into whole
 	// frames: storage the connection owns and reuses. ooo holds copies of
-	// segments that arrived ahead of rcvNxt.
+	// segments that arrived ahead of rcvNxt; the first such segment makes it.
 	rcvNxt   uint64
 	rbuf     []byte
 	ooo      map[uint64][]byte
@@ -116,7 +116,7 @@ func (c *conn) resetSend() {
 func (c *conn) resetRecv() {
 	c.rcvNxt = 0
 	c.rbuf = c.rbuf[:0]
-	c.ooo = make(map[uint64][]byte)
+	c.ooo = nil
 	c.oooBytes = 0
 }
 
@@ -202,7 +202,6 @@ func (r *reliable) conn(peer overlay.Address) *conn {
 			cwnd:     2 * mss,
 			ssthresh: initialSSThresh,
 			rto:      initialRTO,
-			ooo:      make(map[uint64][]byte),
 		}
 		r.conns[peer] = c
 	}
@@ -405,6 +404,9 @@ func (r *reliable) handleData(src overlay.Address, body []byte) {
 		}
 	} else if c.oooBytes+len(seg) <= oooCap {
 		if _, dup := c.ooo[offset]; !dup {
+			if c.ooo == nil {
+				c.ooo = make(map[uint64][]byte)
+			}
 			c.ooo[offset] = bytes.Clone(seg) // the datagram is only lent
 			c.oooBytes += len(seg)
 		}

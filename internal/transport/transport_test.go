@@ -8,6 +8,7 @@ import (
 
 	"macedon/internal/overlay"
 	"macedon/internal/simnet"
+	"macedon/internal/substrate"
 	"macedon/internal/topology"
 )
 
@@ -19,6 +20,12 @@ type rig struct {
 }
 
 func newRig(t *testing.T, cfg simnet.Config, midBW int64, midQueue int) *rig {
+	t.Helper()
+	return newWrappedRig(t, cfg, midBW, midQueue, func(ep substrate.Endpoint) substrate.Endpoint { return ep })
+}
+
+// newWrappedRig is newRig with both endpoints seen through wrap.
+func newWrappedRig(t *testing.T, cfg simnet.Config, midBW int64, midQueue int, wrap func(substrate.Endpoint) substrate.Endpoint) *rig {
 	t.Helper()
 	g := topology.NewGraph()
 	r1, r2 := g.AddRouter(), g.AddRouter()
@@ -32,7 +39,7 @@ func newRig(t *testing.T, cfg simnet.Config, midBW int64, midQueue int) *rig {
 		t.Fatal(err)
 	}
 	epb, _ := n.Endpoint(2)
-	return &rig{sched: s, net: n, a: NewMux(epa, n), b: NewMux(epb, n)}
+	return &rig{sched: s, net: n, a: NewMux(wrap(epa), n), b: NewMux(wrap(epb), n)}
 }
 
 type recvLog struct {
@@ -380,7 +387,7 @@ func TestByNameAndDuplicates(t *testing.T) {
 	if _, err := r.a.ByName("LOW"); err == nil {
 		t.Fatal("unknown name should error")
 	}
-	if got := len(r.a.Transports()); got != 1 {
+	if got := len(r.a.transports); got != 1 {
 		t.Fatalf("Transports len = %d", got)
 	}
 	defer func() {
