@@ -30,19 +30,18 @@ type ObsOptions struct {
 // shard-invariant.
 var seriesLead = []string{"events", "pending"}
 
-// scheduleObsSeries schedules one phase's time-series samples: the start
-// and end boundaries plus every intra-phase interval point. Samples are
-// read-only global-actor events scheduled after the phase's ops and
-// end-of-phase snapshot at the same instants (a later global sequence
-// number preserves relative order), so turning them on never perturbs the
-// legacy trace or report, and each sample reads engine state at a fixed
-// position in the shard-count-independent total order.
-func (r *simRun) scheduleObsSeries(pi int, base time.Duration) {
+// scheduleObsSeries appends one phase's time-series samples: the start and
+// end boundaries plus every intra-phase interval point. Samples are
+// read-only cues appended after the phase's ops and end-of-phase snapshot,
+// so at a shared instant they fire after both, and they fire from the one
+// global-actor cursor: turning them on never perturbs the legacy trace or
+// report, and each sample reads engine state at a fixed position in the
+// shard-count-independent total order. Its pending column counts the cues
+// not yet fired as the events they stand for (simRun.pending).
+func (r *simRun) scheduleObsSeries(pi int) {
 	ph := r.sched.Phases[pi]
 	sample := func(at time.Duration) {
-		r.c.Sched.After(at-base, func() {
-			r.eng.Sample(pi, at-ph.Start, float64(r.c.Sched.Executed()), float64(r.c.Sched.Pending()))
-		})
+		r.cues = append(r.cues, cue{at: at, kind: cueSample, i: pi})
 	}
 	sample(ph.Start)
 	if iv := r.obs.SeriesInterval; iv > 0 {
@@ -67,7 +66,7 @@ func (r *simRun) Families(reg *obs.Registry) {
 	r.eng.MirrorTotals(reg)
 	sc := r.c.Sched
 	reg.Counter("macedon_sched_events_total", "Events the scheduler executed.").Store(sc.Executed())
-	reg.Gauge("macedon_sched_heap_depth", "Events pending in the scheduler heaps at run end.").Set(float64(sc.Pending()))
+	reg.Gauge("macedon_sched_heap_depth", "Events pending in the scheduler heaps at run end.").Set(float64(r.pending()))
 	reg.Counter("macedon_sched_barrier_stall_ns_total", "Virtual nanoseconds global-actor barriers sat ahead of the engine frontier.").Store(uint64(sc.BarrierStall()))
 	util := 0.0
 	if el := sc.Elapsed().Seconds(); el > 0 {

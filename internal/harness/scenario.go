@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"macedon/internal/check"
@@ -19,6 +21,7 @@ import (
 	"macedon/internal/overlays/scribe"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
+	"macedon/internal/substrate"
 )
 
 // ScenarioStack resolves a scenario protocol name onto a node stack:
@@ -94,9 +97,9 @@ func RunScenarioExec(s *scenario.Scenario, exec ExecOptions) (*scenario.Report, 
 
 // simRun executes one compiled schedule on an emulated cluster: it is the
 // scenario.Backend the shared engine drives — cluster and virtual clock —
-// plus the glue that turns schedule offsets into Sched.After events. One
-// simRun carries a prefix and then the branches of every variant that shares
-// it (runGroup, docs/sweeps.md).
+// plus the cue list that walks the schedule. One simRun carries a prefix and
+// then the branches of every variant that shares it (runGroup,
+// docs/sweeps.md).
 type simRun struct {
 	c     *Cluster
 	eng   *scenario.Engine
@@ -111,9 +114,39 @@ type simRun struct {
 	// engine's.
 	obs ObsOptions
 
+	// cues is the schedule in firing order, next the first cue not yet
+	// fired. One global timer, the cursor, is armed for cues[next] whenever
+	// there is such a cue: it fires that cue alone and re-arms for the one
+	// after, so however long the schedule, the heaps hold one harness record.
+	cues   []cue
+	next   int
+	cursor substrate.Timer
+
 	// err is the first op failure; later ops are not applied and runGroup
 	// returns it.
 	err error
+}
+
+// cueKind is what a cue does when the cursor reaches it.
+type cueKind uint8
+
+const (
+	cueOp         cueKind = iota // apply Ops[i]
+	cueSpawnBatch                // build and apply the same-instant setup spawns Ops[i:j]
+	cueSettleEnd                 // take the settle-boundary baseline
+	cuePhaseEnd                  // snapshot phase i
+	cueSample                    // time-series sample of phase i
+)
+
+// cue is one schedule entry: a plain record the cursor walks, not an event
+// in the scheduler's heaps. i and j index the Ops and Phases of whichever
+// schedule the run is on: variants that share a prefix list its ops and
+// phases first, identically (prefixKey), so a cue the prefix left unfired
+// means the same thing in every branch.
+type cue struct {
+	at   time.Duration
+	i, j int
+	kind cueKind
 }
 
 // newSimRun builds the cluster and a fresh engine for a compiled schedule.
@@ -159,41 +192,37 @@ func newSimRun(sched *scenario.Schedule, exec ExecOptions) (*simRun, error) {
 	return r, nil
 }
 
-// scheduleSetup schedules the setup operations (joins) plus the settle-end
+// scheduleSetup appends the setup operations (joins) plus the settle-end
 // baseline snapshot. Runs of spawns at the same instant are batched into one
-// event so node construction can parallelize across shards instead of
+// cue so node construction can parallelize across shards instead of
 // serializing inside a single epoch barrier — the t=0 spawn herd. The batch
 // executes its spawns in op order, so the trace is byte-identical to
 // unbatched scheduling.
 func (r *simRun) scheduleSetup() {
-	base := r.c.Sched.Elapsed()
 	ops := r.sched.Ops
 	i := 0
 	for i < len(ops) && ops[i].Phase < 0 {
+		j := i + 1
 		if ops[i].Kind == scenario.OpSpawn {
-			j := i + 1
 			for j < len(ops) && ops[j].Phase < 0 && ops[j].Kind == scenario.OpSpawn && ops[j].At == ops[i].At {
 				j++
 			}
-			if j-i > 1 {
-				batch := ops[i:j]
-				r.c.Sched.After(batch[0].At-base, func() { r.applySpawnBatch(batch) })
-				i = j
-				continue
-			}
 		}
-		r.scheduleFrom(ops[i], base)
-		i++
+		kind := cueOp
+		if j-i > 1 {
+			kind = cueSpawnBatch
+		}
+		r.cues = append(r.cues, cue{at: ops[i].At, kind: kind, i: i, j: j})
+		i = j
 	}
-	r.c.Sched.After(r.sched.Settle-base, func() { r.eng.SettleEnd() })
+	r.cues = append(r.cues, cue{at: r.sched.Settle, kind: cueSettleEnd})
 }
 
-// schedulePhases schedules the ops and end-of-phase snapshots of phases
+// schedulePhases appends the ops and end-of-phase snapshots of phases
 // [from, to] — none when the range is empty. Ops fire at their absolute
 // schedule offsets regardless of when scheduling happens, which is what lets
 // a branch schedule its tail phases after the prefix already ran.
 func (r *simRun) schedulePhases(from, to int) {
-	base := r.c.Sched.Elapsed()
 	ops := r.sched.Ops
 	i := 0
 	for i < len(ops) && ops[i].Phase < from {
@@ -201,21 +230,75 @@ func (r *simRun) schedulePhases(from, to int) {
 	}
 	for pi := from; pi <= to; pi++ {
 		for ; i < len(ops) && ops[i].Phase == pi; i++ {
-			r.scheduleFrom(ops[i], base)
+			r.cues = append(r.cues, cue{at: ops[i].At, kind: cueOp, i: i})
 		}
-		end := r.sched.Phases[pi].End
-		p := pi
-		r.c.Sched.After(end-base, func() { r.eng.PhaseEnd(p) })
+		r.cues = append(r.cues, cue{at: r.sched.Phases[pi].End, kind: cuePhaseEnd, i: pi})
 		if r.obs.Enabled {
-			r.scheduleObsSeries(pi, base)
+			r.scheduleObsSeries(pi)
 		}
 	}
 }
 
-// scheduleFrom schedules one op against the virtual instant scheduling
-// happens at.
-func (r *simRun) scheduleFrom(op scenario.Op, base time.Duration) {
-	r.c.Sched.After(op.At-base, func() { r.apply(op) })
+// arm puts the unfired cues, among them the ones appended since there were
+// n, in firing order and arms the cursor if none was unfired before. The
+// sort is stable, so cues at one instant fire in the order they were
+// appended. A branch
+// appends only cues due at or after the fork instant, where the cue its
+// prefix left armed waits, so that cue stays first and the heaps are left
+// as they are.
+func (r *simRun) arm(n int) {
+	slices.SortStableFunc(r.cues[r.next:], func(a, b cue) int { return cmp.Compare(a.at, b.at) })
+	if r.next >= n {
+		r.rearm()
+	}
+}
+
+// rearm arms the cursor for cues[next], if there is one: its first arm is the
+// run's one Sched.After call, every later one a Reset.
+func (r *simRun) rearm() {
+	if r.next == len(r.cues) {
+		return
+	}
+	d := r.cues[r.next].at - r.c.Sched.Elapsed()
+	if r.cursor == nil {
+		r.cursor = r.c.Sched.After(d, r.fire)
+		return
+	}
+	r.cursor.Reset(d)
+}
+
+// fire runs the cue the cursor was armed for, having first armed it for the
+// next — at this instant again (Reset(0)) when that cue shares it. One cue
+// per firing makes Executed() and the barrier stall count each cue as one
+// event, and arming before running keeps the next cue ahead of any global
+// event the running one might add.
+func (r *simRun) fire() {
+	c := r.cues[r.next]
+	r.next++
+	r.rearm()
+	switch c.kind {
+	case cueOp:
+		r.apply(r.sched.Ops[c.i])
+	case cueSpawnBatch:
+		r.applySpawnBatch(r.sched.Ops[c.i:c.j])
+	case cueSettleEnd:
+		r.eng.SettleEnd()
+	case cuePhaseEnd:
+		r.eng.PhaseEnd(c.i)
+	case cueSample:
+		r.eng.Sample(c.i, c.at-r.sched.Phases[c.i].Start, float64(r.c.Sched.Executed()), float64(r.pending()))
+	}
+}
+
+// pending is the number of events the run has yet to execute: the records
+// in the scheduler's heaps plus the cues the cursor has not reached, less
+// the cursor's own record, which stands for the first of them.
+func (r *simRun) pending() int {
+	n := r.c.Sched.Pending() + len(r.cues) - r.next
+	if r.next < len(r.cues) {
+		n--
+	}
+	return n
 }
 
 // apply runs one op through the engine at its scheduled instant, keeping the

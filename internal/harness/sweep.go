@@ -29,7 +29,7 @@ func forkTime(sched *scenario.Schedule, forkPhase int) time.Duration {
 // prefixEpsilon is how far before the fork instant the shared prefix stops
 // executing. Ops scheduled exactly at the fork instant belong to the
 // branches; running the prefix one nanosecond shy of it leaves them (and the
-// settle-boundary snapshot) queued for every branch to execute identically.
+// settle-boundary snapshot) unfired for every branch to execute identically.
 const prefixEpsilon = time.Nanosecond
 
 // forkVariant is one resolved member of a group.
@@ -83,9 +83,9 @@ type forkGroupTiming struct {
 // to forkPhase once, stopping just short of the fork instant, then per
 // variant the tail phases and the drain. A group of more than one
 // checkpoints at the fork and rewinds cluster and engine to it before each
-// later branch; a group of one takes no checkpoint. Either way the schedule
-// is queued and the clock advanced in the same two steps, so a lone run and
-// a branch agree even on the telemetry that sees how ops were queued.
+// later branch; a group of one takes no checkpoint. Either way the cue list
+// is built and the clock advanced in the same two steps, so a lone run and
+// a branch agree even on the telemetry that counts unfired cues.
 // Reports come back in variant order.
 func runGroup(vs []forkVariant, exec ExecOptions, forkPhase int) ([]*scenario.Report, forkGroupTiming, error) {
 	var timing forkGroupTiming
@@ -99,11 +99,19 @@ func runGroup(vs []forkVariant, exec ExecOptions, forkPhase int) ([]*scenario.Re
 	prefix := forkTime(vs[0].sched, forkPhase) - prefixEpsilon
 	r.scheduleSetup()
 	r.schedulePhases(0, forkPhase)
+	r.arm(0)
 	r.c.RunFor(prefix)
 	var cp *Checkpoint
 	var at scenario.Accounting
+	// Restore rewinds the cursor's timer record; the cue list rewinds to
+	// its length and position at the fork. A branch leaves cues[:forkLen]
+	// as it found them: its own cues go behind, and sorting them among the
+	// unfired ones moves none ahead of the prefix's, which all wait at the
+	// fork instant.
+	var forkLen, forkNext int
 	if len(vs) > 1 {
 		cp, at = r.c.Checkpoint(), r.eng.Checkpoint()
+		forkLen, forkNext = len(r.cues), r.next
 	}
 	timing.prefix = time.Since(start)
 
@@ -112,6 +120,7 @@ func runGroup(vs []forkVariant, exec ExecOptions, forkPhase int) ([]*scenario.Re
 		bstart := time.Now()
 		if vi > 0 {
 			r.c.Restore(cp)
+			r.cues, r.next = r.cues[:forkLen], forkNext
 		}
 		if cp != nil {
 			// Point the run at the variant and rewind the engine's accounting
@@ -120,7 +129,9 @@ func runGroup(vs []forkVariant, exec ExecOptions, forkPhase int) ([]*scenario.Re
 			err = r.eng.Branch(v.sched, at)
 		}
 		if err == nil {
+			n := len(r.cues)
 			r.schedulePhases(forkPhase+1, len(v.sched.Phases)-1)
+			r.arm(n)
 			r.c.RunFor(v.sched.Total - prefix)
 			err = r.err
 		}

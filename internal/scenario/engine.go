@@ -62,10 +62,13 @@ type EngineConfig struct {
 	Echo io.Writer
 }
 
-// sendStamp is what a delivery needs to know about the op it answers.
+// sendStamp is what a delivery needs to know about the op it answers; sent
+// is false until the op is. Sixteen bytes: a branch copies one per workload
+// op.
 type sendStamp struct {
 	at    time.Duration
-	phase int
+	phase int32
+	sent  bool
 }
 
 // nodeAcct is one node's liveness and connectivity: the flags, and for the
@@ -93,7 +96,7 @@ type Accounting struct {
 	nodes       []nodeAcct
 	partitioned bool
 
-	sent map[int]sendStamp // workload op ID → send instant and issuing phase
+	sent []sendStamp // by workload op ID: send instant and issuing phase
 	// grid is indexed [shard][phase]: Deliver and Forward run on the
 	// reporting node's shard, concurrently with other shards, and the
 	// per-shard sums merge deterministically (addition commutes).
@@ -116,10 +119,8 @@ type Accounting struct {
 func (a Accounting) clone(sched *Schedule) Accounting {
 	phases := len(sched.Phases)
 	a.nodes = append([]nodeAcct(nil), a.nodes...)
-	sent := make(map[int]sendStamp, len(a.sent))
-	for id, s := range a.sent {
-		sent[id] = s
-	}
+	sent := make([]sendStamp, sched.workloadOps())
+	copy(sent, a.sent)
 	a.sent = sent
 	grid := make([][]cell, len(a.grid))
 	for sh := range grid {
@@ -184,7 +185,7 @@ func NewEngine(sched *Schedule, b Backend, cfg EngineConfig) (*Engine, error) {
 		echo:  cfg.Echo,
 		acct: Accounting{
 			nodes: make([]nodeAcct, len(cfg.Addrs)),
-			sent:  make(map[int]sendStamp),
+			sent:  make([]sendStamp, sched.workloadOps()),
 			grid:  make([][]cell, shards),
 			rows:  make([]PhaseTotals, np),
 		},
@@ -307,7 +308,7 @@ func (e *Engine) Apply(op Op) error {
 			e.recordSkip(op, now)
 			return nil
 		}
-		a.sent[op.ID] = sendStamp{at: now, phase: op.Phase}
+		a.sent[op.ID] = sendStamp{at: now, phase: int32(op.Phase), sent: true}
 		a.rows[op.Phase].Sent++
 		e.recordInject(op, now)
 		e.b.Inject(op)
@@ -357,10 +358,20 @@ func (e *Engine) shape(op Op, now time.Duration) {
 	e.tracef(now, "%s%s", line, e.b.Shape(op))
 }
 
+// stamp returns the send stamp of workload op; ok is false for an ID the
+// schedule does not issue and for an op not sent (yet, or ever).
+func (a *Accounting) stamp(op int) (s sendStamp, ok bool) {
+	if op < 0 || op >= len(a.sent) {
+		return sendStamp{}, false
+	}
+	s = a.sent[op]
+	return s, s.sent
+}
+
 // Deliver accounts one delivery of workload op at node, observed at now, to
 // the phase that issued the op. Deliveries of anything else are ignored.
 func (e *Engine) Deliver(op, node, shard int, now time.Duration) {
-	s, ok := e.acct.sent[op]
+	s, ok := e.acct.stamp(op)
 	if !ok {
 		return
 	}
@@ -382,7 +393,7 @@ func (e *Engine) Deliver(op, node, shard int, now time.Duration) {
 // Forward accounts one more overlay hop of workload op's payload, from node
 // toward next, to the phase that issued the op.
 func (e *Engine) Forward(op, node int, next overlay.Address, shard int, now time.Duration) {
-	s, ok := e.acct.sent[op]
+	s, ok := e.acct.stamp(op)
 	if !ok {
 		return
 	}

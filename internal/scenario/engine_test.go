@@ -232,8 +232,13 @@ func TestEngineApplyEveryOpKind(t *testing.T) {
 		{"lookup", []Op{spawn1}, Op{Kind: OpLookup, Node: 1, ID: 5, Phase: 1},
 			"spawn node 1 (0.0.0.101)", "inject lookup #5", // a sent op adds no trace line
 			func(t *testing.T, a *Accounting) {
-				if a.rows[1].Sent != 1 || a.sent[5] != (sendStamp{at: at, phase: 1}) {
+				if a.rows[1].Sent != 1 || a.sent[5] != (sendStamp{at: at, phase: 1, sent: true}) {
 					t.Errorf("rows=%+v sent=%+v", a.rows[1], a.sent)
+				}
+				for id, st := range a.sent {
+					if id != 5 && st.sent {
+						t.Errorf("op %d stamped sent: %+v", id, st)
+					}
 				}
 			}},
 		{"multicast", []Op{spawn1}, Op{Kind: OpMulticast, Node: 1, ID: 6, Phase: 0},
@@ -246,8 +251,13 @@ func TestEngineApplyEveryOpKind(t *testing.T) {
 		{"lookup from a down node", nil, Op{Kind: OpLookup, Node: 1, ID: 5, Phase: 1},
 			"lookup #5 skipped (node 1 down)", "",
 			func(t *testing.T, a *Accounting) {
-				if a.rows[1].Skipped != 1 || a.rows[1].Sent != 0 || len(a.sent) != 0 {
-					t.Errorf("rows=%+v sent=%v", a.rows[1], a.sent)
+				if a.rows[1].Skipped != 1 || a.rows[1].Sent != 0 {
+					t.Errorf("rows=%+v", a.rows[1])
+				}
+				for id, st := range a.sent {
+					if st.sent {
+						t.Errorf("op %d stamped sent: %+v", id, st)
+					}
 				}
 			}},
 		{"multicast from a down node", nil, Op{Kind: OpMulticast, Node: 1, ID: 6, Phase: 0},
@@ -353,6 +363,35 @@ func playWorkload(t *testing.T, e *Engine, b *fakeBackend, shardOf func(i int) i
 	b.now = 30 * time.Second
 }
 
+// TestEngineIgnoresUnknownOpIDs: a delivery or forward whose ID is negative,
+// past the schedule's workload ops, of an op skipped because its node was
+// down, or of one never sent is not counted anywhere, obs books included,
+// and does not panic on the dense stamp array.
+func TestEngineIgnoresUnknownOpIDs(t *testing.T) {
+	b := &fakeBackend{}
+	e := newFakeEngine(t, fakeSchedule(4, 2), b, 2, true)
+	mustApply(t, e, b, 0, Op{Kind: OpSpawn, Node: 0})
+	mustApply(t, e, b, 11*time.Second, Op{Kind: OpLookup, Node: 2, ID: 3, Phase: 0}) // skipped: node 2 is down
+	mustApply(t, e, b, 12*time.Second, Op{Kind: OpLookup, Node: 0, ID: 4, Phase: 0})
+	before := e.Report()
+	for _, id := range []int{-1, -1 << 40, e.sched.workloadOps(), e.sched.workloadOps() + 7, 1 << 40, 3, 7} {
+		for sh := 0; sh < 2; sh++ {
+			e.Forward(id, 1, overlay.Address(102), sh, 13*time.Second)
+			e.Deliver(id, 2, sh, 13*time.Second)
+		}
+	}
+	after := e.Report()
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("unknown op IDs changed the report:\n%s%s\nvs\n%s%s",
+			before.VerboseString(), before.ObsText(), after.VerboseString(), after.ObsText())
+	}
+	// The sent op still counts.
+	e.Deliver(4, 2, 1, 13*time.Second)
+	if p := e.Report().Phases[0]; p.OpsDelivered != 1 || p.OpsSkipped != 1 || p.MeanLatency != time.Second {
+		t.Errorf("phase 0 = %+v", p)
+	}
+}
+
 // TestEngineAttributionAndShardInvariance: deliveries and forwards belong
 // to the phase that ISSUED the op, and the report — obs sections included —
 // is the same whichever shard rows they were reported on.
@@ -439,11 +478,12 @@ func TestEngineReportIdempotent(t *testing.T) {
 
 // TestEngineBranchRewind is the branch/rewind/re-branch property without a
 // cluster: checkpoint after a prefix, run a tail, rewind, run a DIFFERENT
-// (longer, with more workload ops) variant, rewind again and re-run the
-// first tail — the two runs of the same tail report identically, and equal
-// a run that never branched. With the obs plane on the reports carry its
-// sections — exposition, events, spans, histograms, series — so the books
-// rewind with everything else.
+// (longer, with more workload ops) variant, rewind to one with fewer
+// workload ops, rewind again and re-run the first tail — both variants keep
+// the prefix's send stamps, the two runs of the same tail report
+// identically, and equal a run that never branched. With the obs plane on
+// the reports carry its sections — exposition, events, spans, histograms,
+// series — so the books rewind with everything else.
 func TestEngineBranchRewind(t *testing.T) {
 	prefix := func(e *Engine, b *fakeBackend) {
 		for n := 0; n < 4; n++ {
@@ -491,6 +531,9 @@ func TestEngineBranchRewind(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustApply(t, e, b, 12*time.Second, Op{Kind: OpDegrade, Node: 1, LatencyFactor: 2})
+			if len(e.acct.sent) != 12 || !e.acct.sent[0].sent || e.acct.sent[11].sent {
+				t.Fatalf("stamps after branching to 12 ops: %+v", e.acct.sent)
+			}
 			mustApply(t, e, b, 35*time.Second, Op{Kind: OpLookup, Node: 3, ID: 11, Phase: 2})
 			e.Deliver(11, 0, 0, 36*time.Second)
 			e.PhaseEnd(2)
@@ -502,6 +545,22 @@ func TestEngineBranchRewind(t *testing.T) {
 			if obsOn && (dirty.Phases[2].Obs.Hops.Count != 1 || len(dirty.Phases[2].Obs.Series.Points) != 1 ||
 				dirty.Phases[0].Obs.Latency.Count != 1 || len(dirty.Phases[0].Obs.Series.Points) != 1) {
 				t.Fatalf("variant branch obs: %s", dirty.VerboseString())
+			}
+
+			// A variant with fewer workload ops than the base keeps the
+			// prefix's stamp: op 0's late delivery still counts for phase 0.
+			few := fakeSchedule(4, 2)
+			few.Lookups = 2
+			if err := e.Branch(few, at); err != nil {
+				t.Fatal(err)
+			}
+			if len(e.acct.sent) != 2 || e.acct.sent[0] != (sendStamp{at: 11 * time.Second, phase: 0, sent: true}) || e.acct.sent[1].sent {
+				t.Fatalf("stamps after branching to 2 ops: %+v", e.acct.sent)
+			}
+			e.Deliver(0, 2, 0, 12*time.Second)
+			e.Deliver(5, 2, 0, 12*time.Second) // past the variant's ops
+			if p := e.Report().Phases[0]; p.OpsDelivered != 2 || p.MeanLatency != 750*time.Millisecond {
+				t.Fatalf("fewer-ops variant, phase 0 = %+v", p)
 			}
 
 			if err := e.Branch(base, at); err != nil {

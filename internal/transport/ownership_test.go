@@ -295,6 +295,66 @@ func TestSendQueueCompaction(t *testing.T) {
 	}
 }
 
+// TestSendQueueGrowthBytes: a connection whose queue ramps to about 16 KB
+// of live bytes — a 1000-byte frame a millisecond, faster than slow start
+// opens the window, acks consuming the front of the queue while it grows —
+// pays at most four times that peak in send-queue growth, counted with
+// MemStats.TotalAlloc around its Sends. Doubling to twice the live bytes
+// costs 3.2 times the peak here; stepping a quarter at a time and carrying
+// the acked prefix along cost 8.7 times, and doubling but reclaiming the
+// prefix only once half the array was dead cost 5.6.
+func TestSendQueueGrowthBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	r := newRig(t, simnet.Config{}, 10_000_000, 1<<20)
+	defer r.sched.Close()
+	tr := r.a.AddTCP("t")
+	r.b.AddTCP("t")
+	delivered := 0
+	r.b.SetRecv(func(_ string, _ overlay.Address, f []byte) { delivered++ })
+	c := r.a.transports[0].(*reliable).conn(2)
+	frame := testFrame(0, 1000)
+
+	var grown uint64
+	peak, sent := 0, 0
+	ramp := func(measure bool) {
+		var before, after runtime.MemStats
+		for i := 0; i < 300; i++ {
+			if measure {
+				runtime.ReadMemStats(&before)
+			}
+			if err := tr.Send(2, frame); err != nil {
+				t.Fatal(err)
+			}
+			if measure {
+				runtime.ReadMemStats(&after)
+				grown += after.TotalAlloc - before.TotalAlloc
+				peak = max(peak, tr.QueuedBytes(2))
+			}
+			sent++
+			r.sched.RunFor(time.Millisecond)
+		}
+		r.sched.RunFor(time.Minute)
+	}
+	ramp(false) // warm: packet pool, event heaps, connection state
+	if c.head != 0 || len(c.buf) != 0 {
+		t.Fatalf("queue not drained after the warm ramp: head=%d len=%d", c.head, len(c.buf))
+	}
+	c.buf = nil // the measured ramp grows the array from nothing
+	ramp(true)
+	if delivered != sent {
+		t.Fatalf("delivered %d/%d frames", delivered, sent)
+	}
+	t.Logf("peak %d live bytes, %d bytes of growth (%.2f x), final cap %d", peak, grown, float64(grown)/float64(peak), cap(c.buf))
+	if peak < 12<<10 {
+		t.Fatalf("the queue peaked at %d live bytes: the rig no longer ramps it", peak)
+	}
+	if grown > uint64(4*peak) {
+		t.Fatalf("%d bytes of send-queue growth for a peak of %d live bytes, budget 4x", grown, peak)
+	}
+}
+
 // TestTCPFrameAllocs is the transport-level allocation budget of an in-order
 // frame: nothing. The datagrams are built in the mux's scratch and copied
 // into pooled packet records, frames are lent from the datagram, the send

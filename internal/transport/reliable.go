@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"slices"
 	"time"
 
 	"macedon/internal/overlay"
@@ -227,13 +226,23 @@ func (r *reliable) Send(dst overlay.Address, frame []byte) error {
 	}
 	r.stats.FramesSent++
 	r.stats.BytesSent += uint64(len(frame))
-	if c.head > 0 && len(c.buf)+need > cap(c.buf) && c.head >= len(c.buf)/2 {
-		// Reclaim the acknowledged prefix instead of growing: at most half
-		// the slice moves, after at least that many bytes were acked.
-		c.buf = c.buf[:copy(c.buf, c.buf[c.head:])]
+	if len(c.buf)+need > cap(c.buf) {
+		live := len(c.buf) - c.head
+		if room := cap(c.buf) - live - need; c.head > 0 && room >= 0 && 2*room >= live {
+			// Reclaim the acknowledged prefix instead of growing when that
+			// leaves room for at least half the live bytes again: a move
+			// copies at most twice the bytes later Sends append into it.
+			c.buf = c.buf[:copy(c.buf, c.buf[c.head:])]
+		} else {
+			// Grow to twice what will be live, header and frame included,
+			// carrying over only the live bytes: a ramping flight's array
+			// at least doubles per growth, and acked bytes are never copied.
+			buf := make([]byte, live, 2*(live+need))
+			copy(buf, c.buf[c.head:])
+			c.buf = buf
+		}
 		c.head = 0
 	}
-	c.buf = slices.Grow(c.buf, need) // one growth for header and frame
 	c.buf = binary.BigEndian.AppendUint32(c.buf, uint32(len(frame)))
 	c.buf = append(c.buf, frame...)
 	c.pump()
