@@ -80,13 +80,15 @@ type OverlayEdge struct {
 // per-link counts for links with non-zero stress.
 func LinkStress(g *topology.Graph, routes *topology.Routes, edges []OverlayEdge) map[topology.LinkID]int {
 	stress := make(map[topology.LinkID]int)
+	var path []topology.LinkID // reused: one buffer for every edge's path
 	for _, e := range edges {
 		fv, ok1 := g.ClientVertex(e.From)
 		tv, ok2 := g.ClientVertex(e.To)
 		if !ok1 || !ok2 {
 			continue
 		}
-		for _, l := range routes.Path(fv, tv) {
+		path = routes.AppendPath(path[:0], fv, tv)
+		for _, l := range path {
 			stress[l]++
 		}
 	}

@@ -193,6 +193,17 @@ type Workload struct {
 	Group string `json:"group,omitempty"`
 }
 
+// MaxOps bounds the operations a scenario may expect Compile to build: its
+// spawns plus every phase's expected kills and workload ops. It sits far
+// above the largest committed scenario (50,000 spawns, the 50k scale row)
+// and keeps a hostile file from making Compile exhaust memory.
+const MaxOps = 1_000_000
+
+// maxLength bounds each stretch of a scenario's timeline — the settle, the
+// join window, and the phases plus the drain — at 2^61 ns (about 73 years),
+// so that no instant Compile adds up overflows.
+const maxLength = time.Duration(1) << 61
+
 // Load reads and validates a JSON scenario file.
 func Load(path string) (*Scenario, error) {
 	b, err := os.ReadFile(path)
@@ -309,6 +320,56 @@ func (s *Scenario) Validate() error {
 			}
 			if w.Rate <= 0 {
 				return fmt.Errorf("scenario %q: phase %s: workload needs a rate", s.Name, p.Name)
+			}
+		}
+	}
+	return s.checkBounds()
+}
+
+// checkBounds holds the schedule Compile would build to MaxOps and its
+// timeline to maxLength. The error names the phase and field that cross.
+func (s *Scenario) checkBounds() error {
+	for _, f := range []struct {
+		name string
+		d    Duration
+	}{{"settle", s.Settle}, {"drain", s.Drain}, {"join window", s.Join.Window}} {
+		if f.d < 0 || f.d.D() > maxLength {
+			return fmt.Errorf("scenario %q: %s %v is outside [0, %v]", s.Name, f.name, f.d.D(), maxLength)
+		}
+	}
+	if s.Nodes > MaxOps {
+		return fmt.Errorf("scenario %q: join: %d nodes exceed the limit of %d ops", s.Name, s.Nodes, MaxOps)
+	}
+	ops, length := float64(s.Nodes), s.Drain.D()
+	for i, p := range s.Phases {
+		over := func(field string, n float64) error {
+			ops += n
+			if ops <= MaxOps {
+				return nil
+			}
+			return fmt.Errorf("scenario %q: phase %d (%s): %s expects %.0f ops, %.0f in all, over the limit of %d",
+				s.Name, i, p.Name, field, n, ops, MaxOps)
+		}
+		d := p.Duration.D()
+		if d > maxLength-length {
+			return fmt.Errorf("scenario %q: phase %d (%s): duration: the phases and drain last longer than %v", s.Name, i, p.Name, maxLength)
+		}
+		length += d
+		if c := p.Churn; c != nil {
+			if c.Downtime < 0 || c.Downtime.D() > maxLength {
+				return fmt.Errorf("scenario %q: phase %d (%s): churn downtime %v is outside [0, %v]", s.Name, i, p.Name, c.Downtime.D(), maxLength)
+			}
+			kills := c.Rate * d.Seconds()
+			if c.Model == "wave" {
+				kills = float64(c.Kill) * float64(d/c.Period.D())
+			}
+			if err := over("churn", kills); err != nil {
+				return err
+			}
+		}
+		if w := p.Workload; w != nil {
+			if err := over("workload rate", w.Rate*d.Seconds()); err != nil {
+				return err
 			}
 		}
 	}

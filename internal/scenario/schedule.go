@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"time"
@@ -130,7 +131,10 @@ func Compile(s *Scenario) (*Schedule, error) {
 		}
 	case "staggered":
 		for i := 1; i < s.Nodes; i++ {
-			at := time.Duration(int64(s.Join.Window.D()) * int64(i) / int64(s.Nodes))
+			// Window·i/Nodes in 128 bits: the product may not fit in 64.
+			hi, lo := bits.Mul64(uint64(s.Join.Window), uint64(i))
+			q, _ := bits.Div64(hi, lo, uint64(s.Nodes))
+			at := time.Duration(q)
 			sched.Ops = append(sched.Ops, Op{At: at, Kind: OpSpawn, Node: i, Phase: -1})
 			if at > sched.JoinDone {
 				sched.JoinDone = at
@@ -139,7 +143,7 @@ func Compile(s *Scenario) (*Schedule, error) {
 	case "poisson":
 		at := time.Duration(0)
 		for i := 1; i < s.Nodes; i++ {
-			at += expDuration(rng, s.Join.Rate)
+			at = min(at+expDuration(rng, s.Join.Rate), maxLength)
 			sched.Ops = append(sched.Ops, Op{At: at, Kind: OpSpawn, Node: i, Phase: -1})
 		}
 		sched.JoinDone = at
@@ -256,7 +260,7 @@ func Compile(s *Scenario) (*Schedule, error) {
 		if size < 8 {
 			size = 8 // room for the send timestamp
 		}
-		for t := cp.Start + expDuration(rng, w.Rate); t < cp.End; t += expDuration(rng, w.Rate) {
+		arrivals(rng, w.Rate, cp.Start, cp.End, func(t time.Duration) {
 			op := Op{At: t, Phase: pi, ID: opID, Size: size}
 			switch w.Kind {
 			case WlLookups:
@@ -271,7 +275,7 @@ func Compile(s *Scenario) (*Schedule, error) {
 			}
 			sched.Ops = append(sched.Ops, op)
 			opID++
-		}
+		})
 	}
 
 	// Sort by (phase, time, emission order): the engine schedules in this

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -281,6 +283,95 @@ func TestValidateErrors(t *testing.T) {
 			t.Errorf("%s: expected a validation error", c.name)
 		}
 	}
+}
+
+// TestValidateBoundsSchedule: a file whose churn, join or workload would
+// make Compile build more than MaxOps ops, or whose timeline overflows, is
+// rejected by Validate with an error naming the phase and the field; the two
+// shapes that used to hang Compile are among them.
+func TestValidateBoundsSchedule(t *testing.T) {
+	for _, c := range []struct{ name, src, want string }{
+		{"wave every 2 ns",
+			`{"nodes":2,"join":{"window":"1s"},"phases":[{"duration":"4s"},{"duration":"3s","churn":{"model":"wave","kill":1,"period":2}}]}`,
+			"phase 1 (): churn expects"},
+		{"poisson churn at 1e9/s",
+			`{"nodes":2,"phases":[{"name":"storm","duration":"4s","churn":{"model":"poisson","rate":1e9}}]}`,
+			"phase 0 (storm): churn expects"},
+		{"workload at 1e9/s",
+			`{"nodes":2,"phases":[{"name":"load","duration":"1s","workload":{"kind":"lookups","rate":1e9}}]}`,
+			"phase 0 (load): workload rate expects"},
+		{"ops add up across phases",
+			`{"nodes":2,"phases":[{"name":"a","duration":"1000s","workload":{"kind":"lookups","rate":600}},{"name":"b","duration":"1000s","workload":{"kind":"lookups","rate":600}}]}`,
+			"phase 1 (b): workload rate expects 600000 ops, 1200002 in all"},
+		{"join", `{"nodes":2000000,"phases":[{"duration":"1s"}]}`, "join: 2000000 nodes"},
+		{"timeline overflow",
+			`{"nodes":2,"phases":[{"name":"long","duration":"400000h"},{"name":"longer","duration":"400000h"}]}`,
+			"phase 1 (longer): duration"},
+		{"negative drain", `{"nodes":2,"drain":"-1s","phases":[{"duration":"1s"}]}`, "drain -1s"},
+	} {
+		_, err := Parse([]byte(c.src))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Parse error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestArrivalsStepAtLeastOneNanosecond: a rate so high that every
+// interarrival rounds to zero still walks forward, 1 ns a step, so Compile
+// returns with at most one op per nanosecond of the phase.
+func TestArrivalsStepAtLeastOneNanosecond(t *testing.T) {
+	s, err := Parse([]byte(`{"nodes":2,"phases":[{"duration":"10ns","workload":{"kind":"lookups","rate":1e12}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sched.Lookups != 9 {
+		t.Fatalf("%d lookups in a 10 ns phase, want one at each of the 9 instants inside it", sched.Lookups)
+	}
+}
+
+// TestPickVictimMatchesScan: the Fenwick descent picks, for every draw, the
+// node a scan of the population in index order picks — the rule every
+// golden's kill schedule was drawn by — with node 0 up and down, and it
+// reports exhaustion when only the bootstrap is left.
+func TestPickVictimMatchesScan(t *testing.T) {
+	scan := func(up []bool, k int) int {
+		for i := 1; i < len(up); i++ {
+			if up[i] {
+				if k == 0 {
+					return i
+				}
+				k--
+			}
+		}
+		return -1
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{2, 7, 64, 100} {
+		p := newPopulation(n)
+		for step := 0; step < 2000; step++ {
+			p.setUp(rng.Intn(n), rng.Intn(3) > 0)
+			seed := rng.Int63()
+			got := p.pickVictim(rand.New(rand.NewSource(seed)))
+			want := -1
+			if c := p.upCount - boolInt(p.up[0]); c > 0 {
+				want = scan(p.up, rand.New(rand.NewSource(seed)).Intn(c))
+			}
+			if got != want {
+				t.Fatalf("n=%d step %d: picked %d, the scan picks %d", n, step, got, want)
+			}
+		}
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestJSONRoundTrip parses a JSON scenario with duration strings.

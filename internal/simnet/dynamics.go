@@ -125,7 +125,7 @@ func (n *Network) Detach(addr overlay.Address) error {
 }
 
 // invalidatePaths makes forwarding follow the failed set as it now stands.
-// Every endpoint drops its cached routes, lazily, by generation. The oracle
+// Every shard's route table drops its routes, lazily, by generation. The oracle
 // keeps its trees unless the failed core links changed: a tree never touches
 // an access link (topology.Routes), so failing or healing an access pipe —
 // the only kind a scenario can — costs the generation bump and nothing else,

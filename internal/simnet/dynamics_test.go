@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -261,12 +263,27 @@ func TestDetachAllowsReattach(t *testing.T) {
 	}
 }
 
-// TestEndpointRouteCacheGeneration: an endpoint keeps the routes it has used,
-// stamped with the generation they were resolved in. After a link failure, a
-// heal and a Network.Restore the next packet from that endpoint must take the
-// live route, while a packet already in flight keeps the path it was sent
-// with.
-func TestEndpointRouteCacheGeneration(t *testing.T) {
+// cachedRoute returns the route from src to dst as src's shard table holds
+// it, or nil when a send from src would have to ask the oracle.
+func cachedRoute(n *Network, src, dst overlay.Address) []topology.LinkID {
+	from, to := n.eps[src], n.eps[dst]
+	t := &n.routeTabs[from.shard]
+	if t.gen != n.pathGen {
+		return nil
+	}
+	if _, ok := t.refs[routeKey(from.vertex, to.vertex)]; !ok {
+		return nil
+	}
+	return n.path(from, to.vertex)
+}
+
+// TestShardRouteCacheGeneration: a shard's route table keeps the routes its
+// endpoints have used, stamped with the generation they were resolved in.
+// After a link failure, a heal and a Network.Restore the next packet from
+// that endpoint must take the live route, while a packet already in flight
+// keeps the path it was sent with — its bytes included, after the table has
+// moved on to a new chunk.
+func TestShardRouteCacheGeneration(t *testing.T) {
 	n, s, fast := diamondNet(t)
 	e1, _ := n.Endpoint(1)
 	e2, _ := n.Endpoint(2)
@@ -290,31 +307,39 @@ func TestEndpointRouteCacheGeneration(t *testing.T) {
 			t.Fatalf("packet %c took %v (delivered=%v), want fast path = %v", tag, d, ok, fastPath)
 		}
 	}
+	tab := &n.routeTabs[n.eps[1].shard]
 
 	send('a')
 	s.RunUntilIdle()
 	wantFast('a', true)
-	if len(n.eps[1].routes) != 1 {
-		t.Fatalf("endpoint 1 caches %d routes after one send", len(n.eps[1].routes))
+	if len(tab.refs) != 1 || cachedRoute(n, 1, 2) == nil {
+		t.Fatalf("the shard table caches %d routes after one send, want 1→2", len(tab.refs))
 	}
 
 	n.SetLinkDown(fast, true)
 	send('b') // in flight on the slow path when the fast one heals
 	// Failing a pipe that is already down is not an event: the generation
 	// stands, and with it the route b was sent over.
-	gen, slow := n.pathGen, n.eps[1].routes[n.eps[2].vertex]
+	gen, slow := n.pathGen, cachedRoute(n, 1, 2)
+	slowLinks := slices.Clone(slow)
 	n.SetLinkDown(fast, true)
-	if again := n.path(n.eps[1], n.eps[2].vertex); n.pathGen != gen || &again[0] != &slow[0] {
-		t.Fatalf("a repeated link_down dropped endpoint 1's cached route (generation %d -> %d)", gen, n.pathGen)
+	if again := cachedRoute(n, 1, 2); n.pathGen != gen || again == nil || &again[0] != &slow[0] {
+		t.Fatalf("a repeated link_down dropped the cached route 1→2 (generation %d -> %d)", gen, n.pathGen)
 	}
 	s.RunFor(5 * time.Millisecond)
 	n.SetLinkDown(fast, false)
 	send('c')
+	if len(tab.chunks) != 1 || &tab.chunks[0][0] == &slow[0] {
+		t.Fatal("the heal did not start the table on a new chunk")
+	}
 	s.RunUntilIdle()
 	wantFast('b', false)
 	wantFast('c', true)
 	if string(order) != "acb" {
 		t.Fatalf("arrival order %q, want c to overtake b", order)
+	}
+	if !slices.Equal(slow, slowLinks) {
+		t.Fatalf("b's path changed in flight: %v, sent with %v", slow, slowLinks)
 	}
 
 	// A restore rewinds the failure set under a cache filled by the branch.
@@ -328,6 +353,54 @@ func TestEndpointRouteCacheGeneration(t *testing.T) {
 	send('e')
 	s.RunUntilIdle()
 	wantFast('e', true)
+}
+
+// TestRouteTableAllocs: a route table stores its paths in 4,096-link
+// chunks and its map values hold no pointer, so resolving 200 endpoints ×
+// 30 destinations against a warm oracle costs at most one allocation per
+// 256 routes once a generation change has cleared the table (the chunks;
+// the map keeps its storage; 10 measured), and at most one per 64 on the
+// first fill, which also grows the map (64 measured). Both cost 7,800 while
+// every path was its own array and every endpoint grew its own map.
+func TestRouteTableAllocs(t *testing.T) {
+	g, err := topology.INET(topology.DefaultINET(600, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := topology.AttachClients(g, 200, 1, topology.DefaultAccess, 4)
+	n := New(NewScheduler(5), g, Config{})
+	n.live.Path(n.eps[addrs[0]].vertex, n.eps[addrs[1]].vertex) // builds every attachment tree
+	const dsts = 30
+	routes := len(addrs) * dsts
+	fill := func() {
+		for i, a := range addrs {
+			for k := 1; k <= dsts; k++ {
+				if n.path(n.eps[a], n.eps[addrs[(i+7*k)%len(addrs)]].vertex) == nil {
+					t.Fatalf("no route from %v", a)
+				}
+			}
+		}
+		if got := len(n.routeTabs[0].refs); got != routes {
+			t.Fatalf("the table holds %d routes, want %d", got, routes)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fill()
+	runtime.ReadMemStats(&after)
+	first := after.Mallocs - before.Mallocs
+	refill := testing.AllocsPerRun(5, func() {
+		n.pathGen++ // what a link failure or heal does
+		fill()
+	})
+	t.Logf("%d routes in %d chunks: %d allocations on the first fill, %v on a refill",
+		routes, len(n.routeTabs[0].chunks), first, refill)
+	if first > uint64(routes/64) {
+		t.Fatalf("the first fill of %d routes costs %d allocations, want at most %d", routes, first, routes/64)
+	}
+	if refill > float64(routes/256) {
+		t.Fatalf("a refill of %d routes costs %v allocations, want at most %d", routes, refill, routes/256)
+	}
 }
 
 // TestAccessFlapsKeepTrees: shortest-path trees never enter a client stub, so

@@ -106,10 +106,12 @@ type Network struct {
 
 	links []linkState // indexed by topology.LinkID
 	eps   map[overlay.Address]*endpoint
-	// pathGen stamps the routes endpoints cache: invalidatePaths bumps it,
-	// and an endpoint whose stamp is older drops its routes before its next
-	// send. Written at barriers only, like the failure set it follows.
-	pathGen uint64
+	// routeTabs caches live routes, one table per shard (see path).
+	// pathGen stamps them: invalidatePaths bumps it, and a table whose stamp
+	// is older drops its routes before the next send from its shard.
+	// Written at barriers only, like the failure set it follows.
+	routeTabs []routeTable
+	pathGen   uint64
 
 	blocked  map[topology.LinkID]bool
 	degraded map[topology.LinkID]Degradation
@@ -272,8 +274,8 @@ func New(sched *Scheduler, g *topology.Graph, cfg Config) *Network {
 		numVertices: uint64(g.NumRouters()),
 		lossSalt:    splitmix64(uint64(sched.Seed()) ^ 0x6d616365646f6e21),
 		links:       make([]linkState, g.NumLinks()),
-		eps:         make(map[overlay.Address]*endpoint),
-		pathGen:     1, // never zero: a fresh endpoint's stamp is stale
+		routeTabs:   make([]routeTable, nsh),
+		pathGen:     1, // never zero: a fresh table's stamp is stale
 		blocked:     make(map[topology.LinkID]bool),
 		degraded:    make(map[topology.LinkID]Degradation),
 		statsBy:     make([]shardStats, nsh),
@@ -302,9 +304,19 @@ func New(sched *Scheduler, g *topology.Graph, cfg Config) *Network {
 		panic("simnet: scheduler already drives a network; flat event records admit exactly one")
 	}
 	sched.net = n
-	for _, addr := range g.Clients() {
+	for i := range n.routeTabs {
+		n.routeTabs[i].refs = make(map[uint64]routeRef)
+	}
+	// One array holds every endpoint, each with its node substrate inside.
+	clients := g.Clients()
+	eps := make([]endpoint, len(clients))
+	n.eps = make(map[overlay.Address]*endpoint, len(clients))
+	for i, addr := range clients {
 		v, _ := g.ClientVertex(addr)
-		n.eps[addr] = &endpoint{net: n, addr: addr, vertex: v, shard: int(n.vertexShard[v])}
+		ep := &eps[i]
+		*ep = endpoint{net: n, addr: addr, vertex: v, shard: int(n.vertexShard[v])}
+		ep.sub = NodeSubstrate{net: n, ep: ep}
+		n.eps[addr] = ep
 	}
 	if nsh > 1 {
 		if w, ok := topology.MinCrossShardLatency(g, func(v topology.RouterID) int { return int(n.vertexShard[v]) }); ok {
@@ -386,10 +398,7 @@ func (n *Network) NodeNet(addr overlay.Address) (*NodeSubstrate, error) {
 	if !ok {
 		return nil, fmt.Errorf("simnet: address %v is not attached to the topology", addr)
 	}
-	if ep.sub == nil {
-		ep.sub = &NodeSubstrate{net: n, ep: ep}
-	}
-	return ep.sub, nil
+	return &ep.sub, nil
 }
 
 // Shard returns the shard the node's endpoint lives on.
@@ -427,18 +436,72 @@ func (n *Network) SetDown(addr overlay.Address, down bool) error {
 	return nil
 }
 
-// path resolves the live route from src to a vertex, cached on the sending
-// endpoint: it sends from exactly one shard, so the map has one owner.
+// routeChunkLinks is the size, in links, of the chunks a route table
+// stores its paths in.
+const routeChunkLinks = 4096
+
+// routeTable is one shard's cache of the live routes its endpoints have
+// sent over, keyed by (source vertex, destination vertex). An endpoint
+// sends only from its own shard, so the table has one owner and needs no
+// lock, and a send does one hash probe. The map's values hold no pointer:
+// each names a run of links in chunks, which are filled append-only and
+// never rewritten — a packet in flight, or a checkpoint's copied heap,
+// still holds the paths it was sent with. A generation change clears the
+// map and starts a new chunk, leaving the old ones to whoever holds them.
+// Not a dense table: 10 k nodes squared is gigabytes.
+type routeTable struct {
+	gen    uint64 // the Network.pathGen its routes were resolved in
+	refs   map[uint64]routeRef
+	chunks [][]topology.LinkID
+	buf    []topology.LinkID // scratch a missed route is resolved into
+	_      [64]byte          // a miss writes the header: keep shards' tables off one cache line
+}
+
+// routeRef locates one cached path: chunks[chunk][off : off+n]. n is 0 for
+// a destination with no route.
+type routeRef struct{ chunk, off, n int32 }
+
+// path resolves the live route from src to a vertex through src's shard
+// table, nil when there is none.
 func (n *Network) path(src *endpoint, dst topology.RouterID) []topology.LinkID {
-	if src.routeGen != n.pathGen {
-		src.routes, src.routeGen = make(map[topology.RouterID][]topology.LinkID), n.pathGen
+	t := &n.routeTabs[src.shard]
+	if t.gen != n.pathGen {
+		clear(t.refs)
+		clear(t.chunks) // no chunk is written again; holders keep theirs
+		t.chunks, t.gen = t.chunks[:0], n.pathGen
 	}
-	if p, ok := src.routes[dst]; ok {
-		return p
+	k := routeKey(src.vertex, dst)
+	r, ok := t.refs[k]
+	if !ok {
+		t.buf = n.live.AppendPath(t.buf[:0], src.vertex, dst)
+		r = t.add(t.buf)
+		t.refs[k] = r
 	}
-	p := n.live.Path(src.vertex, dst)
-	src.routes[dst] = p
-	return p
+	if r.n == 0 {
+		return nil
+	}
+	return t.chunks[r.chunk][r.off : r.off+r.n : r.off+r.n]
+}
+
+// routeKey packs a (source, destination) vertex pair into a map key.
+func routeKey(src, dst topology.RouterID) uint64 {
+	return uint64(uint32(src))<<32 | uint64(uint32(dst))
+}
+
+// add copies a path to the end of the current chunk, starting a new one
+// when it does not fit, and returns where it went.
+func (t *routeTable) add(p []topology.LinkID) routeRef {
+	if len(p) == 0 {
+		return routeRef{}
+	}
+	last := len(t.chunks) - 1
+	if last < 0 || cap(t.chunks[last])-len(t.chunks[last]) < len(p) {
+		t.chunks = append(t.chunks, make([]topology.LinkID, 0, max(routeChunkLinks, len(p))))
+		last++
+	}
+	c := t.chunks[last]
+	t.chunks[last] = append(c, p...)
+	return routeRef{chunk: int32(last), off: int32(len(c)), n: int32(len(p))}
 }
 
 // packet is one datagram in flight. It is immutable for the duration of the
@@ -702,15 +765,9 @@ type endpoint struct {
 	vertex   topology.RouterID
 	shard    int
 	actorSeq uint64
-	sub      *NodeSubstrate
+	sub      NodeSubstrate
 	recv     func(src overlay.Address, payload []byte)
 	down     bool
-
-	// routes caches the live route to each destination vertex this endpoint
-	// has sent to; it is good while routeGen equals Network.pathGen. Not a
-	// dense table: 10 k nodes squared is gigabytes.
-	routes   map[topology.RouterID][]topology.LinkID
-	routeGen uint64
 }
 
 func (e *endpoint) Addr() overlay.Address { return e.addr }

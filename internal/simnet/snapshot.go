@@ -201,8 +201,8 @@ func (n *Network) Snapshot() *NetworkSnapshot {
 
 // Restore rewinds the network to the snapshot. Link and stats state is
 // written back into the existing backing arrays. When the restored failure
-// set equals the current one, endpoints keep their cached routes and the
-// forwarding oracle its trees; otherwise the routes are dropped and the
+// set equals the current one, the shard route tables keep their routes and
+// the forwarding oracle its trees; otherwise the routes are dropped and the
 // oracle keeps its trees only if the failed core links they were built
 // around are unchanged (invalidatePaths).
 func (n *Network) Restore(cp *NetworkSnapshot) {
@@ -223,7 +223,7 @@ func (n *Network) Restore(cp *NetworkSnapshot) {
 		ep.recv = st.recv
 	}
 	// Cached routes are a function of the failure set alone: a restore to
-	// an equal set keeps every endpoint's.
+	// an equal set keeps every shard's.
 	if !maps.Equal(n.blocked, cp.blocked) {
 		n.blocked = maps.Clone(cp.blocked)
 		n.invalidatePaths()

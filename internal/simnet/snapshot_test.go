@@ -268,8 +268,9 @@ func TestSchedulerSnapshotCarriesAccounting(t *testing.T) {
 // and forwarding answers as it did at the snapshot; the oracle's trees
 // survive it exactly when the failed core links are the ones they were built
 // around — an access-link failure in the branch is no reason to flush, a
-// core-link failure is. Endpoint routes survive it exactly when the whole
-// failure set is unchanged: any access- or core-link difference drops them.
+// core-link failure is. The shard route tables survive it exactly when the
+// whole failure set is unchanged: any access- or core-link difference drops
+// them.
 func TestRestoreKeepsTreesForEqualCoreSet(t *testing.T) {
 	n, s, fast := diamondNet(t)
 	e1, _ := n.Endpoint(1)
@@ -302,13 +303,8 @@ func TestRestoreKeepsTreesForEqualCoreSet(t *testing.T) {
 	}
 	cpS, cpN := s.Snapshot(), n.Snapshot()
 	// cached is endpoint 1's route to 2 if a send would take it from the
-	// endpoint's cache, without asking the oracle; nil otherwise.
-	cached := func() []topology.LinkID {
-		if ep := n.eps[1]; ep.routeGen == n.pathGen {
-			return ep.routes[n.eps[2].vertex]
-		}
-		return nil
-	}
+	// shard table, without asking the oracle; nil otherwise.
+	cached := func() []topology.LinkID { return cachedRoute(n, 1, 2) }
 	route := cached()
 	if route == nil {
 		t.Fatal("warm-up left no cached route 1→2")
@@ -319,7 +315,7 @@ func TestRestoreKeepsTreesForEqualCoreSet(t *testing.T) {
 	s.Restore(cpS)
 	n.Restore(cpN)
 	if again := cached(); again == nil || &again[0] != &route[0] {
-		t.Fatal("restore to an equal failure set dropped endpoint 1's cached route")
+		t.Fatal("restore to an equal failure set dropped the cached route 1→2")
 	}
 	wantFast("after the failure-free branch")
 
@@ -336,7 +332,7 @@ func TestRestoreKeepsTreesForEqualCoreSet(t *testing.T) {
 		t.Fatalf("restore to an equal core set left %d trees, want the %d it had", got, trees)
 	}
 	if cached() != nil {
-		t.Fatal("restore across an access-link difference kept endpoint 1's cached route")
+		t.Fatal("restore across an access-link difference kept the cached route 1→2")
 	}
 	wantFast("after the access-only branch")
 
@@ -355,7 +351,7 @@ func TestRestoreKeepsTreesForEqualCoreSet(t *testing.T) {
 		t.Fatalf("restore to a different core set kept %d trees", got)
 	}
 	if cached() != nil {
-		t.Fatal("restore across a core-link difference kept endpoint 1's cached route")
+		t.Fatal("restore across a core-link difference kept the cached route 1→2")
 	}
 	wantFast("after the core branch")
 

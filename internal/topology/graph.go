@@ -10,6 +10,7 @@ package topology
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,17 +42,18 @@ type Link struct {
 	QueueBytes int   // drop-tail queue capacity in bytes
 }
 
-type halfEdge struct {
-	to   RouterID
-	link LinkID
-}
-
 // Graph is a directed multigraph of routers and links. Construct with
 // NewGraph and the Add methods; it is immutable once routing begins, and a
 // mutator called after that panics.
+//
+// The link array is the graph: a vertex keeps only its out-degree and its
+// lowest-numbered out-link, which for a client is its uplink. Whatever
+// walks adjacency (Dijkstra, the partitioners) reads the core view built
+// from the links, or the links themselves.
 type Graph struct {
-	adj   [][]halfEdge
 	links []Link
+	deg   []int32  // deg[v]: out-links of v
+	first []LinkID // first[v]: v's lowest-numbered out-link, NilLink if none
 
 	clients      map[overlay.Address]RouterID
 	clientOrder  []overlay.Address
@@ -94,15 +96,26 @@ type dijkstraScratch struct {
 // the graph is frozen.
 func (g *Graph) coreView() *coreView {
 	g.coreOnce.Do(func() {
-		n := len(g.adj)
-		c := &coreView{off: make([]int32, n+1), edges: make([]coreEdge, 0, len(g.links))}
-		for v, es := range g.adj {
-			for _, e := range es {
-				if !g.stub[e.to] {
-					c.edges = append(c.edges, coreEdge{to: e.to, back: e.link ^ 1, lat: g.links[e.link].Latency})
-				}
+		n := len(g.deg)
+		c := &coreView{off: make([]int32, n+1)}
+		// A stable counting sort of the links by tail vertex: links are
+		// numbered in insertion order, so each vertex's out-edges keep the
+		// order AddLink gave them, which is Dijkstra's tie order.
+		for _, l := range g.links {
+			if !g.stub[l.To] {
+				c.off[l.From+1]++
 			}
-			c.off[v+1] = int32(len(c.edges))
+		}
+		for v := 0; v < n; v++ {
+			c.off[v+1] += c.off[v]
+		}
+		c.edges = make([]coreEdge, c.off[n])
+		next := slices.Clone(c.off[:n])
+		for _, l := range g.links {
+			if !g.stub[l.To] {
+				c.edges[next[l.From]] = coreEdge{to: l.To, back: l.ID ^ 1, lat: l.Latency}
+				next[l.From]++
+			}
 		}
 		c.scratch.New = func() any { return &dijkstraScratch{dist: make([]time.Duration, n)} }
 		g.core = c
@@ -130,14 +143,15 @@ func NewGraph() *Graph {
 // AddRouter adds a vertex and returns its id.
 func (g *Graph) AddRouter() RouterID {
 	g.mustBeMutable()
-	id := RouterID(len(g.adj))
-	g.adj = append(g.adj, nil)
+	id := RouterID(len(g.deg))
+	g.deg = append(g.deg, 0)
+	g.first = append(g.first, NilLink)
 	g.stub = append(g.stub, false)
 	return id
 }
 
 // NumRouters returns the number of vertices, clients included.
-func (g *Graph) NumRouters() int { return len(g.adj) }
+func (g *Graph) NumRouters() int { return len(g.deg) }
 
 // NumLinks returns the number of directed links.
 func (g *Graph) NumLinks() int { return len(g.links) }
@@ -150,16 +164,7 @@ func (g *Graph) Link(id LinkID) Link { return g.links[id] }
 func (g *Graph) Links() []Link { return g.links }
 
 // Degree returns the out-degree of a vertex.
-func (g *Graph) Degree(r RouterID) int { return len(g.adj[r]) }
-
-// Neighbors returns the vertices adjacent to r.
-func (g *Graph) Neighbors(r RouterID) []RouterID {
-	out := make([]RouterID, len(g.adj[r]))
-	for i, e := range g.adj[r] {
-		out[i] = e.to
-	}
-	return out
-}
+func (g *Graph) Degree(r RouterID) int { return int(g.deg[r]) }
 
 // AddLink adds a bidirectional pipe between a and b and returns the two
 // directed link ids (a→b, b→a).
@@ -176,8 +181,11 @@ func (g *Graph) AddLink(a, b RouterID, latency time.Duration, bandwidth int64, q
 func (g *Graph) addDirected(a, b RouterID, latency time.Duration, bandwidth int64, queueBytes int) LinkID {
 	id := LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, From: a, To: b, Latency: latency, Bandwidth: bandwidth, QueueBytes: queueBytes})
-	g.adj[a] = append(g.adj[a], halfEdge{to: b, link: id})
-	if len(g.adj[a]) > 1 {
+	if g.deg[a] == 0 {
+		g.first[a] = id
+	}
+	g.deg[a]++
+	if g.deg[a] > 1 {
 		g.stub[a] = false // a second link makes a client a through vertex
 	}
 	return id
@@ -220,10 +228,10 @@ func (g *Graph) AttachClient(addr overlay.Address, at RouterID, access AccessLin
 // when the address is not attached.
 func (g *Graph) AccessLinks(addr overlay.Address) (up, down LinkID, ok bool) {
 	v, attached := g.clients[addr]
-	if !attached || len(g.adj[v]) == 0 {
+	if !attached || g.deg[v] == 0 {
 		return NilLink, NilLink, false
 	}
-	up = g.adj[v][0].link
+	up = g.first[v]
 	return up, up ^ 1, true
 }
 
@@ -252,26 +260,28 @@ func (g *Graph) Clients() []overlay.Address {
 }
 
 // IsConnected reports whether every vertex is reachable from vertex 0.
+// Every link has its reverse (AddLink), so that is one union-find
+// component over the link array.
 func (g *Graph) IsConnected() bool {
-	if len(g.adj) == 0 {
-		return true
+	parent := make([]RouterID, len(g.deg))
+	for v := range parent {
+		parent[v] = RouterID(v)
 	}
-	seen := make([]bool, len(g.adj))
-	stack := []RouterID{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.adj[v] {
-			if !seen[e.to] {
-				seen[e.to] = true
-				count++
-				stack = append(stack, e.to)
-			}
+	find := func(v RouterID) RouterID {
+		for parent[v] != v {
+			parent[v] = parent[parent[v]] // path halving
+			v = parent[v]
+		}
+		return v
+	}
+	components := len(parent)
+	for _, l := range g.links {
+		if a, b := find(l.From), find(l.To); a != b {
+			parent[a] = b
+			components--
 		}
 	}
-	return count == len(g.adj)
+	return components <= 1
 }
 
 // spt is a shortest-path tree rooted at a destination: prev[v] is the link
@@ -563,8 +573,8 @@ func (r *Routes) access(v RouterID) (up LinkID, router RouterID, ok bool) {
 	if !r.g.stub[v] {
 		return NilLink, NilRouter, false
 	}
-	e := r.g.adj[v][0]
-	return e.link, e.to, true
+	up = r.g.first[v]
+	return up, r.g.links[up].To, true
 }
 
 // endpoints decomposes a (src, dst) query around degree-1 client endpoints:
@@ -594,15 +604,20 @@ func (r *Routes) endpoints(src, dst RouterID) (coreSrc, coreDst RouterID, up, do
 }
 
 // Path returns the directed links from src to dst, in traversal order, or
-// nil if unreachable (or src == dst). It walks the tree once to count the
-// hops and allocates the path at its exact length.
-func (r *Routes) Path(src, dst RouterID) []LinkID {
+// nil if unreachable (or src == dst), allocated at its exact length.
+func (r *Routes) Path(src, dst RouterID) []LinkID { return r.AppendPath(nil, src, dst) }
+
+// AppendPath appends the directed links from src to dst, in traversal
+// order, to buf and returns the extended slice; nothing is appended when dst
+// is unreachable or src == dst. It walks the tree once to count the hops and
+// grows buf at most once.
+func (r *Routes) AppendPath(buf []LinkID, src, dst RouterID) []LinkID {
 	if src == dst {
-		return nil
+		return buf
 	}
 	coreSrc, coreDst, up, down, ok := r.endpoints(src, dst)
 	if !ok {
-		return nil
+		return buf
 	}
 	// With one attachment router (or one endpoint the other's router) the
 	// path is just the access hops.
@@ -611,7 +626,7 @@ func (r *Routes) Path(src, dst RouterID) []LinkID {
 	if coreSrc != coreDst {
 		t = r.tree(coreDst)
 		if n, _, ok = t.walk(r.g, coreSrc, coreDst); !ok {
-			return nil
+			return buf
 		}
 	}
 	if up != NilLink {
@@ -620,19 +635,19 @@ func (r *Routes) Path(src, dst RouterID) []LinkID {
 	if down != NilLink {
 		n++
 	}
-	path := make([]LinkID, 0, n)
+	buf = slices.Grow(buf, n)
 	if up != NilLink {
-		path = append(path, up)
+		buf = append(buf, up)
 	}
 	for v := coreSrc; v != coreDst; {
 		l := t.prev[v]
-		path = append(path, l)
+		buf = append(buf, l)
 		v = r.g.links[l].To
 	}
 	if down != NilLink {
-		path = append(path, down)
+		buf = append(buf, down)
 	}
-	return path
+	return buf
 }
 
 // Latency returns the propagation latency of the shortest path src→dst, or

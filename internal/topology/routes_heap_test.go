@@ -26,9 +26,15 @@ func (q *boxedPQ) Pop() interface{} {
 }
 
 // referenceTree is Dijkstra as it was written before the core view: over
-// the adjacency lists, skipping stubs per edge, with its own dist array.
+// per-vertex out-link lists, gathered here from the link array in link
+// order (the order AddLink appended them), skipping stubs per edge, with
+// its own dist array.
 func referenceTree(r *Routes, dst RouterID) (prev []LinkID, dist []time.Duration) {
 	n := r.g.NumRouters()
+	out := make([][]Link, n)
+	for _, l := range r.g.Links() {
+		out[l.From] = append(out[l.From], l)
+	}
 	prev, dist = make([]LinkID, n), make([]time.Duration, n)
 	const inf = time.Duration(1<<63 - 1)
 	for i := range prev {
@@ -42,18 +48,18 @@ func referenceTree(r *Routes, dst RouterID) (prev []LinkID, dist []time.Duration
 		if it.dist > dist[it.v] {
 			continue
 		}
-		for _, e := range r.g.adj[it.v] {
-			if r.g.stub[e.to] {
+		for _, l := range out[it.v] {
+			if r.g.stub[l.To] {
 				continue // computeTree leaves client stubs out of the frontier too
 			}
-			if r.blocked != nil && r.blocked(r.partner(e.link)) {
+			if r.blocked != nil && r.blocked(r.partner(l.ID)) {
 				continue
 			}
-			nd := it.dist + r.g.links[e.link].Latency
-			if nd < dist[e.to] {
-				dist[e.to] = nd
-				prev[e.to] = r.partner(e.link)
-				heap.Push(&q, pqItem{v: e.to, dist: nd})
+			nd := it.dist + l.Latency
+			if nd < dist[l.To] {
+				dist[l.To] = nd
+				prev[l.To] = r.partner(l.ID)
+				heap.Push(&q, pqItem{v: l.To, dist: nd})
 			}
 		}
 	}
@@ -92,7 +98,7 @@ func routeTestGraphs(t *testing.T) map[string]*Graph {
 
 // TestComputeTreeMatchesBoxedHeap: the value heap over the core view must
 // build, for every destination, exactly the tree container/heap built over
-// the adjacency lists — the same predecessor links where several shortest
+// out-link lists — the same predecessor links where several shortest
 // paths tie, since every golden trace was recorded over those routes — and
 // a walk up that tree must give the reference distance from every vertex,
 // or report it unreachable. Uniform latencies make ties the common case.
@@ -124,8 +130,8 @@ func TestComputeTreeMatchesBoxedHeap(t *testing.T) {
 func attachmentRouters(g *Graph) map[RouterID]bool {
 	out := map[RouterID]bool{}
 	for _, a := range g.Clients() {
-		v, _ := g.ClientVertex(a)
-		out[g.Neighbors(v)[0]] = true
+		up, _, _ := g.AccessLinks(a)
+		out[g.Link(up).To] = true
 	}
 	return out
 }

@@ -268,8 +268,8 @@ func TestScalePaperRegimeChord(t *testing.T) {
 
 	routers := map[topology.RouterID]bool{}
 	for _, a := range c.Addrs {
-		v, _ := c.Graph.ClientVertex(a)
-		routers[c.Graph.Neighbors(v)[0]] = true
+		up, _, _ := c.Graph.AccessLinks(a)
+		routers[c.Graph.Link(up).To] = true
 	}
 	trees := c.Net.LiveRoutes().CachedTrees()
 	t.Logf("%d nodes over %d routers: %d simulator events, %d kills, %d route trees (%d attachment routers), peak heap in use %d MB, wall=%s",
