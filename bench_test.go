@@ -16,7 +16,7 @@ import (
 	"macedon/internal/dsl"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/pastry"
 	"macedon/internal/repo"
 	"macedon/internal/scenario"
@@ -363,7 +363,7 @@ func BenchmarkAblationFailureDetector(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				stack := []core.Factory{chord.New(chord.Params{})}
+				stack := []core.Factory{genchord.New()}
 				if err := cl.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 					b.Fatal(err)
 				}

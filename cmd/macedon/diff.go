@@ -16,7 +16,7 @@ import (
 
 // runDiff implements "macedon diff": differential conformance between a
 // generated protocol and its hand-written port. The scenario's protocol
-// names either side of a pair (genchord/chord, genpastry/pastry); both
+// names either side of a pair (genpastry/pastry); both
 // implementations run the same compiled schedule on the emulator and the
 // drift is graded within declared tolerances (metrics.Grade under the
 // GenVsHand preset). A failed verdict exits nonzero, which is what makes the

@@ -9,13 +9,15 @@ import (
 // name; a protocol whose two names run the same generated code, and a name
 // with no pair at all, are refused with an error saying why.
 func TestDiffPair(t *testing.T) {
-	for _, proto := range []string{"chord", "genchord"} {
+	for _, proto := range []string{"pastry", "genpastry"} {
 		gen, hand, err := diffPair(proto)
-		if err != nil || gen != "genchord" || hand != "chord" {
-			t.Errorf("diffPair(%q) = %q, %q, %v; want genchord, chord", proto, gen, hand, err)
+		if err != nil || gen != "genpastry" || hand != "pastry" {
+			t.Errorf("diffPair(%q) = %q, %q, %v; want genpastry, pastry", proto, gen, hand, err)
 		}
 	}
 	for _, c := range []struct{ proto, why string }{
+		{"chord", "same generated code"},
+		{"genchord", "same generated code"},
 		{"randtree", "same generated code"},
 		{"genrandtree", "same generated code"},
 		{"nosuch", "no gen/hand pair"},

@@ -1,4 +1,4 @@
-// Generated-vs-handwritten conformance gates: the genchord and genpastry
+// Conformance gates for generated protocols: the genchord and genpastry
 // agents emitted by `macedon gen` from specs/chord.mac and specs/pastry.mac
 // must pass routing-oracle correctness checks under churn — the ring (or
 // leaf set) every node converges to must match a global-knowledge oracle,

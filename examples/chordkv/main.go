@@ -1,7 +1,7 @@
-// ChordKV: a tiny distributed key-value store over the Chord DHT,
-// demonstrating the application side of the MACEDON API — payload types
-// distinguish PUT and GET, and the routeIP primitive carries replies
-// straight back to the requester.
+// ChordKV: a tiny distributed key-value store over the Chord DHT generated
+// from specs/chord.mac, demonstrating the application side of the MACEDON
+// API — payload types distinguish PUT and GET, and the routeIP primitive
+// carries replies straight back to the requester.
 package main
 
 import (
@@ -12,7 +12,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/genchord"
 )
 
 // Application payload types.
@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stack := []core.Factory{chord.New(chord.Params{})}
+	stack := []core.Factory{genchord.New()}
 	if err := cluster.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		log.Fatal(err)
 	}

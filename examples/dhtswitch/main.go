@@ -1,7 +1,7 @@
 // DHT switch: the paper's headline interoperability demo. The same Scribe
-// multicast session runs first over Pastry, then over Chord — the only
-// change is one element of the protocol stack, the Go equivalent of editing
-// "protocol scribe uses pastry" to "uses chord" in scribe.mac.
+// multicast session runs first over Pastry, then over generated Chord — the
+// only change is one element of the protocol stack, the Go equivalent of
+// editing "protocol scribe uses pastry" to "uses chord" in scribe.mac.
 package main
 
 import (
@@ -12,7 +12,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/pastry"
 	"macedon/internal/overlays/scribe"
 )
@@ -53,5 +53,5 @@ func main() {
 	// "protocol scribe uses pastry"
 	run("pastry", []core.Factory{pastry.New(pastry.Params{}), scribe.New(sp)})
 	// "protocol scribe uses chord" — the one-line change.
-	run("chord", []core.Factory{chord.New(chord.Params{}), scribe.New(sp)})
+	run("chord", []core.Factory{genchord.New(), scribe.New(sp)})
 }

@@ -11,7 +11,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/genchord"
 )
 
 func main() {
@@ -23,8 +23,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Every node runs a one-protocol stack: Chord.
-	stack := []core.Factory{chord.New(chord.Params{})}
+	// Every node runs a one-protocol stack: the Chord agent generated from
+	// specs/chord.mac.
+	stack := []core.Factory{genchord.New()}
 	if err := cluster.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		log.Fatal(err)
 	}

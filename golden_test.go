@@ -173,8 +173,8 @@ func TestGoldenObsJSON(t *testing.T) {
 	}
 }
 
-// TestGoldenDiffTable pins the differential-conformance table: genchord and
-// chord both run the genchord-churn schedule, the drift is graded with the
+// TestGoldenDiffTable pins the differential-conformance table: genpastry and
+// pastry both run the genpastry-churn schedule, the drift is graded with the
 // default tolerances, and the rendered table must be byte-identical to the
 // checked-in golden at -shards=1 and -shards=4 — the gen-vs-hand verdict is
 // itself deterministic and shard-invariant. The test also asserts the
@@ -182,11 +182,11 @@ func TestGoldenObsJSON(t *testing.T) {
 // fails loudly rather than just reshaping the table.
 func TestGoldenDiffTable(t *testing.T) {
 	update := os.Getenv("MACEDON_UPDATE_GOLDEN") != ""
-	s, err := scenario.Load(filepath.Join("examples", "scenarios", "genchord-churn.json"))
+	s, err := scenario.Load(filepath.Join("examples", "scenarios", "genpastry-churn.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldenPath := filepath.Join("testdata", "golden", "genchord-diff.txt")
+	goldenPath := filepath.Join("testdata", "golden", "genpastry-diff.txt")
 	for _, shards := range []int{1, 4} {
 		run := func(proto string) *scenario.Report {
 			v := *s
@@ -197,11 +197,11 @@ func TestGoldenDiffTable(t *testing.T) {
 			}
 			return rep
 		}
-		d := metrics.Grade("gen-vs-hand", metrics.Labelled{Label: "genchord", Report: run("genchord")},
-			metrics.Labelled{Label: "chord", Report: run("chord")}, metrics.GenVsHand)
+		d := metrics.Grade("gen-vs-hand", metrics.Labelled{Label: "genpastry", Report: run("genpastry")},
+			metrics.Labelled{Label: "pastry", Report: run("pastry")}, metrics.GenVsHand)
 		got := d.Table()
 		if !d.Pass {
-			t.Fatalf("shards=%d: genchord-vs-chord conformance verdict is FAIL:\n%s", shards, got)
+			t.Fatalf("shards=%d: genpastry-vs-pastry conformance verdict is FAIL:\n%s", shards, got)
 		}
 		if update && shards == 1 {
 			if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {

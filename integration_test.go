@@ -10,7 +10,7 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/metrics"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/pastry"
 	"macedon/internal/overlays/scribe"
 	"macedon/internal/simnet"
@@ -26,7 +26,7 @@ func TestChordUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := []core.Factory{chord.New(chord.Params{})}
+	stack := []core.Factory{genchord.New()}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestChordRoutingUnderPacketLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := []core.Factory{chord.New(chord.Params{})}
+	stack := []core.Factory{genchord.New()}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"macedon/internal/core"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/chord"
 	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/genpastry"
 	"macedon/internal/overlays/genrandtree"
@@ -46,17 +45,11 @@ func DeadState(idx int, addr overlay.Address) NodeState {
 func extractInstance(inst *core.Instance, st *NodeState) bool {
 	joined := inst.State() == core.State("joined")
 	switch ag := inst.Agent().(type) {
-	case *chord.Protocol:
-		st.Kind = KindRing
-		st.Joined = ag.Joined()
-		st.Succs = ag.SuccList()
-		st.Pred = ag.Predecessor()
-		fingers := ag.FingerSnapshot()
-		st.Fingers = append([]overlay.Address(nil), fingers[:]...)
 	case *genchord.Agent:
 		st.Kind = KindRing
 		st.Joined = joined
 		st.Succs = append([]overlay.Address(nil), ag.Succs...)
+		st.Pred = firstAddr(inst.NeighborsSnapshot("pred"))
 		st.Fingers = append([]overlay.Address(nil), ag.Fingers[:]...)
 	case *pastry.Protocol:
 		st.Kind = KindLeafset

@@ -374,6 +374,10 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 			if err != nil {
 				return err
 			}
+			if !g.constExpr(s.Args[1]) {
+				// Any other period is an int32 expression: convert it before scaling.
+				p1 = "time.Duration(" + p1 + ")"
+			}
 			period = p1 + "*time.Millisecond"
 		}
 		fn := "TimerSched"
@@ -692,6 +696,20 @@ func (g *generator) ident(name string) (string, error) {
 	return "", fmt.Errorf("codegen: unknown identifier %q", name)
 }
 
+// constExpr reports whether e is an integer literal or a declared constant,
+// which Go treats as an untyped constant.
+func (g *generator) constExpr(e dsl.Expr) bool {
+	switch e := e.(type) {
+	case dsl.IntLit:
+		return true
+	case dsl.Ident:
+		_, local := g.locals[e.Name]
+		_, ok := g.consts[e.Name]
+		return ok && !local && !g.loopVars[e.Name]
+	}
+	return false
+}
+
 // exprArg fetches and translates the i-th argument of a value primitive.
 func (g *generator) exprArg(e dsl.CallExpr, i int) (string, error) {
 	if i >= len(e.Args) {
@@ -752,6 +770,15 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 			return "", err
 		}
 		return fmt.Sprintf("ctx.Neighbors(%q).Full()", id.Name), nil
+	case "random":
+		n, err := g.exprArg(e, 0)
+		if err != nil {
+			return "", err
+		}
+		if !g.constExpr(e.Args[0]) {
+			n = "int(" + n + ")"
+		}
+		return "int32(ctx.Rand().Intn(" + n + "))", nil
 	case "neighbor_random":
 		id, err := identArg(e, 0)
 		if err != nil {

@@ -1,9 +1,12 @@
 package codegen
 
 import (
+	"go/ast"
 	"go/format"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -76,6 +79,58 @@ func TestGeneratedSourcesParse(t *testing.T) {
 		if res.Transitions == 0 {
 			t.Errorf("%s: no transitions generated", name)
 		}
+	}
+}
+
+// TestComputedPeriodAndRandomTypeCheck: a timer period computed from an int
+// variable is converted to a Duration before it is scaled, a literal or
+// constant period is left as is, and random(n) yields an int. Parsing alone
+// cannot tell int32 × Duration from valid Go, so the output is type-checked.
+func TestComputedPeriodAndRandomTypeCheck(t *testing.T) {
+	spec, err := dsl.Parse(`
+protocol p
+addressing ip
+constants { MS = 250; N = 8; }
+transports { UDP u; }
+messages { u m { int x; } }
+auxiliary_data { int period; timer tick MS; }
+transitions {
+  any recv m {
+    period = random(N) + random(field(x) + 1);
+    timer_sched(tick, period);
+    timer_resched(tick, period * 2);
+    timer_sched(tick, MS);
+    timer_sched(tick, 500);
+  }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Generate(spec, "genp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`ctx.TimerSched("tick", time.Duration(a.Period)*time.Millisecond)`,
+		`ctx.TimerResched("tick", time.Duration((a.Period * 2))*time.Millisecond)`,
+		`ctx.TimerSched("tick", 250*time.Millisecond)`,
+		`ctx.TimerSched("tick", 500*time.Millisecond)`,
+		`int32(ctx.Rand().Intn(8))`,
+		`int32(ctx.Rand().Intn(int((m.X + 1))))`,
+	} {
+		if !strings.Contains(res.Source, want) {
+			t.Errorf("generated source lacks %s:\n%s", want, res.Source)
+		}
+	}
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "genp.go", res.Source, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	if _, err := conf.Check("genp", fset, []*ast.File{f}, nil); err != nil {
+		t.Fatalf("generated source does not type-check: %v", err)
 	}
 }
 
@@ -192,7 +247,8 @@ transitions { any recv m { buffer b = field(payload); last = field(payload); las
 // TestHelpersEmittedOnlyWhenReferenced: a runtime helper is emitted only
 // when the translation calls it. A spec that reads neighbor_first but never
 // neighbor_random gets nbrFirst alone, and so never mentions the node PRNG,
-// which the engine then never builds.
+// which the engine then never builds. Generated Chord draws only through
+// random(), in its adaptive mode.
 func TestHelpersEmittedOnlyWhenReferenced(t *testing.T) {
 	spec, err := dsl.Parse(`
 protocol p
@@ -222,8 +278,10 @@ transitions { any recv m { send m(neighbor_first(parent), x = field(x)); } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(chord.Source, "ctx.Rand()") {
-		t.Error("generated Chord mentions ctx.Rand, but chord.mac never draws")
+	// chord.mac draws only in lsd's adaptive mode: a static ring never does.
+	draw := regexp.MustCompile(`if \(?a\.FixAdaptive != 0\)? \{\s*a\.NextFinger = int32\(ctx\.Rand\(\)\.Intn\(32\)\)`)
+	if n := strings.Count(chord.Source, "ctx.Rand()"); n != 1 || !draw.MatchString(chord.Source) {
+		t.Errorf("generated Chord mentions ctx.Rand %d times; want once, behind fix_adaptive", n)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/chord"
 	"macedon/internal/overlays/genchord"
+	"macedon/internal/overlays/pastry"
 )
 
 // captureProto defines its FSM the way an agent written against the engine
@@ -63,18 +63,18 @@ func TestGeneratedAgentsShareOneDef(t *testing.T) {
 		periods := []time.Duration{time.Second, 20 * time.Second}
 		var defs []*core.Def
 		for _, p := range periods {
-			inst, err := core.DetachedInstance(chord.New(chord.Params{FixFingersPeriod: p})())
+			inst, err := core.DetachedInstance(pastry.New(pastry.Params{LeafExchangePeriod: p})())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defs = append(defs, core.DefOf(inst))
 		}
 		if defs[0] == defs[1] {
-			t.Fatal("two hand Chord agents share a Def")
+			t.Fatal("two hand Pastry agents share a Def")
 		}
 		for k, d := range defs {
-			if got := d.TimerPeriod("fix_fingers"); got != periods[k] {
-				t.Errorf("Chord with FixFingersPeriod %v declares fix_fingers every %v", periods[k], got)
+			if got := d.TimerPeriod("ls_exchange"); got != periods[k] {
+				t.Errorf("Pastry with LeafExchangePeriod %v declares ls_exchange every %v", periods[k], got)
 			}
 		}
 	})

@@ -5,14 +5,15 @@ import (
 
 	"macedon/internal/core"
 	"macedon/internal/metrics"
-	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/genchord"
 )
 
-// ChordMode selects one Figure-10 curve.
+// ChordMode selects one Figure-10 curve: the fix_fingers policy of the
+// generated Chord agent (specs/chord.mac's fix_ms and fix_adaptive).
 type ChordMode struct {
 	Name    string
 	Dynamic bool          // lsd-style adaptive fix-fingers
-	Period  time.Duration // static fix-fingers period
+	Period  time.Duration // static fix-fingers period (0: the spec's default)
 }
 
 // Figure10Modes are the paper's three curves: MACEDON with 1 s and 20 s
@@ -69,11 +70,11 @@ func RunChordConvergence(p ChordParams) (*ChordResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		cp := chord.Params{
-			FixFingersPeriod: mode.Period,
-			Dynamic:          mode.Dynamic,
+		fixMs, adaptive := int32(mode.Period/time.Millisecond), int32(0)
+		if mode.Dynamic {
+			adaptive = 1
 		}
-		stack := []core.Factory{chord.New(cp)}
+		stack := []core.Factory{func() core.Agent { return &genchord.Agent{FixMs: fixMs, FixAdaptive: adaptive} }}
 		// Stagger joins uniformly across the window, bootstrap first.
 		if _, err := c.Spawn(0, stack); err != nil {
 			return nil, err
@@ -92,9 +93,8 @@ func RunChordConvergence(p ChordParams) (*ChordResult, error) {
 				if n == nil {
 					continue // not joined yet
 				}
-				pr := n.Instance("chord").Agent().(*chord.Protocol)
-				fingers := pr.FingerSnapshot()
-				total += oracle.CorrectFingers(a, fingers[:])
+				ag := n.Instance("chord").Agent().(*genchord.Agent)
+				total += oracle.CorrectFingers(a, ag.Fingers[:])
 			}
 			avg := float64(total) / float64(p.Nodes)
 			series.Points = append(series.Points, Point{

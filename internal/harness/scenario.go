@@ -11,7 +11,6 @@ import (
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/ammo"
 	"macedon/internal/overlays/bullet"
-	"macedon/internal/overlays/chord"
 	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/genpastry"
 	"macedon/internal/overlays/genrandtree"
@@ -25,14 +24,15 @@ import (
 )
 
 // ScenarioStack resolves a scenario protocol name onto a node stack:
-// chord, pastry, scribe (pastry+scribe), nice, overcast, ammo, the
-// machine-generated genchord and genpastry agents that `macedon gen` emits
-// from specs/*.mac, and RandTree, which exists only as generated code:
-// randtree and genrandtree name the same agent, and bullet stacks on it.
+// pastry, scribe (pastry+scribe), nice, overcast, ammo, the machine-generated
+// genpastry agent that `macedon gen` emits from specs/pastry.mac, and Chord
+// and RandTree, which exist only as generated code: chord and genchord name
+// the same agent, as do randtree and genrandtree, and bullet stacks on
+// RandTree.
 func ScenarioStack(proto string) ([]core.Factory, error) {
 	switch proto {
-	case "", "chord":
-		return []core.Factory{chord.New(chord.Params{})}, nil
+	case "", "chord", "genchord":
+		return []core.Factory{genchord.New()}, nil
 	case "pastry":
 		return []core.Factory{pastry.New(pastry.Params{})}, nil
 	case "randtree", "genrandtree":
@@ -57,8 +57,6 @@ func ScenarioStack(proto string) ([]core.Factory, error) {
 				HavePeriod:  time.Second,
 			}),
 		}, nil
-	case "genchord":
-		return []core.Factory{genchord.New()}, nil
 	case "genpastry":
 		return []core.Factory{genpastry.New()}, nil
 	}

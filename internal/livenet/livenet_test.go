@@ -9,19 +9,17 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/livenet"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/genchord"
 	"macedon/internal/substrate"
 )
 
-// TestLiveChordRing runs real Chord nodes over real UDP sockets on
-// localhost: the "same generated code runs live" claim, in miniature.
+// TestLiveChordRing runs real Chord nodes, generated from specs/chord.mac,
+// over real UDP sockets on localhost: the "same generated code runs live"
+// claim, in miniature.
 func TestLiveChordRing(t *testing.T) {
 	net := livenet.New("127.0.0.1", 38850)
 	defer net.Close()
-	stack := []core.Factory{chord.New(chord.Params{
-		StabilizePeriod:  200 * time.Millisecond,
-		FixFingersPeriod: 200 * time.Millisecond,
-	})}
+	stack := []core.Factory{func() core.Agent { return &genchord.Agent{FixMs: 200} }}
 	const n = 5
 	var nodes []*core.Node
 	for i := 1; i <= n; i++ {
@@ -45,7 +43,7 @@ func TestLiveChordRing(t *testing.T) {
 			// Protocol state is owned by the node's event queue; sample it
 			// through Exec so the poll is serialized with live dispatch.
 			nd.Exec(func() {
-				if nd.Instance("chord").Agent().(*chord.Protocol).Joined() {
+				if nd.Instance("chord").State() == "joined" {
 					joined++
 				}
 			})

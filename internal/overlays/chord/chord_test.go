@@ -1,75 +1,93 @@
+// Package chord_test holds the Chord protocol's behaviour tests. The
+// protocol has one implementation, the agent generated from specs/chord.mac
+// (internal/overlays/genchord), so this directory holds tests only: ring
+// formation, routing at the owner, finger convergence under both
+// fix_fingers policies, successor repair and staggered joins.
 package chord_test
 
 import (
-	"sort"
 	"testing"
 	"time"
 
 	"macedon/internal/core"
 	"macedon/internal/harness"
+	"macedon/internal/metrics"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/genchord"
 )
 
-func stack(p chord.Params) []core.Factory { return []core.Factory{chord.New(p)} }
+// agent returns a factory for generated Chord with the given fix_fingers
+// period (0: the spec's FIX_FINGERS_MS) and policy.
+func agent(fixMs, adaptive int32) core.Factory {
+	return func() core.Agent { return &genchord.Agent{FixMs: fixMs, FixAdaptive: adaptive} }
+}
 
-func buildRing(t *testing.T, n int, p chord.Params, settle time.Duration) *harness.Cluster {
+func newCluster(t *testing.T, cfg harness.ClusterConfig) *harness.Cluster {
 	t.Helper()
-	c, err := harness.NewCluster(harness.ClusterConfig{Nodes: n, Routers: 100, Seed: 42})
+	cfg.Routers = 100
+	c, err := harness.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SpawnAll(func(int) []core.Factory { return stack(p) }); err != nil {
+	t.Cleanup(c.StopAll)
+	return c
+}
+
+func buildRing(t *testing.T, n int, f core.Factory, settle time.Duration) *harness.Cluster {
+	t.Helper()
+	c := newCluster(t, harness.ClusterConfig{Nodes: n, Seed: 42})
+	if err := c.SpawnAll(func(int) []core.Factory { return []core.Factory{f} }); err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(settle)
 	return c
 }
 
-func chordOf(c *harness.Cluster, a overlay.Address) *chord.Protocol {
-	return c.Nodes[a].Instance("chord").Agent().(*chord.Protocol)
+// view is what the tests read of one node's agent, copied on the node's
+// execution queue.
+type view struct {
+	joined     bool
+	succ, pred overlay.Address
+	fingers    []overlay.Address
+	fixMs      int32
 }
 
-// oracle computes each key's true owner given the member set.
-type oracle struct {
-	keys []uint32
-	addr map[uint32]overlay.Address
+func viewOf(c *harness.Cluster, a overlay.Address) view {
+	var v view
+	node := c.Nodes[a]
+	node.Exec(func() {
+		inst := node.Instance("chord")
+		ag := inst.Agent().(*genchord.Agent)
+		v.joined = inst.State() == "joined"
+		if len(ag.Succs) > 0 {
+			v.succ = ag.Succs[0]
+		}
+		if p := inst.NeighborsSnapshot("pred"); len(p) > 0 {
+			v.pred = p[0]
+		}
+		v.fingers = append([]overlay.Address(nil), ag.Fingers[:]...)
+		v.fixMs = ag.FixMs
+	})
+	return v
 }
 
-func newOracle(addrs []overlay.Address) *oracle {
-	o := &oracle{addr: make(map[uint32]overlay.Address)}
-	for _, a := range addrs {
-		k := uint32(overlay.HashAddress(a))
-		o.keys = append(o.keys, k)
-		o.addr[k] = a
-	}
-	sort.Slice(o.keys, func(i, j int) bool { return o.keys[i] < o.keys[j] })
-	return o
-}
-
-// successor returns the owner of key k: the first member key >= k (wrapping).
-func (o *oracle) successor(k overlay.Key) overlay.Address {
-	i := sort.Search(len(o.keys), func(i int) bool { return o.keys[i] >= uint32(k) })
-	if i == len(o.keys) {
-		i = 0
-	}
-	return o.addr[o.keys[i]]
+// wantSucc is a's successor on the oracle ring.
+func wantSucc(o *metrics.ChordOracle, a overlay.Address) overlay.Address {
+	return o.Successor(overlay.HashAddress(a) + 1)
 }
 
 func TestRingForms(t *testing.T) {
 	const n = 16
-	c := buildRing(t, n, chord.Params{}, 60*time.Second)
-	o := newOracle(c.Addrs)
+	c := buildRing(t, n, genchord.New(), 60*time.Second)
+	o := metrics.NewChordOracle(c.Addrs)
 	// Every node's successor must match the oracle ring.
 	for _, a := range c.Addrs {
-		p := chordOf(c, a)
-		if !p.Joined() {
+		v := viewOf(c, a)
+		if !v.joined {
 			t.Fatalf("node %v never joined", a)
 		}
-		next := overlay.Key(uint32(overlay.HashAddress(a)) + 1)
-		want := o.successor(next)
-		if got := p.Successor(); got != want {
-			t.Errorf("node %v successor = %v, want %v", a, got, want)
+		if want := wantSucc(o, a); v.succ != want {
+			t.Errorf("node %v successor = %v, want %v", a, v.succ, want)
 		}
 	}
 	// Following successor pointers visits every node exactly once.
@@ -80,7 +98,7 @@ func TestRingForms(t *testing.T) {
 			t.Fatalf("successor cycle shorter than ring at %v", cur)
 		}
 		seen[cur] = true
-		cur = chordOf(c, cur).Successor()
+		cur = viewOf(c, cur).succ
 	}
 	if cur != c.Addrs[0] || len(seen) != n {
 		t.Fatalf("ring does not close: visited %d", len(seen))
@@ -88,8 +106,8 @@ func TestRingForms(t *testing.T) {
 }
 
 func TestRoutingDeliversAtOwner(t *testing.T) {
-	c := buildRing(t, 12, chord.Params{}, 60*time.Second)
-	o := newOracle(c.Addrs)
+	c := buildRing(t, 12, genchord.New(), 60*time.Second)
+	o := metrics.NewChordOracle(c.Addrs)
 	delivered := make(map[overlay.Address][]overlay.Key)
 	for _, a := range c.Addrs {
 		addr := a
@@ -114,7 +132,7 @@ func TestRoutingDeliversAtOwner(t *testing.T) {
 	for addr, ks := range delivered {
 		for _, k := range ks {
 			got++
-			if want := o.successor(k); want != addr {
+			if want := o.Successor(k); want != addr {
 				t.Errorf("key %v delivered at %v, want %v", k, addr, want)
 			}
 		}
@@ -125,7 +143,7 @@ func TestRoutingDeliversAtOwner(t *testing.T) {
 }
 
 func TestRouteIPDirect(t *testing.T) {
-	c := buildRing(t, 4, chord.Params{}, 30*time.Second)
+	c := buildRing(t, 4, genchord.New(), 30*time.Second)
 	var got []byte
 	c.Nodes[c.Addrs[2]].RegisterHandlers(core.Handlers{
 		Deliver: func(p []byte, typ int32, src overlay.Address) { got = append([]byte(nil), p...) },
@@ -137,39 +155,47 @@ func TestRouteIPDirect(t *testing.T) {
 	}
 }
 
+// TestFingersConverge: the static policy converges the finger table, at the
+// spec's default period and at one set per run through fix_ms.
 func TestFingersConverge(t *testing.T) {
-	const n = 24
-	c := buildRing(t, n, chord.Params{FixFingersPeriod: time.Second}, 180*time.Second)
-	o := newOracle(c.Addrs)
-	correct, total := 0, 0
-	for _, a := range c.Addrs {
-		p := chordOf(c, a)
-		fingers := p.FingerSnapshot()
-		self := uint32(overlay.HashAddress(a))
-		for i, f := range fingers {
-			if f == overlay.NilAddress {
-				continue
+	for _, tc := range []struct {
+		name   string
+		fixMs  int32
+		settle time.Duration
+	}{
+		{"default period", 0, 180 * time.Second},
+		{"fix_ms 500", 500, 120 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := buildRing(t, 24, agent(tc.fixMs, 0), tc.settle)
+			o := metrics.NewChordOracle(c.Addrs)
+			correct, total := 0, 0
+			for _, a := range c.Addrs {
+				fingers := viewOf(c, a).fingers
+				for _, f := range fingers {
+					if f != overlay.NilAddress {
+						total++
+					}
+				}
+				correct += o.CorrectFingers(a, fingers)
 			}
-			total++
-			if o.successor(overlay.Key(self+1<<uint(i))) == f {
-				correct++
+			if total == 0 {
+				t.Fatal("no fingers populated")
 			}
-		}
-	}
-	if total == 0 {
-		t.Fatal("no fingers populated")
-	}
-	frac := float64(correct) / float64(total)
-	if frac < 0.9 {
-		t.Fatalf("only %.0f%% of populated fingers correct after 180s", frac*100)
+			if frac := float64(correct) / float64(total); frac < 0.9 {
+				t.Fatalf("only %.0f%% of populated fingers correct after %v", frac*100, tc.settle)
+			}
+		})
 	}
 }
 
+// TestDynamicFixFingersAdapts: under lsd's adaptive policy a stable ring
+// confirms its fingers, so some node's period grows past FIX_MIN_MS (1 s).
 func TestDynamicFixFingersAdapts(t *testing.T) {
-	c := buildRing(t, 8, chord.Params{Dynamic: true}, 120*time.Second)
+	c := buildRing(t, 8, agent(0, 1), 120*time.Second)
 	grew := false
 	for _, a := range c.Addrs {
-		if chordOf(c, a).FixInterval() > time.Second {
+		if viewOf(c, a).fixMs > 1000 {
 			grew = true
 		}
 	}
@@ -179,24 +205,18 @@ func TestDynamicFixFingersAdapts(t *testing.T) {
 }
 
 func TestSuccessorFailureRepair(t *testing.T) {
-	c, err := harness.NewCluster(harness.ClusterConfig{
-		Nodes: 10, Routers: 100, Seed: 7,
+	c := newCluster(t, harness.ClusterConfig{
+		Nodes: 10, Seed: 7,
 		HeartbeatAfter: 2 * time.Second, FailAfter: 8 * time.Second, Sweep: time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SpawnAll(func(int) []core.Factory { return stack(chord.Params{}) }); err != nil {
+	if err := c.SpawnAll(func(int) []core.Factory { return []core.Factory{genchord.New()} }); err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(60 * time.Second)
 
 	// Kill one non-bootstrap node.
 	victim := c.Addrs[4]
-	if err := c.Net.SetDown(victim, true); err != nil {
-		t.Fatal(err)
-	}
-	c.Nodes[victim].Stop()
+	c.Kill(4)
 	c.RunFor(90 * time.Second)
 
 	var live []overlay.Address
@@ -205,33 +225,27 @@ func TestSuccessorFailureRepair(t *testing.T) {
 			live = append(live, a)
 		}
 	}
-	o := newOracle(live)
+	o := metrics.NewChordOracle(live)
 	for _, a := range live {
-		p := chordOf(c, a)
-		next := overlay.Key(uint32(overlay.HashAddress(a)) + 1)
-		if got, want := p.Successor(), o.successor(next); got != want {
-			t.Errorf("after failure: node %v successor = %v, want %v", a, got, want)
+		v := viewOf(c, a)
+		if want := wantSucc(o, a); v.succ != want {
+			t.Errorf("after failure: node %v successor = %v, want %v", a, v.succ, want)
 		}
-		if p.Successor() == victim || p.Predecessor() == victim {
+		if v.succ == victim || v.pred == victim {
 			t.Errorf("node %v still points at dead node", a)
 		}
 	}
 }
 
 func TestStaggeredJoins(t *testing.T) {
-	c, err := harness.NewCluster(harness.ClusterConfig{Nodes: 12, Routers: 100, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCluster(t, harness.ClusterConfig{Nodes: 12, Seed: 3})
 	for i := range c.Addrs {
-		c.SpawnAt(i, stack(chord.Params{}), time.Duration(i)*2*time.Second)
+		c.SpawnAt(i, []core.Factory{genchord.New()}, time.Duration(i)*2*time.Second)
 	}
 	c.RunFor(120 * time.Second)
-	o := newOracle(c.Addrs)
+	o := metrics.NewChordOracle(c.Addrs)
 	for _, a := range c.Addrs {
-		p := chordOf(c, a)
-		next := overlay.Key(uint32(overlay.HashAddress(a)) + 1)
-		if got, want := p.Successor(), o.successor(next); got != want {
+		if got, want := viewOf(c, a).succ, wantSucc(o, a); got != want {
 			t.Errorf("node %v successor = %v, want %v", a, got, want)
 		}
 	}

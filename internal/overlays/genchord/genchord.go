@@ -181,10 +181,12 @@ func (*msgScratch) StateCopyOpaque() {}
 
 // Agent is the generated protocol instance.
 type Agent struct {
-	Boot       overlay.Address
-	Succs      []overlay.Address
-	Fingers    [32]overlay.Address
-	NextFinger int32
+	Boot        overlay.Address
+	Succs       []overlay.Address
+	Fingers     [32]overlay.Address
+	NextFinger  int32
+	FixMs       int32
+	FixAdaptive int32
 
 	io msgScratch // a named field: embedding would promote StateCopyOpaque to Agent
 }
@@ -242,10 +244,13 @@ func (*Agent) Define(d *core.Def) {
 func (a *Agent) transition0(ctx *core.Context, call *core.APICall) {
 	_ = call
 	a.Boot = call.Bootstrap
+	if a.FixMs == 0 {
+		a.FixMs = 1000
+	}
 	if (a.Boot == ctx.Self()) || (a.Boot == overlay.NilAddress) {
 		ctx.StateChange("joined")
 		ctx.TimerSched("stabilize", 1000*time.Millisecond)
-		ctx.TimerSched("fix_fingers", 1000*time.Millisecond)
+		ctx.TimerSched("fix_fingers", time.Duration(a.FixMs)*time.Millisecond)
 		ctx.TimerSched("ring_probe", 10000*time.Millisecond)
 	} else {
 		ctx.StateChange("joining")
@@ -313,7 +318,7 @@ func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent) {
 	ctx.TimerCancel("rejoin")
 	ctx.StateChange("joined")
 	ctx.TimerSched("stabilize", 1000*time.Millisecond)
-	ctx.TimerSched("fix_fingers", 1000*time.Millisecond)
+	ctx.TimerSched("fix_fingers", time.Duration(a.FixMs)*time.Millisecond)
 	ctx.TimerSched("ring_probe", 10000*time.Millisecond)
 	_ = ctx.Send(m.Owner, put(&a.io.tx.Notify, msgNotify{}), overlay.PriorityDefault)
 }
@@ -323,6 +328,19 @@ func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgFindResp)
 	_ = m
 	if ((m.Purpose == 1) && (m.Finger >= 0)) && (m.Finger < 32) {
+		if a.FixAdaptive != 0 {
+			if tableGet(a.Fingers[:], m.Finger) == m.Owner {
+				a.FixMs = (a.FixMs * 2)
+			} else {
+				a.FixMs = (a.FixMs / 2)
+			}
+			if a.FixMs < 1000 {
+				a.FixMs = 1000
+			}
+			if a.FixMs > 32000 {
+				a.FixMs = 32000
+			}
+		}
 		tablePut(a.Fingers[:], m.Finger, m.Owner)
 		return
 	}
@@ -415,16 +433,20 @@ func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent) {
 
 // transition10 implements: (joined) timer fix_fingers [locking write;]
 func (a *Agent) transition10(ctx *core.Context) {
-	ctx.TimerSched("fix_fingers", 1000*time.Millisecond)
+	ctx.TimerSched("fix_fingers", time.Duration(a.FixMs)*time.Millisecond)
 	var succ overlay.Address
 	_ = succ
 	succ = listGet(a.Succs, 0)
 	if (succ == overlay.NilAddress) || (succ == ctx.Self()) {
 		return
 	}
-	a.NextFinger = (a.NextFinger + 1)
-	if a.NextFinger >= 32 {
-		a.NextFinger = 0
+	if a.FixAdaptive != 0 {
+		a.NextFinger = int32(ctx.Rand().Intn(32))
+	} else {
+		a.NextFinger = (a.NextFinger + 1)
+		if a.NextFinger >= 32 {
+			a.NextFinger = 0
+		}
 	}
 	var target overlay.Key
 	_ = target
@@ -434,6 +456,19 @@ func (a *Agent) transition10(ctx *core.Context) {
 		return
 	}
 	if (target).BetweenIncl(ctx.SelfKey(), overlay.HashAddress(succ)) {
+		if a.FixAdaptive != 0 {
+			if tableGet(a.Fingers[:], a.NextFinger) == succ {
+				a.FixMs = (a.FixMs * 2)
+			} else {
+				a.FixMs = (a.FixMs / 2)
+			}
+			if a.FixMs < 1000 {
+				a.FixMs = 1000
+			}
+			if a.FixMs > 32000 {
+				a.FixMs = 32000
+			}
+		}
 		tablePut(a.Fingers[:], a.NextFinger, succ)
 		return
 	}
@@ -653,6 +688,14 @@ func tablePut(t []overlay.Address, i int32, a overlay.Address) {
 	if i >= 0 && int(i) < len(t) {
 		t[i] = a
 	}
+}
+
+// tableGet returns the entry at index i, or NilAddress out of range.
+func tableGet(t []overlay.Address, i int32) overlay.Address {
+	if i < 0 || int(i) >= len(t) {
+		return overlay.NilAddress
+	}
+	return t[i]
 }
 
 // tableRemove clears every table slot holding a.

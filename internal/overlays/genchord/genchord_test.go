@@ -1,7 +1,9 @@
 // Behavioral validation of the generated Chord agent: the DSL → codegen →
-// engine path produces a working DHT. Churn and routing-oracle gates live
-// in the repository-root conformance tests; this is the steady-state smoke
-// test at package level.
+// engine path produces a working DHT. Chord's behaviour tests (routing,
+// fingers under both fix_fingers policies, failure repair) live in
+// internal/overlays/chord, and churn and routing-oracle gates in the
+// repository-root conformance tests; this is the steady-state smoke test
+// and the allocation budget at package level.
 package genchord_test
 
 import (

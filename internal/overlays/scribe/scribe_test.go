@@ -7,7 +7,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/pastry"
 	"macedon/internal/overlays/scribe"
 )
@@ -18,7 +18,7 @@ func overPastry(sp scribe.Params) []core.Factory {
 }
 
 func overChord(sp scribe.Params) []core.Factory {
-	return []core.Factory{chord.New(chord.Params{}), scribe.New(sp)}
+	return []core.Factory{genchord.New(), scribe.New(sp)}
 }
 
 func build(t *testing.T, n int, stack []core.Factory, settle time.Duration, seed int64) *harness.Cluster {
