@@ -17,7 +17,7 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/pastry"
+	"macedon/internal/overlays/genpastry"
 	"macedon/internal/repo"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
@@ -284,15 +284,16 @@ func BenchmarkAblationTransportPriority(b *testing.B) {
 }
 
 // BenchmarkAblationCacheLifetime sweeps the Pastry location-cache policy
-// (generalizing Figure 12): cache fills per delivered payload.
+// (generalizing Figure 12): of 20 routes to one key, the cache misses, each
+// of which routes through the DHT and asks for a fill, and the direct sends.
 func BenchmarkAblationCacheLifetime(b *testing.B) {
+	const routes = 20
 	for _, c := range []struct {
-		name     string
-		lifetime time.Duration
+		name    string
+		cacheMs int32
 	}{
-		{"disabled", 0},
-		{"ttl_2s", 2 * time.Second},
-		{"forever", -1},
+		{"flush_2s", 2000},
+		{"forever", 0},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var fills, direct uint64
@@ -301,20 +302,21 @@ func BenchmarkAblationCacheLifetime(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				stack := []core.Factory{pastry.New(pastry.Params{CacheLifetime: c.lifetime})}
+				stack := []core.Factory{func() core.Agent { return &genpastry.Agent{CacheMs: c.cacheMs} }}
 				if err := cl.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 					b.Fatal(err)
 				}
 				cl.RunFor(60 * time.Second)
 				src := cl.Nodes[cl.Addrs[3]]
 				dest := overlay.Key(0x77777777)
-				for k := 0; k < 20; k++ {
+				for k := 0; k < routes; k++ {
 					_ = src.Route(dest, make([]byte, 100), 1, overlay.PriorityDefault)
 					cl.RunFor(500 * time.Millisecond)
 				}
-				p := src.Instance("pastry").Agent().(*pastry.Protocol)
-				fills += p.CacheFills()
-				direct += p.DirectSends()
+				// A miss meets a forward upcall at the source; a hit does not.
+				missed := src.Instance("pastry").Counters().Forwarded
+				fills += missed
+				direct += routes - missed
 				cl.StopAll()
 			}
 			b.ReportMetric(float64(fills)/float64(b.N), "cache_fills")

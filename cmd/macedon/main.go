@@ -11,7 +11,6 @@
 //	macedon scenario [-trace] [-shards N] file.json  run a churn/failure/workload scenario
 //	macedon sweep [-shards N] [-json] sweep.json     run a shared-prefix parameter sweep
 //	macedon deploy [-nodes N] [-vs-sim] file.json    run a scenario as a live multi-process deployment
-//	macedon diff [-shards N] file.json       gen-vs-hand differential conformance on one scenario
 //	macedon fuzz [-seed N] [-runs N]         random scenarios under invariant checks, with shrinking
 //	macedon report [-bench] file             render a report's time series (or a bench history) as sparkline tables
 //	macedon agent -controller H:P -node I    one live overlay node (launched by deploy)
@@ -47,8 +46,6 @@ func main() {
 		os.Exit(runSweep(os.Args[2:]))
 	case "deploy":
 		os.Exit(runDeploy(os.Args[2:]))
-	case "diff":
-		os.Exit(runDiff(os.Args[2:]))
 	case "fuzz":
 		os.Exit(runFuzz(os.Args[2:]))
 	case "report":
@@ -62,7 +59,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: macedon check|gen|loc|scenario|sweep|deploy|diff|fuzz|report|agent [args]")
+	fmt.Fprintln(os.Stderr, "usage: macedon check|gen|loc|scenario|sweep|deploy|fuzz|report|agent [args]")
 }
 
 func runCheck(args []string) int {

@@ -1,7 +1,8 @@
 // DHT switch: the paper's headline interoperability demo. The same Scribe
-// multicast session runs first over Pastry, then over generated Chord — the
-// only change is one element of the protocol stack, the Go equivalent of
-// editing "protocol scribe uses pastry" to "uses chord" in scribe.mac.
+// multicast session runs first over generated Pastry, then over generated
+// Chord — the only change is one element of the protocol stack, the Go
+// equivalent of editing "protocol scribe uses pastry" to "uses chord" in
+// scribe.mac.
 package main
 
 import (
@@ -13,7 +14,7 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/pastry"
+	"macedon/internal/overlays/genpastry"
 	"macedon/internal/overlays/scribe"
 )
 
@@ -51,7 +52,7 @@ func run(name string, stack []core.Factory) {
 func main() {
 	sp := scribe.Params{RefreshPeriod: 5 * time.Second}
 	// "protocol scribe uses pastry"
-	run("pastry", []core.Factory{pastry.New(pastry.Params{}), scribe.New(sp)})
+	run("pastry", []core.Factory{genpastry.New(), scribe.New(sp)})
 	// "protocol scribe uses chord" — the one-line change.
 	run("chord", []core.Factory{genchord.New(), scribe.New(sp)})
 }

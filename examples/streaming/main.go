@@ -12,7 +12,7 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/metrics"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/pastry"
+	"macedon/internal/overlays/genpastry"
 	"macedon/internal/overlays/scribe"
 	"macedon/internal/overlays/splitstream"
 )
@@ -23,7 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 	stack := []core.Factory{
-		pastry.New(pastry.Params{CacheLifetime: -1}), // no cache evictions
+		genpastry.New(), // cache_ms 0: no cache evictions
 		scribe.New(scribe.Params{MaxChildren: 16}),
 		splitstream.New(splitstream.Params{Stripes: 16}),
 	}

@@ -11,7 +11,7 @@ import (
 	"macedon/internal/metrics"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/pastry"
+	"macedon/internal/overlays/genpastry"
 	"macedon/internal/overlays/scribe"
 	"macedon/internal/simnet"
 )
@@ -82,7 +82,9 @@ func TestChordUnderChurn(t *testing.T) {
 }
 
 // TestScribeTreeSurvivesForwarderFailure kills an interior forwarder and
-// expects the soft-state refresh to regraft its orphans.
+// expects the soft-state refresh to regraft its orphans. A fan-out of two
+// forces interior forwarders, and orphans can only regraft through a
+// push-down redirect once they drop their silent parent.
 func TestScribeTreeSurvivesForwarderFailure(t *testing.T) {
 	c, err := harness.NewCluster(harness.ClusterConfig{
 		Nodes: 16, Routers: 100, Seed: 31415,
@@ -92,8 +94,8 @@ func TestScribeTreeSurvivesForwarderFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	stack := []core.Factory{
-		pastry.New(pastry.Params{}),
-		scribe.New(scribe.Params{RefreshPeriod: 5 * time.Second}),
+		genpastry.New(),
+		scribe.New(scribe.Params{RefreshPeriod: 5 * time.Second, MaxChildren: 2}),
 	}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
@@ -120,7 +122,7 @@ func TestScribeTreeSurvivesForwarderFailure(t *testing.T) {
 		}
 	}
 	if victim == overlay.NilAddress {
-		t.Skip("no interior forwarder under this seed")
+		t.Fatal("no interior forwarder under a fan-out of two")
 	}
 	_ = c.Net.SetDown(victim, true)
 	c.Nodes[victim].Stop()

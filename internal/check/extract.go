@@ -9,7 +9,6 @@ import (
 	"macedon/internal/overlays/genpastry"
 	"macedon/internal/overlays/genrandtree"
 	"macedon/internal/overlays/overcast"
-	"macedon/internal/overlays/pastry"
 )
 
 // Extract reduces one live node's protocol stack to its NodeState. It runs
@@ -51,10 +50,6 @@ func extractInstance(inst *core.Instance, st *NodeState) bool {
 		st.Succs = append([]overlay.Address(nil), ag.Succs...)
 		st.Pred = firstAddr(inst.NeighborsSnapshot("pred"))
 		st.Fingers = append([]overlay.Address(nil), ag.Fingers[:]...)
-	case *pastry.Protocol:
-		st.Kind = KindLeafset
-		st.Joined = ag.Joined()
-		st.Leafset = ag.LeafSet()
 	case *genpastry.Agent:
 		st.Kind = KindLeafset
 		st.Joined = joined

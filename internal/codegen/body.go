@@ -520,7 +520,15 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		if err != nil {
 			return err
 		}
+		// A keymap is allocated on its first put, so a zero Agent is ready.
+		g.pf("%sif %s == nil {\n%s\t%s = make(map[overlay.Key]overlay.Address)\n%s}\n", ind, m, ind, m, ind)
 		g.pf("%s%s[%s] = %s\n", ind, m, k, v)
+	case "map_clear":
+		m, err := g.mapVar(s.Fn, s.Args, 0, s.Pos)
+		if err != nil {
+			return err
+		}
+		g.pf("%sclear(%s)\n", ind, m)
 	case "map_del":
 		m, err := g.mapVar(s.Fn, s.Args, 0, s.Pos)
 		if err != nil {

@@ -255,15 +255,11 @@ func (g *generator) file() (string, error) {
 	g.pf("func (*msgScratch) StateCopyOpaque() {}\n\n")
 
 	// Agent struct with plain state variables, node tables, and keymaps.
-	var keymaps []string
 	g.pf("// Agent is the generated protocol instance.\ntype Agent struct {\n")
 	for _, v := range s.StateVars {
 		switch v.Kind {
 		case dsl.VarPlain:
 			g.pf("\t%s %s\n", camel(v.Name), goType(v.Type))
-			if v.Type == "keymap" {
-				keymaps = append(keymaps, camel(v.Name))
-			}
 		case dsl.VarTable:
 			g.pf("\t%s [%s]overlay.Address\n", camel(v.Name), g.resolve(v.Max))
 		}
@@ -271,15 +267,7 @@ func (g *generator) file() (string, error) {
 	g.pf("\n\tio msgScratch // a named field: embedding would promote StateCopyOpaque to Agent\n")
 	g.pf("}\n\n")
 	g.pf("// New returns a factory for generated %s agents.\n", s.Name)
-	if len(keymaps) == 0 {
-		g.pf("func New() core.Factory {\n\treturn func() core.Agent { return &Agent{} }\n}\n\n")
-	} else {
-		g.pf("func New() core.Factory {\n\treturn func() core.Agent {\n\t\ta := &Agent{}\n")
-		for _, km := range keymaps {
-			g.pf("\t\ta.%s = make(map[overlay.Key]overlay.Address)\n", km)
-		}
-		g.pf("\t\treturn a\n\t}\n}\n\n")
-	}
+	g.pf("func New() core.Factory {\n\treturn func() core.Agent { return &Agent{} }\n}\n\n")
 	g.pf("// ProtocolName implements the engine's naming hook.\n")
 	g.pf("func (a *Agent) ProtocolName() string { return %q }\n\n", s.Name)
 	g.pf("// DefinedByType makes the agent core.TypeDefined: Define reads no agent and\n")

@@ -439,6 +439,7 @@ transitions {
     list_remove(ring, failed);
     table_remove(table, failed);
     map_remove_value(cache, failed);
+    map_clear(cache);
   }
 }
 `
@@ -465,7 +466,9 @@ func TestCollectionPrimitivesTranslate(t *testing.T) {
 	for _, want := range []string{
 		"Table [16]overlay.Address",
 		"Cache map[overlay.Key]overlay.Address",
-		"a.Cache = make(map[overlay.Key]overlay.Address)",
+		"if a.Cache == nil {\n\t\ta.Cache = make(map[overlay.Key]overlay.Address)\n\t}\n\ta.Cache[m.K] = best\n",
+		"clear(a.Cache)\n",
+		"return func() core.Agent { return &Agent{} }",
 		"ringInsert(ctx.SelfKey(), ctx.Self(), a.Ring, x, 4)",
 		"tablePut(a.Table[:]",
 		"mapRemoveValue(a.Cache, call.Failed)",

@@ -307,25 +307,6 @@ func (c *Context) TransportQueued(transport string, dst overlay.Address) int {
 	return t.QueuedBytes(dst)
 }
 
-// After schedules fn to run as a write-locked continuation of this protocol
-// instance after d: the engine-level analogue of Teapot's continuations,
-// used for delayed actions that are not worth a declared timer (equally
-// spaced probe trains, modeled processing delays). fn runs in a later event
-// chain, so a closure over a received message must clone the byte-string
-// fields it reads (see MsgEvent): by then the frame they alias is reused.
-func (c *Context) After(d time.Duration, fn func(ctx *Context)) {
-	i := c.inst
-	run := func() {
-		if i.node.stopped {
-			return
-		}
-		i.mu.Lock()
-		defer i.mu.Unlock()
-		fn(&i.hot.ctx)
-	}
-	i.node.clock.After(d, func() { i.node.postFunc(run) })
-}
-
 // Tracef writes a protocol-level trace line at the given level.
 func (c *Context) Tracef(l TraceLevel, format string, args ...any) {
 	c.inst.trace(l, format, args...)

@@ -8,7 +8,7 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/pastry"
+	"macedon/internal/overlays/scribe"
 )
 
 // captureProto defines its FSM the way an agent written against the engine
@@ -25,8 +25,8 @@ func (p *captureProto) Define(d *core.Def) {
 
 // TestGeneratedAgentsShareOneDef: a generated agent type's Def is built once
 // and shared by every instance of it — across shards and after a revive —
-// while an agent whose Define reads its receiver, a hand port's parameters or
-// a captured closure, keeps a Def of its own.
+// while an agent whose Define reads its receiver, a hand-written protocol's
+// parameters or a captured closure, keeps a Def of its own.
 func TestGeneratedAgentsShareOneDef(t *testing.T) {
 	defOf := func(n *core.Node, proto string) *core.Def { return core.DefOf(n.Instance(proto)) }
 
@@ -63,18 +63,18 @@ func TestGeneratedAgentsShareOneDef(t *testing.T) {
 		periods := []time.Duration{time.Second, 20 * time.Second}
 		var defs []*core.Def
 		for _, p := range periods {
-			inst, err := core.DetachedInstance(pastry.New(pastry.Params{LeafExchangePeriod: p})())
+			inst, err := core.DetachedInstance(scribe.New(scribe.Params{RefreshPeriod: p})())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defs = append(defs, core.DefOf(inst))
 		}
 		if defs[0] == defs[1] {
-			t.Fatal("two hand Pastry agents share a Def")
+			t.Fatal("two Scribe agents share a Def")
 		}
 		for k, d := range defs {
-			if got := d.TimerPeriod("ls_exchange"); got != periods[k] {
-				t.Errorf("Pastry with LeafExchangePeriod %v declares ls_exchange every %v", periods[k], got)
+			if got := d.TimerPeriod("refresh"); got != periods[k] {
+				t.Errorf("Scribe with RefreshPeriod %v declares refresh every %v", periods[k], got)
 			}
 		}
 	})

@@ -6,7 +6,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/metrics"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/pastry"
+	"macedon/internal/overlays/genpastry"
 	"macedon/internal/overlays/scribe"
 	"macedon/internal/overlays/splitstream"
 )
@@ -14,15 +14,17 @@ import (
 // SplitStreamPolicy is one Figure-12 curve: a Pastry location-cache
 // configuration.
 type SplitStreamPolicy struct {
-	Name          string
-	CacheLifetime time.Duration // <0 never evict, >0 TTL
+	Name string
+	// CacheMs is specs/pastry.mac's cache_ms: 0 keeps an entry until its
+	// owner fails, a positive value empties the cache every CacheMs.
+	CacheMs int32
 }
 
 // Figure12Policies are the paper's two flavors.
 func Figure12Policies() []SplitStreamPolicy {
 	return []SplitStreamPolicy{
-		{Name: "Avg Bandwidth (no cache evictions)", CacheLifetime: -1},
-		{Name: "Avg Bandwidth (10 sec cache lifetime)", CacheLifetime: 10 * time.Second},
+		{Name: "Avg Bandwidth (no cache evictions)"},
+		{Name: "Avg Bandwidth (10 sec cache lifetime)", CacheMs: 10_000},
 	}
 }
 
@@ -101,7 +103,7 @@ func runSplitStreamOnce(p SplitStreamParams, pol SplitStreamPolicy) (Series, err
 		return Series{}, err
 	}
 	stack := []core.Factory{
-		pastry.New(pastry.Params{CacheLifetime: pol.CacheLifetime}),
+		func() core.Agent { return &genpastry.Agent{CacheMs: pol.CacheMs} },
 		scribe.New(scribe.Params{MaxChildren: p.MaxChildren}),
 		splitstream.New(splitstream.Params{Stripes: p.Stripes}),
 	}

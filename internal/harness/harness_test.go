@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"macedon/internal/core"
+	"macedon/internal/overlays/genpastry"
 )
 
 func TestClusterBasics(t *testing.T) {
@@ -116,6 +119,50 @@ func TestFigure11Shape(t *testing.T) {
 	res.Print(func(f string, a ...any) { sb.WriteString(sprintf(f, a...)) })
 	if !strings.Contains(sb.String(), "Figure 11") {
 		t.Fatal("printer missing header")
+	}
+}
+
+// TestFreePastryChargesOncePerForward: Figure 11's FreePastry column is the
+// MACEDON run plus d = 40 ms + 0.6 ms × N for every forward upcall a
+// delivered packet met. A replay of the same run recounts the forwards from
+// the engine's own per-instance counters.
+func TestFreePastryChargesOncePerForward(t *testing.T) {
+	const n = 12
+	p := PastryParams{Sizes: []int{n}, Seed: 5, Converge: 60 * time.Second, Measure: 5 * time.Second}
+	res, err := RunPastryLatency(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.setDefaults()
+	c, err := NewCluster(ClusterConfig{Nodes: n, Routers: p.Routers, Seed: p.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.StopAll()
+	if err := c.SpawnAll(func(int) []core.Factory { return []core.Factory{genpastry.New()} }); err != nil {
+		t.Fatal(err)
+	}
+	tally := streamPastry(c, p)
+	var forwards uint64
+	for _, a := range c.Addrs {
+		forwards += c.Nodes[a].Instance("pastry").Counters().Forwarded
+	}
+	// Every packet arrives, so every forward belongs to a delivered packet.
+	if tally.delivered == 0 || tally.delivered != tally.sent {
+		t.Fatalf("delivered %d of %d packets", tally.delivered, tally.sent)
+	}
+	if forwards == 0 || uint64(tally.forwards) != forwards {
+		t.Fatalf("forward hook counted %d upcalls, the engine %d", tally.forwards, forwards)
+	}
+	d := 40*time.Millisecond + n*600*time.Microsecond
+	macedon := tally.latency / time.Duration(tally.delivered)
+	freePastry := (tally.latency + time.Duration(forwards)*d) / time.Duration(tally.delivered)
+	if got := res.MACEDON.Points[0].Y; got != macedon.Seconds() {
+		t.Errorf("MACEDON = %v s, want %v", got, macedon.Seconds())
+	}
+	if got := res.FreePastry.Points[0].Y; got != freePastry.Seconds() {
+		t.Errorf("FreePastry = %v s, want %v: %d forwards over %d packets at d = %v",
+			got, freePastry.Seconds(), forwards, tally.delivered, d)
 	}
 }
 

@@ -16,29 +16,27 @@ import (
 	"macedon/internal/overlays/genrandtree"
 	"macedon/internal/overlays/nice"
 	"macedon/internal/overlays/overcast"
-	"macedon/internal/overlays/pastry"
 	"macedon/internal/overlays/scribe"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 	"macedon/internal/substrate"
 )
 
-// ScenarioStack resolves a scenario protocol name onto a node stack:
-// pastry, scribe (pastry+scribe), nice, overcast, ammo, the machine-generated
-// genpastry agent that `macedon gen` emits from specs/pastry.mac, and Chord
-// and RandTree, which exist only as generated code: chord and genchord name
-// the same agent, as do randtree and genrandtree, and bullet stacks on
-// RandTree.
+// ScenarioStack resolves a scenario protocol name onto a node stack: nice,
+// overcast, ammo, and Chord, Pastry and RandTree, which exist only as the
+// code `macedon gen` emits from specs/*.mac: chord and genchord name the
+// same agent, as do pastry and genpastry and randtree and genrandtree.
+// Scribe stacks on Pastry and bullet on RandTree.
 func ScenarioStack(proto string) ([]core.Factory, error) {
 	switch proto {
 	case "", "chord", "genchord":
 		return []core.Factory{genchord.New()}, nil
-	case "pastry":
-		return []core.Factory{pastry.New(pastry.Params{})}, nil
+	case "pastry", "genpastry":
+		return []core.Factory{genpastry.New()}, nil
 	case "randtree", "genrandtree":
 		return []core.Factory{genrandtree.New()}, nil
 	case "scribe":
-		return []core.Factory{pastry.New(pastry.Params{}), scribe.New(scribe.Params{})}, nil
+		return []core.Factory{genpastry.New(), scribe.New(scribe.Params{})}, nil
 	case "nice":
 		return []core.Factory{nice.New(nice.Params{})}, nil
 	case "overcast":
@@ -57,8 +55,6 @@ func ScenarioStack(proto string) ([]core.Factory, error) {
 				HavePeriod:  time.Second,
 			}),
 		}, nil
-	case "genpastry":
-		return []core.Factory{genpastry.New()}, nil
 	}
 	return nil, fmt.Errorf("harness: unknown scenario protocol %q (have chord, pastry, randtree, scribe, nice, overcast, ammo, bullet, genchord, genpastry, genrandtree)", proto)
 }

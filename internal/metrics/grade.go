@@ -9,12 +9,10 @@ import (
 	"macedon/internal/scenario"
 )
 
-// The one grader behind every two-report verdict. `macedon diff` runs a
-// generated protocol and its hand-written port on the same compiled
-// schedule; `macedon deploy -vs-sim` runs one scenario on the live fleet
-// and on the emulator. Either way two runs that should agree double-check
-// each other, and a drift outside tolerance means one of them diverged.
-// Grade aggregates each report's phases and bounds the gap: delivery in
+// The grader behind the two-report verdict of `macedon deploy -vs-sim`,
+// which runs one scenario on the live fleet and on the emulator. The two
+// runs should agree and double-check each other: a drift outside tolerance
+// means one of them diverged. Grade aggregates each report's phases and bounds the gap: delivery in
 // absolute points for once-per-op workloads and relative percent for
 // fan-out workloads, hops and control overhead as relative fractions, and
 // no invariant violation on either side. The rendered table is a pure
@@ -35,16 +33,10 @@ type Tolerances struct {
 	BytesFrac float64
 }
 
-var (
-	// GenVsHand holds a generated protocol to its hand-written port. The
-	// two share timer constants but not message encodings, so the overhead
-	// bounds are looser than the routing-behaviour ones.
-	GenVsHand = Tolerances{DeliveryPoints: 2, HopsFrac: 0.25, MsgsFrac: 0.35, BytesFrac: 0.50}
-	// LiveVsSim holds a live deployment to the emulated run of the same
-	// scenario. Control overhead is informational: wall-clock timers and
-	// process restarts move it without either backend being wrong.
-	LiveVsSim = Tolerances{DeliveryPoints: 2, HopsFrac: 0.15}
-)
+// LiveVsSim holds a live deployment to the emulated run of the same
+// scenario. Control overhead is informational: wall-clock timers and
+// process restarts move it without either backend being wrong.
+var LiveVsSim = Tolerances{DeliveryPoints: 2, HopsFrac: 0.15}
 
 // Labelled is one of the two reports under comparison and the name its
 // column carries.
@@ -93,7 +85,7 @@ func sideOf(l Labelled) Side {
 
 // Verdict is the outcome of grading Run against Ref on one scenario.
 type Verdict struct {
-	// Kind names the comparison ("gen-vs-hand", "live-vs-sim").
+	// Kind names the comparison ("live-vs-sim").
 	Kind     string
 	Scenario string
 	Run, Ref Side

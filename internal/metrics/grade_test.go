@@ -31,12 +31,14 @@ func withViolations(r *scenario.Report, n int) *scenario.Report {
 }
 
 // TestGrade is the one table for the one grader: the live-vs-sim rows
-// (moved from internal/deploy, same inputs, run against sim) beside the
-// gen-vs-hand ones (gen against hand).
+// (moved from internal/deploy, same inputs, run against sim) beside rows
+// that grade every quantity, control overhead included, under the bounds
+// the retired gen-vs-hand gate used (gen against hand).
 func TestGrade(t *testing.T) {
 	widerHops := LiveVsSim
 	widerHops.HopsFrac = 0.25
-	ungradedHops := GenVsHand
+	genVsHand := Tolerances{DeliveryPoints: 2, HopsFrac: 0.25, MsgsFrac: 0.35, BytesFrac: 0.50}
+	ungradedHops := genVsHand
 	ungradedHops.HopsFrac = 0
 	for _, c := range []struct {
 		name     string
@@ -72,20 +74,20 @@ func TestGrade(t *testing.T) {
 
 		// gen-vs-hand: 2 points, hops 25%, msgs 35%, bytes 50%.
 		{name: "gen within tolerance",
-			run: withCtl(reportWith(100, 99, 160), 1300, 23000), ref: reportWith(100, 100, 150), tol: GenVsHand, pass: true},
+			run: withCtl(reportWith(100, 99, 160), 1300, 23000), ref: reportWith(100, 100, 150), tol: genVsHand, pass: true},
 		{name: "gen hops: +20% is inside 25%",
-			run: reportWith(100, 100, 140), ref: reportWith(100, 100, 100), tol: GenVsHand, pass: true},
+			run: reportWith(100, 100, 140), ref: reportWith(100, 100, 100), tol: genVsHand, pass: true},
 		{name: "gen control messages: +40% is over 35%",
-			run: withCtl(reportWith(100, 100, 150), 1400, 16000), ref: reportWith(100, 100, 150), tol: GenVsHand,
+			run: withCtl(reportWith(100, 100, 150), 1400, 16000), ref: reportWith(100, 100, 150), tol: genVsHand,
 			failures: []string{"ctl msgs: gen 1400 vs hand 1000"}},
 		{name: "gen control bytes: +60% is over 50%, and each exceeded bound is listed",
-			run: withCtl(reportWith(100, 100, 150), 1400, 25600), ref: reportWith(100, 100, 150), tol: GenVsHand,
+			run: withCtl(reportWith(100, 100, 150), 1400, 25600), ref: reportWith(100, 100, 150), tol: genVsHand,
 			failures: []string{"ctl msgs:", "ctl bytes: gen 25600 vs hand 16000"}},
 		{name: "a violation on the graded side fails whatever the tolerances",
 			run: withViolations(reportWith(100, 100, 150), 2), ref: reportWith(100, 100, 150), tol: Tolerances{},
 			failures: []string{"invariants: gen 2 violation(s), hand 0"}},
 		{name: "a violation on the reference side fails too",
-			run: reportWith(100, 100, 150), ref: withViolations(reportWith(100, 100, 150), 1), tol: GenVsHand,
+			run: reportWith(100, 100, 150), ref: withViolations(reportWith(100, 100, 150), 1), tol: genVsHand,
 			failures: []string{"invariants: gen 0 violation(s), hand 1"}},
 		{name: "a zero tolerance reports the gap and does not grade it",
 			run: reportWith(100, 100, 250), ref: reportWith(100, 100, 100), tol: ungradedHops, pass: true},

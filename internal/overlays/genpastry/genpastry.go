@@ -183,17 +183,14 @@ type Agent struct {
 	Leafset []overlay.Address
 	Rt      [128]overlay.Address
 	Cache   map[overlay.Key]overlay.Address
+	CacheMs int32
 
 	io msgScratch // a named field: embedding would promote StateCopyOpaque to Agent
 }
 
 // New returns a factory for generated pastry agents.
 func New() core.Factory {
-	return func() core.Agent {
-		a := &Agent{}
-		a.Cache = make(map[overlay.Key]overlay.Address)
-		return a
-	}
+	return func() core.Agent { return &Agent{} }
 }
 
 // ProtocolName implements the engine's naming hook.
@@ -219,6 +216,7 @@ func (*Agent) Define(d *core.Def) {
 	d.Message("cache_info", func() overlay.Message { return &msgCacheInfo{} }, "CTRL")
 	d.Timer("ls_exchange", 2000*time.Millisecond)
 	d.Timer("rejoin", 2000*time.Millisecond)
+	d.Timer("cache_flush", 0)
 	d.NeighborList("leaves", 9, true)
 	d.OnAPI(overlay.APIInit, core.In("init"), core.Write, core.APIOf((*Agent).transition0))
 	d.OnTimer("rejoin", core.In("joining"), core.Write, core.TimerOf((*Agent).transition1))
@@ -231,15 +229,19 @@ func (*Agent) Define(d *core.Def) {
 	d.OnAPI(overlay.APIRoute, core.In("joined"), core.Write, core.APIOf((*Agent).transition8))
 	d.OnRecv("data", core.In("joined"), core.Write, core.RecvOf((*Agent).transition9))
 	d.OnRecv("cache_info", core.Any, core.Write, core.RecvOf((*Agent).transition10))
-	d.OnAPI(overlay.APIRouteIP, core.Any, core.Write, core.APIOf((*Agent).transition11))
-	d.OnRecv("data_ip", core.Any, core.Write, core.RecvOf((*Agent).transition12))
-	d.OnAPI(overlay.APIError, core.Any, core.Write, core.APIOf((*Agent).transition13))
+	d.OnTimer("cache_flush", core.Any, core.Write, core.TimerOf((*Agent).transition11))
+	d.OnAPI(overlay.APIRouteIP, core.Any, core.Write, core.APIOf((*Agent).transition12))
+	d.OnRecv("data_ip", core.Any, core.Write, core.RecvOf((*Agent).transition13))
+	d.OnAPI(overlay.APIError, core.Any, core.Write, core.APIOf((*Agent).transition14))
 }
 
 // transition0 implements: (init) API init [locking write;]
 func (a *Agent) transition0(ctx *core.Context, call *core.APICall) {
 	_ = call
 	a.Boot = call.Bootstrap
+	if a.CacheMs > 0 {
+		ctx.TimerSched("cache_flush", time.Duration(a.CacheMs)*time.Millisecond)
+	}
 	if (a.Boot == ctx.Self()) || (a.Boot == overlay.NilAddress) {
 		ctx.StateChange("joined")
 		ctx.TimerSched("ls_exchange", 2000*time.Millisecond)
@@ -353,6 +355,14 @@ func (a *Agent) transition5(ctx *core.Context) {
 func (a *Agent) transition6(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgLsReq)
 	_ = m
+	var row int32
+	_ = row
+	row = keyPrefix(ctx.SelfKey(), overlay.HashAddress(ev.From), 4)
+	if (row < 8) && (tableGet(a.Rt[:], ((row*16)+keyDigit(overlay.HashAddress(ev.From), row, 4))) == overlay.NilAddress) {
+		tablePut(a.Rt[:], ((row * 16) + keyDigit(overlay.HashAddress(ev.From), row, 4)), ev.From)
+	}
+	a.Leafset = ringInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, ev.From, 4)
+	nbrSync(ctx, "leaves", ctx.Self(), a.Leafset)
 	_ = ctx.Send(ev.From, put(&a.io.tx.LsResp, msgLsResp{Leaves: a.Leafset}), overlay.PriorityDefault)
 }
 
@@ -480,11 +490,20 @@ func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent) {
 func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgCacheInfo)
 	_ = m
+	if a.Cache == nil {
+		a.Cache = make(map[overlay.Key]overlay.Address)
+	}
 	a.Cache[m.Id] = ev.From
 }
 
-// transition11 implements: any API routeIP [locking write;]
-func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
+// transition11 implements: any timer cache_flush [locking write;]
+func (a *Agent) transition11(ctx *core.Context) {
+	clear(a.Cache)
+	ctx.TimerSched("cache_flush", time.Duration(a.CacheMs)*time.Millisecond)
+}
+
+// transition12 implements: any API routeIP [locking write;]
+func (a *Agent) transition12(ctx *core.Context, call *core.APICall) {
 	_ = call
 	if call.DestIP == ctx.Self() {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
@@ -493,15 +512,15 @@ func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
 	}
 }
 
-// transition12 implements: any recv data_ip [locking write;]
-func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent) {
+// transition13 implements: any recv data_ip [locking write;]
+func (a *Agent) transition13(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgDataIp)
 	_ = m
 	ctx.Deliver(m.Payload, m.Typ, m.Src)
 }
 
-// transition13 implements: any API error [locking write;]
-func (a *Agent) transition13(ctx *core.Context, call *core.APICall) {
+// transition14 implements: any API error [locking write;]
+func (a *Agent) transition14(ctx *core.Context, call *core.APICall) {
 	_ = call
 	a.Leafset = listRemove(a.Leafset, call.Failed)
 	nbrSync(ctx, "leaves", ctx.Self(), a.Leafset)

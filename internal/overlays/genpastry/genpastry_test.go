@@ -61,3 +61,38 @@ func TestGeneratedLeafSetsForm(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroAgentFillsCache: a struct literal is a valid factory. Its keymap
+// starts nil and is allocated on the first fill, so a cluster built from
+// &Agent{} routes and caches the owner it learned.
+func TestZeroAgentFillsCache(t *testing.T) {
+	c, err := harness.NewCluster(harness.ClusterConfig{Nodes: 8, Routers: 100, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.StopAll()
+	literal := func() core.Agent { return &genpastry.Agent{} }
+	if err := c.SpawnAll(func(int) []core.Factory { return []core.Factory{literal} }); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(30 * time.Second)
+	dest := overlay.Key(0x13572468)
+	src := c.Addrs[2]
+	delivered := 0
+	for _, a := range c.Addrs {
+		c.Nodes[a].RegisterHandlers(core.Handlers{
+			Deliver: func([]byte, int32, overlay.Address) { delivered++ },
+		})
+	}
+	_ = c.Nodes[src].Route(dest, []byte("x"), 1, overlay.PriorityDefault)
+	c.RunFor(5 * time.Second)
+	if delivered != 1 {
+		t.Fatalf("delivered %d of 1 routes", delivered)
+	}
+	var cached overlay.Address
+	node := c.Nodes[src]
+	node.Exec(func() { cached = node.Instance("pastry").Agent().(*genpastry.Agent).Cache[dest] })
+	if cached == overlay.NilAddress {
+		t.Fatal("route did not fill the source's cache")
+	}
+}

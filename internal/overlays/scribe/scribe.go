@@ -42,6 +42,7 @@ type groupState struct {
 	forwarder bool
 	root      bool
 	parent    overlay.Address
+	acked     time.Time                     // parent's last join_ack
 	children  map[overlay.Address]time.Time // last refresh
 }
 
@@ -261,6 +262,7 @@ func (s *Protocol) recvJoinAck(ctx *core.Context, ev *core.MsgEvent) {
 		s.send(ctx, old, &leaveG{Group: m.Group})
 	}
 	gs.parent = ev.From
+	gs.acked = ctx.Now()
 	ctx.NotifyNeighbors(overlay.NbrTypeParent, []overlay.Address{ev.From})
 }
 
@@ -299,7 +301,9 @@ func (s *Protocol) recvLeave(ctx *core.Context, ev *core.MsgEvent) {
 	s.maybePrune(ctx, m.Group)
 }
 
-// onRefresh re-joins (soft state) and expires silent children.
+// onRefresh re-joins (soft state) and expires silent children and a silent
+// parent. A live parent acks every refresh; dropping a dead one is what lets
+// its orphan accept the push-down redirect that regrafts it.
 func (s *Protocol) onRefresh(ctx *core.Context) {
 	now := ctx.Now()
 	horizon := 3 * s.p.RefreshPeriod
@@ -310,6 +314,9 @@ func (s *Protocol) onRefresh(ctx *core.Context) {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, g := range keys {
 		gs := s.groups[g]
+		if gs.parent != overlay.NilAddress && now.Sub(gs.acked) > horizon {
+			gs.parent = overlay.NilAddress
+		}
 		if (gs.member || gs.forwarder) && !gs.root {
 			if gs.parent != overlay.NilAddress {
 				// Refresh directly with the known parent.

@@ -8,13 +8,13 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/pastry"
+	"macedon/internal/overlays/genpastry"
 	"macedon/internal/overlays/scribe"
 )
 
 // overPastry and overChord are the paper's one-line DHT switch.
 func overPastry(sp scribe.Params) []core.Factory {
-	return []core.Factory{pastry.New(pastry.Params{}), scribe.New(sp)}
+	return []core.Factory{genpastry.New(), scribe.New(sp)}
 }
 
 func overChord(sp scribe.Params) []core.Factory {

@@ -7,14 +7,14 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/pastry"
+	"macedon/internal/overlays/genpastry"
 	"macedon/internal/overlays/scribe"
 	"macedon/internal/overlays/splitstream"
 )
 
 func forest(stripes, maxKids int) []core.Factory {
 	return []core.Factory{
-		pastry.New(pastry.Params{CacheLifetime: -1}),
+		genpastry.New(),
 		scribe.New(scribe.Params{MaxChildren: maxKids}),
 		splitstream.New(splitstream.Params{Stripes: stripes}),
 	}

@@ -20,7 +20,6 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/bullet"
-	"macedon/internal/overlays/pastry"
 )
 
 // opPayload is the payload of workload op id: its size and every byte derive
@@ -39,9 +38,8 @@ type payloadCase struct {
 	name  string
 	stack []core.Factory
 	// multicast: node 0 multicasts to the group; otherwise random live
-	// nodes route to random keys (and, with routeIP, every other op goes
-	// straight to a live node's address).
-	multicast, routeIP bool
+	// nodes route to random keys.
+	multicast bool
 	// late nodes (the highest indices) spawn one by one mid-stream, so they
 	// join a tree that already carries data.
 	late int
@@ -62,22 +60,16 @@ func payloadCases(t *testing.T) []payloadCase {
 	for _, proto := range []string{"genrandtree", "scribe", "nice", "overcast", "ammo", "bullet"} {
 		cases = append(cases, payloadCase{name: proto, stack: stack(proto), multicast: true})
 	}
-	return append(cases,
-		// FreePastry's cost model defers every hop through Context.After, by
-		// 190 ms at the 250 nodes the paper ran it with.
-		payloadCase{name: "pastry-rmi", routeIP: true,
-			stack: []core.Factory{pastry.New(pastry.Params{RMI: true, NetworkSize: 250})}},
-		// A late joiner is caught up from its new parent's backlog.
-		payloadCase{name: "overcast-late", stack: stack("overcast"), multicast: true, late: 3},
-	)
+	// A late joiner is caught up from its new parent's backlog.
+	return append(cases, payloadCase{name: "overcast-late", stack: stack("overcast"), multicast: true, late: 3})
 }
 
 const payloadNodes = 16
 
 // TestDeliveredPayloadsIntact runs every scenario protocol stack, plus
-// pastry's RMI cost model and overcast late joiners, under kill/revive churn
-// at shards 1 and 4 with patterned payloads, and checks every delivered byte
-// inside the Deliver handler. Bullet's candidate summaries never reach a
+// overcast late joiners, under kill/revive churn at shards 1 and 4 with
+// patterned payloads, and checks every delivered byte inside the Deliver
+// handler. Bullet's candidate summaries never reach a
 // handler, so the bullet run also watches the summaries each node keeps: a
 // kept summary must not change underneath its holder.
 func TestDeliveredPayloadsIntact(t *testing.T) {
@@ -194,8 +186,6 @@ func runPayloadCase(t *testing.T, tc payloadCase, shards int) {
 			switch src := c.Nodes[c.Addrs[live()]]; {
 			case tc.multicast:
 				_ = c.Nodes[c.Addrs[0]].Multicast(group, p, int32(id), overlay.PriorityDefault)
-			case tc.routeIP && id%2 == 1:
-				_ = src.RouteIP(c.Addrs[live()], p, int32(id), overlay.PriorityDefault)
 			default:
 				_ = src.Route(overlay.Key(rng.Uint32()), p, int32(id), overlay.PriorityDefault)
 			}
