@@ -1,6 +1,7 @@
-// Benchmarks regenerating every figure of the MACEDON paper's evaluation at
+// Benchmarks regenerating Figures 7–9 of the MACEDON paper's evaluation at
 // reduced but shape-preserving scale, plus ablations of the design choices
-// DESIGN.md calls out. Full-scale regeneration: go run ./cmd/experiments.
+// DESIGN.md calls out. Figures 10–12 are the sweeps under examples/figures,
+// run by `macedon sweep`; Figures 8–9 at full scale: go run ./cmd/experiments.
 //
 // Reported custom metrics carry the quantity each figure plots, so one
 // -bench=. run yields the whole paper-vs-measured table of EXPERIMENTS.md.
@@ -103,65 +104,6 @@ func BenchmarkFigure9NICELatency(b *testing.B) {
 		}
 		b.ReportMetric(float64(lo.Microseconds())/1000, "min_site_ms")
 		b.ReportMetric(float64(hi.Microseconds())/1000, "max_site_ms")
-	}
-}
-
-// BenchmarkFigure10ChordConvergence reports the final average correct route
-// entries for the three timer policies (paper ordering: 1 s > lsd > 20 s).
-func BenchmarkFigure10ChordConvergence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunChordConvergence(harness.ChordParams{
-			Nodes: 60, Routers: 240, Seed: 2004,
-			JoinWindow: 20 * time.Second, Duration: 100 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		finals := res.FinalValues()
-		b.ReportMetric(finals["MACEDON (1 sec timer)"], "correct_1s")
-		b.ReportMetric(finals["MIT lsd (dynamic)"], "correct_lsd")
-		b.ReportMetric(finals["MACEDON (20 sec timer)"], "correct_20s")
-	}
-}
-
-// BenchmarkFigure11PastryLatency reports MACEDON vs FreePastry-model mean
-// latency at the largest common size (paper: MACEDON ~80% lower).
-func BenchmarkFigure11PastryLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunPastryLatency(harness.PastryParams{
-			Sizes: []int{25, 50}, Seed: 2004,
-			Converge: 90 * time.Second, Measure: 15 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := res.MACEDON.Points[len(res.MACEDON.Points)-1].Y
-		f := res.FreePastry.Points[len(res.FreePastry.Points)-1].Y
-		b.ReportMetric(m*1000, "macedon_ms")
-		b.ReportMetric(f*1000, "freepastry_ms")
-		if f > 0 {
-			b.ReportMetric((1-m/f)*100, "reduction_pct")
-		}
-	}
-}
-
-// BenchmarkFigure12SplitStreamBandwidth reports steady-state delivered
-// bandwidth under the two cache policies (paper: 580 vs 500 Kbps at a
-// 600 Kbps target; scaled here).
-func BenchmarkFigure12SplitStreamBandwidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunSplitStream(harness.SplitStreamParams{
-			Nodes: 30, Routers: 150, Seed: 2004,
-			Stripes: 8, Converge: 90 * time.Second, Stream: 60 * time.Second,
-			RateBitsSec: 200_000, PacketSize: 1000,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ss := res.SteadyStateKbps()
-		b.ReportMetric(ss["Avg Bandwidth (no cache evictions)"], "noevict_kbps")
-		b.ReportMetric(ss["Avg Bandwidth (10 sec cache lifetime)"], "ttl10_kbps")
-		b.ReportMetric(float64(res.TargetBitsSec)/1000, "target_kbps")
 	}
 }
 
@@ -321,26 +263,6 @@ func BenchmarkAblationCacheLifetime(b *testing.B) {
 			}
 			b.ReportMetric(float64(fills)/float64(b.N), "cache_fills")
 			b.ReportMetric(float64(direct)/float64(b.N), "direct_sends")
-		})
-	}
-}
-
-// BenchmarkAblationChordTimerSweep generalizes Figure 10: convergence level
-// after a fixed window for a range of fix-fingers periods.
-func BenchmarkAblationChordTimerSweep(b *testing.B) {
-	for _, period := range []time.Duration{time.Second, 4 * time.Second, 20 * time.Second} {
-		b.Run(period.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := harness.RunChordConvergence(harness.ChordParams{
-					Nodes: 40, Routers: 160, Seed: 2004,
-					JoinWindow: 15 * time.Second, Duration: 60 * time.Second,
-					Modes: []harness.ChordMode{{Name: "sweep", Period: period}},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.FinalValues()["sweep"], "correct_entries")
-			}
 		})
 	}
 }

@@ -1,160 +1,46 @@
-// Command experiments regenerates the MACEDON paper's evaluation figures at
-// configurable (default paper-like) scale on the simnet emulator.
+// Command experiments regenerates the MACEDON paper's Figures 8 and 9 (NICE
+// stretch and latency per site) on the simnet emulator. The other figures
+// run elsewhere: Figure 7 is `macedon loc specs/*.mac`, and Figures 10–12
+// are the sweeps under examples/figures, run by `macedon sweep`.
 //
 // Usage:
 //
-//	experiments -figure 7              # spec LOC table
 //	experiments -figure 8|9            # NICE stretch / latency per site
-//	experiments -figure 10 -nodes 1000 # Chord convergence
-//	experiments -figure 11             # Pastry latency vs size
-//	experiments -figure 12 -nodes 300  # SplitStream bandwidth
-//	experiments -figure all -scale 0.2 # everything, scaled down
+//	experiments -figure 8 -scale 0.2   # scaled down
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
-	"macedon/internal/dsl"
 	"macedon/internal/harness"
-	"macedon/internal/repo"
 )
 
 func main() {
-	figure := flag.String("figure", "all", "figure to regenerate: 7, 8, 9, 10, 11, 12, or all")
-	nodes := flag.Int("nodes", 0, "override overlay size (0 = figure default)")
+	figure := flag.String("figure", "8", "figure to regenerate: 8 (stretch and latency) or 9 (latency)")
 	seed := flag.Int64("seed", 2004, "experiment seed")
 	scale := flag.Float64("scale", 1.0, "scale factor for durations and sizes")
 	flag.Parse()
 
-	out := func(format string, args ...any) { fmt.Printf(format, args...) }
-	run := func(f string) error {
-		switch f {
-		case "7":
-			return figure7(out)
-		case "8", "9":
-			return figureNICE(out, *seed, *scale, f)
-		case "10":
-			return figure10(out, *seed, *scale, *nodes)
-		case "11":
-			return figure11(out, *seed, *scale)
-		case "12":
-			return figure12(out, *seed, *scale, *nodes)
-		default:
-			return fmt.Errorf("unknown figure %q", f)
-		}
+	if *figure != "8" && *figure != "9" {
+		fmt.Fprintf(os.Stderr, "unknown figure %q: this command runs Figures 8 and 9; Figures 10-12 are `macedon sweep examples/figures/fig1N.json`\n", *figure)
+		os.Exit(2)
 	}
-	figures := []string{*figure}
-	if *figure == "all" {
-		figures = []string{"7", "8", "10", "11", "12"}
-	}
-	for _, f := range figures {
-		if err := run(f); err != nil {
-			fmt.Fprintf(os.Stderr, "figure %s: %v\n", f, err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-}
-
-func figure7(out func(string, ...any)) error {
-	paths, err := repo.Specs()
-	if err != nil || len(paths) == 0 {
-		return fmt.Errorf("no specs/*.mac found: %v", err)
-	}
-	sort.Strings(paths)
-	out("Figure 7 — lines of code used in algorithm specifications\n")
-	out("%-24s %s\n", "specification", "LOC")
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		out("%-24s %d\n", filepath.Base(p), dsl.CountLines(string(src)))
-	}
-	return nil
-}
-
-func figureNICE(out func(string, ...any), seed int64, scale float64, which string) error {
 	res, err := harness.RunNICE(harness.NICEParams{
-		Seed:    seed,
-		Settle:  time.Duration(float64(5*time.Minute) * scale),
-		Packets: int(50 * scale),
+		Seed:    *seed,
+		Settle:  time.Duration(float64(5*time.Minute) * *scale),
+		Packets: int(50 * *scale),
 	})
 	if err != nil {
-		return err
+		fmt.Fprintf(os.Stderr, "figure %s: %v\n", *figure, err)
+		os.Exit(1)
 	}
-	if which == "9" {
-		res.PrintFigure9(out)
-	} else {
+	out := func(format string, args ...any) { fmt.Printf(format, args...) }
+	if *figure == "8" {
 		res.PrintFigure8(out)
 		out("\n")
-		res.PrintFigure9(out)
 	}
-	return nil
-}
-
-func figure10(out func(string, ...any), seed int64, scale float64, nodes int) error {
-	if nodes == 0 {
-		nodes = int(1000 * scale)
-		if nodes < 50 {
-			nodes = 50
-		}
-	}
-	res, err := harness.RunChordConvergence(harness.ChordParams{
-		Nodes: nodes,
-		Seed:  seed,
-	})
-	if err != nil {
-		return err
-	}
-	res.Print(out)
-	return nil
-}
-
-func figure11(out func(string, ...any), seed int64, scale float64) error {
-	sizes := []int{25, 50, 100, 150, 200, 250}
-	if scale < 1 {
-		sizes = []int{15, 30, 60}
-	}
-	res, err := harness.RunPastryLatency(harness.PastryParams{
-		Sizes:    sizes,
-		Seed:     seed,
-		Converge: time.Duration(float64(300*time.Second) * scale),
-		Measure:  time.Duration(float64(30*time.Second) * scale),
-	})
-	if err != nil {
-		return err
-	}
-	res.Print(out)
-	return nil
-}
-
-func figure12(out func(string, ...any), seed int64, scale float64, nodes int) error {
-	if nodes == 0 {
-		nodes = int(300 * scale)
-		if nodes < 30 {
-			nodes = 30
-		}
-	}
-	res, err := harness.RunSplitStream(harness.SplitStreamParams{
-		Nodes:    nodes,
-		Seed:     seed,
-		Converge: time.Duration(float64(300*time.Second) * scale),
-		Stream:   time.Duration(float64(300*time.Second) * scale),
-	})
-	if err != nil {
-		return err
-	}
-	res.Print(out)
-	out("steady state (Kbps):")
-	for name, v := range res.SteadyStateKbps() {
-		out(" [%s: %.0f]", name, v)
-	}
-	out("\n")
-	return nil
+	res.PrintFigure9(out)
 }

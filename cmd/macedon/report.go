@@ -16,7 +16,8 @@ import (
 
 // runReport implements "macedon report": render the engine time series of a
 // machine-readable report (`macedon scenario -json` / `macedon deploy
-// -json`) as deterministic per-phase sparkline tables, or — with -bench —
+// -json`) as deterministic per-phase sparkline tables — one report per
+// variant of a `macedon sweep -json` document — or — with -bench —
 // render a performance trajectory: the file macebench's -history flag
 // appends one line per commit to (bench/macebench/history.go). Both
 // renderings are pure functions of the input file, so they can be diffed
@@ -36,32 +37,56 @@ func runReport(args []string) int {
 	return reportSeries(fs.Arg(0))
 }
 
-// loadReportJSON reads a report document, unwrapping the `macedon deploy
-// -json` {live, sim} payload when that is what the file holds.
-func loadReportJSON(path string) (*metrics.ReportJSON, error) {
+// loadReportJSON reads the reports a document holds: a scenario report, the
+// live side of a `macedon deploy -json` {live, sim} payload, or every
+// variant's report of a `macedon sweep -json` result, in variant order.
+func loadReportJSON(path string) ([]*metrics.ReportJSON, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var rep metrics.ReportJSON
 	if err := json.Unmarshal(b, &rep); err == nil && rep.Scenario != "" {
-		return &rep, nil
+		return []*metrics.ReportJSON{&rep}, nil
 	}
 	var wrapped struct {
-		Live *metrics.ReportJSON `json:"live"`
+		Live     *metrics.ReportJSON        `json:"live"`
+		Variants []metrics.SweepVariantJSON `json:"variants"`
 	}
-	if err := json.Unmarshal(b, &wrapped); err == nil && wrapped.Live != nil && wrapped.Live.Scenario != "" {
-		return wrapped.Live, nil
+	if err := json.Unmarshal(b, &wrapped); err == nil {
+		if wrapped.Live != nil && wrapped.Live.Scenario != "" {
+			return []*metrics.ReportJSON{wrapped.Live}, nil
+		}
+		var reps []*metrics.ReportJSON
+		for _, v := range wrapped.Variants {
+			if v.Report != nil {
+				reps = append(reps, v.Report)
+			}
+		}
+		if len(reps) > 0 {
+			return reps, nil
+		}
 	}
-	return nil, fmt.Errorf("%s: not a report JSON (run `macedon scenario -obs -json` or `macedon deploy -obs -json`)", path)
+	return nil, fmt.Errorf("%s: not a report JSON (run `macedon scenario -obs -json`, `macedon sweep -obs -json` or `macedon deploy -obs -json`)", path)
 }
 
 func reportSeries(path string) int {
-	rep, err := loadReportJSON(path)
+	reps, err := loadReportJSON(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "macedon report: %v\n", err)
 		return 1
 	}
+	for i, rep := range reps {
+		if i > 0 {
+			fmt.Println()
+		}
+		printSeries(rep)
+	}
+	return 0
+}
+
+// printSeries renders one report's per-phase series tables.
+func printSeries(rep *metrics.ReportJSON) {
 	fmt.Printf("report %q: protocol %s, %d nodes, %d phases\n", rep.Scenario, rep.Protocol, rep.Nodes, len(rep.Phases))
 	plotted := 0
 	for pi, p := range rep.Phases {
@@ -75,6 +100,11 @@ func reportSeries(path string) int {
 			fmt.Printf(", ring dropped %d older", s.Dropped)
 		}
 		fmt.Printf("):\n")
+		if p.OpsSent > 0 {
+			// The phase's workload outcome: Figure 11's latency and hops,
+			// Figure 12's delivered stream.
+			fmt.Printf("  workload: ops=%d delivered=%d mean_latency=%.3fms mean_hops=%.2f\n", p.OpsSent, p.OpsDelivered, p.MeanLatency, p.MeanHops)
+		}
 		width := len(s.Points)
 		fmt.Printf("  %-14s %-*s %12s %12s %12s %12s\n", "column", width, "trend", "first", "last", "min", "max")
 		for ci, col := range s.Columns {
@@ -94,7 +124,6 @@ func reportSeries(path string) int {
 	if plotted == 0 {
 		fmt.Println("no time series in this report (run with -obs; add -series-interval for intra-phase points)")
 	}
-	return 0
 }
 
 // benchDoc is the part of macebench's historyDoc the trajectory needs

@@ -24,6 +24,7 @@ func runSweep(args []string) int {
 	jsonOut := fs.Bool("json", false, "emit the machine-readable sweep result instead of the table (deterministic; no timing)")
 	obsOn := fs.Bool("obs", false, "enable the observability plane: the table gains a per-variant obs snapshot section (prefixes are shared as without it)")
 	traceSample := fs.Int("trace-sample", 0, "with -obs, keep 1-in-N operation traces and event records per variant (0 or 1 = all)")
+	seriesInterval := fs.Duration("series-interval", 0, "with -obs, also sample each variant's engine time series every interval of virtual time inside each phase (0 = phase boundaries only); `macedon report` renders them from -json output")
 	check := fs.Bool("check", false, "validate and resolve only; print the variant summary")
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -47,8 +48,16 @@ func runSweep(args []string) int {
 		fmt.Printf("sweep %q: base %q (%d nodes), %d variants, fork phase %d\n",
 			sw.Name, sw.Base.Name, sw.Base.Nodes, len(vs), sw.Base.ForkPhase())
 		for _, v := range vs {
-			fmt.Printf("  %-16s protocol=%s seed=%d phases=%d\n",
-				v.Name, v.Scenario.Protocol, v.Scenario.Seed, len(v.Scenario.Phases))
+			if _, err := harness.StackWithParams(v.Scenario.ProtocolName(), v.Scenario.Params); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: variant %q: %v\n", fs.Arg(0), v.Name, err)
+				return 1
+			}
+			fmt.Printf("  %-16s protocol=%s seed=%d nodes=%d phases=%d",
+				v.Name, v.Scenario.Protocol, v.Scenario.Seed, v.Scenario.Nodes, len(v.Scenario.Phases))
+			if len(v.Scenario.Params) > 0 {
+				fmt.Printf(" params=%v", v.Scenario.Params)
+			}
+			fmt.Println()
 		}
 		return 0
 	}
@@ -56,7 +65,7 @@ func runSweep(args []string) int {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	rep, err := harness.RunSweepExec(sw, n, harness.ObsOptions{Enabled: *obsOn, TraceSample: *traceSample})
+	rep, err := harness.RunSweepExec(sw, n, harness.ObsOptions{Enabled: *obsOn, TraceSample: *traceSample, SeriesInterval: *seriesInterval})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", fs.Arg(0), err)
 		return 1

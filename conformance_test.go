@@ -15,9 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"macedon/internal/check"
 	"macedon/internal/core"
 	"macedon/internal/harness"
-	"macedon/internal/metrics"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/genpastry"
@@ -133,7 +133,7 @@ func TestGenChordRoutingOracleChurn(t *testing.T) {
 			c := confChurn(t, shards, stack)
 			defer c.StopAll()
 
-			oracle := metrics.NewChordOracle(c.Addrs)
+			oracle := check.NewChordOracle(c.Addrs)
 			var lines []string
 			for i := 0; i < confNodes; i++ {
 				addr := c.Addrs[i]

@@ -3,16 +3,18 @@
 package main
 
 import (
+	"path/filepath"
 	"testing"
 	"time"
 
+	"macedon/internal/check"
 	"macedon/internal/core"
 	"macedon/internal/harness"
-	"macedon/internal/metrics"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/genpastry"
 	"macedon/internal/overlays/scribe"
+	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 )
 
@@ -52,7 +54,7 @@ func TestChordUnderChurn(t *testing.T) {
 			live = append(live, a)
 		}
 	}
-	oracle := metrics.NewChordOracle(live)
+	oracle := check.NewChordOracle(live)
 	delivered := map[overlay.Key]overlay.Address{}
 	for _, a := range live {
 		addr := a
@@ -168,7 +170,7 @@ func TestChordRoutingUnderPacketLoss(t *testing.T) {
 	c.RunFor(3 * time.Minute)
 	var got bool
 	dest := overlay.Key(0x42424242)
-	oracle := metrics.NewChordOracle(c.Addrs)
+	oracle := check.NewChordOracle(c.Addrs)
 	owner := oracle.Successor(dest)
 	c.Nodes[owner].RegisterHandlers(core.Handlers{
 		Deliver: func([]byte, int32, overlay.Address) { got = true },
@@ -184,23 +186,29 @@ func TestChordRoutingUnderPacketLoss(t *testing.T) {
 	}
 }
 
-// TestDeterministicExperiments re-runs a full experiment and requires
-// byte-identical results: the reproducibility claim of the harness.
+// TestDeterministicExperiments re-runs a reduced Figure 10 sweep and
+// requires byte-identical correct-finger curves: the reproducibility claim
+// of the harness, on the path the paper's figures run.
 func TestDeterministicExperiments(t *testing.T) {
-	run := func() []float64 {
-		res, err := harness.RunChordConvergence(harness.ChordParams{
-			Nodes: 25, Routers: 120, Seed: 77,
-			JoinWindow: 10 * time.Second, Duration: 40 * time.Second,
-			Modes: []harness.ChordMode{{Name: "d", Period: time.Second}},
-		})
+	run := func() []string {
+		sw, err := scenario.LoadSweep(filepath.Join("examples", "figures", "fig10.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ys []float64
-		for _, p := range res.Series[0].Points {
-			ys = append(ys, p.Y)
+		sw.Base.Nodes, sw.Base.Seed = 25, 77
+		sw.Base.Join.Window = scenario.Duration(10 * time.Second)
+		sw.Base.Settle = scenario.Duration(10 * time.Second)
+		sw.Base.Phases[0].Duration = scenario.Duration(30 * time.Second)
+		sw.Variants = sw.Variants[:1]
+		rep, err := harness.RunSweepExec(sw, 2, harness.ObsOptions{Enabled: true, TraceSample: 1 << 30, SeriesInterval: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return ys
+		series := rep.Results[0].Report.Phases[0].Obs.Series
+		if n := len(series.Columns); n == 0 || series.Columns[n-1] != "fingers_ok" {
+			t.Fatalf("series columns %v lack fingers_ok", series.Columns)
+		}
+		return series.Lines()
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -208,7 +216,7 @@ func TestDeterministicExperiments(t *testing.T) {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("run diverged at sample %d: %v vs %v", i, a[i], b[i])
+			t.Fatalf("run diverged at sample %d:\n  %s\n  %s", i, a[i], b[i])
 		}
 	}
 }

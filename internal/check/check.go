@@ -262,7 +262,7 @@ func ForProtocol(proto string) []string {
 	switch proto {
 	case "", "chord", "genchord":
 		return []string{"ring", "staleness"}
-	case "pastry", "genpastry", "scribe":
+	case "pastry", "genpastry", "scribe", "splitstream":
 		return []string{"leafset", "staleness"}
 	case "randtree", "genrandtree", "overcast", "bullet":
 		return []string{"tree", "staleness"}

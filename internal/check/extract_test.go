@@ -8,7 +8,6 @@ import (
 	"macedon/internal/check"
 	"macedon/internal/core"
 	"macedon/internal/harness"
-	"macedon/internal/metrics"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genchord"
 )
@@ -29,7 +28,7 @@ func TestExtractGeneratedChordRing(t *testing.T) {
 	}
 	c.RunFor(30 * time.Second)
 
-	oracle := metrics.NewChordOracle(c.Addrs)
+	oracle := check.NewChordOracle(c.Addrs)
 	predOf := make(map[overlay.Address]overlay.Address, n)
 	for _, a := range c.Addrs {
 		predOf[oracle.Successor(overlay.HashAddress(a)+1)] = a

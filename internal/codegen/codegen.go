@@ -125,6 +125,29 @@ func camel(s string) string {
 	return out.String()
 }
 
+// emitSetParam writes the accessor a scenario's params reach the agent
+// through: one case per int auxiliary variable, by its spec name, so the
+// names are defined in the spec alone.
+func (g *generator) emitSetParam(s *dsl.Spec) {
+	g.pf("// SetParam sets the int auxiliary variable name to v, reporting whether\n")
+	g.pf("// the spec declares one: how a scenario's params reach the agent.\n")
+	var ints []string
+	for _, v := range s.StateVars {
+		if v.Kind == dsl.VarPlain && v.Type == "int" {
+			ints = append(ints, v.Name)
+		}
+	}
+	if len(ints) == 0 {
+		g.pf("func (*Agent) SetParam(string, int32) bool { return false }\n\n")
+		return
+	}
+	g.pf("func (a *Agent) SetParam(name string, v int32) bool {\n\tswitch name {\n")
+	for _, n := range ints {
+		g.pf("\tcase %q:\n\t\ta.%s = v\n", n, camel(n))
+	}
+	g.pf("\tdefault:\n\t\treturn false\n\t}\n\treturn true\n}\n\n")
+}
+
 // goType maps mac field types onto Go types.
 func goType(t string) string {
 	switch t {
@@ -273,6 +296,7 @@ func (g *generator) file() (string, error) {
 	g.pf("// DefinedByType makes the agent core.TypeDefined: Define reads no agent and\n")
 	g.pf("// no transition keeps ev.Msg, so one Def serves every instance.\n")
 	g.pf("func (*Agent) DefinedByType() {}\n\n")
+	g.emitSetParam(s)
 
 	// Define. Its receiver is unnamed, so it cannot read the agent: handlers
 	// receive theirs through the core adapters, and factories make fresh
@@ -300,7 +324,7 @@ func (g *generator) file() (string, error) {
 		case "UDP":
 			g.pf("\td.UDPTransport(%q)\n", tr.Name)
 		case "SWP":
-			g.pf("\td.SWPTransport(%q, 0)\n", tr.Name)
+			g.pf("\td.SWPTransport(%q)\n", tr.Name)
 		}
 	}
 	for _, m := range s.Messages {

@@ -166,9 +166,8 @@ type transition struct {
 }
 
 type transportDecl struct {
-	name   string
-	kind   overlay.TransportKind
-	window int // SWP only
+	name string
+	kind overlay.TransportKind
 }
 
 type messageDecl struct {
@@ -273,9 +272,9 @@ func (d *Def) UDPTransport(name string) {
 }
 
 // SWPTransport declares a reliable congestion-unfriendly sliding-window
-// transport instance. window <= 0 selects the default.
-func (d *Def) SWPTransport(name string, window int) {
-	d.transports = append(d.transports, transportDecl{name: name, kind: overlay.SWP, window: window})
+// transport instance.
+func (d *Def) SWPTransport(name string) {
+	d.transports = append(d.transports, transportDecl{name: name, kind: overlay.SWP})
 }
 
 // Message declares a message type bound to a default transport instance.

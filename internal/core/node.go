@@ -154,7 +154,7 @@ func NewNode(cfg Config) (*Node, error) {
 		case overlay.UDP:
 			t = n.mux.AddUDP(td.name)
 		case overlay.SWP:
-			t = n.mux.AddSWP(td.name, td.window)
+			t = n.mux.AddSWP(td.name)
 		}
 		n.prio = append(n.prio, t)
 	}

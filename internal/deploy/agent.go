@@ -86,7 +86,7 @@ func (a *agent) start() error {
 	if a.cfg.Shape != nil {
 		a.applyShape(a.cfg.Shape)
 	}
-	stack, err := harness.ScenarioStack(a.cfg.Protocol)
+	stack, err := harness.StackWithParams(a.cfg.Protocol, a.cfg.Params)
 	if err != nil {
 		return err
 	}

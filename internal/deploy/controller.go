@@ -173,6 +173,11 @@ func Run(cfg Config) (*scenario.Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Agents build their stacks from the same params: a name no layer
+	// declares fails here, before any process starts.
+	if _, err := harness.StackWithParams(s.ProtocolName(), s.Params); err != nil {
+		return nil, err
+	}
 	addrs, err := harness.TopologyAddrs(s.Nodes, s.Routers, s.Seed)
 	if err != nil {
 		return nil, err
@@ -283,6 +288,7 @@ func (c *controller) agentConfigLocked(i int) *AgentConfig {
 		Addr:             uint32(c.addrs[i]),
 		Bootstrap:        uint32(c.addrs[0]),
 		Protocol:         c.s.ProtocolName(),
+		Params:           c.s.Params,
 		Table:            c.table,
 		HeartbeatAfterNs: int64(c.s.HeartbeatAfter.D()),
 		FailAfterNs:      int64(c.s.FailAfter.D()),

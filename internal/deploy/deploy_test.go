@@ -2,12 +2,14 @@ package deploy
 
 import (
 	"bytes"
+	"encoding/json"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"macedon/internal/harness"
+	"macedon/internal/overlays/genchord"
 	"macedon/internal/scenario"
 )
 
@@ -123,5 +125,45 @@ func TestPollKeepsRepliesPastAStalledAgent(t *testing.T) {
 	if got := trace.String(); !strings.Contains(got, "poll: node 0 did not answer in 100ms") ||
 		strings.Contains(got, "node 1") || strings.Contains(got, "node 2") {
 		t.Errorf("trace should name node 0 and only node 0:\n%s", got)
+	}
+}
+
+// TestAgentConfigCarriesParams: the controller puts the scenario's params in
+// every agent's config, they survive the control protocol's JSON, and the
+// stack an agent builds from its config sets them on every agent it makes.
+func TestAgentConfigCarriesParams(t *testing.T) {
+	s := &scenario.Scenario{
+		Name: "params", Seed: 3, Nodes: 3, Protocol: "chord",
+		Params: map[string]int{"fix_ms": 20000, "fix_adaptive": 1},
+		Phases: []scenario.Phase{{Name: "p", Duration: scenario.Duration(time.Second)}},
+	}
+	sched, err := scenario.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, err := harness.TopologyAddrs(s.Nodes, s.Routers, s.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &controller{s: s, sched: sched, addrs: addrs,
+		degLoss: make([]float64, s.Nodes), degDelay: make([]time.Duration, s.Nodes)}
+	if c.eng, err = scenario.NewEngine(sched, c, scenario.EngineConfig{Addrs: addrs}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(c.agentConfigLocked(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ac AgentConfig
+	if err := json.Unmarshal(b, &ac); err != nil {
+		t.Fatal(err)
+	}
+	stack, err := harness.StackWithParams(ac.Protocol, ac.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag, ok := stack[0]().(*genchord.Agent)
+	if !ok || ag.FixMs != 20000 || ag.FixAdaptive != 1 {
+		t.Fatalf("agent config %s builds %+v, want fix_ms 20000 and fix_adaptive 1", b, ag)
 	}
 }

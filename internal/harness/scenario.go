@@ -3,6 +3,7 @@ package harness
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"macedon/internal/overlays/nice"
 	"macedon/internal/overlays/overcast"
 	"macedon/internal/overlays/scribe"
+	"macedon/internal/overlays/splitstream"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 	"macedon/internal/substrate"
@@ -26,7 +28,7 @@ import (
 // overcast, ammo, and Chord, Pastry and RandTree, which exist only as the
 // code `macedon gen` emits from specs/*.mac: chord and genchord name the
 // same agent, as do pastry and genpastry and randtree and genrandtree.
-// Scribe stacks on Pastry and bullet on RandTree.
+// Scribe stacks on Pastry, splitstream on Scribe, and bullet on RandTree.
 func ScenarioStack(proto string) ([]core.Factory, error) {
 	switch proto {
 	case "", "chord", "genchord":
@@ -37,6 +39,14 @@ func ScenarioStack(proto string) ([]core.Factory, error) {
 		return []core.Factory{genrandtree.New()}, nil
 	case "scribe":
 		return []core.Factory{genpastry.New(), scribe.New(scribe.Params{})}, nil
+	case "splitstream":
+		// Figure 12's forest: 16 stripe trees whose fan-out Scribe bounds
+		// by pushdown, SplitStream's one change to it (§4.1).
+		return []core.Factory{
+			genpastry.New(),
+			scribe.New(scribe.Params{MaxChildren: 16}),
+			splitstream.New(splitstream.Params{Stripes: 16}),
+		}, nil
 	case "nice":
 		return []core.Factory{nice.New(nice.Params{})}, nil
 	case "overcast":
@@ -56,7 +66,53 @@ func ScenarioStack(proto string) ([]core.Factory, error) {
 			}),
 		}, nil
 	}
-	return nil, fmt.Errorf("harness: unknown scenario protocol %q (have chord, pastry, randtree, scribe, nice, overcast, ammo, bullet, genchord, genpastry, genrandtree)", proto)
+	return nil, fmt.Errorf("harness: unknown scenario protocol %q (have chord, pastry, randtree, scribe, splitstream, nice, overcast, ammo, bullet, genchord, genpastry, genrandtree)", proto)
+}
+
+// StackWithParams is ScenarioStack(proto) with a scenario's params set on
+// every agent its factories build, through the SetParam accessor codegen
+// emits on each generated agent. A name that no layer of the stack declares
+// is an error, returned before any node exists.
+func StackWithParams(proto string, params map[string]int) ([]core.Factory, error) {
+	stack, err := ScenarioStack(proto)
+	if err != nil || len(params) == 0 {
+		return stack, err
+	}
+	type param struct {
+		name string
+		v    int32
+	}
+	var set []param
+	for _, name := range slices.Sorted(maps.Keys(params)) {
+		declared := false
+		for _, f := range stack {
+			if p, ok := f().(paramSetter); ok && p.SetParam(name, 0) {
+				declared = true
+			}
+		}
+		if !declared {
+			return nil, fmt.Errorf("harness: param %q: no layer of protocol %q declares an int auxiliary variable of that name", name, proto)
+		}
+		set = append(set, param{name, int32(params[name])})
+	}
+	out := make([]core.Factory, len(stack))
+	for i, f := range stack {
+		out[i] = func() core.Agent {
+			a := f()
+			if p, ok := a.(paramSetter); ok {
+				for _, kv := range set {
+					p.SetParam(kv.name, kv.v)
+				}
+			}
+			return a
+		}
+	}
+	return out, nil
+}
+
+// paramSetter is the accessor every generated agent carries.
+type paramSetter interface {
+	SetParam(name string, v int32) bool
 }
 
 // ExecOptions are execution parameters of a scenario run: knobs that change
@@ -147,7 +203,7 @@ type cue struct {
 // The caller owns r.c.StopAll.
 func newSimRun(sched *scenario.Schedule, exec ExecOptions) (*simRun, error) {
 	s := sched.Scenario
-	stack, err := ScenarioStack(s.Protocol)
+	stack, err := StackWithParams(s.ProtocolName(), s.Params)
 	if err != nil {
 		return nil, err
 	}

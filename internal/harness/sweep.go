@@ -39,10 +39,10 @@ type forkVariant struct {
 }
 
 // prefixKey fingerprints everything that determines a scenario's behavior up
-// to its fork instant: the cluster configuration, the protocol stack, the
-// multicast group setup, the prefix phase boundaries, and the full prefix op
-// list. Variants with equal keys are guaranteed byte-identical prefixes and
-// may share one.
+// to its fork instant: the cluster configuration, the protocol stack and its
+// params, the multicast group setup, the prefix phase boundaries, and the
+// full prefix op list. Variants with equal keys are guaranteed
+// byte-identical prefixes and may share one.
 func prefixKey(s *scenario.Scenario, sched *scenario.Schedule, forkPhase, shards int) string {
 	forkT := forkTime(sched, forkPhase)
 	// The multicast group only exists (and only influences the prefix — every
@@ -54,8 +54,8 @@ func prefixKey(s *scenario.Scenario, sched *scenario.Schedule, forkPhase, shards
 		groupName = s.GroupName()
 	}
 	var key strings.Builder
-	fmt.Fprintf(&key, "nodes=%d routers=%d seed=%d proto=%q shards=%d hb=%v fail=%v settle=%v fork=%d@%v group=%v/%q phases=[",
-		s.Nodes, s.Routers, s.Seed, s.Protocol, shards,
+	fmt.Fprintf(&key, "nodes=%d routers=%d seed=%d proto=%q params=%v shards=%d hb=%v fail=%v settle=%v fork=%d@%v group=%v/%q phases=[",
+		s.Nodes, s.Routers, s.Seed, s.Protocol, s.Params, shards,
 		s.HeartbeatAfter.D(), s.FailAfter.D(), sched.Settle,
 		forkPhase, forkT, s.NeedsGroup(), groupName)
 	for pi := 0; pi <= forkPhase && pi < len(sched.Phases); pi++ {
@@ -195,6 +195,10 @@ func RunSweepExec(sw *scenario.Sweep, defaultShards int, obsOpts ObsOptions) (*s
 	slots := make([]slot, len(resolved))
 	for i, rv := range resolved {
 		sched, err := scenario.Compile(rv.Scenario)
+		if err == nil {
+			// A param no layer declares fails the sweep before any group runs.
+			_, err = StackWithParams(rv.Scenario.ProtocolName(), rv.Scenario.Params)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("sweep variant %q: %w", rv.Name, err)
 		}

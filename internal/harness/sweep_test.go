@@ -225,3 +225,63 @@ func TestSweepForkPointPhase(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepParamsRunCold: variants that differ only in params — and one
+// that differs only in nodes — each change the prefix, so each runs cold,
+// and each comes out byte-identical to its own standalone run.
+func TestSweepParamsRunCold(t *testing.T) {
+	sw := &scenario.Sweep{
+		Name: "params",
+		Base: sweepBase(),
+		Variants: []scenario.SweepVariant{
+			{Name: "fix-1s", Params: map[string]int{"fix_ms": 1000}},
+			{Name: "fix-20s", Params: map[string]int{"fix_ms": 20000}},
+			{Name: "lsd", Params: map[string]int{"fix_adaptive": 1}},
+			{Name: "fix-20s-12", Nodes: 12, Params: map[string]int{"fix_ms": 20000}},
+		},
+	}
+	render := func(r *scenario.Report) string { return r.VerboseString() + r.TraceText() }
+	sweepMatchesCold(t, sw, 2, ObsOptions{}, []bool{false, false, false, false}, render)
+	rep, err := RunSweep(sw, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Groups != 4 {
+		t.Fatalf("%d prefix groups, want 4", rep.Groups)
+	}
+	if a, b := render(rep.Results[0].Report), render(rep.Results[1].Report); a == b {
+		t.Fatal("fix_ms 1000 and 20000 ran identically: the param never reached the agents")
+	}
+	if n := rep.Results[3].Report.Nodes; n != 12 {
+		t.Fatalf("nodes override lost: %d", n)
+	}
+}
+
+// TestUnknownParamFailsBeforeRun: a param no layer of the stack declares is
+// an error naming the param and the protocol, from the sweep's resolution
+// (before any group runs) and from a lone scenario's run.
+func TestUnknownParamFailsBeforeRun(t *testing.T) {
+	sw := &scenario.Sweep{
+		Name: "bad-param",
+		Base: sweepBase(),
+		Variants: []scenario.SweepVariant{
+			{Name: "fine", Params: map[string]int{"fix_ms": 2000}},
+			{Name: "typo", Params: map[string]int{"fix_msec": 2000}},
+		},
+	}
+	_, err := RunSweep(sw, 1)
+	if err == nil || !strings.HasPrefix(err.Error(), `sweep variant "typo"`) ||
+		!strings.Contains(err.Error(), `"fix_msec"`) || !strings.Contains(err.Error(), `"chord"`) {
+		t.Fatalf("RunSweep error = %v, want the variant, the param and the protocol named", err)
+	}
+	s := sweepBase()
+	s.Protocol = "scribe"
+	s.Params = map[string]int{"fix_ms": 1000} // Chord's, not Pastry's or Scribe's
+	if _, err := RunScenarioExec(&s, ExecOptions{}); err == nil || !strings.Contains(err.Error(), `"fix_ms"`) {
+		t.Fatalf("RunScenarioExec error = %v, want the param named", err)
+	}
+	s.Params = map[string]int{"cache_ms": 5000} // Pastry's, under Scribe
+	if _, err := StackWithParams(s.Protocol, s.Params); err != nil {
+		t.Fatalf("a param of the stack's base layer: %v", err)
+	}
+}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/binary"
-	"fmt"
 	"time"
 )
 
@@ -28,19 +27,3 @@ func DecodeTimestamp(p []byte) (time.Time, bool) {
 	ns := int64(binary.BigEndian.Uint64(p))
 	return time.Unix(0, ns), true
 }
-
-// Point is one (x, y) sample of a reported series.
-type Point struct {
-	X float64
-	Y float64
-}
-
-// Series is one curve of a figure.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// sprintf is a tiny alias so figure printers can be driven by
-// strings.Builder-backed writers in tests.
-func sprintf(format string, args ...any) string { return fmt.Sprintf(format, args...) }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"macedon/internal/overlay"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 	"macedon/internal/topology"
@@ -98,33 +97,6 @@ func TestBandwidthSeriesPreStartClamped(t *testing.T) {
 	}
 	if got, want := pts[0].BitsPerSec, float64((250+750)*8); got != want {
 		t.Fatalf("bucket0 = %f bps, want %f (pre-start sample dropped?)", got, want)
-	}
-}
-
-func TestChordOracle(t *testing.T) {
-	members := []overlay.Address{10, 20, 30, 40}
-	o := NewChordOracle(members)
-	// Every member's own key maps to itself.
-	for _, m := range members {
-		if got := o.Successor(overlay.HashAddress(m)); got != m {
-			t.Fatalf("Successor(own key) = %v, want %v", got, m)
-		}
-	}
-	// A fully correct finger table scores all populated entries.
-	self := overlay.Address(10)
-	selfKey := uint32(overlay.HashAddress(self))
-	fingers := make([]overlay.Address, 32)
-	for i := range fingers {
-		fingers[i] = o.Successor(overlay.Key(selfKey + 1<<uint(i)))
-	}
-	if got := o.CorrectFingers(self, fingers); got != 32 {
-		t.Fatalf("correct fingers = %d", got)
-	}
-	// Nil entries are skipped, wrong entries are not counted.
-	fingers[0] = overlay.NilAddress
-	fingers[1] = overlay.Address(99)
-	if got := o.CorrectFingers(self, fingers); got > 30 {
-		t.Fatalf("correct fingers after corruption = %d", got)
 	}
 }
 

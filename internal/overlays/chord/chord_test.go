@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"macedon/internal/check"
 	"macedon/internal/core"
 	"macedon/internal/harness"
-	"macedon/internal/metrics"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genchord"
 )
@@ -72,14 +72,14 @@ func viewOf(c *harness.Cluster, a overlay.Address) view {
 }
 
 // wantSucc is a's successor on the oracle ring.
-func wantSucc(o *metrics.ChordOracle, a overlay.Address) overlay.Address {
+func wantSucc(o *check.ChordOracle, a overlay.Address) overlay.Address {
 	return o.Successor(overlay.HashAddress(a) + 1)
 }
 
 func TestRingForms(t *testing.T) {
 	const n = 16
 	c := buildRing(t, n, genchord.New(), 60*time.Second)
-	o := metrics.NewChordOracle(c.Addrs)
+	o := check.NewChordOracle(c.Addrs)
 	// Every node's successor must match the oracle ring.
 	for _, a := range c.Addrs {
 		v := viewOf(c, a)
@@ -107,7 +107,7 @@ func TestRingForms(t *testing.T) {
 
 func TestRoutingDeliversAtOwner(t *testing.T) {
 	c := buildRing(t, 12, genchord.New(), 60*time.Second)
-	o := metrics.NewChordOracle(c.Addrs)
+	o := check.NewChordOracle(c.Addrs)
 	delivered := make(map[overlay.Address][]overlay.Key)
 	for _, a := range c.Addrs {
 		addr := a
@@ -168,7 +168,7 @@ func TestFingersConverge(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := buildRing(t, 24, agent(tc.fixMs, 0), tc.settle)
-			o := metrics.NewChordOracle(c.Addrs)
+			o := check.NewChordOracle(c.Addrs)
 			correct, total := 0, 0
 			for _, a := range c.Addrs {
 				fingers := viewOf(c, a).fingers
@@ -225,7 +225,7 @@ func TestSuccessorFailureRepair(t *testing.T) {
 			live = append(live, a)
 		}
 	}
-	o := metrics.NewChordOracle(live)
+	o := check.NewChordOracle(live)
 	for _, a := range live {
 		v := viewOf(c, a)
 		if want := wantSucc(o, a); v.succ != want {
@@ -243,7 +243,7 @@ func TestStaggeredJoins(t *testing.T) {
 		c.SpawnAt(i, []core.Factory{genchord.New()}, time.Duration(i)*2*time.Second)
 	}
 	c.RunFor(120 * time.Second)
-	o := metrics.NewChordOracle(c.Addrs)
+	o := check.NewChordOracle(c.Addrs)
 	for _, a := range c.Addrs {
 		if got, want := viewOf(c, a).succ, wantSucc(o, a); got != want {
 			t.Errorf("node %v successor = %v, want %v", a, got, want)

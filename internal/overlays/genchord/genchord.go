@@ -203,6 +203,22 @@ func (a *Agent) ProtocolName() string { return "chord" }
 // no transition keeps ev.Msg, so one Def serves every instance.
 func (*Agent) DefinedByType() {}
 
+// SetParam sets the int auxiliary variable name to v, reporting whether
+// the spec declares one: how a scenario's params reach the agent.
+func (a *Agent) SetParam(name string, v int32) bool {
+	switch name {
+	case "next_finger":
+		a.NextFinger = v
+	case "fix_ms":
+		a.FixMs = v
+	case "fix_adaptive":
+		a.FixAdaptive = v
+	default:
+		return false
+	}
+	return true
+}
+
 // Define declares the generated FSM.
 func (*Agent) Define(d *core.Def) {
 	d.States("joining", "joined")

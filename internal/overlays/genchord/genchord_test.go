@@ -10,9 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"macedon/internal/check"
 	"macedon/internal/core"
 	"macedon/internal/harness"
-	"macedon/internal/metrics"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genchord"
 )
@@ -38,7 +38,7 @@ func settledRing(t *testing.T) *harness.Cluster {
 func TestGeneratedRingForms(t *testing.T) {
 	c := settledRing(t)
 
-	oracle := metrics.NewChordOracle(c.Addrs)
+	oracle := check.NewChordOracle(c.Addrs)
 	for i, addr := range c.Addrs {
 		node := c.Nodes[addr]
 		if st := node.Instance("chord").State(); st != "joined" {

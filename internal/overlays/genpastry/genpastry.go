@@ -200,6 +200,18 @@ func (a *Agent) ProtocolName() string { return "pastry" }
 // no transition keeps ev.Msg, so one Def serves every instance.
 func (*Agent) DefinedByType() {}
 
+// SetParam sets the int auxiliary variable name to v, reporting whether
+// the spec declares one: how a scenario's params reach the agent.
+func (a *Agent) SetParam(name string, v int32) bool {
+	switch name {
+	case "cache_ms":
+		a.CacheMs = v
+	default:
+		return false
+	}
+	return true
+}
+
 // Define declares the generated FSM.
 func (*Agent) Define(d *core.Def) {
 	d.States("joining", "joined")

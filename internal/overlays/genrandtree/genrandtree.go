@@ -154,6 +154,10 @@ func (a *Agent) ProtocolName() string { return "randtree" }
 // no transition keeps ev.Msg, so one Def serves every instance.
 func (*Agent) DefinedByType() {}
 
+// SetParam sets the int auxiliary variable name to v, reporting whether
+// the spec declares one: how a scenario's params reach the agent.
+func (*Agent) SetParam(string, int32) bool { return false }
+
 // Define declares the generated FSM.
 func (*Agent) Define(d *core.Def) {
 	d.States("joining", "joined")

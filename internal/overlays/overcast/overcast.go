@@ -151,7 +151,7 @@ func (o *Protocol) Define(d *core.Def) {
 	d.Addressing(core.IPAddressing)
 
 	// The transports block of §3.1, verbatim.
-	d.SWPTransport("HIGHEST", 0)
+	d.SWPTransport("HIGHEST")
 	d.TCPTransport("HIGH")
 	d.TCPTransport("MED")
 	d.TCPTransport("LOW")

@@ -19,6 +19,7 @@ import (
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genpastry"
 	"macedon/internal/overlays/splitstream"
+	"macedon/internal/scenario"
 )
 
 // agent returns a factory for generated Pastry with the given cache_ms.
@@ -254,24 +255,33 @@ func TestLocationCacheTTLExpires(t *testing.T) {
 	}
 }
 
-// TestRMIModeSlowsDelivery: Figure 11's FreePastry baseline, which charges
-// the RMI cost model's per-hop delay, sits well above the MACEDON latency of
-// the same run.
+// TestRMIModeSlowsDelivery: Figure 11's FreePastry baseline — the MACEDON
+// run's latency plus the RMI model's delay d = 40 ms + 0.6 ms × N for each
+// forward upcall a packet meets, mean_hops − 1 of them — sits well above the
+// MACEDON latency of the same run.
 func TestRMIModeSlowsDelivery(t *testing.T) {
-	res, err := harness.RunPastryLatency(harness.PastryParams{
-		Sizes: []int{100}, Routers: 400, Seed: 19,
-		Converge: 60 * time.Second, Measure: 5 * time.Second,
-	})
+	s := &scenario.Scenario{
+		Name: "rmi", Seed: 19, Nodes: 100, Routers: 400, Protocol: "pastry",
+		Settle: scenario.Duration(60 * time.Second),
+		Phases: []scenario.Phase{{
+			Name:     "stream",
+			Duration: scenario.Duration(5 * time.Second),
+			Workload: &scenario.Workload{Kind: scenario.WlLookups, Rate: 125, Size: 1000},
+		}},
+	}
+	rep, err := harness.RunScenarioExec(s, harness.ExecOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := time.Duration(res.MACEDON.Points[0].Y * float64(time.Second))
-	rmi := time.Duration(res.FreePastry.Points[0].Y * float64(time.Second))
-	if plain <= 0 {
+	p := rep.Phases[0]
+	plain := p.MeanLatency
+	d := 40*time.Millisecond + time.Duration(s.Nodes)*600*time.Microsecond
+	rmi := plain + time.Duration((p.MeanHops-1)*float64(d))
+	if p.OpsDelivered == 0 || plain <= 0 {
 		t.Fatal("undelivered")
 	}
 	if rmi < plain+50*time.Millisecond {
-		t.Fatalf("RMI model adds no latency: plain=%v rmi=%v", plain, rmi)
+		t.Fatalf("RMI model adds no latency: plain=%v rmi=%v (%.2f hops)", plain, rmi, p.MeanHops)
 	}
 }
 

@@ -27,14 +27,23 @@ func (m *joinG) Decode(r *overlay.Reader) error {
 	return r.Err()
 }
 
-// joinAck tells a joiner who its tree parent is.
+// joinAck tells a joiner who its tree parent is. Direct echoes the join it
+// answers: a refresh sent straight to a parent, not routed over the DHT.
 type joinAck struct {
-	Group overlay.Key
+	Group  overlay.Key
+	Direct bool
 }
 
-func (m *joinAck) MsgName() string                { return "join_ack" }
-func (m *joinAck) Encode(w *overlay.Writer)       { w.Key(m.Group) }
-func (m *joinAck) Decode(r *overlay.Reader) error { m.Group = r.Key(); return r.Err() }
+func (m *joinAck) MsgName() string { return "join_ack" }
+func (m *joinAck) Encode(w *overlay.Writer) {
+	w.Key(m.Group)
+	w.Bool(m.Direct)
+}
+func (m *joinAck) Decode(r *overlay.Reader) error {
+	m.Group = r.Key()
+	m.Direct = r.Bool()
+	return r.Err()
+}
 
 // joinRedirect implements the SplitStream pushdown: a saturated parent
 // bounces the joiner to one of its children.

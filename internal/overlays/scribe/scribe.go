@@ -82,6 +82,12 @@ func (s *Protocol) Parent(g overlay.Key) overlay.Address {
 	return overlay.NilAddress
 }
 
+// IsRoot reports whether this node claims the group's root.
+func (s *Protocol) IsRoot(g overlay.Key) bool {
+	gs, ok := s.groups[g]
+	return ok && gs.root
+}
+
 // Member reports group membership.
 func (s *Protocol) Member(g overlay.Key) bool {
 	gs, ok := s.groups[g]
@@ -243,13 +249,20 @@ func (s *Protocol) recvJoin(ctx *core.Context, ev *core.MsgEvent) {
 		return
 	}
 	if m.Joiner != s.self {
-		s.send(ctx, m.Joiner, &joinAck{Group: m.Group})
+		s.send(ctx, m.Joiner, &joinAck{Group: m.Group, Direct: m.Direct})
 	}
 }
 
 func (s *Protocol) recvJoinAck(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*joinAck)
 	gs := s.group(m.Group)
+	if m.Direct && gs.parent != overlay.NilAddress && gs.parent != ev.From {
+		// The answer to a refresh sent to a parent we have since left for
+		// the DHT path's node: the leave we sent it followed the refresh,
+		// so it no longer counts us. Going back to it would orphan us
+		// under both.
+		return
+	}
 	if gs.root && ev.From != s.self {
 		// Our own revalidation join landed at another node: the DHT says
 		// the group key is not ours (we became root on a cold routing
@@ -326,10 +339,13 @@ func (s *Protocol) onRefresh(ctx *core.Context) {
 			// the DHT-consistent path, which is what breaks any parent
 			// cycles left over from routing on cold tables.
 			s.routeToRoot(ctx, g, &joinG{Group: g, Joiner: s.self})
-		} else if gs.root && (gs.member || len(gs.children) > 0) {
-			// Revalidate rootship against the DHT: if the key's true owner
-			// is elsewhere (we rooted ourselves on cold tables), the ack
-			// demotes us and merges the trees.
+		} else if gs.root {
+			// Revalidate rootship against the DHT, member or not: if the
+			// key's true owner is elsewhere (we rooted ourselves on cold
+			// tables), the ack demotes us and merges the trees. A source
+			// that created the group on a cold table is neither member nor
+			// parent, and keeping its claim would have it multicast into a
+			// tree of its own.
 			s.routeToRoot(ctx, g, &joinG{Group: g, Joiner: s.self})
 		}
 		for child, last := range gs.children {
@@ -350,7 +366,7 @@ func (s *Protocol) apiMulticast(ctx *core.Context, call *core.APICall) {
 	gs := s.group(call.Group)
 	if gs.root {
 		s.markSeen(m)
-		s.disseminate(ctx, m, overlay.NilAddress)
+		s.disseminate(ctx, m)
 		return
 	}
 	// Route to the root; the DHT's location cache makes repeats one hop.
@@ -369,10 +385,15 @@ func (s *Protocol) markSeen(m *mdata) bool {
 	return true
 }
 
-func (s *Protocol) disseminate(ctx *core.Context, m *mdata, except overlay.Address) {
+// disseminate sends m to every child and delivers it to a local member.
+// Data reaches a node from its parent, which is never a child, or at the
+// root over the DHT route from the source, whose last hop is typically a
+// child — one that has not seen m, since the DHT only forwarded it — so no
+// child is skipped.
+func (s *Protocol) disseminate(ctx *core.Context, m *mdata) {
 	gs := s.group(m.Group)
 	for _, child := range sortedChildren(gs) {
-		if child != except && child != s.self {
+		if child != s.self {
 			s.send(ctx, child, m)
 		}
 	}
@@ -387,7 +408,7 @@ func (s *Protocol) recvMdata(ctx *core.Context, ev *core.MsgEvent) {
 	if !s.markSeen(m) {
 		return
 	}
-	s.disseminate(ctx, m, ev.From)
+	s.disseminate(ctx, m)
 }
 
 func (s *Protocol) apiCollect(ctx *core.Context, call *core.APICall) {

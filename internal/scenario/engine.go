@@ -432,11 +432,9 @@ func (e *Engine) snapshot(row *PhaseTotals) {
 	row.Net, row.CtlMsgs, row.CtlBytes = e.b.NetStats(), ctl.MsgsSent, ctl.BytesSent
 }
 
-// runChecks assembles the phase-boundary View and drives the checkers. An
-// alive node the backend has no state for — a live agent that restarted
-// between the poll and the snapshot — contributes an alive-but-unjoined
-// placeholder: no checker indicts a node it has no state for, and the
-// stability windows keep its peers' views out of scope too.
+// runChecks assembles the phase-boundary View and drives the checkers. No
+// checker indicts a placeholder node (nodeStates), and the stability
+// windows keep its peers' views out of scope too.
 func (e *Engine) runChecks(pi int) *check.PhaseChecks {
 	a := &e.acct
 	now := e.b.Now()
@@ -448,24 +446,17 @@ func (e *Engine) runChecks(pi int) *check.PhaseChecks {
 		Grace:       e.grace,
 		StaleBound:  e.stale,
 		Partitioned: a.partitioned,
-		Nodes:       make([]check.NodeState, n),
 		UpFor:       make([]time.Duration, n),
 		DownFor:     make([]time.Duration, n),
 		ConnAge:     make([]time.Duration, n),
 		Reachable:   make([]bool, n),
 		Degraded:    make([]bool, n),
 	}
+	v.Nodes = e.nodeStates()
 	for i := 0; i < n; i++ {
 		if a.nodes[i].alive {
-			st, ok := e.b.NodeState(i)
-			if !ok {
-				st = check.NodeState{Addr: e.addrs[i], Alive: true}
-			}
-			st.Node = i // engine indexing is authoritative
-			v.Nodes[i] = st
 			v.UpFor[i] = now - a.nodes[i].upAt
 		} else {
-			v.Nodes[i] = check.DeadState(i, e.addrs[i])
 			v.DownFor[i] = now - a.nodes[i].downAt
 		}
 		v.ConnAge[i] = now - a.nodes[i].connAt
@@ -477,6 +468,26 @@ func (e *Engine) runChecks(pi int) *check.PhaseChecks {
 		e.recordViolation(now, pi, vi)
 	}
 	return pc
+}
+
+// nodeStates extracts every node's routing state, indexed by node: an alive
+// node the backend has no state for — a live agent that restarted between
+// the poll and the snapshot — is an alive-but-unjoined placeholder.
+func (e *Engine) nodeStates() []check.NodeState {
+	out := make([]check.NodeState, len(e.acct.nodes))
+	for i := range out {
+		if !e.acct.nodes[i].alive {
+			out[i] = check.DeadState(i, e.addrs[i])
+			continue
+		}
+		st, ok := e.b.NodeState(i)
+		if !ok {
+			st = check.NodeState{Addr: e.addrs[i], Alive: true}
+		}
+		st.Node = i // engine indexing is authoritative
+		out[i] = st
+	}
+	return out
 }
 
 // Report assembles the structured result after the run (or branch) ends.

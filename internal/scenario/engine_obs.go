@@ -16,8 +16,9 @@ type ObsConfig struct {
 	// 1 keeps everything.
 	TraceSample int
 	// SeriesLead names the backend's own leading time-series columns; the
-	// engine appends net_sent, net_delivered and ops_delivered. Sample takes
-	// one value per lead column.
+	// engine appends net_sent, net_delivered and ops_delivered, and
+	// fingers_ok when the scenario has checks. Sample takes one value per
+	// lead column.
 	SeriesLead []string
 }
 
@@ -38,6 +39,8 @@ type obsBooks struct {
 	events []obs.Record
 	series []*obs.Series
 	cols   []string
+	// fingers adds the fingers_ok column: the run's scenario has checks.
+	fingers bool
 }
 
 // obsShard is one shard's slice of the books.
@@ -95,6 +98,10 @@ func newObsBooks(sched *Schedule, shards int, cfg ObsConfig) *obsBooks {
 		shards: make([]*obsShard, shards),
 		cols:   append(append([]string(nil), cfg.SeriesLead...), "net_sent", "net_delivered", "ops_delivered"),
 	}
+	if sched.Scenario.Checks != nil {
+		empty.cols = append(empty.cols, "fingers_ok")
+		empty.fingers = true
+	}
 	for i := range empty.shards {
 		empty.shards[i] = &obsShard{}
 	}
@@ -106,8 +113,9 @@ func newObsBooks(sched *Schedule, shards int, cfg ObsConfig) *obsBooks {
 func (s *Schedule) workloadOps() int { return s.Lookups + s.Multicasts }
 
 // Sample appends one time-series point to phase pi at phase-relative offset
-// rel: the backend's lead values, then the network totals and delivered ops.
-// A no-op with the obs plane off.
+// rel: the backend's lead values, then the network totals and delivered ops,
+// and with checks on the correct fingers per live node (check.FingersOK)
+// over the routing state the checkers read. A no-op with the obs plane off.
 func (e *Engine) Sample(pi int, rel time.Duration, lead ...float64) {
 	o := e.acct.obs
 	if o == nil {
@@ -120,8 +128,11 @@ func (e *Engine) Sample(pi int, rel time.Duration, lead ...float64) {
 			delivered += c.delivered
 		}
 	}
-	o.series[pi].Append(rel, append(lead,
-		float64(net.Sent), float64(net.Delivered), float64(delivered))...)
+	vals := append(lead, float64(net.Sent), float64(net.Delivered), float64(delivered))
+	if o.fingers {
+		vals = append(vals, check.FingersOK(e.nodeStates()))
+	}
+	o.series[pi].Append(rel, vals...)
 }
 
 // MirrorTotals stores the backend's counter totals in reg as the

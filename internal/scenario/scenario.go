@@ -15,6 +15,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -63,8 +64,12 @@ type Scenario struct {
 	// Routers sizes the generated INET topology (0 = default).
 	Routers int `json:"routers,omitempty"`
 	// Protocol selects the stack: chord, pastry, randtree, scribe
-	// (pastry+scribe), or nice.
+	// (pastry+scribe), splitstream (pastry+scribe+splitstream), or nice.
 	Protocol string `json:"protocol"`
+	// Params sets int auxiliary variables of the stack's generated layers
+	// on every node before init, by their spec names (for example
+	// {"fix_ms": 20000}). The harness rejects a name no layer declares.
+	Params map[string]int `json:"params,omitempty"`
 	// Join describes how the population enters the overlay.
 	Join JoinSpec `json:"join"`
 	// Settle is the setup period before the first phase: joins happen
@@ -245,6 +250,11 @@ func (s *Scenario) Validate() error {
 	}
 	if len(s.Phases) == 0 {
 		return fmt.Errorf("scenario %q: no phases", s.Name)
+	}
+	for name, v := range s.Params {
+		if name == "" || v < math.MinInt32 || v > math.MaxInt32 {
+			return fmt.Errorf("scenario %q: param %q=%d is not a named int32", s.Name, name, v)
+		}
 	}
 	if c := s.Checks; c != nil {
 		if len(c.Names) == 0 {

@@ -9,11 +9,12 @@ import (
 )
 
 // A Sweep is a comparative experiment: one base scenario plus K variants
-// that override parameters — seed, protocol, churn rate, workload rate,
-// shard count, or whole post-fork phases. The harness runs variants whose
-// settled prefix is byte-identical from one shared checkpoint (run the
-// prefix once, fork K branches), which is what makes "N designs, one
-// warm-up" evaluations cheap; see docs/sweeps.md for the sharing rules.
+// that override parameters — seed, protocol, population, protocol params,
+// churn rate, workload rate, shard count, or whole post-fork phases. The
+// harness runs variants whose settled prefix is byte-identical from one
+// shared checkpoint (run the prefix once, fork K branches), which is what
+// makes "N designs, one warm-up" evaluations cheap; see docs/sweeps.md for
+// the sharing rules.
 type Sweep struct {
 	// Name labels the sweep in reports.
 	Name string `json:"name"`
@@ -26,12 +27,12 @@ type Sweep struct {
 }
 
 // SweepVariant overrides base-scenario parameters for one branch. Zero
-// values inherit from the base. Seed and Protocol overrides change the
-// shared prefix itself, so such variants run cold (no prefix sharing);
-// ChurnRate, WorkloadRate, and Phases apply only to post-fork phases and
-// keep the prefix shareable. Shards is an execution parameter — it never
-// changes results, but a variant pinned to a different shard count cannot
-// share a checkpoint (snapshots are per-shard).
+// values inherit from the base. Seed, Protocol, Nodes and Params overrides
+// change the shared prefix itself, so such variants run cold (no prefix
+// sharing); ChurnRate, WorkloadRate, and Phases apply only to post-fork
+// phases and keep the prefix shareable. Shards is an execution parameter —
+// it never changes results, but a variant pinned to a different shard
+// count cannot share a checkpoint (snapshots are per-shard).
 type SweepVariant struct {
 	// Name labels the variant; defaults to "v<n>".
 	Name string `json:"name,omitempty"`
@@ -39,6 +40,12 @@ type SweepVariant struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Protocol overrides the protocol stack ("" inherits).
 	Protocol string `json:"protocol,omitempty"`
+	// Nodes overrides the population size (0 inherits). Routers keep the
+	// base's setting, so its default scales with the variant.
+	Nodes int `json:"nodes,omitempty"`
+	// Params overrides the base's protocol params name by name; the names
+	// it does not mention inherit.
+	Params map[string]int `json:"params,omitempty"`
 	// Shards pins this variant's event-loop shard count (0 = CLI default).
 	Shards int `json:"shards,omitempty"`
 	// ChurnRate overrides the Poisson churn rate of every post-fork phase
@@ -112,6 +119,15 @@ func (sw *Sweep) Resolve() ([]ResolvedVariant, error) {
 		}
 		if v.Protocol != "" {
 			s.Protocol = v.Protocol
+		}
+		if v.Nodes != 0 {
+			s.Nodes = v.Nodes
+		}
+		for k, pv := range v.Params {
+			if s.Params == nil {
+				s.Params = make(map[string]int, len(v.Params))
+			}
+			s.Params[k] = pv
 		}
 		if len(v.Phases) > 0 {
 			s.Phases = append(append([]Phase{}, s.Phases[:fp+1]...), v.Phases...)

@@ -159,17 +159,14 @@ func (m *Mux) AddUDP(name string) Transport {
 
 // AddTCP creates a reliable congestion-controlled instance.
 func (m *Mux) AddTCP(name string) Transport {
-	r := newReliable(name, m, true, 0)
+	r := newReliable(name, m, true)
 	return m.add(name, r)
 }
 
-// AddSWP creates a reliable fixed-window instance. window is the sliding
-// window in segments; zero selects the default of 16.
-func (m *Mux) AddSWP(name string, window int) Transport {
-	if window <= 0 {
-		window = 16
-	}
-	r := newReliable(name, m, false, window)
+// AddSWP creates a reliable fixed-window instance: a sliding window of
+// swpWindow segments.
+func (m *Mux) AddSWP(name string) Transport {
+	r := newReliable(name, m, false)
 	return m.add(name, r)
 }
 

@@ -35,7 +35,7 @@ func addReliable(m *Mux, kind string) Transport {
 	if kind == "tcp" {
 		return m.AddTCP("t")
 	}
-	return m.AddSWP("t", 8)
+	return m.AddSWP("t")
 }
 
 // shuffler is an endpoint that holds back and repeats datagrams by a seeded

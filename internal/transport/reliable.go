@@ -22,6 +22,7 @@ const (
 	maxRTO     = 60 * time.Second
 
 	initialSSThresh = 64 << 10
+	swpWindow       = 16        // SWP's fixed window, in segments
 	maxFlightCap    = 256 << 10 // receive-window surrogate
 	sendQueueCap    = 8 << 20   // per-connection unsent+unacked cap
 	oooCap          = 512 << 10 // out-of-order buffer cap per connection
@@ -29,11 +30,10 @@ const (
 
 // reliable implements both the TCP and SWP disciplines over datagrams.
 type reliable struct {
-	name  string
-	id    uint8
-	mux   *Mux
-	tcp   bool // true: congestion-controlled; false: fixed-window SWP
-	fixed int  // SWP window in segments
+	name string
+	id   uint8
+	mux  *Mux
+	tcp  bool // true: congestion-controlled; false: fixed-window SWP
 
 	conns map[overlay.Address]*conn
 	stats Stats
@@ -157,9 +157,8 @@ func (c *conn) checkPeer(boot uint64, gen uint32) bool {
 	return false
 }
 
-func newReliable(name string, m *Mux, tcp bool, fixedWindow int) *reliable {
-	return &reliable{name: name, mux: m, tcp: tcp, fixed: fixedWindow,
-		conns: make(map[overlay.Address]*conn)}
+func newReliable(name string, m *Mux, tcp bool) *reliable {
+	return &reliable{name: name, mux: m, tcp: tcp, conns: make(map[overlay.Address]*conn)}
 }
 
 func (r *reliable) Name() string { return r.name }
@@ -261,7 +260,7 @@ func (c *conn) window() int {
 		}
 		return w
 	}
-	return c.t.fixed * c.t.mss()
+	return swpWindow * c.t.mss()
 }
 
 // pump transmits as much unsent data as the window permits.
@@ -562,7 +561,12 @@ func (r *reliable) handleAck(src overlay.Address, body []byte) {
 			c.cwnd = c.ssthresh
 			c.inRecovery = true
 			c.recover = c.sndNxt
-			c.rexmitHigh = c.sndNxt
+			// Never lower rexmitHigh: after a timeout rolled snd_nxt back,
+			// bytes above it were already sent, and the ack that covers
+			// them once this retransmission fills the hole must pass.
+			if c.rexmitHigh < c.sndNxt {
+				c.rexmitHigh = c.sndNxt
+			}
 			c.sampling = false
 			n := minInt(int(mss), flight)
 			r.stats.Retransmits++

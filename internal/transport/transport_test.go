@@ -185,8 +185,8 @@ func TestTCPBulkUnderLossCompletes(t *testing.T) {
 
 func TestSWPReliableUnderLoss(t *testing.T) {
 	r := newRig(t, simnet.Config{LossRate: 0.05}, 10_000_000, 1<<20)
-	r.a.AddSWP("s", 8)
-	r.b.AddSWP("s", 8)
+	r.a.AddSWP("s")
+	r.b.AddSWP("s")
 	var log recvLog
 	r.b.SetRecv(log.fn())
 	tr, _ := r.a.ByName("s")
@@ -259,8 +259,8 @@ func TestTCPBacksOffSWPDoesNot(t *testing.T) {
 		func(m *Mux) Transport { return m.AddTCP("x") },
 		func(m *Mux) { m.AddTCP("x") })
 	swpSeg, swpRet, swpGot := run(
-		func(m *Mux) Transport { return m.AddSWP("x", 32) },
-		func(m *Mux) { m.AddSWP("x", 32) })
+		func(m *Mux) Transport { return m.AddSWP("x") },
+		func(m *Mux) { m.AddSWP("x") })
 	if tcpGot != 400_000 || swpGot != 400_000 {
 		t.Fatalf("incomplete: tcp=%d swp=%d", tcpGot, swpGot)
 	}
@@ -406,7 +406,7 @@ func TestKindsReported(t *testing.T) {
 	if k := r.a.AddUDP("b").Kind(); k != overlay.UDP {
 		t.Fatalf("udp kind = %v", k)
 	}
-	if k := r.a.AddSWP("c", 0).Kind(); k != overlay.SWP {
+	if k := r.a.AddSWP("c").Kind(); k != overlay.SWP {
 		t.Fatalf("swp kind = %v", k)
 	}
 }
@@ -675,5 +675,103 @@ func TestRTOTimerKeptAcrossResets(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// gate is an endpoint the test steers datagram by datagram: while drop is
+// set it discards the next datagram and clears itself, and while hold is
+// set it queues every datagram until release sends them, in order.
+type gate struct {
+	substrate.Endpoint
+	drop, hold bool
+	held       [][]byte
+	dst        overlay.Address
+}
+
+func (g *gate) Send(dst overlay.Address, payload []byte) error {
+	switch {
+	case g.drop:
+		g.drop = false
+		return nil
+	case g.hold:
+		g.dst = dst
+		g.held = append(g.held, bytes.Clone(payload)) // Send's caller reuses payload
+		return nil
+	}
+	return g.Endpoint.Send(dst, payload)
+}
+
+func (g *gate) release() {
+	g.hold = false
+	for _, p := range g.held {
+		_ = g.Endpoint.Send(g.dst, p)
+	}
+	g.held = nil
+}
+
+// TestTCPFastRetransmitAfterTimeoutKeepsAckable drives the one ordering that
+// used to wedge a connection for good: a segment is lost, the receiver's
+// duplicate acks are delayed past the sender's RTO, the timeout rolls
+// snd_nxt back and retransmits the hole, and then the three duplicate acks
+// arrive and trigger a fast retransmit. Fast retransmit used to set
+// rexmitHigh to the rolled-back snd_nxt, below bytes already sent, so the
+// ack that follows the hole fill — which covers everything the receiver
+// holds — failed the "never past what was sent" bound and was dropped, and
+// every later retransmission drew the same rejected ack.
+func TestTCPFastRetransmitAfterTimeoutKeepsAckable(t *testing.T) {
+	var ga, gb *gate
+	r := newWrappedRig(t, simnet.Config{}, 10_000_000, 1<<20, func(ep substrate.Endpoint) substrate.Endpoint {
+		g := &gate{Endpoint: ep}
+		if ga == nil {
+			ga = g
+		} else {
+			gb = g
+		}
+		return g
+	})
+	defer r.sched.Close()
+	tr := r.a.AddTCP("t")
+	r.b.AddTCP("t")
+	delivered := 0
+	r.b.SetRecv(func(string, overlay.Address, []byte) { delivered++ })
+	seg := r.a.mss(relHeaderLen) - 4 // one frame, one segment
+	send := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := tr.Send(2, make([]byte, seg)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm up: slow start opens the window past the burst below.
+	send(16)
+	r.sched.RunFor(2 * time.Second)
+	c := tr.(*reliable).conns[2]
+	if c.sndUna != c.sndNxt || c.cwnd < 8*float64(seg+4) {
+		t.Fatalf("warm-up left una=%d nxt=%d cwnd=%.0f", c.sndUna, c.sndNxt, c.cwnd)
+	}
+
+	// The burst's first segment is lost and every ack is held back.
+	ga.drop, gb.hold = true, true
+	send(8)
+	hole, end := c.sndUna, c.sndNxt
+	r.sched.RunFor(c.rto + 100*time.Millisecond)
+	if c.sndNxt != hole+uint64(seg+4) || c.rexmitHigh != end {
+		t.Fatalf("no timeout: una=%d nxt=%d rexmitHigh=%d (hole %d, end %d)", c.sndUna, c.sndNxt, c.rexmitHigh, hole, end)
+	}
+	// The seven duplicate acks arrive, then the ack of the filled hole.
+	gb.release()
+	r.sched.RunFor(10 * time.Second)
+	if c.sndUna != end || len(c.queued()) != 0 {
+		t.Fatalf("sender wedged: una=%d nxt=%d rexmitHigh=%d, want the ack past %d accepted", c.sndUna, c.sndNxt, c.rexmitHigh, end)
+	}
+	if delivered != 24 {
+		t.Fatalf("delivered %d/24 frames", delivered)
+	}
+	// The connection still carries new data.
+	send(4)
+	r.sched.RunFor(10 * time.Second)
+	if delivered != 28 || len(c.queued()) != 0 {
+		t.Fatalf("after the recovery: delivered %d/28, %d bytes queued", delivered, len(c.queued()))
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"macedon/internal/check"
 	"macedon/internal/harness"
-	"macedon/internal/metrics"
 	"macedon/internal/obs"
 	"macedon/internal/overlay"
 	"macedon/internal/scenario"
@@ -107,7 +107,7 @@ func TestObsTracePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := metrics.NewChordOracle(addrs)
+	oracle := check.NewChordOracle(addrs)
 
 	rep, err := harness.RunScenarioExec(s, harness.ExecOptions{Shards: 2, Obs: harness.ObsOptions{Enabled: true, TraceSample: 1}})
 	if err != nil {
