@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,6 +29,10 @@ import (
 
 // maxFrame bounds a control frame; anything larger is a protocol error.
 const maxFrame = 1 << 20
+
+// recvStep bounds one read of a frame body: the body grows as its bytes
+// arrive, so a header promising more than the peer sends costs what it sent.
+const recvStep = 4 << 10
 
 // Control message kinds.
 const (
@@ -236,13 +241,22 @@ func (c *Conn) Recv() (*Msg, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("deploy: control frame of %d bytes", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(c.r, body); err != nil {
-		return nil, err
+	body := make([]byte, 0, min(n, recvStep))
+	for len(body) < int(n) {
+		step := min(int(n)-len(body), recvStep)
+		body = slices.Grow(body, step)
+		k, err := io.ReadFull(c.r, body[len(body):len(body)+step])
+		body = body[:len(body)+k]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised more
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	var m Msg
 	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, fmt.Errorf("deploy: bad control frame: %v", err)
+		return nil, fmt.Errorf("deploy: bad control frame: %w", err)
 	}
 	return &m, nil
 }

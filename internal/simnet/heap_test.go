@@ -80,7 +80,7 @@ func TestEventHeapAgainstSort(t *testing.T) {
 			check("size")
 		default:
 			// items is a heap array holding exactly the reference's keys;
-			// a copy of it handed to set is the same heap.
+			// a copy of it handed to restore is the same heap.
 			items := append([]event(nil), h.items()...)
 			keys := make([]eventKey, len(items))
 			for i := range items {
@@ -93,7 +93,7 @@ func TestEventHeapAgainstSort(t *testing.T) {
 			if !slices.Equal(keys, ref) {
 				t.Fatalf("step %d: items hold %v, want %v", step, keys, ref)
 			}
-			h.set(items)
+			h.restore(items)
 			check("items")
 		}
 	}

@@ -425,9 +425,16 @@ func (h *eventHeap) items() []event {
 	return h.s
 }
 
-// set replaces the contents with evts, which must already be in heap order
-// (a copy of some heap's items).
-func (h *eventHeap) set(evts []event) { h.s, h.hole = evts, false }
+// restore replaces the contents with a copy of evts, which must already be
+// in heap order (some heap's items). The copy goes into the heap's own array
+// when it has room, and no slot past the new contents keeps a reference.
+func (h *eventHeap) restore(evts []event) {
+	old := len(h.s)
+	h.s, h.hole = append(h.s[:0], evts...), false
+	if old > len(h.s) {
+		clear(h.s[len(h.s):old])
+	}
+}
 
 // shard is one partition of the event loop: two heaps plus the shard's own
 // virtual clock. Nothing here is locked. The heaps, the clock and the stamp

@@ -117,12 +117,14 @@ func (s *Scheduler) Restore(cp *SchedulerSnapshot) {
 	s.globalSeq = cp.globalSeq
 	s.executed = cp.executed
 	s.stall, s.lastSync, s.lastWindow = cp.stall, cp.lastSync, cp.lastWindow
-	s.global.set(append([]event(nil), cp.global...))
+	// Each heap keeps an array of its own, the snapshot's copy is never one:
+	// growing the timers never runs into the packets, and a branch never
+	// writes into the snapshot.
+	s.global.restore(cp.global)
 	for i, sh := range s.shards {
 		ss := &cp.shards[i]
-		evts := append([]event(nil), ss.evts...)
-		sh.timers.set(evts[:ss.timers:ss.timers]) // capped: growing it must not run into the packets
-		sh.packets.set(evts[ss.timers:])
+		sh.timers.restore(ss.evts[:ss.timers])
+		sh.packets.restore(ss.evts[ss.timers:])
 		sh.now, sh.cur, sh.executed = ss.now, ss.cur, ss.executed
 	}
 	// Timers queued at the snapshot come back to their exact cancellation
@@ -225,19 +227,24 @@ func (n *Network) Restore(cp *NetworkSnapshot) {
 	// Cached routes are a function of the failure set alone: a restore to
 	// an equal set keeps every shard's.
 	if !maps.Equal(n.blocked, cp.blocked) {
-		n.blocked = maps.Clone(cp.blocked)
+		n.blocked = refill(n.blocked, cp.blocked)
 		n.invalidatePaths()
 	}
-	n.degraded = make(map[topology.LinkID]Degradation, len(cp.degraded))
-	for l, d := range cp.degraded {
-		n.degraded[l] = d
-	}
+	n.degraded = refill(n.degraded, cp.degraded)
 	if cp.sides == nil {
 		n.sides = nil
 	} else {
-		n.sides = make(map[overlay.Address]int, len(cp.sides))
-		for a, s := range cp.sides {
-			n.sides[a] = s
-		}
+		n.sides = refill(n.sides, cp.sides)
 	}
+}
+
+// refill makes dst a copy of src, in dst's own map when it has one; the
+// snapshot keeps src.
+func refill[K comparable, V any](dst, src map[K]V) map[K]V {
+	if dst == nil {
+		dst = make(map[K]V, len(src))
+	}
+	clear(dst)
+	maps.Copy(dst, src)
+	return dst
 }

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -363,5 +364,67 @@ func TestRestoreKeepsTreesForEqualCoreSet(t *testing.T) {
 	}
 	if !send() || took < 40*time.Millisecond {
 		t.Fatalf("restored into the core failure 1→2 took %v, want the slow path", took)
+	}
+}
+
+// TestRestoreIntoHeapsWithRoomAllocatesNothing: a restore copies the
+// snapshot's events into the heaps' own arrays, and the failure, degradation
+// and partition sets into the network's own maps. A heap's array never
+// shrinks, so it always has room for what it held at the snapshot, and
+// rewinding allocates nothing — while every branch still replays the first.
+func TestRestoreIntoHeapsWithRoomAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sched, net := buildPair(t, shards)
+			defer sched.Close()
+			sub1, err := net.NodeNet(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep1, _ := net.Endpoint(1)
+			ep2, _ := net.Endpoint(2)
+			var got []byte
+			ep2.SetRecv(func(_ overlay.Address, p []byte) { got = append(got, p[0]) })
+			var tick func()
+			n := byte(0)
+			tick = func() {
+				n++
+				_ = ep1.Send(2, []byte{n})
+				sub1.After(700*time.Microsecond, tick)
+			}
+			sub1.After(0, tick)
+			var global func()
+			global = func() { sched.After(3*time.Millisecond, global) }
+			sched.After(time.Millisecond, global)
+			net.DegradeLink(0, Degradation{LatencyFactor: 2})
+			sched.RunFor(5 * time.Millisecond)
+			if sched.Pending() < 3 {
+				t.Fatalf("%d events pending at the snapshot; the test checks nothing", sched.Pending())
+			}
+			cpS, cpN, cpApp := sched.Snapshot(), net.Snapshot(), statecopy.Capture(&n)
+			branch := func() string {
+				got = got[:0]
+				sched.RunFor(20 * time.Millisecond)
+				return fmt.Sprint(got)
+			}
+			first := branch()
+			for round := 0; round < 3; round++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				sched.Restore(cpS)
+				net.Restore(cpN)
+				runtime.ReadMemStats(&after)
+				cpApp.Restore()
+				if after.Mallocs != before.Mallocs {
+					t.Errorf("round %d: restore allocated %d times, want 0", round, after.Mallocs-before.Mallocs)
+				}
+				if b := branch(); b != first {
+					t.Fatalf("round %d: branch %s, want %s", round, b, first)
+				}
+			}
+		})
 	}
 }

@@ -37,6 +37,7 @@ type world struct {
 	nilPtr  *inner
 	nilMap  map[int]int
 	nilSl   []int
+	idPtr   *int      // the address of a pointee of another type
 	ptrPair [2]*inner // aliased pointers
 }
 
@@ -57,6 +58,7 @@ func buildWorld() *world {
 	}
 	w.self = w
 	w.nested[0] = inner{id: 10, tags: []string{"n0"}}
+	w.idPtr = &a.id
 	w.ptrPair = [2]*inner{a, a}
 	return w
 }
@@ -122,7 +124,7 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 	if w.nilPtr != nil || w.nilMap != nil || w.nilSl != nil {
 		t.Fatal("nil references not restored to nil")
 	}
-	if w.ptrPair[0] != a || w.ptrPair[1] != a {
+	if w.ptrPair[0] != a || w.ptrPair[1] != a || w.idPtr != &a.id {
 		t.Fatal("aliased pointers diverged")
 	}
 	if w.fn == nil || w.fn() != 11 || w.ch == nil {
@@ -522,7 +524,8 @@ func sameWorld(t *testing.T, a, b *graphWorld, allA, allB []*gnode) {
 // TestCaptureRestoreRandomGraphs pins equivalence rather than outcome: a
 // world built by a seeded generator, captured, mutated at random and
 // restored, deep-equals an untouched twin and holds exactly its original
-// pointers and maps — twice on one image.
+// pointers and maps — three times on one image, each branch mutating what
+// the previous restore built.
 func TestCaptureRestoreRandomGraphs(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		a, allA := genWorld(seed)
@@ -531,13 +534,88 @@ func TestCaptureRestoreRandomGraphs(t *testing.T) {
 		want := identity(a, allA)
 		im := Capture(a)
 		r := rand.New(rand.NewSource(-seed))
-		for round := 0; round < 2; round++ {
+		for round := 0; round < 3; round++ {
 			mutate(r, a, allA, allB)
 			im.Restore()
 			sameWorld(t, a, b, allA, allB)
 			if got := identity(a, allA); !slices.Equal(got, want) {
 				t.Fatalf("seed %d round %d: restored world lost pointer or map identity", seed, round)
 			}
+		}
+	}
+}
+
+// TestRestoredSlicesOwnTheirArrays: a Restore cuts every slice of one
+// element type from one array, each with cap == len, so a branch that
+// appends to or writes through any of them — in a field, in a map value,
+// below an interface, or two fields that shared an array at capture —
+// changes neither its siblings nor the image.
+func TestRestoredSlicesOwnTheirArrays(t *testing.T) {
+	type pair struct{ s []int }
+	type owner struct {
+		a, b  []int
+		byKey map[string][]int
+		box   any // a []int
+		boxed any // a pair
+		list  [][]int
+	}
+	shared := []int{1, 2, 3, 4}
+	w := &owner{
+		a:     shared[:2],
+		b:     shared[1:4],
+		byKey: map[string][]int{"x": {5, 6}, "y": make([]int, 1, 8)},
+		box:   []int{8, 9},
+		boxed: pair{s: []int{10, 11, 12}},
+	}
+	for i := 0; i < 20; i++ {
+		w.list = append(w.list, make([]int, i%4, 6))
+		for j := range w.list[i] {
+			w.list[i][j] = 100*i + j
+		}
+	}
+	type slot struct {
+		name string
+		get  func() []int
+		set  func([]int)
+	}
+	slots := []slot{
+		{"a", func() []int { return w.a }, func(s []int) { w.a = s }},
+		{"b", func() []int { return w.b }, func(s []int) { w.b = s }},
+		{"byKey[x]", func() []int { return w.byKey["x"] }, func(s []int) { w.byKey["x"] = s }},
+		{"byKey[y]", func() []int { return w.byKey["y"] }, func(s []int) { w.byKey["y"] = s }},
+		{"box", func() []int { return w.box.([]int) }, func(s []int) { w.box = s }},
+		{"boxed", func() []int { return w.boxed.(pair).s }, func(s []int) { w.boxed = pair{s} }},
+	}
+	for i := range w.list {
+		slots = append(slots, slot{fmt.Sprintf("list[%d]", i),
+			func() []int { return w.list[i] }, func(s []int) { w.list[i] = s }})
+	}
+	want := make([][]int, len(slots))
+	for i, sl := range slots {
+		want[i] = slices.Clone(sl.get())
+	}
+	im := Capture(w)
+	for round := 0; round < 2; round++ {
+		im.Restore()
+		for i, sl := range slots {
+			if s := sl.get(); !slices.Equal(s, want[i]) || s == nil || cap(s) != len(s) {
+				t.Fatalf("round %d: restored %s = %v (len %d cap %d), want the captured %v with cap == len",
+					round, sl.name, s, len(s), cap(s), want[i])
+			}
+		}
+		for i, sl := range slots {
+			s := sl.get()
+			for j := range s {
+				s[j] = -1
+			}
+			sl.set(append(s, -2))
+			for k, other := range slots {
+				if k != i && !slices.Equal(other.get(), want[k]) {
+					t.Fatalf("round %d: writing and appending through %s changed %s to %v, want %v",
+						round, sl.name, other.name, other.get(), want[k])
+				}
+			}
+			sl.set(slices.Clone(want[i]))
 		}
 	}
 }
