@@ -1,7 +1,6 @@
-// Benchmarks regenerating Figures 7–9 of the MACEDON paper's evaluation at
-// reduced but shape-preserving scale, plus ablations of the design choices
-// DESIGN.md calls out. Figures 10–12 are the sweeps under examples/figures,
-// run by `macedon sweep`; Figures 8–9 at full scale: go run ./cmd/experiments.
+// Benchmarks regenerating Figure 7 of the MACEDON paper's evaluation, plus
+// ablations of the design choices DESIGN.md calls out. Figures 8–12 are the
+// sweeps under examples/figures, run by `macedon sweep`.
 //
 // Reported custom metrics carry the quantity each figure plots, so one
 // -bench=. run yields the whole paper-vs-measured table of EXPERIMENTS.md.
@@ -46,65 +45,6 @@ func BenchmarkFigure7SpecLines(b *testing.B) {
 	}
 	b.ReportMetric(float64(total), "loc_total")
 	b.ReportMetric(float64(total)/float64(len(paths)), "loc_per_spec")
-}
-
-// BenchmarkFigure8NICEStretch runs the NICE site experiment and reports the
-// mean stretch across sites (paper band: ~1–2.5).
-func BenchmarkFigure8NICEStretch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunNICE(harness.NICEParams{
-			Sites: 8, PerSite: 4, Seed: 2004,
-			Settle: 3 * time.Minute, Packets: 20,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sum float64
-		var n int
-		var far float64
-		for _, s := range res.Sites[1:] {
-			if s.MeanStretch > 0 {
-				sum += s.MeanStretch
-				n++
-				far = s.MeanStretch
-			}
-		}
-		if n > 0 {
-			b.ReportMetric(sum/float64(n), "stretch_mean")
-			b.ReportMetric(far, "stretch_far_site")
-		}
-	}
-}
-
-// BenchmarkFigure9NICELatency reports per-site overlay latency (paper band:
-// ~5–40 ms).
-func BenchmarkFigure9NICELatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunNICE(harness.NICEParams{
-			Sites: 8, PerSite: 4, Seed: 2004,
-			Settle: 3 * time.Minute, Packets: 20,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Min and max mean latency across receiving sites: the span of the
-		// figure's per-site bars (overlay detours mean site index is not
-		// strictly monotone, as in the published figure).
-		var lo, hi time.Duration
-		for _, s := range res.Sites[1:] {
-			if s.Received == 0 {
-				continue
-			}
-			if lo == 0 || s.MeanLatency < lo {
-				lo = s.MeanLatency
-			}
-			if s.MeanLatency > hi {
-				hi = s.MeanLatency
-			}
-		}
-		b.ReportMetric(float64(lo.Microseconds())/1000, "min_site_ms")
-		b.ReportMetric(float64(hi.Microseconds())/1000, "max_site_ms")
-	}
 }
 
 // --- ablations -----------------------------------------------------------------

@@ -10,16 +10,16 @@ import (
 	"macedon/internal/repo"
 )
 
-// TestFigureGoldens pins the reduced sweeps of the paper's Figures 10–12
-// (examples/figures/fig1N-small.json, at most 40 nodes) end to end through
+// TestFigureGoldens pins the reduced sweeps of the paper's Figures 8–12
+// (examples/figures/figN-small.json, at most 40 nodes) end to end through
 // the CLI: `macedon sweep -obs -series-interval 10s -json` at -shards=1 and
 // -shards=4, rendered by `macedon report`, must print the checked-in golden
-// byte for byte — the correct-finger curves, the lookup latencies and hops,
-// and the delivered stream. Run with MACEDON_UPDATE_GOLDEN=1 to regenerate
+// byte for byte — the per-site latency and stretch, the correct-finger
+// curves, the lookup latencies and hops, and the delivered stream. Run with MACEDON_UPDATE_GOLDEN=1 to regenerate
 // after an intentional change.
 func TestFigureGoldens(t *testing.T) {
 	update := os.Getenv("MACEDON_UPDATE_GOLDEN") != ""
-	for _, fig := range []string{"fig10", "fig11", "fig12"} {
+	for _, fig := range []string{"fig8", "fig10", "fig11", "fig12"} {
 		t.Run(fig, func(t *testing.T) {
 			sweep := repo.Path("examples", "figures", fig+"-small.json")
 			golden := repo.Path("testdata", "golden", fig+"-small.txt")

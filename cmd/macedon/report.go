@@ -12,6 +12,7 @@ import (
 
 	"macedon/internal/metrics"
 	"macedon/internal/obs"
+	"macedon/internal/scenario"
 )
 
 // runReport implements "macedon report": render the engine time series of a
@@ -123,6 +124,16 @@ func printSeries(rep *metrics.ReportJSON) {
 	}
 	if plotted == 0 {
 		fmt.Println("no time series in this report (run with -obs; add -series-interval for intra-phase points)")
+	}
+	if len(rep.Sites) > 0 {
+		// A scenario with sites: the paper's Figures 8 (stretch) and 9
+		// (latency), one row a site.
+		sites := make([]scenario.SiteStat, len(rep.Sites))
+		for i, st := range rep.Sites {
+			sites[i] = st.Stat()
+		}
+		fmt.Println()
+		scenario.FormatSites(func(format string, args ...any) { fmt.Printf(format, args...) }, sites)
 	}
 }
 

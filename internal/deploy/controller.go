@@ -169,6 +169,9 @@ func Run(cfg Config) (*scenario.Report, error) {
 		cfg.DegradeBase = 5 * time.Millisecond
 	}
 	s := cfg.Scenario
+	if s.Sites > 0 {
+		return nil, fmt.Errorf("deploy: scenario %q: sites: the site matrix is an emulator topology; live hosts have none to build", s.Name)
+	}
 	sched, err := scenario.Compile(s)
 	if err != nil {
 		return nil, err

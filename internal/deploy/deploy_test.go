@@ -167,3 +167,16 @@ func TestAgentConfigCarriesParams(t *testing.T) {
 		t.Fatalf("agent config %s builds %+v, want fix_ms 20000 and fix_adaptive 1", b, ag)
 	}
 }
+
+// TestRunRejectsSites: the site matrix exists only in the emulator, so a
+// live run of a scenario with sites fails before any agent starts.
+func TestRunRejectsSites(t *testing.T) {
+	s, err := scenario.Parse([]byte(`{"name":"sites","nodes":4,"sites":2,"protocol":"nice","phases":[{"duration":"1s"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(Config{Scenario: s, AgentCmd: []string{"/nonexistent-agent"}})
+	if err == nil || !strings.Contains(err.Error(), "sites") {
+		t.Fatalf("Run of a sites scenario: %v, want a sites error", err)
+	}
+}

@@ -1,8 +1,9 @@
 // Package harness assembles MACEDON experiments: a topology, the simnet
-// emulator, a set of overlay nodes running protocol stacks, workload
-// applications, and per-figure experiment drivers that regenerate the
-// paper's evaluation (Figures 7–12). It plays the role of the paper's
-// ModelNet deployment scripts and evaluation tools.
+// emulator, a set of overlay nodes running protocol stacks, and the
+// scenario engine's emulated backend, which runs every declarative scenario
+// and sweep — the paper's Figures 8–12 among them (examples/figures). It
+// plays the role of the paper's ModelNet deployment scripts and evaluation
+// tools.
 package harness
 
 import (
@@ -57,13 +58,12 @@ type ClusterConfig struct {
 
 // Cluster is a running emulated deployment.
 type Cluster struct {
-	cfg    ClusterConfig
-	Sched  *simnet.Scheduler
-	Net    *simnet.Network
-	Graph  *topology.Graph
-	Addrs  []overlay.Address
-	Nodes  map[overlay.Address]*core.Node
-	Routes *topology.Routes
+	cfg   ClusterConfig
+	Sched *simnet.Scheduler
+	Net   *simnet.Network
+	Graph *topology.Graph
+	Addrs []overlay.Address
+	Nodes map[overlay.Address]*core.Node
 }
 
 // NewCluster builds the topology and emulator but spawns no nodes yet:
@@ -87,7 +87,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	addrs := cfg.Addrs
 	if g == nil {
 		var err error
-		g, addrs, err = buildGraph(cfg.Nodes, cfg.Routers, cfg.Seed)
+		g, addrs, err = buildGraph(cfg.Nodes, cfg.Routers, 0, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -100,20 +100,30 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	net := simnet.New(sched, g, simCfg)
 	return &Cluster{
-		cfg:    cfg,
-		Sched:  sched,
-		Net:    net,
-		Graph:  g,
-		Addrs:  addrs,
-		Nodes:  make(map[overlay.Address]*core.Node),
-		Routes: net.Routes(),
+		cfg:   cfg,
+		Sched: sched,
+		Net:   net,
+		Graph: g,
+		Addrs: addrs,
+		Nodes: make(map[overlay.Address]*core.Node),
 	}, nil
 }
 
-// buildGraph generates the INET topology and attaches clients exactly the
-// way NewCluster always has: the address assignment is a pure function of
-// (nodes, routers, seed).
-func buildGraph(nodes, routers int, seed int64) (*topology.Graph, []overlay.Address, error) {
+// buildGraph generates the topology and attaches clients: with sites > 0,
+// the NICE site matrix (topology.NICESites) with nodes/sites clients a
+// site, in address order; otherwise the INET topology, with clients
+// attached exactly the way NewCluster always has. The address assignment
+// is a pure function of (nodes, routers, sites, seed).
+func buildGraph(nodes, routers, sites int, seed int64) (*topology.Graph, []overlay.Address, error) {
+	if sites > 0 {
+		sm := topology.NICESites(sites)
+		g, gws, err := topology.SiteMatrix(sm)
+		if err != nil {
+			return nil, nil, err
+		}
+		addrs, _ := topology.AttachSiteClients(g, gws, nodes/sites, 1, sm)
+		return g, addrs, nil
+	}
 	if routers <= 0 {
 		routers = 4 * nodes
 		if routers < 100 {
@@ -134,7 +144,7 @@ func buildGraph(nodes, routers int, seed int64) (*topology.Graph, []overlay.Addr
 // node i, so a live run and a sim run of one scenario route the identical
 // key space (the live-vs-sim conformance harness depends on it).
 func TopologyAddrs(nodes, routers int, seed int64) ([]overlay.Address, error) {
-	_, addrs, err := buildGraph(nodes, routers, seed)
+	_, addrs, err := buildGraph(nodes, routers, 0, seed)
 	return addrs, err
 }
 
@@ -299,12 +309,6 @@ func (c *Cluster) RunFor(d time.Duration) { c.Sched.RunFor(d) }
 
 // Node returns the node at an address (nil if not spawned).
 func (c *Cluster) Node(addr overlay.Address) *core.Node { return c.Nodes[addr] }
-
-// DirectLatency returns the one-way IP-path latency between two clients:
-// the denominator of stretch and RDP.
-func (c *Cluster) DirectLatency(a, b overlay.Address) (time.Duration, error) {
-	return c.Routes.ClientLatency(a, b)
-}
 
 // StopAll stops every node and releases the scheduler's shard workers.
 func (c *Cluster) StopAll() {

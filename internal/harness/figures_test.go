@@ -14,9 +14,10 @@ import (
 	"macedon/internal/scenario"
 )
 
-// The paper's Figures 10–12 are the sweeps under examples/figures. These
-// tests load each committed sweep, shrink its population and durations, run
-// it through RunSweep, and check the shape the paper reports.
+// The paper's Figures 8–12 are the sweeps under examples/figures. These
+// tests load each committed sweep, shrink its population and durations (or
+// load the committed -small file), run it through RunSweep, and check the
+// shape the paper reports.
 
 // loadFigure reads examples/figures/<name>.json.
 func loadFigure(t *testing.T, name string) *scenario.Sweep {
@@ -75,6 +76,42 @@ func variantReport(t *testing.T, rep *scenario.SweepReport, name string) *scenar
 	}
 	t.Fatalf("sweep %q has no variant %q", rep.Name, name)
 	return nil
+}
+
+// nicePublishedStretch and nicePublishedLatency are the NICE authors'
+// per-site results, read off Figures 15/16 of the NICE SIGCOMM paper as the
+// MACEDON authors did for their Figures 8 and 9: mean stretch, and mean
+// latency in milliseconds, one entry a site of the 8-site testbed.
+var (
+	nicePublishedStretch = []float64{1.1, 1.3, 1.5, 1.6, 1.8, 2.0, 2.2, 2.4}
+	nicePublishedLatency = []float64{5, 10, 14, 18, 23, 27, 33, 40}
+)
+
+// TestFigure8Shape runs examples/figures/fig8-small.json (16 NICE members
+// over 4 sites) and validates Figures 8–9 qualitatively: every site
+// receives the stream, the farthest site sees more latency than the
+// source's own, and stretch stays in a plausible band.
+func TestFigure8Shape(t *testing.T) {
+	rep, err := RunSweep(loadFigure(t, "fig8-small"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := rep.Results[0].Report.Sites
+	if len(sites) != 4 {
+		t.Fatalf("%d sites in the report, want 4", len(sites))
+	}
+	for _, s := range sites {
+		t.Logf("site %d: members=%d received=%d latency=%v (published %.0f ms) stretch=%.2f (published %.1f)",
+			s.Site, s.Members, s.Received, s.MeanLatency, nicePublishedLatency[s.Site], s.MeanStretch, nicePublishedStretch[s.Site])
+		if s.Received == 0 {
+			t.Errorf("site %d received nothing", s.Site)
+		} else if s.MeanStretch < 0.8 || s.MeanStretch > 8 {
+			t.Errorf("site %d stretch %.2f outside [0.8, 8]", s.Site, s.MeanStretch)
+		}
+	}
+	if near, far := sites[0], sites[len(sites)-1]; far.MeanLatency <= near.MeanLatency {
+		t.Errorf("far site latency %v <= the source site's %v", far.MeanLatency, near.MeanLatency)
+	}
 }
 
 // TestFigure10Shape runs a reduced Figure 10 and validates the paper's

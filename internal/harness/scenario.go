@@ -211,9 +211,13 @@ func newSimRun(sched *scenario.Schedule, exec ExecOptions) (*simRun, error) {
 	if shards < 1 {
 		shards = 1
 	}
+	g, addrs, err := buildGraph(s.Nodes, s.Routers, s.Sites, s.Seed)
+	if err != nil {
+		return nil, err
+	}
 	c, err := NewCluster(ClusterConfig{
-		Nodes:          s.Nodes,
-		Routers:        s.Routers,
+		Graph:          g,
+		Addrs:          addrs,
 		Seed:           s.Seed,
 		Shards:         shards,
 		Partitioner:    exec.Partitioner,
@@ -225,6 +229,17 @@ func newSimRun(sched *scenario.Schedule, exec ExecOptions) (*simRun, error) {
 	}
 	r := &simRun{c: c, sched: sched, stack: stack, obs: exec.Obs}
 	cfg := scenario.EngineConfig{Addrs: c.Addrs, Shards: c.Sched.Shards()}
+	if s.Sites > 0 {
+		// Stretch divides by the unicast latency from the multicast
+		// source, node 0, read from the oracle packets are routed by.
+		cfg.Direct = make([]time.Duration, len(c.Addrs))
+		for i, a := range c.Addrs[1:] {
+			if cfg.Direct[i+1], err = c.Net.LiveRoutes().ClientLatency(c.Addrs[0], a); err != nil {
+				c.StopAll()
+				return nil, err
+			}
+		}
+	}
 	if exec.Obs.Enabled {
 		cfg.Obs = &scenario.ObsConfig{
 			TraceSample: exec.Obs.TraceSample,

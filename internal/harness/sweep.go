@@ -54,8 +54,8 @@ func prefixKey(s *scenario.Scenario, sched *scenario.Schedule, forkPhase, shards
 		groupName = s.GroupName()
 	}
 	var key strings.Builder
-	fmt.Fprintf(&key, "nodes=%d routers=%d seed=%d proto=%q params=%v shards=%d hb=%v fail=%v settle=%v fork=%d@%v group=%v/%q phases=[",
-		s.Nodes, s.Routers, s.Seed, s.Protocol, s.Params, shards,
+	fmt.Fprintf(&key, "nodes=%d routers=%d sites=%d seed=%d proto=%q params=%v shards=%d hb=%v fail=%v settle=%v fork=%d@%v group=%v/%q phases=[",
+		s.Nodes, s.Routers, s.Sites, s.Seed, s.Protocol, s.Params, shards,
 		s.HeartbeatAfter.D(), s.FailAfter.D(), sched.Settle,
 		forkPhase, forkT, s.NeedsGroup(), groupName)
 	for pi := 0; pi <= forkPhase && pi < len(sched.Phases); pi++ {

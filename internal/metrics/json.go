@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"encoding/json"
+	"math"
+	"time"
 
 	"macedon/internal/check"
 	"macedon/internal/obs"
@@ -122,6 +124,31 @@ type ReportJSON struct {
 	Phases   []PhaseJSON `json:"phases"`
 	Final    NetJSON     `json:"final"`
 	Obs      *ObsJSON    `json:"obs,omitempty"`
+	// Sites is the per-site table of a scenario with sites; absent
+	// otherwise, so every other report encodes byte-identically.
+	Sites []SiteJSON `json:"sites,omitempty"`
+}
+
+// SiteJSON is one encoded row of the per-site table.
+type SiteJSON struct {
+	Site        int     `json:"site"`
+	Members     int     `json:"members"`
+	Received    int     `json:"received"`
+	MeanLatency float64 `json:"mean_latency_ms"`
+	MeanStretch float64 `json:"mean_stretch"`
+}
+
+// Stat decodes the row back into the engine's form, for
+// scenario.FormatSites. The latency round-trips exactly: both forms carry
+// whole microseconds.
+func (s SiteJSON) Stat() scenario.SiteStat {
+	return scenario.SiteStat{
+		Site:        s.Site,
+		Members:     s.Members,
+		Received:    s.Received,
+		MeanLatency: time.Duration(math.Round(s.MeanLatency*1000)) * time.Microsecond,
+		MeanStretch: s.MeanStretch,
+	}
 }
 
 // EncodeReport reduces a report to its JSON form.
@@ -165,6 +192,15 @@ func EncodeReport(r *scenario.Report) *ReportJSON {
 		}
 		pj.Checks = p.Checks
 		out.Phases = append(out.Phases, pj)
+	}
+	for _, st := range r.Sites {
+		out.Sites = append(out.Sites, SiteJSON{
+			Site:        st.Site,
+			Members:     st.Members,
+			Received:    st.Received,
+			MeanLatency: float64(st.MeanLatency.Microseconds()) / 1000,
+			MeanStretch: st.MeanStretch,
+		})
 	}
 	if r.Obs != nil {
 		out.Obs = &ObsJSON{Exposition: r.Obs.Exposition, Events: r.Obs.Events, Spans: r.Obs.Spans}

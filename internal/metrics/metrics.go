@@ -1,108 +1,21 @@
-// Package metrics implements the overlay evaluation metrics the paper's
-// §4.3 lists as built-in MACEDON facilities: latency stretch and relative
-// delay penalty (RDP), physical link stress computed from extracted topology
-// and routing information, control-traffic overhead, routing-table
-// convergence against a global oracle (Figure 10), and bandwidth time
-// series (Figure 12).
+// Package metrics reduces overlay runs to what the paper's evaluation
+// reports: bandwidth time series (Figure 12), the comparative table of a
+// sweep, the machine-readable report and sweep encodings, and the grader
+// that compares a live run with an emulated one. Per-site latency and
+// stretch (Figures 8–9) and per-phase control-traffic overhead are columns
+// of the scenario engine's report, which this package encodes.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
 	"macedon/internal/obs"
-	"macedon/internal/overlay"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
-	"macedon/internal/topology"
 )
-
-// Stretch is the ratio of overlay path latency to direct unicast latency
-// between the same two clients. A negative return means the direct latency
-// is unknown (disconnected or same node).
-func Stretch(routes *topology.Routes, src, dst overlay.Address, overlayLatency time.Duration) float64 {
-	direct, err := routes.ClientLatency(src, dst)
-	if err != nil || direct <= 0 {
-		return -1
-	}
-	return float64(overlayLatency) / float64(direct)
-}
-
-// Summary holds order statistics of a sample.
-type Summary struct {
-	N              int
-	Mean, Min, Max float64
-	P50, P90, P99  float64
-}
-
-// Summarize computes order statistics over a sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	var sum float64
-	for _, x := range cp {
-		sum += x
-	}
-	q := func(p float64) float64 {
-		idx := int(p * float64(len(cp)-1))
-		return cp[idx]
-	}
-	return Summary{
-		N:    len(cp),
-		Mean: sum / float64(len(cp)),
-		Min:  cp[0],
-		Max:  cp[len(cp)-1],
-		P50:  q(0.50),
-		P90:  q(0.90),
-		P99:  q(0.99),
-	}
-}
-
-// String renders the summary as one table row.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f",
-		s.N, s.Mean, s.Min, s.P50, s.P90, s.P99, s.Max)
-}
-
-// OverlayEdge is one logical overlay hop (e.g. tree parent → child).
-type OverlayEdge struct {
-	From, To overlay.Address
-}
-
-// LinkStress computes, for each physical link, how many overlay edges'
-// unicast paths traverse it — the classic link-stress metric. It returns
-// per-link counts for links with non-zero stress.
-func LinkStress(g *topology.Graph, routes *topology.Routes, edges []OverlayEdge) map[topology.LinkID]int {
-	stress := make(map[topology.LinkID]int)
-	var path []topology.LinkID // reused: one buffer for every edge's path
-	for _, e := range edges {
-		fv, ok1 := g.ClientVertex(e.From)
-		tv, ok2 := g.ClientVertex(e.To)
-		if !ok1 || !ok2 {
-			continue
-		}
-		path = routes.AppendPath(path[:0], fv, tv)
-		for _, l := range path {
-			stress[l]++
-		}
-	}
-	return stress
-}
-
-// StressSummary reduces a stress map to order statistics.
-func StressSummary(stress map[topology.LinkID]int) Summary {
-	xs := make([]float64, 0, len(stress))
-	for _, s := range stress {
-		xs = append(xs, float64(s))
-	}
-	return Summarize(xs)
-}
 
 // BandwidthSeries accumulates delivered bytes into fixed-width time buckets:
 // Figure 12's per-node average bandwidth over time.
@@ -227,6 +140,12 @@ func SweepTable(rep *scenario.SweepReport) string {
 				fmt.Fprintf(&b, " %-26s", cell)
 			}
 			b.WriteString("\n")
+		}
+	}
+	for _, vr := range rep.Results {
+		if len(vr.Report.Sites) > 0 {
+			fmt.Fprintf(&b, "\nvariant %s per site:\n", vr.Name)
+			scenario.FormatSites(func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }, vr.Report.Sites)
 		}
 	}
 	sweepObsSection(&b, rep)

@@ -7,62 +7,7 @@ import (
 
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
-	"macedon/internal/topology"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{3, 1, 2, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Fatalf("empty summary = %+v", z)
-	}
-	if s.String() == "" {
-		t.Fatal("String empty")
-	}
-}
-
-func testGraph() (*topology.Graph, *topology.Routes) {
-	g := topology.NewGraph()
-	a, b := g.AddRouter(), g.AddRouter()
-	g.AddLink(a, b, 10*time.Millisecond, 1e6, 15000)
-	g.AttachClient(1, a, topology.DefaultAccess)
-	g.AttachClient(2, b, topology.DefaultAccess)
-	g.AttachClient(3, a, topology.DefaultAccess)
-	return g, topology.NewRoutes(g)
-}
-
-func TestStretch(t *testing.T) {
-	_, routes := testGraph()
-	// direct 1-2: 1 + 10 + 1 = 12ms. Overlay took 24ms => stretch 2.
-	if got := Stretch(routes, 1, 2, 24*time.Millisecond); got != 2 {
-		t.Fatalf("stretch = %f", got)
-	}
-	if got := Stretch(routes, 1, 99, time.Millisecond); got >= 0 {
-		t.Fatalf("unknown client stretch = %f", got)
-	}
-}
-
-func TestLinkStress(t *testing.T) {
-	g, routes := testGraph()
-	// Overlay edges 1->2 and 3->2 both cross the middle physical link.
-	edges := []OverlayEdge{{From: 1, To: 2}, {From: 3, To: 2}}
-	stress := LinkStress(g, routes, edges)
-	max := 0
-	for _, s := range stress {
-		if s > max {
-			max = s
-		}
-	}
-	if max != 2 {
-		t.Fatalf("max stress = %d, want 2 (shared middle link)", max)
-	}
-	sum := StressSummary(stress)
-	if sum.Max != 2 {
-		t.Fatalf("stress summary = %+v", sum)
-	}
-}
 
 func TestBandwidthSeries(t *testing.T) {
 	start := time.Unix(0, 0)

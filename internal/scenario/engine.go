@@ -60,6 +60,10 @@ type EngineConfig struct {
 	Obs *ObsConfig
 	// Echo, when set, receives every trace line as it is recorded.
 	Echo io.Writer
+	// Direct is the unicast latency from node 0 to each node, by node
+	// index: the denominator of a site scenario's stretch. The engine reads
+	// it only when the scenario has sites.
+	Direct []time.Duration
 }
 
 // sendStamp is what a delivery needs to know about the op it answers; sent
@@ -80,6 +84,14 @@ type nodeAcct struct {
 	upAt                         time.Duration // last transition to up
 	downAt                       time.Duration // last transition to down (0 = down since start)
 	connAt                       time.Duration // last node/link/degrade/partition change
+}
+
+// recvAcct is one receiver's deliveries in a scenario with sites: integer
+// sums, each written only by the shard that owns the node, so the per-site
+// table folded from them is the same at any shard count.
+type recvAcct struct {
+	count  int
+	latSum time.Duration
 }
 
 // cell is one [shard][phase] slot of the delivery accounting.
@@ -105,6 +117,8 @@ type Accounting struct {
 	// Skipped, counter snapshots, Checks); Report folds grid into them.
 	rows []PhaseTotals
 	base PhaseTotals // snapshot at the settle boundary
+	// recv is indexed by node; nil unless the scenario has sites.
+	recv []recvAcct
 
 	eventsRun int
 	trace     []string
@@ -132,6 +146,7 @@ func (a Accounting) clone(sched *Schedule) Accounting {
 	copy(rows, a.rows)
 	a.rows = rows
 	a.trace = append([]string(nil), a.trace...)
+	a.recv = append([]recvAcct(nil), a.recv...)
 	if a.obs != nil {
 		a.obs = a.obs.clone(phases, sched.workloadOps())
 	}
@@ -148,13 +163,15 @@ func (a Accounting) clone(sched *Schedule) Accounting {
 // the live controller under its mutex. Deliver and Forward may run
 // concurrently with each other, one goroutine per shard index; they only
 // read what coordinator calls wrote (sent) and write their own shard's grid
-// row and obs books. The live controller serialises them under its mutex and
+// row and obs books, and Deliver the recv entry of its node, which only the
+// node's shard reports. The live controller serialises them under its mutex and
 // reports shard 0.
 type Engine struct {
-	sched *Schedule
-	b     Backend
-	addrs []overlay.Address
-	echo  io.Writer
+	sched  *Schedule
+	b      Backend
+	addrs  []overlay.Address
+	echo   io.Writer
+	direct []time.Duration
 
 	acct Accounting
 
@@ -179,10 +196,11 @@ func NewEngine(sched *Schedule, b Backend, cfg EngineConfig) (*Engine, error) {
 		shards = 1
 	}
 	e := &Engine{
-		sched: sched,
-		b:     b,
-		addrs: cfg.Addrs,
-		echo:  cfg.Echo,
+		sched:  sched,
+		b:      b,
+		addrs:  cfg.Addrs,
+		echo:   cfg.Echo,
+		direct: cfg.Direct,
 		acct: Accounting{
 			nodes: make([]nodeAcct, len(cfg.Addrs)),
 			sent:  make([]sendStamp, sched.workloadOps()),
@@ -192,6 +210,9 @@ func NewEngine(sched *Schedule, b Backend, cfg EngineConfig) (*Engine, error) {
 	}
 	for sh := range e.acct.grid {
 		e.acct.grid[sh] = make([]cell, np)
+	}
+	if sched.Scenario.Sites > 0 {
+		e.acct.recv = make([]recvAcct, len(cfg.Addrs))
 	}
 	if err := e.resolveChecks(); err != nil {
 		return nil, err
@@ -382,6 +403,11 @@ func (e *Engine) Deliver(op, node, shard int, now time.Duration) {
 	c := &e.acct.grid[shard][s.phase]
 	c.delivered++
 	c.latSum += lat
+	if e.acct.recv != nil {
+		r := &e.acct.recv[node]
+		r.count++
+		r.latSum += lat
+	}
 	if o := e.acct.obs; o != nil {
 		sh := o.shards[shard]
 		sh.del[op]++
@@ -519,5 +545,38 @@ func (e *Engine) Report() *Report {
 	if a.obs != nil {
 		e.obsReport(rep, rows)
 	}
+	if a.recv != nil {
+		rep.Sites = e.sites()
+	}
 	return rep
+}
+
+// sites folds the per-receiver tallies into the per-site table. Site s is
+// nodes [s·per, (s+1)·per); the stretch sum runs in node order, so its
+// rounding is the same at any shard count.
+func (e *Engine) sites() []SiteStat {
+	recv := e.acct.recv
+	out := make([]SiteStat, e.sched.Scenario.Sites)
+	per := len(recv) / len(out)
+	for si := range out {
+		st := &out[si]
+		st.Site, st.Members = si, per
+		var lat time.Duration
+		var stretch float64
+		for i := si * per; i < (si+1)*per; i++ {
+			if i == 0 {
+				continue // the multicast source
+			}
+			st.Received += recv[i].count
+			lat += recv[i].latSum
+			if i < len(e.direct) && e.direct[i] > 0 {
+				stretch += float64(recv[i].latSum) / float64(e.direct[i])
+			}
+		}
+		if st.Received > 0 {
+			st.MeanLatency = lat / time.Duration(st.Received)
+			st.MeanStretch = stretch / float64(st.Received)
+		}
+	}
+	return out
 }

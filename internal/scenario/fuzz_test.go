@@ -21,6 +21,8 @@ func FuzzParseScenario(f *testing.F) {
 	if err != nil || len(seeds) == 0 {
 		f.Fatalf("no example scenarios to seed from (%v)", err)
 	}
+	// A sweep with sites: the only seed that sets the field.
+	seeds = append(seeds, repo.Path("examples", "figures", "fig8-small.json"))
 	for _, p := range seeds {
 		b, err := os.ReadFile(p)
 		if err != nil {

@@ -178,6 +178,36 @@ type Report struct {
 	// Obs is the run's observability output; nil unless the run executed
 	// with the obs plane enabled.
 	Obs *ObsReport
+	// Sites is the per-site table of a scenario with sites, in site order;
+	// nil otherwise, which keeps every other output byte-identical.
+	Sites []SiteStat
+}
+
+// SiteStat is one site's row of a scenario with sites: the paper's Figures
+// 8 (stretch) and 9 (latency) plot one such row a site.
+type SiteStat struct {
+	Site, Members int
+	// Received counts the workload deliveries at the site's members, over
+	// the whole run. Node 0, the multicast source, is a member of site 0
+	// but no receiver.
+	Received int
+	// MeanLatency is the mean delivery latency over those deliveries.
+	MeanLatency time.Duration
+	// MeanStretch is the mean over those deliveries of the delivery latency
+	// divided by the receiver's unicast latency from node 0.
+	MeanStretch float64
+}
+
+// FormatSites renders a per-site table; it writes nothing for no sites.
+func FormatSites(w func(format string, args ...any), sites []SiteStat) {
+	if len(sites) == 0 {
+		return
+	}
+	w("sites: %-4s %8s %9s %14s %13s\n", "site", "members", "received", "mean_latency", "mean_stretch")
+	for _, s := range sites {
+		w("       %-4d %8d %9d %12.3fms %13.2f\n", s.Site, s.Members, s.Received,
+			float64(s.MeanLatency.Microseconds())/1000, s.MeanStretch)
+	}
 }
 
 // CheckViolations totals the invariant violations across every phase (0
@@ -262,6 +292,7 @@ func (r *Report) FormatOpts(w func(format string, args ...any), verbose bool) {
 			}
 		}
 	}
+	FormatSites(w, r.Sites)
 	w("total: sent=%d delivered=%d qdrop=%d loss=%d down=%d linkdown=%d degrade=%d partition=%d noroute=%d\n",
 		r.Final.Sent, r.Final.Delivered, r.Final.QueueDrops, r.Final.RandomLoss, r.Final.DownDrops,
 		r.Final.LinkDownDrops, r.Final.DegradeLoss, r.Final.PartitionDrops, r.Final.NoRouteDrops)

@@ -63,6 +63,12 @@ type Scenario struct {
 	Nodes int `json:"nodes"`
 	// Routers sizes the generated INET topology (0 = default).
 	Routers int `json:"routers,omitempty"`
+	// Sites, when positive, replaces the INET topology with the site
+	// matrix of the paper's Figures 8–9 (topology.NICESites): Nodes/Sites
+	// members a site, in node order, and the report gains a per-site table
+	// of delivery latency and stretch from node 0. An emulator topology
+	// only: `macedon deploy` rejects it.
+	Sites int `json:"sites,omitempty"`
 	// Protocol selects the stack: chord, pastry, randtree, scribe
 	// (pastry+scribe), splitstream (pastry+scribe+splitstream), or nice.
 	Protocol string `json:"protocol"`
@@ -204,6 +210,11 @@ type Workload struct {
 // and keeps a hostile file from making Compile exhaust memory.
 const MaxOps = 1_000_000
 
+// MaxSites bounds a scenario's sites: the site matrix holds Sites² link
+// latencies and a full mesh of Sites·(Sites−1)/2 links, so a hostile file
+// must fail Validate before any of it is built. The paper's testbed has 8.
+const MaxSites = 256
+
 // maxLength bounds each stretch of a scenario's timeline — the settle, the
 // join window, and the phases plus the drain — at 2^61 ns (about 73 years),
 // so that no instant Compile adds up overflows.
@@ -250,6 +261,9 @@ func (s *Scenario) Validate() error {
 	}
 	if len(s.Phases) == 0 {
 		return fmt.Errorf("scenario %q: no phases", s.Name)
+	}
+	if err := s.checkSites(); err != nil {
+		return err
 	}
 	for name, v := range s.Params {
 		if name == "" || v < math.MinInt32 || v > math.MaxInt32 {
@@ -334,6 +348,21 @@ func (s *Scenario) Validate() error {
 		}
 	}
 	return s.checkBounds()
+}
+
+// checkSites rejects a sites value the site matrix cannot be built from.
+func (s *Scenario) checkSites() error {
+	switch {
+	case s.Sites == 0:
+		return nil
+	case s.Sites < 0 || s.Sites > MaxSites:
+		return fmt.Errorf("scenario %q: sites: %d is outside [0, %d]", s.Name, s.Sites, MaxSites)
+	case s.Sites > s.Nodes || s.Nodes%s.Sites != 0:
+		return fmt.Errorf("scenario %q: sites: %d sites do not divide %d nodes evenly", s.Name, s.Sites, s.Nodes)
+	case s.Routers != 0:
+		return fmt.Errorf("scenario %q: sites: a site matrix has no routers to size, drop routers=%d", s.Name, s.Routers)
+	}
+	return nil
 }
 
 // checkBounds holds the schedule Compile would build to MaxOps and its

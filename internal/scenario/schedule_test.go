@@ -316,6 +316,31 @@ func TestValidateBoundsSchedule(t *testing.T) {
 	}
 }
 
+// TestValidateSites: a sites value the site matrix cannot be built from is
+// rejected by Validate with an error naming the field, and a hostile count
+// fails before anything is sized by it.
+func TestValidateSites(t *testing.T) {
+	scen := func(fields string) string {
+		return `{"name":"s","nodes":16,` + fields + `,"phases":[{"duration":"1s"}]}`
+	}
+	for _, c := range []struct{ name, src, want string }{
+		{"negative", scen(`"sites":-1`), `scenario "s": sites: -1 is outside [0, 256]`},
+		{"hostile", scen(`"sites":1000000000`), "sites: 1000000000 is outside [0, 256]"},
+		{"above the bound", `{"name":"s","nodes":514,"sites":257,"phases":[{"duration":"1s"}]}`, "sites: 257 is outside"},
+		{"more sites than nodes", scen(`"sites":32`), "sites: 32 sites do not divide 16 nodes"},
+		{"uneven", scen(`"sites":3`), "sites: 3 sites do not divide 16 nodes"},
+		{"with routers", scen(`"sites":4,"routers":100`), "sites: a site matrix has no routers to size"},
+	} {
+		_, err := Parse([]byte(c.src))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Parse error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+	if _, err := Parse([]byte(scen(`"sites":4`))); err != nil {
+		t.Fatalf("4 sites of 16 nodes: %v", err)
+	}
+}
+
 // TestArrivalsStepAtLeastOneNanosecond: a rate so high that every
 // interarrival rounds to zero still walks forward, 1 ns a step, so Compile
 // returns with at most one op per nanosecond of the phase.

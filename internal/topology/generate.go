@@ -225,6 +225,25 @@ type SiteMatrixParams struct {
 	QueueBytes                 int
 }
 
+// NICESites re-creates the NICE authors' Internet-like testbed that Figures
+// 8–9 of the paper run on, from the latency information the MACEDON
+// authors extracted: the one-way latency between sites i and j grows with
+// their index distance, 2 + 5·|i − j| ms capped at 40 ms, and each site's
+// LAN hop is 1 ms.
+func NICESites(sites int) SiteMatrixParams {
+	lat := make([][]time.Duration, sites)
+	for i := range lat {
+		lat[i] = make([]time.Duration, sites)
+		for j := range lat[i] {
+			if i != j {
+				d := time.Duration(2+5*max(i-j, j-i)) * time.Millisecond
+				lat[i][j] = min(d, 40*time.Millisecond)
+			}
+		}
+	}
+	return SiteMatrixParams{Latency: lat, LANLatency: time.Millisecond}
+}
+
 func (p *SiteMatrixParams) setDefaults() {
 	if p.LANLatency <= 0 {
 		p.LANLatency = time.Millisecond

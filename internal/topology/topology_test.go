@@ -332,6 +332,33 @@ func TestSiteMatrix(t *testing.T) {
 	}
 }
 
+// TestNICESites pins the latency rule of the paper's Figures 8–9 testbed:
+// 2 + 5·|i − j| ms between sites, capped at 40 ms, over a 1 ms LAN.
+func TestNICESites(t *testing.T) {
+	p := NICESites(8)
+	ms := func(d int) time.Duration { return time.Duration(d) * time.Millisecond }
+	for _, c := range []struct {
+		i, j int
+		want time.Duration
+	}{{0, 0, 0}, {0, 1, ms(7)}, {1, 0, ms(7)}, {2, 5, ms(17)}, {0, 7, ms(37)}, {7, 0, ms(37)}} {
+		if got := p.Latency[c.i][c.j]; got != c.want {
+			t.Errorf("latency %d→%d = %v, want %v", c.i, c.j, got, c.want)
+		}
+	}
+	if got := NICESites(10).Latency[0][9]; got != ms(40) {
+		t.Errorf("latency 0→9 of 10 sites = %v, want the 40 ms cap", got)
+	}
+	g, gws, err := SiteMatrix(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, _ := AttachSiteClients(g, gws, 2, 1, p)
+	// Site 0 to site 7: a LAN hop, the 37 ms WAN link, a LAN hop.
+	if d, err := NewRoutes(g).ClientLatency(addrs[0], addrs[15]); err != nil || d != ms(39) {
+		t.Fatalf("site 0 → site 7 = %v (%v), want 39ms", d, err)
+	}
+}
+
 func TestSiteMatrixErrors(t *testing.T) {
 	if _, _, err := SiteMatrix(SiteMatrixParams{}); err == nil {
 		t.Fatal("empty matrix should fail")
