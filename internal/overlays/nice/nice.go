@@ -407,6 +407,16 @@ func (n *Protocol) recvClusterUpdate(ctx *core.Context, ev *core.MsgEvent) {
 		if layer > 0 && n.layers[layer-1].leader != n.self {
 			return
 		}
+		if ev.From != m.Leader && m.Leader != n.self {
+			// A provisional view of a layer we do not hold yet: a redirect
+			// or a bounce naming the leader to ask. Ask it, and install the
+			// layer only from its own view: the named node may hold no
+			// cluster at this layer at all, and a view that names it as
+			// leader would never be refreshed, yet merge would hand the
+			// cluster below to it.
+			_ = ctx.Send(m.Leader, &joinCluster{Layer: m.Layer}, overlay.PriorityDefault)
+			return
+		}
 		n.layers = append(n.layers, &cluster{members: map[overlay.Address]bool{n.self: true}})
 	}
 	cl := n.layers[layer]
@@ -444,10 +454,49 @@ func (n *Protocol) promote(ctx *core.Context, layer int) {
 	_ = ctx.Send(parent, &joinCluster{Layer: int8(layer + 1)}, overlay.PriorityDefault)
 }
 
-// demote: an ex-leader leaves every layer above.
+// demote: an ex-leader of layer leaves every layer above, handing its seats
+// to the leader its layer view now names.
 func (n *Protocol) demote(ctx *core.Context, layer int) {
-	if len(n.layers) > layer+1 {
-		n.layers = n.layers[:layer+1]
+	n.leave(ctx, layer+1, n.layers[layer].leader)
+}
+
+// leave gives up this node's clusters at layers from and up. Each seat goes
+// to an heir: heir at layer from, and above it whoever now leads the layer
+// below. Each cluster left gets a view with the heir in this node's place,
+// and, where this node led, with the heir as leader, or with no heir the
+// center of the members that remain. Without the hand-off, a cluster this
+// node led keeps naming it as leader; this node answers the members'
+// refreshes with provisional views only, and no member ever sends an
+// authoritative update again, so the cluster and every cluster below it
+// are cut off from the stream for good.
+func (n *Protocol) leave(ctx *core.Context, from int, heir overlay.Address) {
+	for i := from; i < len(n.layers); i++ {
+		cl := n.layers[i]
+		members := make(map[overlay.Address]bool, len(cl.members))
+		for a := range cl.members {
+			if a != n.self {
+				members[a] = true
+			}
+		}
+		if heir != overlay.NilAddress && heir != n.self {
+			members[heir] = true
+		}
+		leader := cl.leader
+		if leader == n.self {
+			leader = heir
+			if leader == overlay.NilAddress || leader == n.self {
+				leader = n.center(&cluster{members: members})
+			}
+		}
+		ms := setToSlice(members)
+		up := &clusterUpdate{Layer: int8(i), Leader: leader, ParentLeader: cl.parent, Members: ms}
+		for _, a := range ms {
+			_ = ctx.Send(a, up, overlay.PriorityDefault)
+		}
+		heir = leader
+	}
+	if from < len(n.layers) {
+		n.layers = n.layers[:from]
 	}
 }
 
@@ -508,22 +557,25 @@ func (n *Protocol) onRefine(ctx *core.Context) {
 	// restarts the join descent.
 	if n.self != n.rp && len(n.layers) > 0 && len(n.layers[0].members) <= 1 {
 		ctx.StateChange("joining")
-		n.layers = nil
+		n.leave(ctx, 0, overlay.NilAddress)
 		n.onJoinRetry(ctx)
 		return
 	}
 	// Enforce the hierarchy invariant: membership at layer i requires
-	// leadership at layer i-1. Drop phantom layers above a lost leadership.
+	// leadership at layer i-1. Leave the layers above a lost leadership,
+	// handing them off.
 	for i := 1; i < len(n.layers); i++ {
 		if n.layers[i-1].leader != n.self {
-			n.layers = n.layers[:i]
+			n.demote(ctx, i-1)
 			break
 		}
 	}
-	// Upward connectivity is soft state: a non-RP node that leads its top
-	// cluster must be a member one layer higher; keep asking until an
-	// update installs it (lost promotions heal here).
-	if top := len(n.layers) - 1; n.self != n.rp && top >= 0 && n.layers[top].leader == n.self {
+	// Upward connectivity is soft state: a node that leads its top cluster
+	// must be a member one layer higher, unless it is the root; keep asking
+	// until an update installs it (lost promotions heal here). The RP is
+	// the root only while no one leads a layer above it: once it has lost a
+	// leadership, it asks its parent like any other node.
+	if top := len(n.layers) - 1; top >= 0 && n.layers[top].leader == n.self {
 		target := n.layers[top].parent
 		if target == overlay.NilAddress || target == n.self {
 			target = n.rp
@@ -562,7 +614,9 @@ func (n *Protocol) onRefine(ctx *core.Context) {
 		size := len(cl.members)
 		switch {
 		case size > 3*n.p.K-1:
-			n.split(ctx, layer)
+			if n.mapped(cl) {
+				n.split(ctx, layer)
+			}
 		case size < n.p.K && layer+1 < len(n.layers):
 			n.merge(ctx, layer)
 		default:
@@ -578,30 +632,53 @@ func (n *Protocol) onRefine(ctx *core.Context) {
 
 // dist looks up the leader's best estimate of the a↔b RTT.
 func (n *Protocol) dist(a, b overlay.Address) time.Duration {
+	if d, ok := n.rtt(a, b); ok {
+		return d
+	}
+	return time.Second // unknown: pessimistic
+}
+
+// rtt is the a↔b RTT this node measured or was told, if it knows one.
+func (n *Protocol) rtt(a, b overlay.Address) (time.Duration, bool) {
 	if a == b {
-		return 0
+		return 0, true
 	}
 	if a == n.self {
 		if d, ok := n.dists[b]; ok {
-			return d
+			return d, true
 		}
 	}
 	if row, ok := n.matrix[a]; ok {
 		if d, ok := row[b]; ok {
-			return d
+			return d, true
 		}
 	}
 	if b == n.self {
 		if d, ok := n.dists[a]; ok {
-			return d
+			return d, true
 		}
 	}
 	if row, ok := n.matrix[b]; ok {
 		if d, ok := row[a]; ok {
-			return d
+			return d, true
 		}
 	}
-	return time.Second // unknown: pessimistic
+	return 0, false
+}
+
+// mapped reports whether this node knows the RTT between every two members
+// of a cluster. A split waits for it: split on guesses, the parts straddle
+// sites, and nothing later moves a member to a closer cluster.
+func (n *Protocol) mapped(cl *cluster) bool {
+	ms := setToSlice(cl.members)
+	for i := range ms {
+		for j := i + 1; j < len(ms); j++ {
+			if _, ok := n.rtt(ms[i], ms[j]); !ok {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // center returns the graph-theoretic center of a cluster: the member
@@ -653,6 +730,11 @@ func (n *Protocol) split(ctx *core.Context, layer int) {
 			g2[a] = true
 		}
 	}
+	// Each part keeps at least K members, as NICE's split does: an outlier
+	// seed would otherwise lead a part of one, which merges straight back
+	// into the cluster that split it off.
+	n.fill(g1, g2, s1, s2)
+	n.fill(g2, g1, s2, s1)
 	l1 := n.center(&cluster{members: g1})
 	l2 := n.center(&cluster{members: g2})
 	topSplit := layer+1 >= len(n.layers)
@@ -708,6 +790,22 @@ func (n *Protocol) split(ctx *core.Context, layer int) {
 		n.demote(ctx, layer)
 	}
 	ctx.Tracef(core.TraceLow, "split layer %d into %d+%d", layer, len(g1), len(g2))
+}
+
+// fill moves members from big to small, closest to small's seed first,
+// until small has K members or big would drop below K. Ties go to the lower
+// address, so every run fills alike.
+func (n *Protocol) fill(small, big map[overlay.Address]bool, seed, other overlay.Address) {
+	for len(small) < n.p.K && len(big) > n.p.K {
+		best, bestD := overlay.NilAddress, time.Duration(1<<63-1)
+		for _, a := range setToSlice(big) {
+			if d := n.dist(a, seed); a != other && d < bestD {
+				best, bestD = a, d
+			}
+		}
+		delete(big, best)
+		small[best] = true
+	}
 }
 
 // merge folds an undersize cluster into the nearest sibling cluster: its
