@@ -233,8 +233,8 @@ func newSimRun(sched *scenario.Schedule, exec ExecOptions) (*simRun, error) {
 		// Stretch divides by the unicast latency from the multicast
 		// source, node 0, read from the oracle packets are routed by.
 		cfg.Direct = make([]time.Duration, len(c.Addrs))
-		for i, a := range c.Addrs[1:] {
-			if cfg.Direct[i+1], err = c.Net.LiveRoutes().ClientLatency(c.Addrs[0], a); err != nil {
+		for i, a := range c.Addrs {
+			if cfg.Direct[i], err = c.Net.LiveRoutes().ClientLatency(c.Addrs[0], a); err != nil {
 				c.StopAll()
 				return nil, err
 			}

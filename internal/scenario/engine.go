@@ -163,9 +163,9 @@ func (a Accounting) clone(sched *Schedule) Accounting {
 // the live controller under its mutex. Deliver and Forward may run
 // concurrently with each other, one goroutine per shard index; they only
 // read what coordinator calls wrote (sent) and write their own shard's grid
-// row and obs books, and Deliver the recv entry of its node, which only the
-// node's shard reports. The live controller serialises them under its mutex and
-// reports shard 0.
+// row and obs books; Deliver also writes its node's recv entry, which only
+// that node's shard reports. The live controller serialises them under its
+// mutex and reports shard 0.
 type Engine struct {
 	sched  *Schedule
 	b      Backend
