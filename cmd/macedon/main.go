@@ -123,11 +123,13 @@ func runGen(args []string) int {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 		return 1
 	}
+	code := 0
 	formatted, err := format.Source([]byte(res.Source))
 	if err != nil {
-		// Emit unformatted source with the error so the bug is debuggable.
+		// Emit the unformatted source so the bug is debuggable, but fail: it
+		// is not Go.
 		fmt.Fprintf(os.Stderr, "%s: generated source does not parse: %v\n", path, err)
-		formatted = []byte(res.Source)
+		formatted, code = []byte(res.Source), 1
 	}
 	// Per-spec coverage summary: the CI gen-coverage job and users read
 	// translation coverage from this line instead of grepping the output.
@@ -135,13 +137,13 @@ func runGen(args []string) int {
 		path, spec.Name, res.Transitions, res.Translated, res.Opaque)
 	if *out == "" {
 		fmt.Print(string(formatted))
-		return 0
+		return code
 	}
 	if err := os.WriteFile(*out, formatted, 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", *out, err)
 		return 1
 	}
-	return 0
+	return code
 }
 
 func runLoc(args []string) int {

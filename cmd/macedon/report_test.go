@@ -10,24 +10,33 @@ import (
 // file and returns its exit code and what it printed.
 func runCaptured(t *testing.T, cmd func([]string) int, args ...string) (int, string) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "stdout")
-	f, err := os.Create(path)
+	var code int
+	out := capture(t, &os.Stdout, func() { code = cmd(args) })
+	return code, out
+}
+
+// capture runs f with *stream pointed at a file and returns what f wrote to
+// it.
+func capture(t *testing.T, stream **os.File, f func()) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stream")
+	file, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	code := func() int {
-		defer func(stdout *os.File) { os.Stdout = stdout }(os.Stdout)
-		os.Stdout = f
-		return cmd(args)
+	func() {
+		defer func(saved *os.File) { *stream = saved }(*stream)
+		*stream = file
+		f()
 	}()
-	if err := f.Close(); err != nil {
+	if err := file.Close(); err != nil {
 		t.Fatal(err)
 	}
 	out, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return code, string(out)
+	return string(out)
 }
 
 // TestReportBenchRendersMacebenchHistory pins `macedon report -bench` over

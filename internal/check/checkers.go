@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 
 	"macedon/internal/overlay"
 )
@@ -268,22 +269,13 @@ func (treeChecker) Check(v *View) []Violation {
 			}
 		}
 		if p := v.Index(n.Parent); p >= 0 && !recent && v.Stable(p) && v.Nodes[p].Kind == KindTree {
-			if !containsAddr(v.Nodes[p].Children, n.Addr) {
+			if !slices.Contains(v.Nodes[p].Children, n.Addr) {
 				out = append(out, Violation{Checker: "tree", Node: i, Detail: fmt.Sprintf(
 					"parent %d (%v) does not list it as a child", p, n.Parent)})
 			}
 		}
 	}
 	return out
-}
-
-func containsAddr(s []overlay.Address, a overlay.Address) bool {
-	for _, x := range s {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }
 
 // stalenessChecker bounds route-state staleness: no reachable live node

@@ -90,7 +90,7 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 			return err
 		}
 		if _, local := g.locals[s.Target]; local {
-			g.pf("%s%s = %s\n", ind, s.Target, val)
+			g.pf("%s%s = %s\n", ind, goName(s.Target), val)
 			return nil
 		}
 		v, ok := g.varTypes[s.Target]
@@ -124,11 +124,11 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 			if err != nil {
 				return err
 			}
-			g.pf("%svar %s %s = %s\n", ind, s.Name, goType(s.Type), val)
+			g.pf("%svar %s %s = %s\n", ind, goName(s.Name), goType(s.Type), val)
 		} else {
-			g.pf("%svar %s %s\n", ind, s.Name, goType(s.Type))
+			g.pf("%svar %s %s\n", ind, goName(s.Name), goType(s.Type))
 		}
-		g.pf("%s_ = %s\n", ind, s.Name)
+		g.pf("%s_ = %s\n", ind, goName(s.Name))
 		g.locals[s.Name] = s.Type
 	case *dsl.ReturnStmt:
 		g.pf("%sreturn\n", ind)
@@ -159,7 +159,7 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 			rng = fmt.Sprintf("append([]overlay.Address(nil), %s...)", rng)
 		}
 		g.loopVars[s.Var] = true
-		g.pf("%sfor _, %s := range %s {\n", ind, s.Var, rng)
+		g.pf("%sfor _, %s := range %s {\n", ind, goName(s.Var), rng)
 		if err := g.scopedBody(s.Body, depth+1); err != nil {
 			return err
 		}
@@ -354,8 +354,7 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		// The message is built in the agent's send slot (see msgScratch):
 		// Send encodes it before returning and keeps nothing. One call
 		// expression, so the destination is still evaluated before the fields.
-		g.need("put")
-		g.pf("%s_ = ctx.Send(%s, put(&a.io.tx.%s, %s{%s}), overlay.PriorityDefault)\n",
+		g.pf("%s_ = ctx.Send(%s, core.Put(&a.io.tx.%s, %s{%s}), overlay.PriorityDefault)\n",
 			ind, dest, camel(s.Msg), msgTypeName(s.Msg), strings.Join(inits, ", "))
 	case "state_change":
 		st, ok := firstIdent(s.Args)
@@ -426,8 +425,7 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		if err != nil {
 			return err
 		}
-		g.need("nbrSync")
-		g.pf("%snbrSync(ctx, %q, ctx.Self(), %s)\n", ind, l, set)
+		g.pf("%sctx.Neighbors(%q).Assign(%s, ctx.Self())\n", ind, l, set)
 	case "list_append", "list_prepend", "list_remove":
 		l, err := g.listVar(s, 0)
 		if err != nil {
@@ -437,11 +435,7 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		if err != nil {
 			return err
 		}
-		helper := map[string]string{
-			"list_append": "listAppend", "list_prepend": "listPrepend", "list_remove": "listRemove",
-		}[s.Fn]
-		g.need(helper)
-		g.pf("%s%s = %s(%s, %s)\n", ind, l, helper, l, a1)
+		g.pf("%s%s = core.%s(%s, %s)\n", ind, l, camel(s.Fn), l, a1)
 	case "list_clear":
 		l, err := g.listVar(s, 0)
 		if err != nil {
@@ -457,8 +451,7 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		if err != nil {
 			return err
 		}
-		g.need("listTrunc")
-		g.pf("%s%s = listTrunc(%s, %s)\n", ind, l, l, n)
+		g.pf("%s%s = core.ListTrunc(%s, %s)\n", ind, l, l, n)
 	case "ring_insert":
 		l, err := g.listVar(s, 0)
 		if err != nil {
@@ -472,8 +465,7 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		if err != nil {
 			return err
 		}
-		g.need("ringInsert")
-		g.pf("%s%s = ringInsert(ctx.SelfKey(), ctx.Self(), %s, %s, %s)\n", ind, l, l, a1, half)
+		g.pf("%s%s = core.RingInsert(ctx.SelfKey(), ctx.Self(), %s, %s, %s)\n", ind, l, l, a1, half)
 	case "table_put":
 		t, err := g.tableVar(s, 0)
 		if err != nil {
@@ -487,8 +479,7 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		if err != nil {
 			return err
 		}
-		g.need("tablePut")
-		g.pf("%stablePut(%s, %s, %s)\n", ind, t, idx, val)
+		g.pf("%score.TablePut(%s, %s, %s)\n", ind, t, idx, val)
 	case "table_remove":
 		t, err := g.tableVar(s, 0)
 		if err != nil {
@@ -498,15 +489,13 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		if err != nil {
 			return err
 		}
-		g.need("tableRemove")
-		g.pf("%stableRemove(%s, %s)\n", ind, t, val)
+		g.pf("%score.TableRemove(%s, %s)\n", ind, t, val)
 	case "table_clear":
 		t, err := g.tableVar(s, 0)
 		if err != nil {
 			return err
 		}
-		g.need("tableClear")
-		g.pf("%stableClear(%s)\n", ind, t)
+		g.pf("%sclear(%s)\n", ind, t)
 	case "map_put":
 		m, err := g.mapVar(s.Fn, s.Args, 0, s.Pos)
 		if err != nil {
@@ -548,8 +537,7 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		if err != nil {
 			return err
 		}
-		g.need("mapRemoveValue")
-		g.pf("%smapRemoveValue(%s, %s)\n", ind, m, v)
+		g.pf("%score.MapRemoveValue(%s, %s)\n", ind, m, v)
 	case "deliver":
 		a0, err := arg(0)
 		if err != nil {
@@ -637,7 +625,10 @@ func (g *generator) expr(e dsl.Expr) (string, error) {
 	}
 	switch e := e.(type) {
 	case dsl.IntLit:
-		return e.Value, nil
+		if lit, ok := number(e.Value); ok {
+			return lit, nil
+		}
+		return "", softf("%s is not a number", e.Value)
 	case dsl.Ident:
 		return g.ident(e.Name)
 	case dsl.NotExpr:
@@ -663,11 +654,8 @@ func (g *generator) expr(e dsl.Expr) (string, error) {
 }
 
 func (g *generator) ident(name string) (string, error) {
-	if g.loopVars[name] {
-		return name, nil
-	}
-	if _, ok := g.locals[name]; ok {
-		return name, nil
+	if _, local := g.locals[name]; local || g.loopVars[name] {
+		return goName(name), nil
 	}
 	switch name {
 	case "self":
@@ -716,6 +704,15 @@ func (g *generator) constExpr(e dsl.Expr) bool {
 		return ok && !local && !g.loopVars[e.Name]
 	}
 	return false
+}
+
+// asInt converts a translated int32 expression to int, leaving an untyped
+// constant as it is.
+func (g *generator) asInt(e dsl.Expr, s string) string {
+	if g.constExpr(e) {
+		return s
+	}
+	return "int(" + s + ")"
 }
 
 // exprArg fetches and translates the i-th argument of a value primitive.
@@ -783,24 +780,13 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if !g.constExpr(e.Args[0]) {
-			n = "int(" + n + ")"
-		}
-		return "int32(ctx.Rand().Intn(" + n + "))", nil
-	case "neighbor_random":
+		return "int32(ctx.Rand().Intn(" + g.asInt(e.Args[0], n) + "))", nil
+	case "neighbor_random", "neighbor_first":
 		id, err := identArg(e, 0)
 		if err != nil {
 			return "", err
 		}
-		g.need("nbrRandom")
-		return fmt.Sprintf("nbrRandom(ctx, %q)", id.Name), nil
-	case "neighbor_first":
-		id, err := identArg(e, 0)
-		if err != nil {
-			return "", err
-		}
-		g.need("nbrFirst")
-		return fmt.Sprintf("nbrFirst(ctx, %q)", id.Name), nil
+		return fmt.Sprintf("core.%s(ctx, %q)", camel(e.Fn), id.Name), nil
 	case "hash":
 		arg, err := g.exprArg(e, 0)
 		if err != nil {
@@ -816,7 +802,7 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		return fmt.Sprintf("overlay.KeyStep(%s, int(%s))", k, i), nil
+		return fmt.Sprintf("overlay.KeyStep(%s, %s)", k, g.asInt(e.Args[1], i)), nil
 	case "between", "between_incl":
 		k, err := g.exprArg(e, 0)
 		if err != nil {
@@ -868,8 +854,7 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		g.need("keyPrefix")
-		return fmt.Sprintf("keyPrefix(%s, %s, %s)", a, b, bits), nil
+		return fmt.Sprintf("int32((%s).SharedPrefix(%s, %s))", a, b, g.asInt(e.Args[2], bits)), nil
 	case "digit":
 		k, err := g.exprArg(e, 0)
 		if err != nil {
@@ -883,8 +868,7 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		g.need("keyDigit")
-		return fmt.Sprintf("keyDigit(%s, %s, %s)", k, i, bits), nil
+		return fmt.Sprintf("int32((%s).Digit(%s, %s))", k, g.asInt(e.Args[1], i), g.asInt(e.Args[2], bits)), nil
 	case "list_size":
 		s, err := g.nodesetExpr(e.Args[0])
 		if err != nil {
@@ -900,8 +884,7 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		g.need("listGet")
-		return fmt.Sprintf("listGet(%s, %s)", s, i), nil
+		return fmt.Sprintf("core.ListGet(%s, %s)", s, i), nil
 	case "list_contains":
 		s, err := g.nodesetExpr(e.Args[0])
 		if err != nil {
@@ -911,15 +894,14 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		g.need("listContains")
-		return fmt.Sprintf("listContains(%s, %s)", s, v), nil
+		g.usesSlices = true
+		return fmt.Sprintf("slices.Contains(%s, %s)", s, v), nil
 	case "list_random":
 		s, err := g.nodesetExpr(e.Args[0])
 		if err != nil {
 			return "", err
 		}
-		g.need("listRandom")
-		return fmt.Sprintf("listRandom(ctx, %s)", s), nil
+		return fmt.Sprintf("core.ListRandom(ctx, %s)", s), nil
 	case "table_get":
 		id, err := identArg(e, 0)
 		if err != nil {
@@ -932,8 +914,7 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		g.need("tableGet")
-		return fmt.Sprintf("tableGet(a.%s[:], %s)", camel(id.Name), i), nil
+		return fmt.Sprintf("core.ListGet(a.%s[:], %s)", camel(id.Name), i), nil
 	case "map_get":
 		m, err := g.mapVar(e.Fn, e.Args, 0, dsl.Pos{})
 		if err != nil {

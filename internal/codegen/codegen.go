@@ -6,8 +6,9 @@
 // slices, fixed-size nodetable arrays, keymap maps), and transition bodies
 // written in the documented action-language subset (§3.3's primitives,
 // ring-interval and prefix key arithmetic, bounded collection insertion)
-// are translated statement by statement against core.Context and a small
-// set of runtime helpers emitted only when referenced.
+// are translated statement by statement into calls on core.Context and the
+// action library in internal/core (actions.go), which is compiled once for
+// every generated agent.
 //
 // Statements outside the subset degrade softly: they are preserved as
 // "TODO(macedon)" comments, exactly as a human would port remaining C
@@ -22,8 +23,11 @@ package codegen
 
 import (
 	"fmt"
+	"go/token"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"macedon/internal/dsl"
 )
@@ -45,7 +49,6 @@ func Generate(spec *dsl.Spec, pkg string) (*Result, error) {
 		spec:     spec,
 		pkg:      pkg,
 		consts:   map[string]string{},
-		helpers:  map[string]bool{},
 		varTypes: map[string]dsl.StateVar{},
 		msgs:     map[string]dsl.Message{},
 		// Locals are value-typed only: the collection primitives resolve
@@ -60,7 +63,11 @@ func Generate(spec *dsl.Spec, pkg string) (*Result, error) {
 		},
 	}
 	for _, c := range spec.Constants {
-		g.consts[c.Name] = c.Value
+		lit, ok := number(c.Value)
+		if !ok && !token.IsIdentifier(c.Value) {
+			return nil, fmt.Errorf("codegen: %s: constant %s = %s is neither a number nor a Go name", c.Pos, c.Name, c.Value)
+		}
+		g.consts[c.Name] = lit
 	}
 	for _, v := range spec.StateVars {
 		g.varTypes[v.Name] = v
@@ -83,7 +90,7 @@ type generator struct {
 	consts     map[string]string
 	opaque     int
 	translated int
-	helpers    map[string]bool // runtime helpers referenced by translated code
+	usesSlices bool // a translation called slices.Contains
 
 	varTypes map[string]dsl.StateVar
 	msgs     map[string]dsl.Message
@@ -102,27 +109,61 @@ type generator struct {
 	localTypes map[string]bool
 }
 
-// need marks a runtime helper for emission at the end of the file.
-func (g *generator) need(helper string) { g.helpers[helper] = true }
-
-func init() { _ = strconv.Itoa } // strconv used in literal handling below
-
 func (g *generator) pf(format string, args ...any) {
 	fmt.Fprintf(&g.b, format, args...)
 }
 
-// camel converts mac snake_case to exported Go CamelCase.
+// camel converts mac snake_case to exported Go CamelCase. A name that would
+// not start with an upper-case letter ("_", "_1", or a script without case)
+// gets an X in front.
 func camel(s string) string {
-	parts := strings.Split(s, "_")
 	var out strings.Builder
-	for _, p := range parts {
-		if p == "" {
+	for _, p := range strings.Split(s, "_") {
+		r, n := utf8.DecodeRuneInString(p)
+		if n == 0 {
 			continue
 		}
-		out.WriteString(strings.ToUpper(p[:1]))
-		out.WriteString(p[1:])
+		out.WriteRune(unicode.ToUpper(r))
+		out.WriteString(p[n:])
+	}
+	if r, _ := utf8.DecodeRuneInString(out.String()); !unicode.IsUpper(r) {
+		return "X" + out.String()
 	}
 	return out.String()
+}
+
+// goName is the Go name of a spec local or loop variable: its own name,
+// unless Go reserves it or the generated code already binds it there, in
+// which case an underscore is appended.
+func goName(name string) string {
+	if token.IsKeyword(name) || boundNames[name] || strings.HasPrefix(name, "fwPayload") {
+		return name + "_"
+	}
+	return name
+}
+
+// boundNames are the names a handler body already uses: its parameters and
+// locals, the imported packages, and the predeclared identifiers the
+// translation emits.
+var boundNames = map[string]bool{
+	"_": true, "a": true, "ctx": true, "call": true, "ev": true, "m": true, "fwOk": true,
+	"time": true, "core": true, "overlay": true, "slices": true,
+	"int": true, "int32": true, "float64": true, "bool": true, "string": true, "byte": true,
+	"len": true, "append": true, "clear": true, "delete": true, "make": true,
+	"nil": true, "true": true, "false": true,
+}
+
+// number translates a number token of the spec into a Go literal. A decimal
+// integer is read as Validate reads it, so a leading zero does not make it
+// octal; any other integer or floating-point literal Go accepts is kept as
+// it is.
+func number(v string) (string, bool) {
+	if n, err := strconv.Atoi(v); err == nil {
+		return strconv.Itoa(n), true
+	}
+	_, errInt := strconv.ParseInt(v, 0, 64)
+	_, errFloat := strconv.ParseFloat(v, 64)
+	return v, errInt == nil || errFloat == nil
 }
 
 // emitSetParam writes the accessor a scenario's params reach the agent
@@ -231,6 +272,9 @@ func (g *generator) resolve(v string) string {
 	if rep, ok := g.consts[v]; ok {
 		return rep
 	}
+	if lit, ok := number(v); ok {
+		return lit
+	}
 	return v
 }
 
@@ -238,12 +282,6 @@ func msgTypeName(name string) string { return "msg" + camel(name) }
 
 func (g *generator) file() (string, error) {
 	s := g.spec
-	g.pf("// Code generated by \"macedon gen\" from specs/%s.mac. DO NOT EDIT.\n", s.Name)
-	g.pf("\n// Package %s is the generated MACEDON agent for protocol %q.\n", g.pkg, s.Name)
-	g.pf("package %s\n\n", g.pkg)
-	g.pf("import (\n\t\"time\"\n\n\t\"macedon/internal/core\"\n\t\"macedon/internal/overlay\"\n)\n\n")
-	g.pf("var _ = time.Millisecond\n\n")
-
 	// Message structs + codecs.
 	for _, m := range s.Messages {
 		tn := msgTypeName(m.Name)
@@ -374,17 +412,19 @@ func (g *generator) file() (string, error) {
 		}
 	}
 
-	// Helpers: only those the spec's translation referenced, in a fixed
-	// order so regeneration is reproducible.
-	if g.helpers["ringInsert"] {
-		g.need("listContains")
+	// The header goes last, once the handlers have shown which imports
+	// they use.
+	body := g.b.String()
+	g.b.Reset()
+	g.pf("// Code generated by \"macedon gen\" from specs/%s.mac. DO NOT EDIT.\n", s.Name)
+	g.pf("\n// Package %s is the generated MACEDON agent for protocol %q.\n", g.pkg, s.Name)
+	g.pf("package %s\n\nimport (\n", g.pkg)
+	if g.usesSlices {
+		g.pf("\t\"slices\"\n")
 	}
-	for _, h := range helperOrder {
-		if g.helpers[h.name] {
-			g.pf("\n%s", h.source)
-		}
-	}
-	return g.b.String(), nil
+	g.pf("\t\"time\"\n\n\t\"macedon/internal/core\"\n\t\"macedon/internal/overlay\"\n)\n\n")
+	g.pf("var _ = time.Millisecond\n\n")
+	return g.b.String() + body, nil
 }
 
 // msgScratchDoc is emitted above the scratch type: the argument for it lives
@@ -399,202 +439,6 @@ const msgScratchDoc = `// msgScratch is where this agent builds the messages it 
 // returns and keeps no reference to it. Nothing generated keeps ev.Msg or a
 // sent message past its transition.
 `
-
-// helperOrder fixes the emission order of the conditional runtime helpers.
-var helperOrder = []struct {
-	name   string
-	source string
-}{
-	{"nbrRandom", `func nbrRandom(ctx *core.Context, list string) overlay.Address {
-	if n := ctx.Neighbors(list).Random(ctx.Rand()); n != nil {
-		return n.Addr
-	}
-	return overlay.NilAddress
-}
-`},
-	{"nbrFirst", `func nbrFirst(ctx *core.Context, list string) overlay.Address {
-	if n := ctx.Neighbors(list).First(); n != nil {
-		return n.Addr
-	}
-	return overlay.NilAddress
-}
-`},
-	{"put", `// put stores v in slot and returns slot: a send builds its message in the
-// agent's send slot inside the Send call expression, so the destination is
-// evaluated before the fields, as when the message was a fresh literal.
-func put[T any](slot *T, v T) *T {
-	*slot = v
-	return slot
-}
-`},
-	{"nbrSync", `// nbrSync replaces a neighbor list's members with a nodeset's, skipping
-// nil and self (the failure detector monitors peers, not the local node).
-func nbrSync(ctx *core.Context, list string, self overlay.Address, s []overlay.Address) {
-	ctx.Neighbors(list).Assign(s, self)
-}
-`},
-	{"listAppend", `// listAppend appends a to the list unless already present (or nil), in
-// place: a nodeset variable owns its array.
-func listAppend(s []overlay.Address, a overlay.Address) []overlay.Address {
-	if a == overlay.NilAddress {
-		return s
-	}
-	for _, x := range s {
-		if x == a {
-			return s
-		}
-	}
-	return append(s, a)
-}
-`},
-	{"listPrepend", `// listPrepend moves or inserts a at the front of the list.
-func listPrepend(s []overlay.Address, a overlay.Address) []overlay.Address {
-	if a == overlay.NilAddress {
-		return s
-	}
-	out := make([]overlay.Address, 0, len(s)+1)
-	out = append(out, a)
-	for _, x := range s {
-		if x != a {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-`},
-	{"listRemove", `// listRemove deletes every occurrence of a.
-func listRemove(s []overlay.Address, a overlay.Address) []overlay.Address {
-	out := make([]overlay.Address, 0, len(s))
-	for _, x := range s {
-		if x != a {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-`},
-	{"listTrunc", `// listTrunc bounds the list to its first n entries.
-func listTrunc(s []overlay.Address, n int32) []overlay.Address {
-	if n < 0 {
-		n = 0
-	}
-	if int32(len(s)) > n {
-		return s[:n]
-	}
-	return s
-}
-`},
-	{"listGet", `// listGet returns the i-th entry, or NilAddress out of range.
-func listGet(s []overlay.Address, i int32) overlay.Address {
-	if i < 0 || int(i) >= len(s) {
-		return overlay.NilAddress
-	}
-	return s[i]
-}
-`},
-	{"listRandom", `// listRandom picks a uniformly random entry with the node's seeded
-// source, or NilAddress when the list is empty.
-func listRandom(ctx *core.Context, s []overlay.Address) overlay.Address {
-	if len(s) == 0 {
-		return overlay.NilAddress
-	}
-	return s[ctx.Rand().Intn(len(s))]
-}
-`},
-	{"listContains", `// listContains reports whether a is in the list.
-func listContains(s []overlay.Address, a overlay.Address) bool {
-	for _, x := range s {
-		if x == a {
-			return true
-		}
-	}
-	return false
-}
-`},
-	{"ringInsert", `// ringInsert is the bounded leaf-set insertion: the result keeps the half
-// closest clockwise and half closest counter-clockwise peers of self,
-// clockwise side first, each side ordered by ring distance.
-func ringInsert(selfKey overlay.Key, self overlay.Address, s []overlay.Address, a overlay.Address, half int32) []overlay.Address {
-	if a == overlay.NilAddress || a == self || listContains(s, a) {
-		return s
-	}
-	var cw, ccw []overlay.Address
-	for _, x := range append(append([]overlay.Address(nil), s...), a) {
-		xk := overlay.HashAddress(x)
-		if selfKey.Distance(xk) <= xk.Distance(selfKey) {
-			cw = ringSide(cw, x, func(k overlay.Key) uint32 { return selfKey.Distance(k) }, half)
-		} else {
-			ccw = ringSide(ccw, x, func(k overlay.Key) uint32 { return k.Distance(selfKey) }, half)
-		}
-	}
-	return append(cw, ccw...)
-}
-
-// ringSide insertion-sorts a into one leaf-set side and bounds its size.
-func ringSide(side []overlay.Address, a overlay.Address, dist func(overlay.Key) uint32, max int32) []overlay.Address {
-	side = append(side, a)
-	for i := len(side) - 1; i > 0; i-- {
-		if dist(overlay.HashAddress(side[i])) < dist(overlay.HashAddress(side[i-1])) {
-			side[i], side[i-1] = side[i-1], side[i]
-		}
-	}
-	if int32(len(side)) > max {
-		side = side[:max]
-	}
-	return side
-}
-`},
-	{"tablePut", `// tablePut stores a at index i, ignoring out-of-range indices.
-func tablePut(t []overlay.Address, i int32, a overlay.Address) {
-	if i >= 0 && int(i) < len(t) {
-		t[i] = a
-	}
-}
-`},
-	{"tableGet", `// tableGet returns the entry at index i, or NilAddress out of range.
-func tableGet(t []overlay.Address, i int32) overlay.Address {
-	if i < 0 || int(i) >= len(t) {
-		return overlay.NilAddress
-	}
-	return t[i]
-}
-`},
-	{"tableRemove", `// tableRemove clears every table slot holding a.
-func tableRemove(t []overlay.Address, a overlay.Address) {
-	for i, x := range t {
-		if x == a {
-			t[i] = overlay.NilAddress
-		}
-	}
-}
-`},
-	{"tableClear", `// tableClear empties every table slot.
-func tableClear(t []overlay.Address) {
-	for i := range t {
-		t[i] = overlay.NilAddress
-	}
-}
-`},
-	{"mapRemoveValue", `// mapRemoveValue deletes every entry whose value is a.
-func mapRemoveValue(m map[overlay.Key]overlay.Address, a overlay.Address) {
-	for k, v := range m {
-		if v == a {
-			delete(m, k)
-		}
-	}
-}
-`},
-	{"keyPrefix", `// keyPrefix counts the leading base-2^bits digits two keys share.
-func keyPrefix(a, b overlay.Key, bits int32) int32 {
-	return int32(a.SharedPrefix(b, int(bits)))
-}
-`},
-	{"keyDigit", `// keyDigit extracts the i-th base-2^bits digit of a key.
-func keyDigit(k overlay.Key, i, bits int32) int32 {
-	return int32(k.Digit(int(i), int(bits)))
-}
-`},
-}
 
 func (g *generator) listMax(v dsl.StateVar) string {
 	if v.Max != "" {

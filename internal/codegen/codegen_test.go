@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"macedon/internal/core"
 	"macedon/internal/dsl"
 	"macedon/internal/overlay"
 	"macedon/internal/repo"
@@ -123,15 +124,70 @@ transitions {
 			t.Errorf("generated source lacks %s:\n%s", want, res.Source)
 		}
 	}
+	typeCheck(t, res.Source)
+}
+
+// typeCheck fails the test unless src, a generated package genp, parses
+// and type-checks against the engine's packages.
+func typeCheck(t *testing.T, src string) {
+	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "genp.go", res.Source, 0)
+	f, err := parser.ParseFile(fset, "genp.go", src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	if _, err := conf.Check("genp", fset, []*ast.File{f}, nil); err != nil {
-		t.Fatalf("generated source does not type-check: %v", err)
+		t.Fatalf("generated source does not type-check: %v\n%s", err, src)
 	}
+}
+
+// TestSpecNamesBecomeValidGo: whatever a spec names its variables and
+// however it writes a decimal number, the generated package compiles. Locals
+// and loop variables named like a Go keyword, a predeclared identifier or a
+// handler's own binding are renamed; state names that are "_" or start with
+// a letter without case are prefixed; 08 is decimal, as Validate reads it.
+func TestSpecNamesBecomeValidGo(t *testing.T) {
+	spec, err := dsl.Parse(`
+protocol p
+addressing ip
+constants { N = 010; }
+transports { UDP u; }
+messages { u m { int x; } }
+auxiliary_data { int _; int énergie; int 日; nodeset s; nodetable t N; }
+transitions {
+  any recv m {
+    int type = 08;
+    int ctx = type + N;
+    int len = ctx;
+    foreach (m in s) { table_put(t, len, m); }
+    _ = len;
+    énergie = 1;
+    日 = 2;
+  }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Generate(spec, "genp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"var type_ int32 = 8\n",
+		"var ctx_ int32 = (type_ + 10)\n",
+		"for _, m_ := range a.S {\n",
+		"T [10]overlay.Address\n",
+		"a.X = len_\n",
+		"a.Énergie = 1\n",
+		"a.X日 = 2\n",
+	} {
+		if !strings.Contains(res.Source, want) {
+			t.Errorf("generated source lacks %q", want)
+		}
+	}
+	typeCheck(t, res.Source)
 }
 
 // fullyTranslated is the set of specs that must generate with zero TODO
@@ -244,12 +300,12 @@ transitions { any recv m { buffer b = field(payload); last = field(payload); las
 	}
 }
 
-// TestHelpersEmittedOnlyWhenReferenced: a runtime helper is emitted only
-// when the translation calls it. A spec that reads neighbor_first but never
-// neighbor_random gets nbrFirst alone, and so never mentions the node PRNG,
-// which the engine then never builds. Generated Chord draws only through
-// random(), in its adaptive mode.
-func TestHelpersEmittedOnlyWhenReferenced(t *testing.T) {
+// TestRandOnlyWhereSpecDraws: generated code mentions the node PRNG only
+// where the spec draws, so the engine never builds it for a spec that does
+// not. A spec that reads neighbor_first but never neighbor_random calls
+// core.NeighborFirst and never ctx.Rand(). Generated Chord draws only
+// through random(), in its adaptive mode.
+func TestRandOnlyWhereSpecDraws(t *testing.T) {
 	spec, err := dsl.Parse(`
 protocol p
 addressing ip
@@ -266,13 +322,11 @@ transitions { any recv m { send m(neighbor_first(parent), x = field(x)); } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Source, "\nfunc nbrFirst(") {
-		t.Errorf("referenced helper nbrFirst not emitted:\n%s", res.Source)
+	if !strings.Contains(res.Source, `ctx.Send(core.NeighborFirst(ctx, "parent"), `) {
+		t.Errorf("neighbor_first does not call core.NeighborFirst:\n%s", res.Source)
 	}
-	for _, unwanted := range []string{"func nbrRandom(", "func listRandom(", "ctx.Rand()"} {
-		if strings.Contains(res.Source, unwanted) {
-			t.Errorf("generated source holds %q, which nothing references", unwanted)
-		}
+	if strings.Contains(res.Source, "ctx.Rand()") {
+		t.Errorf("generated source mentions ctx.Rand(), but the spec never draws:\n%s", res.Source)
 	}
 	chord, err := Generate(loadSpec(t, "chord.mac"), "genchord")
 	if err != nil {
@@ -469,9 +523,9 @@ func TestCollectionPrimitivesTranslate(t *testing.T) {
 		"if a.Cache == nil {\n\t\ta.Cache = make(map[overlay.Key]overlay.Address)\n\t}\n\ta.Cache[m.K] = best\n",
 		"clear(a.Cache)\n",
 		"return func() core.Agent { return &Agent{} }",
-		"ringInsert(ctx.SelfKey(), ctx.Self(), a.Ring, x, 4)",
-		"tablePut(a.Table[:]",
-		"mapRemoveValue(a.Cache, call.Failed)",
+		"core.RingInsert(ctx.SelfKey(), ctx.Self(), a.Ring, x, 4)",
+		"core.TablePut(a.Table[:], (int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(x), 4)) * 2), x)",
+		"core.MapRemoveValue(a.Cache, call.Failed)",
 		"for _, x := range m.Others {",
 	} {
 		if !strings.Contains(res.Source, want) {
@@ -486,7 +540,7 @@ func TestCollectionPrimitivesTranslate(t *testing.T) {
 // TestListOwnership: list_append and list_clear work in place, which is exact
 // only while no two nodeset variables share an array. The emitted source must
 // copy at every store of a list value and range over a copy where the body
-// rewrites the list it ranges over; the emitted helpers, run under that
+// rewrites the list it ranges over; core's list primitives, run under that
 // discipline, must then be indistinguishable from ones that copy on every
 // operation.
 func TestListOwnership(t *testing.T) {
@@ -497,8 +551,7 @@ func TestListOwnership(t *testing.T) {
 		"for _, y := range append([]overlay.Address(nil), a.Backup...) {\n", // body clears what it ranges over
 		"for _, z := range a.Ring {\n",                                      // body only appends
 		"a.Backup = a.Backup[:0]\n",
-		"a.Ring = listAppend(a.Ring, ev.From)\n",
-		"\treturn append(s, a)\n}\n",
+		"a.Ring = core.ListAppend(a.Ring, ev.From)\n",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("generated source missing %q", want)
@@ -506,18 +559,6 @@ func TestListOwnership(t *testing.T) {
 	}
 	if strings.Contains(src, "a.Backup = a.Ring\n") || strings.Contains(src, " = nil\n") {
 		t.Error("generated source aliases or drops a nodeset's array")
-	}
-
-	// emitted_helpers_test.go compiles the list helpers; it must hold them
-	// exactly as they are emitted.
-	compiled, err := os.ReadFile("emitted_helpers_test.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range helperOrder {
-		if strings.HasPrefix(h.name, "list") && !strings.Contains(string(compiled), h.source) {
-			t.Fatalf("emitted_helpers_test.go does not hold %s as helperOrder emits it", h.name)
-		}
 	}
 
 	// Three variables under seeded operation sequences: the emitted forms
@@ -531,20 +572,20 @@ func TestListOwnership(t *testing.T) {
 			n := int32(rng.Intn(6))
 			switch op := rng.Intn(7); op {
 			case 0, 1:
-				got[i] = listAppend(got[i], a)
+				got[i] = core.ListAppend(got[i], a)
 				if a != overlay.NilAddress && !slices.Contains(want[i], a) {
 					want[i] = append(slices.Clone(want[i]), a)
 				}
 			case 2:
-				got[i] = listPrepend(got[i], a)
+				got[i] = core.ListPrepend(got[i], a)
 				if a != overlay.NilAddress {
 					want[i] = append([]overlay.Address{a}, slices.DeleteFunc(slices.Clone(want[i]), func(x overlay.Address) bool { return x == a })...)
 				}
 			case 3:
-				got[i] = listRemove(got[i], a)
+				got[i] = core.ListRemove(got[i], a)
 				want[i] = slices.DeleteFunc(slices.Clone(want[i]), func(x overlay.Address) bool { return x == a })
 			case 4:
-				got[i] = listTrunc(got[i], n)
+				got[i] = core.ListTrunc(got[i], n)
 				want[i] = slices.Clone(want[i][:min(int(n), len(want[i]))])
 			case 5:
 				got[i] = got[i][:0] // list_clear
@@ -557,7 +598,7 @@ func TestListOwnership(t *testing.T) {
 				if !slices.Equal(got[v], want[v]) {
 					t.Fatalf("seed %d step %d: variable %d is %v, want %v", seed, step, v, got[v], want[v])
 				}
-				if listGet(got[v], n) != listGet(want[v], n) || listContains(got[v], a) != slices.Contains(want[v], a) {
+				if core.ListGet(got[v], n) != core.ListGet(want[v], n) {
 					t.Fatalf("seed %d step %d: reads of variable %d disagree", seed, step, v)
 				}
 			}
@@ -621,11 +662,8 @@ func TestSendAndFactoryUseScratch(t *testing.T) {
 		// One form: the message is built in its send slot inside the call, so
 		// the destination is evaluated before the fields.
 		n := strings.Count(res.Source, "ctx.Send(")
-		if n != strings.Count(res.Source, ", put(&a.io.tx.") || strings.Count(res.Source, "a.io.tx.") != n {
-			t.Errorf("%s: %d sends, but not as many put(&a.io.tx.…) arguments", c.spec, n)
-		}
-		if !strings.Contains(res.Source, "func put[T any](slot *T, v T) *T {\n") {
-			t.Errorf("%s: generated source sends without the put helper", c.spec)
+		if n != strings.Count(res.Source, ", core.Put(&a.io.tx.") || strings.Count(res.Source, "a.io.tx.") != n {
+			t.Errorf("%s: %d sends, but not as many core.Put(&a.io.tx.…) arguments", c.spec, n)
 		}
 		sends += n
 	}

@@ -1,0 +1,171 @@
+package core
+
+import (
+	"slices"
+
+	"macedon/internal/overlay"
+)
+
+// The action library: the MACEDON primitives that generated transitions call
+// and that neither a Context method nor the standard library already
+// provides. Each is compiled here once, so a primitive is tested by its unit
+// test before any spec uses it. A nodeset is a []overlay.Address that its
+// state variable owns: ListAppend works in place, while ListPrepend,
+// ListRemove and RingInsert return a fresh array.
+
+// Put stores v in slot and returns slot: a send builds its message in the
+// agent's send slot inside the Send call expression, so the destination is
+// evaluated before the fields, as when the message was a fresh literal.
+func Put[T any](slot *T, v T) *T {
+	*slot = v
+	return slot
+}
+
+// NeighborRandom returns a uniformly random member of the named neighbor
+// list, drawn from the node's seeded source, or NilAddress if it is empty
+// (neighbor_random).
+func NeighborRandom(ctx *Context, list string) overlay.Address {
+	if n := ctx.Neighbors(list).Random(ctx.Rand()); n != nil {
+		return n.Addr
+	}
+	return overlay.NilAddress
+}
+
+// NeighborFirst returns the first member of the named neighbor list in
+// insertion order, or NilAddress if it is empty (neighbor_first).
+func NeighborFirst(ctx *Context, list string) overlay.Address {
+	if n := ctx.Neighbors(list).First(); n != nil {
+		return n.Addr
+	}
+	return overlay.NilAddress
+}
+
+// ListAppend appends a to the list unless already present (or nil), in
+// place: a nodeset variable owns its array (list_append).
+func ListAppend(s []overlay.Address, a overlay.Address) []overlay.Address {
+	if a == overlay.NilAddress {
+		return s
+	}
+	for _, x := range s {
+		if x == a {
+			return s
+		}
+	}
+	return append(s, a)
+}
+
+// ListPrepend moves or inserts a at the front of the list (list_prepend).
+func ListPrepend(s []overlay.Address, a overlay.Address) []overlay.Address {
+	if a == overlay.NilAddress {
+		return s
+	}
+	out := make([]overlay.Address, 0, len(s)+1)
+	out = append(out, a)
+	for _, x := range s {
+		if x != a {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// ListRemove deletes every occurrence of a (list_remove).
+func ListRemove(s []overlay.Address, a overlay.Address) []overlay.Address {
+	out := make([]overlay.Address, 0, len(s))
+	for _, x := range s {
+		if x != a {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// ListTrunc bounds the list to its first n entries; a negative n empties it
+// (list_trunc).
+func ListTrunc(s []overlay.Address, n int32) []overlay.Address {
+	if n < 0 {
+		n = 0
+	}
+	if int32(len(s)) > n {
+		return s[:n]
+	}
+	return s
+}
+
+// ListGet returns the i-th entry of a nodeset or nodetable, or NilAddress
+// out of range (list_get, table_get).
+func ListGet(s []overlay.Address, i int32) overlay.Address {
+	if i < 0 || int(i) >= len(s) {
+		return overlay.NilAddress
+	}
+	return s[i]
+}
+
+// ListRandom picks a uniformly random entry with the node's seeded source,
+// or NilAddress when the list is empty (list_random).
+func ListRandom(ctx *Context, s []overlay.Address) overlay.Address {
+	if len(s) == 0 {
+		return overlay.NilAddress
+	}
+	return s[ctx.Rand().Intn(len(s))]
+}
+
+// RingInsert is the bounded leaf-set insertion (ring_insert): the result
+// keeps the half closest clockwise and half closest counter-clockwise peers
+// of self, clockwise side first, each side ordered by ring distance. A
+// negative half keeps no peers, as a negative bound does in ListTrunc.
+func RingInsert(selfKey overlay.Key, self overlay.Address, s []overlay.Address, a overlay.Address, half int32) []overlay.Address {
+	if a == overlay.NilAddress || a == self || slices.Contains(s, a) {
+		return s
+	}
+	half = max(half, 0)
+	var cw, ccw []overlay.Address
+	for _, x := range append(append([]overlay.Address(nil), s...), a) {
+		xk := overlay.HashAddress(x)
+		if selfKey.Distance(xk) <= xk.Distance(selfKey) {
+			cw = ringSide(cw, x, func(k overlay.Key) uint32 { return selfKey.Distance(k) }, half)
+		} else {
+			ccw = ringSide(ccw, x, func(k overlay.Key) uint32 { return k.Distance(selfKey) }, half)
+		}
+	}
+	return append(cw, ccw...)
+}
+
+// ringSide insertion-sorts a into one leaf-set side and bounds its size.
+func ringSide(side []overlay.Address, a overlay.Address, dist func(overlay.Key) uint32, max int32) []overlay.Address {
+	side = append(side, a)
+	for i := len(side) - 1; i > 0; i-- {
+		if dist(overlay.HashAddress(side[i])) < dist(overlay.HashAddress(side[i-1])) {
+			side[i], side[i-1] = side[i-1], side[i]
+		}
+	}
+	if int32(len(side)) > max {
+		side = side[:max]
+	}
+	return side
+}
+
+// TablePut stores a at index i, ignoring out-of-range indices (table_put).
+func TablePut(t []overlay.Address, i int32, a overlay.Address) {
+	if i >= 0 && int(i) < len(t) {
+		t[i] = a
+	}
+}
+
+// TableRemove clears every table slot holding a (table_remove).
+func TableRemove(t []overlay.Address, a overlay.Address) {
+	for i, x := range t {
+		if x == a {
+			t[i] = overlay.NilAddress
+		}
+	}
+}
+
+// MapRemoveValue deletes every entry whose value is a (map_remove_value).
+func MapRemoveValue(m map[overlay.Key]overlay.Address, a overlay.Address) {
+	for k, v := range m {
+		if v == a {
+			delete(m, k)
+		}
+	}
+}

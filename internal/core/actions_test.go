@@ -1,0 +1,94 @@
+package core_test
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"macedon/internal/core"
+	"macedon/internal/overlay"
+)
+
+// TestRingInsertNegativeBound: a negative half keeps no peers, as a negative
+// bound does in ListTrunc, instead of slicing a side to a negative length. A
+// spec reaches this through an int auxiliary variable a scenario sets.
+func TestRingInsertNegativeBound(t *testing.T) {
+	self := overlay.Address(1)
+	for _, half := range []int32{-1, -7, 0} {
+		got := core.RingInsert(overlay.HashAddress(self), self, []overlay.Address{2, 3}, 4, half)
+		if len(got) != 0 {
+			t.Errorf("half %d: leaf set %v, want empty", half, got)
+		}
+	}
+	if got := core.ListTrunc([]overlay.Address{2, 3}, -1); len(got) != 0 {
+		t.Errorf("ListTrunc(-1) = %v, want empty", got)
+	}
+}
+
+// TestRingInsertKeepsClosestPerSide: after any sequence of insertions the
+// leaf set holds, clockwise side first, the half peers closest to self on
+// each side of the ring among every address inserted, each side ordered by
+// ring distance: the same set a brute-force sort of all of them gives.
+func TestRingInsertKeepsClosestPerSide(t *testing.T) {
+	const half = 4
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		self := overlay.Address(rng.Intn(1 << 20))
+		selfKey := overlay.HashAddress(self)
+		var leaves, seen []overlay.Address
+		for step := 0; step < 60; step++ {
+			a := overlay.Address(rng.Intn(200))
+			leaves = core.RingInsert(selfKey, self, leaves, a, half)
+			if a != overlay.NilAddress && a != self && !slices.Contains(seen, a) {
+				seen = append(seen, a)
+			}
+			var cw, ccw []overlay.Address
+			for _, x := range seen {
+				xk := overlay.HashAddress(x)
+				if selfKey.Distance(xk) <= xk.Distance(selfKey) {
+					cw = append(cw, x)
+				} else {
+					ccw = append(ccw, x)
+				}
+			}
+			slices.SortStableFunc(cw, func(x, y overlay.Address) int {
+				return int(selfKey.Distance(overlay.HashAddress(x))) - int(selfKey.Distance(overlay.HashAddress(y)))
+			})
+			slices.SortStableFunc(ccw, func(x, y overlay.Address) int {
+				return int(overlay.HashAddress(x).Distance(selfKey)) - int(overlay.HashAddress(y).Distance(selfKey))
+			})
+			want := append(cw[:min(half, len(cw))], ccw[:min(half, len(ccw))]...)
+			if !slices.Equal(leaves, want) {
+				t.Fatalf("seed %d step %d: leaf set %v, want %v", seed, step, leaves, want)
+			}
+		}
+	}
+}
+
+// TestTablePrimitives: indices outside the table are ignored on write and
+// read as NilAddress, and a removal clears every slot holding the address.
+func TestTablePrimitives(t *testing.T) {
+	table := make([]overlay.Address, 4)
+	for _, i := range []int32{-1, 4, 1 << 30} {
+		core.TablePut(table, i, 9)
+		if got := core.ListGet(table, i); got != overlay.NilAddress {
+			t.Errorf("ListGet(%d) = %v out of range", i, got)
+		}
+	}
+	core.TablePut(table, 0, 5)
+	core.TablePut(table, 3, 5)
+	core.TablePut(table, 2, 6)
+	if !slices.Equal(table, []overlay.Address{5, 0, 6, 5}) {
+		t.Fatalf("table %v after puts", table)
+	}
+	core.TableRemove(table, 5)
+	if !slices.Equal(table, []overlay.Address{0, 0, 6, 0}) {
+		t.Fatalf("table %v after removing 5", table)
+	}
+
+	m := map[overlay.Key]overlay.Address{1: 5, 2: 6, 3: 5}
+	core.MapRemoveValue(m, 5)
+	if len(m) != 1 || m[2] != 6 {
+		t.Fatalf("map %v after removing value 5", m)
+	}
+}

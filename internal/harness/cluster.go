@@ -8,7 +8,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"macedon/internal/core"
@@ -49,8 +48,6 @@ type ClusterConfig struct {
 	Sim simnet.Config
 
 	// Node-level knobs passed through to core.Config.
-	TraceLevel     core.TraceLevel
-	TraceWriter    io.Writer
 	HeartbeatAfter time.Duration
 	FailAfter      time.Duration
 	Sweep          time.Duration
@@ -189,8 +186,6 @@ func (c *Cluster) buildNode(i int, stack []core.Factory) (*core.Node, error) {
 		Stack:          stack,
 		Bootstrap:      c.Bootstrap(),
 		Seed:           c.cfg.Seed + int64(i)*7919 + 13,
-		TraceLevel:     c.cfg.TraceLevel,
-		TraceWriter:    c.cfg.TraceWriter,
 		HeartbeatAfter: c.cfg.HeartbeatAfter,
 		FailAfter:      c.cfg.FailAfter,
 		Sweep:          c.cfg.Sweep,

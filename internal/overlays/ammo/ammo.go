@@ -8,6 +8,7 @@
 package ammo
 
 import (
+	"slices"
 	"time"
 
 	"macedon/internal/core"
@@ -400,7 +401,7 @@ func (a *Protocol) onEval(ctx *core.Context) {
 	// Probe the parent (to refresh its cost) and every family candidate.
 	a.pending = make(map[overlay.Address]*candidateInfo)
 	targets := append([]overlay.Address{}, a.family...)
-	if p := a.parentAddr(); p != overlay.NilAddress && !contains(targets, p) {
+	if p := a.parentAddr(); p != overlay.NilAddress && !slices.Contains(targets, p) {
 		targets = append(targets, p)
 	}
 	a.awaiting = len(targets)
@@ -481,7 +482,7 @@ func (a *Protocol) decide(ctx *core.Context) {
 			continue
 		}
 		// Cycle guard: never adopt a parent whose root path includes us.
-		if contains(ci.rootPath, a.self) {
+		if slices.Contains(ci.rootPath, a.self) {
 			continue
 		}
 		c := a.cost(ci)
@@ -535,13 +536,4 @@ func (a *Protocol) recvMdata(ctx *core.Context, ev *core.MsgEvent) {
 		a.seen = map[pktKey]bool{key: true} // coarse window reset
 	}
 	a.disseminate(ctx, m, ev.From, overlay.PriorityDefault)
-}
-
-func contains(s []overlay.Address, a overlay.Address) bool {
-	for _, x := range s {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }

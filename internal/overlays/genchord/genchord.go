@@ -270,14 +270,14 @@ func (a *Agent) transition0(ctx *core.Context, call *core.APICall) {
 		ctx.TimerSched("ring_probe", 10000*time.Millisecond)
 	} else {
 		ctx.StateChange("joining")
-		_ = ctx.Send(a.Boot, put(&a.io.tx.FindReq, msgFindReq{Target: ctx.SelfKey(), Origin: ctx.Self(), Purpose: 0, Finger: 0, Ttl: 64}), overlay.PriorityDefault)
+		_ = ctx.Send(a.Boot, core.Put(&a.io.tx.FindReq, msgFindReq{Target: ctx.SelfKey(), Origin: ctx.Self(), Purpose: 0, Finger: 0, Ttl: 64}), overlay.PriorityDefault)
 		ctx.TimerSched("rejoin", 2000*time.Millisecond)
 	}
 }
 
 // transition1 implements: (joining) timer rejoin [locking write;]
 func (a *Agent) transition1(ctx *core.Context) {
-	_ = ctx.Send(a.Boot, put(&a.io.tx.FindReq, msgFindReq{Target: ctx.SelfKey(), Origin: ctx.Self(), Purpose: 0, Finger: 0, Ttl: 64}), overlay.PriorityDefault)
+	_ = ctx.Send(a.Boot, core.Put(&a.io.tx.FindReq, msgFindReq{Target: ctx.SelfKey(), Origin: ctx.Self(), Purpose: 0, Finger: 0, Ttl: 64}), overlay.PriorityDefault)
 	ctx.TimerSched("rejoin", 2000*time.Millisecond)
 }
 
@@ -285,19 +285,19 @@ func (a *Agent) transition1(ctx *core.Context) {
 func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgFindReq)
 	_ = m
-	if (ctx.Neighbors("pred").Size() > 0) && (m.Target).BetweenIncl(overlay.HashAddress(nbrFirst(ctx, "pred")), ctx.SelfKey()) {
-		_ = ctx.Send(m.Origin, put(&a.io.tx.FindResp, msgFindResp{Target: m.Target, Owner: ctx.Self(), Purpose: m.Purpose, Finger: m.Finger}), overlay.PriorityDefault)
+	if (ctx.Neighbors("pred").Size() > 0) && (m.Target).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
+		_ = ctx.Send(m.Origin, core.Put(&a.io.tx.FindResp, msgFindResp{Target: m.Target, Owner: ctx.Self(), Purpose: m.Purpose, Finger: m.Finger}), overlay.PriorityDefault)
 		return
 	}
 	var succ overlay.Address
 	_ = succ
-	succ = listGet(a.Succs, 0)
+	succ = core.ListGet(a.Succs, 0)
 	if (succ == overlay.NilAddress) || (succ == ctx.Self()) {
-		_ = ctx.Send(m.Origin, put(&a.io.tx.FindResp, msgFindResp{Target: m.Target, Owner: ctx.Self(), Purpose: m.Purpose, Finger: m.Finger}), overlay.PriorityDefault)
+		_ = ctx.Send(m.Origin, core.Put(&a.io.tx.FindResp, msgFindResp{Target: m.Target, Owner: ctx.Self(), Purpose: m.Purpose, Finger: m.Finger}), overlay.PriorityDefault)
 		return
 	}
 	if (m.Target).BetweenIncl(ctx.SelfKey(), overlay.HashAddress(succ)) {
-		_ = ctx.Send(m.Origin, put(&a.io.tx.FindResp, msgFindResp{Target: m.Target, Owner: succ, Purpose: m.Purpose, Finger: m.Finger}), overlay.PriorityDefault)
+		_ = ctx.Send(m.Origin, core.Put(&a.io.tx.FindResp, msgFindResp{Target: m.Target, Owner: succ, Purpose: m.Purpose, Finger: m.Finger}), overlay.PriorityDefault)
 		return
 	}
 	if m.Ttl == 0 {
@@ -317,7 +317,7 @@ func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent) {
 		}
 	}
 	if best != ctx.Self() {
-		_ = ctx.Send(best, put(&a.io.tx.FindReq, msgFindReq{Target: m.Target, Origin: m.Origin, Purpose: m.Purpose, Finger: m.Finger, Ttl: (m.Ttl - 1)}), overlay.PriorityDefault)
+		_ = ctx.Send(best, core.Put(&a.io.tx.FindReq, msgFindReq{Target: m.Target, Origin: m.Origin, Purpose: m.Purpose, Finger: m.Finger, Ttl: (m.Ttl - 1)}), overlay.PriorityDefault)
 	}
 }
 
@@ -328,15 +328,15 @@ func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent) {
 	if ((m.Purpose != 0) || (m.Owner == ctx.Self())) || (m.Owner == overlay.NilAddress) {
 		return
 	}
-	a.Succs = listPrepend(a.Succs, m.Owner)
-	a.Succs = listTrunc(a.Succs, 4)
-	nbrSync(ctx, "succ_nbrs", ctx.Self(), a.Succs)
+	a.Succs = core.ListPrepend(a.Succs, m.Owner)
+	a.Succs = core.ListTrunc(a.Succs, 4)
+	ctx.Neighbors("succ_nbrs").Assign(a.Succs, ctx.Self())
 	ctx.TimerCancel("rejoin")
 	ctx.StateChange("joined")
 	ctx.TimerSched("stabilize", 1000*time.Millisecond)
 	ctx.TimerSched("fix_fingers", time.Duration(a.FixMs)*time.Millisecond)
 	ctx.TimerSched("ring_probe", 10000*time.Millisecond)
-	_ = ctx.Send(m.Owner, put(&a.io.tx.Notify, msgNotify{}), overlay.PriorityDefault)
+	_ = ctx.Send(m.Owner, core.Put(&a.io.tx.Notify, msgNotify{}), overlay.PriorityDefault)
 }
 
 // transition4 implements: (joined) recv find_resp [locking write;]
@@ -345,7 +345,7 @@ func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent) {
 	_ = m
 	if ((m.Purpose == 1) && (m.Finger >= 0)) && (m.Finger < 32) {
 		if a.FixAdaptive != 0 {
-			if tableGet(a.Fingers[:], m.Finger) == m.Owner {
+			if core.ListGet(a.Fingers[:], m.Finger) == m.Owner {
 				a.FixMs = (a.FixMs * 2)
 			} else {
 				a.FixMs = (a.FixMs / 2)
@@ -357,7 +357,7 @@ func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent) {
 				a.FixMs = 32000
 			}
 		}
-		tablePut(a.Fingers[:], m.Finger, m.Owner)
+		core.TablePut(a.Fingers[:], m.Finger, m.Owner)
 		return
 	}
 	if ((m.Purpose != 0) || (m.Owner == ctx.Self())) || (m.Owner == overlay.NilAddress) {
@@ -365,12 +365,12 @@ func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent) {
 	}
 	var succ overlay.Address
 	_ = succ
-	succ = listGet(a.Succs, 0)
+	succ = core.ListGet(a.Succs, 0)
 	if ((succ == overlay.NilAddress) || (succ == ctx.Self())) || (overlay.HashAddress(m.Owner)).Between(ctx.SelfKey(), overlay.HashAddress(succ)) {
-		a.Succs = listPrepend(a.Succs, m.Owner)
-		a.Succs = listTrunc(a.Succs, 4)
-		nbrSync(ctx, "succ_nbrs", ctx.Self(), a.Succs)
-		_ = ctx.Send(m.Owner, put(&a.io.tx.Notify, msgNotify{}), overlay.PriorityDefault)
+		a.Succs = core.ListPrepend(a.Succs, m.Owner)
+		a.Succs = core.ListTrunc(a.Succs, 4)
+		ctx.Neighbors("succ_nbrs").Assign(a.Succs, ctx.Self())
+		_ = ctx.Send(m.Owner, core.Put(&a.io.tx.Notify, msgNotify{}), overlay.PriorityDefault)
 	}
 }
 
@@ -378,7 +378,7 @@ func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent) {
 func (a *Agent) transition5(ctx *core.Context) {
 	ctx.TimerSched("ring_probe", 10000*time.Millisecond)
 	if a.Boot != ctx.Self() {
-		_ = ctx.Send(a.Boot, put(&a.io.tx.FindReq, msgFindReq{Target: ctx.SelfKey(), Origin: ctx.Self(), Purpose: 0, Finger: 0, Ttl: 64}), overlay.PriorityDefault)
+		_ = ctx.Send(a.Boot, core.Put(&a.io.tx.FindReq, msgFindReq{Target: ctx.SelfKey(), Origin: ctx.Self(), Purpose: 0, Finger: 0, Ttl: 64}), overlay.PriorityDefault)
 	}
 }
 
@@ -387,19 +387,19 @@ func (a *Agent) transition6(ctx *core.Context) {
 	ctx.TimerSched("stabilize", 1000*time.Millisecond)
 	if int32(len(a.Succs)) == 0 {
 		if ctx.Neighbors("pred").Size() > 0 {
-			a.Succs = listAppend(a.Succs, nbrFirst(ctx, "pred"))
-			nbrSync(ctx, "succ_nbrs", ctx.Self(), a.Succs)
+			a.Succs = core.ListAppend(a.Succs, core.NeighborFirst(ctx, "pred"))
+			ctx.Neighbors("succ_nbrs").Assign(a.Succs, ctx.Self())
 		}
 		return
 	}
-	_ = ctx.Send(listGet(a.Succs, 0), put(&a.io.tx.GetPredReq, msgGetPredReq{}), overlay.PriorityDefault)
+	_ = ctx.Send(core.ListGet(a.Succs, 0), core.Put(&a.io.tx.GetPredReq, msgGetPredReq{}), overlay.PriorityDefault)
 }
 
 // transition7 implements: any recv get_pred_req [locking write;]
 func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgGetPredReq)
 	_ = m
-	_ = ctx.Send(ev.From, put(&a.io.tx.GetPredResp, msgGetPredResp{Pred: nbrFirst(ctx, "pred"), Succs: a.Succs}), overlay.PriorityDefault)
+	_ = ctx.Send(ev.From, core.Put(&a.io.tx.GetPredResp, msgGetPredResp{Pred: core.NeighborFirst(ctx, "pred"), Succs: a.Succs}), overlay.PriorityDefault)
 }
 
 // transition8 implements: (joined) recv get_pred_resp [locking write;]
@@ -408,7 +408,7 @@ func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent) {
 	_ = m
 	var succ overlay.Address
 	_ = succ
-	succ = listGet(a.Succs, 0)
+	succ = core.ListGet(a.Succs, 0)
 	if succ == overlay.NilAddress {
 		return
 	}
@@ -419,15 +419,15 @@ func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent) {
 		succ = p
 	}
 	a.Succs = a.Succs[:0]
-	a.Succs = listAppend(a.Succs, succ)
+	a.Succs = core.ListAppend(a.Succs, succ)
 	for _, s := range m.Succs {
 		if (s != ctx.Self()) && (s != overlay.NilAddress) {
-			a.Succs = listAppend(a.Succs, s)
+			a.Succs = core.ListAppend(a.Succs, s)
 		}
 	}
-	a.Succs = listTrunc(a.Succs, 4)
-	nbrSync(ctx, "succ_nbrs", ctx.Self(), a.Succs)
-	_ = ctx.Send(listGet(a.Succs, 0), put(&a.io.tx.Notify, msgNotify{}), overlay.PriorityDefault)
+	a.Succs = core.ListTrunc(a.Succs, 4)
+	ctx.Neighbors("succ_nbrs").Assign(a.Succs, ctx.Self())
+	_ = ctx.Send(core.ListGet(a.Succs, 0), core.Put(&a.io.tx.Notify, msgNotify{}), overlay.PriorityDefault)
 }
 
 // transition9 implements: any recv notify [locking write;]
@@ -437,12 +437,12 @@ func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent) {
 	if ev.From == ctx.Self() {
 		return
 	}
-	if (ctx.Neighbors("pred").Size() == 0) || (overlay.HashAddress(ev.From)).Between(overlay.HashAddress(nbrFirst(ctx, "pred")), ctx.SelfKey()) {
+	if (ctx.Neighbors("pred").Size() == 0) || (overlay.HashAddress(ev.From)).Between(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
 		ctx.Neighbors("pred").Clear()
 		ctx.Neighbors("pred").Add(ev.From)
 		if int32(len(a.Succs)) == 0 {
-			a.Succs = listAppend(a.Succs, ev.From)
-			nbrSync(ctx, "succ_nbrs", ctx.Self(), a.Succs)
+			a.Succs = core.ListAppend(a.Succs, ev.From)
+			ctx.Neighbors("succ_nbrs").Assign(a.Succs, ctx.Self())
 		}
 	}
 }
@@ -452,7 +452,7 @@ func (a *Agent) transition10(ctx *core.Context) {
 	ctx.TimerSched("fix_fingers", time.Duration(a.FixMs)*time.Millisecond)
 	var succ overlay.Address
 	_ = succ
-	succ = listGet(a.Succs, 0)
+	succ = core.ListGet(a.Succs, 0)
 	if (succ == overlay.NilAddress) || (succ == ctx.Self()) {
 		return
 	}
@@ -467,13 +467,13 @@ func (a *Agent) transition10(ctx *core.Context) {
 	var target overlay.Key
 	_ = target
 	target = overlay.KeyStep(ctx.SelfKey(), int(a.NextFinger))
-	if (ctx.Neighbors("pred").Size() > 0) && (target).BetweenIncl(overlay.HashAddress(nbrFirst(ctx, "pred")), ctx.SelfKey()) {
-		tablePut(a.Fingers[:], a.NextFinger, ctx.Self())
+	if (ctx.Neighbors("pred").Size() > 0) && (target).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
+		core.TablePut(a.Fingers[:], a.NextFinger, ctx.Self())
 		return
 	}
 	if (target).BetweenIncl(ctx.SelfKey(), overlay.HashAddress(succ)) {
 		if a.FixAdaptive != 0 {
-			if tableGet(a.Fingers[:], a.NextFinger) == succ {
+			if core.ListGet(a.Fingers[:], a.NextFinger) == succ {
 				a.FixMs = (a.FixMs * 2)
 			} else {
 				a.FixMs = (a.FixMs / 2)
@@ -485,7 +485,7 @@ func (a *Agent) transition10(ctx *core.Context) {
 				a.FixMs = 32000
 			}
 		}
-		tablePut(a.Fingers[:], a.NextFinger, succ)
+		core.TablePut(a.Fingers[:], a.NextFinger, succ)
 		return
 	}
 	var best overlay.Address
@@ -497,20 +497,20 @@ func (a *Agent) transition10(ctx *core.Context) {
 		}
 	}
 	if best != ctx.Self() {
-		_ = ctx.Send(best, put(&a.io.tx.FindReq, msgFindReq{Target: target, Origin: ctx.Self(), Purpose: 1, Finger: a.NextFinger, Ttl: 64}), overlay.PriorityDefault)
+		_ = ctx.Send(best, core.Put(&a.io.tx.FindReq, msgFindReq{Target: target, Origin: ctx.Self(), Purpose: 1, Finger: a.NextFinger, Ttl: 64}), overlay.PriorityDefault)
 	}
 }
 
 // transition11 implements: (joined) API route [locking write;]
 func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
 	_ = call
-	if (ctx.Neighbors("pred").Size() > 0) && (call.Dest).BetweenIncl(overlay.HashAddress(nbrFirst(ctx, "pred")), ctx.SelfKey()) {
+	if (ctx.Neighbors("pred").Size() > 0) && (call.Dest).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 		return
 	}
 	var succ overlay.Address
 	_ = succ
-	succ = listGet(a.Succs, 0)
+	succ = core.ListGet(a.Succs, 0)
 	if (succ == overlay.NilAddress) || (succ == ctx.Self()) {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 		return
@@ -521,7 +521,7 @@ func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
 			return
 		}
 		_ = fwPayload
-		_ = ctx.Send(succ, put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 64, Payload: fwPayload}), overlay.PriorityDefault)
+		_ = ctx.Send(succ, core.Put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 64, Payload: fwPayload}), overlay.PriorityDefault)
 		return
 	}
 	var best overlay.Address
@@ -542,20 +542,20 @@ func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
 		return
 	}
 	_ = fwPayload2
-	_ = ctx.Send(best, put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 64, Payload: fwPayload2}), overlay.PriorityDefault)
+	_ = ctx.Send(best, core.Put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 64, Payload: fwPayload2}), overlay.PriorityDefault)
 }
 
 // transition12 implements: (joined) recv data [locking write;]
 func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgData)
 	_ = m
-	if (ctx.Neighbors("pred").Size() > 0) && (m.Dest).BetweenIncl(overlay.HashAddress(nbrFirst(ctx, "pred")), ctx.SelfKey()) {
+	if (ctx.Neighbors("pred").Size() > 0) && (m.Dest).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
 		ctx.Deliver(m.Payload, m.Typ, m.Src)
 		return
 	}
 	var succ overlay.Address
 	_ = succ
-	succ = listGet(a.Succs, 0)
+	succ = core.ListGet(a.Succs, 0)
 	if (succ == overlay.NilAddress) || (succ == ctx.Self()) {
 		ctx.Deliver(m.Payload, m.Typ, m.Src)
 		return
@@ -569,7 +569,7 @@ func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent) {
 			return
 		}
 		_ = fwPayload
-		_ = ctx.Send(succ, put(&a.io.tx.Data, msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: fwPayload}), overlay.PriorityDefault)
+		_ = ctx.Send(succ, core.Put(&a.io.tx.Data, msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: fwPayload}), overlay.PriorityDefault)
 		return
 	}
 	var best overlay.Address
@@ -590,7 +590,7 @@ func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent) {
 		return
 	}
 	_ = fwPayload2
-	_ = ctx.Send(best, put(&a.io.tx.Data, msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: fwPayload2}), overlay.PriorityDefault)
+	_ = ctx.Send(best, core.Put(&a.io.tx.Data, msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: fwPayload2}), overlay.PriorityDefault)
 }
 
 // transition13 implements: any API routeIP [locking write;]
@@ -599,7 +599,7 @@ func (a *Agent) transition13(ctx *core.Context, call *core.APICall) {
 	if call.DestIP == ctx.Self() {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
-		_ = ctx.Send(call.DestIP, put(&a.io.tx.DataIp, msgDataIp{Src: ctx.Self(), Typ: call.PayloadType, Payload: call.Payload}), overlay.PriorityDefault)
+		_ = ctx.Send(call.DestIP, core.Put(&a.io.tx.DataIp, msgDataIp{Src: ctx.Self(), Typ: call.PayloadType, Payload: call.Payload}), overlay.PriorityDefault)
 	}
 }
 
@@ -613,112 +613,8 @@ func (a *Agent) transition14(ctx *core.Context, ev *core.MsgEvent) {
 // transition15 implements: any API error [locking write;]
 func (a *Agent) transition15(ctx *core.Context, call *core.APICall) {
 	_ = call
-	a.Succs = listRemove(a.Succs, call.Failed)
-	nbrSync(ctx, "succ_nbrs", ctx.Self(), a.Succs)
+	a.Succs = core.ListRemove(a.Succs, call.Failed)
+	ctx.Neighbors("succ_nbrs").Assign(a.Succs, ctx.Self())
 	ctx.Neighbors("pred").Remove(call.Failed)
-	tableRemove(a.Fingers[:], call.Failed)
-}
-
-func nbrFirst(ctx *core.Context, list string) overlay.Address {
-	if n := ctx.Neighbors(list).First(); n != nil {
-		return n.Addr
-	}
-	return overlay.NilAddress
-}
-
-// put stores v in slot and returns slot: a send builds its message in the
-// agent's send slot inside the Send call expression, so the destination is
-// evaluated before the fields, as when the message was a fresh literal.
-func put[T any](slot *T, v T) *T {
-	*slot = v
-	return slot
-}
-
-// nbrSync replaces a neighbor list's members with a nodeset's, skipping
-// nil and self (the failure detector monitors peers, not the local node).
-func nbrSync(ctx *core.Context, list string, self overlay.Address, s []overlay.Address) {
-	ctx.Neighbors(list).Assign(s, self)
-}
-
-// listAppend appends a to the list unless already present (or nil), in
-// place: a nodeset variable owns its array.
-func listAppend(s []overlay.Address, a overlay.Address) []overlay.Address {
-	if a == overlay.NilAddress {
-		return s
-	}
-	for _, x := range s {
-		if x == a {
-			return s
-		}
-	}
-	return append(s, a)
-}
-
-// listPrepend moves or inserts a at the front of the list.
-func listPrepend(s []overlay.Address, a overlay.Address) []overlay.Address {
-	if a == overlay.NilAddress {
-		return s
-	}
-	out := make([]overlay.Address, 0, len(s)+1)
-	out = append(out, a)
-	for _, x := range s {
-		if x != a {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// listRemove deletes every occurrence of a.
-func listRemove(s []overlay.Address, a overlay.Address) []overlay.Address {
-	out := make([]overlay.Address, 0, len(s))
-	for _, x := range s {
-		if x != a {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// listTrunc bounds the list to its first n entries.
-func listTrunc(s []overlay.Address, n int32) []overlay.Address {
-	if n < 0 {
-		n = 0
-	}
-	if int32(len(s)) > n {
-		return s[:n]
-	}
-	return s
-}
-
-// listGet returns the i-th entry, or NilAddress out of range.
-func listGet(s []overlay.Address, i int32) overlay.Address {
-	if i < 0 || int(i) >= len(s) {
-		return overlay.NilAddress
-	}
-	return s[i]
-}
-
-// tablePut stores a at index i, ignoring out-of-range indices.
-func tablePut(t []overlay.Address, i int32, a overlay.Address) {
-	if i >= 0 && int(i) < len(t) {
-		t[i] = a
-	}
-}
-
-// tableGet returns the entry at index i, or NilAddress out of range.
-func tableGet(t []overlay.Address, i int32) overlay.Address {
-	if i < 0 || int(i) >= len(t) {
-		return overlay.NilAddress
-	}
-	return t[i]
-}
-
-// tableRemove clears every table slot holding a.
-func tableRemove(t []overlay.Address, a overlay.Address) {
-	for i, x := range t {
-		if x == a {
-			t[i] = overlay.NilAddress
-		}
-	}
+	core.TableRemove(a.Fingers[:], call.Failed)
 }

@@ -4,6 +4,7 @@
 package genpastry
 
 import (
+	"slices"
 	"time"
 
 	"macedon/internal/core"
@@ -259,14 +260,14 @@ func (a *Agent) transition0(ctx *core.Context, call *core.APICall) {
 		ctx.TimerSched("ls_exchange", 2000*time.Millisecond)
 	} else {
 		ctx.StateChange("joining")
-		_ = ctx.Send(a.Boot, put(&a.io.tx.JoinReq, msgJoinReq{Joiner: ctx.Self(), Ttl: 32}), overlay.PriorityDefault)
+		_ = ctx.Send(a.Boot, core.Put(&a.io.tx.JoinReq, msgJoinReq{Joiner: ctx.Self(), Ttl: 32}), overlay.PriorityDefault)
 		ctx.TimerSched("rejoin", 2000*time.Millisecond)
 	}
 }
 
 // transition1 implements: (joining) timer rejoin [locking write;]
 func (a *Agent) transition1(ctx *core.Context) {
-	_ = ctx.Send(a.Boot, put(&a.io.tx.JoinReq, msgJoinReq{Joiner: ctx.Self(), Ttl: 32}), overlay.PriorityDefault)
+	_ = ctx.Send(a.Boot, core.Put(&a.io.tx.JoinReq, msgJoinReq{Joiner: ctx.Self(), Ttl: 32}), overlay.PriorityDefault)
 	ctx.TimerSched("rejoin", 2000*time.Millisecond)
 }
 
@@ -289,18 +290,18 @@ func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent) {
 		}
 	}
 	if (best == ctx.Self()) || (m.Ttl == 0) {
-		_ = ctx.Send(j, put(&a.io.tx.JoinReply, msgJoinReply{Leaves: a.Leafset}), overlay.PriorityDefault)
+		_ = ctx.Send(j, core.Put(&a.io.tx.JoinReply, msgJoinReply{Leaves: a.Leafset}), overlay.PriorityDefault)
 		var row int32
 		_ = row
-		row = keyPrefix(ctx.SelfKey(), overlay.HashAddress(j), 4)
-		if (row < 8) && (tableGet(a.Rt[:], ((row*16)+keyDigit(overlay.HashAddress(j), row, 4))) == overlay.NilAddress) {
-			tablePut(a.Rt[:], ((row * 16) + keyDigit(overlay.HashAddress(j), row, 4)), j)
+		row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(j), 4))
+		if (row < 8) && (core.ListGet(a.Rt[:], ((row*16)+int32((overlay.HashAddress(j)).Digit(int(row), 4)))) == overlay.NilAddress) {
+			core.TablePut(a.Rt[:], ((row * 16) + int32((overlay.HashAddress(j)).Digit(int(row), 4))), j)
 		}
-		a.Leafset = ringInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, j, 4)
-		nbrSync(ctx, "leaves", ctx.Self(), a.Leafset)
+		a.Leafset = core.RingInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, j, 4)
+		ctx.Neighbors("leaves").Assign(a.Leafset, ctx.Self())
 		return
 	}
-	_ = ctx.Send(best, put(&a.io.tx.JoinReq, msgJoinReq{Joiner: j, Ttl: (m.Ttl - 1)}), overlay.PriorityDefault)
+	_ = ctx.Send(best, core.Put(&a.io.tx.JoinReq, msgJoinReq{Joiner: j, Ttl: (m.Ttl - 1)}), overlay.PriorityDefault)
 }
 
 // transition3 implements: (joining) recv join_reply [locking write;]
@@ -312,27 +313,27 @@ func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent) {
 	ctx.TimerSched("ls_exchange", 2000*time.Millisecond)
 	var row int32
 	_ = row
-	row = keyPrefix(ctx.SelfKey(), overlay.HashAddress(ev.From), 4)
-	if (row < 8) && (tableGet(a.Rt[:], ((row*16)+keyDigit(overlay.HashAddress(ev.From), row, 4))) == overlay.NilAddress) {
-		tablePut(a.Rt[:], ((row * 16) + keyDigit(overlay.HashAddress(ev.From), row, 4)), ev.From)
+	row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(ev.From), 4))
+	if (row < 8) && (core.ListGet(a.Rt[:], ((row*16)+int32((overlay.HashAddress(ev.From)).Digit(int(row), 4)))) == overlay.NilAddress) {
+		core.TablePut(a.Rt[:], ((row * 16) + int32((overlay.HashAddress(ev.From)).Digit(int(row), 4))), ev.From)
 	}
-	a.Leafset = ringInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, ev.From, 4)
+	a.Leafset = core.RingInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, ev.From, 4)
 	for _, l := range m.Leaves {
 		if (l != ctx.Self()) && (l != overlay.NilAddress) {
-			row = keyPrefix(ctx.SelfKey(), overlay.HashAddress(l), 4)
-			if (row < 8) && (tableGet(a.Rt[:], ((row*16)+keyDigit(overlay.HashAddress(l), row, 4))) == overlay.NilAddress) {
-				tablePut(a.Rt[:], ((row * 16) + keyDigit(overlay.HashAddress(l), row, 4)), l)
+			row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(l), 4))
+			if (row < 8) && (core.ListGet(a.Rt[:], ((row*16)+int32((overlay.HashAddress(l)).Digit(int(row), 4)))) == overlay.NilAddress) {
+				core.TablePut(a.Rt[:], ((row * 16) + int32((overlay.HashAddress(l)).Digit(int(row), 4))), l)
 			}
-			a.Leafset = ringInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, l, 4)
+			a.Leafset = core.RingInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, l, 4)
 		}
 	}
-	nbrSync(ctx, "leaves", ctx.Self(), a.Leafset)
+	ctx.Neighbors("leaves").Assign(a.Leafset, ctx.Self())
 	for _, l := range a.Leafset {
-		_ = ctx.Send(l, put(&a.io.tx.Announce, msgAnnounce{}), overlay.PriorityDefault)
+		_ = ctx.Send(l, core.Put(&a.io.tx.Announce, msgAnnounce{}), overlay.PriorityDefault)
 	}
 	for _, e := range a.Rt[:] {
-		if (e != overlay.NilAddress) && !(listContains(a.Leafset, e)) {
-			_ = ctx.Send(e, put(&a.io.tx.Announce, msgAnnounce{}), overlay.PriorityDefault)
+		if (e != overlay.NilAddress) && !(slices.Contains(a.Leafset, e)) {
+			_ = ctx.Send(e, core.Put(&a.io.tx.Announce, msgAnnounce{}), overlay.PriorityDefault)
 		}
 	}
 }
@@ -343,12 +344,12 @@ func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent) {
 	_ = m
 	var row int32
 	_ = row
-	row = keyPrefix(ctx.SelfKey(), overlay.HashAddress(ev.From), 4)
-	if (row < 8) && (tableGet(a.Rt[:], ((row*16)+keyDigit(overlay.HashAddress(ev.From), row, 4))) == overlay.NilAddress) {
-		tablePut(a.Rt[:], ((row * 16) + keyDigit(overlay.HashAddress(ev.From), row, 4)), ev.From)
+	row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(ev.From), 4))
+	if (row < 8) && (core.ListGet(a.Rt[:], ((row*16)+int32((overlay.HashAddress(ev.From)).Digit(int(row), 4)))) == overlay.NilAddress) {
+		core.TablePut(a.Rt[:], ((row * 16) + int32((overlay.HashAddress(ev.From)).Digit(int(row), 4))), ev.From)
 	}
-	a.Leafset = ringInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, ev.From, 4)
-	nbrSync(ctx, "leaves", ctx.Self(), a.Leafset)
+	a.Leafset = core.RingInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, ev.From, 4)
+	ctx.Neighbors("leaves").Assign(a.Leafset, ctx.Self())
 }
 
 // transition5 implements: (joined) timer ls_exchange [locking write;]
@@ -356,11 +357,11 @@ func (a *Agent) transition5(ctx *core.Context) {
 	ctx.TimerSched("ls_exchange", 2000*time.Millisecond)
 	if int32(len(a.Leafset)) == 0 {
 		if a.Boot != ctx.Self() {
-			_ = ctx.Send(a.Boot, put(&a.io.tx.LsReq, msgLsReq{}), overlay.PriorityDefault)
+			_ = ctx.Send(a.Boot, core.Put(&a.io.tx.LsReq, msgLsReq{}), overlay.PriorityDefault)
 		}
 		return
 	}
-	_ = ctx.Send(listRandom(ctx, a.Leafset), put(&a.io.tx.LsReq, msgLsReq{}), overlay.PriorityDefault)
+	_ = ctx.Send(core.ListRandom(ctx, a.Leafset), core.Put(&a.io.tx.LsReq, msgLsReq{}), overlay.PriorityDefault)
 }
 
 // transition6 implements: any recv ls_req [locking write;]
@@ -369,13 +370,13 @@ func (a *Agent) transition6(ctx *core.Context, ev *core.MsgEvent) {
 	_ = m
 	var row int32
 	_ = row
-	row = keyPrefix(ctx.SelfKey(), overlay.HashAddress(ev.From), 4)
-	if (row < 8) && (tableGet(a.Rt[:], ((row*16)+keyDigit(overlay.HashAddress(ev.From), row, 4))) == overlay.NilAddress) {
-		tablePut(a.Rt[:], ((row * 16) + keyDigit(overlay.HashAddress(ev.From), row, 4)), ev.From)
+	row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(ev.From), 4))
+	if (row < 8) && (core.ListGet(a.Rt[:], ((row*16)+int32((overlay.HashAddress(ev.From)).Digit(int(row), 4)))) == overlay.NilAddress) {
+		core.TablePut(a.Rt[:], ((row * 16) + int32((overlay.HashAddress(ev.From)).Digit(int(row), 4))), ev.From)
 	}
-	a.Leafset = ringInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, ev.From, 4)
-	nbrSync(ctx, "leaves", ctx.Self(), a.Leafset)
-	_ = ctx.Send(ev.From, put(&a.io.tx.LsResp, msgLsResp{Leaves: a.Leafset}), overlay.PriorityDefault)
+	a.Leafset = core.RingInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, ev.From, 4)
+	ctx.Neighbors("leaves").Assign(a.Leafset, ctx.Self())
+	_ = ctx.Send(ev.From, core.Put(&a.io.tx.LsResp, msgLsResp{Leaves: a.Leafset}), overlay.PriorityDefault)
 }
 
 // transition7 implements: (joined) recv ls_resp [locking write;]
@@ -384,28 +385,28 @@ func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent) {
 	_ = m
 	var row int32
 	_ = row
-	row = keyPrefix(ctx.SelfKey(), overlay.HashAddress(ev.From), 4)
-	if (row < 8) && (tableGet(a.Rt[:], ((row*16)+keyDigit(overlay.HashAddress(ev.From), row, 4))) == overlay.NilAddress) {
-		tablePut(a.Rt[:], ((row * 16) + keyDigit(overlay.HashAddress(ev.From), row, 4)), ev.From)
+	row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(ev.From), 4))
+	if (row < 8) && (core.ListGet(a.Rt[:], ((row*16)+int32((overlay.HashAddress(ev.From)).Digit(int(row), 4)))) == overlay.NilAddress) {
+		core.TablePut(a.Rt[:], ((row * 16) + int32((overlay.HashAddress(ev.From)).Digit(int(row), 4))), ev.From)
 	}
-	a.Leafset = ringInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, ev.From, 4)
+	a.Leafset = core.RingInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, ev.From, 4)
 	for _, l := range m.Leaves {
 		if (l != ctx.Self()) && (l != overlay.NilAddress) {
-			row = keyPrefix(ctx.SelfKey(), overlay.HashAddress(l), 4)
-			if (row < 8) && (tableGet(a.Rt[:], ((row*16)+keyDigit(overlay.HashAddress(l), row, 4))) == overlay.NilAddress) {
-				tablePut(a.Rt[:], ((row * 16) + keyDigit(overlay.HashAddress(l), row, 4)), l)
+			row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(l), 4))
+			if (row < 8) && (core.ListGet(a.Rt[:], ((row*16)+int32((overlay.HashAddress(l)).Digit(int(row), 4)))) == overlay.NilAddress) {
+				core.TablePut(a.Rt[:], ((row * 16) + int32((overlay.HashAddress(l)).Digit(int(row), 4))), l)
 			}
-			a.Leafset = ringInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, l, 4)
+			a.Leafset = core.RingInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, l, 4)
 		}
 	}
-	nbrSync(ctx, "leaves", ctx.Self(), a.Leafset)
+	ctx.Neighbors("leaves").Assign(a.Leafset, ctx.Self())
 }
 
 // transition8 implements: (joined) API route [locking write;]
 func (a *Agent) transition8(ctx *core.Context, call *core.APICall) {
 	_ = call
 	if a.Cache[call.Dest] != overlay.NilAddress {
-		_ = ctx.Send(a.Cache[call.Dest], put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 0, Payload: call.Payload}), overlay.PriorityDefault)
+		_ = ctx.Send(a.Cache[call.Dest], core.Put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 0, Payload: call.Payload}), overlay.PriorityDefault)
 		return
 	}
 	var best overlay.Address
@@ -427,17 +428,17 @@ func (a *Agent) transition8(ctx *core.Context, call *core.APICall) {
 	}
 	var row int32
 	_ = row
-	row = keyPrefix(ctx.SelfKey(), call.Dest, 4)
+	row = int32((ctx.SelfKey()).SharedPrefix(call.Dest, 4))
 	var ph overlay.Address
 	_ = ph
-	ph = tableGet(a.Rt[:], ((row * 16) + keyDigit(call.Dest, row, 4)))
+	ph = core.ListGet(a.Rt[:], ((row * 16) + int32((call.Dest).Digit(int(row), 4))))
 	if (ph != overlay.NilAddress) && (overlay.RingDiff(overlay.HashAddress(ph), call.Dest) < overlay.RingDiff(ctx.SelfKey(), call.Dest)) {
 		fwOk, _, fwPayload := ctx.Forward(call.Payload, call.PayloadType, ph, overlay.HashAddress(ph))
 		if !fwOk {
 			return
 		}
 		_ = fwPayload
-		_ = ctx.Send(ph, put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 1, Payload: fwPayload}), overlay.PriorityDefault)
+		_ = ctx.Send(ph, core.Put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 1, Payload: fwPayload}), overlay.PriorityDefault)
 		return
 	}
 	fwOk, _, fwPayload2 := ctx.Forward(call.Payload, call.PayloadType, best, overlay.HashAddress(best))
@@ -445,7 +446,7 @@ func (a *Agent) transition8(ctx *core.Context, call *core.APICall) {
 		return
 	}
 	_ = fwPayload2
-	_ = ctx.Send(best, put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 1, Payload: fwPayload2}), overlay.PriorityDefault)
+	_ = ctx.Send(best, core.Put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 1, Payload: fwPayload2}), overlay.PriorityDefault)
 }
 
 // transition9 implements: (joined) recv data [locking write;]
@@ -467,7 +468,7 @@ func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent) {
 	}
 	if best == ctx.Self() {
 		if (m.WantCache == 1) && (m.Src != ctx.Self()) {
-			_ = ctx.Send(m.Src, put(&a.io.tx.CacheInfo, msgCacheInfo{Id: m.Dest}), overlay.PriorityDefault)
+			_ = ctx.Send(m.Src, core.Put(&a.io.tx.CacheInfo, msgCacheInfo{Id: m.Dest}), overlay.PriorityDefault)
 		}
 		ctx.Deliver(m.Payload, m.Typ, m.Src)
 		return
@@ -477,17 +478,17 @@ func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent) {
 	}
 	var row int32
 	_ = row
-	row = keyPrefix(ctx.SelfKey(), m.Dest, 4)
+	row = int32((ctx.SelfKey()).SharedPrefix(m.Dest, 4))
 	var ph overlay.Address
 	_ = ph
-	ph = tableGet(a.Rt[:], ((row * 16) + keyDigit(m.Dest, row, 4)))
+	ph = core.ListGet(a.Rt[:], ((row * 16) + int32((m.Dest).Digit(int(row), 4))))
 	if (ph != overlay.NilAddress) && (overlay.RingDiff(overlay.HashAddress(ph), m.Dest) < overlay.RingDiff(ctx.SelfKey(), m.Dest)) {
 		fwOk, _, fwPayload := ctx.Forward(m.Payload, m.Typ, ph, overlay.HashAddress(ph))
 		if !fwOk {
 			return
 		}
 		_ = fwPayload
-		_ = ctx.Send(ph, put(&a.io.tx.Data, msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), WantCache: m.WantCache, Payload: fwPayload}), overlay.PriorityDefault)
+		_ = ctx.Send(ph, core.Put(&a.io.tx.Data, msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), WantCache: m.WantCache, Payload: fwPayload}), overlay.PriorityDefault)
 		return
 	}
 	fwOk, _, fwPayload2 := ctx.Forward(m.Payload, m.Typ, best, overlay.HashAddress(best))
@@ -495,7 +496,7 @@ func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent) {
 		return
 	}
 	_ = fwPayload2
-	_ = ctx.Send(best, put(&a.io.tx.Data, msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), WantCache: m.WantCache, Payload: fwPayload2}), overlay.PriorityDefault)
+	_ = ctx.Send(best, core.Put(&a.io.tx.Data, msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), WantCache: m.WantCache, Payload: fwPayload2}), overlay.PriorityDefault)
 }
 
 // transition10 implements: any recv cache_info [locking write;]
@@ -520,7 +521,7 @@ func (a *Agent) transition12(ctx *core.Context, call *core.APICall) {
 	if call.DestIP == ctx.Self() {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
-		_ = ctx.Send(call.DestIP, put(&a.io.tx.DataIp, msgDataIp{Src: ctx.Self(), Typ: call.PayloadType, Payload: call.Payload}), overlay.PriorityDefault)
+		_ = ctx.Send(call.DestIP, core.Put(&a.io.tx.DataIp, msgDataIp{Src: ctx.Self(), Typ: call.PayloadType, Payload: call.Payload}), overlay.PriorityDefault)
 	}
 }
 
@@ -534,128 +535,8 @@ func (a *Agent) transition13(ctx *core.Context, ev *core.MsgEvent) {
 // transition14 implements: any API error [locking write;]
 func (a *Agent) transition14(ctx *core.Context, call *core.APICall) {
 	_ = call
-	a.Leafset = listRemove(a.Leafset, call.Failed)
-	nbrSync(ctx, "leaves", ctx.Self(), a.Leafset)
-	tableRemove(a.Rt[:], call.Failed)
-	mapRemoveValue(a.Cache, call.Failed)
-}
-
-// put stores v in slot and returns slot: a send builds its message in the
-// agent's send slot inside the Send call expression, so the destination is
-// evaluated before the fields, as when the message was a fresh literal.
-func put[T any](slot *T, v T) *T {
-	*slot = v
-	return slot
-}
-
-// nbrSync replaces a neighbor list's members with a nodeset's, skipping
-// nil and self (the failure detector monitors peers, not the local node).
-func nbrSync(ctx *core.Context, list string, self overlay.Address, s []overlay.Address) {
-	ctx.Neighbors(list).Assign(s, self)
-}
-
-// listRemove deletes every occurrence of a.
-func listRemove(s []overlay.Address, a overlay.Address) []overlay.Address {
-	out := make([]overlay.Address, 0, len(s))
-	for _, x := range s {
-		if x != a {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// listRandom picks a uniformly random entry with the node's seeded
-// source, or NilAddress when the list is empty.
-func listRandom(ctx *core.Context, s []overlay.Address) overlay.Address {
-	if len(s) == 0 {
-		return overlay.NilAddress
-	}
-	return s[ctx.Rand().Intn(len(s))]
-}
-
-// listContains reports whether a is in the list.
-func listContains(s []overlay.Address, a overlay.Address) bool {
-	for _, x := range s {
-		if x == a {
-			return true
-		}
-	}
-	return false
-}
-
-// ringInsert is the bounded leaf-set insertion: the result keeps the half
-// closest clockwise and half closest counter-clockwise peers of self,
-// clockwise side first, each side ordered by ring distance.
-func ringInsert(selfKey overlay.Key, self overlay.Address, s []overlay.Address, a overlay.Address, half int32) []overlay.Address {
-	if a == overlay.NilAddress || a == self || listContains(s, a) {
-		return s
-	}
-	var cw, ccw []overlay.Address
-	for _, x := range append(append([]overlay.Address(nil), s...), a) {
-		xk := overlay.HashAddress(x)
-		if selfKey.Distance(xk) <= xk.Distance(selfKey) {
-			cw = ringSide(cw, x, func(k overlay.Key) uint32 { return selfKey.Distance(k) }, half)
-		} else {
-			ccw = ringSide(ccw, x, func(k overlay.Key) uint32 { return k.Distance(selfKey) }, half)
-		}
-	}
-	return append(cw, ccw...)
-}
-
-// ringSide insertion-sorts a into one leaf-set side and bounds its size.
-func ringSide(side []overlay.Address, a overlay.Address, dist func(overlay.Key) uint32, max int32) []overlay.Address {
-	side = append(side, a)
-	for i := len(side) - 1; i > 0; i-- {
-		if dist(overlay.HashAddress(side[i])) < dist(overlay.HashAddress(side[i-1])) {
-			side[i], side[i-1] = side[i-1], side[i]
-		}
-	}
-	if int32(len(side)) > max {
-		side = side[:max]
-	}
-	return side
-}
-
-// tablePut stores a at index i, ignoring out-of-range indices.
-func tablePut(t []overlay.Address, i int32, a overlay.Address) {
-	if i >= 0 && int(i) < len(t) {
-		t[i] = a
-	}
-}
-
-// tableGet returns the entry at index i, or NilAddress out of range.
-func tableGet(t []overlay.Address, i int32) overlay.Address {
-	if i < 0 || int(i) >= len(t) {
-		return overlay.NilAddress
-	}
-	return t[i]
-}
-
-// tableRemove clears every table slot holding a.
-func tableRemove(t []overlay.Address, a overlay.Address) {
-	for i, x := range t {
-		if x == a {
-			t[i] = overlay.NilAddress
-		}
-	}
-}
-
-// mapRemoveValue deletes every entry whose value is a.
-func mapRemoveValue(m map[overlay.Key]overlay.Address, a overlay.Address) {
-	for k, v := range m {
-		if v == a {
-			delete(m, k)
-		}
-	}
-}
-
-// keyPrefix counts the leading base-2^bits digits two keys share.
-func keyPrefix(a, b overlay.Key, bits int32) int32 {
-	return int32(a.SharedPrefix(b, int(bits)))
-}
-
-// keyDigit extracts the i-th base-2^bits digit of a key.
-func keyDigit(k overlay.Key, i, bits int32) int32 {
-	return int32(k.Digit(int(i), int(bits)))
+	a.Leafset = core.ListRemove(a.Leafset, call.Failed)
+	ctx.Neighbors("leaves").Assign(a.Leafset, ctx.Self())
+	core.TableRemove(a.Rt[:], call.Failed)
+	core.MapRemoveValue(a.Cache, call.Failed)
 }

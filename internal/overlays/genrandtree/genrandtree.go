@@ -195,7 +195,7 @@ func (a *Agent) transition0(ctx *core.Context, call *core.APICall) {
 		ctx.StateChange("joined")
 	} else {
 		ctx.StateChange("joining")
-		_ = ctx.Send(a.Root, put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
+		_ = ctx.Send(a.Root, core.Put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
 		ctx.TimerSched("rejoin", 3000*time.Millisecond)
 	}
 }
@@ -205,13 +205,13 @@ func (a *Agent) transition1(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgJoin)
 	_ = m
 	if ctx.Neighbors("kids").Contains(ev.From) {
-		_ = ctx.Send(ev.From, put(&a.io.tx.JoinReply, msgJoinReply{Accept: 1}), overlay.PriorityDefault)
+		_ = ctx.Send(ev.From, core.Put(&a.io.tx.JoinReply, msgJoinReply{Accept: 1}), overlay.PriorityDefault)
 	} else {
 		if ctx.Neighbors("kids").Full() {
-			_ = ctx.Send(ev.From, put(&a.io.tx.JoinReply, msgJoinReply{Accept: 0, Redirect: nbrRandom(ctx, "kids")}), overlay.PriorityDefault)
+			_ = ctx.Send(ev.From, core.Put(&a.io.tx.JoinReply, msgJoinReply{Accept: 0, Redirect: core.NeighborRandom(ctx, "kids")}), overlay.PriorityDefault)
 		} else {
 			ctx.Neighbors("kids").Add(ev.From)
-			_ = ctx.Send(ev.From, put(&a.io.tx.JoinReply, msgJoinReply{Accept: 1}), overlay.PriorityDefault)
+			_ = ctx.Send(ev.From, core.Put(&a.io.tx.JoinReply, msgJoinReply{Accept: 1}), overlay.PriorityDefault)
 			ctx.NotifyNeighbors(overlay.NbrTypeChild, ctx.Neighbors("kids").Addrs())
 		}
 	}
@@ -221,7 +221,7 @@ func (a *Agent) transition1(ctx *core.Context, ev *core.MsgEvent) {
 func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgJoin)
 	_ = m
-	_ = ctx.Send(ev.From, put(&a.io.tx.JoinReply, msgJoinReply{Accept: 0, Redirect: a.Root}), overlay.PriorityDefault)
+	_ = ctx.Send(ev.From, core.Put(&a.io.tx.JoinReply, msgJoinReply{Accept: 0, Redirect: a.Root}), overlay.PriorityDefault)
 }
 
 // transition3 implements: (joining) recv join_reply [locking write;]
@@ -236,10 +236,10 @@ func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent) {
 		ctx.NotifyNeighbors(overlay.NbrTypeParent, ctx.Neighbors("parent").Addrs())
 	} else {
 		if (m.Redirect == 0) || (m.Redirect == ctx.Self()) {
-			_ = ctx.Send(a.Root, put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
+			_ = ctx.Send(a.Root, core.Put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
 			ctx.TimerResched("rejoin", 3000*time.Millisecond)
 		} else {
-			_ = ctx.Send(m.Redirect, put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
+			_ = ctx.Send(m.Redirect, core.Put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
 			ctx.TimerResched("rejoin", 3000*time.Millisecond)
 		}
 	}
@@ -247,7 +247,7 @@ func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent) {
 
 // transition4 implements: (joining) timer rejoin [locking write;]
 func (a *Agent) transition4(ctx *core.Context) {
-	_ = ctx.Send(a.Root, put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
+	_ = ctx.Send(a.Root, core.Put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
 	ctx.TimerSched("rejoin", 3000*time.Millisecond)
 }
 
@@ -276,7 +276,7 @@ func (a *Agent) transition7(ctx *core.Context, call *core.APICall) {
 			return
 		}
 		_ = fwPayload
-		_ = ctx.Send(k, put(&a.io.tx.Mdata, msgMdata{Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, Payload: fwPayload}), overlay.PriorityDefault)
+		_ = ctx.Send(k, core.Put(&a.io.tx.Mdata, msgMdata{Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, Payload: fwPayload}), overlay.PriorityDefault)
 	}
 }
 
@@ -291,7 +291,7 @@ func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent) {
 				return
 			}
 			_ = fwPayload
-			_ = ctx.Send(k, put(&a.io.tx.Mdata, msgMdata{Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: fwPayload}), overlay.PriorityDefault)
+			_ = ctx.Send(k, core.Put(&a.io.tx.Mdata, msgMdata{Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: fwPayload}), overlay.PriorityDefault)
 		}
 	}
 	if m.Src != ctx.Self() {
@@ -305,7 +305,7 @@ func (a *Agent) transition9(ctx *core.Context, call *core.APICall) {
 	if ctx.Neighbors("parent").Size() == 0 {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
-		_ = ctx.Send(nbrFirst(ctx, "parent"), put(&a.io.tx.Cdata, msgCdata{Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, Payload: call.Payload}), overlay.PriorityDefault)
+		_ = ctx.Send(core.NeighborFirst(ctx, "parent"), core.Put(&a.io.tx.Cdata, msgCdata{Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, Payload: call.Payload}), overlay.PriorityDefault)
 	}
 }
 
@@ -322,7 +322,7 @@ func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent) {
 		if ctx.Neighbors("parent").Size() == 0 {
 			ctx.Deliver(fwPayload, m.Typ, m.Src)
 		} else {
-			_ = ctx.Send(nbrFirst(ctx, "parent"), put(&a.io.tx.Cdata, msgCdata{Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: fwPayload}), overlay.PriorityDefault)
+			_ = ctx.Send(core.NeighborFirst(ctx, "parent"), core.Put(&a.io.tx.Cdata, msgCdata{Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: fwPayload}), overlay.PriorityDefault)
 		}
 	}
 }
@@ -333,7 +333,7 @@ func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
 	if call.DestIP == ctx.Self() {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
-		_ = ctx.Send(call.DestIP, put(&a.io.tx.DataIp, msgDataIp{Src: ctx.Self(), Typ: call.PayloadType, Payload: call.Payload}), overlay.PriorityDefault)
+		_ = ctx.Send(call.DestIP, core.Put(&a.io.tx.DataIp, msgDataIp{Src: ctx.Self(), Typ: call.PayloadType, Payload: call.Payload}), overlay.PriorityDefault)
 	}
 }
 
@@ -342,26 +342,4 @@ func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*msgDataIp)
 	_ = m
 	ctx.Deliver(m.Payload, m.Typ, m.Src)
-}
-
-func nbrRandom(ctx *core.Context, list string) overlay.Address {
-	if n := ctx.Neighbors(list).Random(ctx.Rand()); n != nil {
-		return n.Addr
-	}
-	return overlay.NilAddress
-}
-
-func nbrFirst(ctx *core.Context, list string) overlay.Address {
-	if n := ctx.Neighbors(list).First(); n != nil {
-		return n.Addr
-	}
-	return overlay.NilAddress
-}
-
-// put stores v in slot and returns slot: a send builds its message in the
-// agent's send slot inside the Send call expression, so the destination is
-// evaluated before the fields, as when the message was a fresh literal.
-func put[T any](slot *T, v T) *T {
-	*slot = v
-	return slot
 }

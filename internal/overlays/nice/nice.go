@@ -10,6 +10,7 @@
 package nice
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -284,7 +285,7 @@ func (n *Protocol) recvProbeResp(ctx *core.Context, ev *core.MsgEvent) {
 		return
 	}
 	// Join-descent accounting.
-	if inList(n.candidates, ps.to) {
+	if slices.Contains(n.candidates, ps.to) {
 		if rtt < n.bestDist {
 			n.bestCand, n.bestDist = ps.to, rtt
 		}
@@ -902,13 +903,4 @@ func setToSlice(s map[overlay.Address]bool) []overlay.Address {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func inList(l []overlay.Address, a overlay.Address) bool {
-	for _, x := range l {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }

@@ -7,6 +7,7 @@
 package scribe
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -457,13 +458,13 @@ func (s *Protocol) recvAcast(ctx *core.Context, ev *core.MsgEvent) {
 	m.Visited = append(m.Visited, s.self)
 	// DFS down unvisited children.
 	for _, child := range sortedChildren(gs) {
-		if !visited(m.Visited, child) {
+		if !slices.Contains(m.Visited, child) {
 			s.send(ctx, child, m)
 			return
 		}
 	}
 	// Dead end: back up to the parent if it has not seen this message.
-	if gs.parent != overlay.NilAddress && !visited(m.Visited, gs.parent) {
+	if gs.parent != overlay.NilAddress && !slices.Contains(m.Visited, gs.parent) {
 		s.send(ctx, gs.parent, m)
 	}
 }
@@ -477,15 +478,6 @@ func sortedChildren(gs *groupState) []overlay.Address {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func visited(vs []overlay.Address, a overlay.Address) bool {
-	for _, v := range vs {
-		if v == a {
-			return true
-		}
-	}
-	return false
 }
 
 // apiRoute / apiRouteIP pass through to the DHT so applications over Scribe
