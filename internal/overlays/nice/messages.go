@@ -16,6 +16,8 @@ func (m *query) MsgName() string                { return "query" }
 func (m *query) Encode(w *overlay.Writer)       { w.U8(uint8(m.Layer)) }
 func (m *query) Decode(r *overlay.Reader) error { m.Layer = int8(r.U8()); return r.Err() }
 
+// queryResp answers a query with the responder's cluster at Layer, or with
+// Layer -1 redirects a -1 query to Leader, higher in the hierarchy.
 type queryResp struct {
 	Layer   int8
 	Leader  overlay.Address

@@ -84,6 +84,7 @@ type Protocol struct {
 	// Join descent state.
 	descendLayer int8
 	descendHost  overlay.Address
+	redirects    int // top-of-hierarchy redirects followed since the descent began
 	candidates   []overlay.Address
 	probesLeft   int
 	bestCand     overlay.Address
@@ -194,6 +195,7 @@ func (n *Protocol) apiInit(ctx *core.Context, call *core.APICall) {
 	ctx.StateChange("joining")
 	n.descendHost = n.rp
 	n.descendLayer = -1 // ask for the RP's top layer
+	n.redirects = 0
 	_ = ctx.Send(n.rp, &query{Layer: -1}, overlay.PriorityDefault)
 	ctx.TimerSched("join_retry", 0)
 }
@@ -212,6 +214,7 @@ func (n *Protocol) onJoinRetry(ctx *core.Context) {
 	// Restart the descent from the RP.
 	n.descendHost = n.rp
 	n.descendLayer = -1
+	n.redirects = 0
 	_ = ctx.Send(n.rp, &query{Layer: -1}, overlay.PriorityDefault)
 	ctx.TimerSched("join_retry", 5*time.Second)
 }
@@ -223,6 +226,12 @@ func (n *Protocol) recvQuery(ctx *core.Context, ev *core.MsgEvent) {
 	layer := int(m.Layer)
 	if layer < 0 {
 		layer = len(n.layers) - 1
+		// A top cluster we do not lead is not the hierarchy's top: its
+		// leader sits a layer higher, so point the joiner there.
+		if layer >= 0 && !n.Leader(layer) && n.layers[layer].leader != overlay.NilAddress {
+			_ = ctx.Send(ev.From, &queryResp{Layer: -1, Leader: n.layers[layer].leader}, overlay.PriorityDefault)
+			return
+		}
 	}
 	if layer < 0 || layer >= len(n.layers) {
 		// Not a member at that layer; answer with the lowest cluster so the
@@ -239,6 +248,16 @@ func (n *Protocol) recvQuery(ctx *core.Context, ev *core.MsgEvent) {
 
 func (n *Protocol) recvQueryResp(ctx *core.Context, ev *core.MsgEvent) {
 	m := ev.Msg.(*queryResp)
+	if m.Layer < 0 {
+		// A redirect toward the top. The cap stops two nodes whose views
+		// disagree from bouncing the query between them.
+		if n.redirects < maxLayers && m.Leader != n.self && m.Leader != overlay.NilAddress {
+			n.redirects++
+			n.descendHost = m.Leader
+			_ = ctx.Send(m.Leader, &query{Layer: -1}, overlay.PriorityDefault)
+		}
+		return
+	}
 	n.descendLayer = m.Layer
 	n.candidates = nil
 	for _, a := range m.Members {

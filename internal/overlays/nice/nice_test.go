@@ -147,3 +147,71 @@ func TestLatencyAwareClustering(t *testing.T) {
 		t.Fatalf("%d cross-site L0 cluster memberships; clustering ignores latency", straddling)
 	}
 }
+
+// TestJoinDescendsFromTopAfterRPDemotion: once the rendezvous point has lost
+// a leadership, its own top cluster is no longer the top of the hierarchy,
+// and a joiner must still start its descent there. The RP sits alone at a
+// site close to site 1, so the center of its bottom cluster is a site-1
+// node and the RP is demoted; a node joining at the distant site 2 must end
+// up in a site-2 cluster, not in the RP's site-1 cluster.
+func TestJoinDescendsFromTopAfterRPDemotion(t *testing.T) {
+	ms := func(d int) time.Duration { return time.Duration(d) * time.Millisecond }
+	p := topology.SiteMatrixParams{
+		Latency: [][]time.Duration{
+			{0, ms(10), ms(60)},
+			{ms(10), 0, ms(60)},
+			{ms(60), ms(60), 0},
+		},
+		LANLatency: ms(1),
+	}
+	g, gws, err := topology.SiteMatrix(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, _ := topology.AttachSiteClients(g, gws[:1], 1, 1, p)
+	rest, sites := topology.AttachSiteClients(g, gws[1:], 8, 2, p)
+	addrs := append(rp, rest...)
+	siteOf := map[overlay.Address]int{rp[0]: 0}
+	for i, a := range rest {
+		siteOf[a] = sites[i] + 1
+	}
+	c, err := harness.NewCluster(harness.ClusterConfig{Graph: g, Addrs: addrs, Seed: 103})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.StopAll)
+	stack := []core.Factory{nice.New(nice.Params{K: 3})}
+	joiner := len(addrs) - 1 // the last site-2 node joins late
+	for i := 0; i < joiner; i++ {
+		if _, err := c.Spawn(i, stack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.RunFor(5 * time.Minute)
+
+	r := niceOf(c, rp[0])
+	if top := r.TopLayer(); top < 0 || r.Leader(top) {
+		t.Fatalf("RP top layer %d, leads it: %v; the test needs a demoted RP", top, r.Leader(max(top, 0)))
+	}
+	maxTop := 0
+	for _, a := range addrs[:joiner] {
+		maxTop = max(maxTop, niceOf(c, a).TopLayer())
+	}
+	if maxTop <= r.TopLayer() {
+		t.Fatalf("hierarchy top %d, RP top %d: the RP's top cluster is the hierarchy's", maxTop, r.TopLayer())
+	}
+
+	if _, err := c.Spawn(joiner, stack); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(time.Minute)
+	j := addrs[joiner]
+	if st := c.Nodes[j].Instance("nice").State(); st != "joined" {
+		t.Fatalf("joiner state %q", st)
+	}
+	for _, m := range niceOf(c, j).ClusterMembers(0) {
+		if siteOf[m] != 2 {
+			t.Errorf("joiner at site 2 sits in a bottom cluster with %v at site %d", m, siteOf[m])
+		}
+	}
+}
