@@ -23,15 +23,16 @@ import (
 	"sort"
 	"time"
 
+	"macedon/internal/core"
 	"macedon/internal/overlay"
 )
 
-// Node-state kinds: which structural family a node's extracted state
-// belongs to, deciding which checkers apply to it.
+// Node-state kinds: the routing kind a node's spec declares, deciding which
+// checkers apply to it. Each kind's structural checker bears its name.
 const (
-	KindRing    = "ring"    // chord-family: successor list, predecessor, fingers
-	KindLeafset = "leafset" // pastry-family: leaf set
-	KindTree    = "tree"    // tree-family: parent/children/root
+	KindRing    = core.RoutingRing    // successor list, predecessor, fingers
+	KindLeafset = core.RoutingLeafset // leaf set
+	KindTree    = core.RoutingTree    // parent, children, root
 )
 
 // NodeState is one node's protocol state reduced to a substrate-neutral
@@ -50,15 +51,15 @@ type NodeState struct {
 	// Joined reports whether the protocol completed its join.
 	Joined bool `json:"joined,omitempty"`
 
-	// Ring state (chord-family).
+	// Ring state (core.RoutingRing).
 	Succs   []overlay.Address `json:"succs,omitempty"`
 	Pred    overlay.Address   `json:"pred,omitempty"`
 	Fingers []overlay.Address `json:"fingers,omitempty"`
 
-	// Leafset state (pastry-family).
+	// Leafset state (core.RoutingLeafset).
 	Leafset []overlay.Address `json:"leafset,omitempty"`
 
-	// Tree state.
+	// Tree state (core.RoutingTree).
 	Parent   overlay.Address   `json:"parent,omitempty"`
 	Children []overlay.Address `json:"children,omitempty"`
 	Root     overlay.Address   `json:"root,omitempty"`
@@ -66,7 +67,7 @@ type NodeState struct {
 	// Refs is the failure-detected route state the staleness checker
 	// audits: successor lists, predecessor, leaf sets, parent and child
 	// links — state a live protocol must evict when the referenced node
-	// dies. Lazily-repaired state (chord fingers, pastry routing-table
+	// dies. Lazily-repaired state (finger tables, prefix routing-table
 	// rows, location caches) is deliberately excluded: its staleness
 	// bound is the repair-cycle length, not the failure detector's.
 	// Sorted and deduplicated, so snapshots compare bytewise.
@@ -152,7 +153,7 @@ func (v *View) RecentChurn() bool {
 // QuietFor reports whether every node's liveness and connectivity have been
 // unchanged for at least d. Checks over state that refreshes on a cycle
 // longer than the grace window gate on this instead of RecentChurn —
-// chord's round-robin finger repair, for example, revisits a given slot
+// a ring's round-robin finger repair, for example, revisits a given slot
 // only once per full cycle, so a finger written from a transiently wrong
 // lookup during churn can legitimately outlive the grace window.
 func (v *View) QuietFor(d time.Duration) bool {
@@ -238,11 +239,11 @@ func Run(checkers []Checker, v *View) *PhaseChecks {
 
 // Config resolves a scenario's checks spec against a protocol.
 type Config struct {
-	// Names lists the requested checkers; "auto" expands to the set that
-	// fits the protocol (see ForProtocol).
+	// Names lists the requested checkers; "auto" expands to the checker
+	// named after Routing, if any, and staleness.
 	Names []string
-	// Protocol is the scenario protocol name (drives "auto").
-	Protocol string
+	// Routing is the routing kind the stack declares (core.StackRouting).
+	Routing string
 	// Grace is the stability window (default 30s).
 	Grace time.Duration
 	// StaleBound limits how long dead nodes may linger in failure-detected
@@ -257,69 +258,43 @@ const (
 	maxViolationLines = 64 // per phase, keeping reports readable
 )
 
-// ForProtocol returns the checker names that fit a scenario protocol.
-func ForProtocol(proto string) []string {
-	switch proto {
-	case "", "chord", "genchord":
-		return []string{"ring", "staleness"}
-	case "pastry", "genpastry", "scribe", "splitstream":
-		return []string{"leafset", "staleness"}
-	case "randtree", "genrandtree", "overcast", "bullet":
-		return []string{"tree", "staleness"}
-	default:
-		return []string{"staleness"}
-	}
+// checkers maps every name a scenario may request onto its checker; a
+// routing kind's checker bears the kind's name, which is how "auto" finds it.
+var checkers = map[string]Checker{
+	KindRing:                    ringChecker{},
+	KindLeafset:                 leafsetChecker{},
+	KindTree:                    treeChecker{},
+	"staleness":                 stalenessChecker{},
+	"synthetic-full-population": SyntheticFullPopulation{},
 }
 
 // Known reports whether a checker name is valid in a scenario spec.
-func Known(name string) bool {
-	switch name {
-	case "auto", "ring", "leafset", "tree", "staleness", "synthetic-full-population":
-		return true
-	}
-	return false
-}
+func Known(name string) bool { return name == "auto" || checkers[name] != nil }
 
-// New resolves a Config into its checker set.
+// New resolves a Config into its checker set, each checker once, in the
+// order the names first ask for it.
 func New(cfg Config) ([]Checker, error) {
-	if cfg.Grace <= 0 {
-		cfg.Grace = DefaultGrace
-	}
-	if cfg.StaleBound <= 0 {
-		cfg.StaleBound = defaultStaleMul * cfg.Grace
-	}
 	var names []string
-	seen := map[string]bool{}
-	add := func(n string) {
-		if !seen[n] {
-			seen[n] = true
-			names = append(names, n)
-		}
-	}
 	for _, n := range cfg.Names {
-		if n == "auto" {
-			for _, a := range ForProtocol(cfg.Protocol) {
-				add(a)
-			}
-			continue
+		switch {
+		case n != "auto":
+			names = append(names, n)
+		case cfg.Routing != "":
+			names = append(names, cfg.Routing, "staleness")
+		default:
+			names = append(names, "staleness")
 		}
-		add(n)
 	}
 	out := make([]Checker, 0, len(names))
+	seen := map[string]bool{}
 	for _, n := range names {
-		switch n {
-		case "ring":
-			out = append(out, ringChecker{})
-		case "leafset":
-			out = append(out, leafsetChecker{})
-		case "tree":
-			out = append(out, treeChecker{})
-		case "staleness":
-			out = append(out, stalenessChecker{})
-		case "synthetic-full-population":
-			out = append(out, SyntheticFullPopulation{})
-		default:
+		c, ok := checkers[n]
+		if !ok {
 			return nil, fmt.Errorf("check: unknown checker %q", n)
+		}
+		if !seen[n] {
+			seen[n] = true
+			out = append(out, c)
 		}
 	}
 	return out, nil

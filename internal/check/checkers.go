@@ -7,10 +7,10 @@ import (
 	"macedon/internal/overlay"
 )
 
-// ringChecker verifies chord-family ring consistency against the
-// global-knowledge oracle: a stable node's successor and predecessor must
-// not skip over any stable live node, and every finger must sit at or past
-// its interval start. The checks are arc checks, not equality checks, so a
+// ringChecker verifies ring consistency against the global-knowledge
+// oracle: a stable node's successor and predecessor must not skip over any
+// stable live node, and every finger must sit at or past its interval
+// start. The checks are arc checks, not equality checks, so a
 // fresh joiner legitimately sitting between a node and its oracle
 // successor never counts as a violation; dead pointers are the staleness
 // checker's department.
@@ -23,7 +23,7 @@ func (ringChecker) Check(v *View) []Violation {
 		return nil // a split ring is not supposed to agree
 	}
 	var out []Violation
-	stable := ringMembers(v)
+	stable := members(v, KindRing)
 	for _, i := range stable {
 		n := &v.Nodes[i]
 		self := overlay.HashAddress(n.Addr)
@@ -69,11 +69,11 @@ func (ringChecker) Check(v *View) []Violation {
 	return out
 }
 
-// ringMembers returns the stable joined ring-family node indices.
-func ringMembers(v *View) []int {
+// members returns the indices of the stable joined nodes of a kind.
+func members(v *View, kind string) []int {
 	var out []int
 	for i := range v.Nodes {
-		if v.Nodes[i].Kind == KindRing && v.Nodes[i].Joined && v.Stable(i) {
+		if v.Nodes[i].Kind == kind && v.Nodes[i].Joined && v.Stable(i) {
 			out = append(out, i)
 		}
 	}
@@ -106,10 +106,10 @@ func oracleNext(v *View, stable []int, i int, self overlay.Key, ccw bool) int {
 	return best
 }
 
-// leafsetChecker verifies pastry-family leaf sets: a stable node's leaf
-// set must reach at least as close as the nearest stable live node in each
-// ring direction. A fresher (non-stable) node sitting even closer
-// satisfies the check — the arc is covered.
+// leafsetChecker verifies leaf sets: a stable node's leaf set must reach at
+// least as close as the nearest stable live node in each ring direction. A
+// fresher (non-stable) node sitting even closer satisfies the check — the
+// arc is covered.
 type leafsetChecker struct{}
 
 func (leafsetChecker) Name() string { return "leafset" }
@@ -119,12 +119,7 @@ func (leafsetChecker) Check(v *View) []Violation {
 		return nil
 	}
 	var out []Violation
-	var stable []int
-	for i := range v.Nodes {
-		if v.Nodes[i].Kind == KindLeafset && v.Nodes[i].Joined && v.Stable(i) {
-			stable = append(stable, i)
-		}
-	}
+	stable := members(v, KindLeafset)
 	for _, i := range stable {
 		n := &v.Nodes[i]
 		self := overlay.HashAddress(n.Addr)
@@ -166,7 +161,7 @@ func (leafsetChecker) Check(v *View) []Violation {
 	return out
 }
 
-// treeChecker verifies tree well-formedness for tree-family overlays:
+// treeChecker verifies tree well-formedness for the tree kind:
 // agreement on a single root, acyclic parent pointers, a live parent path
 // from every stable node to the root, and parent/child link symmetry. The
 // path and symmetry rules relax while any node's liveness or connectivity
@@ -189,15 +184,11 @@ func (treeChecker) Check(v *View) []Violation {
 		return nil
 	}
 	var out []Violation
-	var subjects []int
+	subjects := members(v, KindTree)
 	rootAddr := overlay.NilAddress
 	rootFrom := -1
-	for i := range v.Nodes {
+	for _, i := range subjects {
 		n := &v.Nodes[i]
-		if n.Kind != KindTree || !n.Joined || !v.Stable(i) {
-			continue
-		}
-		subjects = append(subjects, i)
 		if n.Root != overlay.NilAddress {
 			if rootAddr == overlay.NilAddress {
 				rootAddr, rootFrom = n.Root, i

@@ -1,14 +1,10 @@
 package check
 
 import (
-	"sort"
+	"slices"
 
 	"macedon/internal/core"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/genpastry"
-	"macedon/internal/overlays/genrandtree"
-	"macedon/internal/overlays/overcast"
 )
 
 // Extract reduces one live node's protocol stack to its NodeState. It runs
@@ -17,17 +13,24 @@ import (
 // barriers (where Exec runs inline and deterministically), a live agent
 // from its control-connection goroutine.
 //
-// The walk stops at the first instance whose structural family it knows —
-// layered stacks (scribe-on-pastry, bullet-on-randtree) are checked
-// through their base overlay. Unknown protocols yield a bare liveness
-// record that every structural checker skips.
+// The state is the routing view of the lowest stack instance whose spec
+// declares one (core.Routed), so a layered stack is checked through its
+// base overlay. A stack that declares none yields a bare liveness record
+// that every structural checker skips.
 func Extract(n *core.Node, idx int) NodeState {
 	st := NodeState{Node: idx, Addr: n.Addr(), Alive: true}
 	n.Exec(func() {
 		for _, inst := range n.Stack() {
-			if extractInstance(inst, &st) {
-				break
+			r, ok := inst.Agent().(core.Routed)
+			if !ok {
+				continue
 			}
+			var v core.RoutingView
+			r.Routing(inst, &v)
+			st.Kind, st.Joined = v.Kind, inst.State() == core.State("joined")
+			st.Succs, st.Pred, st.Fingers, st.Leafset = v.Succs, v.Pred, v.Fingers, v.Leafset
+			st.Root, st.Parent, st.Children = v.Root, v.Parent, v.Children
+			break
 		}
 	})
 	finishRefs(&st)
@@ -39,72 +42,15 @@ func DeadState(idx int, addr overlay.Address) NodeState {
 	return NodeState{Node: idx, Addr: addr, Alive: false}
 }
 
-// extractInstance fills st from one stack instance when it recognizes the
-// agent, reporting whether it did.
-func extractInstance(inst *core.Instance, st *NodeState) bool {
-	joined := inst.State() == core.State("joined")
-	switch ag := inst.Agent().(type) {
-	case *genchord.Agent:
-		st.Kind = KindRing
-		st.Joined = joined
-		st.Succs = append([]overlay.Address(nil), ag.Succs...)
-		st.Pred = firstAddr(inst.NeighborsSnapshot("pred"))
-		st.Fingers = append([]overlay.Address(nil), ag.Fingers[:]...)
-	case *genpastry.Agent:
-		st.Kind = KindLeafset
-		st.Joined = joined
-		st.Leafset = append([]overlay.Address(nil), ag.Leafset...)
-	case *genrandtree.Agent:
-		st.Kind = KindTree
-		st.Joined = joined
-		st.Root = ag.Root
-		st.Parent = firstAddr(inst.NeighborsSnapshot("parent"))
-		st.Children = inst.NeighborsSnapshot("kids")
-	case *overcast.Protocol:
-		st.Kind = KindTree
-		st.Joined = joined
-		st.Parent = firstAddr(inst.NeighborsSnapshot("papa"))
-		st.Children = inst.NeighborsSnapshot("kids")
-	default:
-		return false
-	}
-	return true
-}
-
-func firstAddr(s []overlay.Address) overlay.Address {
-	if len(s) == 0 {
-		return overlay.NilAddress
-	}
-	return s[0]
-}
-
 // finishRefs assembles the audited reference set: the failure-detected
-// route state (successors, predecessor, leaf set, parent, children),
-// sorted and deduplicated so two extractions of the same state are
-// byte-identical.
+// route state (successors, predecessor, leaf set, parent, children), less
+// nil and self, sorted and deduplicated so two extractions of the same
+// state are byte-identical.
 func finishRefs(st *NodeState) {
-	var refs []overlay.Address
-	refs = append(refs, st.Succs...)
-	if st.Pred != overlay.NilAddress {
-		refs = append(refs, st.Pred)
+	refs := slices.Concat(st.Succs, []overlay.Address{st.Pred}, st.Leafset, []overlay.Address{st.Parent}, st.Children)
+	refs = slices.DeleteFunc(refs, func(r overlay.Address) bool { return r == overlay.NilAddress || r == st.Addr })
+	slices.Sort(refs)
+	if refs = slices.Compact(refs); len(refs) > 0 {
+		st.Refs = refs
 	}
-	refs = append(refs, st.Leafset...)
-	if st.Parent != overlay.NilAddress {
-		refs = append(refs, st.Parent)
-	}
-	refs = append(refs, st.Children...)
-	if len(refs) == 0 {
-		return
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
-	out := refs[:0]
-	var prev overlay.Address
-	for _, r := range refs {
-		if r == overlay.NilAddress || r == st.Addr || r == prev {
-			continue
-		}
-		out = append(out, r)
-		prev = r
-	}
-	st.Refs = out
 }

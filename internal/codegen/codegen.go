@@ -189,6 +189,51 @@ func (g *generator) emitSetParam(s *dsl.Spec) {
 	g.pf("\tdefault:\n\t\treturn false\n\t}\n\treturn true\n}\n\n")
 }
 
+// viewFields maps each routing role onto its core.RoutingView field.
+var viewFields = map[string]string{
+	"succ": "Succs", "pred": "Pred", "fingers": "Fingers",
+	"leafset": "Leafset",
+	"root":    "Root", "parent": "Parent", "children": "Children",
+}
+
+// emitRouting writes the method that reads the routing declaration's view:
+// one assignment per bound role, through the reads the variable's type
+// already has. A nodeset or nodetable is copied, a neighbor list read
+// through the instance, and a neighbor list bound to a single-address role
+// gives its first member.
+func (g *generator) emitRouting(r *dsl.Routing) error {
+	if r == nil {
+		return nil
+	}
+	g.pf("// Routing fills v with the routing state the spec's routing declaration\n")
+	g.pf("// names: how the correctness plane and the fuzzer read this agent.\n")
+	g.pf("func (a *Agent) Routing(inst *core.Instance, v *core.RoutingView) {\n")
+	g.pf("\tv.Kind = core.Routing%s\n", camel(r.Kind.String()))
+	for _, b := range r.Binds {
+		role, okRole := r.Kind.Role(b.Role)
+		v, okVar := g.varTypes[b.Var]
+		if !okRole || !okVar {
+			return fmt.Errorf("codegen: %s: routing role %s = %s is not a role bound to a declared variable", b.Pos, b.Role, b.Var)
+		}
+		var read string
+		switch {
+		case v.Kind == dsl.VarNeighborList && role.List:
+			read = fmt.Sprintf("inst.NeighborsSnapshot(%q)", v.Name)
+		case v.Kind == dsl.VarNeighborList:
+			read = fmt.Sprintf("core.ListGet(inst.NeighborsSnapshot(%q), 0)", v.Name)
+		case v.Kind == dsl.VarTable:
+			read = fmt.Sprintf("append([]overlay.Address(nil), a.%s[:]...)", camel(v.Name))
+		case v.Type == "nodeset":
+			read = fmt.Sprintf("append([]overlay.Address(nil), a.%s...)", camel(v.Name))
+		default:
+			read = "a." + camel(v.Name)
+		}
+		g.pf("\tv.%s = %s\n", viewFields[b.Role], read)
+	}
+	g.pf("}\n\n")
+	return nil
+}
+
 // goType maps mac field types onto Go types.
 func goType(t string) string {
 	switch t {
@@ -335,6 +380,9 @@ func (g *generator) file() (string, error) {
 	g.pf("// no transition keeps ev.Msg, so one Def serves every instance.\n")
 	g.pf("func (*Agent) DefinedByType() {}\n\n")
 	g.emitSetParam(s)
+	if err := g.emitRouting(s.Routing); err != nil {
+		return "", err
+	}
 
 	// Define. Its receiver is unnamed, so it cannot read the agent: handlers
 	// receive theirs through the core adapters, and factories make fresh

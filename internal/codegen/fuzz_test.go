@@ -12,7 +12,8 @@ import (
 
 // FuzzGenerate feeds every source that parses and validates to Generate, the
 // path `macedon gen` takes after `macedon check` accepts a spec. Seed corpus:
-// the bundled specs/*.mac. Properties: Generate does not panic, and whatever
+// the bundled specs/*.mac, and well-formed and malformed routing declarations
+// over a small spec. Properties: Generate does not panic, and whatever
 // it returns is Go that go/parser accepts, so an untranslatable statement
 // degrades to a TODO comment or an error, never to broken source.
 func FuzzGenerate(f *testing.F) {
@@ -26,6 +27,9 @@ func FuzzGenerate(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(string(src))
+	}
+	for _, decl := range routingDecls {
+		f.Add(routingBase + decl + "\n")
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		spec, err := dsl.Parse(src)

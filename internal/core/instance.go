@@ -190,8 +190,12 @@ func (i *Instance) Counters() Counters {
 
 // NeighborsSnapshot returns the member addresses of a neighbor list in an
 // array of the caller's own. It runs under the read lock from goroutines
-// other than the node's, so it must not fill the list's Addrs cache.
+// other than the node's, so it must not fill the list's Addrs cache. A nil
+// Instance has no lists.
 func (i *Instance) NeighborsSnapshot(name string) []overlay.Address {
+	if i == nil {
+		return nil
+	}
 	i.mu.RLock()
 	defer i.mu.RUnlock()
 	if k, ok := i.def.nbrIdx[name]; ok {

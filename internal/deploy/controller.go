@@ -519,6 +519,12 @@ func (c *controller) NetStats() simnet.Stats {
 	return net
 }
 
+// Routing is the routing kind the agents' stack declares.
+func (c *controller) Routing() string {
+	stack, _ := harness.ScenarioStack(c.s.ProtocolName()) // resolved when the run began
+	return core.StackRouting(stack)
+}
+
 // NodeState is the routing-state snapshot agent i's last state-carrying
 // poll brought back; none yet when its process restarted since.
 func (c *controller) NodeState(i int) (check.NodeState, bool) {

@@ -7,7 +7,8 @@
 // A specification declares a protocol header (name, optional base layer,
 // addressing mode, trace level), constants, FSM states, neighbor types,
 // transports, messages, auxiliary data (scalars, timers, neighbor lists,
-// and the indexed collections nodeset/nodetable/keymap), and guarded
+// and the indexed collections nodeset/nodetable/keymap), a routing
+// declaration naming the variables that hold the routing state, and guarded
 // transitions whose bodies are written in a C-like action language:
 // assignments, handler-scoped locals, if/else, foreach over collections,
 // early return, message transmission, and the action-library primitives
@@ -22,7 +23,10 @@
 // positions (Error) for `macedon check` diagnostics.
 package dsl
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Spec is a parsed PROTOCOL SPECIFICATION.
 type Spec struct {
@@ -39,6 +43,7 @@ type Spec struct {
 	Transports    []Transport
 	Messages      []Message
 	StateVars     []StateVar
+	Routing       *Routing // nil when the spec declares none
 	Transitions   []Transition
 }
 
@@ -100,6 +105,87 @@ type StateVar struct {
 	Max        string // neighbor lists: capacity; node tables: size
 	FailDetect bool   // neighbor lists: engine failure monitoring
 	Pos        Pos
+}
+
+// RoutingKind enumerates the structural families a routing declaration can
+// name.
+type RoutingKind int
+
+// Routing kinds. The zero value names none.
+const (
+	RoutingRing RoutingKind = iota + 1
+	RoutingLeafset
+	RoutingTree
+)
+
+// Role is one role of a routing kind. A list role takes a nodeset, a
+// nodetable or a neighbor list; any other role takes a node or a neighbor
+// list, whose first member fills it.
+type Role struct {
+	Name string
+	List bool
+}
+
+// routingKinds names each kind and lists its roles, indexed by kind.
+var routingKinds = [...]struct {
+	name  string
+	roles []Role
+}{
+	RoutingRing:    {"ring", []Role{{"succ", true}, {"pred", false}, {"fingers", true}}},
+	RoutingLeafset: {"leafset", []Role{{"leafset", true}}},
+	RoutingTree:    {"tree", []Role{{"root", false}, {"parent", false}, {"children", true}}},
+}
+
+// routingKindNamed returns the kind a declaration names, or 0.
+func routingKindNamed(name string) RoutingKind {
+	for k, d := range routingKinds {
+		if k > 0 && d.name == name {
+			return RoutingKind(k)
+		}
+	}
+	return 0
+}
+
+func (k RoutingKind) valid() bool { return k > 0 && int(k) < len(routingKinds) }
+
+// String names the kind as the grammar does.
+func (k RoutingKind) String() string {
+	if !k.valid() {
+		return fmt.Sprintf("RoutingKind(%d)", int(k))
+	}
+	return routingKinds[k].name
+}
+
+// Roles lists the kind's roles in the order docs/maclang.md gives them.
+func (k RoutingKind) Roles() []Role {
+	if !k.valid() {
+		return nil
+	}
+	return routingKinds[k].roles
+}
+
+// Role looks up one of the kind's roles by name.
+func (k RoutingKind) Role(name string) (Role, bool) {
+	i := slices.IndexFunc(k.Roles(), func(ro Role) bool { return ro.Name == name })
+	if i < 0 {
+		return Role{}, false
+	}
+	return k.Roles()[i], true
+}
+
+// Routing is the spec's routing declaration: the kind of structure the
+// protocol maintains, and which auxiliary variable holds each of its roles.
+type Routing struct {
+	Kind  RoutingKind
+	Binds []RoleBind
+	Pos   Pos
+}
+
+// RoleBind binds one role of the routing kind to an auxiliary variable.
+type RoleBind struct {
+	Role string
+	Var  string
+	Pos  Pos
 }
 
 // TransitionKind discriminates the three event classes of §3.1.

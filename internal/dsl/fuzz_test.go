@@ -10,7 +10,8 @@ import (
 
 // FuzzParseSpec feeds arbitrary source to Parse and then Validate, the path
 // every .mac file a user hands `macedon check` or `macedon gen` takes. Seed
-// corpus: the bundled specs/*.mac. Properties: neither call panics, and every
+// corpus: the bundled specs/*.mac, and well-formed and malformed routing
+// declarations over a small spec. Properties: neither call panics, and every
 // error either returns is a *Error with a line:column position, which is what
 // the diagnostics promise their readers.
 func FuzzParseSpec(f *testing.F) {
@@ -24,6 +25,12 @@ func FuzzParseSpec(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(string(src))
+	}
+	for _, decl := range routingSeeds {
+		f.Add(routingBase + decl + "\n")
+	}
+	for _, c := range routingErrors {
+		f.Add(routingBase + c.decl + "\n")
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		spec, err := Parse(src)

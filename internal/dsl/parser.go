@@ -157,6 +157,10 @@ func (p *parser) spec() (*Spec, error) {
 			if err := p.stateVars(spec); err != nil {
 				return nil, err
 			}
+		case t.text == "routing":
+			if err := p.routing(spec); err != nil {
+				return nil, err
+			}
 		case t.text == "transitions":
 			if err := p.transitions(spec); err != nil {
 				return nil, err
@@ -312,6 +316,45 @@ func (p *parser) messages(spec *Spec) error {
 		}
 		spec.Messages = append(spec.Messages, m)
 	}
+	return nil
+}
+
+// routing parses `routing <kind> { <role> = <variable>; ... }`. Roles and
+// variable types are Validate's to check.
+func (p *parser) routing(spec *Spec) error {
+	kw := p.next() // routing
+	if spec.Routing != nil {
+		return p.errf(kw.pos, "second routing declaration (the first is at %s)", spec.Routing.Pos)
+	}
+	name, err := p.expectIdent("routing kind")
+	if err != nil {
+		return err
+	}
+	r := &Routing{Kind: routingKindNamed(name.text), Pos: kw.pos}
+	if r.Kind == 0 {
+		return p.errf(name.pos, "unknown routing kind %q (have ring, leafset, tree)", name.text)
+	}
+	if _, err := p.expectPunct("{"); err != nil {
+		return err
+	}
+	for !p.acceptPunct("}") {
+		role, err := p.expectIdent("routing role")
+		if err != nil {
+			return err
+		}
+		if _, err := p.expectPunct("="); err != nil {
+			return err
+		}
+		v, err := p.expectIdent("variable name")
+		if err != nil {
+			return err
+		}
+		if _, err := p.expectPunct(";"); err != nil {
+			return err
+		}
+		r.Binds = append(r.Binds, RoleBind{Role: role.text, Var: v.text, Pos: role.pos})
+	}
+	spec.Routing = r
 	return nil
 }
 

@@ -3,14 +3,16 @@ package dsl
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Validate performs the semantic checks the MACEDON translator applies
 // before code generation: every referenced state, message, timer, transport,
 // and neighbor type must be declared, names must be unique, and layered
 // specifications must not bind messages to transports (their traffic rides
-// the base protocol). Every error it returns is an *Error positioned at the
-// offending declaration.
+// the base protocol), and a routing declaration must bind each of its roles
+// once, to a variable of a type the role takes. Every error it returns is an
+// *Error positioned at the offending declaration.
 func Validate(s *Spec) error {
 	if s.Name == "" {
 		return errAt(s.Pos, "protocol has no name")
@@ -114,6 +116,9 @@ func Validate(s *Spec) error {
 			}
 		}
 	}
+	if err := s.validateRouting(); err != nil {
+		return err
+	}
 	checkGuard := func(tr Transition) error {
 		var walk func(g StateGuard) error
 		walk = func(g StateGuard) error {
@@ -147,6 +152,67 @@ func Validate(s *Spec) error {
 		}
 	}
 	return nil
+}
+
+// validateRouting checks the routing declaration: each role belongs to the
+// kind and is bound once, to a declared auxiliary variable of a type the
+// role takes.
+func (s *Spec) validateRouting() error {
+	r := s.Routing
+	if r == nil {
+		return nil
+	}
+	if !r.Kind.valid() {
+		return errAt(r.Pos, "unknown routing kind %d", int(r.Kind))
+	}
+	vars := make(map[string]StateVar, len(s.StateVars))
+	for _, v := range s.StateVars {
+		vars[v.Name] = v
+	}
+	bound := map[string]bool{}
+	for _, b := range r.Binds {
+		role, ok := r.Kind.Role(b.Role)
+		if !ok {
+			var have []string
+			for _, ro := range r.Kind.Roles() {
+				have = append(have, ro.Name)
+			}
+			return errAt(b.Pos, "routing %s has no role %q (have %s)", r.Kind, b.Role, strings.Join(have, ", "))
+		}
+		if bound[b.Role] {
+			return errAt(b.Pos, "routing role %s bound twice", b.Role)
+		}
+		bound[b.Role] = true
+		v, ok := vars[b.Var]
+		if !ok {
+			return errAt(b.Pos, "routing role %s binds undeclared variable %q", b.Role, b.Var)
+		}
+		switch {
+		case v.Kind == VarNeighborList:
+		case role.List && (v.Kind == VarTable || v.Kind == VarPlain && v.Type == "nodeset"):
+		case !role.List && v.Kind == VarPlain && v.Type == "node":
+		default:
+			want := "a node or a neighbor list"
+			if role.List {
+				want = "a nodeset, nodetable or neighbor list"
+			}
+			return errAt(b.Pos, "routing role %s takes %s, not %s %q", b.Role, want, v.typeName(), b.Var)
+		}
+	}
+	return nil
+}
+
+// typeName names the variable's type in a diagnostic.
+func (v StateVar) typeName() string {
+	switch v.Kind {
+	case VarTimer:
+		return "timer"
+	case VarNeighborList:
+		return "neighbor list"
+	case VarTable:
+		return "nodetable"
+	}
+	return v.Type
 }
 
 // errAt returns a diagnostic positioned at pos.

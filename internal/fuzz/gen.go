@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math/rand"
 
+	"macedon/internal/core"
+	"macedon/internal/harness"
 	"macedon/internal/scenario"
 )
 
@@ -24,14 +26,14 @@ var protocols = []string{
 	"genchord", "genpastry", "randtree", "overcast",
 }
 
-// treeProtocol reports whether the stack disseminates (multicast workload)
-// rather than routes (lookup workload).
-func treeProtocol(proto string) bool {
-	switch proto {
-	case "randtree", "genrandtree", "overcast", "bullet":
-		return true
+// workloadKind is the workload that fits proto's declared routing: a tree
+// disseminates (multicast), any other stack routes (lookups).
+func workloadKind(proto string) string {
+	stack, err := harness.ScenarioStack(proto)
+	if err == nil && core.StackRouting(stack) == core.RoutingTree {
+		return scenario.WlMulticast
 	}
-	return false
+	return scenario.WlLookups
 }
 
 // sec returns a whole-second Duration — generated scenarios stay readable.
@@ -68,16 +70,16 @@ func Generate(seed int64, synthetic bool) *scenario.Scenario {
 		s.Checks.Names = append(s.Checks.Names, "synthetic-full-population")
 	}
 	nphases := 1 + rng.Intn(3)
+	wl := workloadKind(proto)
 	for pi := 0; pi < nphases; pi++ {
-		s.Phases = append(s.Phases, genPhase(rng, pi, nodes, proto))
+		s.Phases = append(s.Phases, genPhase(rng, pi, nodes, wl))
 	}
 	return s
 }
 
 // genPhase rolls one phase: a duration, an optional churn process, an
-// optional scripted event pair, and a workload matched to the protocol
-// family.
-func genPhase(rng *rand.Rand, pi, nodes int, proto string) scenario.Phase {
+// optional scripted event pair, and a workload of kind wl.
+func genPhase(rng *rand.Rand, pi, nodes int, wl string) scenario.Phase {
 	durS := 50 + rng.Intn(41) // 50..90s
 	p := scenario.Phase{
 		Name:     fmt.Sprintf("p%d", pi),
@@ -102,12 +104,10 @@ func genPhase(rng *rand.Rand, pi, nodes int, proto string) scenario.Phase {
 	if rng.Intn(3) == 0 {
 		p.Events = genEvents(rng, durS, nodes)
 	}
-	wl := &scenario.Workload{Kind: scenario.WlLookups, Rate: 1 + float64(rng.Intn(3)), Size: 64}
-	if treeProtocol(proto) {
-		wl.Kind = scenario.WlMulticast
-		wl.Size = 200
+	p.Workload = &scenario.Workload{Kind: wl, Rate: 1 + float64(rng.Intn(3)), Size: 64}
+	if wl == scenario.WlMulticast {
+		p.Workload.Size = 200
 	}
-	p.Workload = wl
 	return p
 }
 

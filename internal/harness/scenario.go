@@ -494,6 +494,9 @@ func (r *simRun) NodeState(i int) (check.NodeState, bool) {
 	return check.Extract(r.c.Nodes[r.c.Addrs[i]], i), true
 }
 
+// Routing is the routing kind the run's stack declares.
+func (r *simRun) Routing() string { return core.StackRouting(r.stack) }
+
 // attach routes a just-spawned node's deliver and forward upcalls to the
 // engine (and joins it to the multicast group). The callbacks fire on the
 // node's event shard, so they capture the shard-bound clock and the shard

@@ -219,6 +219,15 @@ func (a *Agent) SetParam(name string, v int32) bool {
 	return true
 }
 
+// Routing fills v with the routing state the spec's routing declaration
+// names: how the correctness plane and the fuzzer read this agent.
+func (a *Agent) Routing(inst *core.Instance, v *core.RoutingView) {
+	v.Kind = core.RoutingRing
+	v.Succs = append([]overlay.Address(nil), a.Succs...)
+	v.Pred = core.ListGet(inst.NeighborsSnapshot("pred"), 0)
+	v.Fingers = append([]overlay.Address(nil), a.Fingers[:]...)
+}
+
 // Define declares the generated FSM.
 func (*Agent) Define(d *core.Def) {
 	d.States("joining", "joined")

@@ -158,6 +158,15 @@ func (*Agent) DefinedByType() {}
 // the spec declares one: how a scenario's params reach the agent.
 func (*Agent) SetParam(string, int32) bool { return false }
 
+// Routing fills v with the routing state the spec's routing declaration
+// names: how the correctness plane and the fuzzer read this agent.
+func (a *Agent) Routing(inst *core.Instance, v *core.RoutingView) {
+	v.Kind = core.RoutingTree
+	v.Root = a.Root
+	v.Parent = core.ListGet(inst.NeighborsSnapshot("parent"), 0)
+	v.Children = inst.NeighborsSnapshot("kids")
+}
+
 // Define declares the generated FSM.
 func (*Agent) Define(d *core.Def) {
 	d.States("joining", "joined")

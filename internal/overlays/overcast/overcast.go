@@ -138,6 +138,13 @@ type bandwidthEstimate struct {
 // ProtocolName implements the engine's naming hook.
 func (o *Protocol) ProtocolName() string { return "overcast" }
 
+// Routing is, by hand, what codegen emits for overcast.mac's declaration.
+func (o *Protocol) Routing(inst *core.Instance, v *core.RoutingView) {
+	v.Kind = core.RoutingTree
+	v.Parent = core.ListGet(inst.NeighborsSnapshot("papa"), 0)
+	v.Children = inst.NeighborsSnapshot("kids")
+}
+
 // Moves counts parent relocations (for experiments).
 func (o *Protocol) Moves() uint64 { return o.moves }
 

@@ -42,6 +42,8 @@ type Backend interface {
 	// NodeState extracts node's routing state for the invariant checkers;
 	// ok is false when an alive node has none to show yet.
 	NodeState(node int) (st check.NodeState, ok bool)
+	// Routing is the stack's routing kind, which "auto" checks resolve from.
+	Routing() string
 	// Families adds the backend's own metric families — engine, network and
 	// scheduler totals — to the registry Report is assembling. The engine
 	// calls it only with the obs plane on.
@@ -234,6 +236,7 @@ func (e *Engine) resolveChecks() error {
 	if cfg == nil {
 		return nil
 	}
+	cfg.Routing = e.b.Routing()
 	var err error
 	if e.checkers, err = check.New(*cfg); err != nil {
 		return err

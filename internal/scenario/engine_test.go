@@ -66,6 +66,8 @@ func (f *fakeBackend) NodeState(node int) (check.NodeState, bool) {
 	return st, ok
 }
 
+func (f *fakeBackend) Routing() string { return core.RoutingRing }
+
 // Families contributes one family of the fake's own, so a test can see the
 // hook ran.
 func (f *fakeBackend) Families(reg *obs.Registry) {

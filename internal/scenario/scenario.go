@@ -431,7 +431,6 @@ func (s *Scenario) CheckConfig() *check.Config {
 	}
 	return &check.Config{
 		Names:      s.Checks.Names,
-		Protocol:   s.Protocol,
 		Grace:      s.Checks.Grace.D(),
 		StaleBound: s.Checks.StaleBound.D(),
 	}
