@@ -15,7 +15,7 @@ import (
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/genpastry"
-	"macedon/internal/overlays/scribe"
+	"macedon/internal/overlays/genscribe"
 )
 
 func run(name string, stack []core.Factory) {
@@ -50,9 +50,9 @@ func run(name string, stack []core.Factory) {
 }
 
 func main() {
-	sp := scribe.Params{RefreshPeriod: 5 * time.Second}
+	scribe := func() core.Agent { return &genscribe.Agent{RefreshMs: 5000} }
 	// "protocol scribe uses pastry"
-	run("pastry", []core.Factory{genpastry.New(), scribe.New(sp)})
+	run("pastry", []core.Factory{genpastry.New(), scribe})
 	// "protocol scribe uses chord" — the one-line change.
-	run("chord", []core.Factory{genchord.New(), scribe.New(sp)})
+	run("chord", []core.Factory{genchord.New(), scribe})
 }

@@ -12,9 +12,6 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/metrics"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genpastry"
-	"macedon/internal/overlays/scribe"
-	"macedon/internal/overlays/splitstream"
 )
 
 func main() {
@@ -22,10 +19,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stack := []core.Factory{
-		genpastry.New(), // cache_ms 0: no cache evictions
-		scribe.New(scribe.Params{MaxChildren: 16}),
-		splitstream.New(splitstream.Params{Stripes: 16}),
+	// Generated Pastry (cache_ms 0: no cache evictions), Scribe with a
+	// fan-out of 16, and SplitStream's 16 stripes.
+	stack, err := harness.ScenarioStack("splitstream")
+	if err != nil {
+		log.Fatal(err)
 	}
 	if err := cluster.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		log.Fatal(err)

@@ -96,3 +96,33 @@ func TestSweepGolden(t *testing.T) {
 		t.Fatalf("expected 2 shared-prefix groups covering all 4 variants, got groups=%d shared=%d", rep.Groups, shared)
 	}
 }
+
+// TestForkedFigure12MatchesCold forks Figure 12's small forest, generated
+// SplitStream over generated Scribe over generated Pastry, after its settled
+// prefix: both branches must report byte for byte what the base scenario
+// reports cold, at -shards=1 and -shards=4. Scribe's group tables, per-child
+// tallies and dedup window, and SplitStream's block counters, are the state
+// a checkpoint must rewind here.
+func TestForkedFigure12MatchesCold(t *testing.T) {
+	sw, err := scenario.LoadSweep(filepath.Join("examples", "figures", "fig12-small.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sw.Base
+	for _, shards := range []int{1, 4} {
+		cold, err := harness.RunScenarioExec(s, harness.ExecOptions{Shards: shards})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		first, second, err := harness.RunScenarioForked(s, shards)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		want := goldenOutput(cold)
+		for i, rep := range []*scenario.Report{first, second} {
+			if got := goldenOutput(rep); got != want {
+				t.Fatalf("shards=%d: branch %d diverges from the cold run:\n%s", shards, i+1, firstDiff(want, got))
+			}
+		}
+	}
+}

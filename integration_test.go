@@ -13,7 +13,7 @@ import (
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/genpastry"
-	"macedon/internal/overlays/scribe"
+	"macedon/internal/overlays/genscribe"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 )
@@ -97,7 +97,7 @@ func TestScribeTreeSurvivesForwarderFailure(t *testing.T) {
 	}
 	stack := []core.Factory{
 		genpastry.New(),
-		scribe.New(scribe.Params{RefreshPeriod: 5 * time.Second, MaxChildren: 2}),
+		func() core.Agent { return &genscribe.Agent{RefreshMs: 5000, MaxChildren: 2} },
 	}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
@@ -117,8 +117,8 @@ func TestScribeTreeSurvivesForwarderFailure(t *testing.T) {
 	// Find and kill an interior forwarder (a non-root node with children).
 	var victim overlay.Address
 	for _, a := range c.Addrs[1:] {
-		sc := c.Nodes[a].Instance("scribe").Agent().(*scribe.Protocol)
-		if len(sc.Children(group)) > 0 && sc.Parent(group) != overlay.NilAddress {
+		sc := core.KeyRead(c.Nodes[a].Instance("scribe").Agent().(*genscribe.Agent).Groups, group)
+		if len(sc.Children.Addrs) > 0 && sc.Parent != overlay.NilAddress {
 			victim = a
 			break
 		}

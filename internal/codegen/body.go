@@ -3,6 +3,7 @@ package codegen
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -43,6 +44,12 @@ func stmtSummary(s dsl.Stmt) string {
 		}
 		return fmt.Sprintf("%s(%s)", fn, strings.Join(parts, ", "))
 	case *dsl.AssignStmt:
+		switch {
+		case s.Entry != nil:
+			return fmt.Sprintf("%s = %s", s.Entry, s.Value)
+		case s.Field:
+			return fmt.Sprintf("field(%s) = %s", s.Target, s.Value)
+		}
 		return fmt.Sprintf("%s = %s", s.Target, s.Value)
 	case *dsl.LocalStmt:
 		if s.Value != nil {
@@ -88,6 +95,17 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 		val, err := g.expr(s.Value)
 		if err != nil {
 			return err
+		}
+		if s.Entry != nil || s.Field {
+			lv, typ, err := g.lvalue(s)
+			if err != nil {
+				return err
+			}
+			if typ == "nodeset" || typ == "tally" || typ == "buffer" || typ == "keyset" {
+				return softf("assignment of a whole %s to %s at %s", typ, stmtSummary(s), s.Pos)
+			}
+			g.pf("%s%s = %s\n", ind, lv, val)
+			return nil
 		}
 		if _, local := g.locals[s.Target]; local {
 			g.pf("%s%s = %s\n", ind, goName(s.Target), val)
@@ -159,7 +177,11 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 			rng = fmt.Sprintf("append([]overlay.Address(nil), %s...)", rng)
 		}
 		g.loopVars[s.Var] = true
-		g.pf("%sfor _, %s := range %s {\n", ind, goName(s.Var), rng)
+		if c, ok := s.List.(dsl.CallExpr); ok && c.Fn == "range" {
+			g.pf("%sfor %s := range %s {\n", ind, goName(s.Var), rng)
+		} else {
+			g.pf("%sfor _, %s := range %s {\n", ind, goName(s.Var), rng)
+		}
 		if err := g.scopedBody(s.Body, depth+1); err != nil {
 			return err
 		}
@@ -231,8 +253,14 @@ func (g *generator) rangeExpr(e dsl.Expr) (string, error) {
 				return "a." + camel(id.Name) + "[:]", nil
 			case v.Kind == dsl.VarPlain && v.Type == "nodeset":
 				return "a." + camel(id.Name), nil
+			case v.Kind == dsl.VarKeyTable:
+				return "core.Keys(a." + camel(id.Name) + ")", nil
 			}
 		}
+	}
+	if c, ok := e.(dsl.CallExpr); ok && c.Fn == "range" && len(c.Args) == 1 {
+		// foreach (i in range(n)) counts i from 0 to n-1.
+		return g.expr(c.Args[0])
 	}
 	return g.nodesetExpr(e)
 }
@@ -244,6 +272,17 @@ func (g *generator) nodesetExpr(e dsl.Expr) (string, error) {
 	case dsl.Ident:
 		if v, ok := g.varTypes[e.Name]; ok && v.Kind == dsl.VarPlain && v.Type == "nodeset" {
 			return "a." + camel(e.Name), nil
+		}
+	case dsl.EntryExpr:
+		read, typ, err := g.entry(e, "core.KeyRead(a.%s, %s).%s")
+		if err != nil {
+			return "", err
+		}
+		switch typ {
+		case "nodeset":
+			return read, nil
+		case "tally":
+			return read + ".Addrs", nil
 		}
 	case dsl.CallExpr:
 		if e.Fn == "field" && len(e.Args) == 1 && g.curMsg != nil {
@@ -259,52 +298,6 @@ func (g *generator) nodesetExpr(e dsl.Expr) (string, error) {
 	return "", softf("%s is not a nodeset collection", e)
 }
 
-// listVar resolves a statement argument that must name a nodeset state
-// variable, returning the generated lvalue.
-func (g *generator) listVar(s *dsl.CallStmt, i int) (string, error) {
-	if i >= len(s.Args) {
-		return "", softf("%s is missing its nodeset argument at %s", s.Fn, s.Pos)
-	}
-	id, ok := s.Args[i].(dsl.Ident)
-	if !ok {
-		return "", softf("%s needs a nodeset variable name at %s", s.Fn, s.Pos)
-	}
-	if v, declared := g.varTypes[id.Name]; !declared || v.Kind != dsl.VarPlain || v.Type != "nodeset" {
-		return "", softf("%q is not a declared nodeset variable at %s", id.Name, s.Pos)
-	}
-	return "a." + camel(id.Name), nil
-}
-
-// tableVar resolves a statement argument that must name a nodetable.
-func (g *generator) tableVar(s *dsl.CallStmt, i int) (string, error) {
-	if i >= len(s.Args) {
-		return "", softf("%s is missing its nodetable argument at %s", s.Fn, s.Pos)
-	}
-	id, ok := s.Args[i].(dsl.Ident)
-	if !ok {
-		return "", softf("%s needs a nodetable name at %s", s.Fn, s.Pos)
-	}
-	if v, declared := g.varTypes[id.Name]; !declared || v.Kind != dsl.VarTable {
-		return "", softf("%q is not a declared nodetable at %s", id.Name, s.Pos)
-	}
-	return "a." + camel(id.Name) + "[:]", nil
-}
-
-// mapVar resolves a statement argument that must name a keymap.
-func (g *generator) mapVar(fn string, args []dsl.Expr, i int, pos dsl.Pos) (string, error) {
-	if i >= len(args) {
-		return "", softf("%s is missing its keymap argument at %s", fn, pos)
-	}
-	id, ok := args[i].(dsl.Ident)
-	if !ok {
-		return "", softf("%s needs a keymap name at %s", fn, pos)
-	}
-	if v, declared := g.varTypes[id.Name]; !declared || v.Kind != dsl.VarPlain || v.Type != "keymap" {
-		return "", softf("%q is not a declared keymap at %s", id.Name, pos)
-	}
-	return "a." + camel(id.Name), nil
-}
-
 // firstIdent returns the first argument as a bare name, if present.
 func firstIdent(args []dsl.Expr) (dsl.Ident, bool) {
 	if len(args) == 0 {
@@ -314,48 +307,159 @@ func firstIdent(args []dsl.Expr) (dsl.Ident, bool) {
 	return id, ok
 }
 
-func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
-	// Arguments translate lazily: several primitives take bare names
-	// (states, timers, neighbor lists) that are not value expressions.
-	arg := func(i int) (string, error) {
-		if i >= len(s.Args) {
-			return "", softf("%s is missing argument %d at %s", s.Fn, i, s.Pos)
+// prim is a primitive that translates argument by argument: the collection
+// kind its first argument takes ("" when it is a value like the rest), its
+// Go form over the translated arguments, and which arguments Go wants as
+// int.
+type prim struct {
+	first, form string
+	ints        []int
+}
+
+// stmtPrims are the primitive statements of that shape.
+var stmtPrims = map[string]prim{
+	"deliver":          {"", "ctx.Deliver(%s, %s, %s)", nil},
+	"create_group":     {"", "_ = ctx.CreateGroup(%s)", nil},
+	"join_group":       {"", "_ = ctx.JoinGroup(%s)", nil},
+	"leave_group":      {"", "_ = ctx.LeaveGroup(%s)", nil},
+	"route":            {"", "_ = ctx.Route(%s, %s, %s, %s)", nil},
+	"route_ip":         {"", "_ = ctx.RouteIP(%s, %s, %s, %s)", nil},
+	"multicast":        {"", "_ = ctx.Multicast(%s, %s, %s, %s)", nil},
+	"neighbor_add":     {"list", "ctx.Neighbors(%s).Add(%s)", nil},
+	"neighbor_remove":  {"list", "ctx.Neighbors(%s).Remove(%s)", nil},
+	"neighbor_clear":   {"list", "ctx.Neighbors(%s).Clear()", nil},
+	"list_append":      {"nodeset", "%[1]s = core.ListAppend(%[1]s, %[2]s)", nil},
+	"list_prepend":     {"nodeset", "%[1]s = core.ListPrepend(%[1]s, %[2]s)", nil},
+	"list_remove":      {"nodeset", "%[1]s = core.ListRemove(%[1]s, %[2]s)", nil},
+	"list_clear":       {"nodeset", "%[1]s = %[1]s[:0]", nil},
+	"list_trunc":       {"nodeset", "%[1]s = core.ListTrunc(%[1]s, %[2]s)", nil},
+	"ring_insert":      {"nodeset", "%[1]s = core.RingInsert(ctx.SelfKey(), ctx.Self(), %[1]s, %[2]s, %[3]s)", nil},
+	"table_put":        {"nodetable", "core.TablePut(%s, %s, %s)", nil},
+	"table_remove":     {"nodetable", "core.TableRemove(%s, %s)", nil},
+	"table_clear":      {"nodetable", "clear(%s)", nil},
+	"map_put":          {"keymap", "core.MapPut(&%s, %s, %s)", nil},
+	"map_del":          {"keymap", "delete(%s, %s)", nil},
+	"map_remove_value": {"keymap", "core.MapRemoveValue(%s, %s)", nil},
+	"map_clear":        {"keymap", "clear(%s)", nil},
+	"tally_heard":      {"tally", "core.TallyHeard(%s, %s)", nil},
+	"tally_tick":       {"tally", "core.TallyTick(%s, %s)", nil},
+	"tally_remove":     {"tally", "core.TallyRemove(%s, %s)", nil},
+	"upcall_ext":       {"", "ctx.UpcallExt(int(%s), nil)", nil},
+}
+
+// exprPrims are the value primitives of that shape.
+var exprPrims = map[string]prim{
+	"random":          {"", "int32(ctx.Rand().Intn(%s))", []int{0}},
+	"hash":            {"", "overlay.HashAddress(%s)", nil},
+	"key_step":        {"", "overlay.KeyStep(%s, %s)", []int{1}},
+	"between":         {"", "(%s).Between(%s, %s)", nil},
+	"between_incl":    {"", "(%s).BetweenIncl(%s, %s)", nil},
+	"ring_dist":       {"", "(%s).Distance(%s)", nil},
+	"ring_diff":       {"", "overlay.RingDiff(%s, %s)", nil},
+	"shared_prefix":   {"", "int32((%s).SharedPrefix(%s, %s))", []int{2}},
+	"digit":           {"", "int32((%s).Digit(%s, %s))", []int{1, 2}},
+	"with_digit":      {"", "(%s).WithDigit(%s, %s, %s)", []int{1, 2, 3}},
+	"neighbor_size":   {"list", "ctx.Neighbors(%s).Size()", nil},
+	"neighbor_query":  {"list", "ctx.Neighbors(%s).Contains(%s)", nil},
+	"neighbor_full":   {"list", "ctx.Neighbors(%s).Full()", nil},
+	"neighbor_random": {"list", "core.NeighborRandom(ctx, %s)", nil},
+	"neighbor_first":  {"list", "core.NeighborFirst(ctx, %s)", nil},
+	"list_size":       {"nodeset value", "int32(len(%s))", nil},
+	"list_get":        {"nodeset value", "core.ListGet(%s, %s)", nil},
+	"list_contains":   {"nodeset value", "slices.Contains(%s, %s)", nil},
+	"list_random":     {"nodeset value", "core.ListRandom(ctx, %s)", nil},
+	"table_get":       {"nodetable", "core.ListGet(%s, %s)", nil},
+	"map_get":         {"keymap", "%s[%s]", nil},
+	"map_size":        {"keymap", "int32(len(%s))", nil},
+}
+
+// translate formats primitive p over args, each translated in order: the
+// first through collection when p takes one, the rest as values.
+func (g *generator) translate(fn string, p prim, args []dsl.Expr) (string, error) {
+	n := strings.Count(p.form, "%s")
+	for k := 9; k > 0; k-- {
+		if strings.Contains(p.form, fmt.Sprintf("%%[%d]s", k)) {
+			n = k
+			break
 		}
-		return g.expr(s.Args[i])
 	}
-	switch s.Fn {
-	case "send":
-		m, ok := g.msgs[s.Msg]
-		if !ok {
-			return fmt.Errorf("codegen: %s: send of undeclared message %q", s.Pos, s.Msg)
+	out := make([]any, n)
+	for i := range out {
+		var v string
+		var err error
+		switch {
+		case i == 0 && p.first != "":
+			v, err = g.collection(p.first, fn, args)
+		case i >= len(args):
+			err = softf("%s is missing argument %d", fn, i)
+		default:
+			v, err = g.expr(args[i])
+			if slices.Contains(p.ints, i) {
+				v = g.asInt(args[i], v)
+			}
 		}
-		var inits []string
-		for _, fi := range s.Fields {
-			found := false
-			for _, f := range m.Fields {
-				if f.Name == fi.Name {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("codegen: %s: message %q has no field %q", s.Pos, s.Msg, fi.Name)
-			}
-			v, err := g.expr(fi.Value)
-			if err != nil {
-				return err
-			}
-			inits = append(inits, fmt.Sprintf("%s: %s", camel(fi.Name), v))
+		if err != nil {
+			return "", err
 		}
-		dest, err := arg(0)
+		out[i] = v
+	}
+	if strings.HasPrefix(p.form, "slices.") {
+		g.usesSlices = true
+	}
+	return fmt.Sprintf(p.form, out...), nil
+}
+
+// collection resolves the first of args as the collection kind a primitive
+// takes: a declared neighbor list ("list", as its quoted name); a nodeset
+// state variable or nodeset field of the message being handled ("nodeset",
+// as an lvalue); any nodeset value ("nodeset value"); a declared nodetable
+// (as a slice of it) or keymap; or a keytable entry's tally field ("tally",
+// as a pointer, making the entry).
+func (g *generator) collection(kind, fn string, args []dsl.Expr) (string, error) {
+	if len(args) == 0 {
+		return "", softf("%s is missing its %s", fn, kind)
+	}
+	a := args[0]
+	if c, ok := a.(dsl.CallExpr); kind == "nodeset value" || kind == "nodeset" && ok && c.Fn == "field" {
+		return g.nodesetExpr(a)
+	}
+	if e, ok := a.(dsl.EntryExpr); ok && kind == "tally" {
+		t, typ, err := g.entry(e, "&core.KeyEntry(&a.%s, %s).%s")
+		if err == nil && typ != "tally" {
+			err = softf("%s is a %s, not a tally", e, typ)
+		}
+		return t, err
+	}
+	id, _ := a.(dsl.Ident)
+	v, declared := g.varTypes[id.Name]
+	switch {
+	case !declared:
+	case kind == "list" && v.Kind == dsl.VarNeighborList:
+		return strconv.Quote(id.Name), nil
+	case kind == "nodetable" && v.Kind == dsl.VarTable:
+		return "a." + camel(id.Name) + "[:]", nil
+	case v.Kind == dsl.VarPlain && v.Type == kind:
+		return "a." + camel(id.Name), nil
+	}
+	return "", softf("%s is not a declared %s", a, kind)
+}
+
+func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
+	if s.Msg != "" {
+		return g.sendStmt(s, ind)
+	}
+	if p, ok := stmtPrims[s.Fn]; ok {
+		if s.Fn == "upcall_ext" && len(s.Args) > 1 {
+			p.form = "ctx.UpcallExt(int(%s), %s)"
+		}
+		st, err := g.translate(s.Fn, p, s.Args)
 		if err != nil {
 			return err
 		}
-		// The message is built in the agent's send slot (see msgScratch):
-		// Send encodes it before returning and keeps nothing. One call
-		// expression, so the destination is still evaluated before the fields.
-		g.pf("%s_ = ctx.Send(%s, core.Put(&a.io.tx.%s, %s{%s}), overlay.PriorityDefault)\n",
-			ind, dest, camel(s.Msg), msgTypeName(s.Msg), strings.Join(inits, ", "))
+		g.pf("%s%s\n", ind, st)
+		return nil
+	}
+	switch s.Fn {
 	case "state_change":
 		st, ok := firstIdent(s.Args)
 		if !ok {
@@ -369,7 +473,7 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		}
 		period := "0"
 		if len(s.Args) > 1 {
-			p1, err := arg(1)
+			p1, err := g.expr(s.Args[1])
 			if err != nil {
 				return err
 			}
@@ -378,6 +482,15 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 				p1 = "time.Duration(" + p1 + ")"
 			}
 			period = p1 + "*time.Millisecond"
+			g.usesTime = true
+		}
+		if len(s.Args) > 2 {
+			// A spread: plus a uniform draw in [0, spread) ms, to the ns.
+			spread, err := g.expr(s.Args[2])
+			if err != nil {
+				return err
+			}
+			period += "+core.Jitter(ctx, " + spread + ")"
 		}
 		fn := "TimerSched"
 		if s.Fn == "timer_resched" {
@@ -390,168 +503,16 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 			return fmt.Errorf("codegen: %s: timer_cancel needs a timer name", s.Pos)
 		}
 		g.pf("%sctx.TimerCancel(%q)\n", ind, t.Name)
-	case "neighbor_add":
-		l, err := g.listArg(s, 0)
-		if err != nil {
-			return err
-		}
-		a1, err := arg(1)
-		if err != nil {
-			return err
-		}
-		g.pf("%sctx.Neighbors(%q).Add(%s)\n", ind, l, a1)
-	case "neighbor_remove":
-		l, err := g.listArg(s, 0)
-		if err != nil {
-			return err
-		}
-		a1, err := arg(1)
-		if err != nil {
-			return err
-		}
-		g.pf("%sctx.Neighbors(%q).Remove(%s)\n", ind, l, a1)
-	case "neighbor_clear":
-		l, err := g.listArg(s, 0)
-		if err != nil {
-			return err
-		}
-		g.pf("%sctx.Neighbors(%q).Clear()\n", ind, l)
 	case "neighbor_sync":
-		l, err := g.listArg(s, 0)
+		st, err := g.translate(s.Fn, prim{"list", "ctx.Neighbors(%s)", nil}, s.Args)
 		if err != nil {
 			return err
 		}
-		set, err := g.listVar(s, 1)
+		set, err := g.collection("nodeset", s.Fn, s.Args[1:])
 		if err != nil {
 			return err
 		}
-		g.pf("%sctx.Neighbors(%q).Assign(%s, ctx.Self())\n", ind, l, set)
-	case "list_append", "list_prepend", "list_remove":
-		l, err := g.listVar(s, 0)
-		if err != nil {
-			return err
-		}
-		a1, err := arg(1)
-		if err != nil {
-			return err
-		}
-		g.pf("%s%s = core.%s(%s, %s)\n", ind, l, camel(s.Fn), l, a1)
-	case "list_clear":
-		l, err := g.listVar(s, 0)
-		if err != nil {
-			return err
-		}
-		g.pf("%s%s = %s[:0]\n", ind, l, l)
-	case "list_trunc":
-		l, err := g.listVar(s, 0)
-		if err != nil {
-			return err
-		}
-		n, err := arg(1)
-		if err != nil {
-			return err
-		}
-		g.pf("%s%s = core.ListTrunc(%s, %s)\n", ind, l, l, n)
-	case "ring_insert":
-		l, err := g.listVar(s, 0)
-		if err != nil {
-			return err
-		}
-		a1, err := arg(1)
-		if err != nil {
-			return err
-		}
-		half, err := arg(2)
-		if err != nil {
-			return err
-		}
-		g.pf("%s%s = core.RingInsert(ctx.SelfKey(), ctx.Self(), %s, %s, %s)\n", ind, l, l, a1, half)
-	case "table_put":
-		t, err := g.tableVar(s, 0)
-		if err != nil {
-			return err
-		}
-		idx, err := arg(1)
-		if err != nil {
-			return err
-		}
-		val, err := arg(2)
-		if err != nil {
-			return err
-		}
-		g.pf("%score.TablePut(%s, %s, %s)\n", ind, t, idx, val)
-	case "table_remove":
-		t, err := g.tableVar(s, 0)
-		if err != nil {
-			return err
-		}
-		val, err := arg(1)
-		if err != nil {
-			return err
-		}
-		g.pf("%score.TableRemove(%s, %s)\n", ind, t, val)
-	case "table_clear":
-		t, err := g.tableVar(s, 0)
-		if err != nil {
-			return err
-		}
-		g.pf("%sclear(%s)\n", ind, t)
-	case "map_put":
-		m, err := g.mapVar(s.Fn, s.Args, 0, s.Pos)
-		if err != nil {
-			return err
-		}
-		k, err := arg(1)
-		if err != nil {
-			return err
-		}
-		v, err := arg(2)
-		if err != nil {
-			return err
-		}
-		// A keymap is allocated on its first put, so a zero Agent is ready.
-		g.pf("%sif %s == nil {\n%s\t%s = make(map[overlay.Key]overlay.Address)\n%s}\n", ind, m, ind, m, ind)
-		g.pf("%s%s[%s] = %s\n", ind, m, k, v)
-	case "map_clear":
-		m, err := g.mapVar(s.Fn, s.Args, 0, s.Pos)
-		if err != nil {
-			return err
-		}
-		g.pf("%sclear(%s)\n", ind, m)
-	case "map_del":
-		m, err := g.mapVar(s.Fn, s.Args, 0, s.Pos)
-		if err != nil {
-			return err
-		}
-		k, err := arg(1)
-		if err != nil {
-			return err
-		}
-		g.pf("%sdelete(%s, %s)\n", ind, m, k)
-	case "map_remove_value":
-		m, err := g.mapVar(s.Fn, s.Args, 0, s.Pos)
-		if err != nil {
-			return err
-		}
-		v, err := arg(1)
-		if err != nil {
-			return err
-		}
-		g.pf("%score.MapRemoveValue(%s, %s)\n", ind, m, v)
-	case "deliver":
-		a0, err := arg(0)
-		if err != nil {
-			return err
-		}
-		a1, err := arg(1)
-		if err != nil {
-			return err
-		}
-		a2, err := arg(2)
-		if err != nil {
-			return err
-		}
-		g.pf("%sctx.Deliver(%s, %s, %s)\n", ind, a0, a1, a2)
+		g.pf("%s%s.Assign(%s, ctx.Self())\n", ind, st, set)
 	case "forward_upcall":
 		// forward_upcall(payload, typ, next): run the engine's forward()
 		// upcall for a payload about to travel on toward next (§2.2 — the
@@ -559,63 +520,116 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		// quash it, ending the transition, or rewrite it). The payload it
 		// returns replaces the payload argument for the statements after
 		// this one in its block; a rewrite of the next hop is not honored.
-		a0, err := arg(0)
-		if err != nil {
-			return err
-		}
-		a1, err := arg(1)
-		if err != nil {
-			return err
-		}
-		a2, err := arg(2)
-		if err != nil {
-			return err
-		}
 		g.fwCount++
 		name := "fwPayload"
 		if g.fwCount > 1 {
 			name += strconv.Itoa(g.fwCount)
 		}
-		g.pf("%sfwOk, _, %s := ctx.Forward(%s, %s, %s, overlay.HashAddress(%s))\n", ind, name, a0, a1, a2, a2)
+		call, err := g.translate(s.Fn, prim{"", "ctx.Forward(%[1]s, %[2]s, %[3]s, overlay.HashAddress(%[3]s))", nil}, s.Args)
+		if err != nil {
+			return err
+		}
+		g.pf("%sfwOk, _, %s := %s\n", ind, name, call)
 		g.pf("%sif !fwOk {\n%s\treturn\n%s}\n%s_ = %s\n", ind, ind, ind, ind, name)
 		g.rewrites[s.Args[0].String()] = name
 	case "notify":
 		kind, ok := firstIdent(s.Args)
-		if !ok {
-			return softf("notify needs a neighbor kind at %s", s.Pos)
+		if !ok || len(s.Args) < 2 {
+			return softf("notify needs a neighbor kind and a set at %s", s.Pos)
 		}
-		l, err := g.listArg(s, 1)
-		if err != nil {
+		// The set reported: a neighbor list, a copy of a nodeset (the
+		// upcall is deferred past changes to it), or a single node.
+		var set string
+		if l, err := g.collection("list", s.Fn, s.Args[1:]); err == nil {
+			set = "ctx.Neighbors(" + l + ").Addrs()"
+		} else if ns, err := g.nodesetExpr(s.Args[1]); err == nil {
+			set = "append([]overlay.Address(nil), " + ns + "...)"
+		} else if n, err := g.expr(s.Args[1]); err == nil {
+			set = "[]overlay.Address{" + n + "}"
+		} else {
 			return err
 		}
-		g.pf("%sctx.NotifyNeighbors(overlay.NbrType%s, ctx.Neighbors(%q).Addrs())\n",
-			ind, camel(kind.Name), l)
+		g.pf("%sctx.NotifyNeighbors(overlay.NbrType%s, %s)\n", ind, camel(kind.Name), set)
 	case "quash":
 		g.pf("%sev.Quash = true\n", ind)
-	case "upcall_ext":
-		a0, err := arg(0)
-		if err != nil {
-			return err
-		}
-		g.pf("%sctx.UpcallExt(int(%s), nil)\n", ind, a0)
 	default:
 		return softf("unknown primitive statement %q at %s", s.Fn, s.Pos)
 	}
 	return nil
 }
 
-func (g *generator) listArg(s *dsl.CallStmt, i int) (string, error) {
-	if i >= len(s.Args) {
-		return "", softf("%s is missing its neighbor list argument at %s", s.Fn, s.Pos)
-	}
-	id, ok := s.Args[i].(dsl.Ident)
+// sendStmt translates the three ways a message leaves: send msg(dest, ...)
+// to a node, and route msg(key, ...) and multicast msg(group, ...) through
+// the layer below. The message is built in the agent's send slot (see
+// msgScratch): each of the three encodes it before returning and keeps
+// nothing. One call expression, so the destination is still evaluated before
+// the fields.
+func (g *generator) sendStmt(s *dsl.CallStmt, ind string) error {
+	m, ok := g.msgs[s.Msg]
 	if !ok {
-		return "", softf("%s needs a neighbor list name at %s", s.Fn, s.Pos)
+		return fmt.Errorf("codegen: %s: %s of undeclared message %q", s.Pos, s.Fn, s.Msg)
 	}
-	if v, declared := g.varTypes[id.Name]; !declared || v.Kind != dsl.VarNeighborList {
-		return "", softf("%q is not a declared neighbor list at %s", id.Name, s.Pos)
+	var inits []string
+	for _, fi := range s.Fields {
+		if !slices.ContainsFunc(m.Fields, func(f dsl.Field) bool { return f.Name == fi.Name }) {
+			return fmt.Errorf("codegen: %s: message %q has no field %q", s.Pos, s.Msg, fi.Name)
+		}
+		v, err := g.expr(fi.Value)
+		if err != nil {
+			return err
+		}
+		inits = append(inits, fmt.Sprintf("%s: %s", camel(fi.Name), v))
 	}
-	return id.Name, nil
+	dest, err := g.expr(s.Args[0])
+	if err != nil {
+		return err
+	}
+	msg := fmt.Sprintf("core.Put(&a.io.tx.%s, %s{%s})", camel(s.Msg), msgTypeName(s.Msg), strings.Join(inits, ", "))
+	switch s.Fn {
+	case "route":
+		g.pf("%s_ = core.RouteMsg(ctx, %s, %s)\n", ind, dest, msg)
+	case "multicast":
+		g.pf("%s_ = core.MulticastMsg(ctx, %s, %s)\n", ind, dest, msg)
+	default:
+		g.pf("%s_ = ctx.Send(%s, %s, overlay.PriorityDefault)\n", ind, dest, msg)
+	}
+	return nil
+}
+
+// entry resolves a keytable entry's field through format, which receives
+// the table's Go name, the key and the field's Go name, and returns the
+// field's declared type.
+func (g *generator) entry(e dsl.EntryExpr, format string) (string, string, error) {
+	v, ok := g.varTypes[e.Table]
+	if !ok || v.Kind != dsl.VarKeyTable {
+		return "", "", softf("%q is not a declared keytable", e.Table)
+	}
+	i := slices.IndexFunc(v.Fields, func(f dsl.Field) bool { return f.Name == e.Field })
+	if i < 0 {
+		return "", "", softf("keytable %q has no field %q", e.Table, e.Field)
+	}
+	k, err := g.expr(e.Key)
+	if err != nil {
+		return "", "", err
+	}
+	return fmt.Sprintf(format, camel(e.Table), k, camel(e.Field)), v.Fields[i].Type, nil
+}
+
+// lvalue resolves the target of an assignment to a keytable entry's field,
+// which the write makes, or to a field of the message being handled, and
+// returns its declared type.
+func (g *generator) lvalue(s *dsl.AssignStmt) (string, string, error) {
+	if s.Entry != nil {
+		return g.entry(*s.Entry, "core.KeyEntry(&a.%s, %s).%s")
+	}
+	if g.curMsg != nil {
+		for _, f := range g.curMsg.Fields {
+			if f.Name == s.Target {
+				return "m." + camel(f.Name), f.Type, nil
+			}
+		}
+	}
+	return "", "", fmt.Errorf("codegen: %s: assignment to field %q of no message being handled", s.Pos, s.Target)
 }
 
 // expr translates an action-language expression.
@@ -649,6 +663,12 @@ func (g *generator) expr(e dsl.Expr) (string, error) {
 		return fmt.Sprintf("(%s %s %s)", l, e.Op, r), nil
 	case dsl.CallExpr:
 		return g.callExpr(e)
+	case dsl.EntryExpr:
+		read, typ, err := g.entry(e, "core.KeyRead(a.%s, %s).%s")
+		if typ == "tally" {
+			return "", softf("the tally %s is read through the list primitives", e)
+		}
+		return read, err
 	}
 	return "", fmt.Errorf("codegen: unknown expression %T", e)
 }
@@ -664,6 +684,8 @@ func (g *generator) ident(name string) (string, error) {
 		return "ctx.SelfKey()", nil
 	case "nil_node":
 		return "overlay.NilAddress", nil
+	case "true", "false":
+		return name, nil
 	case "from":
 		return "ev.From", nil
 	case "bootstrap":
@@ -715,34 +737,13 @@ func (g *generator) asInt(e dsl.Expr, s string) string {
 	return "int(" + s + ")"
 }
 
-// exprArg fetches and translates the i-th argument of a value primitive.
-func (g *generator) exprArg(e dsl.CallExpr, i int) (string, error) {
-	if i >= len(e.Args) {
-		return "", softf("%s is missing argument %d", e.Fn, i)
-	}
-	return g.expr(e.Args[i])
-}
-
-// identArg fetches the i-th argument of a value primitive as a bare name.
-func identArg(e dsl.CallExpr, i int) (dsl.Ident, error) {
-	if i >= len(e.Args) {
-		return dsl.Ident{}, softf("%s is missing argument %d", e.Fn, i)
-	}
-	id, ok := e.Args[i].(dsl.Ident)
-	if !ok {
-		return dsl.Ident{}, softf("%s argument %d must be a name", e.Fn, i)
-	}
-	return id, nil
-}
-
 func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 	if len(e.Args) == 0 {
 		// Every value primitive takes at least one argument; a bare call is
 		// outside the subset and degrades like any unknown construct.
 		return "", softf("%s() without arguments", e.Fn)
 	}
-	switch e.Fn {
-	case "field":
+	if e.Fn == "field" {
 		id, ok := e.Args[0].(dsl.Ident)
 		if !ok || g.curMsg == nil {
 			return "", fmt.Errorf("codegen: field() outside a message transition")
@@ -753,178 +754,10 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 			}
 		}
 		return "", fmt.Errorf("codegen: message %q has no field %q", g.curMsg.Name, id.Name)
-	case "neighbor_size":
-		id, err := identArg(e, 0)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("ctx.Neighbors(%q).Size()", id.Name), nil
-	case "neighbor_query":
-		id, err := identArg(e, 0)
-		if err != nil {
-			return "", err
-		}
-		arg, err := g.exprArg(e, 1)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("ctx.Neighbors(%q).Contains(%s)", id.Name, arg), nil
-	case "neighbor_full":
-		id, err := identArg(e, 0)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("ctx.Neighbors(%q).Full()", id.Name), nil
-	case "random":
-		n, err := g.exprArg(e, 0)
-		if err != nil {
-			return "", err
-		}
-		return "int32(ctx.Rand().Intn(" + g.asInt(e.Args[0], n) + "))", nil
-	case "neighbor_random", "neighbor_first":
-		id, err := identArg(e, 0)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("core.%s(ctx, %q)", camel(e.Fn), id.Name), nil
-	case "hash":
-		arg, err := g.exprArg(e, 0)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("overlay.HashAddress(%s)", arg), nil
-	case "key_step":
-		k, err := g.exprArg(e, 0)
-		if err != nil {
-			return "", err
-		}
-		i, err := g.exprArg(e, 1)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("overlay.KeyStep(%s, %s)", k, g.asInt(e.Args[1], i)), nil
-	case "between", "between_incl":
-		k, err := g.exprArg(e, 0)
-		if err != nil {
-			return "", err
-		}
-		a, err := g.exprArg(e, 1)
-		if err != nil {
-			return "", err
-		}
-		b, err := g.exprArg(e, 2)
-		if err != nil {
-			return "", err
-		}
-		method := "Between"
-		if e.Fn == "between_incl" {
-			method = "BetweenIncl"
-		}
-		return fmt.Sprintf("(%s).%s(%s, %s)", k, method, a, b), nil
-	case "ring_dist":
-		a, err := g.exprArg(e, 0)
-		if err != nil {
-			return "", err
-		}
-		b, err := g.exprArg(e, 1)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("(%s).Distance(%s)", a, b), nil
-	case "ring_diff":
-		a, err := g.exprArg(e, 0)
-		if err != nil {
-			return "", err
-		}
-		b, err := g.exprArg(e, 1)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("overlay.RingDiff(%s, %s)", a, b), nil
-	case "shared_prefix":
-		a, err := g.exprArg(e, 0)
-		if err != nil {
-			return "", err
-		}
-		b, err := g.exprArg(e, 1)
-		if err != nil {
-			return "", err
-		}
-		bits, err := g.exprArg(e, 2)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("int32((%s).SharedPrefix(%s, %s))", a, b, g.asInt(e.Args[2], bits)), nil
-	case "digit":
-		k, err := g.exprArg(e, 0)
-		if err != nil {
-			return "", err
-		}
-		i, err := g.exprArg(e, 1)
-		if err != nil {
-			return "", err
-		}
-		bits, err := g.exprArg(e, 2)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("int32((%s).Digit(%s, %s))", k, g.asInt(e.Args[1], i), g.asInt(e.Args[2], bits)), nil
-	case "list_size":
-		s, err := g.nodesetExpr(e.Args[0])
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("int32(len(%s))", s), nil
-	case "list_get":
-		s, err := g.nodesetExpr(e.Args[0])
-		if err != nil {
-			return "", err
-		}
-		i, err := g.exprArg(e, 1)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("core.ListGet(%s, %s)", s, i), nil
-	case "list_contains":
-		s, err := g.nodesetExpr(e.Args[0])
-		if err != nil {
-			return "", err
-		}
-		v, err := g.exprArg(e, 1)
-		if err != nil {
-			return "", err
-		}
-		g.usesSlices = true
-		return fmt.Sprintf("slices.Contains(%s, %s)", s, v), nil
-	case "list_random":
-		s, err := g.nodesetExpr(e.Args[0])
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("core.ListRandom(ctx, %s)", s), nil
-	case "table_get":
-		id, err := identArg(e, 0)
-		if err != nil {
-			return "", err
-		}
-		if v, declared := g.varTypes[id.Name]; !declared || v.Kind != dsl.VarTable {
-			return "", softf("%q is not a declared nodetable", id.Name)
-		}
-		i, err := g.exprArg(e, 1)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("core.ListGet(a.%s[:], %s)", camel(id.Name), i), nil
-	case "map_get":
-		m, err := g.mapVar(e.Fn, e.Args, 0, dsl.Pos{})
-		if err != nil {
-			return "", err
-		}
-		k, err := g.exprArg(e, 1)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%s[%s]", m, k), nil
 	}
-	return "", softf("unknown primitive %q", e.Fn)
+	p, ok := exprPrims[e.Fn]
+	if !ok {
+		return "", softf("unknown primitive %q", e.Fn)
+	}
+	return g.translate(e.Fn, p, e.Args)
 }

@@ -91,6 +91,7 @@ type generator struct {
 	opaque     int
 	translated int
 	usesSlices bool // a translation called slices.Contains
+	usesTime   bool // a period was scaled by time.Millisecond
 
 	varTypes map[string]dsl.StateVar
 	msgs     map[string]dsl.Message
@@ -257,6 +258,8 @@ func goType(t string) string {
 		return "[]overlay.Key"
 	case "keymap":
 		return "map[overlay.Key]overlay.Address"
+	case "tally":
+		return "core.Tally"
 	}
 	return "int32"
 }
@@ -330,6 +333,13 @@ func (g *generator) file() (string, error) {
 	// Message structs + codecs.
 	for _, m := range s.Messages {
 		tn := msgTypeName(m.Name)
+		if len(m.Fields) == 0 {
+			g.pf("type %s struct{}\n\n", tn)
+			g.pf("func (m *%s) MsgName() string { return %q }\n\n", tn, m.Name)
+			g.pf("func (m *%s) Encode(*overlay.Writer) {}\n\n", tn)
+			g.pf("func (m *%s) Decode(r *overlay.Reader) error { return r.Err() }\n\n", tn)
+			continue
+		}
 		g.pf("type %s struct {\n", tn)
 		for _, f := range m.Fields {
 			g.pf("\t%s %s\n", camel(f.Name), goType(f.Type))
@@ -360,7 +370,17 @@ func (g *generator) file() (string, error) {
 	g.pf("// it is garbage, and a copied slot would pin the payload it last saw.\n")
 	g.pf("func (*msgScratch) StateCopyOpaque() {}\n\n")
 
-	// Agent struct with plain state variables, node tables, and keymaps.
+	// A keytable's records, then the Agent struct with plain state
+	// variables, node tables, keymaps and keytables.
+	for _, v := range s.StateVars {
+		if v.Kind == dsl.VarKeyTable {
+			g.pf("// %sEntry is one record of the keytable %s.\ntype %sEntry struct {\n", camel(v.Name), v.Name, camel(v.Name))
+			for _, f := range v.Fields {
+				g.pf("\t%s %s\n", camel(f.Name), goType(f.Type))
+			}
+			g.pf("}\n\n")
+		}
+	}
 	g.pf("// Agent is the generated protocol instance.\ntype Agent struct {\n")
 	for _, v := range s.StateVars {
 		switch v.Kind {
@@ -368,6 +388,8 @@ func (g *generator) file() (string, error) {
 			g.pf("\t%s %s\n", camel(v.Name), goType(v.Type))
 		case dsl.VarTable:
 			g.pf("\t%s [%s]overlay.Address\n", camel(v.Name), g.resolve(v.Max))
+		case dsl.VarKeyTable:
+			g.pf("\t%s map[overlay.Key]*%sEntry\n", camel(v.Name), camel(v.Name))
 		}
 	}
 	g.pf("\n\tio msgScratch // a named field: embedding would promote StateCopyOpaque to Agent\n")
@@ -422,6 +444,7 @@ func (g *generator) file() (string, error) {
 			period := "0"
 			if v.Period != "" {
 				period = g.resolve(v.Period) + "*time.Millisecond"
+				g.usesTime = true
 			}
 			if v.Periodic {
 				g.pf("\td.PeriodicTimer(%q, %s)\n", v.Name, period)
@@ -470,8 +493,13 @@ func (g *generator) file() (string, error) {
 	if g.usesSlices {
 		g.pf("\t\"slices\"\n")
 	}
-	g.pf("\t\"time\"\n\n\t\"macedon/internal/core\"\n\t\"macedon/internal/overlay\"\n)\n\n")
-	g.pf("var _ = time.Millisecond\n\n")
+	if g.usesTime {
+		g.pf("\t\"time\"\n")
+	}
+	if g.usesSlices || g.usesTime {
+		g.pf("\n")
+	}
+	g.pf("\t\"macedon/internal/core\"\n\t\"macedon/internal/overlay\"\n)\n\n")
 	return g.b.String() + body, nil
 }
 
@@ -559,14 +587,13 @@ func (g *generator) handler(i int, tr dsl.Transition) error {
 	g.pf("// transition%d implements: %s %s %s [locking %s;]\n", i, tr.Guard, tr.Kind, tr.Name, tr.Locking)
 	switch tr.Kind {
 	case dsl.TransAPI:
-		g.pf("func (a *Agent) transition%d(ctx *core.Context, call *core.APICall) {\n\t_ = call\n", i)
+		g.pf("func (a *Agent) transition%d(ctx *core.Context, call *core.APICall) {\n", i)
 	case dsl.TransTimer:
 		g.pf("func (a *Agent) transition%d(ctx *core.Context) {\n", i)
 	case dsl.TransRecv, dsl.TransForward:
 		m := g.msgs[tr.Name]
 		g.curMsg = &m
-		g.pf("func (a *Agent) transition%d(ctx *core.Context, ev *core.MsgEvent) {\n", i)
-		g.pf("\tm := ev.Msg.(*%s)\n\t_ = m\n", msgTypeName(tr.Name))
+		g.pf("func (a *Agent) transition%d(ctx *core.Context, ev *core.MsgEvent, m *%s) {\n", i, msgTypeName(tr.Name))
 	}
 	for _, st := range tr.Body {
 		if err := g.stmt(st, 1); err != nil {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"maps"
 	"slices"
+	"time"
 
 	"macedon/internal/overlay"
 )
@@ -38,6 +40,17 @@ func NeighborFirst(ctx *Context, list string) overlay.Address {
 		return n.Addr
 	}
 	return overlay.NilAddress
+}
+
+// Jitter draws a uniform duration in [0, ms) milliseconds, to the
+// nanosecond, from the node's seeded source, or 0 when ms is not positive:
+// the spread of timer_sched(t, base, spread), which keeps nodes' soft-state
+// timers out of step.
+func Jitter(ctx *Context, ms int32) time.Duration {
+	if ms <= 0 {
+		return 0
+	}
+	return time.Duration(ctx.Rand().Int63n(int64(ms) * int64(time.Millisecond)))
 }
 
 // ListAppend appends a to the list unless already present (or nil), in
@@ -161,6 +174,15 @@ func TableRemove(t []overlay.Address, a overlay.Address) {
 	}
 }
 
+// MapPut stores a under k, making the keymap on its first put so that a
+// zero agent is ready to use (map_put).
+func MapPut(m *map[overlay.Key]overlay.Address, k overlay.Key, a overlay.Address) {
+	if *m == nil {
+		*m = make(map[overlay.Key]overlay.Address)
+	}
+	(*m)[k] = a
+}
+
 // MapRemoveValue deletes every entry whose value is a (map_remove_value).
 func MapRemoveValue(m map[overlay.Key]overlay.Address, a overlay.Address) {
 	for k, v := range m {
@@ -168,4 +190,95 @@ func MapRemoveValue(m map[overlay.Key]overlay.Address, a overlay.Address) {
 			delete(m, k)
 		}
 	}
+}
+
+// KeyEntry returns k's entry in a keytable, making the table and the entry
+// on first use: a write to an entry's field makes it.
+func KeyEntry[E any](t *map[overlay.Key]*E, k overlay.Key) *E {
+	if *t == nil {
+		*t = make(map[overlay.Key]*E)
+	}
+	e := (*t)[k]
+	if e == nil {
+		e = new(E)
+		(*t)[k] = e
+	}
+	return e
+}
+
+// KeyRead returns a copy of k's entry in a keytable, or the zero entry when
+// k has none; a read makes nothing.
+func KeyRead[E any](t map[overlay.Key]*E, k overlay.Key) E {
+	if e := t[k]; e != nil {
+		return *e
+	}
+	var zero E
+	return zero
+}
+
+// Keys returns a keytable's keys in ascending order: foreach over a
+// keytable visits them so, whatever order they were made in.
+func Keys[E any](t map[overlay.Key]*E) []overlay.Key {
+	return slices.Sorted(maps.Keys(t))
+}
+
+// Tally is a set of nodes in address order, each with the number of ticks
+// it has stayed silent: the soft state a tree keeps of its children. Addrs
+// is read as a nodeset.
+type Tally struct {
+	Addrs  []overlay.Address
+	Missed []int32
+}
+
+// TallyHeard adds a, or resets its missed count to zero if present
+// (tally_heard).
+func TallyHeard(t *Tally, a overlay.Address) {
+	i, found := slices.BinarySearch(t.Addrs, a)
+	if !found {
+		t.Addrs = slices.Insert(t.Addrs, i, a)
+		t.Missed = slices.Insert(t.Missed, i, 0)
+	}
+	t.Missed[i] = 0
+}
+
+// TallyTick counts one missed tick against every member and drops those
+// silent for more than max ticks (tally_tick).
+func TallyTick(t *Tally, max int32) {
+	n := 0
+	for i, a := range t.Addrs {
+		if missed := t.Missed[i] + 1; missed <= max {
+			t.Addrs[n], t.Missed[n] = a, missed
+			n++
+		}
+	}
+	t.Addrs, t.Missed = t.Addrs[:n], t.Missed[:n]
+}
+
+// TallyRemove drops a (tally_remove).
+func TallyRemove(t *Tally, a overlay.Address) {
+	if i, found := slices.BinarySearch(t.Addrs, a); found {
+		t.Addrs = slices.Delete(t.Addrs, i, i+1)
+		t.Missed = slices.Delete(t.Missed, i, i+1)
+	}
+}
+
+// RouteMsg routes one of the protocol's own messages toward key through the
+// layer below (route msg(key, ...)). The message is encoded before the call
+// returns, so it may live in a send slot.
+func RouteMsg(ctx *Context, key overlay.Key, m overlay.Message) error {
+	frame, err := ctx.EncodeFrame(m)
+	if err != nil {
+		return err
+	}
+	return ctx.Route(key, frame, ProtocolPayload, overlay.PriorityDefault)
+}
+
+// MulticastMsg disseminates one of the protocol's own messages to a group
+// through the layer below (multicast msg(group, ...)).
+func MulticastMsg(ctx *Context, group overlay.Key, m overlay.Message) error {
+	frame, err := ctx.EncodeFrame(m)
+	if err != nil {
+		return err
+	}
+	return ctx.Multicast(group, frame, ProtocolPayload, overlay.PriorityDefault)
 }

@@ -86,9 +86,90 @@ func TestTablePrimitives(t *testing.T) {
 		t.Fatalf("table %v after removing 5", table)
 	}
 
-	m := map[overlay.Key]overlay.Address{1: 5, 2: 6, 3: 5}
+	var m map[overlay.Key]overlay.Address // a zero agent's keymap
+	for k, a := range []overlay.Address{0, 5, 6, 5} {
+		if k > 0 {
+			core.MapPut(&m, overlay.Key(k), a)
+		}
+	}
 	core.MapRemoveValue(m, 5)
 	if len(m) != 1 || m[2] != 6 {
 		t.Fatalf("map %v after removing value 5", m)
+	}
+}
+
+// TestKeytablePrimitives: a read makes no entry, a write makes one, and
+// Keys visits the keys in ascending order whatever order they were made in.
+func TestKeytablePrimitives(t *testing.T) {
+	type entry struct {
+		On bool
+		N  int32
+	}
+	var tbl map[overlay.Key]*entry
+	if got := core.KeyRead(tbl, 7); got.On || got.N != 0 || tbl != nil {
+		t.Fatalf("read of an empty table = %+v, table %v", got, tbl)
+	}
+	core.KeyEntry(&tbl, 7).N = 3
+	if got := core.KeyRead(tbl, 7); got.N != 3 || len(tbl) != 1 {
+		t.Fatalf("after a write: entry %+v, %d entries", got, len(tbl))
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tbl = nil
+		var want []overlay.Key
+		for _, i := range rng.Perm(40) {
+			k := overlay.Key(i * 0x0fff_ffff)
+			core.KeyEntry(&tbl, k).On = true
+			want = append(want, k)
+		}
+		slices.Sort(want)
+		if got := core.Keys(tbl); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: keys %v, want %v", seed, got, want)
+		}
+	}
+}
+
+// TestTally: under seeded heard/tick/remove sequences a tally holds the
+// nodes in address order and drops exactly those silent for more than max
+// ticks, as a map of last-heard tick numbers does.
+func TestTally(t *testing.T) {
+	const max = 3
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var got core.Tally
+		want := map[overlay.Address]int{} // member -> tick it was last heard
+		tick := 0
+		for step := 0; step < 200; step++ {
+			a := overlay.Address(1 + rng.Intn(12))
+			switch rng.Intn(4) {
+			case 0, 1:
+				core.TallyHeard(&got, a)
+				want[a] = tick
+			case 2:
+				core.TallyTick(&got, max)
+				tick++
+				for m, heard := range want {
+					if tick-heard > max {
+						delete(want, m)
+					}
+				}
+			case 3:
+				core.TallyRemove(&got, a)
+				delete(want, a)
+			}
+			var members []overlay.Address
+			for m := range want {
+				members = append(members, m)
+			}
+			slices.Sort(members)
+			if !slices.Equal(got.Addrs, members) || len(got.Missed) != len(got.Addrs) {
+				t.Fatalf("seed %d step %d: tally %v (missed %v), want %v", seed, step, got.Addrs, got.Missed, members)
+			}
+			for i, m := range got.Addrs {
+				if int(got.Missed[i]) != tick-want[m] {
+					t.Fatalf("seed %d step %d: %v missed %d ticks, want %d", seed, step, m, got.Missed[i], tick-want[m])
+				}
+			}
+		}
 	}
 }

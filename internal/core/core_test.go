@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -524,7 +525,7 @@ func (typoProto) Define(d *Def) {
 	d.States("joining", "joined")
 	d.UDPTransport("U")
 	d.Message("ping", func() overlay.Message { return &echoPing{} }, "U")
-	d.OnRecv("ping", In("joind"), Write, RecvOf(func(typoProto, *Context, *MsgEvent) {}))
+	d.OnRecv("ping", In("joind"), Write, RecvOf(func(typoProto, *Context, *MsgEvent, *echoPing) {}))
 }
 
 // TestUndeclaredGuardStateRejected: a node whose stack names an undeclared
@@ -613,5 +614,83 @@ func TestTimerGenerationsCancelQueuedFires(t *testing.T) {
 	r.sched.RunFor(time.Second)
 	if p.ticks >= 100 {
 		t.Fatal("cancelled one-shot fired")
+	}
+}
+
+// downProto is a lowest layer that records the route and multicast calls
+// made on it.
+type downProto struct{ calls []APICall }
+
+func (p *downProto) ProtocolName() string { return "down" }
+
+func (p *downProto) Define(d *Def) {
+	d.UDPTransport("U")
+	record := func(ctx *Context, call *APICall) {
+		c := *call
+		c.Payload = bytes.Clone(call.Payload)
+		p.calls = append(p.calls, c)
+	}
+	d.OnAPI(overlay.APIRoute, Any, Write, record)
+	d.OnAPI(overlay.APIMulticast, Any, Write, record)
+}
+
+// routingUpper routes and multicasts one note each on any downcall.
+type routingUpper struct{}
+
+func (*routingUpper) ProtocolName() string { return "upper" }
+
+func (*routingUpper) Define(d *Def) {
+	d.Message("note", func() overlay.Message { return &upperNote{} }, "")
+	d.OnAPI(overlay.APIDowncallExt, Any, Write, func(ctx *Context, call *APICall) {
+		_ = RouteMsg(ctx, 0x1234, &upperNote{Text: "r"})
+		_ = MulticastMsg(ctx, 0x5678, &upperNote{Text: "m"})
+	})
+}
+
+// TestRouteAndMulticastMsg: route msg(key, ...) and multicast msg(group,
+// ...) hand the layer below one call each, toward the key or group, with the
+// message encoded as a protocol payload at the default priority.
+func TestRouteAndMulticastMsg(t *testing.T) {
+	stack := []Factory{func() Agent { return &downProto{} }, func() Agent { return &routingUpper{} }}
+	r := newCoreRig(t, []overlay.Address{1}, stack, 1)
+	r.sched.RunFor(10 * time.Millisecond)
+	r.nodes[1].Downcall(1, nil)
+	r.sched.RunFor(10 * time.Millisecond)
+	calls := r.nodes[1].Instance("down").Agent().(*downProto).calls
+	if len(calls) != 2 {
+		t.Fatalf("%d calls below, want 2", len(calls))
+	}
+	for i, want := range []struct {
+		kind overlay.API
+		key  overlay.Key
+		text string
+	}{{overlay.APIRoute, 0x1234, "r"}, {overlay.APIMulticast, 0x5678, "m"}} {
+		c := calls[i]
+		key := c.Dest
+		if c.Kind == overlay.APIMulticast {
+			key = c.Group
+		}
+		m, err := r.nodes[1].Instance("upper").decode(c.Payload)
+		if c.Kind != want.kind || key != want.key || c.PayloadType != ProtocolPayload ||
+			c.Priority != overlay.PriorityDefault || err != nil || m.(*upperNote).Text != want.text {
+			t.Errorf("call %d: %v toward %v, type %d, priority %d, payload %v (%v)", i, c.Kind, key, c.PayloadType, c.Priority, m, err)
+		}
+	}
+}
+
+// TestJitter: a timer spread draws from the node's seeded source what
+// Int63n over the spread in nanoseconds draws, and a spread that is not
+// positive draws nothing.
+func TestJitter(t *testing.T) {
+	r := newCoreRig(t, []overlay.Address{1, 2}, echoStack(), 1)
+	ctx := &Context{inst: r.nodes[1].Instance("echo")}
+	want := rand.New(rand.NewSource(r.nodes[1].seed))
+	for _, ms := range []int32{10000, 1, 3} {
+		if got, w := Jitter(ctx, ms), time.Duration(want.Int63n(int64(ms)*int64(time.Millisecond))); got != w {
+			t.Fatalf("Jitter(%d) = %v, want %v", ms, got, w)
+		}
+	}
+	if Jitter(ctx, 0) != 0 || Jitter(ctx, -5) != 0 || ctx.Rand().Int63() != want.Int63() {
+		t.Fatal("a non-positive spread drew from the source")
 	}
 }

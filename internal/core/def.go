@@ -111,13 +111,14 @@ type (
 	APIHandler func(ctx *Context, call *APICall)
 )
 
-// RecvOf turns a handler that takes its agent as an argument — a method
-// expression such as (*Agent).transition2 — into a MsgHandler for a recv or
-// forward transition. The handler runs on the agent of the instance the
-// transition fires on, so the Def that holds it can serve every instance of a
-// TypeDefined agent type.
-func RecvOf[A Agent](h func(A, *Context, *MsgEvent)) MsgHandler {
-	return func(ctx *Context, ev *MsgEvent) { h(ctx.inst.agent.(A), ctx, ev) }
+// RecvOf turns a handler that takes its agent and its message as arguments —
+// a method expression such as (*Agent).transition2 — into a MsgHandler for a
+// recv or forward transition. The handler runs on the agent of the instance
+// the transition fires on, so the Def that holds it can serve every instance
+// of a TypeDefined agent type; its message is ev.Msg, of the type the
+// transition's message factory makes.
+func RecvOf[A Agent, M overlay.Message](h func(A, *Context, *MsgEvent, M)) MsgHandler {
+	return func(ctx *Context, ev *MsgEvent) { h(ctx.inst.agent.(A), ctx, ev, ev.Msg.(M)) }
 }
 
 // TimerOf is RecvOf for a timer transition.

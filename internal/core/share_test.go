@@ -8,7 +8,8 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/scribe"
+	"macedon/internal/overlays/genscribe"
+	"macedon/internal/overlays/overcast"
 )
 
 // captureProto defines its FSM the way an agent written against the engine
@@ -63,19 +64,37 @@ func TestGeneratedAgentsShareOneDef(t *testing.T) {
 		periods := []time.Duration{time.Second, 20 * time.Second}
 		var defs []*core.Def
 		for _, p := range periods {
-			inst, err := core.DetachedInstance(scribe.New(scribe.Params{RefreshPeriod: p})())
+			inst, err := core.DetachedInstance(overcast.New(overcast.Params{ProbeRequestPeriod: p})())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defs = append(defs, core.DefOf(inst))
 		}
 		if defs[0] == defs[1] {
-			t.Fatal("two Scribe agents share a Def")
+			t.Fatal("two Overcast agents share a Def")
 		}
 		for k, d := range defs {
-			if got := d.TimerPeriod("refresh"); got != periods[k] {
-				t.Errorf("Scribe with RefreshPeriod %v declares refresh every %v", periods[k], got)
+			if got := d.TimerPeriod("probe_requester"); got != periods[k] {
+				t.Errorf("Overcast with ProbeRequestPeriod %v declares probe_requester every %v", periods[k], got)
 			}
+		}
+	})
+
+	// A generated agent's parameters are its own state, not its Def's: two
+	// Scribe agents with different refresh periods share one Def.
+	t.Run("GeneratedParams", func(t *testing.T) {
+		var defs []*core.Def
+		for _, ms := range []int32{1000, 20000} {
+			a := genscribe.New()()
+			a.(*genscribe.Agent).SetParam("refresh_ms", ms)
+			inst, err := core.DetachedInstance(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defs = append(defs, core.DefOf(inst))
+		}
+		if defs[0] != defs[1] {
+			t.Fatal("two generated Scribe agents built a Def each")
 		}
 	})
 

@@ -92,7 +92,8 @@ const (
 	VarPlain StateVarKind = iota // typed scalar
 	VarTimer
 	VarNeighborList
-	VarTable // fixed-size indexed node table ("nodetable name SIZE;")
+	VarTable    // fixed-size indexed node table ("nodetable name SIZE;")
+	VarKeyTable // records keyed by key ("keytable name { fields }")
 )
 
 // StateVar is one auxiliary_data entry.
@@ -100,10 +101,11 @@ type StateVar struct {
 	Kind       StateVarKind
 	Type       string // scalar type, or the neighbor type name
 	Name       string
-	Period     string // timers: default period expression ("" = none)
-	Periodic   bool   // timers: auto re-arm
-	Max        string // neighbor lists: capacity; node tables: size
-	FailDetect bool   // neighbor lists: engine failure monitoring
+	Period     string  // timers: default period expression ("" = none)
+	Periodic   bool    // timers: auto re-arm
+	Max        string  // neighbor lists: capacity; node tables: size
+	FailDetect bool    // neighbor lists: engine failure monitoring
+	Fields     []Field // keytables: the record's fields
 	Pos        Pos
 }
 
@@ -285,9 +287,13 @@ type FieldInit struct {
 func (s *CallStmt) stmt()         {}
 func (s *CallStmt) Position() Pos { return s.Pos }
 
-// AssignStmt assigns to a declared state variable.
+// AssignStmt assigns to a declared state variable or handler local, to a
+// field of a keytable entry ("groups[g].parent = from;"), or to a field of
+// the message being handled ("field(joiner) = self;").
 type AssignStmt struct {
-	Target string
+	Target string     // the variable, local or message field
+	Entry  *EntryExpr // set for a keytable entry's field; Target is then ""
+	Field  bool       // Target names a field of the message being handled
 	Value  Expr
 	Pos    Pos
 }
@@ -384,6 +390,19 @@ func (e CallExpr) String() string {
 		s += a.String()
 	}
 	return s + ")"
+}
+
+// EntryExpr reads one field of a keytable entry: "groups[g].member". An
+// absent entry reads as the zero record.
+type EntryExpr struct {
+	Table string
+	Key   Expr
+	Field string
+}
+
+func (EntryExpr) expr() {}
+func (e EntryExpr) String() string {
+	return e.Table + "[" + e.Key.String() + "]." + e.Field
 }
 
 // BinExpr is a binary operation: == != < > <= >= && || + - .

@@ -106,6 +106,57 @@ transitions {
 	}
 }
 
+// TestParseLayeredConstructs: a keytable declaration, its entries read and
+// written, assignment to a field of the message being handled, and the
+// route and multicast forms that send a message through the layer below.
+func TestParseLayeredConstructs(t *testing.T) {
+	spec, err := Parse(`
+protocol s uses pastry
+messages { j { key group; node joiner; nodeset seen; } }
+auxiliary_data { keytable groups { bool member; node parent; tally children; } }
+transitions {
+  any forward j {
+    groups[field(group)].parent = from;
+    field(joiner) = self;
+    if (groups[field(group)].member) { route j(field(group), group = field(group)); }
+    multicast j(field(group), joiner = self);
+    route(dest, payload, payload_type, priority);
+  }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := spec.StateVars[0]
+	if tbl.Kind != VarKeyTable || tbl.Name != "groups" || len(tbl.Fields) != 3 || tbl.Fields[2].Type != "tally" {
+		t.Fatalf("keytable parsed as %+v", tbl)
+	}
+	body := spec.Transitions[0].Body
+	entry, ok := body[0].(*AssignStmt)
+	if !ok || entry.Entry == nil || entry.Entry.String() != "groups[field(group)].parent" {
+		t.Fatalf("entry assignment parsed as %#v", body[0])
+	}
+	if f, ok := body[1].(*AssignStmt); !ok || !f.Field || f.Target != "joiner" {
+		t.Fatalf("field assignment parsed as %#v", body[1])
+	}
+	cond := body[2].(*IfStmt)
+	if _, ok := cond.Cond.(EntryExpr); !ok {
+		t.Fatalf("entry read parsed as %#v", cond.Cond)
+	}
+	for i, want := range []string{"route", "multicast"} {
+		var st Stmt = body[3]
+		if i == 0 {
+			st = cond.Then[0]
+		}
+		if c, ok := st.(*CallStmt); !ok || c.Fn != want || c.Msg != "j" {
+			t.Fatalf("%s form parsed as %#v", want, st)
+		}
+	}
+	if c, ok := body[4].(*CallStmt); !ok || c.Fn != "route" || c.Msg != "" || len(c.Args) != 4 {
+		t.Fatalf("route downcall parsed as %#v", body[4])
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []struct{ name, src string }{
 		{"no protocol", `states { a; }`},
@@ -303,6 +354,12 @@ func TestValidateDiagnostics(t *testing.T) {
 			`protocol p transports { UDP u; } messages { u m { } }
 			 transitions { flying recv m { } }`,
 			"undeclared state"},
+		{"keytable field unknown type",
+			`protocol p uses q messages { m { } } auxiliary_data { keytable g { gadget x; } }`,
+			"keytable \"g\" field \"x\" has unknown type"},
+		{"keytable field twice",
+			`protocol p uses q messages { m { } } auxiliary_data { keytable g { int x; bool x; } }`,
+			"keytable \"g\" field \"x\" declared twice"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

@@ -400,6 +400,24 @@ func (p *parser) stateVars(spec *Spec) error {
 			spec.StateVars = append(spec.StateVars, StateVar{
 				Kind: VarTable, Type: "nodetable", Name: name.text, Max: size.text, Pos: t.pos,
 			})
+		case t.text == "keytable":
+			p.next()
+			name, err := p.expectIdent("keytable name")
+			if err != nil {
+				return err
+			}
+			if _, err := p.expectPunct("{"); err != nil {
+				return err
+			}
+			v := StateVar{Kind: VarKeyTable, Type: "keytable", Name: name.text, Pos: t.pos}
+			for !p.acceptPunct("}") {
+				f, err := p.field()
+				if err != nil {
+					return err
+				}
+				v.Fields = append(v.Fields, f)
+			}
+			spec.StateVars = append(spec.StateVars, v)
 		case t.text == "fail_detect" || nbrTypes[t.text]:
 			fail := p.acceptIdent("fail_detect")
 			typ, err := p.expectIdent("neighbor type")
@@ -613,6 +631,10 @@ func (p *parser) stmt() (Stmt, error) {
 			return p.ifStmt()
 		case "send":
 			return p.sendStmt()
+		case "route", "multicast":
+			if p.peek().kind == tokIdent {
+				return p.sendStmt()
+			}
 		case "foreach":
 			return p.foreachStmt()
 		case "return":
@@ -638,10 +660,17 @@ func (p *parser) stmt() (Stmt, error) {
 		// transition actions in MACEDON).
 		if p.peek().kind == tokPunct {
 			switch p.peek().text {
-			case "(":
+			case "(", "[":
+				// A call, or an assignment to a keytable entry's field or to
+				// a field of the message: "groups[g].f = v;", "field(f) = v;".
 				mark := p.i
-				st, err := p.callStmt()
-				if err == nil {
+				if p.peek().text == "(" {
+					if st, err := p.callStmt(); err == nil {
+						return st, nil
+					}
+					p.i = mark
+				}
+				if st, err := p.lvalueAssign(); err == nil {
 					return st, nil
 				}
 				p.i = mark
@@ -663,6 +692,47 @@ func (p *parser) stmt() (Stmt, error) {
 		}
 	}
 	return p.opaqueStmt()
+}
+
+// lvalueAssign: <entry or field(name)> = expr ;
+func (p *parser) lvalueAssign() (Stmt, error) {
+	pos := p.cur().pos
+	lhs, err := p.primaryExpr()
+	if err != nil {
+		return nil, err
+	}
+	st := &AssignStmt{Pos: pos}
+	switch lhs := lhs.(type) {
+	case EntryExpr:
+		st.Entry = &lhs
+	case CallExpr:
+		if id, ok := fieldName(lhs); ok {
+			st.Target, st.Field = id, true
+			break
+		}
+		return nil, p.errf(pos, "cannot assign to %s", lhs)
+	default:
+		return nil, p.errf(pos, "cannot assign to %s", lhs)
+	}
+	if _, err := p.expectPunct("="); err != nil {
+		return nil, err
+	}
+	if st.Value, err = p.expr(); err != nil {
+		return nil, err
+	}
+	if _, err := p.expectPunct(";"); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// fieldName returns x when e is field(x).
+func fieldName(e CallExpr) (string, bool) {
+	if e.Fn != "field" || len(e.Args) != 1 {
+		return "", false
+	}
+	id, ok := e.Args[0].(Ident)
+	return id.Name, ok
 }
 
 func (p *parser) ifStmt() (Stmt, error) {
@@ -757,9 +827,11 @@ func (p *parser) foreachStmt() (Stmt, error) {
 	return &ForeachStmt{Var: v.text, List: list, Body: body, Pos: pos}, nil
 }
 
-// sendStmt: send msg(dest, field=value, ...);
+// sendStmt: send msg(dest, field=value, ...); and the forms that send through
+// the layer below, route msg(key, ...) and multicast msg(group, ...).
 func (p *parser) sendStmt() (Stmt, error) {
-	pos := p.next().pos // "send"
+	verb := p.next() // "send", "route" or "multicast"
+	pos := verb.pos
 	msg, err := p.expectIdent("message name")
 	if err != nil {
 		return nil, err
@@ -771,7 +843,7 @@ func (p *parser) sendStmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &CallStmt{Fn: "send", Msg: msg.text, Args: []Expr{dest}, Pos: pos}
+	st := &CallStmt{Fn: verb.text, Msg: msg.text, Args: []Expr{dest}, Pos: pos}
 	for p.acceptPunct(",") {
 		name, err := p.expectIdent("field name")
 		if err != nil {
@@ -981,6 +1053,23 @@ func (p *parser) primaryExpr() (Expr, error) {
 				}
 			}
 			return call, nil
+		}
+		if p.acceptPunct("[") {
+			k, err := p.expr()
+			if err != nil {
+				return nil, err
+			}
+			if _, err := p.expectPunct("]"); err != nil {
+				return nil, err
+			}
+			if _, err := p.expectPunct("."); err != nil {
+				return nil, err
+			}
+			f, err := p.expectIdent("keytable field")
+			if err != nil {
+				return nil, err
+			}
+			return EntryExpr{Table: t.text, Key: k, Field: f.text}, nil
 		}
 		return Ident{Name: t.text}, nil
 	case tokPunct:

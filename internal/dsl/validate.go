@@ -10,7 +10,8 @@ import (
 // before code generation: every referenced state, message, timer, transport,
 // and neighbor type must be declared, names must be unique, and layered
 // specifications must not bind messages to transports (their traffic rides
-// the base protocol), and a routing declaration must bind each of its roles
+// the base protocol), a keytable's fields must be distinct and typed, and a
+// routing declaration must bind each of its roles
 // once, to a variable of a type the role takes. Every error it returns is an
 // *Error positioned at the offending declaration.
 func Validate(s *Spec) error {
@@ -113,6 +114,17 @@ func Validate(s *Spec) error {
 		case VarTable:
 			if n, ok := intValue(v.Max); !ok || n <= 0 {
 				return errAt(v.Pos, "nodetable %q size %q is not a positive integer literal or constant", v.Name, v.Max)
+			}
+		case VarKeyTable:
+			fields := map[string]bool{}
+			for _, f := range v.Fields {
+				if !scalarTypes[f.Type] && f.Type != "tally" {
+					return errAt(f.Pos, "keytable %q field %q has unknown type %q", v.Name, f.Name, f.Type)
+				}
+				if fields[f.Name] {
+					return errAt(f.Pos, "keytable %q field %q declared twice", v.Name, f.Name)
+				}
+				fields[f.Name] = true
 			}
 		}
 	}

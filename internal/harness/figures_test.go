@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"macedon/internal/core"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/scribe"
-	"macedon/internal/overlays/splitstream"
+	"macedon/internal/overlays/genscribe"
 	"macedon/internal/repo"
 	"macedon/internal/scenario"
 )
@@ -304,16 +304,17 @@ func TestSplitStreamOneRootPerStripe(t *testing.T) {
 	r, sched := startRun(t, s)
 	r.c.RunFor(sched.Settle)
 
-	agent := func(a overlay.Address) *scribe.Protocol {
-		return r.c.Nodes[a].Instance("scribe").Agent().(*scribe.Protocol)
+	// entry is node a's Scribe record of stripe key k.
+	entry := func(a overlay.Address, k overlay.Key) genscribe.GroupsEntry {
+		return core.KeyRead(r.c.Nodes[a].Instance("scribe").Agent().(*genscribe.Agent).Groups, k)
 	}
 	group := overlay.HashString(s.GroupName())
 	var claims []string
 	for i := 0; i < 16; i++ {
-		k := splitstream.StripeKey(group, i)
+		k := group.WithDigit(0, 4, i)
 		var roots []int
 		for ni, a := range r.c.Addrs {
-			if agent(a).IsRoot(k) {
+			if entry(a, k).Root {
 				roots = append(roots, ni)
 			}
 		}
@@ -336,13 +337,13 @@ func TestSplitStreamOneRootPerStripe(t *testing.T) {
 	// Every member's parent counts it as a child: a refresh ack from a
 	// parent the member has since left must not re-parent it.
 	for i := 0; i < 16; i++ {
-		k := splitstream.StripeKey(group, i)
+		k := group.WithDigit(0, 4, i)
 		for ni, a := range r.c.Addrs {
-			par := agent(a).Parent(k)
+			par := entry(a, k).Parent
 			if par == overlay.NilAddress {
 				continue
 			}
-			if !slices.Contains(agent(par).Children(k), a) {
+			if !slices.Contains(entry(par, k).Children.Addrs, a) {
 				t.Errorf("stripe %d: node %d's parent %v does not count it as a child", i, ni, par)
 			}
 		}

@@ -15,20 +15,21 @@ import (
 	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/genpastry"
 	"macedon/internal/overlays/genrandtree"
+	"macedon/internal/overlays/genscribe"
+	"macedon/internal/overlays/gensplitstream"
 	"macedon/internal/overlays/nice"
 	"macedon/internal/overlays/overcast"
-	"macedon/internal/overlays/scribe"
-	"macedon/internal/overlays/splitstream"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 	"macedon/internal/substrate"
 )
 
 // ScenarioStack resolves a scenario protocol name onto a node stack: nice,
-// overcast, ammo, and Chord, Pastry and RandTree, which exist only as the
-// code `macedon gen` emits from specs/*.mac: chord and genchord name the
-// same agent, as do pastry and genpastry and randtree and genrandtree.
-// Scribe stacks on Pastry, splitstream on Scribe, and bullet on RandTree.
+// overcast, ammo, and Chord, Pastry, RandTree, Scribe and SplitStream, which
+// exist only as the code `macedon gen` emits from specs/*.mac: chord and
+// genchord name the same agent, as do pastry and genpastry and randtree and
+// genrandtree. Scribe stacks on Pastry, splitstream on Scribe, and bullet on
+// RandTree.
 func ScenarioStack(proto string) ([]core.Factory, error) {
 	switch proto {
 	case "", "chord", "genchord":
@@ -38,14 +39,14 @@ func ScenarioStack(proto string) ([]core.Factory, error) {
 	case "randtree", "genrandtree":
 		return []core.Factory{genrandtree.New()}, nil
 	case "scribe":
-		return []core.Factory{genpastry.New(), scribe.New(scribe.Params{})}, nil
+		return []core.Factory{genpastry.New(), genscribe.New()}, nil
 	case "splitstream":
 		// Figure 12's forest: 16 stripe trees whose fan-out Scribe bounds
 		// by pushdown, SplitStream's one change to it (§4.1).
 		return []core.Factory{
 			genpastry.New(),
-			scribe.New(scribe.Params{MaxChildren: 16}),
-			splitstream.New(splitstream.Params{Stripes: 16}),
+			func() core.Agent { return &genscribe.Agent{MaxChildren: 16} },
+			gensplitstream.New(),
 		}, nil
 	case "nice":
 		return []core.Factory{nice.New(nice.Params{})}, nil

@@ -10,8 +10,6 @@ import (
 	"macedon/internal/overlay"
 )
 
-var _ = time.Millisecond
-
 type msgFindReq struct {
 	Target  overlay.Key
 	Origin  overlay.Address
@@ -63,17 +61,13 @@ func (m *msgFindResp) Decode(r *overlay.Reader) error {
 	return r.Err()
 }
 
-type msgGetPredReq struct {
-}
+type msgGetPredReq struct{}
 
 func (m *msgGetPredReq) MsgName() string { return "get_pred_req" }
 
-func (m *msgGetPredReq) Encode(w *overlay.Writer) {
-}
+func (m *msgGetPredReq) Encode(*overlay.Writer) {}
 
-func (m *msgGetPredReq) Decode(r *overlay.Reader) error {
-	return r.Err()
-}
+func (m *msgGetPredReq) Decode(r *overlay.Reader) error { return r.Err() }
 
 type msgGetPredResp struct {
 	Pred  overlay.Address
@@ -93,17 +87,13 @@ func (m *msgGetPredResp) Decode(r *overlay.Reader) error {
 	return r.Err()
 }
 
-type msgNotify struct {
-}
+type msgNotify struct{}
 
 func (m *msgNotify) MsgName() string { return "notify" }
 
-func (m *msgNotify) Encode(w *overlay.Writer) {
-}
+func (m *msgNotify) Encode(*overlay.Writer) {}
 
-func (m *msgNotify) Decode(r *overlay.Reader) error {
-	return r.Err()
-}
+func (m *msgNotify) Decode(r *overlay.Reader) error { return r.Err() }
 
 type msgData struct {
 	Dest    overlay.Key
@@ -267,7 +257,6 @@ func (*Agent) Define(d *core.Def) {
 
 // transition0 implements: (init) API init [locking write;]
 func (a *Agent) transition0(ctx *core.Context, call *core.APICall) {
-	_ = call
 	a.Boot = call.Bootstrap
 	if a.FixMs == 0 {
 		a.FixMs = 1000
@@ -291,9 +280,7 @@ func (a *Agent) transition1(ctx *core.Context) {
 }
 
 // transition2 implements: (joined) recv find_req [locking write;]
-func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgFindReq)
-	_ = m
+func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent, m *msgFindReq) {
 	if (ctx.Neighbors("pred").Size() > 0) && (m.Target).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
 		_ = ctx.Send(m.Origin, core.Put(&a.io.tx.FindResp, msgFindResp{Target: m.Target, Owner: ctx.Self(), Purpose: m.Purpose, Finger: m.Finger}), overlay.PriorityDefault)
 		return
@@ -331,9 +318,7 @@ func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent) {
 }
 
 // transition3 implements: (joining) recv find_resp [locking write;]
-func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgFindResp)
-	_ = m
+func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent, m *msgFindResp) {
 	if ((m.Purpose != 0) || (m.Owner == ctx.Self())) || (m.Owner == overlay.NilAddress) {
 		return
 	}
@@ -349,9 +334,7 @@ func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent) {
 }
 
 // transition4 implements: (joined) recv find_resp [locking write;]
-func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgFindResp)
-	_ = m
+func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent, m *msgFindResp) {
 	if ((m.Purpose == 1) && (m.Finger >= 0)) && (m.Finger < 32) {
 		if a.FixAdaptive != 0 {
 			if core.ListGet(a.Fingers[:], m.Finger) == m.Owner {
@@ -405,16 +388,12 @@ func (a *Agent) transition6(ctx *core.Context) {
 }
 
 // transition7 implements: any recv get_pred_req [locking write;]
-func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgGetPredReq)
-	_ = m
+func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent, m *msgGetPredReq) {
 	_ = ctx.Send(ev.From, core.Put(&a.io.tx.GetPredResp, msgGetPredResp{Pred: core.NeighborFirst(ctx, "pred"), Succs: a.Succs}), overlay.PriorityDefault)
 }
 
 // transition8 implements: (joined) recv get_pred_resp [locking write;]
-func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgGetPredResp)
-	_ = m
+func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent, m *msgGetPredResp) {
 	var succ overlay.Address
 	_ = succ
 	succ = core.ListGet(a.Succs, 0)
@@ -440,9 +419,7 @@ func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent) {
 }
 
 // transition9 implements: any recv notify [locking write;]
-func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgNotify)
-	_ = m
+func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent, m *msgNotify) {
 	if ev.From == ctx.Self() {
 		return
 	}
@@ -512,7 +489,6 @@ func (a *Agent) transition10(ctx *core.Context) {
 
 // transition11 implements: (joined) API route [locking write;]
 func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
-	_ = call
 	if (ctx.Neighbors("pred").Size() > 0) && (call.Dest).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 		return
@@ -555,9 +531,7 @@ func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
 }
 
 // transition12 implements: (joined) recv data [locking write;]
-func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgData)
-	_ = m
+func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent, m *msgData) {
 	if (ctx.Neighbors("pred").Size() > 0) && (m.Dest).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
 		ctx.Deliver(m.Payload, m.Typ, m.Src)
 		return
@@ -604,7 +578,6 @@ func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent) {
 
 // transition13 implements: any API routeIP [locking write;]
 func (a *Agent) transition13(ctx *core.Context, call *core.APICall) {
-	_ = call
 	if call.DestIP == ctx.Self() {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
@@ -613,15 +586,12 @@ func (a *Agent) transition13(ctx *core.Context, call *core.APICall) {
 }
 
 // transition14 implements: any recv data_ip [locking write;]
-func (a *Agent) transition14(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgDataIp)
-	_ = m
+func (a *Agent) transition14(ctx *core.Context, ev *core.MsgEvent, m *msgDataIp) {
 	ctx.Deliver(m.Payload, m.Typ, m.Src)
 }
 
 // transition15 implements: any API error [locking write;]
 func (a *Agent) transition15(ctx *core.Context, call *core.APICall) {
-	_ = call
 	a.Succs = core.ListRemove(a.Succs, call.Failed)
 	ctx.Neighbors("succ_nbrs").Assign(a.Succs, ctx.Self())
 	ctx.Neighbors("pred").Remove(call.Failed)

@@ -11,8 +11,6 @@ import (
 	"macedon/internal/overlay"
 )
 
-var _ = time.Millisecond
-
 type msgJoinReq struct {
 	Joiner overlay.Address
 	Ttl    int32
@@ -46,29 +44,21 @@ func (m *msgJoinReply) Decode(r *overlay.Reader) error {
 	return r.Err()
 }
 
-type msgAnnounce struct {
-}
+type msgAnnounce struct{}
 
 func (m *msgAnnounce) MsgName() string { return "announce" }
 
-func (m *msgAnnounce) Encode(w *overlay.Writer) {
-}
+func (m *msgAnnounce) Encode(*overlay.Writer) {}
 
-func (m *msgAnnounce) Decode(r *overlay.Reader) error {
-	return r.Err()
-}
+func (m *msgAnnounce) Decode(r *overlay.Reader) error { return r.Err() }
 
-type msgLsReq struct {
-}
+type msgLsReq struct{}
 
 func (m *msgLsReq) MsgName() string { return "ls_req" }
 
-func (m *msgLsReq) Encode(w *overlay.Writer) {
-}
+func (m *msgLsReq) Encode(*overlay.Writer) {}
 
-func (m *msgLsReq) Decode(r *overlay.Reader) error {
-	return r.Err()
-}
+func (m *msgLsReq) Decode(r *overlay.Reader) error { return r.Err() }
 
 type msgLsResp struct {
 	Leaves []overlay.Address
@@ -257,7 +247,6 @@ func (*Agent) Define(d *core.Def) {
 
 // transition0 implements: (init) API init [locking write;]
 func (a *Agent) transition0(ctx *core.Context, call *core.APICall) {
-	_ = call
 	a.Boot = call.Bootstrap
 	if a.CacheMs > 0 {
 		ctx.TimerSched("cache_flush", time.Duration(a.CacheMs)*time.Millisecond)
@@ -279,9 +268,7 @@ func (a *Agent) transition1(ctx *core.Context) {
 }
 
 // transition2 implements: (joined) recv join_req [locking write;]
-func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgJoinReq)
-	_ = m
+func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent, m *msgJoinReq) {
 	var j overlay.Address
 	_ = j
 	j = m.Joiner
@@ -312,9 +299,7 @@ func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent) {
 }
 
 // transition3 implements: (joining) recv join_reply [locking write;]
-func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgJoinReply)
-	_ = m
+func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent, m *msgJoinReply) {
 	ctx.StateChange("joined")
 	ctx.TimerCancel("rejoin")
 	ctx.TimerSched("ls_exchange", 2000*time.Millisecond)
@@ -346,9 +331,7 @@ func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent) {
 }
 
 // transition4 implements: (joined) recv announce [locking write;]
-func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgAnnounce)
-	_ = m
+func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent, m *msgAnnounce) {
 	var row int32
 	_ = row
 	row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(ev.From), 4))
@@ -372,9 +355,7 @@ func (a *Agent) transition5(ctx *core.Context) {
 }
 
 // transition6 implements: any recv ls_req [locking write;]
-func (a *Agent) transition6(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgLsReq)
-	_ = m
+func (a *Agent) transition6(ctx *core.Context, ev *core.MsgEvent, m *msgLsReq) {
 	var row int32
 	_ = row
 	row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(ev.From), 4))
@@ -387,9 +368,7 @@ func (a *Agent) transition6(ctx *core.Context, ev *core.MsgEvent) {
 }
 
 // transition7 implements: (joined) recv ls_resp [locking write;]
-func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgLsResp)
-	_ = m
+func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent, m *msgLsResp) {
 	var row int32
 	_ = row
 	row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(ev.From), 4))
@@ -411,7 +390,6 @@ func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent) {
 
 // transition8 implements: (joined) API route [locking write;]
 func (a *Agent) transition8(ctx *core.Context, call *core.APICall) {
-	_ = call
 	if a.Cache[call.Dest] != overlay.NilAddress {
 		_ = ctx.Send(a.Cache[call.Dest], core.Put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 0, Payload: call.Payload}), overlay.PriorityDefault)
 		return
@@ -457,9 +435,7 @@ func (a *Agent) transition8(ctx *core.Context, call *core.APICall) {
 }
 
 // transition9 implements: (joined) recv data [locking write;]
-func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgData)
-	_ = m
+func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent, m *msgData) {
 	var best overlay.Address
 	_ = best
 	best = ctx.Self()
@@ -507,13 +483,8 @@ func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent) {
 }
 
 // transition10 implements: any recv cache_info [locking write;]
-func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgCacheInfo)
-	_ = m
-	if a.Cache == nil {
-		a.Cache = make(map[overlay.Key]overlay.Address)
-	}
-	a.Cache[m.Id] = ev.From
+func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent, m *msgCacheInfo) {
+	core.MapPut(&a.Cache, m.Id, ev.From)
 }
 
 // transition11 implements: any timer cache_flush [locking write;]
@@ -524,7 +495,6 @@ func (a *Agent) transition11(ctx *core.Context) {
 
 // transition12 implements: any API routeIP [locking write;]
 func (a *Agent) transition12(ctx *core.Context, call *core.APICall) {
-	_ = call
 	if call.DestIP == ctx.Self() {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
@@ -533,15 +503,12 @@ func (a *Agent) transition12(ctx *core.Context, call *core.APICall) {
 }
 
 // transition13 implements: any recv data_ip [locking write;]
-func (a *Agent) transition13(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgDataIp)
-	_ = m
+func (a *Agent) transition13(ctx *core.Context, ev *core.MsgEvent, m *msgDataIp) {
 	ctx.Deliver(m.Payload, m.Typ, m.Src)
 }
 
 // transition14 implements: any API error [locking write;]
 func (a *Agent) transition14(ctx *core.Context, call *core.APICall) {
-	_ = call
 	a.Leafset = core.ListRemove(a.Leafset, call.Failed)
 	ctx.Neighbors("leaves").Assign(a.Leafset, ctx.Self())
 	core.TableRemove(a.Rt[:], call.Failed)

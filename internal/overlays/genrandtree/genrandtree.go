@@ -10,19 +10,13 @@ import (
 	"macedon/internal/overlay"
 )
 
-var _ = time.Millisecond
-
-type msgJoin struct {
-}
+type msgJoin struct{}
 
 func (m *msgJoin) MsgName() string { return "join" }
 
-func (m *msgJoin) Encode(w *overlay.Writer) {
-}
+func (m *msgJoin) Encode(*overlay.Writer) {}
 
-func (m *msgJoin) Decode(r *overlay.Reader) error {
-	return r.Err()
-}
+func (m *msgJoin) Decode(r *overlay.Reader) error { return r.Err() }
 
 type msgJoinReply struct {
 	Accept   int32
@@ -198,7 +192,6 @@ func (*Agent) Define(d *core.Def) {
 
 // transition0 implements: (init) API init [locking write;]
 func (a *Agent) transition0(ctx *core.Context, call *core.APICall) {
-	_ = call
 	a.Root = call.Bootstrap
 	if a.Root == ctx.Self() {
 		ctx.StateChange("joined")
@@ -210,9 +203,7 @@ func (a *Agent) transition0(ctx *core.Context, call *core.APICall) {
 }
 
 // transition1 implements: (joined) recv join [locking write;]
-func (a *Agent) transition1(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgJoin)
-	_ = m
+func (a *Agent) transition1(ctx *core.Context, ev *core.MsgEvent, m *msgJoin) {
 	if ctx.Neighbors("kids").Contains(ev.From) {
 		_ = ctx.Send(ev.From, core.Put(&a.io.tx.JoinReply, msgJoinReply{Accept: 1}), overlay.PriorityDefault)
 	} else {
@@ -227,16 +218,12 @@ func (a *Agent) transition1(ctx *core.Context, ev *core.MsgEvent) {
 }
 
 // transition2 implements: (joining|init) recv join [locking write;]
-func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgJoin)
-	_ = m
+func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent, m *msgJoin) {
 	_ = ctx.Send(ev.From, core.Put(&a.io.tx.JoinReply, msgJoinReply{Accept: 0, Redirect: a.Root}), overlay.PriorityDefault)
 }
 
 // transition3 implements: (joining) recv join_reply [locking write;]
-func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgJoinReply)
-	_ = m
+func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent, m *msgJoinReply) {
 	if m.Accept == 1 {
 		ctx.Neighbors("parent").Clear()
 		ctx.Neighbors("parent").Add(ev.From)
@@ -262,7 +249,6 @@ func (a *Agent) transition4(ctx *core.Context) {
 
 // transition5 implements: (joined) API error [locking write;]
 func (a *Agent) transition5(ctx *core.Context, call *core.APICall) {
-	_ = call
 	if (ctx.Neighbors("parent").Size() == 0) && (ctx.Self() != a.Root) {
 		ctx.StateChange("joining")
 		ctx.TimerSched("rejoin", 1000*time.Millisecond)
@@ -272,13 +258,11 @@ func (a *Agent) transition5(ctx *core.Context, call *core.APICall) {
 
 // transition6 implements: !(joined) API error [locking write;]
 func (a *Agent) transition6(ctx *core.Context, call *core.APICall) {
-	_ = call
 	ctx.NotifyNeighbors(overlay.NbrTypeChild, ctx.Neighbors("kids").Addrs())
 }
 
 // transition7 implements: (joined) API multicast [locking read;]
 func (a *Agent) transition7(ctx *core.Context, call *core.APICall) {
-	_ = call
 	for _, k := range ctx.Neighbors("kids").Addrs() {
 		fwOk, _, fwPayload := ctx.Forward(call.Payload, call.PayloadType, k, overlay.HashAddress(k))
 		if !fwOk {
@@ -290,9 +274,7 @@ func (a *Agent) transition7(ctx *core.Context, call *core.APICall) {
 }
 
 // transition8 implements: any recv mdata [locking read;]
-func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgMdata)
-	_ = m
+func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent, m *msgMdata) {
 	for _, k := range ctx.Neighbors("kids").Addrs() {
 		if (k != ev.From) && (m.Ttl > 0) {
 			fwOk, _, fwPayload := ctx.Forward(m.Payload, m.Typ, k, overlay.HashAddress(k))
@@ -310,7 +292,6 @@ func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent) {
 
 // transition9 implements: (joined) API collect [locking read;]
 func (a *Agent) transition9(ctx *core.Context, call *core.APICall) {
-	_ = call
 	if ctx.Neighbors("parent").Size() == 0 {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
@@ -319,9 +300,7 @@ func (a *Agent) transition9(ctx *core.Context, call *core.APICall) {
 }
 
 // transition10 implements: any recv cdata [locking read;]
-func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgCdata)
-	_ = m
+func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent, m *msgCdata) {
 	if m.Ttl > 0 {
 		fwOk, _, fwPayload := ctx.Forward(m.Payload, m.Typ, ctx.Self(), overlay.HashAddress(ctx.Self()))
 		if !fwOk {
@@ -338,7 +317,6 @@ func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent) {
 
 // transition11 implements: any API routeIP [locking read;]
 func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
-	_ = call
 	if call.DestIP == ctx.Self() {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
@@ -347,8 +325,6 @@ func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
 }
 
 // transition12 implements: any recv data_ip [locking read;]
-func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent) {
-	m := ev.Msg.(*msgDataIp)
-	_ = m
+func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent, m *msgDataIp) {
 	ctx.Deliver(m.Payload, m.Typ, m.Src)
 }

@@ -18,7 +18,6 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genpastry"
-	"macedon/internal/overlays/splitstream"
 	"macedon/internal/scenario"
 )
 
@@ -127,7 +126,7 @@ func TestRoutingDeliversAtNumericallyClosest(t *testing.T) {
 	group := overlay.HashString("figure12-session")
 	var stripes []overlay.Key
 	for i := 0; i < 16; i++ {
-		stripes = append(stripes, splitstream.StripeKey(group, i))
+		stripes = append(stripes, group.WithDigit(0, 4, i))
 	}
 	for _, tc := range []struct {
 		nodes  int

@@ -1,3 +1,7 @@
+// Package scribe_test holds Scribe's behaviour tests. Scribe exists only as
+// the code `macedon gen` emits from specs/scribe.mac, in
+// internal/overlays/genscribe; these tests run that agent over generated
+// Pastry and generated Chord.
 package scribe_test
 
 import (
@@ -9,16 +13,23 @@ import (
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/genpastry"
-	"macedon/internal/overlays/scribe"
+	"macedon/internal/overlays/genscribe"
 )
 
-// overPastry and overChord are the paper's one-line DHT switch.
-func overPastry(sp scribe.Params) []core.Factory {
-	return []core.Factory{genpastry.New(), scribe.New(sp)}
+// params are the per-run values a scenario sets through SetParam.
+type params struct{ refreshMs, maxChildren int32 }
+
+func scribeWith(p params) core.Factory {
+	return func() core.Agent { return &genscribe.Agent{RefreshMs: p.refreshMs, MaxChildren: p.maxChildren} }
 }
 
-func overChord(sp scribe.Params) []core.Factory {
-	return []core.Factory{genchord.New(), scribe.New(sp)}
+// overPastry and overChord are the paper's one-line DHT switch.
+func overPastry(p params) []core.Factory {
+	return []core.Factory{genpastry.New(), scribeWith(p)}
+}
+
+func overChord(p params) []core.Factory {
+	return []core.Factory{genchord.New(), scribeWith(p)}
 }
 
 func build(t *testing.T, n int, stack []core.Factory, settle time.Duration, seed int64) *harness.Cluster {
@@ -34,8 +45,9 @@ func build(t *testing.T, n int, stack []core.Factory, settle time.Duration, seed
 	return c
 }
 
-func scribeOf(c *harness.Cluster, a overlay.Address) *scribe.Protocol {
-	return c.Nodes[a].Instance("scribe").Agent().(*scribe.Protocol)
+// groupOf returns node a's record of a group.
+func groupOf(c *harness.Cluster, a overlay.Address, g overlay.Key) genscribe.GroupsEntry {
+	return core.KeyRead(c.Nodes[a].Instance("scribe").Agent().(*genscribe.Agent).Groups, g)
 }
 
 func testMulticastReachesAllMembers(t *testing.T, stack []core.Factory) {
@@ -81,17 +93,17 @@ func testMulticastReachesAllMembers(t *testing.T, stack []core.Factory) {
 }
 
 func TestMulticastOverPastry(t *testing.T) {
-	testMulticastReachesAllMembers(t, overPastry(scribe.Params{}))
+	testMulticastReachesAllMembers(t, overPastry(params{}))
 }
 
 // TestMulticastOverChord is the paper's headline interoperability claim:
 // switching Scribe's DHT is a one-line change.
 func TestMulticastOverChord(t *testing.T) {
-	testMulticastReachesAllMembers(t, overChord(scribe.Params{}))
+	testMulticastReachesAllMembers(t, overChord(params{}))
 }
 
 func TestAnycastReachesExactlyOneMember(t *testing.T) {
-	c := build(t, 12, overPastry(scribe.Params{}), 90*time.Second, 37)
+	c := build(t, 12, overPastry(params{}), 90*time.Second, 37)
 	group := overlay.HashString("anycast-group")
 	var hits int
 	for _, a := range c.Addrs[2:6] {
@@ -113,7 +125,7 @@ func TestAnycastReachesExactlyOneMember(t *testing.T) {
 }
 
 func TestCollectReachesRoot(t *testing.T) {
-	c := build(t, 10, overPastry(scribe.Params{}), 90*time.Second, 41)
+	c := build(t, 10, overPastry(params{}), 90*time.Second, 41)
 	group := overlay.HashString("collect-group")
 	for _, a := range c.Addrs[1:] {
 		_ = c.Nodes[a].Join(group)
@@ -123,7 +135,7 @@ func TestCollectReachesRoot(t *testing.T) {
 	var root overlay.Address = overlay.NilAddress
 	var collected int
 	for _, a := range c.Addrs {
-		if p := scribeOf(c, a); p.Parent(group) == overlay.NilAddress && len(p.Children(group)) > 0 {
+		if p := groupOf(c, a, group); p.Parent == overlay.NilAddress && len(p.Children.Addrs) > 0 {
 			root = a
 		}
 	}
@@ -150,7 +162,7 @@ func TestCollectReachesRoot(t *testing.T) {
 }
 
 func TestLeavePrunesTree(t *testing.T) {
-	c := build(t, 10, overPastry(scribe.Params{RefreshPeriod: 5 * time.Second}), 60*time.Second, 43)
+	c := build(t, 10, overPastry(params{refreshMs: 5000}), 60*time.Second, 43)
 	group := overlay.HashString("leave-group")
 	for _, a := range c.Addrs[1:] {
 		_ = c.Nodes[a].Join(group)
@@ -161,8 +173,8 @@ func TestLeavePrunesTree(t *testing.T) {
 	}
 	c.RunFor(60 * time.Second) // refreshes expire children
 	for _, a := range c.Addrs {
-		p := scribeOf(c, a)
-		if n := len(p.Children(group)); n != 0 {
+		p := groupOf(c, a, group)
+		if n := len(p.Children.Addrs); n != 0 {
 			t.Errorf("node %v still has %d children after everyone left", a, n)
 		}
 	}
@@ -170,7 +182,7 @@ func TestLeavePrunesTree(t *testing.T) {
 
 func TestPushdownBoundsChildren(t *testing.T) {
 	const maxKids = 2
-	c := build(t, 14, overPastry(scribe.Params{MaxChildren: maxKids}), 90*time.Second, 47)
+	c := build(t, 14, overPastry(params{maxChildren: maxKids}), 90*time.Second, 47)
 	group := overlay.HashString("bounded-group")
 	for _, a := range c.Addrs {
 		_ = c.Nodes[a].Join(group)
@@ -178,11 +190,11 @@ func TestPushdownBoundsChildren(t *testing.T) {
 	c.RunFor(60 * time.Second)
 	reached := 0
 	for _, a := range c.Addrs {
-		p := scribeOf(c, a)
-		if kids := len(p.Children(group)); kids > maxKids {
+		p := groupOf(c, a, group)
+		if kids := len(p.Children.Addrs); kids > maxKids {
 			t.Errorf("node %v has %d children, bound %d", a, kids, maxKids)
 		}
-		if p.Member(group) && (p.Parent(group) != overlay.NilAddress || len(p.Children(group)) > 0) {
+		if p.Member && (p.Parent != overlay.NilAddress || len(p.Children.Addrs) > 0) {
 			reached++
 		}
 	}

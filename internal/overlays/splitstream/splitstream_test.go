@@ -1,3 +1,7 @@
+// Package splitstream_test holds SplitStream's behaviour tests. SplitStream
+// exists only as the code `macedon gen` emits from specs/splitstream.mac, in
+// internal/overlays/gensplitstream; these tests run it over generated Scribe
+// over generated Pastry.
 package splitstream_test
 
 import (
@@ -8,17 +12,21 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/genpastry"
-	"macedon/internal/overlays/scribe"
-	"macedon/internal/overlays/splitstream"
+	"macedon/internal/overlays/genscribe"
+	"macedon/internal/overlays/gensplitstream"
 )
 
-func forest(stripes, maxKids int) []core.Factory {
+func forest(stripes, maxKids int32) []core.Factory {
 	return []core.Factory{
 		genpastry.New(),
-		scribe.New(scribe.Params{MaxChildren: maxKids}),
-		splitstream.New(splitstream.Params{Stripes: stripes}),
+		func() core.Agent { return &genscribe.Agent{MaxChildren: maxKids} },
+		func() core.Agent { return &gensplitstream.Agent{Stripes: stripes} },
 	}
 }
+
+// stripeKey is stripe i's group key: the session key with its first hex
+// digit replaced by i.
+func stripeKey(group overlay.Key, i int) overlay.Key { return group.WithDigit(0, 4, i) }
 
 func build(t *testing.T, n int, stack []core.Factory, settle time.Duration, seed int64) *harness.Cluster {
 	t.Helper()
@@ -33,11 +41,18 @@ func build(t *testing.T, n int, stack []core.Factory, settle time.Duration, seed
 	return c
 }
 
+// TestStripeKeysDiffer: a join subscribes Scribe to one group per stripe,
+// each the session key with its first hex digit replaced by the stripe
+// number.
 func TestStripeKeysDiffer(t *testing.T) {
+	c := build(t, 2, forest(16, 0), time.Second, 59)
 	g := overlay.HashString("stream")
+	_ = c.Nodes[c.Addrs[1]].Join(g)
+	c.RunFor(time.Second)
+	groups := c.Nodes[c.Addrs[1]].Instance("scribe").Agent().(*genscribe.Agent).Groups
 	seen := map[overlay.Key]bool{}
 	for i := 0; i < 16; i++ {
-		k := splitstream.StripeKey(g, i)
+		k := stripeKey(g, i)
 		if seen[k] {
 			t.Fatalf("duplicate stripe key %v", k)
 		}
@@ -45,6 +60,12 @@ func TestStripeKeysDiffer(t *testing.T) {
 		if k.Digit(0, 4) != i {
 			t.Fatalf("stripe %d first digit = %x", i, k.Digit(0, 4))
 		}
+		if !core.KeyRead(groups, k).Member {
+			t.Fatalf("stripe %d: Scribe has not joined %v", i, k)
+		}
+	}
+	if len(groups) != 16 {
+		t.Fatalf("Scribe holds %d groups, want the 16 stripes", len(groups))
 	}
 }
 
@@ -93,10 +114,10 @@ func TestForwardingLoadSpreads(t *testing.T) {
 	// stripe tree.
 	interior := 0
 	for _, a := range c.Addrs {
-		sc := c.Nodes[a].Instance("scribe").Agent().(*scribe.Protocol)
+		sc := c.Nodes[a].Instance("scribe").Agent().(*genscribe.Agent)
 		kids := 0
 		for i := 0; i < 8; i++ {
-			kids += len(sc.Children(splitstream.StripeKey(group, i)))
+			kids += len(core.KeyRead(sc.Groups, stripeKey(group, i)).Children.Addrs)
 		}
 		if kids > 0 {
 			interior++
@@ -110,9 +131,9 @@ func TestForwardingLoadSpreads(t *testing.T) {
 func TestStripesRoundRobin(t *testing.T) {
 	c := build(t, 8, forest(4, 0), 60*time.Second, 57)
 	group := overlay.HashString("rr")
-	ss := c.Nodes[c.Addrs[0]].Instance("splitstream").Agent().(*splitstream.Protocol)
-	if ss.Stripes() != 4 {
-		t.Fatalf("stripes = %d", ss.Stripes())
+	ss := c.Nodes[c.Addrs[0]].Instance("splitstream").Agent().(*gensplitstream.Agent)
+	if ss.Stripes != 4 {
+		t.Fatalf("stripes = %d", ss.Stripes)
 	}
 	for _, a := range c.Addrs[1:] {
 		_ = c.Nodes[a].Join(group)

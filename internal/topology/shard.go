@@ -1,7 +1,8 @@
 package topology
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -63,9 +64,7 @@ func PartitionLatency(g *Graph, nshards int) []int32 {
 	}
 	capacity := (n + nshards - 1) / nshards
 
-	// Union-find over vertices, merging along cheap pipes first. Links are
-	// created in fwd/rev pairs (rev = fwd^1), so even ids enumerate each
-	// undirected pipe exactly once.
+	// Union-find over vertices, merging along cheap pipes first.
 	parent := make([]int32, n)
 	size := make([]int32, n)
 	for v := range parent {
@@ -81,18 +80,7 @@ func PartitionLatency(g *Graph, nshards int) []int32 {
 		return v
 	}
 	links := g.Links()
-	pipes := make([]LinkID, 0, len(links)/2)
-	for id := 0; id < len(links); id += 2 {
-		pipes = append(pipes, LinkID(id))
-	}
-	sort.Slice(pipes, func(i, j int) bool {
-		a, b := links[pipes[i]], links[pipes[j]]
-		if a.Latency != b.Latency {
-			return a.Latency < b.Latency
-		}
-		return pipes[i] < pipes[j]
-	})
-	for _, id := range pipes {
+	for _, id := range sortedPipes(links) {
 		l := links[id]
 		ra, rb := find(int32(l.From)), find(int32(l.To))
 		if ra == rb || size[ra]+size[rb] > int32(capacity) {
@@ -107,24 +95,21 @@ func PartitionLatency(g *Graph, nshards int) []int32 {
 
 	// Bin-pack components onto shards: largest first (ties break on the
 	// smallest member vertex), each onto the currently least-loaded shard
-	// (ties on the lowest shard id).
-	members := make(map[int32][]int32, nshards*2)
-	for v := int32(0); v < int32(n); v++ {
-		r := find(v)
-		members[r] = append(members[r], v) // ascending: v increases
-	}
-	roots := make([]int32, 0, len(members))
-	for r := range members {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool {
-		a, b := members[roots[i]], members[roots[j]]
-		if len(a) != len(b) {
-			return len(a) > len(b)
+	// (ties on the lowest shard id). An ascending vertex scan meets each
+	// component first at its smallest member, so a stable sort on size alone
+	// breaks ties as required. parent[v] becomes v's root on the way.
+	var roots []int32
+	listed := make([]bool, n)
+	for v := range parent {
+		r := find(int32(v))
+		parent[v] = r
+		if !listed[r] {
+			listed[r] = true
+			roots = append(roots, r)
 		}
-		return a[0] < b[0]
-	})
-	load := make([]int, nshards)
+	}
+	slices.SortStableFunc(roots, func(a, b int32) int { return cmp.Compare(size[b], size[a]) })
+	load := make([]int32, nshards)
 	for _, r := range roots {
 		best := 0
 		for s := 1; s < nshards; s++ {
@@ -132,10 +117,50 @@ func PartitionLatency(g *Graph, nshards int) []int32 {
 				best = s
 			}
 		}
-		for _, v := range members[r] {
-			assign[v] = int32(best)
-		}
-		load[best] += len(members[r])
+		assign[r] = int32(best)
+		load[best] += size[r]
+	}
+	for v, r := range parent {
+		assign[v] = assign[r]
 	}
 	return assign
+}
+
+// pipeIDBits is how many low bits of a sortedPipes key hold the link id;
+// the latency fills the rest.
+const (
+	pipeIDBits = 24
+	pipeIDMask = 1<<pipeIDBits - 1
+)
+
+// sortedPipes returns the graph's undirected pipes, each as the id of its
+// forward link, in ascending (latency, id) order. Links are created in
+// fwd/rev pairs (rev = fwd^1), so even ids enumerate each pipe exactly once.
+// The sort runs on plain words, latency above pipeIDBits and id below, which
+// is what makes the sweep cheap; a graph whose ids or latencies do not fit
+// that packing sorts with an explicit comparison instead.
+func sortedPipes(links []Link) []LinkID {
+	pipes := make([]LinkID, 0, len(links)/2)
+	for id := 0; id < len(links); id += 2 {
+		pipes = append(pipes, LinkID(id))
+	}
+	keys := make([]uint64, 0, len(pipes))
+	for _, id := range pipes {
+		lat := links[id].Latency
+		if lat < 0 || uint64(lat) >= 1<<(64-pipeIDBits) || int(id) > pipeIDMask {
+			slices.SortFunc(pipes, func(a, b LinkID) int {
+				if c := cmp.Compare(links[a].Latency, links[b].Latency); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+			return pipes
+		}
+		keys = append(keys, uint64(lat)<<pipeIDBits|uint64(id))
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		pipes[i] = LinkID(k & pipeIDMask)
+	}
+	return pipes
 }

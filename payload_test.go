@@ -57,7 +57,7 @@ func payloadCases(t *testing.T) []payloadCase {
 	for _, proto := range []string{"chord", "pastry", "genchord", "genpastry"} {
 		cases = append(cases, payloadCase{name: proto, stack: stack(proto)})
 	}
-	for _, proto := range []string{"genrandtree", "scribe", "nice", "overcast", "ammo", "bullet"} {
+	for _, proto := range []string{"genrandtree", "scribe", "splitstream", "nice", "overcast", "ammo", "bullet"} {
 		cases = append(cases, payloadCase{name: proto, stack: stack(proto), multicast: true})
 	}
 	// A late joiner is caught up from its new parent's backlog.
