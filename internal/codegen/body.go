@@ -101,14 +101,23 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 			if err != nil {
 				return err
 			}
+			if typ == "nodeset" && s.Entry != nil {
+				// Into the entry's own array, as a nodeset variable is assigned.
+				src, err := g.nodesetExpr(s.Value)
+				if err != nil {
+					return err
+				}
+				g.pf("%score.ListSet(&%s, %s)\n", ind, lv, src)
+				return nil
+			}
 			if typ == "nodeset" || typ == "tally" || typ == "buffer" || typ == "keyset" {
 				return softf("assignment of a whole %s to %s at %s", typ, stmtSummary(s), s.Pos)
 			}
-			g.pf("%s%s = %s\n", ind, lv, val)
+			g.pf("%s%s = %s\n", ind, lv, g.convert(typ, s.Value, val))
 			return nil
 		}
-		if _, local := g.locals[s.Target]; local {
-			g.pf("%s%s = %s\n", ind, goName(s.Target), val)
+		if typ, local := g.locals[s.Target]; local {
+			g.pf("%s%s = %s\n", ind, goName(s.Target), g.convert(typ, s.Value, val))
 			return nil
 		}
 		v, ok := g.varTypes[s.Target]
@@ -132,7 +141,7 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 			g.pf("%sa.%s = append(a.%s[:0], %s...)\n", ind, camel(s.Target), camel(s.Target), val)
 			return nil
 		}
-		g.pf("%sa.%s = %s\n", ind, camel(s.Target), val)
+		g.pf("%sa.%s = %s\n", ind, camel(s.Target), g.convert(v.Type, s.Value, val))
 	case *dsl.LocalStmt:
 		if !g.localTypes[s.Type] {
 			return softf("local declaration of unsupported type %q at %s", s.Type, s.Pos)
@@ -142,7 +151,7 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 			if err != nil {
 				return err
 			}
-			g.pf("%svar %s %s = %s\n", ind, goName(s.Name), goType(s.Type), val)
+			g.pf("%svar %s %s = %s\n", ind, goName(s.Name), goType(s.Type), g.convert(s.Type, s.Value, val))
 		} else {
 			g.pf("%svar %s %s\n", ind, goName(s.Name), goType(s.Type))
 		}
@@ -176,7 +185,7 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 			// over a copy, as loops over a neighbor list already do.
 			rng = fmt.Sprintf("append([]overlay.Address(nil), %s...)", rng)
 		}
-		g.loopVars[s.Var] = true
+		g.loopVars[s.Var] = g.elemType(s.List)
 		if c, ok := s.List.(dsl.CallExpr); ok && c.Fn == "range" {
 			g.pf("%sfor %s := range %s {\n", ind, goName(s.Var), rng)
 		} else {
@@ -265,6 +274,18 @@ func (g *generator) rangeExpr(e dsl.Expr) (string, error) {
 	return g.nodesetExpr(e)
 }
 
+// elemType is the mac type of a foreach variable over e: a keytable's key
+// type, an int over range(n), and a node over any node collection.
+func (g *generator) elemType(e dsl.Expr) string {
+	if id, ok := e.(dsl.Ident); ok && g.varTypes[id.Name].Kind == dsl.VarKeyTable {
+		return g.varTypes[id.Name].KeyType
+	}
+	if c, ok := e.(dsl.CallExpr); ok && c.Fn == "range" {
+		return "int"
+	}
+	return "node"
+}
+
 // nodesetExpr resolves an expression that must denote a nodeset value: a
 // nodeset state variable or a nodeset message field.
 func (g *generator) nodesetExpr(e dsl.Expr) (string, error) {
@@ -309,68 +330,75 @@ func firstIdent(args []dsl.Expr) (dsl.Ident, bool) {
 
 // prim is a primitive that translates argument by argument: the collection
 // kind its first argument takes ("" when it is a value like the rest), its
-// Go form over the translated arguments, and which arguments Go wants as
-// int.
+// Go form over the translated arguments, which arguments Go wants as int,
+// and, for a value primitive, the mac type of its value.
 type prim struct {
 	first, form string
 	ints        []int
+	typ         string
 }
 
 // stmtPrims are the primitive statements of that shape.
 var stmtPrims = map[string]prim{
-	"deliver":          {"", "ctx.Deliver(%s, %s, %s)", nil},
-	"create_group":     {"", "_ = ctx.CreateGroup(%s)", nil},
-	"join_group":       {"", "_ = ctx.JoinGroup(%s)", nil},
-	"leave_group":      {"", "_ = ctx.LeaveGroup(%s)", nil},
-	"route":            {"", "_ = ctx.Route(%s, %s, %s, %s)", nil},
-	"route_ip":         {"", "_ = ctx.RouteIP(%s, %s, %s, %s)", nil},
-	"multicast":        {"", "_ = ctx.Multicast(%s, %s, %s, %s)", nil},
-	"neighbor_add":     {"list", "ctx.Neighbors(%s).Add(%s)", nil},
-	"neighbor_remove":  {"list", "ctx.Neighbors(%s).Remove(%s)", nil},
-	"neighbor_clear":   {"list", "ctx.Neighbors(%s).Clear()", nil},
-	"list_append":      {"nodeset", "%[1]s = core.ListAppend(%[1]s, %[2]s)", nil},
-	"list_prepend":     {"nodeset", "%[1]s = core.ListPrepend(%[1]s, %[2]s)", nil},
-	"list_remove":      {"nodeset", "%[1]s = core.ListRemove(%[1]s, %[2]s)", nil},
-	"list_clear":       {"nodeset", "%[1]s = %[1]s[:0]", nil},
-	"list_trunc":       {"nodeset", "%[1]s = core.ListTrunc(%[1]s, %[2]s)", nil},
-	"ring_insert":      {"nodeset", "%[1]s = core.RingInsert(ctx.SelfKey(), ctx.Self(), %[1]s, %[2]s, %[3]s)", nil},
-	"table_put":        {"nodetable", "core.TablePut(%s, %s, %s)", nil},
-	"table_remove":     {"nodetable", "core.TableRemove(%s, %s)", nil},
-	"table_clear":      {"nodetable", "clear(%s)", nil},
-	"map_put":          {"keymap", "core.MapPut(&%s, %s, %s)", nil},
-	"map_del":          {"keymap", "delete(%s, %s)", nil},
-	"map_remove_value": {"keymap", "core.MapRemoveValue(%s, %s)", nil},
-	"map_clear":        {"keymap", "clear(%s)", nil},
-	"tally_heard":      {"tally", "core.TallyHeard(%s, %s)", nil},
-	"tally_tick":       {"tally", "core.TallyTick(%s, %s)", nil},
-	"tally_remove":     {"tally", "core.TallyRemove(%s, %s)", nil},
-	"upcall_ext":       {"", "ctx.UpcallExt(int(%s), nil)", nil},
+	"deliver":          {"", "ctx.Deliver(%s, %s, %s)", nil, ""},
+	"create_group":     {"", "_ = ctx.CreateGroup(%s)", nil, ""},
+	"join_group":       {"", "_ = ctx.JoinGroup(%s)", nil, ""},
+	"leave_group":      {"", "_ = ctx.LeaveGroup(%s)", nil, ""},
+	"route":            {"", "_ = ctx.Route(%s, %s, %s, %s)", nil, ""},
+	"route_ip":         {"", "_ = ctx.RouteIP(%s, %s, %s, %s)", nil, ""},
+	"multicast":        {"", "_ = ctx.Multicast(%s, %s, %s, %s)", nil, ""},
+	"neighbor_add":     {"list", "ctx.Neighbors(%s).Add(%s)", nil, ""},
+	"neighbor_remove":  {"list", "ctx.Neighbors(%s).Remove(%s)", nil, ""},
+	"neighbor_clear":   {"list", "ctx.Neighbors(%s).Clear()", nil, ""},
+	"list_append":      {"nodeset", "%[1]s = core.ListAppend(%[1]s, %[2]s)", nil, ""},
+	"list_prepend":     {"nodeset", "%[1]s = core.ListPrepend(%[1]s, %[2]s)", nil, ""},
+	"list_remove":      {"nodeset", "%[1]s = core.ListRemove(%[1]s, %[2]s)", nil, ""},
+	"list_clear":       {"nodeset", "%[1]s = %[1]s[:0]", nil, ""},
+	"list_trunc":       {"nodeset", "%[1]s = core.ListTrunc(%[1]s, %[2]s)", nil, ""},
+	"ring_insert":      {"nodeset", "%[1]s = core.RingInsert(ctx.SelfKey(), ctx.Self(), %[1]s, %[2]s, %[3]s)", nil, ""},
+	"table_put":        {"nodetable", "core.TablePut(%s, %s, %s)", nil, ""},
+	"table_remove":     {"nodetable", "core.TableRemove(%s, %s)", nil, ""},
+	"table_clear":      {"nodetable", "clear(%s)", nil, ""},
+	"map_put":          {"keymap", "core.MapPut(&%s, %s, %s)", nil, ""},
+	"map_del":          {"keymap", "delete(%s, %s)", nil, ""},
+	"map_remove_value": {"keymap", "core.MapRemoveValue(%s, %s)", nil, ""},
+	"map_clear":        {"keymap", "clear(%s)", nil, ""},
+	"tally_heard":      {"tally", "core.TallyHeard(%s, %s)", nil, ""},
+	"tally_tick":       {"tally", "core.TallyTick(%s, %s)", nil, ""},
+	"tally_remove":     {"tally", "core.TallyRemove(%s, %s)", nil, ""},
+	"upcall_ext":       {"", "ctx.UpcallExt(int(%s), nil)", nil, ""},
+	"log_replay":       {"log", "core.LogReplay(ctx, %s, %s, %s)", []int{2}, ""},
 }
 
 // exprPrims are the value primitives of that shape.
 var exprPrims = map[string]prim{
-	"random":          {"", "int32(ctx.Rand().Intn(%s))", []int{0}},
-	"hash":            {"", "overlay.HashAddress(%s)", nil},
-	"key_step":        {"", "overlay.KeyStep(%s, %s)", []int{1}},
-	"between":         {"", "(%s).Between(%s, %s)", nil},
-	"between_incl":    {"", "(%s).BetweenIncl(%s, %s)", nil},
-	"ring_dist":       {"", "(%s).Distance(%s)", nil},
-	"ring_diff":       {"", "overlay.RingDiff(%s, %s)", nil},
-	"shared_prefix":   {"", "int32((%s).SharedPrefix(%s, %s))", []int{2}},
-	"digit":           {"", "int32((%s).Digit(%s, %s))", []int{1, 2}},
-	"with_digit":      {"", "(%s).WithDigit(%s, %s, %s)", []int{1, 2, 3}},
-	"neighbor_size":   {"list", "ctx.Neighbors(%s).Size()", nil},
-	"neighbor_query":  {"list", "ctx.Neighbors(%s).Contains(%s)", nil},
-	"neighbor_full":   {"list", "ctx.Neighbors(%s).Full()", nil},
-	"neighbor_random": {"list", "core.NeighborRandom(ctx, %s)", nil},
-	"neighbor_first":  {"list", "core.NeighborFirst(ctx, %s)", nil},
-	"list_size":       {"nodeset value", "int32(len(%s))", nil},
-	"list_get":        {"nodeset value", "core.ListGet(%s, %s)", nil},
-	"list_contains":   {"nodeset value", "slices.Contains(%s, %s)", nil},
-	"list_random":     {"nodeset value", "core.ListRandom(ctx, %s)", nil},
-	"table_get":       {"nodetable", "core.ListGet(%s, %s)", nil},
-	"map_get":         {"keymap", "%s[%s]", nil},
-	"map_size":        {"keymap", "int32(len(%s))", nil},
+	"random":          {"", "int32(ctx.Rand().Intn(%s))", []int{0}, "int"},
+	"hash":            {"", "overlay.HashAddress(%s)", nil, "key"},
+	"key_step":        {"", "overlay.KeyStep(%s, %s)", []int{1}, "key"},
+	"between":         {"", "(%s).Between(%s, %s)", nil, "bool"},
+	"between_incl":    {"", "(%s).BetweenIncl(%s, %s)", nil, "bool"},
+	"ring_dist":       {"", "(%s).Distance(%s)", nil, ""},
+	"ring_diff":       {"", "overlay.RingDiff(%s, %s)", nil, ""},
+	"shared_prefix":   {"", "int32((%s).SharedPrefix(%s, %s))", []int{2}, "int"},
+	"digit":           {"", "int32((%s).Digit(%s, %s))", []int{1, 2}, "int"},
+	"with_digit":      {"", "(%s).WithDigit(%s, %s, %s)", []int{1, 2, 3}, "key"},
+	"neighbor_size":   {"list", "int32(ctx.Neighbors(%s).Size())", nil, "int"},
+	"neighbor_query":  {"list", "ctx.Neighbors(%s).Contains(%s)", nil, "bool"},
+	"neighbor_full":   {"list", "ctx.Neighbors(%s).Full()", nil, "bool"},
+	"neighbor_random": {"list", "core.NeighborRandom(ctx, %s)", nil, "node"},
+	"neighbor_first":  {"list", "core.NeighborFirst(ctx, %s)", nil, "node"},
+	"list_size":       {"nodeset value", "int32(len(%s))", nil, "int"},
+	"list_get":        {"nodeset value", "core.ListGet(%s, %s)", nil, "node"},
+	"list_contains":   {"nodeset value", "slices.Contains(%s, %s)", nil, "bool"},
+	"list_random":     {"nodeset value", "core.ListRandom(ctx, %s)", nil, "node"},
+	"table_get":       {"nodetable", "core.ListGet(%s, %s)", nil, "node"},
+	"map_get":         {"keymap", "%s[%s]", nil, "node"},
+	"map_size":        {"keymap", "int32(len(%s))", nil, "int"},
+	"now":             {"", "ctx.Now().UnixNano()", nil, "time"},
+	"time_diff":       {"", "core.Seconds(%s, %s)", nil, "double"},
+	"time_diff_ms":    {"", "core.Millis(%s, %s)", nil, "double"},
+	"jitter":          {"", "core.Spread(ctx, %s)", nil, "time"},
+	"zeros":           {"", "make([]byte, %s)", nil, "buffer"},
 }
 
 // translate formats primitive p over args, each translated in order: the
@@ -413,8 +441,8 @@ func (g *generator) translate(fn string, p prim, args []dsl.Expr) (string, error
 // takes: a declared neighbor list ("list", as its quoted name); a nodeset
 // state variable or nodeset field of the message being handled ("nodeset",
 // as an lvalue); any nodeset value ("nodeset value"); a declared nodetable
-// (as a slice of it) or keymap; or a keytable entry's tally field ("tally",
-// as a pointer, making the entry).
+// (as a slice of it), keymap or keytable ("keymap") or log; or a keytable
+// entry's tally field ("tally", as a pointer, making the entry).
 func (g *generator) collection(kind, fn string, args []dsl.Expr) (string, error) {
 	if len(args) == 0 {
 		return "", softf("%s is missing its %s", fn, kind)
@@ -438,6 +466,9 @@ func (g *generator) collection(kind, fn string, args []dsl.Expr) (string, error)
 		return strconv.Quote(id.Name), nil
 	case kind == "nodetable" && v.Kind == dsl.VarTable:
 		return "a." + camel(id.Name) + "[:]", nil
+	case kind == "keymap" && v.Kind == dsl.VarKeyTable, kind == "log" && v.Kind == dsl.VarLog:
+		// map_del, map_clear and map_size take a keytable too.
+		return "a." + camel(id.Name), nil
 	case v.Kind == dsl.VarPlain && v.Type == kind:
 		return "a." + camel(id.Name), nil
 	}
@@ -477,11 +508,16 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 			if err != nil {
 				return err
 			}
-			if !g.constExpr(s.Args[1]) {
+			switch {
+			case g.typeOf(s.Args[1]) == "time":
+				// A time period is already in nanoseconds.
+				period = "time.Duration(" + p1 + ")"
+			case g.constExpr(s.Args[1]):
+				period = p1 + "*time.Millisecond"
+			default:
 				// Any other period is an int32 expression: convert it before scaling.
-				p1 = "time.Duration(" + p1 + ")"
+				period = "time.Duration(" + p1 + ")*time.Millisecond"
 			}
-			period = p1 + "*time.Millisecond"
 			g.usesTime = true
 		}
 		if len(s.Args) > 2 {
@@ -504,7 +540,7 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		}
 		g.pf("%sctx.TimerCancel(%q)\n", ind, t.Name)
 	case "neighbor_sync":
-		st, err := g.translate(s.Fn, prim{"list", "ctx.Neighbors(%s)", nil}, s.Args)
+		st, err := g.translate(s.Fn, prim{"list", "ctx.Neighbors(%s)", nil, ""}, s.Args)
 		if err != nil {
 			return err
 		}
@@ -525,7 +561,7 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		if g.fwCount > 1 {
 			name += strconv.Itoa(g.fwCount)
 		}
-		call, err := g.translate(s.Fn, prim{"", "ctx.Forward(%[1]s, %[2]s, %[3]s, overlay.HashAddress(%[3]s))", nil}, s.Args)
+		call, err := g.translate(s.Fn, prim{"", "ctx.Forward(%[1]s, %[2]s, %[3]s, overlay.HashAddress(%[3]s))", nil, ""}, s.Args)
 		if err != nil {
 			return err
 		}
@@ -559,8 +595,9 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 }
 
 // sendStmt translates the three ways a message leaves: send msg(dest, ...)
-// to a node, and route msg(key, ...) and multicast msg(group, ...) through
-// the layer below. The message is built in the agent's send slot (see
+// to a node, at the priority of its via clause if it has one, and route
+// msg(key, ...) and multicast msg(group, ...) through the layer below; and
+// log msg(l, ...), which appends a copy to the bounded log l. The message is built in the agent's send slot (see
 // msgScratch): each of the three encodes it before returning and keeps
 // nothing. One call expression, so the destination is still evaluated before
 // the fields.
@@ -578,20 +615,42 @@ func (g *generator) sendStmt(s *dsl.CallStmt, ind string) error {
 		if err != nil {
 			return err
 		}
+		typ := m.Fields[slices.IndexFunc(m.Fields, func(f dsl.Field) bool { return f.Name == fi.Name })].Type
+		v = g.convert(typ, fi.Value, v)
+		if typ == "buffer" && s.Fn == "log" {
+			// A log outlives the frame a received buffer is a view of.
+			v = "append([]byte(nil), " + v + "...)"
+		}
 		inits = append(inits, fmt.Sprintf("%s: %s", camel(fi.Name), v))
+	}
+	lit := fmt.Sprintf("%s{%s}", msgTypeName(s.Msg), strings.Join(inits, ", "))
+	if s.Fn == "log" {
+		l, err := g.collection("log", s.Fn, s.Args)
+		if err != nil {
+			return err
+		}
+		g.pf("%s%s = core.LogAppend(%s, %s, %s)\n", ind, l, l, lit, g.resolve(g.varTypes[s.Args[0].String()].Max))
+		return nil
 	}
 	dest, err := g.expr(s.Args[0])
 	if err != nil {
 		return err
 	}
-	msg := fmt.Sprintf("core.Put(&a.io.tx.%s, %s{%s})", camel(s.Msg), msgTypeName(s.Msg), strings.Join(inits, ", "))
+	msg := fmt.Sprintf("core.Put(&a.io.tx.%s, %s)", camel(s.Msg), lit)
+	pri := "overlay.PriorityDefault"
+	if s.Via != nil {
+		if pri, err = g.expr(s.Via); err != nil {
+			return err
+		}
+		pri = g.asInt(s.Via, pri)
+	}
 	switch s.Fn {
 	case "route":
 		g.pf("%s_ = core.RouteMsg(ctx, %s, %s)\n", ind, dest, msg)
 	case "multicast":
 		g.pf("%s_ = core.MulticastMsg(ctx, %s, %s)\n", ind, dest, msg)
 	default:
-		g.pf("%s_ = ctx.Send(%s, %s, overlay.PriorityDefault)\n", ind, dest, msg)
+		g.pf("%s_ = ctx.Send(%s, %s, %s)\n", ind, dest, msg, pri)
 	}
 	return nil
 }
@@ -660,6 +719,10 @@ func (g *generator) expr(e dsl.Expr) (string, error) {
 		if err != nil {
 			return "", err
 		}
+		if e.Op != "&&" && e.Op != "||" {
+			// An int operand of a double operation converts to double.
+			l, r = g.convert(g.typeOf(e.R), e.L, l), g.convert(g.typeOf(e.L), e.R, r)
+		}
 		return fmt.Sprintf("(%s %s %s)", l, e.Op, r), nil
 	case dsl.CallExpr:
 		return g.callExpr(e)
@@ -674,7 +737,7 @@ func (g *generator) expr(e dsl.Expr) (string, error) {
 }
 
 func (g *generator) ident(name string) (string, error) {
-	if _, local := g.locals[name]; local || g.loopVars[name] {
+	if _, local := g.locals[name]; local || g.loopVars[name] != "" {
 		return goName(name), nil
 	}
 	switch name {
@@ -711,7 +774,112 @@ func (g *generator) ident(name string) (string, error) {
 	if v, ok := g.varTypes[name]; ok && v.Kind == dsl.VarPlain {
 		return "a." + camel(name), nil
 	}
+	if pri, ok := g.priority(name); ok {
+		return pri, nil
+	}
 	return "", fmt.Errorf("codegen: unknown identifier %q", name)
+}
+
+// priority resolves a transport's name, as a value: its priority, the
+// transport's index in declaration order.
+func (g *generator) priority(name string) (string, bool) {
+	i := slices.IndexFunc(g.spec.Transports, func(t dsl.Transport) bool { return t.Name == name })
+	return strconv.Itoa(i), i >= 0
+}
+
+// builtinTypes are the mac types of the builtin identifiers.
+var builtinTypes = map[string]string{
+	"self": "node", "from": "node", "nil_node": "node", "bootstrap": "node",
+	"dest_ip": "node", "failed": "node", "self_key": "key", "dest": "key",
+	"group": "key", "payload": "buffer", "payload_type": "int", "priority": "int",
+	"true": "bool", "false": "bool",
+}
+
+// typeOf infers the mac type of e, or "" where it does not matter to the
+// translation: enough to convert an int operand of a double operation.
+func (g *generator) typeOf(e dsl.Expr) string {
+	switch e := e.(type) {
+	case dsl.IntLit:
+		if isDouble(e.Value) {
+			return "double"
+		}
+		return "int"
+	case dsl.Ident:
+		if t, ok := g.locals[e.Name]; ok {
+			return t
+		}
+		if t := g.loopVars[e.Name]; t != "" {
+			return t
+		}
+		if t, ok := builtinTypes[e.Name]; ok {
+			return t
+		}
+		if c, ok := g.consts[e.Name]; ok {
+			return g.typeOf(dsl.IntLit{Value: c})
+		}
+		if _, ok := g.priority(e.Name); ok {
+			return "int"
+		}
+		return g.varTypes[e.Name].Type
+	case dsl.NotExpr:
+		return "bool"
+	case dsl.BinExpr:
+		switch e.Op {
+		case "==", "!=", "<", ">", "<=", ">=", "&&", "||":
+			return "bool"
+		}
+		l, r := g.typeOf(e.L), g.typeOf(e.R)
+		switch {
+		case l == "double" || r == "double":
+			return "double"
+		case l == "":
+			return r
+		}
+		return l
+	case dsl.EntryExpr:
+		v := g.varTypes[e.Table]
+		if i := slices.IndexFunc(v.Fields, func(f dsl.Field) bool { return f.Name == e.Field }); i >= 0 {
+			return v.Fields[i].Type
+		}
+	case dsl.CallExpr:
+		if id, ok := fieldName(e); ok && g.curMsg != nil {
+			if i := slices.IndexFunc(g.curMsg.Fields, func(f dsl.Field) bool { return f.Name == id }); i >= 0 {
+				return g.curMsg.Fields[i].Type
+			}
+		}
+		return exprPrims[e.Fn].typ
+	}
+	return ""
+}
+
+// fieldName returns f when e is field(f).
+func fieldName(e dsl.CallExpr) (string, bool) {
+	if e.Fn != "field" || len(e.Args) != 1 {
+		return "", false
+	}
+	id, ok := e.Args[0].(dsl.Ident)
+	return id.Name, ok
+}
+
+// isDouble reports whether a number token is a floating-point literal.
+func isDouble(v string) bool {
+	if strings.HasPrefix(v, "0x") || strings.HasPrefix(v, "0X") {
+		return strings.ContainsAny(v, "pP")
+	}
+	return strings.ContainsAny(v, ".eE")
+}
+
+// convert converts s, the translation of e, to the Go type of the mac type
+// want: an int, short or time value becomes a float64 where a double is
+// wanted. An untyped Go constant needs no conversion.
+func (g *generator) convert(want string, e dsl.Expr, s string) string {
+	switch g.typeOf(e) {
+	case "int", "short", "time":
+		if want == "double" && !g.constExpr(e) {
+			return "float64(" + s + ")"
+		}
+	}
+	return s
 }
 
 // constExpr reports whether e is an integer literal or a declared constant,
@@ -723,7 +891,8 @@ func (g *generator) constExpr(e dsl.Expr) bool {
 	case dsl.Ident:
 		_, local := g.locals[e.Name]
 		_, ok := g.consts[e.Name]
-		return ok && !local && !g.loopVars[e.Name]
+		_, transport := g.priority(e.Name)
+		return (ok || transport) && !local && g.loopVars[e.Name] == ""
 	}
 	return false
 }
@@ -738,12 +907,7 @@ func (g *generator) asInt(e dsl.Expr, s string) string {
 }
 
 func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
-	if len(e.Args) == 0 {
-		// Every value primitive takes at least one argument; a bare call is
-		// outside the subset and degrades like any unknown construct.
-		return "", softf("%s() without arguments", e.Fn)
-	}
-	if e.Fn == "field" {
+	if e.Fn == "field" && len(e.Args) > 0 {
 		id, ok := e.Args[0].(dsl.Ident)
 		if !ok || g.curMsg == nil {
 			return "", fmt.Errorf("codegen: field() outside a message transition")

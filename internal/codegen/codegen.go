@@ -57,7 +57,7 @@ func Generate(spec *dsl.Spec, pkg string) (*Result, error) {
 		// rejecting the declaration makes it degrade to a visible TODO
 		// instead of silently dropping every statement that touches it.
 		localTypes: map[string]bool{
-			"int": true, "double": true, "bool": true, "key": true,
+			"int": true, "short": true, "double": true, "time": true, "bool": true, "key": true,
 			"macedon_key": true, "node": true, "buffer": true,
 			"string": true,
 		},
@@ -99,7 +99,7 @@ type generator struct {
 	// Per-handler context.
 	curMsg   *dsl.Message
 	curKind  dsl.TransitionKind
-	loopVars map[string]bool
+	loopVars map[string]string // loop variables in scope: name → mac type
 	locals   map[string]string // handler-scoped locals: name → mac type
 	// rewrites maps a forward_upcall's payload argument, by its source text,
 	// to the Go local holding the payload the layer above returned; it is
@@ -235,13 +235,16 @@ func (g *generator) emitRouting(r *dsl.Routing) error {
 	return nil
 }
 
-// goType maps mac field types onto Go types.
+// goType maps mac field types onto Go types. A short is an int that travels
+// in 16 bits; a time is a clock reading or span in nanoseconds.
 func goType(t string) string {
 	switch t {
-	case "int":
+	case "int", "short":
 		return "int32"
 	case "double":
 		return "float64"
+	case "time":
+		return "int64"
 	case "bool":
 		return "bool"
 	case "key", "macedon_key":
@@ -269,6 +272,10 @@ func encodeCall(f dsl.Field) string {
 	switch f.Type {
 	case "int":
 		return fmt.Sprintf("w.I32(m.%s)", n)
+	case "short":
+		return fmt.Sprintf("w.U16(uint16(m.%s))", n)
+	case "time":
+		return fmt.Sprintf("w.I64(m.%s)", n)
 	case "double":
 		return fmt.Sprintf("w.F64(m.%s)", n)
 	case "bool":
@@ -294,6 +301,10 @@ func decodeCall(f dsl.Field) string {
 	switch f.Type {
 	case "int":
 		return fmt.Sprintf("m.%s = r.I32()", n)
+	case "short":
+		return fmt.Sprintf("m.%s = int32(r.U16())", n)
+	case "time":
+		return fmt.Sprintf("m.%s = r.I64()", n)
 	case "double":
 		return fmt.Sprintf("m.%s = r.F64()", n)
 	case "bool":
@@ -389,7 +400,9 @@ func (g *generator) file() (string, error) {
 		case dsl.VarTable:
 			g.pf("\t%s [%s]overlay.Address\n", camel(v.Name), g.resolve(v.Max))
 		case dsl.VarKeyTable:
-			g.pf("\t%s map[overlay.Key]*%sEntry\n", camel(v.Name), camel(v.Name))
+			g.pf("\t%s map[%s]*%sEntry\n", camel(v.Name), goType(v.KeyType), camel(v.Name))
+		case dsl.VarLog:
+			g.pf("\t%s []%s\n", camel(v.Name), msgTypeName(v.Type))
 		}
 	}
 	g.pf("\n\tio msgScratch // a named field: embedding would promote StateCopyOpaque to Agent\n")
@@ -580,7 +593,7 @@ func apiConst(name string) string {
 func (g *generator) handler(i int, tr dsl.Transition) error {
 	g.curKind = tr.Kind
 	g.curMsg = nil
-	g.loopVars = map[string]bool{}
+	g.loopVars = map[string]string{}
 	g.locals = map[string]string{}
 	g.rewrites = map[string]string{}
 	g.fwCount = 0

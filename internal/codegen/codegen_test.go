@@ -35,7 +35,7 @@ func TestCamel(t *testing.T) {
 
 func TestGoTypes(t *testing.T) {
 	cases := map[string]string{
-		"int": "int32", "double": "float64", "key": "overlay.Key",
+		"int": "int32", "short": "int32", "time": "int64", "double": "float64", "key": "overlay.Key",
 		"node": "overlay.Address", "buffer": "[]byte", "nodeset": "[]overlay.Address",
 	}
 	for in, want := range cases {
@@ -201,6 +201,8 @@ var fullyTranslated = []struct {
 	{"pastry.mac", "genpastry"},
 	{"scribe.mac", "genscribe"},
 	{"splitstream.mac", "gensplitstream"},
+	{"overcast.mac", "genovercast"},
+	{"ammo.mac", "genammo"},
 }
 
 // TestFullyTranslatedSpecs proves the action-language subset covers every
@@ -758,6 +760,87 @@ transitions {
 		"for i := range a.K {\n",
 		"ctx.TimerSched(\"t1\", time.Duration((a.K / 2))*time.Millisecond+core.Jitter(ctx, a.K))\n",
 		"for _, g := range core.Keys(a.T) {\n",
+	} {
+		if !strings.Contains(res.Source, want) {
+			t.Errorf("generated source missing %q", want)
+		}
+	}
+	typeCheck(t, res.Source)
+}
+
+// TestTreeConstructsTranslate: the constructs Overcast and AMMO use
+// translate TODO-free into code that type-checks: keytables keyed by node
+// and int, double arithmetic with int operands converted, clock reads and
+// differences, a jittered timer period, a send's priority, and a bounded log
+// that copies the bytes it keeps.
+func TestTreeConstructsTranslate(t *testing.T) {
+	spec, err := dsl.Parse(`
+protocol p
+addressing ip
+constants { GAIN = 1.2; }
+transports { TCP A; TCP B; }
+messages { A m { short n; time at; double bw; buffer payload; } }
+auxiliary_data {
+  keytable c by node { int seen; double bw; nodeset path; time first; }
+  keytable s by int { bool on; }
+  log m backlog 64;
+  double best;
+  timer q 1000;
+}
+transitions {
+  any recv m {
+    c[from].first = now();
+    c[from].path = root_path_of(from);
+  }
+  any API init {
+    timer_resched(q, jitter(1000));
+  }
+  any recv m [locking read;] {
+    c[from].seen = c[from].seen + 1;
+    c[from].path = c[from].path;
+    double spread = time_diff(now(), c[from].first);
+    c[from].bw = (c[from].seen - 1) * 8000 / spread;
+    foreach (k in c) {
+      if (c[k].bw > best * GAIN) { best = c[k].bw; }
+    }
+    s[field(n)].on = true;
+    foreach (i in s) { if (i > field(n)) { map_del(s, i); } }
+    best = time_diff_ms(now(), field(at)) + field(n);
+    log m(backlog, n = field(n), at = field(at), payload = field(payload));
+    log_replay(backlog, from, B);
+    send m(from, n = map_size(s), bw = field(n), payload = zeros(10)) via A;
+  }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Generate(spec, "genp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Opaque != 1 { // root_path_of is no primitive
+		t.Fatalf("%d statements left untranslated, want 1:\n%s", res.Opaque, res.Source)
+	}
+	for _, want := range []string{
+		"\tC map[overlay.Address]*CEntry\n",
+		"\tS map[int32]*SEntry\n",
+		"\tBacklog []msgM\n",
+		"core.KeyEntry(&a.C, ev.From).First = ctx.Now().UnixNano()\n",
+		"ctx.TimerResched(\"q\", time.Duration(core.Spread(ctx, 1000)))\n",
+		"core.ListSet(&core.KeyEntry(&a.C, ev.From).Path, core.KeyRead(a.C, ev.From).Path)\n",
+		"var spread float64 = core.Seconds(ctx.Now().UnixNano(), core.KeyRead(a.C, ev.From).First)\n",
+		"= (float64(((core.KeyRead(a.C, ev.From).Seen - 1) * 8000)) / spread)\n",
+		"(core.KeyRead(a.C, k).Bw > (a.Best * 1.2))",
+		"for _, i := range core.Keys(a.S) {\n",
+		"delete(a.S, i)\n",
+		"a.Best = (core.Millis(ctx.Now().UnixNano(), m.At) + float64(m.N))\n",
+		"a.Backlog = core.LogAppend(a.Backlog, msgM{N: m.N, At: m.At, Payload: append([]byte(nil), m.Payload...)}, 64)\n",
+		"core.LogReplay(ctx, a.Backlog, ev.From, 1)\n",
+		"msgM{N: int32(len(a.S)), Bw: float64(m.N), Payload: make([]byte, 10)}), 0)\n",
+		"w.U16(uint16(m.N))\n",
+		"m.N = int32(r.U16())\n",
+		"w.I64(m.At)\n",
 	} {
 		if !strings.Contains(res.Source, want) {
 			t.Errorf("generated source missing %q", want)

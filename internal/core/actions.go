@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"maps"
 	"slices"
 	"time"
@@ -193,10 +194,11 @@ func MapRemoveValue(m map[overlay.Key]overlay.Address, a overlay.Address) {
 }
 
 // KeyEntry returns k's entry in a keytable, making the table and the entry
-// on first use: a write to an entry's field makes it.
-func KeyEntry[E any](t *map[overlay.Key]*E, k overlay.Key) *E {
+// on first use: a write to an entry's field makes it. A keytable is keyed by
+// key, node or int.
+func KeyEntry[K cmp.Ordered, E any](t *map[K]*E, k K) *E {
 	if *t == nil {
-		*t = make(map[overlay.Key]*E)
+		*t = make(map[K]*E)
 	}
 	e := (*t)[k]
 	if e == nil {
@@ -208,7 +210,7 @@ func KeyEntry[E any](t *map[overlay.Key]*E, k overlay.Key) *E {
 
 // KeyRead returns a copy of k's entry in a keytable, or the zero entry when
 // k has none; a read makes nothing.
-func KeyRead[E any](t map[overlay.Key]*E, k overlay.Key) E {
+func KeyRead[K cmp.Ordered, E any](t map[K]*E, k K) E {
 	if e := t[k]; e != nil {
 		return *e
 	}
@@ -218,8 +220,57 @@ func KeyRead[E any](t map[overlay.Key]*E, k overlay.Key) E {
 
 // Keys returns a keytable's keys in ascending order: foreach over a
 // keytable visits them so, whatever order they were made in.
-func Keys[E any](t map[overlay.Key]*E) []overlay.Key {
+func Keys[K cmp.Ordered, E any](t map[K]*E) []K {
 	return slices.Sorted(maps.Keys(t))
+}
+
+// ListSet makes *dst a copy of src in dst's own array: how a nodeset field
+// of a keytable entry is assigned, so the entry never shares the array of
+// the list it was assigned from.
+func ListSet(dst *[]overlay.Address, src []overlay.Address) {
+	*dst = append((*dst)[:0], src...)
+}
+
+// Seconds is the clock difference a - b, in seconds, of two readings of
+// now() in nanoseconds (time_diff).
+func Seconds(a, b int64) float64 {
+	return time.Duration(a - b).Seconds()
+}
+
+// Millis is the clock difference a - b in milliseconds, to the microsecond
+// (time_diff_ms).
+func Millis(a, b int64) float64 {
+	return float64(time.Duration(a-b).Microseconds()) / 1000
+}
+
+// Spread draws a period in [3/4, 5/4] of ms milliseconds, to the nanosecond,
+// both ends included, from the node's seeded source (jitter): how a soft-state
+// timer stays out of step with its neighbours'.
+func Spread(ctx *Context, ms int32) int64 {
+	d := int64(ms) * int64(time.Millisecond)
+	return d*3/4 + ctx.Rand().Int63n(d/2+1)
+}
+
+// LogAppend appends m to a bounded log of messages and drops the oldest
+// beyond max (log msg(l, ...)). The caller copies m's byte fields: a log
+// outlives the frame a received message was decoded from.
+func LogAppend[M any](l []M, m M, max int32) []M {
+	l = append(l, m)
+	if n := int32(len(l)); n > max {
+		l = l[n-max:]
+	}
+	return l
+}
+
+// LogReplay sends every message of a log to dst, oldest first, at priority
+// pri (log_replay): how a tree parent catches a newly adopted child up.
+func LogReplay[M any, P interface {
+	*M
+	overlay.Message
+}](ctx *Context, l []M, dst overlay.Address, pri int) {
+	for i := range l {
+		_ = ctx.Send(dst, P(&l[i]), pri)
+	}
 }
 
 // Tally is a set of nodes in address order, each with the number of ticks

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"macedon/internal/core"
 	"macedon/internal/overlay"
@@ -170,6 +171,84 @@ func TestTally(t *testing.T) {
 					t.Fatalf("seed %d step %d: %v missed %d ticks, want %d", seed, step, m, got.Missed[i], tick-want[m])
 				}
 			}
+		}
+	}
+}
+
+// TestKeytableKeyTypes: a keytable keyed by node or int reads, writes and
+// iterates as one keyed by key, and ListSet gives an entry's nodeset field
+// an array of its own.
+func TestKeytableKeyTypes(t *testing.T) {
+	type entry struct {
+		Bw   float64
+		Path []overlay.Address
+	}
+	var byNode map[overlay.Address]*entry
+	src := []overlay.Address{4, 5}
+	for _, a := range []overlay.Address{9, 2, 7} {
+		core.KeyEntry(&byNode, a).Bw = float64(a)
+		core.ListSet(&core.KeyEntry(&byNode, a).Path, src)
+	}
+	src[0] = 99
+	if got := core.Keys(byNode); !slices.Equal(got, []overlay.Address{2, 7, 9}) {
+		t.Fatalf("node keys %v, want ascending", got)
+	}
+	if got := core.KeyRead(byNode, 7); got.Bw != 7 || !slices.Equal(got.Path, []overlay.Address{4, 5}) {
+		t.Fatalf("entry 7 = %+v: the path must not share the assigned list's array", got)
+	}
+	var byInt map[int32]*entry
+	core.KeyEntry(&byInt, -3).Bw = 1
+	core.KeyEntry(&byInt, 8).Bw = 2
+	if got := core.Keys(byInt); !slices.Equal(got, []int32{-3, 8}) {
+		t.Fatalf("int keys %v", got)
+	}
+}
+
+// TestClockPrimitives: time_diff is Duration.Seconds of the difference,
+// time_diff_ms is milliseconds to the microsecond, and jitter draws the
+// period the draw d*3/4 + Int63n(d/2+1) gives, in [3/4, 5/4] of it.
+func TestClockPrimitives(t *testing.T) {
+	a, b := int64(5_123_456_789), int64(1_000_000_001)
+	if got, want := core.Seconds(a, b), time.Duration(a-b).Seconds(); got != want {
+		t.Errorf("Seconds = %v, want %v", got, want)
+	}
+	if got := core.Millis(a, b); got != 4123.456 {
+		t.Errorf("Millis = %v, want 4123.456", got)
+	}
+	inst, err := core.DetachedInstance(&captureProto{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := core.ContextOf(inst)
+	rng := rand.New(rand.NewSource(0)) // a detached node's seed
+	for _, ms := range []int32{8000, 10000, 1} {
+		d := int64(ms) * int64(time.Millisecond)
+		for range 50 {
+			got := core.Spread(ctx, ms)
+			if want := d*3/4 + rng.Int63n(d/2+1); got != want {
+				t.Fatalf("Spread(%d) = %d, want %d", ms, got, want)
+			}
+			if got < d*3/4 || got > d*5/4 {
+				t.Fatalf("Spread(%d) = %d outside [3/4, 5/4]", ms, got)
+			}
+		}
+	}
+}
+
+// logMsg is a message a log holds in the test below.
+type logMsg struct{ N int32 }
+
+func (m *logMsg) MsgName() string                { return "n" }
+func (m *logMsg) Encode(w *overlay.Writer)       { w.I32(m.N) }
+func (m *logMsg) Decode(r *overlay.Reader) error { m.N = r.I32(); return r.Err() }
+
+// TestLogAppend: a log keeps the newest max messages, oldest first.
+func TestLogAppend(t *testing.T) {
+	var l []logMsg
+	for i := range int32(10) {
+		l = core.LogAppend(l, logMsg{N: i}, 4)
+		if want := min(i+1, 4); int32(len(l)) != want || l[len(l)-1].N != i || l[0].N != i+1-want {
+			t.Fatalf("after %d appends: %v", i+1, l)
 		}
 	}
 }

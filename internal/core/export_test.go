@@ -34,3 +34,6 @@ func Decode(i *Instance, frame []byte) (overlay.Message, error) { return i.decod
 // DetachedInstance builds an instance of a on a node with no network: enough
 // to drive its receive path.
 func DetachedInstance(a Agent) (*Instance, error) { return newInstance(&Node{}, a) }
+
+// ContextOf returns a context on i, as a transition of i receives one.
+func ContextOf(i *Instance) *Context { return &Context{inst: i} }

@@ -7,9 +7,9 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
+	"macedon/internal/overlays/bullet"
 	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/genscribe"
-	"macedon/internal/overlays/overcast"
 )
 
 // captureProto defines its FSM the way an agent written against the engine
@@ -64,18 +64,18 @@ func TestGeneratedAgentsShareOneDef(t *testing.T) {
 		periods := []time.Duration{time.Second, 20 * time.Second}
 		var defs []*core.Def
 		for _, p := range periods {
-			inst, err := core.DetachedInstance(overcast.New(overcast.Params{ProbeRequestPeriod: p})())
+			inst, err := core.DetachedInstance(bullet.New(bullet.Params{EpochPeriod: p})())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defs = append(defs, core.DefOf(inst))
 		}
 		if defs[0] == defs[1] {
-			t.Fatal("two Overcast agents share a Def")
+			t.Fatal("two Bullet agents share a Def")
 		}
 		for k, d := range defs {
-			if got := d.TimerPeriod("probe_requester"); got != periods[k] {
-				t.Errorf("Overcast with ProbeRequestPeriod %v declares probe_requester every %v", periods[k], got)
+			if got := d.TimerPeriod("epoch"); got != periods[k] {
+				t.Errorf("Bullet with EpochPeriod %v declares epoch every %v", periods[k], got)
 			}
 		}
 	})

@@ -79,7 +79,7 @@ type Message struct {
 
 // Field is a typed field in a message or neighbor type.
 type Field struct {
-	Type string // int, double, key, node, buffer, string, nodeset, keyset
+	Type string // int, short, double, time, bool, key, node, buffer, string, nodeset, keyset
 	Name string
 	Pos  Pos
 }
@@ -93,19 +93,21 @@ const (
 	VarTimer
 	VarNeighborList
 	VarTable    // fixed-size indexed node table ("nodetable name SIZE;")
-	VarKeyTable // records keyed by key ("keytable name { fields }")
+	VarKeyTable // records keyed by key, node or int ("keytable name [by node] { fields }")
+	VarLog      // bounded log of one message type ("log msg name SIZE;")
 )
 
 // StateVar is one auxiliary_data entry.
 type StateVar struct {
 	Kind       StateVarKind
-	Type       string // scalar type, or the neighbor type name
+	Type       string // scalar type, the neighbor type name, or a log's message
 	Name       string
 	Period     string  // timers: default period expression ("" = none)
 	Periodic   bool    // timers: auto re-arm
-	Max        string  // neighbor lists: capacity; node tables: size
+	Max        string  // neighbor lists: capacity; node tables and logs: size
 	FailDetect bool    // neighbor lists: engine failure monitoring
 	Fields     []Field // keytables: the record's fields
+	KeyType    string  // keytables: key (the default), node or int
 	Pos        Pos
 }
 
@@ -267,7 +269,8 @@ type Stmt interface {
 
 // CallStmt invokes a primitive: state_change, timer_sched, neighbor_add,
 // deliver, notify, upcall/downcall, or a message transmission
-// ("send <msg>(dest, field=value, ...)").
+// ("send <msg>(dest, field=value, ...) [via pri]") or logging
+// ("log <msg>(log, field=value, ...)").
 type CallStmt struct {
 	Fn   string
 	Args []Expr
@@ -275,6 +278,7 @@ type CallStmt struct {
 	// Args[0] the destination and Fields the named field initializers.
 	Msg    string
 	Fields []FieldInit
+	Via    Expr // a send's priority: a transport name or an int; nil = the message's binding
 	Pos    Pos
 }
 

@@ -157,6 +157,53 @@ transitions {
 	}
 }
 
+// TestParseTreeConstructs: the constructs Overcast and AMMO use parse —
+// keytables keyed by node and int, a bounded log of a message and the
+// statement that appends to it, a send's priority, and the short and time
+// field types.
+func TestParseTreeConstructs(t *testing.T) {
+	spec, err := Parse(`
+protocol p
+transports { TCP A; TCP B; }
+messages { A m { short n; time at; double bw; } }
+auxiliary_data {
+  keytable c by node { double bw; } keytable s by int { bool on; } keytable k { int n; }
+  log m backlog 64;
+}
+transitions {
+  any recv m {
+    log m(backlog, n = field(n), at = now());
+    send m(from, bw = time_diff(now(), field(at))) via B;
+    log_replay(backlog, from, A);
+  }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"node", "int", "key"} {
+		if v := spec.StateVars[i]; v.Kind != VarKeyTable || v.KeyType != want {
+			t.Errorf("keytable %d parsed as %+v, want keyed by %s", i, v, want)
+		}
+	}
+	if l := spec.StateVars[3]; l.Kind != VarLog || l.Type != "m" || l.Name != "backlog" || l.Max != "64" {
+		t.Errorf("log parsed as %+v", l)
+	}
+	if f := spec.Messages[0].Fields; f[0].Type != "short" || f[1].Type != "time" {
+		t.Errorf("fields parsed as %+v", f)
+	}
+	body := spec.Transitions[0].Body
+	if c, ok := body[0].(*CallStmt); !ok || c.Fn != "log" || c.Msg != "m" || len(c.Fields) != 2 {
+		t.Errorf("log statement parsed as %#v", body[0])
+	}
+	if c, ok := body[1].(*CallStmt); !ok || c.Fn != "send" || c.Via == nil || c.Via.String() != "B" {
+		t.Errorf("send via parsed as %#v", body[1])
+	}
+	if c, ok := body[2].(*CallStmt); !ok || c.Fn != "log_replay" || len(c.Args) != 3 {
+		t.Errorf("log_replay parsed as %#v", body[2])
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []struct{ name, src string }{
 		{"no protocol", `states { a; }`},
@@ -300,6 +347,7 @@ func TestParseErrorPositions(t *testing.T) {
 		{"bad transport kind", "protocol p\ntransports {\n  QUIC q;\n}\n", 3, 3},
 		{"missing semicolon", "protocol p\nstates { a b }\n", 2, 12},
 		{"bad state var type", "protocol p\nauxiliary_data {\n  widget w;\n}\n", 3, 3},
+		{"bad keytable key type", "protocol p\nauxiliary_data {\n  keytable t by buffer { int n; }\n}\n", 3, 17},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)
@@ -360,6 +408,27 @@ func TestValidateDiagnostics(t *testing.T) {
 		{"keytable field twice",
 			`protocol p uses q messages { m { } } auxiliary_data { keytable g { int x; bool x; } }`,
 			"keytable \"g\" field \"x\" declared twice"},
+		{"constant not a number",
+			`protocol p constants { GAIN = 1.2.3; } transports { UDP u; } messages { u m { } }`,
+			"constant GAIN = 1.2.3 is neither an int or double literal nor a name"},
+		{"log of undeclared message",
+			`protocol p transports { UDP u; } messages { u m { } } auxiliary_data { log data backlog 8; }`,
+			"log \"backlog\" of undeclared message \"data\""},
+		{"log size not positive",
+			`protocol p transports { UDP u; } messages { u m { } } auxiliary_data { log m backlog 0; }`,
+			"log \"backlog\" size"},
+		{"log statement on another message's log",
+			`protocol p transports { UDP u; } messages { u m { } u d { } } auxiliary_data { log m l 4; }
+			 transitions { any recv d { log d(l); } }`,
+			"\"l\" is not a declared log of d"},
+		{"log_replay of a non-log",
+			`protocol p transports { UDP u; } messages { u m { } } auxiliary_data { node n; }
+			 transitions { any recv m { log_replay(n, from, 0); } }`,
+			"log_replay of \"n\", which is not a declared log"},
+		{"clock primitive arity",
+			`protocol p transports { UDP u; } messages { u m { } } auxiliary_data { time t; }
+			 transitions { any recv m { t = now(t); } }`,
+			"now takes 0 arguments, not 1"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

@@ -80,7 +80,7 @@ func (p *parser) acceptIdent(s string) bool {
 }
 
 var scalarTypes = map[string]bool{
-	"int": true, "double": true, "bool": true, "key": true,
+	"int": true, "short": true, "double": true, "time": true, "bool": true, "key": true,
 	"macedon_key": true, "node": true, "buffer": true, "string": true,
 	"nodeset": true, "keyset": true,
 }
@@ -406,10 +406,20 @@ func (p *parser) stateVars(spec *Spec) error {
 			if err != nil {
 				return err
 			}
+			v := StateVar{Kind: VarKeyTable, Type: "keytable", Name: name.text, KeyType: "key", Pos: t.pos}
+			if p.acceptIdent("by") {
+				kt, err := p.expectIdent("keytable key type")
+				if err != nil {
+					return err
+				}
+				if kt.text != "key" && kt.text != "node" && kt.text != "int" {
+					return p.errf(kt.pos, "keytable %q is keyed by %q; a keytable is keyed by key, node or int", name.text, kt.text)
+				}
+				v.KeyType = kt.text
+			}
 			if _, err := p.expectPunct("{"); err != nil {
 				return err
 			}
-			v := StateVar{Kind: VarKeyTable, Type: "keytable", Name: name.text, Pos: t.pos}
 			for !p.acceptPunct("}") {
 				f, err := p.field()
 				if err != nil {
@@ -418,6 +428,26 @@ func (p *parser) stateVars(spec *Spec) error {
 				v.Fields = append(v.Fields, f)
 			}
 			spec.StateVars = append(spec.StateVars, v)
+		case t.text == "log" && p.peek().kind == tokIdent:
+			p.next()
+			msg, err := p.expectIdent("logged message")
+			if err != nil {
+				return err
+			}
+			name, err := p.expectIdent("log name")
+			if err != nil {
+				return err
+			}
+			size := p.next()
+			if size.kind != tokNumber && size.kind != tokIdent {
+				return p.errf(size.pos, "log %q needs a size (literal or constant)", name.text)
+			}
+			if _, err := p.expectPunct(";"); err != nil {
+				return err
+			}
+			spec.StateVars = append(spec.StateVars, StateVar{
+				Kind: VarLog, Type: msg.text, Name: name.text, Max: size.text, Pos: t.pos,
+			})
 		case t.text == "fail_detect" || nbrTypes[t.text]:
 			fail := p.acceptIdent("fail_detect")
 			typ, err := p.expectIdent("neighbor type")
@@ -631,7 +661,7 @@ func (p *parser) stmt() (Stmt, error) {
 			return p.ifStmt()
 		case "send":
 			return p.sendStmt()
-		case "route", "multicast":
+		case "route", "multicast", "log":
 			if p.peek().kind == tokIdent {
 				return p.sendStmt()
 			}
@@ -827,10 +857,11 @@ func (p *parser) foreachStmt() (Stmt, error) {
 	return &ForeachStmt{Var: v.text, List: list, Body: body, Pos: pos}, nil
 }
 
-// sendStmt: send msg(dest, field=value, ...); and the forms that send through
-// the layer below, route msg(key, ...) and multicast msg(group, ...).
+// sendStmt: send msg(dest, field=value, ...) [via pri]; the forms that send
+// through the layer below, route msg(key, ...) and multicast msg(group, ...);
+// and log msg(log, field=value, ...), which appends to a bounded log.
 func (p *parser) sendStmt() (Stmt, error) {
-	verb := p.next() // "send", "route" or "multicast"
+	verb := p.next() // "send", "route", "multicast" or "log"
 	pos := verb.pos
 	msg, err := p.expectIdent("message name")
 	if err != nil {
@@ -860,6 +891,11 @@ func (p *parser) sendStmt() (Stmt, error) {
 	}
 	if _, err := p.expectPunct(")"); err != nil {
 		return nil, err
+	}
+	if verb.text == "send" && p.acceptIdent("via") {
+		if st.Via, err = p.expr(); err != nil {
+			return nil, err
+		}
 	}
 	if _, err := p.expectPunct(";"); err != nil {
 		return nil, err

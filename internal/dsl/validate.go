@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Validate performs the semantic checks the MACEDON translator applies
@@ -66,6 +67,11 @@ func Validate(s *Spec) error {
 	}
 	consts := map[string]string{}
 	for _, c := range s.Constants {
+		if _, err := strconv.ParseFloat(c.Value, 64); err != nil && !isIdent(c.Value) {
+			if _, err := strconv.ParseInt(c.Value, 0, 64); err != nil {
+				return errAt(c.Pos, "constant %s = %s is neither an int or double literal nor a name", c.Name, c.Value)
+			}
+		}
 		consts[c.Name] = c.Value
 	}
 	// intValue resolves a literal or constant reference to an integer; it
@@ -88,6 +94,7 @@ func Validate(s *Spec) error {
 	timers := map[string]bool{}
 	vars := map[string]bool{}
 	lists := map[string]bool{}
+	logs := map[string]string{} // log name → logged message
 	for _, v := range s.StateVars {
 		if vars[v.Name] {
 			return errAt(v.Pos, "state variable %q declared twice", v.Name)
@@ -115,6 +122,14 @@ func Validate(s *Spec) error {
 			if n, ok := intValue(v.Max); !ok || n <= 0 {
 				return errAt(v.Pos, "nodetable %q size %q is not a positive integer literal or constant", v.Name, v.Max)
 			}
+		case VarLog:
+			if !msgs[v.Type] {
+				return errAt(v.Pos, "log %q of undeclared message %q", v.Name, v.Type)
+			}
+			if n, ok := intValue(v.Max); !ok || n <= 0 {
+				return errAt(v.Pos, "log %q size %q is not a positive integer literal or constant", v.Name, v.Max)
+			}
+			logs[v.Name] = v.Type
 		case VarKeyTable:
 			fields := map[string]bool{}
 			for _, f := range v.Fields {
@@ -162,8 +177,103 @@ func Validate(s *Spec) error {
 				return errAt(tr.Pos, "transition on undeclared message %q", tr.Name)
 			}
 		}
+		if err := checkBody(tr.Body, logs); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// arity is the argument count of the value primitives whose misuse the
+// validator reports, rather than letting the statement degrade to a TODO.
+var arity = map[string]int{"now": 0, "time_diff": 2, "time_diff_ms": 2, "jitter": 1, "zeros": 1}
+
+// checkBody checks the statements that name a bounded log — a log statement
+// appends to a declared log of its message, log_replay replays one — and the
+// argument counts of the clock primitives.
+func checkBody(body []Stmt, logs map[string]string) error {
+	for _, st := range body {
+		var exprs []Expr
+		switch st := st.(type) {
+		case *CallStmt:
+			exprs = st.Args
+			for _, f := range st.Fields {
+				exprs = append(exprs, f.Value)
+			}
+			name := ""
+			if len(st.Args) > 0 {
+				if id, ok := st.Args[0].(Ident); ok {
+					name = id.Name
+				}
+			}
+			switch {
+			case st.Msg != "" && st.Fn == "log" && logs[name] != st.Msg:
+				return errAt(st.Pos, "log %s(%s, ...): %q is not a declared log of %s", st.Msg, name, name, st.Msg)
+			case st.Msg == "" && st.Fn == "log_replay" && logs[name] == "":
+				return errAt(st.Pos, "log_replay of %q, which is not a declared log", name)
+			}
+		case *AssignStmt:
+			exprs = []Expr{st.Value}
+		case *LocalStmt:
+			if st.Value != nil {
+				exprs = []Expr{st.Value}
+			}
+		case *IfStmt:
+			exprs = []Expr{st.Cond}
+			if err := checkBody(st.Then, logs); err != nil {
+				return err
+			}
+			if err := checkBody(st.Else, logs); err != nil {
+				return err
+			}
+		case *ForeachStmt:
+			if err := checkBody(st.Body, logs); err != nil {
+				return err
+			}
+		}
+		for _, e := range exprs {
+			if c, ok := badArity(e); ok {
+				return errAt(st.Position(), "%s takes %d arguments, not %d", c.Fn, arity[c.Fn], len(c.Args))
+			}
+		}
+	}
+	return nil
+}
+
+// badArity finds a call in e of a primitive listed in arity with the wrong
+// number of arguments.
+func badArity(e Expr) (CallExpr, bool) {
+	switch e := e.(type) {
+	case CallExpr:
+		if n, ok := arity[e.Fn]; ok && n != len(e.Args) {
+			return e, true
+		}
+		for _, a := range e.Args {
+			if c, ok := badArity(a); ok {
+				return c, true
+			}
+		}
+	case BinExpr:
+		if c, ok := badArity(e.L); ok {
+			return c, true
+		}
+		return badArity(e.R)
+	case NotExpr:
+		return badArity(e.Inner)
+	case EntryExpr:
+		return badArity(e.Key)
+	}
+	return CallExpr{}, false
+}
+
+// isIdent reports whether v is a name: a constant may stand for another.
+func isIdent(v string) bool {
+	for i, r := range v {
+		if !(r == '_' || unicode.IsLetter(r) || i > 0 && unicode.IsDigit(r)) {
+			return false
+		}
+	}
+	return v != ""
 }
 
 // validateRouting checks the routing declaration: each role belongs to the
@@ -223,6 +333,8 @@ func (v StateVar) typeName() string {
 		return "neighbor list"
 	case VarTable:
 		return "nodetable"
+	case VarLog:
+		return "log"
 	}
 	return v.Type
 }

@@ -37,7 +37,7 @@ func TestDeclaredRoutingMatchesNameTables(t *testing.T) {
 		{"overcast", tree, scenario.WlMulticast},
 		{"bullet", tree, scenario.WlMulticast},
 		{"nice", none, scenario.WlLookups},
-		{"ammo", none, scenario.WlLookups},
+		{"ammo", tree, scenario.WlMulticast},
 	} {
 		stack, err := harness.ScenarioStack(c.proto)
 		if err != nil {

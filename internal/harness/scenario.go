@@ -10,22 +10,22 @@ import (
 	"macedon/internal/check"
 	"macedon/internal/core"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/ammo"
 	"macedon/internal/overlays/bullet"
+	"macedon/internal/overlays/genammo"
 	"macedon/internal/overlays/genchord"
+	"macedon/internal/overlays/genovercast"
 	"macedon/internal/overlays/genpastry"
 	"macedon/internal/overlays/genrandtree"
 	"macedon/internal/overlays/genscribe"
 	"macedon/internal/overlays/gensplitstream"
 	"macedon/internal/overlays/nice"
-	"macedon/internal/overlays/overcast"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 	"macedon/internal/substrate"
 )
 
 // ScenarioStack resolves a scenario protocol name onto a node stack: nice,
-// overcast, ammo, and Chord, Pastry, RandTree, Scribe and SplitStream, which
+// and Chord, Pastry, RandTree, Scribe, SplitStream, Overcast and AMMO, which
 // exist only as the code `macedon gen` emits from specs/*.mac: chord and
 // genchord name the same agent, as do pastry and genpastry and randtree and
 // genrandtree. Scribe stacks on Pastry, splitstream on Scribe, and bullet on
@@ -51,9 +51,9 @@ func ScenarioStack(proto string) ([]core.Factory, error) {
 	case "nice":
 		return []core.Factory{nice.New(nice.Params{})}, nil
 	case "overcast":
-		return []core.Factory{overcast.New(overcast.Params{})}, nil
+		return []core.Factory{genovercast.New()}, nil
 	case "ammo":
-		return []core.Factory{ammo.New(ammo.Params{})}, nil
+		return []core.Factory{genammo.New()}, nil
 	case "bullet":
 		// Bullet layers over RandTree (the paper's Figure 2 stack): the tree
 		// stripes blocks, the RanSub mesh recovers the rest. Snappier epoch

@@ -7,16 +7,19 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/ammo"
+	"macedon/internal/overlays/genammo"
 )
 
-func build(t *testing.T, n int, p ammo.Params, settle time.Duration, seed int64) *harness.Cluster {
+// The behaviour tests of AMMO, run on the agent `macedon gen` emits from
+// specs/ammo.mac: the only AMMO.
+
+func build(t *testing.T, n int, settle time.Duration, seed int64) *harness.Cluster {
 	t.Helper()
 	c, err := harness.NewCluster(harness.ClusterConfig{Nodes: n, Routers: 100, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := []core.Factory{ammo.New(p)}
+	stack := []core.Factory{genammo.New()}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +37,7 @@ func parentOf(c *harness.Cluster, a overlay.Address) overlay.Address {
 
 func TestTreeFormsAndStaysAcyclic(t *testing.T) {
 	const n = 20
-	c := build(t, n, ammo.Params{EvalPeriod: 5 * time.Second}, 3*time.Minute, 113)
+	c := build(t, n, 3*time.Minute, 113)
 	root := c.Addrs[0]
 	for _, a := range c.Addrs[1:] {
 		hops := 0
@@ -52,7 +55,7 @@ func TestTreeFormsAndStaysAcyclic(t *testing.T) {
 
 func TestMulticastDelivery(t *testing.T) {
 	const n = 15
-	c := build(t, n, ammo.Params{}, 2*time.Minute, 127)
+	c := build(t, n, 2*time.Minute, 127)
 	got := map[overlay.Address]int{}
 	for _, a := range c.Addrs[1:] {
 		addr := a
@@ -78,10 +81,10 @@ func TestLatencyWeightReducesDepthCost(t *testing.T) {
 	// sum of per-node parent RTT costs versus the initial random tree:
 	// measured here as adaptation activity plus an intact tree.
 	const n = 18
-	c := build(t, n, ammo.Params{WeightLatency: 1, SwitchGain: 1.1, EvalPeriod: 4 * time.Second}, 4*time.Minute, 131)
+	c := build(t, n, 4*time.Minute, 131)
 	moves := uint64(0)
 	for _, a := range c.Addrs {
-		moves += c.Nodes[a].Instance("ammo").Agent().(*ammo.Protocol).Moves()
+		moves += uint64(c.Nodes[a].Instance("ammo").Agent().(*genammo.Agent).Moves)
 	}
 	if moves == 0 {
 		t.Fatal("no adaptation ever happened")

@@ -281,7 +281,7 @@ func (a *Agent) transition1(ctx *core.Context) {
 
 // transition2 implements: (joined) recv find_req [locking write;]
 func (a *Agent) transition2(ctx *core.Context, ev *core.MsgEvent, m *msgFindReq) {
-	if (ctx.Neighbors("pred").Size() > 0) && (m.Target).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
+	if (int32(ctx.Neighbors("pred").Size()) > 0) && (m.Target).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
 		_ = ctx.Send(m.Origin, core.Put(&a.io.tx.FindResp, msgFindResp{Target: m.Target, Owner: ctx.Self(), Purpose: m.Purpose, Finger: m.Finger}), overlay.PriorityDefault)
 		return
 	}
@@ -378,7 +378,7 @@ func (a *Agent) transition5(ctx *core.Context) {
 func (a *Agent) transition6(ctx *core.Context) {
 	ctx.TimerSched("stabilize", 1000*time.Millisecond)
 	if int32(len(a.Succs)) == 0 {
-		if ctx.Neighbors("pred").Size() > 0 {
+		if int32(ctx.Neighbors("pred").Size()) > 0 {
 			a.Succs = core.ListAppend(a.Succs, core.NeighborFirst(ctx, "pred"))
 			ctx.Neighbors("succ_nbrs").Assign(a.Succs, ctx.Self())
 		}
@@ -423,7 +423,7 @@ func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent, m *msgNotify) 
 	if ev.From == ctx.Self() {
 		return
 	}
-	if (ctx.Neighbors("pred").Size() == 0) || (overlay.HashAddress(ev.From)).Between(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
+	if (int32(ctx.Neighbors("pred").Size()) == 0) || (overlay.HashAddress(ev.From)).Between(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
 		ctx.Neighbors("pred").Clear()
 		ctx.Neighbors("pred").Add(ev.From)
 		if int32(len(a.Succs)) == 0 {
@@ -453,7 +453,7 @@ func (a *Agent) transition10(ctx *core.Context) {
 	var target overlay.Key
 	_ = target
 	target = overlay.KeyStep(ctx.SelfKey(), int(a.NextFinger))
-	if (ctx.Neighbors("pred").Size() > 0) && (target).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
+	if (int32(ctx.Neighbors("pred").Size()) > 0) && (target).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
 		core.TablePut(a.Fingers[:], a.NextFinger, ctx.Self())
 		return
 	}
@@ -489,7 +489,7 @@ func (a *Agent) transition10(ctx *core.Context) {
 
 // transition11 implements: (joined) API route [locking write;]
 func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
-	if (ctx.Neighbors("pred").Size() > 0) && (call.Dest).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
+	if (int32(ctx.Neighbors("pred").Size()) > 0) && (call.Dest).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 		return
 	}
@@ -532,7 +532,7 @@ func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
 
 // transition12 implements: (joined) recv data [locking write;]
 func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent, m *msgData) {
-	if (ctx.Neighbors("pred").Size() > 0) && (m.Dest).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
+	if (int32(ctx.Neighbors("pred").Size()) > 0) && (m.Dest).BetweenIncl(overlay.HashAddress(core.NeighborFirst(ctx, "pred")), ctx.SelfKey()) {
 		ctx.Deliver(m.Payload, m.Typ, m.Src)
 		return
 	}

@@ -249,7 +249,7 @@ func (a *Agent) transition4(ctx *core.Context) {
 
 // transition5 implements: (joined) API error [locking write;]
 func (a *Agent) transition5(ctx *core.Context, call *core.APICall) {
-	if (ctx.Neighbors("parent").Size() == 0) && (ctx.Self() != a.Root) {
+	if (int32(ctx.Neighbors("parent").Size()) == 0) && (ctx.Self() != a.Root) {
 		ctx.StateChange("joining")
 		ctx.TimerSched("rejoin", 1000*time.Millisecond)
 	}
@@ -292,7 +292,7 @@ func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent, m *msgMdata) {
 
 // transition9 implements: (joined) API collect [locking read;]
 func (a *Agent) transition9(ctx *core.Context, call *core.APICall) {
-	if ctx.Neighbors("parent").Size() == 0 {
+	if int32(ctx.Neighbors("parent").Size()) == 0 {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
 		_ = ctx.Send(core.NeighborFirst(ctx, "parent"), core.Put(&a.io.tx.Cdata, msgCdata{Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, Payload: call.Payload}), overlay.PriorityDefault)
@@ -307,7 +307,7 @@ func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent, m *msgCdata) 
 			return
 		}
 		_ = fwPayload
-		if ctx.Neighbors("parent").Size() == 0 {
+		if int32(ctx.Neighbors("parent").Size()) == 0 {
 			ctx.Deliver(fwPayload, m.Typ, m.Src)
 		} else {
 			_ = ctx.Send(core.NeighborFirst(ctx, "parent"), core.Put(&a.io.tx.Cdata, msgCdata{Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), Payload: fwPayload}), overlay.PriorityDefault)

@@ -7,17 +7,20 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/overcast"
+	"macedon/internal/overlays/genovercast"
 	"macedon/internal/topology"
 )
 
-func build(t *testing.T, n int, p overcast.Params, settle time.Duration, seed int64) *harness.Cluster {
+// The behaviour tests of Overcast, run on the agent `macedon gen` emits from
+// specs/overcast.mac: the only Overcast.
+
+func build(t *testing.T, n int, settle time.Duration, seed int64) *harness.Cluster {
 	t.Helper()
 	c, err := harness.NewCluster(harness.ClusterConfig{Nodes: n, Routers: 100, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := []core.Factory{overcast.New(p)}
+	stack := []core.Factory{genovercast.New()}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +38,7 @@ func parentOf(c *harness.Cluster, a overlay.Address) overlay.Address {
 
 func TestTreeFormsAndStatesSettle(t *testing.T) {
 	const n = 20
-	c := build(t, n, overcast.Params{}, 90*time.Second, 81)
+	c := build(t, n, 90*time.Second, 81)
 	root := c.Addrs[0]
 	for _, a := range c.Addrs[1:] {
 		st := c.Nodes[a].Instance("overcast").State()
@@ -58,7 +61,7 @@ func TestTreeFormsAndStatesSettle(t *testing.T) {
 
 func TestMulticastFromRoot(t *testing.T) {
 	const n = 15
-	c := build(t, n, overcast.Params{}, 90*time.Second, 83)
+	c := build(t, n, 90*time.Second, 83)
 	got := map[overlay.Address]int{}
 	for _, a := range c.Addrs[1:] {
 		addr := a
@@ -80,7 +83,7 @@ func TestMulticastFromRoot(t *testing.T) {
 }
 
 func TestProbingEpisodesRun(t *testing.T) {
-	c := build(t, 12, overcast.Params{ProbeRequestPeriod: 5 * time.Second}, 120*time.Second, 87)
+	c := build(t, 12, 120*time.Second, 87)
 	// Someone must have probed: look for at least one node that recorded a
 	// probing episode (counter via state transitions is enough: counters
 	// show timer fires on keep_probing).
@@ -117,15 +120,14 @@ func TestRelocatesTowardBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := []core.Factory{overcast.New(overcast.Params{
-		ProbeRequestPeriod: 5 * time.Second, MaxChildren: 2})}
+	stack := []core.Factory{genovercast.New()}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(5 * time.Minute)
 	moves := uint64(0)
 	for _, a := range c.Addrs {
-		moves += c.Nodes[a].Instance("overcast").Agent().(*overcast.Protocol).Moves()
+		moves += uint64(c.Nodes[a].Instance("overcast").Agent().(*genovercast.Agent).Moves)
 	}
 	if moves == 0 {
 		t.Fatal("no relocation ever happened despite bandwidth asymmetry")
