@@ -105,6 +105,14 @@ func (m *msgDataIp) Decode(r *overlay.Reader) error {
 	return r.Err()
 }
 
+type msgDrop struct{}
+
+func (m *msgDrop) MsgName() string { return "drop" }
+
+func (m *msgDrop) Encode(*overlay.Writer) {}
+
+func (m *msgDrop) Decode(r *overlay.Reader) error { return r.Err() }
+
 // msgScratch is where this agent builds the messages it sends: per declared
 // message one send slot (tx), which a send statement fills and hands to
 // ctx.Send. A received message lives in the engine's receive slot for its
@@ -123,6 +131,7 @@ type msgSlots struct {
 	Mdata     msgMdata
 	Cdata     msgCdata
 	DataIp    msgDataIp
+	Drop      msgDrop
 }
 
 // StateCopyOpaque keeps the scratch out of checkpoint images: between events
@@ -172,6 +181,7 @@ func (*Agent) Define(d *core.Def) {
 	d.Message("mdata", func() overlay.Message { return &msgMdata{} }, "RELIABLE")
 	d.Message("cdata", func() overlay.Message { return &msgCdata{} }, "RELIABLE")
 	d.Message("data_ip", func() overlay.Message { return &msgDataIp{} }, "RELIABLE")
+	d.Message("drop", func() overlay.Message { return &msgDrop{} }, "BEST_EFFORT")
 	d.Timer("rejoin", 3000*time.Millisecond)
 	d.NeighborList("parent", 1, true)
 	d.NeighborList("kids", 4, true)
@@ -182,12 +192,13 @@ func (*Agent) Define(d *core.Def) {
 	d.OnTimer("rejoin", core.In("joining"), core.Write, core.TimerOf((*Agent).transition4))
 	d.OnAPI(overlay.APIError, core.In("joined"), core.Write, core.APIOf((*Agent).transition5))
 	d.OnAPI(overlay.APIError, core.Not(core.In("joined")), core.Write, core.APIOf((*Agent).transition6))
-	d.OnAPI(overlay.APIMulticast, core.In("joined"), core.Read, core.APIOf((*Agent).transition7))
-	d.OnRecv("mdata", core.Any, core.Read, core.RecvOf((*Agent).transition8))
-	d.OnAPI(overlay.APICollect, core.In("joined"), core.Read, core.APIOf((*Agent).transition9))
-	d.OnRecv("cdata", core.Any, core.Read, core.RecvOf((*Agent).transition10))
-	d.OnAPI(overlay.APIRouteIP, core.Any, core.Read, core.APIOf((*Agent).transition11))
-	d.OnRecv("data_ip", core.Any, core.Read, core.RecvOf((*Agent).transition12))
+	d.OnRecv("drop", core.Any, core.Write, core.RecvOf((*Agent).transition7))
+	d.OnAPI(overlay.APIMulticast, core.In("joined"), core.Read, core.APIOf((*Agent).transition8))
+	d.OnRecv("mdata", core.Any, core.Read, core.RecvOf((*Agent).transition9))
+	d.OnAPI(overlay.APICollect, core.In("joined"), core.Read, core.APIOf((*Agent).transition10))
+	d.OnRecv("cdata", core.Any, core.Read, core.RecvOf((*Agent).transition11))
+	d.OnAPI(overlay.APIRouteIP, core.Any, core.Read, core.APIOf((*Agent).transition12))
+	d.OnRecv("data_ip", core.Any, core.Read, core.RecvOf((*Agent).transition13))
 }
 
 // transition0 implements: (init) API init [locking write;]
@@ -253,16 +264,32 @@ func (a *Agent) transition5(ctx *core.Context, call *core.APICall) {
 		ctx.StateChange("joining")
 		ctx.TimerSched("rejoin", 1000*time.Millisecond)
 	}
+	_ = ctx.Send(call.Failed, core.Put(&a.io.tx.Drop, msgDrop{}), overlay.PriorityDefault)
 	ctx.NotifyNeighbors(overlay.NbrTypeChild, ctx.Neighbors("kids").Addrs())
 }
 
 // transition6 implements: !(joined) API error [locking write;]
 func (a *Agent) transition6(ctx *core.Context, call *core.APICall) {
+	_ = ctx.Send(call.Failed, core.Put(&a.io.tx.Drop, msgDrop{}), overlay.PriorityDefault)
 	ctx.NotifyNeighbors(overlay.NbrTypeChild, ctx.Neighbors("kids").Addrs())
 }
 
-// transition7 implements: (joined) API multicast [locking read;]
-func (a *Agent) transition7(ctx *core.Context, call *core.APICall) {
+// transition7 implements: any recv drop [locking write;]
+func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent, m *msgDrop) {
+	if ctx.Neighbors("kids").Contains(ev.From) {
+		ctx.Neighbors("kids").Remove(ev.From)
+		ctx.NotifyNeighbors(overlay.NbrTypeChild, ctx.Neighbors("kids").Addrs())
+	}
+	if ctx.Neighbors("parent").Contains(ev.From) {
+		ctx.Neighbors("parent").Clear()
+		ctx.StateChange("joining")
+		_ = ctx.Send(a.Root, core.Put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
+		ctx.TimerResched("rejoin", 3000*time.Millisecond)
+	}
+}
+
+// transition8 implements: (joined) API multicast [locking read;]
+func (a *Agent) transition8(ctx *core.Context, call *core.APICall) {
 	for _, k := range ctx.Neighbors("kids").Addrs() {
 		fwOk, _, fwPayload := ctx.Forward(call.Payload, call.PayloadType, k, overlay.HashAddress(k))
 		if !fwOk {
@@ -273,8 +300,8 @@ func (a *Agent) transition7(ctx *core.Context, call *core.APICall) {
 	}
 }
 
-// transition8 implements: any recv mdata [locking read;]
-func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent, m *msgMdata) {
+// transition9 implements: any recv mdata [locking read;]
+func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent, m *msgMdata) {
 	for _, k := range ctx.Neighbors("kids").Addrs() {
 		if (k != ev.From) && (m.Ttl > 0) {
 			fwOk, _, fwPayload := ctx.Forward(m.Payload, m.Typ, k, overlay.HashAddress(k))
@@ -290,8 +317,8 @@ func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent, m *msgMdata) {
 	}
 }
 
-// transition9 implements: (joined) API collect [locking read;]
-func (a *Agent) transition9(ctx *core.Context, call *core.APICall) {
+// transition10 implements: (joined) API collect [locking read;]
+func (a *Agent) transition10(ctx *core.Context, call *core.APICall) {
 	if int32(ctx.Neighbors("parent").Size()) == 0 {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
@@ -299,8 +326,8 @@ func (a *Agent) transition9(ctx *core.Context, call *core.APICall) {
 	}
 }
 
-// transition10 implements: any recv cdata [locking read;]
-func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent, m *msgCdata) {
+// transition11 implements: any recv cdata [locking read;]
+func (a *Agent) transition11(ctx *core.Context, ev *core.MsgEvent, m *msgCdata) {
 	if m.Ttl > 0 {
 		fwOk, _, fwPayload := ctx.Forward(m.Payload, m.Typ, ctx.Self(), overlay.HashAddress(ctx.Self()))
 		if !fwOk {
@@ -315,8 +342,8 @@ func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent, m *msgCdata) 
 	}
 }
 
-// transition11 implements: any API routeIP [locking read;]
-func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
+// transition12 implements: any API routeIP [locking read;]
+func (a *Agent) transition12(ctx *core.Context, call *core.APICall) {
 	if call.DestIP == ctx.Self() {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
@@ -324,7 +351,7 @@ func (a *Agent) transition11(ctx *core.Context, call *core.APICall) {
 	}
 }
 
-// transition12 implements: any recv data_ip [locking read;]
-func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent, m *msgDataIp) {
+// transition13 implements: any recv data_ip [locking read;]
+func (a *Agent) transition13(ctx *core.Context, ev *core.MsgEvent, m *msgDataIp) {
 	ctx.Deliver(m.Payload, m.Typ, m.Src)
 }
