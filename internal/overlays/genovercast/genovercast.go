@@ -156,6 +156,14 @@ func (m *msgMdata) Decode(r *overlay.Reader) error {
 	return r.Err()
 }
 
+type msgDrop struct{}
+
+func (m *msgDrop) MsgName() string { return "drop" }
+
+func (m *msgDrop) Encode(*overlay.Writer) {}
+
+func (m *msgDrop) Decode(r *overlay.Reader) error { return r.Err() }
+
 // msgScratch is where this agent builds the messages it sends: per declared
 // message one send slot (tx), which a send statement fills and hands to
 // ctx.Send. A received message lives in the engine's receive slot for its
@@ -177,6 +185,7 @@ type msgSlots struct {
 	ProbeReply   msgProbeReply
 	Family       msgFamily
 	Mdata        msgMdata
+	Drop         msgDrop
 }
 
 // StateCopyOpaque keeps the scratch out of checkpoint images: between events
@@ -278,6 +287,7 @@ func (*Agent) Define(d *core.Def) {
 	d.Message("probe_reply", func() overlay.Message { return &msgProbeReply{} }, "HIGHEST")
 	d.Message("family", func() overlay.Message { return &msgFamily{} }, "MED")
 	d.Message("mdata", func() overlay.Message { return &msgMdata{} }, "MED")
+	d.Message("drop", func() overlay.Message { return &msgDrop{} }, "BEST_EFFORT")
 	d.Timer("probe_requester", 10000*time.Millisecond)
 	d.Timer("keep_probing", 20*time.Millisecond)
 	d.Timer("probe_timeout", 5000*time.Millisecond)
@@ -288,19 +298,20 @@ func (*Agent) Define(d *core.Def) {
 	d.OnAPI(overlay.APIMulticast, core.Not(core.In("init", "joining")), core.Read, core.APIOf((*Agent).transition1))
 	d.OnAPI(overlay.APIError, core.Not(core.In("init", "joining")), core.Write, core.APIOf((*Agent).transition2))
 	d.OnAPI(overlay.APIError, core.In("init", "joining"), core.Write, core.APIOf((*Agent).transition3))
-	d.OnRecv("join", core.Not(core.In("joining", "init")), core.Write, core.RecvOf((*Agent).transition4))
-	d.OnRecv("join_reply", core.In("joining"), core.Write, core.RecvOf((*Agent).transition5))
-	d.OnRecv("remove", core.Any, core.Write, core.RecvOf((*Agent).transition6))
-	d.OnRecv("probe_request", core.In("joined"), core.Write, core.RecvOf((*Agent).transition7))
-	d.OnRecv("probe_request", core.In("joining", "probing", "probed"), core.Write, core.RecvOf((*Agent).transition8))
-	d.OnRecv("probe", core.In("probed"), core.Write, core.RecvOf((*Agent).transition9))
-	d.OnRecv("probe_reply", core.In("probed"), core.Write, core.RecvOf((*Agent).transition10))
-	d.OnRecv("family", core.Any, core.Write, core.RecvOf((*Agent).transition11))
-	d.OnRecv("mdata", core.Not(core.In("init", "joining")), core.Read, core.RecvOf((*Agent).transition12))
-	d.OnTimer("probe_requester", core.In("joined"), core.Write, core.TimerOf((*Agent).transition13))
-	d.OnTimer("keep_probing", core.In("probing"), core.Read, core.TimerOf((*Agent).transition14))
-	d.OnTimer("probe_timeout", core.In("probed"), core.Write, core.TimerOf((*Agent).transition15))
-	d.OnTimer("join_retry", core.In("joining"), core.Write, core.TimerOf((*Agent).transition16))
+	d.OnRecv("drop", core.Any, core.Write, core.RecvOf((*Agent).transition4))
+	d.OnRecv("join", core.Not(core.In("joining", "init")), core.Write, core.RecvOf((*Agent).transition5))
+	d.OnRecv("join_reply", core.In("joining"), core.Write, core.RecvOf((*Agent).transition6))
+	d.OnRecv("remove", core.Any, core.Write, core.RecvOf((*Agent).transition7))
+	d.OnRecv("probe_request", core.In("joined"), core.Write, core.RecvOf((*Agent).transition8))
+	d.OnRecv("probe_request", core.In("joining", "probing", "probed"), core.Write, core.RecvOf((*Agent).transition9))
+	d.OnRecv("probe", core.In("probed"), core.Write, core.RecvOf((*Agent).transition10))
+	d.OnRecv("probe_reply", core.In("probed"), core.Write, core.RecvOf((*Agent).transition11))
+	d.OnRecv("family", core.Any, core.Write, core.RecvOf((*Agent).transition12))
+	d.OnRecv("mdata", core.Not(core.In("init", "joining")), core.Read, core.RecvOf((*Agent).transition13))
+	d.OnTimer("probe_requester", core.In("joined"), core.Write, core.TimerOf((*Agent).transition14))
+	d.OnTimer("keep_probing", core.In("probing"), core.Read, core.TimerOf((*Agent).transition15))
+	d.OnTimer("probe_timeout", core.In("probed"), core.Write, core.TimerOf((*Agent).transition16))
+	d.OnTimer("join_retry", core.In("joining"), core.Write, core.TimerOf((*Agent).transition17))
 }
 
 // transition0 implements: (init) API init [locking write;]
@@ -339,16 +350,32 @@ func (a *Agent) transition2(ctx *core.Context, call *core.APICall) {
 		_ = ctx.Send(a.Root, core.Put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
 		ctx.TimerResched("join_retry", 2000*time.Millisecond)
 	}
+	_ = ctx.Send(call.Failed, core.Put(&a.io.tx.Drop, msgDrop{}), overlay.PriorityDefault)
 	ctx.NotifyNeighbors(overlay.NbrTypeChild, ctx.Neighbors("kids").Addrs())
 }
 
 // transition3 implements: (init|joining) API error [locking write;]
 func (a *Agent) transition3(ctx *core.Context, call *core.APICall) {
+	_ = ctx.Send(call.Failed, core.Put(&a.io.tx.Drop, msgDrop{}), overlay.PriorityDefault)
 	ctx.NotifyNeighbors(overlay.NbrTypeChild, ctx.Neighbors("kids").Addrs())
 }
 
-// transition4 implements: !(joining|init) recv join [locking write;]
-func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent, m *msgJoin) {
+// transition4 implements: any recv drop [locking write;]
+func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent, m *msgDrop) {
+	if ctx.Neighbors("kids").Contains(ev.From) {
+		ctx.Neighbors("kids").Remove(ev.From)
+		ctx.NotifyNeighbors(overlay.NbrTypeChild, ctx.Neighbors("kids").Addrs())
+	}
+	if ctx.Neighbors("papa").Contains(ev.From) && (ctx.Self() != a.Root) {
+		ctx.Neighbors("papa").Clear()
+		ctx.StateChange("joining")
+		_ = ctx.Send(a.Root, core.Put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
+		ctx.TimerResched("join_retry", 2000*time.Millisecond)
+	}
+}
+
+// transition5 implements: !(joining|init) recv join [locking write;]
+func (a *Agent) transition5(ctx *core.Context, ev *core.MsgEvent, m *msgJoin) {
 	if (ev.From != ctx.Self()) && slices.Contains(a.RootPath, ev.From) {
 		_ = ctx.Send(ev.From, core.Put(&a.io.tx.JoinReply, msgJoinReply{Response: 0, Redirect: a.Root}), overlay.PriorityDefault)
 		return
@@ -369,8 +396,8 @@ func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent, m *msgJoin) {
 	core.LogReplay(ctx, a.Backlog, ev.From, 3)
 }
 
-// transition5 implements: (joining) recv join_reply [locking write;]
-func (a *Agent) transition5(ctx *core.Context, ev *core.MsgEvent, m *msgJoinReply) {
+// transition6 implements: (joining) recv join_reply [locking write;]
+func (a *Agent) transition6(ctx *core.Context, ev *core.MsgEvent, m *msgJoinReply) {
 	if m.Response == 1 {
 		if int32(ctx.Neighbors("papa").Size()) > 0 {
 			if core.NeighborFirst(ctx, "papa") != ev.From {
@@ -419,14 +446,14 @@ func (a *Agent) transition5(ctx *core.Context, ev *core.MsgEvent, m *msgJoinRepl
 	_ = ctx.Send(target, core.Put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
 }
 
-// transition6 implements: any recv remove [locking write;]
-func (a *Agent) transition6(ctx *core.Context, ev *core.MsgEvent, m *msgRemove) {
+// transition7 implements: any recv remove [locking write;]
+func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent, m *msgRemove) {
 	ctx.Neighbors("kids").Remove(ev.From)
 	ctx.NotifyNeighbors(overlay.NbrTypeChild, ctx.Neighbors("kids").Addrs())
 }
 
-// transition7 implements: (joined) recv probe_request [locking write;]
-func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent, m *msgProbeRequest) {
+// transition8 implements: (joined) recv probe_request [locking write;]
+func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent, m *msgProbeRequest) {
 	a.ProbedNode = ev.From
 	a.ProbesToSend = m.Count
 	ctx.StateChange("probing")
@@ -442,12 +469,12 @@ func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent, m *msgProbeReq
 	}
 }
 
-// transition8 implements: (joining|probing|probed) recv probe_request [locking write;]
-func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent, m *msgProbeRequest) {
+// transition9 implements: (joining|probing|probed) recv probe_request [locking write;]
+func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent, m *msgProbeRequest) {
 }
 
-// transition9 implements: (probed) recv probe [locking write;]
-func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent, m *msgProbe) {
+// transition10 implements: (probed) recv probe [locking write;]
+func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent, m *msgProbe) {
 	if core.KeyRead(a.Cands, ev.From).Seen == 0 {
 		core.KeyEntry(&a.Cands, ev.From).First = ctx.Now().UnixNano()
 	}
@@ -455,8 +482,8 @@ func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent, m *msgProbe) {
 	core.KeyEntry(&a.Cands, ev.From).Seen = (core.KeyRead(a.Cands, ev.From).Seen + 1)
 }
 
-// transition10 implements: (probed) recv probe_reply [locking write;]
-func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent, m *msgProbeReply) {
+// transition11 implements: (probed) recv probe_reply [locking write;]
+func (a *Agent) transition11(ctx *core.Context, ev *core.MsgEvent, m *msgProbeReply) {
 	core.ListSet(&core.KeyEntry(&a.Cands, ev.From).Path, m.RootPath)
 	var seen int32 = core.KeyRead(a.Cands, ev.From).Seen
 	_ = seen
@@ -506,8 +533,8 @@ func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent, m *msgProbeRe
 	ctx.StateChange("joined")
 }
 
-// transition11 implements: any recv family [locking write;]
-func (a *Agent) transition11(ctx *core.Context, ev *core.MsgEvent, m *msgFamily) {
+// transition12 implements: any recv family [locking write;]
+func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent, m *msgFamily) {
 	if !(ctx.Neighbors("papa").Contains(ev.From)) {
 		return
 	}
@@ -533,8 +560,8 @@ func (a *Agent) transition11(ctx *core.Context, ev *core.MsgEvent, m *msgFamily)
 	}
 }
 
-// transition12 implements: !(init|joining) recv mdata [locking read;]
-func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent, m *msgMdata) {
+// transition13 implements: !(init|joining) recv mdata [locking read;]
+func (a *Agent) transition13(ctx *core.Context, ev *core.MsgEvent, m *msgMdata) {
 	if m.Inc > a.CurInc {
 		a.CurInc = m.Inc
 		a.CurHigh = 0
@@ -574,8 +601,8 @@ func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent, m *msgMdata) 
 	}
 }
 
-// transition13 implements: (joined) timer probe_requester [locking write;]
-func (a *Agent) transition13(ctx *core.Context) {
+// transition14 implements: (joined) timer probe_requester [locking write;]
+func (a *Agent) transition14(ctx *core.Context) {
 	var next int64 = core.Spread(ctx, 10000)
 	_ = next
 	for _, k := range ctx.Neighbors("kids").Addrs() {
@@ -614,8 +641,8 @@ func (a *Agent) transition13(ctx *core.Context) {
 	ctx.TimerResched("probe_requester", time.Duration(next))
 }
 
-// transition14 implements: (probing) timer keep_probing [locking read;]
-func (a *Agent) transition14(ctx *core.Context) {
+// transition15 implements: (probing) timer keep_probing [locking read;]
+func (a *Agent) transition15(ctx *core.Context) {
 	if a.ProbesToSend > 0 {
 		a.ProbesToSend = (a.ProbesToSend - 1)
 		_ = ctx.Send(a.ProbedNode, core.Put(&a.io.tx.Probe, msgProbe{Idx: ((10 - a.ProbesToSend) - 1), Total: 10, Pad: make([]byte, 1000)}), overlay.PriorityDefault)
@@ -628,8 +655,8 @@ func (a *Agent) transition14(ctx *core.Context) {
 	}
 }
 
-// transition15 implements: (probed) timer probe_timeout [locking write;]
-func (a *Agent) transition15(ctx *core.Context) {
+// transition16 implements: (probed) timer probe_timeout [locking write;]
+func (a *Agent) transition16(ctx *core.Context) {
 	a.Awaiting = 0
 	var best overlay.Address = overlay.NilAddress
 	_ = best
@@ -665,8 +692,8 @@ func (a *Agent) transition15(ctx *core.Context) {
 	ctx.StateChange("joined")
 }
 
-// transition16 implements: (joining) timer join_retry [locking write;]
-func (a *Agent) transition16(ctx *core.Context) {
+// transition17 implements: (joining) timer join_retry [locking write;]
+func (a *Agent) transition17(ctx *core.Context) {
 	_ = ctx.Send(a.Root, core.Put(&a.io.tx.Join, msgJoin{}), overlay.PriorityDefault)
 	ctx.TimerResched("join_retry", 2000*time.Millisecond)
 }
