@@ -227,22 +227,25 @@ func (*Agent) Define(d *core.Def) {
 	d.Timer("ls_exchange", 2000*time.Millisecond)
 	d.Timer("rejoin", 2000*time.Millisecond)
 	d.Timer("cache_flush", 0)
+	d.Timer("ring_probe", 10000*time.Millisecond)
 	d.NeighborList("leaves", 9, true)
 	d.OnAPI(overlay.APIInit, core.In("init"), core.Write, core.APIOf((*Agent).transition0))
 	d.OnTimer("rejoin", core.In("joining"), core.Write, core.TimerOf((*Agent).transition1))
 	d.OnRecv("join_req", core.In("joined"), core.Write, core.RecvOf((*Agent).transition2))
 	d.OnRecv("join_reply", core.In("joining"), core.Write, core.RecvOf((*Agent).transition3))
 	d.OnRecv("announce", core.In("joined"), core.Write, core.RecvOf((*Agent).transition4))
-	d.OnTimer("ls_exchange", core.In("joined"), core.Write, core.TimerOf((*Agent).transition5))
-	d.OnRecv("ls_req", core.Any, core.Write, core.RecvOf((*Agent).transition6))
-	d.OnRecv("ls_resp", core.In("joined"), core.Write, core.RecvOf((*Agent).transition7))
-	d.OnAPI(overlay.APIRoute, core.In("joined"), core.Write, core.APIOf((*Agent).transition8))
-	d.OnRecv("data", core.In("joined"), core.Write, core.RecvOf((*Agent).transition9))
-	d.OnRecv("cache_info", core.Any, core.Write, core.RecvOf((*Agent).transition10))
-	d.OnTimer("cache_flush", core.Any, core.Write, core.TimerOf((*Agent).transition11))
-	d.OnAPI(overlay.APIRouteIP, core.Any, core.Write, core.APIOf((*Agent).transition12))
-	d.OnRecv("data_ip", core.Any, core.Write, core.RecvOf((*Agent).transition13))
-	d.OnAPI(overlay.APIError, core.Any, core.Write, core.APIOf((*Agent).transition14))
+	d.OnTimer("ring_probe", core.In("joined"), core.Write, core.TimerOf((*Agent).transition5))
+	d.OnRecv("join_reply", core.In("joined"), core.Write, core.RecvOf((*Agent).transition6))
+	d.OnTimer("ls_exchange", core.In("joined"), core.Write, core.TimerOf((*Agent).transition7))
+	d.OnRecv("ls_req", core.Any, core.Write, core.RecvOf((*Agent).transition8))
+	d.OnRecv("ls_resp", core.In("joined"), core.Write, core.RecvOf((*Agent).transition9))
+	d.OnAPI(overlay.APIRoute, core.In("joined"), core.Write, core.APIOf((*Agent).transition10))
+	d.OnRecv("data", core.In("joined"), core.Write, core.RecvOf((*Agent).transition11))
+	d.OnRecv("cache_info", core.Any, core.Write, core.RecvOf((*Agent).transition12))
+	d.OnTimer("cache_flush", core.Any, core.Write, core.TimerOf((*Agent).transition13))
+	d.OnAPI(overlay.APIRouteIP, core.Any, core.Write, core.APIOf((*Agent).transition14))
+	d.OnRecv("data_ip", core.Any, core.Write, core.RecvOf((*Agent).transition15))
+	d.OnAPI(overlay.APIError, core.Any, core.Write, core.APIOf((*Agent).transition16))
 }
 
 // transition0 implements: (init) API init [locking write;]
@@ -303,6 +306,7 @@ func (a *Agent) transition3(ctx *core.Context, ev *core.MsgEvent, m *msgJoinRepl
 	ctx.StateChange("joined")
 	ctx.TimerCancel("rejoin")
 	ctx.TimerSched("ls_exchange", 2000*time.Millisecond)
+	ctx.TimerSched("ring_probe", 10000*time.Millisecond)
 	var row int32
 	_ = row
 	row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(ev.From), 4))
@@ -342,33 +346,16 @@ func (a *Agent) transition4(ctx *core.Context, ev *core.MsgEvent, m *msgAnnounce
 	ctx.Neighbors("leaves").Assign(a.Leafset, ctx.Self())
 }
 
-// transition5 implements: (joined) timer ls_exchange [locking write;]
+// transition5 implements: (joined) timer ring_probe [locking write;]
 func (a *Agent) transition5(ctx *core.Context) {
-	ctx.TimerSched("ls_exchange", 2000*time.Millisecond)
-	if int32(len(a.Leafset)) == 0 {
-		if a.Boot != ctx.Self() {
-			_ = ctx.Send(a.Boot, core.Put(&a.io.tx.LsReq, msgLsReq{}), overlay.PriorityDefault)
-		}
-		return
+	ctx.TimerSched("ring_probe", 10000*time.Millisecond)
+	if a.Boot != ctx.Self() {
+		_ = ctx.Send(a.Boot, core.Put(&a.io.tx.JoinReq, msgJoinReq{Joiner: ctx.Self(), Ttl: 32}), overlay.PriorityDefault)
 	}
-	_ = ctx.Send(core.ListRandom(ctx, a.Leafset), core.Put(&a.io.tx.LsReq, msgLsReq{}), overlay.PriorityDefault)
 }
 
-// transition6 implements: any recv ls_req [locking write;]
-func (a *Agent) transition6(ctx *core.Context, ev *core.MsgEvent, m *msgLsReq) {
-	var row int32
-	_ = row
-	row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(ev.From), 4))
-	if (row < 8) && (core.ListGet(a.Rt[:], ((row*16)+int32((overlay.HashAddress(ev.From)).Digit(int(row), 4)))) == overlay.NilAddress) {
-		core.TablePut(a.Rt[:], ((row * 16) + int32((overlay.HashAddress(ev.From)).Digit(int(row), 4))), ev.From)
-	}
-	a.Leafset = core.RingInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, ev.From, 4)
-	ctx.Neighbors("leaves").Assign(a.Leafset, ctx.Self())
-	_ = ctx.Send(ev.From, core.Put(&a.io.tx.LsResp, msgLsResp{Leaves: a.Leafset}), overlay.PriorityDefault)
-}
-
-// transition7 implements: (joined) recv ls_resp [locking write;]
-func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent, m *msgLsResp) {
+// transition6 implements: (joined) recv join_reply [locking write;]
+func (a *Agent) transition6(ctx *core.Context, ev *core.MsgEvent, m *msgJoinReply) {
 	var row int32
 	_ = row
 	row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(ev.From), 4))
@@ -388,8 +375,54 @@ func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent, m *msgLsResp) 
 	ctx.Neighbors("leaves").Assign(a.Leafset, ctx.Self())
 }
 
-// transition8 implements: (joined) API route [locking write;]
-func (a *Agent) transition8(ctx *core.Context, call *core.APICall) {
+// transition7 implements: (joined) timer ls_exchange [locking write;]
+func (a *Agent) transition7(ctx *core.Context) {
+	ctx.TimerSched("ls_exchange", 2000*time.Millisecond)
+	if int32(len(a.Leafset)) == 0 {
+		if a.Boot != ctx.Self() {
+			_ = ctx.Send(a.Boot, core.Put(&a.io.tx.LsReq, msgLsReq{}), overlay.PriorityDefault)
+		}
+		return
+	}
+	_ = ctx.Send(core.ListRandom(ctx, a.Leafset), core.Put(&a.io.tx.LsReq, msgLsReq{}), overlay.PriorityDefault)
+}
+
+// transition8 implements: any recv ls_req [locking write;]
+func (a *Agent) transition8(ctx *core.Context, ev *core.MsgEvent, m *msgLsReq) {
+	var row int32
+	_ = row
+	row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(ev.From), 4))
+	if (row < 8) && (core.ListGet(a.Rt[:], ((row*16)+int32((overlay.HashAddress(ev.From)).Digit(int(row), 4)))) == overlay.NilAddress) {
+		core.TablePut(a.Rt[:], ((row * 16) + int32((overlay.HashAddress(ev.From)).Digit(int(row), 4))), ev.From)
+	}
+	a.Leafset = core.RingInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, ev.From, 4)
+	ctx.Neighbors("leaves").Assign(a.Leafset, ctx.Self())
+	_ = ctx.Send(ev.From, core.Put(&a.io.tx.LsResp, msgLsResp{Leaves: a.Leafset}), overlay.PriorityDefault)
+}
+
+// transition9 implements: (joined) recv ls_resp [locking write;]
+func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent, m *msgLsResp) {
+	var row int32
+	_ = row
+	row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(ev.From), 4))
+	if (row < 8) && (core.ListGet(a.Rt[:], ((row*16)+int32((overlay.HashAddress(ev.From)).Digit(int(row), 4)))) == overlay.NilAddress) {
+		core.TablePut(a.Rt[:], ((row * 16) + int32((overlay.HashAddress(ev.From)).Digit(int(row), 4))), ev.From)
+	}
+	a.Leafset = core.RingInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, ev.From, 4)
+	for _, l := range m.Leaves {
+		if (l != ctx.Self()) && (l != overlay.NilAddress) {
+			row = int32((ctx.SelfKey()).SharedPrefix(overlay.HashAddress(l), 4))
+			if (row < 8) && (core.ListGet(a.Rt[:], ((row*16)+int32((overlay.HashAddress(l)).Digit(int(row), 4)))) == overlay.NilAddress) {
+				core.TablePut(a.Rt[:], ((row * 16) + int32((overlay.HashAddress(l)).Digit(int(row), 4))), l)
+			}
+			a.Leafset = core.RingInsert(ctx.SelfKey(), ctx.Self(), a.Leafset, l, 4)
+		}
+	}
+	ctx.Neighbors("leaves").Assign(a.Leafset, ctx.Self())
+}
+
+// transition10 implements: (joined) API route [locking write;]
+func (a *Agent) transition10(ctx *core.Context, call *core.APICall) {
 	if a.Cache[call.Dest] != overlay.NilAddress {
 		_ = ctx.Send(a.Cache[call.Dest], core.Put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 0, Payload: call.Payload}), overlay.PriorityDefault)
 		return
@@ -434,8 +467,8 @@ func (a *Agent) transition8(ctx *core.Context, call *core.APICall) {
 	_ = ctx.Send(best, core.Put(&a.io.tx.Data, msgData{Dest: call.Dest, Src: ctx.Self(), Typ: call.PayloadType, Ttl: 32, WantCache: 1, Payload: fwPayload2}), overlay.PriorityDefault)
 }
 
-// transition9 implements: (joined) recv data [locking write;]
-func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent, m *msgData) {
+// transition11 implements: (joined) recv data [locking write;]
+func (a *Agent) transition11(ctx *core.Context, ev *core.MsgEvent, m *msgData) {
 	var best overlay.Address
 	_ = best
 	best = ctx.Self()
@@ -482,19 +515,19 @@ func (a *Agent) transition9(ctx *core.Context, ev *core.MsgEvent, m *msgData) {
 	_ = ctx.Send(best, core.Put(&a.io.tx.Data, msgData{Dest: m.Dest, Src: m.Src, Typ: m.Typ, Ttl: (m.Ttl - 1), WantCache: m.WantCache, Payload: fwPayload2}), overlay.PriorityDefault)
 }
 
-// transition10 implements: any recv cache_info [locking write;]
-func (a *Agent) transition10(ctx *core.Context, ev *core.MsgEvent, m *msgCacheInfo) {
+// transition12 implements: any recv cache_info [locking write;]
+func (a *Agent) transition12(ctx *core.Context, ev *core.MsgEvent, m *msgCacheInfo) {
 	core.MapPut(&a.Cache, m.Id, ev.From)
 }
 
-// transition11 implements: any timer cache_flush [locking write;]
-func (a *Agent) transition11(ctx *core.Context) {
+// transition13 implements: any timer cache_flush [locking write;]
+func (a *Agent) transition13(ctx *core.Context) {
 	clear(a.Cache)
 	ctx.TimerSched("cache_flush", time.Duration(a.CacheMs)*time.Millisecond)
 }
 
-// transition12 implements: any API routeIP [locking write;]
-func (a *Agent) transition12(ctx *core.Context, call *core.APICall) {
+// transition14 implements: any API routeIP [locking write;]
+func (a *Agent) transition14(ctx *core.Context, call *core.APICall) {
 	if call.DestIP == ctx.Self() {
 		ctx.Deliver(call.Payload, call.PayloadType, ctx.Self())
 	} else {
@@ -502,13 +535,13 @@ func (a *Agent) transition12(ctx *core.Context, call *core.APICall) {
 	}
 }
 
-// transition13 implements: any recv data_ip [locking write;]
-func (a *Agent) transition13(ctx *core.Context, ev *core.MsgEvent, m *msgDataIp) {
+// transition15 implements: any recv data_ip [locking write;]
+func (a *Agent) transition15(ctx *core.Context, ev *core.MsgEvent, m *msgDataIp) {
 	ctx.Deliver(m.Payload, m.Typ, m.Src)
 }
 
-// transition14 implements: any API error [locking write;]
-func (a *Agent) transition14(ctx *core.Context, call *core.APICall) {
+// transition16 implements: any API error [locking write;]
+func (a *Agent) transition16(ctx *core.Context, call *core.APICall) {
 	a.Leafset = core.ListRemove(a.Leafset, call.Failed)
 	ctx.Neighbors("leaves").Assign(a.Leafset, ctx.Self())
 	core.TableRemove(a.Rt[:], call.Failed)
