@@ -96,7 +96,18 @@ func runLivePayloads(t *testing.T, stack []core.Factory, late, port int) {
 	for i := 0; i < nodes-late; i++ {
 		spawn(i)
 	}
-	time.Sleep(3 * time.Second) // joins
+	// Stream once every node of the tree layer has joined.
+	tree := stack[0]().(interface{ ProtocolName() string }).ProtocolName()
+	waitFor(t, 10*time.Second, func() bool {
+		for _, n := range live {
+			var st core.State
+			n.Exec(func() { st = n.Instance(tree).State() })
+			if st == core.StateInit || st == "joining" {
+				return false
+			}
+		}
+		return true
+	})
 
 	summaries := map[*byte]string{} // bullet: every kept summary, by storage
 	watched, changed := 0, false
@@ -106,7 +117,7 @@ func runLivePayloads(t *testing.T, stack []core.Factory, late, port int) {
 			spawn(len(live))
 		}
 		_ = live[0].Multicast(group, opPayload(id), int32(id), overlay.PriorityDefault)
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(100 * time.Millisecond) // the stream spans two of Bullet's 3 s epochs
 		for _, n := range live {
 			n.Exec(func() {
 				b, ok := n.Top().Agent().(*bullet.Protocol)
@@ -124,7 +135,13 @@ func runLivePayloads(t *testing.T, stack []core.Factory, late, port int) {
 			})
 		}
 	}
-	time.Sleep(2 * time.Second) // drain
+	// Drain: wait for every node to hold every op, or give up at the
+	// deadline and judge what arrived.
+	waitFor(t, 5*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return delivered >= ops*(nodes-1)
+	})
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -135,10 +152,21 @@ func runLivePayloads(t *testing.T, stack []core.Factory, late, port int) {
 	if late > 0 && replayed == 0 {
 		t.Fatal("no late node was caught up on data sent before it spawned")
 	}
+	if _, isBullet := stack[len(stack)-1]().(*bullet.Protocol); isBullet && watched == 0 {
+		t.Fatal("no kept candidate summary was seen twice: the watch is vacuous")
+	}
 	if corrupt > 0 {
 		t.Fatalf("%d of %d deliveries corrupt; first: %s", corrupt, delivered, firstBad)
 	}
 	if delivered < ops {
 		t.Fatalf("degenerate run: %d deliveries for %d ops", delivered, ops)
+	}
+}
+
+// waitFor polls cond until it holds or d has passed.
+func waitFor(t *testing.T, d time.Duration, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); !cond() && time.Now().Before(deadline); {
+		time.Sleep(50 * time.Millisecond)
 	}
 }
