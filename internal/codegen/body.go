@@ -596,11 +596,12 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 
 // sendStmt translates the three ways a message leaves: send msg(dest, ...)
 // to a node, at the priority of its via clause if it has one, and route
-// msg(key, ...) and multicast msg(group, ...) through the layer below; and
-// log msg(l, ...), which appends a copy to the bounded log l. The message is built in the agent's send slot (see
-// msgScratch): each of the three encodes it before returning and keeps
-// nothing. One call expression, so the destination is still evaluated before
-// the fields.
+// msg(key, ...) and multicast msg(group, ...) through the layer below. The
+// message is built in the agent's send slot (see msgScratch): each of the
+// three encodes it before returning and keeps nothing. One call expression,
+// so the destination is still evaluated before the fields. It also
+// translates log msg(l, ...), which appends a copy of the message to the
+// bounded log l.
 func (g *generator) sendStmt(s *dsl.CallStmt, ind string) error {
 	m, ok := g.msgs[s.Msg]
 	if !ok {
@@ -608,14 +609,15 @@ func (g *generator) sendStmt(s *dsl.CallStmt, ind string) error {
 	}
 	var inits []string
 	for _, fi := range s.Fields {
-		if !slices.ContainsFunc(m.Fields, func(f dsl.Field) bool { return f.Name == fi.Name }) {
+		i := slices.IndexFunc(m.Fields, func(f dsl.Field) bool { return f.Name == fi.Name })
+		if i < 0 {
 			return fmt.Errorf("codegen: %s: message %q has no field %q", s.Pos, s.Msg, fi.Name)
 		}
 		v, err := g.expr(fi.Value)
 		if err != nil {
 			return err
 		}
-		typ := m.Fields[slices.IndexFunc(m.Fields, func(f dsl.Field) bool { return f.Name == fi.Name })].Type
+		typ := m.Fields[i].Type
 		v = g.convert(typ, fi.Value, v)
 		if typ == "buffer" && s.Fn == "log" {
 			// A log outlives the frame a received buffer is a view of.
@@ -637,19 +639,19 @@ func (g *generator) sendStmt(s *dsl.CallStmt, ind string) error {
 		return err
 	}
 	msg := fmt.Sprintf("core.Put(&a.io.tx.%s, %s)", camel(s.Msg), lit)
-	pri := "overlay.PriorityDefault"
-	if s.Via != nil {
-		if pri, err = g.expr(s.Via); err != nil {
-			return err
-		}
-		pri = g.asInt(s.Via, pri)
-	}
 	switch s.Fn {
 	case "route":
 		g.pf("%s_ = core.RouteMsg(ctx, %s, %s)\n", ind, dest, msg)
 	case "multicast":
 		g.pf("%s_ = core.MulticastMsg(ctx, %s, %s)\n", ind, dest, msg)
 	default:
+		pri := "overlay.PriorityDefault"
+		if s.Via != nil {
+			if pri, err = g.expr(s.Via); err != nil {
+				return err
+			}
+			pri = g.asInt(s.Via, pri)
+		}
 		g.pf("%s_ = ctx.Send(%s, %s, %s)\n", ind, dest, msg, pri)
 	}
 	return nil

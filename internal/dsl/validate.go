@@ -2,9 +2,9 @@ package dsl
 
 import (
 	"fmt"
+	gotoken "go/token"
 	"strconv"
 	"strings"
-	"unicode"
 )
 
 // Validate performs the semantic checks the MACEDON translator applies
@@ -67,10 +67,10 @@ func Validate(s *Spec) error {
 	}
 	consts := map[string]string{}
 	for _, c := range s.Constants {
-		if _, err := strconv.ParseFloat(c.Value, 64); err != nil && !isIdent(c.Value) {
-			if _, err := strconv.ParseInt(c.Value, 0, 64); err != nil {
-				return errAt(c.Pos, "constant %s = %s is neither an int or double literal nor a name", c.Name, c.Value)
-			}
+		_, errInt := strconv.ParseInt(c.Value, 0, 64)
+		_, errFloat := strconv.ParseFloat(c.Value, 64)
+		if errInt != nil && errFloat != nil && !gotoken.IsIdentifier(c.Value) {
+			return errAt(c.Pos, "constant %s = %s is neither an int or double literal nor a name", c.Name, c.Value)
 		}
 		consts[c.Name] = c.Value
 	}
@@ -264,16 +264,6 @@ func badArity(e Expr) (CallExpr, bool) {
 		return badArity(e.Key)
 	}
 	return CallExpr{}, false
-}
-
-// isIdent reports whether v is a name: a constant may stand for another.
-func isIdent(v string) bool {
-	for i, r := range v {
-		if !(r == '_' || unicode.IsLetter(r) || i > 0 && unicode.IsDigit(r)) {
-			return false
-		}
-	}
-	return v != ""
 }
 
 // validateRouting checks the routing declaration: each role belongs to the
