@@ -93,7 +93,7 @@ const (
 	VarTimer
 	VarNeighborList
 	VarTable    // fixed-size indexed node table ("nodetable name SIZE;")
-	VarKeyTable // records keyed by key, node or int ("keytable name [by node] { fields }")
+	VarKeyTable // records keyed by key, node or int ("keytable name [by node|int] { fields }")
 	VarLog      // bounded log of one message type ("log msg name SIZE;")
 )
 
