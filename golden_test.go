@@ -23,7 +23,7 @@ import (
 )
 
 // goldenScenarios lists the corpus: the PR 1 churn-partition scenario plus
-// link-failure, multicast-workload, the NICE/Overcast/AMMO churn audits, and the
+// link-failure, multicast-workload, the NICE/Overcast/AMMO/Bullet churn audits, and the
 // machine-generated chord/pastry agents under lookup workloads and churn.
 var goldenScenarios = []string{
 	"churn-partition",
@@ -32,6 +32,7 @@ var goldenScenarios = []string{
 	"nice-churn",
 	"overcast-churn",
 	"ammo-churn",
+	"bullet-churn",
 	"genchord-churn",
 	"genpastry-churn",
 	// genchord-checked opts into the runtime invariant checkers, so its
