@@ -135,10 +135,16 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 			g.pf("%sa.%s = append(a.%s[:0], %s...)\n", ind, camel(s.Target), camel(s.Target), src)
 			return nil
 		}
-		if v.Type == "buffer" {
-			// A received buffer field is a view of a lent frame, valid only
-			// for its transition: a state variable keeps its own copy.
+		switch v.Type {
+		case "buffer", "intset", "timeset":
+			// A received buffer or list field is a view of a lent frame or a
+			// receive slot, valid only for its transition: a state variable
+			// keeps its own copy.
 			g.pf("%sa.%s = append(a.%s[:0], %s...)\n", ind, camel(s.Target), camel(s.Target), val)
+			return nil
+		case "tickets":
+			// The summaries too are views of the frame.
+			g.pf("%score.TicketsCopy(&a.%s, %s)\n", ind, camel(s.Target), val)
 			return nil
 		}
 		g.pf("%sa.%s = %s\n", ind, camel(s.Target), g.convert(v.Type, s.Value, val))
@@ -271,7 +277,7 @@ func (g *generator) rangeExpr(e dsl.Expr) (string, error) {
 		// foreach (i in range(n)) counts i from 0 to n-1.
 		return g.expr(c.Args[0])
 	}
-	return g.nodesetExpr(e)
+	return g.listExpr(e)
 }
 
 // elemType is the mac type of a foreach variable over e: a keytable's key
@@ -283,7 +289,30 @@ func (g *generator) elemType(e dsl.Expr) string {
 	if c, ok := e.(dsl.CallExpr); ok && c.Fn == "range" {
 		return "int"
 	}
+	switch g.typeOf(e) {
+	case "intset":
+		return "int"
+	case "timeset":
+		return "time"
+	}
 	return "node"
+}
+
+// listTypes are the mac list types: the values foreach, list_size and
+// sample take.
+var listTypes = map[string]bool{"nodeset": true, "intset": true, "timeset": true, "tickets": true}
+
+// listExpr resolves an expression that must denote a list value: a nodeset
+// value, or a state variable, message field or primitive of another list
+// type.
+func (g *generator) listExpr(e dsl.Expr) (string, error) {
+	if ns, err := g.nodesetExpr(e); err == nil {
+		return ns, nil
+	}
+	if listTypes[g.typeOf(e)] {
+		return g.expr(e)
+	}
+	return "", softf("%s is not a list", e)
 }
 
 // nodesetExpr resolves an expression that must denote a nodeset value: a
@@ -293,6 +322,9 @@ func (g *generator) nodesetExpr(e dsl.Expr) (string, error) {
 	case dsl.Ident:
 		if v, ok := g.varTypes[e.Name]; ok && v.Kind == dsl.VarPlain && v.Type == "nodeset" {
 			return "a." + camel(e.Name), nil
+		}
+		if e.Name == "neighbors" && g.curKind == dsl.TransAPI {
+			return "call.Neighbors", nil
 		}
 	case dsl.EntryExpr:
 		read, typ, err := g.entry(e, "core.KeyRead(a.%s, %s).%s")
@@ -368,6 +400,10 @@ var stmtPrims = map[string]prim{
 	"tally_remove":     {"tally", "core.TallyRemove(%s, %s)", nil, ""},
 	"upcall_ext":       {"", "ctx.UpcallExt(int(%s), nil)", nil, ""},
 	"log_replay":       {"log", "core.LogReplay(ctx, %s, %s, %s)", []int{2}, ""},
+	"sample":           {"slice", "%[1]s = core.Sample(ctx, %[1]s, %[2]s)", nil, ""},
+	"ticket_add":       {"tickets", "%[1]s = core.TicketAdd(%[1]s, %[2]s, %[3]s)", nil, ""},
+	"ticket_merge":     {"tickets", "%[1]s = core.TicketMerge(%[1]s, %[2]s)", nil, ""},
+	"block_reset":      {"blocks", "core.BlockReset(&%s, %s, %s)", nil, ""},
 }
 
 // exprPrims are the value primitives of that shape.
@@ -387,7 +423,7 @@ var exprPrims = map[string]prim{
 	"neighbor_full":   {"list", "ctx.Neighbors(%s).Full()", nil, "bool"},
 	"neighbor_random": {"list", "core.NeighborRandom(ctx, %s)", nil, "node"},
 	"neighbor_first":  {"list", "core.NeighborFirst(ctx, %s)", nil, "node"},
-	"list_size":       {"nodeset value", "int32(len(%s))", nil, "int"},
+	"list_size":       {"list value", "int32(len(%s))", nil, "int"},
 	"list_get":        {"nodeset value", "core.ListGet(%s, %s)", nil, "node"},
 	"list_contains":   {"nodeset value", "slices.Contains(%s, %s)", nil, "bool"},
 	"list_random":     {"nodeset value", "core.ListRandom(ctx, %s)", nil, "node"},
@@ -399,6 +435,18 @@ var exprPrims = map[string]prim{
 	"time_diff_ms":    {"", "core.Millis(%s, %s)", nil, "double"},
 	"jitter":          {"", "core.Spread(ctx, %s)", nil, "time"},
 	"zeros":           {"", "make([]byte, %s)", nil, "buffer"},
+	"ticket":          {"", "core.TicketOf(%s, %s)", nil, "tickets"},
+	"ticket_node":     {"list value", "core.TicketNode(%s, %s)", nil, "node"},
+	"ticket_summary":  {"list value", "core.TicketSummary(%s, %s)", nil, "buffer"},
+	"block_put":       {"blocks", "core.BlockPut(&%s, %s, %s, %s, %s)", nil, "bool"},
+	"block_has":       {"blocks", "core.BlockHas(&%s, %s, %s)", nil, "bool"},
+	"block_typ":       {"blocks", "core.BlockTyp(&%s, %s, %s)", nil, "int"},
+	"block_payload":   {"blocks", "core.BlockPayload(&%s, %s, %s)", nil, "buffer"},
+	"block_incs":      {"blocks", "core.BlockIncs(&%s)", nil, "timeset"},
+	"block_streams":   {"blocks", "core.BlockStreams(&%s, %s)", nil, "timeset"},
+	"block_missing":   {"blocks", "core.BlockMissing(&%s, %s, %s, %s, %s)", nil, "intset"},
+	"block_summary":   {"blocks", "core.BlockSummary(&%s)", nil, "buffer"},
+	"block_disjoint":  {"blocks", "core.BlockDisjoint(&%s, %s)", nil, "double"},
 }
 
 // translate formats primitive p over args, each translated in order: the
@@ -448,8 +496,16 @@ func (g *generator) collection(kind, fn string, args []dsl.Expr) (string, error)
 		return "", softf("%s is missing its %s", fn, kind)
 	}
 	a := args[0]
-	if c, ok := a.(dsl.CallExpr); kind == "nodeset value" || kind == "nodeset" && ok && c.Fn == "field" {
+	c, isCall := a.(dsl.CallExpr)
+	if kind == "nodeset value" || kind == "nodeset" && isCall && c.Fn == "field" {
 		return g.nodesetExpr(a)
+	}
+	if kind == "list value" {
+		return g.listExpr(a)
+	}
+	if _, isField := fieldName(c); isCall && isField && (kind == "slice" && listTypes[g.typeOf(a)] || g.typeOf(a) == kind) {
+		// A list field of the message being handled, edited in place.
+		return g.expr(a)
 	}
 	if e, ok := a.(dsl.EntryExpr); ok && kind == "tally" {
 		t, typ, err := g.entry(e, "&core.KeyEntry(&a.%s, %s).%s")
@@ -469,7 +525,7 @@ func (g *generator) collection(kind, fn string, args []dsl.Expr) (string, error)
 	case kind == "keymap" && v.Kind == dsl.VarKeyTable, kind == "log" && v.Kind == dsl.VarLog:
 		// map_del, map_clear and map_size take a keytable too.
 		return "a." + camel(id.Name), nil
-	case v.Kind == dsl.VarPlain && v.Type == kind:
+	case v.Kind == dsl.VarPlain && (v.Type == kind || kind == "slice" && listTypes[v.Type]):
 		return "a." + camel(id.Name), nil
 	}
 	return "", softf("%s is not a declared %s", a, kind)
@@ -644,6 +700,8 @@ func (g *generator) sendStmt(s *dsl.CallStmt, ind string) error {
 		g.pf("%s_ = core.RouteMsg(ctx, %s, %s)\n", ind, dest, msg)
 	case "multicast":
 		g.pf("%s_ = core.MulticastMsg(ctx, %s, %s)\n", ind, dest, msg)
+	case "collect":
+		g.pf("%s_ = core.CollectMsg(ctx, %s, %s)\n", ind, dest, msg)
 	default:
 		pri := "overlay.PriorityDefault"
 		if s.Via != nil {
@@ -769,6 +827,8 @@ func (g *generator) ident(name string) (string, error) {
 		return "call.Priority", nil
 	case "failed":
 		return "call.Failed", nil
+	case "neighbors":
+		return "call.Neighbors", nil
 	}
 	if c, ok := g.consts[name]; ok {
 		return c, nil
@@ -794,7 +854,8 @@ var builtinTypes = map[string]string{
 	"self": "node", "from": "node", "nil_node": "node", "bootstrap": "node",
 	"dest_ip": "node", "failed": "node", "self_key": "key", "dest": "key",
 	"group": "key", "payload": "buffer", "payload_type": "int", "priority": "int",
-	"true": "bool", "false": "bool",
+	"neighbors": "nodeset",
+	"true":      "bool", "false": "bool",
 }
 
 // typeOf infers the mac type of e, or "" where it does not matter to the
@@ -920,6 +981,15 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 			}
 		}
 		return "", fmt.Errorf("codegen: message %q has no field %q", g.curMsg.Name, id.Name)
+	}
+	if e.Fn == "notified" {
+		// notified(kind): the notify() upcall being handled reports the
+		// neighbors of that kind.
+		kind, ok := firstIdent(e.Args)
+		if !ok || len(e.Args) != 1 || g.curKind != dsl.TransAPI {
+			return "", softf("notified takes a neighbor kind, in an API transition")
+		}
+		return "(call.NbrType == overlay.NbrType" + camel(kind.Name) + ")", nil
 	}
 	p, ok := exprPrims[e.Fn]
 	if !ok {

@@ -236,7 +236,9 @@ func (g *generator) emitRouting(r *dsl.Routing) error {
 }
 
 // goType maps mac field types onto Go types. A short is an int that travels
-// in 16 bits; a time is a clock reading or span in nanoseconds.
+// in 16 bits; a time is a clock reading or span in nanoseconds; intset and
+// timeset are lists of ints and times; tickets is a list of (node, summary)
+// pairs; blocks is a block store (core.Blocks).
 func goType(t string) string {
 	switch t {
 	case "int", "short":
@@ -259,6 +261,14 @@ func goType(t string) string {
 		return "[]overlay.Address"
 	case "keyset":
 		return "[]overlay.Key"
+	case "intset":
+		return "[]int32"
+	case "timeset":
+		return "[]int64"
+	case "tickets":
+		return "[]core.Ticket"
+	case "blocks":
+		return "core.Blocks"
 	case "keymap":
 		return "map[overlay.Key]overlay.Address"
 	case "tally":
@@ -292,6 +302,12 @@ func encodeCall(f dsl.Field) string {
 		return fmt.Sprintf("w.Addrs(m.%s)", n)
 	case "keyset":
 		return fmt.Sprintf("w.Keys(m.%s)", n)
+	case "intset":
+		return fmt.Sprintf("w.I32s(m.%s)", n)
+	case "timeset":
+		return fmt.Sprintf("w.I64s(m.%s)", n)
+	case "tickets":
+		return fmt.Sprintf("core.WriteTickets(w, m.%s)", n)
 	}
 	return fmt.Sprintf("w.I32(m.%s)", n)
 }
@@ -322,6 +338,12 @@ func decodeCall(f dsl.Field) string {
 		return fmt.Sprintf("m.%s = r.AppendAddrs(m.%s[:0])", n, n)
 	case "keyset":
 		return fmt.Sprintf("m.%s = r.Keys()", n)
+	case "intset":
+		return fmt.Sprintf("m.%s = r.AppendI32s(m.%s[:0])", n, n)
+	case "timeset":
+		return fmt.Sprintf("m.%s = r.AppendI64s(m.%s[:0])", n, n)
+	case "tickets":
+		return fmt.Sprintf("m.%s = core.ReadTickets(r, m.%s)", n, n)
 	}
 	return fmt.Sprintf("m.%s = r.I32()", n)
 }

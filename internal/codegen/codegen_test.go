@@ -203,6 +203,7 @@ var fullyTranslated = []struct {
 	{"splitstream.mac", "gensplitstream"},
 	{"overcast.mac", "genovercast"},
 	{"ammo.mac", "genammo"},
+	{"bullet.mac", "genbullet"},
 }
 
 // TestFullyTranslatedSpecs proves the action-language subset covers every
@@ -666,9 +667,10 @@ func TestSendAndFactoryUseScratch(t *testing.T) {
 		}
 		// One form: the message is built in its send slot inside the call, so
 		// the destination is evaluated before the fields. A message sent
-		// through the layer below (route, multicast) is built the same way.
+		// through the layer below (route, multicast, collect) is built the
+		// same way.
 		n := strings.Count(res.Source, "ctx.Send(") + strings.Count(res.Source, "core.RouteMsg(ctx, ") +
-			strings.Count(res.Source, "core.MulticastMsg(ctx, ")
+			strings.Count(res.Source, "core.MulticastMsg(ctx, ") + strings.Count(res.Source, "core.CollectMsg(ctx, ")
 		if n != strings.Count(res.Source, ", core.Put(&a.io.tx.") || strings.Count(res.Source, "a.io.tx.") != n {
 			t.Errorf("%s: %d sends, but not as many core.Put(&a.io.tx.…) arguments", c.spec, n)
 		}

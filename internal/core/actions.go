@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"maps"
 	"slices"
 	"time"
 
+	"macedon/internal/bloom"
 	"macedon/internal/overlay"
 )
 
@@ -332,4 +334,237 @@ func MulticastMsg(ctx *Context, group overlay.Key, m overlay.Message) error {
 		return err
 	}
 	return ctx.Multicast(group, frame, ProtocolPayload, overlay.PriorityDefault)
+}
+
+// CollectMsg sends one of the protocol's own messages up the group's tree
+// toward its root through the layer below (collect msg(group, ...)): the
+// RanSub collect downcall. Each hop's forward transition may rewrite it.
+func CollectMsg(ctx *Context, group overlay.Key, m overlay.Message) error {
+	frame, err := ctx.EncodeFrame(m)
+	if err != nil {
+		return err
+	}
+	return ctx.Collect(group, frame, ProtocolPayload, overlay.PriorityDefault)
+}
+
+// Sample keeps a uniform subsample of at most n entries of a list, drawn
+// from the node's seeded source: the list is shuffled in place and cut to n
+// (sample). A list no longer than n is left as it is and draws nothing.
+func Sample[T any](ctx *Context, s []T, n int32) []T {
+	if int32(len(s)) <= n {
+		return s
+	}
+	ctx.Rand().Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+	return s[:max(n, 0)]
+}
+
+// Ticket is one entry of a tickets list: a node and the wire bytes of its
+// block summary, the advertisement Bullet's RanSub epochs carry.
+type Ticket struct {
+	Addr    overlay.Address
+	Summary []byte
+}
+
+// WriteTickets encodes a tickets field: a u16 count, then each ticket's
+// address and length-prefixed summary.
+func WriteTickets(w *overlay.Writer, ts []Ticket) {
+	w.U16(uint16(len(ts)))
+	for _, t := range ts {
+		w.Addr(t.Addr)
+		w.Bytes32(t.Summary)
+	}
+}
+
+// ReadTickets decodes a tickets field into dst's array. Each summary is a
+// view of the frame, valid for the transition: a tickets variable keeps
+// copies (TicketsCopy, TicketMerge).
+func ReadTickets(r *overlay.Reader, dst []Ticket) []Ticket {
+	n := int(r.U16())
+	dst = dst[:0]
+	for i := 0; i < n && r.Err() == nil; i++ {
+		dst = append(dst, Ticket{Addr: r.Addr(), Summary: r.Bytes32()})
+	}
+	return dst
+}
+
+// TicketOf is the one-ticket list [{a, summary}] (ticket).
+func TicketOf(a overlay.Address, summary []byte) []Ticket {
+	return []Ticket{{Addr: a, Summary: summary}}
+}
+
+// TicketAdd appends the ticket {a, summary} (ticket_add).
+func TicketAdd(ts []Ticket, a overlay.Address, summary []byte) []Ticket {
+	return append(ts, Ticket{Addr: a, Summary: summary})
+}
+
+// TicketMerge appends src's tickets to dst with their summaries cloned, so
+// dst keeps them past the frame src was decoded from (ticket_merge).
+func TicketMerge(dst, src []Ticket) []Ticket {
+	for _, t := range src {
+		dst = append(dst, Ticket{Addr: t.Addr, Summary: bytes.Clone(t.Summary)})
+	}
+	return dst
+}
+
+// TicketsCopy makes *dst a copy of src, summaries cloned: how a tickets
+// variable is assigned.
+func TicketsCopy(dst *[]Ticket, src []Ticket) {
+	*dst = TicketMerge((*dst)[:0], src)
+}
+
+// TicketNode is the node of the i-th ticket, or NilAddress out of range
+// (ticket_node).
+func TicketNode(ts []Ticket, i int32) overlay.Address {
+	if i < 0 || int(i) >= len(ts) {
+		return overlay.NilAddress
+	}
+	return ts[i].Addr
+}
+
+// TicketSummary is the summary of the i-th ticket, or nil out of range
+// (ticket_summary).
+func TicketSummary(ts []Ticket, i int32) []byte {
+	if i < 0 || int(i) >= len(ts) {
+		return nil
+	}
+	return ts[i].Summary
+}
+
+// Blocks is a stream's block store (a blocks variable): every block held,
+// keyed by the incarnation stamp of the source that sent it and its
+// sequence number; the highest sequence number held of each of the newest
+// incarnations; and a bloom summary of the keys held, which peers compare
+// to find the blocks they lack. The zero store holds nothing and has no
+// summary until BlockReset sizes one.
+type Blocks struct {
+	held    map[blockID]heldBlock
+	high    map[int64]int32
+	streams int32
+	summary *bloom.Filter
+	want    []int32 // BlockMissing's result, reused
+}
+
+type blockID struct {
+	inc int64
+	seq int32
+}
+
+type heldBlock struct {
+	typ     int32
+	payload []byte
+}
+
+// summaryKey mixes the incarnation into a block's summary key, so a summary
+// advertises (incarnation, seq) pairs, not bare seqs.
+func summaryKey(inc int64, seq int32) uint64 {
+	return uint64(inc) ^ (uint64(uint32(seq))+1)*0x9E3779B97F4A7C15
+}
+
+// BlockReset empties the store, gives it a summary of bits bits and keeps
+// the high-water marks of the newest streams incarnations (block_reset).
+func BlockReset(b *Blocks, bits, streams int32) {
+	*b = Blocks{held: map[blockID]heldBlock{}, high: map[int64]int32{},
+		streams: streams, summary: bloom.New(int(bits), 4)}
+}
+
+// BlockPut stores a copy of a block unless it is held already, and reports
+// whether it was new (block_put).
+func BlockPut(b *Blocks, inc int64, seq, typ int32, payload []byte) bool {
+	k := blockID{inc, seq}
+	if _, dup := b.held[k]; dup {
+		return false
+	}
+	if b.held == nil {
+		b.held, b.high = map[blockID]heldBlock{}, map[int64]int32{}
+	}
+	b.held[k] = heldBlock{typ: typ, payload: bytes.Clone(payload)}
+	if b.summary != nil {
+		b.summary.Add(summaryKey(inc, seq))
+	}
+	if hi, ok := b.high[inc]; !ok || seq > hi {
+		b.high[inc] = seq
+		// Mesh recovery chases live streams: keep the newest incarnations.
+		for len(b.high) > int(max(b.streams, 0)) {
+			delete(b.high, slices.Min(slices.Collect(maps.Keys(b.high))))
+		}
+	}
+	return true
+}
+
+// BlockHas reports whether the block is held (block_has).
+func BlockHas(b *Blocks, inc int64, seq int32) bool {
+	_, ok := b.held[blockID{inc, seq}]
+	return ok
+}
+
+// BlockTyp is a held block's payload type, 0 if it is not held (block_typ).
+func BlockTyp(b *Blocks, inc int64, seq int32) int32 { return b.held[blockID{inc, seq}].typ }
+
+// BlockPayload is a held block's payload, nil if it is not held
+// (block_payload).
+func BlockPayload(b *Blocks, inc int64, seq int32) []byte {
+	return b.held[blockID{inc, seq}].payload
+}
+
+// Len is the number of blocks held.
+func (b *Blocks) Len() int { return len(b.held) }
+
+// BlockIncs lists the incarnations whose high-water marks are kept, newest
+// first (block_incs): stamps are init-clock readings, so higher is newer.
+func BlockIncs(b *Blocks) []int64 { return BlockStreams(b, nil) }
+
+// BlockStreams lists the incarnations the store tracks together with those
+// in adv, each once, newest first (block_streams): the streams a peer's
+// summary is probed for.
+func BlockStreams(b *Blocks, adv []int64) []int64 {
+	out := slices.AppendSeq(slices.Clone(adv), maps.Keys(b.high))
+	slices.Sort(out)
+	out = slices.Compact(out)
+	slices.Reverse(out)
+	return out
+}
+
+// BlockMissing lists, in ascending order, up to budget blocks of incarnation
+// inc that the store lacks and the peer summary (its wire bytes) holds,
+// probing seqs below the store's high-water mark plus window, or below
+// window when inc is not tracked (block_missing). An undecodable summary
+// holds nothing. The result is reused by the next call.
+func BlockMissing(b *Blocks, summary []byte, inc int64, budget, window int32) []int32 {
+	b.want = b.want[:0]
+	var f bloom.Filter
+	if f.UnmarshalBinary(summary) != nil {
+		return b.want
+	}
+	top := window
+	if hi, ok := b.high[inc]; ok {
+		top = hi + window
+	}
+	for seq := int32(0); seq < top && int32(len(b.want)) < budget; seq++ {
+		if !BlockHas(b, inc, seq) && f.Contains(summaryKey(inc, seq)) {
+			b.want = append(b.want, seq)
+		}
+	}
+	return b.want
+}
+
+// BlockSummary is the wire form of the store's summary, nil before
+// BlockReset (block_summary).
+func BlockSummary(b *Blocks) []byte {
+	if b.summary == nil {
+		return nil
+	}
+	enc, _ := b.summary.MarshalBinary()
+	return enc
+}
+
+// BlockDisjoint estimates how much of what a peer's summary (its wire
+// bytes) holds this store lacks, in [0, 1], or -1 when either summary is
+// missing or undecodable (block_disjoint): the score Bullet ranks its
+// candidate peers by.
+func BlockDisjoint(b *Blocks, summary []byte) float64 {
+	var f bloom.Filter
+	if b.summary == nil || f.UnmarshalBinary(summary) != nil {
+		return -1
+	}
+	return b.summary.EstimateDisjointness(&f)
 }

@@ -252,3 +252,95 @@ func TestLogAppend(t *testing.T) {
 		}
 	}
 }
+
+// TestSample: a list no longer than n is kept as it is and draws nothing; a
+// longer one is shuffled with the node's source, as rand.Shuffle does, and
+// cut to n.
+func TestSample(t *testing.T) {
+	inst, err := core.DetachedInstance(&captureProto{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := core.ContextOf(inst)
+	short := []int32{1, 2, 3}
+	if got := core.Sample(ctx, short, 3); !slices.Equal(got, []int32{1, 2, 3}) {
+		t.Fatalf("Sample of a short list = %v", got)
+	}
+	rng := rand.New(rand.NewSource(0)) // a detached node's seed
+	want := []int32{1, 2, 3, 4, 5, 6, 7}
+	rng.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+	if got := core.Sample(ctx, []int32{1, 2, 3, 4, 5, 6, 7}, 4); !slices.Equal(got, want[:4]) {
+		t.Fatalf("Sample = %v, want %v", got, want[:4])
+	}
+}
+
+// TestTickets: a tickets field round-trips the wire form, and a kept list
+// owns its summaries: decoding the next frame into the same slot leaves
+// the copies alone.
+func TestTickets(t *testing.T) {
+	var w overlay.Writer
+	core.WriteTickets(&w, core.TicketAdd(core.TicketOf(7, []byte("ab")), 9, []byte("xyz")))
+	frame := slices.Clone(w.Bytes())
+	slot := core.ReadTickets(overlay.NewReader(frame), nil)
+	if len(slot) != 2 || slot[0].Addr != 7 || string(slot[1].Summary) != "xyz" {
+		t.Fatalf("decoded %v", slot)
+	}
+	var kept, merged []core.Ticket
+	core.TicketsCopy(&kept, slot)
+	merged = core.TicketMerge(merged, slot)
+	clear(frame)
+	if string(kept[0].Summary) != "ab" || string(merged[1].Summary) != "xyz" {
+		t.Fatalf("kept %v, merged %v after the frame was reused", kept, merged)
+	}
+	if core.TicketNode(kept, 1) != 9 || core.TicketNode(kept, 2) != overlay.NilAddress || core.TicketSummary(kept, -1) != nil {
+		t.Fatal("ticket reads out of range are not nil")
+	}
+}
+
+// TestBlocks: a block is stored once; the store tracks the newest streams
+// incarnations; BlockMissing probes a peer's summary up to the horizon and
+// the budget; and the disjointness of a store against itself is 0.
+func TestBlocks(t *testing.T) {
+	var b, peer core.Blocks
+	core.BlockReset(&b, 2048, 2)
+	core.BlockReset(&peer, 2048, 2)
+	if core.BlockDisjoint(&b, core.BlockSummary(&peer)) != 0 {
+		t.Fatal("two empty stores are not disjoint by 0")
+	}
+	payload := []byte("p")
+	if !core.BlockPut(&b, 10, 0, 5, payload) || core.BlockPut(&b, 10, 0, 5, payload) {
+		t.Fatal("BlockPut did not store a block exactly once")
+	}
+	payload[0] = 'q'
+	if string(core.BlockPayload(&b, 10, 0)) != "p" || core.BlockTyp(&b, 10, 0) != 5 || !core.BlockHas(&b, 10, 0) {
+		t.Fatal("the store does not hold its own copy of the block")
+	}
+	core.BlockPut(&b, 30, 1, 0, nil)
+	core.BlockPut(&b, 20, 0, 0, nil)
+	if got := core.BlockIncs(&b); !slices.Equal(got, []int64{30, 20}) {
+		t.Fatalf("BlockIncs = %v, want the newest two, newest first", got)
+	}
+	if got := core.BlockStreams(&b, []int64{40, 20}); !slices.Equal(got, []int64{40, 30, 20}) {
+		t.Fatalf("BlockStreams = %v", got)
+	}
+	for seq := int32(0); seq < 100; seq++ {
+		core.BlockPut(&peer, 30, seq, 0, nil)
+	}
+	sum := core.BlockSummary(&peer)
+	if d := core.BlockDisjoint(&b, sum); d <= 0 || d > 1 {
+		t.Fatalf("disjointness %v of a fuller peer", d)
+	}
+	// Held: seq 1 of 30; horizon 1 + 8 = 9.
+	if got := core.BlockMissing(&b, sum, 30, 32, 8); !slices.Equal(got, []int32{0, 2, 3, 4, 5, 6, 7, 8}) {
+		t.Fatalf("BlockMissing = %v", got)
+	}
+	if got := core.BlockMissing(&b, sum, 30, 3, 8); !slices.Equal(got, []int32{0, 2, 3}) {
+		t.Fatalf("BlockMissing under a budget of 3 = %v", got)
+	}
+	if got := core.BlockMissing(&b, []byte("junk"), 30, 32, 8); len(got) != 0 {
+		t.Fatalf("an undecodable summary holds %v", got)
+	}
+	if core.BlockDisjoint(&b, []byte("junk")) != -1 {
+		t.Fatal("an undecodable summary scores above -1")
+	}
+}

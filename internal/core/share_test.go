@@ -7,7 +7,6 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/bullet"
 	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/genscribe"
 )
@@ -22,6 +21,17 @@ func (p *captureProto) ProtocolName() string { return "capture" }
 func (p *captureProto) Define(d *core.Def) {
 	d.UDPTransport("U")
 	d.OnAPI(overlay.APIInit, core.Any, core.Write, func(*core.Context, *core.APICall) { p.inits++ })
+}
+
+// periodProto declares a timer whose period is its own parameter, as an
+// agent written against the engine may. It is not TypeDefined.
+type periodProto struct{ period time.Duration }
+
+func (p *periodProto) ProtocolName() string { return "period" }
+
+func (p *periodProto) Define(d *core.Def) {
+	d.UDPTransport("U")
+	d.PeriodicTimer("epoch", p.period)
 }
 
 // TestGeneratedAgentsShareOneDef: a generated agent type's Def is built once
@@ -64,18 +74,18 @@ func TestGeneratedAgentsShareOneDef(t *testing.T) {
 		periods := []time.Duration{time.Second, 20 * time.Second}
 		var defs []*core.Def
 		for _, p := range periods {
-			inst, err := core.DetachedInstance(bullet.New(bullet.Params{EpochPeriod: p})())
+			inst, err := core.DetachedInstance(&periodProto{period: p})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defs = append(defs, core.DefOf(inst))
 		}
 		if defs[0] == defs[1] {
-			t.Fatal("two Bullet agents share a Def")
+			t.Fatal("two agents with different periods share a Def")
 		}
 		for k, d := range defs {
 			if got := d.TimerPeriod("epoch"); got != periods[k] {
-				t.Errorf("Bullet with EpochPeriod %v declares epoch every %v", periods[k], got)
+				t.Errorf("an agent with period %v declares epoch every %v", periods[k], got)
 			}
 		}
 	})

@@ -429,6 +429,22 @@ func TestValidateDiagnostics(t *testing.T) {
 			`protocol p transports { UDP u; } messages { u m { } } auxiliary_data { time t; }
 			 transitions { any recv m { t = now(t); } }`,
 			"now takes 0 arguments, not 1"},
+		{"block primitive arity",
+			`protocol p uses q messages { m { } } auxiliary_data { blocks b; }
+			 transitions { any recv m { if (block_put(b, 1, 2)) { } } }`,
+			"block_put takes 5 arguments, not 3"},
+		{"block primitive on a non-store",
+			`protocol p uses q messages { m { } } auxiliary_data { blocks b; nodeset s; }
+			 transitions { any recv m { block_reset(s, 2048, 3); } }`,
+			"block_reset of s, which is not a declared blocks variable"},
+		{"sample arity",
+			`protocol p uses q messages { m { tickets c; } }
+			 transitions { any recv m { sample(field(c)); } }`,
+			"sample takes 2 arguments, not 1"},
+		{"notified arity",
+			`protocol p uses q messages { m { } } auxiliary_data { bool b; }
+			 transitions { any API notify { b = notified(child, parent); } }`,
+			"notified takes 1 arguments, not 2"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

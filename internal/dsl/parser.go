@@ -82,13 +82,14 @@ func (p *parser) acceptIdent(s string) bool {
 var scalarTypes = map[string]bool{
 	"int": true, "short": true, "double": true, "time": true, "bool": true, "key": true,
 	"macedon_key": true, "node": true, "buffer": true, "string": true,
-	"nodeset": true, "keyset": true,
+	"nodeset": true, "keyset": true, "intset": true, "timeset": true, "tickets": true,
 }
 
 // stateVarTypes are the additional types legal only for auxiliary_data
 // entries (not message fields or locals).
 var stateVarTypes = map[string]bool{
 	"keymap": true, // key → node map (Pastry's location cache)
+	"blocks": true, // a stream's block store and its summary (Bullet)
 }
 
 func (p *parser) spec() (*Spec, error) {
@@ -661,7 +662,7 @@ func (p *parser) stmt() (Stmt, error) {
 			return p.ifStmt()
 		case "send":
 			return p.sendStmt()
-		case "route", "multicast", "log":
+		case "route", "multicast", "collect", "log":
 			if p.peek().kind == tokIdent {
 				return p.sendStmt()
 			}
@@ -858,10 +859,11 @@ func (p *parser) foreachStmt() (Stmt, error) {
 }
 
 // sendStmt: send msg(dest, field=value, ...) [via pri]; the forms that send
-// through the layer below, route msg(key, ...) and multicast msg(group, ...);
+// through the layer below, route msg(key, ...), multicast msg(group, ...)
+// and collect msg(group, ...);
 // and log msg(log, field=value, ...), which appends to a bounded log.
 func (p *parser) sendStmt() (Stmt, error) {
-	verb := p.next() // "send", "route", "multicast" or "log"
+	verb := p.next() // "send", "route", "multicast", "collect" or "log"
 	pos := verb.pos
 	msg, err := p.expectIdent("message name")
 	if err != nil {

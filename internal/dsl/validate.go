@@ -95,11 +95,13 @@ func Validate(s *Spec) error {
 	vars := map[string]bool{}
 	lists := map[string]bool{}
 	logs := map[string]string{} // log name → logged message
+	blockVars := map[string]bool{}
 	for _, v := range s.StateVars {
 		if vars[v.Name] {
 			return errAt(v.Pos, "state variable %q declared twice", v.Name)
 		}
 		vars[v.Name] = true
+		blockVars[v.Name] = v.Kind == VarPlain && v.Type == "blocks"
 		switch v.Kind {
 		case VarTimer:
 			timers[v.Name] = true
@@ -177,21 +179,32 @@ func Validate(s *Spec) error {
 				return errAt(tr.Pos, "transition on undeclared message %q", tr.Name)
 			}
 		}
-		if err := checkBody(tr.Body, logs); err != nil {
+		if err := checkBody(tr.Body, logs, blockVars); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// arity is the argument count of the value primitives whose misuse the
-// validator reports, rather than letting the statement degrade to a TODO.
-var arity = map[string]int{"now": 0, "time_diff": 2, "time_diff_ms": 2, "jitter": 1, "zeros": 1}
+// arity is the argument count of the primitives whose misuse the validator
+// reports, rather than letting the statement degrade to a TODO.
+var arity = map[string]int{"now": 0, "time_diff": 2, "time_diff_ms": 2, "jitter": 1, "zeros": 1,
+	"sample": 2, "ticket": 2, "ticket_add": 3, "ticket_merge": 2, "ticket_node": 2, "ticket_summary": 2,
+	"notified": 1, "block_reset": 3, "block_put": 5, "block_has": 3, "block_typ": 3, "block_payload": 3,
+	"block_incs": 1, "block_streams": 2, "block_missing": 5, "block_summary": 1, "block_disjoint": 2,
+}
+
+// blockPrims are the primitives whose first argument is a blocks variable.
+var blockPrims = map[string]bool{"block_reset": true, "block_put": true, "block_has": true,
+	"block_typ": true, "block_payload": true, "block_incs": true, "block_streams": true,
+	"block_missing": true, "block_summary": true, "block_disjoint": true,
+}
 
 // checkBody checks the statements that name a bounded log — a log statement
-// appends to a declared log of its message, log_replay replays one — and the
-// argument counts of the clock primitives.
-func checkBody(body []Stmt, logs map[string]string) error {
+// appends to a declared log of its message, log_replay replays one — the
+// argument counts of the primitives listed in arity, and that each block
+// primitive names a blocks variable.
+func checkBody(body []Stmt, logs map[string]string, blockVars map[string]bool) error {
 	for _, st := range body {
 		var exprs []Expr
 		switch st := st.(type) {
@@ -212,6 +225,9 @@ func checkBody(body []Stmt, logs map[string]string) error {
 			case st.Msg == "" && st.Fn == "log_replay" && logs[name] == "":
 				return errAt(st.Pos, "log_replay of %q, which is not a declared log", name)
 			}
+			if st.Msg == "" {
+				exprs = append(exprs, CallExpr{Fn: st.Fn, Args: st.Args})
+			}
 		case *AssignStmt:
 			exprs = []Expr{st.Value}
 		case *LocalStmt:
@@ -220,20 +236,30 @@ func checkBody(body []Stmt, logs map[string]string) error {
 			}
 		case *IfStmt:
 			exprs = []Expr{st.Cond}
-			if err := checkBody(st.Then, logs); err != nil {
+			if err := checkBody(st.Then, logs, blockVars); err != nil {
 				return err
 			}
-			if err := checkBody(st.Else, logs); err != nil {
+			if err := checkBody(st.Else, logs, blockVars); err != nil {
 				return err
 			}
 		case *ForeachStmt:
-			if err := checkBody(st.Body, logs); err != nil {
+			exprs = []Expr{st.List}
+			if err := checkBody(st.Body, logs, blockVars); err != nil {
 				return err
 			}
 		}
 		for _, e := range exprs {
 			if c, ok := badArity(e); ok {
 				return errAt(st.Position(), "%s takes %d arguments, not %d", c.Fn, arity[c.Fn], len(c.Args))
+			}
+			if c, ok := findCall(e, func(c CallExpr) bool {
+				if !blockPrims[c.Fn] {
+					return false
+				}
+				id, isName := c.Args[0].(Ident)
+				return !isName || !blockVars[id.Name]
+			}); ok {
+				return errAt(st.Position(), "%s of %s, which is not a declared blocks variable", c.Fn, c.Args[0])
 			}
 		}
 	}
@@ -243,25 +269,33 @@ func checkBody(body []Stmt, logs map[string]string) error {
 // badArity finds a call in e of a primitive listed in arity with the wrong
 // number of arguments.
 func badArity(e Expr) (CallExpr, bool) {
+	return findCall(e, func(c CallExpr) bool {
+		n, ok := arity[c.Fn]
+		return ok && n != len(c.Args)
+	})
+}
+
+// findCall finds a call in e, outermost first, that bad reports.
+func findCall(e Expr, bad func(CallExpr) bool) (CallExpr, bool) {
 	switch e := e.(type) {
 	case CallExpr:
-		if n, ok := arity[e.Fn]; ok && n != len(e.Args) {
+		if bad(e) {
 			return e, true
 		}
 		for _, a := range e.Args {
-			if c, ok := badArity(a); ok {
+			if c, ok := findCall(a, bad); ok {
 				return c, true
 			}
 		}
 	case BinExpr:
-		if c, ok := badArity(e.L); ok {
+		if c, ok := findCall(e.L, bad); ok {
 			return c, true
 		}
-		return badArity(e.R)
+		return findCall(e.R, bad)
 	case NotExpr:
-		return badArity(e.Inner)
+		return findCall(e.Inner, bad)
 	case EntryExpr:
-		return badArity(e.Key)
+		return findCall(e.Key, bad)
 	}
 	return CallExpr{}, false
 }

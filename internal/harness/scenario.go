@@ -10,8 +10,8 @@ import (
 	"macedon/internal/check"
 	"macedon/internal/core"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/bullet"
 	"macedon/internal/overlays/genammo"
+	"macedon/internal/overlays/genbullet"
 	"macedon/internal/overlays/genchord"
 	"macedon/internal/overlays/genovercast"
 	"macedon/internal/overlays/genpastry"
@@ -56,16 +56,8 @@ func ScenarioStack(proto string) ([]core.Factory, error) {
 		return []core.Factory{genammo.New()}, nil
 	case "bullet":
 		// Bullet layers over RandTree (the paper's Figure 2 stack): the tree
-		// stripes blocks, the RanSub mesh recovers the rest. Snappier epoch
-		// and exchange cadences than the library defaults keep mesh recovery
-		// inside a scenario phase's horizon.
-		return []core.Factory{
-			genrandtree.New(),
-			bullet.New(bullet.Params{
-				EpochPeriod: 3 * time.Second,
-				HavePeriod:  time.Second,
-			}),
-		}, nil
+		// stripes blocks, the RanSub mesh recovers the rest.
+		return []core.Factory{genrandtree.New(), genbullet.New()}, nil
 	}
 	return nil, fmt.Errorf("harness: unknown scenario protocol %q (have chord, pastry, randtree, scribe, splitstream, nice, overcast, ammo, bullet, genchord, genpastry, genrandtree)", proto)
 }

@@ -137,6 +137,26 @@ func (w *Writer) Keys(ks []Key) {
 	}
 }
 
+// I32s appends a length-prefixed list of 32-bit integers (max 65,535).
+func (w *Writer) I32s(vs []int32) {
+	if !w.count16(len(vs)) {
+		return
+	}
+	for _, v := range vs {
+		w.I32(v)
+	}
+}
+
+// I64s appends a length-prefixed list of 64-bit integers (max 65,535).
+func (w *Writer) I64s(vs []int64) {
+	if !w.count16(len(vs)) {
+		return
+	}
+	for _, v := range vs {
+		w.I64(v)
+	}
+}
+
 // Reader consumes the wire form of a message. It is sticky-error: after the
 // first failure every accessor returns zero values and Err reports the
 // failure, so Decode bodies read linearly without per-field checks. A Reader
@@ -267,6 +287,37 @@ func (r *Reader) AppendAddrs(dst []Address) []Address {
 	dst = slices.Grow(dst, n)
 	for range n {
 		dst = append(dst, r.Addr())
+	}
+	return dst
+}
+
+// AppendI32s consumes a length-prefixed list of 32-bit integers into
+// dst[:0]'s array, as AppendAddrs does.
+func (r *Reader) AppendI32s(dst []int32) []int32 {
+	n, ok := r.listLen()
+	if !ok {
+		return dst
+	}
+	dst = slices.Grow(dst, n)
+	for range n {
+		dst = append(dst, r.I32())
+	}
+	return dst
+}
+
+// AppendI64s consumes a length-prefixed list of 64-bit integers into
+// dst[:0]'s array.
+func (r *Reader) AppendI64s(dst []int64) []int64 {
+	n := int(r.U16())
+	if r.err != nil || n > len(r.buf)/8 {
+		if r.err == nil {
+			r.err = ErrShortMessage
+		}
+		return dst
+	}
+	dst = slices.Grow(dst, n)
+	for range n {
+		dst = append(dst, r.I64())
 	}
 	return dst
 }

@@ -345,3 +345,21 @@ func mustDecode(t *testing.T, reg *Registry, frame []byte) Message {
 	}
 	return m
 }
+
+// TestIntListsRoundTrip: intset and timeset fields round-trip, decode into
+// the array they are given, and a count the frame cannot hold fails.
+func TestIntListsRoundTrip(t *testing.T) {
+	var w Writer
+	w.I32s([]int32{-1, 7})
+	w.I64s([]int64{1 << 40, -3})
+	r := NewReader(w.Bytes())
+	ints := r.AppendI32s(make([]int32, 0, 4))
+	times := r.AppendI64s(nil)
+	if r.Err() != nil || len(ints) != 2 || ints[0] != -1 || cap(ints) != 4 || len(times) != 2 || times[0] != 1<<40 {
+		t.Fatalf("decoded %v %v (%v)", ints, times, r.Err())
+	}
+	bad := NewReader([]byte{0, 9, 0, 0, 0, 0})
+	if got := bad.AppendI64s(nil); bad.Err() == nil || len(got) != 0 {
+		t.Fatalf("a count past the frame decoded %v", got)
+	}
+}

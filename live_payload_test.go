@@ -12,7 +12,7 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/livenet"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/bullet"
+	"macedon/internal/overlays/genbullet"
 )
 
 // TestLiveDeliveredPayloadsIntact is TestDeliveredPayloadsIntact's retention
@@ -120,7 +120,7 @@ func runLivePayloads(t *testing.T, stack []core.Factory, late, port int) {
 		time.Sleep(100 * time.Millisecond) // the stream spans two of Bullet's 3 s epochs
 		for _, n := range live {
 			n.Exec(func() {
-				b, ok := n.Top().Agent().(*bullet.Protocol)
+				b, ok := n.Top().Agent().(*genbullet.Agent)
 				if !ok {
 					return
 				}
@@ -152,7 +152,7 @@ func runLivePayloads(t *testing.T, stack []core.Factory, late, port int) {
 	if late > 0 && replayed == 0 {
 		t.Fatal("no late node was caught up on data sent before it spawned")
 	}
-	if _, isBullet := stack[len(stack)-1]().(*bullet.Protocol); isBullet && watched == 0 {
+	if _, isBullet := stack[len(stack)-1]().(*genbullet.Agent); isBullet && watched == 0 {
 		t.Fatal("no kept candidate summary was seen twice: the watch is vacuous")
 	}
 	if corrupt > 0 {

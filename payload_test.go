@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +18,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/bullet"
+	"macedon/internal/overlays/genbullet"
 )
 
 // opPayload is the payload of workload op id: its size and every byte derive
@@ -192,7 +191,7 @@ func runPayloadCase(t *testing.T, tc payloadCase, shards int) {
 		}
 		c.RunFor(200 * time.Millisecond)
 		for _, n := range c.Nodes {
-			if b, ok := n.Top().Agent().(*bullet.Protocol); ok {
+			if b, ok := n.Top().Agent().(*genbullet.Agent); ok {
 				for _, s := range keptSummaries(b) {
 					key := unsafe.SliceData(s)
 					if was, seen := summaries[key]; !seen {
@@ -224,13 +223,12 @@ func runPayloadCase(t *testing.T, tc payloadCase, shards int) {
 }
 
 // keptSummaries returns the candidate summaries a bullet node keeps between
-// epochs, read through reflection: they are protocol-private state.
-func keptSummaries(b *bullet.Protocol) [][]byte {
-	cands := reflect.ValueOf(b).Elem().FieldByName("candidates")
-	out := make([][]byte, 0, cands.Len())
-	for i := 0; i < cands.Len(); i++ {
-		if s := cands.Index(i).FieldByName("Summary").Bytes(); len(s) > 0 {
-			out = append(out, s)
+// epochs: its candidates state variable, an exported field of the agent.
+func keptSummaries(b *genbullet.Agent) [][]byte {
+	out := make([][]byte, 0, len(b.Candidates))
+	for _, c := range b.Candidates {
+		if len(c.Summary) > 0 {
+			out = append(out, c.Summary)
 		}
 	}
 	return out
