@@ -274,8 +274,13 @@ func (g *generator) rangeExpr(e dsl.Expr) (string, error) {
 		}
 	}
 	if c, ok := e.(dsl.CallExpr); ok && c.Fn == "range" && len(c.Args) == 1 {
-		// foreach (i in range(n)) counts i from 0 to n-1.
-		return g.expr(c.Args[0])
+		// foreach (i in range(n)) counts i from 0 to n-1, an int like n; a
+		// constant n is typed, so that i is not a Go int.
+		n, err := g.expr(c.Args[0])
+		if err == nil && g.untyped(c.Args[0]) {
+			n = "int32(" + n + ")"
+		}
+		return n, err
 	}
 	return g.listExpr(e)
 }
@@ -370,40 +375,57 @@ type prim struct {
 	typ         string
 }
 
+// sendsVia are the primitives that send the cluster views a change owes:
+// their second argument names the message, translated to the agent's send
+// slot for it.
+var sendsVia = map[string]bool{"cluster_admit": true, "cluster_broadcast": true, "cluster_leave": true,
+	"cluster_expire": true, "cluster_split": true, "cluster_merge": true}
+
 // stmtPrims are the primitive statements of that shape.
 var stmtPrims = map[string]prim{
-	"deliver":          {"", "ctx.Deliver(%s, %s, %s)", nil, ""},
-	"create_group":     {"", "_ = ctx.CreateGroup(%s)", nil, ""},
-	"join_group":       {"", "_ = ctx.JoinGroup(%s)", nil, ""},
-	"leave_group":      {"", "_ = ctx.LeaveGroup(%s)", nil, ""},
-	"route":            {"", "_ = ctx.Route(%s, %s, %s, %s)", nil, ""},
-	"route_ip":         {"", "_ = ctx.RouteIP(%s, %s, %s, %s)", nil, ""},
-	"multicast":        {"", "_ = ctx.Multicast(%s, %s, %s, %s)", nil, ""},
-	"neighbor_add":     {"list", "ctx.Neighbors(%s).Add(%s)", nil, ""},
-	"neighbor_remove":  {"list", "ctx.Neighbors(%s).Remove(%s)", nil, ""},
-	"neighbor_clear":   {"list", "ctx.Neighbors(%s).Clear()", nil, ""},
-	"list_append":      {"nodeset", "%[1]s = core.ListAppend(%[1]s, %[2]s)", nil, ""},
-	"list_prepend":     {"nodeset", "%[1]s = core.ListPrepend(%[1]s, %[2]s)", nil, ""},
-	"list_remove":      {"nodeset", "%[1]s = core.ListRemove(%[1]s, %[2]s)", nil, ""},
-	"list_clear":       {"nodeset", "%[1]s = %[1]s[:0]", nil, ""},
-	"list_trunc":       {"nodeset", "%[1]s = core.ListTrunc(%[1]s, %[2]s)", nil, ""},
-	"ring_insert":      {"nodeset", "%[1]s = core.RingInsert(ctx.SelfKey(), ctx.Self(), %[1]s, %[2]s, %[3]s)", nil, ""},
-	"table_put":        {"nodetable", "core.TablePut(%s, %s, %s)", nil, ""},
-	"table_remove":     {"nodetable", "core.TableRemove(%s, %s)", nil, ""},
-	"table_clear":      {"nodetable", "clear(%s)", nil, ""},
-	"map_put":          {"keymap", "core.MapPut(&%s, %s, %s)", nil, ""},
-	"map_del":          {"keymap", "delete(%s, %s)", nil, ""},
-	"map_remove_value": {"keymap", "core.MapRemoveValue(%s, %s)", nil, ""},
-	"map_clear":        {"keymap", "clear(%s)", nil, ""},
-	"tally_heard":      {"tally", "core.TallyHeard(%s, %s)", nil, ""},
-	"tally_tick":       {"tally", "core.TallyTick(%s, %s)", nil, ""},
-	"tally_remove":     {"tally", "core.TallyRemove(%s, %s)", nil, ""},
-	"upcall_ext":       {"", "ctx.UpcallExt(int(%s), nil)", nil, ""},
-	"log_replay":       {"log", "core.LogReplay(ctx, %s, %s, %s)", []int{2}, ""},
-	"sample":           {"slice", "%[1]s = core.Sample(ctx, %[1]s, %[2]s)", nil, ""},
-	"ticket_add":       {"tickets", "%[1]s = core.TicketAdd(%[1]s, %[2]s, %[3]s)", nil, ""},
-	"ticket_merge":     {"tickets", "%[1]s = core.TicketMerge(%[1]s, %[2]s)", nil, ""},
-	"block_reset":      {"blocks", "core.BlockReset(&%s, %s, %s)", nil, ""},
+	"deliver":            {"", "ctx.Deliver(%s, %s, %s)", nil, ""},
+	"create_group":       {"", "_ = ctx.CreateGroup(%s)", nil, ""},
+	"join_group":         {"", "_ = ctx.JoinGroup(%s)", nil, ""},
+	"leave_group":        {"", "_ = ctx.LeaveGroup(%s)", nil, ""},
+	"route":              {"", "_ = ctx.Route(%s, %s, %s, %s)", nil, ""},
+	"route_ip":           {"", "_ = ctx.RouteIP(%s, %s, %s, %s)", nil, ""},
+	"multicast":          {"", "_ = ctx.Multicast(%s, %s, %s, %s)", nil, ""},
+	"neighbor_add":       {"list", "ctx.Neighbors(%s).Add(%s)", nil, ""},
+	"neighbor_remove":    {"list", "ctx.Neighbors(%s).Remove(%s)", nil, ""},
+	"neighbor_clear":     {"list", "ctx.Neighbors(%s).Clear()", nil, ""},
+	"list_append":        {"nodeset", "%[1]s = core.ListAppend(%[1]s, %[2]s)", nil, ""},
+	"list_prepend":       {"nodeset", "%[1]s = core.ListPrepend(%[1]s, %[2]s)", nil, ""},
+	"list_remove":        {"nodeset", "%[1]s = core.ListRemove(%[1]s, %[2]s)", nil, ""},
+	"list_clear":         {"nodeset", "%[1]s = %[1]s[:0]", nil, ""},
+	"list_trunc":         {"nodeset", "%[1]s = core.ListTrunc(%[1]s, %[2]s)", nil, ""},
+	"ring_insert":        {"nodeset", "%[1]s = core.RingInsert(ctx.SelfKey(), ctx.Self(), %[1]s, %[2]s, %[3]s)", nil, ""},
+	"table_put":          {"nodetable", "core.TablePut(%s, %s, %s)", nil, ""},
+	"table_remove":       {"nodetable", "core.TableRemove(%s, %s)", nil, ""},
+	"table_clear":        {"nodetable", "clear(%s)", nil, ""},
+	"map_put":            {"keymap", "core.MapPut(&%s, %s, %s)", nil, ""},
+	"map_del":            {"keymap", "delete(%s, %s)", nil, ""},
+	"map_remove_value":   {"keymap", "core.MapRemoveValue(%s, %s)", nil, ""},
+	"map_clear":          {"keymap", "clear(%s)", nil, ""},
+	"tally_heard":        {"tally", "core.TallyHeard(%s, %s)", nil, ""},
+	"tally_tick":         {"tally", "core.TallyTick(%s, %s)", nil, ""},
+	"tally_remove":       {"tally", "core.TallyRemove(%s, %s)", nil, ""},
+	"upcall_ext":         {"", "ctx.UpcallExt(int(%s), nil)", nil, ""},
+	"log_replay":         {"log", "core.LogReplay(ctx, %s, %s, %s)", []int{2}, ""},
+	"sample":             {"slice", "%[1]s = core.Sample(ctx, %[1]s, %[2]s)", nil, ""},
+	"ticket_add":         {"tickets", "%[1]s = core.TicketAdd(%[1]s, %[2]s, %[3]s)", nil, ""},
+	"ticket_merge":       {"tickets", "%[1]s = core.TicketMerge(%[1]s, %[2]s)", nil, ""},
+	"block_reset":        {"blocks", "core.BlockReset(&%s, %s, %s)", nil, ""},
+	"cluster_found":      {"clusters", "core.ClusterFound(ctx, &%s)", nil, ""},
+	"cluster_heard":      {"clusters", "core.ClusterHeard(&%s, %s, %s)", nil, ""},
+	"cluster_install":    {"clusters", "core.ClusterInstall(ctx, &%s, %s, %s, %s, %s, %s)", nil, ""},
+	"cluster_set_leader": {"clusters", "core.ClusterSetLeader(&%s, %s, %s)", nil, ""},
+	"cluster_admit":      {"clusters", "core.ClusterAdmit(ctx, &%s, %s, %s, %s)", nil, ""},
+	"cluster_broadcast":  {"clusters", "core.ClusterBroadcast(ctx, &%s, %s, %s)", nil, ""},
+	"cluster_leave":      {"clusters", "core.ClusterLeave(ctx, &%s, %s, %s, %s)", nil, ""},
+	"cluster_expire":     {"clusters", "core.ClusterExpire(ctx, &%s, %s, %s, %s)", nil, ""},
+	"cluster_split":      {"clusters", "core.ClusterSplit(ctx, &%s, %s, %s, %s)", nil, ""},
+	"dist_set":           {"clusters", "core.DistSet(&%s, %s, %s)", nil, ""},
+	"dist_row":           {"clusters", "core.DistRow(&%s, %s, %s, %s)", nil, ""},
 }
 
 // exprPrims are the value primitives of that shape.
@@ -447,6 +469,19 @@ var exprPrims = map[string]prim{
 	"block_missing":   {"blocks", "core.BlockMissing(&%s, %s, %s, %s, %s)", nil, "intset"},
 	"block_summary":   {"blocks", "core.BlockSummary(&%s)", nil, "buffer"},
 	"block_disjoint":  {"blocks", "core.BlockDisjoint(&%s, %s)", nil, "double"},
+	"cluster_layers":  {"clusters", "%s.Len()", nil, "int"},
+	"cluster_leader":  {"clusters", "%s.Leader(%s)", nil, "node"},
+	"cluster_parent":  {"clusters", "%s.Parent(%s)", nil, "node"},
+	"cluster_members": {"clusters", "%s.Members(%s)", nil, "nodeset"},
+	"cluster_of":      {"clusters", "%s.Of(%s)", nil, "int"},
+	"cluster_center":  {"clusters", "core.ClusterCenter(ctx, &%s, %s)", nil, "node"},
+	"cluster_mapped":  {"clusters", "core.ClusterMapped(ctx, &%s, %s)", nil, "bool"},
+	"cluster_merge":   {"clusters", "core.ClusterMerge(ctx, &%s, %s, %s)", nil, "node"},
+	"cluster_fanout":  {"clusters", "core.ClusterFanout(ctx, &%s, %s, %s)", nil, "nodeset"},
+	"dist_known":      {"clusters", "%s.Known(%s)", nil, "bool"},
+	"dist_addrs":      {"clusters", "%s.DistAddrs()", nil, "nodeset"},
+	"dist_values":     {"clusters", "%s.DistValues()", nil, "timeset"},
+	"dedup_add":       {"dedup", "core.DedupAdd(&%s, %s, %s, %s, %s)", nil, "bool"},
 }
 
 // translate formats primitive p over args, each translated in order: the
@@ -468,6 +503,13 @@ func (g *generator) translate(fn string, p prim, args []dsl.Expr) (string, error
 			v, err = g.collection(p.first, fn, args)
 		case i >= len(args):
 			err = softf("%s is missing argument %d", fn, i)
+		case i == 1 && sendsVia[fn]:
+			// The message the primitive sends, built in its send slot.
+			id, _ := args[i].(dsl.Ident)
+			if _, ok := g.msgs[id.Name]; !ok {
+				err = softf("%s: %s is not a declared message", fn, args[i])
+			}
+			v = "&a.io.tx." + camel(id.Name)
 		default:
 			v, err = g.expr(args[i])
 			if slices.Contains(p.ints, i) {
@@ -937,7 +979,7 @@ func isDouble(v string) bool {
 // wanted. An untyped Go constant needs no conversion.
 func (g *generator) convert(want string, e dsl.Expr, s string) string {
 	switch g.typeOf(e) {
-	case "int", "short", "time":
+	case "int", "short", "char", "time":
 		if want == "double" && !g.constExpr(e) {
 			return "float64(" + s + ")"
 		}
@@ -958,6 +1000,15 @@ func (g *generator) constExpr(e dsl.Expr) bool {
 		return (ok || transport) && !local && g.loopVars[e.Name] == ""
 	}
 	return false
+}
+
+// untyped reports whether Go reads e as an untyped constant: a literal, a
+// declared constant, or arithmetic over them.
+func (g *generator) untyped(e dsl.Expr) bool {
+	if b, ok := e.(dsl.BinExpr); ok {
+		return g.untyped(b.L) && g.untyped(b.R)
+	}
+	return g.constExpr(e)
 }
 
 // asInt converts a translated int32 expression to int, leaving an untyped
@@ -981,6 +1032,14 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 			}
 		}
 		return "", fmt.Errorf("codegen: message %q has no field %q", g.curMsg.Name, id.Name)
+	}
+	if e.Fn == "in_state" {
+		// in_state(s): the FSM is in state s.
+		st, ok := firstIdent(e.Args)
+		if !ok || len(e.Args) != 1 {
+			return "", softf("in_state takes a state name")
+		}
+		return fmt.Sprintf("(ctx.State() == %q)", st.Name), nil
 	}
 	if e.Fn == "notified" {
 		// notified(kind): the notify() upcall being handled reports the

@@ -57,7 +57,7 @@ func Generate(spec *dsl.Spec, pkg string) (*Result, error) {
 		// rejecting the declaration makes it degrade to a visible TODO
 		// instead of silently dropping every statement that touches it.
 		localTypes: map[string]bool{
-			"int": true, "short": true, "double": true, "time": true, "bool": true, "key": true,
+			"int": true, "short": true, "char": true, "double": true, "time": true, "bool": true, "key": true,
 			"macedon_key": true, "node": true, "buffer": true,
 			"string": true,
 		},
@@ -236,12 +236,13 @@ func (g *generator) emitRouting(r *dsl.Routing) error {
 }
 
 // goType maps mac field types onto Go types. A short is an int that travels
-// in 16 bits; a time is a clock reading or span in nanoseconds; intset and
-// timeset are lists of ints and times; tickets is a list of (node, summary)
-// pairs; blocks is a block store (core.Blocks).
+// in 16 bits and a char one that travels, signed, in 8; a time is a clock
+// reading or span in nanoseconds; intset and timeset are lists of ints and
+// times; tickets is a list of (node, summary) pairs; blocks, clusters and
+// dedup are the block store, cluster table and packet-key set of core.
 func goType(t string) string {
 	switch t {
-	case "int", "short":
+	case "int", "short", "char":
 		return "int32"
 	case "double":
 		return "float64"
@@ -269,6 +270,10 @@ func goType(t string) string {
 		return "[]core.Ticket"
 	case "blocks":
 		return "core.Blocks"
+	case "clusters":
+		return "core.Clusters"
+	case "dedup":
+		return "core.Dedup"
 	case "keymap":
 		return "map[overlay.Key]overlay.Address"
 	case "tally":
@@ -284,6 +289,8 @@ func encodeCall(f dsl.Field) string {
 		return fmt.Sprintf("w.I32(m.%s)", n)
 	case "short":
 		return fmt.Sprintf("w.U16(uint16(m.%s))", n)
+	case "char":
+		return fmt.Sprintf("w.U8(uint8(m.%s))", n)
 	case "time":
 		return fmt.Sprintf("w.I64(m.%s)", n)
 	case "double":
@@ -319,6 +326,8 @@ func decodeCall(f dsl.Field) string {
 		return fmt.Sprintf("m.%s = r.I32()", n)
 	case "short":
 		return fmt.Sprintf("m.%s = int32(r.U16())", n)
+	case "char":
+		return fmt.Sprintf("m.%s = int32(int8(r.U8()))", n)
 	case "time":
 		return fmt.Sprintf("m.%s = r.I64()", n)
 	case "double":

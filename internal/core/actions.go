@@ -568,3 +568,529 @@ func BlockDisjoint(b *Blocks, summary []byte) float64 {
 	}
 	return b.summary.EstimateDisjointness(&f)
 }
+
+// Clusters is NICE's per-layer cluster table (a clusters variable): for each
+// layer this node belongs to, bottom up, the cluster's leader, the leader
+// of the cluster one layer up, and its members, self included; with the
+// RTTs this node measured, the rows of RTTs its clustermates gossiped, and
+// when each member was last heard. The functions that change a cluster send
+// the cluster_update views the change owes, in the node's message slot for
+// them (ViewMsg), each to the members in address order.
+type Clusters struct {
+	layers   []cluster
+	dists    map[overlay.Address]time.Duration
+	matrix   map[overlay.Address]map[overlay.Address]time.Duration
+	lastSeen map[overlay.Address]int64
+	fan      []overlay.Address // ClusterFanout's result, reused
+}
+
+type cluster struct {
+	leader, parent overlay.Address
+	members        []overlay.Address // ascending
+}
+
+// ViewMsg is what a cluster view travels in: a message whose fields are the
+// layer, the cluster's leader, the leader one layer up and the members.
+type ViewMsg interface {
+	~struct {
+		Layer        int32
+		Leader       overlay.Address
+		ParentLeader overlay.Address
+		Members      []overlay.Address
+	}
+}
+
+type clusterView struct {
+	Layer        int32
+	Leader       overlay.Address
+	ParentLeader overlay.Address
+	Members      []overlay.Address
+}
+
+// sendView sends a view to one node, built in the message slot.
+func sendView[M ViewMsg, P interface {
+	*M
+	overlay.Message
+}](ctx *Context, slot *M, to overlay.Address, v clusterView) {
+	*slot = M(v)
+	_ = ctx.Send(to, P(slot), overlay.PriorityDefault)
+}
+
+// memberSet is a set of members, listed in address order.
+func memberSet(as ...overlay.Address) []overlay.Address {
+	s := slices.Clone(as)
+	slices.Sort(s)
+	return slices.Compact(s)
+}
+
+// Len is the number of layers this node belongs to (cluster_layers).
+func (c *Clusters) Len() int32 { return int32(len(c.layers)) }
+
+func (c *Clusters) at(l int32) *cluster {
+	if l < 0 || int(l) >= len(c.layers) {
+		return &cluster{}
+	}
+	return &c.layers[l]
+}
+
+// Leader is the leader of this node's cluster at layer l, NilAddress out of
+// range (cluster_leader).
+func (c *Clusters) Leader(l int32) overlay.Address { return c.at(l).leader }
+
+// Parent is the leader one layer above layer l's cluster, as its view names
+// it (cluster_parent).
+func (c *Clusters) Parent(l int32) overlay.Address { return c.at(l).parent }
+
+// Members lists this node's cluster at layer l in address order, nil out of
+// range (cluster_members). The list is the table's own: read it, do not
+// keep it.
+func (c *Clusters) Members(l int32) []overlay.Address { return c.at(l).members }
+
+// Of is the lowest layer whose cluster holds a, or -1 (cluster_of).
+func (c *Clusters) Of(a overlay.Address) int32 {
+	for l := range c.layers {
+		if _, ok := slices.BinarySearch(c.layers[l].members, a); ok {
+			return int32(l)
+		}
+	}
+	return -1
+}
+
+// Known reports whether this node has measured its RTT to a (dist_known).
+func (c *Clusters) Known(a overlay.Address) bool {
+	_, ok := c.dists[a]
+	return ok
+}
+
+// DistAddrs lists the nodes this node has measured, in address order
+// (dist_addrs); DistValues lists the RTTs, in nanoseconds, in the same order
+// (dist_values): the distance vector a heartbeat gossips.
+func (c *Clusters) DistAddrs() []overlay.Address {
+	return slices.Sorted(maps.Keys(c.dists))
+}
+
+// DistValues: see DistAddrs.
+func (c *Clusters) DistValues() []int64 {
+	out := make([]int64, 0, len(c.dists))
+	for _, a := range c.DistAddrs() {
+		out = append(out, int64(c.dists[a]))
+	}
+	return out
+}
+
+// DistSet records a measured RTT to a, in nanoseconds (dist_set).
+func DistSet(c *Clusters, a overlay.Address, rtt int64) {
+	if c.dists == nil {
+		c.dists = map[overlay.Address]time.Duration{}
+	}
+	c.dists[a] = time.Duration(rtt)
+}
+
+// DistRow stores the distance vector from gossiped: RTTs in nanoseconds,
+// parallel to addrs (dist_row).
+func DistRow(c *Clusters, from overlay.Address, addrs []overlay.Address, rtts []int64) {
+	row := make(map[overlay.Address]time.Duration, len(addrs))
+	for i, a := range addrs {
+		if i < len(rtts) {
+			row[a] = time.Duration(rtts[i])
+		}
+	}
+	if c.matrix == nil {
+		c.matrix = map[overlay.Address]map[overlay.Address]time.Duration{}
+	}
+	c.matrix[from] = row
+}
+
+// ClusterHeard records that a was heard at now, a clock reading in
+// nanoseconds (cluster_heard).
+func ClusterHeard(c *Clusters, a overlay.Address, now int64) {
+	if c.lastSeen == nil {
+		c.lastSeen = map[overlay.Address]int64{}
+	}
+	c.lastSeen[a] = now
+}
+
+// rtt is the a↔b RTT this node measured or was told, if it knows one.
+func (c *Clusters) rtt(self, a, b overlay.Address) (time.Duration, bool) {
+	if a == b {
+		return 0, true
+	}
+	if a == self {
+		if d, ok := c.dists[b]; ok {
+			return d, true
+		}
+	}
+	if d, ok := c.matrix[a][b]; ok {
+		return d, true
+	}
+	if b == self {
+		if d, ok := c.dists[a]; ok {
+			return d, true
+		}
+	}
+	d, ok := c.matrix[b][a]
+	return d, ok
+}
+
+// dist is the best estimate of the a↔b RTT: a second when unknown.
+func (c *Clusters) dist(self, a, b overlay.Address) time.Duration {
+	if d, ok := c.rtt(self, a, b); ok {
+		return d
+	}
+	return time.Second
+}
+
+// center is the graph-theoretic center of a member set: the member whose
+// largest distance to the others is least, ties to the lowest address.
+func (c *Clusters) center(self overlay.Address, members []overlay.Address) overlay.Address {
+	best, bestMax := overlay.NilAddress, time.Duration(1<<63-1)
+	for _, a := range members {
+		var worst time.Duration
+		for _, b := range members {
+			worst = max(worst, c.dist(self, a, b))
+		}
+		if worst < bestMax || worst == bestMax && (best == overlay.NilAddress || a < best) {
+			best, bestMax = a, worst
+		}
+	}
+	return best
+}
+
+// ClusterCenter is the center of layer l's cluster (cluster_center).
+func ClusterCenter(ctx *Context, c *Clusters, l int32) overlay.Address {
+	return c.center(ctx.Self(), c.at(l).members)
+}
+
+// ClusterMapped reports whether this node knows the RTT between every two
+// members of layer l's cluster (cluster_mapped). A split waits for it: split
+// on guesses, the parts straddle sites.
+func ClusterMapped(ctx *Context, c *Clusters, l int32) bool {
+	ms := c.at(l).members
+	for i := range ms {
+		for j := i + 1; j < len(ms); j++ {
+			if _, ok := c.rtt(ctx.Self(), ms[i], ms[j]); !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// ClusterFound makes this node the lone member and leader of a cluster at
+// layer 0, as the rendezvous point starts (cluster_found).
+func ClusterFound(ctx *Context, c *Clusters) {
+	c.layers = []cluster{{leader: ctx.Self(), members: []overlay.Address{ctx.Self()}}}
+}
+
+// ClusterSetLeader records a as the leader of layer l's cluster
+// (cluster_set_leader).
+func ClusterSetLeader(c *Clusters, l int32, a overlay.Address) { c.at(l).leader = a }
+
+// ClusterBroadcast sends the view of layer l's cluster to every other member
+// and reports the members to the layer above (cluster_broadcast): how a
+// leader keeps its members' views from diverging.
+func ClusterBroadcast[M ViewMsg, P interface {
+	*M
+	overlay.Message
+}](ctx *Context, c *Clusters, slot *M, l int32) {
+	cl := c.layers[l]
+	v := clusterView{Layer: l, Leader: cl.leader, ParentLeader: cl.parent, Members: cl.members}
+	for _, a := range cl.members {
+		if a != ctx.Self() {
+			sendView[M, P](ctx, slot, a, v)
+		}
+	}
+	ctx.NotifyNeighbors(overlay.NbrTypeClusterMember, slices.Clone(cl.members))
+}
+
+// ClusterAdmit answers from's request to join this node's cluster at layer
+// (cluster_admit). A fellow leader asking one layer above the top grows the
+// hierarchy, with this node leading. A request above the top is redirected
+// toward the highest leader this node knows, and one for a cluster this
+// node does not lead is bounced to its leader, each with a provisional view
+// listing the asker. Otherwise the asker becomes a member and the leader
+// broadcasts the view; a refresh from a member changes nothing.
+func ClusterAdmit[M ViewMsg, P interface {
+	*M
+	overlay.Message
+}](ctx *Context, c *Clusters, slot *M, from overlay.Address, layer int32) {
+	self, n := ctx.Self(), int32(len(c.layers))
+	switch {
+	case layer == n && layer > 0 && c.layers[layer-1].leader == self:
+		c.layers = append(c.layers, cluster{leader: self, members: memberSet(self, from)})
+		ClusterBroadcast[M, P](ctx, c, slot, layer)
+	case layer >= n:
+		if n == 0 {
+			return
+		}
+		lead := c.layers[n-1].leader
+		if lead == from || lead == overlay.NilAddress {
+			return // the asker already heads the tallest chain we know
+		}
+		sendView[M, P](ctx, slot, from, clusterView{Layer: layer, Leader: lead, Members: []overlay.Address{lead, from}})
+	case c.layers[layer].leader != self:
+		cl := c.layers[layer]
+		ms := append(slices.Clone(cl.members), from)
+		sendView[M, P](ctx, slot, from, clusterView{Layer: layer, Leader: cl.leader, ParentLeader: cl.parent, Members: ms})
+	default:
+		cl := &c.layers[layer]
+		i, member := slices.BinarySearch(cl.members, from)
+		if member {
+			return
+		}
+		cl.members = slices.Insert(cl.members, i, from)
+		ClusterBroadcast[M, P](ctx, c, slot, layer)
+	}
+}
+
+// ClusterInstall adopts a leader's view of layer l's cluster, adding the
+// layer when l is the next one up, and records every member as heard at now
+// (cluster_install).
+func ClusterInstall(ctx *Context, c *Clusters, l int32, leader, parent overlay.Address, members []overlay.Address, now int64) {
+	if int(l) == len(c.layers) {
+		c.layers = append(c.layers, cluster{})
+	}
+	c.layers[l] = cluster{leader: leader, parent: parent, members: memberSet(members...)}
+	for _, a := range members {
+		ClusterHeard(c, a, now)
+	}
+}
+
+// ClusterLeave gives up this node's clusters at layers from and up
+// (cluster_leave), handing each seat to an heir: heir at layer from, and
+// above it whoever now leads the layer below. Each cluster left gets a view
+// with the heir in this node's place, and, where this node led, with the
+// heir as leader, or with no heir the center of the members that remain.
+// Without the hand-off a cluster this node led keeps naming it as leader,
+// and it and every cluster below it are cut off from the stream for good.
+func ClusterLeave[M ViewMsg, P interface {
+	*M
+	overlay.Message
+}](ctx *Context, c *Clusters, slot *M, from int32, heir overlay.Address) {
+	self := ctx.Self()
+	for i := max(from, 0); int(i) < len(c.layers); i++ {
+		cl := c.layers[i]
+		members := slices.DeleteFunc(slices.Clone(cl.members), func(a overlay.Address) bool { return a == self })
+		if heir != overlay.NilAddress && heir != self {
+			members = memberSet(append(members, heir)...)
+		}
+		leader := cl.leader
+		if leader == self {
+			leader = heir
+			if leader == overlay.NilAddress || leader == self {
+				leader = c.center(self, members)
+			}
+		}
+		v := clusterView{Layer: i, Leader: leader, ParentLeader: cl.parent, Members: members}
+		for _, a := range members {
+			sendView[M, P](ctx, slot, a, v)
+		}
+		heir = leader
+	}
+	if int(from) < len(c.layers) {
+		c.layers = c.layers[:max(from, 0)]
+	}
+}
+
+// ClusterExpire drops the members not heard for more than timeoutMs
+// milliseconds before now, from every cluster (cluster_expire). A cluster
+// that loses its leader elects its center; a leader broadcasts a view that
+// changed.
+func ClusterExpire[M ViewMsg, P interface {
+	*M
+	overlay.Message
+}](ctx *Context, c *Clusters, slot *M, now int64, timeoutMs int32) {
+	self := ctx.Self()
+	for l := range c.layers {
+		changed := false
+		for _, a := range slices.Clone(c.layers[l].members) {
+			seen, ok := c.lastSeen[a]
+			if a == self || !ok || time.Duration(now-seen) <= time.Duration(timeoutMs)*time.Millisecond {
+				continue
+			}
+			cl := &c.layers[l]
+			cl.members = slices.DeleteFunc(cl.members, func(x overlay.Address) bool { return x == a })
+			delete(c.matrix, a)
+			changed = true
+			if cl.leader == a {
+				cl.leader = c.center(self, cl.members)
+			}
+		}
+		if changed && c.layers[l].leader == self {
+			ClusterBroadcast[M, P](ctx, c, slot, int32(l))
+		}
+	}
+}
+
+// ClusterSplit partitions layer l's oversize cluster around its two farthest
+// members, each part keeping at least k members, and hands each part to its
+// center: NICE's split (cluster_split). Splitting the top cluster creates
+// the layer above, whose cluster is the two part leaders. This node keeps
+// the part it is in, and steps down where it no longer leads.
+func ClusterSplit[M ViewMsg, P interface {
+	*M
+	overlay.Message
+}](ctx *Context, c *Clusters, slot *M, l, k int32) {
+	self := ctx.Self()
+	members := c.layers[l].members
+	var s1, s2 overlay.Address
+	var worst time.Duration = -1
+	for i := range members {
+		for j := i + 1; j < len(members); j++ {
+			if d := c.dist(self, members[i], members[j]); d > worst {
+				worst, s1, s2 = d, members[i], members[j]
+			}
+		}
+	}
+	if s1 == overlay.NilAddress || s2 == overlay.NilAddress {
+		return
+	}
+	g1, g2 := []overlay.Address{s1}, []overlay.Address{s2}
+	for _, a := range members {
+		switch {
+		case a == s1 || a == s2:
+		case c.dist(self, a, s1) <= c.dist(self, a, s2):
+			g1 = append(g1, a)
+		default:
+			g2 = append(g2, a)
+		}
+	}
+	g1, g2 = memberSet(g1...), memberSet(g2...)
+	// An outlier seed would otherwise lead a part of one, which merges
+	// straight back into the cluster that split it off.
+	g1, g2 = c.fill(self, g1, g2, s1, s2, k)
+	g2, g1 = c.fill(self, g2, g1, s2, s1, k)
+	l1, l2 := c.center(self, g1), c.center(self, g2)
+	parent := c.layers[l].parent
+	if int(l)+1 < len(c.layers) {
+		parent = c.layers[l+1].leader
+	} else {
+		upLead := l1
+		if d12, d21 := c.dist(self, l1, l2), c.dist(self, l2, l1); d21 < d12 || l2 < l1 && d12 == d21 {
+			upLead = l2
+		}
+		parent = upLead
+		up := clusterView{Layer: l + 1, Leader: upLead, Members: memberSet(l1, l2)}
+		for _, lead := range []overlay.Address{l1, l2} {
+			if lead != self {
+				sendView[M, P](ctx, slot, lead, up)
+			}
+		}
+		if self == l1 || self == l2 {
+			c.layers = append(c.layers, cluster{leader: upLead, members: up.Members})
+		}
+	}
+	cl := &c.layers[l]
+	if _, in := slices.BinarySearch(g1, self); in {
+		cl.members, cl.leader = g1, l1
+	} else {
+		cl.members, cl.leader = g2, l2
+	}
+	cl.parent = parent
+	for _, part := range []clusterView{{l, l1, parent, g1}, {l, l2, parent, g2}} {
+		for _, a := range part.Members {
+			if a != self {
+				sendView[M, P](ctx, slot, a, part)
+			}
+		}
+	}
+	if lead := c.layers[l].leader; lead != self {
+		ClusterLeave[M, P](ctx, c, slot, l+1, lead)
+	}
+}
+
+// fill moves members from big to small, closest to small's seed first (not
+// other, big's seed), until small has k members or big would drop below k.
+// Ties go to the lower address.
+func (c *Clusters) fill(self overlay.Address, small, big []overlay.Address, seed, other overlay.Address, k int32) ([]overlay.Address, []overlay.Address) {
+	for int32(len(small)) < k && int32(len(big)) > k {
+		best, bestD := overlay.NilAddress, time.Duration(1<<63-1)
+		for _, a := range big {
+			if d := c.dist(self, a, seed); a != other && d < bestD {
+				best, bestD = a, d
+			}
+		}
+		big = slices.DeleteFunc(big, func(a overlay.Address) bool { return a == best })
+		small = memberSet(append(small, best)...)
+	}
+	return small, big
+}
+
+// ClusterMerge folds layer l's undersize cluster into the closest other
+// cluster of layer l+1's members (cluster_merge): each member gets a
+// provisional view of that cluster listing it, this node keeps only itself
+// and steps down from the layers above, and the target is returned for this
+// node to join. With no other member up there it does nothing and returns
+// NilAddress.
+func ClusterMerge[M ViewMsg, P interface {
+	*M
+	overlay.Message
+}](ctx *Context, c *Clusters, slot *M, l int32) overlay.Address {
+	self := ctx.Self()
+	upper := c.at(l + 1)
+	target, best := overlay.NilAddress, time.Duration(1<<63-1)
+	for _, a := range upper.members {
+		if d := c.dist(self, self, a); a != self && d < best {
+			target, best = a, d
+		}
+	}
+	if target == overlay.NilAddress {
+		return target
+	}
+	for _, a := range c.layers[l].members {
+		if a != self {
+			sendView[M, P](ctx, slot, a, clusterView{Layer: l, Leader: target, ParentLeader: upper.leader,
+				Members: []overlay.Address{target, a}})
+		}
+	}
+	c.layers[l].members, c.layers[l].leader = []overlay.Address{self}, target
+	ClusterLeave[M, P](ctx, c, slot, l+1, target)
+	return target
+}
+
+// ClusterFanout lists where a data packet from src goes on from this node,
+// having arrived through the cluster at layer from (-1 at its source): every
+// member of every other cluster this node belongs to, bottom layer first,
+// once, but not src or this node (cluster_fanout). The list is reused by the
+// next call.
+func ClusterFanout(ctx *Context, c *Clusters, from int32, src overlay.Address) []overlay.Address {
+	c.fan = c.fan[:0]
+	for l := range c.layers {
+		if int32(l) == from {
+			continue
+		}
+		for _, a := range c.layers[l].members {
+			if a != ctx.Self() && a != src && !slices.Contains(c.fan, a) {
+				c.fan = append(c.fan, a)
+			}
+		}
+	}
+	return c.fan
+}
+
+// Dedup is a bounded set of packet keys, (source, incarnation, seq) (a dedup
+// variable): how a node forwards and delivers each packet once.
+type Dedup struct{ seen map[dedupKey]bool }
+
+type dedupKey struct {
+	src overlay.Address
+	inc int64
+	seq int32
+}
+
+// DedupAdd adds a packet key and reports whether it was new (dedup_add).
+// Past max keys the set restarts from this one: a coarse window.
+func DedupAdd(d *Dedup, src overlay.Address, inc int64, seq, max int32) bool {
+	k := dedupKey{src, inc, seq}
+	if d.seen[k] {
+		return false
+	}
+	if d.seen == nil {
+		d.seen = map[dedupKey]bool{}
+	}
+	d.seen[k] = true
+	if int32(len(d.seen)) > max {
+		d.seen = map[dedupKey]bool{k: true}
+	}
+	return true
+}

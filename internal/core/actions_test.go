@@ -344,3 +344,129 @@ func TestBlocks(t *testing.T) {
 		t.Fatal("an undecodable summary scores above -1")
 	}
 }
+
+// viewMsg is a message cluster views travel in.
+type viewMsg struct {
+	Layer        int32
+	Leader       overlay.Address
+	ParentLeader overlay.Address
+	Members      []overlay.Address
+}
+
+func (m *viewMsg) MsgName() string                { return "view" }
+func (m *viewMsg) Encode(w *overlay.Writer)       {}
+func (m *viewMsg) Decode(r *overlay.Reader) error { return nil }
+
+// clusterCtx is a context at node self, whose view sends fail.
+func clusterCtx(t *testing.T, self overlay.Address) *core.Context {
+	t.Helper()
+	inst, err := core.DetachedInstanceAt(&captureProto{}, self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.ContextOf(inst)
+}
+
+// siteRTTs gives node 1 the RTTs among nodes 1-6: 1-3 at one site, 4-6 at
+// another, 1 ms within a site and 50 ms across.
+func siteRTTs(c *core.Clusters) {
+	ms := int64(time.Millisecond)
+	rtt := func(a, b overlay.Address) int64 {
+		if (a <= 3) == (b <= 3) {
+			return ms
+		}
+		return 50 * ms
+	}
+	for a := overlay.Address(1); a <= 6; a++ {
+		var addrs []overlay.Address
+		var rtts []int64
+		for b := overlay.Address(1); b <= 6; b++ {
+			addrs, rtts = append(addrs, b), append(rtts, rtt(a, b))
+		}
+		if a == 1 {
+			for i, b := range addrs {
+				core.DistSet(c, b, rtts[i])
+			}
+		} else {
+			core.DistRow(c, a, addrs, rtts)
+		}
+	}
+}
+
+// TestClusterTable: admission, views, centers, split, merge, hand-off,
+// expiry and fan-out, on node 1's table.
+func TestClusterTable(t *testing.T) {
+	ctx := clusterCtx(t, 1)
+	var c core.Clusters
+	var slot viewMsg
+	core.ClusterFound(ctx, &c)
+	for _, a := range []overlay.Address{5, 3, 6, 2, 4, 3} {
+		core.ClusterAdmit(ctx, &c, &slot, a, 0)
+	}
+	if got := c.Members(0); !slices.Equal(got, []overlay.Address{1, 2, 3, 4, 5, 6}) || c.Leader(0) != 1 {
+		t.Fatalf("layer 0 = %v led by %v", got, c.Leader(0))
+	}
+	if core.ClusterMapped(ctx, &c, 0) {
+		t.Fatal("mapped before any RTT is known")
+	}
+	siteRTTs(&c)
+	if !core.ClusterMapped(ctx, &c, 0) || !c.Known(4) || !slices.Equal(c.DistAddrs(), []overlay.Address{1, 2, 3, 4, 5, 6}) {
+		t.Fatal("the distance table does not hold what was set")
+	}
+	// Every member is 50 ms from the far site: the center is the lowest.
+	if got := core.ClusterCenter(ctx, &c, 0); got != 1 {
+		t.Fatalf("center %v, want the lowest address of a tie", got)
+	}
+	// Split at the top: two site clusters, and the layer above holds their
+	// leaders.
+	core.ClusterSplit(ctx, &c, &slot, 0, 3)
+	if got := c.Members(0); !slices.Equal(got, []overlay.Address{1, 2, 3}) || c.Leader(0) != 1 {
+		t.Fatalf("after the split layer 0 = %v led by %v", got, c.Leader(0))
+	}
+	if c.Len() != 2 || !slices.Equal(c.Members(1), []overlay.Address{1, 4}) || c.Parent(0) != c.Leader(1) {
+		t.Fatalf("after the split layer 1 = %v led by %v, layer 0's parent %v", c.Members(1), c.Leader(1), c.Parent(0))
+	}
+	if got := core.ClusterFanout(ctx, &c, 0, 2); !slices.Equal(got, []overlay.Address{4}) {
+		t.Fatalf("fan-out from layer 0 = %v", got)
+	}
+	if got := core.ClusterFanout(ctx, &c, -1, 1); !slices.Equal(got, []overlay.Address{2, 3, 4}) {
+		t.Fatalf("fan-out at the source = %v", got)
+	}
+	if c.Of(4) != 1 || c.Of(2) != 0 || c.Of(9) != -1 {
+		t.Fatal("Of does not find the lowest layer holding a node")
+	}
+	// Merge layer 0 into the cluster of the closest other layer-1 member.
+	if got := core.ClusterMerge(ctx, &c, &slot, 0); got != 4 {
+		t.Fatalf("merge target %v, want 4", got)
+	}
+	if c.Len() != 1 || !slices.Equal(c.Members(0), []overlay.Address{1}) || c.Leader(0) != 4 {
+		t.Fatalf("after the merge: %d layers, layer 0 = %v led by %v", c.Len(), c.Members(0), c.Leader(0))
+	}
+	// A leader's view installs, and a member silent past the timeout goes.
+	core.ClusterInstall(ctx, &c, 1, 1, overlay.NilAddress, []overlay.Address{2, 1, 2}, 0)
+	if !slices.Equal(c.Members(1), []overlay.Address{1, 2}) || c.Leader(1) != 1 {
+		t.Fatalf("installed layer 1 = %v led by %v", c.Members(1), c.Leader(1))
+	}
+	core.ClusterHeard(&c, 4, int64(20*time.Second))
+	core.ClusterExpire(ctx, &c, &slot, int64(20*time.Second), 15000)
+	if !slices.Equal(c.Members(1), []overlay.Address{1}) || !slices.Equal(c.Members(0), []overlay.Address{1}) {
+		t.Fatalf("after expiry: layer 0 %v, layer 1 %v", c.Members(0), c.Members(1))
+	}
+	core.ClusterLeave(ctx, &c, &slot, 1, overlay.NilAddress)
+	if c.Len() != 1 {
+		t.Fatalf("%d layers after leaving layer 1", c.Len())
+	}
+}
+
+// TestDedup: a key is new once; past max keys the set restarts from the
+// newest.
+func TestDedup(t *testing.T) {
+	var d core.Dedup
+	if !core.DedupAdd(&d, 1, 7, 1, 2) || core.DedupAdd(&d, 1, 7, 1, 2) || !core.DedupAdd(&d, 1, 8, 1, 2) {
+		t.Fatal("a key is not new exactly once, or the incarnation is not part of it")
+	}
+	core.DedupAdd(&d, 2, 7, 1, 2) // the third key: the set restarts
+	if !core.DedupAdd(&d, 1, 7, 1, 2) || core.DedupAdd(&d, 2, 7, 1, 2) {
+		t.Fatal("the window did not restart from the newest key")
+	}
+}

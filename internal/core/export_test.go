@@ -37,3 +37,9 @@ func DetachedInstance(a Agent) (*Instance, error) { return newInstance(&Node{}, 
 
 // ContextOf returns a context on i, as a transition of i receives one.
 func ContextOf(i *Instance) *Context { return &Context{inst: i} }
+
+// DetachedInstanceAt is DetachedInstance on a node at addr: its sends fail,
+// having no network, but Self is addr.
+func DetachedInstanceAt(a Agent, addr overlay.Address) (*Instance, error) {
+	return newInstance(&Node{addr: addr}, a)
+}

@@ -79,7 +79,7 @@ type Message struct {
 
 // Field is a typed field in a message or neighbor type.
 type Field struct {
-	Type string // int, short, double, time, bool, key, node, buffer, string, nodeset, keyset, intset, timeset, tickets
+	Type string // int, short, char, double, time, bool, key, node, buffer, string, nodeset, keyset, intset, timeset, tickets
 	Name string
 	Pos  Pos
 }

@@ -337,6 +337,22 @@ transitions {
 
 // TestParseErrorPositions checks the line:column coordinates of positioned
 // diagnostics, which `macedon check` users navigate by.
+// TestUnaryMinus: a negative literal is a number, and -x is 0 - x.
+func TestUnaryMinus(t *testing.T) {
+	spec, err := Parse(`protocol p uses q messages { m { char layer; } } auxiliary_data { int x; }
+		transitions { any recv m { x = -1; x = -x * 2; } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := spec.Transitions[0].Body
+	if got := body[0].(*AssignStmt).Value; got != (IntLit{Value: "-1"}) {
+		t.Errorf("-1 parsed as %#v", got)
+	}
+	if got := body[1].(*AssignStmt).Value.String(); got != "((0 - x) * 2)" {
+		t.Errorf("-x * 2 parsed as %s", got)
+	}
+}
+
 func TestParseErrorPositions(t *testing.T) {
 	cases := []struct {
 		name, src string
@@ -441,6 +457,18 @@ func TestValidateDiagnostics(t *testing.T) {
 			`protocol p uses q messages { m { tickets c; } }
 			 transitions { any recv m { sample(field(c)); } }`,
 			"sample takes 2 arguments, not 1"},
+		{"cluster primitive on a non-table",
+			`protocol p uses q messages { m { } } auxiliary_data { blocks b; int n; }
+			 transitions { any recv m { n = cluster_layers(b); } }`,
+			"cluster_layers of b, which is not a declared clusters variable"},
+		{"cluster views in a message of another shape",
+			`protocol p uses q messages { m { } v { int layer; node leader; nodeset members; } }
+			 auxiliary_data { clusters c; } transitions { any recv m { cluster_broadcast(c, v, 0); } }`,
+			"cluster_broadcast sends views in v, which is not a declared message"},
+		{"in_state of an undeclared state",
+			`protocol p uses q states { a; } messages { m { } } auxiliary_data { bool b; }
+			 transitions { any recv m { b = in_state(flying); } }`,
+			"in_state of flying, which is not a declared state"},
 		{"notified arity",
 			`protocol p uses q messages { m { } } auxiliary_data { bool b; }
 			 transitions { any API notify { b = notified(child, parent); } }`,

@@ -80,7 +80,7 @@ func (p *parser) acceptIdent(s string) bool {
 }
 
 var scalarTypes = map[string]bool{
-	"int": true, "short": true, "double": true, "time": true, "bool": true, "key": true,
+	"int": true, "short": true, "char": true, "double": true, "time": true, "bool": true, "key": true,
 	"macedon_key": true, "node": true, "buffer": true, "string": true,
 	"nodeset": true, "keyset": true, "intset": true, "timeset": true, "tickets": true,
 }
@@ -88,8 +88,10 @@ var scalarTypes = map[string]bool{
 // stateVarTypes are the additional types legal only for auxiliary_data
 // entries (not message fields or locals).
 var stateVarTypes = map[string]bool{
-	"keymap": true, // key → node map (Pastry's location cache)
-	"blocks": true, // a stream's block store and its summary (Bullet)
+	"keymap":   true, // key → node map (Pastry's location cache)
+	"blocks":   true, // a stream's block store and its summary (Bullet)
+	"clusters": true, // per-layer cluster tables (NICE)
+	"dedup":    true, // a bounded set of packet keys
 }
 
 func (p *parser) spec() (*Spec, error) {
@@ -1062,6 +1064,18 @@ func (p *parser) unaryExpr() (Expr, error) {
 			return nil, err
 		}
 		return NotExpr{Inner: inner}, nil
+	}
+	if p.acceptPunct("-") {
+		// A negative number literal, or 0 - x.
+		if t := p.cur(); t.kind == tokNumber {
+			p.next()
+			return IntLit{Value: "-" + t.text}, nil
+		}
+		inner, err := p.unaryExpr()
+		if err != nil {
+			return nil, err
+		}
+		return BinExpr{Op: "-", L: IntLit{Value: "0"}, R: inner}, nil
 	}
 	return p.primaryExpr()
 }

@@ -95,13 +95,18 @@ func Validate(s *Spec) error {
 	vars := map[string]bool{}
 	lists := map[string]bool{}
 	logs := map[string]string{} // log name → logged message
-	blockVars := map[string]bool{}
+	env := bodyEnv{logs: logs, stores: map[string]string{}, msgs: map[string]Message{}, states: states}
+	for _, m := range s.Messages {
+		env.msgs[m.Name] = m
+	}
 	for _, v := range s.StateVars {
 		if vars[v.Name] {
 			return errAt(v.Pos, "state variable %q declared twice", v.Name)
 		}
 		vars[v.Name] = true
-		blockVars[v.Name] = v.Kind == VarPlain && v.Type == "blocks"
+		if v.Kind == VarPlain && storeTypes[v.Type] {
+			env.stores[v.Name] = v.Type
+		}
 		switch v.Kind {
 		case VarTimer:
 			timers[v.Name] = true
@@ -179,7 +184,7 @@ func Validate(s *Spec) error {
 				return errAt(tr.Pos, "transition on undeclared message %q", tr.Name)
 			}
 		}
-		if err := checkBody(tr.Body, logs, blockVars); err != nil {
+		if err := checkBody(tr.Body, env); err != nil {
 			return err
 		}
 	}
@@ -190,21 +195,86 @@ func Validate(s *Spec) error {
 // reports, rather than letting the statement degrade to a TODO.
 var arity = map[string]int{"now": 0, "time_diff": 2, "time_diff_ms": 2, "jitter": 1, "zeros": 1,
 	"sample": 2, "ticket": 2, "ticket_add": 3, "ticket_merge": 2, "ticket_node": 2, "ticket_summary": 2,
-	"notified": 1, "block_reset": 3, "block_put": 5, "block_has": 3, "block_typ": 3, "block_payload": 3,
+	"notified": 1, "in_state": 1, "dedup_add": 5,
+	"block_reset": 3, "block_put": 5, "block_has": 3, "block_typ": 3, "block_payload": 3,
 	"block_incs": 1, "block_streams": 2, "block_missing": 5, "block_summary": 1, "block_disjoint": 2,
+	"cluster_found": 1, "cluster_heard": 3, "cluster_install": 6, "cluster_set_leader": 3,
+	"cluster_admit": 4, "cluster_broadcast": 3, "cluster_leave": 4, "cluster_expire": 4, "cluster_split": 4,
+	"cluster_merge": 3, "cluster_layers": 1, "cluster_leader": 2, "cluster_parent": 2, "cluster_members": 2,
+	"cluster_of": 2, "cluster_center": 2, "cluster_mapped": 2, "cluster_fanout": 3,
+	"dist_set": 3, "dist_row": 4, "dist_known": 2, "dist_addrs": 1, "dist_values": 1,
 }
 
-// blockPrims are the primitives whose first argument is a blocks variable.
-var blockPrims = map[string]bool{"block_reset": true, "block_put": true, "block_has": true,
-	"block_typ": true, "block_payload": true, "block_incs": true, "block_streams": true,
-	"block_missing": true, "block_summary": true, "block_disjoint": true,
+// storeTypes are the state types the action library keeps a structure in;
+// a primitive over one names a variable of its type first.
+var storeTypes = map[string]bool{"blocks": true, "clusters": true, "dedup": true}
+
+// storeOf is the store type a primitive takes first: blocks for block_*,
+// clusters for cluster_* and dist_*, dedup for dedup_add.
+func storeOf(fn string) string {
+	switch {
+	case strings.HasPrefix(fn, "block_"):
+		return "blocks"
+	case strings.HasPrefix(fn, "cluster_"), strings.HasPrefix(fn, "dist_"):
+		return "clusters"
+	case fn == "dedup_add":
+		return "dedup"
+	}
+	return ""
+}
+
+// viewSenders are the cluster primitives that send views in the message
+// their second argument names.
+var viewSenders = map[string]bool{"cluster_admit": true, "cluster_broadcast": true, "cluster_leave": true,
+	"cluster_expire": true, "cluster_split": true, "cluster_merge": true}
+
+// bodyEnv is what checkBody checks names against.
+type bodyEnv struct {
+	logs   map[string]string // log name → logged message
+	stores map[string]string // store variable → its type
+	msgs   map[string]Message
+	states map[string]bool
+}
+
+// badCall reports what is wrong with a call of an action-library primitive
+// of the right arity, or "".
+func (env bodyEnv) badCall(c CallExpr) string {
+	if n, ok := arity[c.Fn]; !ok || n != len(c.Args) || n == 0 {
+		return ""
+	}
+	id, isName := c.Args[0].(Ident)
+	if want := storeOf(c.Fn); want != "" && (!isName || env.stores[id.Name] != want) {
+		return fmt.Sprintf("%s of %s, which is not a declared %s variable", c.Fn, c.Args[0], want)
+	}
+	if c.Fn == "in_state" && (!isName || !env.states[id.Name]) {
+		return fmt.Sprintf("in_state of %s, which is not a declared state", c.Args[0])
+	}
+	if viewSenders[c.Fn] {
+		// The view's fields, in order: layer, leader, parent leader, members.
+		m, ok := Message{}, false
+		if id, isName := c.Args[1].(Ident); isName {
+			m, ok = env.msgs[id.Name]
+		}
+		var types []string
+		for _, f := range m.Fields {
+			if f.Type == "short" || f.Type == "char" {
+				f.Type = "int"
+			}
+			types = append(types, f.Type)
+		}
+		if !ok || strings.Join(types, " ") != "int node node nodeset" {
+			return fmt.Sprintf("%s sends views in %s, which is not a declared message of fields (int layer, node leader, node parent, nodeset members)", c.Fn, c.Args[1])
+		}
+	}
+	return ""
 }
 
 // checkBody checks the statements that name a bounded log — a log statement
 // appends to a declared log of its message, log_replay replays one — the
-// argument counts of the primitives listed in arity, and that each block
-// primitive names a blocks variable.
-func checkBody(body []Stmt, logs map[string]string, blockVars map[string]bool) error {
+// argument counts of the primitives listed in arity, and the names the
+// action-library primitives take (badCall).
+func checkBody(body []Stmt, env bodyEnv) error {
+	logs := env.logs
 	for _, st := range body {
 		var exprs []Expr
 		switch st := st.(type) {
@@ -236,15 +306,15 @@ func checkBody(body []Stmt, logs map[string]string, blockVars map[string]bool) e
 			}
 		case *IfStmt:
 			exprs = []Expr{st.Cond}
-			if err := checkBody(st.Then, logs, blockVars); err != nil {
+			if err := checkBody(st.Then, env); err != nil {
 				return err
 			}
-			if err := checkBody(st.Else, logs, blockVars); err != nil {
+			if err := checkBody(st.Else, env); err != nil {
 				return err
 			}
 		case *ForeachStmt:
 			exprs = []Expr{st.List}
-			if err := checkBody(st.Body, logs, blockVars); err != nil {
+			if err := checkBody(st.Body, env); err != nil {
 				return err
 			}
 		}
@@ -252,14 +322,8 @@ func checkBody(body []Stmt, logs map[string]string, blockVars map[string]bool) e
 			if c, ok := badArity(e); ok {
 				return errAt(st.Position(), "%s takes %d arguments, not %d", c.Fn, arity[c.Fn], len(c.Args))
 			}
-			if c, ok := findCall(e, func(c CallExpr) bool {
-				if !blockPrims[c.Fn] {
-					return false
-				}
-				id, isName := c.Args[0].(Ident)
-				return !isName || !blockVars[id.Name]
-			}); ok {
-				return errAt(st.Position(), "%s of %s, which is not a declared blocks variable", c.Fn, c.Args[0])
+			if c, ok := findCall(e, func(c CallExpr) bool { return env.badCall(c) != "" }); ok {
+				return errAt(st.Position(), "%s", env.badCall(c))
 			}
 		}
 	}

@@ -13,12 +13,12 @@ import (
 	"macedon/internal/overlays/genammo"
 	"macedon/internal/overlays/genbullet"
 	"macedon/internal/overlays/genchord"
+	"macedon/internal/overlays/gennice"
 	"macedon/internal/overlays/genovercast"
 	"macedon/internal/overlays/genpastry"
 	"macedon/internal/overlays/genrandtree"
 	"macedon/internal/overlays/genscribe"
 	"macedon/internal/overlays/gensplitstream"
-	"macedon/internal/overlays/nice"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 	"macedon/internal/substrate"
@@ -49,7 +49,7 @@ func ScenarioStack(proto string) ([]core.Factory, error) {
 			gensplitstream.New(),
 		}, nil
 	case "nice":
-		return []core.Factory{nice.New(nice.Params{})}, nil
+		return []core.Factory{gennice.New()}, nil
 	case "overcast":
 		return []core.Factory{genovercast.New()}, nil
 	case "ammo":

@@ -338,7 +338,7 @@ func (a *Agent) transition7(ctx *core.Context, ev *core.MsgEvent, m *msgDist) {
 	if int32(len(a.Peers)) < a.MaxPeers {
 		var best overlay.Address = overlay.NilAddress
 		_ = best
-		var best_score float64 = float64((0 - 1))
+		var best_score float64 = -1
 		_ = best_score
 		for i := range int32(len(a.Candidates)) {
 			var c overlay.Address = core.TicketNode(a.Candidates, i)

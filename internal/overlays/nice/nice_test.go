@@ -7,17 +7,26 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/nice"
+	"macedon/internal/overlays/gennice"
 	"macedon/internal/topology"
 )
 
-func build(t *testing.T, n int, p nice.Params, settle time.Duration, seed int64) *harness.Cluster {
+// withK is the NICE generated from specs/nice.mac with its cluster size
+// constant set through SetParam.
+func withK(k int32) []core.Factory {
+	return []core.Factory{func() core.Agent {
+		a := &gennice.Agent{}
+		a.SetParam("k", k)
+		return a
+	}}
+}
+
+func build(t *testing.T, n int, stack []core.Factory, settle time.Duration, seed int64) *harness.Cluster {
 	t.Helper()
 	c, err := harness.NewCluster(harness.ClusterConfig{Nodes: n, Routers: 100, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := []core.Factory{nice.New(p)}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
 	}
@@ -25,17 +34,20 @@ func build(t *testing.T, n int, p nice.Params, settle time.Duration, seed int64)
 	return c
 }
 
-func niceOf(c *harness.Cluster, a overlay.Address) *nice.Protocol {
-	return c.Nodes[a].Instance("nice").Agent().(*nice.Protocol)
+func niceOf(c *harness.Cluster, a overlay.Address) *gennice.Agent {
+	return c.Nodes[a].Instance("nice").Agent().(*gennice.Agent)
 }
 
+// topLayer is the highest layer a node belongs to.
+func topLayer(p *gennice.Agent) int { return int(p.Layers.Len()) - 1 }
+
 func TestAllJoin(t *testing.T) {
-	c := build(t, 20, nice.Params{}, 3*time.Minute, 91)
+	c := build(t, 20, []core.Factory{gennice.New()}, 3*time.Minute, 91)
 	for _, a := range c.Addrs {
 		if st := c.Nodes[a].Instance("nice").State(); st != "joined" {
 			t.Fatalf("node %v state %q", a, st)
 		}
-		if len(niceOf(c, a).ClusterMembers(0)) < 2 {
+		if len(niceOf(c, a).Layers.Members(0)) < 2 {
 			t.Errorf("node %v has a singleton L0 cluster", a)
 		}
 	}
@@ -43,12 +55,12 @@ func TestAllJoin(t *testing.T) {
 
 func TestClusterSizeInvariant(t *testing.T) {
 	const k = 3
-	c := build(t, 30, nice.Params{K: k}, 5*time.Minute, 93)
+	c := build(t, 30, withK(k), 5*time.Minute, 93)
 	over := 0
 	for _, a := range c.Addrs {
 		p := niceOf(c, a)
-		if p.Leader(0) {
-			if size := len(p.ClusterMembers(0)); size > 3*k-1 {
+		if p.Layers.Leader(0) == a {
+			if size := len(p.Layers.Members(0)); size > 3*k-1 {
 				over++
 				t.Logf("leader %v cluster size %d exceeds %d", a, size, 3*k-1)
 			}
@@ -60,11 +72,11 @@ func TestClusterSizeInvariant(t *testing.T) {
 }
 
 func TestHierarchyForms(t *testing.T) {
-	c := build(t, 30, nice.Params{K: 3}, 5*time.Minute, 95)
+	c := build(t, 30, []core.Factory{gennice.New()}, 5*time.Minute, 95)
 	// With 30 nodes and k=3 there must be at least two layers somewhere.
 	maxTop := 0
 	for _, a := range c.Addrs {
-		if tl := niceOf(c, a).TopLayer(); tl > maxTop {
+		if tl := topLayer(niceOf(c, a)); tl > maxTop {
 			maxTop = tl
 		}
 	}
@@ -75,7 +87,7 @@ func TestHierarchyForms(t *testing.T) {
 
 func TestMulticastReachesAll(t *testing.T) {
 	const n = 24
-	c := build(t, n, nice.Params{}, 8*time.Minute, 97)
+	c := build(t, n, []core.Factory{gennice.New()}, 8*time.Minute, 97)
 	got := map[overlay.Address]int{}
 	for _, a := range c.Addrs[1:] {
 		addr := a
@@ -124,7 +136,7 @@ func TestLatencyAwareClustering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := []core.Factory{nice.New(nice.Params{K: 3})}
+	stack := []core.Factory{gennice.New()}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +148,7 @@ func TestLatencyAwareClustering(t *testing.T) {
 	straddling := 0
 	for _, a := range addrs {
 		p := niceOf(c, a)
-		for _, m := range p.ClusterMembers(0) {
+		for _, m := range p.Layers.Members(0) {
 			if siteOf[m] != siteOf[a] {
 				straddling++
 			}
@@ -180,7 +192,7 @@ func TestJoinDescendsFromTopAfterRPDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.StopAll)
-	stack := []core.Factory{nice.New(nice.Params{K: 3})}
+	stack := []core.Factory{gennice.New()}
 	joiner := len(addrs) - 1 // the last site-2 node joins late
 	for i := 0; i < joiner; i++ {
 		if _, err := c.Spawn(i, stack); err != nil {
@@ -190,15 +202,15 @@ func TestJoinDescendsFromTopAfterRPDemotion(t *testing.T) {
 	c.RunFor(5 * time.Minute)
 
 	r := niceOf(c, rp[0])
-	if top := r.TopLayer(); top < 0 || r.Leader(top) {
-		t.Fatalf("RP top layer %d, leads it: %v; the test needs a demoted RP", top, r.Leader(max(top, 0)))
+	if top := topLayer(r); top < 0 || r.Layers.Leader(int32(top)) == rp[0] {
+		t.Fatalf("RP top layer %d, leads it: %v; the test needs a demoted RP", top, r.Layers.Leader(int32(max(top, 0))) == rp[0])
 	}
 	maxTop := 0
 	for _, a := range addrs[:joiner] {
-		maxTop = max(maxTop, niceOf(c, a).TopLayer())
+		maxTop = max(maxTop, topLayer(niceOf(c, a)))
 	}
-	if maxTop <= r.TopLayer() {
-		t.Fatalf("hierarchy top %d, RP top %d: the RP's top cluster is the hierarchy's", maxTop, r.TopLayer())
+	if maxTop <= topLayer(r) {
+		t.Fatalf("hierarchy top %d, RP top %d: the RP's top cluster is the hierarchy's", maxTop, topLayer(r))
 	}
 
 	if _, err := c.Spawn(joiner, stack); err != nil {
@@ -209,7 +221,7 @@ func TestJoinDescendsFromTopAfterRPDemotion(t *testing.T) {
 	if st := c.Nodes[j].Instance("nice").State(); st != "joined" {
 		t.Fatalf("joiner state %q", st)
 	}
-	for _, m := range niceOf(c, j).ClusterMembers(0) {
+	for _, m := range niceOf(c, j).Layers.Members(0) {
 		if siteOf[m] != 2 {
 			t.Errorf("joiner at site 2 sits in a bottom cluster with %v at site %d", m, siteOf[m])
 		}
