@@ -10,83 +10,27 @@ import (
 	"macedon/internal/dsl"
 )
 
-// softError marks constructs outside the translatable subset (unknown
-// primitives, extensible library calls): the statement degrades to a TODO
-// comment instead of failing the whole generation, mirroring how the paper's
-// translator passes unknown C fragments through.
-type softError struct{ msg string }
+// unsupported marks a construct outside the translatable subset; the
+// statement it occurs in reports it at its position.
+type unsupported struct{ msg string }
 
-func (e softError) Error() string { return e.msg }
+func (e unsupported) Error() string { return e.msg }
 
-func softf(format string, args ...any) error {
-	return softError{msg: fmt.Sprintf(format, args...)}
-}
-
-func isSoft(err error) bool {
-	_, ok := err.(softError)
-	return ok
-}
-
-// stmtSummary renders a statement for the TODO comment that preserves it.
-func stmtSummary(s dsl.Stmt) string {
-	switch s := s.(type) {
-	case *dsl.CallStmt:
-		var parts []string
-		for _, a := range s.Args {
-			parts = append(parts, a.String())
-		}
-		fn := s.Fn
-		if s.Msg != "" {
-			fn = "send " + s.Msg
-			for _, fi := range s.Fields {
-				parts = append(parts, fi.Name+" = "+fi.Value.String())
-			}
-		}
-		return fmt.Sprintf("%s(%s)", fn, strings.Join(parts, ", "))
-	case *dsl.AssignStmt:
-		switch {
-		case s.Entry != nil:
-			return fmt.Sprintf("%s = %s", s.Entry, s.Value)
-		case s.Field:
-			return fmt.Sprintf("field(%s) = %s", s.Target, s.Value)
-		}
-		return fmt.Sprintf("%s = %s", s.Target, s.Value)
-	case *dsl.LocalStmt:
-		if s.Value != nil {
-			return fmt.Sprintf("%s %s = %s", s.Type, s.Name, s.Value)
-		}
-		return fmt.Sprintf("%s %s", s.Type, s.Name)
-	case *dsl.IfStmt:
-		return fmt.Sprintf("if (%s) { ... }", s.Cond)
-	case *dsl.ForeachStmt:
-		return fmt.Sprintf("foreach (%s in %s) { ... }", s.Var, s.List)
-	case *dsl.ReturnStmt:
-		return "return"
-	case *dsl.OpaqueStmt:
-		return s.Text
-	}
-	return fmt.Sprintf("%T", s)
+func unsupportedf(format string, args ...any) error {
+	return unsupported{msg: fmt.Sprintf(format, args...)}
 }
 
 // stmt translates one action-language statement at the given indent depth.
-// Statements whose translation fails softly (constructs outside the subset)
-// degrade to TODO comments; hard errors abort generation.
+// A construct outside the subset is an error at the statement's position.
 func (g *generator) stmt(s dsl.Stmt, depth int) error {
-	ind := strings.Repeat("\t", depth)
-	err := g.stmtInner(s, ind, depth)
-	switch {
-	case err == nil:
-		if _, opaque := s.(*dsl.OpaqueStmt); !opaque {
-			g.translated++
-		}
-		return nil
-	case isSoft(err):
-		g.opaque++
-		g.pf("%s// TODO(macedon): untranslated action: %s\n", ind, stmtSummary(s))
-		return nil
-	default:
-		return err
+	err := g.stmtInner(s, strings.Repeat("\t", depth), depth)
+	if u, ok := err.(unsupported); ok {
+		return fmt.Errorf("codegen: %s: %s", s.Position(), u.msg)
 	}
+	if err == nil {
+		g.translated++
+	}
+	return err
 }
 
 func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
@@ -111,7 +55,7 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 				return nil
 			}
 			if typ == "nodeset" || typ == "tally" || typ == "buffer" || typ == "keyset" {
-				return softf("assignment of a whole %s to %s at %s", typ, stmtSummary(s), s.Pos)
+				return unsupportedf("assignment of a whole %s", typ)
 			}
 			g.pf("%s%s = %s\n", ind, lv, g.convert(typ, s.Value, val))
 			return nil
@@ -150,7 +94,7 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 		g.pf("%sa.%s = %s\n", ind, camel(s.Target), g.convert(v.Type, s.Value, val))
 	case *dsl.LocalStmt:
 		if !g.localTypes[s.Type] {
-			return softf("local declaration of unsupported type %q at %s", s.Type, s.Pos)
+			return unsupportedf("local declaration of unsupported type %q", s.Type)
 		}
 		if s.Value != nil {
 			val, err := g.expr(s.Value)
@@ -204,9 +148,6 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 		delete(g.loopVars, s.Var)
 	case *dsl.CallStmt:
 		return g.callStmt(s, ind)
-	case *dsl.OpaqueStmt:
-		g.opaque++
-		g.pf("%s// TODO(macedon): untranslated action: %s\n", ind, s.Text)
 	default:
 		return fmt.Errorf("codegen: unknown statement %T", s)
 	}
@@ -317,7 +258,7 @@ func (g *generator) listExpr(e dsl.Expr) (string, error) {
 	if listTypes[g.typeOf(e)] {
 		return g.expr(e)
 	}
-	return "", softf("%s is not a list", e)
+	return "", unsupportedf("%s is not a list", e)
 }
 
 // nodesetExpr resolves an expression that must denote a nodeset value: a
@@ -353,7 +294,7 @@ func (g *generator) nodesetExpr(e dsl.Expr) (string, error) {
 			}
 		}
 	}
-	return "", softf("%s is not a nodeset collection", e)
+	return "", unsupportedf("%s is not a nodeset collection", e)
 }
 
 // firstIdent returns the first argument as a bare name, if present.
@@ -502,12 +443,12 @@ func (g *generator) translate(fn string, p prim, args []dsl.Expr) (string, error
 		case i == 0 && p.first != "":
 			v, err = g.collection(p.first, fn, args)
 		case i >= len(args):
-			err = softf("%s is missing argument %d", fn, i)
+			err = unsupportedf("%s is missing argument %d", fn, i)
 		case i == 1 && sendsVia[fn]:
 			// The message the primitive sends, built in its send slot.
 			id, _ := args[i].(dsl.Ident)
 			if _, ok := g.msgs[id.Name]; !ok {
-				err = softf("%s: %s is not a declared message", fn, args[i])
+				err = unsupportedf("%s: %s is not a declared message", fn, args[i])
 			}
 			v = "&a.io.tx." + camel(id.Name)
 		default:
@@ -535,7 +476,7 @@ func (g *generator) translate(fn string, p prim, args []dsl.Expr) (string, error
 // entry's tally field ("tally", as a pointer, making the entry).
 func (g *generator) collection(kind, fn string, args []dsl.Expr) (string, error) {
 	if len(args) == 0 {
-		return "", softf("%s is missing its %s", fn, kind)
+		return "", unsupportedf("%s is missing its %s", fn, kind)
 	}
 	a := args[0]
 	c, isCall := a.(dsl.CallExpr)
@@ -552,7 +493,7 @@ func (g *generator) collection(kind, fn string, args []dsl.Expr) (string, error)
 	if e, ok := a.(dsl.EntryExpr); ok && kind == "tally" {
 		t, typ, err := g.entry(e, "&core.KeyEntry(&a.%s, %s).%s")
 		if err == nil && typ != "tally" {
-			err = softf("%s is a %s, not a tally", e, typ)
+			err = unsupportedf("%s is a %s, not a tally", e, typ)
 		}
 		return t, err
 	}
@@ -570,7 +511,7 @@ func (g *generator) collection(kind, fn string, args []dsl.Expr) (string, error)
 	case v.Kind == dsl.VarPlain && (v.Type == kind || kind == "slice" && listTypes[v.Type]):
 		return "a." + camel(id.Name), nil
 	}
-	return "", softf("%s is not a declared %s", a, kind)
+	return "", unsupportedf("%s is not a declared %s", a, kind)
 }
 
 func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
@@ -669,7 +610,7 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 	case "notify":
 		kind, ok := firstIdent(s.Args)
 		if !ok || len(s.Args) < 2 {
-			return softf("notify needs a neighbor kind and a set at %s", s.Pos)
+			return unsupportedf("notify needs a neighbor kind and a set")
 		}
 		// The set reported: a neighbor list, a copy of a nodeset (the
 		// upcall is deferred past changes to it), or a single node.
@@ -687,7 +628,7 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 	case "quash":
 		g.pf("%sev.Quash = true\n", ind)
 	default:
-		return softf("unknown primitive statement %q at %s", s.Fn, s.Pos)
+		return unsupportedf("unknown primitive statement %q", s.Fn)
 	}
 	return nil
 }
@@ -763,11 +704,11 @@ func (g *generator) sendStmt(s *dsl.CallStmt, ind string) error {
 func (g *generator) entry(e dsl.EntryExpr, format string) (string, string, error) {
 	v, ok := g.varTypes[e.Table]
 	if !ok || v.Kind != dsl.VarKeyTable {
-		return "", "", softf("%q is not a declared keytable", e.Table)
+		return "", "", unsupportedf("%q is not a declared keytable", e.Table)
 	}
 	i := slices.IndexFunc(v.Fields, func(f dsl.Field) bool { return f.Name == e.Field })
 	if i < 0 {
-		return "", "", softf("keytable %q has no field %q", e.Table, e.Field)
+		return "", "", unsupportedf("keytable %q has no field %q", e.Table, e.Field)
 	}
 	k, err := g.expr(e.Key)
 	if err != nil {
@@ -803,7 +744,7 @@ func (g *generator) expr(e dsl.Expr) (string, error) {
 		if lit, ok := number(e.Value); ok {
 			return lit, nil
 		}
-		return "", softf("%s is not a number", e.Value)
+		return "", unsupportedf("%s is not a number", e.Value)
 	case dsl.Ident:
 		return g.ident(e.Name)
 	case dsl.NotExpr:
@@ -831,7 +772,7 @@ func (g *generator) expr(e dsl.Expr) (string, error) {
 	case dsl.EntryExpr:
 		read, typ, err := g.entry(e, "core.KeyRead(a.%s, %s).%s")
 		if typ == "tally" {
-			return "", softf("the tally %s is read through the list primitives", e)
+			return "", unsupportedf("the tally %s is read through the list primitives", e)
 		}
 		return read, err
 	}
@@ -1037,7 +978,7 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 		// in_state(s): the FSM is in state s.
 		st, ok := firstIdent(e.Args)
 		if !ok || len(e.Args) != 1 {
-			return "", softf("in_state takes a state name")
+			return "", unsupportedf("in_state takes a state name")
 		}
 		return fmt.Sprintf("(ctx.State() == %q)", st.Name), nil
 	}
@@ -1046,13 +987,13 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 		// neighbors of that kind.
 		kind, ok := firstIdent(e.Args)
 		if !ok || len(e.Args) != 1 || g.curKind != dsl.TransAPI {
-			return "", softf("notified takes a neighbor kind, in an API transition")
+			return "", unsupportedf("notified takes a neighbor kind, in an API transition")
 		}
 		return "(call.NbrType == overlay.NbrType" + camel(kind.Name) + ")", nil
 	}
 	p, ok := exprPrims[e.Fn]
 	if !ok {
-		return "", softf("unknown primitive %q", e.Fn)
+		return "", unsupportedf("unknown primitive %q", e.Fn)
 	}
 	return g.translate(e.Fn, p, e.Args)
 }

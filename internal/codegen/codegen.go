@@ -10,13 +10,9 @@
 // action library in internal/core (actions.go), which is compiled once for
 // every generated agent.
 //
-// Statements outside the subset degrade softly: they are preserved as
-// "TODO(macedon)" comments, exactly as a human would port remaining C
-// fragments, and counted in Result.Opaque alongside Result.Translated so
-// `macedon gen` and the CI gen-coverage job can report per-spec coverage.
-// The chord, pastry, and randtree specifications translate TODO-free; the
-// committed outputs under internal/overlays/gen* are kept in sync by tests
-// and gated by routing-oracle conformance tests under churn. The pipeline
+// A construct outside the subset is an error at its line and column. Every
+// spec under specs/ translates, and its output is committed under
+// internal/overlays/gen<name>, kept in sync by a test. The pipeline
 // walkthrough is docs/codegen.md; the language reference is
 // docs/maclang.md.
 package codegen
@@ -32,14 +28,12 @@ import (
 	"macedon/internal/dsl"
 )
 
-// Result carries the generated source plus translation statistics: the
-// per-spec coverage numbers `macedon gen` reports and the CI coverage job
-// publishes.
+// Result carries the generated source plus the counts `macedon gen`
+// reports.
 type Result struct {
 	Source      string
 	Package     string
 	Translated  int // statements translated into Go
-	Opaque      int // statements preserved as TODO comments
 	Transitions int
 }
 
@@ -53,9 +47,8 @@ func Generate(spec *dsl.Spec, pkg string) (*Result, error) {
 		msgs:     map[string]dsl.Message{},
 		// Locals are value-typed only: the collection primitives resolve
 		// nodeset/nodetable/keymap operands through declared state
-		// variables, so a collection-typed local would be undrivable —
-		// rejecting the declaration makes it degrade to a visible TODO
-		// instead of silently dropping every statement that touches it.
+		// variables, so a collection-typed local would be undrivable, and
+		// declaring one is an error.
 		localTypes: map[string]bool{
 			"int": true, "short": true, "char": true, "double": true, "time": true, "bool": true, "key": true,
 			"macedon_key": true, "node": true, "buffer": true,
@@ -80,7 +73,7 @@ func Generate(spec *dsl.Spec, pkg string) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Source: src, Package: pkg, Translated: g.translated,
-		Opaque: g.opaque, Transitions: len(spec.Transitions)}, nil
+		Transitions: len(spec.Transitions)}, nil
 }
 
 type generator struct {
@@ -88,7 +81,6 @@ type generator struct {
 	pkg        string
 	b          strings.Builder
 	consts     map[string]string
-	opaque     int
 	translated int
 	usesSlices bool // a translation called slices.Contains
 	usesTime   bool // a period was scaled by time.Millisecond

@@ -190,55 +190,39 @@ transitions {
 	typeCheck(t, res.Source)
 }
 
-// fullyTranslated is the set of specs that must generate with zero TODO
-// fallbacks, and whose generated packages are committed: the one list the CI
-// gen-coverage job enforces, through the two tests below.
-var fullyTranslated = []struct {
-	spec, pkg string
-}{
-	{"randtree.mac", "genrandtree"},
-	{"chord.mac", "genchord"},
-	{"pastry.mac", "genpastry"},
-	{"scribe.mac", "genscribe"},
-	{"splitstream.mac", "gensplitstream"},
-	{"overcast.mac", "genovercast"},
-	{"ammo.mac", "genammo"},
-	{"bullet.mac", "genbullet"},
-	{"nice.mac", "gennice"},
-}
+// bundled is every spec under specs/ and the package its code is committed
+// in: internal/overlays/gen<protocol>.
+type bundled struct{ spec, pkg string }
 
-// TestFullyTranslatedSpecs proves the action-language subset covers every
-// fullyTranslated specification: an opaque statement anywhere fails it, as
-// do TODO fallbacks and a zero Translated count.
-func TestFullyTranslatedSpecs(t *testing.T) {
-	for _, c := range fullyTranslated {
-		spec := loadSpec(t, c.spec)
-		res, err := Generate(spec, c.pkg)
-		if err != nil {
-			t.Fatalf("%s: %v", c.spec, err)
-		}
-		if res.Opaque != 0 {
-			t.Errorf("%s left %d untranslated statements", c.spec, res.Opaque)
-		}
-		if strings.Contains(res.Source, "TODO(macedon)") {
-			t.Errorf("%s output contains TODO fallbacks", c.spec)
-		}
-		if res.Translated == 0 {
-			t.Errorf("%s reports zero translated statements", c.spec)
-		}
+func bundledSpecs(t *testing.T) []bundled {
+	t.Helper()
+	paths, err := repo.Specs()
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no specs: %v", err)
 	}
+	var out []bundled
+	for _, path := range paths {
+		name := filepath.Base(path)
+		out = append(out, bundled{name, "gen" + loadSpec(t, name).Name})
+	}
+	return out
 }
 
-// TestCheckedInGeneratedPackagesAreFresh regenerates every committed
-// generated package in process and compares it byte for byte with the tree,
-// so tier-1 catches a hand edit or a forgotten regeneration: the generator
-// and its outputs can never drift apart.
+// TestCheckedInGeneratedPackagesAreFresh regenerates the package of every
+// spec under specs/ in process and compares it byte for byte with the tree,
+// so tier-1 catches a spec that no longer translates, a hand edit or a
+// forgotten regeneration: the generator and its outputs can never drift
+// apart. Every other directory under internal/overlays holds only tests, so
+// a protocol written by hand beside the generated ones fails here too.
 func TestCheckedInGeneratedPackagesAreFresh(t *testing.T) {
-	for _, c := range fullyTranslated {
+	generated := map[string]bool{}
+	for _, c := range bundledSpecs(t) {
+		generated[c.pkg] = true
 		spec := loadSpec(t, c.spec)
 		res, err := Generate(spec, c.pkg)
 		if err != nil {
-			t.Fatalf("%s: %v", c.spec, err)
+			t.Errorf("%s: %v", c.spec, err)
+			continue
 		}
 		formatted, err := format.Source([]byte(res.Source))
 		if err != nil {
@@ -254,6 +238,27 @@ func TestCheckedInGeneratedPackagesAreFresh(t *testing.T) {
 				c.pkg, c.pkg, c.pkg, c.pkg, c.spec)
 		}
 	}
+	dirs, err := os.ReadDir(repo.Path("internal", "overlays"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		files, err := os.ReadDir(repo.Path("internal", "overlays", d.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			name := f.Name()
+			if generated[d.Name()] && name == d.Name()+".go" || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			t.Errorf("internal/overlays/%s/%s is neither generated from a spec nor a test: "+
+				"a protocol is written as a spec under specs/ and generated", d.Name(), name)
+		}
+	}
 }
 
 // TestBufferFieldsDecodeWithoutCopy: a `buffer` field decodes to a view of
@@ -263,7 +268,7 @@ func TestCheckedInGeneratedPackagesAreFresh(t *testing.T) {
 // would buy nothing and cost an allocation per message.
 func TestBufferFieldsDecodeWithoutCopy(t *testing.T) {
 	views := 0
-	for _, c := range fullyTranslated {
+	for _, c := range bundledSpecs(t) {
 		res, err := Generate(loadSpec(t, c.spec), c.pkg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
@@ -397,60 +402,35 @@ transitions {
 	}
 }
 
-// TestOpaqueStatementsBecomeTODOs checks the preservation path.
-func TestOpaqueStatementsBecomeTODOs(t *testing.T) {
-	spec, err := dsl.Parse(`
-protocol p
-transports { UDP u; }
-messages { u m { int x; } }
-transitions { any recv m { some_c_function(a, b); } }
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Generate(spec, "genp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Opaque != 1 {
-		t.Fatalf("opaque = %d", res.Opaque)
-	}
-	if !strings.Contains(res.Source, "TODO(macedon)") {
-		t.Fatal("missing TODO marker")
-	}
-}
-
-// TestUnknownLibraryCallsDegrade checks that library calls outside the
-// subset degrade to TODO comments wherever they appear — as a statement, as
-// an assignment source, or as a condition — instead of failing generation.
-func TestUnknownLibraryCallsDegrade(t *testing.T) {
-	spec, err := dsl.Parse(`
+// TestUnknownLibraryCallsAreErrors: a library call outside the subset is an
+// error at its statement's line and column wherever it appears — as a
+// statement, as an assignment source, as a condition — and so is a
+// primitive called without its collection.
+func TestUnknownLibraryCallsAreErrors(t *testing.T) {
+	for _, c := range []struct{ stmt, want string }{
+		{"frobnicate(from, 3);", `codegen: 8:5: unknown primitive statement "frobnicate"`},
+		{"count = mystery_metric(from);", `codegen: 8:5: unknown primitive "mystery_metric"`},
+		{"if (exotic_check(count)) { count = 0; }", `codegen: 8:5: unknown primitive "exotic_check"`},
+		{"if (count > 0) {\n      count = list_size();\n    }", `codegen: 9:7: list_size is missing its list value`},
+		{"neighbor_size(1 + 2);", `codegen: 8:5: unknown primitive statement "neighbor_size"`},
+	} {
+		spec, err := dsl.Parse(`
 protocol p
 transports { UDP u; }
 messages { u m { int x; } }
 auxiliary_data { int count; }
 transitions {
   any recv m {
-    frobnicate(from, 3);
-    count = mystery_metric(from);
-    if (exotic_check(count)) { count = 0; }
-    count = list_size();
-    neighbor_size(1 + 2);
+    ` + c.stmt + `
   }
 }
 `)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Generate(spec, "genp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Opaque != 5 {
-		t.Fatalf("opaque = %d, want 5", res.Opaque)
-	}
-	if n := strings.Count(res.Source, "TODO(macedon)"); n != 5 {
-		t.Fatalf("TODO markers = %d, want 5", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Generate(spec, "genp"); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %s", c.stmt, err, c.want)
+		}
 	}
 }
 
@@ -514,9 +494,6 @@ func generateCollectionSpec(t *testing.T) *Result {
 	res, err := Generate(spec, "genp")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Opaque != 0 {
-		t.Fatalf("opaque = %d: %s", res.Opaque, res.Source)
 	}
 	return res
 }
@@ -623,7 +600,7 @@ func TestListOwnership(t *testing.T) {
 func TestSendAndFactoryUseScratch(t *testing.T) {
 	literal := regexp.MustCompile(`&msg[A-Z][A-Za-z]*\{`)
 	sends, kept := 0, 0
-	for _, c := range fullyTranslated {
+	for _, c := range bundledSpecs(t) {
 		spec := loadSpec(t, c.spec)
 		res, err := Generate(spec, c.pkg)
 		if err != nil {
@@ -707,7 +684,7 @@ func TestGenerateErrors(t *testing.T) {
 }
 
 // TestLayeredConstructsTranslate: the constructs Scribe and SplitStream use
-// translate TODO-free into code that type-checks: keytable reads, writes and
+// translate into code that type-checks: keytable reads, writes and
 // tallies, field assignment, the route and multicast message forms, the
 // downcalls, a counted loop and the stripe-key expression.
 func TestLayeredConstructsTranslate(t *testing.T) {
@@ -754,9 +731,6 @@ transitions {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Opaque != 0 {
-		t.Fatalf("%d statements left untranslated:\n%s", res.Opaque, res.Source)
-	}
 	for _, want := range []string{
 		"\tT map[overlay.Key]*TEntry\n",
 		"core.KeyEntry(&a.T, m.Group).Parent = ev.From\n",
@@ -775,7 +749,7 @@ transitions {
 }
 
 // TestTreeConstructsTranslate: the constructs Overcast and AMMO use
-// translate TODO-free into code that type-checks: keytables keyed by node
+// translate into code that type-checks: keytables keyed by node
 // and int, double arithmetic with int operands converted, clock reads and
 // differences, a jittered timer period, a send's priority, and a bounded log
 // that copies the bytes it keeps.
@@ -796,7 +770,6 @@ auxiliary_data {
 transitions {
   any recv m {
     c[from].first = now();
-    c[from].path = root_path_of(from);
   }
   any API init {
     timer_resched(q, jitter(1000));
@@ -824,9 +797,6 @@ transitions {
 	res, err := Generate(spec, "genp")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Opaque != 1 { // root_path_of is no primitive
-		t.Fatalf("%d statements left untranslated, want 1:\n%s", res.Opaque, res.Source)
 	}
 	for _, want := range []string{
 		"\tC map[overlay.Address]*CEntry\n",

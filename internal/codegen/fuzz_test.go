@@ -15,7 +15,7 @@ import (
 // the bundled specs/*.mac, and well-formed and malformed routing declarations
 // over a small spec. Properties: Generate does not panic, and whatever
 // it returns is Go that go/parser accepts, so an untranslatable statement
-// degrades to a TODO comment or an error, never to broken source.
+// is an error, never broken source.
 func FuzzGenerate(f *testing.F) {
 	paths, err := repo.Specs()
 	if err != nil || len(paths) == 0 {

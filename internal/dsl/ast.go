@@ -16,11 +16,9 @@
 // ring-interval and prefix key arithmetic). The full language reference is
 // docs/maclang.md.
 //
-// Statements outside the recognized grammar are not rejected: the parser
-// preserves them as OpaqueStmt nodes, exactly as the paper's translator
-// passed unknown C fragments through, and the code generator turns them
-// into TODO comments. Parse and Validate errors carry line:column
-// positions (Error) for `macedon check` diagnostics.
+// A statement outside the grammar is a parse error. Parse and Validate
+// errors carry line:column positions (Error) for `macedon check`
+// diagnostics.
 package dsl
 
 import (
@@ -260,8 +258,7 @@ type GuardNot struct{ Inner StateGuard }
 func (GuardNot) guard()           {}
 func (g GuardNot) String() string { return "!" + g.Inner.String() }
 
-// Stmt is one statement of the action language (§3.3). Unrecognized C-style
-// statements parse as Opaque so every published spec round-trips.
+// Stmt is one statement of the action language (§3.3).
 type Stmt interface {
 	stmt()
 	Position() Pos
@@ -349,15 +346,6 @@ type ReturnStmt struct {
 
 func (s *ReturnStmt) stmt()         {}
 func (s *ReturnStmt) Position() Pos { return s.Pos }
-
-// OpaqueStmt preserves statements outside the translatable subset.
-type OpaqueStmt struct {
-	Text string
-	Pos  Pos
-}
-
-func (s *OpaqueStmt) stmt()         {}
-func (s *OpaqueStmt) Position() Pos { return s.Pos }
 
 // Expr is an action-language expression.
 type Expr interface {

@@ -1,6 +1,7 @@
 package dsl
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -226,34 +227,30 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestOpaqueStatementsPreserved(t *testing.T) {
-	src := `
-protocol p
-transports { UDP u; }
-messages { u m { int x; } }
-transitions {
-  any recv m {
-    weird_c_call(a->b, *ptr);
-    for (i = 0; i < 10; i = i + 1) { something(); }
-  }
-}
-`
-	spec, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := spec.Transitions[0].Body
-	if len(body) < 2 {
-		t.Fatalf("body = %d stmts", len(body))
-	}
-	found := 0
-	for _, st := range body {
-		if _, ok := st.(*OpaqueStmt); ok {
-			found++
+// TestStatementsOutsideTheSubsetAreErrors: a statement the grammar does not
+// know is a parse error at its line and column, not a fragment passed
+// through.
+func TestStatementsOutsideTheSubsetAreErrors(t *testing.T) {
+	for _, c := range []struct {
+		body      string
+		line, col int
+	}{
+		{"weird_c_call(a->b, *ptr);", 5, 30},
+		{"for (i = 0; i < 10; i = i + 1) { something(); }", 5, 23},
+		{"x = ;", 5, 20},
+		{"groups[k] = 1;", 5, 26},
+		{"int x = y +;", 5, 27},
+	} {
+		src := "protocol p\ntransports { UDP u; }\nmessages { u m { int x; } }\ntransitions {\n  any recv m { " + c.body + " }\n}\n"
+		_, err := Parse(src)
+		var perr *Error
+		if !errors.As(err, &perr) {
+			t.Errorf("%s: error %v is not positioned", c.body, err)
+			continue
 		}
-	}
-	if found == 0 {
-		t.Fatal("opaque statements were dropped")
+		if perr.Pos.Line != c.line || perr.Pos.Col != c.col {
+			t.Errorf("%s: error at %v, want %d:%d (%v)", c.body, perr.Pos, c.line, c.col, err)
+		}
 	}
 }
 

@@ -677,54 +677,36 @@ func (p *parser) stmt() (Stmt, error) {
 				return &ReturnStmt{Pos: t.pos}, nil
 			}
 		}
-		// Local declaration: "<type> <name> [= expr] ;". On a parse failure
-		// the statement rewinds and degrades to Opaque like everything else.
+		// Local declaration: "<type> <name> [= expr] ;".
 		if scalarTypes[t.text] && p.peek().kind == tokIdent {
-			mark := p.i
-			st, err := p.localStmt()
-			if err == nil {
-				return st, nil
-			}
-			p.i = mark
-			return p.opaqueStmt()
+			return p.localStmt()
 		}
-		// Call or assignment; on a parse failure inside the statement,
-		// rewind and preserve it opaquely (arbitrary C fragments are legal
-		// transition actions in MACEDON).
 		if p.peek().kind == tokPunct {
 			switch p.peek().text {
-			case "(", "[":
-				// A call, or an assignment to a keytable entry's field or to
-				// a field of the message: "groups[g].f = v;", "field(f) = v;".
-				mark := p.i
-				if p.peek().text == "(" {
-					if st, err := p.callStmt(); err == nil {
-						return st, nil
-					}
-					p.i = mark
+			case "(":
+				if t.text == "field" {
+					// An assignment to a field of the message: "field(f) = v;".
+					return p.lvalueAssign()
 				}
-				if st, err := p.lvalueAssign(); err == nil {
-					return st, nil
-				}
-				p.i = mark
-				return p.opaqueStmt()
+				return p.callStmt()
+			case "[":
+				// An assignment to a keytable entry's field: "groups[g].f = v;".
+				return p.lvalueAssign()
 			case "=":
-				mark := p.i
-				pos := t.pos
 				p.next()
 				p.next()
 				val, err := p.expr()
-				if err == nil {
-					if _, err2 := p.expectPunct(";"); err2 == nil {
-						return &AssignStmt{Target: t.text, Value: val, Pos: pos}, nil
-					}
+				if err != nil {
+					return nil, err
 				}
-				p.i = mark
-				return p.opaqueStmt()
+				if _, err := p.expectPunct(";"); err != nil {
+					return nil, err
+				}
+				return &AssignStmt{Target: t.text, Value: val, Pos: t.pos}, nil
 			}
 		}
 	}
-	return p.opaqueStmt()
+	return nil, p.errf(t.pos, "%q does not start a statement", t.text)
 }
 
 // lvalueAssign: <entry or field(name)> = expr ;
@@ -933,41 +915,6 @@ func (p *parser) callStmt() (Stmt, error) {
 		return nil, err
 	}
 	return st, nil
-}
-
-// opaqueStmt swallows one balanced statement: up to ';' at depth 0, or a
-// balanced brace group.
-func (p *parser) opaqueStmt() (Stmt, error) {
-	pos := p.cur().pos
-	var sb strings.Builder
-	depth := 0
-	for {
-		t := p.cur()
-		if t.kind == tokEOF {
-			return nil, p.errf(pos, "unterminated statement")
-		}
-		if t.kind == tokPunct {
-			switch t.text {
-			case "{", "(", "[":
-				depth++
-			case ")", "]":
-				depth--
-			case "}":
-				if depth == 0 {
-					// Statement ended by block close (leave it unconsumed).
-					return &OpaqueStmt{Text: strings.TrimSpace(sb.String()), Pos: pos}, nil
-				}
-				depth--
-			case ";":
-				if depth == 0 {
-					p.next()
-					return &OpaqueStmt{Text: strings.TrimSpace(sb.String()), Pos: pos}, nil
-				}
-			}
-		}
-		sb.WriteString(p.next().text)
-		sb.WriteString(" ")
-	}
 }
 
 // --- expressions ----------------------------------------------------------------
