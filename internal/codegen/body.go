@@ -316,12 +316,6 @@ type prim struct {
 	typ         string
 }
 
-// sendsVia are the primitives that send the cluster views a change owes:
-// their second argument names the message, translated to the agent's send
-// slot for it.
-var sendsVia = map[string]bool{"cluster_admit": true, "cluster_broadcast": true, "cluster_leave": true,
-	"cluster_expire": true, "cluster_split": true, "cluster_merge": true}
-
 // stmtPrims are the primitive statements of that shape.
 var stmtPrims = map[string]prim{
 	"deliver":            {"", "ctx.Deliver(%s, %s, %s)", nil, ""},
@@ -444,8 +438,8 @@ func (g *generator) translate(fn string, p prim, args []dsl.Expr) (string, error
 			v, err = g.collection(p.first, fn, args)
 		case i >= len(args):
 			err = unsupportedf("%s is missing argument %d", fn, i)
-		case i == 1 && sendsVia[fn]:
-			// The message the primitive sends, built in its send slot.
+		case i == 1 && dsl.SendsViews(fn):
+			// The message the primitive sends views in: its send slot.
 			id, _ := args[i].(dsl.Ident)
 			if _, ok := g.msgs[id.Name]; !ok {
 				err = unsupportedf("%s: %s is not a declared message", fn, args[i])

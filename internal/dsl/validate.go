@@ -228,6 +228,10 @@ func storeOf(fn string) string {
 var viewSenders = map[string]bool{"cluster_admit": true, "cluster_broadcast": true, "cluster_leave": true,
 	"cluster_expire": true, "cluster_split": true, "cluster_merge": true}
 
+// SendsViews reports whether primitive fn sends cluster views in the
+// message its second argument names.
+func SendsViews(fn string) bool { return viewSenders[fn] }
+
 // bodyEnv is what checkBody checks names against.
 type bodyEnv struct {
 	logs   map[string]string // log name → logged message

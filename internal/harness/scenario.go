@@ -24,12 +24,11 @@ import (
 	"macedon/internal/substrate"
 )
 
-// ScenarioStack resolves a scenario protocol name onto a node stack: nice,
-// and Chord, Pastry, RandTree, Scribe, SplitStream, Overcast and AMMO, which
-// exist only as the code `macedon gen` emits from specs/*.mac: chord and
-// genchord name the same agent, as do pastry and genpastry and randtree and
-// genrandtree. Scribe stacks on Pastry, splitstream on Scribe, and bullet on
-// RandTree.
+// ScenarioStack resolves a scenario protocol name onto a node stack. Every
+// protocol exists only as the code `macedon gen` emits from specs/*.mac:
+// chord and genchord name the same agent, as do pastry and genpastry and
+// randtree and genrandtree. Scribe stacks on Pastry, splitstream on Scribe,
+// and bullet on RandTree.
 func ScenarioStack(proto string) ([]core.Factory, error) {
 	switch proto {
 	case "", "chord", "genchord":

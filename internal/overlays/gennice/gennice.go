@@ -201,7 +201,6 @@ type ProbesEntry struct {
 type Agent struct {
 	Rp           overlay.Address
 	Layers       core.Clusters
-	K            int32
 	Probes       map[int32]*ProbesEntry
 	NextNonce    int32
 	DescendLayer int32
@@ -233,8 +232,6 @@ func (*Agent) DefinedByType() {}
 // the spec declares one: how a scenario's params reach the agent.
 func (a *Agent) SetParam(name string, v int32) bool {
 	switch name {
-	case "k":
-		a.K = v
 	case "next_nonce":
 		a.NextNonce = v
 	case "descend_layer":
@@ -287,9 +284,6 @@ func (*Agent) Define(d *core.Def) {
 func (a *Agent) transition0(ctx *core.Context, call *core.APICall) {
 	a.Rp = call.Bootstrap
 	a.Inc = ctx.Now().UnixNano()
-	if a.K == 0 {
-		a.K = 3
-	}
 	if (a.Rp == ctx.Self()) || (a.Rp == overlay.NilAddress) {
 		core.ClusterFound(ctx, &a.Layers)
 		ctx.StateChange("joined")
@@ -521,12 +515,12 @@ func (a *Agent) transition10(ctx *core.Context) {
 		if (l < a.Layers.Len()) && (a.Layers.Leader(l) == ctx.Self()) {
 			var size int32 = int32(len(a.Layers.Members(l)))
 			_ = size
-			if size > ((3 * a.K) - 1) {
+			if size > ((3 * 3) - 1) {
 				if core.ClusterMapped(ctx, &a.Layers, l) {
-					core.ClusterSplit(ctx, &a.Layers, &a.io.tx.ClusterUpdate, l, a.K)
+					core.ClusterSplit(ctx, &a.Layers, &a.io.tx.ClusterUpdate, l, 3)
 				}
 			} else {
-				if (size < a.K) && ((l + 1) < a.Layers.Len()) {
+				if (size < 3) && ((l + 1) < a.Layers.Len()) {
 					var into overlay.Address = core.ClusterMerge(ctx, &a.Layers, &a.io.tx.ClusterUpdate, l)
 					_ = into
 					if into != overlay.NilAddress {

@@ -11,16 +11,6 @@ import (
 	"macedon/internal/topology"
 )
 
-// withK is the NICE generated from specs/nice.mac with its cluster size
-// constant set through SetParam.
-func withK(k int32) []core.Factory {
-	return []core.Factory{func() core.Agent {
-		a := &gennice.Agent{}
-		a.SetParam("k", k)
-		return a
-	}}
-}
-
 func build(t *testing.T, n int, stack []core.Factory, settle time.Duration, seed int64) *harness.Cluster {
 	t.Helper()
 	c, err := harness.NewCluster(harness.ClusterConfig{Nodes: n, Routers: 100, Seed: seed})
@@ -55,7 +45,7 @@ func TestAllJoin(t *testing.T) {
 
 func TestClusterSizeInvariant(t *testing.T) {
 	const k = 3
-	c := build(t, 30, withK(k), 5*time.Minute, 93)
+	c := build(t, 30, []core.Factory{gennice.New()}, 5*time.Minute, 93)
 	over := 0
 	for _, a := range c.Addrs {
 		p := niceOf(c, a)
