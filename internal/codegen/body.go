@@ -318,49 +318,49 @@ type prim struct {
 
 // stmtPrims are the primitive statements of that shape.
 var stmtPrims = map[string]prim{
-	"deliver":            {"", "ctx.Deliver(%s, %s, %s)", nil, ""},
-	"create_group":       {"", "_ = ctx.CreateGroup(%s)", nil, ""},
-	"join_group":         {"", "_ = ctx.JoinGroup(%s)", nil, ""},
-	"leave_group":        {"", "_ = ctx.LeaveGroup(%s)", nil, ""},
-	"route":              {"", "_ = ctx.Route(%s, %s, %s, %s)", nil, ""},
-	"route_ip":           {"", "_ = ctx.RouteIP(%s, %s, %s, %s)", nil, ""},
-	"multicast":          {"", "_ = ctx.Multicast(%s, %s, %s, %s)", nil, ""},
-	"neighbor_add":       {"list", "ctx.Neighbors(%s).Add(%s)", nil, ""},
-	"neighbor_remove":    {"list", "ctx.Neighbors(%s).Remove(%s)", nil, ""},
-	"neighbor_clear":     {"list", "ctx.Neighbors(%s).Clear()", nil, ""},
-	"list_append":        {"nodeset", "%[1]s = core.ListAppend(%[1]s, %[2]s)", nil, ""},
-	"list_prepend":       {"nodeset", "%[1]s = core.ListPrepend(%[1]s, %[2]s)", nil, ""},
-	"list_remove":        {"nodeset", "%[1]s = core.ListRemove(%[1]s, %[2]s)", nil, ""},
-	"list_clear":         {"nodeset", "%[1]s = %[1]s[:0]", nil, ""},
-	"list_trunc":         {"nodeset", "%[1]s = core.ListTrunc(%[1]s, %[2]s)", nil, ""},
-	"ring_insert":        {"nodeset", "%[1]s = core.RingInsert(ctx.SelfKey(), ctx.Self(), %[1]s, %[2]s, %[3]s)", nil, ""},
-	"table_put":          {"nodetable", "core.TablePut(%s, %s, %s)", nil, ""},
-	"table_remove":       {"nodetable", "core.TableRemove(%s, %s)", nil, ""},
-	"table_clear":        {"nodetable", "clear(%s)", nil, ""},
-	"map_put":            {"keymap", "core.MapPut(&%s, %s, %s)", nil, ""},
-	"map_del":            {"keymap", "delete(%s, %s)", nil, ""},
-	"map_remove_value":   {"keymap", "core.MapRemoveValue(%s, %s)", nil, ""},
-	"map_clear":          {"keymap", "clear(%s)", nil, ""},
-	"tally_heard":        {"tally", "core.TallyHeard(%s, %s)", nil, ""},
-	"tally_tick":         {"tally", "core.TallyTick(%s, %s)", nil, ""},
-	"tally_remove":       {"tally", "core.TallyRemove(%s, %s)", nil, ""},
-	"upcall_ext":         {"", "ctx.UpcallExt(int(%s), nil)", nil, ""},
-	"log_replay":         {"log", "core.LogReplay(ctx, %s, %s, %s)", []int{2}, ""},
-	"sample":             {"slice", "%[1]s = core.Sample(ctx, %[1]s, %[2]s)", nil, ""},
-	"ticket_add":         {"tickets", "%[1]s = core.TicketAdd(%[1]s, %[2]s, %[3]s)", nil, ""},
-	"ticket_merge":       {"tickets", "%[1]s = core.TicketMerge(%[1]s, %[2]s)", nil, ""},
-	"block_reset":        {"blocks", "core.BlockReset(&%s, %s, %s)", nil, ""},
-	"cluster_found":      {"clusters", "core.ClusterFound(ctx, &%s)", nil, ""},
-	"cluster_heard":      {"clusters", "core.ClusterHeard(&%s, %s, %s)", nil, ""},
-	"cluster_install":    {"clusters", "core.ClusterInstall(ctx, &%s, %s, %s, %s, %s, %s)", nil, ""},
-	"cluster_set_leader": {"clusters", "core.ClusterSetLeader(&%s, %s, %s)", nil, ""},
-	"cluster_admit":      {"clusters", "core.ClusterAdmit(ctx, &%s, %s, %s, %s)", nil, ""},
-	"cluster_broadcast":  {"clusters", "core.ClusterBroadcast(ctx, &%s, %s, %s)", nil, ""},
-	"cluster_leave":      {"clusters", "core.ClusterLeave(ctx, &%s, %s, %s, %s)", nil, ""},
-	"cluster_expire":     {"clusters", "core.ClusterExpire(ctx, &%s, %s, %s, %s)", nil, ""},
-	"cluster_split":      {"clusters", "core.ClusterSplit(ctx, &%s, %s, %s, %s)", nil, ""},
-	"dist_set":           {"clusters", "core.DistSet(&%s, %s, %s)", nil, ""},
-	"dist_row":           {"clusters", "core.DistRow(&%s, %s, %s, %s)", nil, ""},
+	"deliver":          {"", "ctx.Deliver(%s, %s, %s)", nil, ""},
+	"create_group":     {"", "_ = ctx.CreateGroup(%s)", nil, ""},
+	"join_group":       {"", "_ = ctx.JoinGroup(%s)", nil, ""},
+	"leave_group":      {"", "_ = ctx.LeaveGroup(%s)", nil, ""},
+	"route":            {"", "_ = ctx.Route(%s, %s, %s, %s)", nil, ""},
+	"route_ip":         {"", "_ = ctx.RouteIP(%s, %s, %s, %s)", nil, ""},
+	"multicast":        {"", "_ = ctx.Multicast(%s, %s, %s, %s)", nil, ""},
+	"neighbor_add":     {"list", "ctx.Neighbors(%s).Add(%s)", nil, ""},
+	"neighbor_remove":  {"list", "ctx.Neighbors(%s).Remove(%s)", nil, ""},
+	"neighbor_clear":   {"list", "ctx.Neighbors(%s).Clear()", nil, ""},
+	"list_append":      {"nodeset", "%[1]s = core.ListAppend(%[1]s, %[2]s)", nil, ""},
+	"list_prepend":     {"nodeset", "%[1]s = core.ListPrepend(%[1]s, %[2]s)", nil, ""},
+	"list_remove":      {"nodeset", "%[1]s = core.ListRemove(%[1]s, %[2]s)", nil, ""},
+	"list_clear":       {"nodeset", "%[1]s = %[1]s[:0]", nil, ""},
+	"list_trunc":       {"nodeset", "%[1]s = core.ListTrunc(%[1]s, %[2]s)", nil, ""},
+	"ring_insert":      {"nodeset", "%[1]s = core.RingInsert(ctx.SelfKey(), ctx.Self(), %[1]s, %[2]s, %[3]s)", nil, ""},
+	"table_put":        {"nodetable", "core.TablePut(%s, %s, %s)", nil, ""},
+	"table_remove":     {"nodetable", "core.TableRemove(%s, %s)", nil, ""},
+	"table_clear":      {"nodetable", "clear(%s)", nil, ""},
+	"map_put":          {"keymap", "core.MapPut(&%s, %s, %s)", nil, ""},
+	"map_del":          {"keymap", "delete(%s, %s)", nil, ""},
+	"map_remove_value": {"keymap", "core.MapRemoveValue(%s, %s)", nil, ""},
+	"map_clear":        {"keymap", "clear(%s)", nil, ""},
+	"tally_heard":      {"tally", "core.TallyHeard(%s, %s)", nil, ""},
+	"tally_tick":       {"tally", "core.TallyTick(%s, %s)", nil, ""},
+	"tally_remove":     {"tally", "core.TallyRemove(%s, %s)", nil, ""},
+	"upcall_ext":       {"", "ctx.UpcallExt(int(%s), nil)", nil, ""},
+	"log_replay":       {"log", "core.LogReplay(ctx, %s, %s, %s)", []int{2}, ""},
+	"sample":           {"slice", "%[1]s = core.Sample(ctx, %[1]s, %[2]s)", nil, ""},
+	"ticket_add":       {"tickets", "%[1]s = core.TicketAdd(%[1]s, %[2]s, %[3]s)", nil, ""},
+	"ticket_merge":     {"tickets", "%[1]s = core.TicketMerge(%[1]s, %[2]s)", nil, ""},
+	"block_reset":      {"blocks", "core.BlockReset(&%s, %s, %s)", nil, ""},
+	"cluster_found":    {"clusters", "core.ClusterFound(ctx, &%s)", nil, ""},
+	"cluster_heard":    {"clusters", "core.ClusterHeard(&%s, %s, %s)", nil, ""},
+	"cluster_install":  {"clusters", "core.ClusterInstall(ctx, &%s, %s, %s, %s, %s, %s)", nil, ""},
+	"cluster_elect":    {"clusters", "core.ClusterElect(&%s, %s, %s)", nil, ""},
+	"cluster_admit":    {"clusters", "core.ClusterAdmit(ctx, &%s, %s, %s, %s)", nil, ""},
+	"cluster_announce": {"clusters", "core.ClusterAnnounce(ctx, &%s, %s, %s)", nil, ""},
+	"cluster_leave":    {"clusters", "core.ClusterLeave(ctx, &%s, %s, %s, %s)", nil, ""},
+	"cluster_expire":   {"clusters", "core.ClusterExpire(ctx, &%s, %s, %s, %s)", nil, ""},
+	"cluster_split":    {"clusters", "core.ClusterSplit(ctx, &%s, %s, %s, %s)", nil, ""},
+	"dist_set":         {"clusters", "core.DistSet(&%s, %s, %s)", nil, ""},
+	"dist_row":         {"clusters", "core.DistRow(&%s, %s, %s, %s)", nil, ""},
 }
 
 // exprPrims are the value primitives of that shape.

@@ -782,14 +782,14 @@ func ClusterFound(ctx *Context, c *Clusters) {
 	c.layers = []cluster{{leader: ctx.Self(), members: []overlay.Address{ctx.Self()}}}
 }
 
-// ClusterSetLeader records a as the leader of layer l's cluster
-// (cluster_set_leader).
-func ClusterSetLeader(c *Clusters, l int32, a overlay.Address) { c.at(l).leader = a }
+// ClusterElect records a as the leader of layer l's cluster
+// (cluster_elect).
+func ClusterElect(c *Clusters, l int32, a overlay.Address) { c.at(l).leader = a }
 
-// ClusterBroadcast sends the view of layer l's cluster to every other member
-// and reports the members to the layer above (cluster_broadcast): how a
+// ClusterAnnounce sends the view of layer l's cluster to every other member
+// and reports the members to the layer above (cluster_announce): how a
 // leader keeps its members' views from diverging.
-func ClusterBroadcast[M ViewMsg, P interface {
+func ClusterAnnounce[M ViewMsg, P interface {
 	*M
 	overlay.Message
 }](ctx *Context, c *Clusters, slot *M, l int32) {
@@ -818,7 +818,7 @@ func ClusterAdmit[M ViewMsg, P interface {
 	switch {
 	case layer == n && layer > 0 && c.layers[layer-1].leader == self:
 		c.layers = append(c.layers, cluster{leader: self, members: memberSet(self, from)})
-		ClusterBroadcast[M, P](ctx, c, slot, layer)
+		ClusterAnnounce[M, P](ctx, c, slot, layer)
 	case layer >= n:
 		if n == 0 {
 			return
@@ -839,7 +839,7 @@ func ClusterAdmit[M ViewMsg, P interface {
 			return
 		}
 		cl.members = slices.Insert(cl.members, i, from)
-		ClusterBroadcast[M, P](ctx, c, slot, layer)
+		ClusterAnnounce[M, P](ctx, c, slot, layer)
 	}
 }
 
@@ -917,7 +917,7 @@ func ClusterExpire[M ViewMsg, P interface {
 			}
 		}
 		if changed && c.layers[l].leader == self {
-			ClusterBroadcast[M, P](ctx, c, slot, int32(l))
+			ClusterAnnounce[M, P](ctx, c, slot, int32(l))
 		}
 	}
 }

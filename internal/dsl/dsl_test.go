@@ -460,8 +460,8 @@ func TestValidateDiagnostics(t *testing.T) {
 			"cluster_layers of b, which is not a declared clusters variable"},
 		{"cluster views in a message of another shape",
 			`protocol p uses q messages { m { } v { int layer; node leader; nodeset members; } }
-			 auxiliary_data { clusters c; } transitions { any recv m { cluster_broadcast(c, v, 0); } }`,
-			"cluster_broadcast sends views in v, which is not a declared message"},
+			 auxiliary_data { clusters c; } transitions { any recv m { cluster_announce(c, v, 0); } }`,
+			"cluster_announce sends views in v, which is not a declared message"},
 		{"in_state of an undeclared state",
 			`protocol p uses q states { a; } messages { m { } } auxiliary_data { bool b; }
 			 transitions { any recv m { b = in_state(flying); } }`,

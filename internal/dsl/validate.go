@@ -198,8 +198,8 @@ var arity = map[string]int{"now": 0, "time_diff": 2, "time_diff_ms": 2, "jitter"
 	"notified": 1, "in_state": 1, "dedup_add": 5,
 	"block_reset": 3, "block_put": 5, "block_has": 3, "block_typ": 3, "block_payload": 3,
 	"block_incs": 1, "block_streams": 2, "block_missing": 5, "block_summary": 1, "block_disjoint": 2,
-	"cluster_found": 1, "cluster_heard": 3, "cluster_install": 6, "cluster_set_leader": 3,
-	"cluster_admit": 4, "cluster_broadcast": 3, "cluster_leave": 4, "cluster_expire": 4, "cluster_split": 4,
+	"cluster_found": 1, "cluster_heard": 3, "cluster_install": 6, "cluster_elect": 3,
+	"cluster_admit": 4, "cluster_announce": 3, "cluster_leave": 4, "cluster_expire": 4, "cluster_split": 4,
 	"cluster_merge": 3, "cluster_layers": 1, "cluster_leader": 2, "cluster_parent": 2, "cluster_members": 2,
 	"cluster_of": 2, "cluster_center": 2, "cluster_mapped": 2, "cluster_fanout": 3,
 	"dist_set": 3, "dist_row": 4, "dist_known": 2, "dist_addrs": 1, "dist_values": 1,
@@ -225,7 +225,7 @@ func storeOf(fn string) string {
 
 // viewSenders are the cluster primitives that send views in the message
 // their second argument names.
-var viewSenders = map[string]bool{"cluster_admit": true, "cluster_broadcast": true, "cluster_leave": true,
+var viewSenders = map[string]bool{"cluster_admit": true, "cluster_announce": true, "cluster_leave": true,
 	"cluster_expire": true, "cluster_split": true, "cluster_merge": true}
 
 // SendsViews reports whether primitive fn sends cluster views in the

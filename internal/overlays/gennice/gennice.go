@@ -464,7 +464,7 @@ func (a *Agent) transition8(ctx *core.Context) {
 			}
 		}
 		if a.Layers.Leader(l) == ctx.Self() {
-			core.ClusterBroadcast(ctx, &a.Layers, &a.io.tx.ClusterUpdate, l)
+			core.ClusterAnnounce(ctx, &a.Layers, &a.io.tx.ClusterUpdate, l)
 		} else {
 			if a.Layers.Leader(l) != overlay.NilAddress {
 				_ = ctx.Send(a.Layers.Leader(l), core.Put(&a.io.tx.JoinCluster, msgJoinCluster{Layer: l}), overlay.PriorityDefault)
@@ -530,8 +530,8 @@ func (a *Agent) transition10(ctx *core.Context) {
 					var c overlay.Address = core.ClusterCenter(ctx, &a.Layers, l)
 					_ = c
 					if (c != ctx.Self()) && (c != overlay.NilAddress) {
-						core.ClusterSetLeader(&a.Layers, l, c)
-						core.ClusterBroadcast(ctx, &a.Layers, &a.io.tx.ClusterUpdate, l)
+						core.ClusterElect(&a.Layers, l, c)
+						core.ClusterAnnounce(ctx, &a.Layers, &a.io.tx.ClusterUpdate, l)
 						core.ClusterLeave(ctx, &a.Layers, &a.io.tx.ClusterUpdate, (l + 1), c)
 					}
 				}
