@@ -192,7 +192,7 @@ func Validate(s *Spec) error {
 }
 
 // arity is the argument count of the primitives whose misuse the validator
-// reports, rather than letting the statement degrade to a TODO.
+// reports at the statement, before generation.
 var arity = map[string]int{"now": 0, "time_diff": 2, "time_diff_ms": 2, "jitter": 1, "zeros": 1,
 	"sample": 2, "ticket": 2, "ticket_add": 3, "ticket_merge": 2, "ticket_node": 2, "ticket_summary": 2,
 	"notified": 1, "in_state": 1, "dedup_add": 5,
