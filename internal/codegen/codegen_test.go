@@ -208,6 +208,25 @@ func bundledSpecs(t *testing.T) []bundled {
 	return out
 }
 
+// TestFullyTranslatedSpecs proves the action-language subset covers every
+// spec under specs/: each generates without error, translates a nonzero
+// number of statements, and carries no TODO fallback in its source.
+func TestFullyTranslatedSpecs(t *testing.T) {
+	for _, c := range bundledSpecs(t) {
+		res, err := Generate(loadSpec(t, c.spec), c.pkg)
+		if err != nil {
+			t.Errorf("%s: %v", c.spec, err)
+			continue
+		}
+		if strings.Contains(res.Source, "TODO(macedon)") {
+			t.Errorf("%s output contains TODO fallbacks", c.spec)
+		}
+		if res.Translated == 0 {
+			t.Errorf("%s reports zero translated statements", c.spec)
+		}
+	}
+}
+
 // TestCheckedInGeneratedPackagesAreFresh regenerates the package of every
 // spec under specs/ in process and compares it byte for byte with the tree,
 // so tier-1 catches a spec that no longer translates, a hand edit or a
@@ -399,6 +418,63 @@ transitions {
 		if !strings.Contains(res.Source, want) {
 			t.Errorf("generated source lacks %q:\n%s", want, res.Source)
 		}
+	}
+}
+
+// TestOpaqueStatementsBecomeTODOs checks what became of the statement
+// preservation path: a statement outside the subset once turned into a TODO
+// comment in otherwise compiling code; now it fails generation at its line
+// and column, and no source comes back to be mistaken for a working agent.
+func TestOpaqueStatementsBecomeTODOs(t *testing.T) {
+	spec, err := dsl.Parse(`
+protocol p
+transports { UDP u; }
+messages { u m { int x; } }
+transitions { any recv m { some_c_function(a, b); } }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Generate(spec, "genp")
+	const want = `codegen: 5:28: unknown primitive statement "some_c_function"`
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %s", err, want)
+	}
+	if res != nil {
+		t.Fatalf("failed generation returned source:\n%s", res.Source)
+	}
+}
+
+// TestUnknownLibraryCallsDegrade: several library calls outside the subset
+// in one transition, in every position a call can take, once degraded to as
+// many TODO comments. Generation now stops at the first of them, reports its
+// position, and returns no partial source.
+func TestUnknownLibraryCallsDegrade(t *testing.T) {
+	spec, err := dsl.Parse(`
+protocol p
+transports { UDP u; }
+messages { u m { int x; } }
+auxiliary_data { int count; }
+transitions {
+  any recv m {
+    frobnicate(from, 3);
+    count = mystery_metric(from);
+    if (exotic_check(count)) { count = 0; }
+    count = list_size();
+    neighbor_size(1 + 2);
+  }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Generate(spec, "genp")
+	const want = `codegen: 8:5: unknown primitive statement "frobnicate"`
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %s", err, want)
+	}
+	if res != nil {
+		t.Fatalf("failed generation returned source:\n%s", res.Source)
 	}
 }
 
