@@ -21,7 +21,6 @@ func runScenario(args []string) int {
 	trace := fs.Bool("trace", false, "print the executed event trace")
 	check := fs.Bool("check", false, "validate and compile only; print the schedule summary")
 	shards := fs.Int("shards", 0, "event-loop shards (0 = GOMAXPROCS, 1 = sequential); any value prints identical output")
-	partitioner := fs.String("partitioner", "", "vertex-to-shard assignment: striped (default) or latency; either prints identical output, latency widens the lookahead window on sharded runs")
 	obsOn := fs.Bool("obs", false, "enable the observability plane and print its output (metrics exposition, sampled events, operation traces, per-phase time series) after the report")
 	traceSample := fs.Int("trace-sample", 0, "keep 1-in-N operation traces and event records (0 or 1 = all); sampling is keyed by the seed, so any shard count keeps the same ops")
 	seriesInterval := fs.Duration("series-interval", 0, "with -obs, also sample the engine time series every interval of virtual time inside each phase (0 = phase boundaries only); sampling is scheduled on the virtual clock, so any shard count records identical series")
@@ -59,8 +58,7 @@ func runScenario(args []string) int {
 		n = runtime.GOMAXPROCS(0)
 	}
 	rep, err := harness.RunScenarioExec(s, harness.ExecOptions{
-		Shards:      n,
-		Partitioner: *partitioner,
+		Shards: n,
 		Obs: harness.ObsOptions{
 			Enabled:        *obsOn,
 			TraceSample:    *traceSample,

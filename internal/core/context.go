@@ -160,12 +160,6 @@ func (c *Context) TimerCancel(name string) {
 	}
 }
 
-// TimerPending reports whether the named timer is scheduled.
-func (c *Context) TimerPending(name string) bool {
-	td, ok := c.inst.def.timers[name]
-	return ok && c.inst.timers[td.id].tm != nil
-}
-
 // Send transmits one of this protocol's messages to dst at a priority
 // (PriorityDefault uses the message's declared transport). On the lowest
 // layer this hits the transport subsystem directly; on higher layers the
@@ -295,16 +289,6 @@ func (c *Context) UpcallExt(op int, arg any) {
 // through the layer below's route/multicast path (as a ProtocolPayload).
 func (c *Context) EncodeFrame(m overlay.Message) ([]byte, error) {
 	return c.inst.encodeOwned(m)
-}
-
-// TransportQueued reports bytes queued toward dst on a named transport of
-// the lowest layer — the observable "blocked transport" condition.
-func (c *Context) TransportQueued(transport string, dst overlay.Address) int {
-	t := c.inst.node.transport(transport)
-	if t == nil {
-		return 0
-	}
-	return t.QueuedBytes(dst)
 }
 
 // Tracef writes a protocol-level trace line at the given level.

@@ -181,12 +181,6 @@ func (l *NeighborList) First() *Neighbor {
 	return l.entries[0]
 }
 
-// Entries returns the entries in insertion order. The slice is a copy; the
-// pointed-to neighbors are live.
-func (l *NeighborList) Entries() []*Neighbor {
-	return append([]*Neighbor(nil), l.entries...)
-}
-
 // Addrs returns the member addresses in insertion order. The array is lent:
 // the list caches it and hands it out again until the next Add, Remove,
 // Clear or Assign that changes the membership, which drops it without writing

@@ -31,12 +31,6 @@ type ClusterConfig struct {
 	// docs/simnet.md), larger values trade synchronization overhead for
 	// parallelism on big populations.
 	Shards int
-	// Partitioner selects the vertex→shard assignment strategy:
-	// simnet.PartitionerStriped (the default, also "") or
-	// simnet.PartitionerLatency, which clusters low-latency cliques onto one
-	// shard to widen the conservative lookahead window. Either choice
-	// produces byte-identical traces; only wall-clock scaling differs.
-	Partitioner string
 
 	// Graph optionally supplies a prebuilt topology with clients attached
 	// (addresses Addrs). When nil an INET topology is generated and clients
@@ -73,12 +67,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	switch cfg.Partitioner {
-	case "", simnet.PartitionerStriped, simnet.PartitionerLatency:
-	default:
-		return nil, fmt.Errorf("harness: unknown partitioner %q (want %q or %q)",
-			cfg.Partitioner, simnet.PartitionerStriped, simnet.PartitionerLatency)
-	}
 	sched := simnet.NewSharded(cfg.Seed, shards)
 	g := cfg.Graph
 	addrs := cfg.Addrs
@@ -91,11 +79,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	} else if len(addrs) == 0 {
 		addrs = g.Clients()
 	}
-	simCfg := cfg.Sim
-	if cfg.Partitioner != "" {
-		simCfg.Partitioner = cfg.Partitioner
-	}
-	net := simnet.New(sched, g, simCfg)
+	net := simnet.New(sched, g, cfg.Sim)
 	return &Cluster{
 		cfg:   cfg,
 		Sched: sched,

@@ -108,14 +108,15 @@ type paramSetter interface {
 }
 
 // ExecOptions are execution parameters of a scenario run: knobs that change
-// how the run executes (parallelism, vertex placement, observability) but
+// how the run executes (parallelism, observability) but
 // never what it computes — every combination produces the identical trace
 // and report, which is what lets one golden corpus gate them all.
 type ExecOptions struct {
 	// Shards is the event-loop shard count; 0 or 1 is sequential.
 	Shards int
-	// Partitioner is the vertex→shard assignment strategy ("" or
-	// simnet.PartitionerStriped, or simnet.PartitionerLatency).
+	// Partitioner names the vertex→shard placement. There is one,
+	// topology.PartitionLatency, named by "" or simnet.PartitionerLatency;
+	// any other value is an error.
 	Partitioner string
 	// Obs configures the observability plane.
 	Obs ObsOptions
@@ -199,6 +200,9 @@ func newSimRun(sched *scenario.Schedule, exec ExecOptions) (*simRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	if exec.Partitioner != "" && exec.Partitioner != simnet.PartitionerLatency {
+		return nil, fmt.Errorf("harness: unknown partitioner %q (the one placement is %q)", exec.Partitioner, simnet.PartitionerLatency)
+	}
 	shards := exec.Shards
 	if shards < 1 {
 		shards = 1
@@ -212,7 +216,6 @@ func newSimRun(sched *scenario.Schedule, exec ExecOptions) (*simRun, error) {
 		Addrs:          addrs,
 		Seed:           s.Seed,
 		Shards:         shards,
-		Partitioner:    exec.Partitioner,
 		HeartbeatAfter: s.HeartbeatAfter.D(),
 		FailAfter:      s.FailAfter.D(),
 	})

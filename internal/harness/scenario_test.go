@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"macedon/internal/scenario"
+	"macedon/internal/simnet"
 )
 
 // testScenario is the canonical shape of the acceptance criterion: Poisson
@@ -108,6 +110,29 @@ func TestScenarioShardInvariance(t *testing.T) {
 			t.Fatalf("shards=%d: reports differ:\n--- shards=1\n%s\n--- shards=%d\n%s",
 				shards, base, shards, got)
 		}
+	}
+}
+
+// TestExecOptionsOnePlacement: "" and "latency" both name the one vertex
+// placement and print the same run; any other partitioner, striped
+// included, is refused before a cluster is built.
+func TestExecOptionsOnePlacement(t *testing.T) {
+	for _, p := range []string{"striped", "Latency", "random"} {
+		_, err := RunScenarioExec(testScenario(), ExecOptions{Shards: 2, Partitioner: p})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", p)) {
+			t.Fatalf("partitioner %q: err = %v, want it refused by name", p, err)
+		}
+	}
+	base, err := runSim(testScenario(), 2, ObsOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := RunScenarioExec(testScenario(), ExecOptions{Shards: 2, Partitioner: simnet.PartitionerLatency})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if named.TraceText() != base.TraceText() || named.String() != base.String() {
+		t.Fatal(`partitioner "latency" and "" ran differently`)
 	}
 }
 

@@ -51,31 +51,16 @@ type LinkCounters struct {
 	Drops   uint64
 }
 
-// Partitioner names for Config.Partitioner.
-const (
-	// PartitionerStriped assigns vertex v to shard v % nshards: perfectly
-	// balanced, oblivious to the topology. With low-latency access links
-	// spread across shards the conservative lookahead collapses to the
-	// global minimum link latency. The default; also selected by "".
-	PartitionerStriped = "striped"
-	// PartitionerLatency clusters low-latency cliques onto one shard
-	// (capacity-bounded, deterministic — see topology.PartitionLatency), so
-	// only higher-latency core links cross shards and the lookahead window
-	// widens. Traces are byte-identical to striped runs: execution order is
-	// defined by (time, actor, seq) keys that never depend on placement.
-	PartitionerLatency = "latency"
-)
+// PartitionerLatency names the one vertex→shard placement,
+// topology.PartitionLatency. Only harness.ExecOptions.Partitioner still
+// reads the name, where it and "" mean the same thing.
+const PartitionerLatency = "latency"
 
 // Config tunes emulation behaviour.
 type Config struct {
 	// LossRate uniformly drops this fraction of datagrams per hop.
 	// Zero by default: loss then only arises from queue overflow.
 	LossRate float64
-	// Partitioner selects the vertex→shard assignment strategy:
-	// PartitionerStriped (default) or PartitionerLatency. Any assignment
-	// yields the same traces; the choice only moves the lookahead window
-	// and therefore wall-clock scaling.
-	Partitioner string
 }
 
 // Network emulates the topology: it implements substrate.Network by routing
@@ -83,8 +68,8 @@ type Config struct {
 // serialization, propagation delay, and drop-tail queuing at every hop.
 //
 // When the scheduler is sharded, every vertex of the topology (routers and
-// client endpoints alike) is assigned to a shard, and all events touching a
-// vertex's state execute on its shard. Packets hop from vertex to vertex;
+// client endpoints alike) is assigned to a shard by topology.PartitionLatency,
+// and all events touching a vertex's state execute on its shard. Packets hop from vertex to vertex;
 // a hop whose endpoints live on different shards is handed off through the
 // scheduler's cross-shard path, which the conservative lookahead (the
 // minimum cross-shard link latency) makes safe and deterministic.
@@ -262,8 +247,10 @@ func (ls *linkState) settle(cur *eventKey, actor uint64) {
 
 // New builds an emulated network over a finished topology. The graph must
 // already have all clients attached. The shard count comes from the
-// scheduler; New partitions the vertices and installs the conservative
-// lookahead window.
+// scheduler; New places the vertices with topology.PartitionLatency, which
+// keeps cheap links inside a shard, and installs the conservative lookahead
+// window. Placement never changes what runs: event order is keyed by
+// (time, actor, seq), never by shard.
 func New(sched *Scheduler, g *topology.Graph, cfg Config) *Network {
 	nsh := sched.Shards()
 	n := &Network{
@@ -282,15 +269,7 @@ func New(sched *Scheduler, g *topology.Graph, cfg Config) *Network {
 	}
 	n.routes = topology.NewRoutes(g)
 	n.live = topology.NewRoutesExcluding(g, func(l topology.LinkID) bool { return n.blocked[l] })
-	switch cfg.Partitioner {
-	case "", PartitionerStriped:
-		n.vertexShard = topology.PartitionStriped(g, nsh)
-	case PartitionerLatency:
-		n.vertexShard = topology.PartitionLatency(g, nsh)
-	default:
-		panic(fmt.Sprintf("simnet: unknown partitioner %q (want %q or %q)",
-			cfg.Partitioner, PartitionerStriped, PartitionerLatency))
-	}
+	n.vertexShard = topology.PartitionLatency(g, nsh)
 	n.pktPools = make([]packetPool, nsh)
 	for i, l := range g.Links() { // links are numbered in order
 		if l.QueueBytes > math.MaxInt32 {

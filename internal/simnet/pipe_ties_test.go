@@ -92,11 +92,11 @@ func (r *tieRun) send(i int) {
 	}
 }
 
-func newTieRun(t *testing.T, shards int, partitioner string) *tieRun {
+func newTieRun(t *testing.T, shards int) *tieRun {
 	t.Helper()
 	g, addrs := tieGraph()
 	r := &tieRun{sched: NewSharded(2004, shards), addrs: addrs}
-	r.net = New(r.sched, g, Config{Partitioner: partitioner})
+	r.net = New(r.sched, g, Config{})
 	stop := tieChunk * tieChunks
 	for i, a := range addrs {
 		c := &tieClient{rng: uint64(a) * 0x9E3779B97F4A7C15}
@@ -151,8 +151,8 @@ func (r *tieRun) finish() string {
 	return b.String()
 }
 
-func tieCold(t *testing.T, shards int, partitioner string) string {
-	r := newTieRun(t, shards, partitioner)
+func tieCold(t *testing.T, shards int) string {
+	r := newTieRun(t, shards)
 	for k := 0; k < tieChunks; k++ {
 		r.chunk(k)
 	}
@@ -161,8 +161,8 @@ func tieCold(t *testing.T, shards int, partitioner string) string {
 
 // tieForked snapshots while the pipes hold queued bytes, saturates every
 // uplink in a branch, rewinds, and then runs the schedule tieCold runs.
-func tieForked(t *testing.T, shards int, partitioner string) string {
-	r := newTieRun(t, shards, partitioner)
+func tieForked(t *testing.T, shards int) string {
+	r := newTieRun(t, shards)
 	for k := 0; k < tieForkAt; k++ {
 		r.chunk(k)
 	}
@@ -203,7 +203,7 @@ func TestPipeTiesGolden(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(tieCold(t, 1, PartitionerStriped)), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(tieCold(t, 1)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,14 +215,12 @@ func TestPipeTiesGolden(t *testing.T) {
 		t.Fatal("golden records no queue drops; the ties decide nothing")
 	}
 	for _, shards := range []int{1, 2, 4} {
-		for _, p := range []string{PartitionerStriped, PartitionerLatency} {
-			for name, run := range map[string]func(*testing.T, int, string) string{"cold": tieCold, "forked": tieForked} {
-				t.Run(fmt.Sprintf("%s/shards=%d/%s", name, shards, p), func(t *testing.T) {
-					if got := run(t, shards, p); got != string(want) {
-						t.Fatalf("differs from %s at line %d", path, firstDiffLine(got, string(want)))
-					}
-				})
-			}
+		for name, run := range map[string]func(*testing.T, int) string{"cold": tieCold, "forked": tieForked} {
+			t.Run(fmt.Sprintf("%s/shards=%d/latency", name, shards), func(t *testing.T) {
+				if got := run(t, shards); got != string(want) {
+					t.Fatalf("differs from %s at line %d", path, firstDiffLine(got, string(want)))
+				}
+			})
 		}
 	}
 }

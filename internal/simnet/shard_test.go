@@ -150,26 +150,32 @@ func TestOracleTreeBudget(t *testing.T) {
 }
 
 // crossTraffic builds two routers joined by a 1 ms pipe with clients on
-// both, striped over two shards so every datagram crosses shards at least
-// once, and has every client send to the client opposite every period until
-// stop, next to `idle` no-op timers per client on the same period that only
-// add density. Deliveries are logged per receiving endpoint, in arrival
-// order.
+// both over cheaper 0.5 ms access pipes, so placement puts each router with
+// its clients and the routers on different shards: every datagram crosses
+// shards at least once. Every client sends to the client opposite every
+// period until stop, next to `idle` no-op timers per client on the same
+// period that only add density. Deliveries are logged per receiving
+// endpoint, in arrival order.
 func crossTraffic(t *testing.T, period, stop time.Duration, idle int) (*Scheduler, *Network, [][]string) {
 	t.Helper()
 	const perSide = 8
 	g := topology.NewGraph()
 	r0, r1 := g.AddRouter(), g.AddRouter()
 	g.AddLink(r0, r1, time.Millisecond, 100_000_000, 1<<20)
+	access := topology.DefaultAccess
+	access.Latency = 500 * time.Microsecond
 	for i := 0; i < 2*perSide; i++ {
 		at := r0
 		if i >= perSide {
 			at = r1
 		}
-		g.AttachClient(overlay.Address(i+1), at, topology.DefaultAccess)
+		g.AttachClient(overlay.Address(i+1), at, access)
 	}
 	s := NewSharded(9, 2)
 	n := New(s, g, Config{})
+	if n.vertexShard[r0] == n.vertexShard[r1] {
+		t.Fatalf("both routers on shard %d; no datagram crosses shards", n.vertexShard[r0])
+	}
 	if s.Lookahead() != time.Millisecond {
 		t.Fatalf("lookahead = %v, want the 1ms cross link", s.Lookahead())
 	}

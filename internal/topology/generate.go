@@ -83,19 +83,23 @@ func INET(p INETParams) (*Graph, error) {
 	// Preferential attachment: each vertex i >= 1 wires to EdgesPerNode
 	// earlier vertices chosen with probability proportional to degree+1.
 	// repeated[] holds one entry per degree endpoint, the standard trick.
-	var repeated []RouterID
+	// Every edge is at most the first, EdgesPerNode per later router, or an
+	// extra one, so the edge set is sized once up front.
+	extra := int(p.ExtraEdgeFrac * float64(p.Routers))
+	maxEdges := 1 + (p.Routers-2)*p.EdgesPerNode + max(extra, 0)
+	repeated := make([]RouterID, 0, 2*maxEdges)
 	type pending struct{ a, b RouterID }
-	var edges []pending
-	have := make(map[[2]RouterID]bool)
+	edges := make([]pending, 0, maxEdges)
+	have := make(map[uint64]struct{}, maxEdges)
 	addEdge := func(a, b RouterID) {
 		if a == b {
 			return
 		}
-		k := [2]RouterID{min32(a, b), max32(a, b)}
-		if have[k] {
+		k := uint64(min32(a, b))<<32 | uint64(max32(a, b))
+		if _, dup := have[k]; dup {
 			return
 		}
-		have[k] = true
+		have[k] = struct{}{}
 		edges = append(edges, pending{a, b})
 		repeated = append(repeated, a, b)
 	}
@@ -113,7 +117,6 @@ func INET(p INETParams) (*Graph, error) {
 			addEdge(v, RouterID(rng.Intn(i)))
 		}
 	}
-	extra := int(p.ExtraEdgeFrac * float64(p.Routers))
 	for e := 0; e < extra; e++ {
 		a := RouterID(rng.Intn(p.Routers))
 		b := RouterID(rng.Intn(p.Routers))
@@ -127,6 +130,7 @@ func INET(p INETParams) (*Graph, error) {
 		deg[e.b]++
 	}
 	hi := degreeThreshold(deg, 0.9)
+	g.links = slices.Grow(g.links, 2*len(edges))
 	for _, e := range edges {
 		var bw int64
 		switch {

@@ -26,20 +26,6 @@ func MinCrossShardLatency(g *Graph, shardOf func(RouterID) int) (time.Duration, 
 	return min, found
 }
 
-// PartitionStriped assigns vertex v to shard v % nshards. Balanced and
-// placement-oblivious: with short access links scattered across shards the
-// lookahead collapses to the global minimum link latency.
-func PartitionStriped(g *Graph, nshards int) []int32 {
-	if nshards < 1 {
-		nshards = 1
-	}
-	assign := make([]int32, g.NumRouters())
-	for v := range assign {
-		assign[v] = int32(v % nshards)
-	}
-	return assign
-}
-
 // PartitionLatency clusters the graph so its lowest-latency links become
 // intra-shard, widening the conservative lookahead window (the minimum
 // CROSS-shard latency). The construction is a capacity-bounded Kruskal

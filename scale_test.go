@@ -22,26 +22,23 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
 	"macedon/internal/scenario"
-	"macedon/internal/simnet"
 	"macedon/internal/topology"
 )
 
 // scaleCase pins one scale-acceptance scenario: the population, the churn
-// storm it must survive, the partitioner it runs under, and the acceptance
-// thresholds.
+// storm it must survive, and the acceptance thresholds.
 type scaleCase struct {
-	name        string
-	nodes       int
-	routers     int
-	partitioner string // "" = striped default
-	joinWindow  time.Duration
-	settle      time.Duration
-	churnFor    time.Duration
-	churnRate   float64 // kills per second (poisson)
-	downtime    time.Duration
-	drain       time.Duration
-	minLive     int // population floor after the churn phase
-	peakHeapMB  int // measured peak HeapInuse; a run 25 % above it fails
+	name       string
+	nodes      int
+	routers    int
+	joinWindow time.Duration
+	settle     time.Duration
+	churnFor   time.Duration
+	churnRate  float64 // kills per second (poisson)
+	downtime   time.Duration
+	drain      time.Duration
+	minLive    int // population floor after the churn phase
+	peakHeapMB int // measured peak HeapInuse; a run 25 % above it fails
 }
 
 // scaleCases is THE one place scale thresholds live. The CI perf job runs
@@ -61,21 +58,18 @@ var scaleCases = map[string]scaleCase{
 		minLive:    9_800,
 	},
 	// The 100k trajectory point: five times the population, routed through
-	// the access-link decomposition (trees only toward core routers) and
-	// placed by the latency-aware partitioner so the conservative lookahead
-	// window stays wide at scale.
+	// the access-link decomposition (trees only toward core routers).
 	"50k": {
-		name:        "randtree-50k-churn",
-		nodes:       50_000,
-		routers:     5_000,
-		partitioner: simnet.PartitionerLatency,
-		joinWindow:  20 * time.Second,
-		settle:      20 * time.Second,
-		churnFor:    30 * time.Second,
-		churnRate:   2, // ~60 kills over the phase
-		downtime:    15 * time.Second,
-		drain:       10 * time.Second,
-		minLive:     49_800,
+		name:       "randtree-50k-churn",
+		nodes:      50_000,
+		routers:    5_000,
+		joinWindow: 20 * time.Second,
+		settle:     20 * time.Second,
+		churnFor:   30 * time.Second,
+		churnRate:  2, // ~60 kills over the phase
+		downtime:   15 * time.Second,
+		drain:      10 * time.Second,
+		minLive:    49_800,
 	},
 	// The failure-injection probe of docs/simnet.md: the paper's population
 	// of generated Chord, no churn, four access pipes failing and healing
@@ -137,15 +131,12 @@ func runScaleCase(t *testing.T, c scaleCase) {
 	}
 	shards := runtime.GOMAXPROCS(0)
 	start := time.Now()
-	rep, err := harness.RunScenarioExec(s, harness.ExecOptions{
-		Shards:      shards,
-		Partitioner: c.partitioner,
-	})
+	rep, err := harness.RunScenarioExec(s, harness.ExecOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d-node churn: %d events, %d kills+revives traced, wall=%s shards=%d partitioner=%q",
-		c.nodes, rep.EventsRun, len(rep.Trace), time.Since(start).Round(time.Second), shards, c.partitioner)
+	t.Logf("%d-node churn: %d events, %d kills+revives traced, wall=%s shards=%d",
+		c.nodes, rep.EventsRun, len(rep.Trace), time.Since(start).Round(time.Second), shards)
 	last := rep.Phases[len(rep.Phases)-1]
 	if last.LiveNodes < c.minLive {
 		t.Fatalf("population collapsed: live=%d (floor %d)", last.LiveNodes, c.minLive)
