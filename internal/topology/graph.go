@@ -150,6 +150,15 @@ func (g *Graph) AddRouter() RouterID {
 	return id
 }
 
+// reserve makes room for routers more vertices and links more directed
+// links, so a generator that knows its size appends without regrowing.
+func (g *Graph) reserve(routers, links int) {
+	g.deg = slices.Grow(g.deg, routers)
+	g.first = slices.Grow(g.first, routers)
+	g.stub = slices.Grow(g.stub, routers)
+	g.links = slices.Grow(g.links, links)
+}
+
 // NumRouters returns the number of vertices, clients included.
 func (g *Graph) NumRouters() int { return len(g.deg) }
 

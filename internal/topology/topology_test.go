@@ -272,6 +272,27 @@ func TestINETDeterminism(t *testing.T) {
 	}
 }
 
+// TestINETConnected: INET no longer checks its output, because preferential
+// attachment wires every router to an earlier one. Sparse and dense
+// parameters at many seeds must all come out connected.
+func TestINETConnected(t *testing.T) {
+	for _, n := range []int{4, 5, 100, 2000} {
+		for _, m := range []int{1, 2, 3} {
+			for seed := int64(1); seed <= 10; seed++ {
+				p := DefaultINET(n, seed)
+				p.EdgesPerNode, p.ExtraEdgeFrac = m, 0
+				g, err := INET(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !g.IsConnected() {
+					t.Fatalf("INET(%d routers, m=%d, seed %d) is disconnected", n, m, seed)
+				}
+			}
+		}
+	}
+}
+
 func TestINETTooSmall(t *testing.T) {
 	if _, err := INET(DefaultINET(2, 1)); err == nil {
 		t.Fatal("tiny INET should be rejected")
