@@ -108,9 +108,9 @@ type paramSetter interface {
 }
 
 // ExecOptions are execution parameters of a scenario run: knobs that change
-// how the run executes (parallelism, observability) but
-// never what it computes — every combination produces the identical trace
-// and report, which is what lets one golden corpus gate them all.
+// how the run executes (parallelism, observability) but never what it
+// computes — every combination produces the identical trace and report,
+// which is what lets one golden corpus gate them all.
 type ExecOptions struct {
 	// Shards is the event-loop shard count; 0 or 1 is sequential.
 	Shards int

@@ -69,10 +69,11 @@ type Config struct {
 //
 // When the scheduler is sharded, every vertex of the topology (routers and
 // client endpoints alike) is assigned to a shard by topology.PartitionLatency,
-// and all events touching a vertex's state execute on its shard. Packets hop from vertex to vertex;
-// a hop whose endpoints live on different shards is handed off through the
-// scheduler's cross-shard path, which the conservative lookahead (the
-// minimum cross-shard link latency) makes safe and deterministic.
+// and all events touching a vertex's state execute on its shard. Packets hop
+// from vertex to vertex; a hop whose endpoints live on different shards is
+// handed off through the scheduler's cross-shard path, which the
+// conservative lookahead (the minimum cross-shard link latency) makes safe
+// and deterministic.
 type Network struct {
 	sched  *Scheduler
 	graph  *topology.Graph

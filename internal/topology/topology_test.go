@@ -272,7 +272,7 @@ func TestINETDeterminism(t *testing.T) {
 	}
 }
 
-// TestINETConnected: INET no longer checks its output, because preferential
+// TestINETConnected: INET does not check its output, because preferential
 // attachment wires every router to an earlier one. Sparse and dense
 // parameters at many seeds must all come out connected.
 func TestINETConnected(t *testing.T) {
