@@ -1,5 +1,5 @@
 // Golden-trace regression corpus: every scenario in the corpus runs at
-// -shards=1, 2 and 4 and every output must be byte-identical to the
+// -shards=1 and -shards=4 and both outputs must be byte-identical to the
 // checked-in golden trace. This is the CI determinism gate — stronger than
 // the old self-diff step, because it pins behaviour across commits and
 // across shard counts, not just within one run.
@@ -19,6 +19,7 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/metrics"
 	"macedon/internal/scenario"
+	"macedon/internal/simnet"
 )
 
 // goldenScenarios lists the corpus: the PR 1 churn-partition scenario plus
@@ -52,7 +53,7 @@ func goldenOutput(rep *scenario.Report) string {
 func goldenShardCounts(t *testing.T) []int {
 	env := os.Getenv("MACEDON_GOLDEN_SHARDS")
 	if env == "" {
-		return []int{1, 2, 4}
+		return []int{1, 4}
 	}
 	var out []int
 	for _, f := range strings.Split(env, ",") {
@@ -93,6 +94,42 @@ func TestGoldenTraces(t *testing.T) {
 				}
 				if got != string(want) {
 					t.Fatalf("shards=%d output diverges from %s:\n%s",
+						shards, goldenPath, firstDiff(string(want), got))
+				}
+			}
+		})
+	}
+}
+
+// TestGoldenTracesLatencyPartitioner gates the latency placement, named
+// explicitly as simnet.PartitionerLatency the way the benchmark names it,
+// against the SAME golden files at shards 1, 2 and 4: vertex placement is
+// an execution parameter, and event order is defined by deterministic
+// (time, actor, seq) keys that never consult the assignment, so the
+// corpus must come out byte-for-byte at every shard count.
+func TestGoldenTracesLatencyPartitioner(t *testing.T) {
+	for _, name := range goldenScenarios {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			s, err := scenario.Load(filepath.Join("examples", "scenarios", name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			goldenPath := filepath.Join("testdata", "golden", name+".txt")
+			want, err := os.ReadFile(goldenPath)
+			if err != nil {
+				t.Fatalf("missing golden (run TestGoldenTraces with MACEDON_UPDATE_GOLDEN=1 first): %v", err)
+			}
+			for _, shards := range []int{1, 2, 4} {
+				rep, err := harness.RunScenarioExec(s, harness.ExecOptions{
+					Shards:      shards,
+					Partitioner: simnet.PartitionerLatency,
+				})
+				if err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				if got := goldenOutput(rep); got != string(want) {
+					t.Fatalf("latency placement, shards=%d diverges from %s:\n%s",
 						shards, goldenPath, firstDiff(string(want), got))
 				}
 			}
