@@ -16,8 +16,8 @@ import (
 	"macedon/internal/dsl"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/genpastry"
+	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/pastry"
 	"macedon/internal/repo"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
@@ -184,7 +184,7 @@ func BenchmarkAblationCacheLifetime(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				stack := []core.Factory{func() core.Agent { return &genpastry.Agent{CacheMs: c.cacheMs} }}
+				stack := []core.Factory{func() core.Agent { return &pastry.Agent{CacheMs: c.cacheMs} }}
 				if err := cl.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 					b.Fatal(err)
 				}
@@ -227,7 +227,7 @@ func BenchmarkAblationFailureDetector(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				stack := []core.Factory{genchord.New()}
+				stack := []core.Factory{chord.New()}
 				if err := cl.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 					b.Fatal(err)
 				}

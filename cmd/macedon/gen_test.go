@@ -18,12 +18,19 @@ func runGenCaptured(t *testing.T, args ...string) (code int, stdout, stderr stri
 	return code, stdout, stderr
 }
 
-// TestGenChordSummaryAndOutput: `macedon gen -o` on specs/chord.mac reports
-// what it translated on standard error and writes exactly the committed
-// generated package.
+// TestGenChordSummaryAndOutput: `macedon gen -o DIR`, run at a module's
+// root, on specs/chord.mac reports what it translated on standard error,
+// writes exactly the committed generated package to DIR/chord/chord.go, and
+// writes the registry of the one spec, named for DIR and importing the
+// package from DIR's place in the module.
 func TestGenChordSummaryAndOutput(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "genchord.go")
-	code, stdout, stderr := runGenCaptured(t, "-pkg", "genchord", "-o", out, repo.Path("specs", "chord.mac"))
+	spec, committed := repo.Path("specs", "chord.mac"), repo.Path("internal", "overlays", "chord", "chord.go")
+	mod := t.TempDir()
+	if err := os.WriteFile(filepath.Join(mod, "go.mod"), []byte("module macedon\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(mod)
+	code, stdout, stderr := runGenCaptured(t, "-o", "protos", spec)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
@@ -33,16 +40,25 @@ func TestGenChordSummaryAndOutput(t *testing.T) {
 	if stdout != "" {
 		t.Errorf("gen -o also wrote %d bytes to stdout", len(stdout))
 	}
-	got, err := os.ReadFile(out)
+	got, err := os.ReadFile(filepath.Join("protos", "chord", "chord.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed, err := os.ReadFile(repo.Path("internal", "overlays", "genchord", "genchord.go"))
+	want, err := os.ReadFile(committed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != string(committed) {
-		t.Error("gen -o output differs from internal/overlays/genchord/genchord.go")
+	if string(got) != string(want) {
+		t.Error("gen -o output differs from internal/overlays/chord/chord.go")
+	}
+	reg, err := os.ReadFile(filepath.Join("protos", "protos.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"package protos\n", "\t\"macedon/protos/chord\"\n", "\"chord\": {\"\", map[string]int{}, chord.New()},\n"} {
+		if !strings.Contains(string(reg), want) {
+			t.Errorf("registry lacks %q:\n%s", want, reg)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	macedon check spec.mac...            validate specifications
-//	macedon gen -pkg name spec.mac       generate a Go agent to stdout
+//	macedon gen [-o DIR] spec.mac...     generate Go agents: one to stdout, or DIR/<protocol>/ and the registry
 //	macedon loc spec.mac...              count specification lines (Figure 7)
 //	macedon scenario [-trace] [-shards N] file.json  run a churn/failure/workload scenario
 //	macedon sweep [-shards N] [-json] sweep.json     run a shared-prefix parameter sweep
@@ -17,10 +17,12 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"go/format"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 
@@ -96,53 +98,77 @@ func runCheck(args []string) int {
 
 func runGen(args []string) int {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
-	pkg := fs.String("pkg", "", "generated package name (default gen<protocol>)")
-	out := fs.String("o", "", "output file (default stdout)")
+	out := fs.String("o", "", "write DIR/<protocol>/<protocol>.go per spec and the registry DIR/<base of DIR>.go, DIR relative to the module root gen runs at (default: one spec to stdout)")
 	_ = fs.Parse(args)
-	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "macedon gen: exactly one specification required")
+	paths := fs.Args()
+	if len(paths) == 0 || *out == "" && len(paths) != 1 {
+		fmt.Fprintln(os.Stderr, "macedon gen: one specification, or -o DIR and any number")
 		return 2
 	}
-	path := fs.Arg(0)
-	src, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-		return 1
+	specs := make([]*dsl.Spec, len(paths))
+	for i, path := range paths {
+		src, err := os.ReadFile(path)
+		if err == nil {
+			specs[i], err = dsl.Parse(string(src))
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
+			return 1
+		}
 	}
-	spec, err := dsl.Parse(string(src))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-		return 1
-	}
-	name := *pkg
-	if name == "" {
-		name = "gen" + spec.Name
-	}
-	res, err := codegen.Generate(spec, name)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-		return 1
+	if *out != "" {
+		// Generated code imports macedon/internal/core: gen runs at this
+		// module's root, and DIR is a path under it.
+		importDir := path.Join("macedon", filepath.ToSlash(*out))
+		reg, err := codegen.Registry(specs, paths, importDir)
+		if err == nil && !filepath.IsLocal(*out) {
+			err = fmt.Errorf("-o %s is not a path under the module root", *out)
+		}
+		if err == nil {
+			err = writeGo(filepath.Join(*out, path.Base(importDir)+".go"), reg)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "macedon gen: %v\n", err)
+			return 1
+		}
 	}
 	code := 0
-	formatted, err := format.Source([]byte(res.Source))
-	if err != nil {
-		// Emit the unformatted source so the bug is debuggable, but fail: it
-		// is not Go.
-		fmt.Fprintf(os.Stderr, "%s: generated source does not parse: %v\n", path, err)
-		formatted, code = []byte(res.Source), 1
-	}
-	// Per-spec summary: what was translated, without grepping the output.
-	fmt.Fprintf(os.Stderr, "%s: protocol %s: %d transitions, %d statements translated\n",
-		path, spec.Name, res.Transitions, res.Translated)
-	if *out == "" {
-		fmt.Print(string(formatted))
-		return code
-	}
-	if err := os.WriteFile(*out, formatted, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", *out, err)
-		return 1
+	for i, spec := range specs {
+		res, err := codegen.Generate(spec, spec.Name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", paths[i], err)
+			return 1
+		}
+		// Per-spec summary: what was translated, without grepping the output.
+		fmt.Fprintf(os.Stderr, "%s: protocol %s: %d transitions, %d statements translated\n",
+			paths[i], spec.Name, res.Transitions, res.Translated)
+		file := ""
+		if *out != "" {
+			file = filepath.Join(*out, spec.Name, spec.Name+".go")
+		}
+		if err := writeGo(file, res.Source); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", paths[i], err)
+			code = 1
+		}
 	}
 	return code
+}
+
+// writeGo formats src and writes it to file, making its directory, or to
+// stdout when file is "". Source that does not format is written as it is,
+// so the bug is debuggable, and reported: it is not Go.
+func writeGo(file, src string) error {
+	formatted, errFmt := format.Source([]byte(src))
+	if errFmt != nil {
+		formatted, errFmt = []byte(src), fmt.Errorf("generated source does not parse: %w", errFmt)
+	}
+	var err error
+	if file == "" {
+		_, err = os.Stdout.Write(formatted)
+	} else if err = os.MkdirAll(filepath.Dir(file), 0o755); err == nil {
+		err = os.WriteFile(file, formatted, 0o644)
+	}
+	return cmp.Or(err, errFmt)
 }
 
 func runLoc(args []string) int {

@@ -1,4 +1,4 @@
-// Conformance gates for generated protocols: the genchord and genpastry
+// Conformance gates for generated protocols: the chord and pastry
 // agents emitted by `macedon gen` from specs/chord.mac and specs/pastry.mac
 // must pass routing-oracle correctness checks under churn — the ring (or
 // leaf set) every node converges to must match a global-knowledge oracle,
@@ -19,8 +19,8 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/genpastry"
+	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/pastry"
 )
 
 const (
@@ -129,7 +129,7 @@ func TestGenChordRoutingOracleChurn(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			stack := []core.Factory{genchord.New()}
+			stack := []core.Factory{chord.New()}
 			c := confChurn(t, shards, stack)
 			defer c.StopAll()
 
@@ -141,7 +141,7 @@ func TestGenChordRoutingOracleChurn(t *testing.T) {
 				var succs []overlay.Address
 				var fingers []overlay.Address
 				n.Exec(func() {
-					ag := n.Instance("chord").Agent().(*genchord.Agent)
+					ag := n.Instance("chord").Agent().(*chord.Agent)
 					succs = append([]overlay.Address(nil), ag.Succs...)
 					fingers = append([]overlay.Address(nil), ag.Fingers[:]...)
 				})
@@ -163,7 +163,7 @@ func TestGenChordRoutingOracleChurn(t *testing.T) {
 		})
 	}
 	if len(traces) == 2 && traces[0] != traces[1] {
-		t.Errorf("genchord conformance run differs between shard counts:\n--- shards=1\n%s\n--- shards=4\n%s", traces[0], traces[1])
+		t.Errorf("chord conformance run differs between shard counts:\n--- shards=1\n%s\n--- shards=4\n%s", traces[0], traces[1])
 	}
 }
 
@@ -186,7 +186,7 @@ func TestGenPastryRoutingOracleChurn(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			stack := []core.Factory{genpastry.New()}
+			stack := []core.Factory{pastry.New()}
 			c := confChurn(t, shards, stack)
 			defer c.StopAll()
 
@@ -228,7 +228,7 @@ func TestGenPastryRoutingOracleChurn(t *testing.T) {
 				n := c.Nodes[addr]
 				var leafset []overlay.Address
 				n.Exec(func() {
-					ag := n.Instance("pastry").Agent().(*genpastry.Agent)
+					ag := n.Instance("pastry").Agent().(*pastry.Agent)
 					leafset = append([]overlay.Address(nil), ag.Leafset...)
 				})
 				wantSucc, wantPred := ringSucc(addr), ringPred(addr)
@@ -254,6 +254,6 @@ func TestGenPastryRoutingOracleChurn(t *testing.T) {
 		})
 	}
 	if len(traces) == 2 && traces[0] != traces[1] {
-		t.Errorf("genpastry conformance run differs between shard counts:\n--- shards=1\n%s\n--- shards=4\n%s", traces[0], traces[1])
+		t.Errorf("pastry conformance run differs between shard counts:\n--- shards=1\n%s\n--- shards=4\n%s", traces[0], traces[1])
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
+	"macedon/internal/overlays/chord"
 )
 
 // Application payload types.
@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stack := []core.Factory{genchord.New()}
+	stack := []core.Factory{chord.New()}
 	if err := cluster.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		log.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/genpastry"
-	"macedon/internal/overlays/genscribe"
+	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/pastry"
+	"macedon/internal/overlays/scribe"
 )
 
 func run(name string, stack []core.Factory) {
@@ -50,9 +50,9 @@ func run(name string, stack []core.Factory) {
 }
 
 func main() {
-	scribe := func() core.Agent { return &genscribe.Agent{RefreshMs: 5000} }
+	multicast := func() core.Agent { return &scribe.Agent{RefreshMs: 5000} }
 	// "protocol scribe uses pastry"
-	run("pastry", []core.Factory{genpastry.New(), scribe})
+	run("pastry", []core.Factory{pastry.New(), multicast})
 	// "protocol scribe uses chord" — the one-line change.
-	run("chord", []core.Factory{genchord.New(), scribe})
+	run("chord", []core.Factory{chord.New(), multicast})
 }

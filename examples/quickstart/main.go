@@ -11,7 +11,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
+	"macedon/internal/overlays/chord"
 )
 
 func main() {
@@ -25,7 +25,7 @@ func main() {
 
 	// Every node runs a one-protocol stack: the Chord agent generated from
 	// specs/chord.mac.
-	stack := []core.Factory{genchord.New()}
+	stack := []core.Factory{chord.New()}
 	if err := cluster.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		log.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func main() {
 	}
 	// Generated Pastry (cache_ms 0: no cache evictions), Scribe with a
 	// fan-out of 16, and SplitStream's 16 stripes.
-	stack, err := harness.ScenarioStack("splitstream")
+	stack, err := harness.StackWithParams("splitstream", nil)
 	if err != nil {
 		log.Fatal(err)
 	}

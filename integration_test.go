@@ -11,9 +11,9 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/genpastry"
-	"macedon/internal/overlays/genscribe"
+	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/pastry"
+	"macedon/internal/overlays/scribe"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 )
@@ -28,7 +28,7 @@ func TestChordUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := []core.Factory{genchord.New()}
+	stack := []core.Factory{chord.New()}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestScribeTreeSurvivesForwarderFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	stack := []core.Factory{
-		genpastry.New(),
-		func() core.Agent { return &genscribe.Agent{RefreshMs: 5000, MaxChildren: 2} },
+		pastry.New(),
+		func() core.Agent { return &scribe.Agent{RefreshMs: 5000, MaxChildren: 2} },
 	}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestScribeTreeSurvivesForwarderFailure(t *testing.T) {
 	// Find and kill an interior forwarder (a non-root node with children).
 	var victim overlay.Address
 	for _, a := range c.Addrs[1:] {
-		sc := core.KeyRead(c.Nodes[a].Instance("scribe").Agent().(*genscribe.Agent).Groups, group)
+		sc := core.KeyRead(c.Nodes[a].Instance("scribe").Agent().(*scribe.Agent).Groups, group)
 		if len(sc.Children.Addrs) > 0 && sc.Parent != overlay.NilAddress {
 			victim = a
 			break
@@ -163,7 +163,7 @@ func TestChordRoutingUnderPacketLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := []core.Factory{genchord.New()}
+	stack := []core.Factory{chord.New()}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
 	}

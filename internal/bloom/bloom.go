@@ -8,7 +8,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
-	"math"
 )
 
 // Filter is a fixed-size bloom filter with k independent hash functions
@@ -29,24 +28,6 @@ func New(m, k int) *Filter {
 	}
 	words := (m + 63) / 64
 	return &Filter{bits: make([]uint64, words), m: uint32(words * 64), k: uint32(k)}
-}
-
-// NewForCapacity returns a filter sized for n elements at approximately the
-// given false-positive rate, using the standard optimal geometry
-// m = -n·ln(p)/ln(2)², k = (m/n)·ln(2).
-func NewForCapacity(n int, p float64) *Filter {
-	if n <= 0 {
-		n = 1
-	}
-	if p <= 0 || p >= 1 {
-		p = 0.01
-	}
-	m := int(math.Ceil(-float64(n) * math.Log(p) / (math.Ln2 * math.Ln2)))
-	k := int(math.Round(float64(m) / float64(n) * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	return New(m, k)
 }
 
 // M returns the number of bits in the filter.
@@ -101,20 +82,6 @@ func (f *Filter) Clear() {
 	f.nAdded = 0
 }
 
-// Union merges other into f. Both filters must share geometry; Union returns
-// an error otherwise. Bullet's collect pass unions child summaries on the way
-// up the tree.
-func (f *Filter) Union(other *Filter) error {
-	if f.m != other.m || f.k != other.k {
-		return errors.New("bloom: mismatched filter geometry")
-	}
-	for i := range f.bits {
-		f.bits[i] |= other.bits[i]
-	}
-	f.nAdded += other.nAdded
-	return nil
-}
-
 // EstimateDisjointness returns the fraction of set bits in other that are
 // clear in f — a cheap proxy for how much data the other node holds that
 // this node lacks. Bullet ranks candidate mesh peers by this score.
@@ -132,15 +99,6 @@ func (f *Filter) EstimateDisjointness(other *Filter) float64 {
 		return 0
 	}
 	return float64(fresh) / float64(theirs)
-}
-
-// FillRatio returns the fraction of bits set, an indicator of saturation.
-func (f *Filter) FillRatio() float64 {
-	var set int
-	for _, w := range f.bits {
-		set += popcount(w)
-	}
-	return float64(set) / float64(f.m)
 }
 
 func popcount(x uint64) int {

@@ -40,9 +40,12 @@ func TestNoFalseNegativesQuick(t *testing.T) {
 	}
 }
 
+// TestFalsePositiveRate: a filter of the optimal geometry for n = 1000
+// elements at a 1 % false-positive rate, m = -n·ln(p)/ln(2)² = 9,586 bits and
+// k = (m/n)·ln(2) ≈ 7 hash functions, stays near that rate.
 func TestFalsePositiveRate(t *testing.T) {
 	const n = 1000
-	f := NewForCapacity(n, 0.01)
+	f := New(9586, 7)
 	rng := rand.New(rand.NewSource(1))
 	inserted := make(map[uint64]bool, n)
 	for len(inserted) < n {
@@ -72,24 +75,8 @@ func TestClear(t *testing.T) {
 	f.Add(1)
 	f.Add(2)
 	f.Clear()
-	if f.Count() != 0 || f.FillRatio() != 0 {
-		t.Fatalf("Clear left state: count=%d fill=%f", f.Count(), f.FillRatio())
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a, b := New(256, 3), New(256, 3)
-	a.Add(1)
-	b.Add(2)
-	if err := a.Union(b); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Contains(1) || !a.Contains(2) {
-		t.Fatal("union lost elements")
-	}
-	mismatched := New(128, 3)
-	if err := a.Union(mismatched); err == nil {
-		t.Fatal("union of mismatched geometry should fail")
+	if f.Count() != 0 || f.Contains(1) || f.Contains(2) {
+		t.Fatalf("Clear left state: count=%d contains(1)=%v contains(2)=%v", f.Count(), f.Contains(1), f.Contains(2))
 	}
 }
 
@@ -158,11 +145,4 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 		}
 	}()
 	New(0, 0)
-}
-
-func TestNewForCapacityDefaults(t *testing.T) {
-	f := NewForCapacity(0, 2.0) // nonsense inputs get sane defaults
-	if f.M() <= 0 || f.K() <= 0 {
-		t.Fatalf("bad geometry: m=%d k=%d", f.M(), f.K())
-	}
 }

@@ -9,7 +9,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
+	"macedon/internal/overlays/chord"
 )
 
 // TestExtractGeneratedChordRing: on a settled generated Chord ring, Extract
@@ -22,7 +22,7 @@ func TestExtractGeneratedChordRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.StopAll)
-	stack := []core.Factory{genchord.New()}
+	stack := []core.Factory{chord.New()}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,10 @@
 //
 // A construct outside the subset is an error at its line and column. Every
 // spec under specs/ translates, and its output is committed under
-// internal/overlays/gen<name>, kept in sync by a test. The pipeline
-// walkthrough is docs/codegen.md; the language reference is
-// docs/maclang.md.
+// internal/overlays/<name>, beside the registry (Registry) that resolves a
+// scenario's protocol name through the specs' `uses` lines; a test keeps
+// both in sync. The pipeline walkthrough is docs/codegen.md; the language
+// reference is docs/maclang.md.
 package codegen
 
 import (

@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -68,7 +69,7 @@ func TestGeneratedSourcesParse(t *testing.T) {
 	for _, path := range paths {
 		name := filepath.Base(path)
 		spec := loadSpec(t, name)
-		res, err := Generate(spec, "gen"+spec.Name)
+		res, err := Generate(spec, spec.Name)
 		if err != nil {
 			t.Errorf("%s: generate: %v", name, err)
 			continue
@@ -108,7 +109,7 @@ transitions {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Generate(spec, "genp")
+	res, err := Generate(spec, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,17 +128,17 @@ transitions {
 	typeCheck(t, res.Source)
 }
 
-// typeCheck fails the test unless src, a generated package genp, parses
+// typeCheck fails the test unless src, a generated package p, parses
 // and type-checks against the engine's packages.
 func typeCheck(t *testing.T, src string) {
 	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "genp.go", src, 0)
+	f, err := parser.ParseFile(fset, "p.go", src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	if _, err := conf.Check("genp", fset, []*ast.File{f}, nil); err != nil {
+	if _, err := conf.Check("p", fset, []*ast.File{f}, nil); err != nil {
 		t.Fatalf("generated source does not type-check: %v\n%s", err, src)
 	}
 }
@@ -170,7 +171,7 @@ transitions {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Generate(spec, "genp")
+	res, err := Generate(spec, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ transitions {
 }
 
 // bundled is every spec under specs/ and the package its code is committed
-// in: internal/overlays/gen<protocol>.
+// in: internal/overlays/<protocol>.
 type bundled struct{ spec, pkg string }
 
 func bundledSpecs(t *testing.T) []bundled {
@@ -203,7 +204,7 @@ func bundledSpecs(t *testing.T) []bundled {
 	var out []bundled
 	for _, path := range paths {
 		name := filepath.Base(path)
-		out = append(out, bundled{name, "gen" + loadSpec(t, name).Name})
+		out = append(out, bundled{name, loadSpec(t, name).Name})
 	}
 	return out
 }
@@ -228,55 +229,62 @@ func TestFullyTranslatedSpecs(t *testing.T) {
 }
 
 // TestCheckedInGeneratedPackagesAreFresh regenerates the package of every
-// spec under specs/ in process and compares it byte for byte with the tree,
-// so tier-1 catches a spec that no longer translates, a hand edit or a
-// forgotten regeneration: the generator and its outputs can never drift
-// apart. Every other directory under internal/overlays holds only tests, so
-// a protocol written by hand beside the generated ones fails here too.
+// spec under specs/, and the registry over all of them, in process and
+// compares each byte for byte with the tree, so tier-1 catches a spec that no
+// longer translates, a hand edit or a forgotten regeneration: the generator
+// and its outputs can never drift apart. Every other file under
+// internal/overlays, its top level included, must be a test, so a protocol
+// or a stack written by hand beside the generated ones fails here too.
 func TestCheckedInGeneratedPackagesAreFresh(t *testing.T) {
-	generated := map[string]bool{}
+	const regen = "`go run ./cmd/macedon gen -o internal/overlays specs/*.mac`"
+	fresh := func(rel, src string) {
+		t.Helper()
+		formatted, err := format.Source([]byte(src))
+		if err != nil {
+			t.Fatalf("%s: generated source does not format: %v", rel, err)
+		}
+		committed, err := os.ReadFile(repo.Path("internal", "overlays", rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(committed) != string(formatted) {
+			t.Errorf("internal/overlays/%s differs from the generator's output (never edit it by hand): run %s", rel, regen)
+		}
+	}
+	generated := map[string]bool{"overlays.go": true}
+	var specs []*dsl.Spec
+	var files []string
 	for _, c := range bundledSpecs(t) {
-		generated[c.pkg] = true
+		rel := filepath.Join(c.pkg, c.pkg+".go")
+		generated[rel] = true
 		spec := loadSpec(t, c.spec)
+		specs, files = append(specs, spec), append(files, c.spec)
 		res, err := Generate(spec, c.pkg)
 		if err != nil {
 			t.Errorf("%s: %v", c.spec, err)
 			continue
 		}
-		formatted, err := format.Source([]byte(res.Source))
-		if err != nil {
-			t.Fatalf("%s: generated source does not format: %v", c.spec, err)
-		}
-		committed, err := os.ReadFile(repo.Path("internal", "overlays", c.pkg, c.pkg+".go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(committed) != string(formatted) {
-			t.Errorf("internal/overlays/%s differs from the generator's output (never edit it by hand): run "+
-				"`go run ./cmd/macedon gen -pkg %s -o internal/overlays/%s/%s.go specs/%s`",
-				c.pkg, c.pkg, c.pkg, c.pkg, c.spec)
-		}
+		fresh(rel, res.Source)
 	}
-	dirs, err := os.ReadDir(repo.Path("internal", "overlays"))
+	reg, err := Registry(specs, files, "macedon/internal/overlays")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range dirs {
-		if !d.IsDir() {
-			continue
+	fresh("overlays.go", reg)
+	root := repo.Path("internal", "overlays")
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-		files, err := os.ReadDir(repo.Path("internal", "overlays", d.Name()))
-		if err != nil {
-			t.Fatal(err)
+		rel, _ := filepath.Rel(root, path)
+		if !generated[rel] && !strings.HasSuffix(rel, "_test.go") {
+			t.Errorf("internal/overlays/%s is neither generated from a spec nor a test: "+
+				"a protocol is written as a spec under specs/ and generated", rel)
 		}
-		for _, f := range files {
-			name := f.Name()
-			if generated[d.Name()] && name == d.Name()+".go" || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			t.Errorf("internal/overlays/%s/%s is neither generated from a spec nor a test: "+
-				"a protocol is written as a spec under specs/ and generated", d.Name(), name)
-		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -316,7 +324,7 @@ transitions { any recv m { buffer b = field(payload); last = field(payload); las
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Generate(spec, "genp")
+	res, err := Generate(spec, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +357,7 @@ transitions { any recv m { send m(neighbor_first(parent), x = field(x)); } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Generate(spec, "genp")
+	res, err := Generate(spec, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +367,7 @@ transitions { any recv m { send m(neighbor_first(parent), x = field(x)); } }
 	if strings.Contains(res.Source, "ctx.Rand()") {
 		t.Errorf("generated source mentions ctx.Rand(), but the spec never draws:\n%s", res.Source)
 	}
-	chord, err := Generate(loadSpec(t, "chord.mac"), "genchord")
+	chord, err := Generate(loadSpec(t, "chord.mac"), "chord")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,11 +409,11 @@ transitions {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Generate(spec, "genp")
+	res, err := Generate(spec, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := parser.ParseFile(token.NewFileSet(), "genp.go", res.Source, 0); err != nil {
+	if _, err := parser.ParseFile(token.NewFileSet(), "p.go", res.Source, 0); err != nil {
 		t.Fatalf("generated source does not parse: %v", err)
 	}
 	for _, want := range []string{
@@ -435,7 +443,7 @@ transitions { any recv m { some_c_function(a, b); } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Generate(spec, "genp")
+	res, err := Generate(spec, "p")
 	const want = `codegen: 5:28: unknown primitive statement "some_c_function"`
 	if err == nil || err.Error() != want {
 		t.Fatalf("error %v, want %s", err, want)
@@ -468,7 +476,7 @@ transitions {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Generate(spec, "genp")
+	res, err := Generate(spec, "p")
 	const want = `codegen: 8:5: unknown primitive statement "frobnicate"`
 	if err == nil || err.Error() != want {
 		t.Fatalf("error %v, want %s", err, want)
@@ -504,7 +512,7 @@ transitions {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Generate(spec, "genp"); err == nil || err.Error() != c.want {
+		if _, err := Generate(spec, "p"); err == nil || err.Error() != c.want {
 			t.Errorf("%s: error %v, want %s", c.stmt, err, c.want)
 		}
 	}
@@ -567,7 +575,7 @@ func generateCollectionSpec(t *testing.T) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Generate(spec, "genp")
+	res, err := Generate(spec, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -753,7 +761,7 @@ func TestGenerateErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d should parse: %v", i, err)
 		}
-		if _, err := Generate(spec, "genp"); err == nil {
+		if _, err := Generate(spec, "p"); err == nil {
 			t.Errorf("case %d: expected generation error", i)
 		}
 	}
@@ -803,7 +811,7 @@ transitions {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Generate(spec, "genp")
+	res, err := Generate(spec, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -870,7 +878,7 @@ transitions {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Generate(spec, "genp")
+	res, err := Generate(spec, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -914,7 +922,7 @@ transitions { any API leave { foreach (g in t) { t[g].n = 1; } } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Generate(spec, "genp")
+	res, err := Generate(spec, "p")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestRoutingMethod(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", decl, err)
 		}
-		res, err := Generate(spec, "genp")
+		res, err := Generate(spec, "p")
 		if err != nil {
 			t.Fatalf("%s: %v", decl, err)
 		}
@@ -101,7 +101,7 @@ func TestRoutingMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Generate(spec, "genp")
+	res, err := Generate(spec, "p")
 	if err != nil {
 		t.Fatal(err)
 	}

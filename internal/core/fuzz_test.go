@@ -7,16 +7,16 @@ import (
 
 	"macedon/internal/core"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/genpastry"
-	"macedon/internal/overlays/genrandtree"
+	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/pastry"
+	"macedon/internal/overlays/randtree"
 )
 
 // fuzzInstances are one instance of each generated protocol, detached from
 // any network: the receive paths a hostile frame meets first.
 func fuzzInstances(f *testing.F) []*core.Instance {
 	var insts []*core.Instance
-	for _, fac := range []core.Factory{genchord.New(), genpastry.New(), genrandtree.New()} {
+	for _, fac := range []core.Factory{chord.New(), pastry.New(), randtree.New()} {
 		inst, err := core.DetachedInstance(fac())
 		if err != nil {
 			f.Fatal(err)
@@ -64,7 +64,7 @@ func populate(m overlay.Message) {
 // FuzzDecodeMessage feeds arbitrary frames to the generated protocols'
 // receive path: the instance's decode, which reads with the node's one Reader
 // into the instance's one receive slot per message type. Seed corpus: one
-// populated instance of every message genchord, genpastry and genrandtree
+// populated instance of every message chord, pastry and randtree
 // register. Properties: decoding never panics; whatever decodes re-encodes to
 // a frame that decodes to the same message (decode∘encode is the identity on
 // the codec's image); and a slot, Reader and Writer that earlier messages went

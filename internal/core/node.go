@@ -31,7 +31,7 @@ type Config struct {
 	// Net supplies the clock and datagram endpoint.
 	Net substrate.Network
 	// Stack lists the protocol factories, lowest layer first. "protocol
-	// scribe uses pastry" is Stack{genpastry.New(), genscribe.New()}.
+	// scribe uses pastry" is Stack{pastry.New(), scribe.New()}.
 	Stack []Factory
 	// Bootstrap is the well-known bootstrap node passed to init transitions.
 	Bootstrap overlay.Address

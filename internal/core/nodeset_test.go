@@ -10,7 +10,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
+	"macedon/internal/overlays/chord"
 )
 
 // TestGenChordSuccsOwnTheirArray: the engine decodes a generated message's
@@ -27,16 +27,16 @@ func TestGenChordSuccsOwnTheirArray(t *testing.T) {
 	}
 	t.Cleanup(c.StopAll)
 	for i := range 6 {
-		c.SpawnAt(i, []core.Factory{genchord.New()}, time.Duration(i)*300*time.Millisecond)
+		c.SpawnAt(i, []core.Factory{chord.New()}, time.Duration(i)*300*time.Millisecond)
 	}
 	c.RunFor(30 * time.Second)
 	node := c.Nodes[c.Addrs[0]]
 	node.Exec(func() {
 		inst := node.Instance("chord")
-		a := inst.Agent().(*genchord.Agent)
+		a := inst.Agent().(*chord.Agent)
 		id, ok := core.DefOf(inst).Registry().ID("get_pred_resp")
 		if !ok {
-			t.Fatal("genchord registers no get_pred_resp")
+			t.Fatal("chord registers no get_pred_resp")
 		}
 		slot := core.RxSlot(inst, "get_pred_resp")
 		if slot == nil {

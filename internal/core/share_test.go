@@ -7,8 +7,8 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/genscribe"
+	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/scribe"
 )
 
 // captureProto defines its FSM the way an agent written against the engine
@@ -52,7 +52,7 @@ func TestGeneratedAgentsShareOneDef(t *testing.T) {
 		for i := range idx {
 			idx[i] = i
 		}
-		if err := c.SpawnBatch(idx, []core.Factory{genchord.New()}); err != nil {
+		if err := c.SpawnBatch(idx, []core.Factory{chord.New()}); err != nil {
 			t.Fatal(err)
 		}
 		shared := defOf(c.Nodes[c.Addrs[0]], "chord")
@@ -61,12 +61,12 @@ func TestGeneratedAgentsShareOneDef(t *testing.T) {
 				t.Fatalf("node %v dispatches through a Def of its own", a)
 			}
 		}
-		detached, err := core.DetachedInstance(genchord.New()())
+		detached, err := core.DetachedInstance(chord.New()())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if core.DefOf(detached) != shared {
-			t.Fatal("a later genchord instance built another Def")
+			t.Fatal("a later chord instance built another Def")
 		}
 	})
 
@@ -95,8 +95,8 @@ func TestGeneratedAgentsShareOneDef(t *testing.T) {
 	t.Run("GeneratedParams", func(t *testing.T) {
 		var defs []*core.Def
 		for _, ms := range []int32{1000, 20000} {
-			a := genscribe.New()()
-			a.(*genscribe.Agent).SetParam("refresh_ms", ms)
+			a := scribe.New()()
+			a.(*scribe.Agent).SetParam("refresh_ms", ms)
 			inst, err := core.DetachedInstance(a)
 			if err != nil {
 				t.Fatal(err)
@@ -140,7 +140,7 @@ func TestGeneratedAgentsShareOneDef(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.StopAll)
-		stack := []core.Factory{genchord.New()}
+		stack := []core.Factory{chord.New()}
 		if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 			t.Fatal(err)
 		}

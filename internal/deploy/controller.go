@@ -521,7 +521,7 @@ func (c *controller) NetStats() simnet.Stats {
 
 // Routing is the routing kind the agents' stack declares.
 func (c *controller) Routing() string {
-	stack, _ := harness.ScenarioStack(c.s.ProtocolName()) // resolved when the run began
+	stack, _ := harness.StackWithParams(c.s.ProtocolName(), nil) // resolved when the run began
 	return core.StackRouting(stack)
 }
 

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"macedon/internal/harness"
-	"macedon/internal/overlays/genchord"
+	"macedon/internal/overlays/chord"
 	"macedon/internal/scenario"
 )
 
@@ -77,7 +77,7 @@ func TestPollKeepsRepliesPastAStalledAgent(t *testing.T) {
 	pollTimeout = 100 * time.Millisecond
 
 	s := &scenario.Scenario{
-		Name: "poll", Seed: 1, Nodes: 3, Routers: 30, Protocol: "genchord",
+		Name: "poll", Seed: 1, Nodes: 3, Routers: 30, Protocol: "chord",
 		Phases: []scenario.Phase{{Name: "only", Duration: scenario.Duration(time.Second)}},
 	}
 	sched, err := scenario.Compile(s)
@@ -162,7 +162,7 @@ func TestAgentConfigCarriesParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag, ok := stack[0]().(*genchord.Agent)
+	ag, ok := stack[0]().(*chord.Agent)
 	if !ok || ag.FixMs != 20000 || ag.FixAdaptive != 1 {
 		t.Fatalf("agent config %s builds %+v, want fix_ms 20000 and fix_adaptive 1", b, ag)
 	}

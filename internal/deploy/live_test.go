@@ -135,7 +135,7 @@ func deliveryPct(r *scenario.Report) float64 {
 }
 
 // TestLiveSmokeGenchordVsSim is the CI live-smoke acceptance: a 16-node
-// genchord deployment on localhost processes runs the churn+lookup
+// chord deployment on localhost processes runs the churn+lookup
 // scenario, must deliver ≥99% of lookups, and must agree with the
 // emulated run of the identical scenario within the conformance
 // tolerances (delivery within 2 points, mean hops within 15%).
@@ -264,7 +264,7 @@ func TestLiveShapingPartition(t *testing.T) {
 		Seed:           99,
 		Nodes:          8,
 		Routers:        80,
-		Protocol:       "genchord",
+		Protocol:       "chord",
 		Join:           scenario.JoinSpec{Process: "staggered", Window: scenario.Duration(6e9)},
 		Settle:         scenario.Duration(20e9),
 		Drain:          scenario.Duration(5e9),

@@ -83,8 +83,8 @@ type AgentConfig struct {
 	Addr uint32 `json:"addr"`
 	// Bootstrap is the well-known bootstrap address (node 0's).
 	Bootstrap uint32 `json:"bootstrap"`
-	// Protocol names the stack (harness.ScenarioStack), and Params are the
-	// scenario's params its agents are built with (harness.StackWithParams).
+	// Protocol names the stack and Params are the scenario's params its
+	// agents are built with (harness.StackWithParams).
 	Protocol string         `json:"protocol"`
 	Params   map[string]int `json:"params,omitempty"`
 	// Table maps every fleet address (decimal string) to "host:port".

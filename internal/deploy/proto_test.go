@@ -38,7 +38,7 @@ func FuzzRecv(f *testing.F) {
 	for _, m := range []*Msg{
 		{Kind: KindHello, Hello: &Hello{Node: 7, Pid: 1234}},
 		{Kind: KindOp, Op: &OpCmd{ID: 42, Kind: "lookup", Key: 0xdeadbeef, Size: 64}},
-		{Kind: KindConfig, Config: &AgentConfig{Node: 1, Protocol: "genchord",
+		{Kind: KindConfig, Config: &AgentConfig{Node: 1, Protocol: "chord",
 			Params: map[string]int{"fix": 2}, Table: map[string]string{"1": "127.0.0.1:41000"}}},
 		{Kind: KindShape, Shape: &ShapeCmd{Rules: []PeerRule{{Peer: 3, Loss: 0.25}}, Default: &PeerRule{Drop: true}}},
 		{Kind: KindMetrics, Metrics: &Metrics{MsgsSent: 9, Expo: "# TYPE x counter\nx 1\n"},

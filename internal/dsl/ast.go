@@ -4,10 +4,11 @@
 // the code generator (internal/codegen), which emits Go agents for the
 // engine.
 //
-// A specification declares a protocol header (name, optional base layer,
-// addressing mode, trace level), constants, FSM states, neighbor types,
-// transports, messages, auxiliary data (scalars, timers, neighbor lists,
-// and the indexed collections nodeset/nodetable/keymap), a routing
+// A specification declares a protocol header (name, optional base layer and
+// the int params it sets on it, addressing mode, trace level), constants,
+// FSM states, neighbor types, transports, messages, auxiliary data (scalars,
+// timers, neighbor lists, and the indexed collections
+// nodeset/nodetable/keymap), a routing
 // declaration naming the variables that hold the routing state, and guarded
 // transitions whose bodies are written in a C-like action language:
 // assignments, handler-scoped locals, if/else, foreach over collections,
@@ -28,8 +29,12 @@ import (
 
 // Spec is a parsed PROTOCOL SPECIFICATION.
 type Spec struct {
-	Name       string // protocol name
-	Uses       string // base protocol for layering ("" when lowest)
+	Name    string // protocol name
+	Uses    string // base protocol for layering ("" when lowest)
+	UsesPos Pos    // the base's name in the header
+	// BaseParams are the values the header sets on the base's int params,
+	// each an int literal or int constant: `uses scribe(max_children = 16)`.
+	BaseParams []Constant
 	Addressing string // "hash" (default) or "ip"
 	Trace      string // "off" (default), "low", "med", "high"
 	Pos        Pos    // the protocol header

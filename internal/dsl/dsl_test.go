@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,6 +105,41 @@ transitions {
 	}
 	if spec.Transitions[1].Kind != TransForward {
 		t.Fatal("forward transition lost")
+	}
+}
+
+// TestUsesBaseParams: a `uses base(name = value, ...)` header sets int params
+// of the base, each once, to an int literal or an int constant; a duplicate
+// name or a value that is not an int is an error at the param.
+func TestUsesBaseParams(t *testing.T) {
+	spec, err := Parse("protocol s uses scribe(max_children = 16, refresh = R)\nconstants { R = 250; }\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Constant{{"max_children", "16", Pos{1, 24}}, {"refresh", "R", Pos{1, 43}}}
+	if spec.Uses != "scribe" || spec.UsesPos != (Pos{1, 17}) || !slices.Equal(spec.BaseParams, want) {
+		t.Fatalf("uses %q at %v, params %+v", spec.Uses, spec.UsesPos, spec.BaseParams)
+	}
+	for _, c := range []struct {
+		header    string
+		line, col int
+	}{
+		{"uses b(x = 1, x = 2)", 1, 26},
+		{"uses b(x = 1.5)", 1, 19},
+		{"uses b(x = D)", 1, 19},       // a double constant
+		{"uses b(x = y)", 1, 19},       // no such constant
+		{"uses b(x = 1 y = 2)", 1, 25}, // a missing comma
+		{"uses b(x)", 1, 20},
+	} {
+		_, err := Parse("protocol s " + c.header + "\nconstants { D = 0.5; }\n")
+		var perr *Error
+		if !errors.As(err, &perr) {
+			t.Errorf("%s: error %v is not positioned", c.header, err)
+			continue
+		}
+		if perr.Pos.Line != c.line || perr.Pos.Col != c.col {
+			t.Errorf("%s: error at %v, want %d:%d (%v)", c.header, perr.Pos, c.line, c.col, err)
+		}
 	}
 }
 

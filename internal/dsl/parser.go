@@ -109,7 +109,23 @@ func (p *parser) spec() (*Spec, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec.Uses = base.text
+		spec.Uses, spec.UsesPos = base.text, base.pos
+		for open := p.acceptPunct("("); open && !p.acceptPunct(")"); {
+			if len(spec.BaseParams) > 0 {
+				if _, err := p.expectPunct(","); err != nil {
+					return nil, err
+				}
+			}
+			name, err := p.expectIdent("base param name")
+			if err == nil {
+				_, err = p.expectPunct("=")
+			}
+			if err != nil {
+				return nil, err
+			}
+			val := p.next()
+			spec.BaseParams = append(spec.BaseParams, Constant{Name: name.text, Value: val.text, Pos: name.pos})
+		}
 	}
 	for p.cur().kind != tokEOF {
 		t := p.cur()

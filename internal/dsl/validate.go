@@ -11,7 +11,8 @@ import (
 // before code generation: every referenced state, message, timer, transport,
 // and neighbor type must be declared, names must be unique, and layered
 // specifications must not bind messages to transports (their traffic rides
-// the base protocol), a keytable's fields must be distinct and typed, and a
+// the base protocol), each param the header sets on its base must be set
+// once, to an int, a keytable's fields must be distinct and typed, and a
 // routing declaration must bind each of its roles
 // once, to a variable of a type the role takes. Every error it returns is an
 // *Error positioned at the offending declaration.
@@ -83,6 +84,16 @@ func Validate(s *Spec) error {
 		}
 		n, err := strconv.Atoi(v)
 		return n, err == nil
+	}
+	params := map[string]bool{}
+	for _, bp := range s.BaseParams {
+		if params[bp.Name] {
+			return errAt(bp.Pos, "base param %q declared twice", bp.Name)
+		}
+		params[bp.Name] = true
+		if n, ok := intValue(bp.Value); !ok || int(int32(n)) != n {
+			return errAt(bp.Pos, "base param %s = %s is not an int literal or int constant", bp.Name, bp.Value)
+		}
 	}
 	for _, nt := range s.NeighborTypes {
 		if nt.Max != "" {

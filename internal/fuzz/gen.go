@@ -16,20 +16,18 @@ import (
 	"macedon/internal/scenario"
 )
 
-// protocols is the fuzzed stack pool: every bundled protocol the
-// correctness plane has structural checkers for, each implementation once
-// (chord, pastry and randtree name the same agents as genchord, genpastry
-// and genrandtree). The order is arbitrary but pinned: seed 2 must draw
-// randtree, the protocol of the committed shrinker demo
+// protocols is the fuzzed stack pool: bundled protocols the correctness
+// plane has structural checkers for. The order is arbitrary but pinned: seed
+// 2 must draw randtree, the protocol of the committed shrinker demo
 // (testdata/repro/synthetic-2.json).
 var protocols = []string{
-	"genchord", "genpastry", "randtree", "overcast",
+	"chord", "pastry", "randtree", "overcast",
 }
 
 // workloadKind is the workload that fits proto's declared routing: a tree
 // disseminates (multicast), any other stack routes (lookups).
 func workloadKind(proto string) string {
-	stack, err := harness.ScenarioStack(proto)
+	stack, err := harness.StackWithParams(proto, nil)
 	if err == nil && core.StackRouting(stack) == core.RoutingTree {
 		return scenario.WlMulticast
 	}

@@ -25,7 +25,7 @@ func TestCheckpointAllocsPerNode(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	const nodes = 100
-	stack, err := ScenarioStack("genchord")
+	stack, err := StackWithParams("chord", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSpawnAllocsPerNode(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	const nodes = 200
-	stack, err := ScenarioStack("genchord")
+	stack, err := StackWithParams("chord", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // is the unfired cues plus whatever the nodes have queued themselves.
 func TestScheduledOpsQueueNothing(t *testing.T) {
 	s := &scenario.Scenario{
-		Name: "walked-schedule", Seed: 2004, Nodes: 4, Routers: 20, Protocol: "genchord",
+		Name: "walked-schedule", Seed: 2004, Nodes: 4, Routers: 20, Protocol: "chord",
 		Settle: scenario.Duration(10 * time.Second),
 		Drain:  scenario.Duration(time.Second),
 		Phases: []scenario.Phase{{

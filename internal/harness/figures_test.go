@@ -9,7 +9,7 @@ import (
 
 	"macedon/internal/core"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genscribe"
+	"macedon/internal/overlays/scribe"
 	"macedon/internal/repo"
 	"macedon/internal/scenario"
 )
@@ -305,8 +305,8 @@ func TestSplitStreamOneRootPerStripe(t *testing.T) {
 	r.c.RunFor(sched.Settle)
 
 	// entry is node a's Scribe record of stripe key k.
-	entry := func(a overlay.Address, k overlay.Key) genscribe.GroupsEntry {
-		return core.KeyRead(r.c.Nodes[a].Instance("scribe").Agent().(*genscribe.Agent).Groups, k)
+	entry := func(a overlay.Address, k overlay.Key) scribe.GroupsEntry {
+		return core.KeyRead(r.c.Nodes[a].Instance("scribe").Agent().(*scribe.Agent).Groups, k)
 	}
 	group := overlay.HashString(s.GroupName())
 	var claims []string

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 )
@@ -27,12 +28,8 @@ func TestTimestampPayload(t *testing.T) {
 	if len(p) != 100 {
 		t.Fatalf("len = %d", len(p))
 	}
-	got, ok := DecodeTimestamp(p)
-	if !ok || !got.Equal(now) {
-		t.Fatalf("decode = %v, %v", got, ok)
-	}
-	if _, ok := DecodeTimestamp([]byte{1}); ok {
-		t.Fatal("short payload should fail")
+	if got := time.Unix(0, int64(binary.BigEndian.Uint64(p))); !got.Equal(now) {
+		t.Fatalf("payload carries %v, want %v", got, now)
 	}
 	if p := TimestampPayload(now, 2); len(p) != 8 {
 		t.Fatalf("minimum size not applied: %d", len(p))

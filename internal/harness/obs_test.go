@@ -186,7 +186,7 @@ func TestCountersConcurrentSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.StopAll()
-	stack, err := ScenarioStack("chord")
+	stack, err := StackWithParams("chord", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,95 +5,74 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"time"
 
 	"macedon/internal/check"
 	"macedon/internal/core"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genammo"
-	"macedon/internal/overlays/genbullet"
-	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/gennice"
-	"macedon/internal/overlays/genovercast"
-	"macedon/internal/overlays/genpastry"
-	"macedon/internal/overlays/genrandtree"
-	"macedon/internal/overlays/genscribe"
-	"macedon/internal/overlays/gensplitstream"
+	"macedon/internal/overlays"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 	"macedon/internal/substrate"
 )
 
-// ScenarioStack resolves a scenario protocol name onto a node stack. Every
-// protocol exists only as the code `macedon gen` emits from specs/*.mac:
-// chord and genchord name the same agent, as do pastry and genpastry and
-// randtree and genrandtree. Scribe stacks on Pastry, splitstream on Scribe,
-// and bullet on RandTree.
-func ScenarioStack(proto string) ([]core.Factory, error) {
-	switch proto {
-	case "", "chord", "genchord":
-		return []core.Factory{genchord.New()}, nil
-	case "pastry", "genpastry":
-		return []core.Factory{genpastry.New()}, nil
-	case "randtree", "genrandtree":
-		return []core.Factory{genrandtree.New()}, nil
-	case "scribe":
-		return []core.Factory{genpastry.New(), genscribe.New()}, nil
-	case "splitstream":
-		// Figure 12's forest: 16 stripe trees whose fan-out Scribe bounds
-		// by pushdown, SplitStream's one change to it (§4.1).
-		return []core.Factory{
-			genpastry.New(),
-			func() core.Agent { return &genscribe.Agent{MaxChildren: 16} },
-			gensplitstream.New(),
-		}, nil
-	case "nice":
-		return []core.Factory{gennice.New()}, nil
-	case "overcast":
-		return []core.Factory{genovercast.New()}, nil
-	case "ammo":
-		return []core.Factory{genammo.New()}, nil
-	case "bullet":
-		// Bullet layers over RandTree (the paper's Figure 2 stack): the tree
-		// stripes blocks, the RanSub mesh recovers the rest.
-		return []core.Factory{genrandtree.New(), genbullet.New()}, nil
-	}
-	return nil, fmt.Errorf("harness: unknown scenario protocol %q (have chord, pastry, randtree, scribe, splitstream, nice, overcast, ammo, bullet, genchord, genpastry, genrandtree)", proto)
-}
+// benchAliases are the two names the frozen bench/macebench scenarios still
+// pass for chord and randtree. They go when the bench is rewritten (ROADMAP
+// item 1).
+var benchAliases = map[string]string{"genchord": "chord", "genrandtree": "randtree"}
 
-// StackWithParams is ScenarioStack(proto) with a scenario's params set on
-// every agent its factories build, through the SetParam accessor codegen
-// emits on each generated agent. A name that no layer of the stack declares
-// is an error, returned before any node exists.
+// StackWithParams resolves a protocol name onto its node stack, lowest layer
+// first, by walking the `uses` chain of the specs' generated registry, and
+// sets params on every agent the stack builds, through the SetParam accessor
+// codegen emits on each generated agent. The params are the values each
+// spec's header sets on its base, overridden by the scenario's: a name that
+// no layer of the stack declares is an error, returned before any node
+// exists. A stack with no params gets the generated factories themselves.
 func StackWithParams(proto string, params map[string]int) ([]core.Factory, error) {
-	stack, err := ScenarioStack(proto)
-	if err != nil || len(params) == 0 {
-		return stack, err
+	name := proto
+	if n, ok := benchAliases[name]; ok {
+		name = n
 	}
-	type param struct {
-		name string
-		v    int32
-	}
-	var set []param
-	for _, name := range slices.Sorted(maps.Keys(params)) {
-		declared := false
-		for _, f := range stack {
-			if p, ok := f().(paramSetter); ok && p.SetParam(name, 0) {
-				declared = true
+	var stack []core.Factory
+	all := map[string]int{}
+	for {
+		p, ok := overlays.Protocols[name]
+		if !ok {
+			return nil, fmt.Errorf("harness: unknown scenario protocol %q (have %s)", proto,
+				strings.Join(slices.Sorted(maps.Keys(overlays.Protocols)), ", "))
+		}
+		stack = append(stack, p.New)
+		for k, v := range p.BaseParams {
+			if _, set := all[k]; !set { // an upper layer's value wins
+				all[k] = v
 			}
 		}
-		if !declared {
+		if name = p.Uses; name == "" {
+			break
+		}
+	}
+	slices.Reverse(stack)
+	maps.Copy(all, params)
+	if len(all) == 0 {
+		return stack, nil
+	}
+	names := slices.Sorted(maps.Keys(all))
+	for _, name := range names {
+		if !slices.ContainsFunc(stack, func(f core.Factory) bool {
+			p, ok := f().(paramSetter)
+			return ok && p.SetParam(name, 0)
+		}) {
 			return nil, fmt.Errorf("harness: param %q: no layer of protocol %q declares an int auxiliary variable of that name", name, proto)
 		}
-		set = append(set, param{name, int32(params[name])})
 	}
 	out := make([]core.Factory, len(stack))
 	for i, f := range stack {
 		out[i] = func() core.Agent {
 			a := f()
 			if p, ok := a.(paramSetter); ok {
-				for _, kv := range set {
-					p.SetParam(kv.name, kv.v)
+				for _, name := range names {
+					p.SetParam(name, int32(all[name]))
 				}
 			}
 			return a
@@ -101,6 +80,10 @@ func StackWithParams(proto string, params map[string]int) ([]core.Factory, error
 	}
 	return out, nil
 }
+
+// ScenarioStack is StackWithParams(proto, nil), kept only because the frozen
+// bench/macebench calls it; ROADMAP item 1 deletes it.
+func ScenarioStack(proto string) ([]core.Factory, error) { return StackWithParams(proto, nil) }
 
 // paramSetter is the accessor every generated agent carries.
 type paramSetter interface {

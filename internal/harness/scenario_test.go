@@ -6,6 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"macedon/internal/overlays/pastry"
+	"macedon/internal/overlays/scribe"
+	"macedon/internal/overlays/splitstream"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 )
@@ -392,5 +395,38 @@ func TestScenarioBulletChurnAudit(t *testing.T) {
 	if rec.OpsDelivered < rec.OpsSent*(n-1)/3 {
 		t.Fatalf("bullet: revived source not accepted: sent=%d delivered=%d (want >= %d)",
 			rec.OpsSent, rec.OpsDelivered, rec.OpsSent*(n-1)/3)
+	}
+}
+
+// TestStackFollowsUsesChain: splitstream's stack is built from the specs'
+// `uses` lines, lowest layer first — Pastry, then Scribe with the
+// max_children of 16 that splitstream's header sets, then SplitStream — and
+// a scenario's max_children param overrides the header's value. An unknown
+// name, the empty one included, lists the registry's names.
+func TestStackFollowsUsesChain(t *testing.T) {
+	for _, c := range []struct {
+		params map[string]int
+		want   int32
+	}{{nil, 16}, {map[string]int{"max_children": 4}, 4}} {
+		stack, err := StackWithParams("splitstream", c.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stack) != 3 {
+			t.Fatalf("params %v: %d layers, want 3", c.params, len(stack))
+		}
+		_, lowOK := stack[0]().(*pastry.Agent)
+		mid, midOK := stack[1]().(*scribe.Agent)
+		_, topOK := stack[2]().(*splitstream.Agent)
+		if !lowOK || !midOK || !topOK {
+			t.Fatalf("params %v: stack is %T, %T, %T", c.params, stack[0](), stack[1](), stack[2]())
+		}
+		if mid.MaxChildren != c.want {
+			t.Errorf("params %v: scribe max_children %d, want %d", c.params, mid.MaxChildren, c.want)
+		}
+	}
+	const have = "(have ammo, bullet, chord, nice, overcast, pastry, randtree, scribe, splitstream)"
+	if _, err := StackWithParams("", nil); err == nil || !strings.HasSuffix(err.Error(), have) {
+		t.Errorf("empty name: error %v, want it to end in %s", err, have)
 	}
 }

@@ -18,12 +18,3 @@ func TimestampPayload(now time.Time, size int) []byte {
 	binary.BigEndian.PutUint64(p, uint64(now.UnixNano()))
 	return p
 }
-
-// DecodeTimestamp extracts the send time from a timestamped payload.
-func DecodeTimestamp(p []byte) (time.Time, bool) {
-	if len(p) < 8 {
-		return time.Time{}, false
-	}
-	ns := int64(binary.BigEndian.Uint64(p))
-	return time.Unix(0, ns), true
-}

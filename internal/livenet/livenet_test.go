@@ -9,7 +9,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/livenet"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
+	"macedon/internal/overlays/chord"
 	"macedon/internal/substrate"
 )
 
@@ -19,7 +19,7 @@ import (
 func TestLiveChordRing(t *testing.T) {
 	net := livenet.New("127.0.0.1", 38850)
 	defer net.Close()
-	stack := []core.Factory{func() core.Agent { return &genchord.Agent{FixMs: 200} }}
+	stack := []core.Factory{func() core.Agent { return &chord.Agent{FixMs: 200} }}
 	const n = 5
 	var nodes []*core.Node
 	for i := 1; i <= n; i++ {

@@ -11,7 +11,7 @@ import (
 
 func reportWith(sent, delivered, forwards int) *scenario.Report {
 	return &scenario.Report{
-		Scenario: "cmp", Protocol: "genchord",
+		Scenario: "cmp", Protocol: "chord",
 		Phases: []scenario.PhaseReport{
 			{OpsSent: sent, OpsDelivered: delivered, OpsForwarded: forwards, CtlMsgs: 1000, CtlBytes: 16000},
 		},

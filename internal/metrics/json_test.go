@@ -13,7 +13,7 @@ import (
 func sampleReport() *scenario.Report {
 	return &scenario.Report{
 		Scenario: "enc-test",
-		Protocol: "genchord",
+		Protocol: "chord",
 		Seed:     9,
 		Nodes:    4,
 		Settle:   30 * time.Second,
@@ -43,7 +43,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatalf("encoded report does not parse: %v\n%s", err, b)
 	}
-	if back.Scenario != "enc-test" || back.Protocol != "genchord" || back.Nodes != 4 {
+	if back.Scenario != "enc-test" || back.Protocol != "chord" || back.Nodes != 4 {
 		t.Fatalf("header mangled: %+v", back)
 	}
 	if len(back.Phases) != 1 {

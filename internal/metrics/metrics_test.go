@@ -52,7 +52,7 @@ func TestSweepTable(t *testing.T) {
 		Groups: 1,
 		Results: []scenario.SweepVariantResult{
 			{
-				Name: "calm", Protocol: "genchord", SharedPrefix: true,
+				Name: "calm", Protocol: "chord", SharedPrefix: true,
 				Report: &scenario.Report{
 					Seed:  7,
 					Final: simnet.Stats{Sent: 100, QueueDrops: 3, PartitionDrops: 2},
@@ -62,7 +62,7 @@ func TestSweepTable(t *testing.T) {
 				},
 			},
 			{
-				Name: "storm", Protocol: "genpastry",
+				Name: "storm", Protocol: "pastry",
 				Report: &scenario.Report{
 					Seed:  7,
 					Final: simnet.Stats{Sent: 200},

@@ -187,16 +187,6 @@ func (a API) String() string {
 	return fmt.Sprintf("API(%d)", uint8(a))
 }
 
-// APIByName maps a grammar keyword back to its API kind.
-func APIByName(name string) (API, bool) {
-	for i, n := range apiNames {
-		if n == name {
-			return API(i), true
-		}
-	}
-	return 0, false
-}
-
 // NeighborType tags notify() upcalls with which neighbor relationship
 // changed, mirroring the paper's NBR_TYPE_* constants.
 type NeighborType uint8

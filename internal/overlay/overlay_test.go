@@ -128,15 +128,3 @@ func TestAddressString(t *testing.T) {
 		t.Errorf("Address string = %q", got)
 	}
 }
-
-func TestAPIRoundTrip(t *testing.T) {
-	for a := APIInit; a <= APIDowncallExt; a++ {
-		got, ok := APIByName(a.String())
-		if !ok || got != a {
-			t.Errorf("APIByName(%q) = %v,%v", a.String(), got, ok)
-		}
-	}
-	if _, ok := APIByName("bogus"); ok {
-		t.Error("APIByName accepted bogus name")
-	}
-}

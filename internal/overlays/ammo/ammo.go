@@ -1,7 +1,7 @@
 // Code generated by "macedon gen" from specs/ammo.mac. DO NOT EDIT.
 
-// Package genammo is the generated MACEDON agent for protocol "ammo".
-package genammo
+// Package ammo is the generated MACEDON agent for protocol "ammo".
+package ammo
 
 import (
 	"slices"

@@ -7,7 +7,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genammo"
+	"macedon/internal/overlays/ammo"
 )
 
 // The behaviour tests of AMMO, run on the agent `macedon gen` emits from
@@ -19,7 +19,7 @@ func build(t *testing.T, n int, settle time.Duration, seed int64) *harness.Clust
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := []core.Factory{genammo.New()}
+	stack := []core.Factory{ammo.New()}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestLatencyWeightReducesDepthCost(t *testing.T) {
 	c := build(t, n, 4*time.Minute, 131)
 	moves := uint64(0)
 	for _, a := range c.Addrs {
-		moves += uint64(c.Nodes[a].Instance("ammo").Agent().(*genammo.Agent).Moves)
+		moves += uint64(c.Nodes[a].Instance("ammo").Agent().(*ammo.Agent).Moves)
 	}
 	if moves == 0 {
 		t.Fatal("no adaptation ever happened")

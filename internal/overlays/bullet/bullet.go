@@ -1,7 +1,7 @@
 // Code generated by "macedon gen" from specs/bullet.mac. DO NOT EDIT.
 
-// Package genbullet is the generated MACEDON agent for protocol "bullet".
-package genbullet
+// Package bullet is the generated MACEDON agent for protocol "bullet".
+package bullet
 
 import (
 	"time"

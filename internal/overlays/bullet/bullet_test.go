@@ -7,16 +7,16 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genbullet"
-	"macedon/internal/overlays/genrandtree"
+	"macedon/internal/overlays/bullet"
+	"macedon/internal/overlays/randtree"
 )
 
 // stack is the Bullet generated from specs/bullet.mac over the RandTree
 // generated from specs/randtree.mac, whose nodes adopt up to four children.
 // Each Bullet agent gets params through SetParam before init runs.
 func stack(params map[string]int32) []core.Factory {
-	return []core.Factory{genrandtree.New(), func() core.Agent {
-		a := &genbullet.Agent{}
+	return []core.Factory{randtree.New(), func() core.Agent {
+		a := &bullet.Agent{}
 		for name, v := range params {
 			a.SetParam(name, v)
 		}
@@ -37,8 +37,8 @@ func build(t *testing.T, n int, s []core.Factory, settle time.Duration, seed int
 	return c
 }
 
-func bulletOf(c *harness.Cluster, a overlay.Address) *genbullet.Agent {
-	return c.Nodes[a].Instance("bullet").Agent().(*genbullet.Agent)
+func bulletOf(c *harness.Cluster, a overlay.Address) *bullet.Agent {
+	return c.Nodes[a].Instance("bullet").Agent().(*bullet.Agent)
 }
 
 func TestMeshRecoversStripedBlocks(t *testing.T) {

@@ -1,7 +1,7 @@
 // Code generated by "macedon gen" from specs/chord.mac. DO NOT EDIT.
 
-// Package genchord is the generated MACEDON agent for protocol "chord".
-package genchord
+// Package chord is the generated MACEDON agent for protocol "chord".
+package chord
 
 import (
 	"time"

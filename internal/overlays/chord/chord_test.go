@@ -1,8 +1,7 @@
-// Package chord_test holds the Chord protocol's behaviour tests. The
-// protocol has one implementation, the agent generated from specs/chord.mac
-// (internal/overlays/genchord), so this directory holds tests only: ring
-// formation, routing at the owner, finger convergence under both
-// fix_fingers policies, successor repair and staggered joins.
+// Package chord_test holds the Chord protocol's behaviour tests, run on the
+// agent generated from specs/chord.mac into this directory: ring formation,
+// routing at the owner, finger convergence under both fix_fingers policies,
+// successor repair and staggered joins.
 package chord_test
 
 import (
@@ -13,13 +12,13 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
+	"macedon/internal/overlays/chord"
 )
 
 // agent returns a factory for generated Chord with the given fix_fingers
 // period (0: the spec's FIX_FINGERS_MS) and policy.
 func agent(fixMs, adaptive int32) core.Factory {
-	return func() core.Agent { return &genchord.Agent{FixMs: fixMs, FixAdaptive: adaptive} }
+	return func() core.Agent { return &chord.Agent{FixMs: fixMs, FixAdaptive: adaptive} }
 }
 
 func newCluster(t *testing.T, cfg harness.ClusterConfig) *harness.Cluster {
@@ -57,7 +56,7 @@ func viewOf(c *harness.Cluster, a overlay.Address) view {
 	node := c.Nodes[a]
 	node.Exec(func() {
 		inst := node.Instance("chord")
-		ag := inst.Agent().(*genchord.Agent)
+		ag := inst.Agent().(*chord.Agent)
 		v.joined = inst.State() == "joined"
 		if len(ag.Succs) > 0 {
 			v.succ = ag.Succs[0]
@@ -78,7 +77,7 @@ func wantSucc(o *check.ChordOracle, a overlay.Address) overlay.Address {
 
 func TestRingForms(t *testing.T) {
 	const n = 16
-	c := buildRing(t, n, genchord.New(), 60*time.Second)
+	c := buildRing(t, n, chord.New(), 60*time.Second)
 	o := check.NewChordOracle(c.Addrs)
 	// Every node's successor must match the oracle ring.
 	for _, a := range c.Addrs {
@@ -106,7 +105,7 @@ func TestRingForms(t *testing.T) {
 }
 
 func TestRoutingDeliversAtOwner(t *testing.T) {
-	c := buildRing(t, 12, genchord.New(), 60*time.Second)
+	c := buildRing(t, 12, chord.New(), 60*time.Second)
 	o := check.NewChordOracle(c.Addrs)
 	delivered := make(map[overlay.Address][]overlay.Key)
 	for _, a := range c.Addrs {
@@ -143,7 +142,7 @@ func TestRoutingDeliversAtOwner(t *testing.T) {
 }
 
 func TestRouteIPDirect(t *testing.T) {
-	c := buildRing(t, 4, genchord.New(), 30*time.Second)
+	c := buildRing(t, 4, chord.New(), 30*time.Second)
 	var got []byte
 	c.Nodes[c.Addrs[2]].RegisterHandlers(core.Handlers{
 		Deliver: func(p []byte, typ int32, src overlay.Address) { got = append([]byte(nil), p...) },
@@ -209,7 +208,7 @@ func TestSuccessorFailureRepair(t *testing.T) {
 		Nodes: 10, Seed: 7,
 		HeartbeatAfter: 2 * time.Second, FailAfter: 8 * time.Second, Sweep: time.Second,
 	})
-	if err := c.SpawnAll(func(int) []core.Factory { return []core.Factory{genchord.New()} }); err != nil {
+	if err := c.SpawnAll(func(int) []core.Factory { return []core.Factory{chord.New()} }); err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(60 * time.Second)
@@ -240,7 +239,7 @@ func TestSuccessorFailureRepair(t *testing.T) {
 func TestStaggeredJoins(t *testing.T) {
 	c := newCluster(t, harness.ClusterConfig{Nodes: 12, Seed: 3})
 	for i := range c.Addrs {
-		c.SpawnAt(i, []core.Factory{genchord.New()}, time.Duration(i)*2*time.Second)
+		c.SpawnAt(i, []core.Factory{chord.New()}, time.Duration(i)*2*time.Second)
 	}
 	c.RunFor(120 * time.Second)
 	o := check.NewChordOracle(c.Addrs)

@@ -1,5 +1,5 @@
 //go:build !race
 
-package genchord_test
+package chord_test
 
 const raceEnabled = false

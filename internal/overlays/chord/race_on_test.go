@@ -1,6 +1,6 @@
 //go:build race
 
-package genchord_test
+package chord_test
 
 // raceEnabled: the race detector adds allocations of its own, so exact
 // allocation budgets are not checked under it.

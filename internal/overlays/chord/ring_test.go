@@ -1,10 +1,8 @@
 // Behavioral validation of the generated Chord agent: the DSL → codegen →
-// engine path produces a working DHT. Chord's behaviour tests (routing,
-// fingers under both fix_fingers policies, failure repair) live in
-// internal/overlays/chord, and churn and routing-oracle gates in the
-// repository-root conformance tests; this is the steady-state smoke test
-// and the allocation budget at package level.
-package genchord_test
+// engine path produces a working DHT. Churn and routing-oracle gates live in
+// the repository-root conformance tests; this is the steady-state smoke test
+// and the allocation budget.
+package chord_test
 
 import (
 	"testing"
@@ -14,7 +12,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
+	"macedon/internal/overlays/chord"
 )
 
 // ringSize is the rig both tests share: a staggered join, then 45 s to settle.
@@ -27,7 +25,7 @@ func settledRing(t *testing.T) *harness.Cluster {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.StopAll)
-	stack := []core.Factory{genchord.New()}
+	stack := []core.Factory{chord.New()}
 	for i := 0; i < ringSize; i++ {
 		c.SpawnAt(i, stack, time.Duration(i)*300*time.Millisecond)
 	}
@@ -46,7 +44,7 @@ func TestGeneratedRingForms(t *testing.T) {
 		}
 		var succs []overlay.Address
 		node.Exec(func() {
-			ag := node.Instance("chord").Agent().(*genchord.Agent)
+			ag := node.Instance("chord").Agent().(*chord.Agent)
 			succs = append([]overlay.Address(nil), ag.Succs...)
 		})
 		want := oracle.Successor(overlay.HashAddress(addr) + 1)

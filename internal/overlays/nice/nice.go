@@ -1,7 +1,7 @@
 // Code generated by "macedon gen" from specs/nice.mac. DO NOT EDIT.
 
-// Package gennice is the generated MACEDON agent for protocol "nice".
-package gennice
+// Package nice is the generated MACEDON agent for protocol "nice".
+package nice
 
 import (
 	"slices"

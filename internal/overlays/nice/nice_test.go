@@ -7,7 +7,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/gennice"
+	"macedon/internal/overlays/nice"
 	"macedon/internal/topology"
 )
 
@@ -24,15 +24,15 @@ func build(t *testing.T, n int, stack []core.Factory, settle time.Duration, seed
 	return c
 }
 
-func niceOf(c *harness.Cluster, a overlay.Address) *gennice.Agent {
-	return c.Nodes[a].Instance("nice").Agent().(*gennice.Agent)
+func niceOf(c *harness.Cluster, a overlay.Address) *nice.Agent {
+	return c.Nodes[a].Instance("nice").Agent().(*nice.Agent)
 }
 
 // topLayer is the highest layer a node belongs to.
-func topLayer(p *gennice.Agent) int { return int(p.Layers.Len()) - 1 }
+func topLayer(p *nice.Agent) int { return int(p.Layers.Len()) - 1 }
 
 func TestAllJoin(t *testing.T) {
-	c := build(t, 20, []core.Factory{gennice.New()}, 3*time.Minute, 91)
+	c := build(t, 20, []core.Factory{nice.New()}, 3*time.Minute, 91)
 	for _, a := range c.Addrs {
 		if st := c.Nodes[a].Instance("nice").State(); st != "joined" {
 			t.Fatalf("node %v state %q", a, st)
@@ -45,7 +45,7 @@ func TestAllJoin(t *testing.T) {
 
 func TestClusterSizeInvariant(t *testing.T) {
 	const k = 3
-	c := build(t, 30, []core.Factory{gennice.New()}, 5*time.Minute, 93)
+	c := build(t, 30, []core.Factory{nice.New()}, 5*time.Minute, 93)
 	over := 0
 	for _, a := range c.Addrs {
 		p := niceOf(c, a)
@@ -62,7 +62,7 @@ func TestClusterSizeInvariant(t *testing.T) {
 }
 
 func TestHierarchyForms(t *testing.T) {
-	c := build(t, 30, []core.Factory{gennice.New()}, 5*time.Minute, 95)
+	c := build(t, 30, []core.Factory{nice.New()}, 5*time.Minute, 95)
 	// With 30 nodes and k=3 there must be at least two layers somewhere.
 	maxTop := 0
 	for _, a := range c.Addrs {
@@ -77,7 +77,7 @@ func TestHierarchyForms(t *testing.T) {
 
 func TestMulticastReachesAll(t *testing.T) {
 	const n = 24
-	c := build(t, n, []core.Factory{gennice.New()}, 8*time.Minute, 97)
+	c := build(t, n, []core.Factory{nice.New()}, 8*time.Minute, 97)
 	got := map[overlay.Address]int{}
 	for _, a := range c.Addrs[1:] {
 		addr := a
@@ -126,7 +126,7 @@ func TestLatencyAwareClustering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := []core.Factory{gennice.New()}
+	stack := []core.Factory{nice.New()}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestJoinDescendsFromTopAfterRPDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.StopAll)
-	stack := []core.Factory{gennice.New()}
+	stack := []core.Factory{nice.New()}
 	joiner := len(addrs) - 1 // the last site-2 node joins late
 	for i := 0; i < joiner; i++ {
 		if _, err := c.Spawn(i, stack); err != nil {

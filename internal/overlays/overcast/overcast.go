@@ -1,7 +1,7 @@
 // Code generated by "macedon gen" from specs/overcast.mac. DO NOT EDIT.
 
-// Package genovercast is the generated MACEDON agent for protocol "overcast".
-package genovercast
+// Package overcast is the generated MACEDON agent for protocol "overcast".
+package overcast
 
 import (
 	"slices"

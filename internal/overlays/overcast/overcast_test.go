@@ -7,7 +7,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genovercast"
+	"macedon/internal/overlays/overcast"
 	"macedon/internal/topology"
 )
 
@@ -20,7 +20,7 @@ func build(t *testing.T, n int, settle time.Duration, seed int64) *harness.Clust
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := []core.Factory{genovercast.New()}
+	stack := []core.Factory{overcast.New()}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +120,14 @@ func TestRelocatesTowardBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := []core.Factory{genovercast.New()}
+	stack := []core.Factory{overcast.New()}
 	if err := c.SpawnAll(func(int) []core.Factory { return stack }); err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(5 * time.Minute)
 	moves := uint64(0)
 	for _, a := range c.Addrs {
-		moves += uint64(c.Nodes[a].Instance("overcast").Agent().(*genovercast.Agent).Moves)
+		moves += uint64(c.Nodes[a].Instance("overcast").Agent().(*overcast.Agent).Moves)
 	}
 	if moves == 0 {
 		t.Fatal("no relocation ever happened despite bandwidth asymmetry")

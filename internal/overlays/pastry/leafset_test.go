@@ -1,8 +1,8 @@
 // Behavioral validation of the generated Pastry agent: the DSL → codegen →
 // engine path produces a working prefix-routing DHT. Churn and
 // routing-oracle gates live in the repository-root conformance tests; this
-// is the steady-state smoke test at package level.
-package genpastry_test
+// is the steady-state smoke test.
+package pastry_test
 
 import (
 	"testing"
@@ -11,7 +11,7 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genpastry"
+	"macedon/internal/overlays/pastry"
 )
 
 func TestGeneratedLeafSetsForm(t *testing.T) {
@@ -21,7 +21,7 @@ func TestGeneratedLeafSetsForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.StopAll()
-	stack := []core.Factory{genpastry.New()}
+	stack := []core.Factory{pastry.New()}
 	for i := 0; i < n; i++ {
 		c.SpawnAt(i, stack, time.Duration(i)*300*time.Millisecond)
 	}
@@ -47,7 +47,7 @@ func TestGeneratedLeafSetsForm(t *testing.T) {
 		}
 		var leafset []overlay.Address
 		node.Exec(func() {
-			ag := node.Instance("pastry").Agent().(*genpastry.Agent)
+			ag := node.Instance("pastry").Agent().(*pastry.Agent)
 			leafset = append([]overlay.Address(nil), ag.Leafset...)
 		})
 		found := false
@@ -71,7 +71,7 @@ func TestZeroAgentFillsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.StopAll()
-	literal := func() core.Agent { return &genpastry.Agent{} }
+	literal := func() core.Agent { return &pastry.Agent{} }
 	if err := c.SpawnAll(func(int) []core.Factory { return []core.Factory{literal} }); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestZeroAgentFillsCache(t *testing.T) {
 	}
 	var cached overlay.Address
 	node := c.Nodes[src]
-	node.Exec(func() { cached = node.Instance("pastry").Agent().(*genpastry.Agent).Cache[dest] })
+	node.Exec(func() { cached = node.Instance("pastry").Agent().(*pastry.Agent).Cache[dest] })
 	if cached == overlay.NilAddress {
 		t.Fatal("route did not fill the source's cache")
 	}

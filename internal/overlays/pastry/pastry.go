@@ -1,7 +1,7 @@
 // Code generated by "macedon gen" from specs/pastry.mac. DO NOT EDIT.
 
-// Package genpastry is the generated MACEDON agent for protocol "pastry".
-package genpastry
+// Package pastry is the generated MACEDON agent for protocol "pastry".
+package pastry
 
 import (
 	"slices"

@@ -1,9 +1,8 @@
-// Package pastry_test holds the Pastry protocol's behaviour tests. The
-// protocol has one implementation, the agent generated from specs/pastry.mac
-// (internal/overlays/genpastry), so this directory holds tests only: joins,
-// leaf sets and routing against global knowledge, the location cache under
-// both cache_ms policies, the FreePastry baseline, failure removal and
-// routes to a node's own key.
+// Package pastry_test holds the Pastry protocol's behaviour tests, run on the
+// agent generated from specs/pastry.mac into this directory: joins, leaf sets
+// and routing against global knowledge, the location cache under both
+// cache_ms policies, the FreePastry baseline, failure removal and routes to a
+// node's own key.
 package pastry_test
 
 import (
@@ -17,13 +16,13 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genpastry"
+	"macedon/internal/overlays/pastry"
 	"macedon/internal/scenario"
 )
 
 // agent returns a factory for generated Pastry with the given cache_ms.
 func agent(cacheMs int32) core.Factory {
-	return func() core.Agent { return &genpastry.Agent{CacheMs: cacheMs} }
+	return func() core.Agent { return &pastry.Agent{CacheMs: cacheMs} }
 }
 
 // build spawns n nodes at once over the default topology (max(4n, 100)
@@ -55,7 +54,7 @@ func viewOf(c *harness.Cluster, a overlay.Address) view {
 	node := c.Nodes[a]
 	node.Exec(func() {
 		inst := node.Instance("pastry")
-		ag := inst.Agent().(*genpastry.Agent)
+		ag := inst.Agent().(*pastry.Agent)
 		v.joined = inst.State() == "joined"
 		v.leafset = append([]overlay.Address(nil), ag.Leafset...)
 		v.cache = maps.Clone(ag.Cache)
@@ -106,7 +105,7 @@ func ringNeighbors(addrs []overlay.Address, a overlay.Address, half int) []overl
 }
 
 func TestAllNodesJoin(t *testing.T) {
-	c := build(t, 20, genpastry.New(), 60*time.Second, 11)
+	c := build(t, 20, pastry.New(), 60*time.Second, 11)
 	for _, a := range c.Addrs {
 		v := viewOf(c, a)
 		if !v.joined {
@@ -140,7 +139,7 @@ func TestRoutingDeliversAtNumericallyClosest(t *testing.T) {
 		{102, 1, 100 * time.Second, stripes, true},
 	} {
 		t.Run(fmt.Sprintf("nodes=%d/seed=%d", tc.nodes, tc.seed), func(t *testing.T) {
-			c := build(t, tc.nodes, genpastry.New(), tc.settle, tc.seed)
+			c := build(t, tc.nodes, pastry.New(), tc.settle, tc.seed)
 			imperfect := 0
 			for _, a := range c.Addrs {
 				leaves := viewOf(c, a).leafset
@@ -293,7 +292,7 @@ func TestFailureRemovesFromTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.StopAll)
-	if err := c.SpawnAll(func(int) []core.Factory { return []core.Factory{genpastry.New()} }); err != nil {
+	if err := c.SpawnAll(func(int) []core.Factory { return []core.Factory{pastry.New()} }); err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(60 * time.Second)
@@ -312,7 +311,7 @@ func TestFailureRemovesFromTables(t *testing.T) {
 }
 
 func TestRouteToSelfDelivers(t *testing.T) {
-	c := build(t, 6, genpastry.New(), 30*time.Second, 29)
+	c := build(t, 6, pastry.New(), 30*time.Second, 29)
 	a := c.Addrs[1]
 	var got bool
 	c.Nodes[a].RegisterHandlers(core.Handlers{

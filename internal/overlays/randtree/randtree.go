@@ -1,7 +1,7 @@
 // Code generated by "macedon gen" from specs/randtree.mac. DO NOT EDIT.
 
-// Package genrandtree is the generated MACEDON agent for protocol "randtree".
-package genrandtree
+// Package randtree is the generated MACEDON agent for protocol "randtree".
+package randtree
 
 import (
 	"time"

@@ -1,6 +1,6 @@
 // Behavioral validation of the generated RandTree agent: the DSL → codegen
 // → engine path produces a working overlay, the end-to-end claim of §3.2.
-package genrandtree_test
+package randtree_test
 
 import (
 	"bytes"
@@ -12,13 +12,13 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genrandtree"
+	"macedon/internal/overlays/randtree"
 )
 
 func build(t *testing.T, n int, settle time.Duration) *harness.Cluster {
 	t.Helper()
 	return buildStack(t, harness.ClusterConfig{Nodes: n, Routers: 100, Seed: 151},
-		[]core.Factory{genrandtree.New()}, settle)
+		[]core.Factory{randtree.New()}, settle)
 }
 
 func buildStack(t *testing.T, cfg harness.ClusterConfig, stack []core.Factory, settle time.Duration) *harness.Cluster {
@@ -165,7 +165,7 @@ func TestGeneratedParentFailureRejoin(t *testing.T) {
 	c := buildStack(t, harness.ClusterConfig{
 		Nodes: 12, Routers: 100, Seed: 73,
 		HeartbeatAfter: 2 * time.Second, FailAfter: 6 * time.Second, Sweep: time.Second,
-	}, []core.Factory{genrandtree.New()}, 60*time.Second)
+	}, []core.Factory{randtree.New()}, 60*time.Second)
 	// Kill an interior node (one with children).
 	var victim overlay.Address
 	for _, a := range c.Addrs[1:] {
@@ -240,7 +240,7 @@ func (s *stamper) Define(d *core.Def) {
 // marks, the way Bullet's RanSub candidates accumulate on their way up.
 func TestCollectCarriesForwardRewrite(t *testing.T) {
 	c := buildStack(t, harness.ClusterConfig{Nodes: 15, Routers: 100, Seed: 151},
-		[]core.Factory{genrandtree.New(), func() core.Agent { return &stamper{} }}, 60*time.Second)
+		[]core.Factory{randtree.New(), func() core.Agent { return &stamper{} }}, 60*time.Second)
 	defer c.StopAll()
 	want := map[string]bool{}
 	deepest := 0

@@ -1,7 +1,7 @@
 // Code generated by "macedon gen" from specs/scribe.mac. DO NOT EDIT.
 
-// Package genscribe is the generated MACEDON agent for protocol "scribe".
-package genscribe
+// Package scribe is the generated MACEDON agent for protocol "scribe".
+package scribe
 
 import (
 	"slices"

@@ -1,7 +1,6 @@
 // Package scribe_test holds Scribe's behaviour tests. Scribe exists only as
-// the code `macedon gen` emits from specs/scribe.mac, in
-// internal/overlays/genscribe; these tests run that agent over generated
-// Pastry and generated Chord.
+// the code `macedon gen` emits from specs/scribe.mac into this directory;
+// these tests run that agent over generated Pastry and generated Chord.
 package scribe_test
 
 import (
@@ -11,25 +10,25 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genchord"
-	"macedon/internal/overlays/genpastry"
-	"macedon/internal/overlays/genscribe"
+	"macedon/internal/overlays/chord"
+	"macedon/internal/overlays/pastry"
+	"macedon/internal/overlays/scribe"
 )
 
 // params are the per-run values a scenario sets through SetParam.
 type params struct{ refreshMs, maxChildren int32 }
 
 func scribeWith(p params) core.Factory {
-	return func() core.Agent { return &genscribe.Agent{RefreshMs: p.refreshMs, MaxChildren: p.maxChildren} }
+	return func() core.Agent { return &scribe.Agent{RefreshMs: p.refreshMs, MaxChildren: p.maxChildren} }
 }
 
 // overPastry and overChord are the paper's one-line DHT switch.
 func overPastry(p params) []core.Factory {
-	return []core.Factory{genpastry.New(), scribeWith(p)}
+	return []core.Factory{pastry.New(), scribeWith(p)}
 }
 
 func overChord(p params) []core.Factory {
-	return []core.Factory{genchord.New(), scribeWith(p)}
+	return []core.Factory{chord.New(), scribeWith(p)}
 }
 
 func build(t *testing.T, n int, stack []core.Factory, settle time.Duration, seed int64) *harness.Cluster {
@@ -46,8 +45,8 @@ func build(t *testing.T, n int, stack []core.Factory, settle time.Duration, seed
 }
 
 // groupOf returns node a's record of a group.
-func groupOf(c *harness.Cluster, a overlay.Address, g overlay.Key) genscribe.GroupsEntry {
-	return core.KeyRead(c.Nodes[a].Instance("scribe").Agent().(*genscribe.Agent).Groups, g)
+func groupOf(c *harness.Cluster, a overlay.Address, g overlay.Key) scribe.GroupsEntry {
+	return core.KeyRead(c.Nodes[a].Instance("scribe").Agent().(*scribe.Agent).Groups, g)
 }
 
 func testMulticastReachesAllMembers(t *testing.T, stack []core.Factory) {

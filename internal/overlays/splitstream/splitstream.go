@@ -1,7 +1,7 @@
 // Code generated by "macedon gen" from specs/splitstream.mac. DO NOT EDIT.
 
-// Package gensplitstream is the generated MACEDON agent for protocol "splitstream".
-package gensplitstream
+// Package splitstream is the generated MACEDON agent for protocol "splitstream".
+package splitstream
 
 import (
 	"macedon/internal/core"

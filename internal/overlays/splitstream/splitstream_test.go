@@ -1,7 +1,7 @@
 // Package splitstream_test holds SplitStream's behaviour tests. SplitStream
-// exists only as the code `macedon gen` emits from specs/splitstream.mac, in
-// internal/overlays/gensplitstream; these tests run it over generated Scribe
-// over generated Pastry.
+// exists only as the code `macedon gen` emits from specs/splitstream.mac into
+// this directory; these tests run it over generated Scribe over generated
+// Pastry.
 package splitstream_test
 
 import (
@@ -11,16 +11,16 @@ import (
 	"macedon/internal/core"
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genpastry"
-	"macedon/internal/overlays/genscribe"
-	"macedon/internal/overlays/gensplitstream"
+	"macedon/internal/overlays/pastry"
+	"macedon/internal/overlays/scribe"
+	"macedon/internal/overlays/splitstream"
 )
 
 func forest(stripes, maxKids int32) []core.Factory {
 	return []core.Factory{
-		genpastry.New(),
-		func() core.Agent { return &genscribe.Agent{MaxChildren: maxKids} },
-		func() core.Agent { return &gensplitstream.Agent{Stripes: stripes} },
+		pastry.New(),
+		func() core.Agent { return &scribe.Agent{MaxChildren: maxKids} },
+		func() core.Agent { return &splitstream.Agent{Stripes: stripes} },
 	}
 }
 
@@ -49,7 +49,7 @@ func TestStripeKeysDiffer(t *testing.T) {
 	g := overlay.HashString("stream")
 	_ = c.Nodes[c.Addrs[1]].Join(g)
 	c.RunFor(time.Second)
-	groups := c.Nodes[c.Addrs[1]].Instance("scribe").Agent().(*genscribe.Agent).Groups
+	groups := c.Nodes[c.Addrs[1]].Instance("scribe").Agent().(*scribe.Agent).Groups
 	seen := map[overlay.Key]bool{}
 	for i := 0; i < 16; i++ {
 		k := stripeKey(g, i)
@@ -114,7 +114,7 @@ func TestForwardingLoadSpreads(t *testing.T) {
 	// stripe tree.
 	interior := 0
 	for _, a := range c.Addrs {
-		sc := c.Nodes[a].Instance("scribe").Agent().(*genscribe.Agent)
+		sc := c.Nodes[a].Instance("scribe").Agent().(*scribe.Agent)
 		kids := 0
 		for i := 0; i < 8; i++ {
 			kids += len(core.KeyRead(sc.Groups, stripeKey(group, i)).Children.Addrs)
@@ -131,7 +131,7 @@ func TestForwardingLoadSpreads(t *testing.T) {
 func TestStripesRoundRobin(t *testing.T) {
 	c := build(t, 8, forest(4, 0), 60*time.Second, 57)
 	group := overlay.HashString("rr")
-	ss := c.Nodes[c.Addrs[0]].Instance("splitstream").Agent().(*gensplitstream.Agent)
+	ss := c.Nodes[c.Addrs[0]].Instance("splitstream").Agent().(*splitstream.Agent)
 	if ss.Stripes != 4 {
 		t.Fatalf("stripes = %d", ss.Stripes)
 	}

@@ -77,7 +77,7 @@ func (f *fakeBackend) Families(reg *obs.Registry) {
 // fakeSchedule is a hand-built schedule of np 10-second phases after a 10 s
 // settle; tests drive ops through Apply themselves.
 func fakeSchedule(nodes, np int, checks ...string) *Schedule {
-	s := &Scenario{Name: "fake", Seed: 7, Nodes: nodes, Protocol: "genchord"}
+	s := &Scenario{Name: "fake", Seed: 7, Nodes: nodes, Protocol: "chord"}
 	if len(checks) > 0 {
 		s.Checks = &ChecksSpec{Names: checks, Grace: Duration(5 * time.Second)}
 	}

@@ -12,7 +12,7 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/livenet"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/genbullet"
+	"macedon/internal/overlays/bullet"
 )
 
 // TestLiveDeliveredPayloadsIntact is TestDeliveredPayloadsIntact's retention
@@ -32,7 +32,7 @@ func TestLiveDeliveredPayloadsIntact(t *testing.T) {
 	for k, tc := range cases {
 		t.Run(tc.proto, func(t *testing.T) {
 			t.Parallel()
-			stack, err := harness.ScenarioStack(tc.proto)
+			stack, err := harness.StackWithParams(tc.proto, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func runLivePayloads(t *testing.T, stack []core.Factory, late, port int) {
 		time.Sleep(100 * time.Millisecond) // the stream spans two of Bullet's 3 s epochs
 		for _, n := range live {
 			n.Exec(func() {
-				b, ok := n.Top().Agent().(*genbullet.Agent)
+				b, ok := n.Top().Agent().(*bullet.Agent)
 				if !ok {
 					return
 				}
@@ -152,7 +152,7 @@ func runLivePayloads(t *testing.T, stack []core.Factory, late, port int) {
 	if late > 0 && replayed == 0 {
 		t.Fatal("no late node was caught up on data sent before it spawned")
 	}
-	if _, isBullet := stack[len(stack)-1]().(*genbullet.Agent); isBullet && watched == 0 {
+	if _, isBullet := stack[len(stack)-1]().(*bullet.Agent); isBullet && watched == 0 {
 		t.Fatal("no kept candidate summary was seen twice: the watch is vacuous")
 	}
 	if corrupt > 0 {

@@ -18,7 +18,7 @@ import (
 	"macedon/internal/scenario"
 )
 
-// obsTraceScenario is a churn-free genchord run: with the full population
+// obsTraceScenario is a churn-free chord run: with the full population
 // stable through the lookup phase, the chord oracle's successor is the
 // ground-truth owner of every key.
 func obsTraceScenario() *scenario.Scenario {
@@ -27,7 +27,7 @@ func obsTraceScenario() *scenario.Scenario {
 		Seed:     909,
 		Nodes:    12,
 		Routers:  80,
-		Protocol: "genchord",
+		Protocol: "chord",
 		Join:     scenario.JoinSpec{Process: "staggered", Window: scenario.Duration(6e9)},
 		Settle:   scenario.Duration(40e9),
 		Drain:    scenario.Duration(10e9),
