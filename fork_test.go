@@ -2,19 +2,21 @@
 // be byte-identical to the same scenario run cold. RunScenarioForked runs
 // the shared prefix, forks, executes the branch, rewinds, and executes it
 // again; both outputs are compared against the checked-in golden trace — the
-// same files the cold runs are gated on — at -shards=1 and -shards=4. The
+// same files the cold runs are gated on, owned and re-recorded by
+// TestGoldenTraces — at -shards=1 and -shards=4. The
 // corpus covers kill/revive churn, partitions, link failures, and multicast
 // workloads, so any state the checkpoint fails to rewind (a timer, a
 // congestion window, a dedup key, a PRNG) shows up as a trace diff here.
 package main
 
 import (
-	"os"
+	"fmt"
 	"path/filepath"
 	"testing"
 
 	"macedon/internal/harness"
 	"macedon/internal/metrics"
+	"macedon/internal/repo"
 	"macedon/internal/scenario"
 )
 
@@ -30,70 +32,49 @@ var forkGoldenScenarios = []string{
 
 func TestForkedBranchMatchesGolden(t *testing.T) {
 	for _, name := range forkGoldenScenarios {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			s, err := scenario.Load(filepath.Join("examples", "scenarios", name+".json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			goldenPath := filepath.Join("testdata", "golden", name+".txt")
-			want, err := os.ReadFile(goldenPath)
-			if err != nil {
-				t.Fatalf("missing golden %s: %v", goldenPath, err)
-			}
+			s, path := goldenRun(t, name)
 			for _, shards := range []int{1, 4} {
-				first, second, err := harness.RunScenarioForked(s, shards)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				if got := goldenOutput(first); got != string(want) {
-					t.Fatalf("shards=%d: first branch diverges from cold golden:\n%s",
-						shards, firstDiff(string(want), got))
-				}
-				if got := goldenOutput(second); got != string(want) {
-					t.Fatalf("shards=%d: branch after restore diverges from cold golden:\n%s",
-						shards, firstDiff(string(want), got))
-				}
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					first, second, err := harness.RunScenarioForked(s, shards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					repo.Golden(t, path, goldenOutput(first))
+					repo.Golden(t, path, goldenOutput(second))
+				})
 			}
 		})
 	}
 }
 
 // TestSweepGolden gates the comparative sweep report: `macedon sweep` on the
-// worked example must emit the checked-in table byte for byte (the table is
-// deterministic; only the timing footer, absent here, is machine-dependent).
-// Run with MACEDON_UPDATE_GOLDEN=1 to regenerate after an intentional change.
+// worked example must emit testdata/golden/gen-churn-sweep.txt byte for byte
+// (the table is deterministic; only the timing footer, absent here, is
+// machine-dependent), and this test owns that file. Its four variants fall
+// into two groups that each share their settled prefix, with the obs plane
+// off and on: obs forks with the run, so it must not change the strategy.
 func TestSweepGolden(t *testing.T) {
 	sw, err := scenario.LoadSweep(filepath.Join("examples", "scenarios", "gen-churn-sweep.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := harness.RunSweep(sw, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := metrics.SweepTable(rep)
-	goldenPath := filepath.Join("testdata", "golden", "gen-churn-sweep.txt")
-	if os.Getenv("MACEDON_UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+	for _, obs := range []bool{false, true} {
+		rep, err := harness.RunSweepExec(sw, 2, harness.ObsOptions{Enabled: obs})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden (run with MACEDON_UPDATE_GOLDEN=1 to create): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("sweep table diverges from %s:\n%s", goldenPath, firstDiff(string(want), got))
-	}
-	shared := 0
-	for _, vr := range rep.Results {
-		if vr.SharedPrefix {
-			shared++
+		if !obs {
+			repo.RecordGolden(t, filepath.Join("testdata", "golden", "gen-churn-sweep.txt"), metrics.SweepTable(rep))
 		}
-	}
-	if shared != 4 || rep.Groups != 2 {
-		t.Fatalf("expected 2 shared-prefix groups covering all 4 variants, got groups=%d shared=%d", rep.Groups, shared)
+		if rep.Groups != 2 {
+			t.Fatalf("obs=%v: expected 2 shared-prefix groups, got %d", obs, rep.Groups)
+		}
+		for _, vr := range rep.Results {
+			if !vr.SharedPrefix {
+				t.Fatalf("obs=%v: variant %q ran its prefix alone", obs, vr.Name)
+			}
+		}
 	}
 }
 
@@ -121,7 +102,7 @@ func TestForkedFigure12MatchesCold(t *testing.T) {
 		want := goldenOutput(cold)
 		for i, rep := range []*scenario.Report{first, second} {
 			if got := goldenOutput(rep); got != want {
-				t.Fatalf("shards=%d: branch %d diverges from the cold run:\n%s", shards, i+1, firstDiff(want, got))
+				t.Fatalf("shards=%d: branch %d diverges from the cold run:\n%s", shards, i+1, repo.FirstDiff(want, got))
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"macedon/internal/overlay"
+	"macedon/internal/repo"
 	"macedon/internal/simnet"
 	"macedon/internal/topology"
 )
@@ -527,33 +527,7 @@ func TestTraceHighGolden(t *testing.T) {
 	}
 	nodes[1].Stop()
 
-	path := filepath.Join("testdata", "trace_high.golden")
-	if os.Getenv("MACEDON_UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("TraceHigh output differs from %s (%d bytes, want %d); first difference at line %d",
-			path, out.Len(), len(want), firstDiffLine(out.Bytes(), want))
-	}
-}
-
-func firstDiffLine(a, b []byte) int {
-	la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
-	for i := 0; i < len(la) && i < len(lb); i++ {
-		if !bytes.Equal(la[i], lb[i]) {
-			return i + 1
-		}
-	}
-	return min(len(la), len(lb)) + 1
+	repo.RecordGolden(t, filepath.Join("testdata", "trace_high.golden"), out.String())
 }
 
 // The scratch types opt out of checkpoints with a marker method; embedding

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"macedon/internal/core"
+	"macedon/internal/repo"
 	"macedon/internal/scenario"
 )
 
@@ -33,7 +34,7 @@ func TestObsShardInvariance(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if got.ObsText() != base.ObsText() {
-			diffLines(t, shards, base.ObsText(), got.ObsText())
+			t.Fatalf("shards=%d: obs output diverges from shards=1 at %s", shards, repo.FirstDiff(base.ObsText(), got.ObsText()))
 		}
 		if got.TraceText() != base.TraceText() || got.String() != base.String() {
 			t.Fatalf("shards=%d: legacy output drifted under obs", shards)
@@ -105,7 +106,7 @@ func TestSchedFamiliesShardInvariant(t *testing.T) {
 			continue
 		}
 		if got != base {
-			diffLines(t, shards, base, got)
+			t.Fatalf("shards=%d: obs output diverges from shards=1 at %s", shards, repo.FirstDiff(base, got))
 		}
 		for pi, p := range rep.Phases {
 			bs, gs := baseRep.Phases[pi].Obs.Series, p.Obs.Series
@@ -130,18 +131,6 @@ func TestSchedFamiliesShardInvariant(t *testing.T) {
 			}
 		}
 	}
-}
-
-func diffLines(t *testing.T, shards int, a, b string) {
-	t.Helper()
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			t.Fatalf("shards=%d: obs output diverges at line %d:\n  shards=1: %s\n  shards=%d: %s",
-				shards, i, al[i], shards, bl[i])
-		}
-	}
-	t.Fatalf("shards=%d: obs output lengths differ: %d vs %d lines", shards, len(al), len(bl))
 }
 
 // TestObsPhaseHistograms sanity-checks the per-phase distribution columns:

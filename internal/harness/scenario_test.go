@@ -9,6 +9,7 @@ import (
 	"macedon/internal/overlays/pastry"
 	"macedon/internal/overlays/scribe"
 	"macedon/internal/overlays/splitstream"
+	"macedon/internal/repo"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 )
@@ -73,13 +74,7 @@ func TestScenarioDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.TraceText() != b.TraceText() {
-		at, bt := a.Trace, b.Trace
-		for i := 0; i < len(at) && i < len(bt); i++ {
-			if at[i] != bt[i] {
-				t.Fatalf("traces diverge at line %d:\n  run1: %s\n  run2: %s", i, at[i], bt[i])
-			}
-		}
-		t.Fatalf("trace lengths differ: %d vs %d", len(at), len(bt))
+		t.Fatalf("traces diverge at %s", repo.FirstDiff(a.TraceText(), b.TraceText()))
 	}
 	if a.String() != b.String() {
 		t.Fatalf("reports differ:\n--- run1\n%s\n--- run2\n%s", a, b)
@@ -100,14 +95,7 @@ func TestScenarioShardInvariance(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if got.TraceText() != base.TraceText() {
-			at, bt := base.Trace, got.Trace
-			for i := 0; i < len(at) && i < len(bt); i++ {
-				if at[i] != bt[i] {
-					t.Fatalf("shards=%d: traces diverge at line %d:\n  shards=1: %s\n  shards=%d: %s",
-						shards, i, at[i], shards, bt[i])
-				}
-			}
-			t.Fatalf("shards=%d: trace lengths differ: %d vs %d", shards, len(at), len(bt))
+			t.Fatalf("shards=%d: traces diverge from shards=1 at %s", shards, repo.FirstDiff(base.TraceText(), got.TraceText()))
 		}
 		if got.String() != base.String() {
 			t.Fatalf("shards=%d: reports differ:\n--- shards=1\n%s\n--- shards=%d\n%s",

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -57,20 +56,9 @@ func sweepMatchesCold(t *testing.T, sw *scenario.Sweep, shards int, o ObsOptions
 			t.Fatal(err)
 		}
 		if got, want := render(vr.Report), render(cold); got != want {
-			t.Fatalf("shards=%d variant %q: forked branch diverges from its own run:\n%s", shards, vr.Name, firstDiffLine(want, got))
+			t.Fatalf("shards=%d variant %q: forked branch diverges from its own run:\n%s", shards, vr.Name, repo.FirstDiff(want, got))
 		}
 	}
-}
-
-// firstDiffLine names the first line two renderings disagree on.
-func firstDiffLine(want, got string) string {
-	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
-	for i := 0; i < len(wl) && i < len(gl); i++ {
-		if wl[i] != gl[i] {
-			return fmt.Sprintf("line %d:\n  alone:  %s\n  forked: %s", i+1, wl[i], gl[i])
-		}
-	}
-	return fmt.Sprintf("%d lines alone, %d forked", len(wl), len(gl))
 }
 
 func TestSweepMatchesColdRuns(t *testing.T) {

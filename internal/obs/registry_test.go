@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"macedon/internal/repo"
@@ -74,8 +72,8 @@ func TestRegistryHandleIdentity(t *testing.T) {
 }
 
 // TestExpositionGolden pins the exposition byte format: a registry with
-// one of each family kind, labeled and unlabeled, must render exactly the
-// checked-in golden. Regenerate with MACEDON_UPDATE_GOLDEN=1.
+// one of each family kind, labeled and unlabeled, must render exactly
+// testdata/golden/obs-exposition.txt, which this test owns.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("macedon_ops_total", "Workload operations injected.", L("kind", "lookup")).Add(42)
@@ -88,26 +86,7 @@ func TestExpositionGolden(t *testing.T) {
 	for _, v := range []float64{0.005, 0.05, 0.05, 0.5, 2} {
 		h.Observe(v)
 	}
-	got := r.Text()
-
-	path := repo.Path("testdata", "golden", "obs-exposition.txt")
-	if os.Getenv("MACEDON_UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden: %v (run with MACEDON_UPDATE_GOLDEN=1 to create)", err)
-	}
-	if got != string(want) {
-		t.Errorf("exposition drifted from golden %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
-	}
+	repo.RecordGolden(t, repo.Path("testdata", "golden", "obs-exposition.txt"), r.Text())
 }
 
 func TestParseTextRoundTrip(t *testing.T) {

@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,5 +76,35 @@ func TestSpecsListsBundledSpecifications(t *testing.T) {
 		if filepath.Ext(s) != ".mac" {
 			t.Fatalf("Specs() returned non-spec file %q", s)
 		}
+	}
+}
+
+// fakeTB records the first failure instead of stopping the test.
+type fakeTB struct {
+	testing.TB
+	failed string
+}
+
+func (f *fakeTB) Helper() {}
+func (f *fakeTB) Fatalf(format string, args ...any) {
+	if f.failed == "" {
+		f.failed = fmt.Sprintf(format, args...)
+	}
+}
+
+// TestRecordGoldenWritesOnce: under MACEDON_UPDATE_GOLDEN the first
+// RecordGolden for a path rewrites it, and a later run that disagrees fails,
+// naming the line, instead of overwriting what was recorded.
+func TestRecordGoldenWritesOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	t.Setenv("MACEDON_UPDATE_GOLDEN", "1")
+	RecordGolden(t, path, "a\nb\n")
+	f := &fakeTB{TB: t}
+	RecordGolden(f, path, "a\nc\n")
+	if want := "line 2:\n  want: b\n  got:  c"; !strings.HasSuffix(f.failed, want) {
+		t.Fatalf("second run: failure %q, want it to end in %q", f.failed, want)
+	}
+	if b, _ := os.ReadFile(path); string(b) != "a\nb\n" {
+		t.Fatalf("golden overwritten: %q", b)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"macedon/internal/overlay"
+	"macedon/internal/repo"
 	"macedon/internal/topology"
 )
 
@@ -199,40 +200,20 @@ func tieForked(t *testing.T, shards int) string {
 
 func TestPipeTiesGolden(t *testing.T) {
 	path := filepath.Join("testdata", "pipe_ties.golden")
-	if os.Getenv("MACEDON_UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(tieCold(t, 1)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(want, []byte("QueueDrops:")) || bytes.Contains(want, []byte("QueueDrops:0 ")) {
-		t.Fatal("golden records no queue drops; the ties decide nothing")
-	}
+	runs := []struct {
+		name string
+		run  func(*testing.T, int) string
+	}{{"cold", tieCold}, {"forked", tieForked}}
 	for _, shards := range []int{1, 2, 4} {
-		for name, run := range map[string]func(*testing.T, int) string{"cold": tieCold, "forked": tieForked} {
-			t.Run(fmt.Sprintf("%s/shards=%d/latency", name, shards), func(t *testing.T) {
-				if got := run(t, shards); got != string(want) {
-					t.Fatalf("differs from %s at line %d", path, firstDiffLine(got, string(want)))
-				}
+		for _, r := range runs {
+			t.Run(fmt.Sprintf("%s/shards=%d/latency", r.name, shards), func(t *testing.T) {
+				repo.RecordGolden(t, path, r.run(t, shards))
 			})
 		}
 	}
-}
-
-func firstDiffLine(a, b string) int {
-	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(la) && i < len(lb); i++ {
-		if la[i] != lb[i] {
-			return i + 1
-		}
+	if want, _ := os.ReadFile(path); !bytes.Contains(want, []byte("QueueDrops:")) || bytes.Contains(want, []byte("QueueDrops:0 ")) {
+		t.Fatal("golden records no queue drops; the ties decide nothing")
 	}
-	return min(len(la), len(lb)) + 1
 }
 
 // TestPipeReleaseOrder pins, one tie at a time, which side of a queue

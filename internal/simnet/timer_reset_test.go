@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"macedon/internal/overlay"
+	"macedon/internal/repo"
 	"macedon/internal/substrate"
 	"macedon/internal/topology"
 )
@@ -145,7 +146,7 @@ func TestResetMatchesStopAndAfter(t *testing.T) {
 				t.Fatalf("seed %d: %d fires, %d resets: the program exercises too little", seed, got.fires, got.resets)
 			}
 			if got.log != want.log {
-				t.Fatalf("seed %d shards=%d: Reset fires differ from Stop+After at line %d", seed, shards, firstDiffLine(got.log, want.log))
+				t.Fatalf("seed %d shards=%d: Reset fires differ from Stop+After at %s", seed, shards, repo.FirstDiff(want.log, got.log))
 			}
 			if got.executed != want.executed || got.pending != want.pending {
 				t.Fatalf("seed %d shards=%d: Reset executed %d, %d pending; Stop+After %d, %d",

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"macedon/internal/overlay"
+	"macedon/internal/repo"
 	"macedon/internal/topology"
 )
 
@@ -129,8 +130,8 @@ func TestTimerPacketTies(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			if got := timerPacketTieRun(t, shards); got != timerPacketTies {
-				t.Fatalf("differs from the one-heap engine's trace at line %d:\n%s",
-					firstDiffLine(got, timerPacketTies), got)
+				t.Fatalf("differs from the one-heap engine's trace at %s\n%s",
+					repo.FirstDiff(timerPacketTies, got), got)
 			}
 		})
 	}
