@@ -29,8 +29,8 @@ func TestCLIGoldens(t *testing.T) {
 	}
 	rows := []row{
 		{"churn-partition.txt", false, 0, runScenario, []string{"-trace", scen("churn-partition")}, false},
-		{"gen-churn-sweep.txt", false, 2, runSweep, []string{"-timing=false", scen("gen-churn-sweep")}, false},
-		{"gen-churn-sweep.json", true, 2, runSweep, []string{"-json", scen("gen-churn-sweep")}, false},
+		{"churn-sweep.txt", false, 2, runSweep, []string{"-timing=false", scen("churn-sweep")}, false},
+		{"churn-sweep.json", true, 2, runSweep, []string{"-json", scen("churn-sweep")}, false},
 	}
 	for _, fig := range []string{"fig8", "fig10", "fig11", "fig12"} {
 		rows = append(rows, row{fig + "-small.txt", true, 0, runSweep, []string{"-obs", "-trace-sample=1000000",

@@ -15,11 +15,11 @@ import (
 // file and resolves its stack without running it, and prints the one-line
 // schedule summary.
 func TestScenarioCheckPrintsSchedule(t *testing.T) {
-	code, out := runCaptured(t, runScenario, "-check", repo.Path("examples", "scenarios", "genchord-checked.json"))
+	code, out := runCaptured(t, runScenario, "-check", repo.Path("examples", "scenarios", "chord-checked.json"))
 	if code != 0 {
 		t.Fatalf("exit code %d", code)
 	}
-	if !strings.HasPrefix(out, `scenario "genchord-checked": 16 nodes, 3 phases, `) || strings.Count(out, "\n") != 1 {
+	if !strings.HasPrefix(out, `scenario "chord-checked": 16 nodes, 3 phases, `) || strings.Count(out, "\n") != 1 {
 		t.Errorf("summary %q", out)
 	}
 }

@@ -124,7 +124,7 @@ func runLookups(t *testing.T, c *harness.Cluster, owner func(overlay.Key) overla
 	return lines, delivered
 }
 
-func TestGenChordRoutingOracleChurn(t *testing.T) {
+func TestChordRoutingOracleChurn(t *testing.T) {
 	var traces []string
 	for _, shards := range []int{1, 4} {
 		shards := shards
@@ -181,7 +181,7 @@ func pastryOwner(addrs []overlay.Address, k overlay.Key) overlay.Address {
 	return best
 }
 
-func TestGenPastryRoutingOracleChurn(t *testing.T) {
+func TestPastryRoutingOracleChurn(t *testing.T) {
 	var traces []string
 	for _, shards := range []int{1, 4} {
 		shards := shards

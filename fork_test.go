@@ -26,7 +26,7 @@ import (
 // reliable-transport streams).
 var forkGoldenScenarios = []string{
 	"churn-partition",
-	"genchord-churn",
+	"chord-churn",
 	"multicast-workload",
 }
 
@@ -49,13 +49,13 @@ func TestForkedBranchMatchesGolden(t *testing.T) {
 }
 
 // TestSweepGolden gates the comparative sweep report: `macedon sweep` on the
-// worked example must emit testdata/golden/gen-churn-sweep.txt byte for byte
+// worked example must emit testdata/golden/churn-sweep.txt byte for byte
 // (the table is deterministic; only the timing footer, absent here, is
 // machine-dependent), and this test owns that file. Its four variants fall
 // into two groups that each share their settled prefix, with the obs plane
 // off and on: obs forks with the run, so it must not change the strategy.
 func TestSweepGolden(t *testing.T) {
-	sw, err := scenario.LoadSweep(filepath.Join("examples", "scenarios", "gen-churn-sweep.json"))
+	sw, err := scenario.LoadSweep(filepath.Join("examples", "scenarios", "churn-sweep.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSweepGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !obs {
-			repo.RecordGolden(t, filepath.Join("testdata", "golden", "gen-churn-sweep.txt"), metrics.SweepTable(rep))
+			repo.RecordGolden(t, filepath.Join("testdata", "golden", "churn-sweep.txt"), metrics.SweepTable(rep))
 		}
 		if rep.Groups != 2 {
 			t.Fatalf("obs=%v: expected 2 shared-prefix groups, got %d", obs, rep.Groups)

@@ -35,12 +35,12 @@ var goldenScenarios = []string{
 	"overcast-churn",
 	"ammo-churn",
 	"bullet-churn",
-	"genchord-churn",
-	"genpastry-churn",
-	// genchord-checked opts into the runtime invariant checkers, so its
+	"chord-churn",
+	"pastry-churn",
+	// chord-checked opts into the runtime invariant checkers, so its
 	// golden pins the per-phase check report — checker set, node count,
 	// violation count — across shard counts too.
-	"genchord-checked",
+	"chord-checked",
 }
 
 // goldenOutput renders a report exactly as `macedon scenario -trace` prints

@@ -13,14 +13,14 @@ import (
 	"macedon/internal/overlays/chord"
 )
 
-// TestGenChordSuccsOwnTheirArray: the engine decodes a generated message's
+// TestChordSuccsOwnTheirArray: the engine decodes a generated message's
 // nodeset field into the array its receive slot keeps from frame to frame, so
 // a nodeset state variable must never share that array. On a settled
 // generated Chord ring, where every node handles a get_pred_resp each
 // stabilize round, a node's Succs and its instance's get_pred_resp slot share
 // no storage, and decoding another get_pred_resp — through the instance, into
 // the same slot and array — leaves Succs as it was.
-func TestGenChordSuccsOwnTheirArray(t *testing.T) {
+func TestChordSuccsOwnTheirArray(t *testing.T) {
 	c, err := harness.NewCluster(harness.ClusterConfig{Nodes: 6, Routers: 40, Seed: 424})
 	if err != nil {
 		t.Fatal(err)

@@ -134,12 +134,12 @@ func deliveryPct(r *scenario.Report) float64 {
 	return 100 * float64(del) / float64(sent)
 }
 
-// TestLiveSmokeGenchordVsSim is the CI live-smoke acceptance: a 16-node
+// TestLiveSmokeChordVsSim is the CI live-smoke acceptance: a 16-node
 // chord deployment on localhost processes runs the churn+lookup
 // scenario, must deliver ≥99% of lookups, and must agree with the
 // emulated run of the identical scenario within the conformance
 // tolerances (delivery within 2 points, mean hops within 15%).
-func TestLiveSmokeGenchordVsSim(t *testing.T) {
+func TestLiveSmokeChordVsSim(t *testing.T) {
 	liveGate(t)
 	s := loadScenario(t, "live-churn-lookup.json")
 	// CI-sized fleet; `macedon deploy -nodes 32` is the full acceptance

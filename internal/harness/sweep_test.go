@@ -83,7 +83,7 @@ func TestSweepMatchesColdRuns(t *testing.T) {
 // workload phase, so the checkpoint carries live books (tallies, spans,
 // series points) and intra-phase samples straddle it.
 func TestSweepObsMatchesCold(t *testing.T) {
-	example, err := scenario.LoadSweep(repo.Path("examples", "scenarios", "gen-churn-sweep.json"))
+	example, err := scenario.LoadSweep(repo.Path("examples", "scenarios", "churn-sweep.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ var scaleCases = map[string]scaleCase{
 	// of generated Chord, no churn, four access pipes failing and healing
 	// under a lookup workload (TestScaleLinkFlapChord holds the schedule).
 	"flap": {
-		name:       "genchord-1k-linkflap",
+		name:       "chord-1k-linkflap",
 		nodes:      1_000,
 		routers:    3_000,
 		joinWindow: 30 * time.Second,
@@ -90,7 +90,7 @@ var scaleCases = map[string]scaleCase{
 	// schedule). Peak HeapInuse measured at 134–139 MB over five runs (2 vCPU,
 	// GOMAXPROCS=2); 412–441 MB before trees kept only prev.
 	"paper": {
-		name:       "genchord-1k-paper",
+		name:       "chord-1k-paper",
 		nodes:      1_000,
 		routers:    20_000,
 		joinWindow: 30 * time.Second,
