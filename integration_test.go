@@ -14,6 +14,7 @@ import (
 	"macedon/internal/overlays/chord"
 	"macedon/internal/overlays/pastry"
 	"macedon/internal/overlays/scribe"
+	"macedon/internal/repo"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 )
@@ -150,6 +151,40 @@ func TestScribeTreeSurvivesForwarderFailure(t *testing.T) {
 	}
 	if missing > 1 { // one straggler mid-regraft is tolerable
 		t.Fatalf("%d members lost the stream after forwarder failure", missing)
+	}
+}
+
+// TestScribeLookupsReachTheApplication: Scribe passes a lookup through to
+// Pastry's route, so Pastry, the layer below the top, forwards and delivers
+// it; the payload must still reach the application, and the application
+// must still see its forwards. The pastry-churn scenario run over the
+// scribe stack must deliver at least 95 % of the lookups it issues (a
+// lookup whose sender is down is skipped, not issued) over more than one
+// hop on average, and print the same report at -shards=1 and -shards=4.
+func TestScribeLookupsReachTheApplication(t *testing.T) {
+	s, err := scenario.Load(filepath.Join("examples", "scenarios", "pastry-churn.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Protocol = "scribe"
+	var first string
+	for _, shards := range []int{1, 4} {
+		rep, err := harness.RunScenarioExec(s, harness.ExecOptions{Shards: shards})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		sent, delivered, forwarded := 0, 0, 0
+		for _, p := range rep.Phases {
+			sent, delivered, forwarded = sent+p.OpsSent, delivered+p.OpsDelivered, forwarded+p.OpsForwarded
+		}
+		if sent == 0 || delivered*100 < sent*95 || forwarded == 0 {
+			t.Fatalf("shards=%d: %d of %d lookups delivered (want at least 95 %%), %d forwards:\n%s", shards, delivered, sent, forwarded, rep)
+		}
+		if first == "" {
+			first = rep.String()
+		} else if rep.String() != first {
+			t.Fatalf("shards=%d: report diverges from shards=1 at %s", shards, repo.FirstDiff(first, rep.String()))
+		}
 	}
 }
 

@@ -478,9 +478,12 @@ func TestAssignSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestTraceHighGolden pins the bytes a TraceHigh run writes. The golden was
-// written by the engine as it stood before trace call sites learned to test
-// the level first, so it proves the gating changed no traced line.
+// TestTraceHighGolden pins the bytes a TraceHigh run writes, and owns
+// testdata/trace_high.golden. The golden was written by the engine as it
+// stood before trace call sites learned to test the level first, so it
+// proves the gating changed no traced line; one line moved since, when the
+// application payload the lower layer delivers under a layer above stopped
+// being dropped as undeliverable.
 func TestTraceHighGolden(t *testing.T) {
 	g := topology.NewGraph()
 	hub := g.AddRouter()

@@ -460,14 +460,17 @@ func (i *Instance) dispatchAPI(call *APICall) {
 	i.dispatch(ts, evAPI, call.Kind.String(), nil, call)
 }
 
-// deliverUp implements the deliver() upcall from this layer.
+// deliverUp implements the deliver() upcall from this layer. An
+// application payload goes to the application whichever layer delivers it:
+// a layer above that passed a route through to this one has no transition
+// for it. forwardUp does the same for the forward() upcall.
 func (i *Instance) deliverUp(payload []byte, typ int32, src overlay.Address) {
 	i.counters.Delivered.Inc()
 	if typ == ProtocolPayload && i.upper != nil {
 		i.upper.handleFrame("layered frame", src, payload)
 		return
 	}
-	if typ >= 0 && i.upper == nil {
+	if typ >= 0 {
 		if i.tracing(TraceHigh) {
 			i.trace(TraceHigh, "deliver type %d from %v to application", typ, src)
 		}
@@ -508,7 +511,7 @@ func (i *Instance) forwardUp(payload []byte, typ int32, next overlay.Address, ne
 		}
 		return true, ev.NextHop, newPayload
 	}
-	if typ >= 0 && i.upper == nil {
+	if typ >= 0 {
 		if h := i.node.handlers.Forward; h != nil {
 			return h(payload, typ, next, nextKey), next, payload
 		}
