@@ -2,22 +2,23 @@ package core_test
 
 import (
 	"bytes"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"macedon/internal/core"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays/chord"
-	"macedon/internal/overlays/pastry"
-	"macedon/internal/overlays/randtree"
+	"macedon/internal/overlays"
 )
 
-// fuzzInstances are one instance of each generated protocol, detached from
-// any network: the receive paths a hostile frame meets first.
+// fuzzInstances are one instance of each generated protocol in the
+// registry, in name order and detached from any network: the receive paths
+// a hostile frame meets first. A new spec is fuzzed with no edit here.
 func fuzzInstances(f *testing.F) []*core.Instance {
 	var insts []*core.Instance
-	for _, fac := range []core.Factory{chord.New(), pastry.New(), randtree.New()} {
-		inst, err := core.DetachedInstance(fac())
+	for _, name := range slices.Sorted(maps.Keys(overlays.Protocols)) {
+		inst, err := core.DetachedInstance(overlays.Protocols[name].New())
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -27,36 +28,35 @@ func fuzzInstances(f *testing.F) []*core.Instance {
 }
 
 // populate gives every exported field of a generated message struct a
-// non-zero value, so the seed corpus exercises every codec accessor.
-func populate(m overlay.Message) {
-	v := reflect.ValueOf(m).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		if !f.CanSet() {
-			continue
+// non-zero value, down through slices and structs, so the seed corpus
+// exercises every codec accessor and leaves no nested slice nil: a nil
+// slice decodes as an empty one, and the seed would not round-trip.
+func populate(m overlay.Message) { fill(reflect.ValueOf(m).Elem(), 1) }
+
+// fill sets v to a value derived from n, recursing into its elements.
+func fill(v reflect.Value, n int) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int:
+		v.SetInt(int64(n))
+	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
+		v.SetUint(uint64(n))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(0.5 + float64(n))
+	case reflect.String:
+		v.SetString("seed")
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 3, 3)
+		for j := 0; j < s.Len(); j++ {
+			fill(s.Index(j), 10*n+j)
 		}
-		switch f.Kind() {
-		case reflect.Bool:
-			f.SetBool(true)
-		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int:
-			f.SetInt(int64(3 + i))
-		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
-			f.SetUint(uint64(0x1000 + i))
-		case reflect.Float32, reflect.Float64:
-			f.SetFloat(1.5 + float64(i))
-		case reflect.String:
-			f.SetString("seed")
-		case reflect.Slice:
-			s := reflect.MakeSlice(f.Type(), 3, 3)
-			for j := 0; j < s.Len(); j++ {
-				switch e := s.Index(j); e.Kind() {
-				case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int:
-					e.SetInt(int64(10*i + j + 1))
-				case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
-					e.SetUint(uint64(10*i + j + 1))
-				}
+		v.Set(s)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.CanSet() {
+				fill(f, n+i)
 			}
-			f.Set(s)
 		}
 	}
 }
@@ -64,8 +64,7 @@ func populate(m overlay.Message) {
 // FuzzDecodeMessage feeds arbitrary frames to the generated protocols'
 // receive path: the instance's decode, which reads with the node's one Reader
 // into the instance's one receive slot per message type. Seed corpus: one
-// populated instance of every message chord, pastry and randtree
-// register. Properties: decoding never panics; whatever decodes re-encodes to
+// populated instance of every message every generated protocol registers. Properties: decoding never panics; whatever decodes re-encodes to
 // a frame that decodes to the same message (decode∘encode is the identity on
 // the codec's image); and a slot, Reader and Writer that earlier messages went
 // through behave exactly like fresh ones — no field or byte of an earlier
