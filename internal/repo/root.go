@@ -1,6 +1,7 @@
 // Package repo locates the repository root so that tests and tools can
 // resolve bundled assets (specs/*.mac, example scenarios) regardless of the
-// working directory they run from.
+// working directory they run from, and checks tests' output against the
+// golden files (golden.go). Only tests import it.
 package repo
 
 import (
