@@ -3,19 +3,29 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
 	"macedon/internal/repo"
 )
 
-// runGenCaptured runs `macedon gen` in process and returns its exit code and
-// what it wrote to standard output and standard error.
-func runGenCaptured(t *testing.T, args ...string) (code int, stdout, stderr string) {
+// runBoth runs a subcommand in process and returns its exit code and what
+// it wrote to standard output and standard error.
+func runBoth(t *testing.T, cmd func([]string) int, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
-	stderr = capture(t, &os.Stderr, func() { code, stdout = runCaptured(t, runGen, args...) })
+	stderr = capture(t, &os.Stderr, func() { code, stdout = runCaptured(t, cmd, args...) })
 	return code, stdout, stderr
+}
+
+// module makes a temporary module root, as gen -o wants to run at, and
+// changes to it.
+func module(t *testing.T) {
+	t.Helper()
+	mod := t.TempDir()
+	if err := os.WriteFile(filepath.Join(mod, "go.mod"), []byte("module macedon\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(mod)
 }
 
 // TestGenChordSummaryAndOutput: `macedon gen -o DIR`, run at a module's
@@ -25,16 +35,12 @@ func runGenCaptured(t *testing.T, args ...string) (code int, stdout, stderr stri
 // package from DIR's place in the module.
 func TestGenChordSummaryAndOutput(t *testing.T) {
 	spec, committed := repo.Path("specs", "chord.mac"), repo.Path("internal", "overlays", "chord", "chord.go")
-	mod := t.TempDir()
-	if err := os.WriteFile(filepath.Join(mod, "go.mod"), []byte("module macedon\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Chdir(mod)
-	code, stdout, stderr := runGenCaptured(t, "-o", "protos", spec)
+	module(t)
+	code, stdout, stderr := runBoth(t, runGen, "-o", "protos", spec)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	if want := ": protocol chord: 16 transitions, 189 statements translated\n"; !strings.HasSuffix(stderr, want) {
+	if want := ": protocol chord: 16 transitions\n"; !strings.HasSuffix(stderr, want) {
 		t.Errorf("summary %q, want it to end in %q", stderr, want)
 	}
 	if stdout != "" {
@@ -62,22 +68,69 @@ func TestGenChordSummaryAndOutput(t *testing.T) {
 	}
 }
 
-// TestGenRejectsMalformedSpec: a spec that does not parse exits 1 and names
-// the position of the error as line:col.
+// TestGenRejectsMalformedSpec: check and gen agree. A spec that does not
+// parse, and each randtree probe, which parses but does not translate, makes
+// both exit 1 with the same error at the same line:col; gen writes nothing,
+// to standard output or under -o.
 func TestGenRejectsMalformedSpec(t *testing.T) {
-	spec := filepath.Join(t.TempDir(), "bad.mac")
-	src := "protocol p\ntransports { UDP u; }\nmessages { u m { int x; } \ntransitions { any recv m { } }\n"
-	if err := os.WriteFile(spec, []byte(src), 0o644); err != nil {
+	cases := []struct{ name, src, want string }{
+		{"unclosed message section", "protocol p\ntransports { UDP u; }\nmessages { u m { int x; } \ntransitions { any recv m { } }\n",
+			"4:24: expected \";\", got \"m\""},
+	}
+	for _, p := range repo.RandtreeProbes {
+		src, err := p.Apply()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, struct{ name, src, want string }{p.New, src, p.Err})
+	}
+	module(t)
+	runs := []struct {
+		name string
+		cmd  func([]string) int
+		args []string
+	}{{"check", runCheck, nil}, {"gen", runGen, nil}, {"gen -o", runGen, []string{"-o", "protos"}}}
+	for _, c := range cases {
+		if err := os.WriteFile("bad.mac", []byte(c.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := "bad.mac: " + c.want + "\n"
+		for _, r := range runs {
+			code, stdout, stderr := runBoth(t, r.cmd, append(r.args, "bad.mac")...)
+			if code != 1 || stderr != want {
+				t.Errorf("%s: %s: exit %d, %q; want exit 1, %q", c.name, r.name, code, stderr, want)
+			}
+			if stdout != "" {
+				t.Errorf("%s: %s wrote %q to stdout", c.name, r.name, stdout)
+			}
+		}
+		if _, err := os.Stat("protos"); !os.IsNotExist(err) {
+			t.Fatalf("%s: gen -o made protos/ (%v)", c.name, err)
+		}
+	}
+}
+
+// TestGenWritesNothingUnlessAllTranslate: gen -o with a spec that
+// translates and one that does not leaves DIR empty: neither the good
+// spec's package nor the registry is written.
+func TestGenWritesNothingUnlessAllTranslate(t *testing.T) {
+	chord := repo.Path("specs", "chord.mac")
+	src, err := repo.RandtreeProbes[0].Apply()
+	if err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, stderr := runGenCaptured(t, spec)
-	if code != 1 {
-		t.Errorf("exit %d, want 1", code)
+	module(t)
+	if err := os.WriteFile("bad.mac", []byte(src), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if stdout != "" {
-		t.Errorf("a malformed spec generated %d bytes", len(stdout))
+	if err := os.Mkdir("protos", 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if !regexp.MustCompile(`bad\.mac: \d+:\d+: `).MatchString(stderr) {
-		t.Errorf("error %q carries no line:col position", stderr)
+	code, _, stderr := runBoth(t, runGen, "-o", "protos", chord, "bad.mac")
+	if code != 1 || !strings.HasPrefix(stderr, "bad.mac: ") {
+		t.Errorf("exit %d, %q; want exit 1 and bad.mac's error", code, stderr)
+	}
+	if left, err := os.ReadDir("protos"); err != nil || len(left) != 0 {
+		t.Errorf("protos/ holds %v (%v), want nothing", left, err)
 	}
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	macedon check spec.mac...            validate specifications
+//	macedon check spec.mac...            check specifications: parse and translate, writing nothing
 //	macedon gen [-o DIR] spec.mac...     generate Go agents: one to stdout, or DIR/<protocol>/ and the registry
 //	macedon loc spec.mac...              count specification lines (Figure 7)
 //	macedon scenario [-trace] [-shards N] file.json  run a churn/failure/workload scenario
@@ -77,7 +77,12 @@ func runCheck(args []string) int {
 			bad++
 			continue
 		}
+		// A spec is checked by translating it, so check accepts exactly
+		// what gen translates.
 		spec, err := dsl.Parse(string(src))
+		if err == nil {
+			_, err = codegen.Generate(spec, spec.Name)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 			bad++
@@ -105,11 +110,17 @@ func runGen(args []string) int {
 		fmt.Fprintln(os.Stderr, "macedon gen: one specification, or -o DIR and any number")
 		return 2
 	}
+	// Every spec translates before anything is written, so a failing one
+	// leaves DIR as it was.
 	specs := make([]*dsl.Spec, len(paths))
+	results := make([]*codegen.Result, len(paths))
 	for i, path := range paths {
 		src, err := os.ReadFile(path)
 		if err == nil {
 			specs[i], err = dsl.Parse(string(src))
+		}
+		if err == nil {
+			results[i], err = codegen.Generate(specs[i], specs[i].Name)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
@@ -133,18 +144,11 @@ func runGen(args []string) int {
 		}
 	}
 	code := 0
-	for i, spec := range specs {
-		res, err := codegen.Generate(spec, spec.Name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", paths[i], err)
-			return 1
-		}
-		// Per-spec summary: what was translated, without grepping the output.
-		fmt.Fprintf(os.Stderr, "%s: protocol %s: %d transitions, %d statements translated\n",
-			paths[i], spec.Name, res.Transitions, res.Translated)
+	for i, res := range results {
+		fmt.Fprintf(os.Stderr, "%s: protocol %s: %d transitions\n", paths[i], specs[i].Name, res.Transitions)
 		file := ""
 		if *out != "" {
-			file = filepath.Join(*out, spec.Name, spec.Name+".go")
+			file = filepath.Join(*out, specs[i].Name, specs[i].Name+".go")
 		}
 		if err := writeGo(file, res.Source); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", paths[i], err)

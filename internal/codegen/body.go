@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -10,25 +11,14 @@ import (
 	"macedon/internal/dsl"
 )
 
-// unsupported marks a construct outside the translatable subset; the
-// statement it occurs in reports it at its position.
-type unsupported struct{ msg string }
-
-func (e unsupported) Error() string { return e.msg }
-
-func unsupportedf(format string, args ...any) error {
-	return unsupported{msg: fmt.Sprintf(format, args...)}
-}
-
 // stmt translates one action-language statement at the given indent depth.
-// A construct outside the subset is an error at the statement's position.
+// Whatever keeps it from translating is an error at its position; a nested
+// statement's error keeps its own.
 func (g *generator) stmt(s dsl.Stmt, depth int) error {
 	err := g.stmtInner(s, strings.Repeat("\t", depth), depth)
-	if u, ok := err.(unsupported); ok {
-		return fmt.Errorf("codegen: %s: %s", s.Position(), u.msg)
-	}
-	if err == nil {
-		g.translated++
+	var positioned *dsl.Error
+	if err != nil && !errors.As(err, &positioned) {
+		return &dsl.Error{Pos: s.Position(), Msg: err.Error()}
 	}
 	return err
 }
@@ -55,7 +45,7 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 				return nil
 			}
 			if typ == "nodeset" || typ == "tally" || typ == "buffer" || typ == "keyset" {
-				return unsupportedf("assignment of a whole %s", typ)
+				return fmt.Errorf("assignment of a whole %s", typ)
 			}
 			g.pf("%s%s = %s\n", ind, lv, g.convert(typ, s.Value, val))
 			return nil
@@ -66,7 +56,7 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 		}
 		v, ok := g.varTypes[s.Target]
 		if !ok || v.Kind != dsl.VarPlain {
-			return fmt.Errorf("codegen: %s: assignment to undeclared variable %q", s.Pos, s.Target)
+			return fmt.Errorf("assignment to undeclared variable %q", s.Target)
 		}
 		if v.Type == "nodeset" {
 			// A nodeset owns its array (list_append and list_clear work in
@@ -94,7 +84,10 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 		g.pf("%sa.%s = %s\n", ind, camel(s.Target), g.convert(v.Type, s.Value, val))
 	case *dsl.LocalStmt:
 		if !g.localTypes[s.Type] {
-			return unsupportedf("local declaration of unsupported type %q", s.Type)
+			return fmt.Errorf("local declaration of unsupported type %q", s.Type)
+		}
+		if g.blockLocals[goName(s.Name)] {
+			return fmt.Errorf("local %q declared twice in its block", s.Name)
 		}
 		if s.Value != nil {
 			val, err := g.expr(s.Value)
@@ -107,6 +100,7 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 		}
 		g.pf("%s_ = %s\n", ind, goName(s.Name))
 		g.locals[s.Name] = s.Type
+		g.blockLocals[goName(s.Name)] = true
 	case *dsl.ReturnStmt:
 		g.pf("%sreturn\n", ind)
 	case *dsl.IfStmt:
@@ -149,7 +143,7 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 	case *dsl.CallStmt:
 		return g.callStmt(s, ind)
 	default:
-		return fmt.Errorf("codegen: unknown statement %T", s)
+		return fmt.Errorf("unknown statement %T", s)
 	}
 	return nil
 }
@@ -158,13 +152,14 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 // rewrites it declared on the way out — Go block scoping, so the generated
 // code cannot reference a local outside the block that declared it.
 func (g *generator) scopedBody(stmts []dsl.Stmt, depth int) error {
-	savedLocals, savedRewrites := maps.Clone(g.locals), maps.Clone(g.rewrites)
+	savedLocals, savedRewrites, savedBlock := maps.Clone(g.locals), maps.Clone(g.rewrites), g.blockLocals
+	g.blockLocals = map[string]bool{}
 	for _, st := range stmts {
 		if err := g.stmt(st, depth); err != nil {
 			return err
 		}
 	}
-	g.locals, g.rewrites = savedLocals, savedRewrites
+	g.locals, g.rewrites, g.blockLocals = savedLocals, savedRewrites, savedBlock
 	return nil
 }
 
@@ -258,7 +253,7 @@ func (g *generator) listExpr(e dsl.Expr) (string, error) {
 	if listTypes[g.typeOf(e)] {
 		return g.expr(e)
 	}
-	return "", unsupportedf("%s is not a list", e)
+	return "", fmt.Errorf("%s is not a list", e)
 }
 
 // nodesetExpr resolves an expression that must denote a nodeset value: a
@@ -294,7 +289,7 @@ func (g *generator) nodesetExpr(e dsl.Expr) (string, error) {
 			}
 		}
 	}
-	return "", unsupportedf("%s is not a nodeset collection", e)
+	return "", fmt.Errorf("%s is not a nodeset collection", e)
 }
 
 // firstIdent returns the first argument as a bare name, if present.
@@ -318,6 +313,9 @@ type prim struct {
 
 // stmtPrims are the primitive statements of that shape.
 var stmtPrims = map[string]prim{
+	"state_change":     {"state", "ctx.StateChange(%s)", nil, ""},
+	"timer_cancel":     {"timer", "ctx.TimerCancel(%s)", nil, ""},
+	"quash":            {"", "ev.Quash = true", nil, ""},
 	"deliver":          {"", "ctx.Deliver(%s, %s, %s)", nil, ""},
 	"create_group":     {"", "_ = ctx.CreateGroup(%s)", nil, ""},
 	"join_group":       {"", "_ = ctx.JoinGroup(%s)", nil, ""},
@@ -387,6 +385,8 @@ var exprPrims = map[string]prim{
 	"table_get":       {"nodetable", "core.ListGet(%s, %s)", nil, "node"},
 	"map_get":         {"keymap", "%s[%s]", nil, "node"},
 	"map_size":        {"keymap", "int32(len(%s))", nil, "int"},
+	"in_state":        {"state", "(ctx.State() == %s)", nil, "bool"},
+	"notified":        {"neighbor kind", "(call.NbrType == overlay.NbrType%s)", nil, "bool"},
 	"now":             {"", "ctx.Now().UnixNano()", nil, "time"},
 	"time_diff":       {"", "core.Seconds(%s, %s)", nil, "double"},
 	"time_diff_ms":    {"", "core.Millis(%s, %s)", nil, "double"},
@@ -420,7 +420,9 @@ var exprPrims = map[string]prim{
 }
 
 // translate formats primitive p over args, each translated in order: the
-// first through collection when p takes one, the rest as values.
+// first through collection when p takes one, the message a cluster change
+// sends views in as its send slot, and the rest as values. It takes exactly
+// as many arguments as the form formats.
 func (g *generator) translate(fn string, p prim, args []dsl.Expr) (string, error) {
 	n := strings.Count(p.form, "%s")
 	for k := 9; k > 0; k-- {
@@ -429,22 +431,21 @@ func (g *generator) translate(fn string, p prim, args []dsl.Expr) (string, error
 			break
 		}
 	}
+	if err := arity(fn, len(args), n, n); err != nil {
+		return "", err
+	}
+	if err := g.bound(fn, p.form); err != nil {
+		return "", err
+	}
 	out := make([]any, n)
 	for i := range out {
 		var v string
 		var err error
 		switch {
 		case i == 0 && p.first != "":
-			v, err = g.collection(p.first, fn, args)
-		case i >= len(args):
-			err = unsupportedf("%s is missing argument %d", fn, i)
-		case i == 1 && dsl.SendsViews(fn):
-			// The message the primitive sends views in: its send slot.
-			id, _ := args[i].(dsl.Ident)
-			if _, ok := g.msgs[id.Name]; !ok {
-				err = unsupportedf("%s: %s is not a declared message", fn, args[i])
-			}
-			v = "&a.io.tx." + camel(id.Name)
+			v, err = g.collection(p.first, fn, args[0])
+		case i == 1 && viewSenders[fn]:
+			v, err = g.viewSlot(fn, args[1])
 		default:
 			v, err = g.expr(args[i])
 			if slices.Contains(p.ints, i) {
@@ -462,17 +463,76 @@ func (g *generator) translate(fn string, p prim, args []dsl.Expr) (string, error
 	return fmt.Sprintf(p.form, out...), nil
 }
 
-// collection resolves the first of args as the collection kind a primitive
-// takes: a declared neighbor list ("list", as its quoted name); a nodeset
-// state variable or nodeset field of the message being handled ("nodeset",
-// as an lvalue); any nodeset value ("nodeset value"); a declared nodetable
-// (as a slice of it), keymap or keytable ("keymap") or log; or a keytable
-// entry's tally field ("tally", as a pointer, making the entry).
-func (g *generator) collection(kind, fn string, args []dsl.Expr) (string, error) {
-	if len(args) == 0 {
-		return "", unsupportedf("%s is missing its %s", fn, kind)
+// arity reports a call of fn with n arguments where it takes min to max.
+func arity(fn string, n, min, max int) error {
+	switch {
+	case n >= min && n <= max:
+		return nil
+	case min == max:
+		return fmt.Errorf("%s takes %d arguments, not %d", fn, min, n)
 	}
-	a := args[0]
+	return fmt.Errorf("%s takes %d to %d arguments, not %d", fn, min, max, n)
+}
+
+// bound reports a use of name whose Go form reads a handler parameter the
+// transition being translated does not have: ev, the event of a recv or
+// forward transition, or call, the call of an API transition.
+func (g *generator) bound(name, form string) error {
+	switch param, _, _ := strings.Cut(strings.TrimLeft(form, "("), "."); {
+	case param == "ev" && g.curMsg == nil:
+		return fmt.Errorf("%s outside a recv or forward transition", name)
+	case param == "call" && g.curKind != dsl.TransAPI:
+		return fmt.Errorf("%s outside an API transition", name)
+	}
+	return nil
+}
+
+// viewSenders are the cluster primitives that send views in the message
+// their second argument names.
+var viewSenders = map[string]bool{"cluster_admit": true, "cluster_announce": true, "cluster_leave": true,
+	"cluster_expire": true, "cluster_split": true, "cluster_merge": true}
+
+// viewSlot resolves the message a cluster change sends views in to its send
+// slot. The message's fields must be a view's, in order: layer, leader,
+// parent leader, members.
+func (g *generator) viewSlot(fn string, a dsl.Expr) (string, error) {
+	id, _ := a.(dsl.Ident)
+	m, ok := g.msgs[id.Name]
+	var types []string
+	for _, f := range m.Fields {
+		if f.Type == "short" || f.Type == "char" {
+			f.Type = "int"
+		}
+		types = append(types, f.Type)
+	}
+	if !ok || strings.Join(types, " ") != "int node node nodeset" {
+		return "", fmt.Errorf("%s sends views in %s, which is not a declared message of fields (int layer, node leader, node parent, nodeset members)", fn, a)
+	}
+	return "&a.io.tx." + camel(id.Name), nil
+}
+
+// nbrKinds are the neighbor kinds notify and notified name: the
+// overlay.NbrType constants, spelled as the spec spells them.
+var nbrKinds = map[string]bool{"parent": true, "child": true, "sibling": true, "peer": true,
+	"successor": true, "predecessor": true, "finger": true, "leaf_set": true, "route_row": true,
+	"cluster_member": true}
+
+// kindNouns say what an argument of a collection kind must be, where that
+// is not a declared state variable of the kind's type.
+var kindNouns = map[string]string{"list": "declared neighbor list", "timer": "declared timer",
+	"state": "declared state", "neighbor kind": "neighbor kind", "nodetable": "declared nodetable",
+	"keymap": "declared keymap or keytable", "slice": "declared list variable",
+	"tally": "keytable entry's tally field"}
+
+// collection resolves a, a primitive's first argument, as the collection
+// kind it takes: a declared neighbor list ("list") or timer, or a declared
+// state, as its quoted name; a neighbor kind, as its constant's suffix; a
+// nodeset state variable or nodeset field of the message being handled
+// ("nodeset", as an lvalue); any nodeset value ("nodeset value"); a
+// declared nodetable (as a slice of it), keymap or keytable ("keymap") or
+// log; or a keytable entry's tally field ("tally", as a pointer, making the
+// entry).
+func (g *generator) collection(kind, fn string, a dsl.Expr) (string, error) {
 	c, isCall := a.(dsl.CallExpr)
 	if kind == "nodeset value" || kind == "nodeset" && isCall && c.Fn == "field" {
 		return g.nodesetExpr(a)
@@ -487,15 +547,19 @@ func (g *generator) collection(kind, fn string, args []dsl.Expr) (string, error)
 	if e, ok := a.(dsl.EntryExpr); ok && kind == "tally" {
 		t, typ, err := g.entry(e, "&core.KeyEntry(&a.%s, %s).%s")
 		if err == nil && typ != "tally" {
-			err = unsupportedf("%s is a %s, not a tally", e, typ)
+			err = fmt.Errorf("%s is a %s, not a tally", e, typ)
 		}
 		return t, err
 	}
 	id, _ := a.(dsl.Ident)
 	v, declared := g.varTypes[id.Name]
 	switch {
+	case kind == "state" && g.states[id.Name]:
+		return strconv.Quote(id.Name), nil
+	case kind == "neighbor kind" && nbrKinds[id.Name]:
+		return camel(id.Name), nil
 	case !declared:
-	case kind == "list" && v.Kind == dsl.VarNeighborList:
+	case kind == "list" && v.Kind == dsl.VarNeighborList, kind == "timer" && v.Kind == dsl.VarTimer:
 		return strconv.Quote(id.Name), nil
 	case kind == "nodetable" && v.Kind == dsl.VarTable:
 		return "a." + camel(id.Name) + "[:]", nil
@@ -505,7 +569,14 @@ func (g *generator) collection(kind, fn string, args []dsl.Expr) (string, error)
 	case v.Kind == dsl.VarPlain && (v.Type == kind || kind == "slice" && listTypes[v.Type]):
 		return "a." + camel(id.Name), nil
 	}
-	return "", unsupportedf("%s is not a declared %s", a, kind)
+	if kind == "log" {
+		return "", fmt.Errorf("%s of %q, which is not a declared log", fn, a.String())
+	}
+	what, ok := kindNouns[kind]
+	if !ok {
+		what = "declared " + kind + " variable"
+	}
+	return "", fmt.Errorf("%s of %s, which is not a %s", fn, a, what)
 }
 
 func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
@@ -524,16 +595,16 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		return nil
 	}
 	switch s.Fn {
-	case "state_change":
-		st, ok := firstIdent(s.Args)
-		if !ok {
-			return fmt.Errorf("codegen: %s: state_change needs a state name", s.Pos)
-		}
-		g.pf("%sctx.StateChange(%q)\n", ind, st.Name)
 	case "timer_sched", "timer_resched":
-		t, ok := firstIdent(s.Args)
-		if !ok {
-			return fmt.Errorf("codegen: %s: %s needs a timer name", s.Pos, s.Fn)
+		if err := arity(s.Fn, len(s.Args), 1, 3); err != nil {
+			return err
+		}
+		t, err := g.collection("timer", s.Fn, s.Args[0])
+		if err != nil {
+			return err
+		}
+		if p := g.resolve(g.varTypes[s.Args[0].String()].Period); len(s.Args) == 1 && (p == "" || p == "0") {
+			return fmt.Errorf("%s of %s needs a period: the timer declares none", s.Fn, s.Args[0])
 		}
 		period := "0"
 		if len(s.Args) > 1 {
@@ -565,23 +636,20 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		if s.Fn == "timer_resched" {
 			fn = "TimerResched"
 		}
-		g.pf("%sctx.%s(%q, %s)\n", ind, fn, t.Name, period)
-	case "timer_cancel":
-		t, ok := firstIdent(s.Args)
-		if !ok {
-			return fmt.Errorf("codegen: %s: timer_cancel needs a timer name", s.Pos)
-		}
-		g.pf("%sctx.TimerCancel(%q)\n", ind, t.Name)
+		g.pf("%sctx.%s(%s, %s)\n", ind, fn, t, period)
 	case "neighbor_sync":
-		st, err := g.translate(s.Fn, prim{"list", "ctx.Neighbors(%s)", nil, ""}, s.Args)
+		if err := arity(s.Fn, len(s.Args), 2, 2); err != nil {
+			return err
+		}
+		l, err := g.collection("list", s.Fn, s.Args[0])
 		if err != nil {
 			return err
 		}
-		set, err := g.collection("nodeset", s.Fn, s.Args[1:])
+		set, err := g.collection("nodeset", s.Fn, s.Args[1])
 		if err != nil {
 			return err
 		}
-		g.pf("%s%s.Assign(%s, ctx.Self())\n", ind, st, set)
+		g.pf("%sctx.Neighbors(%s).Assign(%s, ctx.Self())\n", ind, l, set)
 	case "forward_upcall":
 		// forward_upcall(payload, typ, next): run the engine's forward()
 		// upcall for a payload about to travel on toward next (§2.2 — the
@@ -602,14 +670,17 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		g.pf("%sif !fwOk {\n%s\treturn\n%s}\n%s_ = %s\n", ind, ind, ind, ind, name)
 		g.rewrites[s.Args[0].String()] = name
 	case "notify":
-		kind, ok := firstIdent(s.Args)
-		if !ok || len(s.Args) < 2 {
-			return unsupportedf("notify needs a neighbor kind and a set")
+		if err := arity(s.Fn, len(s.Args), 2, 2); err != nil {
+			return err
+		}
+		kind, err := g.collection("neighbor kind", s.Fn, s.Args[0])
+		if err != nil {
+			return err
 		}
 		// The set reported: a neighbor list, a copy of a nodeset (the
 		// upcall is deferred past changes to it), or a single node.
 		var set string
-		if l, err := g.collection("list", s.Fn, s.Args[1:]); err == nil {
+		if l, err := g.collection("list", s.Fn, s.Args[1]); err == nil {
 			set = "ctx.Neighbors(" + l + ").Addrs()"
 		} else if ns, err := g.nodesetExpr(s.Args[1]); err == nil {
 			set = "append([]overlay.Address(nil), " + ns + "...)"
@@ -618,11 +689,9 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 		} else {
 			return err
 		}
-		g.pf("%sctx.NotifyNeighbors(overlay.NbrType%s, %s)\n", ind, camel(kind.Name), set)
-	case "quash":
-		g.pf("%sev.Quash = true\n", ind)
+		g.pf("%sctx.NotifyNeighbors(overlay.NbrType%s, %s)\n", ind, kind, set)
 	default:
-		return unsupportedf("unknown primitive statement %q", s.Fn)
+		return fmt.Errorf("unknown primitive statement %q", s.Fn)
 	}
 	return nil
 }
@@ -634,18 +703,23 @@ func (g *generator) callStmt(s *dsl.CallStmt, ind string) error {
 // three encodes it before returning and keeps nothing. One call expression,
 // so the destination is still evaluated before the fields. It also
 // translates log msg(l, ...), which appends a copy of the message to the
-// bounded log l.
+// bounded log l of that message.
 func (g *generator) sendStmt(s *dsl.CallStmt, ind string) error {
 	m, ok := g.msgs[s.Msg]
 	if !ok {
-		return fmt.Errorf("codegen: %s: %s of undeclared message %q", s.Pos, s.Fn, s.Msg)
+		return fmt.Errorf("%s of undeclared message %q", s.Fn, s.Msg)
 	}
 	var inits []string
+	set := map[string]bool{}
 	for _, fi := range s.Fields {
 		i := slices.IndexFunc(m.Fields, func(f dsl.Field) bool { return f.Name == fi.Name })
-		if i < 0 {
-			return fmt.Errorf("codegen: %s: message %q has no field %q", s.Pos, s.Msg, fi.Name)
+		switch {
+		case i < 0:
+			return fmt.Errorf("message %q has no field %q", s.Msg, fi.Name)
+		case set[fi.Name]:
+			return fmt.Errorf("message %q field %q set twice", s.Msg, fi.Name)
 		}
+		set[fi.Name] = true
 		v, err := g.expr(fi.Value)
 		if err != nil {
 			return err
@@ -660,11 +734,12 @@ func (g *generator) sendStmt(s *dsl.CallStmt, ind string) error {
 	}
 	lit := fmt.Sprintf("%s{%s}", msgTypeName(s.Msg), strings.Join(inits, ", "))
 	if s.Fn == "log" {
-		l, err := g.collection("log", s.Fn, s.Args)
-		if err != nil {
-			return err
+		id, _ := s.Args[0].(dsl.Ident)
+		v := g.varTypes[id.Name]
+		if v.Kind != dsl.VarLog || v.Type != s.Msg {
+			return fmt.Errorf("log %s(%s, ...): %q is not a declared log of %s", s.Msg, id.Name, id.Name, s.Msg)
 		}
-		g.pf("%s%s = core.LogAppend(%s, %s, %s)\n", ind, l, l, lit, g.resolve(g.varTypes[s.Args[0].String()].Max))
+		g.pf("%sa.%s = core.LogAppend(a.%s, %s, %s)\n", ind, camel(id.Name), camel(id.Name), lit, g.resolve(v.Max))
 		return nil
 	}
 	dest, err := g.expr(s.Args[0])
@@ -698,11 +773,11 @@ func (g *generator) sendStmt(s *dsl.CallStmt, ind string) error {
 func (g *generator) entry(e dsl.EntryExpr, format string) (string, string, error) {
 	v, ok := g.varTypes[e.Table]
 	if !ok || v.Kind != dsl.VarKeyTable {
-		return "", "", unsupportedf("%q is not a declared keytable", e.Table)
+		return "", "", fmt.Errorf("%q is not a declared keytable", e.Table)
 	}
 	i := slices.IndexFunc(v.Fields, func(f dsl.Field) bool { return f.Name == e.Field })
 	if i < 0 {
-		return "", "", unsupportedf("keytable %q has no field %q", e.Table, e.Field)
+		return "", "", fmt.Errorf("keytable %q has no field %q", e.Table, e.Field)
 	}
 	k, err := g.expr(e.Key)
 	if err != nil {
@@ -725,7 +800,7 @@ func (g *generator) lvalue(s *dsl.AssignStmt) (string, string, error) {
 			}
 		}
 	}
-	return "", "", fmt.Errorf("codegen: %s: assignment to field %q of no message being handled", s.Pos, s.Target)
+	return "", "", fmt.Errorf("assignment to field %q of no message being handled", s.Target)
 }
 
 // expr translates an action-language expression.
@@ -738,7 +813,7 @@ func (g *generator) expr(e dsl.Expr) (string, error) {
 		if lit, ok := number(e.Value); ok {
 			return lit, nil
 		}
-		return "", unsupportedf("%s is not a number", e.Value)
+		return "", fmt.Errorf("%s is not a number", e.Value)
 	case dsl.Ident:
 		return g.ident(e.Name)
 	case dsl.NotExpr:
@@ -766,46 +841,19 @@ func (g *generator) expr(e dsl.Expr) (string, error) {
 	case dsl.EntryExpr:
 		read, typ, err := g.entry(e, "core.KeyRead(a.%s, %s).%s")
 		if typ == "tally" {
-			return "", unsupportedf("the tally %s is read through the list primitives", e)
+			return "", fmt.Errorf("the tally %s is read through the list primitives", e)
 		}
 		return read, err
 	}
-	return "", fmt.Errorf("codegen: unknown expression %T", e)
+	return "", fmt.Errorf("unknown expression %T", e)
 }
 
 func (g *generator) ident(name string) (string, error) {
 	if _, local := g.locals[name]; local || g.loopVars[name] != "" {
 		return goName(name), nil
 	}
-	switch name {
-	case "self":
-		return "ctx.Self()", nil
-	case "self_key":
-		return "ctx.SelfKey()", nil
-	case "nil_node":
-		return "overlay.NilAddress", nil
-	case "true", "false":
-		return name, nil
-	case "from":
-		return "ev.From", nil
-	case "bootstrap":
-		return "call.Bootstrap", nil
-	case "payload":
-		return "call.Payload", nil
-	case "payload_type":
-		return "call.PayloadType", nil
-	case "dest":
-		return "call.Dest", nil
-	case "dest_ip":
-		return "call.DestIP", nil
-	case "group":
-		return "call.Group", nil
-	case "priority":
-		return "call.Priority", nil
-	case "failed":
-		return "call.Failed", nil
-	case "neighbors":
-		return "call.Neighbors", nil
+	if b, ok := builtins[name]; ok {
+		return b.form, g.bound(name, b.form)
 	}
 	if c, ok := g.consts[name]; ok {
 		return c, nil
@@ -816,7 +864,7 @@ func (g *generator) ident(name string) (string, error) {
 	if pri, ok := g.priority(name); ok {
 		return pri, nil
 	}
-	return "", fmt.Errorf("codegen: unknown identifier %q", name)
+	return "", fmt.Errorf("unknown identifier %q", name)
 }
 
 // priority resolves a transport's name, as a value: its priority, the
@@ -826,13 +874,18 @@ func (g *generator) priority(name string) (string, bool) {
 	return strconv.Itoa(i), i >= 0
 }
 
-// builtinTypes are the mac types of the builtin identifiers.
-var builtinTypes = map[string]string{
-	"self": "node", "from": "node", "nil_node": "node", "bootstrap": "node",
-	"dest_ip": "node", "failed": "node", "self_key": "key", "dest": "key",
-	"group": "key", "payload": "buffer", "payload_type": "int", "priority": "int",
-	"neighbors": "nodeset",
-	"true":      "bool", "false": "bool",
+// builtins are the builtin identifiers, each with its Go form and mac type.
+// A form through ev or call reads a parameter only a recv or forward, or
+// an API, transition's handler has (bound).
+var builtins = map[string]struct{ form, typ string }{
+	"self": {"ctx.Self()", "node"}, "self_key": {"ctx.SelfKey()", "key"},
+	"nil_node": {"overlay.NilAddress", "node"}, "true": {"true", "bool"}, "false": {"false", "bool"},
+	"from":      {"ev.From", "node"},
+	"bootstrap": {"call.Bootstrap", "node"}, "payload": {"call.Payload", "buffer"},
+	"payload_type": {"call.PayloadType", "int"}, "dest": {"call.Dest", "key"},
+	"dest_ip": {"call.DestIP", "node"}, "group": {"call.Group", "key"},
+	"priority": {"call.Priority", "int"}, "failed": {"call.Failed", "node"},
+	"neighbors": {"call.Neighbors", "nodeset"},
 }
 
 // typeOf infers the mac type of e, or "" where it does not matter to the
@@ -851,8 +904,8 @@ func (g *generator) typeOf(e dsl.Expr) string {
 		if t := g.loopVars[e.Name]; t != "" {
 			return t
 		}
-		if t, ok := builtinTypes[e.Name]; ok {
-			return t
+		if b, ok := builtins[e.Name]; ok {
+			return b.typ
 		}
 		if c, ok := g.consts[e.Name]; ok {
 			return g.typeOf(dsl.IntLit{Value: c})
@@ -956,38 +1009,22 @@ func (g *generator) asInt(e dsl.Expr, s string) string {
 }
 
 func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
-	if e.Fn == "field" && len(e.Args) > 0 {
-		id, ok := e.Args[0].(dsl.Ident)
-		if !ok || g.curMsg == nil {
-			return "", fmt.Errorf("codegen: field() outside a message transition")
+	if e.Fn == "field" {
+		if err := arity(e.Fn, len(e.Args), 1, 1); err != nil {
+			return "", err
 		}
-		for _, f := range g.curMsg.Fields {
-			if f.Name == id.Name {
-				return "m." + camel(id.Name), nil
-			}
+		if g.curMsg == nil {
+			return "", fmt.Errorf("field() outside a message transition")
 		}
-		return "", fmt.Errorf("codegen: message %q has no field %q", g.curMsg.Name, id.Name)
-	}
-	if e.Fn == "in_state" {
-		// in_state(s): the FSM is in state s.
-		st, ok := firstIdent(e.Args)
-		if !ok || len(e.Args) != 1 {
-			return "", unsupportedf("in_state takes a state name")
+		name, _ := fieldName(e)
+		if slices.ContainsFunc(g.curMsg.Fields, func(f dsl.Field) bool { return f.Name == name }) {
+			return "m." + camel(name), nil
 		}
-		return fmt.Sprintf("(ctx.State() == %q)", st.Name), nil
-	}
-	if e.Fn == "notified" {
-		// notified(kind): the notify() upcall being handled reports the
-		// neighbors of that kind.
-		kind, ok := firstIdent(e.Args)
-		if !ok || len(e.Args) != 1 || g.curKind != dsl.TransAPI {
-			return "", unsupportedf("notified takes a neighbor kind, in an API transition")
-		}
-		return "(call.NbrType == overlay.NbrType" + camel(kind.Name) + ")", nil
+		return "", fmt.Errorf("message %q has no field %q", g.curMsg.Name, e.Args[0].String())
 	}
 	p, ok := exprPrims[e.Fn]
 	if !ok {
-		return "", unsupportedf("unknown primitive %q", e.Fn)
+		return "", fmt.Errorf("unknown primitive %q", e.Fn)
 	}
 	return g.translate(e.Fn, p, e.Args)
 }

@@ -29,12 +29,11 @@ import (
 	"macedon/internal/dsl"
 )
 
-// Result carries the generated source plus the counts `macedon gen`
+// Result carries the generated source plus the count `macedon gen`
 // reports.
 type Result struct {
 	Source      string
 	Package     string
-	Translated  int // statements translated into Go
 	Transitions int
 }
 
@@ -46,6 +45,7 @@ func Generate(spec *dsl.Spec, pkg string) (*Result, error) {
 		consts:   map[string]string{},
 		varTypes: map[string]dsl.StateVar{},
 		msgs:     map[string]dsl.Message{},
+		states:   map[string]bool{"init": true},
 		// Locals are value-typed only: the collection primitives resolve
 		// nodeset/nodetable/keymap operands through declared state
 		// variables, so a collection-typed local would be undrivable, and
@@ -59,7 +59,7 @@ func Generate(spec *dsl.Spec, pkg string) (*Result, error) {
 	for _, c := range spec.Constants {
 		lit, ok := number(c.Value)
 		if !ok && !token.IsIdentifier(c.Value) {
-			return nil, fmt.Errorf("codegen: %s: constant %s = %s is neither a number nor a Go name", c.Pos, c.Name, c.Value)
+			return nil, &dsl.Error{Pos: c.Pos, Msg: fmt.Sprintf("constant %s = %s is neither a number nor a Go name", c.Name, c.Value)}
 		}
 		g.consts[c.Name] = lit
 	}
@@ -69,12 +69,14 @@ func Generate(spec *dsl.Spec, pkg string) (*Result, error) {
 	for _, m := range spec.Messages {
 		g.msgs[m.Name] = m
 	}
+	for _, st := range spec.States {
+		g.states[st] = true
+	}
 	src, err := g.file()
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Source: src, Package: pkg, Translated: g.translated,
-		Transitions: len(spec.Transitions)}, nil
+	return &Result{Source: src, Package: pkg, Transitions: len(spec.Transitions)}, nil
 }
 
 type generator struct {
@@ -82,18 +84,21 @@ type generator struct {
 	pkg        string
 	b          strings.Builder
 	consts     map[string]string
-	translated int
 	usesSlices bool // a translation called slices.Contains
 	usesTime   bool // a period was scaled by time.Millisecond
 
 	varTypes map[string]dsl.StateVar
 	msgs     map[string]dsl.Message
+	states   map[string]bool // the declared FSM states, init included
 
 	// Per-handler context.
 	curMsg   *dsl.Message
 	curKind  dsl.TransitionKind
 	loopVars map[string]string // loop variables in scope: name → mac type
 	locals   map[string]string // handler-scoped locals: name → mac type
+	// blockLocals are the Go names of the locals the block being
+	// translated declared: Go rejects a second declaration in one block.
+	blockLocals map[string]bool
 	// rewrites maps a forward_upcall's payload argument, by its source text,
 	// to the Go local holding the payload the layer above returned; it is
 	// block-scoped like locals. fwCount numbers those locals per handler.
@@ -207,7 +212,7 @@ func (g *generator) emitRouting(r *dsl.Routing) error {
 		role, okRole := r.Kind.Role(b.Role)
 		v, okVar := g.varTypes[b.Var]
 		if !okRole || !okVar {
-			return fmt.Errorf("codegen: %s: routing role %s = %s is not a role bound to a declared variable", b.Pos, b.Role, b.Var)
+			return &dsl.Error{Pos: b.Pos, Msg: fmt.Sprintf("routing role %s = %s is not a role bound to a declared variable", b.Role, b.Var)}
 		}
 		var read string
 		switch {
@@ -619,6 +624,7 @@ func (g *generator) handler(i int, tr dsl.Transition) error {
 	g.curMsg = nil
 	g.loopVars = map[string]string{}
 	g.locals = map[string]string{}
+	g.blockLocals = map[string]bool{}
 	g.rewrites = map[string]string{}
 	g.fwCount = 0
 	g.pf("// transition%d implements: %s %s %s [locking %s;]\n", i, tr.Guard, tr.Kind, tr.Name, tr.Locking)

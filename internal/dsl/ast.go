@@ -1,5 +1,5 @@
 // Package dsl implements the MACEDON domain-specific language of the
-// paper's Figure 4: a lexer, recursive-descent parser, and semantic
+// paper's Figure 4: a lexer, recursive-descent parser, and declaration
 // validator for .mac protocol specifications. The AST it produces drives
 // the code generator (internal/codegen), which emits Go agents for the
 // engine.
@@ -19,7 +19,8 @@
 //
 // A statement outside the grammar is a parse error. Parse and Validate
 // errors carry line:column positions (Error) for `macedon check`
-// diagnostics.
+// diagnostics; the calls in transition bodies are checked by the code
+// generator, which reports with the same Error.
 package dsl
 
 import (

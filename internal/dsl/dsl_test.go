@@ -417,7 +417,8 @@ func TestParseErrorPositions(t *testing.T) {
 
 // TestValidateDiagnostics covers the semantic checks on malformed but
 // syntactically valid specifications: bad timer arguments, unsizeable
-// collections, and unknown references.
+// collections, and unknown references. The checks on transition bodies are
+// codegen's (TestGenerateErrors there).
 func TestValidateDiagnostics(t *testing.T) {
 	cases := []struct{ name, src, want string }{
 		{"timer period not a number",
@@ -466,46 +467,6 @@ func TestValidateDiagnostics(t *testing.T) {
 		{"log size not positive",
 			`protocol p transports { UDP u; } messages { u m { } } auxiliary_data { log m backlog 0; }`,
 			"log \"backlog\" size"},
-		{"log statement on another message's log",
-			`protocol p transports { UDP u; } messages { u m { } u d { } } auxiliary_data { log m l 4; }
-			 transitions { any recv d { log d(l); } }`,
-			"\"l\" is not a declared log of d"},
-		{"log_replay of a non-log",
-			`protocol p transports { UDP u; } messages { u m { } } auxiliary_data { node n; }
-			 transitions { any recv m { log_replay(n, from, 0); } }`,
-			"log_replay of \"n\", which is not a declared log"},
-		{"clock primitive arity",
-			`protocol p transports { UDP u; } messages { u m { } } auxiliary_data { time t; }
-			 transitions { any recv m { t = now(t); } }`,
-			"now takes 0 arguments, not 1"},
-		{"block primitive arity",
-			`protocol p uses q messages { m { } } auxiliary_data { blocks b; }
-			 transitions { any recv m { if (block_put(b, 1, 2)) { } } }`,
-			"block_put takes 5 arguments, not 3"},
-		{"block primitive on a non-store",
-			`protocol p uses q messages { m { } } auxiliary_data { blocks b; nodeset s; }
-			 transitions { any recv m { block_reset(s, 2048, 3); } }`,
-			"block_reset of s, which is not a declared blocks variable"},
-		{"sample arity",
-			`protocol p uses q messages { m { tickets c; } }
-			 transitions { any recv m { sample(field(c)); } }`,
-			"sample takes 2 arguments, not 1"},
-		{"cluster primitive on a non-table",
-			`protocol p uses q messages { m { } } auxiliary_data { blocks b; int n; }
-			 transitions { any recv m { n = cluster_layers(b); } }`,
-			"cluster_layers of b, which is not a declared clusters variable"},
-		{"cluster views in a message of another shape",
-			`protocol p uses q messages { m { } v { int layer; node leader; nodeset members; } }
-			 auxiliary_data { clusters c; } transitions { any recv m { cluster_announce(c, v, 0); } }`,
-			"cluster_announce sends views in v, which is not a declared message"},
-		{"in_state of an undeclared state",
-			`protocol p uses q states { a; } messages { m { } } auxiliary_data { bool b; }
-			 transitions { any recv m { b = in_state(flying); } }`,
-			"in_state of flying, which is not a declared state"},
-		{"notified arity",
-			`protocol p uses q messages { m { } } auxiliary_data { bool b; }
-			 transitions { any API notify { b = notified(child, parent); } }`,
-			"notified takes 1 arguments, not 2"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

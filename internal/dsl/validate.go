@@ -15,7 +15,9 @@ import (
 // once, to an int, a keytable's fields must be distinct and typed, and a
 // routing declaration must bind each of its roles
 // once, to a variable of a type the role takes. Every error it returns is an
-// *Error positioned at the offending declaration.
+// *Error positioned at the offending declaration. Transition bodies are
+// checked where internal/codegen translates them, which resolves every name
+// and argument they use.
 func Validate(s *Spec) error {
 	if s.Name == "" {
 		return errAt(s.Pos, "protocol has no name")
@@ -104,20 +106,11 @@ func Validate(s *Spec) error {
 	}
 	timers := map[string]bool{}
 	vars := map[string]bool{}
-	lists := map[string]bool{}
-	logs := map[string]string{} // log name → logged message
-	env := bodyEnv{logs: logs, stores: map[string]string{}, msgs: map[string]Message{}, states: states}
-	for _, m := range s.Messages {
-		env.msgs[m.Name] = m
-	}
 	for _, v := range s.StateVars {
 		if vars[v.Name] {
 			return errAt(v.Pos, "state variable %q declared twice", v.Name)
 		}
 		vars[v.Name] = true
-		if v.Kind == VarPlain && storeTypes[v.Type] {
-			env.stores[v.Name] = v.Type
-		}
 		switch v.Kind {
 		case VarTimer:
 			timers[v.Name] = true
@@ -127,7 +120,6 @@ func Validate(s *Spec) error {
 				}
 			}
 		case VarNeighborList:
-			lists[v.Name] = true
 			if !nbrTypes[v.Type] {
 				return errAt(v.Pos, "neighbor list %q has unknown type %q", v.Name, v.Type)
 			}
@@ -147,7 +139,6 @@ func Validate(s *Spec) error {
 			if n, ok := intValue(v.Max); !ok || n <= 0 {
 				return errAt(v.Pos, "log %q size %q is not a positive integer literal or constant", v.Name, v.Max)
 			}
-			logs[v.Name] = v.Type
 		case VarKeyTable:
 			fields := map[string]bool{}
 			for _, f := range v.Fields {
@@ -195,188 +186,8 @@ func Validate(s *Spec) error {
 				return errAt(tr.Pos, "transition on undeclared message %q", tr.Name)
 			}
 		}
-		if err := checkBody(tr.Body, env); err != nil {
-			return err
-		}
 	}
 	return nil
-}
-
-// arity is the argument count of the primitives whose misuse the validator
-// reports at the statement, before generation.
-var arity = map[string]int{"now": 0, "time_diff": 2, "time_diff_ms": 2, "jitter": 1, "zeros": 1,
-	"sample": 2, "ticket": 2, "ticket_add": 3, "ticket_merge": 2, "ticket_node": 2, "ticket_summary": 2,
-	"notified": 1, "in_state": 1, "dedup_add": 5,
-	"block_reset": 3, "block_put": 5, "block_has": 3, "block_typ": 3, "block_payload": 3,
-	"block_incs": 1, "block_streams": 2, "block_missing": 5, "block_summary": 1, "block_disjoint": 2,
-	"cluster_found": 1, "cluster_heard": 3, "cluster_install": 6, "cluster_elect": 3,
-	"cluster_admit": 4, "cluster_announce": 3, "cluster_leave": 4, "cluster_expire": 4, "cluster_split": 4,
-	"cluster_merge": 3, "cluster_layers": 1, "cluster_leader": 2, "cluster_parent": 2, "cluster_members": 2,
-	"cluster_of": 2, "cluster_center": 2, "cluster_mapped": 2, "cluster_fanout": 3,
-	"dist_set": 3, "dist_row": 4, "dist_known": 2, "dist_addrs": 1, "dist_values": 1,
-}
-
-// storeTypes are the state types the action library keeps a structure in;
-// a primitive over one names a variable of its type first.
-var storeTypes = map[string]bool{"blocks": true, "clusters": true, "dedup": true}
-
-// storeOf is the store type a primitive takes first: blocks for block_*,
-// clusters for cluster_* and dist_*, dedup for dedup_add.
-func storeOf(fn string) string {
-	switch {
-	case strings.HasPrefix(fn, "block_"):
-		return "blocks"
-	case strings.HasPrefix(fn, "cluster_"), strings.HasPrefix(fn, "dist_"):
-		return "clusters"
-	case fn == "dedup_add":
-		return "dedup"
-	}
-	return ""
-}
-
-// viewSenders are the cluster primitives that send views in the message
-// their second argument names.
-var viewSenders = map[string]bool{"cluster_admit": true, "cluster_announce": true, "cluster_leave": true,
-	"cluster_expire": true, "cluster_split": true, "cluster_merge": true}
-
-// SendsViews reports whether primitive fn sends cluster views in the
-// message its second argument names.
-func SendsViews(fn string) bool { return viewSenders[fn] }
-
-// bodyEnv is what checkBody checks names against.
-type bodyEnv struct {
-	logs   map[string]string // log name → logged message
-	stores map[string]string // store variable → its type
-	msgs   map[string]Message
-	states map[string]bool
-}
-
-// badCall reports what is wrong with a call of an action-library primitive
-// of the right arity, or "".
-func (env bodyEnv) badCall(c CallExpr) string {
-	if n, ok := arity[c.Fn]; !ok || n != len(c.Args) || n == 0 {
-		return ""
-	}
-	id, isName := c.Args[0].(Ident)
-	if want := storeOf(c.Fn); want != "" && (!isName || env.stores[id.Name] != want) {
-		return fmt.Sprintf("%s of %s, which is not a declared %s variable", c.Fn, c.Args[0], want)
-	}
-	if c.Fn == "in_state" && (!isName || !env.states[id.Name]) {
-		return fmt.Sprintf("in_state of %s, which is not a declared state", c.Args[0])
-	}
-	if viewSenders[c.Fn] {
-		// The view's fields, in order: layer, leader, parent leader, members.
-		m, ok := Message{}, false
-		if id, isName := c.Args[1].(Ident); isName {
-			m, ok = env.msgs[id.Name]
-		}
-		var types []string
-		for _, f := range m.Fields {
-			if f.Type == "short" || f.Type == "char" {
-				f.Type = "int"
-			}
-			types = append(types, f.Type)
-		}
-		if !ok || strings.Join(types, " ") != "int node node nodeset" {
-			return fmt.Sprintf("%s sends views in %s, which is not a declared message of fields (int layer, node leader, node parent, nodeset members)", c.Fn, c.Args[1])
-		}
-	}
-	return ""
-}
-
-// checkBody checks the statements that name a bounded log — a log statement
-// appends to a declared log of its message, log_replay replays one — the
-// argument counts of the primitives listed in arity, and the names the
-// action-library primitives take (badCall).
-func checkBody(body []Stmt, env bodyEnv) error {
-	logs := env.logs
-	for _, st := range body {
-		var exprs []Expr
-		switch st := st.(type) {
-		case *CallStmt:
-			exprs = st.Args
-			for _, f := range st.Fields {
-				exprs = append(exprs, f.Value)
-			}
-			name := ""
-			if len(st.Args) > 0 {
-				if id, ok := st.Args[0].(Ident); ok {
-					name = id.Name
-				}
-			}
-			switch {
-			case st.Msg != "" && st.Fn == "log" && logs[name] != st.Msg:
-				return errAt(st.Pos, "log %s(%s, ...): %q is not a declared log of %s", st.Msg, name, name, st.Msg)
-			case st.Msg == "" && st.Fn == "log_replay" && logs[name] == "":
-				return errAt(st.Pos, "log_replay of %q, which is not a declared log", name)
-			}
-			if st.Msg == "" {
-				exprs = append(exprs, CallExpr{Fn: st.Fn, Args: st.Args})
-			}
-		case *AssignStmt:
-			exprs = []Expr{st.Value}
-		case *LocalStmt:
-			if st.Value != nil {
-				exprs = []Expr{st.Value}
-			}
-		case *IfStmt:
-			exprs = []Expr{st.Cond}
-			if err := checkBody(st.Then, env); err != nil {
-				return err
-			}
-			if err := checkBody(st.Else, env); err != nil {
-				return err
-			}
-		case *ForeachStmt:
-			exprs = []Expr{st.List}
-			if err := checkBody(st.Body, env); err != nil {
-				return err
-			}
-		}
-		for _, e := range exprs {
-			if c, ok := badArity(e); ok {
-				return errAt(st.Position(), "%s takes %d arguments, not %d", c.Fn, arity[c.Fn], len(c.Args))
-			}
-			if c, ok := findCall(e, func(c CallExpr) bool { return env.badCall(c) != "" }); ok {
-				return errAt(st.Position(), "%s", env.badCall(c))
-			}
-		}
-	}
-	return nil
-}
-
-// badArity finds a call in e of a primitive listed in arity with the wrong
-// number of arguments.
-func badArity(e Expr) (CallExpr, bool) {
-	return findCall(e, func(c CallExpr) bool {
-		n, ok := arity[c.Fn]
-		return ok && n != len(c.Args)
-	})
-}
-
-// findCall finds a call in e, outermost first, that bad reports.
-func findCall(e Expr, bad func(CallExpr) bool) (CallExpr, bool) {
-	switch e := e.(type) {
-	case CallExpr:
-		if bad(e) {
-			return e, true
-		}
-		for _, a := range e.Args {
-			if c, ok := findCall(a, bad); ok {
-				return c, true
-			}
-		}
-	case BinExpr:
-		if c, ok := findCall(e.L, bad); ok {
-			return c, true
-		}
-		return findCall(e.R, bad)
-	case NotExpr:
-		return findCall(e.Inner, bad)
-	case EntryExpr:
-		return findCall(e.Key, bad)
-	}
-	return CallExpr{}, false
 }
 
 // validateRouting checks the routing declaration: each role belongs to the

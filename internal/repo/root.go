@@ -1,7 +1,8 @@
 // Package repo locates the repository root so that tests and tools can
 // resolve bundled assets (specs/*.mac, example scenarios) regardless of the
-// working directory they run from, and checks tests' output against the
-// golden files (golden.go). Only tests import it.
+// working directory they run from, checks tests' output against the
+// golden files (golden.go), and holds the edits of a bundled spec that must
+// not translate (probes.go). Only tests import it.
 package repo
 
 import (
