@@ -71,19 +71,31 @@ func TestGenChordSummaryAndOutput(t *testing.T) {
 // TestGenRejectsMalformedSpec: check and gen agree. A spec that does not
 // parse, and each randtree probe, which parses but does not translate, makes
 // both exit 1 with the same error at the same line:col; gen writes nothing,
-// to standard output or under -o.
+// to standard output or under -o. A layered spec is checked with the set it
+// is given, as gen -o registers it: an unknown base, a cycle of bases or an
+// undeclared base param makes check and gen -o exit 1, while chord.mac, the
+// base in the set, checks ok. Gen of one spec to standard output has no
+// set to check it against.
 func TestGenRejectsMalformedSpec(t *testing.T) {
-	cases := []struct{ name, src, want string }{
+	type malformed struct {
+		name, src, want string
+		layering        bool
+	}
+	cases := []malformed{
 		{"unclosed message section", "protocol p\ntransports { UDP u; }\nmessages { u m { int x; } \ntransitions { any recv m { } }\n",
-			"4:24: expected \";\", got \"m\""},
+			"4:24: expected \";\", got \"m\"", false},
+		{"unknown base", "protocol up uses nosuch\n", `1:18: protocol up uses unknown base "nosuch"`, true},
+		{"cycle of bases", "protocol up uses up\n", "1:18: protocol up uses itself through its chain of bases", true},
+		{"undeclared base param", "protocol up uses chord(nosuch = 2)\n", `1:24: base chord declares no int auxiliary variable "nosuch"`, true},
 	}
 	for _, p := range repo.RandtreeProbes {
 		src, err := p.Apply()
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, struct{ name, src, want string }{p.New, src, p.Err})
+		cases = append(cases, malformed{p.New, src, p.Err, false})
 	}
+	chord := repo.Path("specs", "chord.mac")
 	module(t)
 	runs := []struct {
 		name string
@@ -96,12 +108,22 @@ func TestGenRejectsMalformedSpec(t *testing.T) {
 		}
 		want := "bad.mac: " + c.want + "\n"
 		for _, r := range runs {
-			code, stdout, stderr := runBoth(t, r.cmd, append(r.args, "bad.mac")...)
+			args, wantOut := append(r.args, "bad.mac"), ""
+			if c.layering {
+				if r.name == "gen" {
+					continue
+				}
+				args = append(r.args, chord, "bad.mac")
+				if r.name == "check" {
+					wantOut = chord + ": protocol chord ok (2 states, 7 messages, 16 transitions)\n"
+				}
+			}
+			code, stdout, stderr := runBoth(t, r.cmd, args...)
 			if code != 1 || stderr != want {
 				t.Errorf("%s: %s: exit %d, %q; want exit 1, %q", c.name, r.name, code, stderr, want)
 			}
-			if stdout != "" {
-				t.Errorf("%s: %s wrote %q to stdout", c.name, r.name, stdout)
+			if stdout != wantOut {
+				t.Errorf("%s: %s wrote %q to stdout, want %q", c.name, r.name, stdout, wantOut)
 			}
 		}
 		if _, err := os.Stat("protos"); !os.IsNotExist(err) {

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	macedon check spec.mac...            check specifications: parse and translate, writing nothing
+//	macedon check spec.mac...            check specifications as a set: parse, translate and layer, writing nothing
 //	macedon gen [-o DIR] spec.mac...     generate Go agents: one to stdout, or DIR/<protocol>/ and the registry
 //	macedon loc spec.mac...              count specification lines (Figure 7)
 //	macedon scenario [-trace] [-shards N] file.json  run a churn/failure/workload scenario
@@ -69,25 +69,34 @@ func runCheck(args []string) int {
 		fmt.Fprintln(os.Stderr, "macedon check: no specifications given")
 		return 2
 	}
-	bad := 0
-	for _, path := range args {
+	// A spec is checked by translating it, so check accepts exactly what gen
+	// translates, and with the others it is given as a set, as gen -o
+	// registers them: a layered spec is checked together with its base.
+	specs := make([]*dsl.Spec, len(args))
+	errs := make([]error, len(args))
+	for i, path := range args {
 		src, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-			bad++
-			continue
-		}
-		// A spec is checked by translating it, so check accepts exactly
-		// what gen translates.
-		spec, err := dsl.Parse(string(src))
 		if err == nil {
-			_, err = codegen.Generate(spec, spec.Name)
+			specs[i], err = dsl.Parse(string(src))
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
+		if err == nil {
+			_, err = codegen.Generate(specs[i], specs[i].Name)
+		}
+		errs[i] = err
+	}
+	for i, err := range codegen.CheckLayering(specs) {
+		if err != nil && errs[i] == nil {
+			errs[i] = err
+		}
+	}
+	bad := 0
+	for i, path := range args {
+		if errs[i] != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", path, errs[i])
 			bad++
 			continue
 		}
+		spec := specs[i]
 		layered := ""
 		if spec.Uses != "" {
 			layered = fmt.Sprintf(" uses %s", spec.Uses)
@@ -128,17 +137,20 @@ func runGen(args []string) int {
 		}
 	}
 	if *out != "" {
+		for i, err := range codegen.CheckLayering(specs) {
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", paths[i], err)
+				return 1
+			}
+		}
+		if !filepath.IsLocal(*out) {
+			fmt.Fprintf(os.Stderr, "macedon gen: -o %s is not a path under the module root\n", *out)
+			return 1
+		}
 		// Generated code imports macedon/internal/core: gen runs at this
 		// module's root, and DIR is a path under it.
 		importDir := path.Join("macedon", filepath.ToSlash(*out))
-		reg, err := codegen.Registry(specs, paths, importDir)
-		if err == nil && !filepath.IsLocal(*out) {
-			err = fmt.Errorf("-o %s is not a path under the module root", *out)
-		}
-		if err == nil {
-			err = writeGo(filepath.Join(*out, path.Base(importDir)+".go"), reg)
-		}
-		if err != nil {
+		if err := writeGo(filepath.Join(*out, path.Base(importDir)+".go"), codegen.Registry(specs, importDir)); err != nil {
 			fmt.Fprintf(os.Stderr, "macedon gen: %v\n", err)
 			return 1
 		}

@@ -130,13 +130,22 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 			rng = fmt.Sprintf("append([]overlay.Address(nil), %s...)", rng)
 		}
 		g.loopVars[s.Var] = g.elemType(s.List)
+		head := fmt.Sprintf("%sfor _, %s := range %s {\n", ind, goName(s.Var), rng)
 		if c, ok := s.List.(dsl.CallExpr); ok && c.Fn == "range" {
-			g.pf("%sfor %s := range %s {\n", ind, goName(s.Var), rng)
-		} else {
-			g.pf("%sfor _, %s := range %s {\n", ind, goName(s.Var), rng)
+			head = fmt.Sprintf("%sfor %s := range %s {\n", ind, goName(s.Var), rng)
 		}
+		at, reads := g.b.Len(), g.loopReads[s.Var]
+		g.b.WriteString(head)
 		if err := g.scopedBody(s.Body, depth+1); err != nil {
 			return err
+		}
+		if g.loopReads[s.Var] == reads {
+			// Go rejects a loop variable nothing reads: range without one.
+			src := g.b.String()
+			g.b.Reset()
+			g.b.WriteString(src[:at])
+			g.pf("%sfor range %s {\n", ind, rng)
+			g.b.WriteString(src[at+len(head):])
 		}
 		g.pf("%s}\n", ind)
 		delete(g.loopVars, s.Var)
@@ -850,6 +859,7 @@ func (g *generator) expr(e dsl.Expr) (string, error) {
 
 func (g *generator) ident(name string) (string, error) {
 	if _, local := g.locals[name]; local || g.loopVars[name] != "" {
+		g.loopReads[name]++
 		return goName(name), nil
 	}
 	if b, ok := builtins[name]; ok {

@@ -92,10 +92,11 @@ type generator struct {
 	states   map[string]bool // the declared FSM states, init included
 
 	// Per-handler context.
-	curMsg   *dsl.Message
-	curKind  dsl.TransitionKind
-	loopVars map[string]string // loop variables in scope: name → mac type
-	locals   map[string]string // handler-scoped locals: name → mac type
+	curMsg    *dsl.Message
+	curKind   dsl.TransitionKind
+	loopVars  map[string]string // loop variables in scope: name → mac type
+	loopReads map[string]int    // reads of each loop variable translated so far
+	locals    map[string]string // handler-scoped locals: name → mac type
 	// blockLocals are the Go names of the locals the block being
 	// translated declared: Go rejects a second declaration in one block.
 	blockLocals map[string]bool
@@ -622,7 +623,7 @@ func apiConst(name string) string {
 func (g *generator) handler(i int, tr dsl.Transition) error {
 	g.curKind = tr.Kind
 	g.curMsg = nil
-	g.loopVars = map[string]string{}
+	g.loopVars, g.loopReads = map[string]string{}, map[string]int{}
 	g.locals = map[string]string{}
 	g.blockLocals = map[string]bool{}
 	g.rewrites = map[string]string{}

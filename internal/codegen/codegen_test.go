@@ -192,6 +192,49 @@ transitions {
 	typeCheck(t, res.Source)
 }
 
+// TestForeachWithoutReadsBuilds: a foreach whose body never reads its loop
+// variable — an empty body, one that only counts, a loop over range(), an
+// outer loop only its inner loop's body reads nothing of — ranges without
+// one, which Go would reject as declared and not used. A loop that reads
+// its variable keeps it.
+func TestForeachWithoutReadsBuilds(t *testing.T) {
+	spec, err := dsl.Parse(`
+protocol p
+neighbor_types { kids_t 4 { } }
+transports { UDP u; }
+messages { u m { int x; } }
+auxiliary_data { int n; nodeset s; kids_t kids; }
+transitions {
+  any recv m {
+    foreach (a in kids) { }
+    foreach (b in s) { n = n + 1; }
+    foreach (i in range(3)) { n = n + 1; }
+    foreach (c in kids) { foreach (d in s) { n = n + 1; } }
+    foreach (e in s) { foreach (f in kids) { if (e == f) { n = 0; } } }
+  }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Generate(spec, "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"\tfor range ctx.Neighbors(\"kids\").Addrs() {\n\t}\n",
+		"\tfor range a.S {\n\t\ta.N = (a.N + 1)\n",
+		"\tfor range int32(3) {\n",
+		"\tfor range ctx.Neighbors(\"kids\").Addrs() {\n\t\tfor range a.S {\n",
+		"\tfor _, e := range a.S {\n\t\tfor _, f := range ctx.Neighbors(\"kids\").Addrs() {\n",
+	} {
+		if !strings.Contains(res.Source, want) {
+			t.Errorf("generated source lacks %q:\n%s", want, res.Source)
+		}
+	}
+	typeCheck(t, res.Source)
+}
+
 // bundled is every spec under specs/ and the package its code is committed
 // in: internal/overlays/<protocol>.
 type bundled struct{ spec, pkg string }
@@ -251,12 +294,11 @@ func TestCheckedInGeneratedPackagesAreFresh(t *testing.T) {
 	}
 	generated := map[string]bool{"overlays.go": true}
 	var specs []*dsl.Spec
-	var files []string
 	for _, c := range bundledSpecs(t) {
 		rel := filepath.Join(c.pkg, c.pkg+".go")
 		generated[rel] = true
 		spec := loadSpec(t, c.spec)
-		specs, files = append(specs, spec), append(files, c.spec)
+		specs = append(specs, spec)
 		res, err := Generate(spec, c.pkg)
 		if err != nil {
 			t.Errorf("%s: %v", c.spec, err)
@@ -264,13 +306,14 @@ func TestCheckedInGeneratedPackagesAreFresh(t *testing.T) {
 		}
 		fresh(rel, res.Source)
 	}
-	reg, err := Registry(specs, files, "macedon/internal/overlays")
-	if err != nil {
-		t.Fatal(err)
+	for i, err := range CheckLayering(specs) {
+		if err != nil {
+			t.Fatalf("%s: %v", bundledSpecs(t)[i].spec, err)
+		}
 	}
-	fresh("overlays.go", reg)
+	fresh("overlays.go", Registry(specs, "macedon/internal/overlays"))
 	root := repo.Path("internal", "overlays")
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}

@@ -10,37 +10,55 @@ import (
 	"macedon/internal/dsl"
 )
 
-// Registry emits the registry package of specs generated together: per spec
-// its name, the base its `uses` line names, the values its header sets on
-// the base's int params, and its factory. importDir is the import path of
-// the directory that holds each spec's package under its name, and of the
-// registry; files[i] names specs[i] in errors. The specs are checked as a set
-// first: every base is one of them, no `uses` chain comes back to where it
-// started, and every param a header sets is an int auxiliary variable of
-// its base.
-func Registry(specs []*dsl.Spec, files []string, importDir string) (string, error) {
+// CheckLayering checks specs translated together as a set: every base a
+// `uses` line names is one of them, no chain of bases comes back to where
+// it started, and every param a header sets is an int auxiliary variable of
+// its base. The i-th error is specs[i]'s, at the line and column of its
+// header at fault, or nil; a nil spec, one that did not parse, is no one's
+// base.
+func CheckLayering(specs []*dsl.Spec) []*dsl.Error {
 	byName := map[string]*dsl.Spec{}
 	for _, s := range specs {
-		byName[s.Name] = s
+		if s != nil {
+			byName[s.Name] = s
+		}
 	}
+	errs := make([]*dsl.Error, len(specs))
 	for i, s := range specs {
-		base := byName[s.Uses]
-		if s.Uses != "" && base == nil {
-			return "", fmt.Errorf("%s: codegen: %s: protocol %s uses unknown base %q", files[i], s.UsesPos, s.Name, s.Uses)
-		}
-		for at, n := base, 0; at != nil && n <= len(specs); at, n = byName[at.Uses], n+1 {
-			if at == s {
-				return "", fmt.Errorf("%s: codegen: %s: protocol %s uses itself through its chain of bases", files[i], s.UsesPos, s.Name)
-			}
-		}
-		for _, bp := range s.BaseParams {
-			if !slices.ContainsFunc(base.StateVars, func(v dsl.StateVar) bool {
-				return v.Name == bp.Name && v.Kind == dsl.VarPlain && v.Type == "int"
-			}) {
-				return "", fmt.Errorf("%s: codegen: %s: base %s declares no int auxiliary variable %q", files[i], bp.Pos, s.Uses, bp.Name)
-			}
+		if s != nil && s.Uses != "" {
+			errs[i] = checkBase(s, byName)
 		}
 	}
+	return errs
+}
+
+// checkBase checks layered spec s against its base among byName.
+func checkBase(s *dsl.Spec, byName map[string]*dsl.Spec) *dsl.Error {
+	base := byName[s.Uses]
+	if base == nil {
+		return &dsl.Error{Pos: s.UsesPos, Msg: fmt.Sprintf("protocol %s uses unknown base %q", s.Name, s.Uses)}
+	}
+	for at, n := base, 0; at != nil && n <= len(byName); at, n = byName[at.Uses], n+1 {
+		if at == s {
+			return &dsl.Error{Pos: s.UsesPos, Msg: fmt.Sprintf("protocol %s uses itself through its chain of bases", s.Name)}
+		}
+	}
+	for _, bp := range s.BaseParams {
+		if !slices.ContainsFunc(base.StateVars, func(v dsl.StateVar) bool {
+			return v.Name == bp.Name && v.Kind == dsl.VarPlain && v.Type == "int"
+		}) {
+			return &dsl.Error{Pos: bp.Pos, Msg: fmt.Sprintf("base %s declares no int auxiliary variable %q", s.Uses, bp.Name)}
+		}
+	}
+	return nil
+}
+
+// Registry emits the registry package of specs generated together, a set
+// CheckLayering passes: per spec its name, the base its `uses` line names,
+// the values its header sets on the base's int params, and its factory.
+// importDir is the import path of the directory that holds each spec's
+// package under its name, and of the registry.
+func Registry(specs []*dsl.Spec, importDir string) string {
 	var imports, entries strings.Builder
 	for _, s := range slices.SortedFunc(slices.Values(specs), func(a, b *dsl.Spec) int { return strings.Compare(a.Name, b.Name) }) {
 		fmt.Fprintf(&imports, "\t%q\n", importDir+"/"+s.Name)
@@ -55,7 +73,7 @@ func Registry(specs []*dsl.Spec, files []string, importDir string) (string, erro
 		}
 		fmt.Fprintf(&entries, "\t%q: {%q, map[string]int{%s}, %s.New()},\n", s.Name, s.Uses, strings.Join(params, ", "), s.Name)
 	}
-	return fmt.Sprintf(registryFile, path.Base(importDir), imports.String(), entries.String()), nil
+	return fmt.Sprintf(registryFile, path.Base(importDir), imports.String(), entries.String())
 }
 
 const registryFile = `// Code generated by "macedon gen". DO NOT EDIT.

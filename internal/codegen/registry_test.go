@@ -5,45 +5,56 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"macedon/internal/dsl"
 )
 
-// TestRegistryChecksLayering: the registry of a set of specs is refused,
-// at the file, line and column of the header at fault, when a base is not in
-// the set, when a `uses` chain comes back to where it started, or when a
-// header sets a param its base declares no int auxiliary variable for.
+// TestRegistryChecksLayering: the specs a registry is generated from are
+// checked as a set (CheckLayering), and a spec is refused at the line and
+// column of its header at fault when its base is not in the set, when a
+// `uses` chain comes back to where it started, or when it sets a param its
+// base declares no int auxiliary variable for. The others in the set pass,
+// and a spec that did not parse is skipped.
 func TestRegistryChecksLayering(t *testing.T) {
 	const low = "protocol low\ntransports { UDP u; }\nauxiliary_data { int fan; double w; }\n"
 	for _, c := range []struct {
 		name  string
 		specs []string
-		want  string
+		want  string // the last spec's error
 	}{
 		{"unknown base", []string{low, "protocol up uses lw\n"},
-			`up.mac: codegen: 1:18: protocol up uses unknown base "lw"`},
-		{"cycle", []string{low, "protocol a uses b\n", "protocol b uses a\n"},
-			"a.mac: codegen: 1:17: protocol a uses itself through its chain of bases"},
+			`1:18: protocol up uses unknown base "lw"`},
+		{"cycle", []string{low, "protocol b uses a\n", "protocol a uses b\n"},
+			"1:17: protocol a uses itself through its chain of bases"},
 		{"self", []string{"protocol a uses a\n"},
-			"a.mac: codegen: 1:17: protocol a uses itself through its chain of bases"},
+			"1:17: protocol a uses itself through its chain of bases"},
 		{"undeclared param", []string{low, "protocol up uses low(fan = 2, fans = 3)\n"},
-			`up.mac: codegen: 1:31: base low declares no int auxiliary variable "fans"`},
+			`1:31: base low declares no int auxiliary variable "fans"`},
 		{"non-int param", []string{low, "protocol up uses low(w = 2)\n"},
-			`up.mac: codegen: 1:22: base low declares no int auxiliary variable "w"`},
+			`1:22: base low declares no int auxiliary variable "w"`},
+		{"unparsed base", []string{"", "protocol up uses low(fan = 2)\n"},
+			`1:18: protocol up uses unknown base "low"`},
 	} {
-		var specs []*dsl.Spec
-		var files []string
-		for _, src := range c.specs {
-			spec, err := dsl.Parse(src)
-			if err != nil {
+		specs := make([]*dsl.Spec, len(c.specs))
+		for i, src := range c.specs {
+			if src == "" {
+				continue
+			}
+			var err error
+			if specs[i], err = dsl.Parse(src); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			specs, files = append(specs, spec), append(files, spec.Name+".mac")
 		}
-		if _, err := Registry(specs, files, "m/p"); err == nil || err.Error() != c.want {
+		errs := CheckLayering(specs)
+		last := len(specs) - 1
+		if err := errs[last]; err == nil || err.Error() != c.want {
 			t.Errorf("%s: error %v, want %s", c.name, err, c.want)
+		}
+		if c.name != "cycle" && slices.ContainsFunc(errs[:last], func(e *dsl.Error) bool { return e != nil }) {
+			t.Errorf("%s: errors %v for the specs before the last", c.name, errs)
 		}
 	}
 }
@@ -63,10 +74,7 @@ func TestRegistryEntries(t *testing.T) {
 		}
 		specs = append(specs, spec)
 	}
-	src, err := Registry(specs, []string{"up.mac", "low.mac"}, "example.org/m/protos")
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := Registry(specs, "example.org/m/protos")
 	for _, want := range []string{
 		"package protos\n",
 		"\t\"example.org/m/protos/low\"\n\t\"example.org/m/protos/up\"\n",
@@ -87,9 +95,8 @@ func TestRegistryEntries(t *testing.T) {
 // against them as a set and registers over Chord with its declared param.
 func TestEchoSpecRegisters(t *testing.T) {
 	var specs []*dsl.Spec
-	var files []string
 	for _, c := range bundledSpecs(t) {
-		specs, files = append(specs, loadSpec(t, c.spec)), append(files, c.spec)
+		specs = append(specs, loadSpec(t, c.spec))
 	}
 	src, err := os.ReadFile(filepath.Join("testdata", "echo.mac"))
 	if err != nil {
@@ -102,10 +109,11 @@ func TestEchoSpecRegisters(t *testing.T) {
 	if _, err := Generate(echo, echo.Name); err != nil {
 		t.Fatal(err)
 	}
-	reg, err := Registry(append(specs, echo), append(files, "echo.mac"), "macedon/internal/overlays")
-	if err != nil {
-		t.Fatal(err)
+	specs = append(specs, echo)
+	if errs := CheckLayering(specs); slices.ContainsFunc(errs, func(e *dsl.Error) bool { return e != nil }) {
+		t.Fatalf("the set fails its layering checks: %v", errs)
 	}
+	reg := Registry(specs, "macedon/internal/overlays")
 	if want := `"echo": {"chord", map[string]int{"fix_ms": 500}, echo.New()},`; !strings.Contains(reg, want) {
 		t.Errorf("registry lacks %s:\n%s", want, reg)
 	}

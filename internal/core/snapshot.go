@@ -44,6 +44,6 @@ func (d *Def) StateCopyOpaque() {}
 func (*timerDecl) StateCopyOpaque() {}
 
 // StateCopyOpaque marks the tracer as shared across fork branches: its only
-// state is the output writer and level, which belong to the experiment, not
-// to the rewound timeline.
+// state is the output writer, its lock and the level, which belong to the
+// experiment, not to the rewound timeline.
 func (t *Tracer) StateCopyOpaque() {}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"macedon/internal/obs"
@@ -38,44 +39,16 @@ func (l TraceLevel) String() string {
 	return fmt.Sprintf("TraceLevel(%d)", uint8(l))
 }
 
-// obsLevel maps the grammar's trace levels onto obs log levels: low is the
-// important stuff (state changes, failures), med/high are engine debug.
-func obsLevel(l TraceLevel) obs.Level {
-	if l == TraceLow {
-		return obs.LevelInfo
-	}
-	return obs.LevelDebug
-}
-
-// traceEpoch anchors trace record timestamps: Record.At is the offset from
-// the Unix epoch, so both wall clocks and the emulator's virtual clock
-// (which also starts at a fixed origin) produce stable offsets.
-var traceEpoch = time.Unix(0, 0)
-
-// tracerRing bounds how many recent trace records a tracer retains.
-const tracerRing = 512
-
-// Tracer serializes trace lines from a node. It is a thin shim over an
-// obs.EventLog: lines ride the obs pipeline, while a render hook preserves
-// the historical `15:04:05.000000 message` byte format the golden traces
-// pin down. A node with tracing off holds none: every method is nil-safe.
+// Tracer writes a node's trace lines, `15:04:05.000000 message` each, the
+// format the golden traces pin. A node with tracing off holds none: every
+// method is nil-safe.
 type Tracer struct {
-	log   *obs.EventLog
+	mu    sync.Mutex
+	w     io.Writer
 	level TraceLevel
 }
 
-func newTracer(w io.Writer, level TraceLevel) *Tracer {
-	l := obs.NewEventLog(nil, obs.LevelDebug)
-	l.SetCap(tracerRing)
-	l.SetRender(func(r obs.Record) string {
-		if len(r.Fields) >= 2 {
-			return r.Fields[0].Value + " " + r.Fields[1].Value
-		}
-		return r.String()
-	})
-	l.SetWriter(w)
-	return &Tracer{log: l, level: level}
-}
+func newTracer(w io.Writer, level TraceLevel) *Tracer { return &Tracer{w: w, level: level} }
 
 // Enabled reports whether lines at level l are emitted.
 func (t *Tracer) Enabled(l TraceLevel) bool {
@@ -86,9 +59,10 @@ func (t *Tracer) tracef(l TraceLevel, at time.Time, format string, args ...any) 
 	if !t.Enabled(l) {
 		return
 	}
-	t.log.EmitAt(at.Sub(traceEpoch), 0, obsLevel(l), "trace",
-		obs.F("at", at.Format("15:04:05.000000")),
-		obs.F("msg", fmt.Sprintf(format, args...)))
+	line := at.Format("15:04:05.000000") + " " + fmt.Sprintf(format, args...) + "\n"
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, _ = io.WriteString(t.w, line)
 }
 
 // Counters aggregates per-instance engine statistics: the built-in metric

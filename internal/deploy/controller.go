@@ -95,10 +95,10 @@ type agentSlot struct {
 
 // controller executes a compiled schedule against a fleet of agent
 // processes. It is the scenario.Backend the shared engine drives — processes
-// and the wall clock — and the scenario.WallExecutor that takes mu around
-// the engine's coordinator calls. The engine owns every count, stamp, trace
-// line and verdict; what lives here is the fleet, the shaping rules, and the
-// per-agent metric pages.
+// and the wall clock — and it walks the schedule's cues (walk), taking mu
+// around the engine's coordinator calls. The engine owns every count,
+// stamp, trace line and verdict; what lives here is the fleet, the shaping
+// rules, and the per-agent metric pages.
 type controller struct {
 	cfg   Config
 	s     *scenario.Scenario
@@ -236,7 +236,7 @@ func Run(cfg Config) (*scenario.Report, error) {
 	fmt.Fprintf(cfg.Out, "deploy %q: %d nodes on %s:%d.., control %s, speed %.3gx, wall ≈%s\n",
 		s.Name, s.Nodes, cfg.Host, cfg.BasePort, ln.Addr(), cfg.Speed,
 		time.Duration(float64(sched.Total)/cfg.Speed).Round(time.Second))
-	if err := scenario.NewWallRunner(sched, cfg.Speed, c).Run(ctx); err != nil {
+	if err := walk(ctx, sched, cfg.Speed, c.apply, c.boundary); err != nil {
 		return nil, err
 	}
 	return c.report(), nil
@@ -627,11 +627,53 @@ func (c *controller) poll(withState bool) {
 	}
 }
 
-// --- scenario.WallExecutor ---------------------------------------------------
+// --- the wall-clock walk -----------------------------------------------------
 
-// Apply runs one schedule op through the engine and then writes whatever
+// walk fires the schedule's cues in the order scenario.Schedule.Cues lays
+// out for both backends, each once its offset divided by speed has passed
+// on the wall clock: a run of ops one op at a time through apply, a
+// boundary through boundary. The first error apply returns ends the walk
+// at once; so does ctx ending. Otherwise it returns when the drain window
+// up to Total has passed, roughly Total/speed after it began.
+func walk(ctx context.Context, sched *scenario.Schedule, speed float64, apply func(scenario.Op) error, boundary func(scenario.Cue)) error {
+	start := time.Now()
+	for c := range sched.Cues(-1, len(sched.Phases)-1) {
+		if err := sleepUntil(ctx, start, c.At, speed); err != nil {
+			return err
+		}
+		if c.Kind != scenario.CueOps {
+			boundary(c)
+			continue
+		}
+		for _, op := range sched.Ops[c.I:c.J] {
+			if err := apply(op); err != nil {
+				return err
+			}
+		}
+	}
+	return sleepUntil(ctx, start, sched.Total, speed)
+}
+
+// sleepUntil waits until schedule offset at, divided by speed, has passed
+// since start.
+func sleepUntil(ctx context.Context, start time.Time, at time.Duration, speed float64) error {
+	wait := time.Duration(float64(at)/speed) - time.Since(start)
+	if wait <= 0 {
+		return ctx.Err()
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("deploy: wall-clock run aborted at %s: %w", at, ctx.Err())
+	}
+}
+
+// apply runs one schedule op through the engine and then writes whatever
 // control messages the backend calls queued.
-func (c *controller) Apply(op scenario.Op) error {
+func (c *controller) apply(op scenario.Op) error {
 	c.mu.Lock()
 	err := c.eng.Apply(op)
 	c.mu.Unlock()
@@ -650,19 +692,20 @@ func (c *controller) flush() {
 	}
 }
 
-// SettleEnd polls the fleet for the baseline snapshot phase deltas are
-// measured against.
-func (c *controller) SettleEnd() {
-	c.poll(false)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.eng.SettleEnd()
-	c.eng.Tracef("settle complete (%d live)", c.eng.Live())
-}
-
-// PhaseEnd polls the fleet — with routing state when the scenario opted
-// into checks — and snapshots phase pi.
-func (c *controller) PhaseEnd(pi int) {
+// boundary polls the fleet and takes the engine's snapshot at a boundary
+// cue: the settle baseline phase deltas are measured against, or the end
+// of phase cue.I — polled with routing state when the scenario opted into
+// checks.
+func (c *controller) boundary(cue scenario.Cue) {
+	if cue.Kind == scenario.CueSettleEnd {
+		c.poll(false)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.eng.SettleEnd()
+		c.eng.Tracef("settle complete (%d live)", c.eng.Live())
+		return
+	}
+	pi := cue.I
 	c.poll(c.s.CheckConfig() != nil)
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -42,8 +42,7 @@ func TestScheduledOpsQueueNothing(t *testing.T) {
 	before := r.c.Sched.Pending()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	r.scheduleSetup()
-	r.schedulePhases(0, len(sched.Phases)-1)
+	r.schedule(-1, len(sched.Phases)-1)
 	r.arm(0)
 	runtime.ReadMemStats(&m1)
 	cues := len(r.cues)

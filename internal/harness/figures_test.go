@@ -60,8 +60,7 @@ func startRun(t *testing.T, s *scenario.Scenario) (*simRun, *scenario.Schedule) 
 		t.Fatal(err)
 	}
 	t.Cleanup(r.c.StopAll)
-	r.scheduleSetup()
-	r.schedulePhases(0, len(sched.Phases)-1)
+	r.schedule(-1, len(sched.Phases)-1)
 	r.arm(0)
 	return r, sched
 }

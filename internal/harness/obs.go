@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"macedon/internal/obs"
+	"macedon/internal/scenario"
 )
 
 // ObsOptions configures the observability plane of a scenario run.
@@ -41,7 +42,7 @@ var seriesLead = []string{"events", "pending"}
 func (r *simRun) scheduleObsSeries(pi int) {
 	ph := r.sched.Phases[pi]
 	sample := func(at time.Duration) {
-		r.cues = append(r.cues, cue{at: at, kind: cueSample, i: pi})
+		r.cues = append(r.cues, scenario.Cue{At: at, I: pi, Kind: cueSample})
 	}
 	sample(ph.Start)
 	if iv := r.obs.SeriesInterval; iv > 0 {

@@ -140,11 +140,16 @@ type simRun struct {
 	// engine's.
 	obs ObsOptions
 
-	// cues is the schedule in firing order, next the first cue not yet
+	// cues is the schedule in firing order (scenario.Schedule.Cues), with
+	// the obs plane's sample cues among them; next is the first cue not yet
 	// fired. One global timer, the cursor, is armed for cues[next] whenever
 	// there is such a cue: it fires that cue alone and re-arms for the one
 	// after, so however long the schedule, the heaps hold one harness record.
-	cues   []cue
+	// A cue's I and J index the Ops and Phases of whichever schedule the run
+	// is on: variants that share a prefix list its ops and phases first,
+	// identically (prefixKey), so a cue the prefix left unfired means the
+	// same thing in every branch.
+	cues   []scenario.Cue
 	next   int
 	cursor substrate.Timer
 
@@ -153,27 +158,9 @@ type simRun struct {
 	err error
 }
 
-// cueKind is what a cue does when the cursor reaches it.
-type cueKind uint8
-
-const (
-	cueOp         cueKind = iota // apply Ops[i]
-	cueSpawnBatch                // build and apply the same-instant setup spawns Ops[i:j]
-	cueSettleEnd                 // take the settle-boundary baseline
-	cuePhaseEnd                  // snapshot phase i
-	cueSample                    // time-series sample of phase i
-)
-
-// cue is one schedule entry: a plain record the cursor walks, not an event
-// in the scheduler's heaps. i and j index the Ops and Phases of whichever
-// schedule the run is on: variants that share a prefix list its ops and
-// phases first, identically (prefixKey), so a cue the prefix left unfired
-// means the same thing in every branch.
-type cue struct {
-	at   time.Duration
-	i, j int
-	kind cueKind
-}
+// cueSample is the emulator's own cue kind beside the schedule's: a
+// time-series sample of phase I (scheduleObsSeries).
+const cueSample = scenario.CuePhaseEnd + 1
 
 // newSimRun builds the cluster and a fresh engine for a compiled schedule.
 // The caller owns r.c.StopAll.
@@ -235,62 +222,31 @@ func newSimRun(sched *scenario.Schedule, exec ExecOptions) (*simRun, error) {
 	return r, nil
 }
 
-// scheduleSetup appends the setup operations (joins) plus the settle-end
-// baseline snapshot. Runs of spawns at the same instant are batched into one
-// cue so node construction can parallelize across shards instead of
-// serializing inside a single epoch barrier — the t=0 spawn herd. The batch
-// executes its spawns in op order, so the trace is byte-identical to
-// unbatched scheduling.
-func (r *simRun) scheduleSetup() {
-	ops := r.sched.Ops
-	i := 0
-	for i < len(ops) && ops[i].Phase < 0 {
-		j := i + 1
-		if ops[i].Kind == scenario.OpSpawn {
-			for j < len(ops) && ops[j].Phase < 0 && ops[j].Kind == scenario.OpSpawn && ops[j].At == ops[i].At {
-				j++
-			}
-		}
-		kind := cueOp
-		if j-i > 1 {
-			kind = cueSpawnBatch
-		}
-		r.cues = append(r.cues, cue{at: ops[i].At, kind: kind, i: i, j: j})
-		i = j
-	}
-	r.cues = append(r.cues, cue{at: r.sched.Settle, kind: cueSettleEnd})
-}
-
-// schedulePhases appends the ops and end-of-phase snapshots of phases
-// [from, to] — none when the range is empty. Ops fire at their absolute
-// schedule offsets regardless of when scheduling happens, which is what lets
-// a branch schedule its tail phases after the prefix already ran.
-func (r *simRun) schedulePhases(from, to int) {
-	ops := r.sched.Ops
-	i := 0
-	for i < len(ops) && ops[i].Phase < from {
-		i++
-	}
-	for pi := from; pi <= to; pi++ {
-		for ; i < len(ops) && ops[i].Phase == pi; i++ {
-			r.cues = append(r.cues, cue{at: ops[i].At, kind: cueOp, i: i})
-		}
-		r.cues = append(r.cues, cue{at: r.sched.Phases[pi].End, kind: cuePhaseEnd, i: pi})
-		if r.obs.Enabled {
-			r.scheduleObsSeries(pi)
+// schedule appends the cues of phases from..to (-1 leads with setup) in
+// the one firing order, each phase end followed, when the obs plane is on,
+// by that phase's samples. Ops fire at their absolute schedule offsets
+// regardless of when scheduling happens, which is what lets a branch
+// schedule its tail phases after the prefix already ran.
+func (r *simRun) schedule(from, to int) {
+	for c := range r.sched.Cues(from, to) {
+		r.cues = append(r.cues, c)
+		if c.Kind == scenario.CuePhaseEnd && r.obs.Enabled {
+			r.scheduleObsSeries(c.I)
 		}
 	}
 }
 
 // arm puts the unfired cues, among them the ones appended since there were
 // n, in firing order and arms the cursor if none was unfired before. The
-// sort is stable, so cues at one instant fire in the order they were
-// appended. A branch
+// schedule's cues come in that order already; the stable sort slots the obs
+// samples in among them, each behind whatever shares its instant. A branch
 // appends only cues due at or after the fork instant, where the cue its
 // prefix left armed waits, so that cue stays first and the heaps are left
 // as they are.
 func (r *simRun) arm(n int) {
-	slices.SortStableFunc(r.cues[r.next:], func(a, b cue) int { return cmp.Compare(a.at, b.at) })
+	if r.obs.Enabled {
+		slices.SortStableFunc(r.cues[r.next:], func(a, b scenario.Cue) int { return cmp.Compare(a.At, b.At) })
+	}
 	if r.next >= n {
 		r.rearm()
 	}
@@ -302,7 +258,7 @@ func (r *simRun) rearm() {
 	if r.next == len(r.cues) {
 		return
 	}
-	d := r.cues[r.next].at - r.c.Sched.Elapsed()
+	d := r.cues[r.next].At - r.c.Sched.Elapsed()
 	if r.cursor == nil {
 		r.cursor = r.c.Sched.After(d, r.fire)
 		return
@@ -319,17 +275,19 @@ func (r *simRun) fire() {
 	c := r.cues[r.next]
 	r.next++
 	r.rearm()
-	switch c.kind {
-	case cueOp:
-		r.apply(r.sched.Ops[c.i])
-	case cueSpawnBatch:
-		r.applySpawnBatch(r.sched.Ops[c.i:c.j])
-	case cueSettleEnd:
+	switch c.Kind {
+	case scenario.CueOps:
+		if c.J-c.I > 1 {
+			r.applySpawnBatch(r.sched.Ops[c.I:c.J])
+		} else {
+			r.apply(r.sched.Ops[c.I])
+		}
+	case scenario.CueSettleEnd:
 		r.eng.SettleEnd()
-	case cuePhaseEnd:
-		r.eng.PhaseEnd(c.i)
+	case scenario.CuePhaseEnd:
+		r.eng.PhaseEnd(c.I)
 	case cueSample:
-		r.eng.Sample(c.i, c.at-r.sched.Phases[c.i].Start, float64(r.c.Sched.Executed()), float64(r.pending()))
+		r.eng.Sample(c.I, c.At-r.sched.Phases[c.I].Start, float64(r.c.Sched.Executed()), float64(r.pending()))
 	}
 }
 
@@ -350,9 +308,7 @@ func (r *simRun) apply(op scenario.Op) {
 	if r.err != nil {
 		return
 	}
-	if err := r.eng.Apply(op); err != nil {
-		r.err = fmt.Errorf("harness: %s node %d at %s: %w", op.Kind, op.Node, op.At, err)
-	}
+	r.err = r.eng.Apply(op)
 }
 
 // applySpawnBatch executes one same-instant run of setup spawns: node

@@ -97,8 +97,7 @@ func runGroup(vs []forkVariant, exec ExecOptions, forkPhase int) ([]*scenario.Re
 
 	start := time.Now()
 	prefix := forkTime(vs[0].sched, forkPhase) - prefixEpsilon
-	r.scheduleSetup()
-	r.schedulePhases(0, forkPhase)
+	r.schedule(-1, forkPhase)
 	r.arm(0)
 	r.c.RunFor(prefix)
 	var cp *Checkpoint
@@ -130,7 +129,7 @@ func runGroup(vs []forkVariant, exec ExecOptions, forkPhase int) ([]*scenario.Re
 		}
 		if err == nil {
 			n := len(r.cues)
-			r.schedulePhases(forkPhase+1, len(v.sched.Phases)-1)
+			r.schedule(forkPhase+1, len(v.sched.Phases)-1)
 			r.arm(n)
 			r.c.RunFor(v.sched.Total - prefix)
 			err = r.err

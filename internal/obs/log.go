@@ -138,7 +138,6 @@ type EventLog struct {
 	sampler Sampler
 	min     Level
 	w       io.Writer
-	render  func(Record) string
 	cap     int // ring capacity; 0 = unbounded
 	recs    []Record
 	dropped uint64
@@ -162,15 +161,6 @@ func (l *EventLog) SetCap(n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.cap = n
-}
-
-// SetRender overrides how teed lines are formatted (Record.String by
-// default). Legacy sinks — core.Tracer's wall-clock trace format — hook
-// in here so they can ride the obs pipeline without changing their bytes.
-func (l *EventLog) SetRender(f func(Record) string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.render = f
 }
 
 // Emit records one event if it clears the level gate and the sampler.
@@ -201,13 +191,7 @@ func (l *EventLog) append(rec Record) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.w != nil {
-		line := ""
-		if l.render != nil {
-			line = l.render(rec)
-		} else {
-			line = rec.String()
-		}
-		fmt.Fprintln(l.w, line)
+		fmt.Fprintln(l.w, rec.String())
 	}
 	if l.cap > 0 && len(l.recs) >= l.cap {
 		copy(l.recs, l.recs[1:])

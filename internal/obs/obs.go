@@ -1,8 +1,8 @@
 // Package obs is the observability plane: a zero-dependency metrics
 // registry with Prometheus text-format exposition, a sampled structured
 // event log, and end-to-end operation traces built from per-hop span
-// records. It replaces the ad-hoc core.Counters/core.Tracer pair as the
-// one instrumentation layer both execution backends report through — the
+// records. It is the one instrumentation layer both execution backends
+// report through — the
 // virtual-time scenario engine snapshots a registry at phase boundaries,
 // and `macedon agent` serves the same families over HTTP for `macedon
 // deploy` to scrape and aggregate (docs/observability.md).

@@ -293,7 +293,8 @@ func (e *Engine) tracef(now time.Duration, format string, args ...any) {
 }
 
 // Apply executes one schedule op at its instant. The only error is the
-// backend failing to start a node, returned as the backend gave it.
+// backend failing to start a node, wrapped with the op's kind, node and
+// instant.
 func (e *Engine) Apply(op Op) error {
 	a := &e.acct
 	a.eventsRun++
@@ -307,7 +308,7 @@ func (e *Engine) Apply(op Op) error {
 		}
 		detail, err := e.b.Spawn(n, op.Kind == OpRevive)
 		if err != nil {
-			return err
+			return fmt.Errorf("scenario: %s node %d at %s: %w", op.Kind, n, op.At, err)
 		}
 		a.nodes[n].alive = true
 		a.nodes[n].upAt = now

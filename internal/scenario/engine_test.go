@@ -291,8 +291,8 @@ func TestEngineApplyEveryOpKind(t *testing.T) {
 }
 
 // TestEngineBackendDetailAndSpawnError: a backend's detail lands after the
-// pinned wording, and a failed launch comes back as the error, with the node
-// still down and nothing traced for it.
+// pinned wording, and a failed launch comes back as the error, wrapped with
+// the op it belongs to, with the node still down and nothing traced for it.
 func TestEngineBackendDetailAndSpawnError(t *testing.T) {
 	b := &fakeBackend{withExtra: true}
 	e := newFakeEngine(t, fakeSchedule(3, 1), b, 1, false)
@@ -305,8 +305,9 @@ func TestEngineBackendDetailAndSpawnError(t *testing.T) {
 		t.Errorf("trace = %q, want %q", got, want)
 	}
 	b.spawnErr = errors.New("exec: no such file")
-	if err := e.Apply(Op{Kind: OpSpawn, Node: 1}); !errors.Is(err, b.spawnErr) {
-		t.Fatalf("Apply = %v, want the backend's error", err)
+	err := e.Apply(Op{At: 2 * time.Second, Kind: OpSpawn, Node: 1})
+	if want := "scenario: spawn node 1 at 2s: exec: no such file"; !errors.Is(err, b.spawnErr) || err.Error() != want {
+		t.Fatalf("Apply = %v, want %q wrapping the backend's error", err, want)
 	}
 	if e.Alive(1) || len(e.acct.trace) != 2 {
 		t.Errorf("after a failed spawn: alive=%v trace=%v", e.Alive(1), e.acct.trace)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"iter"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -288,6 +289,72 @@ func Compile(s *Scenario) (*Schedule, error) {
 		return sched.Ops[i].At < sched.Ops[j].At
 	})
 	return sched, nil
+}
+
+// CueKind is what a cue does when it fires.
+type CueKind uint8
+
+const (
+	CueOps       CueKind = iota // apply Ops[I:J], in order
+	CueSettleEnd                // take the settle-boundary baseline
+	CuePhaseEnd                 // snapshot phase I
+)
+
+// Cue is one step of a schedule's firing order, due at At. I and J index
+// the schedule's Ops (a run of ops) or Phases (a phase end).
+type Cue struct {
+	At   time.Duration
+	I, J int
+	Kind CueKind
+}
+
+// Cues yields the cues of phases from..to in the order both backends fire
+// them; from -1 leads with setup. Setup yields its ops, a same-instant run
+// of spawns as one cue, then the settle end; each phase its ops and then
+// its end, and an op due after that end (a revive in the drain window)
+// behind it. At never decreases, and at one instant a phase's end fires
+// before the next phase's ops: an op at a phase's start belongs to that
+// phase.
+func (s *Schedule) Cues(from, to int) iter.Seq[Cue] {
+	return func(yield func(Cue) bool) {
+		ops := s.Ops
+		run := func(i, j int) bool { return yield(Cue{At: ops[i].At, I: i, J: j, Kind: CueOps}) }
+		i := 0
+		for i < len(ops) && ops[i].Phase < from {
+			i++
+		}
+		if from < 0 {
+			for i < len(ops) && ops[i].Phase < 0 {
+				j := i + 1
+				for ops[i].Kind == OpSpawn && j < len(ops) && ops[j].Phase < 0 && ops[j].Kind == OpSpawn && ops[j].At == ops[i].At {
+					j++
+				}
+				if !run(i, j) {
+					return
+				}
+				i = j
+			}
+			if !yield(Cue{At: s.Settle, Kind: CueSettleEnd}) {
+				return
+			}
+		}
+		for pi := max(from, 0); pi <= to; pi++ {
+			end := s.Phases[pi].End
+			for ; i < len(ops) && ops[i].Phase == pi && ops[i].At <= end; i++ {
+				if !run(i, i+1) {
+					return
+				}
+			}
+			if !yield(Cue{At: end, I: pi, Kind: CuePhaseEnd}) {
+				return
+			}
+			for ; i < len(ops) && ops[i].Phase == pi; i++ {
+				if !run(i, i+1) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // phaseAt maps an absolute time onto its phase index (clamped to the last).
