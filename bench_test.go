@@ -222,7 +222,7 @@ func BenchmarkAblationFailureDetector(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cl, err := harness.NewCluster(harness.ClusterConfig{
 					Nodes: 8, Routers: 80, Seed: int64(i),
-					HeartbeatAfter: c.g, FailAfter: c.f, Sweep: 500 * time.Millisecond,
+					HeartbeatAfter: c.g, FailAfter: c.f,
 				})
 				if err != nil {
 					b.Fatal(err)

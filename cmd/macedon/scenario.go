@@ -41,9 +41,6 @@ func runScenario(args []string) int {
 	}
 	if *check {
 		sched, err := scenario.Compile(s)
-		if err == nil {
-			_, err = harness.StackWithParams(s.ProtocolName(), s.Params)
-		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", fs.Arg(0), err)
 			return 1

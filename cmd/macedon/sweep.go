@@ -48,10 +48,6 @@ func runSweep(args []string) int {
 		fmt.Printf("sweep %q: base %q (%d nodes), %d variants, fork phase %d\n",
 			sw.Name, sw.Base.Name, sw.Base.Nodes, len(vs), sw.Base.ForkPhase())
 		for _, v := range vs {
-			if _, err := harness.StackWithParams(v.Scenario.ProtocolName(), v.Scenario.Params); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: variant %q: %v\n", fs.Arg(0), v.Name, err)
-				return 1
-			}
 			fmt.Printf("  %-16s protocol=%s seed=%d nodes=%d phases=%d",
 				v.Name, v.Scenario.Protocol, v.Scenario.Seed, v.Scenario.Nodes, len(v.Scenario.Phases))
 			if len(v.Scenario.Params) > 0 {

@@ -24,7 +24,7 @@ import (
 func TestChordUnderChurn(t *testing.T) {
 	c, err := harness.NewCluster(harness.ClusterConfig{
 		Nodes: 20, Routers: 120, Seed: 2718,
-		HeartbeatAfter: 2 * time.Second, FailAfter: 8 * time.Second, Sweep: time.Second,
+		HeartbeatAfter: 2 * time.Second, FailAfter: 8 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestChordUnderChurn(t *testing.T) {
 func TestScribeTreeSurvivesForwarderFailure(t *testing.T) {
 	c, err := harness.NewCluster(harness.ClusterConfig{
 		Nodes: 16, Routers: 100, Seed: 31415,
-		HeartbeatAfter: 2 * time.Second, FailAfter: 8 * time.Second, Sweep: time.Second,
+		HeartbeatAfter: 2 * time.Second, FailAfter: 8 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -129,6 +129,7 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 			// over a copy, as loops over a neighbor list already do.
 			rng = fmt.Sprintf("append([]overlay.Address(nil), %s...)", rng)
 		}
+		outer, shadows := g.loopVars[s.Var]
 		g.loopVars[s.Var] = g.elemType(s.List)
 		head := fmt.Sprintf("%sfor _, %s := range %s {\n", ind, goName(s.Var), rng)
 		if c, ok := s.List.(dsl.CallExpr); ok && c.Fn == "range" {
@@ -148,7 +149,15 @@ func (g *generator) stmtInner(s dsl.Stmt, ind string, depth int) error {
 			g.b.WriteString(src[at+len(head):])
 		}
 		g.pf("%s}\n", ind)
-		delete(g.loopVars, s.Var)
+		// An inner loop over an outer loop's name shadows it only for its
+		// body: rebind the outer variable, and forget the inner reads, which
+		// must not make an unread outer variable look read.
+		g.loopReads[s.Var] = reads
+		if shadows {
+			g.loopVars[s.Var] = outer
+		} else {
+			delete(g.loopVars, s.Var)
+		}
 	case *dsl.CallStmt:
 		return g.callStmt(s, ind)
 	default:

@@ -211,6 +211,8 @@ transitions {
     foreach (i in range(3)) { n = n + 1; }
     foreach (c in kids) { foreach (d in s) { n = n + 1; } }
     foreach (e in s) { foreach (f in kids) { if (e == f) { n = 0; } } }
+    foreach (g in kids) { foreach (g in s) { n = n + 1; } if (g == self) { n = 2; } }
+    foreach (h in kids) { foreach (h in s) { if (h == self) { n = 3; } } }
   }
 }
 `)
@@ -227,6 +229,8 @@ transitions {
 		"\tfor range int32(3) {\n",
 		"\tfor range ctx.Neighbors(\"kids\").Addrs() {\n\t\tfor range a.S {\n",
 		"\tfor _, e := range a.S {\n\t\tfor _, f := range ctx.Neighbors(\"kids\").Addrs() {\n",
+		"\tfor _, g := range ctx.Neighbors(\"kids\").Addrs() {\n\t\tfor range a.S {\n",
+		"\tfor range ctx.Neighbors(\"kids\").Addrs() {\n\t\tfor _, h := range a.S {\n",
 	} {
 		if !strings.Contains(res.Source, want) {
 			t.Errorf("generated source lacks %q:\n%s", want, res.Source)

@@ -13,10 +13,10 @@ import (
 
 	"macedon/internal/check"
 	"macedon/internal/core"
-	"macedon/internal/harness"
 	"macedon/internal/livenet"
 	"macedon/internal/obs"
 	"macedon/internal/overlay"
+	"macedon/internal/scenario"
 )
 
 // RunAgent is the body of `macedon agent`: one overlay node in one OS
@@ -86,7 +86,7 @@ func (a *agent) start() error {
 	if a.cfg.Shape != nil {
 		a.applyShape(a.cfg.Shape)
 	}
-	stack, err := harness.StackWithParams(a.cfg.Protocol, a.cfg.Params)
+	stack, err := scenario.ResolveStack(a.cfg.Protocol, a.cfg.Params)
 	if err != nil {
 		return err
 	}
@@ -295,15 +295,11 @@ func (a *agent) runOp(op *OpCmd) {
 	if op == nil {
 		return
 	}
-	size := op.Size
-	if size < 8 {
-		size = 8
-	}
 	switch op.Kind {
 	case "lookup":
-		_ = a.node.Route(overlay.Key(op.Key), make([]byte, size), int32(op.ID), overlay.PriorityDefault)
+		_ = a.node.Route(overlay.Key(op.Key), make([]byte, op.Size), int32(op.ID), overlay.PriorityDefault)
 	case "multicast":
-		_ = a.node.Multicast(overlay.Key(a.cfg.Group), make([]byte, size), int32(op.ID), overlay.PriorityDefault)
+		_ = a.node.Multicast(overlay.Key(a.cfg.Group), make([]byte, op.Size), int32(op.ID), overlay.PriorityDefault)
 	default:
 		fmt.Fprintf(a.logw, "agent %d: unknown op kind %q\n", a.cfg.Node, op.Kind)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"macedon/internal/check"
 	"macedon/internal/core"
-	"macedon/internal/harness"
 	"macedon/internal/obs"
 	"macedon/internal/overlay"
 	"macedon/internal/scenario"
@@ -41,12 +40,6 @@ type Config struct {
 	AgentLogDir string
 	// Out receives progress lines (nil = silent).
 	Out io.Writer
-	// DegradeBase is the latency unit a degrade event's LatencyFactor is
-	// scaled by on the live path (default 5ms): added one-way delay is
-	// DegradeBase×(factor−1).
-	DegradeBase time.Duration
-	// Timeout aborts a wedged run (default: scaled total + 2 minutes).
-	Timeout time.Duration
 	// Obs enables the observability plane: the controller assembles the
 	// same Report.Obs sections the sim engine emits (metric families,
 	// sampled event log, operation trace spans), and agents stream their
@@ -66,6 +59,10 @@ type Config struct {
 	// or 0.0.0.0 so an external Prometheus can scrape the fleet.
 	MetricsHost string
 }
+
+// degradeBase is the latency unit a degrade event's LatencyFactor is scaled
+// by on the live path: the added one-way delay is degradeBase×(factor−1).
+const degradeBase = 5 * time.Millisecond
 
 // agentSlot is the controller's view of one fleet member.
 type agentSlot struct {
@@ -103,13 +100,9 @@ type controller struct {
 	cfg   Config
 	s     *scenario.Scenario
 	sched *scenario.Schedule
-	addrs []overlay.Address
 	table map[string]string
 	ln    net.Listener
 	start time.Time
-
-	group    overlay.Key
-	hasGroup bool
 
 	// mu guards everything below, and every call into eng.
 	mu     sync.Mutex
@@ -165,29 +158,19 @@ func Run(cfg Config) (*scenario.Report, error) {
 	if cfg.Out == nil {
 		cfg.Out = io.Discard
 	}
-	if cfg.DegradeBase <= 0 {
-		cfg.DegradeBase = 5 * time.Millisecond
-	}
 	s := cfg.Scenario
 	if s.Sites > 0 {
 		return nil, fmt.Errorf("deploy: scenario %q: sites: the site matrix is an emulator topology; live hosts have none to build", s.Name)
 	}
+	// Compile resolves the stack the agents build, so an unknown protocol
+	// or param fails here, before any process starts.
 	sched, err := scenario.Compile(s)
 	if err != nil {
 		return nil, err
 	}
-	// Agents build their stacks from the same params: a name no layer
-	// declares fails here, before any process starts.
-	if _, err := harness.StackWithParams(s.ProtocolName(), s.Params); err != nil {
-		return nil, err
-	}
-	addrs, err := harness.TopologyAddrs(s.Nodes, s.Routers, s.Seed)
-	if err != nil {
-		return nil, err
-	}
-	table := make(map[string]string, len(addrs))
-	for i, a := range addrs {
-		table[strconv.FormatUint(uint64(uint32(a)), 10)] = fmt.Sprintf("%s:%d", cfg.Host, cfg.BasePort+i)
+	table := make(map[string]string, s.Nodes)
+	for i := 0; i < s.Nodes; i++ {
+		table[strconv.FormatUint(uint64(scenario.Addr(i)), 10)] = fmt.Sprintf("%s:%d", cfg.Host, cfg.BasePort+i)
 	}
 	ln, err := net.Listen("tcp", cfg.Host+":0")
 	if err != nil {
@@ -197,7 +180,6 @@ func Run(cfg Config) (*scenario.Report, error) {
 		cfg:      cfg,
 		s:        s,
 		sched:    sched,
-		addrs:    addrs,
 		table:    table,
 		ln:       ln,
 		agents:   make([]*agentSlot, s.Nodes),
@@ -208,7 +190,7 @@ func Run(cfg Config) (*scenario.Report, error) {
 		c.agents[i] = &agentSlot{pollCh: make(chan *Metrics, 1)}
 	}
 	// One accounting row: the controller serialises deliveries under mu.
-	ecfg := scenario.EngineConfig{Addrs: addrs, Echo: cfg.Out}
+	ecfg := scenario.EngineConfig{Echo: cfg.Out}
 	if cfg.Obs {
 		// No scheduler here, so no lead columns: a live series lines up with
 		// the engine-owned tail of a sim run's.
@@ -218,17 +200,11 @@ func Run(cfg Config) (*scenario.Report, error) {
 		_ = ln.Close()
 		return nil, err
 	}
-	if s.NeedsGroup() {
-		c.hasGroup = true
-		c.group = overlay.HashString(s.GroupName())
-	}
 	defer c.shutdown()
 	go c.acceptLoop()
 
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = time.Duration(float64(sched.Total)/cfg.Speed) + 2*time.Minute
-	}
+	// A wedged run is aborted two minutes after the scaled timeline ends.
+	timeout := time.Duration(float64(sched.Total)/cfg.Speed) + 2*time.Minute
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 
@@ -288,8 +264,8 @@ func (c *controller) admit(tc net.Conn) {
 func (c *controller) agentConfigLocked(i int) *AgentConfig {
 	ac := &AgentConfig{
 		Node:             i,
-		Addr:             uint32(c.addrs[i]),
-		Bootstrap:        uint32(c.addrs[0]),
+		Addr:             uint32(scenario.Addr(i)),
+		Bootstrap:        uint32(scenario.Addr(0)),
 		Protocol:         c.s.ProtocolName(),
 		Params:           c.s.Params,
 		Table:            c.table,
@@ -302,9 +278,9 @@ func (c *controller) agentConfigLocked(i int) *AgentConfig {
 		ac.MetricsPort = c.cfg.MetricsBase + i
 		ac.MetricsHost = c.cfg.MetricsHost
 	}
-	if c.hasGroup {
+	if g := c.sched.Group; g != nil {
 		ac.HasGroup = true
-		ac.Group = uint32(c.group)
+		ac.Group = uint32(*g)
 		ac.CreateGroup = i == 0
 	}
 	return ac
@@ -454,7 +430,7 @@ func (c *controller) Shape(op scenario.Op) string {
 		c.degLoss[op.Node] = op.Loss
 		c.degDelay[op.Node] = 0
 		if op.LatencyFactor > 1 {
-			c.degDelay[op.Node] = time.Duration(float64(c.cfg.DegradeBase) * (op.LatencyFactor - 1))
+			c.degDelay[op.Node] = time.Duration(float64(degradeBase) * (op.LatencyFactor - 1))
 		}
 		detail = fmt.Sprintf(" [delay %v]", c.degDelay[op.Node])
 	case scenario.OpRestore:
@@ -519,12 +495,6 @@ func (c *controller) NetStats() simnet.Stats {
 	return net
 }
 
-// Routing is the routing kind the agents' stack declares.
-func (c *controller) Routing() string {
-	stack, _ := harness.StackWithParams(c.s.ProtocolName(), nil) // resolved when the run began
-	return core.StackRouting(stack)
-}
-
 // NodeState is the routing-state snapshot agent i's last state-carrying
 // poll brought back; none yet when its process restarted since.
 func (c *controller) NodeState(i int) (check.NodeState, bool) {
@@ -549,10 +519,11 @@ func (c *controller) rulesForLocked(i int) *ShapeCmd {
 		// This node's own degraded access pipe shapes all of its outbound.
 		sc.Default = &PeerRule{Loss: c.degLoss[i], DelayNs: int64(c.degDelay[i])}
 	}
-	for j, a := range c.addrs {
+	for j := range c.agents {
 		if j == i {
 			continue
 		}
+		a := scenario.Addr(j)
 		switch {
 		case !c.eng.Reachable(j):
 			sc.Rules = append(sc.Rules, PeerRule{Peer: uint32(a), Drop: true})

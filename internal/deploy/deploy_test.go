@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"macedon/internal/harness"
 	"macedon/internal/overlays/chord"
 	"macedon/internal/scenario"
 )
@@ -84,13 +83,9 @@ func TestPollKeepsRepliesPastAStalledAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs, err := harness.TopologyAddrs(s.Nodes, s.Routers, s.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var trace bytes.Buffer
-	c := &controller{s: s, sched: sched, addrs: addrs, start: time.Now(), cfg: Config{Speed: 1}}
-	if c.eng, err = scenario.NewEngine(sched, c, scenario.EngineConfig{Addrs: addrs, Echo: &trace}); err != nil {
+	c := &controller{s: s, sched: sched, start: time.Now(), cfg: Config{Speed: 1}}
+	if c.eng, err = scenario.NewEngine(sched, c, scenario.EngineConfig{Echo: &trace}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < s.Nodes; i++ {
@@ -141,13 +136,9 @@ func TestAgentConfigCarriesParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs, err := harness.TopologyAddrs(s.Nodes, s.Routers, s.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &controller{s: s, sched: sched, addrs: addrs,
+	c := &controller{s: s, sched: sched,
 		degLoss: make([]float64, s.Nodes), degDelay: make([]time.Duration, s.Nodes)}
-	if c.eng, err = scenario.NewEngine(sched, c, scenario.EngineConfig{Addrs: addrs}); err != nil {
+	if c.eng, err = scenario.NewEngine(sched, c, scenario.EngineConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := json.Marshal(c.agentConfigLocked(1))
@@ -158,7 +149,7 @@ func TestAgentConfigCarriesParams(t *testing.T) {
 	if err := json.Unmarshal(b, &ac); err != nil {
 		t.Fatal(err)
 	}
-	stack, err := harness.StackWithParams(ac.Protocol, ac.Params)
+	stack, err := scenario.ResolveStack(ac.Protocol, ac.Params)
 	if err != nil {
 		t.Fatal(err)
 	}

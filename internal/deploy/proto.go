@@ -84,7 +84,7 @@ type AgentConfig struct {
 	// Bootstrap is the well-known bootstrap address (node 0's).
 	Bootstrap uint32 `json:"bootstrap"`
 	// Protocol names the stack and Params are the scenario's params its
-	// agents are built with (harness.StackWithParams).
+	// agents are built with (scenario.ResolveStack).
 	Protocol string         `json:"protocol"`
 	Params   map[string]int `json:"params,omitempty"`
 	// Table maps every fleet address (decimal string) to "host:port".

@@ -151,7 +151,6 @@ func (b *bookBackend) Inject(scenario.Op)                    {}
 func (b *bookBackend) Counters() core.Counters               { return core.Counters{} }
 func (b *bookBackend) NetStats() simnet.Stats                { return simnet.Stats{} }
 func (b *bookBackend) NodeState(int) (check.NodeState, bool) { return check.NodeState{}, false }
-func (b *bookBackend) Routing() string                       { return "" }
 func (b *bookBackend) Families(*obs.Registry)                {}
 
 // TestCueOrderAtPhaseBoundaries: an op due at the instant one phase ends
@@ -210,12 +209,8 @@ func TestCueOrderAtPhaseBoundaries(t *testing.T) {
 				}
 			}
 
-			addrs, err := harness.TopologyAddrs(s.Nodes, s.Routers, s.Seed)
-			if err != nil {
-				t.Fatal(err)
-			}
 			b := &bookBackend{}
-			eng, err := scenario.NewEngine(sched, b, scenario.EngineConfig{Addrs: addrs})
+			eng, err := scenario.NewEngine(sched, b, scenario.EngineConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

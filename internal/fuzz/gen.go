@@ -12,7 +12,6 @@ import (
 	"math/rand"
 
 	"macedon/internal/core"
-	"macedon/internal/harness"
 	"macedon/internal/scenario"
 )
 
@@ -27,7 +26,7 @@ var protocols = []string{
 // workloadKind is the workload that fits proto's declared routing: a tree
 // disseminates (multicast), any other stack routes (lookups).
 func workloadKind(proto string) string {
-	stack, err := harness.StackWithParams(proto, nil)
+	stack, err := scenario.ResolveStack(proto, nil)
 	if err == nil && core.StackRouting(stack) == core.RoutingTree {
 		return scenario.WlMulticast
 	}

@@ -7,7 +7,6 @@ import (
 
 	"macedon/internal/check"
 	"macedon/internal/core"
-	"macedon/internal/harness"
 	"macedon/internal/overlays"
 	"macedon/internal/scenario"
 )
@@ -45,7 +44,7 @@ func TestDeclaredRoutingMatchesNameTables(t *testing.T) {
 			t.Errorf("%q: no expected routing", proto)
 			continue
 		}
-		stack, err := harness.StackWithParams(proto, nil)
+		stack, err := scenario.ResolveStack(proto, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", proto, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"macedon/internal/core"
+	"macedon/internal/scenario"
 )
 
 // TestCheckpointAllocsPerNode holds the fork path to its allocation budget on
@@ -25,7 +26,7 @@ func TestCheckpointAllocsPerNode(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	const nodes = 100
-	stack, err := StackWithParams("chord", nil)
+	stack, err := scenario.ResolveStack("chord", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestSpawnAllocsPerNode(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	const nodes = 200
-	stack, err := StackWithParams("chord", nil)
+	stack, err := scenario.ResolveStack("chord", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

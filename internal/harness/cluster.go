@@ -12,6 +12,7 @@ import (
 
 	"macedon/internal/core"
 	"macedon/internal/overlay"
+	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 	"macedon/internal/statecopy"
 	"macedon/internal/topology"
@@ -44,7 +45,6 @@ type ClusterConfig struct {
 	// Node-level knobs passed through to core.Config.
 	HeartbeatAfter time.Duration
 	FailAfter      time.Duration
-	Sweep          time.Duration
 }
 
 // Cluster is a running emulated deployment.
@@ -93,8 +93,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // buildGraph generates the topology and attaches clients: with sites > 0,
 // the NICE site matrix (topology.NICESites) with nodes/sites clients a
 // site, in address order; otherwise the INET topology, with clients
-// attached exactly the way NewCluster always has. The address assignment
-// is a pure function of (nodes, routers, sites, seed).
+// attached exactly the way NewCluster always has. Either way node i gets
+// address scenario.Addr(i).
 func buildGraph(nodes, routers, sites int, seed int64) (*topology.Graph, []overlay.Address, error) {
 	if sites > 0 {
 		sm := topology.NICESites(sites)
@@ -102,7 +102,7 @@ func buildGraph(nodes, routers, sites int, seed int64) (*topology.Graph, []overl
 		if err != nil {
 			return nil, nil, err
 		}
-		addrs, _ := topology.AttachSiteClients(g, gws, nodes/sites, 1, sm)
+		addrs, _ := topology.AttachSiteClients(g, gws, nodes/sites, scenario.Addr(0), sm)
 		return g, addrs, nil
 	}
 	if routers <= 0 {
@@ -115,18 +115,8 @@ func buildGraph(nodes, routers, sites int, seed int64) (*topology.Graph, []overl
 	if err != nil {
 		return nil, nil, err
 	}
-	addrs := topology.AttachClients(g, nodes, 1, topology.DefaultAccess, seed+1)
+	addrs := topology.AttachClients(g, nodes, scenario.Addr(0), topology.DefaultAccess, seed+1)
 	return g, addrs, nil
-}
-
-// TopologyAddrs returns the client addresses the emulated cluster for the
-// same (nodes, routers, seed) assigns. `macedon deploy` gives live node i
-// the same overlay address — and therefore the same hash key — as emulated
-// node i, so a live run and a sim run of one scenario route the identical
-// key space (the live-vs-sim conformance harness depends on it).
-func TopologyAddrs(nodes, routers int, seed int64) ([]overlay.Address, error) {
-	_, addrs, err := buildGraph(nodes, routers, 0, seed)
-	return addrs, err
 }
 
 // Bootstrap returns the conventional bootstrap node: the first client.
@@ -172,7 +162,6 @@ func (c *Cluster) buildNode(i int, stack []core.Factory) (*core.Node, error) {
 		Seed:           c.cfg.Seed + int64(i)*7919 + 13,
 		HeartbeatAfter: c.cfg.HeartbeatAfter,
 		FailAfter:      c.cfg.FailAfter,
-		Sweep:          c.cfg.Sweep,
 	})
 	if err != nil {
 		return nil, err

@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"encoding/binary"
 	"testing"
-	"time"
 )
 
 func TestClusterBasics(t *testing.T) {
@@ -19,19 +17,5 @@ func TestClusterBasics(t *testing.T) {
 	}
 	if _, err := NewCluster(ClusterConfig{}); err == nil {
 		t.Fatal("empty config should fail")
-	}
-}
-
-func TestTimestampPayload(t *testing.T) {
-	now := time.Unix(12345, 67890)
-	p := TimestampPayload(now, 100)
-	if len(p) != 100 {
-		t.Fatalf("len = %d", len(p))
-	}
-	if got := time.Unix(0, int64(binary.BigEndian.Uint64(p))); !got.Equal(now) {
-		t.Fatalf("payload carries %v, want %v", got, now)
-	}
-	if p := TimestampPayload(now, 2); len(p) != 8 {
-		t.Fatalf("minimum size not applied: %d", len(p))
 	}
 }

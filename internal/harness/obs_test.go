@@ -175,7 +175,7 @@ func TestCountersConcurrentSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.StopAll()
-	stack, err := StackWithParams("chord", nil)
+	stack, err := scenario.ResolveStack("chord", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,92 +3,20 @@ package harness
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
-	"strings"
 	"time"
 
 	"macedon/internal/check"
 	"macedon/internal/core"
 	"macedon/internal/overlay"
-	"macedon/internal/overlays"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 	"macedon/internal/substrate"
 )
 
-// benchAliases are the two names the frozen bench/macebench scenarios still
-// pass for chord and randtree. They go when the bench is rewritten (ROADMAP
-// item 1).
-var benchAliases = map[string]string{"genchord": "chord", "genrandtree": "randtree"}
-
-// StackWithParams resolves a protocol name onto its node stack, lowest layer
-// first, by walking the `uses` chain of the specs' generated registry, and
-// sets params on every agent the stack builds, through the SetParam accessor
-// codegen emits on each generated agent. The params are the values each
-// spec's header sets on its base, overridden by the scenario's: a name that
-// no layer of the stack declares is an error, returned before any node
-// exists. A stack with no params gets the generated factories themselves.
-func StackWithParams(proto string, params map[string]int) ([]core.Factory, error) {
-	name := proto
-	if n, ok := benchAliases[name]; ok {
-		name = n
-	}
-	var stack []core.Factory
-	all := map[string]int{}
-	for {
-		p, ok := overlays.Protocols[name]
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown scenario protocol %q (have %s)", proto,
-				strings.Join(slices.Sorted(maps.Keys(overlays.Protocols)), ", "))
-		}
-		stack = append(stack, p.New)
-		for k, v := range p.BaseParams {
-			if _, set := all[k]; !set { // an upper layer's value wins
-				all[k] = v
-			}
-		}
-		if name = p.Uses; name == "" {
-			break
-		}
-	}
-	slices.Reverse(stack)
-	maps.Copy(all, params)
-	if len(all) == 0 {
-		return stack, nil
-	}
-	names := slices.Sorted(maps.Keys(all))
-	for _, name := range names {
-		if !slices.ContainsFunc(stack, func(f core.Factory) bool {
-			p, ok := f().(paramSetter)
-			return ok && p.SetParam(name, 0)
-		}) {
-			return nil, fmt.Errorf("harness: param %q: no layer of protocol %q declares an int auxiliary variable of that name", name, proto)
-		}
-	}
-	out := make([]core.Factory, len(stack))
-	for i, f := range stack {
-		out[i] = func() core.Agent {
-			a := f()
-			if p, ok := a.(paramSetter); ok {
-				for _, name := range names {
-					p.SetParam(name, int32(all[name]))
-				}
-			}
-			return a
-		}
-	}
-	return out, nil
-}
-
-// ScenarioStack is StackWithParams(proto, nil), kept only because the frozen
-// bench/macebench calls it; ROADMAP item 1 deletes it.
-func ScenarioStack(proto string) ([]core.Factory, error) { return StackWithParams(proto, nil) }
-
-// paramSetter is the accessor every generated agent carries.
-type paramSetter interface {
-	SetParam(name string, v int32) bool
-}
+// ScenarioStack is scenario.ResolveStack(proto, nil), kept only because the
+// frozen bench/macebench calls it; ROADMAP item 1 deletes it.
+func ScenarioStack(proto string) ([]core.Factory, error) { return scenario.ResolveStack(proto, nil) }
 
 // ExecOptions are execution parameters of a scenario run: knobs that change
 // how the run executes (parallelism, observability) but never what it
@@ -130,11 +58,7 @@ type simRun struct {
 	c     *Cluster
 	eng   *scenario.Engine
 	sched *scenario.Schedule
-	stack []core.Factory
-
-	needsGroup bool
-	group      overlay.Key
-	zeros      []byte // the payload bytes Inject lends out, never written
+	zeros []byte // the payload bytes Inject lends out, never written
 
 	// obs drives time-series sample scheduling; the plane itself is the
 	// engine's.
@@ -166,10 +90,6 @@ const cueSample = scenario.CuePhaseEnd + 1
 // The caller owns r.c.StopAll.
 func newSimRun(sched *scenario.Schedule, exec ExecOptions) (*simRun, error) {
 	s := sched.Scenario
-	stack, err := StackWithParams(s.ProtocolName(), s.Params)
-	if err != nil {
-		return nil, err
-	}
 	if exec.Partitioner != "" && exec.Partitioner != simnet.PartitionerLatency {
 		return nil, fmt.Errorf("harness: unknown partitioner %q (the one placement is %q)", exec.Partitioner, simnet.PartitionerLatency)
 	}
@@ -192,8 +112,8 @@ func newSimRun(sched *scenario.Schedule, exec ExecOptions) (*simRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &simRun{c: c, sched: sched, stack: stack, obs: exec.Obs}
-	cfg := scenario.EngineConfig{Addrs: c.Addrs, Shards: c.Sched.Shards()}
+	r := &simRun{c: c, sched: sched, obs: exec.Obs}
+	cfg := scenario.EngineConfig{Shards: c.Sched.Shards()}
 	if s.Sites > 0 {
 		// Stretch divides by the unicast latency from the multicast
 		// source, node 0, read from the oracle packets are routed by.
@@ -214,10 +134,6 @@ func newSimRun(sched *scenario.Schedule, exec ExecOptions) (*simRun, error) {
 	if r.eng, err = scenario.NewEngine(sched, r, cfg); err != nil {
 		c.StopAll()
 		return nil, err
-	}
-	if s.NeedsGroup() {
-		r.group = overlay.HashString(s.GroupName())
-		r.needsGroup = true
 	}
 	return r, nil
 }
@@ -322,7 +238,7 @@ func (r *simRun) applySpawnBatch(ops []scenario.Op) {
 			idx = append(idx, op.Node)
 		}
 	}
-	if err := r.c.SpawnBatch(idx, r.stack); err != nil && r.err == nil {
+	if err := r.c.SpawnBatch(idx, r.sched.Stack); err != nil && r.err == nil {
 		r.err = fmt.Errorf("harness: spawn batch at %s: %w", ops[0].At, err)
 	}
 	for _, op := range ops {
@@ -342,9 +258,9 @@ func (r *simRun) Spawn(i int, revive bool) (string, error) {
 	var err error
 	switch {
 	case revive:
-		_, err = r.c.Revive(i, r.stack)
+		_, err = r.c.Revive(i, r.sched.Stack)
 	case r.c.Nodes[r.c.Addrs[i]] == nil:
-		_, err = r.c.Spawn(i, r.stack)
+		_, err = r.c.Spawn(i, r.sched.Stack)
 	}
 	if err != nil {
 		return "", err
@@ -396,7 +312,7 @@ func (r *simRun) Inject(op scenario.Op) {
 	}
 	payload := r.zeros[:op.Size:op.Size]
 	if op.Kind == scenario.OpMulticast {
-		_ = n.Multicast(r.group, payload, int32(op.ID), overlay.PriorityDefault)
+		_ = n.Multicast(*r.sched.Group, payload, int32(op.ID), overlay.PriorityDefault)
 	} else {
 		_ = n.Route(overlay.Key(op.Key), payload, int32(op.ID), overlay.PriorityDefault)
 	}
@@ -428,9 +344,6 @@ func (r *simRun) NodeState(i int) (check.NodeState, bool) {
 	return check.Extract(r.c.Nodes[r.c.Addrs[i]], i), true
 }
 
-// Routing is the routing kind the run's stack declares.
-func (r *simRun) Routing() string { return core.StackRouting(r.stack) }
-
 // attach routes a just-spawned node's deliver and forward upcalls to the
 // engine (and joins it to the multicast group). The callbacks fire on the
 // node's event shard, so they capture the shard-bound clock and the shard
@@ -449,11 +362,11 @@ func (r *simRun) attach(i int) {
 			return true
 		},
 	})
-	if r.needsGroup {
+	if g := r.sched.Group; g != nil {
 		if i == 0 {
-			_ = n.CreateGroup(r.group)
+			_ = n.CreateGroup(*g)
 		} else {
-			_ = n.Join(r.group)
+			_ = n.Join(*g)
 		}
 	}
 }

@@ -6,9 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"macedon/internal/overlays/pastry"
-	"macedon/internal/overlays/scribe"
-	"macedon/internal/overlays/splitstream"
 	"macedon/internal/repo"
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
@@ -386,35 +383,31 @@ func TestScenarioBulletChurnAudit(t *testing.T) {
 	}
 }
 
-// TestStackFollowsUsesChain: splitstream's stack is built from the specs'
-// `uses` lines, lowest layer first — Pastry, then Scribe with the
-// max_children of 16 that splitstream's header sets, then SplitStream — and
-// a scenario's max_children param overrides the header's value. An unknown
-// name, the empty one included, lists the registry's names.
-func TestStackFollowsUsesChain(t *testing.T) {
-	for _, c := range []struct {
-		params map[string]int
-		want   int32
-	}{{nil, 16}, {map[string]int{"max_children": 4}, 4}} {
-		stack, err := StackWithParams("splitstream", c.params)
+// TestClusterAddrsFollowTheRule: the emulator attaches node i at overlay
+// address scenario.Addr(i), over an INET topology and over the site matrix
+// alike — the rule the engine and the live backend use without asking.
+func TestClusterAddrsFollowTheRule(t *testing.T) {
+	idle := []scenario.Phase{{Name: "idle", Duration: scenario.Duration(time.Second)}}
+	for _, s := range []*scenario.Scenario{
+		{Name: "inet", Seed: 5, Nodes: 12, Routers: 60, Protocol: "chord", Phases: idle},
+		{Name: "sites", Seed: 5, Nodes: 8, Sites: 4, Protocol: "nice", Phases: idle},
+	} {
+		sched, err := scenario.Compile(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(stack) != 3 {
-			t.Fatalf("params %v: %d layers, want 3", c.params, len(stack))
+		r, err := newSimRun(sched, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		_, lowOK := stack[0]().(*pastry.Agent)
-		mid, midOK := stack[1]().(*scribe.Agent)
-		_, topOK := stack[2]().(*splitstream.Agent)
-		if !lowOK || !midOK || !topOK {
-			t.Fatalf("params %v: stack is %T, %T, %T", c.params, stack[0](), stack[1](), stack[2]())
+		r.c.StopAll()
+		if len(r.c.Addrs) != s.Nodes {
+			t.Fatalf("%s: %d addresses for %d nodes", s.Name, len(r.c.Addrs), s.Nodes)
 		}
-		if mid.MaxChildren != c.want {
-			t.Errorf("params %v: scribe max_children %d, want %d", c.params, mid.MaxChildren, c.want)
+		for i, a := range r.c.Addrs {
+			if a != scenario.Addr(i) {
+				t.Errorf("%s: node %d at %v, the rule says %v", s.Name, i, a, scenario.Addr(i))
+			}
 		}
-	}
-	const have = "(have ammo, bullet, chord, nice, overcast, pastry, randtree, scribe, splitstream)"
-	if _, err := StackWithParams("", nil); err == nil || !strings.HasSuffix(err.Error(), have) {
-		t.Errorf("empty name: error %v, want it to end in %s", err, have)
 	}
 }

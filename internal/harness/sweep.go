@@ -194,10 +194,6 @@ func RunSweepExec(sw *scenario.Sweep, defaultShards int, obsOpts ObsOptions) (*s
 	slots := make([]slot, len(resolved))
 	for i, rv := range resolved {
 		sched, err := scenario.Compile(rv.Scenario)
-		if err == nil {
-			// A param no layer declares fails the sweep before any group runs.
-			_, err = StackWithParams(rv.Scenario.ProtocolName(), rv.Scenario.Params)
-		}
 		if err != nil {
 			return nil, fmt.Errorf("sweep variant %q: %w", rv.Name, err)
 		}

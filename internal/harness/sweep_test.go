@@ -258,7 +258,7 @@ func TestUnknownParamFailsBeforeRun(t *testing.T) {
 		},
 	}
 	_, err := RunSweep(sw, 1)
-	if err == nil || !strings.HasPrefix(err.Error(), `sweep variant "typo"`) ||
+	if err == nil || !strings.HasPrefix(err.Error(), `sweep "bad-param" variant "typo"`) ||
 		!strings.Contains(err.Error(), `"fix_msec"`) || !strings.Contains(err.Error(), `"chord"`) {
 		t.Fatalf("RunSweep error = %v, want the variant, the param and the protocol named", err)
 	}
@@ -269,7 +269,7 @@ func TestUnknownParamFailsBeforeRun(t *testing.T) {
 		t.Fatalf("RunScenarioExec error = %v, want the param named", err)
 	}
 	s.Params = map[string]int{"cache_ms": 5000} // Pastry's, under Scribe
-	if _, err := StackWithParams(s.Protocol, s.Params); err != nil {
+	if _, err := scenario.ResolveStack(s.Protocol, s.Params); err != nil {
 		t.Fatalf("a param of the stack's base layer: %v", err)
 	}
 }

@@ -1,8 +1,8 @@
 // Package metrics reduces overlay runs to what the paper's evaluation
-// reports: bandwidth time series (Figure 12), the comparative table of a
-// sweep, the machine-readable report and sweep encodings, and the grader
-// that compares a live run with an emulated one. Per-site latency and
-// stretch (Figures 8–9) and per-phase control-traffic overhead are columns
+// reports: the comparative table of a sweep, the machine-readable report
+// and sweep encodings, and the grader that compares a live run with an
+// emulated one. Per-site latency and stretch (Figures 8–9), per-phase
+// control-traffic overhead and the time series Figure 12 plots are parts
 // of the scenario engine's report, which this package encodes.
 package metrics
 
@@ -16,52 +16,6 @@ import (
 	"macedon/internal/scenario"
 	"macedon/internal/simnet"
 )
-
-// BandwidthSeries accumulates delivered bytes into fixed-width time buckets:
-// Figure 12's per-node average bandwidth over time.
-type BandwidthSeries struct {
-	Bucket time.Duration
-	start  time.Time
-	bytes  []uint64
-}
-
-// NewBandwidthSeries starts a series at the given origin.
-func NewBandwidthSeries(start time.Time, bucket time.Duration) *BandwidthSeries {
-	return &BandwidthSeries{Bucket: bucket, start: start}
-}
-
-// Add records n bytes delivered at time at. Samples timestamped before the
-// series origin (clock skew, deliveries racing the origin snapshot) clamp
-// into the first bucket rather than silently vanishing, so the series total
-// always equals the bytes recorded.
-func (b *BandwidthSeries) Add(at time.Time, n int) {
-	idx := int(at.Sub(b.start) / b.Bucket)
-	if idx < 0 {
-		idx = 0
-	}
-	for len(b.bytes) <= idx {
-		b.bytes = append(b.bytes, 0)
-	}
-	b.bytes[idx] += uint64(n)
-}
-
-// Points returns (bucket start offset, bits/sec) pairs.
-func (b *BandwidthSeries) Points() []BandwidthPoint {
-	out := make([]BandwidthPoint, len(b.bytes))
-	for i, by := range b.bytes {
-		out[i] = BandwidthPoint{
-			Offset:     time.Duration(i) * b.Bucket,
-			BitsPerSec: float64(by*8) / b.Bucket.Seconds(),
-		}
-	}
-	return out
-}
-
-// BandwidthPoint is one bucket of a bandwidth series.
-type BandwidthPoint struct {
-	Offset     time.Duration
-	BitsPerSec float64
-}
 
 // SweepTable renders a sweep's per-variant comparative report: one summary
 // row per variant, then a per-phase delivery matrix aligning the variants

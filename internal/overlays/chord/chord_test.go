@@ -206,7 +206,7 @@ func TestDynamicFixFingersAdapts(t *testing.T) {
 func TestSuccessorFailureRepair(t *testing.T) {
 	c := newCluster(t, harness.ClusterConfig{
 		Nodes: 10, Seed: 7,
-		HeartbeatAfter: 2 * time.Second, FailAfter: 8 * time.Second, Sweep: time.Second,
+		HeartbeatAfter: 2 * time.Second, FailAfter: 8 * time.Second,
 	})
 	if err := c.SpawnAll(func(int) []core.Factory { return []core.Factory{chord.New()} }); err != nil {
 		t.Fatal(err)

@@ -286,7 +286,7 @@ func TestRMIModeSlowsDelivery(t *testing.T) {
 func TestFailureRemovesFromTables(t *testing.T) {
 	c, err := harness.NewCluster(harness.ClusterConfig{
 		Nodes: 12, Routers: 100, Seed: 23,
-		HeartbeatAfter: 2 * time.Second, FailAfter: 8 * time.Second, Sweep: time.Second,
+		HeartbeatAfter: 2 * time.Second, FailAfter: 8 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

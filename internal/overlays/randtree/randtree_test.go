@@ -164,7 +164,7 @@ func TestForwardedFrameKeepsSourceFields(t *testing.T) {
 func TestGeneratedParentFailureRejoin(t *testing.T) {
 	c := buildStack(t, harness.ClusterConfig{
 		Nodes: 12, Routers: 100, Seed: 73,
-		HeartbeatAfter: 2 * time.Second, FailAfter: 6 * time.Second, Sweep: time.Second,
+		HeartbeatAfter: 2 * time.Second, FailAfter: 6 * time.Second,
 	}, []core.Factory{randtree.New()}, 60*time.Second)
 	// Kill an interior node (one with children).
 	var victim overlay.Address

@@ -42,8 +42,6 @@ type Backend interface {
 	// NodeState extracts node's routing state for the invariant checkers;
 	// ok is false when an alive node has none to show yet.
 	NodeState(node int) (st check.NodeState, ok bool)
-	// Routing is the stack's routing kind, which "auto" checks resolve from.
-	Routing() string
 	// Families adds the backend's own metric families — engine, network and
 	// scheduler totals — to the registry Report is assembling. The engine
 	// calls it only with the obs plane on.
@@ -52,8 +50,6 @@ type Backend interface {
 
 // EngineConfig is what a backend tells the engine about the deployment.
 type EngineConfig struct {
-	// Addrs are the overlay addresses by node index.
-	Addrs []overlay.Address
 	// Shards is the number of delivery-accounting rows: one per goroutine
 	// that may call Deliver/Forward concurrently. 0 selects 1.
 	Shards int
@@ -171,7 +167,6 @@ func (a Accounting) clone(sched *Schedule) Accounting {
 type Engine struct {
 	sched  *Schedule
 	b      Backend
-	addrs  []overlay.Address
 	echo   io.Writer
 	direct []time.Duration
 
@@ -182,17 +177,14 @@ type Engine struct {
 	checkers     []check.Checker
 	grace, stale time.Duration
 
-	// The fixed part of the observability plane, set when it is on (what
-	// it records is acct.obs): sampler decides which traces and event
-	// records are kept, addrIdx resolves a forward's next hop to the node
-	// index a span carries.
+	// sampler decides which traces and event records the observability
+	// plane keeps, when it is on (what it records is acct.obs).
 	sampler obs.KeySampler
-	addrIdx map[overlay.Address]int
 }
 
 // NewEngine builds the engine for a compiled schedule.
 func NewEngine(sched *Schedule, b Backend, cfg EngineConfig) (*Engine, error) {
-	np := len(sched.Phases)
+	np, nodes := len(sched.Phases), sched.Scenario.Nodes
 	shards := cfg.Shards
 	if shards < 1 {
 		shards = 1
@@ -200,11 +192,10 @@ func NewEngine(sched *Schedule, b Backend, cfg EngineConfig) (*Engine, error) {
 	e := &Engine{
 		sched:  sched,
 		b:      b,
-		addrs:  cfg.Addrs,
 		echo:   cfg.Echo,
 		direct: cfg.Direct,
 		acct: Accounting{
-			nodes: make([]nodeAcct, len(cfg.Addrs)),
+			nodes: make([]nodeAcct, nodes),
 			sent:  make([]sendStamp, sched.workloadOps()),
 			grid:  make([][]cell, shards),
 			rows:  make([]PhaseTotals, np),
@@ -214,17 +205,13 @@ func NewEngine(sched *Schedule, b Backend, cfg EngineConfig) (*Engine, error) {
 		e.acct.grid[sh] = make([]cell, np)
 	}
 	if sched.Scenario.Sites > 0 {
-		e.acct.recv = make([]recvAcct, len(cfg.Addrs))
+		e.acct.recv = make([]recvAcct, nodes)
 	}
 	if err := e.resolveChecks(); err != nil {
 		return nil, err
 	}
 	if cfg.Obs != nil {
 		e.sampler = obs.KeySampler{Seed: uint64(sched.Scenario.Seed), N: uint64(cfg.Obs.TraceSample)}
-		e.addrIdx = make(map[overlay.Address]int, len(cfg.Addrs))
-		for i, a := range cfg.Addrs {
-			e.addrIdx[a] = i
-		}
 		e.acct.obs = newObsBooks(sched, shards, *cfg.Obs)
 	}
 	return e, nil
@@ -236,7 +223,7 @@ func (e *Engine) resolveChecks() error {
 	if cfg == nil {
 		return nil
 	}
-	cfg.Routing = e.b.Routing()
+	cfg.Routing = core.StackRouting(e.sched.Stack)
 	var err error
 	if e.checkers, err = check.New(*cfg); err != nil {
 		return err
@@ -312,7 +299,7 @@ func (e *Engine) Apply(op Op) error {
 		}
 		a.nodes[n].alive = true
 		a.nodes[n].upAt = now
-		e.tracef(now, "%s node %d (%v)%s", op.Kind, n, e.addrs[n], detail)
+		e.tracef(now, "%s node %d (%v)%s", op.Kind, n, Addr(n), detail)
 		if op.Kind == OpRevive {
 			e.recordLifecycle(op, now)
 		}
@@ -324,7 +311,7 @@ func (e *Engine) Apply(op Op) error {
 		detail := e.b.Kill(n)
 		a.nodes[n].alive = false
 		a.nodes[n].downAt = now
-		e.tracef(now, "kill node %d (%v)%s", n, e.addrs[n], detail)
+		e.tracef(now, "kill node %d (%v)%s", n, Addr(n), detail)
 		e.recordLifecycle(op, now)
 	case OpLookup, OpMulticast:
 		if !a.nodes[n].alive {
@@ -352,7 +339,7 @@ func (e *Engine) shape(op Op, now time.Duration) {
 	switch op.Kind {
 	case OpNodeDown, OpNodeUp:
 		a.nodes[n].hostDown = op.Kind == OpNodeDown
-		line = fmt.Sprintf("%s node %d (%v)", op.Kind, n, e.addrs[n])
+		line = fmt.Sprintf("%s node %d (%v)", op.Kind, n, Addr(n))
 	case OpLinkDown, OpLinkUp:
 		a.nodes[n].linkDown = op.Kind == OpLinkDown
 		line = fmt.Sprintf("%s node %d", op.Kind, n)
@@ -364,7 +351,7 @@ func (e *Engine) shape(op Op, now time.Duration) {
 		line = fmt.Sprintf("restore node %d", n)
 	case OpPartition:
 		a.partitioned = true
-		line = fmt.Sprintf("partition [0..%d) | [%d..%d)", op.SideA, op.SideA, len(e.addrs))
+		line = fmt.Sprintf("partition [0..%d) | [%d..%d)", op.SideA, op.SideA, len(a.nodes))
 	case OpHeal:
 		a.partitioned = false
 		line = "heal partition"
@@ -431,8 +418,8 @@ func (e *Engine) Forward(op, node int, next overlay.Address, shard int, now time
 	if o := e.acct.obs; o != nil {
 		sh := o.shards[shard]
 		sh.fwd[op]++
-		nextIdx, ok := e.addrIdx[next]
-		if !ok {
+		nextIdx := int(next) - 1 // Addr's inverse
+		if nextIdx < 0 || nextIdx >= len(e.acct.nodes) {
 			nextIdx = -1
 		}
 		e.span(sh, obs.SpanForward, op, node, nextIdx, now)
@@ -507,12 +494,12 @@ func (e *Engine) nodeStates() []check.NodeState {
 	out := make([]check.NodeState, len(e.acct.nodes))
 	for i := range out {
 		if !e.acct.nodes[i].alive {
-			out[i] = check.DeadState(i, e.addrs[i])
+			out[i] = check.DeadState(i, Addr(i))
 			continue
 		}
 		st, ok := e.b.NodeState(i)
 		if !ok {
-			st = check.NodeState{Addr: e.addrs[i], Alive: true}
+			st = check.NodeState{Addr: Addr(i), Alive: true}
 		}
 		st.Node = i // engine indexing is authoritative
 		out[i] = st

@@ -66,8 +66,6 @@ func (f *fakeBackend) NodeState(node int) (check.NodeState, bool) {
 	return st, ok
 }
 
-func (f *fakeBackend) Routing() string { return core.RoutingRing }
-
 // Families contributes one family of the fake's own, so a test can see the
 // hook ran.
 func (f *fakeBackend) Families(reg *obs.Registry) {
@@ -94,17 +92,9 @@ func fakeSchedule(nodes, np int, checks ...string) *Schedule {
 	return sched
 }
 
-func fakeAddrs(n int) []overlay.Address {
-	addrs := make([]overlay.Address, n)
-	for i := range addrs {
-		addrs[i] = overlay.Address(100 + i)
-	}
-	return addrs
-}
-
 func newFakeEngine(t *testing.T, sched *Schedule, b *fakeBackend, shards int, obsOn bool) *Engine {
 	t.Helper()
-	cfg := EngineConfig{Addrs: fakeAddrs(sched.Scenario.Nodes), Shards: shards}
+	cfg := EngineConfig{Shards: shards}
 	if obsOn {
 		cfg.Obs = &ObsConfig{}
 	}
@@ -144,7 +134,7 @@ func TestEngineApplyEveryOpKind(t *testing.T) {
 		verify func(t *testing.T, a *Accounting)
 	}{
 		{"spawn", nil, Op{Kind: OpSpawn, Node: 1},
-			"spawn node 1 (0.0.0.101)", "spawn 1 revive=false",
+			"spawn node 1 (0.0.0.2)", "spawn 1 revive=false",
 			func(t *testing.T, a *Accounting) {
 				if !a.nodes[1].alive || a.nodes[1].upAt != at {
 					t.Errorf("alive=%v upAt=%v", a.nodes[1].alive, a.nodes[1].upAt)
@@ -158,7 +148,7 @@ func TestEngineApplyEveryOpKind(t *testing.T) {
 				}
 			}},
 		{"kill", []Op{spawn1}, Op{Kind: OpKill, Node: 1},
-			"kill node 1 (0.0.0.101)", "kill 1",
+			"kill node 1 (0.0.0.2)", "kill 1",
 			func(t *testing.T, a *Accounting) {
 				if a.nodes[1].alive || a.nodes[1].downAt != at {
 					t.Errorf("alive=%v downAt=%v", a.nodes[1].alive, a.nodes[1].downAt)
@@ -167,7 +157,7 @@ func TestEngineApplyEveryOpKind(t *testing.T) {
 		{"kill already down", nil, Op{Kind: OpKill, Node: 1},
 			"kill node 1 skipped (already down)", "", nil},
 		{"revive", nil, Op{Kind: OpRevive, Node: 1},
-			"revive node 1 (0.0.0.101)", "spawn 1 revive=true",
+			"revive node 1 (0.0.0.2)", "spawn 1 revive=true",
 			func(t *testing.T, a *Accounting) {
 				if !a.nodes[1].alive || a.nodes[1].upAt != at {
 					t.Errorf("alive=%v upAt=%v", a.nodes[1].alive, a.nodes[1].upAt)
@@ -176,14 +166,14 @@ func TestEngineApplyEveryOpKind(t *testing.T) {
 		{"revive already up", []Op{spawn1}, Op{Kind: OpRevive, Node: 1},
 			"revive node 1 skipped (already up)", "", nil},
 		{"node_down", nil, Op{Kind: OpNodeDown, Node: 2},
-			"node_down node 2 (0.0.0.102)", "shape node_down 2",
+			"node_down node 2 (0.0.0.3)", "shape node_down 2",
 			func(t *testing.T, a *Accounting) {
 				if !a.nodes[2].hostDown || a.nodes[2].connAt != at || a.nodes[1].connAt != 0 {
 					t.Errorf("nodes=%+v", a.nodes)
 				}
 			}},
 		{"node_up", []Op{{Kind: OpNodeDown, Node: 2}}, Op{Kind: OpNodeUp, Node: 2},
-			"node_up node 2 (0.0.0.102)", "shape node_up 2",
+			"node_up node 2 (0.0.0.3)", "shape node_up 2",
 			func(t *testing.T, a *Accounting) {
 				if a.nodes[2].hostDown || a.nodes[2].connAt != at {
 					t.Errorf("hostDown=%v connAt=%v", a.nodes[2].hostDown, a.nodes[2].connAt)
@@ -232,7 +222,7 @@ func TestEngineApplyEveryOpKind(t *testing.T) {
 				}
 			}},
 		{"lookup", []Op{spawn1}, Op{Kind: OpLookup, Node: 1, ID: 5, Phase: 1},
-			"spawn node 1 (0.0.0.101)", "inject lookup #5", // a sent op adds no trace line
+			"spawn node 1 (0.0.0.2)", "inject lookup #5", // a sent op adds no trace line
 			func(t *testing.T, a *Accounting) {
 				if a.rows[1].Sent != 1 || a.sent[5] != (sendStamp{at: at, phase: 1, sent: true}) {
 					t.Errorf("rows=%+v sent=%+v", a.rows[1], a.sent)
@@ -244,7 +234,7 @@ func TestEngineApplyEveryOpKind(t *testing.T) {
 				}
 			}},
 		{"multicast", []Op{spawn1}, Op{Kind: OpMulticast, Node: 1, ID: 6, Phase: 0},
-			"spawn node 1 (0.0.0.101)", "inject multicast #6",
+			"spawn node 1 (0.0.0.2)", "inject multicast #6",
 			func(t *testing.T, a *Accounting) {
 				if a.rows[0].Sent != 1 {
 					t.Errorf("rows=%+v", a.rows[0])
@@ -297,11 +287,11 @@ func TestEngineBackendDetailAndSpawnError(t *testing.T) {
 	b := &fakeBackend{withExtra: true}
 	e := newFakeEngine(t, fakeSchedule(3, 1), b, 1, false)
 	mustApply(t, e, b, 0, Op{Kind: OpSpawn, Node: 0})
-	if got, want := lastTrace(e), "spawn node 0 (0.0.0.100) [pid 42]"; got != want {
+	if got, want := lastTrace(e), "spawn node 0 (0.0.0.1) [pid 42]"; got != want {
 		t.Errorf("trace = %q, want %q", got, want)
 	}
 	mustApply(t, e, b, time.Second, Op{Kind: OpKill, Node: 0})
-	if got, want := lastTrace(e), "kill node 0 (0.0.0.100) [SIGKILL]"; got != want {
+	if got, want := lastTrace(e), "kill node 0 (0.0.0.1) [SIGKILL]"; got != want {
 		t.Errorf("trace = %q, want %q", got, want)
 	}
 	b.spawnErr = errors.New("exec: no such file")
@@ -358,7 +348,7 @@ func playWorkload(t *testing.T, e *Engine, b *fakeBackend, shardOf func(i int) i
 	}
 	for i, h := range hops {
 		if h.fwd {
-			e.Forward(h.op, h.node, overlay.Address(100+h.node+1), shardOf(i), h.at)
+			e.Forward(h.op, h.node, Addr(h.node+1), shardOf(i), h.at)
 		} else {
 			e.Deliver(h.op, h.node, shardOf(i), h.at)
 		}
@@ -379,7 +369,7 @@ func TestEngineIgnoresUnknownOpIDs(t *testing.T) {
 	before := e.Report()
 	for _, id := range []int{-1, -1 << 40, e.sched.workloadOps(), e.sched.workloadOps() + 7, 1 << 40, 3, 7} {
 		for sh := 0; sh < 2; sh++ {
-			e.Forward(id, 1, overlay.Address(102), sh, 13*time.Second)
+			e.Forward(id, 1, Addr(2), sh, 13*time.Second)
 			e.Deliver(id, 2, sh, 13*time.Second)
 		}
 	}
@@ -444,7 +434,7 @@ func TestEngineConcurrentShards(t *testing.T) {
 		go func(sh int) {
 			defer wg.Done()
 			for i := 0; i < perShard; i++ {
-				e.Forward(i%2, sh, overlay.Address(100), sh, 22*time.Second)
+				e.Forward(i%2, sh, Addr(0), sh, 22*time.Second)
 				e.Deliver(i%2, sh, sh, 22*time.Second)
 			}
 		}(sh)
@@ -497,7 +487,7 @@ func TestEngineBranchRewind(t *testing.T) {
 		e.SettleEnd()
 		e.Sample(0, 0)
 		mustApply(t, e, b, 11*time.Second, Op{Kind: OpLookup, Node: 0, ID: 0, Phase: 0})
-		e.Forward(0, 1, overlay.Address(103), 0, 11200*time.Millisecond)
+		e.Forward(0, 1, Addr(3), 0, 11200*time.Millisecond)
 		e.Deliver(0, 3, 0, 11500*time.Millisecond)
 	}
 	tail := func(e *Engine, b *fakeBackend) *Report {
@@ -509,7 +499,7 @@ func TestEngineBranchRewind(t *testing.T) {
 		e.PhaseEnd(0)
 		e.Sample(0, 10*time.Second)
 		mustApply(t, e, b, 21*time.Second, Op{Kind: OpLookup, Node: 1, ID: 2, Phase: 1})
-		e.Forward(2, 0, overlay.Address(103), 0, 21100*time.Millisecond)
+		e.Forward(2, 0, Addr(3), 0, 21100*time.Millisecond)
 		e.Deliver(2, 3, 0, 21200*time.Millisecond)
 		b.now = 30 * time.Second
 		e.PhaseEnd(1)
@@ -632,11 +622,11 @@ func TestEngineViewAssembly(t *testing.T) {
 	if got := v.Nodes[0]; got.Node != 0 || !got.Joined || len(got.Succs) != 1 {
 		t.Errorf("node 0 (backend state) = %+v", got)
 	}
-	if want := (check.NodeState{Node: 1, Addr: 101, Alive: true}); !reflect.DeepEqual(v.Nodes[1], want) {
+	if want := (check.NodeState{Node: 1, Addr: Addr(1), Alive: true}); !reflect.DeepEqual(v.Nodes[1], want) {
 		t.Errorf("node 1 (alive, no state) = %+v, want the unjoined placeholder %+v", v.Nodes[1], want)
 	}
 	for _, dead := range []int{4, 5} {
-		if want := check.DeadState(dead, overlay.Address(100+dead)); !reflect.DeepEqual(v.Nodes[dead], want) {
+		if want := check.DeadState(dead, Addr(dead)); !reflect.DeepEqual(v.Nodes[dead], want) {
 			t.Errorf("node %d = %+v, want %+v", dead, v.Nodes[dead], want)
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"macedon/internal/check"
+	"macedon/internal/core"
 )
 
 // Duration is a time.Duration that marshals as a Go duration string
@@ -71,10 +72,11 @@ type Scenario struct {
 	Sites int `json:"sites,omitempty"`
 	// Protocol selects the stack: chord, pastry, randtree, scribe
 	// (pastry+scribe), splitstream (pastry+scribe+splitstream), or nice.
+	// Validate rejects a name the registry lacks (ResolveStack).
 	Protocol string `json:"protocol"`
 	// Params sets int auxiliary variables of the stack's generated layers
 	// on every node before init, by their spec names (for example
-	// {"fix_ms": 20000}). The harness rejects a name no layer declares.
+	// {"fix_ms": 20000}). Validate rejects a name no layer declares.
 	Params map[string]int `json:"params,omitempty"`
 	// Join describes how the population enters the overlay.
 	Join JoinSpec `json:"join"`
@@ -241,8 +243,28 @@ func Parse(b []byte) (*Scenario, error) {
 	return &s, nil
 }
 
-// Validate checks the description before compilation.
+// Validate checks the description before compilation, the stack its
+// protocol and params resolve to included (ResolveStack).
 func (s *Scenario) Validate() error {
+	_, err := s.resolve()
+	return err
+}
+
+// resolve validates the scenario and returns its stack, which Compile keeps
+// on the schedule.
+func (s *Scenario) resolve() ([]core.Factory, error) {
+	if err := s.checkFields(); err != nil {
+		return nil, err
+	}
+	stack, err := ResolveStack(s.ProtocolName(), s.Params)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+	}
+	return stack, nil
+}
+
+// checkFields checks every field but the stack.
+func (s *Scenario) checkFields() error {
 	if s.Nodes < 2 {
 		return fmt.Errorf("scenario %q: need at least 2 nodes, have %d", s.Name, s.Nodes)
 	}

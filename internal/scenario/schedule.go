@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"macedon/internal/core"
+	"macedon/internal/overlay"
 )
 
 // OpKind enumerates the concrete operations a compiled schedule contains.
@@ -92,8 +95,14 @@ type CompiledPhase struct {
 // with its absolute firing time, sorted by (phase, time, emission order).
 type Schedule struct {
 	Scenario *Scenario
-	Ops      []Op
-	Phases   []CompiledPhase
+	// Stack is the scenario's resolved node stack, lowest layer first,
+	// with its params set (ResolveStack).
+	Stack []core.Factory
+	// Group is the multicast session every member joins during setup, nil
+	// when no phase runs a multicast workload.
+	Group  *overlay.Key
+	Ops    []Op
+	Phases []CompiledPhase
 	// JoinDone is when the last setup spawn fires.
 	JoinDone time.Duration
 	// Settle is the resolved setup length (phase 0 starts here).
@@ -109,11 +118,16 @@ type Schedule struct {
 // instants, victim assignment, workloads), so the same scenario and seed
 // always yield the identical op list.
 func Compile(s *Scenario) (*Schedule, error) {
-	if err := s.Validate(); err != nil {
+	stack, err := s.resolve()
+	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
-	sched := &Schedule{Scenario: s}
+	sched := &Schedule{Scenario: s, Stack: stack}
+	if s.NeedsGroup() {
+		g := overlay.HashString(s.GroupName())
+		sched.Group = &g
+	}
 
 	// 1. Joins. Node 0 is the bootstrap and always spawns at t=0.
 	sched.Ops = append(sched.Ops, Op{At: 0, Kind: OpSpawn, Node: 0, Phase: -1})

@@ -9,10 +9,10 @@ import (
 	"unsafe"
 
 	"macedon/internal/core"
-	"macedon/internal/harness"
 	"macedon/internal/livenet"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/bullet"
+	"macedon/internal/scenario"
 )
 
 // TestLiveDeliveredPayloadsIntact is TestDeliveredPayloadsIntact's retention
@@ -32,7 +32,7 @@ func TestLiveDeliveredPayloadsIntact(t *testing.T) {
 	for k, tc := range cases {
 		t.Run(tc.proto, func(t *testing.T) {
 			t.Parallel()
-			stack, err := harness.StackWithParams(tc.proto, nil)
+			stack, err := scenario.ResolveStack(tc.proto, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

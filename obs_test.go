@@ -103,9 +103,9 @@ func TestObsTracePropagation(t *testing.T) {
 	if len(opByID) == 0 {
 		t.Fatal("schedule compiled no lookups")
 	}
-	addrs, err := harness.TopologyAddrs(s.Nodes, s.Routers, s.Seed)
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]overlay.Address, s.Nodes)
+	for i := range addrs {
+		addrs[i] = scenario.Addr(i)
 	}
 	oracle := check.NewChordOracle(addrs)
 

@@ -19,6 +19,7 @@ import (
 	"macedon/internal/harness"
 	"macedon/internal/overlay"
 	"macedon/internal/overlays/bullet"
+	"macedon/internal/scenario"
 )
 
 // opPayload is the payload of workload op id: its size and every byte derive
@@ -46,7 +47,7 @@ type payloadCase struct {
 
 func payloadCases(t *testing.T) []payloadCase {
 	stack := func(proto string) []core.Factory {
-		s, err := harness.StackWithParams(proto, nil)
+		s, err := scenario.ResolveStack(proto, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestDeliveredPayloadsIntact(t *testing.T) {
 func runPayloadCase(t *testing.T, tc payloadCase, shards int) {
 	c, err := harness.NewCluster(harness.ClusterConfig{
 		Nodes: payloadNodes, Routers: 100, Seed: 2004, Shards: shards,
-		HeartbeatAfter: 2 * time.Second, FailAfter: 6 * time.Second, Sweep: time.Second,
+		HeartbeatAfter: 2 * time.Second, FailAfter: 6 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

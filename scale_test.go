@@ -156,7 +156,7 @@ func chordCluster(t *testing.T, row scaleCase) (*harness.Cluster, []core.Factory
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack, err := harness.StackWithParams("chord", nil)
+	stack, err := scenario.ResolveStack("chord", nil)
 	if err != nil {
 		c.StopAll()
 		t.Fatal(err)
