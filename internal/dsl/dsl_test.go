@@ -242,23 +242,25 @@ transitions {
 }
 
 func TestParseErrors(t *testing.T) {
-	bad := []struct{ name, src string }{
-		{"no protocol", `states { a; }`},
-		{"unknown section", `protocol p bogus { }`},
-		{"undeclared message transition", `protocol p transports { UDP u; } transitions { any recv nope { } }`},
-		{"undeclared timer transition", `protocol p transitions { any timer nope { } }`},
-		{"bad addressing", `protocol p addressing carrier`},
-		{"bad API", `protocol p transitions { any API frobnicate { } }`},
-		{"guard unknown state", `protocol p transitions { flying API init { } }`},
-		{"transport on layered", `protocol p uses q transports { UDP u; }`},
-		{"message without transport", `protocol p messages { m { } }`},
-		{"duplicate state", `protocol p states { a; a; }`},
-		{"unterminated block", `protocol p states { a;`},
-		{"message bad transport", `protocol p transports { UDP u; } messages { X m { } }`},
+	bad := []struct{ name, src, want string }{
+		{"no protocol", `states { a; }`, `1:1: specification must start with "protocol"`},
+		{"unknown section", `protocol p bogus { }`, `1:12: unknown section "bogus"`},
+		{"undeclared message transition", `protocol p transports { UDP u; } transitions { any recv nope { } }`, `1:48: transition on undeclared message "nope"`},
+		{"undeclared timer transition", `protocol p transitions { any timer nope { } }`, `1:26: transition on undeclared timer "nope"`},
+		{"bad addressing", `protocol p addressing carrier`, `1:23: addressing must be hash or ip`},
+		{"bad API", `protocol p transitions { any API frobnicate { } }`, `1:34: unknown API "frobnicate"`},
+		{"guard unknown state", `protocol p transitions { flying API init { } }`, `1:26: guard references undeclared state "flying"`},
+		{"transport on layered", `protocol p uses q transports { UDP u; }`, `1:32: layered protocols (uses q) must not declare transports`},
+		{"message without transport", `protocol p messages { m { } }`, `1:23: message "m" of a lowest-layer protocol needs a transport`},
+		{"duplicate state", `protocol p states { a; a; }`, `1:24: state "a" declared twice`},
+		{"unterminated block", `protocol p states { a;`, `1:23: expected state name, got ""`},
+		{"message bad transport", `protocol p transports { UDP u; } messages { X m { } }`, `1:45: message "m" binds undeclared transport "X"`},
 	}
 	for _, c := range bad {
-		if _, err := Parse(c.src); err == nil {
-			t.Errorf("%s: expected error", c.name)
+		_, err := Parse(c.src)
+		var perr *Error
+		if !errors.As(err, &perr) || err.Error() != c.want {
+			t.Errorf("%s: got error %v, want %s", c.name, err, c.want)
 		}
 	}
 }
