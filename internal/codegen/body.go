@@ -558,7 +558,7 @@ func (g *generator) collection(kind, fn string, a dsl.Expr) (string, error) {
 	if kind == "list value" {
 		return g.listExpr(a)
 	}
-	if _, isField := fieldName(c); isCall && isField && (kind == "slice" && listTypes[g.typeOf(a)] || g.typeOf(a) == kind) {
+	if _, isField := c.FieldName(); isCall && isField && (kind == "slice" && listTypes[g.typeOf(a)] || g.typeOf(a) == kind) {
 		// A list field of the message being handled, edited in place.
 		return g.expr(a)
 	}
@@ -954,7 +954,7 @@ func (g *generator) typeOf(e dsl.Expr) string {
 			return v.Fields[i].Type
 		}
 	case dsl.CallExpr:
-		if id, ok := fieldName(e); ok && g.curMsg != nil {
+		if id, ok := e.FieldName(); ok && g.curMsg != nil {
 			if i := slices.IndexFunc(g.curMsg.Fields, func(f dsl.Field) bool { return f.Name == id }); i >= 0 {
 				return g.curMsg.Fields[i].Type
 			}
@@ -962,15 +962,6 @@ func (g *generator) typeOf(e dsl.Expr) string {
 		return exprPrims[e.Fn].typ
 	}
 	return ""
-}
-
-// fieldName returns f when e is field(f).
-func fieldName(e dsl.CallExpr) (string, bool) {
-	if e.Fn != "field" || len(e.Args) != 1 {
-		return "", false
-	}
-	id, ok := e.Args[0].(dsl.Ident)
-	return id.Name, ok
 }
 
 // isDouble reports whether a number token is a floating-point literal.
@@ -1035,7 +1026,7 @@ func (g *generator) callExpr(e dsl.CallExpr) (string, error) {
 		if g.curMsg == nil {
 			return "", fmt.Errorf("field() outside a message transition")
 		}
-		name, _ := fieldName(e)
+		name, _ := e.FieldName()
 		if slices.ContainsFunc(g.curMsg.Fields, func(f dsl.Field) bool { return f.Name == name }) {
 			return "m." + camel(name), nil
 		}

@@ -390,6 +390,15 @@ func (e CallExpr) String() string {
 	return s + ")"
 }
 
+// FieldName returns x when e is field(x).
+func (e CallExpr) FieldName() (string, bool) {
+	if e.Fn != "field" || len(e.Args) != 1 {
+		return "", false
+	}
+	id, ok := e.Args[0].(Ident)
+	return id.Name, ok
+}
+
 // EntryExpr reads one field of a keytable entry: "groups[g].member". An
 // absent entry reads as the zero record.
 type EntryExpr struct {

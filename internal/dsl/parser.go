@@ -2,6 +2,7 @@ package dsl
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -12,19 +13,24 @@ func Parse(src string) (*Spec, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	spec, err := p.spec()
-	if err != nil {
-		return nil, err
+	spec := p.spec()
+	if p.err == nil {
+		if err := Validate(spec); err != nil {
+			return nil, err
+		}
+		return spec, nil
 	}
-	if err := Validate(spec); err != nil {
-		return nil, err
-	}
-	return spec, nil
+	return nil, p.err
 }
 
+// parser is a recursive-descent parser with one sticky error: fail keeps
+// the first diagnostic and moves to the EOF token, so from then on every
+// accept fails, every expect does nothing and every loop over more ends.
+// The parse functions return only their values; Parse returns the error.
 type parser struct {
 	toks []token
 	i    int
+	err  *Error
 }
 
 func (p *parser) cur() token { return p.toks[p.i] }
@@ -43,24 +49,35 @@ func (p *parser) next() token {
 	return t
 }
 
-func (p *parser) errf(pos Pos, format string, args ...any) error {
-	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+// fail records the first error and skips to the end of the input; later
+// errors are consequences of the first.
+func (p *parser) fail(pos Pos, format string, args ...any) {
+	if p.err == nil {
+		p.err = &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+		p.i = len(p.toks) - 1
+	}
 }
 
-func (p *parser) expectIdent(what string) (token, error) {
+// more reports whether a list goes on: false once closer is accepted or an
+// error is recorded.
+func (p *parser) more(closer string) bool {
+	return !p.acceptPunct(closer) && p.err == nil
+}
+
+func (p *parser) expectIdent(what string) token {
 	t := p.next()
 	if t.kind != tokIdent {
-		return t, p.errf(t.pos, "expected %s, got %q", what, t.text)
+		p.fail(t.pos, "expected %s, got %q", what, t.text)
 	}
-	return t, nil
+	return t
 }
 
-func (p *parser) expectPunct(s string) (token, error) {
+func (p *parser) expectPunct(s string) token {
 	t := p.next()
 	if t.kind != tokPunct || t.text != s {
-		return t, p.errf(t.pos, "expected %q, got %q", s, t.text)
+		p.fail(t.pos, "expected %q, got %q", s, t.text)
 	}
-	return t, nil
+	return t
 }
 
 func (p *parser) acceptPunct(s string) bool {
@@ -94,53 +111,37 @@ var stateVarTypes = map[string]bool{
 	"dedup":    true, // a bounded set of packet keys
 }
 
-func (p *parser) spec() (*Spec, error) {
+func (p *parser) spec() *Spec {
 	spec := &Spec{Addressing: "hash", Trace: "off", Pos: p.cur().pos}
 	if !p.acceptIdent("protocol") {
-		return nil, p.errf(p.cur().pos, "specification must start with \"protocol\"")
+		p.fail(p.cur().pos, "specification must start with \"protocol\"")
 	}
-	name, err := p.expectIdent("protocol name")
-	if err != nil {
-		return nil, err
-	}
-	spec.Name = name.text
+	spec.Name = p.expectIdent("protocol name").text
 	if p.acceptIdent("uses") {
-		base, err := p.expectIdent("base protocol name")
-		if err != nil {
-			return nil, err
-		}
+		base := p.expectIdent("base protocol name")
 		spec.Uses, spec.UsesPos = base.text, base.pos
-		for open := p.acceptPunct("("); open && !p.acceptPunct(")"); {
-			if len(spec.BaseParams) > 0 {
-				if _, err := p.expectPunct(","); err != nil {
-					return nil, err
+		if p.acceptPunct("(") {
+			for p.more(")") {
+				if len(spec.BaseParams) > 0 {
+					p.expectPunct(",")
 				}
+				name := p.expectIdent("base param name")
+				p.expectPunct("=")
+				val := p.next()
+				spec.BaseParams = append(spec.BaseParams, Constant{Name: name.text, Value: val.text, Pos: name.pos})
 			}
-			name, err := p.expectIdent("base param name")
-			if err == nil {
-				_, err = p.expectPunct("=")
-			}
-			if err != nil {
-				return nil, err
-			}
-			val := p.next()
-			spec.BaseParams = append(spec.BaseParams, Constant{Name: name.text, Value: val.text, Pos: name.pos})
 		}
 	}
 	for p.cur().kind != tokEOF {
 		t := p.cur()
-		if t.kind != tokIdent {
-			return nil, p.errf(t.pos, "expected section keyword, got %q", t.text)
-		}
 		switch {
+		case t.kind != tokIdent:
+			p.fail(t.pos, "expected section keyword, got %q", t.text)
 		case t.text == "addressing":
 			p.next()
-			mode, err := p.expectIdent("addressing mode")
-			if err != nil {
-				return nil, err
-			}
+			mode := p.expectIdent("addressing mode")
 			if mode.text != "hash" && mode.text != "ip" {
-				return nil, p.errf(mode.pos, "addressing must be hash or ip")
+				p.fail(mode.pos, "addressing must be hash or ip")
 			}
 			spec.Addressing = mode.text
 		case strings.HasPrefix(t.text, "trace_"):
@@ -150,171 +151,100 @@ func (p *parser) spec() (*Spec, error) {
 			case "off", "low", "med", "high":
 				spec.Trace = lvl
 			default:
-				return nil, p.errf(t.pos, "unknown trace level %q", lvl)
+				p.fail(t.pos, "unknown trace level %q", lvl)
 			}
 		case t.text == "constants":
-			if err := p.constants(spec); err != nil {
-				return nil, err
-			}
+			p.constants(spec)
 		case t.text == "states":
-			if err := p.states(spec); err != nil {
-				return nil, err
-			}
+			p.states(spec)
 		case t.text == "neighbor_types":
-			if err := p.neighborTypes(spec); err != nil {
-				return nil, err
-			}
+			p.neighborTypes(spec)
 		case t.text == "transports":
-			if err := p.transports(spec); err != nil {
-				return nil, err
-			}
+			p.transports(spec)
 		case t.text == "messages":
-			if err := p.messages(spec); err != nil {
-				return nil, err
-			}
+			p.messages(spec)
 		case t.text == "auxiliary_data" || t.text == "state_variables":
-			if err := p.stateVars(spec); err != nil {
-				return nil, err
-			}
+			p.stateVars(spec)
 		case t.text == "routing":
-			if err := p.routing(spec); err != nil {
-				return nil, err
-			}
+			p.routing(spec)
 		case t.text == "transitions":
-			if err := p.transitions(spec); err != nil {
-				return nil, err
-			}
+			p.transitions(spec)
 		default:
-			return nil, p.errf(t.pos, "unknown section %q", t.text)
+			p.fail(t.pos, "unknown section %q", t.text)
 		}
 	}
-	return spec, nil
+	return spec
 }
 
-func (p *parser) openBlock(section string) error {
-	p.next() // section keyword
-	_, err := p.expectPunct("{")
-	return err
+// openBlock consumes a section keyword and its "{".
+func (p *parser) openBlock() {
+	p.next()
+	p.expectPunct("{")
 }
 
-func (p *parser) constants(spec *Spec) error {
-	if err := p.openBlock("constants"); err != nil {
-		return err
-	}
-	for !p.acceptPunct("}") {
-		name, err := p.expectIdent("constant name")
-		if err != nil {
-			return err
-		}
-		if _, err := p.expectPunct("="); err != nil {
-			return err
-		}
+func (p *parser) constants(spec *Spec) {
+	p.openBlock()
+	for p.more("}") {
+		name := p.expectIdent("constant name")
+		p.expectPunct("=")
 		val := p.next()
 		if val.kind != tokNumber && val.kind != tokIdent {
-			return p.errf(val.pos, "expected constant value")
+			p.fail(val.pos, "expected constant value")
 		}
-		if _, err := p.expectPunct(";"); err != nil {
-			return err
-		}
+		p.expectPunct(";")
 		spec.Constants = append(spec.Constants, Constant{Name: name.text, Value: val.text, Pos: name.pos})
 	}
-	return nil
 }
 
-func (p *parser) states(spec *Spec) error {
-	if err := p.openBlock("states"); err != nil {
-		return err
-	}
-	for !p.acceptPunct("}") {
-		name, err := p.expectIdent("state name")
-		if err != nil {
-			return err
-		}
-		if _, err := p.expectPunct(";"); err != nil {
-			return err
-		}
+func (p *parser) states(spec *Spec) {
+	p.openBlock()
+	for p.more("}") {
+		name := p.expectIdent("state name")
+		p.expectPunct(";")
 		spec.States = append(spec.States, name.text)
 		spec.StatePos = append(spec.StatePos, name.pos)
 	}
-	return nil
 }
 
-func (p *parser) neighborTypes(spec *Spec) error {
-	if err := p.openBlock("neighbor_types"); err != nil {
-		return err
+func (p *parser) neighborTypes(spec *Spec) {
+	p.openBlock()
+	for p.more("}") {
+		name := p.expectIdent("neighbor type name")
+		spec.NeighborTypes = append(spec.NeighborTypes,
+			NeighborType{Name: name.text, Max: p.optionalMax(), Fields: p.fields(), Pos: name.pos})
 	}
-	for !p.acceptPunct("}") {
-		name, err := p.expectIdent("neighbor type name")
-		if err != nil {
-			return err
-		}
-		nt := NeighborType{Name: name.text, Pos: name.pos}
-		if t := p.cur(); t.kind == tokNumber || (t.kind == tokIdent && t.text != "{") {
-			nt.Max = p.next().text
-		}
-		if _, err := p.expectPunct("{"); err != nil {
-			return err
-		}
-		for !p.acceptPunct("}") {
-			f, err := p.field()
-			if err != nil {
-				return err
-			}
-			nt.Fields = append(nt.Fields, f)
-		}
-		spec.NeighborTypes = append(spec.NeighborTypes, nt)
-	}
-	return nil
 }
 
-func (p *parser) field() (Field, error) {
-	typ, err := p.expectIdent("field type")
-	if err != nil {
-		return Field{}, err
+// fields parses a braced list of "<type> <name>;" declarations.
+func (p *parser) fields() []Field {
+	var out []Field
+	p.expectPunct("{")
+	for p.more("}") {
+		typ := p.expectIdent("field type")
+		name := p.expectIdent("field name")
+		p.expectPunct(";")
+		out = append(out, Field{Type: typ.text, Name: name.text, Pos: typ.pos})
 	}
-	name, err := p.expectIdent("field name")
-	if err != nil {
-		return Field{}, err
-	}
-	if _, err := p.expectPunct(";"); err != nil {
-		return Field{}, err
-	}
-	return Field{Type: typ.text, Name: name.text, Pos: typ.pos}, nil
+	return out
 }
 
-func (p *parser) transports(spec *Spec) error {
-	if err := p.openBlock("transports"); err != nil {
-		return err
-	}
-	for !p.acceptPunct("}") {
-		kind, err := p.expectIdent("transport kind")
-		if err != nil {
-			return err
-		}
+func (p *parser) transports(spec *Spec) {
+	p.openBlock()
+	for p.more("}") {
+		kind := p.expectIdent("transport kind")
 		if kind.text != "TCP" && kind.text != "UDP" && kind.text != "SWP" {
-			return p.errf(kind.pos, "transport kind must be TCP, UDP, or SWP")
+			p.fail(kind.pos, "transport kind must be TCP, UDP, or SWP")
 		}
-		name, err := p.expectIdent("transport name")
-		if err != nil {
-			return err
-		}
-		if _, err := p.expectPunct(";"); err != nil {
-			return err
-		}
+		name := p.expectIdent("transport name")
+		p.expectPunct(";")
 		spec.Transports = append(spec.Transports, Transport{Kind: kind.text, Name: name.text, Pos: kind.pos})
 	}
-	return nil
 }
 
-func (p *parser) messages(spec *Spec) error {
-	if err := p.openBlock("messages"); err != nil {
-		return err
-	}
-	for !p.acceptPunct("}") {
-		first, err := p.expectIdent("message name or transport")
-		if err != nil {
-			return err
-		}
+func (p *parser) messages(spec *Spec) {
+	p.openBlock()
+	for p.more("}") {
+		first := p.expectIdent("message name or transport")
 		m := Message{Pos: first.pos}
 		if p.cur().kind == tokIdent {
 			// Two identifiers: transport then name.
@@ -323,190 +253,111 @@ func (p *parser) messages(spec *Spec) error {
 		} else {
 			m.Name = first.text
 		}
-		if _, err := p.expectPunct("{"); err != nil {
-			return err
-		}
-		for !p.acceptPunct("}") {
-			f, err := p.field()
-			if err != nil {
-				return err
-			}
-			m.Fields = append(m.Fields, f)
-		}
+		m.Fields = p.fields()
 		spec.Messages = append(spec.Messages, m)
 	}
-	return nil
 }
 
 // routing parses `routing <kind> { <role> = <variable>; ... }`. Roles and
 // variable types are Validate's to check.
-func (p *parser) routing(spec *Spec) error {
+func (p *parser) routing(spec *Spec) {
 	kw := p.next() // routing
 	if spec.Routing != nil {
-		return p.errf(kw.pos, "second routing declaration (the first is at %s)", spec.Routing.Pos)
+		p.fail(kw.pos, "second routing declaration (the first is at %s)", spec.Routing.Pos)
 	}
-	name, err := p.expectIdent("routing kind")
-	if err != nil {
-		return err
-	}
+	name := p.expectIdent("routing kind")
 	r := &Routing{Kind: routingKindNamed(name.text), Pos: kw.pos}
 	if r.Kind == 0 {
-		return p.errf(name.pos, "unknown routing kind %q (have ring, leafset, tree)", name.text)
+		p.fail(name.pos, "unknown routing kind %q (have ring, leafset, tree)", name.text)
 	}
-	if _, err := p.expectPunct("{"); err != nil {
-		return err
-	}
-	for !p.acceptPunct("}") {
-		role, err := p.expectIdent("routing role")
-		if err != nil {
-			return err
-		}
-		if _, err := p.expectPunct("="); err != nil {
-			return err
-		}
-		v, err := p.expectIdent("variable name")
-		if err != nil {
-			return err
-		}
-		if _, err := p.expectPunct(";"); err != nil {
-			return err
-		}
+	p.expectPunct("{")
+	for p.more("}") {
+		role := p.expectIdent("routing role")
+		p.expectPunct("=")
+		v := p.expectIdent("variable name")
+		p.expectPunct(";")
 		r.Binds = append(r.Binds, RoleBind{Role: role.text, Var: v.text, Pos: role.pos})
 	}
 	spec.Routing = r
-	return nil
 }
 
-func (p *parser) stateVars(spec *Spec) error {
+// size reads a nodetable's or a log's size: a literal or a constant.
+func (p *parser) size(what, name string) string {
+	t := p.next()
+	if t.kind != tokNumber && t.kind != tokIdent {
+		p.fail(t.pos, "%s %q needs a size (literal or constant)", what, name)
+	}
+	return t.text
+}
+
+// optionalMax reads a declaration's optional bound or period: a literal or
+// a constant.
+func (p *parser) optionalMax() string {
+	if t := p.cur(); t.kind == tokNumber || t.kind == tokIdent {
+		return p.next().text
+	}
+	return ""
+}
+
+func (p *parser) stateVars(spec *Spec) {
 	nbrTypes := make(map[string]bool, len(spec.NeighborTypes))
 	for _, nt := range spec.NeighborTypes {
 		nbrTypes[nt.Name] = true
 	}
-	if err := p.openBlock("auxiliary_data"); err != nil {
-		return err
-	}
-	for !p.acceptPunct("}") {
+	p.openBlock()
+	for p.more("}") {
 		t := p.cur()
+		var v StateVar
 		switch {
 		case t.text == "timer" || (t.text == "periodic" && p.peek().text == "timer"):
 			periodic := p.acceptIdent("periodic")
 			p.next() // timer
-			name, err := p.expectIdent("timer name")
-			if err != nil {
-				return err
-			}
-			v := StateVar{Kind: VarTimer, Name: name.text, Periodic: periodic, Pos: t.pos}
-			if nt := p.cur(); nt.kind == tokNumber || (nt.kind == tokIdent && nt.text != ";") {
-				v.Period = p.next().text
-			}
-			if _, err := p.expectPunct(";"); err != nil {
-				return err
-			}
-			spec.StateVars = append(spec.StateVars, v)
+			name := p.expectIdent("timer name")
+			v = StateVar{Kind: VarTimer, Name: name.text, Periodic: periodic, Period: p.optionalMax(), Pos: t.pos}
+			p.expectPunct(";")
 		case t.text == "nodetable":
 			p.next()
-			name, err := p.expectIdent("node table name")
-			if err != nil {
-				return err
-			}
-			size := p.next()
-			if size.kind != tokNumber && size.kind != tokIdent {
-				return p.errf(size.pos, "nodetable %q needs a size (literal or constant)", name.text)
-			}
-			if _, err := p.expectPunct(";"); err != nil {
-				return err
-			}
-			spec.StateVars = append(spec.StateVars, StateVar{
-				Kind: VarTable, Type: "nodetable", Name: name.text, Max: size.text, Pos: t.pos,
-			})
+			name := p.expectIdent("node table name")
+			v = StateVar{Kind: VarTable, Type: "nodetable", Name: name.text, Max: p.size("nodetable", name.text), Pos: t.pos}
+			p.expectPunct(";")
 		case t.text == "keytable":
 			p.next()
-			name, err := p.expectIdent("keytable name")
-			if err != nil {
-				return err
-			}
-			v := StateVar{Kind: VarKeyTable, Type: "keytable", Name: name.text, KeyType: "key", Pos: t.pos}
+			name := p.expectIdent("keytable name")
+			v = StateVar{Kind: VarKeyTable, Type: "keytable", Name: name.text, KeyType: "key", Pos: t.pos}
 			if p.acceptIdent("by") {
-				kt, err := p.expectIdent("keytable key type")
-				if err != nil {
-					return err
-				}
+				kt := p.expectIdent("keytable key type")
 				if kt.text != "key" && kt.text != "node" && kt.text != "int" {
-					return p.errf(kt.pos, "keytable %q is keyed by %q; a keytable is keyed by key, node or int", name.text, kt.text)
+					p.fail(kt.pos, "keytable %q is keyed by %q; a keytable is keyed by key, node or int", name.text, kt.text)
 				}
 				v.KeyType = kt.text
 			}
-			if _, err := p.expectPunct("{"); err != nil {
-				return err
-			}
-			for !p.acceptPunct("}") {
-				f, err := p.field()
-				if err != nil {
-					return err
-				}
-				v.Fields = append(v.Fields, f)
-			}
-			spec.StateVars = append(spec.StateVars, v)
+			v.Fields = p.fields()
 		case t.text == "log" && p.peek().kind == tokIdent:
 			p.next()
-			msg, err := p.expectIdent("logged message")
-			if err != nil {
-				return err
-			}
-			name, err := p.expectIdent("log name")
-			if err != nil {
-				return err
-			}
-			size := p.next()
-			if size.kind != tokNumber && size.kind != tokIdent {
-				return p.errf(size.pos, "log %q needs a size (literal or constant)", name.text)
-			}
-			if _, err := p.expectPunct(";"); err != nil {
-				return err
-			}
-			spec.StateVars = append(spec.StateVars, StateVar{
-				Kind: VarLog, Type: msg.text, Name: name.text, Max: size.text, Pos: t.pos,
-			})
+			msg := p.expectIdent("logged message")
+			name := p.expectIdent("log name")
+			v = StateVar{Kind: VarLog, Type: msg.text, Name: name.text, Max: p.size("log", name.text), Pos: t.pos}
+			p.expectPunct(";")
 		case t.text == "fail_detect" || nbrTypes[t.text]:
 			fail := p.acceptIdent("fail_detect")
-			typ, err := p.expectIdent("neighbor type")
-			if err != nil {
-				return err
-			}
+			typ := p.expectIdent("neighbor type")
 			if !nbrTypes[typ.text] {
-				return p.errf(typ.pos, "unknown neighbor type %q", typ.text)
+				p.fail(typ.pos, "unknown neighbor type %q", typ.text)
 			}
-			name, err := p.expectIdent("neighbor list name")
-			if err != nil {
-				return err
-			}
-			v := StateVar{Kind: VarNeighborList, Type: typ.text, Name: name.text, FailDetect: fail, Pos: t.pos}
-			if mx := p.cur(); mx.kind == tokNumber || (mx.kind == tokIdent && mx.text != ";") {
-				v.Max = p.next().text
-			}
-			if _, err := p.expectPunct(";"); err != nil {
-				return err
-			}
-			spec.StateVars = append(spec.StateVars, v)
+			name := p.expectIdent("neighbor list name")
+			v = StateVar{Kind: VarNeighborList, Type: typ.text, Name: name.text, FailDetect: fail, Max: p.optionalMax(), Pos: t.pos}
+			p.expectPunct(";")
 		default:
-			typ, err := p.expectIdent("variable type")
-			if err != nil {
-				return err
-			}
+			typ := p.expectIdent("variable type")
 			if !scalarTypes[typ.text] && !stateVarTypes[typ.text] {
-				return p.errf(typ.pos, "unknown type %q", typ.text)
+				p.fail(typ.pos, "unknown type %q", typ.text)
 			}
-			name, err := p.expectIdent("variable name")
-			if err != nil {
-				return err
-			}
-			if _, err := p.expectPunct(";"); err != nil {
-				return err
-			}
-			spec.StateVars = append(spec.StateVars, StateVar{Kind: VarPlain, Type: typ.text, Name: name.text, Pos: typ.pos})
+			name := p.expectIdent("variable name")
+			p.expectPunct(";")
+			v = StateVar{Kind: VarPlain, Type: typ.text, Name: name.text, Pos: typ.pos}
 		}
+		spec.StateVars = append(spec.StateVars, v)
 	}
-	return nil
 }
 
 // --- transitions -------------------------------------------------------------
@@ -518,161 +369,100 @@ var apiNames = map[string]bool{
 	"downcall_ext": true,
 }
 
-func (p *parser) transitions(spec *Spec) error {
-	if err := p.openBlock("transitions"); err != nil {
-		return err
+func (p *parser) transitions(spec *Spec) {
+	p.openBlock()
+	for p.more("}") {
+		spec.Transitions = append(spec.Transitions, p.transition())
 	}
-	for !p.acceptPunct("}") {
-		tr, err := p.transition()
-		if err != nil {
-			return err
-		}
-		spec.Transitions = append(spec.Transitions, tr)
-	}
-	return nil
 }
 
-func (p *parser) transition() (Transition, error) {
+func (p *parser) transition() Transition {
 	pos := p.cur().pos
-	guard, err := p.stateGuard()
-	if err != nil {
-		return Transition{}, err
-	}
-	tr := Transition{Guard: guard, Locking: "write", Pos: pos}
-	kw, err := p.expectIdent("transition kind")
-	if err != nil {
-		return Transition{}, err
-	}
+	tr := Transition{Guard: p.stateGuard(), Locking: "write", Pos: pos}
+	kw := p.expectIdent("transition kind")
 	switch kw.text {
 	case "API":
 		tr.Kind = TransAPI
-		name, err := p.expectIdent("API name")
-		if err != nil {
-			return Transition{}, err
-		}
+		name := p.expectIdent("API name")
 		if !apiNames[name.text] {
-			return Transition{}, p.errf(name.pos, "unknown API %q", name.text)
+			p.fail(name.pos, "unknown API %q", name.text)
 		}
 		tr.Name = name.text
 	case "timer":
 		tr.Kind = TransTimer
-		name, err := p.expectIdent("timer name")
-		if err != nil {
-			return Transition{}, err
-		}
-		tr.Name = name.text
+		tr.Name = p.expectIdent("timer name").text
 	case "recv", "forward":
 		if kw.text == "recv" {
 			tr.Kind = TransRecv
 		} else {
 			tr.Kind = TransForward
 		}
-		name, err := p.expectIdent("message name")
-		if err != nil {
-			return Transition{}, err
-		}
-		tr.Name = name.text
+		tr.Name = p.expectIdent("message name").text
 	default:
-		return Transition{}, p.errf(kw.pos, "expected API, timer, recv, or forward; got %q", kw.text)
+		p.fail(kw.pos, "expected API, timer, recv, or forward; got %q", kw.text)
 	}
 	// Options: [locking read;]
 	if p.acceptPunct("[") {
-		for !p.acceptPunct("]") {
-			opt, err := p.expectIdent("transition option")
-			if err != nil {
-				return Transition{}, err
-			}
+		for p.more("]") {
+			opt := p.expectIdent("transition option")
 			switch opt.text {
 			case "locking":
-				mode, err := p.expectIdent("locking mode")
-				if err != nil {
-					return Transition{}, err
-				}
+				mode := p.expectIdent("locking mode")
 				if mode.text != "read" && mode.text != "write" {
-					return Transition{}, p.errf(mode.pos, "locking must be read or write")
+					p.fail(mode.pos, "locking must be read or write")
 				}
 				tr.Locking = mode.text
 			default:
-				return Transition{}, p.errf(opt.pos, "unknown option %q", opt.text)
+				p.fail(opt.pos, "unknown option %q", opt.text)
 			}
-			if _, err := p.expectPunct(";"); err != nil {
-				return Transition{}, err
-			}
+			p.expectPunct(";")
 		}
 	}
-	if _, err := p.expectPunct("{"); err != nil {
-		return Transition{}, err
-	}
-	body, err := p.block()
-	if err != nil {
-		return Transition{}, err
-	}
-	tr.Body = body
-	return tr, nil
+	p.expectPunct("{")
+	tr.Body = p.block()
+	return tr
 }
 
 // stateGuard parses "any", "name", "(a|b)", "!(a|b)", "a|b".
-func (p *parser) stateGuard() (StateGuard, error) {
+func (p *parser) stateGuard() StateGuard {
 	if p.acceptIdent("any") {
-		return GuardAny{}, nil
+		return GuardAny{}
 	}
 	if p.acceptPunct("!") {
-		inner, err := p.stateGuard()
-		if err != nil {
-			return nil, err
-		}
-		return GuardNot{Inner: inner}, nil
+		return GuardNot{Inner: p.stateGuard()}
 	}
 	if p.acceptPunct("(") {
-		inner, err := p.stateList()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return inner, nil
+		inner := p.stateList()
+		p.expectPunct(")")
+		return inner
 	}
 	return p.stateList()
 }
 
-func (p *parser) stateList() (StateGuard, error) {
-	name, err := p.expectIdent("state name")
-	if err != nil {
-		return nil, err
-	}
-	g := GuardStates{States: []string{name.text}}
+func (p *parser) stateList() StateGuard {
+	g := GuardStates{States: []string{p.expectIdent("state name").text}}
 	for p.acceptPunct("|") {
-		name, err := p.expectIdent("state name")
-		if err != nil {
-			return nil, err
-		}
-		g.States = append(g.States, name.text)
+		g.States = append(g.States, p.expectIdent("state name").text)
 	}
-	return g, nil
+	return g
 }
 
 // --- statements ----------------------------------------------------------------
 
 // block parses statements until the matching close brace (already inside).
-func (p *parser) block() ([]Stmt, error) {
+func (p *parser) block() []Stmt {
 	var out []Stmt
-	for {
-		if p.acceptPunct("}") {
-			return out, nil
-		}
+	for p.more("}") {
 		if p.cur().kind == tokEOF {
-			return nil, p.errf(p.cur().pos, "unterminated block")
+			p.fail(p.cur().pos, "unterminated block")
+			break
 		}
-		s, err := p.stmt()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+		out = append(out, p.stmt())
 	}
+	return out
 }
 
-func (p *parser) stmt() (Stmt, error) {
+func (p *parser) stmt() Stmt {
 	t := p.cur()
 	if t.kind == tokIdent {
 		switch t.text {
@@ -690,7 +480,7 @@ func (p *parser) stmt() (Stmt, error) {
 			if p.peek().kind == tokPunct && p.peek().text == ";" {
 				p.next()
 				p.next()
-				return &ReturnStmt{Pos: t.pos}, nil
+				return &ReturnStmt{Pos: t.pos}
 			}
 		}
 		// Local declaration: "<type> <name> [= expr] ;".
@@ -711,393 +501,200 @@ func (p *parser) stmt() (Stmt, error) {
 			case "=":
 				p.next()
 				p.next()
-				val, err := p.expr()
-				if err != nil {
-					return nil, err
-				}
-				if _, err := p.expectPunct(";"); err != nil {
-					return nil, err
-				}
-				return &AssignStmt{Target: t.text, Value: val, Pos: t.pos}, nil
+				st := &AssignStmt{Target: t.text, Value: p.expr(), Pos: t.pos}
+				p.expectPunct(";")
+				return st
 			}
 		}
 	}
-	return nil, p.errf(t.pos, "%q does not start a statement", t.text)
+	p.fail(t.pos, "%q does not start a statement", t.text)
+	return nil
 }
 
 // lvalueAssign: <entry or field(name)> = expr ;
-func (p *parser) lvalueAssign() (Stmt, error) {
+func (p *parser) lvalueAssign() Stmt {
 	pos := p.cur().pos
-	lhs, err := p.primaryExpr()
-	if err != nil {
-		return nil, err
-	}
 	st := &AssignStmt{Pos: pos}
-	switch lhs := lhs.(type) {
+	switch lhs := p.primaryExpr().(type) {
 	case EntryExpr:
 		st.Entry = &lhs
 	case CallExpr:
-		if id, ok := fieldName(lhs); ok {
+		if id, ok := lhs.FieldName(); ok {
 			st.Target, st.Field = id, true
 			break
 		}
-		return nil, p.errf(pos, "cannot assign to %s", lhs)
+		p.fail(pos, "cannot assign to %s", lhs)
 	default:
-		return nil, p.errf(pos, "cannot assign to %s", lhs)
+		p.fail(pos, "cannot assign to %s", lhs)
 	}
-	if _, err := p.expectPunct("="); err != nil {
-		return nil, err
-	}
-	if st.Value, err = p.expr(); err != nil {
-		return nil, err
-	}
-	if _, err := p.expectPunct(";"); err != nil {
-		return nil, err
-	}
-	return st, nil
+	p.expectPunct("=")
+	st.Value = p.expr()
+	p.expectPunct(";")
+	return st
 }
 
-// fieldName returns x when e is field(x).
-func fieldName(e CallExpr) (string, bool) {
-	if e.Fn != "field" || len(e.Args) != 1 {
-		return "", false
-	}
-	id, ok := e.Args[0].(Ident)
-	return id.Name, ok
-}
-
-func (p *parser) ifStmt() (Stmt, error) {
+func (p *parser) ifStmt() Stmt {
 	pos := p.next().pos // "if"
-	if _, err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	cond, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expectPunct("{"); err != nil {
-		return nil, err
-	}
-	then, err := p.block()
-	if err != nil {
-		return nil, err
-	}
-	st := &IfStmt{Cond: cond, Then: then, Pos: pos}
+	p.expectPunct("(")
+	st := &IfStmt{Cond: p.expr(), Pos: pos}
+	p.expectPunct(")")
+	p.expectPunct("{")
+	st.Then = p.block()
 	if p.acceptIdent("else") {
 		if p.cur().kind == tokIdent && p.cur().text == "if" {
-			inner, err := p.ifStmt()
-			if err != nil {
-				return nil, err
-			}
-			st.Else = []Stmt{inner}
-			return st, nil
+			st.Else = []Stmt{p.ifStmt()}
+			return st
 		}
-		if _, err := p.expectPunct("{"); err != nil {
-			return nil, err
-		}
-		els, err := p.block()
-		if err != nil {
-			return nil, err
-		}
-		st.Else = els
+		p.expectPunct("{")
+		st.Else = p.block()
 	}
-	return st, nil
+	return st
 }
 
 // localStmt: <type> <name> [= expr] ;
-func (p *parser) localStmt() (Stmt, error) {
+func (p *parser) localStmt() Stmt {
 	typ := p.next() // type keyword
-	name, err := p.expectIdent("local variable name")
-	if err != nil {
-		return nil, err
-	}
+	name := p.expectIdent("local variable name")
 	st := &LocalStmt{Type: typ.text, Name: name.text, Pos: typ.pos}
 	if p.acceptPunct("=") {
-		val, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		st.Value = val
+		st.Value = p.expr()
 	}
-	if _, err := p.expectPunct(";"); err != nil {
-		return nil, err
-	}
-	return st, nil
+	p.expectPunct(";")
+	return st
 }
 
 // foreachStmt: foreach (k in <collection expr>) { ... }
-func (p *parser) foreachStmt() (Stmt, error) {
+func (p *parser) foreachStmt() Stmt {
 	pos := p.next().pos // "foreach"
-	if _, err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	v, err := p.expectIdent("loop variable")
-	if err != nil {
-		return nil, err
-	}
+	p.expectPunct("(")
+	st := &ForeachStmt{Var: p.expectIdent("loop variable").text, Pos: pos}
 	if !p.acceptIdent("in") {
-		return nil, p.errf(p.cur().pos, "expected \"in\"")
+		p.fail(p.cur().pos, "expected \"in\"")
 	}
-	list, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expectPunct("{"); err != nil {
-		return nil, err
-	}
-	body, err := p.block()
-	if err != nil {
-		return nil, err
-	}
-	return &ForeachStmt{Var: v.text, List: list, Body: body, Pos: pos}, nil
+	st.List = p.expr()
+	p.expectPunct(")")
+	p.expectPunct("{")
+	st.Body = p.block()
+	return st
 }
 
 // sendStmt: send msg(dest, field=value, ...) [via pri]; the forms that send
 // through the layer below, route msg(key, ...), multicast msg(group, ...)
 // and collect msg(group, ...);
 // and log msg(log, field=value, ...), which appends to a bounded log.
-func (p *parser) sendStmt() (Stmt, error) {
+func (p *parser) sendStmt() Stmt {
 	verb := p.next() // "send", "route", "multicast", "collect" or "log"
-	pos := verb.pos
-	msg, err := p.expectIdent("message name")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	dest, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	st := &CallStmt{Fn: verb.text, Msg: msg.text, Args: []Expr{dest}, Pos: pos}
+	st := &CallStmt{Fn: verb.text, Msg: p.expectIdent("message name").text, Pos: verb.pos}
+	p.expectPunct("(")
+	st.Args = []Expr{p.expr()}
 	for p.acceptPunct(",") {
-		name, err := p.expectIdent("field name")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expectPunct("="); err != nil {
-			return nil, err
-		}
-		val, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		st.Fields = append(st.Fields, FieldInit{Name: name.text, Value: val})
+		name := p.expectIdent("field name")
+		p.expectPunct("=")
+		st.Fields = append(st.Fields, FieldInit{Name: name.text, Value: p.expr()})
 	}
-	if _, err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
+	p.expectPunct(")")
 	if verb.text == "send" && p.acceptIdent("via") {
-		if st.Via, err = p.expr(); err != nil {
-			return nil, err
-		}
+		st.Via = p.expr()
 	}
-	if _, err := p.expectPunct(";"); err != nil {
-		return nil, err
-	}
-	return st, nil
+	p.expectPunct(";")
+	return st
 }
 
-func (p *parser) callStmt() (Stmt, error) {
+func (p *parser) callStmt() Stmt {
 	name := p.next() // ident
-	pos := name.pos
-	if _, err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	st := &CallStmt{Fn: name.text, Pos: pos}
-	if !p.acceptPunct(")") {
-		for {
-			arg, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			st.Args = append(st.Args, arg)
-			if p.acceptPunct(")") {
-				break
-			}
-			if _, err := p.expectPunct(","); err != nil {
-				return nil, err
-			}
+	p.expectPunct("(")
+	st := &CallStmt{Fn: name.text, Args: p.args(), Pos: name.pos}
+	p.expectPunct(";")
+	return st
+}
+
+// args parses a call's comma-separated arguments up to its ")" (the "(" is
+// already consumed).
+func (p *parser) args() []Expr {
+	var out []Expr
+	for p.more(")") {
+		if len(out) > 0 {
+			p.expectPunct(",")
 		}
+		out = append(out, p.expr())
 	}
-	if _, err := p.expectPunct(";"); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return out
 }
 
 // --- expressions ----------------------------------------------------------------
 
-func (p *parser) expr() (Expr, error) { return p.orExpr() }
+// binaryLevels are the binary operators from the loosest binding to the
+// tightest. Every level is left-associative except comparison, which takes
+// one operator: "a < b < c" does not parse.
+var binaryLevels = []struct {
+	ops   []string
+	chain bool
+}{
+	{[]string{"||"}, true},
+	{[]string{"&&"}, true},
+	{[]string{"==", "!=", "<", ">", "<=", ">="}, false},
+	{[]string{"+", "-"}, true},
+	{[]string{"*", "/", "%"}, true},
+}
 
-func (p *parser) orExpr() (Expr, error) {
-	l, err := p.andExpr()
-	if err != nil {
-		return nil, err
+func (p *parser) expr() Expr { return p.binary(0) }
+
+// binary parses an expression whose operators bind at least as tightly as
+// binaryLevels[level].
+func (p *parser) binary(level int) Expr {
+	if level == len(binaryLevels) {
+		return p.unaryExpr()
 	}
-	for p.cur().kind == tokPunct && p.cur().text == "||" {
+	l := p.binary(level + 1)
+	for t := p.cur(); t.kind == tokPunct && slices.Contains(binaryLevels[level].ops, t.text); t = p.cur() {
 		p.next()
-		r, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = BinExpr{Op: "||", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) andExpr() (Expr, error) {
-	l, err := p.cmpExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokPunct && p.cur().text == "&&" {
-		p.next()
-		r, err := p.cmpExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = BinExpr{Op: "&&", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) cmpExpr() (Expr, error) {
-	l, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
-	if t := p.cur(); t.kind == tokPunct {
-		switch t.text {
-		case "==", "!=", "<", ">", "<=", ">=":
-			p.next()
-			r, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			return BinExpr{Op: t.text, L: l, R: r}, nil
+		l = BinExpr{Op: t.text, L: l, R: p.binary(level + 1)}
+		if !binaryLevels[level].chain {
+			break
 		}
 	}
-	return l, nil
+	return l
 }
 
-func (p *parser) addExpr() (Expr, error) {
-	l, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for t := p.cur(); t.kind == tokPunct && (t.text == "+" || t.text == "-"); t = p.cur() {
-		p.next()
-		r, err := p.mulExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = BinExpr{Op: t.text, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	l, err := p.unaryExpr()
-	if err != nil {
-		return nil, err
-	}
-	for t := p.cur(); t.kind == tokPunct && (t.text == "*" || t.text == "/" || t.text == "%"); t = p.cur() {
-		p.next()
-		r, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = BinExpr{Op: t.text, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) unaryExpr() (Expr, error) {
+func (p *parser) unaryExpr() Expr {
 	if p.acceptPunct("!") {
-		inner, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return NotExpr{Inner: inner}, nil
+		return NotExpr{Inner: p.unaryExpr()}
 	}
 	if p.acceptPunct("-") {
 		// A negative number literal, or 0 - x.
 		if t := p.cur(); t.kind == tokNumber {
 			p.next()
-			return IntLit{Value: "-" + t.text}, nil
+			return IntLit{Value: "-" + t.text}
 		}
-		inner, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return BinExpr{Op: "-", L: IntLit{Value: "0"}, R: inner}, nil
+		return BinExpr{Op: "-", L: IntLit{Value: "0"}, R: p.unaryExpr()}
 	}
 	return p.primaryExpr()
 }
 
-func (p *parser) primaryExpr() (Expr, error) {
+func (p *parser) primaryExpr() Expr {
 	t := p.next()
 	switch t.kind {
 	case tokNumber:
-		return IntLit{Value: t.text}, nil
+		return IntLit{Value: t.text}
 	case tokIdent:
-		if p.cur().kind == tokPunct && p.cur().text == "(" {
-			p.next()
-			call := CallExpr{Fn: t.text}
-			if !p.acceptPunct(")") {
-				for {
-					arg, err := p.expr()
-					if err != nil {
-						return nil, err
-					}
-					call.Args = append(call.Args, arg)
-					if p.acceptPunct(")") {
-						break
-					}
-					if _, err := p.expectPunct(","); err != nil {
-						return nil, err
-					}
-				}
-			}
-			return call, nil
+		if p.acceptPunct("(") {
+			return CallExpr{Fn: t.text, Args: p.args()}
 		}
 		if p.acceptPunct("[") {
-			k, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expectPunct("]"); err != nil {
-				return nil, err
-			}
-			if _, err := p.expectPunct("."); err != nil {
-				return nil, err
-			}
-			f, err := p.expectIdent("keytable field")
-			if err != nil {
-				return nil, err
-			}
-			return EntryExpr{Table: t.text, Key: k, Field: f.text}, nil
+			e := EntryExpr{Table: t.text, Key: p.expr()}
+			p.expectPunct("]")
+			p.expectPunct(".")
+			e.Field = p.expectIdent("keytable field").text
+			return e
 		}
-		return Ident{Name: t.text}, nil
+		return Ident{Name: t.text}
 	case tokPunct:
 		if t.text == "(" {
-			inner, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			return inner, nil
+			inner := p.expr()
+			p.expectPunct(")")
+			return inner
 		}
 	}
-	return nil, p.errf(t.pos, "unexpected %q in expression", t.text)
+	p.fail(t.pos, "unexpected %q in expression", t.text)
+	return nil
 }
