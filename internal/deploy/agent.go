@@ -46,7 +46,7 @@ func RunAgent(controller string, node int, logw io.Writer) error {
 		return fmt.Errorf("deploy agent: expected config, got %q", m.Kind)
 	}
 	cfg := m.Config
-	fmt.Fprintf(logw, "agent %d: pid %d addr %v proto %s\n", node, os.Getpid(), cfg.Addr, cfg.Protocol)
+	fmt.Fprintf(logw, "agent %d: pid %d addr %v proto %s\n", node, os.Getpid(), uint32(scenario.Addr(cfg.Node)), cfg.Protocol)
 
 	a := &agent{conn: conn, cfg: cfg, logw: logw}
 	if err := a.start(); err != nil {
@@ -90,11 +90,12 @@ func (a *agent) start() error {
 	if err != nil {
 		return err
 	}
+	addr := scenario.Addr(a.cfg.Node)
 	node, err := core.NewNode(core.Config{
-		Addr:           overlay.Address(a.cfg.Addr),
+		Addr:           addr,
 		Net:            a.net,
 		Stack:          stack,
-		Bootstrap:      overlay.Address(a.cfg.Bootstrap),
+		Bootstrap:      scenario.Addr(0),
 		HeartbeatAfter: time.Duration(a.cfg.HeartbeatAfterNs),
 		FailAfter:      time.Duration(a.cfg.FailAfterNs),
 	})
@@ -123,18 +124,18 @@ func (a *agent) start() error {
 		StateChange: func(proto string, from, to core.State) {
 			a.event(&Event{Kind: EvState, AtUnixNano: time.Now().UnixNano(),
 				Proto: proto, From: string(from), State: string(to)})
-			a.obsEvent(uint64(a.cfg.Addr), obs.LevelInfo, "state",
+			a.obsEvent(uint64(addr), obs.LevelInfo, "state",
 				obs.F("proto", proto), obs.F("from", from), obs.F("to", to))
 		},
 		Failure: func(proto string, peer overlay.Address) {
 			a.event(&Event{Kind: EvFail, AtUnixNano: time.Now().UnixNano(),
 				Proto: proto, Peer: uint32(peer)})
-			a.obsEvent(uint64(a.cfg.Addr), obs.LevelWarn, "failure",
+			a.obsEvent(uint64(addr), obs.LevelWarn, "failure",
 				obs.F("proto", proto), obs.F("peer", peer))
 		},
 	})
 	if a.cfg.HasGroup {
-		if a.cfg.CreateGroup {
+		if a.cfg.Node == 0 {
 			_ = node.CreateGroup(overlay.Key(a.cfg.Group))
 		} else {
 			_ = node.Join(overlay.Key(a.cfg.Group))
@@ -224,7 +225,7 @@ func (a *agent) startObs() {
 			_ = json.NewEncoder(w).Encode(map[string]any{
 				"node":           a.cfg.Node,
 				"pid":            os.Getpid(),
-				"addr":           a.cfg.Addr,
+				"addr":           uint32(scenario.Addr(a.cfg.Node)),
 				"protocol":       a.cfg.Protocol,
 				"uptime_seconds": time.Since(a.started).Seconds(),
 				"events":         a.events.Lines(),

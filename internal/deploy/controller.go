@@ -264,8 +264,6 @@ func (c *controller) admit(tc net.Conn) {
 func (c *controller) agentConfigLocked(i int) *AgentConfig {
 	ac := &AgentConfig{
 		Node:             i,
-		Addr:             uint32(scenario.Addr(i)),
-		Bootstrap:        uint32(scenario.Addr(0)),
 		Protocol:         c.s.ProtocolName(),
 		Params:           c.s.Params,
 		Table:            c.table,
@@ -281,7 +279,6 @@ func (c *controller) agentConfigLocked(i int) *AgentConfig {
 	if g := c.sched.Group; g != nil {
 		ac.HasGroup = true
 		ac.Group = uint32(*g)
-		ac.CreateGroup = i == 0
 	}
 	return ac
 }

@@ -73,16 +73,13 @@ type Hello struct {
 }
 
 // AgentConfig tells a fresh agent everything it needs to become overlay
-// node Node: its overlay address, the full fleet address table, the
-// protocol stack, and its multicast-session role.
+// node Node: the full fleet address table, the protocol stack, and the
+// multicast session. The agent derives the rest from Node: its overlay
+// address is scenario.Addr(Node), the one the emulated cluster assigns
+// (so live and sim runs of one scenario route the identical key space),
+// the bootstrap is node 0, and node 0 creates the session group.
 type AgentConfig struct {
 	Node int `json:"node"`
-	// Addr is the node's overlay address — the same address (and hence
-	// hash key) the emulated cluster assigns node Node, so live and sim
-	// runs of one scenario route the identical key space.
-	Addr uint32 `json:"addr"`
-	// Bootstrap is the well-known bootstrap address (node 0's).
-	Bootstrap uint32 `json:"bootstrap"`
 	// Protocol names the stack and Params are the scenario's params its
 	// agents are built with (scenario.ResolveStack).
 	Protocol string         `json:"protocol"`
@@ -95,9 +92,8 @@ type AgentConfig struct {
 	FailAfterNs      int64 `json:"fail_after_ns,omitempty"`
 	// Group, when nonzero semantics apply (HasGroup), is the multicast
 	// session key; the bootstrap creates it, everyone else joins.
-	HasGroup    bool   `json:"has_group,omitempty"`
-	Group       uint32 `json:"group,omitempty"`
-	CreateGroup bool   `json:"create_group,omitempty"`
+	HasGroup bool   `json:"has_group,omitempty"`
+	Group    uint32 `json:"group,omitempty"`
 	// Shape carries the shaping rules already in force (an agent restarted
 	// mid-partition must come back inside it).
 	Shape *ShapeCmd `json:"shape,omitempty"`

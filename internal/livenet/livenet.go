@@ -65,7 +65,6 @@ type Network struct {
 	host     string
 	eps      map[overlay.Address]*endpoint
 	resolver func(a overlay.Address) string
-	deadline time.Duration
 	closed   bool
 
 	// Shaping state: per-peer rules plus an optional default applied to
@@ -98,12 +97,6 @@ func WithTable(table map[overlay.Address]string) Option {
 			return base(a)
 		}
 	}
-}
-
-// WithSendDeadline bounds each socket write: a send that cannot complete
-// within d fails instead of blocking the caller (0 = no deadline).
-func WithSendDeadline(d time.Duration) Option {
-	return func(n *Network) { n.deadline = d }
 }
 
 // New creates a live network mapping address a to host:basePort+a.
@@ -139,9 +132,7 @@ func (n *Network) After(d time.Duration, fn func()) substrate.Timer {
 	return liveTimer{t: time.AfterFunc(d, fn)}
 }
 
-// Endpoint binds (or returns) the UDP socket for an address. An address
-// whose previous endpoint was closed re-binds a fresh socket — the
-// rebind path an agent restart takes after a crash.
+// Endpoint binds (or returns) the UDP socket for an address.
 func (n *Network) Endpoint(addr overlay.Address) (substrate.Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -163,18 +154,6 @@ func (n *Network) Endpoint(addr overlay.Address) (substrate.Endpoint, error) {
 	n.eps[addr] = ep
 	go ep.readLoop()
 	return ep, nil
-}
-
-// CloseEndpoint shuts one address's socket down and forgets it, so a later
-// Endpoint call re-binds. Unknown addresses are a no-op.
-func (n *Network) CloseEndpoint(addr overlay.Address) {
-	n.mu.Lock()
-	ep := n.eps[addr]
-	delete(n.eps, addr)
-	n.mu.Unlock()
-	if ep != nil {
-		ep.close()
-	}
 }
 
 // Close shuts every socket down. Idempotent; the network is unusable
@@ -325,9 +304,6 @@ func (e *endpoint) Send(dst overlay.Address, payload []byte) error {
 }
 
 func (e *endpoint) write(buf []byte, raddr *net.UDPAddr) error {
-	if d := e.net.deadline; d > 0 {
-		_ = e.conn.SetWriteDeadline(time.Now().Add(d))
-	}
 	_, err := e.conn.WriteToUDP(buf, raddr)
 	if err == nil {
 		e.net.sent.Add(1)

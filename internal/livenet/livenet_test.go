@@ -247,46 +247,45 @@ func TestMTUEnforcement(t *testing.T) {
 	}
 }
 
-// TestDoubleCloseIdempotent: closing the network (or an endpoint) twice is
-// safe, and sends on closed endpoints fail instead of panicking.
+// TestDoubleCloseIdempotent: closing the network twice is safe, and sends
+// on its closed endpoints fail instead of panicking.
 func TestDoubleCloseIdempotent(t *testing.T) {
 	net := livenet.New("127.0.0.1", 39150)
 	ep, err := net.Endpoint(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.CloseEndpoint(1)
-	net.CloseEndpoint(1) // second close: no-op
+	net.Close()
+	net.Close() // idempotent
 	if err := ep.Send(2, []byte("x")); err == nil {
 		t.Fatal("send on closed endpoint succeeded")
 	}
-	net.Close()
-	net.Close() // idempotent
 	if _, err := net.Endpoint(3); err == nil {
 		t.Fatal("endpoint on closed network succeeded")
 	}
 }
 
-// TestRebindAfterClose: an address whose endpoint was closed re-binds a
-// fresh socket — the crash/restart path a deploy agent takes.
+// TestRebindAfterClose: once a network closes, a fresh network binds the
+// same address and port again and receives on it — the path a deploy agent
+// restarted after a crash takes.
 func TestRebindAfterClose(t *testing.T) {
 	net := livenet.New("127.0.0.1", 39160)
-	defer net.Close()
 	ep1, err := net.Endpoint(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ep1.SetRecv(func(overlay.Address, []byte) {})
-	net.CloseEndpoint(1)
+	net.Close()
 
-	// Same address, same port: must bind again cleanly.
-	ep1b, err := net.Endpoint(1)
+	net2 := livenet.New("127.0.0.1", 39160)
+	defer net2.Close()
+	ep1b, err := net2.Endpoint(1)
 	if err != nil {
 		t.Fatalf("rebind failed: %v", err)
 	}
 	got := make(chan []byte, 1)
-	ep1b.SetRecv(func(src overlay.Address, payload []byte) { got <- payload }) // fresh endpoint: recv settable again
-	ep2, err := net.Endpoint(2)
+	ep1b.SetRecv(func(src overlay.Address, payload []byte) { got <- payload })
+	ep2, err := net2.Endpoint(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,15 +296,6 @@ func TestRebindAfterClose(t *testing.T) {
 	case <-got:
 	case <-time.After(5 * time.Second):
 		t.Fatal("rebound endpoint never received")
-	}
-
-	// A second network on the same port range also binds once this one
-	// releases the address — the cross-process restart.
-	net.CloseEndpoint(1)
-	net2 := livenet.New("127.0.0.1", 39160)
-	defer net2.Close()
-	if _, err := net2.Endpoint(1); err != nil {
-		t.Fatalf("cross-network rebind failed: %v", err)
 	}
 }
 
@@ -334,24 +324,5 @@ func TestAddressTable(t *testing.T) {
 	case <-got:
 	case <-time.After(5 * time.Second):
 		t.Fatal("table-resolved datagram never arrived")
-	}
-}
-
-// TestSendDeadline: a bounded write deadline still delivers on a healthy
-// socket (the deadline path arms before every write).
-func TestSendDeadline(t *testing.T) {
-	net := livenet.New("127.0.0.1", 39180, livenet.WithSendDeadline(2*time.Second))
-	defer net.Close()
-	epA, _, got := pair(t, net, 1, 2)
-	if err := epA.Send(2, []byte("bounded")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case p := <-got:
-		if string(p) != "bounded" {
-			t.Fatalf("received %q, want \"bounded\"", p)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("datagram with send deadline never arrived")
 	}
 }
