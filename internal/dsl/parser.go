@@ -2,7 +2,6 @@ package dsl
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -623,37 +622,40 @@ func (p *parser) args() []Expr {
 
 // --- expressions ----------------------------------------------------------------
 
-// binaryLevels are the binary operators from the loosest binding to the
-// tightest. Every level is left-associative except comparison, which takes
-// one operator: "a < b < c" does not parse.
-var binaryLevels = []struct {
-	ops   []string
-	chain bool
-}{
-	{[]string{"||"}, true},
-	{[]string{"&&"}, true},
-	{[]string{"==", "!=", "<", ">", "<=", ">="}, false},
-	{[]string{"+", "-"}, true},
-	{[]string{"*", "/", "%"}, true},
+// binaryLevels gives each binary operator its binding level, from the
+// loosest (1) to the tightest. Every level is left-associative except
+// comparison, which takes one operator: "a < b < c" does not parse.
+var binaryLevels = map[string]int{
+	"||": 1,
+	"&&": 2,
+	"==": cmpLevel, "!=": cmpLevel, "<": cmpLevel, ">": cmpLevel, "<=": cmpLevel, ">=": cmpLevel,
+	"+": 4, "-": 4,
+	"*": tightestLevel, "/": tightestLevel, "%": tightestLevel,
 }
 
-func (p *parser) expr() Expr { return p.binary(0) }
+const cmpLevel, tightestLevel = 3, 5
 
-// binary parses an expression whose operators bind at least as tightly as
-// binaryLevels[level].
-func (p *parser) binary(level int) Expr {
-	if level == len(binaryLevels) {
-		return p.unaryExpr()
-	}
-	l := p.binary(level + 1)
-	for t := p.cur(); t.kind == tokPunct && slices.Contains(binaryLevels[level].ops, t.text); t = p.cur() {
+func (p *parser) expr() Expr { return p.binary(1) }
+
+// binary parses an expression whose operators bind at level min or
+// tighter, by precedence climbing: an operator's right operand takes only
+// tighter operators, and after it the loop takes only operators no tighter
+// than it (only looser ones after a comparison).
+func (p *parser) binary(min int) Expr {
+	l := p.unaryExpr()
+	for max := tightestLevel; ; {
+		t := p.cur()
+		lv := binaryLevels[t.text]
+		if lv < min || lv > max {
+			return l
+		}
 		p.next()
-		l = BinExpr{Op: t.text, L: l, R: p.binary(level + 1)}
-		if !binaryLevels[level].chain {
-			break
+		l = BinExpr{Op: t.text, L: l, R: p.binary(lv + 1)}
+		max = lv
+		if lv == cmpLevel {
+			max-- // a comparison does not chain
 		}
 	}
-	return l
 }
 
 func (p *parser) unaryExpr() Expr {
