@@ -68,6 +68,22 @@ func TestCLIGoldens(t *testing.T) {
 	}
 }
 
+// TestFigure7Golden: `macedon loc specs/*.mac` prints the paper's Figure 7,
+// the specification lines of each bundled spec and their total, as
+// testdata/golden/fig7-loc.txt pins it. loc takes no -shards, so it is not a
+// TestCLIGoldens row.
+func TestFigure7Golden(t *testing.T) {
+	specs, err := repo.Specs()
+	if err != nil || len(specs) == 0 {
+		t.Fatalf("no specs: %v", err)
+	}
+	code, got := runCaptured(t, runLoc, specs...)
+	if code != 0 {
+		t.Fatalf("exit code %d", code)
+	}
+	repo.RecordGolden(t, repo.Path("testdata", "golden", "fig7-loc.txt"), got)
+}
+
 // TestCheckReportsUnknownParam: `scenario -check` and `sweep -check` resolve
 // the stack with the params, so a name no layer declares fails the check.
 func TestCheckReportsUnknownParam(t *testing.T) {
