@@ -40,7 +40,11 @@ func BenchmarkFigure7SpecLines(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			total += dsl.CountLines(string(src))
+			n, err := dsl.CountLines(string(src))
+			if err != nil {
+				b.Fatal(err)
+			}
+			total += n
 		}
 	}
 	b.ReportMetric(float64(total), "loc_total")

@@ -72,9 +72,9 @@ func TestGenChordSummaryAndOutput(t *testing.T) {
 // parse, and each randtree probe, which parses but does not translate, makes
 // both exit 1 with the same error at the same line:col; gen writes nothing,
 // to standard output or under -o. A layered spec is checked with the set it
-// is given, as gen -o registers it: an unknown base, a cycle of bases or an
-// undeclared base param makes check and gen -o exit 1, while chord.mac, the
-// base in the set, checks ok. Gen of one spec to standard output has no
+// is given, as gen -o registers it: an unknown base, a cycle of bases, an
+// undeclared base param or a second spec named chord makes check and gen -o
+// exit 1, while chord.mac, the first in the set, checks ok. Gen of one spec to standard output has no
 // set to check it against.
 func TestGenRejectsMalformedSpec(t *testing.T) {
 	type malformed struct {
@@ -87,6 +87,7 @@ func TestGenRejectsMalformedSpec(t *testing.T) {
 		{"unknown base", "protocol up uses nosuch\n", `1:18: protocol up uses unknown base "nosuch"`, true},
 		{"cycle of bases", "protocol up uses up\n", "1:18: protocol up uses itself through its chain of bases", true},
 		{"undeclared base param", "protocol up uses chord(nosuch = 2)\n", `1:24: base chord declares no int auxiliary variable "nosuch"`, true},
+		{"two specs of one name", "protocol chord\n", "1:1: protocol chord declared twice", true},
 	}
 	for _, p := range repo.RandtreeProbes {
 		src, err := p.Apply()

@@ -24,7 +24,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"macedon/internal/codegen"
 	"macedon/internal/dsl"
@@ -72,42 +72,21 @@ func runCheck(args []string) int {
 	// A spec is checked by translating it, so check accepts exactly what gen
 	// translates, and with the others it is given as a set, as gen -o
 	// registers them: a layered spec is checked together with its base.
-	specs := make([]*dsl.Spec, len(args))
-	errs := make([]error, len(args))
-	for i, path := range args {
-		src, err := os.ReadFile(path)
-		if err == nil {
-			specs[i], err = dsl.Parse(string(src))
-		}
-		if err == nil {
-			_, err = codegen.Generate(specs[i], specs[i].Name)
-		}
-		errs[i] = err
-	}
-	for i, err := range codegen.CheckLayering(specs) {
-		if err != nil && errs[i] == nil {
-			errs[i] = err
-		}
-	}
-	bad := 0
-	for i, path := range args {
-		if errs[i] != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", path, errs[i])
-			bad++
+	specs, results := translate(args, true)
+	code := 0
+	for i, spec := range specs {
+		if results[i] == nil {
+			code = 1
 			continue
 		}
-		spec := specs[i]
 		layered := ""
 		if spec.Uses != "" {
 			layered = fmt.Sprintf(" uses %s", spec.Uses)
 		}
 		fmt.Printf("%s: protocol %s%s ok (%d states, %d messages, %d transitions)\n",
-			path, spec.Name, layered, len(spec.States), len(spec.Messages), len(spec.Transitions))
+			args[i], spec.Name, layered, len(spec.States), len(spec.Messages), len(spec.Transitions))
 	}
-	if bad > 0 {
-		return 1
-	}
-	return 0
+	return code
 }
 
 func runGen(args []string) int {
@@ -121,28 +100,11 @@ func runGen(args []string) int {
 	}
 	// Every spec translates before anything is written, so a failing one
 	// leaves DIR as it was.
-	specs := make([]*dsl.Spec, len(paths))
-	results := make([]*codegen.Result, len(paths))
-	for i, path := range paths {
-		src, err := os.ReadFile(path)
-		if err == nil {
-			specs[i], err = dsl.Parse(string(src))
-		}
-		if err == nil {
-			results[i], err = codegen.Generate(specs[i], specs[i].Name)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-			return 1
-		}
+	specs, results := translate(paths, *out != "")
+	if slices.Contains(results, nil) {
+		return 1
 	}
 	if *out != "" {
-		for i, err := range codegen.CheckLayering(specs) {
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", paths[i], err)
-				return 1
-			}
-		}
 		if !filepath.IsLocal(*out) {
 			fmt.Fprintf(os.Stderr, "macedon gen: -o %s is not a path under the module root\n", *out)
 			return 1
@@ -170,6 +132,40 @@ func runGen(args []string) int {
 	return code
 }
 
+// translate reads, parses and translates the spec at each path and, asSet,
+// checks them as the set gen -o registers (codegen.CheckLayering). It
+// reports each spec's first error on standard error; a spec that failed has
+// a nil result.
+func translate(paths []string, asSet bool) ([]*dsl.Spec, []*codegen.Result) {
+	specs := make([]*dsl.Spec, len(paths))
+	results := make([]*codegen.Result, len(paths))
+	errs := make([]error, len(paths))
+	for i, path := range paths {
+		src, err := os.ReadFile(path)
+		if err == nil {
+			specs[i], err = dsl.Parse(string(src))
+		}
+		if err == nil {
+			results[i], err = codegen.Generate(specs[i], specs[i].Name)
+		}
+		errs[i] = err
+	}
+	if asSet {
+		for i, err := range codegen.CheckLayering(specs) {
+			if err != nil && errs[i] == nil {
+				errs[i] = err
+			}
+		}
+	}
+	for i, err := range errs {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", paths[i], err)
+			results[i] = nil
+		}
+	}
+	return specs, results
+}
+
 // writeGo formats src and writes it to file, making its directory, or to
 // stdout when file is "". Source that does not format is written as it is,
 // so the bug is debuggable, and reported: it is not Go.
@@ -192,17 +188,20 @@ func runLoc(args []string) int {
 		fmt.Fprintln(os.Stderr, "macedon loc: no specifications given")
 		return 2
 	}
-	sort.Strings(args)
+	slices.Sort(args)
 	fmt.Printf("Figure 7 — lines of code used in algorithm specifications\n")
 	fmt.Printf("%-24s %s\n", "specification", "LOC")
 	total := 0
 	for _, path := range args {
 		src, err := os.ReadFile(path)
+		n := 0
+		if err == nil {
+			n, err = dsl.CountLines(string(src))
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 			return 1
 		}
-		n := dsl.CountLines(string(src))
 		total += n
 		fmt.Printf("%-24s %d\n", filepath.Base(path), n)
 	}

@@ -57,11 +57,7 @@ func Generate(spec *dsl.Spec, pkg string) (*Result, error) {
 		},
 	}
 	for _, c := range spec.Constants {
-		lit, ok := number(c.Value)
-		if !ok && !token.IsIdentifier(c.Value) {
-			return nil, &dsl.Error{Pos: c.Pos, Msg: fmt.Sprintf("constant %s = %s is neither a number nor a Go name", c.Name, c.Value)}
-		}
-		g.consts[c.Name] = lit
+		g.consts[c.Name], _ = number(c.Value)
 	}
 	for _, v := range spec.StateVars {
 		g.varTypes[v.Name] = v
@@ -201,20 +197,17 @@ var viewFields = map[string]string{
 // already has. A nodeset or nodetable is copied, a neighbor list read
 // through the instance, and a neighbor list bound to a single-address role
 // gives its first member.
-func (g *generator) emitRouting(r *dsl.Routing) error {
+func (g *generator) emitRouting(r *dsl.Routing) {
 	if r == nil {
-		return nil
+		return
 	}
 	g.pf("// Routing fills v with the routing state the spec's routing declaration\n")
 	g.pf("// names: how the correctness plane and the fuzzer read this agent.\n")
 	g.pf("func (a *Agent) Routing(inst *core.Instance, v *core.RoutingView) {\n")
 	g.pf("\tv.Kind = core.Routing%s\n", camel(r.Kind.String()))
 	for _, b := range r.Binds {
-		role, okRole := r.Kind.Role(b.Role)
-		v, okVar := g.varTypes[b.Var]
-		if !okRole || !okVar {
-			return &dsl.Error{Pos: b.Pos, Msg: fmt.Sprintf("routing role %s = %s is not a role bound to a declared variable", b.Role, b.Var)}
-		}
+		role, _ := r.Kind.Role(b.Role)
+		v := g.varTypes[b.Var]
 		var read string
 		switch {
 		case v.Kind == dsl.VarNeighborList && role.List:
@@ -231,7 +224,6 @@ func (g *generator) emitRouting(r *dsl.Routing) error {
 		g.pf("\tv.%s = %s\n", viewFields[b.Role], read)
 	}
 	g.pf("}\n\n")
-	return nil
 }
 
 // goType maps mac field types onto Go types. A short is an int that travels
@@ -445,9 +437,7 @@ func (g *generator) file() (string, error) {
 	g.pf("// no transition keeps ev.Msg, so one Def serves every instance.\n")
 	g.pf("func (*Agent) DefinedByType() {}\n\n")
 	g.emitSetParam(s)
-	if err := g.emitRouting(s.Routing); err != nil {
-		return "", err
-	}
+	g.emitRouting(s.Routing)
 
 	// Define. Its receiver is unnamed, so it cannot read the agent: handlers
 	// receive theirs through the core adapters, and factories make fresh

@@ -4,28 +4,32 @@ import (
 	"fmt"
 	"path"
 	"slices"
-	"strconv"
 	"strings"
 
 	"macedon/internal/dsl"
 )
 
-// CheckLayering checks specs translated together as a set: every base a
-// `uses` line names is one of them, no chain of bases comes back to where
-// it started, and every param a header sets is an int auxiliary variable of
-// its base. The i-th error is specs[i]'s, at the line and column of its
-// header at fault, or nil; a nil spec, one that did not parse, is no one's
-// base.
+// CheckLayering checks specs translated together as a set: no two declare
+// one protocol name, every base a `uses` line names is one of them, no chain
+// of bases comes back to where it started, and every param a header sets is
+// an int auxiliary variable of its base. The i-th error is specs[i]'s, at
+// the line and column of its header at fault, or nil; a nil spec, one that
+// did not parse, is no one's base, and of two specs of one name the second
+// is at fault.
 func CheckLayering(specs []*dsl.Spec) []*dsl.Error {
 	byName := map[string]*dsl.Spec{}
-	for _, s := range specs {
-		if s != nil {
+	errs := make([]*dsl.Error, len(specs))
+	for i, s := range specs {
+		switch {
+		case s == nil:
+		case byName[s.Name] != nil:
+			errs[i] = &dsl.Error{Pos: s.Pos, Msg: fmt.Sprintf("protocol %s declared twice", s.Name)}
+		default:
 			byName[s.Name] = s
 		}
 	}
-	errs := make([]*dsl.Error, len(specs))
 	for i, s := range specs {
-		if s != nil && s.Uses != "" {
+		if errs[i] == nil && s != nil && s.Uses != "" {
 			errs[i] = checkBase(s, byName)
 		}
 	}
@@ -64,11 +68,7 @@ func Registry(specs []*dsl.Spec, importDir string) string {
 		fmt.Fprintf(&imports, "\t%q\n", importDir+"/"+s.Name)
 		var params []string
 		for _, bp := range s.BaseParams {
-			v := bp.Value
-			if i := slices.IndexFunc(s.Constants, func(c dsl.Constant) bool { return c.Name == v }); i >= 0 {
-				v = s.Constants[i].Value
-			}
-			n, _ := strconv.Atoi(v) // as Validate read it
+			n, _ := s.IntValue(bp.Value) // Validate read it as an int
 			params = append(params, fmt.Sprintf("%q: %d", bp.Name, n))
 		}
 		fmt.Fprintf(&entries, "\t%q: {%q, map[string]int{%s}, %s.New()},\n", s.Name, s.Uses, strings.Join(params, ", "), s.Name)

@@ -74,15 +74,8 @@ type agent struct {
 
 // start builds the livenet substrate and the overlay node.
 func (a *agent) start() error {
-	table := make(map[overlay.Address]string, len(a.cfg.Table))
-	for k, hp := range a.cfg.Table {
-		ai, err := strconv.ParseUint(k, 10, 32)
-		if err != nil {
-			return fmt.Errorf("deploy agent: bad table address %q", k)
-		}
-		table[overlay.Address(ai)] = hp
-	}
-	a.net = livenet.New("127.0.0.1", 0, livenet.WithTable(table))
+	// Node i, address scenario.Addr(i), binds Host:BasePort+i.
+	a.net = livenet.New(a.cfg.Host, a.cfg.BasePort-int(scenario.Addr(0)))
 	if a.cfg.Shape != nil {
 		a.applyShape(a.cfg.Shape)
 	}

@@ -100,7 +100,6 @@ type controller struct {
 	cfg   Config
 	s     *scenario.Scenario
 	sched *scenario.Schedule
-	table map[string]string
 	ln    net.Listener
 	start time.Time
 
@@ -168,10 +167,6 @@ func Run(cfg Config) (*scenario.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	table := make(map[string]string, s.Nodes)
-	for i := 0; i < s.Nodes; i++ {
-		table[strconv.FormatUint(uint64(scenario.Addr(i)), 10)] = fmt.Sprintf("%s:%d", cfg.Host, cfg.BasePort+i)
-	}
 	ln, err := net.Listen("tcp", cfg.Host+":0")
 	if err != nil {
 		return nil, fmt.Errorf("deploy: control listener: %w", err)
@@ -180,7 +175,6 @@ func Run(cfg Config) (*scenario.Report, error) {
 		cfg:      cfg,
 		s:        s,
 		sched:    sched,
-		table:    table,
 		ln:       ln,
 		agents:   make([]*agentSlot, s.Nodes),
 		degLoss:  make([]float64, s.Nodes),
@@ -266,7 +260,8 @@ func (c *controller) agentConfigLocked(i int) *AgentConfig {
 		Node:             i,
 		Protocol:         c.s.ProtocolName(),
 		Params:           c.s.Params,
-		Table:            c.table,
+		Host:             c.cfg.Host,
+		BasePort:         c.cfg.BasePort,
 		HeartbeatAfterNs: int64(c.s.HeartbeatAfter.D()),
 		FailAfterNs:      int64(c.s.FailAfter.D()),
 		Shape:            c.rulesForLocked(i),

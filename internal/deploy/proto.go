@@ -73,7 +73,7 @@ type Hello struct {
 }
 
 // AgentConfig tells a fresh agent everything it needs to become overlay
-// node Node: the full fleet address table, the protocol stack, and the
+// node Node: where the fleet's sockets are, the protocol stack, and the
 // multicast session. The agent derives the rest from Node: its overlay
 // address is scenario.Addr(Node), the one the emulated cluster assigns
 // (so live and sim runs of one scenario route the identical key space),
@@ -84,8 +84,10 @@ type AgentConfig struct {
 	// agents are built with (scenario.ResolveStack).
 	Protocol string         `json:"protocol"`
 	Params   map[string]int `json:"params,omitempty"`
-	// Table maps every fleet address (decimal string) to "host:port".
-	Table map[string]string `json:"table"`
+	// Host and BasePort place the fleet's UDP sockets, as Config's do: node
+	// i binds Host:BasePort+i.
+	Host     string `json:"host"`
+	BasePort int    `json:"base_port"`
 	// HeartbeatAfterNs/FailAfterNs tune the engine failure detector
 	// exactly as the scenario's fields do for the emulated run.
 	HeartbeatAfterNs int64 `json:"heartbeat_after_ns,omitempty"`

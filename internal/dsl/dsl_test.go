@@ -482,10 +482,28 @@ func TestValidateDiagnostics(t *testing.T) {
 	}
 }
 
+// TestCountLines: Figure 7 counts the lines that hold a token, so blank
+// lines, CRLF ones too, and comment-only lines do not count, and a source
+// the lexer rejects has no count.
 func TestCountLines(t *testing.T) {
-	src := "protocol x\n\n// comment only\nstates { a; }\n/* block\ncomment */\ntransports { UDP u; }\n"
-	if n := CountLines(src); n != 3 {
-		t.Fatalf("CountLines = %d, want 3", n)
+	for _, c := range []struct {
+		name, src string
+		want      int
+		err       string
+	}{
+		{"comments", "protocol x\n\n// comment only\nstates { a; }\n/* block\ncomment */\ntransports { UDP u; }\n", 3, ""},
+		{"crlf", "protocol x\r\n\r\n// c\r\nstates { a; }\r\n", 2, ""},
+		{"unterminated block comment", "protocol x\n/* open\nstates { a; }\n", 0, "2:1: unterminated block comment"},
+		{"non-ascii identifier", "protocol café\n\nstates { état; }\n", 2, ""},
+	} {
+		n, err := CountLines(c.src)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if n != c.want || got != c.err {
+			t.Errorf("%s: CountLines = %d, %q; want %d, %q", c.name, n, got, c.want, c.err)
+		}
 	}
 }
 
@@ -512,8 +530,8 @@ func TestAllBundledSpecsParse(t *testing.T) {
 		if spec.Name != base {
 			t.Errorf("%s declares protocol %q", path, spec.Name)
 		}
-		if n := CountLines(string(src)); n < 20 {
-			t.Errorf("%s suspiciously small: %d lines", path, n)
+		if n, err := CountLines(string(src)); err != nil || n < 20 {
+			t.Errorf("%s suspiciously small: %d lines (%v)", path, n, err)
 		}
 	}
 	for _, want := range []string{"randtree", "overcast", "chord", "pastry", "scribe", "splitstream", "nice", "bullet", "ammo"} {

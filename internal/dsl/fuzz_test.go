@@ -3,6 +3,7 @@ package dsl
 import (
 	"errors"
 	"os"
+	"strings"
 	"testing"
 
 	"macedon/internal/repo"
@@ -12,8 +13,10 @@ import (
 // parses: the first step of every .mac file a user hands `macedon check` or
 // `macedon gen`. Seed corpus: the bundled specs/*.mac, and well-formed and
 // malformed routing declarations over a small spec. Properties: Parse does
-// not panic, and every error it returns is a *Error with a line:column
-// position, which is what the diagnostics promise their readers.
+// not panic, every error it returns is a *Error with a line:column position,
+// which is what the diagnostics promise their readers, and each token the
+// lexer finds has its text in the source at its line:column, the column
+// counted in runes.
 func FuzzParseSpec(f *testing.F) {
 	paths, err := repo.Specs()
 	if err != nil || len(paths) == 0 {
@@ -33,6 +36,15 @@ func FuzzParseSpec(f *testing.F) {
 		f.Add(routingBase + c.decl + "\n")
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if toks, err := lex(src); err == nil {
+			lines := strings.Split(src, "\n")
+			for _, tok := range toks[:len(toks)-1] {
+				line := []rune(lines[tok.pos.Line-1])
+				if at := string(line[tok.pos.Col-1:]); !strings.HasPrefix(at, tok.text) {
+					t.Fatalf("token %q at %s, where the source reads %q", tok.text, tok.pos, at)
+				}
+			}
+		}
 		_, err := Parse(src)
 		if err == nil {
 			return

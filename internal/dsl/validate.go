@@ -3,6 +3,7 @@ package dsl
 import (
 	"fmt"
 	gotoken "go/token"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -68,24 +69,12 @@ func Validate(s *Spec) error {
 			}
 		}
 	}
-	consts := map[string]string{}
 	for _, c := range s.Constants {
 		_, errInt := strconv.ParseInt(c.Value, 0, 64)
 		_, errFloat := strconv.ParseFloat(c.Value, 64)
 		if errInt != nil && errFloat != nil && !gotoken.IsIdentifier(c.Value) {
 			return errAt(c.Pos, "constant %s = %s is neither an int or double literal nor a name", c.Name, c.Value)
 		}
-		consts[c.Name] = c.Value
-	}
-	// intValue resolves a literal or constant reference to an integer; it
-	// backs the sizing diagnostics below (timer periods, list capacities,
-	// table sizes must be compile-time integers).
-	intValue := func(v string) (int, bool) {
-		if rep, ok := consts[v]; ok {
-			v = rep
-		}
-		n, err := strconv.Atoi(v)
-		return n, err == nil
 	}
 	params := map[string]bool{}
 	for _, bp := range s.BaseParams {
@@ -93,13 +82,13 @@ func Validate(s *Spec) error {
 			return errAt(bp.Pos, "base param %q declared twice", bp.Name)
 		}
 		params[bp.Name] = true
-		if n, ok := intValue(bp.Value); !ok || int(int32(n)) != n {
+		if n, ok := s.IntValue(bp.Value); !ok || int(int32(n)) != n {
 			return errAt(bp.Pos, "base param %s = %s is not an int literal or int constant", bp.Name, bp.Value)
 		}
 	}
 	for _, nt := range s.NeighborTypes {
 		if nt.Max != "" {
-			if n, ok := intValue(nt.Max); !ok || n <= 0 {
+			if n, ok := s.IntValue(nt.Max); !ok || n <= 0 {
 				return errAt(nt.Pos, "neighbor type %q capacity %q is not a positive integer literal or constant", nt.Name, nt.Max)
 			}
 		}
@@ -115,7 +104,7 @@ func Validate(s *Spec) error {
 		case VarTimer:
 			timers[v.Name] = true
 			if v.Period != "" {
-				if n, ok := intValue(v.Period); !ok || n < 0 {
+				if n, ok := s.IntValue(v.Period); !ok || n < 0 {
 					return errAt(v.Pos, "timer %q period %q is not a non-negative integer literal or constant", v.Name, v.Period)
 				}
 			}
@@ -124,19 +113,19 @@ func Validate(s *Spec) error {
 				return errAt(v.Pos, "neighbor list %q has unknown type %q", v.Name, v.Type)
 			}
 			if v.Max != "" {
-				if n, ok := intValue(v.Max); !ok || n <= 0 {
+				if n, ok := s.IntValue(v.Max); !ok || n <= 0 {
 					return errAt(v.Pos, "neighbor list %q capacity %q is not a positive integer literal or constant", v.Name, v.Max)
 				}
 			}
 		case VarTable:
-			if n, ok := intValue(v.Max); !ok || n <= 0 {
+			if n, ok := s.IntValue(v.Max); !ok || n <= 0 {
 				return errAt(v.Pos, "nodetable %q size %q is not a positive integer literal or constant", v.Name, v.Max)
 			}
 		case VarLog:
 			if !msgs[v.Type] {
 				return errAt(v.Pos, "log %q of undeclared message %q", v.Name, v.Type)
 			}
-			if n, ok := intValue(v.Max); !ok || n <= 0 {
+			if n, ok := s.IntValue(v.Max); !ok || n <= 0 {
 				return errAt(v.Pos, "log %q size %q is not a positive integer literal or constant", v.Name, v.Max)
 			}
 		case VarKeyTable:
@@ -238,6 +227,21 @@ func (s *Spec) validateRouting() error {
 	return nil
 }
 
+// IntValue resolves a literal, or the name of a constant (the last one
+// declared by that name), to an int. Validate reads base params, timer
+// periods, list capacities and table sizes through it: each must be a
+// compile-time integer.
+func (s *Spec) IntValue(v string) (int, bool) {
+	for _, c := range slices.Backward(s.Constants) {
+		if c.Name == v {
+			v = c.Value
+			break
+		}
+	}
+	n, err := strconv.Atoi(v)
+	return n, err == nil
+}
+
 // typeName names the variable's type in a diagnostic.
 func (v StateVar) typeName() string {
 	switch v.Kind {
@@ -267,50 +271,19 @@ func (s *Spec) statePos(i int) Pos {
 	return s.Pos
 }
 
-// CountLines counts the non-blank, non-comment source lines of a
-// specification — the LOC metric of the paper's Figure 7.
-func CountLines(src string) int {
-	count := 0
-	inBlock := false
-	line := ""
-	flush := func() {
-		trimmed := ""
-		for _, r := range line {
-			if r != ' ' && r != '\t' {
-				trimmed += string(r)
-			}
-		}
-		if trimmed != "" {
-			count++
-		}
-		line = ""
+// CountLines counts the lines of a specification that hold a token, as lex
+// reads it: the LOC metric of the paper's Figure 7. Blank lines and lines
+// holding only comments do not count.
+func CountLines(src string) (int, error) {
+	toks, err := lex(src)
+	if err != nil {
+		return 0, err
 	}
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case inBlock:
-			if c == '*' && i+1 < len(src) && src[i+1] == '/' {
-				inBlock = false
-				i++
-			} else if c == '\n' {
-				flush()
-			}
-		case c == '/' && i+1 < len(src) && src[i+1] == '/':
-			for i < len(src) && src[i] != '\n' {
-				i++
-			}
-			continue
-		case c == '/' && i+1 < len(src) && src[i+1] == '*':
-			inBlock = true
-			i++
-		case c == '\n':
-			flush()
-		default:
-			line += string(c)
+	n, last := 0, 0
+	for _, t := range toks {
+		if t.kind != tokEOF && t.pos.Line != last {
+			n, last = n+1, t.pos.Line
 		}
-		i++
 	}
-	flush()
-	return count
+	return n, nil
 }

@@ -57,14 +57,12 @@ type Stats struct {
 	ShapeDrops, LossDrops uint64
 }
 
-// Network maps overlay addresses onto UDP ports of one host (or, with an
-// address table, onto arbitrary UDP endpoints).
+// Network maps overlay address a onto the UDP port host:basePort+a.
 type Network struct {
 	mu       sync.Mutex
 	basePort int
 	host     string
 	eps      map[overlay.Address]*endpoint
-	resolver func(a overlay.Address) string
 	closed   bool
 
 	// Shaping state: per-peer rules plus an optional default applied to
@@ -76,45 +74,20 @@ type Network struct {
 	sent, recv, bytesSent, bytesRecv, shapeDrops, lossDrops atomic.Uint64
 }
 
-// Option configures the network.
-type Option func(*Network)
-
-// WithTable resolves addresses through an explicit addr→"host:port" table:
-// how `macedon deploy` agents reach a fleet whose overlay addresses come
-// from the emulated topology rather than a dense port range. Addresses
-// absent from the table fall back to host:basePort+addr.
-func WithTable(table map[overlay.Address]string) Option {
-	return func(n *Network) {
-		cp := make(map[overlay.Address]string, len(table))
-		for a, hp := range table {
-			cp[a] = hp
-		}
-		base := n.resolver
-		n.resolver = func(a overlay.Address) string {
-			if hp, ok := cp[a]; ok {
-				return hp
-			}
-			return base(a)
-		}
-	}
-}
-
 // New creates a live network mapping address a to host:basePort+a.
-func New(host string, basePort int, opts ...Option) *Network {
-	n := &Network{
+func New(host string, basePort int) *Network {
+	return &Network{
 		basePort: basePort,
 		host:     host,
 		eps:      make(map[overlay.Address]*endpoint),
 		rules:    make(map[overlay.Address]Shaping),
 		shapeRng: rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	n.resolver = func(a overlay.Address) string {
-		return fmt.Sprintf("%s:%d", n.host, n.basePort+int(a))
-	}
-	for _, o := range opts {
-		o(n)
-	}
-	return n
+}
+
+// hostPort is the UDP endpoint of address a.
+func (n *Network) hostPort(a overlay.Address) string {
+	return fmt.Sprintf("%s:%d", n.host, n.basePort+int(a))
 }
 
 // Now implements substrate.Clock with the wall clock.
@@ -142,7 +115,7 @@ func (n *Network) Endpoint(addr overlay.Address) (substrate.Endpoint, error) {
 	if ep, ok := n.eps[addr]; ok {
 		return ep, nil
 	}
-	laddr, err := net.ResolveUDPAddr("udp", n.resolver(addr))
+	laddr, err := net.ResolveUDPAddr("udp", n.hostPort(addr))
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +260,7 @@ func (e *endpoint) Send(dst overlay.Address, payload []byte) error {
 		e.net.lossDrops.Add(1)
 		return nil
 	}
-	raddr, err := net.ResolveUDPAddr("udp", e.net.resolver(dst))
+	raddr, err := net.ResolveUDPAddr("udp", e.net.hostPort(dst))
 	if err != nil {
 		return err
 	}

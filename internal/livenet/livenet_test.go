@@ -298,31 +298,3 @@ func TestRebindAfterClose(t *testing.T) {
 		t.Fatal("rebound endpoint never received")
 	}
 }
-
-// TestAddressTable: WithTable routes listed addresses and falls back to the
-// port arithmetic for the rest.
-func TestAddressTable(t *testing.T) {
-	// Address 7001 lives at a port unrelated to basePort+7001; address 1
-	// falls back to basePort+1.
-	table := map[overlay.Address]string{7001: "127.0.0.1:39179"}
-	net := livenet.New("127.0.0.1", 39170, livenet.WithTable(table))
-	defer net.Close()
-	epA, err := net.Endpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	epB, err := net.Endpoint(7001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan []byte, 1)
-	epB.SetRecv(func(src overlay.Address, payload []byte) { got <- payload })
-	if err := epA.Send(7001, []byte("via table")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-got:
-	case <-time.After(5 * time.Second):
-		t.Fatal("table-resolved datagram never arrived")
-	}
-}
